@@ -6,9 +6,11 @@ extraction pipeline's resolve and plan stages end-to-end, and writes the
 ``BENCH_hotpath.json`` artifact (per batch size: keys/sec per operation
 and the pipeline's per-stage wall-clock breakdown).
 
-Gate: the vectorized ``lookup_batch`` must be at least 10× the scalar
+Gates: the vectorized ``lookup_batch`` must be at least 10× the scalar
 baseline at batch sizes ≥ 4096 — the speedup the vectorization refactor
-exists to deliver.  The ``perf-smoke`` CI job runs exactly this file
+exists to deliver — and ``plan_extraction`` must plan at least 14 M
+keys/sec at batch 4096 (8.4 M before the one-sort segment index).  The
+``perf-smoke`` CI job runs exactly this file
 (``pytest benchmarks/bench_micro_hotpath.py -m perf``).
 """
 
@@ -34,6 +36,7 @@ ARTIFACT = pathlib.Path(__file__).parents[1] / "BENCH_hotpath.json"
 TABLE_ENTRIES = 100_000
 BATCH_SIZES = (256, 1024, 4096, 16384)
 MIN_SPEEDUP_AT_4096 = 10.0
+MIN_PLAN_KEYS_PER_SEC_AT_4096 = 14e6
 # The generalized tier code on a one-tier chain may cost at most this
 # much resolve+price throughput versus the pre-tier baseline path.
 MAX_TIER_REGRESSION = 0.10
@@ -201,6 +204,7 @@ def bench_micro_hotpath():
     doc = {
         "table_entries": TABLE_ENTRIES,
         "min_speedup_at_4096": MIN_SPEEDUP_AT_4096,
+        "min_plan_keys_per_sec_at_4096": MIN_PLAN_KEYS_PER_SEC_AT_4096,
         "max_tier_regression": MAX_TIER_REGRESSION,
         "location_table": location_rows,
         "pipeline": pipeline_rows,
@@ -221,7 +225,17 @@ def bench_micro_hotpath():
                 f"scalar at batch {row['batch_size']}"
             )
     for row in pipeline_rows:
+        print(
+            f"batch {row['batch_size']:>6}: plan "
+            f"{row['plan_keys_per_sec'] / 1e6:.1f} M keys/s, resolve "
+            f"{row['resolve_keys_per_sec'] / 1e6:.0f} M keys/s"
+        )
         assert row["resolve_keys_per_sec"] > row["plan_keys_per_sec"] > 0
+        if row["batch_size"] == 4096:
+            assert row["plan_keys_per_sec"] >= MIN_PLAN_KEYS_PER_SEC_AT_4096, (
+                f"plan_extraction only {row['plan_keys_per_sec'] / 1e6:.1f} M "
+                f"keys/s at batch 4096"
+            )
     for row in tier_rows:
         print(
             f"chain {row['chain']:>12} ({row['num_tiers']} tier"

@@ -24,10 +24,10 @@ import numpy as np
 
 from repro.core.cache import MultiGpuEmbeddingCache
 from repro.core.extractor import FactoredExtractor
+from repro.core.pipeline import price_demand
 from repro.core.policy import Placement, hot_replicate_warm_partition_policy
 from repro.core.solver import FallbackConfig, SolverConfig, solve_sharded_policy
 from repro.hardware.platform import Platform
-from repro.sim.mechanisms import factored_extraction
 from repro.utils.logging import get_logger
 
 logger = get_logger("cluster.node")
@@ -121,7 +121,7 @@ class CacheNode:
         """Healthy extraction time for ``keys`` on the next ingress GPU."""
         plan = self.extractor.plan(self._pick_gpu(), keys)
         demand = plan.demand(self.cache.entry_bytes)
-        return factored_extraction(self.platform, demand).time
+        return price_demand(self.platform, demand).time
 
     def serve(self, keys: np.ndarray) -> tuple[np.ndarray, float]:
         """Gather ``keys``; returns ``(values, healthy service seconds)``."""
@@ -130,7 +130,7 @@ class CacheNode:
         values, demand = self.extractor.execute(plan)
         if self.read_guard is not None:
             values, _ = self.read_guard.guard_read(gpu, keys, values)
-        return values, factored_extraction(self.platform, demand).time
+        return values, price_demand(self.platform, demand).time
 
     # ------------------------------------------------------------------
     # Failover bookkeeping

@@ -7,18 +7,21 @@ free function that any layer can call on its own:
 
 1. **resolve** — bulk location lookup: keys → source per key (the §4
    hashtable semantics, served from the cache's dense ``source_map``);
-2. **reroute** — fault/exclusion handling: replace unusable sources
-   (down GPUs, partitioned links, stale/corrupt slots, breaker-opened
-   sources) with the cheapest surviving replica, host last;
-3. **group** — per-source batching: positions, keys and slot offsets of
-   each source's share (Figure 8's grouped layout);
+2. **reroute** — fault/exclusion handling: sort the batch by source once
+   (one stable ``argsort`` → per present source its positions and keys,
+   as views), check each present source, and replace unusable ones (down
+   GPUs, partitioned links, stale/corrupt slots, breaker-opened sources)
+   with the cheapest surviving replica, host last;
+3. **group** — per-source batching: wrap each segment and the slot
+   offsets reroute gathered as a :class:`SourceGroup` (Figure 8's layout);
 4. **dedicate** — the §5.3 core split over the sources actually present,
    re-normalized when the topology model and the location table disagree;
 5. **price** — the factored timing model under the current health view —
    the *only* pricing point: the extractor, the batch engine, the event
-   simulators and the serving runtime all price a demand through
-   :func:`price_demand`, so a plan costs the same no matter who asks;
-6. **execute** — gather the actual values through the cache stores.
+   simulators, the serving runtime and the cluster's cache nodes all price
+   a demand through :func:`price_demand`, so a plan costs the same no
+   matter who asks;
+6. **execute** — one bulk row ``take`` per group through the cache stores.
 
 A seventh stage runs *ahead* of the batch rather than inside it:
 **prefetch** (:mod:`repro.core.prefetch`) peeks a lookahead window into
@@ -214,6 +217,32 @@ def find_replicas(
     return out
 
 
+_NO_OFFSETS = np.empty(0, dtype=np.int64)
+
+
+def _segment(
+    cache: "MultiGpuEmbeddingCache", keys: np.ndarray, sources: np.ndarray
+) -> list[tuple]:
+    """Sort a batch by source once: ``[(source, positions, keys, offsets)]``,
+    sources and positions ascending, the arrays views of one sorted copy;
+    ``offsets`` are the keys' slots on a GPU source (negative: not held)."""
+    # A stable integer argsort is a radix sort, one pass per key byte:
+    # sort one byte wide whenever every id fits (a corrupt one may not).
+    narrow = sources.astype(np.int8)
+    order = (narrow if (narrow == sources).all() else sources).argsort(kind="stable")
+    if not len(order):
+        return []
+    by_source, by_keys = sources.take(order), keys.take(order)
+    cuts = (np.flatnonzero(by_source[1:] != by_source[:-1]) + 1).tolist()
+    starts, num_gpus = [0, *cuts], cache.platform.num_gpus
+    return [
+        (src, order[a:b], by_keys[a:b],
+         cache.store(src).offset_of.take(by_keys[a:b]) if 0 <= src < num_gpus
+         else _NO_OFFSETS)
+        for src, a, b in zip(by_source[starts].tolist(), starts, [*cuts, len(order)])
+    ]
+
+
 def reroute(
     cache: "MultiGpuEmbeddingCache",
     dst: int,
@@ -222,65 +251,65 @@ def reroute(
     health: HealthView | None = None,
     exclude: frozenset[int] = frozenset(),
     log=logger,
-) -> tuple[np.ndarray, int, tuple[int, ...]]:
-    """Replace unusable sources in ``sources``.
+) -> tuple[list[tuple], int, tuple[int, ...]]:
+    """Segment the batch by source and replace unusable sources.
 
     A source is unusable when its id is corrupt (outside the GPU
     range), the health view marks it down or unreachable, its store
     does not actually hold the key (a stale location), or the caller
-    excluded it (an open circuit breaker).  Returns
-    ``(sources, rerouted, failed_sources)`` where ``failed_sources``
-    attributes reroutes to the sources that *failed* (exclusions are
-    deliberate, not failures).  Corrupt slots are blamed on whichever
+    excluded it (an open circuit breaker); a patched batch is segmented
+    once more.  Returns ``(segments, rerouted, failed_sources)`` — the
+    final :func:`_segment` list, and the sources that *failed* (exclusions
+    are deliberate, not failures).  Corrupt slots are blamed on whichever
     GPU stores actually hold the affected entries — the replicas whose
     location records went bad.
     """
     reg = get_registry()
-    with stage_timer("reroute"):
+    with stage_timer("reroute", reg):
         platform = cache.platform
-        G = platform.num_gpus
-        # Centralized validity test: GPU ids and *every* backing-tier id
-        # are legitimate; only ids outside both ranges are corrupt.
-        corrupt_mask = ~platform.valid_source_mask(sources)
-        bad = corrupt_mask.copy()
-        n_corrupt = int(bad.sum())
-        n_stale = 0
+        num_gpus, num_tiers = platform.num_gpus, platform.num_tiers
+        segments = _segment(cache, keys, sources)
+        bad: list[np.ndarray] = []
+        n_corrupt = n_stale = 0
         failed: set[int] = set()
-        for g in range(G):
-            idx = np.flatnonzero(sources == g)
-            if len(idx) == 0:
-                continue
-            if g != dst and g in exclude:
-                bad[idx] = True
-                continue
-            if g != dst and not platform.is_connected(dst, g):
+        for src, positions, src_keys, offsets in segments:
+            if -num_tiers <= src < 0:
+                pass
+            elif not 0 <= src < num_gpus:
+                # GPU ids and *every* backing-tier id are legitimate;
+                # only ids outside both ranges are corrupt.
+                bad.append(positions)
+                n_corrupt += len(positions)
+            elif src != dst and src in exclude:
+                bad.append(positions)
+            elif src != dst and not platform.topology.connected(dst, src):
                 # A corrupt map can route over a link that does not exist;
                 # treat it like a partition rather than let the simulator
                 # reject the plan.
-                bad[idx] = True
-                n_corrupt += len(idx)
-                failed.add(g)
-                continue
-            if health is not None and not health.source_usable(dst, g):
-                bad[idx] = True
-                failed.add(g)
-                continue
-            stale = cache.store(g).offset_of[keys[idx]] < 0
-            if stale.any():
-                bad[idx[stale]] = True
+                bad.append(positions)
+                n_corrupt += len(positions)
+                failed.add(src)
+            elif health is not None and not health.source_usable(dst, src):
+                bad.append(positions)
+                failed.add(src)
+            elif offsets.min() < 0:
+                stale = offsets < 0
+                bad.append(positions[stale])
                 n_stale += int(stale.sum())
-                failed.add(g)
-        if corrupt_mask.any():
-            corrupt_keys = keys[corrupt_mask]
-            for g in range(G):
+                failed.add(src)
+        if not bad:
+            return segments, 0, ()
+        corrupt = [k for s, _, k, _ in segments if not -num_tiers <= s < num_gpus]
+        if corrupt:
+            corrupt_keys = np.concatenate(corrupt)
+            for g in platform.gpu_ids:
                 if (cache.store(g).offset_of[corrupt_keys] >= 0).any():
                     failed.add(g)
-        if not bad.any():
-            return sources, 0, ()
-        bad_idx = np.flatnonzero(bad)
+        bad_idx = np.concatenate(bad)
         replacements = find_replicas(cache, dst, keys[bad_idx], health, exclude)
         sources = sources.copy()
         sources[bad_idx] = replacements
+        segments = _segment(cache, keys, sources)
         n = len(bad_idx)
     to_backing = int(platform.backing_mask(replacements).sum())
     reg.counter("faults.rerouted_keys", dst=dst).inc(n)
@@ -298,7 +327,7 @@ def reroute(
         "GPU %d: rerouted %d/%d keys (%d corrupt, %d stale) around faults",
         dst, n, len(keys), n_corrupt, n_stale,
     )
-    return sources, n, tuple(sorted(failed))
+    return segments, n, tuple(sorted(failed))
 
 
 # ----------------------------------------------------------------------
@@ -366,7 +395,7 @@ def dedicate(
     never silent.
     """
     reg = get_registry()
-    with stage_timer("dedicate"):
+    with stage_timer("dedicate", reg):
         fn = dedication_fn or core_dedication
         dedication = fn(platform, dst, present)
         dedication, missing = renormalize_dedication(
@@ -391,48 +420,50 @@ def dedicate(
 # ----------------------------------------------------------------------
 # Stage 3: group
 # ----------------------------------------------------------------------
+def _source_instruments(reg, source: int, dst: int, platform: Platform):
+    """One source class's instruments, looked up once per registry."""
+    label = source_class(source, dst, platform)
+    found = reg.handles.get(("source", label))
+    if found is None:
+        found = reg.handles[("source", label)] = (
+            reg.counter("extractor.plan.keys", source=label),
+            reg.histogram("extractor.plan.dedicated_cores", source=label),
+            reg.counter("extractor.execute.bytes", source=label),
+        )
+    return found
+
+
 def group_by_source(
     cache: "MultiGpuEmbeddingCache",
     dst: int,
-    keys: np.ndarray,
-    sources: np.ndarray,
+    segments: list[tuple],
     dedication: dict[int, int],
 ) -> tuple[SourceGroup, ...]:
-    """Per-source batching: split a resolved batch into source-pure groups.
+    """Per-source batching: one :class:`SourceGroup` per rerouted segment.
 
     Non-local groups come first (launch order); the local group is
     appended last, scheduled at low priority to pad the ragged non-local
     finishing times (§5.3).
     """
     reg = get_registry()
-    with stage_timer("group"):
+    with stage_timer("group", reg):
         platform = cache.platform
         num_cores = platform.gpu.num_cores
         groups: list[SourceGroup] = []
         local_group: SourceGroup | None = None
-        for src in (int(s) for s in np.unique(sources)):
-            positions = np.flatnonzero(sources == src)
-            group_keys = keys[positions]
-            if platform.is_backing(src):
-                offsets = np.empty(0, dtype=np.int64)
-            else:
-                offsets = cache.store(src).offset_of[group_keys]
+        for src, positions, src_keys, offsets in segments:
             group = SourceGroup(
                 source=src,
                 batch_positions=positions,
-                keys=group_keys,
+                keys=src_keys,
                 offsets=offsets,
                 dedicated_cores=(
                     num_cores if src == dst else dedication.get(src, 1)
                 ),
             )
-            reg.counter(
-                "extractor.plan.keys", source=source_class(src, dst, platform)
-            ).inc(len(group_keys))
-            reg.histogram(
-                "extractor.plan.dedicated_cores",
-                source=source_class(src, dst, platform),
-            ).observe(group.dedicated_cores)
+            planned_keys, cores, _ = _source_instruments(reg, src, dst, platform)
+            planned_keys.inc(len(src_keys))
+            cores.observe(group.dedicated_cores)
             if src == dst:
                 local_group = group
             else:
@@ -457,15 +488,15 @@ def plan_extraction(
 ) -> ExtractionPlan:
     """Run resolve → reroute → dedicate → group for one GPU's batch."""
     keys, sources = resolve(cache, dst, keys)
-    sources, rerouted, failed_sources = reroute(
+    segments, rerouted, failed_sources = reroute(
         cache, dst, keys, sources, health, exclude, log=log
     )
     platform = cache.platform
     if health is not None:
         platform = degraded_platform(platform, health)
-    present = [int(s) for s in np.unique(sources)]
+    present = [segment[0] for segment in segments]
     dedication = dedicate(platform, dst, present, dedication_fn, log=log)
-    groups = group_by_source(cache, dst, keys, sources, dedication)
+    groups = group_by_source(cache, dst, segments, dedication)
     return ExtractionPlan(
         dst=dst,
         batch_size=len(keys),
@@ -686,23 +717,20 @@ def execute_plan(
     reg = get_registry()
     entry_bytes = cache.entry_bytes
     platform = cache.platform
-    with stage_timer("execute"):
+    with stage_timer("execute", reg):
         values = np.empty(
             (plan.batch_size, cache.dim),
             dtype=cache.store(0).data.dtype,
         )
         for group in plan.groups:
-            if platform.is_backing(group.source):
-                values[group.batch_positions] = cache.backing_gather(
-                    group.source, group.keys
-                )
+            src = group.source
+            if platform.is_backing(src):
+                rows = cache.backing_gather(src, group.keys)
             else:
-                store = cache.store(group.source)
-                values[group.batch_positions] = store.data[group.offsets]
-            reg.counter(
-                "extractor.execute.bytes",
-                source=source_class(group.source, plan.dst, platform),
-            ).inc(len(group.keys) * entry_bytes)
+                rows = cache.store(src).data.take(group.offsets, axis=0)
+            values[group.batch_positions] = rows
+            sent = _source_instruments(reg, src, plan.dst, platform)[2]
+            sent.inc(len(group.keys) * entry_bytes)
     return values, plan.demand(entry_bytes)
 
 

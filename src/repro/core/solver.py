@@ -33,8 +33,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from repro.core.blocks import BlockSet, build_blocks
 from repro.core.policy import Placement, hot_replicate_warm_partition_policy
@@ -222,6 +220,10 @@ def solve_policy(
     Raises:
         PolicySolveError: if the LP/MILP is infeasible or the solver fails.
     """
+    # Here, not at module level: importers that never solve skip HiGHS.
+    from scipy import sparse
+    from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+
     config = config or SolverConfig()
     hotness = np.asarray(hotness, dtype=np.float64)
     G = platform.num_gpus

@@ -186,6 +186,10 @@ class Platform:
     #: becomes the authoritative host tier and ``host_memory_bytes`` /
     #: ``pcie_bandwidth`` are synchronized to it.
     tiers: tuple[MemoryTier, ...] = field(default=())
+    #: Pure functions of this platform remembered under ``(name, *args)``:
+    #: path bandwidths, tolerances, :func:`~repro.sim.mechanisms.core_dedication`
+    #: splits.  Per instance, so ``replace``/:func:`with_tiers` copies start empty.
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.pcie_bandwidth <= 0:
@@ -330,6 +334,12 @@ class Platform:
         long-run rate when all GPUs extract simultaneously, which is the
         regime every experiment in §8 runs in.
         """
+        found = self.memo.get(("bandwidth", dst, src))
+        if found is None:
+            found = self.memo["bandwidth", dst, src] = self._path_bandwidth(dst, src)
+        return found
+
+    def _path_bandwidth(self, dst: int, src: int) -> float:
         self._check_gpu(dst)
         if src == dst:
             return self.gpu.local_bandwidth
@@ -365,11 +375,12 @@ class Platform:
         tolerates ``B / per_core_bandwidth`` concurrent SMs; additional
         SMs stall.  Local memory tolerates all SMs by construction.
         """
-        bw = self.bandwidth(dst, src)
-        if bw <= 0:
-            return 0
-        cores = int(round(bw / self.gpu.per_core_bandwidth))
-        return max(1, min(cores, self.gpu.num_cores))
+        key = ("tolerance", dst, src)
+        if key not in self.memo:
+            bw = self.bandwidth(dst, src)
+            cores = int(round(bw / self.gpu.per_core_bandwidth))
+            self.memo[key] = max(1, min(cores, self.gpu.num_cores)) if bw > 0 else 0
+        return self.memo[key]
 
     def cost_per_byte(self, dst: int, src: int) -> float:
         """The solver coefficient ``T_{i←j}``: seconds per byte extracted.

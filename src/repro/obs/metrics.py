@@ -233,6 +233,8 @@ class MetricsRegistry:
         self.enabled = enabled
         self._series: dict[tuple[str, str, LabelKey], Instrument] = {}
         self._lock = threading.Lock()
+        #: instruments hot paths looked up once; per registry, so a swap redirects
+        self.handles: dict[Any, Any] = {}
         #: trace spans land here when :attr:`tracing_enabled` is set
         self.spans: list[Any] = []
         self.tracing_enabled = False
@@ -241,7 +243,7 @@ class MetricsRegistry:
     # Series access
     # ------------------------------------------------------------------
     def _get(self, cls: type, name: str, labels: dict[str, Any]) -> Instrument:
-        key = (cls.kind, name, _label_key(labels))
+        key = (cls.kind, name, _label_key(labels) if labels else ())
         series = self._series.get(key)
         if series is None:
             with self._lock:
@@ -295,6 +297,7 @@ class MetricsRegistry:
         """Drop every series and buffered span."""
         with self._lock:
             self._series.clear()
+            self.handles.clear()
             self.spans.clear()
 
 

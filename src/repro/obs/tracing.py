@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import Histogram, MetricsRegistry, get_registry
 
 __all__ = ["PIPELINE_STAGES", "SpanRecord", "span", "stage_timer", "timer"]
 
@@ -66,14 +66,12 @@ _NOOP = _NoopContext()
 
 
 class _Timer:
-    """Times a block into one histogram series."""
+    """Times a block into one histogram series (resolved up front)."""
 
-    __slots__ = ("_registry", "_name", "_labels", "_start")
+    __slots__ = ("_histogram", "_start")
 
-    def __init__(self, registry: MetricsRegistry, name: str, labels: dict[str, Any]):
-        self._registry = registry
-        self._name = name
-        self._labels = labels
+    def __init__(self, histogram: Histogram):
+        self._histogram = histogram
         self._start = 0.0
 
     def __enter__(self) -> "_Timer":
@@ -81,8 +79,7 @@ class _Timer:
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
-        elapsed = time.perf_counter() - self._start
-        self._registry.histogram(self._name, **self._labels).observe(elapsed)
+        self._histogram.observe(time.perf_counter() - self._start)
 
 
 class _Span:
@@ -119,7 +116,7 @@ def timer(name: str, registry: MetricsRegistry | None = None, **labels: Any):
     registry = registry or get_registry()
     if not registry.enabled:
         return _NOOP
-    return _Timer(registry, name, labels)
+    return _Timer(registry.histogram(name, **labels))
 
 
 #: The extraction pipeline's stage names, in execution order.  Each stage

@@ -102,7 +102,14 @@ def core_dedication(
     reader claims a 1/(N-1) non-overlapping share).  Every remaining core
     — and each dedicated core once its group drains — serves local
     extraction, so local is not listed here.
+
+    An immutable :class:`Platform` remembers each split (every call still
+    returns a fresh dict); a degraded view is always recomputed.
     """
+    memo = platform.memo if isinstance(platform, Platform) else None
+    key = ("core_dedication", dst, tuple(active_sources))
+    if memo is not None and key in memo:
+        return dict(memo[key])
     total = platform.gpu.num_cores
     dedication: dict[int, int] = {}
     backing = [s for s in active_sources if platform.is_backing(s)]
@@ -137,6 +144,8 @@ def core_dedication(
                     dedication[src] = max(
                         1, int(remaining * weights[src] / total_weight)
                     )
+    if memo is not None:
+        memo[key] = dict(dedication)
     return dedication
 
 

@@ -161,6 +161,20 @@ class TestDedicationMismatch:
         assert max(cores) > 1  # actually re-balanced, not floored
         assert max(cores) - min(cores) <= 1  # equal links → equal shares
 
+    def test_swapped_split_policy_beats_a_warm_memo(self, extractor, monkeypatch):
+        from repro.core import extractor as extractor_module
+
+        keys = np.arange(800)
+        warm = extractor.plan(0, keys)  # fills the platform's split memo
+        monkeypatch.setattr(
+            extractor_module,
+            "core_dedication",
+            lambda platform, dst, present: {s: 3 for s in present},
+        )
+        plan = extractor.plan(0, keys)
+        assert all(g.dedicated_cores == 3 for g in plan.nonlocal_groups)
+        assert any(g.dedicated_cores != 3 for g in warm.nonlocal_groups)
+
     def test_covered_sources_do_not_warn(self, extractor, caplog):
         import logging
 
@@ -173,3 +187,44 @@ class TestDedicationMismatch:
             extractor.plan(0, np.arange(800))
         assert reg.value("extractor.plan.dedication_missing") is None
         assert not caplog.records
+
+
+class TestPlanCallBudget:
+    """The plan's Python-level work is per present source, not per key."""
+
+    @staticmethod
+    def _calls(fn) -> int:
+        import sys
+
+        calls = 0
+
+        def profiler(frame, event, arg):
+            nonlocal calls
+            if event in ("call", "c_call"):
+                calls += 1
+
+        sys.setprofile(profiler)
+        try:
+            fn()
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    def test_calls_bounded_and_independent_of_batch_size(self, platform_c, rng):
+        n = 20_000
+        table = rng.standard_normal((n, 4)).astype(np.float32)
+        hotness = np.arange(n, 0, -1, dtype=np.float64)
+        cache = MultiGpuEmbeddingCache(
+            platform_c, table, partition_policy(hotness, n // 10, 8)
+        )
+        extractor = FactoredExtractor(cache)
+        counts = {}
+        for size in (1024, 8192):
+            keys = rng.integers(0, n, size=size)
+            plan = extractor.plan(0, keys)  # warm: instruments, memo tables
+            assert len(plan.groups) == 9  # 8 GPUs + host
+            counts[size] = self._calls(lambda: extractor.plan(0, keys))
+        assert counts[1024] == counts[8192]
+        # 862 before the segment index (G+1 mask passes, two registry
+        # lookups per group, core_dedication recomputed per plan).
+        assert counts[1024] <= 430

@@ -189,3 +189,59 @@ class TestReportAccessors:
         assert report.volume_local() == 5.0
         assert report.volume_remote() == 3.0
         assert report.volume_host() == 2.0
+
+
+class TestCoreDedicationMemo:
+    """The §5.3 split is remembered per immutable platform, safely."""
+
+    def test_returns_a_fresh_dict_each_call(self, platform_a):
+        sources = [HOST, 1, 2, 0]
+        first = core_dedication(platform_a, 0, sources)
+        expected = dict(first)
+        first[1] = -7
+        first[99] = 1
+        assert core_dedication(platform_a, 0, sources) == expected
+
+    def test_source_order_is_part_of_the_key(self, platform_a):
+        forward = core_dedication(platform_a, 0, [HOST, 1, 2])
+        backward = core_dedication(platform_a, 0, [2, 1, HOST])
+        assert forward == backward
+        assert list(forward) != list(backward)  # dict order follows the input
+
+    def test_tiered_copy_does_not_see_the_base_tables(self, platform_a):
+        from repro.hardware.platform import MemoryTier, gbps, with_tiers
+
+        core_dedication(platform_a, 0, [HOST, 1])
+        assert platform_a.bandwidth(0, HOST) == platform_a.pcie_bandwidth
+        slow = with_tiers(
+            platform_a, (MemoryTier("dram", 1 << 30, gbps(1)),)
+        )
+        assert slow.bandwidth(0, HOST) == gbps(1)
+        assert slow.tolerance(0, HOST) < platform_a.tolerance(0, HOST)
+        assert (
+            core_dedication(slow, 0, [HOST, 1])[HOST]
+            < core_dedication(platform_a, 0, [HOST, 1])[HOST]
+        )
+
+    def test_degraded_view_is_never_memoized(self, platform_a):
+        from repro.faults.degrade import degraded_platform
+        from repro.faults.spec import HealthView
+
+        sources = [HOST, 1, 2, 3]
+        healthy = core_dedication(platform_a, 0, sources)
+        half = degraded_platform(
+            platform_a, HealthView(link_factors=(((0, 1), 0.25),))
+        )
+        degraded = core_dedication(half, 0, sources)
+        assert degraded[1] < healthy[1]
+        # ...and the base platform's tables are untouched by the view.
+        assert core_dedication(platform_a, 0, sources) == healthy
+        assert half.bandwidth(0, 1) == 0.25 * platform_a.bandwidth(0, 1)
+        assert half.tolerance(0, 1) < platform_a.tolerance(0, 1)
+
+    def test_out_of_range_gpu_still_raises_every_time(self, platform_a):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                platform_a.bandwidth(0, 17)
+            with pytest.raises(ValueError):
+                platform_a.tolerance(9, 0)

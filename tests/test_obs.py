@@ -257,6 +257,39 @@ class TestHotPathWiring:
         )
         assert executed == 800 * cache.entry_bytes
 
+    def test_swapped_registries_each_get_their_own_series(
+        self, platform_a, small_table, skewed_hotness
+    ):
+        """Timers and the plan's cached instrument handles follow the
+        registry that is active when the stage runs, and a reset registry
+        does not keep counting into dropped series."""
+        from repro.core.extractor import FactoredExtractor
+        from repro.obs import stage_timer
+
+        extractor = FactoredExtractor(
+            self._cache(platform_a, small_table, skewed_hotness)
+        )
+        first, second = MetricsRegistry("first"), MetricsRegistry("second")
+        for reg, keys in ((first, 800), (second, 300), (first, 100)):
+            with use_registry(reg):
+                with stage_timer("prefetch"):
+                    pass
+                extractor.execute(extractor.plan(0, np.arange(keys)))
+        for reg, keys, plans in ((first, 900, 2), (second, 300, 1)):
+            assert reg.histogram("pipeline.prefetch.seconds").count == plans
+            assert reg.histogram("pipeline.group.seconds").count == plans
+            assert sum(
+                reg.value("extractor.plan.keys", source=s) or 0
+                for s in ("local", "remote", "host")
+            ) == keys
+        second.reset()
+        with use_registry(second):
+            extractor.plan(0, np.arange(50))
+        assert sum(
+            second.value("extractor.plan.keys", source=s) or 0
+            for s in ("local", "remote", "host")
+        ) == 50
+
     def test_simulate_batch_records_per_gpu_timing(self, platform_a):
         from repro.sim.engine import simulate_batch
         from repro.sim.mechanisms import GpuDemand

@@ -295,3 +295,192 @@ class TestCoalesceProperties:
         for g in plan.groups:
             assert np.array_equal(g.keys, keys[g.batch_positions])
             assert g.source == HOST or 0 <= g.source < PLATFORM_A.num_gpus
+
+
+# ----------------------------------------------------------------------
+# The segmented plan against a brute-force oracle
+# ----------------------------------------------------------------------
+from repro.core import pipeline
+from repro.core.cache import MultiGpuEmbeddingCache
+from repro.core.policy import hot_replicate_warm_partition_policy
+from repro.faults.degrade import degraded_platform
+from repro.faults.spec import HealthView
+from repro.hardware.platform import MemoryTier, gbps, server_b, with_tiers
+from repro.obs import MetricsRegistry, get_registry, use_registry
+
+PLAN_N = 240
+PLAN_DIM = 4
+
+
+def _plan_cache(kind: str, seed: int) -> MultiGpuEmbeddingCache:
+    rng = np.random.default_rng(seed)
+    table = rng.standard_normal((PLAN_N, PLAN_DIM)).astype(np.float32)
+    hot = rng.permutation(zipf_pmf(PLAN_N, 1.1)) * 1000.0
+    row = PLAN_DIM * 4
+    platform = {
+        "a": server_a,
+        "b": server_b,  # DGX-1: some GPU pairs have no link
+        "c": server_c,
+        "tiered": lambda: with_tiers(server_a(), (
+            MemoryTier("dram", 60 * row, gbps(16)),
+            MemoryTier("cxl", 60 * row, gbps(12), 1e-6),
+            MemoryTier("ssd", PLAN_N * row, gbps(6), 100e-6),
+        )),
+    }[kind]()
+    placement = hot_replicate_warm_partition_policy(
+        hot, PLAN_N // 10, platform.num_gpus, 0.5
+    )
+    return MultiGpuEmbeddingCache(
+        platform, table, placement,
+        tier_hotness=hot if platform.num_tiers > 1 else None,
+    )
+
+
+def _oracle_plan(cache, dst, keys, health, exclude):
+    """The planner as it was before the segment index, kept as the
+    reference: one full-batch ``sources == g`` pass per GPU to validate,
+    one ``np.flatnonzero(sources == s)`` per ``np.unique`` source to
+    group.  Records the same counters into the active registry."""
+    reg = get_registry()
+    platform = cache.platform
+    keys = np.ascontiguousarray(keys, dtype=np.int64)
+    sources = cache.source_map[dst][keys]
+    corrupt_mask = ~platform.valid_source_mask(sources)
+    bad = corrupt_mask.copy()
+    n_corrupt, n_stale, failed = int(bad.sum()), 0, set()
+    for g in platform.gpu_ids:
+        idx = np.flatnonzero(sources == g)
+        if not len(idx):
+            continue
+        if g != dst and g in exclude:
+            bad[idx] = True
+        elif g != dst and not platform.is_connected(dst, g):
+            bad[idx] = True
+            n_corrupt += len(idx)
+            failed.add(g)
+        elif health is not None and not health.source_usable(dst, g):
+            bad[idx] = True
+            failed.add(g)
+        else:
+            stale = cache.store(g).offset_of[keys[idx]] < 0
+            if stale.any():
+                bad[idx[stale]] = True
+                n_stale += int(stale.sum())
+                failed.add(g)
+    for g in platform.gpu_ids:
+        if (cache.store(g).offset_of[keys[corrupt_mask]] >= 0).any():
+            failed.add(g)
+    rerouted = int(bad.sum())
+    if rerouted:
+        bad_idx = np.flatnonzero(bad)
+        replacements = pipeline.find_replicas(cache, dst, keys[bad_idx], health, exclude)
+        sources = sources.copy()
+        sources[bad_idx] = replacements
+        to_backing = int(platform.backing_mask(replacements).sum())
+        reg.counter("faults.rerouted_keys", dst=dst).inc(rerouted)
+        reg.counter("faults.rerouted_keys_to", target="host").inc(to_backing)
+        reg.counter("faults.rerouted_keys_to", target="replica").inc(rerouted - to_backing)
+        if n_corrupt:
+            reg.counter("faults.corrupt_reads").inc(n_corrupt)
+        if n_stale:
+            reg.counter("faults.stale_reads").inc(n_stale)
+    present = [int(s) for s in np.unique(sources)]
+    priced = platform if health is None else degraded_platform(platform, health)
+    dedication = pipeline.dedicate(priced, dst, present)
+    groups = []
+    for src in present:
+        positions = np.flatnonzero(sources == src)
+        offsets = (
+            np.empty(0, dtype=np.int64) if platform.is_backing(src)
+            else cache.store(src).offset_of[keys[positions]]
+        )
+        cores = platform.gpu.num_cores if src == dst else dedication.get(src, 1)
+        label = pipeline.source_class(src, dst, platform)
+        reg.counter("extractor.plan.keys", source=label).inc(len(positions))
+        reg.histogram("extractor.plan.dedicated_cores", source=label).observe(cores)
+        groups.append((src, positions, keys[positions], offsets, cores))
+    groups.sort(key=lambda group: group[0] == dst)  # stable: local goes last
+    return groups, rerouted, tuple(sorted(failed))
+
+
+def _plan_counters(reg: MetricsRegistry) -> dict:
+    return {
+        (s.name, s.labels): s.value if s.kind == "counter" else (s.count, s.sum)
+        for s in reg.series()
+        if s.name.startswith(("faults.", "extractor.plan."))
+    }
+
+
+@st.composite
+def plan_scenarios(draw):
+    """A cache (possibly with a damaged map), a batch and a health view."""
+    cache = _plan_cache(
+        draw(st.sampled_from(["a", "b", "c", "tiered"])), draw(st.integers(0, 50))
+    )
+    platform = cache.platform
+    G = platform.num_gpus
+    gpus = st.integers(0, G - 1)
+    dst = draw(gpus)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    row = cache.source_map[dst]
+    # corrupt ids (outside both ranges) and misroutes (a GPU that may not
+    # hold the entry, or — on DGX-1 — may not even be linked to dst)
+    for _ in range(draw(st.integers(0, 3))):
+        wrong = draw(st.sampled_from([G, 999, -platform.num_tiers - 1, -40]) | gpus)
+        row[rng.integers(0, PLAN_N, size=draw(st.integers(1, 12)))] = wrong
+    # stale slots: evicted behind the location map's back
+    for _ in range(draw(st.integers(0, 2))):
+        store = cache.store(draw(gpus))
+        held = store.cached_entries()
+        with cache.writing():
+            for entry in rng.choice(held, size=min(len(held), 5), replace=False):
+                store.evict(int(entry))
+    pool = np.arange(PLAN_N)
+    if draw(st.booleans()):  # a batch that reads one source only
+        pool = np.flatnonzero(row == row[rng.integers(0, PLAN_N)])
+    size = draw(st.sampled_from([500, 33, 2, 1, 0]))
+    keys = pool[rng.integers(0, len(pool), size=size)]
+    health = None
+    if draw(st.booleans()):
+        links = draw(st.lists(
+            st.tuples(st.tuples(st.just(dst), gpus), st.sampled_from([0.0, 0.5])),
+            max_size=3,
+        ))
+        health = HealthView(
+            down_gpus=draw(st.frozensets(gpus, max_size=2)),
+            link_factors=tuple(links),
+            host_factor=draw(st.sampled_from([1.0, 0.5])),
+        )
+    exclude = draw(st.frozensets(gpus, max_size=2))
+    return cache, dst, keys, health, exclude
+
+
+class TestSegmentedPlanProperties:
+    @given(scenario=plan_scenarios())
+    @settings(max_examples=120, deadline=None)
+    def test_plan_equals_brute_force_oracle(self, scenario):
+        cache, dst, keys, health, exclude = scenario
+        want_reg, got_reg = MetricsRegistry("oracle"), MetricsRegistry("plan")
+        with use_registry(want_reg):
+            want_groups, want_rerouted, want_failed = _oracle_plan(
+                cache, dst, keys, health, exclude
+            )
+        with use_registry(got_reg):
+            plan = pipeline.plan_extraction(cache, dst, keys, health, exclude)
+        assert plan.batch_size == len(keys)
+        assert plan.rerouted_keys == want_rerouted
+        assert plan.failed_sources == want_failed
+        assert [g.source for g in plan.groups] == [g[0] for g in want_groups]
+        for got, (_, positions, group_keys, offsets, cores) in zip(plan.groups, want_groups):
+            for have, want in (
+                (got.batch_positions, positions),
+                (got.keys, group_keys),
+                (got.offsets, offsets),
+            ):
+                assert have.dtype == want.dtype
+                assert np.array_equal(have, want)
+            assert got.dedicated_cores == cores
+        assert _plan_counters(got_reg) == _plan_counters(want_reg)
+        # ...and the plan still gathers the right rows.
+        values, _ = pipeline.execute_plan(cache, plan)
+        assert np.array_equal(values, cache.host_table[keys])

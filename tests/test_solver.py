@@ -322,3 +322,34 @@ class TestFallbackChain:
             )
         assert reg.value("solver.fallback.engaged") == 1
         assert reg.value("solver.fallback.source", source="greedy") == 1
+
+
+class TestLazySolverImport:
+    """Serving and cluster code import the solver module for its config
+    types; only an actual solve may load HiGHS."""
+
+    def test_serving_imports_do_not_load_scipy_optimize(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = (
+            "import sys\n"
+            "import repro.serve.runtime, repro.cluster\n"
+            "assert 'scipy.optimize' not in sys.modules, 'loaded at import'\n"
+            "import numpy as np\n"
+            "from repro.core.solver import SolverConfig, solve_policy\n"
+            "from repro.hardware.platform import server_a\n"
+            "solved = solve_policy(server_a(), np.arange(200, 0, -1.0), 20, 32,\n"
+            "                      SolverConfig(coarse_block_frac=0.1))\n"
+            "assert solved.est_time > 0\n"
+            "assert 'scipy.optimize' in sys.modules\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
