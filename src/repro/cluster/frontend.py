@@ -7,16 +7,19 @@ expose the same ``owners_for`` surface), fanned out as one RPC exchange
 per node, and gathered; the request's latency is the slowest leg, exactly
 like a source group inside a single box.
 
-Degradation ladder, per node-group:
+Degradation ladder, per node-group — the group is admitted (ingress GPU
+picked, keys planned: :meth:`CacheNode.admit`) at most once per node it
+visits, every leg is priced off that batch and the gather executes it:
 
 1. **primary exchange** — timeout + seeded-jitter retries + a hedged
-   duplicate to the next replica (:func:`~repro.sim.event_sim.simulate_rpc_exchange`);
-2. **replica failover** — if the exchange dies, the first surviving
-   replica owner serves the group (counted as a failover);
-3. **host fallback** — with no surviving replica owner, *any* reachable
-   node serves the group from its full host table (every node is a
-   parameter server for the whole keyspace — slower, never wrong);
-4. **partial response** — only when no node is reachable at all do the
+   duplicate to the next replica, priced only if the primary is still
+   unresolved when the hedge would be sent
+   (:func:`~repro.sim.event_sim.simulate_rpc_exchange`);
+2. **failover**, one walk — if the exchange dies, the first reachable of
+   the group's other replica owners serves it, else *any* reachable node
+   from its full host table (every node is a parameter server for the
+   whole keyspace — slower, never wrong); either counts as a failover;
+3. **partial response** — only when no node is reachable at all do the
    group's keys come back unserved.
 
 Per-node :class:`~repro.serve.breaker.CircuitBreaker`\\ s (the same board
@@ -49,6 +52,30 @@ from repro.utils.rng import make_rng
 logger = get_logger("cluster.frontend")
 
 __all__ = ["ClusterConfig", "ClusterFrontend", "ClusterResponse"]
+
+
+def _counters(reg, key, names, **labels) -> tuple:
+    """``cluster.<name>`` counters, looked up once per registry."""
+    found = reg.handles.get(("cluster", key))
+    if found is None:
+        found = reg.handles[("cluster", key)] = tuple(
+            reg.counter(f"cluster.{name}", **labels) for name in names
+        )
+    return found
+
+
+def _next_owner(chosen, owners, idx, banned) -> np.ndarray:
+    """Move keys ``idx`` of ``chosen`` to their first replica owner outside
+    ``banned`` (in place); returns the ones with no such owner, unmoved."""
+    banned = list(banned)
+    for r in range(1, owners.shape[1]):
+        if not idx.size:
+            break
+        candidate = owners[idx, r]
+        usable = ~np.isin(candidate, banned)
+        chosen[idx[usable]] = candidate[usable]
+        idx = idx[~usable]
+    return idx
 
 
 @dataclass(frozen=True)
@@ -169,46 +196,96 @@ class ClusterFrontend:
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
+    def _leg(
+        self, candidate: int, keys: np.ndarray, health: HealthView, batches: dict
+    ) -> tuple[float, bool]:
+        """One attempt at ``candidate`` as ``(elapsed, ok)``; the group is
+        admitted there at most once (``batches``: node id → admitted batch)."""
+        node = self.nodes[candidate]
+        if candidate not in batches:
+            batches[candidate] = node.admit(keys)
+        return attempt_profile(
+            candidate, node.service_seconds(batches[candidate]),
+            self.config.rpc.network, health, len(keys) * node.cache.entry_bytes,
+        )
+
     def _exchange(
-        self,
-        node_id: int,
-        keys: np.ndarray,
-        health: HealthView,
-        hedge_node: int | None,
+        self, node_id: int, keys: np.ndarray, health: HealthView,
+        hedge_node: int | None, batches: dict,
     ):
         """Run one node-group's RPC exchange; returns the sim result."""
         cfg = self.config.rpc
-        node = self.nodes[node_id]
-        payload = len(keys) * node.cache.entry_bytes
-        service = node.service_seconds(keys)
+        profile = self._leg(node_id, keys, health, batches)
         # Timeout/hedge scale from this group's fault-free leg, so they
         # stay meaningful whether the wire or the extraction dominates.
-        leg = cfg.healthy_leg(service, payload)
-        timeout = cfg.timeout_seconds(leg)
-        profile = attempt_profile(
-            node_id, service, cfg.network, health, payload
+        leg = cfg.healthy_leg(
+            batches[node_id].seconds,
+            len(keys) * self.nodes[node_id].cache.entry_bytes,
         )
-        attempts = [profile] * cfg.retry.max_attempts
-        delays = list(cfg.retry.delays(self._rng))
-        hedge_time = None
-        if hedge_node is not None and health.node_reachable(hedge_node):
-            replica = self.nodes[hedge_node]
-            h_elapsed, h_ok = attempt_profile(
-                hedge_node,
-                replica.service_seconds(keys),
-                cfg.network,
-                health,
-                payload,
-            )
-            if h_ok and h_elapsed < timeout:
-                hedge_time = h_elapsed
+        timeout = cfg.timeout_seconds(leg)
+
+        def hedge_time() -> float | None:
+            # Asked for only when the hedge would be sent: a leg that lands
+            # by ``hedge_issue_at`` never plans its keys on the replica.
+            h_elapsed, h_ok = self._leg(hedge_node, keys, health, batches)
+            return h_elapsed if h_ok and h_elapsed < timeout else None
+
+        hedgeable = hedge_node is not None and health.node_reachable(hedge_node)
         return simulate_rpc_exchange(
-            attempts,
+            [profile] * cfg.retry.max_attempts,
             timeout=timeout,
-            retry_delays=delays,
-            hedge_time=hedge_time,
+            retry_delays=list(cfg.retry.delays(self._rng)),
+            hedge_time=hedge_time if hedgeable else None,
             hedge_issue_at=cfg.hedge_issue_at(leg),
         )
+
+    def _fan_out(self, keys: np.ndarray, now: float, reg) -> tuple[np.ndarray, list]:
+        """Route ``keys`` to nodes and cut the request into node-groups.
+
+        Returns ``(order, groups)``: ``order`` sorts the request by serving
+        node and each group is ``(node_id, start, end, keys, owner_rows,
+        hedge_node)`` over that order — nodes and positions ascending, the
+        arrays slices of one sorted copy.
+        """
+        owners = self.placement.owners_for(keys)  # (n, R)
+        excluded = self.breakers.excluded_sources(now)
+        # Route each key at its first non-ejected owner (primary bias).
+        chosen = owners[:, 0].copy()
+        if excluded:
+            # every owner ejected: probe the primary anyway — the
+            # breaker board's half-open metering decides admission.
+            ejected = np.flatnonzero(np.isin(chosen, list(excluded)))
+            _next_owner(chosen, owners, ejected, excluded)
+        if self.watchdog is not None:
+            # A recovering node takes reads only for shards its staged
+            # refill has already re-staged; un-restaged keys keep flowing
+            # to replica owners.
+            for recovering, rec in self.watchdog.active_recoveries():
+                routed = np.flatnonzero(chosen == recovering)
+                pending = routed[~rec.restaged_keys(keys[routed])]
+                # Keys with no other owner stay put: the recovering node
+                # serves them from its host table — slower, still bit-exact.
+                stuck = _next_owner(chosen, owners, pending, excluded | {recovering})
+                if len(pending) > len(stuck):
+                    reg.counter("repair.watchdog.rerouted_keys").inc(
+                        len(pending) - len(stuck)
+                    )
+        # One stable sort of the routing decision, one byte wide when the
+        # ids fit (a one-pass radix sort); each run of equal ids is a group.
+        narrow = chosen.astype(np.int8)
+        order = (narrow if (narrow == chosen).all() else chosen).argsort(kind="stable")
+        by_node, by_keys = chosen.take(order), keys.take(order)
+        by_owners = owners.take(order, axis=0)
+        cuts = (np.flatnonzero(by_node[1:] != by_node[:-1]) + 1).tolist()
+        starts = [0, *cuts] if len(order) else []
+        groups = []
+        for node_id, a, b in zip(by_node[starts].tolist(), starts, [*cuts, len(order)]):
+            # Hedge target: the modal next replica across the group.
+            others = by_owners[a:b, 1:]
+            others = others[others != node_id]
+            hedge_node = int(np.bincount(others).argmax()) if others.size else None
+            groups.append((node_id, a, b, by_keys[a:b], by_owners[a:b], hedge_node))
+        return order, groups
 
     def serve(
         self,
@@ -221,72 +298,15 @@ class ClusterFrontend:
         reg = get_registry()
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         resp = ClusterResponse(requested=len(keys))
-        if execute:
-            any_node = next(iter(self.nodes.values()))
-            resp.values = np.zeros(
-                (len(keys), any_node.cache.dim),
-                dtype=any_node.cache.host_table.dtype,
-            )
-        with stage_timer("fanout"):
-            owners = self.placement.owners_for(keys)  # (n, R)
-            excluded = self.breakers.excluded_sources(now)
-            # Route each key at its first non-ejected owner (primary bias).
-            chosen = owners[:, 0].copy()
-            if excluded:
-                undecided = np.isin(chosen, list(excluded))
-                for r in range(1, owners.shape[1]):
-                    if not undecided.any():
-                        break
-                    candidate = owners[undecided, r]
-                    usable = ~np.isin(candidate, list(excluded))
-                    idx = np.flatnonzero(undecided)[usable]
-                    chosen[idx] = owners[idx, r]
-                    undecided[idx] = False
-                # every owner ejected: probe the primary anyway — the
-                # breaker board's half-open metering decides admission.
-            if self.watchdog is not None:
-                # A recovering node takes reads only for shards its
-                # staged refill has already re-staged; un-restaged keys
-                # keep flowing to replica owners.
-                for node_id, rec in self.watchdog.active_recoveries():
-                    mask = chosen == node_id
-                    if not mask.any():
-                        continue
-                    pending = ~rec.restaged_keys(keys[mask])
-                    if not pending.any():
-                        continue
-                    idx = np.flatnonzero(mask)[pending]
-                    for r in range(1, owners.shape[1]):
-                        if idx.size == 0:
-                            break
-                        candidate = owners[idx, r]
-                        usable = (candidate != node_id) & ~np.isin(
-                            candidate, list(excluded)
-                        )
-                        chosen[idx[usable]] = candidate[usable]
-                        idx = idx[~usable]
-                    # Keys with no other owner stay put: the recovering
-                    # node serves them from its host table — slower,
-                    # still bit-exact.
-                    rerouted = int(pending.sum()) - len(idx)
-                    if rerouted:
-                        reg.counter("repair.watchdog.rerouted_keys").inc(
-                            rerouted
-                        )
-            group_elapsed: list[float] = []
-            for node_id in (int(x) for x in np.unique(chosen)):
-                positions = np.flatnonzero(chosen == node_id)
-                gkeys = keys[positions]
-                rows = owners[positions]
-                # Hedge target: the modal next replica across the group.
-                hedge_node = None
-                alt = rows[:, 1:] if rows.shape[1] > 1 else None
-                if alt is not None:
-                    others = alt[alt != node_id]
-                    if others.size:
-                        vals, counts = np.unique(others, return_counts=True)
-                        hedge_node = int(vals[np.argmax(counts)])
-                result = self._exchange(node_id, gkeys, health, hedge_node)
+        with stage_timer("fanout", reg):
+            order, groups = self._fan_out(keys, now, reg)
+            if execute:
+                cache = next(iter(self.nodes.values())).cache
+                by_values = np.zeros((len(keys), cache.dim), cache.host_table.dtype)
+            failed: list[np.ndarray] = []
+            for node_id, a, b, gkeys, rows, hedge_node in groups:
+                batches: dict = {}  # node id → the group's one admitted batch there
+                result = self._exchange(node_id, gkeys, health, hedge_node, batches)
                 resp.rpc_retries += max(0, result.attempts - 1)
                 resp.rpc_timeouts += result.timeouts
                 if result.hedged:
@@ -301,51 +321,25 @@ class ClusterFrontend:
                         resp.hedge_wins += 1
                         served_by = hedge_node
                 else:
-                    # Replica failover: first surviving owner column.
-                    for r in range(1, rows.shape[1]):
-                        candidate = int(rows[0, r])
-                        if candidate == node_id:
+                    # One walk down the ladder: the group's other owner
+                    # columns (replica failover), then every other node
+                    # (host fallback: any reachable node's DRAM covers the
+                    # whole keyspace); the first that answers serves.
+                    for candidate in dict.fromkeys(
+                        [*rows[0, 1:].tolist(), *sorted(self.nodes)]
+                    ):
+                        if candidate == node_id or not health.node_reachable(candidate):
                             continue
-                        if not health.node_reachable(candidate):
-                            continue
-                        f_elapsed, f_ok = attempt_profile(
-                            candidate,
-                            self.nodes[candidate].service_seconds(gkeys),
-                            self.config.rpc.network,
-                            health,
-                            len(gkeys) * self.nodes[candidate].cache.entry_bytes,
-                        )
+                        f_elapsed, f_ok = self._leg(candidate, gkeys, health, batches)
                         if f_ok:
                             served_by = candidate
                             elapsed += f_elapsed
                             resp.failovers += 1
                             break
-                    if served_by is None:
-                        # Host fallback: any reachable node's DRAM covers
-                        # the whole keyspace.
-                        for candidate in sorted(self.nodes):
-                            if candidate == node_id:
-                                continue
-                            if not health.node_reachable(candidate):
-                                continue
-                            f_elapsed, f_ok = attempt_profile(
-                                candidate,
-                                self.nodes[candidate].service_seconds(gkeys),
-                                self.config.rpc.network,
-                                health,
-                                len(gkeys)
-                                * self.nodes[candidate].cache.entry_bytes,
-                            )
-                            if f_ok:
-                                served_by = candidate
-                                elapsed += f_elapsed
-                                resp.failovers += 1
-                                break
-                group_elapsed.append(elapsed)
+                # Fan-out is concurrent: the request lands with its slowest leg.
+                resp.elapsed = max(resp.elapsed, elapsed)
                 if served_by is None:
-                    resp.failed_positions = np.concatenate(
-                        [resp.failed_positions, positions]
-                    )
+                    failed.append(order[a:b])
                     continue
                 # Positional accounting: a key read from a non-primary
                 # owner is a replica read (breaker reroute, hedge win, or
@@ -358,18 +352,28 @@ class ClusterFrontend:
                 resp.host_fallback_keys += int((~owner_hit).sum())
                 resp.served += len(gkeys)
                 if execute:
-                    values, _svc = self.nodes[served_by].serve(gkeys)
-                    resp.values[positions] = values
-                reg.counter("cluster.node.requests", node=served_by).inc()
-                reg.counter("cluster.node.keys", node=served_by).inc(len(gkeys))
-            # Fan-out is concurrent: the request lands with its slowest leg.
-            resp.elapsed = max(group_elapsed, default=0.0)
-        reg.counter("cluster.requests").inc()
-        reg.counter("cluster.failovers").inc(resp.failovers)
-        reg.counter("cluster.replica_read_keys").inc(resp.replica_keys)
-        reg.counter("cluster.host_fallback_keys").inc(resp.host_fallback_keys)
-        reg.counter("cluster.rpc.retries").inc(resp.rpc_retries)
-        reg.counter("cluster.rpc.timeouts").inc(resp.rpc_timeouts)
+                    # Gathers exactly the plan the exchange priced.
+                    by_values[a:b] = self.nodes[served_by].serve(batches[served_by])[0]
+                node_requests, node_keys = _counters(
+                    reg, ("node", served_by), ("node.requests", "node.keys"),
+                    node=served_by,
+                )
+                node_requests.inc()
+                node_keys.inc(len(gkeys))
+            if failed:
+                resp.failed_positions = np.concatenate(failed)
+            if execute:
+                # Rows were written in sorted order; un-permute once.
+                resp.values = np.empty_like(by_values)
+                resp.values[order] = by_values
+        totals = {
+            "requests": 1, "failovers": resp.failovers,
+            "replica_read_keys": resp.replica_keys,
+            "host_fallback_keys": resp.host_fallback_keys,
+            "rpc.retries": resp.rpc_retries, "rpc.timeouts": resp.rpc_timeouts,
+        }
+        for counter, n in zip(_counters(reg, "frontend", totals), totals.values()):
+            counter.inc(n)
         if resp.partial:
             reg.counter("cluster.partial_responses").inc()
         return resp

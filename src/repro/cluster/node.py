@@ -10,21 +10,26 @@ outside the shard is masked to zero before the per-GPU policy runs, so
 GPU capacity is spent exclusively on keys this node will actually be
 routed.
 
-The node's serving surface is deliberately tiny: price a batch
-(:meth:`service_seconds`) or actually gather it (:meth:`serve`), both
-through the unchanged extraction pipeline.  Everything fault-related —
-whether the node is reachable, how slow it is, when RPCs to it time out —
-lives *outside*, in the health view and the RPC layer; the node itself
-stays a pure single-box UGache instance.
+The node's serving surface is deliberately tiny — admit → price → serve:
+:meth:`CacheNode.admit` picks the ingress GPU and plans a batch *once*,
+:meth:`service_seconds` prices that :class:`AdmittedBatch` and
+:meth:`serve` gathers it, so the plan served is the plan priced, on the
+GPU it was priced for (handed raw keys, either admits them itself).
+Everything fault-related — whether the node is reachable, how slow it is,
+when RPCs to it time out — lives *outside*, in the health view and the
+RPC layer; the node itself stays a pure single-box UGache instance.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from repro.core.cache import MultiGpuEmbeddingCache
 from repro.core.extractor import FactoredExtractor
-from repro.core.pipeline import price_demand
+from repro.core.pipeline import ExtractionPlan, price_demand
 from repro.core.policy import Placement, hot_replicate_warm_partition_policy
 from repro.core.solver import FallbackConfig, SolverConfig, solve_sharded_policy
 from repro.hardware.platform import Platform
@@ -32,7 +37,25 @@ from repro.utils.logging import get_logger
 
 logger = get_logger("cluster.node")
 
-__all__ = ["CacheNode"]
+__all__ = ["AdmittedBatch", "CacheNode"]
+
+
+@dataclass(eq=False)
+class AdmittedBatch:
+    """One key batch's trip to a node: ingress GPU and plan, made once.
+    Never kept past the call that admitted it: a cache mutation between
+    its plan and its gather would leave the offsets stale."""
+
+    node: "CacheNode"
+    gpu: int
+    keys: np.ndarray
+    plan: ExtractionPlan
+
+    @cached_property
+    def seconds(self) -> float:
+        """Healthy extraction time of exactly this plan (priced on first use)."""
+        demand = self.plan.demand(self.node.cache.entry_bytes)
+        return price_demand(self.node.platform, demand).time
 
 
 class CacheNode:
@@ -112,25 +135,25 @@ class CacheNode:
     # ------------------------------------------------------------------
     # Serving surface
     # ------------------------------------------------------------------
-    def _pick_gpu(self) -> int:
+    def admit(self, keys: np.ndarray | AdmittedBatch) -> AdmittedBatch:
+        """Plan ``keys`` once on the next ingress GPU (a batch passes through)."""
+        if isinstance(keys, AdmittedBatch):
+            return keys
         gpu = self._next_gpu
-        self._next_gpu = (self._next_gpu + 1) % self.platform.num_gpus
-        return gpu
+        self._next_gpu = (gpu + 1) % self.platform.num_gpus
+        return AdmittedBatch(self, gpu, keys, self.extractor.plan(gpu, keys))
 
-    def service_seconds(self, keys: np.ndarray) -> float:
-        """Healthy extraction time for ``keys`` on the next ingress GPU."""
-        plan = self.extractor.plan(self._pick_gpu(), keys)
-        demand = plan.demand(self.cache.entry_bytes)
-        return price_demand(self.platform, demand).time
+    def service_seconds(self, keys: np.ndarray | AdmittedBatch) -> float:
+        """Healthy extraction time for ``keys`` on their ingress GPU."""
+        return self.admit(keys).seconds
 
-    def serve(self, keys: np.ndarray) -> tuple[np.ndarray, float]:
+    def serve(self, keys: np.ndarray | AdmittedBatch) -> tuple[np.ndarray, float]:
         """Gather ``keys``; returns ``(values, healthy service seconds)``."""
-        gpu = self._pick_gpu()
-        plan = self.extractor.plan(gpu, keys)
-        values, demand = self.extractor.execute(plan)
+        batch = self.admit(keys)
+        values, _demand = self.extractor.execute(batch.plan)
         if self.read_guard is not None:
-            values, _ = self.read_guard.guard_read(gpu, keys, values)
-        return values, price_demand(self.platform, demand).time
+            values, _ = self.read_guard.guard_read(batch.gpu, batch.keys, values)
+        return values, batch.seconds
 
     # ------------------------------------------------------------------
     # Failover bookkeeping

@@ -43,7 +43,6 @@ from repro.serve.queueing import AdmissionConfig, QueuePolicy
 from repro.serve.request import RequestStatus
 from repro.serve.runtime import ServeConfig, ServingRuntime
 from repro.serve.workers import GpuWorkerPool
-from repro.sim.mechanisms import factored_extraction
 from repro.utils.logging import get_logger
 from repro.utils.retry import RetryPolicy
 from repro.utils.rng import make_rng, spawn_rngs
@@ -722,10 +721,7 @@ def _baseline_service(
     carries the backing chain's bandwidths and latencies — every derived
     knob (deadline, SLO, breaker timeout) scales with the chain.
     """
-    keys = draw(rng)
-    plan = extractor.plan(0, keys)
-    demand = plan.demand(extractor.cache.entry_bytes)
-    return factored_extraction(extractor.platform, demand).time
+    return extractor.price(0, draw(rng)).time
 
 
 def _drifted_hotness(hotness: np.ndarray, rng) -> np.ndarray:

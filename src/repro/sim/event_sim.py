@@ -17,6 +17,7 @@ same :class:`~repro.sim.congestion.CongestionModel`; everything about
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -581,7 +582,7 @@ def simulate_rpc_exchange(
     attempt_times: list[tuple[float, bool]],
     timeout: float,
     retry_delays: list[float] | tuple[float, ...] = (),
-    hedge_time: float | None = None,
+    hedge_time: float | None | Callable[[], float | None] = None,
     hedge_issue_at: float = 0.0,
 ) -> RpcSimResult:
     """Walk one RPC's retry/hedge timeline deterministically.
@@ -598,15 +599,14 @@ def simulate_rpc_exchange(
     A hedge — the same read duplicated to the next replica — may be
     issued at ``hedge_issue_at``; it completes after ``hedge_time`` and
     the exchange takes whichever arm lands first, exactly like
-    :func:`simulate_hedged_extraction` races its host gather.
+    :func:`simulate_hedged_extraction` races its host gather.  A callable
+    ``hedge_time`` is a lazy price, called (once) only if the hedge would be
+    sent — primary unresolved at ``hedge_issue_at`` — to the same result.
     """
     if timeout <= 0:
         raise ValueError("rpc timeout must be positive")
     if hedge_issue_at < 0:
         raise ValueError("hedge issue time must be non-negative")
-    hedge_done = (
-        hedge_issue_at + hedge_time if hedge_time is not None else np.inf
-    )
     t = 0.0
     attempts = 0
     timeouts = 0
@@ -623,6 +623,11 @@ def simulate_rpc_exchange(
             t += elapsed
         if i < len(retry_delays):
             t += retry_delays[i]
+    if callable(hedge_time):
+        hedge_time = hedge_time() if primary_done > hedge_issue_at else None
+    hedge_done = (
+        hedge_issue_at + hedge_time if hedge_time is not None else np.inf
+    )
     hedge_available = hedge_time is not None and np.isfinite(hedge_done)
     if not np.isfinite(primary_done) and not hedge_available:
         return RpcSimResult(

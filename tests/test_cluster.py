@@ -11,8 +11,16 @@ goodput through the failover window with a bit-exact table.
 
 from __future__ import annotations
 
+import importlib.util
+import json
+import math
+import pathlib
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     CacheNode,
@@ -29,6 +37,7 @@ from repro.cluster import (
 from repro.core.pipeline import NetworkTier, price_node_read
 from repro.faults.spec import HEALTHY, HealthView
 from repro.hardware.platform import HOST, server_a
+from repro.obs import MetricsRegistry, use_registry
 from repro.sim.mechanisms import GpuDemand
 from repro.serve.soak import SoakConfig, run_soak
 from repro.sim.event_sim import simulate_rpc_exchange
@@ -303,6 +312,244 @@ def test_rpc_config_scales_from_the_whole_leg():
     # The timeout must exceed one healthy exchange even when extraction
     # is negligible — otherwise every call on a tiny table "times out".
     assert rpc.timeout_seconds(wire_bound) > wire_bound
+
+
+# ----------------------------------------------------------------------
+# Admit once per RPC leg: one plan per served node-group
+# ----------------------------------------------------------------------
+def test_admitted_batch_is_priced_and_served_from_one_plan():
+    frontend, table, keys = _mini_cluster()
+    node = frontend.nodes[0]
+    reg = MetricsRegistry("admit")
+    with use_registry(reg):
+        batch = node.admit(keys)
+        price = node.service_seconds(batch)
+        values, served_seconds = node.serve(batch)
+    assert node._next_gpu == 1, "one admitted batch takes one ingress GPU"
+    assert batch.gpu == batch.plan.dst == 0
+    assert price == served_seconds
+    assert np.array_equal(values, table[keys])
+    assert reg.value("extractor.plan.calls") == 1
+    assert reg.value("extractor.execute.calls") == 1
+    assert node.admit(batch) is batch
+
+
+def test_raw_key_calls_still_take_the_next_ingress_gpu_each():
+    frontend, table, keys = _mini_cluster()
+    node = frontend.nodes[0]
+    reg = MetricsRegistry("raw")
+    with use_registry(reg):
+        node.service_seconds(keys)
+        values, _seconds = node.serve(keys)
+    assert node._next_gpu == 2
+    assert np.array_equal(values, table[keys])
+    assert reg.value("extractor.plan.calls") == 2
+    assert reg.value("extractor.execute.calls") == 1
+
+
+def test_frontend_plans_each_node_group_exactly_once_when_healthy():
+    frontend, table, keys = _mini_cluster()
+    groups = len(np.unique(frontend.placement.owners_for(keys)[:, 0]))
+    reg = MetricsRegistry("budget")
+    with use_registry(reg):
+        resp = frontend.serve(keys, now=0.0, execute=True)
+    assert resp.ok and np.array_equal(resp.values, table[keys])
+    assert groups == 3
+    assert reg.value("extractor.plan.calls") == groups
+    assert reg.value("extractor.execute.calls") == groups
+    # No hedge was sent, so no replica ever planned (or burnt a GPU slot).
+    assert sorted(n._next_gpu for n in frontend.nodes.values()) == [1, 1, 1]
+
+
+@pytest.mark.parametrize("replication, down", [(2, {1}), (2, {1, 2}), (1, {1})])
+def test_frontend_plan_budget_under_a_node_kill(replication, down):
+    frontend, table, keys = _mini_cluster(replication=replication)
+    groups = len(np.unique(frontend.placement.owners_for(keys)[:, 0]))
+    reg = MetricsRegistry("budget-kill")
+    with use_registry(reg):
+        resp = frontend.serve(
+            keys, now=0.0, health=HealthView(down_nodes=frozenset(down)),
+            execute=True,
+        )
+    assert resp.ok and np.array_equal(resp.values, table[keys])
+    assert resp.hedges + resp.failovers > 0
+    plans = reg.value("extractor.plan.calls")
+    assert groups < plans <= groups + resp.hedges + resp.failovers
+    assert reg.value("extractor.execute.calls") == groups
+
+
+def test_failover_to_the_hedge_node_reuses_the_hedge_batch():
+    frontend, table, _keys = _mini_cluster()
+    owners = frontend.placement.owners_for(np.arange(N_ENTRIES, dtype=np.int64))
+    # One group (primary 1) whose only replica is node 0: hedge target and
+    # first failover candidate coincide.  Node 0 is reachable but so slow
+    # that the hedge cannot land inside the timeout, so the exchange dies.
+    keys = np.flatnonzero((owners[:, 0] == 1) & (owners[:, 1] == 0))[:64]
+    health = HealthView(down_nodes=frozenset({1}), node_factors=((0, 1e-6),))
+    reg = MetricsRegistry("reuse")
+    with use_registry(reg):
+        resp = frontend.serve(keys, now=0.0, health=health, execute=True)
+    assert resp.ok and np.array_equal(resp.values, table[keys])
+    assert (resp.hedges, resp.failovers, resp.rpc_timeouts) == (0, 1, 2)
+    assert resp.replica_keys == len(keys)
+    # The dead primary's leg and node 0's (priced as the hedge, reused by
+    # the failover walk and the gather); the parent planned four times.
+    assert reg.value("extractor.plan.calls") == 2
+    assert reg.value("extractor.execute.calls") == 1
+    assert frontend.nodes[0]._next_gpu == 1
+
+
+_ELAPSED = st.one_of(st.floats(0.0, 10.0), st.just(math.inf))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    attempts=st.lists(st.tuples(_ELAPSED, st.booleans()), min_size=1, max_size=4),
+    timeout=st.floats(0.01, 10.0),
+    delays=st.lists(st.floats(0.0, 2.0), max_size=4),
+    hedge=st.one_of(st.none(), _ELAPSED),
+    issue_at=st.floats(0.0, 10.0),
+)
+def test_lazy_hedge_price_equals_the_eager_one(
+    attempts, timeout, delays, hedge, issue_at
+):
+    asked = []
+
+    def lazy():
+        asked.append(1)
+        return hedge
+
+    eager = simulate_rpc_exchange(attempts, timeout, delays, hedge, issue_at)
+    got = simulate_rpc_exchange(attempts, timeout, delays, lazy, issue_at)
+    assert got == eager  # frozen dataclass: field for field
+    # The primary's own resolution time, walked independently.
+    t, primary_done = 0.0, math.inf
+    for i, (elapsed, ok) in enumerate(attempts):
+        if elapsed >= timeout:
+            t += timeout
+        elif ok:
+            primary_done = t + elapsed
+            break
+        else:
+            t += elapsed
+        if i < len(delays):
+            t += delays[i]
+    assert asked == ([] if primary_done <= issue_at else [1])
+
+
+def _oracle_fan_out(keys, owners, excluded, recoveries):
+    """The pre-one-sort routing and grouping: ``np.unique`` over the
+    routing decision, then one mask pass per group."""
+    chosen = owners[:, 0].copy()
+    rerouted = 0
+    if excluded:
+        undecided = np.isin(chosen, list(excluded))
+        for r in range(1, owners.shape[1]):
+            if not undecided.any():
+                break
+            candidate = owners[undecided, r]
+            usable = ~np.isin(candidate, list(excluded))
+            idx = np.flatnonzero(undecided)[usable]
+            chosen[idx] = owners[idx, r]
+            undecided[idx] = False
+    for node_id, restaged in recoveries:
+        mask = chosen == node_id
+        if not mask.any():
+            continue
+        pending = ~restaged[keys[mask]]
+        if not pending.any():
+            continue
+        idx = np.flatnonzero(mask)[pending]
+        for r in range(1, owners.shape[1]):
+            if idx.size == 0:
+                break
+            candidate = owners[idx, r]
+            usable = (candidate != node_id) & ~np.isin(candidate, list(excluded))
+            chosen[idx[usable]] = candidate[usable]
+            idx = idx[~usable]
+        rerouted += int(pending.sum()) - len(idx)
+    groups = []
+    for node_id in (int(x) for x in np.unique(chosen)):
+        positions = np.flatnonzero(chosen == node_id)
+        rows = owners[positions]
+        hedge_node = None
+        others = rows[:, 1:][rows[:, 1:] != node_id]
+        if others.size:
+            vals, counts = np.unique(others, return_counts=True)
+            hedge_node = int(vals[np.argmax(counts)])
+        groups.append((node_id, positions, keys[positions], rows, hedge_node))
+    return groups, rerouted
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_nodes=st.integers(1, 6),
+    replication=st.integers(1, 3),
+    n_keys=st.integers(0, 96),
+    # stride 100 pushes node ids past int8: the sort falls back to full width.
+    stride=st.sampled_from([1, 100]),
+)
+def test_one_sort_fan_out_matches_the_unique_flatnonzero_oracle(
+    seed, n_nodes, replication, n_keys, stride
+):
+    rng = np.random.default_rng(seed)
+    replication = min(replication, n_nodes)
+    ids = np.arange(n_nodes) * stride
+    table = rng.choice(ids, size=(200, replication))
+    keys = rng.integers(0, len(table), size=n_keys).astype(np.int64)
+    excluded = frozenset(rng.choice(ids, size=rng.integers(0, n_nodes)).tolist())
+    recoveries = [
+        (int(node), rng.random(len(table)) < 0.5)
+        for node in rng.choice(ids, size=rng.integers(0, 3), replace=False)[:n_nodes]
+    ] if n_nodes >= 2 else []
+    frontend = ClusterFrontend(
+        [SimpleNamespace(node_id=int(i)) for i in ids],
+        ClusterConfig(nodes=n_nodes, replication=replication),
+        baseline_service=1.0,
+        placement=SimpleNamespace(owners_for=lambda k: table[k]),
+    )
+    frontend.breakers.excluded_sources = lambda now: excluded
+    frontend.watchdog = SimpleNamespace(
+        active_recoveries=lambda: [
+            (node, SimpleNamespace(restaged_keys=lambda k, m=mask: m[k]))
+            for node, mask in recoveries
+        ]
+    )
+    reg = MetricsRegistry("fan-out")
+    order, groups = frontend._fan_out(keys, 0.0, reg)
+    want, rerouted = _oracle_fan_out(keys, table[keys], excluded, recoveries)
+    assert sorted(order.tolist()) == list(range(n_keys))
+    assert (reg.value("repair.watchdog.rerouted_keys") or 0) == rerouted
+    assert len(groups) == len(want)
+    for (node, a, b, gkeys, rows, hedge), (w_node, w_pos, w_keys, w_rows, w_hedge) in zip(
+        groups, want
+    ):
+        assert (node, hedge) == (w_node, w_hedge)
+        assert np.array_equal(order[a:b], w_pos)
+        assert np.array_equal(gkeys, w_keys)
+        assert np.array_equal(rows, w_rows)
+
+
+def test_frontend_reproduces_the_recorded_node_kill_trace():
+    golden_dir = pathlib.Path(__file__).parent / "golden"
+    spec = importlib.util.spec_from_file_location(
+        "generate_cluster_trace", golden_dir / "generate_cluster_trace.py"
+    )
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    recorded = json.loads((golden_dir / "cluster_nodekill_trace.json").read_text())
+    replayed = generator.build()
+    assert replayed.keys() == recorded.keys()
+    for scenario, rows in recorded.items():
+        for i, (want, got) in enumerate(zip(rows, replayed[scenario], strict=True)):
+            assert got == want, f"{scenario} request {i} diverged from the old path"
+    # The trace is worth pinning only while it walks the whole ladder.
+    r2, r1 = recorded["replication-2"], recorded["replication-1"]
+    assert sum(r["hedge_wins"] for r in r2) > 0
+    assert sum(r["failovers"] for r in r2) > 0
+    assert sum(r["host_fallback_keys"] for r in r1) > 0
+    assert any(r["failed_positions"] for r in r2)
 
 
 # ----------------------------------------------------------------------
