@@ -2,14 +2,18 @@
 
 Measures the vectorized :class:`~repro.core.location_table.LocationTable`
 batch operations against an equivalent scalar probe loop, plus the
-extraction pipeline's resolve and plan stages end-to-end, and writes the
-``BENCH_hotpath.json`` artifact (per batch size: keys/sec per operation
-and the pipeline's per-stage wall-clock breakdown).
+extraction pipeline's resolve and plan stages end-to-end and the
+coalescing layer's dedup + scatter, and writes the ``BENCH_hotpath.json``
+artifact (per batch size: keys/sec per operation and the pipeline's
+per-stage wall-clock breakdown).
 
 Gates: the vectorized ``lookup_batch`` must be at least 10× the scalar
 baseline at batch sizes ≥ 4096 — the speedup the vectorization refactor
 exists to deliver — and ``plan_extraction`` must plan at least 14 M
-keys/sec at batch 4096 (8.4 M before the one-sort segment index).  The
+keys/sec at batch 4096 (8.4 M before the one-sort segment index), and
+``coalesce_keys`` + the one-take scatter must move at least 10 M member
+keys/sec on an 8 x 1024-key batch (about 20 M here; 6 M for the per-member
+``searchsorted`` scatter it replaced, re-measured beside it).  The
 ``perf-smoke`` CI job runs exactly this file
 (``pytest benchmarks/bench_micro_hotpath.py -m perf``).
 """
@@ -37,6 +41,8 @@ TABLE_ENTRIES = 100_000
 BATCH_SIZES = (256, 1024, 4096, 16384)
 MIN_SPEEDUP_AT_4096 = 10.0
 MIN_PLAN_KEYS_PER_SEC_AT_4096 = 14e6
+COALESCE_SHAPES = ((2, 1024), (8, 1024), (8, 256))  # members x keys
+MIN_COALESCE_MEMBER_KEYS_PER_SEC_AT_8X1024 = 10e6
 # The generalized tier code on a one-tier chain may cost at most this
 # much resolve+price throughput versus the pre-tier baseline path.
 MAX_TIER_REGRESSION = 0.10
@@ -127,6 +133,61 @@ def _bench_pipeline(rng) -> list[dict]:
     return rows
 
 
+def _bench_coalesce(rng) -> list[dict]:
+    """Dedup + scatter of one coalesced batch, in member keys per second.
+
+    Members draw Zipf keys from the table, so they overlap the way queued
+    requests do.  The timed region is what ``serve_batch`` does around
+    the shared extraction: ``coalesce_keys`` and handing every member its
+    rows.  ``parent_*`` is the path this replaced — ``np.unique`` without
+    the inverse, then a ``searchsorted`` and a fancy gather per member —
+    timed in the same process on the same batch.
+    """
+    from types import SimpleNamespace
+
+    from repro.serve import coalesce_keys
+
+    table = rng.standard_normal((TABLE_ENTRIES, 16)).astype(np.float32)
+    pmf = zipf_pmf(TABLE_ENTRIES, 1.2)
+    hot = rng.permutation(TABLE_ENTRIES)  # hot rows scattered over the ids
+    rows = []
+    for members, size in COALESCE_SHAPES:
+        requests = [
+            SimpleNamespace(keys=hot[rng.choice(TABLE_ENTRIES, size, p=pmf)])
+            for _ in range(members)
+        ]
+        union = coalesce_keys(requests)[0]
+        values = table[union]  # the shared extraction's result
+
+        def scatter():
+            _, _, inverse = coalesce_keys(requests)
+            buffer, stop, out = values.take(inverse, axis=0), 0, []
+            for r in requests:
+                start, stop = stop, stop + len(r.keys)
+                out.append(buffer[start:stop])
+            return out
+
+        def parent_scatter():
+            parts = [np.ascontiguousarray(r.keys, dtype=np.int64) for r in requests]
+            sorted_union = np.unique(np.concatenate(parts))
+            return [values[np.searchsorted(sorted_union, p)] for p in parts]
+
+        for new, old, r in zip(scatter(), parent_scatter(), requests):
+            assert np.array_equal(new, old) and np.array_equal(new, table[r.keys])
+        total = members * size
+        rows.append(
+            {
+                "members": members,
+                "keys_per_member": size,
+                "dedup_ratio": total / len(union),
+                "coalesce_member_keys_per_sec": total / _best_of(scatter, 20),
+                "parent_coalesce_member_keys_per_sec": total
+                / _best_of(parent_scatter, 20),
+            }
+        )
+    return rows
+
+
 def _bench_tier_pricing(rng) -> list[dict]:
     """Resolve + price one batch 4096 across 1/2/3-deep backing chains.
 
@@ -201,14 +262,19 @@ def bench_micro_hotpath():
     location_rows = _bench_location_table(rng)
     pipeline_rows = _bench_pipeline(rng)
     tier_rows = _bench_tier_pricing(rng)
+    coalesce_rows = _bench_coalesce(rng)
     doc = {
         "table_entries": TABLE_ENTRIES,
         "min_speedup_at_4096": MIN_SPEEDUP_AT_4096,
         "min_plan_keys_per_sec_at_4096": MIN_PLAN_KEYS_PER_SEC_AT_4096,
         "max_tier_regression": MAX_TIER_REGRESSION,
+        "min_coalesce_member_keys_per_sec_at_8x1024": (
+            MIN_COALESCE_MEMBER_KEYS_PER_SEC_AT_8X1024
+        ),
         "location_table": location_rows,
         "pipeline": pipeline_rows,
         "tier_pricing": tier_rows,
+        "coalesce": coalesce_rows,
     }
     ARTIFACT.write_text(json.dumps(doc, indent=1) + "\n")
     for row in location_rows:
@@ -259,3 +325,16 @@ def bench_micro_hotpath():
         by_chain["dram+ssd"]["est_batch_seconds"]
         > by_chain["dram"]["est_batch_seconds"]
     )
+    for row in coalesce_rows:
+        shape = (row["members"], row["keys_per_member"])
+        rate = row["coalesce_member_keys_per_sec"]
+        print(
+            f"coalesce {shape[0]} x {shape[1]:>4} (dedup "
+            f"{row['dedup_ratio']:.2f}): {rate / 1e6:.1f} M member keys/s, "
+            f"parent {row['parent_coalesce_member_keys_per_sec'] / 1e6:.1f} M"
+        )
+        if shape == (8, 1024):
+            assert rate >= MIN_COALESCE_MEMBER_KEYS_PER_SEC_AT_8X1024, (
+                f"coalesce_keys + scatter only {rate / 1e6:.1f} M member "
+                f"keys/s at 8 x 1024"
+            )

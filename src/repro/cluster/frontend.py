@@ -56,12 +56,10 @@ __all__ = ["ClusterConfig", "ClusterFrontend", "ClusterResponse"]
 
 def _counters(reg, key, names, **labels) -> tuple:
     """``cluster.<name>`` counters, looked up once per registry."""
-    found = reg.handles.get(("cluster", key))
-    if found is None:
-        found = reg.handles[("cluster", key)] = tuple(
-            reg.counter(f"cluster.{name}", **labels) for name in names
-        )
-    return found
+    return reg.handle(
+        ("cluster", key),
+        lambda: tuple(reg.counter(f"cluster.{name}", **labels) for name in names),
+    )
 
 
 def _next_owner(chosen, owners, idx, banned) -> np.ndarray:

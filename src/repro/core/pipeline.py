@@ -423,14 +423,14 @@ def dedicate(
 def _source_instruments(reg, source: int, dst: int, platform: Platform):
     """One source class's instruments, looked up once per registry."""
     label = source_class(source, dst, platform)
-    found = reg.handles.get(("source", label))
-    if found is None:
-        found = reg.handles[("source", label)] = (
+    return reg.handle(
+        ("source", label),
+        lambda: (
             reg.counter("extractor.plan.keys", source=label),
             reg.histogram("extractor.plan.dedicated_cores", source=label),
             reg.counter("extractor.execute.bytes", source=label),
-        )
-    return found
+        ),
+    )
 
 
 def group_by_source(

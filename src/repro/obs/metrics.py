@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 __all__ = [
     "Counter",
@@ -233,8 +233,7 @@ class MetricsRegistry:
         self.enabled = enabled
         self._series: dict[tuple[str, str, LabelKey], Instrument] = {}
         self._lock = threading.Lock()
-        #: instruments hot paths looked up once; per registry, so a swap redirects
-        self.handles: dict[Any, Any] = {}
+        self._handles: dict[Any, Any] = {}
         #: trace spans land here when :attr:`tracing_enabled` is set
         self.spans: list[Any] = []
         self.tracing_enabled = False
@@ -268,6 +267,15 @@ class MetricsRegistry:
             return _NOOP_HISTOGRAM
         return self._get(Histogram, name, labels)  # type: ignore[return-value]
 
+    def handle(self, key: Any, factory: Callable[[], Any]) -> Any:
+        """What ``factory()`` returned the first time ``key`` was asked for:
+        hot paths look their instruments up once.  Per registry, so a swap
+        redirects them; dropped by :meth:`reset`."""
+        found = self._handles.get(key)
+        if found is None:
+            found = self._handles[key] = factory()
+        return found
+
     # ------------------------------------------------------------------
     # Introspection / lifecycle
     # ------------------------------------------------------------------
@@ -297,7 +305,7 @@ class MetricsRegistry:
         """Drop every series and buffered span."""
         with self._lock:
             self._series.clear()
-            self.handles.clear()
+            self._handles.clear()
             self.spans.clear()
 
 

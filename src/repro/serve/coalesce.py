@@ -69,21 +69,22 @@ class CoalesceConfig:
             raise ValueError("linger must be non-negative")
 
 
-def coalesce_keys(requests: list[Request]) -> tuple[np.ndarray, int]:
-    """Union + dedup of the member key sets.
+def coalesce_keys(requests: list[Request]) -> tuple[np.ndarray, int, np.ndarray]:
+    """Union + dedup of the member key sets: the batch's one dedup index.
 
-    Returns ``(union, total)`` where ``union`` is the sorted unique key
-    array extracted once for the whole batch and ``total`` counts the
-    member keys before dedup; ``total / len(union)`` is the batch's dedup
-    ratio.  Members scatter their results back with
-    ``np.searchsorted(union, request.keys)``.
+    Returns ``(union, total, inverse)``.  ``union`` is the sorted unique
+    key array extracted once for the whole batch; ``total`` counts the
+    member keys before dedup (``total / len(union)`` is the batch's dedup
+    ratio); ``inverse`` has one union position per member key, members in
+    order, so ``union[inverse]`` is the concatenated member keys and
+    ``values.take(inverse, axis=0)`` scatters the union's rows back to
+    every member in one gather.
     """
     if not requests:
-        return np.empty(0, dtype=np.int64), 0
-    parts = [np.ascontiguousarray(r.keys, dtype=np.int64) for r in requests]
-    total = sum(len(p) for p in parts)
-    union = np.unique(np.concatenate(parts)) if len(parts) > 1 else np.unique(parts[0])
-    return union, total
+        return np.empty(0, dtype=np.int64), 0, np.empty(0, dtype=np.intp)
+    concat = np.concatenate([np.asarray(r.keys, dtype=np.int64) for r in requests])
+    union, inverse = np.unique(concat, return_inverse=True)
+    return union, len(concat), inverse
 
 
 @dataclass
@@ -148,11 +149,13 @@ class MicroBatcher:
         head = self._queue.peek()
         if head is None:
             return None
-        if self._queue.depth >= self.config.max_batch:
-            return free_at
         target = head.arrival + self.config.linger_seconds
+        if self._queue.depth >= self.config.max_batch or target <= free_at:
+            # Full, or the head's linger is already over: no deadline can
+            # pull the flush below ``free_at``.
+            return free_at
         if self.config.slo_early_flush:
-            tightest = min(r.deadline for r in self._queue.queued())
+            tightest = self._queue.tightest_deadline()
             if math.isfinite(tightest):
                 estimate = self._queue.estimator.estimate()
                 target = min(target, tightest - estimate)

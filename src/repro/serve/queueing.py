@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.obs import Histogram, get_registry
+from repro.obs import Counter, Histogram, get_registry
 from repro.serve.request import Request, RequestStatus
 
 __all__ = [
@@ -36,6 +36,16 @@ __all__ = [
     "LatencyEstimator",
     "QueuePolicy",
 ]
+
+
+def _series(kind: str, name: str, gpu: int, **labels):
+    """``name{gpu, **labels}`` of the active registry, looked up once per
+    registry (these run per offered request and per pop)."""
+    reg = get_registry()
+    return reg.handle(
+        (name, gpu, *labels.values()),
+        lambda: getattr(reg, kind)(name, gpu=gpu, **labels),
+    )
 
 
 class QueuePolicy(str, Enum):
@@ -108,7 +118,7 @@ class LatencyEstimator:
         self._ewma: float | None = None
 
     def _histogram(self) -> Histogram:
-        return get_registry().histogram("serve.batch.seconds", gpu=self.gpu)
+        return _series("histogram", "serve.batch.seconds", self.gpu)
 
     def observe(self, seconds: float) -> None:
         """Record one measured service time."""
@@ -190,11 +200,11 @@ class BoundedRequestQueue:
         """The request :meth:`pop` would return next, without removing it."""
         return self._queue[0] if self._queue else None
 
-    def queued(self) -> tuple[Request, ...]:
-        """Snapshot of the queued requests in FIFO order (excludes blocked
-        producers); the micro-batcher reads deadlines off this to decide
-        when to flush."""
-        return tuple(self._queue)
+    def tightest_deadline(self) -> float:
+        """Earliest deadline among the queued requests (excludes blocked
+        producers; the queue must not be empty); the micro-batcher reads
+        it to decide when to flush."""
+        return min(r.deadline for r in self._queue)
 
     # ------------------------------------------------------------------
     # Admission
@@ -216,65 +226,58 @@ class BoundedRequestQueue:
 
     def offer(self, request: Request, now: float) -> AdmissionResult:
         """Admit, shed, reject, or block ``request`` at time ``now``."""
-        reg = get_registry()
         if request.expired(now) or self._should_shed(request, now):
-            reg.counter("serve.admission", gpu=self.gpu, result="shed").inc()
+            self._admission("shed").inc()
             return AdmissionResult(admitted=False, status=RequestStatus.SHED)
         if self.depth >= self.config.capacity:
             policy = self.config.policy
             if policy is QueuePolicy.REJECT:
-                reg.counter(
-                    "serve.admission", gpu=self.gpu, result="rejected"
-                ).inc()
+                self._admission("rejected").inc()
                 return AdmissionResult(
                     admitted=False, status=RequestStatus.REJECTED
                 )
             if policy is QueuePolicy.BLOCK:
                 self._blocked.append(request)
-                reg.counter(
-                    "serve.admission", gpu=self.gpu, result="blocked"
-                ).inc()
+                self._admission("blocked").inc()
                 return AdmissionResult(admitted=False, blocked=True)
             # shed-oldest: the head has waited longest; drop it for the
             # newcomer (whose deadline budget is freshest).
             displaced = [self._queue.popleft()]
             self._queue.append(request)
-            reg.counter(
-                "serve.admission", gpu=self.gpu, result="shed_oldest"
-            ).inc()
-            self._note_depth(reg)
+            self._admission("shed_oldest").inc()
+            self._note_depth()
             return AdmissionResult(
                 admitted=True, displaced=displaced
             )
         self._queue.append(request)
-        reg.counter("serve.admission", gpu=self.gpu, result="admitted").inc()
-        self._note_depth(reg)
+        self._admission("admitted").inc()
+        self._note_depth()
         return AdmissionResult(admitted=True)
 
-    def _note_depth(self, reg) -> None:
+    def _admission(self, result: str) -> Counter:
+        return _series("counter", "serve.admission", self.gpu, result=result)
+
+    def _note_depth(self) -> None:
         depth = self.depth
         if depth > self.max_depth:
             self.max_depth = depth
-        reg.gauge("serve.queue.depth", gpu=self.gpu).set(depth)
+        _series("gauge", "serve.queue.depth", self.gpu).set(depth)
 
     def _pump_blocked(self, now: float) -> None:
         """Admit parked (blocked) producers into freed queue space."""
-        reg = get_registry()
         while self._blocked and self.depth < self.config.capacity:
             request = self._blocked.popleft()
             if request.expired(now):
-                reg.counter(
-                    "serve.admission", gpu=self.gpu, result="expired_blocked"
-                ).inc()
+                self._admission("expired_blocked").inc()
                 continue
             self._queue.append(request)
-            self._note_depth(reg)
+            self._note_depth()
 
     def pop(self, now: float) -> Request | None:
         """Dequeue the next request (unblocking parked producers)."""
         request = self._queue.popleft() if self._queue else None
         self._pump_blocked(now)
-        get_registry().gauge("serve.queue.depth", gpu=self.gpu).set(self.depth)
+        _series("gauge", "serve.queue.depth", self.gpu).set(self.depth)
         return request
 
 

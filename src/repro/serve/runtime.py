@@ -314,10 +314,14 @@ class ServingRuntime:
         """Serve a coalesced micro-batch of same-GPU requests at ``now``.
 
         The member key sets are unioned and deduplicated into one
-        extraction demand, planned and executed once, and priced once
-        through the shared :func:`~repro.core.pipeline.price_demand`
-        stage; every member then receives its own scatter of the gathered
-        values and its own deadline/hedging/latency accounting:
+        extraction demand (``union, total, inverse =``
+        :func:`~repro.serve.coalesce.coalesce_keys`), planned and executed
+        once, and priced once through the shared
+        :func:`~repro.core.pipeline.price_demand` stage.  One
+        ``values.take(inverse, axis=0)`` scatters the gathered rows: each
+        member's ``values`` is its own row-slice of that one per-batch
+        buffer, disjoint from the other members' slices, and each keeps
+        its own deadline/hedging/latency accounting:
 
         * every live member completes at ``now + shared_time`` (they all
           wait for the shared extraction), except a member whose deadline
@@ -332,8 +336,11 @@ class ServingRuntime:
 
         The union plan's rerouted-key count is attributed to the first
         live member's response (it counts unique keys moved, so spreading
-        it across members would double-count).
+        it across members would double-count).  A batch that names more
+        than one GPU raises before anything is recorded.
         """
+        if len({r.gpu for r in requests}) > 1:
+            raise ValueError("a coalesced batch must target one GPU")
         reg = get_registry()
         responses: list[Response] = []
         live: list[Request] = []
@@ -357,10 +364,8 @@ class ServingRuntime:
                 completed_at=now,
             )
         gpu = live[0].gpu
-        if any(r.gpu != gpu for r in live):
-            raise ValueError("a coalesced batch must target one GPU")
 
-        union, total_keys = coalesce_keys(live)
+        union, total_keys, inverse = coalesce_keys(live)
         health = self._health(now)
         excluded = self.breakers.excluded_sources(now)
         with self._cache.reading():
@@ -396,12 +401,19 @@ class ServingRuntime:
         reg.histogram("serve.coalesce.dedup_ratio").observe(
             outcome.dedup_ratio
         )
+        latency = reg.histogram("serve.latency.seconds")
+        linger = reg.histogram("serve.coalesce.linger.seconds")
 
+        # Every member's rows in one gather; each owns rows[start:stop].
+        rows = values.take(inverse, axis=0)
+        stop = 0
         entry_bytes = self._cache.entry_bytes
         rerouted_credit = plan.rerouted_keys
+        statuses: dict[RequestStatus, int] = {}
         for request in live:
+            start, stop = stop, stop + len(request.keys)
             service_time = shared_time
-            request_values: np.ndarray | None = None
+            request_values = rows[start:stop]
             hedged = False
             hedge_won = False
             if (
@@ -428,21 +440,15 @@ class ServingRuntime:
                     service_time = host_time
                     request_values = self._cache.host_gather(request.keys)
                     reg.counter("serve.hedge_wins", gpu=gpu).inc()
-            if request_values is None:
-                request_values = values[np.searchsorted(union, request.keys)]
             done = now + service_time
             status = (
                 RequestStatus.OK
                 if done <= request.deadline
                 else RequestStatus.EXPIRED
             )
-            reg.counter("serve.requests", status=status.value).inc()
-            reg.histogram("serve.latency.seconds").observe(
-                done - request.arrival
-            )
-            reg.histogram("serve.coalesce.linger.seconds").observe(
-                now - request.arrival
-            )
+            statuses[status] = statuses.get(status, 0) + 1
+            latency.observe(done - request.arrival)
+            linger.observe(now - request.arrival)
             response = Response(
                 request=request,
                 status=status,
@@ -457,6 +463,8 @@ class ServingRuntime:
             rerouted_credit = 0
             self.responses.append(response)
             responses.append(response)
+        for status, members in statuses.items():
+            reg.counter("serve.requests", status=status.value).inc(members)
         return outcome
 
     def _feed_breakers(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -60,3 +62,26 @@ def skewed_hotness():
 @pytest.fixture
 def uniform_hotness():
     return np.full(2000, 0.5)
+
+
+@pytest.fixture
+def count_calls():
+    """``count_calls(fn)``: Python-level calls (``call`` + ``c_call`` profile
+    events) made while running ``fn()`` — an exact-repeat cost proxy."""
+
+    def count(fn) -> int:
+        calls = 0
+
+        def profiler(frame, event, arg):
+            nonlocal calls
+            if event in ("call", "c_call"):
+                calls += 1
+
+        sys.setprofile(profiler)
+        try:
+            fn()
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    return count

@@ -1,9 +1,14 @@
 """Cross-request coalescing: micro-batcher policy, serve_batch semantics."""
 
+import functools
 import math
+from types import SimpleNamespace
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cache import MultiGpuEmbeddingCache
 from repro.core.extractor import FactoredExtractor
@@ -20,7 +25,8 @@ from repro.serve import (
     coalesce_keys,
     run_soak,
 )
-from repro.serve.queueing import BoundedRequestQueue
+from repro.serve.queueing import AdmissionConfig, BoundedRequestQueue
+from repro.serve.request import Request
 from repro.sim.event_sim import simulate_coalesced_extraction
 from repro.sim.mechanisms import GpuDemand
 from repro.utils.rng import make_rng
@@ -65,15 +71,15 @@ class TestCoalesceKeys:
         requests = [
             runtime.make_request(0, _keys(seed=s), now=0.0) for s in range(4)
         ]
-        union, total = coalesce_keys(requests)
+        union, total, _ = coalesce_keys(requests)
         assert total == sum(len(r.keys) for r in requests)
         assert len(np.unique(union)) == len(union)
         for r in requests:
             assert np.isin(r.keys, union).all()
 
     def test_empty_batch(self):
-        union, total = coalesce_keys([])
-        assert len(union) == 0 and total == 0
+        union, total, inverse = coalesce_keys([])
+        assert len(union) == 0 and total == 0 and len(inverse) == 0
 
 
 class TestMicroBatcher:
@@ -123,6 +129,64 @@ class TestMicroBatcher:
         queue.estimator.observe(0.5)
         # tightest deadline (2.0) minus estimate (0.5) < arrival + linger.
         assert batcher.flush_at(0.0) == pytest.approx(1.5)
+
+    @staticmethod
+    def _old_flush_at(batcher, queue, free_at):
+        """``flush_at`` as it was before the O(1) exit: the oracle."""
+        head = queue.peek()
+        if head is None:
+            return None
+        if queue.depth >= batcher.config.max_batch:
+            return free_at
+        target = head.arrival + batcher.config.linger_seconds
+        if batcher.config.slo_early_flush:
+            tightest = min(r.deadline for r in queue._queue)
+            if math.isfinite(tightest):
+                target = min(target, tightest - queue.estimator.estimate())
+        return max(free_at, target)
+
+    @given(
+        tape=st.lists(
+            st.tuples(
+                st.floats(0.0, 2.0),  # gap since the previous arrival
+                st.one_of(st.just(math.inf), st.floats(0.01, 5.0)),  # budget
+            ),
+            max_size=7,
+        ),
+        free_at=st.floats(0.0, 15.0),
+        linger=st.floats(0.0, 5.0),
+        max_batch=st.integers(1, 8),
+        slo_early_flush=st.booleans(),
+        prior=st.one_of(st.none(), st.floats(0.05, 3.0)),
+        observed=st.lists(st.floats(0.01, 3.0), max_size=3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_flush_instants_equal_the_old_formula(
+        self, tape, free_at, linger, max_batch, slo_early_flush, prior, observed
+    ):
+        queue = BoundedRequestQueue(
+            0,
+            AdmissionConfig(capacity=16, shed_on_slo=False, estimator_prior=prior),
+        )
+        for seconds in observed:
+            queue.estimator.observe(seconds)
+        batcher = MicroBatcher(
+            0,
+            queue,
+            CoalesceConfig(
+                max_batch=max_batch,
+                linger_seconds=linger,
+                slo_early_flush=slo_early_flush,
+            ),
+        )
+        now = 0.0
+        for rid, (gap, budget) in enumerate(tape):
+            now += gap
+            queue.offer(self._request(None, rid, now, deadline=now + budget), now)
+        assert queue.depth == len(tape)
+        assert batcher.flush_at(free_at) == self._old_flush_at(
+            batcher, queue, free_at
+        )
 
     def test_take_respects_max_batch_and_fifo(self):
         queue = self._queue()
@@ -218,6 +282,31 @@ class TestServeBatch:
         with pytest.raises(ValueError):
             runtime.serve_batch(requests, now=0.0)
 
+    @pytest.mark.parametrize("stray_expired", [False, True])
+    def test_mixed_gpus_rejected_before_any_side_effect(self, stray_expired):
+        """The batch is validated whole, first: an expired member ahead of
+        the stray one used to be finished (response, counter, prefetch
+        window) before the raise, and an *expired* stray passed silently."""
+        _platform, _table, _cache, extractor = _stack()
+        retired: list[int] = []
+        prefetcher = SimpleNamespace(advance=retired.append)
+        registry = MetricsRegistry("mixed")
+        with use_registry(registry):
+            runtime = ServingRuntime(extractor, prefetcher=prefetcher)
+            requests = [
+                runtime.make_request(0, _keys(seed=1), now=0.0, deadline=1.0),
+                runtime.make_request(0, _keys(seed=2), now=0.0),
+                runtime.make_request(
+                    1, _keys(seed=3), now=0.0,
+                    deadline=1.0 if stray_expired else math.inf,
+                ),
+            ]
+            with pytest.raises(ValueError, match="one GPU"):
+                runtime.serve_batch(requests, now=5.0)
+        assert runtime.responses == []
+        assert retired == []
+        assert registry.snapshot()["metrics"] == []
+
     def test_all_expired_batch_is_cheap(self):
         _platform, _table, _cache, extractor = _stack()
         runtime = ServingRuntime(extractor)
@@ -263,6 +352,147 @@ class TestServeBatch:
         assert sizes.count == 1 and sizes.sum == 3
         assert registry.histogram("serve.coalesce.dedup_ratio").count == 1
         assert registry.histogram("serve.coalesce.linger.seconds").count == 3
+
+
+@functools.lru_cache(maxsize=1)
+def _shared_stack():
+    """Read-only stack shared by the hypothesis examples below."""
+    return _stack()
+
+
+#: 0..80 keys per member: duplicates inside and across members are the
+#: norm on a 1200-entry table, and a zero-key member is allowed.
+member_keys = st.lists(
+    hnp.arrays(np.int64, st.integers(0, 80), elements=st.integers(0, N - 1)),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestCoalesceIndex:
+    """One dedup index per batch: ``union[inverse]`` is every member's keys."""
+
+    @given(members=member_keys, as_list=st.integers(0, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_union_sorted_unique_and_inverse_rebuilds_members(
+        self, members, as_list
+    ):
+        requests = [SimpleNamespace(keys=m) for m in members]
+        if as_list < len(members):  # a member that never was an ndarray
+            requests[as_list] = SimpleNamespace(keys=members[as_list].tolist())
+        union, total, inverse = coalesce_keys(requests)
+        concat = np.concatenate(members)
+        assert union.dtype == np.int64
+        assert np.array_equal(union, np.unique(concat))  # sorted, unique
+        assert total == len(concat) == len(inverse)
+        assert np.array_equal(union[inverse], concat)
+
+    @given(
+        members=member_keys,
+        fates=st.lists(
+            st.sampled_from(["loose", "expired", "tight"]), min_size=6, max_size=6
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_member_gets_its_own_rows(self, members, fates):
+        """Bit-exact rows per member, whatever the neighbours' fate: dropped
+        before the union (expired), served from the one-take buffer, or
+        served by a winning host hedge (tight deadline)."""
+        _platform, table, _cache, extractor = _shared_stack()
+        runtime = ServingRuntime(extractor)
+        now = 5.0
+        deadline = {"loose": math.inf, "expired": 1.0, "tight": now + 1e-12}
+        requests = [
+            runtime.make_request(0, keys, now=0.0, deadline=deadline[fate])
+            for keys, fate in zip(members, fates)
+        ]
+        if not any(len(r.keys) for r in requests if not r.expired(now)):
+            return  # nothing to extract: the all-expired tests cover it
+        outcome = runtime.serve_batch(requests, now=now)
+        # Expired-on-arrival members answer first, then the fused ones.
+        assert [r.request.request_id for r in outcome.responses] == [
+            r.request_id
+            for r in sorted(requests, key=lambda r: not r.expired(now))
+        ]
+        for response in outcome.responses:
+            if response.request.expired(now):
+                assert response.values is None and not response.ok
+            else:
+                assert response.values.dtype == table.dtype
+                assert np.array_equal(
+                    response.values, table[response.request.keys]
+                )
+
+    def test_expired_and_hedge_winning_members_beside_sliced_ones(self):
+        _platform, table, _cache, extractor = _stack()
+        runtime = ServingRuntime(extractor)
+        now = 5.0
+        small = _keys(n=8, seed=3)
+
+        def batch(tight_deadline):
+            return [
+                runtime.make_request(0, _keys(seed=1), now=0.0, deadline=1.0),
+                runtime.make_request(0, _keys(seed=2), now=0.0),
+                runtime.make_request(0, small, now=0.0, deadline=tight_deadline),
+                runtime.make_request(0, _keys(seed=2), now=0.0),
+            ]
+
+        shared = runtime.serve_batch(batch(math.inf), now=now).service_time
+        # A deadline the shared extraction cannot make, but the member's
+        # own 8-key host gather can: the hedge wins.
+        requests = batch(now + 0.9 * shared)
+        outcome = runtime.serve_batch(requests, now=now)
+        dead, first, hedged, second = outcome.responses
+        assert dead.status is RequestStatus.EXPIRED and dead.values is None
+        assert hedged.hedge_won and hedged.ok
+        assert outcome.batch_size == 3
+        for response in (first, hedged, second):
+            assert np.array_equal(response.values, table[response.request.keys])
+        # Sliced members share one buffer, disjointly; the hedge winner's
+        # rows came from the host gather instead.
+        assert first.values.base is second.values.base is not None
+        assert not np.shares_memory(first.values, second.values)
+        assert not np.shares_memory(hedged.values, first.values.base)
+        assert first.values.flags.c_contiguous
+
+
+class TestServeBatchCallBudget:
+    """Per-member work is a slice and a Response, not a lookup and a gather."""
+
+    def _batch(self, runtime, members):
+        return [
+            runtime.make_request(0, _keys(n=1024, seed=s), now=0.0)
+            for s in range(members)
+        ]
+
+    def test_calls_per_eight_member_batch(self, count_calls):
+        _platform, _table, _cache, extractor = _stack()
+        runtime = ServingRuntime(extractor)
+        runtime.serve_batch(self._batch(runtime, 8), now=0.0)  # warm
+        counts = {}
+        for members in (1, 8):
+            batch = self._batch(runtime, members)
+            counts[members] = count_calls(
+                lambda: runtime.serve_batch(batch, now=0.0)
+            )
+        # 887 and 41 per extra member before the shared index (a
+        # searchsorted, a fancy gather and three registry lookups each);
+        # 722 and 17 with it.
+        assert counts[8] <= 760
+        assert (counts[8] - counts[1]) / 7 <= 20
+
+    def test_searchsorted_not_reached(self, monkeypatch):
+        _platform, table, _cache, extractor = _stack()
+        runtime = ServingRuntime(extractor)
+        requests = self._batch(runtime, 8)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.searchsorted reached from serve_batch")
+
+        monkeypatch.setattr(np, "searchsorted", forbidden)
+        outcome = runtime.serve_batch(requests, now=0.0)
+        for response in outcome.responses:
+            assert np.array_equal(response.values, table[response.request.keys])
 
 
 class TestCoalescedEventSim:

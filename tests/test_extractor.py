@@ -192,25 +192,9 @@ class TestDedicationMismatch:
 class TestPlanCallBudget:
     """The plan's Python-level work is per present source, not per key."""
 
-    @staticmethod
-    def _calls(fn) -> int:
-        import sys
-
-        calls = 0
-
-        def profiler(frame, event, arg):
-            nonlocal calls
-            if event in ("call", "c_call"):
-                calls += 1
-
-        sys.setprofile(profiler)
-        try:
-            fn()
-        finally:
-            sys.setprofile(None)
-        return calls
-
-    def test_calls_bounded_and_independent_of_batch_size(self, platform_c, rng):
+    def test_calls_bounded_and_independent_of_batch_size(
+        self, platform_c, rng, count_calls
+    ):
         n = 20_000
         table = rng.standard_normal((n, 4)).astype(np.float32)
         hotness = np.arange(n, 0, -1, dtype=np.float64)
@@ -223,7 +207,7 @@ class TestPlanCallBudget:
             keys = rng.integers(0, n, size=size)
             plan = extractor.plan(0, keys)  # warm: instruments, memo tables
             assert len(plan.groups) == 9  # 8 GPUs + host
-            counts[size] = self._calls(lambda: extractor.plan(0, keys))
+            counts[size] = count_calls(lambda: extractor.plan(0, keys))
         assert counts[1024] == counts[8192]
         # 862 before the segment index (G+1 mask passes, two registry
         # lookups per group, core_dedication recomputed per plan).

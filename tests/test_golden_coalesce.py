@@ -21,9 +21,9 @@ GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 pytestmark = pytest.mark.serve
 
 
-def _load_generator():
+def _load_generator(name="generate_coalesce_golden"):
     spec = importlib.util.spec_from_file_location(
-        "generate_coalesce_golden", GOLDEN_DIR / "generate_coalesce_golden.py"
+        name, GOLDEN_DIR / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -99,3 +99,22 @@ def test_expired_members_not_counted_in_batch_size(golden):
     rec = golden["expiry_accounting"]
     assert rec["statuses"] == ["expired", "ok"]
     assert rec["batch_size"] == 1
+
+
+def test_metrics_snapshot_of_a_pinned_soak_is_unchanged():
+    """Caching instrument handles (and counting member statuses once per
+    batch) may not add, drop, rename or change a series: the fixture is
+    the snapshot the per-call lookups produced."""
+    golden = json.loads((GOLDEN_DIR / "coalesce_metrics_snapshot.json").read_text())
+    replayed = json.loads(
+        json.dumps(_load_generator("generate_coalesce_metrics").build())
+    )
+    assert replayed == golden
+    names = {s["name"] for s in golden}
+    assert {
+        "serve.admission", "serve.queue.depth", "serve.batch.seconds",
+        "serve.requests", "serve.latency.seconds", "serve.hedges",
+        "serve.coalesce.linger.seconds", "extractor.plan.keys",
+    } <= names
+    statuses = {s["labels"].get("status") for s in golden if s["name"] == "serve.requests"}
+    assert statuses == {"ok", "shed", "expired"}

@@ -128,6 +128,25 @@ class TestRegistry:
         reg.reset()
         assert list(reg.series()) == []
 
+    def test_handle_builds_once_per_key_per_registry_until_reset(self):
+        first, second = MetricsRegistry("first"), MetricsRegistry("second")
+        built = []
+
+        def factory(reg):
+            built.append(reg.name)
+            return reg.counter("c", gpu=0), reg.histogram("h")
+
+        for reg in (first, first, second):
+            counter, _ = reg.handle("k", lambda: factory(reg))
+            counter.inc()
+        assert built == ["first", "second"]
+        assert first.value("c", gpu=0) == 2 and second.value("c", gpu=0) == 1
+        assert first.handle("other", lambda: 7) == 7  # keys are independent
+        first.reset()
+        first.handle("k", lambda: factory(first))[0].inc()
+        assert built == ["first", "second", "first"]
+        assert first.value("c", gpu=0) == 1  # not the dropped series
+
 
 class TestTracing:
     def test_timer_observes_histogram(self):
@@ -289,6 +308,46 @@ class TestHotPathWiring:
             second.value("extractor.plan.keys", source=s) or 0
             for s in ("local", "remote", "host")
         ) == 50
+
+    def test_swapped_registries_serve_path_handles(
+        self, platform_a, small_table, skewed_hotness
+    ):
+        """One queue, estimator and runtime under two registries: the
+        cached admission / depth / batch-seconds / coalescing instruments
+        follow the active registry, and a reset one starts from zero."""
+        from repro.core.extractor import FactoredExtractor
+        from repro.serve import ServingRuntime
+
+        runtime = ServingRuntime(
+            FactoredExtractor(self._cache(platform_a, small_table, skewed_hotness))
+        )
+
+        def batch_of(members):
+            for _ in range(members):
+                request = runtime.make_request(1, np.arange(40), now=0.0)
+                assert runtime.submit(request, now=0.0) is None
+            queue = runtime.admission.queue(1)
+            runtime.serve_batch(
+                [queue.pop(0.0) for _ in range(members)], now=0.0
+            )
+
+        first, second = MetricsRegistry("first"), MetricsRegistry("second")
+        for reg, members in ((first, 3), (second, 2), (first, 1)):
+            with use_registry(reg):
+                batch_of(members)
+        for reg, members, batches in ((first, 4, 2), (second, 2, 1)):
+            assert reg.value("serve.admission", gpu=1, result="admitted") == members
+            assert reg.value("serve.requests", status="ok") == members
+            assert reg.value("serve.queue.depth", gpu=1) == 0
+            assert reg.histogram("serve.batch.seconds", gpu=1).count == batches
+            assert reg.histogram("serve.coalesce.batch_size").sum == members
+            assert reg.histogram("serve.latency.seconds").count == members
+            assert reg.histogram("serve.coalesce.linger.seconds").count == members
+        second.reset()
+        with use_registry(second):
+            batch_of(1)
+        assert second.value("serve.admission", gpu=1, result="admitted") == 1
+        assert second.histogram("serve.batch.seconds", gpu=1).count == 1
 
     def test_simulate_batch_records_per_gpu_timing(self, platform_a):
         from repro.sim.engine import simulate_batch
