@@ -183,7 +183,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         queue_policy=QueuePolicy(args.queue_policy),
         batching=BatchingMode(args.batching),
         max_batch=args.max_batch,
-        workers=args.workers,
         lookahead=args.lookahead,
         prefetch_capacity=args.prefetch_capacity,
         nodes=args.nodes,
@@ -543,9 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--linger-ms", type=float, default=None, metavar="MS",
                    help="micro-batch linger in milliseconds (default: "
                         "half the baseline service time)")
-    p.add_argument("--workers", type=int, default=1,
-                   help=">1 serves the GPUs on concurrent worker threads "
-                        "(open-loop only)")
     p.add_argument("--lookahead", type=int, default=0, metavar="K",
                    help="batches the oracle cacher peeks ahead in the "
                         "trace; 0 disables prefetching (open-loop only)")

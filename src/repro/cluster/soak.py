@@ -1,11 +1,11 @@
 """Cluster soak: sustained traffic through the fan-out front-end under
 node-level chaos.
 
-``python -m repro soak --nodes N --replication R`` lands here (the
-single-box path in :mod:`repro.serve.soak` is untouched — ``--nodes 1``
-never enters this module, which is what keeps it byte-identical to the
-pre-cluster harness).  The loop drives Poisson arrivals (open loop) or a
-fixed client population (closed loop) through
+``python -m repro soak --nodes N --replication R`` lands here
+(``--nodes 1`` never enters this module).  The single-box soak's traffic
+loop, :func:`~repro.serve.soak.drive_arrivals`, hands Poisson arrivals
+(open loop) or a fixed client population's resubmits (closed loop) to
+this module's arrival handler, which sends each request through
 :class:`~repro.cluster.frontend.ClusterFrontend` on a simulated clock
 while a node-kill/partition/flap fault plan takes whole nodes away
 mid-run, and — the part the CI gate cares about — measures goodput
@@ -18,7 +18,11 @@ mid-run, and — the part the CI gate cares about — measures goodput
 * every served value is checked bit-exact against the host table, and
   every node's cache is reconciled (``verify_integrity``) after recovery;
 * a healed node re-stages its GPU caches from DRAM — the bytes show up
-  as ``rebalance_bytes`` (and the ``cluster.rebalance.bytes`` counter).
+  as ``rebalance_bytes`` (and the ``cluster.rebalance.bytes`` counter);
+* the run's own bookkeeping is gated like the single-box soak's time
+  physics: no response takes negative time, every requested key is
+  either served or reported failed, and every request ends in exactly
+  one of ok / expired / failed — a breach is an integrity failure.
 
 With ``--repair`` the self-healing layer (:mod:`repro.repair`) rides
 along: node death actually *drops* the dead node's GPU caches, heals
@@ -33,7 +37,7 @@ gated: ``recovery_goodput_ratio`` must stay ≥ 85% of steady.
 
 from __future__ import annotations
 
-import heapq
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -49,7 +53,11 @@ from repro.serve.soak import (
     SOAK_SCENARIOS,
     SoakConfig,
     SoakReport,
+    _chain_label,
+    _soak_platform,
     build_soak_plan,
+    drive_arrivals,
+    poisson_schedule,
 )
 from repro.utils.logging import get_logger
 from repro.utils.rng import make_rng, spawn_rngs
@@ -91,8 +99,6 @@ def _node_counter_values(reg, name: str) -> dict[str, int]:
 
 def run_cluster_soak(cfg: SoakConfig) -> SoakReport:
     """Run one multi-node soak scenario end to end."""
-    from repro.serve.soak import _soak_platform
-
     platform_name, _desc = SOAK_SCENARIOS[cfg.scenario]
     # Honours --tiers: every node then holds its shard across the same
     # backing chain (CacheNode ranks the chain by its shard's hotness).
@@ -230,6 +236,7 @@ def run_cluster_soak(cfg: SoakConfig) -> SoakReport:
     restage_blocks = 0
     corrupt_rows_served = 0
     values_exact = True
+    physics_failures = 0
     prev_down: frozenset[int] = frozenset()
     prev_t = 0.0
     lost_placements: dict[int, Placement] = {}
@@ -248,16 +255,16 @@ def run_cluster_soak(cfg: SoakConfig) -> SoakReport:
         restage_blocks += grant.blocks
         reg.counter("cluster.rebalance.bytes").inc(grant.bytes)
 
-    def handle_arrival(t: float) -> float:
-        """One request's full lifecycle at arrival time ``t``; returns
-        its completion time (the closed loop's resubmit instant)."""
+    def handle_arrival(t: float, _seq: int, _client: int) -> float | None:
+        """One request's full lifecycle at arrival time ``t``; a closed
+        loop's client arrives again when its request completes."""
         nonlocal served_ok, expired, failed, hedges, hedge_wins, failovers
         nonlocal replica_keys, served_keys, host_fallback_keys
         nonlocal partial_responses, rpc_retries, rpc_timeouts
         nonlocal steady_ok, steady_total, window_ok, window_total
         nonlocal recovery_ok, recovery_total, rebalance_bytes
         nonlocal corrupt_rows_served, values_exact, prev_down, prev_t
-        nonlocal sim_end
+        nonlocal sim_end, physics_failures
         dt = max(0.0, t - prev_t)
         prev_t = t
         health = plan.health_at(t) if plan is not None else HEALTHY
@@ -357,6 +364,9 @@ def run_cluster_soak(cfg: SoakConfig) -> SoakReport:
         keys = key_rng.choice(cfg.num_entries, size=cfg.batch_keys, p=pmf)
         resp = frontend.serve(keys, t, health=serve_health, execute=True)
         sim_end = max(sim_end, t + resp.elapsed)
+        physics_failures += (resp.elapsed < 0) + (
+            resp.served + len(resp.failed_positions) != len(keys)
+        )
         hedges += resp.hedges
         hedge_wins += resp.hedge_wins
         failovers += resp.failovers
@@ -398,33 +408,21 @@ def run_cluster_soak(cfg: SoakConfig) -> SoakReport:
         else:
             steady_total += 1
             steady_ok += int(ok)
-        return t + resp.elapsed
+        return t + resp.elapsed if cfg.closed_loop else None
 
-    if cfg.closed_loop:
-        # A fixed client population per node: each client resubmits the
-        # moment its previous request completes, until the nominal run
-        # duration elapses — the same resubmit-heap idiom as the
-        # single-box closed loop, with identical per-request accounting.
-        events: list[tuple[float, int]] = []
-        seq = 0
-        for _ in range(cfg.clients * cfg.nodes):
-            heapq.heappush(events, (0.0, seq))
-            seq += 1
-        requests = 0
-        while events:
-            t, _s = heapq.heappop(events)
-            if t >= duration:
-                continue
-            completed = handle_arrival(t)
-            requests += 1
-            heapq.heappush(events, (completed, seq))
-            seq += 1
-    else:
-        t = 0.0
-        for _ in range(total_requests):
-            t += float(arrival_rng.exponential(1.0 / rate))
-            handle_arrival(t)
-        requests = total_requests
+    # Closed loop: a fixed client population per node, each resubmitting
+    # the moment its previous request completes, until the nominal run
+    # duration elapses.  Open loop: one Poisson stream.
+    events = (
+        [(0.0, i, 0) for i in range(cfg.clients * cfg.nodes)]
+        if cfg.closed_loop
+        else poisson_schedule(arrival_rng, rate, 1, total_requests)
+    )
+    requests = drive_arrivals(
+        events, handle_arrival,
+        until=duration if cfg.closed_loop else math.inf,
+    )
+    physics_failures += requests != served_ok + expired + failed
 
     if repair:
         # Any node still down when arrivals stop heals during the drain:
@@ -455,7 +453,9 @@ def run_cluster_soak(cfg: SoakConfig) -> SoakReport:
             reg.counter("cluster.rebalance.bytes").inc(staged)
 
     violations = frontend.verify_integrity()
-    integrity_failures = len(violations) + (0 if values_exact else 1)
+    integrity_failures = (
+        len(violations) + (0 if values_exact else 1) + physics_failures
+    )
     for v in violations:
         logger.error("cluster integrity: %s", v)
 
@@ -543,8 +543,6 @@ def run_cluster_soak(cfg: SoakConfig) -> SoakReport:
         ),
     )
     if platform.num_tiers > 1:
-        from repro.serve.soak import _chain_label
-
         report.tiers = _chain_label(platform)
         report.tier_demotions = sum(
             n.cache.tier_chain.demotions

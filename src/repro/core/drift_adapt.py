@@ -10,8 +10,8 @@ needs to notice:
 
 * :class:`StreamingHotnessEstimator` — exponentially decayed access
   counts layered on :class:`~repro.core.hotness.HotnessTracker`, cheap
-  enough to feed from the serving hot path and thread-safe against the
-  per-GPU worker pool;
+  enough to feed from the serving hot path and thread-safe against
+  concurrent serving threads;
 * :class:`DriftDetector` — windowed comparison of the live estimate
   against the solved policy's snapshot (hot-set Jaccard + rank
   correlation), with hysteresis and a post-fire cooldown so noise never

@@ -51,8 +51,8 @@ class Counter:
     Updates are guarded by a per-instrument lock: ``self.value += x`` is a
     read-modify-write (three bytecodes), so concurrent workers would lose
     increments without it.  The lock is uncontended on the single-threaded
-    paths and per-series under the worker pool, so the cost stays at one
-    uncontended acquire per update.
+    paths and per-series under concurrent serving threads, so the cost
+    stays at one uncontended acquire per update.
     """
 
     __slots__ = ("name", "labels", "value", "_lock")
@@ -126,8 +126,8 @@ class Histogram:
     in the first bucket (they still count toward ``count``/``sum``).
 
     ``observe`` mutates five fields; the per-instrument lock keeps them
-    mutually consistent (count matches the bucket totals) under the
-    serving worker pool.
+    mutually consistent (count matches the bucket totals) under
+    concurrent serving threads.
     """
 
     __slots__ = (

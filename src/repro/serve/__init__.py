@@ -40,9 +40,14 @@ from repro.serve.queueing import (
     LatencyEstimator,
     QueuePolicy,
 )
-from repro.serve.request import Request, RequestStatus, Response, SimClock
+from repro.serve.request import (
+    Request,
+    RequestStatus,
+    Response,
+    SimClock,
+    check_time_physics,
+)
 from repro.serve.runtime import ServeConfig, ServingRuntime
-from repro.serve.workers import GpuWorkerPool
 from repro.serve.soak import (
     SOAK_SCENARIOS,
     SoakConfig,
@@ -68,7 +73,6 @@ __all__ = [
     "CoalesceConfig",
     "CoalesceOutcome",
     "DriftAdapter",
-    "GpuWorkerPool",
     "LatencyEstimator",
     "MicroBatcher",
     "PolicyGeneration",
@@ -85,6 +89,7 @@ __all__ = [
     "SwapGuardrail",
     "SwapReport",
     "build_soak_plan",
+    "check_time_physics",
     "coalesce_keys",
     "render_soak_report",
     "run_soak",

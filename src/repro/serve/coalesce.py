@@ -11,8 +11,8 @@ SLO-aware early flush), unions and deduplicates the member keys into
 back so every member keeps its own deadline/hedging/latency accounting.
 
 Coalescing is strictly opt-in (:attr:`BatchingMode.OFF` is the default):
-when off, the serving path is exactly the pre-coalescing one, which is
-what keeps the golden fixtures byte-identical.
+when off, the soak drains the same queues with batches of one through
+:meth:`~repro.serve.runtime.ServingRuntime.serve_request`.
 """
 
 from __future__ import annotations
@@ -119,8 +119,8 @@ class MicroBatcher:
     The batcher owns no threads and no clock: the serving loop asks
     :meth:`flush_at` when the next batch should form (given when the GPU
     frees up) and calls :meth:`take` at that instant.  That keeps the
-    policy identical under the simulated-clock soak loop and the
-    wall-clock worker pool.
+    policy identical under the simulated-clock soak loop and any
+    wall-clock serving loop.
     """
 
     def __init__(

@@ -121,7 +121,7 @@ class ServingRuntime:
         self.breakers = BreakerBoard(sources, self.config.breaker)
         self.responses: list[Response] = []
         self._next_request_id = 0
-        # make_request is called from every per-GPU worker thread; the id
+        # make_request may be called from several serving threads; the id
         # bump is a read-modify-write, so serialize it.
         self._id_lock = threading.Lock()
 
@@ -156,26 +156,21 @@ class ServingRuntime:
             self.adapter.observe(request.gpu, request.keys, now)
         result = self.admission.submit(request, now)
         if result.admitted or result.blocked:
-            responses = [
+            for victim in result.displaced:
                 self._finish_dropped(victim, RequestStatus.SHED, now)
-                for victim in result.displaced
-            ]
-            for r in responses:
-                self.responses.append(r)
-                self._retire_prefetch(r.request.gpu)
             return None
         assert result.status is not None
-        response = self._finish_dropped(request, result.status, now)
-        self.responses.append(response)
-        self._retire_prefetch(request.gpu)
-        return response
+        return self._finish_dropped(request, result.status, now)
 
     def _finish_dropped(
         self, request: Request, status: RequestStatus, now: float
     ) -> Response:
-        reg = get_registry()
-        reg.counter("serve.requests", status=status.value).inc()
-        return Response(request=request, status=status, completed_at=now)
+        """Record the response of a request that leaves without service."""
+        get_registry().counter("serve.requests", status=status.value).inc()
+        response = Response(request=request, status=status, completed_at=now)
+        self.responses.append(response)
+        self._retire_prefetch(request.gpu)
+        return response
 
     # ------------------------------------------------------------------
     # Service
@@ -232,10 +227,7 @@ class ServingRuntime:
         reg = get_registry()
         if request.expired(now):
             # Dead on arrival at the worker: don't waste extraction on it.
-            response = self._finish_dropped(request, RequestStatus.EXPIRED, now)
-            self.responses.append(response)
-            self._retire_prefetch(request.gpu)
-            return response
+            return self._finish_dropped(request, RequestStatus.EXPIRED, now)
 
         health = self._health(now)
         excluded = self.breakers.excluded_sources(now)
@@ -299,6 +291,7 @@ class ServingRuntime:
             request=request,
             status=status,
             completed_at=completed_at,
+            started_at=now,
             service_time=service_time,
             hedged=hedged,
             hedge_won=hedge_won,
@@ -346,12 +339,9 @@ class ServingRuntime:
         live: list[Request] = []
         for request in requests:
             if request.expired(now):
-                response = self._finish_dropped(
-                    request, RequestStatus.EXPIRED, now
+                responses.append(
+                    self._finish_dropped(request, RequestStatus.EXPIRED, now)
                 )
-                self.responses.append(response)
-                responses.append(response)
-                self._retire_prefetch(request.gpu)
             else:
                 live.append(request)
         if not live:
@@ -453,6 +443,7 @@ class ServingRuntime:
                 request=request,
                 status=status,
                 completed_at=done,
+                started_at=now,
                 service_time=service_time,
                 hedged=hedged,
                 hedge_won=hedge_won,

@@ -6,6 +6,12 @@ optionally under a chaos :class:`~repro.faults.spec.FaultPlan`, with hot
 policy swaps landed mid-run.  It reports goodput, shed rate, breaker
 state transitions, and p50/p99/p999 latency.
 
+There is one traffic loop, :func:`drive_arrivals` (shared with the
+cluster soak), and inside :func:`run_soak` one drain, ``serve_until``,
+through which every service starts — so the start rule is written once.
+Each run ends with :func:`~repro.serve.request.check_time_physics` over
+its responses; violations are integrity failures (DESIGN.md §6g).
+
 The harness is *scale-free*: it measures the healthy baseline service
 time ``s0`` of one batch first, then derives the arrival rate
 (``load / s0``), deadlines, SLO, and breaker timeouts as multiples of
@@ -40,9 +46,8 @@ from repro.serve.coalesce import (
 )
 from repro.serve.policy_manager import PolicyManager, SwapGuardrail
 from repro.serve.queueing import AdmissionConfig, QueuePolicy
-from repro.serve.request import RequestStatus
+from repro.serve.request import RequestStatus, check_time_physics
 from repro.serve.runtime import ServeConfig, ServingRuntime
-from repro.serve.workers import GpuWorkerPool
 from repro.utils.logging import get_logger
 from repro.utils.retry import RetryPolicy
 from repro.utils.rng import make_rng, spawn_rngs
@@ -56,6 +61,8 @@ __all__ = [
     "SoakConfig",
     "SoakReport",
     "build_soak_plan",
+    "drive_arrivals",
+    "poisson_schedule",
     "render_soak_report",
     "run_soak",
 ]
@@ -231,8 +238,8 @@ class SoakConfig:
     queue_policy: QueuePolicy = QueuePolicy.REJECT
     #: fractions of the run at which a hot policy swap is attempted.
     swap_at: tuple[float, ...] = (0.6,)
-    #: cross-request coalescing: OFF reproduces the pre-coalescing path
-    #: byte-for-byte; COALESCE micro-batches each GPU's queue.
+    #: cross-request coalescing: OFF serves each GPU's queue one request
+    #: at a time; COALESCE micro-batches it.
     batching: BatchingMode = BatchingMode.OFF
     #: most requests fused into one extraction (coalesce mode).
     max_batch: int = 8
@@ -240,9 +247,6 @@ class SoakConfig:
     linger_factor: float = 0.5
     #: absolute linger override in milliseconds (wins over linger_factor).
     linger_ms: float | None = None
-    #: per-GPU serving worker threads; >1 runs the GPUs' serving loops
-    #: wall-clock concurrently against the shared cache (open loop only).
-    workers: int = 1
     #: lookahead prefetching: batches the oracle cacher may peek ahead in
     #: the (pre-generated) trace.  0 keeps the runtime byte-identical to
     #: the no-prefetch path; >0 pre-stages upcoming host misses into the
@@ -250,8 +254,8 @@ class SoakConfig:
     lookahead: int = 0
     #: per-GPU staging-buffer bound, in entries (lookahead > 0 only).
     prefetch_capacity: int = 4096
-    #: simulated cache-server nodes; 1 keeps the single-box path (and its
-    #: byte-identical golden-pinned behaviour), > 1 runs the cluster soak.
+    #: simulated cache-server nodes; 1 keeps the single-box path, > 1
+    #: runs the cluster soak.
     nodes: int = 1
     #: replicas per key across nodes (cluster soak only).
     replication: int = 1
@@ -321,15 +325,11 @@ class SoakConfig:
             raise ValueError("linger factor must be non-negative")
         if self.linger_ms is not None and self.linger_ms < 0:
             raise ValueError("linger must be non-negative")
-        if self.workers < 1:
-            raise ValueError("need at least one worker")
         if self.closed_loop and self.batching is not BatchingMode.OFF:
             raise ValueError(
                 "closed-loop clients poll their own responses; coalescing "
                 "only applies to the open-loop queue-draining path"
             )
-        if self.closed_loop and self.workers > 1:
-            raise ValueError("the worker pool only drives open-loop traffic")
         if self.lookahead < 0:
             raise ValueError("lookahead must be non-negative")
         if self.prefetch_capacity < 1:
@@ -388,10 +388,10 @@ class SoakConfig:
                     f"unknown drift scenario {self.drift!r}; choose from "
                     f"{sorted(DRIFT_SCENARIOS)}"
                 )
-            if self.nodes > 1 or self.workers > 1:
+            if self.nodes > 1:
                 raise ValueError(
-                    "drift scenarios ride the single-box single-worker "
-                    "event loop (time-ordered draws)"
+                    "drift scenarios ride the single-box event loop "
+                    "(time-ordered draws)"
                 )
             if self.closed_loop:
                 raise ValueError(
@@ -435,11 +435,6 @@ class SoakConfig:
                     "cross-request coalescing applies to the single-box "
                     "queue path, not the cluster fan-out"
                 )
-            if self.workers > 1:
-                raise ValueError(
-                    "the worker pool drives single-box GPU loops; the "
-                    "cluster soak's concurrency is the fan-out itself"
-                )
             if self.lookahead > 0:
                 raise ValueError(
                     "lookahead prefetching is not wired through the "
@@ -480,7 +475,6 @@ class SoakReport:
     coalesced_batches: int = 0
     mean_batch_size: float = 0.0
     dedup_ratio: float = 1.0
-    workers: int = 1
     #: lookahead prefetching stats (all zero when lookahead is 0).
     lookahead: int = 0
     prefetch_staged_keys: int = 0
@@ -712,18 +706,6 @@ def _build_stack(cfg: SoakConfig, platform_name: str):
     return platform, table, pmf, draw, hotness, capacity, cache, schedule
 
 
-def _baseline_service(
-    extractor: FactoredExtractor, draw, cfg: SoakConfig, rng
-) -> float:
-    """Healthy single-batch service time ``s0`` (the harness's time unit).
-
-    Priced through the live cache, so on a tiered platform ``s0`` already
-    carries the backing chain's bandwidths and latencies — every derived
-    knob (deadline, SLO, breaker timeout) scales with the chain.
-    """
-    return extractor.price(0, draw(rng)).time
-
-
 def _drifted_hotness(hotness: np.ndarray, rng) -> np.ndarray:
     """Perturb hotness enough that a re-solve actually moves entries."""
     shuffled = hotness.copy()
@@ -738,6 +720,43 @@ def _drifted_hotness(hotness: np.ndarray, rng) -> np.ndarray:
     )
     noise = rng.uniform(0.9, 1.1, size=n)
     return 0.5 * hotness + 0.5 * shuffled * noise
+
+
+def poisson_schedule(
+    rng, rate: float, streams: int, per_stream: int
+) -> list[tuple[float, int, int]]:
+    """An open loop's whole arrival schedule, as ``(time, seq, stream)``
+    events: ``per_stream`` Poisson arrivals at ``rate`` on each stream."""
+    events: list[tuple[float, int, int]] = []
+    for stream in range(streams):
+        t = 0.0
+        for _ in range(per_stream):
+            t += float(rng.exponential(1.0 / rate))
+            events.append((t, len(events), stream))
+    return events
+
+
+def drive_arrivals(
+    events: list[tuple[float, int, int]], arrive, until: float = math.inf
+) -> int:
+    """The traffic loop: call ``arrive(time, seq, stream)`` for every
+    arrival event in time order (ties by ``seq``) and return how many
+    arrived.  An open loop's handler returns None; a closed loop's
+    returns when that stream's client arrives again (a new event,
+    dropped once at/after ``until``).
+    """
+    heapq.heapify(events)
+    arrived, seq = 0, len(events)
+    while events:
+        t, s, stream = heapq.heappop(events)
+        if t >= until:
+            continue
+        arrived += 1
+        again = arrive(t, s, stream)
+        if again is not None:
+            heapq.heappush(events, (again, seq, stream))
+            seq += 1
+    return arrived
 
 
 def run_soak(cfg: SoakConfig | None = None) -> SoakReport:
@@ -756,8 +775,11 @@ def run_soak(cfg: SoakConfig | None = None) -> SoakReport:
     )
     arrival_rng, key_rng, probe_rng, drift_rng = spawn_rngs(cfg.seed + 17, 4)
 
-    warm_extractor = FactoredExtractor(cache)
-    s0 = _baseline_service(warm_extractor, draw, cfg, make_rng(cfg.seed + 3))
+    # Healthy single-batch service time s0, the harness's time unit.
+    # Priced through the live cache, so on a tiered platform it already
+    # carries the backing chain's bandwidths and latencies and every
+    # derived knob (deadline, SLO, breaker timeout) scales with the chain.
+    s0 = FactoredExtractor(cache).price(0, draw(make_rng(cfg.seed + 3))).time
     rate = cfg.load / s0
     duration = cfg.requests_per_gpu / rate
 
@@ -804,7 +826,7 @@ def run_soak(cfg: SoakConfig | None = None) -> SoakReport:
 
     G = platform.num_gpus
     deadline = cfg.deadline_factor * s0
-    busy = [0.0] * G
+    free_at = [0.0] * G
     # Under a drift scenario the wall-clock swap schedule is disabled:
     # *when* to re-solve is exactly what the drift detector decides.
     swap_times = (
@@ -812,6 +834,13 @@ def run_soak(cfg: SoakConfig | None = None) -> SoakReport:
         else sorted(f * duration for f in cfg.swap_at)
     )
     integrity_failures = 0
+
+    def draw_at(rng, at: float) -> np.ndarray:
+        """One request's keys from the distribution in force at ``at``."""
+        if schedule is None:
+            return draw(rng)
+        pmf_now = schedule.pmf_at(min(at / duration, 1.0))
+        return rng.choice(cfg.num_entries, size=cfg.batch_keys, p=pmf_now)
 
     adapter = None
     if cfg.adapt:
@@ -839,72 +868,51 @@ def run_soak(cfg: SoakConfig | None = None) -> SoakReport:
             # Probe with keys from the *currently active* phase: the p99
             # guardrail must judge the new placement against the traffic
             # it will serve, not against the pre-drift distribution.
-            frac = min(at / duration, 1.0) if duration > 0 else 0.0
-            pmf_now = schedule.pmf_at(frac)
-            keys = [
-                adapt_probe_rng.choice(
-                    cfg.num_entries, size=cfg.batch_keys, p=pmf_now
-                )
-                for _ in range(G)
-            ]
-            return runtime.probe(keys, at)
-
-    def make_keys(at: float | None = None) -> np.ndarray:
-        if schedule is not None and at is not None and duration > 0:
-            pmf_now = schedule.pmf_at(min(at / duration, 1.0))
-            return key_rng.choice(
-                cfg.num_entries, size=cfg.batch_keys, p=pmf_now
+            return runtime.probe(
+                [draw_at(adapt_probe_rng, at) for _ in range(G)], at
             )
-        return draw(key_rng)
 
     probe_keys = [draw(probe_rng) for _ in range(G)]
 
+    # Plain serving is the one-request, zero-linger case of the
+    # micro-batched drain: a batcher per GPU either way.
     coalescing = cfg.batching is BatchingMode.COALESCE
-    batchers: list[MicroBatcher] = []
+    linger = (
+        cfg.linger_factor * s0 if cfg.linger_ms is None
+        else cfg.linger_ms / 1000.0
+    )
+    coalesce_cfg = (
+        CoalesceConfig(cfg.batching, cfg.max_batch, linger)
+        if coalescing else CoalesceConfig(max_batch=1)
+    )
+    batchers = [
+        MicroBatcher(g, runtime.admission.queue(g), coalesce_cfg)
+        for g in range(G)
+    ]
     outcomes: list[CoalesceOutcome] = []
-    if coalescing:
-        linger = (
-            cfg.linger_ms / 1000.0
-            if cfg.linger_ms is not None
-            else cfg.linger_factor * s0
-        )
-        coalesce_cfg = CoalesceConfig(
-            mode=BatchingMode.COALESCE,
-            max_batch=cfg.max_batch,
-            linger_seconds=linger,
-        )
-        batchers = [
-            MicroBatcher(g, runtime.admission.queue(g), coalesce_cfg)
-            for g in range(G)
-        ]
 
-    def catch_up(gpu: int, until: float) -> None:
-        """Serve gpu's queue while it can start before ``until``."""
-        if coalescing:
-            # Micro-batched drain: fuse up to max_batch queued requests
-            # whenever the batcher says the next batch should flush.
-            while True:
-                flush = batchers[gpu].flush_at(busy[gpu])
-                if flush is None or flush > until:
-                    break
-                batch = batchers[gpu].take(flush)
-                if not batch:
-                    break
-                outcome = runtime.serve_batch(batch, flush)
-                outcomes.append(outcome)
-                busy[gpu] = max(flush, outcome.completed_at)
-            return
-        while busy[gpu] <= until:
-            start = busy[gpu]
-            response = runtime.poll(gpu, start)
-            if response is None:
-                break
-            busy[gpu] = max(start, response.completed_at)
+    def serve_until(gpu: int, until: float) -> None:
+        """Serve ``gpu``'s queue while a batch can start by ``until``.
+        Every service of the run starts here: once the GPU is free and
+        the flush policy fires (``flush``), but never before the newest
+        request being served has arrived."""
+        while True:
+            flush = batchers[gpu].flush_at(free_at[gpu])
+            if flush is None or flush > until:
+                return
+            batch = batchers[gpu].take(flush)
+            start = max(flush, batch[-1].arrival)
+            if coalescing:
+                outcomes.append(runtime.serve_batch(batch, start))
+                done = outcomes[-1].completed_at
+            else:
+                done = runtime.serve_request(batch[0], start).completed_at
+            free_at[gpu] = max(start, done)
 
     def drain_all(at: float) -> None:
         for g in range(G):
-            catch_up(g, math.inf)
-            busy[g] = max(busy[g], at)
+            serve_until(g, math.inf)
+            free_at[g] = max(free_at[g], at)
 
     def attempt_swap(at: float) -> None:
         nonlocal integrity_failures
@@ -922,141 +930,57 @@ def run_soak(cfg: SoakConfig | None = None) -> SoakReport:
         )
 
     # ------------------------------------------------------------------
-    # Traffic loop (one heap of arrival events, open or closed loop; or
-    # segment-parallel per-GPU workers with barriers at the swap times)
+    # Traffic: one heap of arrival events through one arrival handler
     # ------------------------------------------------------------------
-    served_via_poll = 0
-    if cfg.workers > 1:
-        # Per-GPU worker threads drive independent arrival streams against
-        # the shared cache/breakers/metrics.  Arrivals and keys come from
-        # per-GPU streams generated up front, so results do not depend on
-        # thread interleaving (in fault-free scenarios); hot policy swaps
-        # land on the main thread at segment barriers, never racing the
-        # serving loops.
-        arrivals: list[list[float]] = []
-        for g in range(G):
-            t = 0.0
-            times: list[float] = []
-            for _ in range(cfg.requests_per_gpu):
-                t += float(arrival_rng.exponential(1.0 / rate))
-                times.append(t)
-            arrivals.append(times)
-        gpu_key_rngs = spawn_rngs(cfg.seed + 29, G)
-        cursors = [0] * G
-        # With lookahead on, the per-GPU key traces are drawn up front in
-        # the same per-stream order the loop below would draw them, so the
-        # served trace is identical and only prefetch effects differ.  The
-        # whole trace is announced; the window exposes only the next K.
-        gpu_traces: list[list[np.ndarray]] = []
+    events = (
+        [(0.0, i, i // cfg.clients) for i in range(G * cfg.clients)]
+        if cfg.closed_loop
+        else poisson_schedule(arrival_rng, rate, G, cfg.requests_per_gpu)
+    )
+    # With lookahead on, keys are drawn up front in arrival order, so the
+    # trace is byte-identical to the draw-at-arrival path; the whole
+    # future is announced and the window exposes only the next K per GPU.
+    event_keys: dict[int, np.ndarray] = {}
+    if prefetcher is not None:
+        for _t, s, g in sorted(events):
+            event_keys[s] = draw(key_rng)
+            prefetcher.announce(g, event_keys[s])
+
+    def arrive(t: float, s: int, g: int) -> float | None:
+        while swap_times and swap_times[0] <= t:
+            attempt_swap(swap_times.pop(0))
+        if adapter is not None:
+            adapter.maybe_adapt(
+                t, drain=lambda: drain_all(t), probe=lambda: adapt_probe(t)
+            )
+        for gpu in range(G):
+            serve_until(gpu, t)
         if prefetcher is not None:
-            for g in range(G):
-                trace = [
-                    draw(gpu_key_rngs[g])
-                    for _ in range(cfg.requests_per_gpu)
-                ]
-                gpu_traces.append(trace)
-                for keys in trace:
-                    prefetcher.announce(g, keys)
-
-        def run_segment(g: int, until: float) -> None:
-            times = arrivals[g]
-            cursor = cursors[g]
-            while cursor < len(times) and times[cursor] < until:
-                t = times[cursor]
-                catch_up(g, t)
-                if prefetcher is not None:
-                    idle = max(0.0, t - busy[g])
-                    outcome = prefetcher.prefetch(
-                        g, now=busy[g], idle_seconds=idle
-                    )
-                    if outcome.critical_seconds > 0.0:
-                        busy[g] = max(busy[g], t) + outcome.critical_seconds
-                    keys = gpu_traces[g][cursor]
-                else:
-                    keys = draw(gpu_key_rngs[g])
-                cursor += 1
-                request = runtime.make_request(
-                    g, keys, t, deadline=t + deadline
-                )
-                runtime.submit(request, t)
-            cursors[g] = cursor
-
-        with GpuWorkerPool(min(cfg.workers, G)) as pool:
-            for boundary in [*swap_times, math.inf]:
-                pool.map_gpus(
-                    lambda g, b=boundary: run_segment(g, b),
-                    gpus=range(G),
-                )
-                if math.isfinite(boundary):
-                    attempt_swap(boundary)
-        drain_all(duration)
-    else:
-        events: list[tuple[float, int, int]] = []  # (time, seq, gpu)
-        seq = 0
-        if cfg.closed_loop:
-            for g in range(G):
-                for c in range(cfg.clients):
-                    heapq.heappush(events, (0.0, seq, g))
-                    seq += 1
+            idle = max(0.0, t - free_at[g])
+            staged = prefetcher.prefetch(g, now=free_at[g], idle_seconds=idle)
+            if staged.critical_seconds > 0.0:
+                free_at[g] = max(free_at[g], t) + staged.critical_seconds
+            keys = event_keys.pop(s)
         else:
-            for g in range(G):
-                t = 0.0
-                for _ in range(cfg.requests_per_gpu):
-                    t += float(arrival_rng.exponential(1.0 / rate))
-                    heapq.heappush(events, (t, seq, g))
-                    seq += 1
+            keys = draw_at(key_rng, t)
+        request = runtime.make_request(g, keys, t, deadline=t + deadline)
+        dropped = runtime.submit(request, t)
+        if not cfg.closed_loop:
+            return None
+        if dropped is not None:
+            # the client backs off one baseline unit and resubmits.
+            return t + s0
+        # A closed-loop client blocks on its own request — the only one
+        # queued on its GPU — so it arrives again when that GPU frees.
+        serve_until(g, math.inf)
+        return free_at[g]
 
-        # With lookahead on, keys are drawn up front in heap-pop order
-        # (events sort identically as a list and as a heap), so the trace
-        # is byte-identical to the draw-at-pop path; the whole future is
-        # announced and the window exposes only the next K per GPU.
-        event_keys: dict[int, np.ndarray] = {}
-        if prefetcher is not None:
-            for _t, s, g in sorted(events):
-                keys = make_keys()
-                event_keys[s] = keys
-                prefetcher.announce(g, keys)
-
-        while events:
-            t, _s, g = heapq.heappop(events)
-            if cfg.closed_loop and t >= duration:
-                continue
-            while swap_times and swap_times[0] <= t:
-                attempt_swap(swap_times.pop(0))
-            if adapter is not None:
-                adapter.maybe_adapt(
-                    t,
-                    drain=lambda at=t: drain_all(at),
-                    probe=lambda at=t: adapt_probe(at),
-                )
-            for gpu in range(G):
-                catch_up(gpu, t)
-            if prefetcher is not None:
-                idle = max(0.0, t - busy[g])
-                outcome = prefetcher.prefetch(g, now=busy[g], idle_seconds=idle)
-                if outcome.critical_seconds > 0.0:
-                    busy[g] = max(busy[g], t) + outcome.critical_seconds
-                keys = event_keys.pop(_s)
-            else:
-                keys = make_keys(t)
-            request = runtime.make_request(g, keys, t, deadline=t + deadline)
-            dropped = runtime.submit(request, t)
-            if cfg.closed_loop:
-                if dropped is not None:
-                    # the client backs off one baseline unit and resubmits.
-                    heapq.heappush(events, (t + s0, seq, g))
-                    seq += 1
-                    continue
-                start = max(busy[g], t)
-                response = runtime.poll(g, start)
-                if response is not None:
-                    served_via_poll += 1
-                    busy[g] = max(start, response.completed_at)
-                    heapq.heappush(events, (response.completed_at, seq, g))
-                    seq += 1
-        for t_swap in swap_times:
-            attempt_swap(t_swap)
-        drain_all(duration)
+    offered = drive_arrivals(
+        events, arrive, until=duration if cfg.closed_loop else math.inf
+    )
+    for t_swap in swap_times:
+        attempt_swap(t_swap)
+    drain_all(duration)
 
     # ------------------------------------------------------------------
     # Report
@@ -1070,7 +994,11 @@ def run_soak(cfg: SoakConfig | None = None) -> SoakReport:
     latencies = np.array([r.latency for r in served]) if served else np.array([0.0])
     sim_end = max((r.completed_at for r in responses), default=duration)
     sim_end = max(sim_end, duration)
-    violations = cache.verify_integrity()
+    violations = cache.verify_integrity() + check_time_physics(
+        responses, offered, outcomes
+    )
+    for violation in violations:
+        logger.error("soak integrity: %s", violation)
     integrity_failures += len(violations)
 
     report = SoakReport(
@@ -1108,7 +1036,6 @@ def run_soak(cfg: SoakConfig | None = None) -> SoakReport:
         duration=sim_end,
         arrival_rate=rate,
         baseline_service=s0,
-        workers=cfg.workers,
         lookahead=cfg.lookahead,
         tenants=cfg.tenants,
     )
@@ -1255,8 +1182,6 @@ def render_soak_report(report: SoakReport) -> str:
             f"overlapped {report.prefetch_overlap_seconds:.3e}s, "
             f"critical {report.prefetch_critical_seconds:.3e}s",
         )
-    if report.workers > 1:
-        lines.insert(1, f"  workers       {report.workers} per-GPU threads")
     if report.nodes > 1:
         lines.insert(
             1,

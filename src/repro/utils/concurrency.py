@@ -1,6 +1,6 @@
 """Shared concurrency primitives for the multi-threaded serving path.
 
-The serving layer's worker pool (one thread per GPU) reads the cache's
+Concurrent serving threads (one per GPU, say) read the cache's
 routing structures while the background :class:`~repro.core.refresher.Refresher`
 mutates them.  The coordination contract is a classic reader/writer lock:
 
@@ -82,7 +82,7 @@ class ReadWriteLock:
                 return
             if me in self._readers:
                 # Upgrading read → write deadlocks against other readers;
-                # fail loudly instead of hanging the worker pool.
+                # fail loudly instead of hanging the serving threads.
                 raise RuntimeError(
                     "cannot upgrade a read lock to a write lock"
                 )

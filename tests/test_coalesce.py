@@ -549,20 +549,3 @@ class TestSoakCoalescing:
     def test_closed_loop_rejects_coalescing(self):
         with pytest.raises(ValueError):
             SoakConfig.quick(closed_loop=True, batching=BatchingMode.COALESCE)
-
-    def test_workers_pool_matches_single_thread_report(self):
-        base = run_soak(
-            SoakConfig.quick(
-                scenario="steady", load=1.5, batching=BatchingMode.COALESCE,
-                workers=1,
-            )
-        )
-        pooled = run_soak(
-            SoakConfig.quick(
-                scenario="steady", load=1.5, batching=BatchingMode.COALESCE,
-                workers=4,
-            )
-        )
-        assert pooled.ok
-        assert pooled.requests == base.requests
-        assert pooled.integrity_failures == 0

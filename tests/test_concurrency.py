@@ -1,9 +1,9 @@
 """Concurrency suite: shared state under real threads (`-m concurrency`).
 
-Hammers the thread-safety contracts the per-GPU serving workers rely on:
+Hammers the thread-safety contracts concurrent serving threads rely on:
 the location table's single mutex, the cache's reader/writer lock against
 the background refresher, per-instrument metric locks, per-breaker locks,
-and the worker-pool soak's determinism.  Every test is deterministic in
+and the drift estimator's mutex.  Every test is deterministic in
 its *assertions* (exact values, exact counts) even though the thread
 interleavings are not.
 """
@@ -20,14 +20,7 @@ from repro.core.policy import hot_replicate_warm_partition_policy
 from repro.core.refresher import RefreshConfig, Refresher
 from repro.hardware.platform import HOST, server_a
 from repro.obs import MetricsRegistry, use_registry
-from repro.serve import (
-    BatchingMode,
-    BreakerConfig,
-    CircuitBreaker,
-    GpuWorkerPool,
-    SoakConfig,
-    run_soak,
-)
+from repro.serve import BreakerConfig, CircuitBreaker
 from repro.utils.concurrency import ReadWriteLock
 from repro.utils.rng import make_rng
 from repro.utils.stats import zipf_pmf
@@ -326,11 +319,11 @@ class TestBreakerConcurrency:
 
 
 class TestStreamingEstimatorConcurrency:
-    """The drift estimator is fed from every per-GPU worker at once."""
+    """The drift estimator is fed from several serving threads at once."""
 
-    def test_no_lost_updates_under_worker_pool(self):
+    def test_no_lost_updates_under_racing_threads(self):
         """With decay=1.0 the estimator is a plain counter, so after
-        racing records from a worker pool the counts must be exact —
+        racing records from four threads the counts must be exact —
         any lost update under the mutex shows as a shortfall."""
         from repro.core.drift_adapt import StreamingHotnessEstimator
 
@@ -341,10 +334,8 @@ class TestStreamingEstimatorConcurrency:
             rng = make_rng(gpu)
             for _ in range(per_gpu):
                 est.record(rng.integers(0, N, size=batch))
-            return gpu
 
-        with GpuWorkerPool(4) as pool:
-            pool.map_gpus(feed)
+        _run_threads([lambda g=g: feed(g) for g in range(4)])
         assert est.batches_recorded == 4 * per_gpu
         assert est.counts().sum() == 4 * per_gpu * batch
         assert est.hotness().sum() == pytest.approx(batch)
@@ -428,62 +419,11 @@ class TestStreamingEstimatorConcurrency:
                 report = manager.swap(outcome, now=float(k))
                 assert report.swapped
 
-        errors: list[BaseException] = []
-
-        def run_swapper():
-            try:
-                swapper()
-            except BaseException as exc:  # noqa: BLE001 - surfaced below
-                errors.append(exc)
-
-        control = threading.Thread(target=run_swapper)
-        control.start()
-        with GpuWorkerPool(platform.num_gpus) as pool:
-            pool.map_gpus(feed)
-        control.join()
-        if errors:
-            raise errors[0]
+        _run_threads(
+            [swapper]
+            + [lambda g=g: feed(g) for g in range(platform.num_gpus)]
+        )
         assert adapter.observed == platform.num_gpus * per_gpu
         assert adapter.estimator.batches_recorded == platform.num_gpus * per_gpu
         assert manager.version == swaps
         assert cache.verify_integrity() == []
-
-
-class TestWorkerPool:
-    def test_map_gpus_barriers_and_collects(self):
-        order: list[int] = []
-        lock = threading.Lock()
-
-        def fn(gpu):
-            with lock:
-                order.append(gpu)
-            return gpu * gpu
-
-        with GpuWorkerPool(4) as pool:
-            results = pool.map_gpus(fn)
-        assert sorted(order) == [0, 1, 2, 3]
-        assert results == [0, 1, 4, 9]
-
-    def test_worker_exception_propagates(self):
-        def fn(gpu):
-            if gpu == 2:
-                raise RuntimeError("boom")
-            return gpu
-
-        with GpuWorkerPool(4) as pool:
-            with pytest.raises(RuntimeError, match="boom"):
-                pool.map_gpus(fn)
-
-    def test_concurrent_soak_is_deterministic(self):
-        """The workers>1 soak gives bit-identical reports run over run."""
-        cfg = SoakConfig.quick(
-            scenario="steady",
-            load=1.5,
-            requests_per_gpu=60,
-            batching=BatchingMode.COALESCE,
-            workers=4,
-        )
-        first = run_soak(cfg).to_dict()
-        for _ in range(2):
-            assert run_soak(cfg).to_dict() == first
-        assert first["integrity_failures"] == 0

@@ -63,7 +63,6 @@ def test_off_mode_is_the_pre_coalescing_anchor(golden):
     assert off["coalesced_batches"] == 0
     assert off["mean_batch_size"] == 0.0
     assert off["dedup_ratio"] == 1.0
-    assert off["workers"] == 1
     assert off["ok"]
 
 

@@ -403,13 +403,6 @@ class TestSoakLookahead:
         assert r4.prefetch_hit_rate > r0.prefetch_hit_rate == 0.0
         assert r4.prefetch_hits > 0
 
-    def test_workers_pool_also_prefetches(self):
-        base = SoakConfig.quick(**self.CFG)
-        r0 = run_soak(replace(base, workers=4))
-        r4 = run_soak(replace(base, workers=4, lookahead=4))
-        assert r4.goodput_rps > r0.goodput_rps
-        assert r4.prefetch_hit_rate > 0.0
-
     def test_report_carries_prefetch_fields(self):
         report = run_soak(
             SoakConfig.quick(**self.CFG, lookahead=2, prefetch_capacity=512)
