@@ -230,7 +230,9 @@ class MultiGpuEmbeddingCache:
         chain's integrity invariant).
         """
         keys = np.ascontiguousarray(keys, dtype=np.int64)
-        if keys.size and (keys.min() < 0 or keys.max() >= self.num_entries):
+        if keys.size and (
+            np.minimum.reduce(keys) < 0 or np.maximum.reduce(keys) >= len(self._table)
+        ):
             raise KeyError("backing gather key out of range")
         with self._rwlock.read_locked():
             if self._chain is None:
@@ -238,7 +240,7 @@ class MultiGpuEmbeddingCache:
                     raise ValueError(
                         f"source {src} is not a backing tier of this platform"
                     )
-                return self._table[keys]
+                return self._table.take(keys, axis=0)
             return self._chain.gather(src, keys)
 
     def backing_shares(self) -> dict[int, float]:

@@ -105,7 +105,7 @@ class FactoredExtractor:
         """
         reg = get_registry()
         health = self._resolve_health(health, now)
-        exclude = frozenset(int(s) for s in (exclude_sources or ()))
+        exclude = frozenset(exclude_sources or ())  # a frozenset passes through as is
         with timer("extractor.plan.seconds", reg):
             # ``core_dedication`` is resolved from this module's globals at
             # call time so tests (and operators) can swap the split policy.
@@ -118,7 +118,7 @@ class FactoredExtractor:
                 dedication_fn=core_dedication,
                 log=logger,
             )
-        reg.counter("extractor.plan.calls").inc()
+        reg.cached("counter", "extractor.plan.calls").inc()
         return plan
 
     def execute(self, plan: ExtractionPlan) -> tuple[np.ndarray, GpuDemand]:
@@ -126,7 +126,7 @@ class FactoredExtractor:
         reg = get_registry()
         with timer("extractor.execute.seconds", reg):
             out = execute_plan(self._cache, plan)
-        reg.counter("extractor.execute.calls").inc()
+        reg.cached("counter", "extractor.execute.calls").inc()
         return out
 
     def extract(

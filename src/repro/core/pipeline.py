@@ -34,6 +34,20 @@ Each stage times itself into ``pipeline.<stage>.seconds``
 (:func:`repro.obs.stage_timer`), so a regression in any one stage is
 visible regardless of which consumer triggered it.
 
+**What is remembered.**  What a plan or a price needs that the keys do not
+decide is recorded once in ``Platform.memo`` — a degraded view's own memo
+under a health view, one view per health *value* — and only looked up per
+request: reroute's verdict on every source id under ``("verdicts", dst,
+exclude)``; the re-normalized core split and its ``missing`` list under
+``("dedication", dst, present, dedication_fn)``; metric labels under
+``("source_class", dst, sources)``; the FEM's per-source ``(rate, latency,
+cores, busy)`` under ``("factored", dst, sources)``.  Every key is a value
+and nothing derived from cache *contents* is kept — ``source_map`` and
+``offset_of`` are read per request — so a fault, a breaker flip or another
+split policy is simply a different key, and refresh, hot swap, repair,
+restage and tier rebalance need no invalidation; :func:`remember` caps each
+memo, oldest first.
+
 :class:`~repro.core.extractor.FactoredExtractor` is the conventional
 facade over stages 1–4 + 6; :func:`repro.sim.engine.simulate_batch`
 consumes stage 5 for whole batches; :mod:`repro.sim.event_sim` and
@@ -44,14 +58,15 @@ and hedge-demand helpers so their inputs match the analytic path exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from operator import lt
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from repro.core.location_table import LocationTable
 from repro.faults.degrade import degraded_platform, reroute_demand
 from repro.faults.spec import HealthView
-from repro.hardware.platform import HOST, SOURCE_DTYPE, Platform
+from repro.hardware.platform import HOST, SOURCE_DTYPE, Platform, remember
 from repro.obs import get_registry, stage_timer
 from repro.sim.mechanisms import (
     GpuDemand,
@@ -109,8 +124,7 @@ def source_class(source: int, dst: int, platform: Platform | None = None) -> str
     return "remote"
 
 
-@dataclass(frozen=True)
-class SourceGroup:
+class SourceGroup(NamedTuple):
     """One source's share of a batch: which keys, read from where."""
 
     source: int
@@ -124,8 +138,7 @@ class SourceGroup:
     dedicated_cores: int
 
 
-@dataclass(frozen=True)
-class ExtractionPlan:
+class ExtractionPlan(NamedTuple):
     """A factored plan for one GPU's batch (Figure 8's grouped layout)."""
 
     dst: int
@@ -218,29 +231,62 @@ def find_replicas(
 
 
 _NO_OFFSETS = np.empty(0, dtype=np.int64)
+_min = np.minimum.reduce  # ``ndarray.min`` minus its Python wrapper
 
 
 def _segment(
     cache: "MultiGpuEmbeddingCache", keys: np.ndarray, sources: np.ndarray
-) -> list[tuple]:
-    """Sort a batch by source once: ``[(source, positions, keys, offsets)]``,
-    sources and positions ascending, the arrays views of one sorted copy;
+) -> tuple[tuple[int, ...], list[tuple]]:
+    """Sort a batch by source once: ``(present, segments)`` — the sources
+    present (ascending) and per present source ``(source, positions, keys,
+    offsets)``, positions ascending, the arrays views of one sorted copy;
     ``offsets`` are the keys' slots on a GPU source (negative: not held)."""
-    # A stable integer argsort is a radix sort, one pass per key byte:
-    # sort one byte wide whenever every id fits (a corrupt one may not).
-    narrow = sources.astype(np.int8)
-    order = (narrow if (narrow == sources).all() else sources).argsort(kind="stable")
-    if not len(order):
-        return []
-    by_source, by_keys = sources.take(order), keys.take(order)
-    cuts = (np.flatnonzero(by_source[1:] != by_source[:-1]) + 1).tolist()
-    starts, num_gpus = [0, *cuts], cache.platform.num_gpus
-    return [
-        (src, order[a:b], by_keys[a:b],
-         cache.store(src).offset_of.take(by_keys[a:b]) if 0 <= src < num_gpus
+    if not len(sources):
+        return (), []
+    # A stable integer argsort is a radix sort, one pass per key byte, so
+    # sort one byte wide first.  Run-start ids strictly ascending means the
+    # result *is* the wide stable sort; an id that does not fit a byte (a
+    # corrupt one) aliases, so its runs interleave with another's (44 and
+    # 300) or land out of place (200, -200), and the wide sort runs.
+    for sort_key in (sources.astype(np.int8), sources):
+        order = sort_key.argsort(kind="stable")
+        by_source = sources.take(order)
+        cuts = ((by_source[1:] != by_source[:-1]).nonzero()[0] + 1).tolist()
+        starts = [0, *cuts]
+        ids = by_source[starts].tolist()
+        if all(map(lt, ids, ids[1:])):
+            break
+    by_keys, num_gpus = keys.take(order), cache.platform.num_gpus
+    return tuple(ids), [
+        (src, order[a:b], segment_keys := by_keys[a:b],
+         cache.store(src).offset_of.take(segment_keys) if 0 <= src < num_gpus
          else _NO_OFFSETS)
-        for src, a, b in zip(by_source[starts].tolist(), starts, [*cuts, len(order)])
+        for src, a, b in zip(ids, starts, [*cuts, len(order)])
     ]
+
+
+#: What :func:`reroute` does with a present source.  Only ``_HELD`` looks
+#: at the batch (are the slots still there?); the rest is decided by the
+#: route alone and remembered with it.  GPU ids and *every* backing-tier id
+#: get a verdict; an id with none is corrupt.
+_BACKING, _HELD, _EXCLUDED, _UNLINKED, _UNUSABLE, _CORRUPT = range(6)
+
+
+def _verdict(
+    platform: Platform, dst: int, src: int, health: HealthView | None,
+    exclude: frozenset[int],
+) -> int:
+    if platform.is_backing(src):
+        return _BACKING
+    if src != dst and src in exclude:
+        return _EXCLUDED
+    if src != dst and not platform.topology.connected(dst, src):
+        # A corrupt map can route over a link that does not exist; treat it
+        # like a partition rather than let the simulator reject the plan.
+        return _UNLINKED
+    if health is not None and not health.source_usable(dst, src):
+        return _UNUSABLE
+    return _HELD
 
 
 def reroute(
@@ -251,15 +297,15 @@ def reroute(
     health: HealthView | None = None,
     exclude: frozenset[int] = frozenset(),
     log=logger,
-) -> tuple[list[tuple], int, tuple[int, ...]]:
+) -> tuple[tuple, int, tuple[int, ...]]:
     """Segment the batch by source and replace unusable sources.
 
     A source is unusable when its id is corrupt (outside the GPU
     range), the health view marks it down or unreachable, its store
     does not actually hold the key (a stale location), or the caller
     excluded it (an open circuit breaker); a patched batch is segmented
-    once more.  Returns ``(segments, rerouted, failed_sources)`` — the
-    final :func:`_segment` list, and the sources that *failed* (exclusions
+    once more.  Returns ``(batch, rerouted, failed_sources)`` — the
+    final :func:`_segment` result, and the sources that *failed* (exclusions
     are deliberate, not failures).  Corrupt slots are blamed on whichever
     GPU stores actually hold the affected entries — the replicas whose
     location records went bad.
@@ -267,39 +313,34 @@ def reroute(
     reg = get_registry()
     with stage_timer("reroute", reg):
         platform = cache.platform
-        num_gpus, num_tiers = platform.num_gpus, platform.num_tiers
-        segments = _segment(cache, keys, sources)
+        batch = _, segments = _segment(cache, keys, sources)
+        view = platform if health is None else degraded_platform(platform, health)
+        verdicts = view.memo.get(("verdicts", dst, exclude))
+        if verdicts is None:
+            verdicts = remember(view.memo, ("verdicts", dst, exclude), {
+                src: _verdict(platform, dst, src, health, exclude)
+                for src in (*platform.backing_ids, *platform.gpu_ids)
+            })
         bad: list[np.ndarray] = []
         n_corrupt = n_stale = 0
         failed: set[int] = set()
-        for src, positions, src_keys, offsets in segments:
-            if -num_tiers <= src < 0:
-                pass
-            elif not 0 <= src < num_gpus:
-                # GPU ids and *every* backing-tier id are legitimate;
-                # only ids outside both ranges are corrupt.
+        for src, positions, _, offsets in segments:
+            verdict = verdicts.get(src, _CORRUPT)
+            if verdict == _HELD:
+                if _min(offsets) < 0:
+                    stale = offsets < 0
+                    bad.append(positions[stale])
+                    n_stale += int(stale.sum())
+                    failed.add(src)
+            elif verdict != _BACKING:
                 bad.append(positions)
-                n_corrupt += len(positions)
-            elif src != dst and src in exclude:
-                bad.append(positions)
-            elif src != dst and not platform.topology.connected(dst, src):
-                # A corrupt map can route over a link that does not exist;
-                # treat it like a partition rather than let the simulator
-                # reject the plan.
-                bad.append(positions)
-                n_corrupt += len(positions)
-                failed.add(src)
-            elif health is not None and not health.source_usable(dst, src):
-                bad.append(positions)
-                failed.add(src)
-            elif offsets.min() < 0:
-                stale = offsets < 0
-                bad.append(positions[stale])
-                n_stale += int(stale.sum())
-                failed.add(src)
+                if verdict in (_UNLINKED, _CORRUPT):
+                    n_corrupt += len(positions)
+                if verdict in (_UNLINKED, _UNUSABLE):
+                    failed.add(src)
         if not bad:
-            return segments, 0, ()
-        corrupt = [k for s, _, k, _ in segments if not -num_tiers <= s < num_gpus]
+            return batch, 0, ()
+        corrupt = [segment[2] for segment in segments if segment[0] not in verdicts]
         if corrupt:
             corrupt_keys = np.concatenate(corrupt)
             for g in platform.gpu_ids:
@@ -309,7 +350,7 @@ def reroute(
         replacements = find_replicas(cache, dst, keys[bad_idx], health, exclude)
         sources = sources.copy()
         sources[bad_idx] = replacements
-        segments = _segment(cache, keys, sources)
+        batch = _segment(cache, keys, sources)
         n = len(bad_idx)
     to_backing = int(platform.backing_mask(replacements).sum())
     reg.counter("faults.rerouted_keys", dst=dst).inc(n)
@@ -327,7 +368,7 @@ def reroute(
         "GPU %d: rerouted %d/%d keys (%d corrupt, %d stale) around faults",
         dst, n, len(keys), n_corrupt, n_stale,
     )
-    return segments, n, tuple(sorted(failed))
+    return batch, n, tuple(sorted(failed))
 
 
 # ----------------------------------------------------------------------
@@ -382,7 +423,7 @@ def renormalize_dedication(
 def dedicate(
     platform: Platform,
     dst: int,
-    present: list[int],
+    present: tuple[int, ...] | list[int],
     dedication_fn: Callable[..., dict[int, int]] | None = None,
     log=logger,
 ) -> dict[int, int]:
@@ -392,15 +433,20 @@ def dedicate(
     :func:`repro.sim.mechanisms.core_dedication`; the result is
     re-normalized (loudly) when it misses a present source, so the
     topology model and the location table disagreeing is survivable but
-    never silent.
+    never silent.  The returned map is the remembered one (read it, do
+    not write it); the warning and its counters fire for every plan.
     """
     reg = get_registry()
     with stage_timer("dedicate", reg):
         fn = dedication_fn or core_dedication
-        dedication = fn(platform, dst, present)
-        dedication, missing = renormalize_dedication(
-            platform, dst, present, dedication
-        )
+        key = ("dedication", dst, tuple(present), fn)
+        found = platform.memo.get(key)
+        if found is None:
+            sources = list(present)
+            found = remember(platform.memo, key, renormalize_dedication(
+                platform, dst, sources, fn(platform, dst, sources)
+            ))
+        dedication, missing = found
     if missing:
         reg.counter("extractor.plan.dedication_missing").inc(len(missing))
         reg.counter("extractor.plan.dedication_renormalized").inc()
@@ -420,15 +466,24 @@ def dedicate(
 # ----------------------------------------------------------------------
 # Stage 3: group
 # ----------------------------------------------------------------------
-def _source_instruments(reg, source: int, dst: int, platform: Platform):
-    """One source class's instruments, looked up once per registry."""
-    label = source_class(source, dst, platform)
+def _source_instruments(reg, platform: Platform, dst: int, sources: tuple[int, ...]):
+    """``(planned keys, dedicated cores, executed bytes)`` instruments per
+    source: labels from the platform's memo, series once per registry."""
+    key = ("source_class", dst, sources)
+    labels = platform.memo.get(key)
+    if labels is None:
+        labels = remember(
+            platform.memo, key, tuple(source_class(s, dst, platform) for s in sources)
+        )
     return reg.handle(
-        ("source", label),
-        lambda: (
-            reg.counter("extractor.plan.keys", source=label),
-            reg.histogram("extractor.plan.dedicated_cores", source=label),
-            reg.counter("extractor.execute.bytes", source=label),
+        ("sources", labels),
+        lambda: tuple(
+            (
+                reg.cached("counter", "extractor.plan.keys", source=label),
+                reg.cached("histogram", "extractor.plan.dedicated_cores", source=label),
+                reg.cached("counter", "extractor.execute.bytes", source=label),
+            )
+            for label in labels
         ),
     )
 
@@ -436,10 +491,12 @@ def _source_instruments(reg, source: int, dst: int, platform: Platform):
 def group_by_source(
     cache: "MultiGpuEmbeddingCache",
     dst: int,
+    present: tuple[int, ...],
     segments: list[tuple],
     dedication: dict[int, int],
 ) -> tuple[SourceGroup, ...]:
-    """Per-source batching: one :class:`SourceGroup` per rerouted segment.
+    """Per-source batching: one :class:`SourceGroup` per segment of
+    :func:`reroute`'s batch.
 
     Non-local groups come first (launch order); the local group is
     appended last, scheduled at low priority to pad the ragged non-local
@@ -449,28 +506,19 @@ def group_by_source(
     with stage_timer("group", reg):
         platform = cache.platform
         num_cores = platform.gpu.num_cores
+        instruments = _source_instruments(reg, platform, dst, present)
         groups: list[SourceGroup] = []
-        local_group: SourceGroup | None = None
-        for src, positions, src_keys, offsets in segments:
+        for segment, (planned_keys, cores, _) in zip(segments, instruments):
+            src = segment[0]
             group = SourceGroup(
-                source=src,
-                batch_positions=positions,
-                keys=src_keys,
-                offsets=offsets,
-                dedicated_cores=(
-                    num_cores if src == dst else dedication.get(src, 1)
-                ),
+                *segment, num_cores if src == dst else dedication.get(src, 1)
             )
-            planned_keys, cores, _ = _source_instruments(reg, src, dst, platform)
-            planned_keys.inc(len(src_keys))
+            planned_keys.inc(len(group.keys))
             cores.observe(group.dedicated_cores)
-            if src == dst:
-                local_group = group
-            else:
-                groups.append(group)
-        # Local extraction is launched last, on a low-priority stream.
-        if local_group is not None:
-            groups.append(local_group)
+            groups.append(group)
+        if dst in present:
+            # Local extraction is launched last, on a low-priority stream.
+            groups.append(groups.pop(present.index(dst)))
     return tuple(groups)
 
 
@@ -488,15 +536,14 @@ def plan_extraction(
 ) -> ExtractionPlan:
     """Run resolve → reroute → dedicate → group for one GPU's batch."""
     keys, sources = resolve(cache, dst, keys)
-    segments, rerouted, failed_sources = reroute(
+    (present, segments), rerouted, failed_sources = reroute(
         cache, dst, keys, sources, health, exclude, log=log
     )
     platform = cache.platform
     if health is not None:
         platform = degraded_platform(platform, health)
-    present = [segment[0] for segment in segments]
     dedication = dedicate(platform, dst, present, dedication_fn, log=log)
-    groups = group_by_source(cache, dst, segments, dedication)
+    groups = group_by_source(cache, dst, present, segments, dedication)
     return ExtractionPlan(
         dst=dst,
         batch_size=len(keys),
@@ -716,22 +763,24 @@ def execute_plan(
     """Gather values per the plan; returns (values, priced demand)."""
     reg = get_registry()
     entry_bytes = cache.entry_bytes
-    platform = cache.platform
     with stage_timer("execute", reg):
         values = np.empty(
-            (plan.batch_size, cache.dim),
-            dtype=cache.store(0).data.dtype,
+            (plan.batch_size, cache.dim), dtype=cache.store(0).data.dtype
         )
-        for group in plan.groups:
-            src = group.source
-            if platform.is_backing(src):
+        volumes: dict[int, float] = {}
+        instruments = _source_instruments(
+            reg, cache.platform, plan.dst, tuple([g.source for g in plan.groups])
+        )
+        for group, (_, _, sent) in zip(plan.groups, instruments):
+            src, count = group.source, len(group.keys)
+            if src < 0:
                 rows = cache.backing_gather(src, group.keys)
             else:
                 rows = cache.store(src).data.take(group.offsets, axis=0)
             values[group.batch_positions] = rows
-            sent = _source_instruments(reg, src, plan.dst, platform)[2]
-            sent.inc(len(group.keys) * entry_bytes)
-    return values, plan.demand(entry_bytes)
+            volumes[src] = float(count * entry_bytes)
+            sent.inc(count * entry_bytes)
+    return values, GpuDemand(dst=plan.dst, volumes=volumes)
 
 
 # ----------------------------------------------------------------------

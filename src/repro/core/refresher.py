@@ -209,11 +209,9 @@ class Refresher:
         undo: list[tuple[int, np.ndarray, np.ndarray]] = []
 
         # The old source map may point any GPU at a slot a refresh step
-        # recycles, so first route every to-be-evicted entry to host for
-        # the duration of the refresh (the paper instead waits a
+        # recycles, so first route every to-be-evicted entry to its backing
+        # tier for the duration of the refresh (the paper instead waits a
         # foreground batch; the effect — no dangling read — is the same).
-        from repro.hardware.platform import HOST
-
         with self._cache.writing():
             source_map = self._cache.source_map
             for gpu in range(new_placement.num_gpus):
@@ -222,7 +220,9 @@ class Refresher:
                     continue
                 for dst in range(new_placement.num_gpus):
                     stale = source_map[dst][evicted] == gpu
-                    source_map[dst][evicted[stale]] = HOST
+                    source_map[dst][evicted[stale]] = self._cache.backing_home(
+                        evicted[stale]
+                    )
 
         steps = 0
         table = self._cache.host_table

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.faults.spec import HealthView
-from repro.hardware.platform import HOST, Platform
+from repro.hardware.platform import HOST, Platform, remember
 
 if TYPE_CHECKING:  # avoid a circular import with repro.sim (engine ↔ faults)
     from repro.sim.mechanisms import GpuDemand
@@ -26,12 +26,14 @@ class DegradedPlatform:
     the simulators consume.  Downed GPUs disappear from ``sources_for``
     and report zero bandwidth; degraded links scale linearly with the
     health view's factor (Figure 6's tolerance shrinks with them, since
-    fewer SMs saturate a slower link).
+    fewer SMs saturate a slower link).  A view remembers its own answers
+    in :attr:`memo`, never in the base's, whose answers are the healthy ones.
     """
 
     def __init__(self, base: Platform, health: HealthView) -> None:
         self._base = base
         self._health = health
+        self.memo: dict = {}
 
     @property
     def base(self) -> Platform:
@@ -54,18 +56,9 @@ class DegradedPlatform:
             dst, src
         )
 
-    def tolerance(self, dst: int, src: int) -> int:
-        bw = self.bandwidth(dst, src)
-        if bw <= 0:
-            return 0
-        cores = int(round(bw / self._base.gpu.per_core_bandwidth))
-        return max(1, min(cores, self._base.gpu.num_cores))
-
-    def cost_per_byte(self, dst: int, src: int) -> float:
-        bw = self.bandwidth(dst, src)
-        if bw <= 0:
-            return float("inf")
-        return 1.0 / bw
+    # Same formulas over the scaled bandwidth, remembered in the view's memo.
+    tolerance = Platform.tolerance
+    cost_per_byte = Platform.cost_per_byte
 
     # -- structure under faults -----------------------------------------
     def is_connected(self, dst: int, src: int) -> bool:
@@ -84,11 +77,15 @@ class DegradedPlatform:
 
 
 def degraded_platform(platform: Platform, health: HealthView) -> Platform:
-    """Wrap ``platform`` under ``health`` (no-op when fully healthy)."""
+    """``platform`` seen under ``health`` (itself when fully healthy): one
+    view per health value, remembered — warm memo included — by the base."""
     if health.healthy:
         return platform
     base = platform.base if isinstance(platform, DegradedPlatform) else platform
-    return DegradedPlatform(base, health)  # type: ignore[return-value]
+    view = base.memo.get(("degraded", health))
+    if view is None:
+        view = remember(base.memo, ("degraded", health), DegradedPlatform(base, health))
+    return view  # type: ignore[return-value]
 
 
 def reroute_demand(demand: GpuDemand, platform: Platform, health: HealthView) -> GpuDemand:

@@ -47,6 +47,21 @@ HOST: int = -1
 #: and only here — if a platform ever exceeds that.
 SOURCE_DTYPE = np.int16
 
+#: Most answers one platform (or one degraded view of it) remembers.
+MEMO_LIMIT = 4096
+
+
+def remember(memo: dict, key, value):
+    """Keep ``value`` as ``memo[key]``; at :data:`MEMO_LIMIT` the oldest
+    answer leaves first (answers are pure, so a dropped one is recomputed)."""
+    if len(memo) >= MEMO_LIMIT:
+        try:
+            del memo[next(iter(memo))]
+        except (KeyError, RuntimeError):  # another thread got there first
+            pass
+    memo[key] = value
+    return value
+
 
 @dataclass(frozen=True)
 class MemoryTier:
@@ -187,8 +202,9 @@ class Platform:
     #: ``pcie_bandwidth`` are synchronized to it.
     tiers: tuple[MemoryTier, ...] = field(default=())
     #: Pure functions of this platform remembered under ``(name, *args)``:
-    #: path bandwidths, tolerances, :func:`~repro.sim.mechanisms.core_dedication`
-    #: splits.  Per instance, so ``replace``/:func:`with_tiers` copies start empty.
+    #: path bandwidths, tolerances, its degraded views, and what the extraction
+    #: pipeline records per route (see :mod:`repro.core.pipeline`).  Per
+    #: instance, so ``replace``/:func:`with_tiers` copies start empty.
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

@@ -276,6 +276,15 @@ class MetricsRegistry:
             found = self._handles[key] = factory()
         return found
 
+    def cached(self, kind: str, name: str, **labels: Any) -> Any:
+        """``getattr(self, kind)(name, **labels)``, looked up once: the
+        :meth:`handle` of a single series, for the paths hit per request."""
+        key = (kind, name, tuple(labels.items())) if labels else (kind, name)
+        found = self._handles.get(key)
+        if found is None:
+            found = self._handles[key] = getattr(self, kind)(name, **labels)
+        return found
+
     # ------------------------------------------------------------------
     # Introspection / lifecycle
     # ------------------------------------------------------------------

@@ -15,7 +15,7 @@ timings.
 
 from __future__ import annotations
 
-import time
+from time import perf_counter
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -75,11 +75,11 @@ class _Timer:
         self._start = 0.0
 
     def __enter__(self) -> "_Timer":
-        self._start = time.perf_counter()
+        self._start = perf_counter()
         return self
 
-    def __exit__(self, *exc_info: Any) -> None:
-        self._histogram.observe(time.perf_counter() - self._start)
+    def __exit__(self, exc_type: Any, exc: Any, traceback: Any) -> None:
+        self._histogram.observe(perf_counter() - self._start)
 
 
 class _Span:
@@ -96,11 +96,11 @@ class _Span:
         self._record.attrs.update(attrs)
 
     def __enter__(self) -> "_Span":
-        self._record.start = time.perf_counter()
+        self._record.start = perf_counter()
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
-        self._record.duration = time.perf_counter() - self._record.start
+        self._record.duration = perf_counter() - self._record.start
         spans = self._registry.spans
         if len(spans) < MAX_BUFFERED_SPANS:
             spans.append(self._record)
@@ -116,7 +116,7 @@ def timer(name: str, registry: MetricsRegistry | None = None, **labels: Any):
     registry = registry or get_registry()
     if not registry.enabled:
         return _NOOP
-    return _Timer(registry.histogram(name, **labels))
+    return _Timer(registry.cached("histogram", name, **labels))
 
 
 #: The extraction pipeline's stage names, in execution order.  Each stage

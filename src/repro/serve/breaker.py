@@ -145,17 +145,16 @@ class CircuitBreaker:
             return True
 
     def record_success(self, now: float) -> None:
+        if self.state is BreakerState.CLOSED and not self.consecutive_failures:
+            return  # nothing to reset, nothing to close: no lock needed
         with self._lock:
             self.consecutive_failures = 0
+            # A success while open can only come from a probe admitted just
+            # before the trip; ignore — recovery goes through half-open.
             if self.state is BreakerState.HALF_OPEN:
                 self._probe_successes += 1
                 if self._probe_successes >= self.config.success_threshold:
                     self._transition(BreakerState.CLOSED, now)
-            elif self.state is BreakerState.OPEN:
-                # A success while open can only come from a probe admitted
-                # just before the trip; ignore — recovery goes through
-                # half-open.
-                pass
 
     def record_failure(self, now: float) -> None:
         with self._lock:
@@ -190,6 +189,8 @@ class CircuitBreaker:
 class BreakerBoard:
     """One breaker per cache source, plus the plan-level exclusion view."""
 
+    _NONE: frozenset[int] = frozenset()  # what every all-closed board answers
+
     def __init__(
         self, sources: list[int], config: BreakerConfig | None = None
     ) -> None:
@@ -209,11 +210,15 @@ class BreakerBoard:
 
         Calling this meters half-open probes: an excluded source stays
         excluded until its cooldown elapses, then readmits a bounded
-        number of probe batches.
+        number of probe batches.  A closed breaker allows without being
+        asked, so without taking its lock.
         """
-        return frozenset(
-            s for s, b in self._breakers.items() if not b.allow(now)
-        )
+        excluded = [
+            s
+            for s, b in self._breakers.items()
+            if b.state is not BreakerState.CLOSED and not b.allow(now)
+        ]
+        return frozenset(excluded) if excluded else self._NONE
 
     def record(self, source: int, ok: bool, now: float) -> None:
         """Feed one batch outcome for ``source`` into its breaker."""

@@ -38,16 +38,6 @@ __all__ = [
 ]
 
 
-def _series(kind: str, name: str, gpu: int, **labels):
-    """``name{gpu, **labels}`` of the active registry, looked up once per
-    registry (these run per offered request and per pop)."""
-    reg = get_registry()
-    return reg.handle(
-        (name, gpu, *labels.values()),
-        lambda: getattr(reg, kind)(name, gpu=gpu, **labels),
-    )
-
-
 class QueuePolicy(str, Enum):
     """What happens to a new request when its GPU's queue is full."""
 
@@ -118,7 +108,7 @@ class LatencyEstimator:
         self._ewma: float | None = None
 
     def _histogram(self) -> Histogram:
-        return _series("histogram", "serve.batch.seconds", self.gpu)
+        return get_registry().cached("histogram", "serve.batch.seconds", gpu=self.gpu)
 
     def observe(self, seconds: float) -> None:
         """Record one measured service time."""
@@ -255,29 +245,35 @@ class BoundedRequestQueue:
         return AdmissionResult(admitted=True)
 
     def _admission(self, result: str) -> Counter:
-        return _series("counter", "serve.admission", self.gpu, result=result)
+        return get_registry().cached(
+            "counter", "serve.admission", gpu=self.gpu, result=result
+        )
 
     def _note_depth(self) -> None:
         depth = self.depth
         if depth > self.max_depth:
             self.max_depth = depth
-        _series("gauge", "serve.queue.depth", self.gpu).set(depth)
+        get_registry().cached("gauge", "serve.queue.depth", gpu=self.gpu).set(depth)
 
     def _pump_blocked(self, now: float) -> None:
         """Admit parked (blocked) producers into freed queue space."""
         while self._blocked and self.depth < self.config.capacity:
             request = self._blocked.popleft()
             if request.expired(now):
+                # Too late to serve, but still owed an answer: it keeps its
+                # turn, and the worker that pops it responds EXPIRED.
                 self._admission("expired_blocked").inc()
-                continue
             self._queue.append(request)
             self._note_depth()
 
     def pop(self, now: float) -> Request | None:
         """Dequeue the next request (unblocking parked producers)."""
         request = self._queue.popleft() if self._queue else None
-        self._pump_blocked(now)
-        _series("gauge", "serve.queue.depth", self.gpu).set(self.depth)
+        if self._blocked:
+            self._pump_blocked(now)
+        get_registry().cached("gauge", "serve.queue.depth", gpu=self.gpu).set(
+            self.depth
+        )
         return request
 
 

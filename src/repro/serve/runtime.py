@@ -166,7 +166,7 @@ class ServingRuntime:
         self, request: Request, status: RequestStatus, now: float
     ) -> Response:
         """Record the response of a request that leaves without service."""
-        get_registry().counter("serve.requests", status=status.value).inc()
+        get_registry().cached("counter", "serve.requests", status=status.value).inc()
         response = Response(request=request, status=status, completed_at=now)
         self.responses.append(response)
         self._retire_prefetch(request.gpu)
@@ -281,10 +281,10 @@ class ServingRuntime:
         )
 
         self._feed_breakers(plan, report.time_by_source, now)
-        estimator = self.admission.estimator(request.gpu)
+        estimator = self.admission.queues[request.gpu].estimator
         estimator.observe(service_time)
-        reg.counter("serve.requests", status=status.value).inc()
-        reg.histogram("serve.latency.seconds").observe(
+        reg.cached("counter", "serve.requests", status=status.value).inc()
+        reg.cached("histogram", "serve.latency.seconds").observe(
             completed_at - request.arrival
         )
         response = Response(
@@ -387,12 +387,12 @@ class ServingRuntime:
             completed_at=completed_at,
             prefetch_hits=prefetch_hits,
         )
-        reg.histogram("serve.coalesce.batch_size").observe(len(live))
-        reg.histogram("serve.coalesce.dedup_ratio").observe(
+        reg.cached("histogram", "serve.coalesce.batch_size").observe(len(live))
+        reg.cached("histogram", "serve.coalesce.dedup_ratio").observe(
             outcome.dedup_ratio
         )
-        latency = reg.histogram("serve.latency.seconds")
-        linger = reg.histogram("serve.coalesce.linger.seconds")
+        latency = reg.cached("histogram", "serve.latency.seconds")
+        linger = reg.cached("histogram", "serve.coalesce.linger.seconds")
 
         # Every member's rows in one gather; each owns rows[start:stop].
         rows = values.take(inverse, axis=0)
@@ -455,7 +455,7 @@ class ServingRuntime:
             self.responses.append(response)
             responses.append(response)
         for status, members in statuses.items():
-            reg.counter("serve.requests", status=status.value).inc(members)
+            reg.cached("counter", "serve.requests", status=status.value).inc(members)
         return outcome
 
     def _feed_breakers(
@@ -485,7 +485,7 @@ class ServingRuntime:
     # ------------------------------------------------------------------
     def poll(self, gpu: int, now: float) -> Response | None:
         """Serve the next queued request on ``gpu``, if any."""
-        request = self.admission.queue(gpu).pop(now)
+        request = self.admission.queues[gpu].pop(now)
         if request is None:
             return None
         return self.serve_request(request, now)

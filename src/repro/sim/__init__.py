@@ -13,11 +13,9 @@ from repro.sim.congestion import (
 )
 from repro.sim.engine import BatchReport, readers_per_source, simulate_batch
 from repro.sim.event_sim import (
-    CoalescedSimResult,
     EventSimResult,
     HedgedSimResult,
     PrefetchedSimResult,
-    simulate_coalesced_extraction,
     simulate_factored_event_driven,
     simulate_hedged_extraction,
     simulate_naive_event_driven,
@@ -37,11 +35,9 @@ from repro.sim.trace import ExtractionTrace, GroupEvent, LocalSegment, trace_bat
 from repro.sim.utilization import LinkUtilization, batch_utilization
 
 __all__ = [
-    "CoalescedSimResult",
     "EventSimResult",
     "HedgedSimResult",
     "PrefetchedSimResult",
-    "simulate_coalesced_extraction",
     "simulate_factored_event_driven",
     "simulate_hedged_extraction",
     "simulate_naive_event_driven",

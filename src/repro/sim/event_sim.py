@@ -39,26 +39,6 @@ class EventSimResult:
 
 
 @dataclass(frozen=True)
-class CoalescedSimResult:
-    """Outcome of serving a coalesced micro-batch as one union extraction."""
-
-    #: when every member completes: the union extraction's finish time.
-    total_time: float
-    #: the union demand priced once, discretely.
-    union_time: float
-    #: each member demand priced alone (the un-coalesced counterfactual).
-    solo_times: tuple[float, ...]
-
-    @property
-    def speedup(self) -> float:
-        """Sequential-solo time over the shared union time (≥ 1 whenever
-        the members overlap or merely share launch overheads)."""
-        if self.union_time <= 0:
-            return 1.0
-        return sum(self.solo_times) / self.union_time
-
-
-@dataclass(frozen=True)
 class HedgedSimResult:
     """Outcome of racing a primary extraction against a host-DRAM hedge."""
 
@@ -371,49 +351,6 @@ def simulate_factored_event_driven(
                 core[1] = None
     clock += _access_latency(platform, demand)
     return EventSimResult(total_time=clock, chunks_processed=processed, events=events)
-
-
-def simulate_coalesced_extraction(
-    platform: Platform,
-    union_demand: GpuDemand,
-    member_demands: list[GpuDemand],
-    chunk_bytes: float = 64 * 1024,
-    faults: FaultPlan | None = None,
-    now: float = 0.0,
-) -> CoalescedSimResult:
-    """Price a coalesced micro-batch in the discrete event model.
-
-    The serving runtime's cross-request coalescer unions the member key
-    sets and extracts the deduplicated union once; every member then
-    completes when the shared extraction does.  This prices that shape
-    discretely: the union demand runs once through the factored
-    event-driven simulator, and each member demand is priced alone as the
-    un-coalesced counterfactual, so tests can check the conservation
-    claim (one shared extraction never exceeds the sequential members)
-    against independent physics.
-
-    ``member_demands`` must target the same destination as
-    ``union_demand`` — a micro-batch is per-GPU by construction.
-    """
-    for d in member_demands:
-        if d.dst != union_demand.dst:
-            raise ValueError(
-                "coalesced members must share the union's destination GPU"
-            )
-    union = simulate_factored_event_driven(
-        platform, union_demand, chunk_bytes=chunk_bytes, faults=faults, now=now
-    )
-    solos = tuple(
-        simulate_factored_event_driven(
-            platform, d, chunk_bytes=chunk_bytes, faults=faults, now=now
-        ).total_time
-        for d in member_demands
-    )
-    return CoalescedSimResult(
-        total_time=union.total_time,
-        union_time=union.total_time,
-        solo_times=solos,
-    )
 
 
 def simulate_prefetched_extraction(

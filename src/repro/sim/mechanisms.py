@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.hardware.platform import HOST, Platform
+from repro.hardware.platform import Platform, remember
 from repro.hardware.topology import TopologyKind
 from repro.sim.congestion import CongestionModel, solve_congested_extraction
 
@@ -102,14 +102,7 @@ def core_dedication(
     reader claims a 1/(N-1) non-overlapping share).  Every remaining core
     — and each dedicated core once its group drains — serves local
     extraction, so local is not listed here.
-
-    An immutable :class:`Platform` remembers each split (every call still
-    returns a fresh dict); a degraded view is always recomputed.
     """
-    memo = platform.memo if isinstance(platform, Platform) else None
-    key = ("core_dedication", dst, tuple(active_sources))
-    if memo is not None and key in memo:
-        return dict(memo[key])
     total = platform.gpu.num_cores
     dedication: dict[int, int] = {}
     backing = [s for s in active_sources if platform.is_backing(s)]
@@ -144,8 +137,6 @@ def core_dedication(
                     dedication[src] = max(
                         1, int(remaining * weights[src] / total_weight)
                     )
-    if memo is not None:
-        memo[key] = dict(dedication)
     return dedication
 
 
@@ -166,53 +157,68 @@ def factored_extraction(
     ``(sum of busy core-seconds) / num_cores`` — exactly the Extractor
     estimate the solver optimizes (§6.2).  Without padding (ablation),
     local extraction waits for all non-local groups to finish.
+
+    Everything but the volumes is fixed per (platform or degraded view,
+    destination, source tuple) and remembered there.
     """
-    gpu = platform.gpu
-    dedication = core_dedication(platform, demand.dst, list(demand.volumes))
+    dst, volumes = demand.dst, demand.volumes
+    key = ("factored", dst, tuple(volumes))
+    found = platform.memo.get(key)
+    if found is None:
+        gpu = platform.gpu
+        dedication = core_dedication(platform, dst, list(volumes))
+        terms = []
+        for src in volumes:
+            if src == dst:
+                continue
+            cores = dedication.get(src, 1)
+            rate = min(cores * gpu.per_core_bandwidth, platform.bandwidth(dst, src))
+            # Backing tiers pay their fixed access latency once per batched
+            # group (0 for DRAM, so single-tier pricing is unchanged).
+            latency = platform.tier_latency(src)
+            # Cores beyond the link's tolerance would stall; UGache never
+            # dedicates them, but guard the accounting anyway.
+            busy = min(cores, platform.tolerance(dst, src))
+            terms.append((src, rate, latency, cores, busy))
+        found = remember(platform.memo, key, (
+            gpu.per_core_bandwidth, gpu.num_cores, gpu.local_bandwidth, terms
+        ))
+    per_core_bandwidth, num_cores, local_bandwidth, terms = found
     time_by_source: dict[int, float] = {}
     cores_by_source: dict[int, float] = {}
     busy_core_seconds = 0.0
     slowest_group = 0.0
 
-    for src in demand.nonlocal_sources + ([HOST] if demand.volume(HOST) > 0 else []):
-        if src in time_by_source:
-            continue
-        vol = demand.volume(src)
+    for src, rate, latency, cores, busy in terms:
+        vol = float(volumes[src])
         if vol <= 0:
             continue
-        cores = dedication.get(src, 1)
-        link_bw = platform.bandwidth(demand.dst, src)
-        rate = min(cores * gpu.per_core_bandwidth, link_bw)
-        # Backing tiers pay their fixed access latency once per batched
-        # group (0 for DRAM, so single-tier pricing is unchanged).
-        group_time = vol / rate + platform.tier_latency(src)
+        group_time = vol / rate + latency
         time_by_source[src] = group_time
         cores_by_source[src] = cores
-        # Cores beyond the link's tolerance would stall; UGache never
-        # dedicates them, but guard the accounting anyway.
-        busy = min(cores, platform.tolerance(demand.dst, src))
         busy_core_seconds += busy * group_time
-        slowest_group = max(slowest_group, group_time)
+        if group_time > slowest_group:
+            slowest_group = group_time
 
-    local_vol = demand.volume(demand.dst)
-    local_core_seconds = local_vol / gpu.per_core_bandwidth
+    local_vol = float(volumes.get(dst, 0.0))
+    local_core_seconds = local_vol / per_core_bandwidth
     if local_padding:
         total = max(
             slowest_group,
-            (busy_core_seconds + local_core_seconds) / gpu.num_cores,
+            (busy_core_seconds + local_core_seconds) / num_cores,
         )
     else:
-        total = slowest_group + local_vol / gpu.local_bandwidth
+        total = slowest_group + local_vol / local_bandwidth
     if local_vol > 0:
-        time_by_source[demand.dst] = local_core_seconds / gpu.num_cores
-        cores_by_source[demand.dst] = gpu.num_cores
+        time_by_source[dst] = local_core_seconds / num_cores
+        cores_by_source[dst] = num_cores
 
     return GpuExtractionReport(
-        dst=demand.dst,
+        dst=dst,
         mechanism=Mechanism.FACTORED,
         time=float(total),
         time_by_source=time_by_source,
-        volumes=dict(demand.volumes),
+        volumes=dict(volumes),
         cores_by_source=cores_by_source,
     )
 

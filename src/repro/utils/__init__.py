@@ -25,7 +25,6 @@ from repro.utils.rng import make_rng, spawn_rngs
 from repro.utils.stats import (
     geometric_mean,
     normalize,
-    weighted_percentile,
     zipf_pmf,
 )
 
@@ -52,6 +51,5 @@ __all__ = [
     "spawn_rngs",
     "geometric_mean",
     "normalize",
-    "weighted_percentile",
     "zipf_pmf",
 ]

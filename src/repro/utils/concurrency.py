@@ -20,9 +20,23 @@ section).  Plain read reentrancy is supported too.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 
 __all__ = ["ReadWriteLock"]
+
+
+class _Guard:
+    """``with`` form of one acquire/release pair.  Stateless — the lock
+    keeps the hold counts — so one guard serves every thread and nesting."""
+
+    def __init__(self, lock: "ReadWriteLock", acquire, release) -> None:
+        self._lock, self._acquire, self._release = lock, acquire, release
+
+    def __enter__(self) -> "ReadWriteLock":
+        self._acquire()
+        return self._lock
+
+    def __exit__(self, *exc_info) -> None:
+        self._release()
 
 
 class ReadWriteLock:
@@ -34,7 +48,9 @@ class ReadWriteLock:
     """
 
     def __init__(self) -> None:
-        self._cond = threading.Condition(threading.Lock())
+        #: guards every field below; ``_cond`` waits and notifies on it.
+        self._mutex = threading.Lock()
+        self._cond = threading.Condition(self._mutex)
         #: thread ident → read-hold count (readers currently inside).
         self._readers: dict[int, int] = {}
         #: ident of the thread holding the write lock, if any.
@@ -42,13 +58,15 @@ class ReadWriteLock:
         self._writer_depth = 0
         #: writers parked waiting; positive blocks *new* readers.
         self._writers_waiting = 0
+        self._read_guard = _Guard(self, self.acquire_read, self.release_read)
+        self._write_guard = _Guard(self, self.acquire_write, self.release_write)
 
     # ------------------------------------------------------------------
     # Read side
     # ------------------------------------------------------------------
     def acquire_read(self) -> None:
         me = threading.get_ident()
-        with self._cond:
+        with self._mutex:
             # The writer may re-enter read-side (integrity checks inside a
             # refresh step); a thread already reading may nest freely.
             if self._writer == me or me in self._readers:
@@ -60,14 +78,14 @@ class ReadWriteLock:
 
     def release_read(self) -> None:
         me = threading.get_ident()
-        with self._cond:
+        with self._mutex:
             count = self._readers.get(me)
             if count is None:
                 raise RuntimeError("release_read without matching acquire")
             if count == 1:
                 del self._readers[me]
-                if not self._readers:
-                    self._cond.notify_all()
+                if self._writers_waiting and not self._readers:
+                    self._cond.notify_all()  # only a parked writer waits on readers
             else:
                 self._readers[me] = count - 1
 
@@ -76,7 +94,7 @@ class ReadWriteLock:
     # ------------------------------------------------------------------
     def acquire_write(self) -> None:
         me = threading.get_ident()
-        with self._cond:
+        with self._mutex:
             if self._writer == me:
                 self._writer_depth += 1
                 return
@@ -97,7 +115,7 @@ class ReadWriteLock:
 
     def release_write(self) -> None:
         me = threading.get_ident()
-        with self._cond:
+        with self._mutex:
             if self._writer != me:
                 raise RuntimeError("release_write by a non-holding thread")
             self._writer_depth -= 1
@@ -108,20 +126,10 @@ class ReadWriteLock:
     # ------------------------------------------------------------------
     # Context-manager surface
     # ------------------------------------------------------------------
-    @contextmanager
-    def read_locked(self):
+    def read_locked(self) -> _Guard:
         """``with lock.read_locked():`` — shared access."""
-        self.acquire_read()
-        try:
-            yield self
-        finally:
-            self.release_read()
+        return self._read_guard
 
-    @contextmanager
-    def write_locked(self):
+    def write_locked(self) -> _Guard:
         """``with lock.write_locked():`` — exclusive access."""
-        self.acquire_write()
-        try:
-            yield self
-        finally:
-            self.release_write()
+        return self._write_guard

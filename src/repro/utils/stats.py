@@ -44,36 +44,6 @@ def geometric_mean(values) -> float:
     return float(np.exp(np.log(arr).mean()))
 
 
-def weighted_percentile(values: np.ndarray, weights: np.ndarray, q: float) -> float:
-    """Percentile ``q`` (0..100) of ``values`` under ``weights``.
-
-    Raises :class:`ValueError` for empty inputs (there is no percentile
-    of nothing — the old code crashed with ``IndexError`` on
-    ``cdf[-1]``) and for weights summing to zero (the old code divided
-    by zero and silently returned NaN-driven garbage).
-    """
-    if not 0 <= q <= 100:
-        raise ValueError(f"percentile must be in [0, 100], got {q}")
-    values = np.asarray(values, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if values.shape != weights.shape:
-        raise ValueError("values and weights must have identical shapes")
-    if values.size == 0:
-        raise ValueError("weighted percentile of empty values")
-    order = np.argsort(values)
-    values = values[order]
-    cdf = np.cumsum(weights[order])
-    total = cdf[-1]
-    if total <= 0 or not np.isfinite(total):
-        raise ValueError(
-            f"weights must sum to a positive finite value, got {total}"
-        )
-    cdf /= total
-    idx = int(np.searchsorted(cdf, q / 100.0, side="left"))
-    idx = min(idx, len(values) - 1)
-    return float(values[idx])
-
-
 def coverage_curve(probabilities: np.ndarray) -> np.ndarray:
     """Cumulative probability covered by the top-k hottest items.
 

@@ -27,7 +27,7 @@ from repro.serve import (
 )
 from repro.serve.queueing import AdmissionConfig, BoundedRequestQueue
 from repro.serve.request import Request
-from repro.sim.event_sim import simulate_coalesced_extraction
+from repro.sim.event_sim import simulate_factored_event_driven
 from repro.sim.mechanisms import GpuDemand
 from repro.utils.rng import make_rng
 from repro.utils.stats import zipf_pmf
@@ -497,6 +497,8 @@ class TestServeBatchCallBudget:
 
 class TestCoalescedEventSim:
     def test_union_never_slower_than_sequential_members(self):
+        """Conservation, against independent (discrete) physics: one shared
+        extraction of the union never exceeds its members served in turn."""
         platform = server_a()
         entry = 128.0
         members = [
@@ -507,17 +509,24 @@ class TestCoalescedEventSim:
         union = GpuDemand(
             dst=0, volumes={0: 70 * entry, 1: 30 * entry, 2: 25 * entry, -1: 20 * entry}
         )
-        result = simulate_coalesced_extraction(platform, union, members)
-        assert result.total_time == result.union_time
-        assert result.union_time <= sum(result.solo_times) + 1e-12
-        assert result.speedup >= 1.0
+        union_time = simulate_factored_event_driven(platform, union).total_time
+        solo_times = [
+            simulate_factored_event_driven(platform, member).total_time
+            for member in members
+        ]
+        assert 0 < union_time <= sum(solo_times) + 1e-12
 
     def test_mismatched_destination_rejected(self):
-        platform = server_a()
-        union = GpuDemand(dst=0, volumes={0: 1024.0})
-        member = GpuDemand(dst=1, volumes={1: 1024.0})
-        with pytest.raises(ValueError):
-            simulate_coalesced_extraction(platform, union, [member])
+        """The claim is per destination, and only ever asked per destination:
+        a batch whose members name two GPUs is refused before any union."""
+        _platform, _table, _cache, extractor = _stack()
+        runtime = ServingRuntime(extractor)
+        requests = [
+            runtime.make_request(gpu, _keys(seed=gpu), now=0.0) for gpu in (0, 1)
+        ]
+        with pytest.raises(ValueError, match="one GPU"):
+            runtime.serve_batch(requests, now=0.0)
+        assert runtime.responses == []
 
 
 class TestSoakCoalescing:

@@ -484,3 +484,259 @@ class TestSegmentedPlanProperties:
         # ...and the plan still gathers the right rows.
         values, _ = pipeline.execute_plan(cache, plan)
         assert np.array_equal(values, cache.host_table[keys])
+
+
+# ----------------------------------------------------------------------
+# What the pipeline remembers per route, against the parent's per-request
+# algorithms and against itself with nothing remembered
+# ----------------------------------------------------------------------
+from repro.core.refresher import RefreshConfig, Refresher
+from repro.sim.mechanisms import Mechanism, core_dedication
+
+
+def _oracle_execute(cache, plan):
+    """``execute_plan`` as it was: a scatter per group, then the demand
+    rebuilt from the plan (it is now filled in by the same loop)."""
+    values = np.empty((plan.batch_size, cache.dim), dtype=cache.store(0).data.dtype)
+    for group in plan.groups:
+        if cache.platform.is_backing(group.source):
+            rows = cache.backing_gather(group.source, group.keys)
+        else:
+            rows = cache.store(group.source).data.take(group.offsets, axis=0)
+        values[group.batch_positions] = rows
+    return values, plan.demand(cache.entry_bytes)
+
+
+def _oracle_factored(platform, demand, local_padding=True):
+    """``factored_extraction`` as it was: every term derived per request."""
+    gpu = platform.gpu
+    dedication = core_dedication(platform, demand.dst, list(demand.volumes))
+    time_by_source, cores_by_source = {}, {}
+    busy_core_seconds = slowest_group = 0.0
+    for src in demand.nonlocal_sources + ([HOST] if demand.volume(HOST) > 0 else []):
+        if src in time_by_source:
+            continue
+        vol = demand.volume(src)
+        if vol <= 0:
+            continue
+        cores = dedication.get(src, 1)
+        rate = min(cores * gpu.per_core_bandwidth, platform.bandwidth(demand.dst, src))
+        group_time = vol / rate + platform.tier_latency(src)
+        time_by_source[src] = group_time
+        cores_by_source[src] = cores
+        busy = min(cores, platform.tolerance(demand.dst, src))
+        busy_core_seconds += busy * group_time
+        slowest_group = max(slowest_group, group_time)
+    local_vol = demand.volume(demand.dst)
+    local_core_seconds = local_vol / gpu.per_core_bandwidth
+    if local_padding:
+        total = max(
+            slowest_group, (busy_core_seconds + local_core_seconds) / gpu.num_cores
+        )
+    else:
+        total = slowest_group + local_vol / gpu.local_bandwidth
+    if local_vol > 0:
+        time_by_source[demand.dst] = local_core_seconds / gpu.num_cores
+        cores_by_source[demand.dst] = gpu.num_cores
+    return float(total), time_by_source, cores_by_source
+
+
+def _same_floats(got: dict, want: dict) -> None:
+    """Equal keys in equal order, bit-equal values of equal type."""
+    assert list(got) == list(want)
+    for key in want:
+        assert type(got[key]) is type(want[key])
+        assert got[key] == want[key]
+
+
+def _report_fields(report):
+    return (
+        report.dst, report.mechanism, report.time, type(report.time),
+        list(report.time_by_source.items()), list(report.cores_by_source.items()),
+        list(report.volumes.items()),
+    )
+
+
+PRICED_PLATFORMS = {
+    "a": server_a(),
+    "b": server_b(),
+    "c": server_c(),
+    "tiered": with_tiers(server_a(), (
+        MemoryTier("dram", 1 << 20, gbps(16)),
+        MemoryTier("cxl", 1 << 20, gbps(12), 1e-6),
+        MemoryTier("ssd", 1 << 30, gbps(6), 100e-6),
+    )),
+}
+
+
+@st.composite
+def health_views(draw, num_gpus: int, dst: int):
+    gpus = st.integers(0, num_gpus - 1)
+    return HealthView(
+        down_gpus=draw(st.frozensets(gpus, max_size=2)),
+        link_factors=tuple(draw(st.lists(
+            st.tuples(st.tuples(st.just(dst), gpus), st.sampled_from([0.0, 0.25, 0.5])),
+            max_size=3,
+        ))),
+        host_factor=draw(st.sampled_from([1.0, 0.5])),
+    )
+
+
+@st.composite
+def priced_demands(draw):
+    """A platform (shared across examples, so its memo is warm), maybe seen
+    through a health view, and a demand over its sources in any order."""
+    platform = PRICED_PLATFORMS[draw(st.sampled_from(sorted(PRICED_PLATFORMS)))]
+    dst = draw(st.integers(0, platform.num_gpus - 1))
+    sources = draw(st.lists(
+        st.sampled_from([*platform.gpu_ids, *platform.backing_ids]),
+        max_size=7, unique=True,
+    ))
+    volume = st.sampled_from([0.0, 0, 128, 4096.0, 3.3e5, 7e7])
+    demand = GpuDemand(dst=dst, volumes={s: draw(volume) for s in sources})
+    if draw(st.booleans()):
+        platform = degraded_platform(
+            platform, draw(health_views(platform.num_gpus, dst))
+        )
+    return platform, demand, draw(st.booleans())
+
+
+def _no_dedication(platform, dst, present):
+    return {}  # every remote is missing: the renormalized split, loudly
+
+
+def _three_cores_each(platform, dst, present):
+    return {s: 3 for s in present}
+
+
+def _whole_plan(cache, dst, keys, health, exclude, dedication_fn):
+    """Everything a request gets from the pipeline, and what it counted."""
+    reg = MetricsRegistry("route")
+    with use_registry(reg):
+        plan = pipeline.plan_extraction(cache, dst, keys, health, exclude, dedication_fn)
+        values, demand = pipeline.execute_plan(cache, plan)
+        report = pipeline.price_demand(cache.platform, demand, health)
+    return plan, values, demand, report, _plan_counters(reg)
+
+
+def _assert_same_plan(got, want) -> None:
+    (plan, values, demand, report, counters) = got
+    (want_plan, want_values, want_demand, want_report, want_counters) = want
+    assert plan._replace(groups=()) == want_plan._replace(groups=())
+    assert len(plan.groups) == len(want_plan.groups)
+    for group, want_group in zip(plan.groups, want_plan.groups):
+        for have, expected in zip(group, want_group):
+            if isinstance(expected, np.ndarray):
+                assert have.dtype == expected.dtype and np.array_equal(have, expected)
+            else:
+                assert have == expected and type(have) is type(expected)
+    assert values.dtype == want_values.dtype and np.array_equal(values, want_values)
+    assert (demand.dst, list(demand.volumes.items())) == (
+        want_demand.dst, list(want_demand.volumes.items())
+    )
+    assert _report_fields(report) == _report_fields(want_report)
+    assert counters == want_counters
+
+
+class TestRouteMemoProperties:
+    @given(scenario=plan_scenarios())
+    @settings(max_examples=80, deadline=None)
+    def test_execute_equals_the_parents_execute(self, scenario):
+        cache, dst, keys, health, exclude = scenario
+        plan = pipeline.plan_extraction(cache, dst, keys, health, exclude)
+        want_values, want_demand = _oracle_execute(cache, plan)
+        values, demand = pipeline.execute_plan(cache, plan)
+        assert values.dtype == want_values.dtype
+        assert np.array_equal(values, want_values)
+        assert demand.dst == want_demand.dst
+        _same_floats(demand.volumes, want_demand.volumes)
+
+    @given(priced=priced_demands())
+    @settings(max_examples=300, deadline=None)
+    def test_factored_extraction_equals_the_per_request_oracle(self, priced):
+        platform, demand, local_padding = priced
+        try:
+            want_time, want_by_source, want_cores = _oracle_factored(
+                platform, demand, local_padding
+            )
+        except ZeroDivisionError:  # bytes routed over a dead link
+            with pytest.raises(ZeroDivisionError):
+                factored_extraction(platform, demand, local_padding)
+            return
+        for _ in range(2):  # the second call is served from the memo
+            report = factored_extraction(platform, demand, local_padding)
+            assert (report.dst, report.mechanism) == (demand.dst, Mechanism.FACTORED)
+            assert type(report.time) is float and report.time == want_time
+            _same_floats(report.time_by_source, want_by_source)
+            _same_floats(report.cores_by_source, want_cores)
+            assert list(report.volumes.items()) == list(demand.volumes.items())
+
+    @given(
+        kind=st.sampled_from(["a", "b", "c", "tiered"]),
+        seed=st.integers(0, 50),
+        steps=st.lists(st.integers(0, 2**16), min_size=2, max_size=8),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_warm_memo_is_never_stale(self, kind, seed, steps, data):
+        """Whatever happens between two batches — faults, breakers, another
+        split policy, a new placement, a refresh step, tier moves, a rotten
+        slot — a warm memo answers exactly as an empty one does."""
+        cache = _plan_cache(kind, seed)
+        platform = cache.platform
+        G = platform.num_gpus
+        gpus = st.integers(0, G - 1)
+        refresh = None  # a refresh in flight, advanced a step at a time
+        damaged = False  # the Refresher assumes an intact cache: none after damage
+        for step in steps:
+            rng = np.random.default_rng(step)
+            event = data.draw(st.sampled_from([
+                "none", "none", "placement", "refresh", "stale", "corrupt", "tiers",
+            ]))
+            if event == "placement":
+                hot = rng.permutation(zipf_pmf(PLAN_N, 1.1)) * 1000.0
+                cache.replace_placement(hot_replicate_warm_partition_policy(
+                    hot, PLAN_N // 10, G, 0.5
+                ))
+                refresh, damaged = None, False
+            elif event == "refresh" and not damaged:
+                if refresh is None:
+                    hot = rng.permutation(zipf_pmf(PLAN_N, 1.1)) * 1000.0
+                    refresh = Refresher(
+                        cache, RefreshConfig(update_batch_entries=7)
+                    ).refresh_steps(hot_replicate_warm_partition_policy(
+                        hot, PLAN_N // 10, G, 0.5
+                    ))
+                if next(refresh, None) is None:
+                    refresh = None
+            elif event == "stale":
+                refresh, damaged = None, True
+                store = cache.store(data.draw(gpus))
+                held = store.cached_entries()
+                with cache.writing():
+                    for entry in rng.choice(held, size=min(len(held), 5), replace=False):
+                        store.evict(int(entry))
+            elif event == "corrupt":
+                refresh, damaged = None, True
+                wrong = data.draw(st.sampled_from([G, 300, 44, 200, -200]) | gpus)
+                cache.source_map[data.draw(gpus)][rng.integers(0, PLAN_N, size=6)] = wrong
+            elif event == "tiers":
+                cache.rebalance_tiers(rng.permutation(zipf_pmf(PLAN_N, 1.1)))
+            dst = data.draw(gpus)
+            keys = rng.integers(0, PLAN_N, size=data.draw(st.sampled_from([300, 40, 3, 0])))
+            health = data.draw(st.none() | health_views(G, dst))
+            exclude = data.draw(st.frozensets(gpus, max_size=2))
+            dedication_fn = data.draw(st.sampled_from(
+                [None, None, _no_dedication, _three_cores_each]
+            ))
+            args = (cache, dst, keys, health, exclude, dedication_fn)
+            warm = _whole_plan(*args)
+            remembered = dict(platform.memo)
+            platform.memo.clear()
+            try:
+                cold = _whole_plan(*args)
+            finally:
+                platform.memo.clear()
+                platform.memo.update(remembered)
+            _assert_same_plan(warm, cold)
+            assert np.array_equal(warm[1], cache.host_table[keys])

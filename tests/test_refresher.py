@@ -68,6 +68,30 @@ class TestFunctionalRefresh:
             steps += 1
         assert steps > 2  # actually exercised interleaving
 
+    def test_lookups_correct_at_every_step_on_a_tier_chain(
+        self, platform_a, small_table, skewed_hotness, rng
+    ):
+        """An entry evicted mid-refresh falls back to the tier it is homed
+        on — it used to be routed to host DRAM wherever it lived, and the
+        gather of an SSD-homed row from DRAM raised."""
+        from repro.hardware.platform import MemoryTier, gbps, with_tiers
+
+        row = small_table[0].nbytes
+        tiered = with_tiers(platform_a, (
+            MemoryTier("dram", 300 * row, gbps(16)),
+            MemoryTier("ssd", N * row, gbps(6), 100e-6),
+        ))
+        cache = MultiGpuEmbeddingCache(
+            tiered, small_table, replication_policy(skewed_hotness, 200, 4),
+            tier_hotness=skewed_hotness[::-1].copy(),  # the cached head is SSD-homed
+        )
+        keys = rng.integers(0, N, size=400)
+        refresher = Refresher(cache, RefreshConfig(update_batch_entries=32))
+        for _outcome in refresher.refresh_steps(partition_policy(skewed_hotness, 200, 4)):
+            for gpu in range(4):
+                assert np.array_equal(cache.lookup(gpu, keys).values, small_table[keys])
+        cache.check_integrity()
+
     def test_capacity_never_exceeded_mid_refresh(
         self, cache, skewed_hotness
     ):

@@ -154,7 +154,10 @@ class TestBoundedQueue:
         q = self._full_queue(QueuePolicy.BLOCK)
         q.offer(_request(rid=9, deadline=1.0), now=0.0)
         q.pop(now=5.0)  # far past the parked request's deadline
-        assert q.depth == 1  # rid 9 was discarded, not admitted
+        # rid 9 is not dropped: it keeps its turn, so that the worker that
+        # pops it can give it the EXPIRED response it is owed
+        assert [r.request_id for r in q._queue] == [1, 9]
+        assert q.blocked_depth == 0
 
     def test_expired_on_offer_is_shed(self):
         q = BoundedRequestQueue(0, AdmissionConfig())

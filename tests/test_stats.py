@@ -7,7 +7,6 @@ from repro.utils.stats import (
     coverage_curve,
     geometric_mean,
     normalize,
-    weighted_percentile,
     zipf_pmf,
 )
 
@@ -72,44 +71,6 @@ class TestGeometricMean:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             geometric_mean([1.0, 0.0])
-
-
-class TestWeightedPercentile:
-    def test_median_uniform_weights(self):
-        values = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        weights = np.ones(5)
-        assert weighted_percentile(values, weights, 50) == pytest.approx(3.0)
-
-    def test_skewed_weights_shift_percentile(self):
-        values = np.array([1.0, 10.0])
-        weights = np.array([0.99, 0.01])
-        assert weighted_percentile(values, weights, 50) == pytest.approx(1.0)
-
-    def test_bounds_checked(self):
-        with pytest.raises(ValueError):
-            weighted_percentile(np.ones(2), np.ones(2), 150)
-
-    def test_rejects_empty_inputs(self):
-        # Regression: the old code indexed cdf[-1] and crashed with
-        # IndexError instead of explaining what was wrong.
-        with pytest.raises(ValueError, match="empty"):
-            weighted_percentile(np.array([]), np.array([]), 50)
-
-    def test_rejects_zero_weight_sum(self):
-        # Regression: all-zero weights used to divide the cdf by zero and
-        # return NaN-driven garbage instead of raising.
-        with pytest.raises(ValueError, match="positive finite"):
-            weighted_percentile(np.array([1.0, 2.0]), np.zeros(2), 50)
-
-    def test_rejects_non_finite_weight_sum(self):
-        with pytest.raises(ValueError, match="positive finite"):
-            weighted_percentile(
-                np.array([1.0, 2.0]), np.array([1.0, np.inf]), 50
-            )
-
-    def test_mismatched_shapes_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_percentile(np.ones(3), np.ones(2), 50)
 
 
 class TestCoverageCurve:
