@@ -16,11 +16,17 @@ ten since, on a box whose speed wanders by 1.7x: the floor is 0.6 x the
 slowest of those ten), and ``coalesce_keys`` + the one-take scatter must move at least 10 M member
 keys/sec on an 8 x 1024-key batch (about 20 M here; 6 M for the per-member
 ``searchsorted`` scatter it replaced, re-measured beside it).  The
+``write_path`` section records the refresh side — ``apply_diff_step``
+entries/sec, ``remove_batch`` keys/sec and the §6.2 LP's assembly time —
+and gates one number: a 4096 + 4096-entry step (``RefreshConfig``'s
+default) must move at least 1.5 M entries/sec (3.0-5.0 M here; 0.07 M for
+the per-entry loop, whose double-free scan made a step quadratic).  The
 ``perf-smoke`` CI job runs exactly this file
 (``pytest benchmarks/bench_micro_hotpath.py -m perf``).  Every row of the
 artifact comes from one run, whose commit is written beside them
 (``recorded_at``); ``tests/test_route_memo.py::TestRequestCallBudget`` is the
-noise-free guard (Python calls per served request) beside these wall-clock ones.
+noise-free guard (Python calls per served request) beside these wall-clock
+ones, and ``tests/test_write_path.py`` holds the same kind of guard for a step.
 """
 
 from __future__ import annotations
@@ -35,9 +41,11 @@ import pytest
 
 from repro.core.cache import MultiGpuEmbeddingCache
 from repro.core.extractor import FactoredExtractor
+from repro.core.filler import apply_diff_step, fill_gpu
 from repro.core.location_table import LocationTable
 from repro.core.policy import partition_policy
-from repro.hardware import server_c
+from repro.core.solver import SolverConfig, solve_policy
+from repro.hardware import server_a, server_c
 from repro.obs import PIPELINE_STAGES, MetricsRegistry, use_registry
 from repro.utils.stats import zipf_pmf
 
@@ -52,6 +60,14 @@ MIN_COALESCE_MEMBER_KEYS_PER_SEC_AT_8X1024 = 10e6
 # The generalized tier code on a one-tier chain may cost at most this
 # much resolve+price throughput versus the pre-tier baseline path.
 MAX_TIER_REGRESSION = 0.10
+REFRESH_STEPS = (512, 4096)  # entries evicted and entries inserted per step
+MIN_REFRESH_ENTRIES_PER_SEC_AT_4096 = 1.5e6
+#: (platform, entries, Zipf alpha, keys per batch, cache ratio): the LPs the
+#: end-to-end benchmark's refresh_mixed and extract_batch workloads solve.
+LP_SHAPES = (
+    (server_a, 20_000, 1.1, 4 * 1024, 0.12),
+    (server_c, 100_000, 1.2, 8192, 0.08),
+)
 
 
 def _recorded_at() -> str:
@@ -274,6 +290,79 @@ def _bench_tier_pricing(rng) -> list[dict]:
     return rows
 
 
+def _bench_write_path(rng) -> dict:
+    """The refresh side: one store step, one hashtable delete, one LP build.
+
+    A step evicts and inserts ``step`` entries each on a 100 k x 32 store
+    (timed there and back, so every repeat starts from the same store);
+    ``remove_batch`` deletes 4096 of 20 k keys from a fresh table each
+    repeat; LP assembly is ``solve_policy`` with ``linprog`` answering from
+    its first (real) solve, i.e. everything but the solve.
+    """
+    import scipy.optimize
+
+    table = rng.standard_normal((TABLE_ENTRIES, 32)).astype(np.float32)
+    ids = rng.permutation(TABLE_ENTRIES)
+    capacity = TABLE_ENTRIES // 5
+    store = fill_gpu(0, table, ids[:capacity], capacity)
+    steps = []
+    for step in REFRESH_STEPS:
+        out, back = np.sort(ids[:step]), np.sort(ids[capacity : capacity + step])
+
+        def there_and_back():
+            apply_diff_step(store, table, out, back)
+            apply_diff_step(store, table, back, out)
+
+        steps.append(
+            {
+                "step_entries": step,
+                "entries_per_sec": 4 * step / _best_of(there_and_back),
+            }
+        )
+
+    keys = ids[:capacity].astype(np.int64)
+    zeros = np.zeros(capacity, dtype=np.int64)
+    timings = []
+    for _ in range(5):
+        fresh = LocationTable(expected_entries=capacity)
+        fresh.insert_batch(keys, zeros, np.arange(capacity))
+        start = time.perf_counter()
+        assert fresh.remove_batch(keys[:4096]) == 4096
+        timings.append(time.perf_counter() - start)
+    remove = {"batch_size": 4096, "remove_batch_keys_per_sec": 4096 / min(timings)}
+
+    config = SolverConfig(time_limit=10.0, coarse_block_frac=0.02)
+    lps = []
+    real_linprog = scipy.optimize.linprog
+    for make_platform, entries, alpha, batch_keys, ratio in LP_SHAPES:
+        platform = make_platform()
+        hotness = zipf_pmf(entries, alpha)[rng.permutation(entries)] * batch_keys
+        args = (platform, hotness, int(ratio * entries), 128, config)
+        answer = []
+
+        def solve_once(*a, **kw):  # same LP every call, so same answer
+            if not answer:
+                answer.append(real_linprog(*a, **kw))
+            return answer[0]
+
+        scipy.optimize.linprog = solve_once
+        try:
+            policy = solve_policy(*args)
+            assembly = _best_of(lambda: solve_policy(*args), repeats=3)
+        finally:
+            scipy.optimize.linprog = real_linprog
+        lps.append(
+            {
+                "platform": platform.name,
+                "blocks": policy.blocks.num_blocks,
+                "variables": policy.num_variables,
+                "constraints": policy.num_constraints,
+                "lp_assembly_ms": assembly * 1e3,
+            }
+        )
+    return {"apply_diff_step": steps, "remove_batch": remove, "lp_assembly": lps}
+
+
 @pytest.mark.perf
 def bench_micro_hotpath():
     rng = np.random.default_rng(0)
@@ -281,6 +370,7 @@ def bench_micro_hotpath():
     pipeline_rows = _bench_pipeline(rng)
     tier_rows = _bench_tier_pricing(rng)
     coalesce_rows = _bench_coalesce(rng)
+    write_path = _bench_write_path(rng)
     doc = {
         "recorded_at": _recorded_at(),
         "table_entries": TABLE_ENTRIES,
@@ -290,10 +380,12 @@ def bench_micro_hotpath():
         "min_coalesce_member_keys_per_sec_at_8x1024": (
             MIN_COALESCE_MEMBER_KEYS_PER_SEC_AT_8X1024
         ),
+        "min_refresh_entries_per_sec_at_4096": MIN_REFRESH_ENTRIES_PER_SEC_AT_4096,
         "location_table": location_rows,
         "pipeline": pipeline_rows,
         "tier_pricing": tier_rows,
         "coalesce": coalesce_rows,
+        "write_path": write_path,
     }
     ARTIFACT.write_text(json.dumps(doc, indent=1) + "\n")
     for row in location_rows:
@@ -357,3 +449,22 @@ def bench_micro_hotpath():
                 f"coalesce_keys + scatter only {rate / 1e6:.1f} M member "
                 f"keys/s at 8 x 1024"
             )
+    for row in write_path["apply_diff_step"]:
+        rate = row["entries_per_sec"]
+        print(
+            f"refresh step {row['step_entries']:>4} + {row['step_entries']:>4}: "
+            f"{rate / 1e6:.2f} M entries/s"
+        )
+        if row["step_entries"] == 4096:
+            assert rate >= MIN_REFRESH_ENTRIES_PER_SEC_AT_4096, (
+                f"apply_diff_step only {rate / 1e6:.2f} M entries/s at 4096"
+            )
+    print(
+        "remove_batch 4096: "
+        f"{write_path['remove_batch']['remove_batch_keys_per_sec'] / 1e6:.2f} M keys/s"
+    )
+    for row in write_path["lp_assembly"]:
+        print(
+            f"LP assembly {row['platform']} ({row['blocks']} blocks, "
+            f"{row['variables']} variables): {row['lp_assembly_ms']:.1f} ms"
+        )

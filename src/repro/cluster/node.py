@@ -181,8 +181,7 @@ class CacheNode:
         with self.cache.writing():
             for g in range(self.platform.num_gpus):
                 store = self.cache.store(g)
-                for entry in store.cached_entries():
-                    store.evict(int(entry))
+                store.evict_many(store.cached_entries())
         self.cache.refresh_source_map()
         logger.warning(
             "node %d: dropped %d GPU-cached entries",
@@ -200,10 +199,8 @@ class CacheNode:
         with self.cache.writing():
             for gpu, ids in enumerate(lost.per_gpu):
                 store = self.cache.store(gpu)
-                for entry in np.asarray(ids):
-                    entry = int(entry)
-                    if store.offset_of[entry] < 0:
-                        store.insert(entry, self.cache.host_table[entry])
+                missing = ids[store.offset_of[ids] < 0]
+                store.insert_many(missing, self.cache.host_table[missing])
         self.cache.refresh_source_map()
         return self.cached_bytes - bytes_before
 

@@ -63,8 +63,7 @@ class BlockSet:
     def block_of(self) -> np.ndarray:
         """Inverse map: entry id → block index."""
         inverse = np.empty(self.num_entries, dtype=np.int64)
-        for b in range(self.num_blocks):
-            inverse[self.entries(b)] = b
+        inverse[self.order] = np.repeat(np.arange(self.num_blocks), self.sizes)
         return inverse
 
 
@@ -118,12 +117,9 @@ def build_blocks(
     coarse_cap = max(1, int(np.ceil(coarse_frac * n)))
     offsets = [0]
     hotness_sums = []
-    start = 0
-    while start < n:
-        level = levels[start]
-        stop = start
-        while stop < n and levels[stop] == level:
-            stop += 1
+    # A level is a run of equal values along the sorted order.
+    cuts = (np.flatnonzero(levels[1:] != levels[:-1]) + 1).tolist()
+    for start, stop in zip([0] + cuts, cuts + [n]):
         size = stop - start
         # Fine split: at least num_gpus blocks per level, and respect the
         # coarse cap.  ceil division keeps pieces near-equal.
@@ -133,8 +129,9 @@ def build_blocks(
         bounds = np.unique(bounds)
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             offsets.append(int(hi))
+            # numpy's pairwise sum, per block: H_b feeds the LP, and
+            # reduceat rounds differently.
             hotness_sums.append(sorted_hot[lo:hi].sum())
-        start = stop
 
     return BlockSet(
         order=order,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["entry_checksum", "row_checksums"]
+__all__ = ["row_checksums"]
 
 #: Odd multiplier (2**64 / golden ratio): every positional weight
 #: ``_MULT**(j+1)`` stays odd, so per-byte deltas never vanish mod 2**64.
@@ -58,6 +58,3 @@ def row_checksums(values: np.ndarray) -> np.ndarray:
         return (raw.astype(np.uint64) * w).sum(axis=1, dtype=np.uint64)
 
 
-def entry_checksum(values: np.ndarray) -> np.uint64:
-    """Checksum of one value row (the scalar insert-path form)."""
-    return row_checksums(np.ascontiguousarray(values)[None, :])[0]

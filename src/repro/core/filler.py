@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.checksum import entry_checksum, row_checksums
+from repro.core.checksum import row_checksums
 from repro.core.policy import Placement
-from repro.hardware.memory import SlotArena
+from repro.hardware.memory import OutOfDeviceMemory, SlotArena
 
 
 @dataclass
@@ -39,24 +39,61 @@ class GpuCacheStore:
     def cached_entries(self) -> np.ndarray:
         return np.flatnonzero(self.offset_of >= 0)
 
+    def check_batch(self, entries: np.ndarray, cached: bool) -> np.ndarray:
+        """Validate a whole batch without writing: every entry is
+        ``cached`` (or every entry is not) and none is repeated.  Returns
+        the entries' slots."""
+        slots = self.offset_of[entries]
+        wrong = (slots < 0) if cached else (slots >= 0)
+        if wrong.any():
+            raise ValueError(
+                f"entry {int(entries[wrong][0])} "
+                f"{'not' if cached else 'already'} cached on GPU {self.gpu}"
+            )
+        ordered = np.sort(entries)
+        repeated = ordered[1:] == ordered[:-1]
+        if repeated.any():
+            raise ValueError(
+                f"entry {int(ordered[1:][repeated][0])} repeated in one "
+                f"batch on GPU {self.gpu}"
+            )
+        return slots
+
+    def insert_many(self, entries: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Cache ``entries`` with one copy; returns their slot offsets.
+
+        All or nothing: an entry already cached or repeated raises
+        ``ValueError``, too few free slots ``OutOfDeviceMemory``, both
+        before anything is written.  Slots are the ones per-entry inserts
+        in batch order would get.
+        """
+        entries = np.asarray(entries, dtype=np.int64)
+        self.check_batch(entries, cached=False)
+        slots = self.arena.allocate_many(len(entries))
+        self.data[slots] = rows
+        self.checksums[slots] = row_checksums(rows)
+        self.offset_of[entries] = slots
+        return slots
+
+    def evict_many(self, entries: np.ndarray) -> None:
+        """Drop ``entries``, freeing their slots in batch order.
+
+        All or nothing: an entry not cached or repeated raises
+        ``ValueError`` before anything is written.
+        """
+        entries = np.asarray(entries, dtype=np.int64)
+        slots = self.check_batch(entries, cached=True)
+        self.arena.free_many(slots)
+        self.checksums[slots] = 0
+        self.offset_of[entries] = -1
+
     def insert(self, entry: int, values: np.ndarray) -> int:
         """Cache one entry; returns its slot offset."""
-        if self.offset_of[entry] >= 0:
-            raise ValueError(f"entry {entry} already cached on GPU {self.gpu}")
-        slot = self.arena.allocate()
-        self.data[slot] = values
-        self.checksums[slot] = entry_checksum(values)
-        self.offset_of[entry] = slot
-        return slot
+        return int(self.insert_many([entry], np.asarray(values)[None, :])[0])
 
     def evict(self, entry: int) -> None:
         """Drop one entry, freeing its slot."""
-        slot = int(self.offset_of[entry])
-        if slot < 0:
-            raise ValueError(f"entry {entry} not cached on GPU {self.gpu}")
-        self.arena.free(slot)
-        self.checksums[slot] = 0
-        self.offset_of[entry] = -1
+        self.evict_many([entry])
 
     def read(self, entries: np.ndarray) -> np.ndarray:
         """Gather cached values for ``entries`` (all must be cached)."""
@@ -86,9 +123,10 @@ def fill_gpu(
     offset_of = np.full(num_entries, -1, dtype=np.int64)
     checksums = np.zeros(capacity, dtype=np.uint64)
     if len(entry_ids):
-        slots = np.asarray(arena.allocate_many(len(entry_ids)))
-        data[slots] = table[entry_ids]
-        checksums[slots] = row_checksums(table[entry_ids])
+        slots = arena.allocate_many(len(entry_ids))
+        rows = table[entry_ids]
+        data[slots] = rows
+        checksums[slots] = row_checksums(rows)
         offset_of[entry_ids] = slots
     return GpuCacheStore(
         gpu=gpu, arena=arena, data=data, offset_of=offset_of,
@@ -129,11 +167,17 @@ def placement_diff(old: Placement, new: Placement) -> PlacementDiff:
         raise ValueError("placements are not comparable")
     evictions = []
     insertions = []
+    # Two masks over the entry universe, set and cleared per GPU: the
+    # sorted ids of ``was & ~now`` are ``setdiff1d(old, new)``.
+    was = np.zeros(old.num_entries, dtype=bool)
+    now = np.zeros(old.num_entries, dtype=bool)
     for old_ids, new_ids in zip(old.per_gpu, new.per_gpu):
-        old_set = np.asarray(old_ids)
-        new_set = np.asarray(new_ids)
-        evictions.append(np.setdiff1d(old_set, new_set))
-        insertions.append(np.setdiff1d(new_set, old_set))
+        was[old_ids] = True
+        now[new_ids] = True
+        evictions.append(np.flatnonzero(was & ~now))
+        insertions.append(np.flatnonzero(now & ~was))
+        was[old_ids] = False
+        now[new_ids] = False
     return PlacementDiff(evictions=tuple(evictions), insertions=tuple(insertions))
 
 
@@ -144,8 +188,20 @@ def apply_diff_step(
     insert: np.ndarray,
 ) -> None:
     """Apply one small-batch update on one GPU (evictions before insertions,
-    so slots recycle and capacity is never exceeded mid-refresh)."""
-    for entry in np.asarray(evict):
-        store.evict(int(entry))
-    for entry in np.asarray(insert):
-        store.insert(int(entry), table[int(entry)])
+    so slots recycle and capacity is never exceeded mid-refresh).
+
+    All or nothing: both halves and the arena's room are checked before
+    the first write, so a step that raises has changed nothing.  The two
+    halves must be disjoint.
+    """
+    evict = np.asarray(evict, dtype=np.int64)
+    insert = np.asarray(insert, dtype=np.int64)
+    store.check_batch(insert, cached=False)
+    room = store.arena.free_slots + len(evict)
+    if len(insert) > room:
+        raise OutOfDeviceMemory(
+            f"GPU {store.gpu}: step inserts {len(insert)} entries, "
+            f"only {room} slots free after its evictions"
+        )
+    store.evict_many(evict)
+    store.insert_many(insert, table[insert])

@@ -12,12 +12,13 @@ Packing: ``[16 bits source | 48 bits offset]`` with source biased by 1 so
 that host (:data:`~repro.hardware.platform.HOST` = -1) packs to 0.
 
 The batch operations (:meth:`LocationTable.lookup_batch`,
-:meth:`LocationTable.insert_batch`) are truly vectorized: each runs a
-bounded number of numpy *probing rounds* over the whole batch at once
-(every key advances one probe step per round, and keys drop out as they
-settle), mirroring how a warp-per-key GPU kernel would walk the table.
-The scalar :meth:`LocationTable.get` / :meth:`LocationTable.insert` are
-thin wrappers over the same machinery, so there is exactly one probe
+:meth:`LocationTable.insert_batch`, :meth:`LocationTable.remove_batch`)
+are truly vectorized: each runs a bounded number of numpy *probing rounds*
+over the whole batch at once (every key advances one probe step per round,
+and keys drop out as they settle), mirroring how a warp-per-key GPU kernel
+would walk the table.  The scalar :meth:`LocationTable.get` /
+:meth:`LocationTable.insert` / :meth:`LocationTable.remove` are thin
+wrappers over the same machinery, so there is exactly one probe
 implementation to test.
 """
 
@@ -103,20 +104,20 @@ class LocationTable:
 
     Linear probing with a power-of-two capacity and a bounded load factor
     (default 0.7), matching what a GPU-resident table uses (probing is
-    branch-light and coalescing-friendly).  Deletion uses backward-shift
-    compaction, so lookups never traverse tombstones — the property that
+    branch-light and coalescing-friendly).  Deletion re-places the entries
+    it cuts off, so lookups never traverse tombstones — the property that
     keeps worst-case probe lengths bounded after many refresh cycles.
 
     **Thread safety:** every public operation (lookups *and* mutations)
     holds the table's reentrant lock for its whole probe pass.  A lookup
     runs several numpy probing rounds over ``_keys``/``_values``, and a
-    concurrent insert can grow (replace) those arrays or backward-shift a
-    cluster mid-pass, so unsynchronized readers could chase a stale arena
-    or observe a half-moved cluster (a torn read).  The serving layer's
-    concurrency suite (``pytest -m concurrency``) hammers exactly this
-    interleaving.  Mutations are batched and rare next to lookups, so a
-    single mutual-exclusion lock (rather than a reader/writer pair) keeps
-    the fast path at one uncontended acquire.
+    concurrent insert can grow (replace) those arrays or a delete re-place
+    part of a cluster mid-pass, so unsynchronized readers could chase a
+    stale arena or observe a half-moved cluster (a torn read).  The
+    serving layer's concurrency suite (``pytest -m concurrency``) hammers
+    exactly this interleaving.  Mutations are batched and rare next to
+    lookups, so a single mutual-exclusion lock (rather than a
+    reader/writer pair) keeps the fast path at one uncontended acquire.
     """
 
     def __init__(
@@ -148,8 +149,8 @@ class LocationTable:
         self._keys = np.full(capacity, _EMPTY_KEY, dtype=np.int64)
         self._values = np.zeros(capacity, dtype=np.int64)
         self._size = 0
-        # Reentrant: insert() wraps insert_batch(), remove_batch() wraps
-        # remove(), and from_source_map() inserts into a fresh table.
+        # Reentrant: insert() wraps insert_batch(), remove() wraps
+        # remove_batch(), and from_source_map() inserts into a fresh table.
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -287,63 +288,45 @@ class LocationTable:
         )
 
     def remove(self, key: int) -> bool:
-        """Delete one key; returns False if absent.
-
-        Uses backward-shift deletion: subsequent probe-chain entries are
-        relocated so no tombstones accumulate.
-        """
-        with self._lock:
-            return self._remove_locked(key)
-
-    def _remove_locked(self, key: int) -> bool:
-        slot = self._slot(key)
-        for _ in range(self._capacity):
-            existing = self._keys[slot]
-            if existing == _EMPTY_KEY:
-                return False
-            if existing == key:
-                break
-            slot = (slot + 1) & self._mask
-        else:
-            raise ProbeLimitError(
-                f"remove({key}) probed all {self._capacity} slots: "
-                "table full or corrupt"
-            )
-        # Backward-shift the rest of the cluster.
-        hole = slot
-        probe = (slot + 1) & self._mask
-        shifts = 0
-        while self._keys[probe] != _EMPTY_KEY:
-            shifts += 1
-            if shifts > self._capacity:
-                raise ProbeLimitError(
-                    f"remove({key}) shift pass found no empty slot in "
-                    f"{self._capacity} probes: table full or corrupt"
-                )
-            ideal = self._slot(int(self._keys[probe]))
-            distance_probe = (probe - ideal) & self._mask
-            distance_hole = (probe - hole) & self._mask
-            if distance_probe >= distance_hole:
-                self._keys[hole] = self._keys[probe]
-                self._values[hole] = self._values[probe]
-                hole = probe
-            probe = (probe + 1) & self._mask
-        self._keys[hole] = _EMPTY_KEY
-        self._size -= 1
-        return True
+        """Delete one key; returns False if absent (thin batch wrapper)."""
+        return self.remove_batch(np.asarray([key], dtype=np.int64)) == 1
 
     def remove_batch(self, keys: np.ndarray) -> int:
-        """Delete many keys; returns how many were present.
+        """Bulk delete: one probe pass; returns how many keys were present.
 
-        Deletion order is batch order; backward-shift compaction keeps
-        every surviving probe chain tombstone-free, exactly as repeated
-        scalar :meth:`remove` calls would.
+        Absent, negative and repeated keys count as repeated scalar
+        removes would count them (not at all, and once).  No tombstones:
+        emptying a slot can cut off only the live entries between it and
+        the next empty slot from their ideal slots, so exactly those are
+        lifted out and re-placed.  As with :meth:`insert_batch`, the
+        layout left behind may be a different, equally valid probe order
+        than sequential backward-shift deletion would produce.
         """
-        removed = 0
-        for key in np.asarray(keys, dtype=np.int64):
-            if self.remove(int(key)):
-                removed += 1
-        return removed
+        keys = np.ascontiguousarray(keys, dtype=np.int64)
+        keys = keys[keys >= 0]  # -1 is the empty marker, never a stored key
+        if len(keys) == 0:
+            return 0
+        with self._lock:
+            found, slots = self._probe_batch(keys, "remove")
+            holes = np.unique(slots[found])
+            self._keys[holes] = _EMPTY_KEY
+            self._size -= len(holes)
+            # Walk on from every hole, one slot per round, until each
+            # walk meets an empty slot (a later hole included: its own
+            # walk takes over there).  The walks wrap the array end.
+            cut_off = []
+            walk = holes
+            while walk.size:
+                walk = (walk + 1) & self._mask
+                walk = walk[self._keys[walk] != _EMPTY_KEY]
+                cut_off.append(walk)
+            if cut_off:
+                lifted = np.concatenate(cut_off)
+                lifted_keys = self._keys[lifted]
+                self._keys[lifted] = _EMPTY_KEY
+                self._size -= len(lifted)
+                self._store_unique(lifted_keys, self._values[lifted])
+            return len(holes)
 
     def _reserve(self, target_entries: int) -> None:
         """Ensure ``target_entries`` fit the load limit (0+ doublings)."""

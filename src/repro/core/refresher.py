@@ -39,7 +39,9 @@ class RefreshConfig:
     """Refresh throttling and triggering knobs.
 
     Attributes:
-        update_batch_entries: entries moved per small-batch update step.
+        update_batch_entries: entries evicted and entries inserted per
+            small-batch update step.  A step is one batched copy each way,
+            checked as a whole before it writes, and costs O(step).
         foreground_impact: fractional slowdown imposed on foreground
             requests while a refresh step is in flight (§7.2: <10%).
         trigger_ratio: refresh only if the newly solved policy's estimated

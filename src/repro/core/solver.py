@@ -143,6 +143,7 @@ class SolvedPolicy:
                 pointer = (pointer + c) % m
 
         final: list[np.ndarray] = []
+        rank: np.ndarray | None = None
         for j in range(num_gpus):
             ids = (
                 np.concatenate(per_gpu[j]) if per_gpu[j] else np.empty(0, dtype=np.int64)
@@ -152,8 +153,9 @@ class SolvedPolicy:
             if len(ids) > cap:
                 # Trim coldest first: blocks are hotness-ordered, so order
                 # entries by their position in the global hot order.
-                rank = np.empty(self.blocks.num_entries, dtype=np.int64)
-                rank[self.blocks.order] = np.arange(self.blocks.num_entries)
+                if rank is None:
+                    rank = np.empty(self.blocks.num_entries, dtype=np.int64)
+                    rank[self.blocks.order] = np.arange(self.blocks.num_entries)
                 ids = ids[np.argsort(rank[ids])][:cap]
             final.append(ids)
         return Placement(num_entries=self.blocks.num_entries, per_gpu=tuple(final))
@@ -250,12 +252,10 @@ def solve_policy(
     weights_h = blocks.hotness_sum  # H_b
 
     # Enumerate (dst, src) pairs; unconnected GPU pairs are dropped (§6.2).
-    pairs: list[tuple[int, int]] = []
-    for i in range(G):
-        for j in platform.sources_for(i):
-            pairs.append((i, j))
+    pairs = [(i, j) for i in range(G) for j in platform.sources_for(i)]
     P = len(pairs)
-    pair_index = {pair: p for p, pair in enumerate(pairs)}
+    pair_dst, pair_src = np.array(pairs).T
+    backed = platform.backing_mask(pair_src)
 
     # Variable layout: a (B*P) | s (B*G) | t (G) | z.
     num_a = B * P
@@ -263,19 +263,71 @@ def solve_policy(
     t0 = num_a + num_s
     z0 = t0 + G
     num_vars = z0 + 1
-
-    def a_id(b: int, p: int) -> int:
-        return b * P + p
-
-    def s_id(b: int, j: int) -> int:
-        return num_a + b * G + j
+    a_ids = np.arange(num_a).reshape(B, P)
+    s_ids = num_a + np.arange(num_s).reshape(B, G)
+    t_ids = t0 + np.arange(G)
 
     # Pair cost coefficients w[b, p] = T_{i←j} * H_b * entry_bytes.
     pair_cost = np.array(
         [platform.cost_per_byte(i, j) * entry_bytes for (i, j) in pairs]
     )
     w = weights_h[:, None] * pair_cost[None, :]  # (B, P)
+    # Core ratio R_{i←j} per pair, for the work-conservation bound.
+    ratios = [dedication_ratios(platform, i) for i in range(G)]
+    r = np.array([ratios[i][j] for (i, j) in pairs])
 
+    # Σ_j a[b,i,j] = 1 for every (b, i): row b·G + i.
+    num_eq = B * G
+    A_eq = sparse.coo_matrix(
+        (
+            np.ones(num_a),
+            ((np.arange(B)[:, None] * G + pair_dst).ravel(), a_ids.ravel()),
+        ),
+        shape=(num_eq, num_vars),
+    ).tocsc()
+    b_eq = np.ones(num_eq)
+
+    # The inequality families, each one (rows, cols, vals) triple of
+    # arrays stacked in this order; ``.tocsc()`` canonicalises the COO, so
+    # the emission order within a family is free.
+    gpu_pairs = np.flatnonzero(~backed)
+    num_couple = B * len(gpu_pairs)
+    couple_rows = np.arange(num_couple)
+    cap0 = num_couple
+    ragged0 = cap0 + G
+    conserve0 = ragged0 + P
+    order0 = conserve0 + G
+    num_ub = order0 + G
+    per_pair_cols = a_ids.T.ravel()  # every a[·,p], pair-major
+    families = [
+        # a[b,i,j] - s[b,j] ≤ 0 for GPU sources (including j == i).
+        (couple_rows, a_ids[:, gpu_pairs].ravel(), np.ones(num_couple)),
+        (couple_rows, s_ids[:, pair_src[gpu_pairs]].ravel(), -np.ones(num_couple)),
+        # Σ_b size_b·s[b,j] ≤ Cap_j.
+        (cap0 + np.repeat(np.arange(G), B), s_ids.T.ravel(), np.tile(sizes, G)),
+        # Ragged-group bound: Σ_b w[b,p]·a[b,p] - t_i ≤ 0 per pair.
+        (ragged0 + np.repeat(np.arange(P), B), per_pair_cols, w.T.ravel()),
+        (ragged0 + np.arange(P), t_ids[pair_dst], -np.ones(P)),
+        # Work-conservation bound: Σ_p R[p]·(Σ_b w·a) - t_i ≤ 0 per GPU.
+        (conserve0 + np.repeat(pair_dst, B), per_pair_cols, (r * w).T.ravel()),
+        (conserve0 + np.arange(G), t_ids, -np.ones(G)),
+        # t_i - z ≤ 0.
+        (order0 + np.arange(G), t_ids, np.ones(G)),
+        (order0 + np.arange(G), np.full(G, z0), -np.ones(G)),
+    ]
+    ub_rows, ub_cols, ub_vals = (np.concatenate(part) for part in zip(*families))
+    A_ub = sparse.coo_matrix(
+        (ub_vals, (ub_rows, ub_cols)), shape=(num_ub, num_vars)
+    ).tocsc()
+    b_ub = np.zeros(num_ub)
+    b_ub[cap0:ragged0] = caps
+
+    c = np.zeros(num_vars)
+    c[z0] = 1.0
+    lower = np.zeros(num_vars)
+    upper = np.concatenate(
+        [np.ones(num_a + num_s), np.full(G + 1, np.inf)]
+    )
     # Multi-tier backing: each entry has exactly one backing home, chosen
     # by the hotness waterfall (optimal for backing-only reads: hottest to
     # fastest).  A destination can read at most the homed fraction of a
@@ -284,119 +336,23 @@ def solve_policy(
     # single-tier platform every bound is 1.0 (byte-identical LP).
     # Per-tier fixed access latency is amortized per byte and dropped
     # here; the timing models charge it per batched group.
-    backing_frac: dict[tuple[int, int], float] | None = None
     if platform.num_tiers > 1:
         home = assign_backing_tiers(
             platform.tiers, len(hotness), entry_bytes, hotness
         )
-        backing_frac = {}
-        for b in range(B):
-            entries = blocks.entries(b)
-            homes = home[entries]
-            for src in platform.backing_ids:
-                backing_frac[(b, src)] = float((homes == src).mean())
-
-    rows_eq: list[int] = []
-    cols_eq: list[int] = []
-    vals_eq: list[float] = []
-    # Σ_j a[b,i,j] = 1 for every (b, i).
-    eq_row = 0
-    for b in range(B):
-        for i in range(G):
-            for j in platform.sources_for(i):
-                rows_eq.append(eq_row)
-                cols_eq.append(a_id(b, pair_index[(i, j)]))
-                vals_eq.append(1.0)
-            eq_row += 1
-    A_eq = sparse.coo_matrix(
-        (vals_eq, (rows_eq, cols_eq)), shape=(eq_row, num_vars)
-    ).tocsc()
-    b_eq = np.ones(eq_row)
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    ub: list[float] = []
-    row = 0
-
-    # a[b,i,j] - s[b,j] ≤ 0 for GPU sources (including j == i).
-    for b in range(B):
-        for p, (i, j) in enumerate(pairs):
-            if platform.is_backing(j):
-                continue
-            rows += [row, row]
-            cols += [a_id(b, p), s_id(b, j)]
-            vals += [1.0, -1.0]
-            ub.append(0.0)
-            row += 1
-
-    # Σ_b size_b·s[b,j] ≤ Cap_j.
-    for j in range(G):
-        for b in range(B):
-            rows.append(row)
-            cols.append(s_id(b, j))
-            vals.append(float(sizes[b]))
-        ub.append(float(caps[j]))
-        row += 1
-
-    # Ragged-group bound: Σ_b w[b,p]·a[b,p] - t_i ≤ 0 per pair.
-    for p, (i, _j) in enumerate(pairs):
-        for b in range(B):
-            rows.append(row)
-            cols.append(a_id(b, p))
-            vals.append(float(w[b, p]))
-        rows.append(row)
-        cols.append(t0 + i)
-        vals.append(-1.0)
-        ub.append(0.0)
-        row += 1
-
-    # Work-conservation bound: Σ_p R[p]·(Σ_b w·a) - t_i ≤ 0 per GPU.
-    ratios = [dedication_ratios(platform, i) for i in range(G)]
-    for i in range(G):
-        for p, (pi, pj) in enumerate(pairs):
-            if pi != i:
-                continue
-            r = ratios[i][pj]
-            for b in range(B):
-                rows.append(row)
-                cols.append(a_id(b, p))
-                vals.append(float(r * w[b, p]))
-        rows.append(row)
-        cols.append(t0 + i)
-        vals.append(-1.0)
-        ub.append(0.0)
-        row += 1
-
-    # t_i - z ≤ 0.
-    for i in range(G):
-        rows += [row, row]
-        cols += [t0 + i, z0]
-        vals += [1.0, -1.0]
-        ub.append(0.0)
-        row += 1
-
-    A_ub = sparse.coo_matrix((vals, (rows, cols)), shape=(row, num_vars)).tocsc()
-    b_ub = np.asarray(ub)
-
-    c = np.zeros(num_vars)
-    c[z0] = 1.0
-    lower = np.zeros(num_vars)
-    upper = np.concatenate(
-        [np.ones(num_a + num_s), np.full(G + 1, np.inf)]
-    )
-    if backing_frac is not None:
-        for b in range(B):
-            for p, (_i, j) in enumerate(pairs):
-                if platform.is_backing(j):
-                    upper[a_id(b, p)] = backing_frac[(b, j)]
+        # Homed fraction per (block, tier): entries counted ÷ block size.
+        homed = home[blocks.order][:, None] == np.array(platform.backing_ids)
+        counts = np.add.reduceat(homed, blocks.offsets[:-1], dtype=np.int64)
+        backing_frac = counts / sizes[:, None]
+        tier = platform.tier_index(pair_src[backed])
+        upper[a_ids[:, backed]] = backing_frac[:, tier]
 
     start = _time.perf_counter()
     if reg.enabled:
         reg.histogram("solver.build.seconds").observe(start - build_start)
         reg.gauge("solver.num_blocks").set(B)
         reg.gauge("solver.num_variables").set(num_vars)
-        reg.gauge("solver.num_constraints").set(row + eq_row)
+        reg.gauge("solver.num_constraints").set(num_ub + num_eq)
     if config.integral:
         integrality = np.zeros(num_vars)
         integrality[: num_a + num_s] = 1
@@ -435,7 +391,7 @@ def solve_policy(
     reg.counter("solver.solves").inc()
     logger.debug(
         "solved %s: %d blocks, %d vars, %d constraints in %.2fs (z=%.3e s)",
-        platform.name, B, num_vars, row + eq_row, elapsed, float(res.x[z0]),
+        platform.name, B, num_vars, num_ub + num_eq, elapsed, float(res.x[z0]),
     )
 
     x = np.asarray(res.x)
@@ -453,7 +409,7 @@ def solve_policy(
         solve_seconds=elapsed,
         capacities=tuple(caps),
         num_variables=num_vars,
-        num_constraints=row + eq_row,
+        num_constraints=num_ub + num_eq,
     )
 
 

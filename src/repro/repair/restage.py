@@ -216,11 +216,11 @@ class StagedRecovery:
         gpus, entries = block
         cache = self._cache
         with cache.writing():
-            for gpu, entry in zip(gpus, entries):
+            for gpu in np.unique(gpus):
                 store = cache.store(int(gpu))
-                entry = int(entry)
-                if store.offset_of[entry] < 0:
-                    store.insert(entry, cache.host_table[entry])
+                mine = entries[gpus == gpu]  # block order kept per GPU
+                missing = mine[store.offset_of[mine] < 0]
+                store.insert_many(missing, cache.host_table[missing])
         self._pending[entries] = False
         self.staged_log.append(entries.copy())
         self._next_block += 1

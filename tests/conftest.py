@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import sys
 
 import numpy as np
@@ -77,11 +78,17 @@ def count_calls():
             if event in ("call", "c_call"):
                 calls += 1
 
+        # No collection inside the count: a finaliser of some earlier
+        # test's garbage would be counted as fn's call.
+        collecting = gc.isenabled()
+        gc.disable()
         sys.setprofile(profiler)
         try:
             fn()
         finally:
             sys.setprofile(None)
+            if collecting:
+                gc.enable()
         return calls
 
     return count

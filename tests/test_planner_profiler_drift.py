@@ -1,56 +1,11 @@
-"""Capacity planner, platform profiler, and drifting traces."""
+"""Platform profiler and drifting traces."""
 
 import numpy as np
 import pytest
 
-from repro.core.planner import plan_capacity
-from repro.core.solver import SolverConfig
 from repro.dlr.drift import DriftingTrace, hot_set_overlap
 from repro.dlr.workload import DlrWorkload
 from repro.hardware.profiler import profile_platform, verify_profile
-from repro.utils.stats import zipf_pmf
-
-FAST = SolverConfig(coarse_block_frac=0.05)
-
-
-class TestCapacityPlanner:
-    @pytest.fixture
-    def hotness(self):
-        return zipf_pmf(2000, 1.2) * 50_000
-
-    def test_finds_small_ratio_for_loose_target(self, platform_c, hotness):
-        loose = 1.0  # a full second: trivially satisfiable
-        plan = plan_capacity(platform_c, hotness, 512, loose, solver=FAST)
-        assert plan.feasible
-        assert plan.cache_ratio == 0.0
-
-    def test_infeasible_target_detected(self, platform_c, hotness):
-        plan = plan_capacity(platform_c, hotness, 512, 1e-12, solver=FAST)
-        assert not plan.feasible
-        assert plan.cache_ratio == 1.0
-
-    def test_bisection_meets_target(self, platform_c, hotness):
-        # Pick a target between the all-host and all-local extremes.
-        none = plan_capacity(platform_c, hotness, 512, 1.0, solver=FAST)
-        floor = none.steps[0].extraction_time  # ratio=1.0 probe
-        zero_time = none.steps[1].extraction_time  # ratio=0.0 probe
-        target = (floor + zero_time) / 4
-        plan = plan_capacity(
-            platform_c, hotness, 512, target, ratio_resolution=0.05, solver=FAST
-        )
-        assert plan.feasible
-        assert plan.extraction_time <= target
-        assert 0.0 < plan.cache_ratio < 1.0
-
-    def test_steps_recorded(self, platform_c, hotness):
-        plan = plan_capacity(platform_c, hotness, 512, 1.0, solver=FAST)
-        assert len(plan.steps) >= 1
-
-    def test_rejects_bad_args(self, platform_c, hotness):
-        with pytest.raises(ValueError):
-            plan_capacity(platform_c, hotness, 512, 0.0)
-        with pytest.raises(ValueError):
-            plan_capacity(platform_c, hotness, 512, 1.0, ratio_resolution=0.0)
 
 
 class TestProfiler:
