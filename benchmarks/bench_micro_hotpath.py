@@ -2,7 +2,7 @@
 
 Measures the vectorized :class:`~repro.core.location_table.LocationTable`
 batch operations against an equivalent scalar probe loop, plus the
-extraction pipeline's resolve and plan stages end-to-end and the
+extraction pipeline's resolve, plan and execute stages end-to-end and the
 coalescing layer's dedup + scatter, and writes the ``BENCH_hotpath.json``
 artifact (per batch size: keys/sec per operation and the pipeline's
 per-stage wall-clock breakdown).
@@ -13,7 +13,12 @@ exists to deliver — and ``plan_extraction`` must plan at least 20 M
 keys/sec at batch 4096 (8.4 M before the one-sort segment index; 21-36 M
 over three readings before per-route facts were remembered, 34-51 M over
 ten since, on a box whose speed wanders by 1.7x: the floor is 0.6 x the
-slowest of those ten), and ``coalesce_keys`` + the one-take scatter must move at least 10 M member
+slowest of those ten), ``execute_plan`` must gather at least 33 M keys/sec
+at batch 4096 (56-61 M over five readings with every GPU's rows in one
+arena and one ``take`` per plan; 0.6 x the slowest) and beat the same stage
+reading its rows the replaced way, a gather and a row scatter per group —
+``tests/test_row_arena.py``'s oracle, re-measured beside it (35-39 M) — and
+``coalesce_keys`` + the one-take scatter must move at least 10 M member
 keys/sec on an 8 x 1024-key batch (about 20 M here; 6 M for the per-member
 ``searchsorted`` scatter it replaced, re-measured beside it).  The
 ``write_path`` section records the refresh side — ``apply_diff_step``
@@ -35,6 +40,7 @@ import json
 import pathlib
 import subprocess
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -55,6 +61,7 @@ TABLE_ENTRIES = 100_000
 BATCH_SIZES = (256, 1024, 4096, 16384)
 MIN_SPEEDUP_AT_4096 = 10.0
 MIN_PLAN_KEYS_PER_SEC_AT_4096 = 20e6
+MIN_EXECUTE_KEYS_PER_SEC_AT_4096 = 33e6
 COALESCE_SHAPES = ((2, 1024), (8, 1024), (8, 256))  # members x keys
 MIN_COALESCE_MEMBER_KEYS_PER_SEC_AT_8X1024 = 10e6
 # The generalized tier code on a one-tier chain may cost at most this
@@ -128,7 +135,8 @@ def _bench_location_table(rng) -> list[dict]:
 
 
 def _bench_pipeline(rng) -> list[dict]:
-    from repro.core.pipeline import plan_extraction, resolve
+    from repro.core.pipeline import execute_plan, plan_extraction, resolve
+    from tests.test_row_arena import _parent_rows  # needs the repo root on sys.path
 
     platform = server_c()
     table = rng.standard_normal((TABLE_ENTRIES, 16)).astype(np.float32)
@@ -146,7 +154,13 @@ def _bench_pipeline(rng) -> list[dict]:
         registry = MetricsRegistry("hotpath")
         with use_registry(registry):
             t_plan = _best_of(lambda: plan_extraction(cache, 0, keys))
-            extractor.plan(0, keys)  # the facade adds the legacy timers
+            plan = extractor.plan(0, keys)  # the facade adds the legacy timers
+            assert np.array_equal(execute_plan(cache, plan)[0], table[keys])
+            assert np.array_equal(_parent_rows(cache, plan), table[keys])
+            t_execute = _best_of(lambda: execute_plan(cache, plan), 20)
+            # The same stage with only its rows read the replaced way.
+            with mock.patch.object(cache, "gather", lambda *_: _parent_rows(cache, plan)):
+                t_oracle = _best_of(lambda: execute_plan(cache, plan), 20)
         metrics = registry.snapshot()["metrics"]
         stage_seconds = {
             stage: sum(
@@ -161,6 +175,8 @@ def _bench_pipeline(rng) -> list[dict]:
                 "batch_size": batch,
                 "resolve_keys_per_sec": batch / t_resolve,
                 "plan_keys_per_sec": batch / t_plan,
+                "execute_keys_per_sec": batch / t_execute,
+                "oracle_execute_keys_per_sec": batch / t_oracle,
                 "stage_seconds": stage_seconds,
             }
         )
@@ -376,6 +392,7 @@ def bench_micro_hotpath():
         "table_entries": TABLE_ENTRIES,
         "min_speedup_at_4096": MIN_SPEEDUP_AT_4096,
         "min_plan_keys_per_sec_at_4096": MIN_PLAN_KEYS_PER_SEC_AT_4096,
+        "min_execute_keys_per_sec_at_4096": MIN_EXECUTE_KEYS_PER_SEC_AT_4096,
         "max_tier_regression": MAX_TIER_REGRESSION,
         "min_coalesce_member_keys_per_sec_at_8x1024": (
             MIN_COALESCE_MEMBER_KEYS_PER_SEC_AT_8X1024
@@ -405,7 +422,9 @@ def bench_micro_hotpath():
         print(
             f"batch {row['batch_size']:>6}: plan "
             f"{row['plan_keys_per_sec'] / 1e6:.1f} M keys/s, resolve "
-            f"{row['resolve_keys_per_sec'] / 1e6:.0f} M keys/s"
+            f"{row['resolve_keys_per_sec'] / 1e6:.0f} M keys/s, execute "
+            f"{row['execute_keys_per_sec'] / 1e6:.1f} M keys/s (per-group "
+            f"oracle {row['oracle_execute_keys_per_sec'] / 1e6:.1f} M)"
         )
         assert row["resolve_keys_per_sec"] > row["plan_keys_per_sec"] > 0
         if row["batch_size"] == 4096:
@@ -413,6 +432,11 @@ def bench_micro_hotpath():
                 f"plan_extraction only {row['plan_keys_per_sec'] / 1e6:.1f} M "
                 f"keys/s at batch 4096"
             )
+            assert row["execute_keys_per_sec"] >= MIN_EXECUTE_KEYS_PER_SEC_AT_4096, (
+                f"execute_plan only {row['execute_keys_per_sec'] / 1e6:.1f} M "
+                f"keys/s at batch 4096"
+            )
+            assert row["execute_keys_per_sec"] > row["oracle_execute_keys_per_sec"]
     for row in tier_rows:
         print(
             f"chain {row['chain']:>12} ({row['num_tiers']} tier"

@@ -204,9 +204,5 @@ class CacheNode:
         self.cache.refresh_source_map()
         return self.cached_bytes - bytes_before
 
-    @property
-    def shard_entries(self) -> int:
-        return int(self.member_mask.sum())
-
     def verify_integrity(self) -> list[str]:
         return self.cache.verify_integrity()

@@ -4,7 +4,9 @@
 wraps.  It owns:
 
 * the host-resident embedding table (the fallback location);
-* one :class:`~repro.core.filler.GpuCacheStore` per GPU;
+* one :class:`~repro.core.filler.GpuCacheStore` per GPU, each a view of
+  one row arena, so ``<GPU_i, Offset>`` is the address ``slot_base[i] +
+  offset`` and :meth:`MultiGpuEmbeddingCache.gather` is one ``take``;
 * the per-GPU *location table* — the paper's hashtable mapping each entry
   to ``<GPU_i, Offset>`` — derived by
   :func:`~repro.core.evaluate.resolve_sources`.
@@ -103,7 +105,7 @@ class MultiGpuEmbeddingCache:
         self._table = table
         self._placement = placement
         self._capacity = capacity_entries
-        self._stores: list[GpuCacheStore] = fill_all(table, placement, capacity_entries)
+        self._adopt(fill_all(table, placement, capacity_entries))
         # On a single-tier platform the backing chain degenerates to the
         # host table itself — no chain object, zero overhead, and the
         # resolve fallback stays the literal HOST constant (byte-identical
@@ -169,6 +171,40 @@ class MultiGpuEmbeddingCache:
     def store(self, gpu: int) -> GpuCacheStore:
         """One GPU's cache store (slot arena + entry→slot map)."""
         return self._stores[gpu]
+
+    def _adopt(self, stores: list[GpuCacheStore]) -> None:
+        """Take :func:`fill_all`'s stores, their one row arena and each
+        GPU's first row in it (plus the total, as one more item)."""
+        self._stores = stores
+        #: every GPU's slots as one ``(total slots, dim)`` array: GPU ``g``'s
+        #: ``data`` is the view ``row_arena[slot_base[g]:slot_base[g + 1]]``.
+        self.row_arena: np.ndarray = stores[0].data.base
+        self.slot_base = np.cumsum([0, *(len(s.data) for s in stores)]).tolist()
+
+    def gather(self, num_rows: int, segments) -> np.ndarray:
+        """Rows of one batch, in batch order, from its per-source ``(source,
+        positions, keys, offsets, ...)`` segments (a plan's groups are such).
+
+        The one place a ``(source, offset)`` becomes a row.  GPU segments
+        scatter 8-byte arena addresses and one ``take`` reads each row from
+        the replica its segment names; backing tiers stay outside the arena
+        (it would have to copy the host table) and are written over their
+        positions.  Callers hold :meth:`reading` (see the class contract).
+        """
+        slots = np.zeros(num_rows, dtype=np.int64)
+        cached = [segment for segment in segments if segment[0] >= 0]
+        for src, positions, _, offsets, *_ in cached:
+            slots[positions] = offsets + self.slot_base[src]
+        # Positions no GPU segment claims read slot 0 (there is one whenever
+        # anything is cached); an empty arena is never indexed.
+        if cached:
+            values = self.row_arena.take(slots, axis=0)
+        else:
+            values = np.empty((num_rows, self.dim), dtype=self.row_arena.dtype)
+        for src, positions, keys, *_ in segments:
+            if src < 0:
+                values[positions] = self.backing_gather(src, keys)
+        return values
 
     @property
     def host_table(self) -> np.ndarray:
@@ -298,34 +334,26 @@ class MultiGpuEmbeddingCache:
         slot, or the host table), so tests can verify byte-exactness
         against ``table[keys]``.
         """
-        from repro.core.pipeline import resolve
+        from repro.core.pipeline import _segment, resolve
 
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         if keys.size and (keys.min() < 0 or keys.max() >= self.num_entries):
             raise KeyError("lookup key out of range")
         with self._rwlock.read_locked():
             keys, sources = resolve(self, dst, keys)
-            values = np.empty((len(keys), self.dim), dtype=self._table.dtype)
-            host_mask = sources < 0  # the whole backing chain
-            if host_mask.any():
-                if self._chain is None:
-                    values[host_mask] = self._table[keys[host_mask]]
-                else:
-                    for src in self._platform.backing_ids:
-                        mask = sources == src
-                        if mask.any():
-                            values[mask] = self._chain.gather(src, keys[mask])
-            for gpu in self._platform.gpu_ids:
-                mask = sources == gpu
-                if mask.any():
-                    values[mask] = self._stores[gpu].read(keys[mask])
+            _, segments = _segment(self, keys, sources)
+            for gpu, _, wanted, offsets in segments:
+                if gpu >= 0 and (offsets < 0).any():
+                    missing = wanted[offsets < 0][:5]
+                    raise KeyError(f"entries not cached on GPU {gpu}: {missing}...")
+            values = self.gather(len(keys), segments)
             demand = demand_from_keys(
                 self._platform, self._source_map, dst, keys, self.entry_bytes
             )
         reg = get_registry()
         if reg.enabled:
             local = int((sources == dst).sum())
-            host = int(host_mask.sum())
+            host = int((sources < 0).sum())  # the whole backing chain
             reg.counter("cache.lookup.calls").inc()
             reg.counter("cache.lookup.keys", source="local").inc(local)
             reg.counter("cache.lookup.keys", source="remote").inc(
@@ -372,7 +400,7 @@ class MultiGpuEmbeddingCache:
         if placement.num_entries != self.num_entries:
             raise ValueError("new placement does not cover the table")
         with self._rwlock.write_locked():
-            self._stores = fill_all(self._table, placement, self._capacity)
+            self._adopt(fill_all(self._table, placement, self._capacity))
             self._placement = placement
             self._source_map = resolve_sources(
                 self._platform,
@@ -429,8 +457,9 @@ class MultiGpuEmbeddingCache:
     ) -> list[str]:
         """Cross-structure invariant check; returns violations (empty = ok).
 
-        Checks, per GPU store: slot assignments are unique, arena
-        occupancy matches the entry count, and cached values are
+        Checks, per GPU store: ``data`` is still its row arena slice (a
+        rebound array is written, never read), slot assignments are unique,
+        arena occupancy matches the entry count, and cached values are
         bit-identical to the host table.  Across the location table:
         every source id is a real GPU (or HOST), and every routed read
         points at a GPU that actually holds the entry.  Finally the dense
@@ -459,6 +488,9 @@ class MultiGpuEmbeddingCache:
         G = self._platform.num_gpus
         sample_rng = None if sample is None else np.random.default_rng(seed)
         for gpu, store in enumerate(self._stores):
+            view = self.row_arena[self.slot_base[gpu] : self.slot_base[gpu + 1]]
+            if store.data.__array_interface__ != view.__array_interface__:
+                problems.append(f"GPU {gpu}: store data is not its row arena slice")
             cached = store.cached_entries()
             offsets = store.offset_of[cached]
             if len(np.unique(offsets)) != len(offsets):

@@ -89,12 +89,6 @@ class StreamingHotnessEstimator(HotnessTracker):
         self.prior = prior
         self._lock = threading.Lock()
 
-    @property
-    def effective_batches(self) -> float:
-        """Decayed window size: total weight of all recorded batches."""
-        with self._lock:
-            return self._effective_batches_locked()
-
     def _effective_batches_locked(self) -> float:
         if self.decay >= 1.0:
             return float(self._batches)

@@ -109,8 +109,11 @@ def fill_gpu(
     table: np.ndarray,
     entry_ids: np.ndarray,
     capacity_entries: int | None = None,
+    data: np.ndarray | None = None,
 ) -> GpuCacheStore:
-    """Build one GPU's cache store holding ``entry_ids`` from ``table``."""
+    """Build one GPU's cache store holding ``entry_ids`` from ``table``, in
+    ``data`` (``capacity`` zeroed rows of :func:`fill_all`'s arena) or, given
+    none, in an array of its own."""
     num_entries, dim = table.shape
     capacity = capacity_entries if capacity_entries is not None else len(entry_ids)
     if len(entry_ids) > capacity:
@@ -119,7 +122,8 @@ def fill_gpu(
         )
     slot_bytes = dim * table.itemsize
     arena = SlotArena(capacity * slot_bytes, slot_bytes)
-    data = np.zeros((capacity, dim), dtype=table.dtype)
+    if data is None:
+        data = np.zeros((capacity, dim), dtype=table.dtype)
     offset_of = np.full(num_entries, -1, dtype=np.int64)
     checksums = np.zeros(capacity, dtype=np.uint64)
     if len(entry_ids):
@@ -139,13 +143,26 @@ def fill_all(
     placement: Placement,
     capacity_entries: int | None = None,
 ) -> list[GpuCacheStore]:
-    """Fill every GPU's cache according to ``placement``."""
+    """Fill every GPU's cache according to ``placement``.
+
+    One allocation, §4's single address space: each store's ``data`` is its
+    GPU's slice, in GPU order, of one ``(total slots, dim)`` row arena (its
+    ``.base``), so a write through any store lands where
+    :meth:`~repro.core.cache.MultiGpuEmbeddingCache.gather` reads.
+    """
     if placement.num_entries != table.shape[0]:
         raise ValueError("placement and table disagree on the entry universe")
-    return [
-        fill_gpu(i, table, ids, capacity_entries)
-        for i, ids in enumerate(placement.per_gpu)
+    capacities = [
+        len(ids) if capacity_entries is None else capacity_entries
+        for ids in placement.per_gpu
     ]
+    arena = np.zeros((sum(capacities), table.shape[1]), dtype=table.dtype)
+    stores, start = [], 0
+    for gpu, (ids, capacity) in enumerate(zip(placement.per_gpu, capacities)):
+        data = arena[start : start + capacity]
+        stores.append(fill_gpu(gpu, table, ids, capacity_entries, data))
+        start += capacity
+    return stores
 
 
 @dataclass(frozen=True)

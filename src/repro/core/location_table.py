@@ -336,9 +336,6 @@ class LocationTable:
         if capacity != self._capacity:
             self._rebuild(capacity)
 
-    def _grow(self) -> None:
-        self._rebuild(self._capacity * 2)
-
     def _rebuild(self, new_capacity: int) -> None:
         """Re-home every live entry into a fresh arena of ``new_capacity``.
 

@@ -21,7 +21,8 @@ free function that any layer can call on its own:
    simulators, the serving runtime and the cluster's cache nodes all price
    a demand through :func:`price_demand`, so a plan costs the same no
    matter who asks;
-6. **execute** — one bulk row ``take`` per group through the cache stores.
+6. **execute** — one row ``take`` from the cache's arena for every GPU
+   group at once, one ``backing_gather`` per backing-tier group.
 
 A seventh stage runs *ahead* of the batch rather than inside it:
 **prefetch** (:mod:`repro.core.prefetch`) peeks a lookahead window into
@@ -764,21 +765,14 @@ def execute_plan(
     reg = get_registry()
     entry_bytes = cache.entry_bytes
     with stage_timer("execute", reg):
-        values = np.empty(
-            (plan.batch_size, cache.dim), dtype=cache.store(0).data.dtype
-        )
+        values = cache.gather(plan.batch_size, plan.groups)
         volumes: dict[int, float] = {}
         instruments = _source_instruments(
             reg, cache.platform, plan.dst, tuple([g.source for g in plan.groups])
         )
         for group, (_, _, sent) in zip(plan.groups, instruments):
-            src, count = group.source, len(group.keys)
-            if src < 0:
-                rows = cache.backing_gather(src, group.keys)
-            else:
-                rows = cache.store(src).data.take(group.offsets, axis=0)
-            values[group.batch_positions] = rows
-            volumes[src] = float(count * entry_bytes)
+            count = len(group.keys)
+            volumes[group.source] = float(count * entry_bytes)
             sent.inc(count * entry_bytes)
     return values, GpuDemand(dst=plan.dst, volumes=volumes)
 

@@ -282,12 +282,6 @@ class OracleCacher:
         return sum(b.staged_total for b in self._buffers)
 
     @property
-    def staged_bytes_total(self) -> float:
-        return float(
-            sum(b.staged_total * b.entry_bytes for b in self._buffers)
-        )
-
-    @property
     def hits_total(self) -> int:
         return sum(b.hits for b in self._buffers)
 

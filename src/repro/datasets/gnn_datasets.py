@@ -79,12 +79,6 @@ class GnnDataset:
         degs = self.graph.degrees().astype(np.float64)
         return degs / max(degs.sum(), 1.0)
 
-    def materialize_table(self, seed: int = 7, dim: int | None = None) -> np.ndarray:
-        """Generate the embedding table (only for functional examples)."""
-        rng = make_rng(seed)
-        dim = dim or self.spec.dim
-        return rng.standard_normal((self.graph.num_nodes, dim)).astype(self.spec.dtype)
-
 
 #: The three GNN datasets of Table 3, scaled.  ``num_edges`` is the count
 #: of sampled undirected edges; CSR holds 2× that.

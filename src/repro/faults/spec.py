@@ -248,9 +248,6 @@ class FaultPlan:
     def active_at(self, now: float) -> tuple[FaultSpec, ...]:
         return tuple(f for f in self.faults if f.active_at(now))
 
-    def of_kind(self, kind: FaultKind) -> tuple[FaultSpec, ...]:
-        return tuple(f for f in self.faults if f.kind is kind)
-
     def last_clear_time(self) -> float:
         """When the final fault clears (0 for an empty plan)."""
         return max((f.clears_at for f in self.faults), default=0.0)

@@ -106,10 +106,6 @@ class StagedRecovery:
         return len(self._blocks)
 
     @property
-    def blocks_staged(self) -> int:
-        return self._next_block
-
-    @property
     def remaining_entries(self) -> int:
         return int(
             sum(len(e) for _, e in self._blocks[self._next_block:])

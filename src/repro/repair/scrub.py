@@ -120,10 +120,6 @@ class CacheScrubber:
         """Slots detected rotten and not yet repaired (watchdog signal)."""
         return len(self._quarantined)
 
-    @property
-    def has_pending(self) -> bool:
-        return bool(self._repair_queue)
-
     # ------------------------------------------------------------------
     # Background loop
     # ------------------------------------------------------------------

@@ -191,10 +191,6 @@ class DriftAdapter:
             self._recorded_since_check = 0
             return True
 
-    def live_hotness(self) -> np.ndarray:
-        """The estimator's view at the solver's hotness scale."""
-        return self.estimator.hotness() * self.config.hotness_scale
-
     def maybe_adapt(
         self, now: float, drain=None, probe=None
     ) -> SwapReport | None:

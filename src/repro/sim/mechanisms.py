@@ -77,10 +77,6 @@ class GpuExtractionReport:
         """Bytes pulled from the backing chain (all tiers; ids are < 0)."""
         return float(sum(v for s, v in self.volumes.items() if s < 0))
 
-    def volume_tier(self, src: int) -> float:
-        """Bytes pulled from one specific backing tier."""
-        return float(self.volumes.get(src, 0.0))
-
     def volume_remote(self) -> float:
         return float(
             sum(v for s, v in self.volumes.items() if s != self.dst and s >= 0)

@@ -1,0 +1,410 @@
+"""One address space for the GPU cache: every store a view of one row arena.
+
+``fill_all`` allocates every GPU's slots as one array and
+:meth:`MultiGpuEmbeddingCache.gather` turns a batch's ``(source, offset)``
+pairs into rows with one ``take``.  What it replaced is kept here as the
+reference — ``execute_plan``'s gather and row scatter per group over
+separately read ``store.data`` (:func:`_parent_rows`) and ``lookup``'s
+mask pass per source (:func:`_parent_lookup`) — and must agree bit for bit
+on rows, demand and counters, on caches that are mid-refresh, unequally
+sized, partly excluded and carrying a rotten slot.  The aliasing the fast
+path rests on (``store.data`` *is* the arena slice) is checked after every
+writer the repo has.
+"""
+
+from __future__ import annotations
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster.node import CacheNode
+from repro.core import pipeline
+from repro.core.cache import LookupResult, MultiGpuEmbeddingCache
+from repro.core.evaluate import demand_from_keys
+from repro.core.extractor import FactoredExtractor
+from repro.core.policy import Placement, partition_policy
+from repro.core.refresher import RefreshConfig, Refresher
+from repro.faults.spec import HealthView
+from repro.hardware.platform import (
+    MemoryTier, gbps, server_a, server_b, server_c, with_tiers,
+)
+from repro.obs import MetricsRegistry, get_registry, use_registry
+from repro.repair import CacheScrubber, StagedRecovery
+from repro.sim.mechanisms import GpuDemand
+from repro.utils.stats import zipf_pmf
+
+N, DIM = 240, 4
+ROW = DIM * 4
+PLATFORMS = {
+    "a": server_a,
+    "b": server_b,  # DGX-1: some GPU pairs have no link
+    "c": server_c,
+    "tiered": lambda: with_tiers(server_a(), (
+        MemoryTier("dram", 60 * ROW, gbps(16)),
+        MemoryTier("cxl", 60 * ROW, gbps(12), 1e-6),
+        MemoryTier("ssd", 2 * N * ROW, gbps(6), 100e-6),  # float64 rows fit too
+    )),
+}
+
+
+# ----------------------------------------------------------------------
+# The replaced paths, kept as the reference
+# ----------------------------------------------------------------------
+def _parent_rows(cache, plan):
+    """The rows of ``execute_plan`` as it was: per group one ``take`` from
+    that GPU's own ``data`` and one row scatter into the batch.  (The micro
+    benchmark times this beside the arena path.)"""
+    values = np.empty((plan.batch_size, cache.dim), dtype=cache.host_table.dtype)
+    for group in plan.groups:
+        if group.source < 0:
+            rows = cache.backing_gather(group.source, group.keys)
+        else:
+            rows = cache.store(group.source).data.take(group.offsets, axis=0)
+        values[group.batch_positions] = rows
+    return values
+
+
+def _parent_execute(cache, plan):
+    """``execute_plan`` as it was: those rows, the demand, the bytes sent."""
+    reg = get_registry()
+    volumes = {}
+    for group in plan.groups:
+        sent = len(group.keys) * cache.entry_bytes
+        volumes[group.source] = float(sent)
+        label = pipeline.source_class(group.source, plan.dst, cache.platform)
+        reg.counter("extractor.execute.bytes", source=label).inc(sent)
+    return _parent_rows(cache, plan), GpuDemand(dst=plan.dst, volumes=volumes)
+
+
+def _parent_lookup(cache, dst, keys):
+    """``cache.lookup`` as it was: a mask pass over the batch per source,
+    each GPU's rows through ``GpuCacheStore.read``."""
+    keys = np.ascontiguousarray(keys, dtype=np.int64)
+    sources = cache.source_map[dst][keys]
+    values = np.empty((len(keys), cache.dim), dtype=cache.host_table.dtype)
+    host_mask = sources < 0
+    for src in cache.platform.backing_ids:
+        mask = sources == src
+        if mask.any():
+            values[mask] = cache.backing_gather(src, keys[mask])
+    for gpu in cache.platform.gpu_ids:
+        mask = sources == gpu
+        if mask.any():
+            values[mask] = cache.store(gpu).read(keys[mask])
+    demand = demand_from_keys(
+        cache.platform, cache.source_map, dst, keys, cache.entry_bytes
+    )
+    reg = get_registry()
+    local, host = int((sources == dst).sum()), int(host_mask.sum())
+    reg.counter("cache.lookup.calls").inc()
+    reg.counter("cache.lookup.keys", source="local").inc(local)
+    reg.counter("cache.lookup.keys", source="remote").inc(len(keys) - local - host)
+    reg.counter("cache.lookup.keys", source="host").inc(host)
+    return LookupResult(values=values, demand=demand, sources=sources)
+
+
+def _counters(reg: MetricsRegistry, prefix: str) -> dict:
+    return {
+        (s.name, s.labels): s.value for s in reg.series() if s.name.startswith(prefix)
+    }
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Bit equality (a flipped bit can make a NaN, which ``==`` disowns)."""
+    return (
+        got.dtype == want.dtype and got.shape == want.shape
+        and got.tobytes() == want.tobytes()
+    )
+
+
+def _same_demand(got: GpuDemand, want: GpuDemand) -> None:
+    assert got.dst == want.dst
+    assert list(got.volumes.items()) == list(want.volumes.items())
+    assert all(type(v) is float for v in got.volumes.values())
+
+
+# ----------------------------------------------------------------------
+# Scenarios
+# ----------------------------------------------------------------------
+def _random_placement(rng, sizes) -> Placement:
+    return Placement(num_entries=N, per_gpu=tuple(
+        rng.choice(N, size=size, replace=False) for size in sizes
+    ))
+
+
+@st.composite
+def arena_scenarios(draw):
+    """A cache with unequal per-GPU capacities (some empty), maybe caught
+    mid-refresh, maybe with one rotten slot; a batch with repeats; a health
+    view and excluded sources."""
+    platform = PLATFORMS[draw(st.sampled_from(sorted(PLATFORMS)))]()
+    G = platform.num_gpus
+    gpus = st.integers(0, G - 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    table = rng.standard_normal((N, DIM)).astype(np.float32)
+    sizes = [draw(st.sampled_from([0, 1, 7, 30, 60])) for _ in range(G)]
+    cache = MultiGpuEmbeddingCache(
+        platform, table, _random_placement(rng, sizes),
+        tier_hotness=rng.permutation(zipf_pmf(N, 1.1)) if platform.num_tiers > 1 else None,
+    )
+    if draw(st.booleans()):  # stop a refresh part-way
+        steps = Refresher(cache, RefreshConfig(update_batch_entries=7)).refresh_steps(
+            _random_placement(rng, sizes)
+        )
+        for _ in range(draw(st.integers(1, 4))):
+            next(steps, None)
+    rotten = None
+    holders = [g for g in range(G) if len(cache.store(g).cached_entries())]
+    if holders and draw(st.booleans()):
+        gpu = draw(st.sampled_from(holders))
+        store = cache.store(gpu)
+        entry = int(rng.choice(store.cached_entries()))
+        store.data[store.offset_of[entry]].view(np.uint8)[draw(st.integers(0, ROW - 1))] ^= 0x10
+        rotten = (gpu, entry)
+    dst = draw(gpus)
+    keys = rng.integers(0, N, size=draw(st.sampled_from([600, 33, 2, 0])))
+    health = None
+    if draw(st.booleans()):
+        health = HealthView(
+            down_gpus=draw(st.frozensets(gpus, max_size=2)),
+            link_factors=tuple(draw(st.lists(
+                st.tuples(st.tuples(st.just(dst), gpus), st.sampled_from([0.0, 0.5])),
+                max_size=2,
+            ))),
+        )
+    exclude = draw(st.frozensets(gpus, max_size=2))
+    return cache, dst, keys, health, exclude, rotten
+
+
+class TestArenaAgainstTheParent:
+    @given(scenario=arena_scenarios())
+    @settings(max_examples=150, deadline=None)
+    def test_execute_equals_the_per_group_gather(self, scenario):
+        cache, dst, keys, health, exclude, rotten = scenario
+        plan = pipeline.plan_extraction(cache, dst, keys, health, exclude)
+        want_reg, got_reg = MetricsRegistry("parent"), MetricsRegistry("arena")
+        with use_registry(want_reg):
+            want_values, want_demand = _parent_execute(cache, plan)
+        with use_registry(got_reg):
+            values, demand = pipeline.execute_plan(cache, plan)
+        assert _same_bits(values, want_values)
+        _same_demand(demand, want_demand)
+        bytes_sent = _counters(got_reg, "extractor.execute.bytes")
+        assert bytes_sent == _counters(want_reg, "extractor.execute.bytes")
+        assert sum(bytes_sent.values()) == len(keys) * cache.entry_bytes
+        # A rotten slot is seen through the replica the plan names, only.
+        seen = np.zeros(len(keys), dtype=bool)
+        for group in plan.groups:
+            if rotten is not None and group.source == rotten[0]:
+                seen[group.batch_positions[group.keys == rotten[1]]] = True
+        wrong = (values.view(np.uint32) != cache.host_table[keys].view(np.uint32)).any(axis=1)
+        assert np.array_equal(wrong, seen)
+
+    @given(scenario=arena_scenarios())
+    @settings(max_examples=100, deadline=None)
+    def test_lookup_equals_the_per_source_masks(self, scenario):
+        cache, dst, keys, _, _, _ = scenario
+        want_reg, got_reg = MetricsRegistry("parent"), MetricsRegistry("arena")
+        with use_registry(want_reg):
+            want = _parent_lookup(cache, dst, keys)
+        with use_registry(got_reg):
+            got = cache.lookup(dst, keys)
+        assert _same_bits(got.values, want.values)
+        assert got.sources.dtype == want.sources.dtype
+        assert np.array_equal(got.sources, want.sources)
+        _same_demand(got.demand, want.demand)
+        assert _counters(got_reg, "cache.lookup.") == _counters(want_reg, "cache.lookup.")
+
+
+# ----------------------------------------------------------------------
+# Edges: nothing cached, nothing asked
+# ----------------------------------------------------------------------
+def _rows_three_ways(cache, dst, keys):
+    """``extract``, ``execute_plan`` and ``lookup`` on one batch."""
+    extractor = FactoredExtractor(cache)
+    batches = [keys if g == dst else keys[:0] for g in range(cache.platform.num_gpus)]
+    plan = extractor.plan(dst, keys)
+    return (
+        extractor.extract(batches)[0][dst],
+        pipeline.execute_plan(cache, plan)[0],
+        cache.lookup(dst, keys).values,
+    )
+
+
+class TestEdges:
+    @pytest.mark.parametrize("kind", ["a", "tiered"])
+    @pytest.mark.parametrize("capacity", [None, 0])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_cache_with_no_slots_serves_from_backing(self, kind, capacity, dtype, rng):
+        platform = PLATFORMS[kind]()
+        table = rng.standard_normal((N, DIM)).astype(dtype)
+        empty = Placement(num_entries=N, per_gpu=tuple(
+            np.empty(0, dtype=np.int64) for _ in platform.gpu_ids
+        ))
+        cache = MultiGpuEmbeddingCache(
+            platform, table, empty, capacity_entries=capacity,
+            tier_hotness=zipf_pmf(N, 1.1) if platform.num_tiers > 1 else None,
+        )
+        assert cache.row_arena.shape == (0, DIM)
+        for keys in (rng.integers(0, N, size=50), np.empty(0, dtype=np.int64)):
+            for values in _rows_three_ways(cache, 1, keys):
+                assert values.dtype == dtype
+                assert _same_bits(values, table[keys])
+        assert cache.verify_integrity() == []
+
+    def test_an_all_backing_plan_over_emptied_stores(self, rng):
+        table = rng.standard_normal((N, DIM)).astype(np.float32)
+        platform = server_a()
+        cache = MultiGpuEmbeddingCache(
+            platform, table, partition_policy(zipf_pmf(N, 1.2), 20, 4), capacity_entries=25
+        )
+        with cache.writing():
+            for g in platform.gpu_ids:
+                cache.store(g).evict_many(cache.store(g).cached_entries())
+        cache.refresh_source_map()
+        keys = rng.integers(0, N, size=64)
+        plan = pipeline.plan_extraction(cache, 0, keys)
+        assert [g.source for g in plan.groups] == [-1]
+        for values in _rows_three_ways(cache, 0, keys):
+            assert _same_bits(values, table[keys])
+
+    def test_empty_batch_on_a_full_cache(self, platform_a, small_table, skewed_hotness):
+        cache = MultiGpuEmbeddingCache(
+            platform_a, small_table, partition_policy(skewed_hotness, 100, 4)
+        )
+        for values in _rows_three_ways(cache, 0, np.empty(0, dtype=np.int64)):
+            assert values.shape == (0, small_table.shape[1])
+            assert values.dtype == small_table.dtype
+
+
+# ----------------------------------------------------------------------
+# The aliasing invariant, after every writer
+# ----------------------------------------------------------------------
+def _assert_one_arena(cache) -> None:
+    arena, base = cache.row_arena, cache.slot_base
+    assert base[-1] == len(arena)
+    for g in cache.platform.gpu_ids:
+        data = cache.store(g).data
+        assert len(data) == base[g + 1] - base[g]
+        if len(data):
+            assert np.shares_memory(data, arena)
+            assert data.base is arena
+    assert cache.verify_integrity() == []
+    rng = np.random.default_rng(7)
+    for dst in cache.platform.gpu_ids:
+        keys = rng.integers(0, cache.num_entries, size=300)
+        for values in _rows_three_ways(cache, dst, keys):
+            assert _same_bits(values, cache.host_table[keys])
+
+
+def _hot(seed: int, n: int) -> np.ndarray:
+    return np.random.default_rng(seed).permutation(zipf_pmf(n, 1.2)) * 1000.0
+
+
+@pytest.fixture
+def cache(platform_a, small_table):
+    from repro.core.policy import hot_replicate_warm_partition_policy as policy
+
+    return MultiGpuEmbeddingCache(
+        platform_a, small_table, policy(_hot(0, 2000), 200, 4, 0.5),
+        capacity_entries=220,
+    )
+
+
+class TestAliasingInvariant:
+    def test_replace_placement_swaps_arena_and_bases_together(self, cache):
+        before = cache.row_arena
+        cache.replace_placement(partition_policy(_hot(1, 2000), 150, 4))
+        assert cache.row_arena is not before
+        _assert_one_arena(cache)
+
+    def test_refresh_there_and_back(self, cache):
+        from repro.core.policy import hot_replicate_warm_partition_policy as policy
+
+        arena, a = cache.row_arena, cache.placement
+        b = policy(_hot(2, 2000), 200, 4, 0.3)
+        refresher = Refresher(cache, RefreshConfig(update_batch_entries=64))
+        for target in (b, a):
+            assert refresher.refresh(target).triggered
+            assert cache.row_arena is arena  # written in place, never refilled
+            _assert_one_arena(cache)
+
+    def test_node_death_and_burst_restage(self, platform_a, small_table):
+        node = CacheNode(
+            node_id=0, platform=platform_a, table=small_table, hotness=_hot(3, 2000),
+            member_mask=np.ones(2000, dtype=bool), capacity_entries=250,
+        )
+        lost = node.drop_gpu_caches()
+        _assert_one_arena(node.cache)
+        assert node.restage_all(lost) > 0
+        _assert_one_arena(node.cache)
+
+    def test_staged_recovery(self, cache):
+        node = SimpleNamespace(cache=cache, node_id=0)
+        lost = cache.placement
+        with cache.writing():
+            for g in cache.platform.gpu_ids:
+                cache.store(g).evict_many(cache.store(g).cached_entries())
+        cache.refresh_source_map()
+        recovery = StagedRecovery(node, lost, _hot(0, 2000), chunk_entries=64)
+        recovery.grant(recovery._block_cost(recovery._blocks[0]) * 3)
+        _assert_one_arena(cache)  # part-way
+        recovery.finish()
+        _assert_one_arena(cache)
+
+    def test_scrub_repair_writes_the_arena(self, cache):
+        store = cache.store(2)
+        entry = int(store.cached_entries()[5])
+        slot = int(store.offset_of[entry])
+        store.data[slot].view(np.uint8)[3] ^= 0x40
+        address = cache.slot_base[2] + slot
+        assert not np.array_equal(cache.row_arena[address], cache.host_table[entry])
+        tick = CacheScrubber(cache).scrub_all()
+        assert (tick.mismatches, tick.repaired) == (1, 1)
+        assert np.array_equal(cache.row_arena[address], cache.host_table[entry])
+        _assert_one_arena(cache)
+
+    def test_a_rebound_store_is_reported(self, cache):
+        store = cache.store(1)
+        store.data = store.data.copy()  # writes would land here, reads would not
+        assert cache.verify_integrity(sample=0.1) == [
+            "GPU 1: store data is not its row arena slice"
+        ]
+
+    def test_a_stale_slot_raises_the_stores_key_error(self, cache):
+        store = cache.store(0)
+        entry = int(np.flatnonzero(cache.source_map[0] == 0)[0])
+        with cache.writing():
+            store.evict(entry)
+        keys = np.array([entry, entry + 1])
+        with pytest.raises(KeyError) as from_store:
+            store.read(keys[:1])
+        with pytest.raises(KeyError) as from_lookup:
+            cache.lookup(0, keys)
+        assert from_lookup.value.args == from_store.value.args
+
+
+# ----------------------------------------------------------------------
+# Cost: Python-level calls of one 9-group execute
+# ----------------------------------------------------------------------
+class TestExecuteCallBudget:
+    def test_one_take_for_nine_groups(self, platform_c, rng, count_calls):
+        n = 20_000
+        table = rng.standard_normal((n, 4)).astype(np.float32)
+        hotness = np.arange(n, 0, -1, dtype=np.float64)
+        cache = MultiGpuEmbeddingCache(
+            platform_c, table, partition_policy(hotness, n // 10, 8)
+        )
+        counts = {}
+        for size in (1024, 8192):
+            plan = pipeline.plan_extraction(cache, 0, rng.integers(0, n, size=size))
+            assert len(plan.groups) == 9  # 8 GPUs + host
+            pipeline.execute_plan(cache, plan)  # warm: instruments, labels
+            counts[size] = count_calls(lambda: pipeline.execute_plan(cache, plan))
+        assert counts[1024] == counts[8192]
+        # 89 with a take, a scatter and a store lookup per group.
+        assert counts[1024] <= 75
