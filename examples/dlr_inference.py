@@ -2,7 +2,7 @@
 
 Serves a multi-table recommendation workload (Criteo-like: heterogeneous
 table sizes, Zipf keys) through the TensorFlow-style embedding layer
-(§7.1), then demonstrates the background Refresher (§7.2): the key
+(§7.1) into the two models of §8.1 (DLRM and DCN), then demonstrates the background Refresher (§7.2): the key
 popularity drifts, the Solver re-evaluates, and the cache is migrated in
 small throttled steps while lookups stay exact throughout.
 
@@ -12,7 +12,7 @@ Run:  python examples/dlr_inference.py
 import numpy as np
 
 from repro import server_c
-from repro.dlr import DlrWorkload
+from repro.dlr import DcnNet, DlrmNet, DlrWorkload, serve_batch
 from repro.framework import UGacheKerasEmbedding
 
 TABLE_SIZES = (40_000, 20_000, 10_000, 5_000, 2_500) + (500,) * 10
@@ -37,6 +37,10 @@ def main() -> None:
     print(f"cache built: local {hits.local:.1%}, remote {hits.remote:.1%}, "
           f"host {hits.host:.1%}")
 
+    models = {
+        "DLRM": DlrmNet(workload.num_tables, DIM),
+        "DCN": DcnNet(workload.num_tables, DIM),
+    }
     print("\nserving inference batches:")
     for it, batches in enumerate(workload.take_batches(3, seed=5)):
         # Keras-style call: (batch × tables) keys → (batch × tables × dim).
@@ -44,7 +48,17 @@ def main() -> None:
         dense_input = layer(keys, device=0)
         assert dense_input.shape == (BATCH, workload.num_tables, DIM)
         _values, report = layer.layer.extract(batches)
-        print(f"  iter {it}: extraction {report.time * 1e3:.3f} ms (simulated)")
+        # The dense half: cache-extracted embeddings + continuous features
+        # through each model's interaction layers to click probabilities.
+        features = rng.standard_normal((BATCH, 13))
+        clicks = {
+            name: serve_batch(
+                net, lambda k: layer.layer.lookup(0, k), keys, features
+            ).mean()
+            for name, net in models.items()
+        }
+        print(f"  iter {it}: extraction {report.time * 1e3:.3f} ms (simulated); "
+              + ", ".join(f"{n} mean p(click) {p:.3f}" for n, p in clicks.items()))
 
     # ------------------------------------------------------------------
     # Hotness drift + background refresh (§7.2)

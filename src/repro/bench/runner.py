@@ -2,21 +2,20 @@
 
 Every figure driver prices placements from *expected* per-source volumes
 (hotness × entry size).  This runner performs the measurement the other
-way — replaying actual sampled batches through a functional
-:class:`~repro.core.cache.MultiGpuEmbeddingCache` and timing each with the
-simulator — yielding per-iteration distributions (mean/p50/p99) and a
-direct check that the expected-value shortcut is unbiased
+way — replaying actual sampled batches against the placement and timing
+each with the simulator — yielding per-iteration distributions
+(mean/p50/p99) and a direct check that the expected-value shortcut is
+unbiased
 (``bench_misc_measured_vs_expected``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
-from repro.core.cache import MultiGpuEmbeddingCache
 from repro.core.evaluate import demand_from_keys
 from repro.core.policy import Placement
 from repro.hardware.platform import Platform
@@ -64,8 +63,7 @@ def replay_workload(
     ``batches`` yields one key array per GPU per iteration (the workload
     protocol of :mod:`repro.gnn.workload` / :mod:`repro.dlr.workload`).
     Only demands are derived — values are not gathered, so large replays
-    stay cheap; use :func:`replay_functional` when byte-exactness of the
-    returned values should be asserted too.
+    stay cheap.
     """
     from repro.core.evaluate import resolve_sources
 
@@ -80,39 +78,6 @@ def replay_workload(
             for dst, keys in enumerate(per_gpu)
         ]
         report = simulate_batch(platform, demands, mechanism)
-        times.append(report.time)
-        split = report.volume_split()
-        for key in volume:
-            volume[key] += split[key]
-    total = sum(volume.values()) or 1.0
-    return ReplayStats(
-        iterations=len(times),
-        times=np.asarray(times),
-        local_fraction=volume["local"] / total,
-        remote_fraction=volume["remote"] / total,
-        host_fraction=volume["host"] / total,
-    )
-
-
-def replay_functional(
-    cache: MultiGpuEmbeddingCache,
-    table: np.ndarray,
-    batches: Iterator[list[np.ndarray]],
-    mechanism: Mechanism = Mechanism.FACTORED,
-    max_iterations: int = 5,
-) -> ReplayStats:
-    """Replay with full value gathering and byte-exactness assertions."""
-    times: list[float] = []
-    volume = {"local": 0.0, "remote": 0.0, "host": 0.0}
-    for iteration, per_gpu in enumerate(batches):
-        if iteration >= max_iterations:
-            break
-        values, report = cache.extract_all(list(per_gpu), mechanism=mechanism)
-        for gathered, keys in zip(values, per_gpu):
-            if not np.array_equal(gathered, table[keys]):
-                raise AssertionError(
-                    f"iteration {iteration}: gathered values diverge from table"
-                )
         times.append(report.time)
         split = report.volume_split()
         for key in volume:

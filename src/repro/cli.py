@@ -20,30 +20,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable
 
-from repro.bench import experiments as _experiments
-from repro.bench.harness import ExperimentResult, render_table, run_with_metrics
+from repro.bench.harness import render_table, run_with_metrics
+from repro.bench.report import SPECS, ExperimentSpec
 
-#: Experiment id → driver.  Kept explicit so ``--help`` is self-documenting.
-EXPERIMENTS: dict[str, Callable[[], ExperimentResult]] = {
-    "table1": _experiments.table1_breakdown,
-    "fig2": _experiments.fig2_policy_motivation,
-    "fig4": _experiments.fig4_mechanism_motivation,
-    "fig6": _experiments.fig6_core_tolerance,
-    "fig10": _experiments.fig10_end_to_end,
-    "fig11": _experiments.fig11_extraction_time,
-    "fig12": _experiments.fig12_incremental,
-    "fig13": _experiments.fig13_link_utilization,
-    "fig14": _experiments.fig14_access_split,
-    "fig15": _experiments.fig15_time_split,
-    "fig16": _experiments.fig16_vs_optimal,
-    "fig17": _experiments.fig17_refresh,
-    "table3": _experiments.table3_datasets,
-    "solver-scale": _experiments.misc_solver_scale,
-    "ablation-padding": _experiments.ablation_padding,
-    "ablation-blocking": _experiments.ablation_blocking,
-}
+#: Experiment id → spec, derived from the one list in ``bench/report``.
+EXPERIMENTS: dict[str, ExperimentSpec] = {spec.exp_id: spec for spec in SPECS}
 
 
 def _cmd_platforms(args: argparse.Namespace) -> int:
@@ -102,13 +84,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    driver = EXPERIMENTS.get(args.id)
-    if driver is None:
+    spec = EXPERIMENTS.get(args.id)
+    if spec is None:
         print(f"unknown experiment {args.id!r}; "
               f"try: {', '.join(sorted(EXPERIMENTS))}", file=sys.stderr)
         return 2
-    result = run_with_metrics(driver, metrics_out=args.metrics_out)
+    result = run_with_metrics(spec.driver, metrics_out=args.metrics_out)
     print(render_table(result))
+    print(f"measured: {spec.summarize(result)}")
     if args.metrics_out:
         print(f"metrics written to {args.metrics_out}")
     return 0
@@ -217,8 +200,8 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         report = run_soak(cfg)
     print(render_soak_report(report))
     if args.compare_lookahead and cfg.lookahead > 0:
-        # Same trace without prefetching: the goodput delta is the
-        # lookahead stage's contribution, everything else held equal.
+        # Same trace without prefetching: the deltas are the lookahead
+        # stage's contribution, everything else held equal.
         from dataclasses import replace
 
         with use_registry(MetricsRegistry("soak-baseline")):
@@ -229,9 +212,15 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             if baseline.goodput_rps
             else 0.0
         )
+        s0 = report.baseline_service or 1.0
         print(
             f"  vs lookahead 0: goodput {baseline.goodput_rps:.1f} -> "
             f"{report.goodput_rps:.1f} req/s ({delta:+.1f}, {pct:+.1f}%), "
+            f"p50 {baseline.p50_latency / s0:.2f}x -> "
+            f"{report.p50_latency / s0:.2f}x, "
+            f"p99 {baseline.p99_latency / s0:.2f}x -> "
+            f"{report.p99_latency / s0:.2f}x, "
+            f"shed {baseline.shed_rate:.1%} -> {report.shed_rate:.1%}, "
             f"hit rate {report.prefetch_hit_rate:.1%} vs 0.0%"
         )
     if args.compare_restage and cfg.repair and cfg.restage == "staged":
@@ -550,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-GPU staging-buffer bound for the prefetcher")
     p.add_argument("--compare-lookahead", action="store_true",
                    help="also run the same soak with --lookahead 0 and "
-                        "print the goodput delta")
+                        "print goodput, p50, p99 and shed rate old -> new")
     p.add_argument("--repair", action="store_true",
                    help="enable the self-healing layer: anti-entropy "
                         "scrubbing, read guards, staged recovery, and the "

@@ -126,7 +126,7 @@ class CacheNode:
             tier_hotness=shard_hotness if platform.num_tiers > 1 else None,
         )
         self.extractor = FactoredExtractor(self.cache)
-        self._next_gpu = 0
+        self._next_gpu: int = 0  # ingress round-robin pointer
         #: optional :class:`~repro.repair.scrub.CacheScrubber` — when set,
         #: every served batch passes through its read guard so rotten
         #: slots can never leak corrupt bytes to a caller.

@@ -78,7 +78,7 @@ class NodePlacement:
             mask = mask | self.wide
         return mask
 
-    def share_of(self, num_entries: int | None = None) -> dict[int, float]:
+    def share_of(self) -> dict[int, float]:
         """Fraction of the keyspace each node primarily owns."""
         primary = self.owners[:, 0]
         n = self.num_entries
@@ -86,10 +86,6 @@ class NodePlacement:
             node: float((primary == node).sum()) / n
             for node in range(self.num_nodes)
         }
-
-    def moved_primaries(self, node: int, num_entries: int | None = None) -> int:
-        """Keys that must change primary if ``node`` dies (= its shard)."""
-        return int((self.owners[:, 0] == node).sum())
 
 
 def analyze_node_loss(placement, node_ids, num_entries: int) -> list[dict]:

@@ -122,41 +122,3 @@ class HashRing:
 
     def primary_for(self, keys: np.ndarray) -> np.ndarray:
         return self.owners_for(keys)[:, 0]
-
-    # ------------------------------------------------------------------
-    # What-if analysis
-    # ------------------------------------------------------------------
-    def without(self, node: int) -> "HashRing":
-        """The ring after ``node`` leaves (its keys slide to successors)."""
-        if node not in self.node_ids:
-            raise ValueError(f"node {node} is not on the ring")
-        if self.num_nodes == 1:
-            raise ValueError("cannot remove the last node")
-        remaining = [n for n in self.node_ids if n != node]
-        return HashRing(
-            num_nodes=len(remaining),
-            replication=min(self.replication, len(remaining)),
-            vnodes_per_node=self.vnodes_per_node,
-            seed=self.seed,
-            node_ids=remaining,
-        )
-
-    def moved_primaries(self, node: int, num_entries: int) -> int:
-        """How many of ``num_entries`` keys change primary if ``node`` dies.
-
-        Consistent hashing's contract: exactly the keys whose primary was
-        ``node`` move; everything else stays put.
-        """
-        entries = np.arange(num_entries, dtype=np.int64)
-        before = self.primary_for(entries)
-        after = self.without(node).primary_for(entries)
-        return int((before != after).sum())
-
-    def share_of(self, num_entries: int) -> dict[int, float]:
-        """Fraction of the keyspace each node primarily owns."""
-        entries = np.arange(num_entries, dtype=np.int64)
-        primary = self.primary_for(entries)
-        return {
-            int(n): float((primary == n).sum()) / num_entries
-            for n in self.node_ids
-        }

@@ -33,12 +33,16 @@ staged``); every node runs an anti-entropy scrubber plus a read guard
 watchdog steers the front-end's routing while a node is RECOVERING.
 Requests inside a post-heal recovery window are bucketed separately and
 gated: ``recovery_goodput_ratio`` must stay ≥ 85% of steady.
+
+:func:`build_cluster` is the one place a cluster is assembled and
+:class:`NodeLifecycle` the one place a node's death and heal are acted
+on; the chaos ``node_*`` and ``heal-storm`` drills use both.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,26 +50,32 @@ from repro.cluster.frontend import ClusterConfig, ClusterFrontend
 from repro.cluster.node import CacheNode
 from repro.core.policy import Placement
 from repro.faults.injector import FaultInjector
-from repro.faults.spec import HEALTHY, FaultKind, FaultPlan
+from repro.faults.spec import HEALTHY, FaultKind, FaultPlan, HealthView
 from repro.obs import get_registry
 from repro.repair import CacheScrubber, NodeWatchdog, StagedRecovery
 from repro.serve.soak import (
     SOAK_SCENARIOS,
     SoakConfig,
     SoakReport,
+    Stack,
     _chain_label,
     _soak_platform,
     build_soak_plan,
+    build_stack,
     drive_arrivals,
     poisson_schedule,
 )
 from repro.utils.logging import get_logger
 from repro.utils.rng import make_rng, spawn_rngs
-from repro.utils.stats import zipf_pmf
 
 logger = get_logger("cluster.soak")
 
-__all__ = ["FAILOVER_GOODPUT_FLOOR", "run_cluster_soak"]
+__all__ = [
+    "FAILOVER_GOODPUT_FLOOR",
+    "NodeLifecycle",
+    "build_cluster",
+    "run_cluster_soak",
+]
 
 #: Minimum fraction of steady-state goodput the failover window must keep
 #: (the acceptance gate enforced by ``SoakReport.ok`` for cluster runs).
@@ -97,79 +107,248 @@ def _node_counter_values(reg, name: str) -> dict[str, int]:
     }
 
 
-def run_cluster_soak(cfg: SoakConfig) -> SoakReport:
-    """Run one multi-node soak scenario end to end."""
-    platform_name, _desc = SOAK_SCENARIOS[cfg.scenario]
-    # Honours --tiers: every node then holds its shard across the same
-    # backing chain (CacheNode ranks the chain by its shard's hotness).
-    platform = _soak_platform(cfg, platform_name)
-    rng = make_rng(cfg.seed)
-    dim = max(1, cfg.entry_bytes // 4)
-    table = rng.standard_normal((cfg.num_entries, dim)).astype(np.float32)
-    pmf = zipf_pmf(cfg.num_entries, cfg.alpha)
-    hotness = pmf * cfg.batch_keys * platform.num_gpus
-    capacity = max(1, int(cfg.cache_ratio * cfg.num_entries))
+@dataclass
+class Cluster:
+    """What :func:`build_cluster` hands the cluster soak and chaos drills."""
 
-    cluster_cfg = ClusterConfig(
-        nodes=cfg.nodes,
-        replication=cfg.replication,
-        placement=cfg.placement,
-        seed=cfg.seed,
+    stack: Stack
+    frontend: ClusterFrontend
+    #: healthy extraction time of one probe batch on node 0: the time unit.
+    s0: float
+
+
+@dataclass
+class _Refill:
+    """One staged refill in flight: its plan, when it began, and the idle
+    link time banked towards its next block."""
+
+    plan: StagedRecovery
+    start: float
+    credit: float = 0.0
+
+
+def build_cluster(cfg, platform, nodes: int, replication: int,
+                  placement: str = "ring", load: float | None = None) -> Cluster:
+    """Stack prelude → owner table → one :class:`CacheNode` per shard →
+    ``s0`` probe → front-end.
+
+    ``cfg`` as for :func:`~repro.serve.soak.build_stack`.  With ``load``
+    (offered load as a fraction of the cluster's capacity) the node
+    breakers' cooldown moves onto the *simulated* clock: the default
+    wall-clock seconds would outlast a whole soak, so an ejected node
+    could never re-admit probes; ~50 mean inter-arrival times keeps a few
+    probe rounds inside even a quick soak's fault window.
+    """
+    stack = build_stack(cfg, platform, fill=False)
+    config = ClusterConfig(
+        nodes=nodes, replication=replication, placement=placement, seed=cfg.seed
     )
     # The owner table comes first so each node knows its shard; the
     # front-end then adopts the very same table.
-    placement = ClusterFrontend.build_placement(cluster_cfg, hotness)
-    entries = np.arange(cfg.num_entries, dtype=np.int64)
-    owners = placement.owners_for(entries)
-    nodes = []
-    for node_id in range(cfg.nodes):
-        # Solver placements may wide-replicate a hot head beyond the
-        # owner columns; membership comes from the placement when it can
-        # say, from the owner table otherwise (the ring).
-        member_mask = (
-            placement.member_mask(node_id)
-            if hasattr(placement, "member_mask")
-            else (owners == node_id).any(axis=1)
+    owner_table = ClusterFrontend.build_placement(config, stack.hotness)
+    owners = owner_table.owners_for(np.arange(cfg.num_entries, dtype=np.int64))
+    cache_nodes = [
+        CacheNode(
+            node_id=node_id,
+            platform=platform,
+            table=stack.table,
+            hotness=stack.hotness,
+            # Solver placements may wide-replicate a hot head beyond the
+            # owner columns; membership comes from the placement when it
+            # can say, from the owner table otherwise (the ring).
+            member_mask=(
+                owner_table.member_mask(node_id)
+                if hasattr(owner_table, "member_mask")
+                else (owners == node_id).any(axis=1)
+            ),
+            capacity_entries=stack.capacity,
+            placement_mode="solver" if placement == "solver" else "greedy",
         )
-        nodes.append(
-            CacheNode(
-                node_id=node_id,
-                platform=platform,
-                table=table,
-                hotness=hotness,
-                member_mask=member_mask,
-                capacity_entries=capacity,
-                placement_mode=(
-                    "solver" if cfg.placement == "solver" else "greedy"
-                ),
-            )
-        )
-    # Baseline node service time: one warm batch on node 0 (the ingress
-    # round-robin pointer is restored so the probe leaves no trace).
-    s0 = nodes[0].service_seconds(
-        make_rng(cfg.seed + 3).choice(cfg.num_entries, size=cfg.batch_keys, p=pmf)
+        for node_id in range(nodes)
+    ]
+    # Priced on GPU 0, where node 0's ingress round-robin starts, without
+    # admitting the probe: the pointer never moves.
+    probe = make_rng(cfg.seed + 3).choice(
+        cfg.num_entries, size=cfg.batch_keys, p=stack.pmf
     )
-    nodes[0]._next_gpu = 0
+    s0 = cache_nodes[0].extractor.price(0, probe).time
+    if load is not None:
+        rate = load * nodes / s0
+        config = replace(
+            config, breaker=replace(config.breaker, cooldown_seconds=50.0 / rate)
+        )
+    frontend = ClusterFrontend(
+        cache_nodes, config, baseline_service=s0,
+        hotness=stack.hotness, placement=owner_table,
+    )
+    return Cluster(stack, frontend, s0)
+
+
+class NodeLifecycle:
+    """The repair layer riding a cluster front-end: what happens to each
+    node's GPU caches as the fault plan kills and heals it.
+
+    Attaches a :class:`NodeWatchdog` to the front-end and a
+    :class:`CacheScrubber` (read guard included) to every node.  A death
+    *drops* the node's GPU caches; a heal refills them — all at once
+    (``restage="burst"``: the node serves nothing until the refill lands)
+    or as a :class:`StagedRecovery` of hotness-ordered blocks that spends
+    only idle link time; a death mid-refill folds the refill's remainder
+    into the next one.  :meth:`step` once per request, :meth:`finish` once
+    after the last.
+    """
+
+    def __init__(self, frontend: ClusterFrontend, hotness: np.ndarray,
+                 restage: str = "staged", chunk_entries: int = 256,
+                 credit_cap: float = math.inf) -> None:
+        self.frontend = frontend
+        self.hotness = hotness
+        self.restage = restage
+        self.chunk_entries = chunk_entries
+        #: most idle link time a refill may bank between steps.
+        self.credit_cap = credit_cap
+        self.watchdog = NodeWatchdog(sorted(frontend.nodes))
+        frontend.watchdog = self.watchdog
+        self.scrubbers: dict[int, CacheScrubber] = {}
+        for node_id, node in frontend.nodes.items():
+            self.scrubbers[node_id] = CacheScrubber(node.cache, node=node_id)
+            node.read_guard = self.scrubbers[node_id]
+        self.restage_bytes = 0
+        self.restage_blocks = 0
+        #: closed ``(start, end)`` spans during which some node refilled.
+        self.recovery_windows: list[tuple[float, float]] = []
+        self._prev_down: frozenset[int] = frozenset()
+        self._lost: dict[int, Placement] = {}
+        self._refills: dict[int, _Refill] = {}
+        self._busy_until: dict[int, float] = {}
+
+    @property
+    def recovering(self) -> bool:
+        """Whether a staged refill is in flight."""
+        return bool(self._refills)
+
+    def _account(self, grant) -> None:
+        self.restage_bytes += grant.bytes
+        self.restage_blocks += grant.blocks
+
+    def _observe(self, t: float, health: HealthView) -> None:
+        self.watchdog.observe(
+            t, health, self.frontend.breakers.states(),
+            {n: s.quarantine_depth for n, s in self.scrubbers.items()},
+        )
+
+    def step(self, t: float, health: HealthView,
+             idle_seconds: float) -> HealthView:
+        """Apply the deaths and heals ``health`` shows at ``t``, spend
+        ``idle_seconds`` more link time on every refill in flight, tick
+        the scrubbers and the watchdog.  Returns the health view to serve
+        under (a burst-refilling node counts as down)."""
+        for node_id in sorted(health.down_nodes - self._prev_down):
+            dropped = self.frontend.nodes[node_id].drop_gpu_caches()
+            if node_id in self._refills:
+                # Died again mid-refill: void the plan; the next heal
+                # cuts a fresh one over the union, so the tail of the
+                # interrupted refill is not forgotten.
+                cut = self._refills.pop(node_id)
+                rem = cut.plan.remaining_placement()
+                dropped = Placement(
+                    num_entries=dropped.num_entries,
+                    per_gpu=tuple(
+                        np.union1d(a, b)
+                        for a, b in zip(dropped.per_gpu, rem.per_gpu)
+                    ),
+                )
+                self.recovery_windows.append((cut.start, t))
+            self._lost[node_id] = dropped
+        for node_id in sorted(self._prev_down - health.down_nodes):
+            rec = StagedRecovery(
+                self.frontend.nodes[node_id], self._lost.pop(node_id),
+                self.hotness, chunk_entries=self.chunk_entries,
+            )
+            if self.restage == "burst":
+                grant = rec.finish()
+                self._account(grant)
+                self._busy_until[node_id] = t + grant.cost_seconds
+                self.recovery_windows.append((t, t + grant.cost_seconds))
+                logger.info(
+                    "node %d healed at t=%.3g: burst re-staged %d bytes, "
+                    "slow until t=%.3g",
+                    node_id, t, grant.bytes, self._busy_until[node_id],
+                )
+            else:
+                self._refills[node_id] = _Refill(rec, start=t)
+                self.watchdog.attach_recovery(node_id, rec)
+                logger.info(
+                    "node %d healed at t=%.3g: staged refill of %d entries "
+                    "in %d blocks begins",
+                    node_id, t, rec.remaining_entries, rec.blocks_total,
+                )
+        self._prev_down = health.down_nodes
+        # Staged refills spend only idle link time; the credit accrues
+        # between steps and whole blocks stage when it covers their
+        # priced transfer.
+        for node_id, refill in list(self._refills.items()):
+            refill.credit = min(refill.credit + idle_seconds, self.credit_cap)
+            grant = refill.plan.grant(refill.credit)
+            if grant.blocks:
+                refill.credit -= grant.cost_seconds
+                self._account(grant)
+            if refill.plan.done:
+                self.recovery_windows.append((refill.start, t))
+                del self._refills[node_id]
+        for scrubber in self.scrubbers.values():
+            scrubber.tick(t)
+        self._observe(t, health)
+        for node_id in [n for n, u in self._busy_until.items() if t >= u]:
+            del self._busy_until[node_id]
+        if self._busy_until:
+            # A burst-re-staging node is bulk-loading its stores and
+            # serves nothing until the refill lands: requests to it time
+            # out and fail over, exactly as if it were down.
+            return replace(
+                health,
+                down_nodes=health.down_nodes | frozenset(self._busy_until),
+            )
+        return health
+
+    def finish(self, end: float) -> None:
+        """Any node still down heals during the drain: its dropped caches
+        refill completely, every unfinished refill runs to completion,
+        and a full anti-entropy pass reconciles every store."""
+        for node_id in sorted(self._lost):
+            rec = StagedRecovery(
+                self.frontend.nodes[node_id], self._lost.pop(node_id),
+                self.hotness,
+            )
+            self._account(rec.finish())
+        for refill in self._refills.values():
+            self._account(refill.plan.finish())
+            self.recovery_windows.append((refill.start, end))
+        self._refills.clear()
+        for scrubber in self.scrubbers.values():
+            scrubber.scrub_all()
+        self._observe(end, HEALTHY)
+
+
+def run_cluster_soak(cfg: SoakConfig) -> SoakReport:
+    """Run one multi-node soak scenario end to end."""
+    # Honours --tiers: every node then holds its shard across the same
+    # backing chain (CacheNode ranks the chain by its shard's hotness).
+    platform = _soak_platform(cfg, SOAK_SCENARIOS[cfg.scenario][0])
+    cluster = build_cluster(
+        cfg, platform, cfg.nodes, cfg.replication, cfg.placement, load=cfg.load
+    )
+    frontend, s0 = cluster.frontend, cluster.s0
+    nodes = list(frontend.nodes.values())
+    table, pmf = cluster.stack.table, cluster.stack.pmf
     rate = cfg.load * cfg.nodes / s0
     # One healthy leg = wire + extraction + payload reply; the request
     # deadline scales from it so the network tier never eats the whole
     # latency budget on CI-sized tables where the wire dominates.
-    leg0 = cluster_cfg.rpc.healthy_leg(
+    leg0 = frontend.config.rpc.healthy_leg(
         s0, cfg.batch_keys * nodes[0].cache.entry_bytes
     )
     deadline = cfg.deadline_factor * leg0
-    # The breaker's cooldown has to live on the *simulated* clock: the
-    # default wall-clock seconds would outlast the whole run, so an
-    # ejected node could never re-admit probes.  ~50 mean inter-arrival
-    # times keeps a few probe rounds inside even a quick soak's window.
-    cluster_cfg = replace(
-        cluster_cfg,
-        breaker=replace(cluster_cfg.breaker, cooldown_seconds=50.0 / rate),
-    )
-    frontend = ClusterFrontend(
-        nodes, cluster_cfg, baseline_service=s0,
-        hotness=hotness, placement=placement,
-    )
 
     arrival_rng, key_rng = spawn_rngs(cfg.seed + 17, 2)
     total_requests = cfg.requests_per_gpu * cfg.nodes
@@ -180,12 +359,8 @@ def run_cluster_soak(cfg: SoakConfig) -> SoakReport:
     reg = get_registry()
     node_requests_start = _node_counter_values(reg, "cluster.node.requests")
 
-    # ------------------------------------------------------------------
-    # Self-healing machinery (inert — and allocation-free — without
-    # --repair, so the repair-off path stays byte-identical to the
-    # pre-repair harness; bit-rot injectors follow the *scenario* so an
-    # unguarded bit-rot run visibly serves corruption).
-    # ------------------------------------------------------------------
+    # Bit-rot injectors follow the *scenario*, not --repair, so an
+    # unguarded bit-rot run visibly serves corruption.
     repair = cfg.repair
     injectors: dict[int, FaultInjector] = {}
     if plan is not None:
@@ -204,16 +379,10 @@ def run_cluster_soak(cfg: SoakConfig) -> SoakReport:
                     ),
                     cache=node.cache,
                 )
-    scrubbers: dict[int, CacheScrubber] = {}
-    watchdog: NodeWatchdog | None = None
-    if repair:
-        watchdog = NodeWatchdog(range(cfg.nodes))
-        frontend.watchdog = watchdog
-        for node in nodes:
-            scrubbers[node.node_id] = CacheScrubber(
-                node.cache, node=node.node_id
-            )
-            node.read_guard = scrubbers[node.node_id]
+    lifecycle = (
+        NodeLifecycle(frontend, cluster.stack.hotness, restage=cfg.restage)
+        if repair else None
+    )
 
     served_ok = 0
     expired = 0
@@ -232,28 +401,13 @@ def run_cluster_soak(cfg: SoakConfig) -> SoakReport:
     window_ok = window_total = 0
     recovery_ok = recovery_total = 0
     rebalance_bytes = 0
-    restage_bytes = 0
-    restage_blocks = 0
     corrupt_rows_served = 0
     values_exact = True
     physics_failures = 0
     prev_down: frozenset[int] = frozenset()
     prev_t = 0.0
-    lost_placements: dict[int, Placement] = {}
-    recoveries: dict[int, StagedRecovery] = {}
-    recovery_start: dict[int, float] = {}
-    idle_credit: dict[int, float] = {}
-    busy_until: dict[int, float] = {}
-    recovery_windows: list[tuple[float, float]] = []
     recovery_latencies: list[float] = []
     sim_end = duration
-
-    def account_restage(grant) -> None:
-        nonlocal rebalance_bytes, restage_bytes, restage_blocks
-        rebalance_bytes += grant.bytes
-        restage_bytes += grant.bytes
-        restage_blocks += grant.blocks
-        reg.counter("cluster.rebalance.bytes").inc(grant.bytes)
 
     def handle_arrival(t: float, _seq: int, _client: int) -> float | None:
         """One request's full lifecycle at arrival time ``t``; a closed
@@ -270,56 +424,14 @@ def run_cluster_soak(cfg: SoakConfig) -> SoakReport:
         health = plan.health_at(t) if plan is not None else HEALTHY
         for injector in injectors.values():
             injector.advance(t)
-        if repair:
-            newly_down = health.down_nodes - prev_down
-            for node_id in sorted(newly_down):
-                dropped = frontend.nodes[node_id].drop_gpu_caches()
-                if node_id in recoveries:
-                    # Died again mid-refill: void the plan; the next heal
-                    # cuts a fresh one over the union, so the tail of the
-                    # interrupted refill is not forgotten.
-                    rem = recoveries[node_id].remaining_placement()
-                    dropped = Placement(
-                        num_entries=dropped.num_entries,
-                        per_gpu=tuple(
-                            np.union1d(a, b)
-                            for a, b in zip(dropped.per_gpu, rem.per_gpu)
-                        ),
-                    )
-                    recovery_windows.append(
-                        (recovery_start.pop(node_id), t)
-                    )
-                    del recoveries[node_id]
-                lost_placements[node_id] = dropped
-        healed = prev_down - health.down_nodes
-        if repair:
-            for node_id in sorted(healed):
-                node = frontend.nodes[node_id]
-                rec = StagedRecovery(
-                    node, lost_placements.pop(node_id), hotness
-                )
-                if cfg.restage == "burst":
-                    grant = rec.finish()
-                    account_restage(grant)
-                    busy_until[node_id] = t + grant.cost_seconds
-                    recovery_windows.append((t, t + grant.cost_seconds))
-                    logger.info(
-                        "node %d healed at t=%.3g: burst re-staged %d "
-                        "bytes, slow until t=%.3g",
-                        node_id, t, grant.bytes, busy_until[node_id],
-                    )
-                else:
-                    recoveries[node_id] = rec
-                    recovery_start[node_id] = t
-                    idle_credit[node_id] = 0.0
-                    watchdog.attach_recovery(node_id, rec)
-                    logger.info(
-                        "node %d healed at t=%.3g: staged refill of %d "
-                        "entries in %d blocks begins",
-                        node_id, t, rec.remaining_entries, rec.blocks_total,
-                    )
+        if lifecycle is not None:
+            # Staged refills spend only the idle share of link time.
+            serve_health = lifecycle.step(
+                t, health, idle_seconds=dt * max(0.0, 1.0 - cfg.load)
+            )
         else:
-            for node_id in healed:
+            serve_health = health
+            for node_id in prev_down - health.down_nodes:
                 staged = frontend.nodes[node_id].cached_bytes
                 rebalance_bytes += staged
                 reg.counter("cluster.rebalance.bytes").inc(staged)
@@ -328,39 +440,6 @@ def run_cluster_soak(cfg: SoakConfig) -> SoakReport:
                     node_id, t, staged,
                 )
         prev_down = health.down_nodes
-        serve_health = health
-        if repair:
-            # Staged refills spend only the idle share of link time; the
-            # credit accrues between arrivals and whole blocks stage when
-            # it covers their priced transfer.
-            slack = max(0.0, 1.0 - cfg.load)
-            for node_id, rec in list(recoveries.items()):
-                idle_credit[node_id] += dt * slack
-                grant = rec.grant(idle_credit[node_id])
-                if grant.blocks:
-                    idle_credit[node_id] -= grant.cost_seconds
-                    account_restage(grant)
-                if rec.done:
-                    recovery_windows.append(
-                        (recovery_start.pop(node_id), t)
-                    )
-                    del recoveries[node_id]
-            for scrubber in scrubbers.values():
-                scrubber.tick(t)
-            watchdog.observe(
-                t, health, frontend.breakers.states(),
-                {n: s.quarantine_depth for n, s in scrubbers.items()},
-            )
-            for node_id in [n for n, u in busy_until.items() if t >= u]:
-                del busy_until[node_id]
-            if busy_until:
-                # A burst-re-staging node is bulk-loading its stores and
-                # serves nothing until the refill lands: requests to it
-                # time out and fail over, exactly as if it were down.
-                serve_health = replace(
-                    health,
-                    down_nodes=health.down_nodes | frozenset(busy_until),
-                )
         keys = key_rng.choice(cfg.num_entries, size=cfg.batch_keys, p=pmf)
         resp = frontend.serve(keys, t, health=serve_health, execute=True)
         sim_end = max(sim_end, t + resp.elapsed)
@@ -400,7 +479,10 @@ def run_cluster_soak(cfg: SoakConfig) -> SoakReport:
         if _in_any_window(t, windows):
             window_total += 1
             window_ok += int(ok)
-        elif repair and (recoveries or _in_any_window(t, recovery_windows)):
+        elif lifecycle is not None and (
+            lifecycle.recovering
+            or _in_any_window(t, lifecycle.recovery_windows)
+        ):
             recovery_total += 1
             recovery_ok += int(ok)
             if ok:
@@ -424,27 +506,11 @@ def run_cluster_soak(cfg: SoakConfig) -> SoakReport:
     )
     physics_failures += requests != served_ok + expired + failed
 
-    if repair:
-        # Any node still down when arrivals stop heals during the drain:
-        # its dropped caches refill completely (priced, counted), every
-        # unfinished staged plan runs to completion, and a full
-        # anti-entropy pass reconciles every store before the final
-        # integrity gate.
-        for node_id in sorted(lost_placements):
-            rec = StagedRecovery(
-                frontend.nodes[node_id], lost_placements.pop(node_id), hotness
-            )
-            account_restage(rec.finish())
-        for node_id, rec in list(recoveries.items()):
-            account_restage(rec.finish())
-            recovery_windows.append((recovery_start.pop(node_id), sim_end))
-            del recoveries[node_id]
-        for scrubber in scrubbers.values():
-            scrubber.scrub_all()
-        watchdog.observe(
-            sim_end, HEALTHY, frontend.breakers.states(),
-            {n: s.quarantine_depth for n, s in scrubbers.items()},
-        )
+    if lifecycle is not None:
+        lifecycle.finish(sim_end)
+        rebalance_bytes = lifecycle.restage_bytes
+        if rebalance_bytes:
+            reg.counter("cluster.rebalance.bytes").inc(rebalance_bytes)
     elif prev_down:
         # Any node still down when arrivals stop heals during the drain.
         for node_id in prev_down:
@@ -480,6 +546,7 @@ def run_cluster_soak(cfg: SoakConfig) -> SoakReport:
         if count - node_requests_start.get(node, 0) > 0
     }
     lat = np.array(latencies) if latencies else np.array([0.0])
+    scrubbers = lifecycle.scrubbers.values() if repair else ()
     report = SoakReport(
         scenario=cfg.scenario,
         requests=requests,
@@ -525,33 +592,25 @@ def run_cluster_soak(cfg: SoakConfig) -> SoakReport:
             float(np.percentile(np.array(recovery_latencies), 99))
             if recovery_latencies else 0.0
         ),
-        restage_bytes=restage_bytes,
-        restage_blocks=restage_blocks,
+        restage_bytes=lifecycle.restage_bytes if repair else 0,
+        restage_blocks=lifecycle.restage_blocks if repair else 0,
         scrub_scanned_slots=sum(
-            s.scanned_total for s in scrubbers.values()
+            s.scanned_total for s in scrubbers
         ),
         scrub_mismatches=sum(
-            s.mismatches_total for s in scrubbers.values()
+            s.mismatches_total for s in scrubbers
         ),
-        scrub_repaired=sum(s.repaired_total for s in scrubbers.values()),
+        scrub_repaired=sum(s.repaired_total for s in scrubbers),
         scrub_read_repairs=sum(
-            s.read_repairs_total for s in scrubbers.values()
+            s.read_repairs_total for s in scrubbers
         ),
         corrupt_values_served=corrupt_rows_served,
         watchdog_transitions=(
-            len(watchdog.transitions) if watchdog is not None else 0
+            len(lifecycle.watchdog.transitions) if repair else 0
         ),
     )
     if platform.num_tiers > 1:
         report.tiers = _chain_label(platform)
-        report.tier_demotions = sum(
-            n.cache.tier_chain.demotions
-            for n in nodes if n.cache.tier_chain is not None
-        )
-        report.tier_moved_bytes = sum(
-            n.cache.tier_chain.moved_bytes
-            for n in nodes if n.cache.tier_chain is not None
-        )
     if reg.enabled:
         reg.gauge("cluster.failover_goodput_ratio").set(ratio)
         reg.gauge("cluster.replica_read_fraction").set(
@@ -576,7 +635,7 @@ def run_cluster_soak(cfg: SoakConfig) -> SoakReport:
             "%d blocks / %d B re-staged, %d scrub mismatches, "
             "%d read-guard patches, %d corrupt rows served",
             cfg.restage, 100 * recovery_ratio, recovery_total,
-            restage_blocks, restage_bytes,
+            report.restage_blocks, report.restage_bytes,
             report.scrub_mismatches, report.scrub_read_repairs,
             corrupt_rows_served,
         )

@@ -52,13 +52,6 @@ from repro.core.location_table import (
     pack_location,
     unpack_location,
 )
-from repro.core.serialization import (
-    load_placement,
-    load_policy_summary,
-    policy_summary,
-    save_placement,
-    save_policy_summary,
-)
 from repro.core.drift_adapt import (
     DriftDetector,
     DriftDetectorConfig,
@@ -70,8 +63,6 @@ from repro.core.drift_adapt import (
 from repro.core.hotness import (
     HotnessTracker,
     degree_hotness,
-    hotness_skew,
-    presample_hotness,
 )
 from repro.core.optimal import MAX_OPTIMAL_ENTRIES, approximation_gap, solve_optimal
 from repro.core.policy import (
@@ -112,11 +103,6 @@ __all__ = [
     "ProbeLimitError",
     "pack_location",
     "unpack_location",
-    "load_placement",
-    "load_policy_summary",
-    "policy_summary",
-    "save_placement",
-    "save_policy_summary",
     "BlockSet",
     "build_blocks",
     "build_uniform_blocks",
@@ -162,8 +148,6 @@ __all__ = [
     "hot_set_jaccard",
     "rank_correlation",
     "degree_hotness",
-    "hotness_skew",
-    "presample_hotness",
     "MAX_OPTIMAL_ENTRIES",
     "approximation_gap",
     "solve_optimal",

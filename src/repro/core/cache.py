@@ -33,9 +33,7 @@ from repro.core.policy import Placement
 from repro.core.tiers import TierChain
 from repro.hardware.platform import HOST, SOURCE_DTYPE, Platform
 from repro.obs import get_registry
-from repro.sim.congestion import CongestionModel
-from repro.sim.engine import BatchReport, simulate_batch
-from repro.sim.mechanisms import GpuDemand, Mechanism
+from repro.sim.mechanisms import GpuDemand
 from repro.utils.concurrency import ReadWriteLock
 
 
@@ -286,44 +284,6 @@ class MultiGpuEmbeddingCache:
                 return {HOST: 1.0}
             return self._chain.shares()
 
-    def move_backing(self, entries: np.ndarray, dst_src: int) -> int:
-        """Demote/promote ``entries`` to tier ``dst_src`` (writer path).
-
-        Serialized against lookups and refresh steps by the writer lock;
-        the location table's backing cells are re-pointed in the same
-        critical section so no reader ever sees a stale tier route.
-        Returns entries actually moved (0 on a single-tier platform,
-        where the only legal destination is ``HOST`` itself).
-        """
-        with self._rwlock.write_locked():
-            if self._chain is None:
-                if dst_src != HOST:
-                    raise ValueError(
-                        f"source {dst_src} is not a backing tier of this platform"
-                    )
-                return 0
-            ids = np.unique(np.ascontiguousarray(entries, dtype=np.int64))
-            moved = self._chain.move(ids, dst_src)
-            if moved:
-                sub = self._source_map[:, ids]
-                homes = np.broadcast_to(self._chain.home[ids], sub.shape)
-                self._source_map[:, ids] = np.where(sub < 0, homes, sub)
-            return moved
-
-    def rebalance_tiers(self, hotness: np.ndarray) -> int:
-        """Re-run the hotness waterfall across tiers; returns entries moved."""
-        with self._rwlock.write_locked():
-            if self._chain is None:
-                return 0
-            moved = self._chain.rebalance(hotness)
-            if moved:
-                sm = self._source_map
-                homes = np.broadcast_to(self._chain.home, sm.shape)
-                self._source_map = np.where(sm < 0, homes, sm).astype(
-                    SOURCE_DTYPE, copy=False
-                )
-            return moved
-
     # ------------------------------------------------------------------
     # Lookup path
     # ------------------------------------------------------------------
@@ -361,30 +321,6 @@ class MultiGpuEmbeddingCache:
             )
             reg.counter("cache.lookup.keys", source="host").inc(host)
         return LookupResult(values=values, demand=demand, sources=sources)
-
-    def extract_all(
-        self,
-        keys_per_gpu: list[np.ndarray],
-        mechanism: Mechanism = Mechanism.FACTORED,
-        congestion: CongestionModel | None = None,
-    ) -> tuple[list[np.ndarray], BatchReport]:
-        """Data-parallel batch extraction: values + simulated timing.
-
-        ``keys_per_gpu[i]`` is GPU ``i``'s batch.  Returns gathered value
-        arrays in the same order and the batch's :class:`BatchReport`.
-        """
-        if len(keys_per_gpu) != self._platform.num_gpus:
-            raise ValueError(
-                f"need one key batch per GPU ({self._platform.num_gpus})"
-            )
-        results = [self.lookup(i, keys) for i, keys in enumerate(keys_per_gpu)]
-        report = simulate_batch(
-            self._platform,
-            [r.demand for r in results],
-            mechanism=mechanism,
-            congestion=congestion,
-        )
-        return [r.values for r in results], report
 
     # ------------------------------------------------------------------
     # Refresh support
@@ -517,7 +453,7 @@ class MultiGpuEmbeddingCache:
                 )
             if self._chain is not None:
                 # Every backing route must agree with the chain's home map
-                # (a disagreement means a demotion raced the hashtable).
+                # (a disagreement means a corrupted or stale hashtable cell).
                 backing = srcs < 0
                 stale = backing & (srcs != self._chain.home)
                 if stale.any():

@@ -164,8 +164,8 @@ def hot_set_jaccard(
 ) -> float:
     """Jaccard overlap of the two estimates' hottest ``top_frac`` entries.
 
-    This is :func:`~repro.dlr.drift.hot_set_overlap`'s §2 stability
-    metric, applied to hotness vectors instead of workloads: 1.0 means
+    This is §2's stability metric ("hot entries in different daily
+    traces are highly alike") applied to hotness vectors: 1.0 means
     the live head is exactly the solved policy's head, 0.0 means the
     cache is hot for yesterday's traffic.
     """

@@ -5,19 +5,19 @@ accesses ``e`` per iteration.  The solver multiplies it by per-byte access
 cost to estimate extraction time, so the *scale* matters, not only the
 ranking.
 
-Three estimators mirror the paper's options:
+Two estimators mirror the paper's options:
 
 * :class:`HotnessTracker` — online counting of sampled requests (what the
-  foreground Refresher feeds on, §7.2);
-* :func:`presample_hotness` — profile the first epoch / first k batches of
-  a workload (GNNLab's pre-sampling, adopted for training workloads);
+  foreground Refresher feeds on, §7.2, and what
+  :meth:`~repro.gnn.workload.GnnWorkload.presampled_hotness` profiles the
+  first epoch with — GNNLab's pre-sampling);
 * :func:`degree_hotness` — approximate GNN access frequency by vertex
   degree (PaGraph's estimator for graph workloads).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -93,24 +93,6 @@ class HotnessTracker:
         self._batches = 0
 
 
-def presample_hotness(
-    batches: Iterator[np.ndarray], num_entries: int, max_batches: int | None = None
-) -> np.ndarray:
-    """Estimate hotness by replaying the first batches of a workload.
-
-    The paper (following GNNLab) observes that one profiled epoch predicts
-    subsequent epochs; DLR daily traces are likewise stable (§2).
-    """
-    tracker = HotnessTracker(num_entries)
-    for i, keys in enumerate(batches):
-        if max_batches is not None and i >= max_batches:
-            break
-        tracker.record(keys)
-    if tracker.batches_recorded == 0:
-        raise ValueError("workload produced no batches to presample")
-    return tracker.hotness()
-
-
 def degree_hotness(degrees: np.ndarray, accesses_per_batch: float = 1.0) -> np.ndarray:
     """Degree-proportional hotness for GNN embeddings (§6.1).
 
@@ -125,18 +107,3 @@ def degree_hotness(degrees: np.ndarray, accesses_per_batch: float = 1.0) -> np.n
     if total <= 0:
         raise ValueError("graph has no edges; degree hotness undefined")
     return degrees / total * accesses_per_batch
-
-
-def hotness_skew(hotness: np.ndarray) -> float:
-    """A scalar skew summary: fraction of accesses covered by the top 1%.
-
-    Used by reports to label datasets "high skew" (PA) vs "low skew" (CF)
-    as the paper does in Figure 14.
-    """
-    hotness = np.asarray(hotness, dtype=np.float64)
-    total = hotness.sum()
-    if total <= 0:
-        return 0.0
-    k = max(1, int(0.01 * len(hotness)))
-    top = np.sort(hotness)[::-1][:k].sum()
-    return float(top / total)

@@ -16,10 +16,9 @@ tier invariant suite):
   home map agrees with store residency;
 * **capacity** — no tier holds more entries than its byte capacity
   allows;
-* **integrity** — a move between tiers never loses bytes: the row's
-  checksum (:mod:`repro.core.checksum`) is verified across every
-  demotion/promotion, and each store's rows stay bit-identical to the
-  ground-truth table.
+* **integrity** — each store's rows and checksums
+  (:mod:`repro.core.checksum`) stay bit-identical to the ground-truth
+  table.
 
 Placement is a hotness-ranked waterfall (:func:`assign_backing_tiers`):
 the hottest entries land on the fastest tier until it fills, the next
@@ -104,10 +103,8 @@ def assign_backing_tiers(
 class TierChain:
     """Per-tier backing stores + the entry → home-tier map.
 
-    Thread-safety: the chain has no lock of its own — the owning
-    :class:`~repro.core.cache.MultiGpuEmbeddingCache` serializes every
-    mutation under its writer lock, exactly as it does for the GPU
-    stores.
+    The home map is fixed at construction (a new hotness profile means a
+    new cache); the chain has no lock of its own.
     """
 
     def __init__(
@@ -140,10 +137,6 @@ class TierChain:
                     capacity_entries=max(self._capacities[k], 1),
                 )
             )
-        #: bytes moved between tiers over the chain's lifetime.
-        self.moved_bytes = 0
-        self.demotions = 0
-        self.promotions = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -214,176 +207,6 @@ class TierChain:
                 "here but not resident"
             )
         return store.data[slots]
-
-    def gather_home(self, keys: np.ndarray) -> np.ndarray:
-        """Rows of ``keys``, each read from its home tier."""
-        keys = np.ascontiguousarray(keys, dtype=np.int64)
-        out = np.empty((len(keys), self._table.shape[1]), dtype=self._table.dtype)
-        homes = self._home[keys]
-        for src in self.backing_ids:
-            mask = homes == src
-            if mask.any():
-                out[mask] = self.gather(src, keys[mask])
-        return out
-
-    # ------------------------------------------------------------------
-    # Demotion / promotion
-    # ------------------------------------------------------------------
-    def move(self, entries: np.ndarray, dst_src: int) -> int:
-        """Move ``entries`` to tier ``dst_src``, verifying no byte is lost.
-
-        Each row's checksum is captured from the source store before the
-        move and compared after insertion into the destination — a
-        mismatch raises :class:`TierIntegrityError` with the chain left
-        consistent (the failing entry is re-checked before any eviction).
-        Entries already homed on ``dst_src`` are skipped.  Returns how
-        many entries moved.
-        """
-        entries = np.unique(np.ascontiguousarray(entries, dtype=np.int64))
-        if entries.size and (
-            entries.min() < 0 or entries.max() >= self.num_entries
-        ):
-            raise KeyError("tier move entry out of range")
-        dst_store = self.store(dst_src)
-        movers = entries[self._home[entries] != dst_src]
-        if len(movers) == 0:
-            return 0
-        free = self.capacity_entries(dst_src) - int(
-            (self._home == dst_src).sum()
-        )
-        if len(movers) > free:
-            raise TierCapacityError(
-                f"tier {self._tiers[-dst_src - 1].name} has {free} free "
-                f"entries; cannot take {len(movers)}"
-            )
-        dst_cost = self._tiers[-dst_src - 1].cost_per_byte
-        for entry in movers:
-            e = int(entry)
-            src = int(self._home[e])
-            src_store = self.store(src)
-            slot = int(src_store.offset_of[e])
-            row = src_store.data[slot].copy()
-            want = src_store.checksums[slot]
-            src_store.evict(e)
-            new_slot = dst_store.insert(e, row)
-            if dst_store.checksums[new_slot] != want:
-                raise TierIntegrityError(
-                    f"entry {e} lost bytes moving "
-                    f"{self._tiers[-src - 1].name} → "
-                    f"{self._tiers[-dst_src - 1].name}"
-                )
-            self._home[e] = dst_src
-            if self._tiers[-src - 1].cost_per_byte < dst_cost:
-                self.demotions += 1
-            else:
-                self.promotions += 1
-        self.moved_bytes += len(movers) * self.entry_bytes
-        return len(movers)
-
-    def rebalance(self, hotness: np.ndarray) -> int:
-        """Re-run the hotness waterfall and apply the resulting moves.
-
-        Cold rows sink, hot rows rise; every executed transfer passes
-        the same checksum gate as :meth:`move`.  Tiers full in both the
-        old and the new assignment can form displacement *cycles* (a row
-        must enter a tier another row has to leave first, and vice
-        versa); those are broken by lifting one blocked row at a time
-        into a transit buffer — its bytes are checksummed across the
-        lift exactly as across a direct move.  Returns entries moved.
-        """
-        target = assign_backing_tiers(
-            self._tiers, self.num_entries, self.entry_bytes, hotness
-        )
-        moved = 0
-        #: rows in transit: entry → (row copy, checksum, source tier id).
-        held: dict[int, tuple[np.ndarray, np.uint64, int]] = {}
-
-        def free_slots(src: int) -> int:
-            return self.capacity_entries(src) - len(
-                self.store(src).cached_entries()
-            )
-
-        def lift(e: int) -> tuple[np.ndarray, np.uint64, int]:
-            src = int(self._home[e])
-            store = self.store(src)
-            slot = int(store.offset_of[e])
-            row = store.data[slot].copy()
-            want = store.checksums[slot]
-            store.evict(e)
-            return row, want, src
-
-        def land(e: int, row: np.ndarray, want, src: int) -> None:
-            nonlocal moved
-            dst = int(target[e])
-            dst_store = self.store(dst)
-            slot = dst_store.insert(e, row)
-            if dst_store.checksums[slot] != want:
-                raise TierIntegrityError(
-                    f"entry {e} lost bytes moving "
-                    f"{self._tiers[-src - 1].name} → "
-                    f"{self._tiers[-dst - 1].name}"
-                )
-            self._home[e] = dst
-            src_cost = self._tiers[-src - 1].cost_per_byte
-            if src_cost < self._tiers[-dst - 1].cost_per_byte:
-                self.demotions += 1
-            else:
-                self.promotions += 1
-            self.moved_bytes += self.entry_bytes
-            moved += 1
-
-        while True:
-            progress = True
-            while progress:
-                progress = False
-                # land transiting rows whose destination opened up
-                for e in list(held):
-                    if free_slots(int(target[e])) > 0:
-                        row, want, src = held.pop(e)
-                        land(e, row, want, src)
-                        progress = True
-                # direct moves, deepest destination first (demote-first:
-                # sinking cold rows frees the fast tiers for the risers)
-                for dst in reversed(self.backing_ids):
-                    room = free_slots(dst)
-                    if room <= 0:
-                        continue
-                    movers = np.flatnonzero(
-                        (target == dst) & (self._home != dst)
-                    )
-                    for e in movers[: room]:
-                        e = int(e)
-                        if e in held:
-                            continue
-                        land(e, *lift(e))
-                        progress = True
-            blocked = [
-                int(e)
-                for e in np.flatnonzero(target != self._home)
-                if int(e) not in held
-            ]
-            if not blocked:
-                if held:  # unreachable for a feasible target; defend anyway
-                    raise TierCapacityError(
-                        "rebalance cannot place rows still in transit"
-                    )
-                return moved
-            # Every blocked row's destination is full.  A feasible target
-            # guarantees that destination holds at least one row that
-            # itself needs to move — lift it into transit to break the
-            # cycle.
-            dst = int(target[blocked[0]])
-            stuck = [
-                int(e)
-                for e in self.store(dst).cached_entries()
-                if int(target[int(e)]) != dst and int(e) not in held
-            ]
-            if not stuck:
-                raise TierCapacityError(
-                    f"tier {self._tiers[-dst - 1].name} is full of "
-                    "correctly homed rows but the target overfills it"
-                )
-            held[stuck[0]] = lift(stuck[0])
 
     # ------------------------------------------------------------------
     # Invariants

@@ -1,81 +1,19 @@
-"""Hotness drift: time-varying DLR traces for the Refresher (§7.2, §8.6).
+"""Hotness drift: piecewise-stationary access distributions (§7.2, §8.6).
 
-Production recommendation traffic shifts slowly — "hot entries in different
-daily traces are highly alike" (§2) — so the paper refreshes the static
-cache periodically instead of paying per-access eviction.  This module
-generates exactly that kind of workload: a sequence of *days*, each a
-:class:`~repro.dlr.workload.DlrWorkload` whose hot set is a controlled
-perturbation of the previous day's.
+Production recommendation traffic shifts — the paper refreshes the static
+cache periodically instead of paying per-access eviction.  A
+:class:`DriftSchedule` is that kind of workload as the soak consumes it:
+named scenarios whose per-entry pmf changes abruptly at known points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from repro.dlr.workload import DlrWorkload
 from repro.utils.rng import make_rng
 from repro.utils.stats import zipf_pmf
-
-
-@dataclass(frozen=True)
-class DriftingTrace:
-    """A multi-day DLR trace with bounded day-over-day hot-set churn.
-
-    Attributes:
-        base: day-0 workload (defines tables, skew, batch size).
-        churn: fraction of each table's popularity ranking that is
-            re-drawn between consecutive days (0 = static, 1 = fully
-            re-shuffled).  Real daily traces sit near 0.05-0.2.
-        num_days: length of the trace.
-    """
-
-    base: DlrWorkload
-    churn: float = 0.1
-    num_days: int = 7
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.churn <= 1.0:
-            raise ValueError("churn must be in [0, 1]")
-        if self.num_days < 1:
-            raise ValueError("need at least one day")
-
-    def days(self) -> Iterator[DlrWorkload]:
-        """Yield one workload per day, drifting from the base."""
-        rng = make_rng(self.seed)
-        perms = [rng.permutation(size) for size in self.base.table_sizes]
-        for _day in range(self.num_days):
-            yield self._workload_for(perms)
-            perms = [self._churn_permutation(p, rng) for p in perms]
-
-    def _churn_permutation(
-        self, perm: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Re-draw a ``churn`` fraction of a table's popularity ranking.
-
-        Swaps a random subset of ranking positions, so most of the hot
-        set persists while some entries heat up / cool down.
-        """
-        perm = perm.copy()
-        n = len(perm)
-        moved = int(self.churn * n)
-        if moved >= 2:
-            positions = rng.choice(n, size=moved, replace=False)
-            perm[positions] = perm[rng.permutation(positions)]
-        return perm
-
-    def _workload_for(self, perms: list[np.ndarray]) -> DlrWorkload:
-        return DlrWorkload(
-            table_sizes=self.base.table_sizes,
-            alpha=self.base.alpha,
-            batch_size=self.base.batch_size,
-            num_gpus=self.base.num_gpus,
-            seed=self.base.seed,
-            permutations=tuple(p.copy() for p in perms),
-        )
 
 
 @dataclass(frozen=True)
@@ -258,18 +196,3 @@ def build_drift_schedule(
     if num_entries < 4:
         raise ValueError("drift scenarios need at least 4 entries")
     return DRIFT_SCENARIOS[scenario](num_entries, alpha, seed)
-
-
-def hot_set_overlap(day_a: DlrWorkload, day_b: DlrWorkload, top_frac: float = 0.01) -> float:
-    """Jaccard overlap of two days' hottest entries (the §2 stability claim)."""
-    if not 0 < top_frac <= 1:
-        raise ValueError("top_frac must be in (0, 1]")
-    hot_a = day_a.hotness()
-    hot_b = day_b.hotness()
-    k = max(1, int(top_frac * len(hot_a)))
-    top_a = set(np.argsort(-hot_a)[:k].tolist())
-    top_b = set(np.argsort(-hot_b)[:k].tolist())
-    union = top_a | top_b
-    if not union:
-        return 0.0
-    return len(top_a & top_b) / len(union)

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from repro.core.cache import MultiGpuEmbeddingCache
+from repro.bench.contexts import platform_by_name
 from repro.core.extractor import FactoredExtractor
 from repro.core.policy import hot_replicate_warm_partition_policy
 from repro.core.refresher import RefreshConfig, Refresher
@@ -40,9 +40,8 @@ from repro.core.solver import (
 from repro.faults.spec import FaultKind, FaultPlan, FaultSpec
 from repro.faults.injector import FaultInjector
 from repro.obs import get_registry
+from repro.serve.soak import build_stack
 from repro.utils.logging import get_logger
-from repro.utils.rng import make_rng
-from repro.utils.stats import zipf_pmf
 
 logger = get_logger("faults.chaos")
 
@@ -251,31 +250,17 @@ def _sum_counter(name: str) -> float:
 
 
 def _build_stack(cfg: ChaosConfig, plan: FaultPlan | None = None):
-    """Platform + workload + filled cache + extractor (injector attached)."""
-    from repro.bench.contexts import platform_by_name
-
-    platform = platform_by_name(cfg.platform)
-    rng = make_rng(cfg.seed)
-    dim = max(1, cfg.entry_bytes // 4)
-    table = rng.standard_normal((cfg.num_entries, dim)).astype(np.float32)
-    pmf = zipf_pmf(cfg.num_entries, cfg.alpha)
-    hotness = pmf * cfg.batch_keys * platform.num_gpus
-    capacity = max(1, int(cfg.cache_ratio * cfg.num_entries))
-    placement = hot_replicate_warm_partition_policy(
-        hotness, capacity, platform.num_gpus, 0.5
-    )
-    cache = MultiGpuEmbeddingCache(platform, table, placement)
-    injector = FaultInjector(plan, cache=cache) if plan is not None else None
-    extractor = FactoredExtractor(cache, injector=injector)
-    return platform, table, pmf, hotness, capacity, cache, extractor, injector, rng
+    """The shared stack plus an extractor with the plan's injector attached."""
+    stack = build_stack(cfg, platform_by_name(cfg.platform))
+    injector = FaultInjector(plan, cache=stack.cache) if plan is not None else None
+    return stack, FactoredExtractor(stack.cache, injector=injector), injector
 
 
 def _run_batch_loop(scenario: str, cfg: ChaosConfig) -> ScenarioResult:
     """Drive the extractor through onset → fault → recovery."""
     plan = build_fault_plan(scenario, cfg)
-    (platform, table, pmf, _hotness, _cap, _cache, extractor, injector, rng) = (
-        _build_stack(cfg, plan)
-    )
+    stack, extractor, injector = _build_stack(cfg, plan)
+    platform, table, pmf, rng = stack.platform, stack.table, stack.pmf, stack.rng
     rerouted_before = _sum_counter("faults.rerouted_keys")
     times: list[float] = []
     values_exact = True
@@ -321,41 +306,14 @@ def _run_node_loop(scenario: str, cfg: ChaosConfig) -> ScenarioResult:
     away.  "Rerouted keys" here are keys served off their primary owner
     (replica reads + host fallback).
     """
-    from repro.bench.contexts import platform_by_name
-    from repro.cluster.frontend import ClusterConfig, ClusterFrontend
-    from repro.cluster.node import CacheNode
+    from repro.cluster.soak import build_cluster
 
     plan = build_node_fault_plan(scenario, cfg)
-    platform = platform_by_name(cfg.platform)
-    rng = make_rng(cfg.seed)
-    dim = max(1, cfg.entry_bytes // 4)
-    table = rng.standard_normal((cfg.num_entries, dim)).astype(np.float32)
-    pmf = zipf_pmf(cfg.num_entries, cfg.alpha)
-    hotness = pmf * cfg.batch_keys * platform.num_gpus
-    capacity = max(1, int(cfg.cache_ratio * cfg.num_entries))
-
-    cluster_cfg = ClusterConfig(nodes=3, replication=2, seed=cfg.seed)
-    placement = ClusterFrontend.build_placement(cluster_cfg, hotness)
-    owners = placement.owners_for(np.arange(cfg.num_entries, dtype=np.int64))
-    nodes = [
-        CacheNode(
-            node_id=node_id,
-            platform=platform,
-            table=table,
-            hotness=hotness,
-            member_mask=(owners == node_id).any(axis=1),
-            capacity_entries=capacity,
-        )
-        for node_id in range(cluster_cfg.nodes)
-    ]
-    s0 = nodes[0].service_seconds(
-        make_rng(cfg.seed + 3).choice(cfg.num_entries, size=cfg.batch_keys, p=pmf)
+    cluster = build_cluster(
+        cfg, platform_by_name(cfg.platform), nodes=3, replication=2
     )
-    nodes[0]._next_gpu = 0
-    frontend = ClusterFrontend(
-        nodes, cluster_cfg, baseline_service=s0,
-        hotness=hotness, placement=placement,
-    )
+    frontend, stack = cluster.frontend, cluster.stack
+    table, pmf, rng = stack.table, stack.pmf, stack.rng
 
     times: list[float] = []
     values_exact = True
@@ -419,9 +377,9 @@ def _run_scrub_loop(scenario: str, cfg: ChaosConfig) -> ScenarioResult:
     from repro.repair import CacheScrubber
 
     plan = build_fault_plan(scenario, cfg)
-    (platform, table, pmf, _hotness, _cap, cache, extractor, injector, rng) = (
-        _build_stack(cfg, plan)
-    )
+    stack, extractor, injector = _build_stack(cfg, plan)
+    platform, table, pmf, rng = stack.platform, stack.table, stack.pmf, stack.rng
+    cache = stack.cache
     scrubber = CacheScrubber(cache)
     times: list[float] = []
     values_exact = True
@@ -492,95 +450,30 @@ def _run_heal_storm(cfg: ChaosConfig) -> ScenarioResult:
     answering bit-exactly throughout, and when the storm passes every
     cache must hold its full placement again (integrity-verified).
     """
-    from repro.bench.contexts import platform_by_name
-    from repro.cluster.frontend import ClusterConfig, ClusterFrontend
-    from repro.cluster.node import CacheNode
-    from repro.core.policy import Placement
-    from repro.repair import CacheScrubber, NodeWatchdog, StagedRecovery
-    from repro.faults.spec import HEALTHY
+    from repro.cluster.soak import NodeLifecycle, build_cluster
 
     plan = build_fault_plan("heal-storm", cfg)
-    platform = platform_by_name(cfg.platform)
-    rng = make_rng(cfg.seed)
-    dim = max(1, cfg.entry_bytes // 4)
-    table = rng.standard_normal((cfg.num_entries, dim)).astype(np.float32)
-    pmf = zipf_pmf(cfg.num_entries, cfg.alpha)
-    hotness = pmf * cfg.batch_keys * platform.num_gpus
-    capacity = max(1, int(cfg.cache_ratio * cfg.num_entries))
-
-    cluster_cfg = ClusterConfig(nodes=3, replication=2, seed=cfg.seed)
-    placement = ClusterFrontend.build_placement(cluster_cfg, hotness)
-    owners = placement.owners_for(np.arange(cfg.num_entries, dtype=np.int64))
-    nodes = [
-        CacheNode(
-            node_id=node_id,
-            platform=platform,
-            table=table,
-            hotness=hotness,
-            member_mask=(owners == node_id).any(axis=1),
-            capacity_entries=capacity,
-        )
-        for node_id in range(cluster_cfg.nodes)
-    ]
-    s0 = nodes[0].service_seconds(
-        make_rng(cfg.seed + 3).choice(cfg.num_entries, size=cfg.batch_keys, p=pmf)
+    cluster = build_cluster(
+        cfg, platform_by_name(cfg.platform), nodes=3, replication=2
     )
-    nodes[0]._next_gpu = 0
-    frontend = ClusterFrontend(
-        nodes, cluster_cfg, baseline_service=s0,
-        hotness=hotness, placement=placement,
+    frontend, stack = cluster.frontend, cluster.stack
+    table, pmf, rng = stack.table, stack.pmf, stack.rng
+    # Each batch's idle link time funds a slice of every refill — small
+    # enough (and never banked) that recoveries span batches and overlap.
+    budget = 0.5 * cluster.s0
+    lifecycle = NodeLifecycle(
+        frontend, stack.hotness, chunk_entries=64, credit_cap=budget
     )
-    watchdog = NodeWatchdog(range(cluster_cfg.nodes))
-    frontend.watchdog = watchdog
-    scrubbers = {}
-    for node in nodes:
-        scrubbers[node.node_id] = CacheScrubber(node.cache, node=node.node_id)
-        node.read_guard = scrubbers[node.node_id]
 
     times: list[float] = []
     values_exact = True
     all_served = True
     completed = 0
     rerouted = 0
-    restage_blocks = 0
-    prev_down: frozenset[int] = frozenset()
-    lost: dict[int, Placement] = {}
-    recoveries: dict[int, StagedRecovery] = {}
     for t in range(cfg.num_batches):
         now = float(t)
         health = plan.health_at(now)
-        for node_id in sorted(health.down_nodes - prev_down):
-            dropped = frontend.nodes[node_id].drop_gpu_caches()
-            if node_id in recoveries:
-                rem = recoveries.pop(node_id).remaining_placement()
-                dropped = Placement(
-                    num_entries=dropped.num_entries,
-                    per_gpu=tuple(
-                        np.union1d(a, b)
-                        for a, b in zip(dropped.per_gpu, rem.per_gpu)
-                    ),
-                )
-            lost[node_id] = dropped
-        for node_id in sorted(prev_down - health.down_nodes):
-            rec = StagedRecovery(
-                frontend.nodes[node_id], lost.pop(node_id), hotness,
-                chunk_entries=64,
-            )
-            recoveries[node_id] = rec
-            watchdog.attach_recovery(node_id, rec)
-        prev_down = health.down_nodes
-        # Each batch's idle link time funds a slice of every refill —
-        # small enough that recoveries span batches and overlap.
-        for node_id, rec in list(recoveries.items()):
-            restage_blocks += rec.grant(0.5 * s0).blocks
-            if rec.done:
-                del recoveries[node_id]
-        for scrubber in scrubbers.values():
-            scrubber.tick(now)
-        watchdog.observe(
-            now, health, frontend.breakers.states(),
-            {n: s.quarantine_depth for n, s in scrubbers.items()},
-        )
+        lifecycle.step(now, health, idle_seconds=budget)
         keys = rng.choice(cfg.num_entries, size=cfg.batch_keys, p=pmf)
         resp = frontend.serve(keys, now, health=health, execute=True)
         if resp.partial:
@@ -594,19 +487,8 @@ def _run_heal_storm(cfg: ChaosConfig) -> ScenarioResult:
         completed += 1
 
     # Storm over: finish every refill, scrub everything, final verify.
-    end = float(cfg.num_batches)
-    for node_id in sorted(lost):
-        rec = StagedRecovery(frontend.nodes[node_id], lost.pop(node_id), hotness)
-        restage_blocks += rec.finish().blocks
-    for node_id, rec in list(recoveries.items()):
-        restage_blocks += rec.finish().blocks
-        del recoveries[node_id]
-    for scrubber in scrubbers.values():
-        scrubber.scrub_all()
-    watchdog.observe(
-        end, HEALTHY, frontend.breakers.states(),
-        {n: s.quarantine_depth for n, s in scrubbers.items()},
-    )
+    lifecycle.finish(float(cfg.num_batches))
+    restage_blocks = lifecycle.restage_blocks
     violations = frontend.verify_integrity()
 
     clear = plan.last_clear_time()
@@ -614,7 +496,7 @@ def _run_heal_storm(cfg: ChaosConfig) -> ScenarioResult:
     baseline = [x for t, x in enumerate(times) if t < first_onset]
     during = [x for t, x in enumerate(times) if first_onset <= t < clear]
     after = [x for t, x in enumerate(times) if t >= clear]
-    transitions = len(watchdog.transitions)
+    transitions = len(lifecycle.watchdog.transitions)
     return ScenarioResult(
         scenario="heal-storm",
         ok=(
@@ -646,12 +528,8 @@ def _run_heal_storm(cfg: ChaosConfig) -> ScenarioResult:
 
 def _run_solver_timeout(cfg: ChaosConfig) -> ScenarioResult:
     """MILP times out → the fallback chain must answer within its deadline."""
-    from repro.bench.contexts import platform_by_name
-
     platform = platform_by_name(cfg.platform)
-    pmf = zipf_pmf(cfg.num_entries, cfg.alpha)
-    hotness = pmf * cfg.batch_keys * platform.num_gpus
-    capacity = max(1, int(cfg.cache_ratio * cfg.num_entries))
+    stack = build_stack(cfg, platform, fill=False)
 
     def timed_out(*_args, **_kwargs):
         raise PolicySolveTimeout("injected: HiGHS budget exhausted")
@@ -661,8 +539,8 @@ def _run_solver_timeout(cfg: ChaosConfig) -> ScenarioResult:
     start = _time.monotonic()
     outcome = solve_policy_with_fallback(
         platform,
-        hotness,
-        capacity,
+        stack.hotness,
+        stack.capacity,
         cfg.entry_bytes,
         fallback=FallbackConfig(deadline_seconds=deadline_seconds),
         solve_fn=timed_out,
@@ -686,11 +564,10 @@ def _run_solver_timeout(cfg: ChaosConfig) -> ScenarioResult:
 
 def _run_refresh_interrupt(cfg: ChaosConfig) -> ScenarioResult:
     """Interrupt a refresh mid-flight; the cache must roll back bit-identically."""
-    (platform, table, _pmf, hotness, capacity, cache, _extractor, _inj, rng) = (
-        _build_stack(cfg)
-    )
+    stack = build_stack(cfg, platform_by_name(cfg.platform))
+    platform, cache, rng = stack.platform, stack.cache, stack.rng
     target = hot_replicate_warm_partition_policy(
-        hotness, capacity, platform.num_gpus, 0.0
+        stack.hotness, stack.capacity, platform.num_gpus, 0.0
     )
     pre_map = cache.source_map.copy()
     probe = rng.integers(0, cfg.num_entries, size=256)

@@ -9,16 +9,11 @@ from repro.gnn.models import (
     model_for_mode,
     sampling_time_per_iteration,
 )
-from repro.gnn.io import load_graph, read_edge_list, save_graph, write_edge_list
 from repro.gnn.nn import FanoutTree, GraphSageModel, sample_tree
 from repro.gnn.sampling import SampledBatch, khop_sample, negative_sample, sample_neighbors
 from repro.gnn.workload import DEFAULT_FANOUTS, GnnWorkload
 
 __all__ = [
-    "load_graph",
-    "read_edge_list",
-    "save_graph",
-    "write_edge_list",
     "FanoutTree",
     "GraphSageModel",
     "sample_tree",

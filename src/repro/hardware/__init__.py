@@ -8,7 +8,6 @@ exposed by :class:`Platform`.
 
 from repro.hardware.bandwidth import ToleranceCurve, achieved_bandwidth, tolerance_curves
 from repro.hardware.memory import OutOfDeviceMemory, SlotArena
-from repro.hardware.profiler import PlatformProfile, profile_platform, verify_profile
 from repro.hardware.platform import (
     HOST,
     PRESETS,
@@ -19,7 +18,6 @@ from repro.hardware.platform import (
     server_a_tiered,
     server_b,
     server_c,
-    server_c_tiered,
     single_gpu,
     with_tiers,
 )
@@ -33,9 +31,6 @@ from repro.hardware.topology import (
 )
 
 __all__ = [
-    "PlatformProfile",
-    "profile_platform",
-    "verify_profile",
     "HOST",
     "PRESETS",
     "MemoryTier",
@@ -45,7 +40,6 @@ __all__ = [
     "server_a_tiered",
     "server_b",
     "server_c",
-    "server_c_tiered",
     "single_gpu",
     "with_tiers",
     "GPUSpec",

@@ -576,19 +576,6 @@ def server_a_tiered() -> Platform:
     )
 
 
-def server_c_tiered() -> Platform:
-    """Server C with a three-deep chain: DRAM → CXL → SSD."""
-    base = server_c()
-    return with_tiers(
-        base,
-        (
-            dram_tier(128 * GIB, bandwidth=base.pcie_bandwidth),
-            cxl_tier(512 * GIB),
-            ssd_tier(2_000 * GB),
-        ),
-    )
-
-
 #: Registry used by benchmarks to iterate the paper's testbeds.
 PRESETS = {
     "server-a": server_a,
@@ -601,5 +588,4 @@ EXTRA_PLATFORMS = {
     "dgx2": dgx2,
     "pcie-only": pcie_only,
     "server-a-tiered": server_a_tiered,
-    "server-c-tiered": server_c_tiered,
 }

@@ -1,4 +1,4 @@
-"""Observability: metrics registry, tracing spans, and exporters.
+"""Observability: metrics registry, timers, and exporters.
 
 The instrumentation spine of the runtime (the accounting UGache's own
 evaluation is built on — per-source hit splits, per-GPU extraction
@@ -17,13 +17,7 @@ Quick use::
     reg.snapshot()  # JSON-able document
 """
 
-from repro.obs.export import (
-    load_metrics,
-    summarize,
-    to_prometheus_text,
-    write_json,
-    write_jsonl,
-)
+from repro.obs.export import load_metrics, summarize, write_json
 from repro.obs.metrics import (
     BUCKET_BOUNDS,
     Counter,
@@ -34,13 +28,7 @@ from repro.obs.metrics import (
     set_registry,
     use_registry,
 )
-from repro.obs.tracing import (
-    PIPELINE_STAGES,
-    SpanRecord,
-    span,
-    stage_timer,
-    timer,
-)
+from repro.obs.tracing import PIPELINE_STAGES, stage_timer, timer
 
 __all__ = [
     "BUCKET_BOUNDS",
@@ -49,16 +37,12 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "SpanRecord",
     "get_registry",
     "load_metrics",
     "set_registry",
-    "span",
     "stage_timer",
     "summarize",
     "timer",
-    "to_prometheus_text",
     "use_registry",
     "write_json",
-    "write_jsonl",
 ]

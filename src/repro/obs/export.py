@@ -1,18 +1,9 @@
-"""Exporters and readers for metrics artifacts.
+"""Exporter and reader for metrics artifacts.
 
-Two on-disk formats, both zero-dependency:
-
-* **JSON** (:func:`write_json`) — one document with ``schema``,
-  ``registry``, ``metrics`` (list of series snapshots) and ``spans``;
-  the format ``--metrics-out`` produces and ``python -m repro metrics``
-  consumes.
-* **JSON-lines** (:func:`write_jsonl`) — one series snapshot per line,
-  preceded by a header line; convenient for appending across runs and
-  for ``jq``/line-oriented tooling.
-
-:func:`to_prometheus_text` renders the Prometheus text exposition format
-for scraping-style integration; :func:`load_metrics` reads either disk
-format back; :func:`summarize` turns a loaded document into the terse
+:func:`write_json` writes one document with ``schema``, ``registry`` and
+``metrics`` (list of series snapshots) — the format ``--metrics-out``
+produces and ``python -m repro metrics`` consumes; :func:`load_metrics`
+reads it back; :func:`summarize` turns a loaded document into the terse
 text report the CLI prints.
 """
 
@@ -24,13 +15,7 @@ from typing import Any
 
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = [
-    "load_metrics",
-    "summarize",
-    "to_prometheus_text",
-    "write_json",
-    "write_jsonl",
-]
+__all__ = ["load_metrics", "summarize", "write_json"]
 
 
 def write_json(registry: MetricsRegistry, path: str | Path) -> Path:
@@ -41,93 +26,12 @@ def write_json(registry: MetricsRegistry, path: str | Path) -> Path:
     return path
 
 
-def write_jsonl(registry: MetricsRegistry, path: str | Path) -> Path:
-    """Write a registry as JSON-lines: header line, then one series/line."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    snap = registry.snapshot()
-    lines = [json.dumps({"schema": snap["schema"], "registry": snap["registry"]})]
-    lines += [json.dumps(m) for m in snap["metrics"]]
-    lines += [json.dumps({"span": s}) for s in snap["spans"]]
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
 def load_metrics(path: str | Path) -> dict[str, Any]:
-    """Read a metrics artifact written by either exporter.
-
-    Returns the single-document form (``{"schema", "registry",
-    "metrics", "spans"}``) regardless of which format is on disk.
-    """
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        doc = None
-    if isinstance(doc, dict) and "metrics" in doc:
-        return doc
-    # JSON-lines: header then one object per line.
-    out: dict[str, Any] = {"schema": "repro.obs/v1", "registry": "?",
-                           "metrics": [], "spans": []}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        obj = json.loads(line)
-        if "span" in obj:
-            out["spans"].append(obj["span"])
-        elif "name" in obj:
-            out["metrics"].append(obj)
-        else:
-            out["schema"] = obj.get("schema", out["schema"])
-            out["registry"] = obj.get("registry", out["registry"])
-    return out
-
-
-def _prom_name(name: str) -> str:
-    return "repro_" + "".join(c if c.isalnum() else "_" for c in name)
-
-
-def _prom_labels(labels: dict[str, str], extra: dict[str, str] | None = None) -> str:
-    merged = {**labels, **(extra or {})}
-    if not merged:
-        return ""
-    body = ",".join(f'{k}="{v}"' for k, v in sorted(merged.items()))
-    return "{" + body + "}"
-
-
-def to_prometheus_text(registry: MetricsRegistry) -> str:
-    """Render the registry in the Prometheus text exposition format.
-
-    Histograms follow the convention: cumulative ``_bucket{le=...}``
-    series plus ``_sum`` and ``_count``.
-    """
-    lines: list[str] = []
-    typed: set[str] = set()
-    for series in registry.series():
-        snap = series.snapshot()
-        base = _prom_name(snap["name"])
-        if base not in typed:
-            lines.append(f"# TYPE {base} {snap['type']}")
-            typed.add(base)
-        labels = snap["labels"]
-        if snap["type"] == "histogram":
-            cumulative = 0
-            for bound, count in snap["buckets"]:
-                cumulative += count
-                le = "+Inf" if bound is None else f"{bound:.6g}"
-                lines.append(
-                    f"{base}_bucket{_prom_labels(labels, {'le': le})} {cumulative}"
-                )
-            if snap["buckets"] and snap["buckets"][-1][0] is not None:
-                lines.append(
-                    f"{base}_bucket{_prom_labels(labels, {'le': '+Inf'})} {cumulative}"
-                )
-            lines.append(f"{base}_sum{_prom_labels(labels)} {snap['sum']:.9g}")
-            lines.append(f"{base}_count{_prom_labels(labels)} {snap['count']}")
-        else:
-            lines.append(f"{base}{_prom_labels(labels)} {snap['value']:.9g}")
-    return "\n".join(lines) + "\n"
+    """Read a metrics artifact written by :func:`write_json`."""
+    doc = json.loads(Path(path).read_text())
+    if not (isinstance(doc, dict) and "metrics" in doc):
+        raise ValueError(f"{path} is not a repro.obs metrics artifact")
+    return doc
 
 
 def _fmt(value: float) -> str:
@@ -173,8 +77,7 @@ def summarize(doc: dict[str, Any]) -> str:
     ``python -m repro metrics PATH`` shows.
     """
     lines = [f"metrics artifact: registry={doc.get('registry', '?')} "
-             f"({len(doc.get('metrics', []))} series, "
-             f"{len(doc.get('spans', []))} spans)"]
+             f"({len(doc.get('metrics', []))} series)"]
     lines += _stage_breakdown(doc.get("metrics", []))
     for m in doc.get("metrics", []):
         labels = m.get("labels") or {}

@@ -163,40 +163,6 @@ class Histogram:
         """Arithmetic mean of all observations (0 when empty)."""
         return self.sum / self.count if self.count else 0.0
 
-    def percentile(self, q: float) -> float:
-        """Approximate percentile (``q`` in [0, 100]) from the buckets.
-
-        Returns the upper bound of the bucket holding the q-th
-        observation, clamped to the observed min/max — good to within one
-        half-decade, which is plenty for latency summaries.
-        """
-        if not 0 <= q <= 100:
-            raise ValueError("percentile must be in [0, 100]")
-        if self.count == 0:
-            return 0.0
-        rank = q / 100.0 * self.count
-        seen = 0
-        for i, n in enumerate(self.bucket_counts):
-            seen += n
-            if seen >= rank and n:
-                bound = (
-                    BUCKET_BOUNDS[i] if i < len(BUCKET_BOUNDS) else self.max
-                )
-                return float(min(max(bound, self.min), self.max))
-        return float(self.max)
-
-    def percentiles(self, qs: tuple[float, ...] = (50.0, 99.0, 99.9)) -> dict[str, float]:
-        """Several percentiles at once, keyed ``"p50"``/``"p99"``/``"p99.9"``.
-
-        The serving layer's latency summaries (p50/p99/p999) come from
-        here, so reports and exported artifacts share one bucket view.
-        """
-        out: dict[str, float] = {}
-        for q in qs:
-            label = f"p{q:g}"
-            out[label] = self.percentile(q)
-        return out
-
     def snapshot(self) -> dict[str, Any]:
         """JSON-able state of this series (sparse non-empty buckets)."""
         buckets = [
@@ -234,9 +200,6 @@ class MetricsRegistry:
         self._series: dict[tuple[str, str, LabelKey], Instrument] = {}
         self._lock = threading.Lock()
         self._handles: dict[Any, Any] = {}
-        #: trace spans land here when :attr:`tracing_enabled` is set
-        self.spans: list[Any] = []
-        self.tracing_enabled = False
 
     # ------------------------------------------------------------------
     # Series access
@@ -307,15 +270,13 @@ class MetricsRegistry:
             "schema": "repro.obs/v1",
             "registry": self.name,
             "metrics": [s.snapshot() for s in self.series()],
-            "spans": [s.snapshot() for s in self.spans],
         }
 
     def reset(self) -> None:
-        """Drop every series and buffered span."""
+        """Drop every series."""
         with self._lock:
             self._series.clear()
             self._handles.clear()
-            self.spans.clear()
 
 
 class _NoopCounter(Counter):

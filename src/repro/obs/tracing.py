@@ -1,12 +1,9 @@
-"""Lightweight wall-clock tracing: ``span()`` and ``timer()`` contexts.
+"""Lightweight wall-clock timing: the ``timer()`` context.
 
 ``timer(name)`` measures a block with ``time.perf_counter`` and observes
 the duration into the active registry's histogram ``name`` — the workhorse
-for plan/execute/solve timings.  ``span(name)`` additionally buffers a
-:class:`SpanRecord` (name, start, duration, attrs) on the registry, but
-only when ``registry.tracing_enabled`` is set; with tracing off it is a
-shared no-op object, so the default hot path never pays for trace
-bookkeeping (the "no sink attached" fast path).
+for plan/execute/solve timings.  On a disabled registry it is a shared
+no-op object that does not even read the clock.
 
 Wall-clock here is the *instrumentation's* clock; the simulator's modelled
 seconds are untouched, so enabling metrics never perturbs simulated
@@ -16,39 +13,14 @@ timings.
 from __future__ import annotations
 
 from time import perf_counter
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.obs.metrics import Histogram, MetricsRegistry, get_registry
 
-__all__ = ["PIPELINE_STAGES", "SpanRecord", "span", "stage_timer", "timer"]
-
-#: Cap on buffered spans per registry; beyond it spans are counted but
-#: dropped, so a long-running process cannot leak memory through tracing.
-MAX_BUFFERED_SPANS = 10_000
-
-
-@dataclass
-class SpanRecord:
-    """One completed traced region."""
-
-    name: str
-    start: float
-    duration: float
-    attrs: dict[str, Any] = field(default_factory=dict)
-
-    def snapshot(self) -> dict[str, Any]:
-        """JSON-able form of the span."""
-        return {
-            "name": self.name,
-            "start": self.start,
-            "duration": self.duration,
-            "attrs": self.attrs,
-        }
-
+__all__ = ["PIPELINE_STAGES", "stage_timer", "timer"]
 
 class _NoopContext:
-    """Shared do-nothing context for disabled timers/spans."""
+    """Shared do-nothing context for disabled timers."""
 
     __slots__ = ()
 
@@ -57,9 +29,6 @@ class _NoopContext:
 
     def __exit__(self, *exc_info: Any) -> None:
         return None
-
-    def set(self, **attrs: Any) -> None:
-        """Accept and discard attributes (span API compatibility)."""
 
 
 _NOOP = _NoopContext()
@@ -80,32 +49,6 @@ class _Timer:
 
     def __exit__(self, exc_type: Any, exc: Any, traceback: Any) -> None:
         self._histogram.observe(perf_counter() - self._start)
-
-
-class _Span:
-    """Times a block and buffers a :class:`SpanRecord` on the registry."""
-
-    __slots__ = ("_registry", "_record")
-
-    def __init__(self, registry: MetricsRegistry, name: str, attrs: dict[str, Any]):
-        self._registry = registry
-        self._record = SpanRecord(name=name, start=0.0, duration=0.0, attrs=attrs)
-
-    def set(self, **attrs: Any) -> None:
-        """Attach attributes to the span from inside the block."""
-        self._record.attrs.update(attrs)
-
-    def __enter__(self) -> "_Span":
-        self._record.start = perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self._record.duration = perf_counter() - self._record.start
-        spans = self._registry.spans
-        if len(spans) < MAX_BUFFERED_SPANS:
-            spans.append(self._record)
-        else:
-            self._registry.counter("obs.spans.dropped").inc()
 
 
 def timer(name: str, registry: MetricsRegistry | None = None, **labels: Any):
@@ -138,15 +81,3 @@ def stage_timer(stage: str, registry: MetricsRegistry | None = None, **labels: A
     cost is comparable no matter which layer invoked it.
     """
     return timer(f"pipeline.{stage}.seconds", registry, **labels)
-
-
-def span(name: str, registry: MetricsRegistry | None = None, **attrs: Any):
-    """Context manager tracing a block into the registry's span buffer.
-
-    No-op unless ``registry.tracing_enabled`` is set (tracing is the
-    opt-in sink; metrics stay default-on).
-    """
-    registry = registry or get_registry()
-    if not (registry.enabled and registry.tracing_enabled):
-        return _NOOP
-    return _Span(registry, name, attrs)

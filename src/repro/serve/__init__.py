@@ -44,7 +44,6 @@ from repro.serve.request import (
     Request,
     RequestStatus,
     Response,
-    SimClock,
     check_time_physics,
 )
 from repro.serve.runtime import ServeConfig, ServingRuntime
@@ -83,7 +82,6 @@ __all__ = [
     "Response",
     "ServeConfig",
     "ServingRuntime",
-    "SimClock",
     "SoakConfig",
     "SoakReport",
     "SwapGuardrail",

@@ -91,8 +91,6 @@ class LatencyEstimator:
     Every observation lands in the registry histogram
     ``serve.batch.seconds{gpu=…}`` (the export surface) *and* updates a
     local EWMA (the fast estimate admission control reads per request).
-    :meth:`percentile` answers tail questions straight from the shared
-    histogram buckets, so the admission view is the exported view.
     """
 
     def __init__(
@@ -132,10 +130,6 @@ class LatencyEstimator:
         if self._ewma is not None:
             return self._ewma
         return self.prior if self.prior is not None else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Tail latency from the shared obs histogram buckets."""
-        return self._histogram().percentile(q)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Serving request/response types, the virtual clock, and its physics.
+"""Serving request/response types and the simulated clock's physics.
 
 The serving runtime runs entirely in *simulated* time: the clock is a
 plain float the soak harness advances by the priced extraction times, so
@@ -23,41 +23,8 @@ __all__ = [
     "Request",
     "RequestStatus",
     "Response",
-    "SimClock",
     "check_time_physics",
 ]
-
-
-class SimClock:
-    """A monotonic virtual clock the serving loop advances explicitly.
-
-    Calling the instance returns the current time, so it can stand in for
-    ``time.monotonic`` anywhere a clock callable is expected (e.g.
-    :class:`~repro.utils.retry.Deadline`).
-    """
-
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    def __call__(self) -> float:
-        return self._now
-
-    def advance(self, dt: float) -> float:
-        """Move time forward by ``dt`` seconds (never backwards)."""
-        if dt < 0:
-            raise ValueError("the clock only moves forward")
-        self._now += dt
-        return self._now
-
-    def advance_to(self, t: float) -> float:
-        """Advance to absolute time ``t`` if it is in the future."""
-        if t > self._now:
-            self._now = t
-        return self._now
 
 
 class RequestStatus(str, Enum):

@@ -39,7 +39,7 @@ from repro.obs import get_registry
 from repro.serve.breaker import BreakerBoard, BreakerConfig
 from repro.serve.coalesce import CoalesceOutcome, coalesce_keys
 from repro.serve.queueing import AdmissionConfig, AdmissionController
-from repro.serve.request import Request, RequestStatus, Response, SimClock
+from repro.serve.request import Request, RequestStatus, Response
 from repro.sim.mechanisms import GpuDemand
 from repro.utils.logging import get_logger
 
@@ -90,7 +90,6 @@ class ServingRuntime:
         extractor: FactoredExtractor,
         config: ServeConfig | None = None,
         injector: FaultInjector | None = None,
-        clock: SimClock | None = None,
         prefetcher=None,
     ) -> None:
         self._extractor = extractor
@@ -108,7 +107,6 @@ class ServingRuntime:
         #: estimator.  With no adapter the serving path is byte-identical
         #: to earlier revisions.
         self.adapter = None
-        self.clock = clock or SimClock()
         platform = extractor.platform
         self.admission = AdmissionController(
             platform.num_gpus, self.config.admission
@@ -489,24 +487,6 @@ class ServingRuntime:
         if request is None:
             return None
         return self.serve_request(request, now)
-
-    def drain(self, now: float | None = None) -> list[Response]:
-        """Serve everything queued (sequentially, advancing the clock).
-
-        Used before a hot policy swap: in-flight and queued work completes
-        against the old generation before the refresh touches routing.
-        """
-        t = self.clock.now if now is None else now
-        self.clock.advance_to(t)
-        out: list[Response] = []
-        for gpu in range(len(self.admission.queues)):
-            while True:
-                response = self.poll(gpu, self.clock.now)
-                if response is None:
-                    break
-                out.append(response)
-                self.clock.advance(response.service_time)
-        return out
 
     def probe(self, keys_per_gpu: list[np.ndarray], now: float) -> float:
         """Measure current serving latency (max over GPUs) for the swap

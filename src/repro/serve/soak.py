@@ -36,6 +36,7 @@ from repro.core.refresher import RefreshConfig, Refresher
 from repro.core.solver import FallbackConfig, SolverConfig
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import FaultKind, FaultPlan, FaultSpec
+from repro.hardware.platform import Platform
 from repro.obs import get_registry
 from repro.serve.breaker import BreakerConfig
 from repro.serve.coalesce import (
@@ -61,6 +62,7 @@ __all__ = [
     "SoakConfig",
     "SoakReport",
     "build_soak_plan",
+    "build_stack",
     "drive_arrivals",
     "poisson_schedule",
     "render_soak_report",
@@ -525,11 +527,9 @@ class SoakReport:
     #: backing-tier chain (all defaults on a single-tier platform).
     #: ``tiers`` is the chain as "name:capacity" joined with "+";
     #: ``tier_shares`` maps tier name → fraction of the table homed
-    #: there; demotions/moved bytes come from the chain's rebalancer.
+    #: there.
     tiers: str = ""
     tier_shares: dict = field(default_factory=dict)
-    tier_demotions: int = 0
-    tier_moved_bytes: int = 0
     tenants: int = 1
     #: hotness drift + online adaptation (all defaults on a stationary
     #: soak).  ``transition_goodput_ratio`` is the OK-rate inside the
@@ -664,46 +664,56 @@ def _tier_label(platform, index: int) -> str:
     return name
 
 
-def _build_stack(cfg: SoakConfig, platform_name: str):
-    """Platform + workload + filled cache (chaos-matrix style).
+@dataclass
+class Stack:
+    """What :func:`build_stack` hands every soak and chaos drill."""
 
-    Under a ``cfg.drift`` scenario the workload pmf is the drift
-    schedule's *phase-0* distribution — the cache starts solved for the
-    pre-drift regime, exactly the policy the change points invalidate.
+    platform: Platform
+    #: the seed's generator, past the table draw (chaos draws keys from it).
+    rng: np.random.Generator
+    table: np.ndarray
+    pmf: np.ndarray
+    #: expected accesses per entry per iteration (all GPUs' batches).
+    hotness: np.ndarray
+    #: per-GPU cache capacity in entries.
+    capacity: int
+    #: the filled single-box cache; None when the caller builds its own
+    #: (cluster nodes each fill their shard's).
+    cache: MultiGpuEmbeddingCache | None
+
+
+def build_stack(cfg, platform: Platform, pmf: np.ndarray | None = None,
+                fill: bool = True) -> Stack:
+    """The prelude of every harness: seeded table → access pmf → hotness
+    → capacity → hot-replicate/warm-partition placement → filled cache.
+
+    ``cfg`` is a :class:`SoakConfig` or a chaos ``ChaosConfig`` — only the
+    scalars they share are read (``seed``, ``num_entries``, ``alpha``,
+    ``entry_bytes``, ``batch_keys``, ``cache_ratio``).  ``pmf`` defaults
+    to one Zipf table; a multi-tenant or drift soak passes its own.
     """
-    platform = _soak_platform(cfg, platform_name)
     rng = make_rng(cfg.seed)
     dim = max(1, cfg.entry_bytes // 4)
     table = rng.standard_normal((cfg.num_entries, dim)).astype(np.float32)
-    schedule = None
-    if cfg.drift is not None:
-        from repro.dlr.drift import build_drift_schedule
-
-        schedule = build_drift_schedule(
-            cfg.drift, cfg.num_entries, cfg.alpha, cfg.seed
-        )
-        pmf = schedule.phases[0].pmf
-
-        def draw(rng_, _pmf=pmf) -> np.ndarray:
-            return rng_.choice(cfg.num_entries, size=cfg.batch_keys, p=_pmf)
-
-    else:
-        pmf, draw = _build_workload(cfg)
+    if pmf is None:
+        pmf = zipf_pmf(cfg.num_entries, cfg.alpha)
     hotness = pmf * cfg.batch_keys * platform.num_gpus
     capacity = max(1, int(cfg.cache_ratio * cfg.num_entries))
-    placement = hot_replicate_warm_partition_policy(
-        hotness, capacity, platform.num_gpus, 0.5
-    )
-    # On a tiered platform the backing chain is ranked by the same
-    # hotness the GPU policy sees: the hot head that misses the GPU tier
-    # lands in DRAM, the cold tail sinks to CXL/SSD.
-    cache = MultiGpuEmbeddingCache(
-        platform,
-        table,
-        placement,
-        tier_hotness=hotness if platform.num_tiers > 1 else None,
-    )
-    return platform, table, pmf, draw, hotness, capacity, cache, schedule
+    cache = None
+    if fill:
+        placement = hot_replicate_warm_partition_policy(
+            hotness, capacity, platform.num_gpus, 0.5
+        )
+        # On a tiered platform the backing chain is ranked by the same
+        # hotness the GPU policy sees: the hot head that misses the GPU
+        # tier lands in DRAM, the cold tail sinks to CXL/SSD.
+        cache = MultiGpuEmbeddingCache(
+            platform,
+            table,
+            placement,
+            tier_hotness=hotness if platform.num_tiers > 1 else None,
+        )
+    return Stack(platform, rng, table, pmf, hotness, capacity, cache)
 
 
 def _drifted_hotness(hotness: np.ndarray, rng) -> np.ndarray:
@@ -769,10 +779,25 @@ def run_soak(cfg: SoakConfig | None = None) -> SoakReport:
         from repro.cluster.soak import run_cluster_soak
 
         return run_cluster_soak(cfg)
-    platform_name, _desc = SOAK_SCENARIOS[cfg.scenario]
-    platform, _table, _pmf, draw, hotness, capacity, cache, schedule = (
-        _build_stack(cfg, platform_name)
-    )
+    platform = _soak_platform(cfg, SOAK_SCENARIOS[cfg.scenario][0])
+    schedule = None
+    if cfg.drift is not None:
+        from repro.dlr.drift import build_drift_schedule
+
+        # The cache starts solved for the schedule's *phase-0*
+        # distribution — exactly the policy the change points invalidate.
+        schedule = build_drift_schedule(
+            cfg.drift, cfg.num_entries, cfg.alpha, cfg.seed
+        )
+        pmf = schedule.phases[0].pmf
+
+        def draw(rng_) -> np.ndarray:
+            return rng_.choice(cfg.num_entries, size=cfg.batch_keys, p=pmf)
+
+    else:
+        pmf, draw = _build_workload(cfg)
+    stack = build_stack(cfg, platform, pmf)
+    hotness, capacity, cache = stack.hotness, stack.capacity, stack.cache
     arrival_rng, key_rng, probe_rng, drift_rng = spawn_rngs(cfg.seed + 17, 4)
 
     # Healthy single-batch service time s0, the harness's time unit.
@@ -1050,8 +1075,6 @@ def run_soak(cfg: SoakConfig | None = None) -> SoakReport:
                 )
                 for i in range(platform.num_tiers)
             }
-            report.tier_demotions = chain.demotions
-            report.tier_moved_bytes = chain.moved_bytes
     if prefetcher is not None:
         prefetcher.finalize()
         report.prefetch_staged_keys = prefetcher.staged_keys_total
@@ -1158,9 +1181,7 @@ def render_soak_report(report: SoakReport) -> str:
         lines.insert(
             1,
             f"  tiers         {report.tiers}  "
-            f"homed: {homed or 'n/a'}; "
-            f"{report.tier_demotions} demotions, "
-            f"{report.tier_moved_bytes} B moved",
+            f"homed: {homed or 'n/a'}",
         )
     if report.tenants > 1:
         lines.insert(1, f"  tenants       {report.tenants} models share the table")

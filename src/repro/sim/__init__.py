@@ -15,11 +15,9 @@ from repro.sim.engine import BatchReport, readers_per_source, simulate_batch
 from repro.sim.event_sim import (
     EventSimResult,
     HedgedSimResult,
-    PrefetchedSimResult,
     simulate_factored_event_driven,
     simulate_hedged_extraction,
     simulate_naive_event_driven,
-    simulate_prefetched_extraction,
 )
 from repro.sim.mechanisms import (
     MESSAGE_STAGE_OVERHEAD,
@@ -31,21 +29,18 @@ from repro.sim.mechanisms import (
     message_extraction,
     naive_peer_extraction,
 )
-from repro.sim.trace import ExtractionTrace, GroupEvent, LocalSegment, trace_batch, trace_factored
+from repro.sim.trace import ExtractionTrace, GroupEvent, LocalSegment, trace_factored
 from repro.sim.utilization import LinkUtilization, batch_utilization
 
 __all__ = [
     "EventSimResult",
     "HedgedSimResult",
-    "PrefetchedSimResult",
     "simulate_factored_event_driven",
     "simulate_hedged_extraction",
     "simulate_naive_event_driven",
-    "simulate_prefetched_extraction",
     "ExtractionTrace",
     "GroupEvent",
     "LocalSegment",
-    "trace_batch",
     "trace_factored",
     "BatchReport",
     "CongestedOutcome",

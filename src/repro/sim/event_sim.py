@@ -56,37 +56,6 @@ class HedgedSimResult:
         return self.winner == "hedge"
 
 
-@dataclass(frozen=True)
-class PrefetchedSimResult:
-    """Outcome of extraction with part of the host volume pre-staged.
-
-    The prefetch transfer overlaps an idle gap before the batch; only its
-    non-overlapped remainder (:attr:`critical_seconds`) delays the batch.
-    """
-
-    #: batch-relative completion: prefetch remainder + shifted extraction.
-    total_time: float
-    #: the un-prefetched demand priced discretely (the counterfactual).
-    baseline_time: float
-    #: the staged host→GPU transfer priced discretely.
-    prefetch_time: float
-    #: share of the prefetch transfer hidden by the idle gap.
-    overlapped_seconds: float
-    #: prefetch remainder that lands ahead of the batch.
-    critical_seconds: float
-    #: the demand with staged bytes shifted to the local tier, priced
-    #: discretely.
-    shifted_time: float
-
-    @property
-    def speedup(self) -> float:
-        """Baseline over prefetched end-to-end time (>1 when staging and
-        overlap beat re-reading the same bytes over PCIe at batch time)."""
-        if self.total_time <= 0:
-            return 1.0
-        return self.baseline_time / self.total_time
-
-
 def _apply_faults(
     platform: Platform,
     demand: GpuDemand,
@@ -351,89 +320,6 @@ def simulate_factored_event_driven(
                 core[1] = None
     clock += _access_latency(platform, demand)
     return EventSimResult(total_time=clock, chunks_processed=processed, events=events)
-
-
-def simulate_prefetched_extraction(
-    platform: Platform,
-    demand: GpuDemand,
-    staged_bytes: float,
-    idle_seconds: float = 0.0,
-    chunk_bytes: float = 64 * 1024,
-    faults: FaultPlan | None = None,
-    now: float = 0.0,
-) -> PrefetchedSimResult:
-    """Price lookahead prefetching in the discrete event model.
-
-    The oracle cacher stages ``staged_bytes`` of the batch's host volume
-    into the destination GPU's tier during an ``idle_seconds`` link gap
-    before the batch arrives; at batch time those bytes are local reads.
-    Both arms run through the factored event-driven simulator under the
-    same fault plan:
-
-    * the *prefetch transfer* is a host-only demand of ``staged_bytes``;
-      only ``max(0, transfer - idle)`` delays the batch;
-    * the *shifted extraction* is the original demand with the staged
-      bytes moved off the host path
-      (:func:`~repro.core.pipeline.shift_staged_demand` — the exact
-      re-pricing the serving runtime applies on a staging hit).
-
-    Tests use this to cross-validate the runtime's accounting against
-    independent physics: the shifted extraction never exceeds the
-    baseline, and with enough idle the end-to-end time strictly beats it.
-    """
-    if staged_bytes < 0:
-        raise ValueError("staged bytes must be non-negative")
-    if idle_seconds < 0:
-        raise ValueError("idle time must be non-negative")
-    from repro.core.pipeline import shift_staged_demand
-
-    baseline = simulate_factored_event_driven(
-        platform, demand, chunk_bytes=chunk_bytes, faults=faults, now=now
-    )
-    backing_vol = sum(v for s, v in demand.volumes.items() if s < 0)
-    staged = min(staged_bytes, backing_vol)
-    if staged <= 0:
-        return PrefetchedSimResult(
-            total_time=baseline.total_time,
-            baseline_time=baseline.total_time,
-            prefetch_time=0.0,
-            overlapped_seconds=0.0,
-            critical_seconds=0.0,
-            shifted_time=baseline.total_time,
-        )
-    shifted_demand = shift_staged_demand(demand, staged, platform)
-    # The staging transfer pulls exactly the bytes the shift drained from
-    # each tier (most-expensive tier first), so a byte staged from SSD is
-    # priced at SSD bandwidth + latency, not DRAM's.
-    transfer_volumes = {
-        s: v - shifted_demand.volumes.get(s, 0.0)
-        for s, v in demand.volumes.items()
-        if s < 0 and v - shifted_demand.volumes.get(s, 0.0) > 0
-    }
-    transfer = simulate_factored_event_driven(
-        platform,
-        GpuDemand(dst=demand.dst, volumes=transfer_volumes),
-        chunk_bytes=chunk_bytes,
-        faults=faults,
-        now=now,
-    )
-    overlapped = min(idle_seconds, transfer.total_time)
-    critical = transfer.total_time - overlapped
-    shifted = simulate_factored_event_driven(
-        platform,
-        shifted_demand,
-        chunk_bytes=chunk_bytes,
-        faults=faults,
-        now=now,
-    )
-    return PrefetchedSimResult(
-        total_time=critical + shifted.total_time,
-        baseline_time=baseline.total_time,
-        prefetch_time=transfer.total_time,
-        overlapped_seconds=overlapped,
-        critical_seconds=critical,
-        shifted_time=shifted.total_time,
-    )
 
 
 def simulate_hedged_extraction(

@@ -12,8 +12,7 @@ occupies, by replaying the §5.3 schedule:
 
 The resulting trace is exactly consistent with
 :func:`repro.sim.mechanisms.factored_extraction` (tested), and can be
-rendered as an ASCII Gantt chart or reduced to per-link busy intervals —
-the quantities Nsight shows in the paper's Figure 13 measurement.
+rendered as an ASCII Gantt chart (``python -m repro solve`` prints it).
 """
 
 from __future__ import annotations
@@ -63,22 +62,6 @@ class ExtractionTrace:
         ends = [g.finish for g in self.groups]
         ends += [s.finish for s in self.local_segments]
         return max(ends, default=0.0)
-
-    def busy_interval(self, source: int) -> tuple[float, float] | None:
-        """When the link to ``source`` is moving bytes (None if unused)."""
-        for g in self.groups:
-            if g.source == source:
-                return (g.start, g.finish)
-        return None
-
-    def core_utilization(self) -> float:
-        """Fraction of SM-time the batch keeps busy (stall-free = high)."""
-        span = self.makespan
-        if span <= 0:
-            return 0.0
-        busy = sum(g.cores * g.duration for g in self.groups)
-        busy += sum(s.cores * (s.finish - s.start) for s in self.local_segments)
-        return min(1.0, busy / (self.total_cores * span))
 
     def gantt(self, width: int = 60) -> str:
         """ASCII Gantt chart: one row per group, time left→right."""
@@ -174,10 +157,3 @@ def _fill_idle_capacity(
             segments.append(LocalSegment(start=start, finish=end, cores=idle))
             remaining -= capacity
     return segments
-
-
-def trace_batch(
-    platform: Platform, demands: list[GpuDemand], local_padding: bool = True
-) -> list[ExtractionTrace]:
-    """Traces for a full data-parallel batch (one per GPU)."""
-    return [trace_factored(platform, d, local_padding) for d in demands]

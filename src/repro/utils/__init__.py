@@ -6,15 +6,11 @@ from repro.utils.units import (
     KB,
     MB,
     MS,
-    US,
-    bytes_to_gb,
-    gb_to_bytes,
     gbps,
     seconds_to_ms,
-    seconds_to_us,
 )
 from repro.utils.concurrency import ReadWriteLock
-from repro.utils.logging import enable_console_logging, get_logger
+from repro.utils.logging import get_logger
 from repro.utils.retry import (
     Deadline,
     RetriesExhausted,
@@ -24,7 +20,6 @@ from repro.utils.retry import (
 from repro.utils.rng import make_rng, spawn_rngs
 from repro.utils.stats import (
     geometric_mean,
-    normalize,
     zipf_pmf,
 )
 
@@ -35,13 +30,8 @@ __all__ = [
     "KB",
     "MB",
     "MS",
-    "US",
-    "bytes_to_gb",
-    "gb_to_bytes",
     "gbps",
     "seconds_to_ms",
-    "seconds_to_us",
-    "enable_console_logging",
     "get_logger",
     "Deadline",
     "RetriesExhausted",
@@ -50,6 +40,5 @@ __all__ = [
     "make_rng",
     "spawn_rngs",
     "geometric_mean",
-    "normalize",
     "zipf_pmf",
 ]

@@ -2,8 +2,7 @@
 
 Follows library convention: ``repro`` never configures the root logger;
 applications opt in (e.g. ``logging.basicConfig(level=logging.DEBUG)``)
-and then see solver/refresher diagnostics.  :func:`enable_console_logging`
-is a convenience for scripts and the CLI.
+and then see solver/refresher diagnostics.
 """
 
 from __future__ import annotations
@@ -22,23 +21,3 @@ def get_logger(name: str) -> logging.Logger:
     if name.startswith(_ROOT_NAME):
         return logging.getLogger(name)
     return logging.getLogger(f"{_ROOT_NAME}.{name}")
-
-
-def enable_console_logging(level: int = logging.INFO) -> logging.Handler:
-    """Attach a stderr handler to the ``repro`` namespace (idempotent).
-
-    Returns the handler so callers can detach it again.
-    """
-    root = logging.getLogger(_ROOT_NAME)
-    for handler in root.handlers:
-        if getattr(handler, "_repro_console", False):
-            root.setLevel(level)
-            return handler
-    handler = logging.StreamHandler()
-    handler.setFormatter(
-        logging.Formatter("%(asctime)s %(name)s %(levelname)s: %(message)s")
-    )
-    handler._repro_console = True  # type: ignore[attr-defined]
-    root.addHandler(handler)
-    root.setLevel(level)
-    return handler

@@ -21,19 +21,6 @@ def zipf_pmf(n: int, alpha: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def normalize(weights: np.ndarray) -> np.ndarray:
-    """Normalize non-negative weights into a probability vector."""
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 1:
-        raise ValueError(f"expected 1-D weights, got shape {weights.shape}")
-    if (weights < 0).any():
-        raise ValueError("weights must be non-negative")
-    total = weights.sum()
-    if total <= 0:
-        raise ValueError("weights must not all be zero")
-    return weights / total
-
-
 def geometric_mean(values) -> float:
     """Geometric mean, the paper's aggregation for 'average speedup' claims."""
     arr = np.asarray(list(values), dtype=np.float64)
@@ -42,19 +29,3 @@ def geometric_mean(values) -> float:
     if (arr <= 0).any():
         raise ValueError("geometric mean requires positive values")
     return float(np.exp(np.log(arr).mean()))
-
-
-def coverage_curve(probabilities: np.ndarray) -> np.ndarray:
-    """Cumulative probability covered by the top-k hottest items.
-
-    ``coverage_curve(p)[k]`` is the hit rate of a size-``k`` cache holding
-    the ``k`` most probable items — the quantity behind Figure 2(a).
-    Index 0 is always 0 (empty cache).
-    """
-    probabilities = np.asarray(probabilities, dtype=np.float64)
-    ordered = np.sort(probabilities)[::-1]
-    curve = np.concatenate([[0.0], np.cumsum(ordered)])
-    # Floating-point drift in the running sum can push the tail above
-    # 1.0 on large catalogs (~1e7 items), which downstream hit-rate math
-    # would read as >100% hit rate; coverage is a probability, clamp it.
-    return np.minimum(curve, 1.0)

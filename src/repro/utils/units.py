@@ -23,8 +23,6 @@ GIB = 1024 * 1024 * 1024
 
 #: Time units, expressed in seconds.
 MS = 1e-3
-US = 1e-6
-NS = 1e-9
 
 
 def gbps(value: float) -> float:
@@ -32,36 +30,6 @@ def gbps(value: float) -> float:
     return value * GB
 
 
-def gb_to_bytes(value: float) -> int:
-    """Convert decimal gigabytes to bytes."""
-    return int(value * GB)
-
-
-def gib_to_bytes(value: float) -> int:
-    """Convert binary gibibytes to bytes."""
-    return int(value * GIB)
-
-
-def bytes_to_gb(value: float) -> float:
-    """Convert bytes to decimal gigabytes."""
-    return value / GB
-
-
-def bytes_to_gib(value: float) -> float:
-    """Convert bytes to binary gibibytes."""
-    return value / GIB
-
-
 def seconds_to_ms(value: float) -> float:
     """Convert seconds to milliseconds."""
     return value / MS
-
-
-def seconds_to_us(value: float) -> float:
-    """Convert seconds to microseconds."""
-    return value / US
-
-
-def ms_to_seconds(value: float) -> float:
-    """Convert milliseconds to seconds."""
-    return value * MS

@@ -28,7 +28,6 @@ from repro.core.extractor import FactoredExtractor
 from repro.core.policy import partition_policy
 from repro.faults.spec import HealthView
 from repro.hardware import server_a, server_c
-from repro.serve.request import SimClock
 from repro.serve.runtime import ServeConfig, ServingRuntime
 from repro.sim.engine import simulate_batch
 from repro.sim.event_sim import (
@@ -150,7 +149,6 @@ def build() -> dict:
         runtime = ServingRuntime(
             extractor,
             ServeConfig(hedge_enabled=True, hedge_headroom=1e6),
-            clock=SimClock(),
         )
         responses = []
         for dst, keys in enumerate(keys_per_gpu):

@@ -4,8 +4,7 @@
 oracle cacher) produces on seeded workloads: a full soak report with
 ``lookahead=4`` on the skewed quick trace, its ``lookahead=0`` anchor
 (which must stay byte-identical to a runtime with no prefetcher at all),
-the oracle cacher's exact staging decisions on a scripted window, and
-the discrete event-sim pricing of a prefetched extraction.
+and the oracle cacher's exact staging decisions on a scripted window.
 
 Only regenerate when an *intentional* behaviour change lands:
 
@@ -26,8 +25,6 @@ from repro.core.prefetch import OracleCacher, PrefetchConfig
 from repro.hardware import server_a
 from repro.hardware.platform import HOST
 from repro.serve import SoakConfig, run_soak
-from repro.sim.event_sim import simulate_prefetched_extraction
-from repro.sim.mechanisms import GpuDemand
 from repro.utils.stats import zipf_pmf
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "prefetch_golden.json"
@@ -85,30 +82,10 @@ def _cacher_tape() -> dict:
     }
 
 
-def _event_sim_record() -> dict:
-    platform = server_a()
-    demand = GpuDemand(
-        dst=0, volumes={HOST: 4 * 2**20, 0: 2**20, 1: 2**20}
-    )
-    result = simulate_prefetched_extraction(
-        platform, demand, staged_bytes=2 * 2**20, idle_seconds=1e-4
-    )
-    return {
-        "total_time": result.total_time,
-        "baseline_time": result.baseline_time,
-        "prefetch_time": result.prefetch_time,
-        "overlapped_seconds": result.overlapped_seconds,
-        "critical_seconds": result.critical_seconds,
-        "shifted_time": result.shifted_time,
-        "speedup": result.speedup,
-    }
-
-
 def build() -> dict:
     return {
         "version": 1,
         "cacher_tape": _cacher_tape(),
-        "event_sim": _event_sim_record(),
         "soak_off": _soak_record(),
         "soak_lookahead": _soak_record(lookahead=4),
     }

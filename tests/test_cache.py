@@ -11,7 +11,6 @@ from repro.core.policy import (
 )
 from repro.core.solver import solve_policy
 from repro.hardware.platform import HOST
-from repro.sim.mechanisms import Mechanism
 
 N, D = 2000, 8
 
@@ -81,25 +80,6 @@ class TestLookupProvenance:
         result = cache.lookup(0, np.arange(100))
         assert result.local_fraction == 1.0
         assert result.host_fraction == 0.0
-
-
-class TestExtractAll:
-    def test_returns_values_and_report(self, cache_partition, small_table, rng):
-        keys = [rng.integers(0, N, size=200) for _ in range(4)]
-        values, report = cache_partition.extract_all(keys)
-        for v, k in zip(values, keys):
-            assert np.array_equal(v, small_table[k])
-        assert report.time > 0
-        assert report.mechanism is Mechanism.FACTORED
-
-    def test_mechanism_selectable(self, cache_partition, rng):
-        keys = [rng.integers(0, N, size=200) for _ in range(4)]
-        _, report = cache_partition.extract_all(keys, mechanism=Mechanism.MESSAGE)
-        assert report.mechanism is Mechanism.MESSAGE
-
-    def test_wrong_gpu_count_rejected(self, cache_partition, rng):
-        with pytest.raises(ValueError):
-            cache_partition.extract_all([np.array([1])])
 
 
 class TestReplacePlacement:

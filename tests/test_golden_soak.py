@@ -73,7 +73,6 @@ def test_cluster_fields_are_additive_and_inert_single_box(replayed, golden):
         assert doc["nodes"] == 1 and doc["replication"] == 1
         # Tier fields are additive too: inert on single-tier platforms.
         assert doc["tiers"] == "" and doc["tier_shares"] == {}
-        assert doc["tier_demotions"] == 0 and doc["tier_moved_bytes"] == 0
         assert doc["tenants"] == 1
         assert doc["failovers"] == 0
         assert doc["replica_read_fraction"] == 0.0

@@ -1,14 +1,9 @@
-"""Hotness metric (§6.1): tracking, presampling, degree proxy."""
+"""Hotness metric (§6.1): tracking, degree proxy."""
 
 import numpy as np
 import pytest
 
-from repro.core.hotness import (
-    HotnessTracker,
-    degree_hotness,
-    hotness_skew,
-    presample_hotness,
-)
+from repro.core.hotness import HotnessTracker, degree_hotness
 
 
 class TestHotnessTracker:
@@ -72,23 +67,6 @@ class TestHotnessTracker:
         assert tracker.batches_recorded == 2
 
 
-class TestPresample:
-    def test_averages_over_batches(self):
-        batches = iter([np.array([0, 1]), np.array([0])])
-        hot = presample_hotness(batches, num_entries=3)
-        assert hot[0] == pytest.approx(1.0)
-        assert hot[1] == pytest.approx(0.5)
-
-    def test_max_batches_respected(self):
-        batches = iter([np.array([0])] * 10)
-        hot = presample_hotness(batches, 2, max_batches=3)
-        assert hot[0] == pytest.approx(1.0)
-
-    def test_empty_workload_rejected(self):
-        with pytest.raises(ValueError):
-            presample_hotness(iter([]), 3)
-
-
 class TestDegreeHotness:
     def test_proportional_to_degree(self):
         hot = degree_hotness(np.array([10.0, 5.0, 5.0]))
@@ -105,19 +83,6 @@ class TestDegreeHotness:
     def test_rejects_edgeless_graph(self):
         with pytest.raises(ValueError):
             degree_hotness(np.zeros(3))
-
-
-class TestSkewSummary:
-    def test_uniform_has_low_skew(self):
-        assert hotness_skew(np.ones(1000)) == pytest.approx(0.01, rel=0.2)
-
-    def test_pointmass_has_full_skew(self):
-        hot = np.zeros(1000)
-        hot[0] = 1.0
-        assert hotness_skew(hot) == pytest.approx(1.0)
-
-    def test_zero_hotness(self):
-        assert hotness_skew(np.zeros(10)) == 0.0
 
 
 class TestStreamingEstimatorColdStart:

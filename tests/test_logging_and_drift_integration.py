@@ -7,9 +7,9 @@ import pytest
 
 from repro.core.embedding_layer import EmbeddingLayerConfig, UGacheEmbeddingLayer
 from repro.core.solver import SolverConfig
-from repro.dlr.drift import DriftingTrace
+from repro.dlr.drift import build_drift_schedule
 from repro.dlr.workload import DlrWorkload
-from repro.utils.logging import enable_console_logging, get_logger
+from repro.utils.logging import get_logger
 
 
 class TestLogging:
@@ -21,12 +21,6 @@ class TestLogging:
     def test_null_handler_by_default(self):
         root = logging.getLogger("repro")
         assert any(isinstance(h, logging.NullHandler) for h in root.handlers)
-
-    def test_enable_console_idempotent(self):
-        first = enable_console_logging(logging.DEBUG)
-        second = enable_console_logging(logging.INFO)
-        assert first is second
-        logging.getLogger("repro").removeHandler(first)
 
     def test_solver_logs_debug(self, platform_a, caplog):
         from repro.core.solver import solve_policy
@@ -47,31 +41,33 @@ class TestDriftRefreshLoop:
     """The §7.2 operational loop: serve → drift → refresh → serve."""
 
     def test_week_of_drift_with_refreshes(self, platform_a, rng):
-        base = DlrWorkload(
-            table_sizes=(600, 400), alpha=1.3, batch_size=128, num_gpus=4, seed=0
-        )
-        table = rng.standard_normal((base.num_entries, 8)).astype(np.float32)
+        schedule = build_drift_schedule("rotating-head", 1000, alpha=1.3, seed=2)
+        batch_keys, gpus = 128, platform_a.num_gpus
+        table = rng.standard_normal((schedule.num_entries, 8)).astype(np.float32)
         layer = UGacheEmbeddingLayer(
             platform_a,
             table,
-            base.hotness(),
+            schedule.phases[0].pmf * batch_keys * gpus,
             EmbeddingLayerConfig(
                 cache_ratio=0.1, solver=SolverConfig(coarse_block_frac=0.05)
             ),
         )
-        trace = DriftingTrace(base=base, churn=0.4, num_days=4, seed=2)
         refreshes = 0
-        for day in trace.days():
-            # Serve a batch and verify correctness against the table.
-            batch = day.take_batches(1, seed=11)[0]
+        for phase in schedule.phases:
+            # Serve a batch of the phase's traffic and verify correctness
+            # against the table.
+            batch = [
+                rng.choice(schedule.num_entries, size=batch_keys, p=phase.pmf)
+                for _ in range(gpus)
+            ]
             values, report = layer.extract(batch)
             for v, keys in zip(values, batch):
                 assert np.array_equal(v, table[keys])
             assert report.time > 0
-            # Nightly: hand the day's analytic hotness to the refresher.
-            outcome = layer.refresh(day.hotness())
+            # Nightly: hand the phase's analytic hotness to the refresher.
+            outcome = layer.refresh(phase.pmf * batch_keys * gpus)
             refreshes += int(outcome.triggered)
-        # Heavy churn must trigger at least one refresh across the week.
+        # A rotated head must trigger at least one refresh across the run.
         assert refreshes >= 1
 
     def test_refresh_restores_hit_rate(self, platform_a, rng):

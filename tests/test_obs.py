@@ -12,13 +12,10 @@ from repro.obs import (
     get_registry,
     load_metrics,
     set_registry,
-    span,
     summarize,
     timer,
-    to_prometheus_text,
     use_registry,
     write_json,
-    write_jsonl,
 )
 
 
@@ -81,15 +78,6 @@ class TestHistogram:
         assert h.bucket_counts[0] == 1
         assert h.bucket_counts[-1] == 1
         assert h.count == 2
-
-    def test_percentile_within_observed_range(self):
-        h = MetricsRegistry().histogram("h")
-        for v in (0.002, 0.004, 0.2):
-            h.observe(v)
-        assert h.min <= h.percentile(50) <= h.max
-        assert h.percentile(100) == pytest.approx(0.2)
-        with pytest.raises(ValueError):
-            h.percentile(101)
 
     def test_buckets_are_fixed_and_increasing(self):
         bounds = np.asarray(BUCKET_BOUNDS)
@@ -157,27 +145,6 @@ class TestTracing:
         assert h.count == 1
         assert h.min >= 0
 
-    def test_span_noop_unless_tracing_enabled(self):
-        reg = MetricsRegistry()
-        with span("quiet", reg):
-            pass
-        assert reg.spans == []
-        reg.tracing_enabled = True
-        with span("loud", reg, gpu=0) as s:
-            s.set(keys=128)
-        assert len(reg.spans) == 1
-        record = reg.spans[0]
-        assert record.name == "loud"
-        assert record.attrs == {"gpu": 0, "keys": 128}
-
-    def test_span_attrs_captured(self):
-        reg = MetricsRegistry()
-        reg.tracing_enabled = True
-        with span("s", reg, gpu=3) as s:
-            s.set(keys=7)
-        assert reg.spans[0].attrs == {"gpu": 3, "keys": 7}
-        assert reg.spans[0].duration >= 0
-
 
 class TestExport:
     def _populated(self):
@@ -201,30 +168,6 @@ class TestExport:
         hist = by_name[("solver.solve.seconds", ())]
         assert hist["count"] == 2
         assert hist["sum"] == pytest.approx(0.55)
-
-    def test_jsonl_roundtrip_matches_json(self, tmp_path):
-        reg = self._populated()
-        json_doc = load_metrics(write_json(reg, tmp_path / "m.json"))
-        jsonl_doc = load_metrics(write_jsonl(reg, tmp_path / "m.jsonl"))
-        assert jsonl_doc["metrics"] == json_doc["metrics"]
-        assert jsonl_doc["registry"] == json_doc["registry"]
-
-    def test_prometheus_text_format(self):
-        text = to_prometheus_text(self._populated())
-        assert '# TYPE repro_cache_lookup_keys counter' in text
-        assert 'repro_cache_lookup_keys{source="local"} 10' in text
-        assert 'repro_solver_solve_seconds_count 2' in text
-        assert 'le="+Inf"' in text
-
-    def test_prometheus_bucket_counts_cumulative(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("h")
-        for v in (0.01, 0.01, 100.0):
-            h.observe(v)
-        lines = [l for l in to_prometheus_text(reg).splitlines() if "_bucket" in l]
-        counts = [int(l.rsplit(" ", 1)[1]) for l in lines]
-        assert counts == sorted(counts)
-        assert counts[-1] == 3
 
     def test_summarize_mentions_series(self):
         text = summarize(self._populated().snapshot())

@@ -22,7 +22,6 @@ from repro.hardware.platform import HOST, server_a
 from repro.obs import MetricsRegistry, use_registry
 from repro.obs.tracing import PIPELINE_STAGES
 from repro.serve import ServingRuntime, SoakConfig, run_soak
-from repro.sim.event_sim import simulate_prefetched_extraction
 from repro.sim.mechanisms import GpuDemand
 from repro.utils.rng import make_rng
 from repro.utils.stats import zipf_pmf
@@ -328,59 +327,6 @@ class TestRuntimePrefetchIntegration:
             runtime.make_request(0, _keys(seed=0), now=0.0), now=0.0
         )
         assert len(cacher.window(0)) == 2
-
-
-class TestPrefetchedEventSim:
-    def _demand(self):
-        return GpuDemand(dst=0, volumes={HOST: 4 * 2**20, 0: 2**20, 1: 2**20})
-
-    def test_shifted_never_slower_than_baseline(self):
-        platform = server_a()
-        result = simulate_prefetched_extraction(
-            platform, self._demand(), staged_bytes=2 * 2**20,
-            idle_seconds=math.inf,
-        )
-        assert result.shifted_time <= result.baseline_time
-        assert result.speedup >= 1.0
-
-    def test_no_idle_pays_transfer_up_front(self):
-        platform = server_a()
-        result = simulate_prefetched_extraction(
-            platform, self._demand(), staged_bytes=2 * 2**20, idle_seconds=0.0
-        )
-        assert result.overlapped_seconds == 0.0
-        assert result.critical_seconds == pytest.approx(result.prefetch_time)
-        assert result.total_time == pytest.approx(
-            result.prefetch_time + result.shifted_time
-        )
-
-    def test_zero_staged_is_baseline(self):
-        platform = server_a()
-        result = simulate_prefetched_extraction(
-            platform, self._demand(), staged_bytes=0.0
-        )
-        assert result.total_time == result.baseline_time
-        assert result.prefetch_time == 0.0
-
-    def test_staging_clamped_to_host_volume(self):
-        platform = server_a()
-        result = simulate_prefetched_extraction(
-            platform, self._demand(), staged_bytes=1e12,
-            idle_seconds=math.inf,
-        )
-        # all host volume shifted: the shifted run has no host group left
-        assert result.shifted_time < result.baseline_time
-
-    def test_rejects_bad_args(self):
-        platform = server_a()
-        with pytest.raises(ValueError):
-            simulate_prefetched_extraction(
-                platform, self._demand(), staged_bytes=-1.0
-            )
-        with pytest.raises(ValueError):
-            simulate_prefetched_extraction(
-                platform, self._demand(), staged_bytes=1.0, idle_seconds=-1.0
-            )
 
 
 class TestSoakLookahead:

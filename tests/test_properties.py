@@ -13,7 +13,7 @@ from repro.hardware.memory import SlotArena
 from repro.hardware.platform import HOST, server_a, server_c
 from repro.sim.congestion import solve_congested_extraction
 from repro.sim.mechanisms import GpuDemand, factored_extraction
-from repro.utils.stats import coverage_curve, normalize, zipf_pmf
+from repro.utils.stats import zipf_pmf
 
 PLATFORM_A = server_a()
 PLATFORM_C = server_c()
@@ -175,14 +175,6 @@ class TestStatsProperties:
         assert pmf.sum() == pytest.approx(1.0)
         assert (pmf > 0).all()
         assert (np.diff(pmf) <= 1e-15).all()
-
-    @given(hot=nonzero_hotness())
-    @settings(max_examples=40, deadline=None)
-    def test_coverage_curve_monotone_bounded(self, hot):
-        curve = coverage_curve(normalize(hot))
-        assert curve[0] == 0.0
-        assert curve[-1] == pytest.approx(1.0)
-        assert (np.diff(curve) >= -1e-12).all()
 
 
 # ----------------------------------------------------------------------
@@ -680,7 +672,7 @@ class TestRouteMemoProperties:
     @settings(max_examples=60, deadline=None)
     def test_a_warm_memo_is_never_stale(self, kind, seed, steps, data):
         """Whatever happens between two batches — faults, breakers, another
-        split policy, a new placement, a refresh step, tier moves, a rotten
+        split policy, a new placement, a refresh step, a rotten
         slot — a warm memo answers exactly as an empty one does."""
         cache = _plan_cache(kind, seed)
         platform = cache.platform
@@ -691,7 +683,7 @@ class TestRouteMemoProperties:
         for step in steps:
             rng = np.random.default_rng(step)
             event = data.draw(st.sampled_from([
-                "none", "none", "placement", "refresh", "stale", "corrupt", "tiers",
+                "none", "none", "placement", "refresh", "stale", "corrupt",
             ]))
             if event == "placement":
                 hot = rng.permutation(zipf_pmf(PLAN_N, 1.1)) * 1000.0
@@ -720,8 +712,6 @@ class TestRouteMemoProperties:
                 refresh, damaged = None, True
                 wrong = data.draw(st.sampled_from([G, 300, 44, 200, -200]) | gpus)
                 cache.source_map[data.draw(gpus)][rng.integers(0, PLAN_N, size=6)] = wrong
-            elif event == "tiers":
-                cache.rebalance_tiers(rng.permutation(zipf_pmf(PLAN_N, 1.1)))
             dst = data.draw(gpus)
             keys = rng.integers(0, PLAN_N, size=data.draw(st.sampled_from([300, 40, 3, 0])))
             health = data.draw(st.none() | health_views(G, dst))

@@ -312,6 +312,45 @@ class TestWatchdog:
             WatchdogConfig(suspect_quarantine_depth=0)
 
 
+class TestNodeLifecycle:
+    def test_heal_storm_transitions_as_recorded(self, monkeypatch):
+        """The one lifecycle object the cluster soak and the heal-storm
+        drill share walks the storm exactly as the drill's own loop did
+        before the merge (values recorded at that commit, quick, seed 0)."""
+        from repro.cluster import soak as cluster_soak
+        from repro.faults.chaos import ChaosConfig, run_scenario
+
+        built = []
+
+        class Recording(cluster_soak.NodeLifecycle):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(cluster_soak, "NodeLifecycle", Recording)
+        result = run_scenario("heal-storm", ChaosConfig.quick(seed=0))
+        (lifecycle,) = built
+        assert result.ok
+        assert [
+            (t.at, t.node, t.old.value, t.new.value)
+            for t in lifecycle.watchdog.transitions
+        ] == [
+            (2.0, 1, "healthy", "ejected"),
+            (4.0, 1, "ejected", "recovering"),
+            (4.0, 2, "healthy", "ejected"),
+            (5.0, 2, "ejected", "recovering"),
+            (6.0, 1, "recovering", "ejected"),
+            (7.0, 1, "ejected", "recovering"),
+            (8.0, 1, "recovering", "healthy"),
+            (8.0, 2, "recovering", "healthy"),
+        ]
+        assert lifecycle.restage_blocks == result.extra["restage_blocks"] == 46
+        # node 1's first refill (cut short by its second death) and the two
+        # refills the drain finished
+        assert len(lifecycle.recovery_windows) == 3
+        assert not lifecycle.recovering
+
+
 class TestBitRotFault:
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bench.runner import ReplayStats, replay_functional, replay_workload
-from repro.core.cache import MultiGpuEmbeddingCache
+from repro.bench.runner import ReplayStats, replay_workload
 from repro.core.policy import partition_policy, replication_policy
 from repro.sim.mechanisms import Mechanism
 from repro.utils.stats import zipf_pmf
@@ -69,27 +68,6 @@ class TestReplayWorkload:
         stats = replay_workload(platform_a, placement, [], 32)
         assert stats.iterations == 0
         assert stats.mean_time == 0.0
-
-
-class TestReplayFunctional:
-    def test_exactness_checked(self, platform_a, small_table, skewed_hotness, rng, probs):
-        cache = MultiGpuEmbeddingCache(
-            platform_a, small_table, replication_policy(skewed_hotness, 300, 4)
-        )
-        stats = replay_functional(
-            cache, small_table, _batches(rng, probs), max_iterations=3
-        )
-        assert stats.iterations == 3
-
-    def test_detects_corruption(self, platform_a, small_table, skewed_hotness, rng, probs):
-        cache = MultiGpuEmbeddingCache(
-            platform_a, small_table, replication_policy(skewed_hotness, 300, 4)
-        )
-        wrong_table = small_table + 1.0
-        with pytest.raises(AssertionError, match="diverge"):
-            replay_functional(
-                cache, wrong_table, _batches(rng, probs), max_iterations=1
-            )
 
 
 class TestReplayStats:

@@ -18,7 +18,6 @@ from repro.serve import (
     QueuePolicy,
     Request,
     RequestStatus,
-    SimClock,
 )
 
 pytestmark = pytest.mark.serve
@@ -32,22 +31,6 @@ def _request(rid=1, gpu=0, arrival=0.0, deadline=math.inf):
         arrival=arrival,
         deadline=deadline,
     )
-
-
-class TestSimClock:
-    def test_advances(self):
-        clock = SimClock()
-        assert clock() == 0.0
-        clock.advance(1.5)
-        assert clock.now == 1.5
-        clock.advance_to(1.0)  # no going back
-        assert clock.now == 1.5
-        clock.advance_to(3.0)
-        assert clock.now == 3.0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            SimClock().advance(-0.1)
 
 
 class TestRequest:
@@ -84,7 +67,6 @@ class TestLatencyEstimator:
             # the same observations back the shared obs histogram
             hist = registry.histogram("serve.batch.seconds", gpu=0)
             assert hist.count == 2
-            assert est.percentile(99) == hist.percentile(99)
 
     def test_prior_answers_before_first_sample(self):
         # Regression: estimate() answered 0.0 cold, so SLO-margin

@@ -75,17 +75,6 @@ class TestServeRequest:
         assert np.array_equal(response.values, table[keys])
         assert runtime.poll(0, now=0.0) is None
 
-    def test_drain_serves_every_queue(self):
-        platform, _table, _cache, extractor, _inj = _stack()
-        runtime = ServingRuntime(extractor)
-        for g in range(platform.num_gpus):
-            for i in range(3):
-                runtime.submit(runtime.make_request(g, _keys(seed=i), 0.0), 0.0)
-        responses = runtime.drain(now=0.0)
-        assert len(responses) == 3 * platform.num_gpus
-        assert runtime.admission.total_depth == 0
-        assert runtime.clock.now > 0  # drain advanced the virtual clock
-
     def test_full_queue_reject_policy_surfaces_response(self):
         _platform, _table, _cache, extractor, _inj = _stack()
         runtime = ServingRuntime(
@@ -121,7 +110,8 @@ class TestServeRequest:
             while batch := batcher.take(5.0):
                 runtime.serve_batch(batch, 5.0)
         else:
-            runtime.drain(now=5.0)
+            while runtime.poll(0, now=5.0) is not None:
+                pass
         assert [r.status for r in runtime.responses].count(RequestStatus.EXPIRED) == 2
         assert sorted(r.request.request_id for r in runtime.responses) == [1, 2, 3, 4]
         assert check_time_physics(runtime.responses, offered=4) == []

@@ -1,14 +1,9 @@
-"""Statistics helpers: Zipf pmf, coverage curves, aggregation."""
+"""Statistics helpers: Zipf pmf, aggregation."""
 
 import numpy as np
 import pytest
 
-from repro.utils.stats import (
-    coverage_curve,
-    geometric_mean,
-    normalize,
-    zipf_pmf,
-)
+from repro.utils.stats import geometric_mean, zipf_pmf
 
 
 class TestZipfPmf:
@@ -36,27 +31,6 @@ class TestZipfPmf:
             zipf_pmf(10, -0.1)
 
 
-class TestNormalize:
-    def test_result_sums_to_one(self):
-        assert normalize(np.array([1.0, 3.0])).sum() == pytest.approx(1.0)
-
-    def test_preserves_ratios(self):
-        out = normalize(np.array([1.0, 3.0]))
-        assert out[1] / out[0] == pytest.approx(3.0)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            normalize(np.array([1.0, -1.0]))
-
-    def test_rejects_all_zero(self):
-        with pytest.raises(ValueError):
-            normalize(np.zeros(3))
-
-    def test_rejects_matrix(self):
-        with pytest.raises(ValueError):
-            normalize(np.ones((2, 2)))
-
-
 class TestGeometricMean:
     def test_of_constant(self):
         assert geometric_mean([2.0, 2.0, 2.0]) == pytest.approx(2.0)
@@ -71,28 +45,3 @@ class TestGeometricMean:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             geometric_mean([1.0, 0.0])
-
-
-class TestCoverageCurve:
-    def test_starts_at_zero_ends_at_one(self):
-        curve = coverage_curve(zipf_pmf(50, 1.0))
-        assert curve[0] == 0.0
-        assert curve[-1] == pytest.approx(1.0)
-
-    def test_monotone(self):
-        curve = coverage_curve(zipf_pmf(50, 1.3))
-        assert (np.diff(curve) >= 0).all()
-
-    def test_concave_for_skewed_input(self):
-        curve = coverage_curve(zipf_pmf(100, 1.2))
-        # The first cached entry contributes more than the last.
-        assert curve[1] - curve[0] > curve[-1] - curve[-2]
-
-    @pytest.mark.slow
-    def test_never_exceeds_one_on_large_catalog(self):
-        # Regression: at 1e7 items the running np.cumsum drifts past 1.0
-        # (zipf_pmf(1e7, 0.5) overshoots by ~2e-15 pre-fix), which
-        # downstream hit-rate math would read as >100% hit rate.
-        curve = coverage_curve(zipf_pmf(10**7, 0.5))
-        assert curve.max() <= 1.0
-        assert curve[-1] == pytest.approx(1.0)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.hardware.platform import HOST
 from repro.sim.mechanisms import GpuDemand, factored_extraction
-from repro.sim.trace import trace_batch, trace_factored
+from repro.sim.trace import trace_factored
 
 
 def _demand(dst=0, local=30e6, g1=20e6, host=2e6):
@@ -84,22 +84,6 @@ class TestConsistencyWithAnalyticModel:
 
 
 class TestAccessors:
-    def test_busy_interval(self, platform_a):
-        trace = trace_factored(platform_a, _demand())
-        interval = trace.busy_interval(HOST)
-        assert interval is not None and interval[0] == 0.0
-        assert trace.busy_interval(3) is None
-
-    def test_core_utilization_bounds(self, platform_a):
-        trace = trace_factored(platform_a, _demand(local=200e6))
-        assert 0.0 < trace.core_utilization() <= 1.0
-
-    def test_padding_improves_core_utilization(self, platform_a):
-        demand = _demand(local=60e6)
-        padded = trace_factored(platform_a, demand)
-        serial = trace_factored(platform_a, demand, local_padding=False)
-        assert padded.core_utilization() >= serial.core_utilization()
-
     def test_gantt_renders(self, platform_a):
         trace = trace_factored(platform_a, _demand())
         chart = trace.gantt()
@@ -109,8 +93,3 @@ class TestAccessors:
         trace = trace_factored(platform_a, GpuDemand(dst=0, volumes={}))
         assert trace.makespan == 0.0
         assert trace.gantt() == "(empty trace)"
-
-    def test_trace_batch(self, platform_a):
-        demands = [_demand(dst=g) for g in range(4)]
-        traces = trace_batch(platform_a, demands)
-        assert [t.dst for t in traces] == [0, 1, 2, 3]
