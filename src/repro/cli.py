@@ -103,9 +103,17 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
+def _write_summary(path: str, doc: dict) -> None:
+    """What every ``--json-out`` writes: one sorted, indented document."""
     import json
 
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"summary written to {path}")
+
+
+def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults.chaos import (
         SCENARIO_DESCRIPTIONS,
         SCENARIOS,
@@ -140,10 +148,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"summary written to {args.json_out}")
+        _write_summary(args.json_out, summary)
     if args.metrics_out:
         path = write_json(registry, args.metrics_out)
         print(f"metrics written to {path}")
@@ -151,7 +156,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_soak(args: argparse.Namespace) -> int:
-    import json
+    from dataclasses import replace
 
     from repro.obs import MetricsRegistry, use_registry, write_json
     from repro.serve.coalesce import BatchingMode
@@ -184,8 +189,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         overrides["tenants"] = 3
     if args.requests is not None:
         overrides["requests_per_gpu"] = args.requests
-    if args.linger_ms is not None:
-        overrides["linger_ms"] = args.linger_ms
     try:
         cfg = (
             SoakConfig.quick(**overrides)
@@ -199,13 +202,17 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     with use_registry(registry):
         report = run_soak(cfg)
     print(render_soak_report(report))
-    if args.compare_lookahead and cfg.lookahead > 0:
-        # Same trace without prefetching: the deltas are the lookahead
-        # stage's contribution, everything else held equal.
-        from dataclasses import replace
 
+    def rerun(**field) -> "SoakReport":
+        """The same soak with one field replaced — everything else,
+        trace included, held equal — under its own registry."""
         with use_registry(MetricsRegistry("soak-baseline")):
-            baseline = run_soak(replace(cfg, lookahead=0))
+            return run_soak(replace(cfg, **field))
+
+    adapt_regressed = False
+    if args.compare_lookahead and cfg.lookahead > 0:
+        # The deltas are the lookahead stage's contribution.
+        baseline = rerun(lookahead=0)
         delta = report.goodput_rps - baseline.goodput_rps
         pct = (
             100.0 * delta / baseline.goodput_rps
@@ -223,13 +230,10 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             f"shed {baseline.shed_rate:.1%} -> {report.shed_rate:.1%}, "
             f"hit rate {report.prefetch_hit_rate:.1%} vs 0.0%"
         )
-    if args.compare_restage and cfg.repair and cfg.restage == "staged":
-        # Same chaos, burst refill instead: the recovery-window goodput
-        # delta is what the rate-limited staging buys.
-        from dataclasses import replace
-
-        with use_registry(MetricsRegistry("soak-baseline")):
-            baseline = run_soak(replace(cfg, restage="burst"))
+    elif args.compare_restage and cfg.repair and cfg.restage == "staged":
+        # Burst refill instead: the recovery-window goodput delta is what
+        # the rate-limited staging buys.
+        baseline = rerun(restage="burst")
         print(
             f"  vs burst re-stage: recovery-window goodput "
             f"{baseline.recovery_goodput_ratio:.1%} -> "
@@ -237,15 +241,10 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             f"({report.recovery_requests} vs "
             f"{baseline.recovery_requests} requests in window)"
         )
-    adapt_regressed = False
-    if args.compare_adapt and cfg.drift is not None and cfg.adapt:
-        # Same drifting trace with adaptation off: the transition-window
-        # goodput delta is what the detector → incremental-re-solve →
-        # guarded-swap loop buys, everything else held equal.
-        from dataclasses import replace
-
-        with use_registry(MetricsRegistry("soak-baseline")):
-            baseline = run_soak(replace(cfg, adapt=False))
+    elif args.compare_adapt and cfg.drift is not None and cfg.adapt:
+        # Adaptation off: the transition-window goodput delta is what the
+        # detector → incremental-re-solve → guarded-swap loop buys.
+        baseline = rerun(adapt=False)
         print(
             f"  vs adapt off: transition-window goodput "
             f"{baseline.transition_goodput_ratio:.1%} -> "
@@ -265,10 +264,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"summary written to {args.json_out}")
+        _write_summary(args.json_out, report.to_dict())
     if args.metrics_out:
         path = write_json(registry, args.metrics_out)
         print(f"metrics written to {path}")
@@ -282,8 +278,6 @@ def _cmd_tiers(args: argparse.Namespace) -> int:
     Runs the same steady quick soak once per spec (same seed, same
     trace), so the only thing that moves between rows is the chain.
     """
-    import json
-
     from repro.obs import MetricsRegistry, use_registry
     from repro.serve.soak import SoakConfig, run_soak
 
@@ -337,16 +331,11 @@ def _cmd_tiers(args: argparse.Namespace) -> int:
                 {"spec": spec, **r.to_dict()} for spec, r in rows
             ],
         }
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"summary written to {args.json_out}")
+        _write_summary(args.json_out, doc)
     return 0 if all(r.ok for _, r in rows) else 1
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    import json
-
     import numpy as np
 
     from repro.cluster.frontend import ClusterConfig, ClusterFrontend
@@ -403,10 +392,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             "entries": args.entries,
             "node_loss": impact,
         }
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"summary written to {args.json_out}")
+        _write_summary(args.json_out, doc)
     return 0
 
 
@@ -459,6 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_list)
 
     from repro.faults.chaos import SCENARIOS as _CHAOS_SCENARIOS
+    from repro.serve.soak import SOAK_SCENARIOS as _SOAK_SCENARIOS
 
     p = sub.add_parser("chaos", help="run the fault-injection scenario matrix")
     p.add_argument("--scenario", default="all",
@@ -485,11 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
         "soak", help="sustained serving-load soak with chaos and policy swaps"
     )
     p.add_argument("--scenario", default="dgx_a100_partial_failure",
-                   choices=["steady", "dgx_a100_partial_failure",
-                            "corrupt-slot-storm", "host-stall",
-                            "node-kill", "node-flap", "node-partition",
-                            "node-slow", "node-kill-bit-rot",
-                            "hps-multitenant"],
+                   choices=list(_SOAK_SCENARIOS),
                    help="node-* scenarios require --nodes > 1; "
                         "hps-multitenant runs the parameter-server shape "
                         "(tiered backing, multi-model trace)")
@@ -528,9 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(off reproduces the un-batched path exactly)")
     p.add_argument("--max-batch", type=int, default=8,
                    help="most requests fused into one extraction")
-    p.add_argument("--linger-ms", type=float, default=None, metavar="MS",
-                   help="micro-batch linger in milliseconds (default: "
-                        "half the baseline service time)")
     p.add_argument("--lookahead", type=int, default=0, metavar="K",
                    help="batches the oracle cacher peeks ahead in the "
                         "trace; 0 disables prefetching (open-loop only)")

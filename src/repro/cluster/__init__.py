@@ -27,13 +27,15 @@ from repro.cluster.placement import (
 )
 from repro.cluster.ring import HashRing, hash_keys
 from repro.cluster.rpc import RpcConfig, attempt_profile
-from repro.cluster.soak import FAILOVER_GOODPUT_FLOOR, run_cluster_soak
+from repro.cluster.soak import ClusterSoak
+from repro.serve.soak import FAILOVER_GOODPUT_FLOOR
 
 __all__ = [
     "CacheNode",
     "ClusterConfig",
     "ClusterFrontend",
     "ClusterResponse",
+    "ClusterSoak",
     "FAILOVER_GOODPUT_FLOOR",
     "HashRing",
     "NodePlacement",
@@ -41,6 +43,5 @@ __all__ = [
     "analyze_node_loss",
     "attempt_profile",
     "hash_keys",
-    "run_cluster_soak",
     "solve_node_placement",
 ]

@@ -138,6 +138,15 @@ class ClusterResponse:
     def ok(self) -> bool:
         return self.served == self.requested
 
+    def wrong_rows(self, keys: np.ndarray, table: np.ndarray) -> int:
+        """How many of the rows :attr:`values` claims to have served for
+        ``keys`` differ from ``table``'s."""
+        served = np.ones(len(keys), dtype=bool)
+        served[self.failed_positions] = False
+        return int(
+            (self.values[served] != table[keys[served]]).any(axis=1).sum()
+        )
+
 
 class ClusterFrontend:
     """Routes requests across :class:`CacheNode`\\ s with replicated failover."""

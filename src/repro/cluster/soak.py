@@ -2,27 +2,33 @@
 node-level chaos.
 
 ``python -m repro soak --nodes N --replication R`` lands here
-(``--nodes 1`` never enters this module).  The single-box soak's traffic
-loop, :func:`~repro.serve.soak.drive_arrivals`, hands Poisson arrivals
-(open loop) or a fixed client population's resubmits (closed loop) to
-this module's arrival handler, which sends each request through
-:class:`~repro.cluster.frontend.ClusterFrontend` on a simulated clock
-while a node-kill/partition/flap fault plan takes whole nodes away
-mid-run, and — the part the CI gate cares about — measures goodput
-*during* the failover window, not just after recovery:
+(``--nodes 1`` never enters this module).  :class:`ClusterSoak` is driven
+like the single-box harness (:func:`~repro.serve.soak.drive`): Poisson
+arrivals (open loop) or a fixed client population's resubmits (closed
+loop) each go through :class:`~repro.cluster.frontend.ClusterFrontend`
+on a simulated clock while a node-kill/partition/flap fault plan takes
+whole nodes away mid-run, and each leaves one :class:`ClusterRecord`.
+The report is a pass over the records, and — the part the CI gate cares
+about — measures goodput *during* the failover window, not just after
+recovery:
 
-* requests are bucketed into steady time (no node fault active) and the
-  failover window (some node fault active);
-* ``failover_goodput_ratio`` is the OK-rate inside the window over the
-  steady OK-rate; the report's ``ok`` gate requires ≥ 70%;
-* every served value is checked bit-exact against the host table, and
-  every node's cache is reconciled (``verify_integrity``) after recovery;
+* after the run, records are bucketed by arrival into the failover
+  window (some node fault active), else a post-heal recovery window
+  (:attr:`NodeLifecycle.recovery_windows`), else steady time;
+* ``failover_goodput_ratio`` and ``recovery_goodput_ratio`` are those
+  buckets' OK-rates over the steady OK-rate
+  (:func:`~repro.serve.soak.window_ok_ratio`), gated by
+  ``SoakReport.ok`` at ``FAILOVER_GOODPUT_FLOOR`` and — with the repair
+  layer on — ``RECOVERY_GOODPUT_FLOOR``;
+* every row served, whatever became of its request, is checked bit-exact
+  against the host table, and every node's cache is reconciled
+  (``verify_integrity``) after recovery;
 * a healed node re-stages its GPU caches from DRAM — the bytes show up
   as ``rebalance_bytes`` (and the ``cluster.rebalance.bytes`` counter);
 * the run's own bookkeeping is gated like the single-box soak's time
-  physics: no response takes negative time, every requested key is
-  either served or reported failed, and every request ends in exactly
-  one of ok / expired / failed — a breach is an integrity failure.
+  physics: every arrival leaves a record, no response takes negative
+  time and every requested key is either served or reported failed — a
+  breach is an integrity failure.
 
 With ``--repair`` the self-healing layer (:mod:`repro.repair`) rides
 along: node death actually *drops* the dead node's GPU caches, heals
@@ -31,8 +37,6 @@ hotness-ordered blocks under an idle-link-time budget (``--restage
 staged``); every node runs an anti-entropy scrubber plus a read guard
 (so bit-rot chaos can never serve a corrupt value), and a node-lifecycle
 watchdog steers the front-end's routing while a node is RECOVERING.
-Requests inside a post-heal recovery window are bucketed separately and
-gated: ``recovery_goodput_ratio`` must stay ≥ 85% of steady.
 
 :func:`build_cluster` is the one place a cluster is assembled and
 :class:`NodeLifecycle` the one place a node's death and heal are acted
@@ -46,24 +50,35 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.cluster.frontend import ClusterConfig, ClusterFrontend
+from repro.cluster.frontend import (
+    ClusterConfig,
+    ClusterFrontend,
+    ClusterResponse,
+)
 from repro.cluster.node import CacheNode
 from repro.core.policy import Placement
 from repro.faults.injector import FaultInjector
-from repro.faults.spec import HEALTHY, FaultKind, FaultPlan, HealthView
+from repro.faults.spec import (
+    HEALTHY,
+    NODE_FAULT_KINDS,
+    FaultKind,
+    FaultPlan,
+    HealthView,
+)
 from repro.obs import get_registry
 from repro.repair import CacheScrubber, NodeWatchdog, StagedRecovery
+from repro.serve.request import RequestStatus
 from repro.serve.soak import (
-    SOAK_SCENARIOS,
     SoakConfig,
     SoakReport,
     Stack,
-    _chain_label,
     _soak_platform,
+    build_report,
     build_soak_plan,
     build_stack,
-    drive_arrivals,
+    in_windows,
     poisson_schedule,
+    window_ok_ratio,
 )
 from repro.utils.logging import get_logger
 from repro.utils.rng import make_rng, spawn_rngs
@@ -71,40 +86,10 @@ from repro.utils.rng import make_rng, spawn_rngs
 logger = get_logger("cluster.soak")
 
 __all__ = [
-    "FAILOVER_GOODPUT_FLOOR",
+    "ClusterSoak",
     "NodeLifecycle",
     "build_cluster",
-    "run_cluster_soak",
 ]
-
-#: Minimum fraction of steady-state goodput the failover window must keep
-#: (the acceptance gate enforced by ``SoakReport.ok`` for cluster runs).
-FAILOVER_GOODPUT_FLOOR = 0.70
-
-
-def _node_fault_windows(plan) -> list[tuple[float, float]]:
-    """(onset, clear) for every node-scoped fault in the plan."""
-    if plan is None:
-        return []
-    kinds = (FaultKind.NODE_DOWN, FaultKind.NODE_SLOW, FaultKind.NODE_PARTITION)
-    return [(f.onset, f.clears_at) for f in plan if f.kind in kinds]
-
-
-def _in_any_window(t: float, windows: list[tuple[float, float]]) -> bool:
-    return any(a <= t < b for a, b in windows)
-
-
-def _node_counter_values(reg, name: str) -> dict[str, int]:
-    """Per-``node``-label values of one counter (registry is cumulative
-    across runs in a process, so callers diff two of these snapshots)."""
-    series = getattr(reg, "series", None)
-    if series is None:
-        return {}
-    return {
-        str(dict(s.labels).get("node")): int(s.value)
-        for s in series()
-        if s.kind == "counter" and s.name == name
-    }
 
 
 @dataclass
@@ -330,313 +315,298 @@ class NodeLifecycle:
         self._observe(end, HEALTHY)
 
 
-def run_cluster_soak(cfg: SoakConfig) -> SoakReport:
-    """Run one multi-node soak scenario end to end."""
-    # Honours --tiers: every node then holds its shard across the same
-    # backing chain (CacheNode ranks the chain by its shard's hotness).
-    platform = _soak_platform(cfg, SOAK_SCENARIOS[cfg.scenario][0])
-    cluster = build_cluster(
-        cfg, platform, cfg.nodes, cfg.replication, cfg.placement, load=cfg.load
-    )
-    frontend, s0 = cluster.frontend, cluster.s0
-    nodes = list(frontend.nodes.values())
-    table, pmf = cluster.stack.table, cluster.stack.pmf
-    rate = cfg.load * cfg.nodes / s0
-    # One healthy leg = wire + extraction + payload reply; the request
-    # deadline scales from it so the network tier never eats the whole
-    # latency budget on CI-sized tables where the wire dominates.
-    leg0 = frontend.config.rpc.healthy_leg(
-        s0, cfg.batch_keys * nodes[0].cache.entry_bytes
-    )
-    deadline = cfg.deadline_factor * leg0
+class UnrepairedHeals:
+    """Stands where :class:`NodeLifecycle` does when ``--repair`` is off:
+    nothing is dropped at a death, so there is nothing to scrub, watch or
+    refill in stages — a healed node's whole ``cached_bytes`` count as
+    re-staged from DRAM the moment it comes back."""
 
-    arrival_rng, key_rng = spawn_rngs(cfg.seed + 17, 2)
-    total_requests = cfg.requests_per_gpu * cfg.nodes
-    duration = total_requests / rate
-    plan = build_soak_plan(cfg.scenario, duration, cfg.seed)
-    windows = _node_fault_windows(plan)
+    #: no refill is ever in flight, so no request is in a recovery window.
+    recovery_windows: tuple = ()
 
-    reg = get_registry()
-    node_requests_start = _node_counter_values(reg, "cluster.node.requests")
+    def __init__(self, frontend: ClusterFrontend) -> None:
+        self.frontend = frontend
+        self.restage_bytes = 0
+        self._prev_down: frozenset[int] = frozenset()
 
-    # Bit-rot injectors follow the *scenario*, not --repair, so an
-    # unguarded bit-rot run visibly serves corruption.
-    repair = cfg.repair
-    injectors: dict[int, FaultInjector] = {}
-    if plan is not None:
-        for node in nodes:
+    def step(self, t: float, health: HealthView,
+             idle_seconds: float = 0.0) -> HealthView:
+        for node_id in self._prev_down - health.down_nodes:
+            staged = self.frontend.nodes[node_id].cached_bytes
+            self.restage_bytes += staged
+            logger.info(
+                "node %d healed at t=%.3f: re-staged %d bytes",
+                node_id, t, staged,
+            )
+        self._prev_down = health.down_nodes
+        return health
+
+    def finish(self, end: float) -> None:
+        """Any node still down when arrivals stop heals during the drain."""
+        self.step(end, HEALTHY)
+
+
+@dataclass
+class ClusterRecord:
+    """One finished request of a cluster soak; the report is a pass over
+    these."""
+
+    arrival: float
+    #: what the front-end answered (its ``values`` are dropped once
+    #: :attr:`wrong_rows` has been counted — the numbers are what is kept).
+    response: ClusterResponse
+    #: OK when every key was served inside the deadline; otherwise FAILED
+    #: for a partial answer, EXPIRED for a whole but late one.
+    status: RequestStatus
+    #: served rows that differ from the host table's.
+    wrong_rows: int
+
+    @property
+    def ok(self) -> bool:
+        return self.status is RequestStatus.OK
+
+
+def _node_requests(reg) -> dict[str, int]:
+    """``cluster.node.requests`` per node so far (the registry is
+    cumulative across runs in a process: callers diff two snapshots)."""
+    return {
+        str(dict(labels).get("node")): int(value)
+        for labels, value in reg.counter_values("cluster.node.requests").items()
+    }
+
+
+class ClusterSoak:
+    """One multi-node soak, driven like the single-box
+    :class:`~repro.serve.soak.BoxSoak`: :attr:`events` → :meth:`arrive`
+    appends one :class:`ClusterRecord` per request, :meth:`finish` heals
+    and reconciles, :meth:`report` sums the records."""
+
+    def __init__(self, cfg: SoakConfig) -> None:
+        self.cfg = cfg
+        # Honours --tiers: every node then holds its shard across the same
+        # backing chain (CacheNode ranks the chain by its shard's hotness).
+        self.platform = _soak_platform(cfg)
+        cluster = build_cluster(
+            cfg, self.platform, cfg.nodes, cfg.replication, cfg.placement,
+            load=cfg.load,
+        )
+        self.frontend, self.s0 = cluster.frontend, cluster.s0
+        self.table, self.pmf = cluster.stack.table, cluster.stack.pmf
+        self.rate = cfg.load * cfg.nodes / self.s0
+        # One healthy leg = wire + extraction + payload reply; the request
+        # deadline scales from it so the network tier never eats the whole
+        # latency budget on CI-sized tables where the wire dominates.
+        leg0 = self.frontend.config.rpc.healthy_leg(
+            self.s0, cfg.batch_keys * self.frontend.nodes[0].cache.entry_bytes
+        )
+        self.deadline = cfg.deadline_factor * leg0
+
+        arrival_rng, self.key_rng = spawn_rngs(cfg.seed + 17, 2)
+        total_requests = cfg.requests_per_gpu * cfg.nodes
+        self.duration = total_requests / self.rate
+        self.plan = build_soak_plan(cfg.scenario, self.duration, cfg.seed)
+        self.injectors = self._rot_injectors()
+        self.lifecycle = (
+            NodeLifecycle(
+                self.frontend, cluster.stack.hotness, restage=cfg.restage
+            )
+            if cfg.repair else UnrepairedHeals(self.frontend)
+        )
+        self.node_requests_start = _node_requests(get_registry())
+        self.records: list[ClusterRecord] = []
+        # Closed loop: a fixed client population per node, each
+        # resubmitting the moment its previous request completes, until the
+        # nominal run duration elapses.  Open loop: one Poisson stream.
+        self.events = (
+            [(0.0, i, 0) for i in range(cfg.clients * cfg.nodes)]
+            if cfg.closed_loop
+            else poisson_schedule(arrival_rng, self.rate, 1, total_requests)
+        )
+
+    def _rot_injectors(self) -> list[FaultInjector]:
+        """One injector per node the plan's bit-rot reaches.  They follow
+        the *scenario*, not --repair, so an unguarded bit-rot run visibly
+        serves corruption."""
+        injectors = []
+        for node in self.frontend.nodes.values():
             rot = tuple(
-                f for f in plan
+                f for f in self.plan or ()
                 if f.kind is FaultKind.BIT_ROT
                 and f.node in (None, node.node_id)
             )
             if rot:
-                injectors[node.node_id] = FaultInjector(
-                    FaultPlan(
-                        faults=rot,
-                        seed=plan.seed + 7919 * (node.node_id + 1),
-                        name=f"{plan.name}-rot-{node.node_id}",
-                    ),
-                    cache=node.cache,
+                injectors.append(
+                    FaultInjector(
+                        FaultPlan(
+                            faults=rot,
+                            seed=self.plan.seed + 7919 * (node.node_id + 1),
+                            name=f"{self.plan.name}-rot-{node.node_id}",
+                        ),
+                        cache=node.cache,
+                    )
                 )
-    lifecycle = (
-        NodeLifecycle(frontend, cluster.stack.hotness, restage=cfg.restage)
-        if repair else None
-    )
+        return injectors
 
-    served_ok = 0
-    expired = 0
-    failed = 0
-    hedges = 0
-    hedge_wins = 0
-    failovers = 0
-    replica_keys = 0
-    served_keys = 0
-    host_fallback_keys = 0
-    partial_responses = 0
-    rpc_retries = 0
-    rpc_timeouts = 0
-    latencies: list[float] = []
-    steady_ok = steady_total = 0
-    window_ok = window_total = 0
-    recovery_ok = recovery_total = 0
-    rebalance_bytes = 0
-    corrupt_rows_served = 0
-    values_exact = True
-    physics_failures = 0
-    prev_down: frozenset[int] = frozenset()
-    prev_t = 0.0
-    recovery_latencies: list[float] = []
-    sim_end = duration
-
-    def handle_arrival(t: float, _seq: int, _client: int) -> float | None:
+    def arrive(self, t: float, _seq: int, _client: int) -> float | None:
         """One request's full lifecycle at arrival time ``t``; a closed
         loop's client arrives again when its request completes."""
-        nonlocal served_ok, expired, failed, hedges, hedge_wins, failovers
-        nonlocal replica_keys, served_keys, host_fallback_keys
-        nonlocal partial_responses, rpc_retries, rpc_timeouts
-        nonlocal steady_ok, steady_total, window_ok, window_total
-        nonlocal recovery_ok, recovery_total, rebalance_bytes
-        nonlocal corrupt_rows_served, values_exact, prev_down, prev_t
-        nonlocal sim_end, physics_failures
-        dt = max(0.0, t - prev_t)
-        prev_t = t
-        health = plan.health_at(t) if plan is not None else HEALTHY
-        for injector in injectors.values():
+        cfg, records = self.cfg, self.records
+        dt = max(0.0, t - (records[-1].arrival if records else 0.0))
+        health = self.plan.health_at(t) if self.plan is not None else HEALTHY
+        for injector in self.injectors:
             injector.advance(t)
-        if lifecycle is not None:
-            # Staged refills spend only the idle share of link time.
-            serve_health = lifecycle.step(
-                t, health, idle_seconds=dt * max(0.0, 1.0 - cfg.load)
-            )
-        else:
-            serve_health = health
-            for node_id in prev_down - health.down_nodes:
-                staged = frontend.nodes[node_id].cached_bytes
-                rebalance_bytes += staged
-                reg.counter("cluster.rebalance.bytes").inc(staged)
-                logger.info(
-                    "node %d healed at t=%.3f: re-staged %d bytes",
-                    node_id, t, staged,
-                )
-        prev_down = health.down_nodes
-        keys = key_rng.choice(cfg.num_entries, size=cfg.batch_keys, p=pmf)
-        resp = frontend.serve(keys, t, health=serve_health, execute=True)
-        sim_end = max(sim_end, t + resp.elapsed)
-        physics_failures += (resp.elapsed < 0) + (
-            resp.served + len(resp.failed_positions) != len(keys)
+        # Staged refills spend only the idle share of link time.
+        serve_health = self.lifecycle.step(
+            t, health, idle_seconds=dt * max(0.0, 1.0 - cfg.load)
         )
-        hedges += resp.hedges
-        hedge_wins += resp.hedge_wins
-        failovers += resp.failovers
-        replica_keys += resp.replica_keys
-        served_keys += resp.served
-        host_fallback_keys += resp.host_fallback_keys
-        partial_responses += int(resp.partial)
-        rpc_retries += resp.rpc_retries
-        rpc_timeouts += resp.rpc_timeouts
-        ok = resp.ok and resp.elapsed <= deadline
-        if ok:
-            served_ok += 1
-            latencies.append(resp.elapsed)
-            if resp.values is not None:
-                served = np.ones(len(keys), dtype=bool)
-                served[resp.failed_positions] = False
-                if not np.array_equal(resp.values[served], table[keys[served]]):
-                    values_exact = False
-        elif resp.partial:
-            failed += 1
+        keys = self.key_rng.choice(
+            cfg.num_entries, size=cfg.batch_keys, p=self.pmf
+        )
+        resp = self.frontend.serve(keys, t, health=serve_health, execute=True)
+        # Every served row is checked against the host table, whatever
+        # becomes of the request.
+        wrong_rows = resp.wrong_rows(keys, self.table)
+        resp.values = None
+        if resp.partial:
+            status = RequestStatus.FAILED
+        elif resp.elapsed <= self.deadline:
+            status = RequestStatus.OK
         else:
-            expired += 1
-        if (repair or injectors) and resp.values is not None:
-            served = np.ones(len(keys), dtype=bool)
-            served[resp.failed_positions] = False
-            if served.any():
-                corrupt_rows_served += int(
-                    (resp.values[served] != table[keys[served]])
-                    .any(axis=1).sum()
-                )
-        if _in_any_window(t, windows):
-            window_total += 1
-            window_ok += int(ok)
-        elif lifecycle is not None and (
-            lifecycle.recovering
-            or _in_any_window(t, lifecycle.recovery_windows)
-        ):
-            recovery_total += 1
-            recovery_ok += int(ok)
-            if ok:
-                recovery_latencies.append(resp.elapsed)
-        else:
-            steady_total += 1
-            steady_ok += int(ok)
+            status = RequestStatus.EXPIRED
+        records.append(ClusterRecord(t, resp, status, wrong_rows))
         return t + resp.elapsed if cfg.closed_loop else None
 
-    # Closed loop: a fixed client population per node, each resubmitting
-    # the moment its previous request completes, until the nominal run
-    # duration elapses.  Open loop: one Poisson stream.
-    events = (
-        [(0.0, i, 0) for i in range(cfg.clients * cfg.nodes)]
-        if cfg.closed_loop
-        else poisson_schedule(arrival_rng, rate, 1, total_requests)
-    )
-    requests = drive_arrivals(
-        events, handle_arrival,
-        until=duration if cfg.closed_loop else math.inf,
-    )
-    physics_failures += requests != served_ok + expired + failed
+    def finish(self, arrived: int) -> None:
+        """After the last arrival: nodes still down heal, refills run to
+        completion, and every node's cache is reconciled."""
+        self.arrived = arrived
+        self.sim_end = max(
+            [self.duration]
+            + [r.arrival + r.response.elapsed for r in self.records]
+        )
+        self.lifecycle.finish(self.sim_end)
+        rebalanced = self.lifecycle.restage_bytes
+        if rebalanced:
+            get_registry().counter("cluster.rebalance.bytes").inc(rebalanced)
+        self.violations = self.frontend.verify_integrity()
+        for v in self.violations:
+            logger.error("cluster integrity: %s", v)
 
-    if lifecycle is not None:
-        lifecycle.finish(sim_end)
-        rebalance_bytes = lifecycle.restage_bytes
-        if rebalance_bytes:
-            reg.counter("cluster.rebalance.bytes").inc(rebalance_bytes)
-    elif prev_down:
-        # Any node still down when arrivals stop heals during the drain.
-        for node_id in prev_down:
-            staged = frontend.nodes[node_id].cached_bytes
-            rebalance_bytes += staged
-            reg.counter("cluster.rebalance.bytes").inc(staged)
+    def _window_fields(self) -> dict:
+        """Bucket every record by its arrival — inside a node-fault
+        window, else inside a post-heal recovery window, else steady — and
+        hold the first two buckets' OK-rates against the steady one."""
+        fault_windows = [
+            (f.onset, f.clears_at)
+            for f in self.plan or ()
+            if f.kind in NODE_FAULT_KINDS
+        ]
+        failover: list[bool] = []
+        recovery: list[ClusterRecord] = []
+        steady: list[bool] = []
+        for r in self.records:
+            if in_windows(r.arrival, fault_windows):
+                failover.append(r.ok)
+            elif in_windows(r.arrival, self.lifecycle.recovery_windows):
+                recovery.append(r)
+            else:
+                steady.append(r.ok)
+        recovery_latencies = [r.response.elapsed for r in recovery if r.ok]
+        return dict(
+            failover_goodput_ratio=window_ok_ratio(failover, steady),
+            steady_goodput_rps=(
+                sum(steady) / len(steady) * self.rate if steady else 0.0
+            ),
+            recovery_goodput_ratio=window_ok_ratio(
+                [r.ok for r in recovery], steady
+            ),
+            recovery_requests=len(recovery),
+            recovery_p99_latency=(
+                float(np.percentile(np.array(recovery_latencies), 99))
+                if recovery_latencies else 0.0
+            ),
+        )
 
-    violations = frontend.verify_integrity()
-    integrity_failures = (
-        len(violations) + (0 if values_exact else 1) + physics_failures
-    )
-    for v in violations:
-        logger.error("cluster integrity: %s", v)
+    def _repair_fields(self) -> dict:
+        lifecycle = self.lifecycle
+        if not self.cfg.repair:
+            return {}
+        scrubbers = lifecycle.scrubbers.values()
+        return dict(
+            repair_enabled=True,
+            restage_mode=self.cfg.restage,
+            restage_bytes=lifecycle.restage_bytes,
+            restage_blocks=lifecycle.restage_blocks,
+            scrub_scanned_slots=sum(s.scanned_total for s in scrubbers),
+            scrub_mismatches=sum(s.mismatches_total for s in scrubbers),
+            scrub_repaired=sum(s.repaired_total for s in scrubbers),
+            scrub_read_repairs=sum(s.read_repairs_total for s in scrubbers),
+            watchdog_transitions=len(lifecycle.watchdog.transitions),
+        )
 
-    steady_rate = steady_ok / steady_total if steady_total else 0.0
-    if window_total == 0:
-        ratio = 1.0
-    elif steady_rate > 0:
-        ratio = (window_ok / window_total) / steady_rate
-    else:
-        ratio = 0.0
-    if recovery_total == 0:
-        recovery_ratio = 1.0
-    elif steady_rate > 0:
-        recovery_ratio = (recovery_ok / recovery_total) / steady_rate
-    else:
-        recovery_ratio = 0.0
-
-    node_requests_end = _node_counter_values(reg, "cluster.node.requests")
-    node_requests = {
-        node: count - node_requests_start.get(node, 0)
-        for node, count in node_requests_end.items()
-        if count - node_requests_start.get(node, 0) > 0
-    }
-    lat = np.array(latencies) if latencies else np.array([0.0])
-    scrubbers = lifecycle.scrubbers.values() if repair else ()
-    report = SoakReport(
-        scenario=cfg.scenario,
-        requests=requests,
-        served_ok=served_ok,
-        expired=expired,
-        failed=failed,
-        goodput_rps=served_ok / sim_end if sim_end > 0 else 0.0,
-        hedges=hedges,
-        hedge_wins=hedge_wins,
-        p50_latency=float(np.percentile(lat, 50)),
-        p99_latency=float(np.percentile(lat, 99)),
-        p999_latency=float(np.percentile(lat, 99.9)),
-        max_queue_depth=0,
-        queue_capacity=cfg.queue_capacity,
-        breaker_transitions=frontend.breakers.transition_counts(),
-        breaker_transitions_by_source=(
-            frontend.breakers.transition_counts_by_source()
-        ),
-        breaker_time_in_state=frontend.breakers.time_in_state(sim_end),
-        integrity_failures=integrity_failures,
-        duration=sim_end,
-        arrival_rate=rate,
-        baseline_service=s0,
-        nodes=cfg.nodes,
-        replication=cfg.replication,
-        failovers=failovers,
-        replica_read_fraction=(
-            replica_keys / served_keys if served_keys else 0.0
-        ),
-        host_fallback_keys=host_fallback_keys,
-        partial_responses=partial_responses,
-        rpc_retries=rpc_retries,
-        rpc_timeouts=rpc_timeouts,
-        failover_goodput_ratio=ratio,
-        steady_goodput_rps=steady_rate * rate,
-        rebalance_bytes=rebalance_bytes,
-        node_requests=node_requests,
-        repair_enabled=repair,
-        restage_mode=cfg.restage if repair else "",
-        recovery_goodput_ratio=recovery_ratio,
-        recovery_requests=recovery_total,
-        recovery_p99_latency=(
-            float(np.percentile(np.array(recovery_latencies), 99))
-            if recovery_latencies else 0.0
-        ),
-        restage_bytes=lifecycle.restage_bytes if repair else 0,
-        restage_blocks=lifecycle.restage_blocks if repair else 0,
-        scrub_scanned_slots=sum(
-            s.scanned_total for s in scrubbers
-        ),
-        scrub_mismatches=sum(
-            s.mismatches_total for s in scrubbers
-        ),
-        scrub_repaired=sum(s.repaired_total for s in scrubbers),
-        scrub_read_repairs=sum(
-            s.read_repairs_total for s in scrubbers
-        ),
-        corrupt_values_served=corrupt_rows_served,
-        watchdog_transitions=(
-            len(lifecycle.watchdog.transitions) if repair else 0
-        ),
-    )
-    if platform.num_tiers > 1:
-        report.tiers = _chain_label(platform)
-    if reg.enabled:
-        reg.gauge("cluster.failover_goodput_ratio").set(ratio)
+    def report(self) -> SoakReport:
+        cfg, records, sim_end = self.cfg, self.records, self.sim_end
+        responses = [r.response for r in records]
+        served_keys = sum(r.served for r in responses)
+        # The run's own bookkeeping: every arrival left a record, no
+        # response took negative time, and every requested key was either
+        # served or reported failed.
+        physics_failures = (self.arrived != len(records)) + sum(
+            (r.elapsed < 0)
+            + (r.served + len(r.failed_positions) != cfg.batch_keys)
+            for r in responses
+        )
+        node_requests = {
+            node: count - self.node_requests_start.get(node, 0)
+            for node, count in _node_requests(get_registry()).items()
+            if count - self.node_requests_start.get(node, 0) > 0
+        }
+        report = build_report(
+            cfg,
+            self.platform,
+            [r.status for r in records],
+            [r.response.elapsed for r in records if r.ok],
+            self.frontend.breakers,
+            sim_end,
+            self.rate,
+            self.s0,
+            hedges=sum(r.hedges for r in responses),
+            hedge_wins=sum(r.hedge_wins for r in responses),
+            integrity_failures=(
+                len(self.violations)
+                + any(r.wrong_rows for r in records)
+                + physics_failures
+            ),
+            nodes=cfg.nodes,
+            replication=cfg.replication,
+            failovers=sum(r.failovers for r in responses),
+            replica_read_fraction=(
+                sum(r.replica_keys for r in responses) / served_keys
+                if served_keys else 0.0
+            ),
+            host_fallback_keys=sum(r.host_fallback_keys for r in responses),
+            partial_responses=sum(r.partial for r in responses),
+            rpc_retries=sum(r.rpc_retries for r in responses),
+            rpc_timeouts=sum(r.rpc_timeouts for r in responses),
+            rebalance_bytes=self.lifecycle.restage_bytes,
+            node_requests=node_requests,
+            corrupt_values_served=sum(r.wrong_rows for r in records),
+            **self._window_fields(),
+            **self._repair_fields(),
+        )
+        reg = get_registry()
+        reg.gauge("cluster.failover_goodput_ratio").set(
+            report.failover_goodput_ratio
+        )
         reg.gauge("cluster.replica_read_fraction").set(
             report.replica_read_fraction
         )
-        for node, count in report.node_requests.items():
+        for node, count in node_requests.items():
             reg.gauge("cluster.node.qps", node=node).set(
                 count / sim_end if sim_end > 0 else 0.0
             )
-        if repair:
-            reg.gauge("repair.recovery_goodput_ratio").set(recovery_ratio)
-    logger.info(
-        "cluster soak %s: %d nodes R=%d, %d ok / %d requests, "
-        "failover goodput %.0f%%, %d failovers, %d rebalanced bytes",
-        cfg.scenario, cfg.nodes, cfg.replication,
-        served_ok, requests, 100 * ratio,
-        report.failovers, rebalance_bytes,
-    )
-    if repair:
-        logger.info(
-            "repair (%s): recovery goodput %.0f%% over %d requests, "
-            "%d blocks / %d B re-staged, %d scrub mismatches, "
-            "%d read-guard patches, %d corrupt rows served",
-            cfg.restage, 100 * recovery_ratio, recovery_total,
-            report.restage_blocks, report.restage_bytes,
-            report.scrub_mismatches, report.scrub_read_repairs,
-            corrupt_rows_served,
-        )
-    return report
+        if cfg.repair:
+            reg.gauge("repair.recovery_goodput_ratio").set(
+                report.recovery_goodput_ratio
+            )
+        return report

@@ -45,24 +45,8 @@ from repro.utils.logging import get_logger
 
 logger = get_logger("faults.chaos")
 
-#: Every scenario the matrix knows how to run, in display order.
-SCENARIOS: tuple[str, ...] = (
-    "gpu-failure",
-    "link-degradation",
-    "link-partition",
-    "host-stall",
-    "corrupt-slot",
-    "solver-timeout",
-    "refresh-interrupt",
-    "node_down",
-    "node_flap",
-    "node_partition",
-    "bit-rot",
-    "slow-leak-corruption",
-    "heal-storm",
-)
-
-#: One-line descriptions, in SCENARIOS order (``chaos --list-scenarios``).
+#: Every scenario the matrix knows how to run, in display order, with its
+#: one-line description (``chaos --list-scenarios``).
 SCENARIO_DESCRIPTIONS: dict[str, str] = {
     "gpu-failure": "one GPU dies mid-run; reads reroute around it",
     "link-degradation": "an interconnect link loses most of its bandwidth",
@@ -82,16 +66,12 @@ SCENARIO_DESCRIPTIONS: dict[str, str] = {
                   "recoveries under the lifecycle watchdog",
 }
 
+SCENARIOS: tuple[str, ...] = tuple(SCENARIO_DESCRIPTIONS)
+
 #: Node-level scenarios: these run against a 3-node replicated cluster
 #: tier (R=2) through the fan-out front-end instead of a single box.
 NODE_SCENARIOS: frozenset[str] = frozenset(
     {"node_down", "node_flap", "node_partition"}
-)
-
-#: Self-healing drills: single-box scrub loops plus the cluster-tier
-#: heal-storm (scrubber + staged recovery + watchdog from repro.repair).
-REPAIR_SCENARIOS: frozenset[str] = frozenset(
-    {"bit-rot", "slow-leak-corruption", "heal-storm"}
 )
 
 #: Default ceiling on post-fault latency relative to baseline; beyond this
@@ -240,147 +220,46 @@ def build_node_fault_plan(scenario: str, cfg: ChaosConfig) -> FaultPlan:
 
 def _sum_counter(name: str) -> float:
     """Sum one counter over all of its label combinations."""
-    reg = get_registry()
-    series = getattr(reg, "series", None)
-    if series is None:
-        return 0.0
-    return float(
-        sum(s.value for s in series() if s.kind == "counter" and s.name == name)
-    )
+    return float(sum(get_registry().counter_values(name).values()))
 
 
-def _build_stack(cfg: ChaosConfig, plan: FaultPlan | None = None):
-    """The shared stack plus an extractor with the plan's injector attached."""
-    stack = build_stack(cfg, platform_by_name(cfg.platform))
-    injector = FaultInjector(plan, cache=stack.cache) if plan is not None else None
-    return stack, FactoredExtractor(stack.cache, injector=injector), injector
+def _phase_means(times: list[float], onset: float, clear: float) -> dict:
+    """Mean batch time before the fault, inside ``[onset, clear)`` and
+    after it, as :class:`ScenarioResult` fields (batch ``t`` runs at
+    time ``t``)."""
+    phases = {
+        "baseline_time": [x for t, x in enumerate(times) if t < onset],
+        "degraded_time": [x for t, x in enumerate(times) if onset <= t < clear],
+        "recovered_time": [x for t, x in enumerate(times) if t >= clear],
+    }
+    return {
+        name: float(np.mean(xs)) if xs else 0.0 for name, xs in phases.items()
+    }
 
 
 def _run_batch_loop(scenario: str, cfg: ChaosConfig) -> ScenarioResult:
-    """Drive the extractor through onset → fault → recovery."""
-    plan = build_fault_plan(scenario, cfg)
-    stack, extractor, injector = _build_stack(cfg, plan)
-    platform, table, pmf, rng = stack.platform, stack.table, stack.pmf, stack.rng
-    rerouted_before = _sum_counter("faults.rerouted_keys")
-    times: list[float] = []
-    values_exact = True
-    completed = 0
-    for t in range(cfg.num_batches):
-        now = float(t)
-        injector.advance(now)
-        keys = [
-            rng.choice(cfg.num_entries, size=cfg.batch_keys, p=pmf)
-            for _ in range(platform.num_gpus)
-        ]
-        values, report = extractor.extract(keys, now=now)
-        for got, want in zip(values, keys):
-            if not np.array_equal(got, table[want]):
-                values_exact = False
-        times.append(report.time)
-        completed += 1
-    rerouted = int(_sum_counter("faults.rerouted_keys") - rerouted_before)
+    """Drive the extractor through onset → fault → recovery.
 
-    clear = plan.last_clear_time()
-    baseline = [x for t, x in enumerate(times) if t < cfg.onset]
-    during = [x for t, x in enumerate(times) if cfg.onset <= t < clear]
-    after = [x for t, x in enumerate(times) if t >= clear]
-    result = ScenarioResult(
-        scenario=scenario,
-        ok=values_exact and completed == cfg.num_batches,
-        completed_batches=completed,
-        values_exact=values_exact,
-        baseline_time=float(np.mean(baseline)) if baseline else 0.0,
-        degraded_time=float(np.mean(during)) if during else 0.0,
-        recovered_time=float(np.mean(after)) if after else 0.0,
-        rerouted_keys=rerouted,
-        notes=f"{completed}/{cfg.num_batches} batches, {rerouted} keys rerouted",
-    )
-    return result
-
-
-def _run_node_loop(scenario: str, cfg: ChaosConfig) -> ScenarioResult:
-    """Drive the cluster front-end through onset → node fault → recovery.
-
-    Same shape as :func:`_run_batch_loop`, one tier up: the stack is a
-    3-node replicated cluster (R=2) and the fault takes a whole node
-    away.  "Rerouted keys" here are keys served off their primary owner
-    (replica reads + host fallback).
-    """
-    from repro.cluster.soak import build_cluster
-
-    plan = build_node_fault_plan(scenario, cfg)
-    cluster = build_cluster(
-        cfg, platform_by_name(cfg.platform), nodes=3, replication=2
-    )
-    frontend, stack = cluster.frontend, cluster.stack
-    table, pmf, rng = stack.table, stack.pmf, stack.rng
-
-    times: list[float] = []
-    values_exact = True
-    all_served = True
-    completed = 0
-    rerouted = 0
-    for t in range(cfg.num_batches):
-        now = float(t)
-        health = plan.health_at(now)
-        keys = rng.choice(cfg.num_entries, size=cfg.batch_keys, p=pmf)
-        resp = frontend.serve(keys, now, health=health, execute=True)
-        if resp.partial:
-            all_served = False
-        served = np.ones(len(keys), dtype=bool)
-        served[resp.failed_positions] = False
-        if not np.array_equal(resp.values[served], table[keys[served]]):
-            values_exact = False
-        rerouted += resp.replica_keys + resp.host_fallback_keys
-        times.append(resp.elapsed)
-        completed += 1
-
-    violations = frontend.verify_integrity()
-    clear = plan.last_clear_time()
-    baseline = [x for t, x in enumerate(times) if t < cfg.onset]
-    during = [x for t, x in enumerate(times) if cfg.onset <= t < clear]
-    after = [x for t, x in enumerate(times) if t >= clear]
-    return ScenarioResult(
-        scenario=scenario,
-        ok=(
-            values_exact
-            and all_served
-            and not violations
-            and completed == cfg.num_batches
-        ),
-        completed_batches=completed,
-        values_exact=values_exact,
-        baseline_time=float(np.mean(baseline)) if baseline else 0.0,
-        degraded_time=float(np.mean(during)) if during else 0.0,
-        recovered_time=float(np.mean(after)) if after else 0.0,
-        rerouted_keys=rerouted,
-        notes=(
-            f"{completed}/{cfg.num_batches} batches, "
-            f"{rerouted} keys served off-primary, "
-            f"{len(violations)} integrity violation(s)"
-        ),
-    )
-
-
-def _run_scrub_loop(scenario: str, cfg: ChaosConfig) -> ScenarioResult:
-    """Silent-corruption drill: bit-rot flips cached bytes while the
-    anti-entropy scrubber and the read-path guard race to catch it.
-
-    ``bit-rot`` is a burst (high event rate over the fault window);
-    ``slow-leak-corruption`` drips a low rate across the *whole* run —
-    the shape scrubbing exists for, since no single read pattern will
-    sweep every rotten slot.  Pass criteria: every *served* value stays
-    bit-exact (the guard patches rot in flight), the drill detected the
-    corruption at all, and a final full scrub + integrity scan comes
+    The bit-rot scenarios are this drill with the anti-entropy scrubber
+    and the read-path guard riding along, racing to catch the flipped
+    bytes.  ``bit-rot`` is a burst (high event rate over the fault
+    window); ``slow-leak-corruption`` drips a low rate across the *whole*
+    run — the shape scrubbing exists for, since no single read pattern
+    will sweep every rotten slot.  They pass when every *served* value
+    stays bit-exact (the guard patches rot in flight), the drill detected
+    the corruption at all, and a final full scrub + integrity scan comes
     back clean.
     """
     from repro.repair import CacheScrubber
 
     plan = build_fault_plan(scenario, cfg)
-    stack, extractor, injector = _build_stack(cfg, plan)
+    stack = build_stack(cfg, platform_by_name(cfg.platform))
+    injector = FaultInjector(plan, cache=stack.cache)
+    extractor = FactoredExtractor(stack.cache, injector=injector)
     platform, table, pmf, rng = stack.platform, stack.table, stack.pmf, stack.rng
-    cache = stack.cache
-    scrubber = CacheScrubber(cache)
+    rot = plan.faults[0].kind is FaultKind.BIT_ROT
+    scrubber = CacheScrubber(stack.cache) if rot else None
+    rerouted_before = _sum_counter("faults.rerouted_keys")
     times: list[float] = []
     values_exact = True
     completed = 0
@@ -394,65 +273,72 @@ def _run_scrub_loop(scenario: str, cfg: ChaosConfig) -> ScenarioResult:
         ]
         values, report = extractor.extract(keys, now=now)
         for gpu, (got, want) in enumerate(zip(values, keys)):
-            got, n = scrubber.guard_read(gpu, want, got)
-            patched += n
+            if scrubber is not None:
+                got, n = scrubber.guard_read(gpu, want, got)
+                patched += n
             if not np.array_equal(got, table[want]):
                 values_exact = False
-        scrubber.tick(now)
+        if scrubber is not None:
+            scrubber.tick(now)
         times.append(report.time)
         completed += 1
-    scrubber.scrub_all()
-    violations = cache.verify_integrity()
-    detected = scrubber.mismatches_total + scrubber.read_repairs_total
 
-    clear = plan.last_clear_time()
-    onset = plan.faults[0].onset
-    baseline = [x for t, x in enumerate(times) if t < onset]
-    during = [x for t, x in enumerate(times) if onset <= t < clear]
-    after = [x for t, x in enumerate(times) if t >= clear]
-    return ScenarioResult(
-        scenario=scenario,
-        ok=(
-            values_exact
-            and not violations
-            and detected > 0
-            and completed == cfg.num_batches
-        ),
-        completed_batches=completed,
-        values_exact=values_exact,
-        baseline_time=float(np.mean(baseline)) if baseline else 0.0,
-        degraded_time=float(np.mean(during)) if during else 0.0,
-        recovered_time=float(np.mean(after)) if after else 0.0,
-        rerouted_keys=patched,
-        notes=(
-            f"{completed}/{cfg.num_batches} batches, "
+    ok = values_exact and completed == cfg.num_batches
+    if scrubber is None:
+        rerouted = int(_sum_counter("faults.rerouted_keys") - rerouted_before)
+        notes = f"{rerouted} keys rerouted"
+        extra = {}
+    else:
+        scrubber.scrub_all()
+        violations = stack.cache.verify_integrity()
+        detected = scrubber.mismatches_total + scrubber.read_repairs_total
+        ok = ok and not violations and detected > 0
+        rerouted = patched
+        notes = (
             f"{scrubber.mismatches_total} scrub mismatch(es), "
             f"{scrubber.read_repairs_total} read-guard patch(es), "
             f"{scrubber.repaired_total} slot(s) repaired, "
             f"{len(violations)} integrity violation(s)"
-        ),
-        extra={
+        )
+        extra = {
             "scrub_mismatches": scrubber.mismatches_total,
             "read_repairs": scrubber.read_repairs_total,
             "repaired": scrubber.repaired_total,
             "scanned": scrubber.scanned_total,
-        },
+        }
+    return ScenarioResult(
+        scenario=scenario,
+        ok=ok,
+        completed_batches=completed,
+        values_exact=values_exact,
+        rerouted_keys=rerouted,
+        notes=f"{completed}/{cfg.num_batches} batches, {notes}",
+        extra=extra,
+        **_phase_means(times, plan.faults[0].onset, plan.last_clear_time()),
     )
 
 
-def _run_heal_storm(cfg: ChaosConfig) -> ScenarioResult:
-    """Staggered node deaths whose staged recoveries overlap.
+def _run_node_loop(scenario: str, cfg: ChaosConfig) -> ScenarioResult:
+    """Drive the cluster front-end through onset → node fault → recovery.
 
-    Node 1 dies, heals and begins a rate-limited refill; node 2 dies
-    *during* that refill; node 1 dies a second time before the dust
-    settles.  The watchdog must track every node through
-    healthy → ejected → recovering → healthy, the front-end must keep
-    answering bit-exactly throughout, and when the storm passes every
-    cache must hold its full placement again (integrity-verified).
+    Same shape as :func:`_run_batch_loop`, one tier up: the stack is a
+    3-node replicated cluster (R=2) and the fault takes a whole node
+    away.  "Rerouted keys" here are keys served off their primary owner
+    (replica reads + host fallback).
+
+    ``heal-storm`` is this drill with the repair layer riding along and
+    staggered deaths whose staged recoveries overlap: node 1 dies, heals
+    and begins a rate-limited refill; node 2 dies *during* that refill;
+    node 1 dies a second time before the dust settles.  The watchdog must
+    track every node through healthy → ejected → recovering → healthy,
+    the front-end must keep answering bit-exactly throughout, and when
+    the storm passes every cache must hold its full placement again
+    (integrity-verified).
     """
     from repro.cluster.soak import NodeLifecycle, build_cluster
 
-    plan = build_fault_plan("heal-storm", cfg)
+    storm = scenario == "heal-storm"
+    plan = (build_fault_plan if storm else build_node_fault_plan)(scenario, cfg)
     cluster = build_cluster(
         cfg, platform_by_name(cfg.platform), nodes=3, replication=2
     )
@@ -461,8 +347,9 @@ def _run_heal_storm(cfg: ChaosConfig) -> ScenarioResult:
     # Each batch's idle link time funds a slice of every refill — small
     # enough (and never banked) that recoveries span batches and overlap.
     budget = 0.5 * cluster.s0
-    lifecycle = NodeLifecycle(
-        frontend, stack.hotness, chunk_entries=64, credit_cap=budget
+    lifecycle = (
+        NodeLifecycle(frontend, stack.hotness, chunk_entries=64, credit_cap=budget)
+        if storm else None
     )
 
     times: list[float] = []
@@ -473,56 +360,48 @@ def _run_heal_storm(cfg: ChaosConfig) -> ScenarioResult:
     for t in range(cfg.num_batches):
         now = float(t)
         health = plan.health_at(now)
-        lifecycle.step(now, health, idle_seconds=budget)
+        if lifecycle is not None:
+            lifecycle.step(now, health, idle_seconds=budget)
         keys = rng.choice(cfg.num_entries, size=cfg.batch_keys, p=pmf)
         resp = frontend.serve(keys, now, health=health, execute=True)
         if resp.partial:
             all_served = False
-        served = np.ones(len(keys), dtype=bool)
-        served[resp.failed_positions] = False
-        if not np.array_equal(resp.values[served], table[keys[served]]):
+        if resp.wrong_rows(keys, table):
             values_exact = False
         rerouted += resp.replica_keys + resp.host_fallback_keys
         times.append(resp.elapsed)
         completed += 1
 
-    # Storm over: finish every refill, scrub everything, final verify.
-    lifecycle.finish(float(cfg.num_batches))
-    restage_blocks = lifecycle.restage_blocks
+    ok = values_exact and all_served and completed == cfg.num_batches
+    notes = [f"{completed}/{cfg.num_batches} batches"]
+    extra = {}
+    if lifecycle is not None:
+        # Storm over: finish every refill, scrub everything, final verify.
+        lifecycle.finish(float(cfg.num_batches))
+        transitions = len(lifecycle.watchdog.transitions)
+        ok = ok and transitions >= 6  # 3 deaths + 3 returns, at minimum
+        notes += [
+            f"{transitions} watchdog transition(s)",
+            f"{lifecycle.restage_blocks} block(s) re-staged",
+        ]
+        extra = {
+            "watchdog_transitions": transitions,
+            "restage_blocks": lifecycle.restage_blocks,
+        }
     violations = frontend.verify_integrity()
-
-    clear = plan.last_clear_time()
-    first_onset = plan.faults[0].onset
-    baseline = [x for t, x in enumerate(times) if t < first_onset]
-    during = [x for t, x in enumerate(times) if first_onset <= t < clear]
-    after = [x for t, x in enumerate(times) if t >= clear]
-    transitions = len(lifecycle.watchdog.transitions)
+    notes += [
+        f"{rerouted} keys served off-primary",
+        f"{len(violations)} integrity violation(s)",
+    ]
     return ScenarioResult(
-        scenario="heal-storm",
-        ok=(
-            values_exact
-            and all_served
-            and not violations
-            and transitions >= 6  # 3 deaths + 3 returns, at minimum
-            and completed == cfg.num_batches
-        ),
+        scenario=scenario,
+        ok=ok and not violations,
         completed_batches=completed,
         values_exact=values_exact,
-        baseline_time=float(np.mean(baseline)) if baseline else 0.0,
-        degraded_time=float(np.mean(during)) if during else 0.0,
-        recovered_time=float(np.mean(after)) if after else 0.0,
         rerouted_keys=rerouted,
-        notes=(
-            f"{completed}/{cfg.num_batches} batches, "
-            f"{transitions} watchdog transition(s), "
-            f"{restage_blocks} block(s) re-staged, "
-            f"{rerouted} keys served off-primary, "
-            f"{len(violations)} integrity violation(s)"
-        ),
-        extra={
-            "watchdog_transitions": transitions,
-            "restage_blocks": restage_blocks,
-        },
+        notes=", ".join(notes),
+        extra=extra,
+        **_phase_means(times, plan.faults[0].onset, plan.last_clear_time()),
     )
 
 
@@ -611,11 +490,7 @@ def run_scenario(scenario: str, cfg: ChaosConfig | None = None) -> ScenarioResul
         result = _run_solver_timeout(cfg)
     elif scenario == "refresh-interrupt":
         result = _run_refresh_interrupt(cfg)
-    elif scenario == "heal-storm":
-        result = _run_heal_storm(cfg)
-    elif scenario in ("bit-rot", "slow-leak-corruption"):
-        result = _run_scrub_loop(scenario, cfg)
-    elif scenario in NODE_SCENARIOS:
+    elif scenario in NODE_SCENARIOS or scenario == "heal-storm":
         result = _run_node_loop(scenario, cfg)
     elif scenario in SCENARIOS:
         result = _run_batch_loop(scenario, cfg)

@@ -52,6 +52,14 @@ class FaultKind(str, Enum):
     NODE_PARTITION = "node-partition"
 
 
+#: The faults that take a whole cache-server node (partly) away.
+NODE_FAULT_KINDS = (
+    FaultKind.NODE_DOWN,
+    FaultKind.NODE_SLOW,
+    FaultKind.NODE_PARTITION,
+)
+
+
 @dataclass(frozen=True)
 class FaultSpec:
     """One fault: what, where, when, and how severe.
@@ -99,11 +107,7 @@ class FaultSpec:
                 raise ValueError(f"{self.kind.value} needs a target link")
             if self.link[0] == self.link[1]:
                 raise ValueError("link faults need two distinct endpoints")
-        if self.kind in (
-            FaultKind.NODE_DOWN,
-            FaultKind.NODE_SLOW,
-            FaultKind.NODE_PARTITION,
-        ):
+        if self.kind in NODE_FAULT_KINDS:
             if self.node is None or self.node < 0:
                 raise ValueError(f"{self.kind.value} needs a target node")
         if self.kind is FaultKind.BIT_ROT:

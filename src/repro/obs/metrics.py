@@ -256,6 +256,15 @@ class MetricsRegistry:
         for key in sorted(self._series):
             yield self._series[key]
 
+    def counter_values(self, name: str) -> dict[LabelKey, float]:
+        """Current value of counter ``name`` under every label combination
+        it has been given."""
+        return {
+            s.labels: s.value
+            for s in self.series()
+            if s.kind == "counter" and s.name == name
+        }
+
     def value(self, name: str, **labels: Any) -> float | None:
         """Current value of a counter/gauge series, or None if absent."""
         for kind in ("counter", "gauge"):

@@ -14,11 +14,7 @@ cheap:
   healthy lifecycle the frontend routes by.
 """
 
-from repro.repair.restage import (
-    RECOVERY_GOODPUT_FLOOR,
-    RestageGrant,
-    StagedRecovery,
-)
+from repro.repair.restage import RestageGrant, StagedRecovery
 from repro.repair.scrub import CacheScrubber, ScrubConfig, ScrubTick
 from repro.repair.watchdog import (
     STATE_CODE,
@@ -31,7 +27,6 @@ __all__ = [
     "CacheScrubber",
     "NodeState",
     "NodeWatchdog",
-    "RECOVERY_GOODPUT_FLOOR",
     "RestageGrant",
     "STATE_CODE",
     "ScrubConfig",

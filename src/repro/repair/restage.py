@@ -31,12 +31,7 @@ from repro.utils.logging import get_logger
 
 logger = get_logger("repair.restage")
 
-__all__ = ["RECOVERY_GOODPUT_FLOOR", "RestageGrant", "StagedRecovery"]
-
-#: Soak gate: goodput inside the recovery window must stay at least this
-#: fraction of steady-state goodput (the burst re-stage baseline dips
-#: below it; the staged plan must not).
-RECOVERY_GOODPUT_FLOOR = 0.85
+__all__ = ["RestageGrant", "StagedRecovery"]
 
 
 class RestageGrant:

@@ -35,6 +35,7 @@ from repro.core.pipeline import (
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import HealthView
+from repro.hardware.platform import HOST
 from repro.obs import get_registry
 from repro.serve.breaker import BreakerBoard, BreakerConfig
 from repro.serve.coalesce import CoalesceOutcome, coalesce_keys
@@ -220,13 +221,11 @@ class ServingRuntime:
             hits,
         )
 
-    def serve_request(self, request: Request, now: float) -> Response:
-        """Execute one admitted request at (simulated) time ``now``."""
-        reg = get_registry()
-        if request.expired(now):
-            # Dead on arrival at the worker: don't waste extraction on it.
-            return self._finish_dropped(request, RequestStatus.EXPIRED, now)
-
+    def _extract(self, gpu: int, keys: np.ndarray, now: float):
+        """The one extraction under :meth:`serve_request` and
+        :meth:`serve_batch`: health → breaker exclusions → plan + execute
+        → prefetch shift → price → breaker feedback.  Returns ``(plan,
+        values, service_time, prefetch_hits, health)``."""
         health = self._health(now)
         excluded = self.breakers.excluded_sources(now)
         # Plan and execute under one read lock: the plan's slot offsets
@@ -234,70 +233,101 @@ class ServingRuntime:
         # (a writer) cannot land between the two.
         with self._cache.reading():
             plan = self._extractor.plan(
-                request.gpu,
-                request.keys,
+                gpu,
+                keys,
                 health=health,
                 now=now,
                 exclude_sources=excluded,
             )
             values, demand = self._extractor.execute(plan)
-        demand, prefetch_hits = self._apply_prefetch(request.gpu, plan, demand)
+        demand, prefetch_hits = self._apply_prefetch(gpu, plan, demand)
         # The pipeline's shared price stage — same call the simulators make.
-        platform = self._extractor.platform
-        report = price_demand(platform, demand, health=health)
-        service_time = report.time
+        report = price_demand(self._extractor.platform, demand, health=health)
+        self._feed_breakers(plan, report.time_by_source, now)
+        return plan, values, report.time, prefetch_hits, health
 
-        hedged = False
-        hedge_won = False
+    def _finish_served(
+        self,
+        request: Request,
+        now: float,
+        planned: float,
+        values: np.ndarray,
+        health: HealthView | None,
+        rerouted_keys: int,
+        prefetch_hits: int = 0,
+        coalesced: int = 1,
+    ) -> Response:
+        """Record the response of a request whose extraction, ``planned``
+        seconds long, started at ``now`` — after the deadline hedge: when
+        its remaining budget is under ``hedge_headroom`` × ``planned``, a
+        gather of all its keys from the backing chain races the plan."""
+        service_time, hedged, hedge_won = planned, False, False
         if (
             self.config.hedge_enabled
             and math.isfinite(request.deadline)
-            and request.remaining(now)
-            < self.config.hedge_headroom * service_time
+            and request.remaining(now) < self.config.hedge_headroom * planned
         ):
             hedged = True
+            reg = get_registry()
             # Split the hedge across backing tiers by where entries
             # actually live ({HOST: 1.0} on a single-tier platform).
+            nbytes = float(len(request.keys) * self._cache.entry_bytes)
             host_demand = backing_fallback_demand(
-                demand, self._cache.backing_shares()
+                GpuDemand(dst=request.gpu, volumes={HOST: nbytes}),
+                self._cache.backing_shares(),
             )
-            host_time = price_demand(platform, host_demand, health=health).time
+            host_time = price_demand(
+                self._extractor.platform, host_demand, health=health
+            ).time
             reg.counter("serve.hedges", gpu=request.gpu).inc()
-            if host_time < service_time:
+            if host_time < planned:
                 # the host gather wins the race: same (exact) values, the
                 # host path's price.
                 hedge_won = True
                 service_time = host_time
                 values = self._cache.host_gather(request.keys)
                 reg.counter("serve.hedge_wins", gpu=request.gpu).inc()
-
         completed_at = now + service_time
-        status = (
-            RequestStatus.OK
-            if completed_at <= request.deadline
-            else RequestStatus.EXPIRED
-        )
-
-        self._feed_breakers(plan, report.time_by_source, now)
-        estimator = self.admission.queues[request.gpu].estimator
-        estimator.observe(service_time)
-        reg.cached("counter", "serve.requests", status=status.value).inc()
-        reg.cached("histogram", "serve.latency.seconds").observe(
-            completed_at - request.arrival
-        )
         response = Response(
             request=request,
-            status=status,
+            status=(
+                RequestStatus.OK
+                if completed_at <= request.deadline
+                else RequestStatus.EXPIRED
+            ),
             completed_at=completed_at,
             started_at=now,
             service_time=service_time,
             hedged=hedged,
             hedge_won=hedge_won,
-            rerouted_keys=plan.rerouted_keys,
+            rerouted_keys=rerouted_keys,
+            coalesced=coalesced,
             prefetch_hits=prefetch_hits,
             values=values,
         )
         self.responses.append(response)
+        return response
+
+    def serve_request(self, request: Request, now: float) -> Response:
+        """Execute one admitted request at (simulated) time ``now``."""
+        reg = get_registry()
+        if request.expired(now):
+            # Dead on arrival at the worker: don't waste extraction on it.
+            return self._finish_dropped(request, RequestStatus.EXPIRED, now)
+
+        plan, values, planned, prefetch_hits, health = self._extract(
+            request.gpu, request.keys, now
+        )
+        response = self._finish_served(
+            request, now, planned, values, health,
+            plan.rerouted_keys, prefetch_hits,
+        )
+        estimator = self.admission.queues[request.gpu].estimator
+        estimator.observe(response.service_time)
+        reg.cached("counter", "serve.requests", status=response.status.value).inc()
+        reg.cached("histogram", "serve.latency.seconds").observe(
+            response.completed_at - request.arrival
+        )
         self._retire_prefetch(request.gpu)
         return response
 
@@ -354,27 +384,14 @@ class ServingRuntime:
         gpu = live[0].gpu
 
         union, total_keys, inverse = coalesce_keys(live)
-        health = self._health(now)
-        excluded = self.breakers.excluded_sources(now)
-        with self._cache.reading():
-            plan = self._extractor.plan(
-                gpu,
-                union,
-                health=health,
-                now=now,
-                exclude_sources=excluded,
-            )
-            values, demand = self._extractor.execute(plan)
-        demand, prefetch_hits = self._apply_prefetch(gpu, plan, demand)
+        plan, values, shared_time, prefetch_hits, health = self._extract(
+            gpu, union, now
+        )
         # The fused extraction retires every live member's batch at once.
         for _ in live:
             self._retire_prefetch(gpu)
-        platform = self._extractor.platform
-        report = price_demand(platform, demand, health=health)
-        shared_time = report.time
         completed_at = now + shared_time
 
-        self._feed_breakers(plan, report.time_by_source, now)
         self.admission.estimator(gpu).observe(shared_time)
         outcome = CoalesceOutcome(
             responses=responses,
@@ -395,62 +412,18 @@ class ServingRuntime:
         # Every member's rows in one gather; each owns rows[start:stop].
         rows = values.take(inverse, axis=0)
         stop = 0
-        entry_bytes = self._cache.entry_bytes
         rerouted_credit = plan.rerouted_keys
         statuses: dict[RequestStatus, int] = {}
         for request in live:
             start, stop = stop, stop + len(request.keys)
-            service_time = shared_time
-            request_values = rows[start:stop]
-            hedged = False
-            hedge_won = False
-            if (
-                self.config.hedge_enabled
-                and math.isfinite(request.deadline)
-                and request.remaining(now)
-                < self.config.hedge_headroom * shared_time
-            ):
-                hedged = True
-                shares = self._cache.backing_shares()
-                total_bytes = float(len(request.keys) * entry_bytes)
-                host_demand = GpuDemand(
-                    dst=gpu,
-                    volumes={
-                        s: total_bytes * f for s, f in shares.items() if f > 0
-                    },
-                )
-                host_time = price_demand(
-                    platform, host_demand, health=health
-                ).time
-                reg.counter("serve.hedges", gpu=gpu).inc()
-                if host_time < shared_time:
-                    hedge_won = True
-                    service_time = host_time
-                    request_values = self._cache.host_gather(request.keys)
-                    reg.counter("serve.hedge_wins", gpu=gpu).inc()
-            done = now + service_time
-            status = (
-                RequestStatus.OK
-                if done <= request.deadline
-                else RequestStatus.EXPIRED
-            )
-            statuses[status] = statuses.get(status, 0) + 1
-            latency.observe(done - request.arrival)
-            linger.observe(now - request.arrival)
-            response = Response(
-                request=request,
-                status=status,
-                completed_at=done,
-                started_at=now,
-                service_time=service_time,
-                hedged=hedged,
-                hedge_won=hedge_won,
-                rerouted_keys=rerouted_credit,
-                coalesced=len(live),
-                values=request_values,
+            response = self._finish_served(
+                request, now, shared_time, rows[start:stop], health,
+                rerouted_credit, coalesced=len(live),
             )
             rerouted_credit = 0
-            self.responses.append(response)
+            statuses[response.status] = statuses.get(response.status, 0) + 1
+            latency.observe(response.completed_at - request.arrival)
+            linger.observe(now - request.arrival)
             responses.append(response)
         for status, members in statuses.items():
             reg.cached("counter", "serve.requests", status=status.value).inc(members)

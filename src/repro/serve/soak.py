@@ -6,11 +6,16 @@ optionally under a chaos :class:`~repro.faults.spec.FaultPlan`, with hot
 policy swaps landed mid-run.  It reports goodput, shed rate, breaker
 state transitions, and p50/p99/p999 latency.
 
-There is one traffic loop, :func:`drive_arrivals` (shared with the
-cluster soak), and inside :func:`run_soak` one drain, ``serve_until``,
-through which every service starts — so the start rule is written once.
-Each run ends with :func:`~repro.serve.request.check_time_physics` over
-its responses; violations are integrity failures (DESIGN.md §6g).
+A soak is a harness object — :class:`BoxSoak` here, the cluster soak's
+beside it — that :func:`drive` feeds through the one traffic loop,
+:func:`drive_arrivals`: set up, ``arrive`` per event, ``finish``,
+``report``.  Inside :class:`BoxSoak` every service starts in one drain,
+``serve_until``, so the start rule is written once.  A finished request
+is a record (``runtime.responses`` here) and every reported number a pass
+over the records: :func:`build_report` and :func:`window_ok_ratio` serve
+both harnesses.  Each run ends with
+:func:`~repro.serve.request.check_time_physics` over its responses;
+violations are integrity failures (DESIGN.md §6g).
 
 The harness is *scale-free*: it measures the healthy baseline service
 time ``s0`` of one batch first, then derives the arrival rate
@@ -24,7 +29,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import asdict, dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +42,12 @@ from repro.core.prefetch import OracleCacher, PrefetchConfig
 from repro.core.refresher import RefreshConfig, Refresher
 from repro.core.solver import FallbackConfig, SolverConfig
 from repro.faults.injector import FaultInjector
-from repro.faults.spec import FaultKind, FaultPlan, FaultSpec
+from repro.faults.spec import (
+    NODE_FAULT_KINDS,
+    FaultKind,
+    FaultPlan,
+    FaultSpec,
+)
 from repro.hardware.platform import Platform
 from repro.obs import get_registry
 from repro.serve.breaker import BreakerConfig
@@ -69,50 +81,115 @@ __all__ = [
     "run_soak",
 ]
 
-#: Scenario name → (platform, one-line description).  Fault schedules are
-#: built by :func:`build_soak_plan` once the run's duration is known.
-SOAK_SCENARIOS: dict[str, tuple[str, str]] = {
-    "steady": ("server-a", "no faults; pure overload/backpressure behaviour"),
-    "dgx_a100_partial_failure": (
+#: Derived knobs of the single-box soak, in units of the healthy baseline
+#: service time ``s0``: the admission SLO and the per-source breaker
+#: timeout.
+SLO_FACTOR = 8.0
+TIMEOUT_FACTOR = 5.0
+
+#: Transition-window length after each drift change point, as a fraction
+#: of the run; the soak gate judges goodput *inside* these windows (where
+#: an unadapted policy bleeds).
+DRIFT_WINDOW = 0.25
+
+#: The floors :attr:`SoakReport.ok` gates on.  Cluster runs: the failover
+#: window must keep this fraction of steady-state goodput.
+FAILOVER_GOODPUT_FLOOR = 0.70
+#: Repair-enabled runs: so must the post-heal recovery window (the burst
+#: re-stage baseline dips below it; the staged plan must not).
+RECOVERY_GOODPUT_FLOOR = 0.85
+
+
+class Scenario(NamedTuple):
+    """One row of :data:`SOAK_SCENARIOS`."""
+
+    platform: str
+    description: str
+    #: the faults of a run of length 1 and seed 0, which
+    #: :func:`build_soak_plan` scales to the run at hand.
+    faults: tuple[FaultSpec, ...] = ()
+
+
+#: The one scenario table: name → platform, description and faults.
+SOAK_SCENARIOS: dict[str, Scenario] = {
+    "steady": Scenario(
+        "server-a", "no faults; pure overload/backpressure behaviour"
+    ),
+    "dgx_a100_partial_failure": Scenario(
         "server-c",
         "8xA100 box loses GPU 5, degrades a link, and corrupts slots",
+        (
+            FaultSpec(FaultKind.GPU_FAILURE, 0.30, 0.25, gpu=5),
+            FaultSpec(
+                FaultKind.LINK_DEGRADATION, 0.35, 0.30, severity=0.7, link=(0, 1)
+            ),
+            FaultSpec(FaultKind.CORRUPT_SLOT, 0.40, 0.10, severity=0.05, gpu=1),
+        ),
     ),
-    "corrupt-slot-storm": (
+    "corrupt-slot-storm": Scenario(
         "server-a",
         "repeated location-table corruption bursts on two GPUs",
+        (
+            FaultSpec(FaultKind.CORRUPT_SLOT, 0.25, 0.1, severity=0.08, gpu=1),
+            FaultSpec(
+                FaultKind.CORRUPT_SLOT, 0.55, 0.1, severity=0.08, gpu=2, seed=1
+            ),
+        ),
     ),
-    "host-stall": ("server-a", "PCIe loses 90% of its bandwidth mid-run"),
-    "node-kill": (
+    "host-stall": Scenario(
+        "server-a",
+        "PCIe loses 90% of its bandwidth mid-run",
+        (FaultSpec(FaultKind.HOST_STALL, 0.35, 0.3, severity=0.9),),
+    ),
+    "node-kill": Scenario(
         "server-a",
         "a whole cache-server node dies mid-run and later heals",
+        (FaultSpec(FaultKind.NODE_DOWN, 0.35, 0.25, node=1),),
     ),
-    "node-flap": (
+    "node-flap": Scenario(
         "server-a",
         "a node repeatedly dies and recovers (two down windows)",
+        (
+            FaultSpec(FaultKind.NODE_DOWN, 0.25, 0.12, node=1),
+            FaultSpec(FaultKind.NODE_DOWN, 0.55, 0.12, node=1),
+        ),
     ),
-    "node-partition": (
+    "node-partition": Scenario(
         "server-a",
         "a node is cut off from the front-end but keeps its state",
+        (FaultSpec(FaultKind.NODE_PARTITION, 0.35, 0.25, node=1),),
     ),
-    "node-slow": (
+    "node-slow": Scenario(
         "server-a",
         "a node keeps serving at 10% speed (GC pause / noisy neighbour)",
+        (FaultSpec(FaultKind.NODE_SLOW, 0.35, 0.3, severity=0.9, node=1),),
     ),
-    "node-kill-bit-rot": (
+    "node-kill-bit-rot": Scenario(
         "server-a",
         "a node dies and heals while every node's caches silently bit-rot",
+        (
+            FaultSpec(FaultKind.NODE_DOWN, 0.35, 0.25, node=1),
+            # Slow silent corruption across every node's caches for most
+            # of the run (~54 byte flips at this rate) — the scrubber and
+            # read guard, not the health view, have to catch it.
+            FaultSpec(FaultKind.BIT_ROT, 0.05, 0.90, rate=60.0),
+        ),
     ),
-    "hps-multitenant": (
+    # hps-multitenant's stress is the tier chain itself, not chaos: every
+    # DRAM miss pays the deeper tier's bandwidth and latency.
+    "hps-multitenant": Scenario(
         "server-a-tiered",
         "parameter-server shape: several models' tables share a "
         "DRAM-to-SSD backing chain larger than DRAM",
     ),
 }
 
-#: Scenarios that only make sense for a multi-node soak (``--nodes > 1``).
+#: Scenarios that only make sense for a multi-node soak (``--nodes > 1``):
+#: the ones that take a whole node away.
 CLUSTER_SCENARIOS: frozenset[str] = frozenset(
-    {"node-kill", "node-flap", "node-partition", "node-slow",
-     "node-kill-bit-rot"}
+    name
+    for name, row in SOAK_SCENARIOS.items()
+    if any(f.kind in NODE_FAULT_KINDS for f in row.faults)
 )
 
 
@@ -125,90 +202,18 @@ def build_soak_plan(
             f"unknown soak scenario {scenario!r}; try one of "
             f"{sorted(SOAK_SCENARIOS)}"
         )
-    d = duration
-    if scenario in ("steady", "hps-multitenant"):
-        # hps-multitenant's stress is the tier chain itself, not chaos:
-        # every DRAM miss pays the deeper tier's bandwidth and latency.
+    faults = tuple(
+        replace(
+            f,
+            onset=f.onset * duration,
+            duration=f.duration * duration,
+            seed=f.seed + seed,
+            rate=f.rate / duration,
+        )
+        for f in SOAK_SCENARIOS[scenario].faults
+    )
+    if not faults:
         return None
-    if scenario == "dgx_a100_partial_failure":
-        faults = (
-            FaultSpec(FaultKind.GPU_FAILURE, onset=0.30 * d, duration=0.25 * d, gpu=5),
-            FaultSpec(
-                FaultKind.LINK_DEGRADATION,
-                onset=0.35 * d,
-                duration=0.30 * d,
-                severity=0.7,
-                link=(0, 1),
-            ),
-            FaultSpec(
-                FaultKind.CORRUPT_SLOT,
-                onset=0.40 * d,
-                duration=0.10 * d,
-                severity=0.05,
-                gpu=1,
-                seed=seed,
-            ),
-        )
-    elif scenario == "corrupt-slot-storm":
-        faults = (
-            FaultSpec(
-                FaultKind.CORRUPT_SLOT, onset=0.25 * d, duration=0.1 * d,
-                severity=0.08, gpu=1, seed=seed,
-            ),
-            FaultSpec(
-                FaultKind.CORRUPT_SLOT, onset=0.55 * d, duration=0.1 * d,
-                severity=0.08, gpu=2, seed=seed + 1,
-            ),
-        )
-    elif scenario == "node-kill":
-        faults = (
-            FaultSpec(
-                FaultKind.NODE_DOWN, onset=0.35 * d, duration=0.25 * d, node=1
-            ),
-        )
-    elif scenario == "node-flap":
-        faults = (
-            FaultSpec(
-                FaultKind.NODE_DOWN, onset=0.25 * d, duration=0.12 * d, node=1
-            ),
-            FaultSpec(
-                FaultKind.NODE_DOWN, onset=0.55 * d, duration=0.12 * d, node=1
-            ),
-        )
-    elif scenario == "node-kill-bit-rot":
-        faults = (
-            FaultSpec(
-                FaultKind.NODE_DOWN, onset=0.35 * d, duration=0.25 * d, node=1
-            ),
-            # Slow silent corruption across every node's caches for most
-            # of the run (~54 byte flips at this rate) — the scrubber and
-            # read guard, not the health view, have to catch it.
-            FaultSpec(
-                FaultKind.BIT_ROT, onset=0.05 * d, duration=0.90 * d,
-                rate=60.0 / d, seed=seed,
-            ),
-        )
-    elif scenario == "node-partition":
-        faults = (
-            FaultSpec(
-                FaultKind.NODE_PARTITION, onset=0.35 * d, duration=0.25 * d,
-                node=1,
-            ),
-        )
-    elif scenario == "node-slow":
-        faults = (
-            FaultSpec(
-                FaultKind.NODE_SLOW, onset=0.35 * d, duration=0.3 * d,
-                severity=0.9, node=1,
-            ),
-        )
-    else:  # host-stall
-        faults = (
-            FaultSpec(
-                FaultKind.HOST_STALL, onset=0.35 * d, duration=0.3 * d,
-                severity=0.9,
-            ),
-        )
     return FaultPlan(faults=faults, seed=seed, name=scenario)
 
 
@@ -232,10 +237,6 @@ class SoakConfig:
     batch_keys: int = 1024
     #: request deadline, in units of the healthy baseline service time.
     deadline_factor: float = 10.0
-    #: admission SLO, in baseline units.
-    slo_factor: float = 8.0
-    #: per-source breaker timeout, in baseline units.
-    timeout_factor: float = 5.0
     queue_capacity: int = 32
     queue_policy: QueuePolicy = QueuePolicy.REJECT
     #: fractions of the run at which a hot policy swap is attempted.
@@ -247,8 +248,6 @@ class SoakConfig:
     max_batch: int = 8
     #: micro-batch linger, in units of the baseline service time ``s0``.
     linger_factor: float = 0.5
-    #: absolute linger override in milliseconds (wins over linger_factor).
-    linger_ms: float | None = None
     #: lookahead prefetching: batches the oracle cacher may peek ahead in
     #: the (pre-generated) trace.  0 keeps the runtime byte-identical to
     #: the no-prefetch path; >0 pre-stages upcoming host misses into the
@@ -293,10 +292,6 @@ class SoakConfig:
     #: serving hot path, a drift detector, and incremental warm-started
     #: re-solves swapped through the policy manager.  Requires ``drift``.
     adapt: bool = False
-    #: transition-window length after each drift change point, as a
-    #: fraction of the run; the soak gate judges goodput *inside* these
-    #: windows (where an unadapted policy bleeds).
-    drift_window: float = 0.25
     seed: int = 0
 
     @classmethod
@@ -325,8 +320,6 @@ class SoakConfig:
             raise ValueError("max batch must be at least 1")
         if self.linger_factor < 0:
             raise ValueError("linger factor must be non-negative")
-        if self.linger_ms is not None and self.linger_ms < 0:
-            raise ValueError("linger must be non-negative")
         if self.closed_loop and self.batching is not BatchingMode.OFF:
             raise ValueError(
                 "closed-loop clients poll their own responses; coalescing "
@@ -418,18 +411,20 @@ class SoakConfig:
             raise ValueError(
                 "--adapt reacts to drift; pick a --drift scenario"
             )
-        if not 0.0 < self.drift_window <= 0.5:
-            raise ValueError("drift window must be in (0, 0.5]")
         if self.tenants > 1 and self.nodes > 1:
             raise ValueError(
                 "the multi-tenant trace is not wired through the cluster "
                 "front-end yet; use --nodes 1"
             )
         if self.nodes > 1:
-            if self.scenario not in CLUSTER_SCENARIOS | {"steady"}:
+            # The cluster harness injects node-scoped faults and bit-rot,
+            # not GPU, link or host ones.
+            runnable = CLUSTER_SCENARIOS | {
+                name for name, row in SOAK_SCENARIOS.items() if not row.faults
+            }
+            if self.scenario not in runnable:
                 raise ValueError(
-                    f"cluster soak supports scenarios "
-                    f"{sorted(CLUSTER_SCENARIOS | {'steady'})}, "
+                    f"cluster soak supports scenarios {sorted(runnable)}, "
                     f"got {self.scenario!r}"
                 )
             if self.batching is not BatchingMode.OFF:
@@ -508,7 +503,7 @@ class SoakReport:
     repair_enabled: bool = False
     restage_mode: str = ""
     #: OK-rate during post-heal recovery windows over the steady OK-rate;
-    #: 1.0 when nothing recovered.  Repair-enabled runs gate on ≥ 0.85.
+    #: 1.0 when nothing recovered.  Repair-enabled runs gate on it.
     recovery_goodput_ratio: float = 1.0
     recovery_requests: int = 0
     #: p99 of OK latencies inside recovery windows (0.0 when none) — the
@@ -555,9 +550,9 @@ class SoakReport:
     def ok(self) -> bool:
         """The CI gate: progress was made, nothing corrupted, queues
         bounded — for cluster runs, goodput during the failover window
-        stayed above the floor (70% of steady-state) — and, with the
-        repair layer on, no corrupt value was ever served and the
-        recovery window kept ≥ 85% of steady goodput.
+        stayed above ``FAILOVER_GOODPUT_FLOOR`` of steady-state — and,
+        with the repair layer on, no corrupt value was ever served and
+        the recovery window kept ``RECOVERY_GOODPUT_FLOOR`` of it.
 
         Tiered runs pass through the same floors, but every ×s0 knob
         (deadline, SLO, breaker timeout) derives from a baseline priced
@@ -570,12 +565,15 @@ class SoakReport:
             self.served_ok > 0
             and self.integrity_failures == 0
             and self.max_queue_depth <= self.queue_capacity
-            and (self.nodes <= 1 or self.failover_goodput_ratio >= 0.70)
+            and (
+                self.nodes <= 1
+                or self.failover_goodput_ratio >= FAILOVER_GOODPUT_FLOOR
+            )
             and (
                 not self.repair_enabled
                 or (
                     self.corrupt_values_served == 0
-                    and self.recovery_goodput_ratio >= 0.85
+                    and self.recovery_goodput_ratio >= RECOVERY_GOODPUT_FLOOR
                 )
             )
         )
@@ -587,12 +585,12 @@ class SoakReport:
         return doc
 
 
-def _soak_platform(cfg: SoakConfig, platform_name: str):
+def _soak_platform(cfg: SoakConfig):
     """The scenario's platform, with ``cfg.tiers`` overriding its chain."""
     from repro.bench.contexts import platform_by_name
     from repro.hardware.platform import parse_tier_spec, with_tiers
 
-    platform = platform_by_name(platform_name)
+    platform = platform_by_name(SOAK_SCENARIOS[cfg.scenario].platform)
     if cfg.tiers:
         platform = with_tiers(
             platform, parse_tier_spec(cfg.tiers, platform.pcie_bandwidth)
@@ -600,8 +598,9 @@ def _soak_platform(cfg: SoakConfig, platform_name: str):
     return platform
 
 
-def _build_workload(cfg: SoakConfig):
-    """The request-key distribution: one Zipf table, or ``cfg.tenants``
+def _build_workload(cfg: SoakConfig, pmf: np.ndarray | None = None):
+    """The request-key distribution: one table (Zipf unless ``pmf`` says
+    otherwise — a drift schedule's opening phase), or ``cfg.tenants``
     models' tables laid side by side, each with its own Zipf head.
 
     Returns ``(pmf, draw)``: the stationary mixture pmf (what the cache
@@ -613,7 +612,8 @@ def _build_workload(cfg: SoakConfig):
     draws byte-for-byte.
     """
     if cfg.tenants <= 1:
-        pmf = zipf_pmf(cfg.num_entries, cfg.alpha)
+        if pmf is None:
+            pmf = zipf_pmf(cfg.num_entries, cfg.alpha)
 
         def draw(rng) -> np.ndarray:
             return rng.choice(cfg.num_entries, size=cfg.batch_keys, p=pmf)
@@ -769,106 +769,204 @@ def drive_arrivals(
     return arrived
 
 
-def run_soak(cfg: SoakConfig | None = None) -> SoakReport:
-    """Run one soak scenario end to end; never raises for serving faults."""
-    cfg = cfg or SoakConfig()
-    if cfg.nodes > 1:
-        # The cluster tier is a separate harness; importing it lazily
-        # keeps repro.serve free of a package cycle (cluster imports the
-        # config/report types from this module).
-        from repro.cluster.soak import run_cluster_soak
+def in_windows(t: float, windows: list[tuple[float, float]]) -> bool:
+    """Whether ``t`` falls inside any ``[lo, hi)`` window."""
+    return any(lo <= t < hi for lo, hi in windows)
 
-        return run_cluster_soak(cfg)
-    platform = _soak_platform(cfg, SOAK_SCENARIOS[cfg.scenario][0])
-    schedule = None
-    if cfg.drift is not None:
-        from repro.dlr.drift import build_drift_schedule
 
-        # The cache starts solved for the schedule's *phase-0*
-        # distribution — exactly the policy the change points invalidate.
-        schedule = build_drift_schedule(
-            cfg.drift, cfg.num_entries, cfg.alpha, cfg.seed
-        )
-        pmf = schedule.phases[0].pmf
+def window_ok_ratio(inside: list[bool], outside: list[bool]) -> float:
+    """OK-rate of the requests that arrived inside some window over the
+    OK-rate of those that arrived outside every one: the ratio behind the
+    drift-transition, failover and recovery gates.  Both arguments are
+    per-request OK flags.  With no request inside nothing was lost (1.0);
+    with no OK request outside there is no steady state the window could
+    have kept up with (0.0)."""
+    if not inside:
+        return 1.0
+    if not any(outside):
+        return 0.0
+    return (sum(inside) / len(inside)) / (sum(outside) / len(outside))
 
-        def draw(rng_) -> np.ndarray:
-            return rng_.choice(cfg.num_entries, size=cfg.batch_keys, p=pmf)
 
-    else:
-        pmf, draw = _build_workload(cfg)
-    stack = build_stack(cfg, platform, pmf)
-    hotness, capacity, cache = stack.hotness, stack.capacity, stack.cache
-    arrival_rng, key_rng, probe_rng, drift_rng = spawn_rngs(cfg.seed + 17, 4)
-
-    # Healthy single-batch service time s0, the harness's time unit.
-    # Priced through the live cache, so on a tiered platform it already
-    # carries the backing chain's bandwidths and latencies and every
-    # derived knob (deadline, SLO, breaker timeout) scales with the chain.
-    s0 = FactoredExtractor(cache).price(0, draw(make_rng(cfg.seed + 3))).time
-    rate = cfg.load / s0
-    duration = cfg.requests_per_gpu / rate
-
-    plan = build_soak_plan(cfg.scenario, duration, cfg.seed)
-    injector = FaultInjector(plan, cache=cache) if plan is not None else None
-    extractor = FactoredExtractor(cache, injector=injector)
-    serve_cfg = ServeConfig(
-        admission=AdmissionConfig(
-            capacity=cfg.queue_capacity,
-            policy=cfg.queue_policy,
-            slo_seconds=cfg.slo_factor * s0,
-        ),
-        breaker=BreakerConfig(
-            failure_threshold=3,
-            cooldown_seconds=25.0 * s0,
-            half_open_probes=2,
-            success_threshold=2,
-        ),
-        hedge_enabled=True,
-        source_timeout_seconds=cfg.timeout_factor * s0,
+def build_report(
+    cfg: SoakConfig,
+    platform: Platform,
+    statuses: list[RequestStatus],
+    ok_latencies: list[float],
+    breakers,
+    sim_end: float,
+    rate: float,
+    s0: float,
+    **fields,
+) -> SoakReport:
+    """The block both soaks report the same way, from one status per
+    finished request and the latencies of the OK ones: status counts,
+    goodput, shed rate, the latency percentiles, the breaker history of
+    ``breakers`` (a :class:`~repro.serve.breaker.BreakerBoard`), duration,
+    offered rate, ``s0`` and the backing chain's label.  ``fields`` are
+    the harness's own."""
+    counts = Counter(statuses)
+    dropped = counts[RequestStatus.SHED] + counts[RequestStatus.REJECTED]
+    latencies = np.array(ok_latencies) if ok_latencies else np.array([0.0])
+    return SoakReport(
+        scenario=cfg.scenario,
+        requests=len(statuses),
+        served_ok=counts[RequestStatus.OK],
+        shed=counts[RequestStatus.SHED],
+        rejected=counts[RequestStatus.REJECTED],
+        expired=counts[RequestStatus.EXPIRED],
+        failed=counts[RequestStatus.FAILED],
+        goodput_rps=counts[RequestStatus.OK] / sim_end if sim_end > 0 else 0.0,
+        shed_rate=dropped / len(statuses) if statuses else 0.0,
+        p50_latency=float(np.percentile(latencies, 50)),
+        p99_latency=float(np.percentile(latencies, 99)),
+        p999_latency=float(np.percentile(latencies, 99.9)),
+        queue_capacity=cfg.queue_capacity,
+        breaker_transitions=breakers.transition_counts(),
+        breaker_transitions_by_source=breakers.transition_counts_by_source(),
+        breaker_time_in_state=breakers.time_in_state(sim_end),
+        duration=sim_end,
+        arrival_rate=rate,
+        baseline_service=s0,
+        tiers=_chain_label(platform) if platform.num_tiers > 1 else "",
+        **fields,
     )
-    prefetcher = None
-    if cfg.lookahead > 0:
-        prefetcher = OracleCacher(
+
+
+class BoxSoak:
+    """One single-box soak: set up from its config, fed every arrival by
+    :func:`drive_arrivals` (:attr:`events` → :meth:`arrive`), drained by
+    :meth:`finish` and read back by :meth:`report`.  Every number in the
+    report is a pass over ``runtime.responses`` or a component's own
+    totals; the harness keeps no tallies."""
+
+    def __init__(self, cfg: SoakConfig) -> None:
+        self.cfg = cfg
+        self.platform = platform = _soak_platform(cfg)
+        self.schedule = None
+        if cfg.drift is not None:
+            from repro.dlr.drift import build_drift_schedule
+
+            self.schedule = build_drift_schedule(
+                cfg.drift, cfg.num_entries, cfg.alpha, cfg.seed
+            )
+        # Under drift the cache starts solved for the schedule's *phase-0*
+        # distribution — exactly the policy the change points invalidate.
+        pmf, self.draw = _build_workload(
+            cfg, self.schedule.phases[0].pmf if self.schedule else None
+        )
+        stack = build_stack(cfg, platform, pmf)
+        self.hotness, self.capacity = stack.hotness, stack.capacity
+        self.cache = stack.cache
+        arrival_rng, self.key_rng, probe_rng, self.drift_rng = spawn_rngs(
+            cfg.seed + 17, 4
+        )
+        # Healthy single-batch service time s0, the harness's time unit.
+        # Priced through the live cache, so on a tiered platform it already
+        # carries the backing chain's bandwidths and latencies and every
+        # derived knob (deadline, SLO, breaker timeout) scales with the chain.
+        self.s0 = FactoredExtractor(self.cache).price(
+            0, self.draw(make_rng(cfg.seed + 3))
+        ).time
+        self.rate = cfg.load / self.s0
+        self.duration = cfg.requests_per_gpu / self.rate
+        self.deadline = cfg.deadline_factor * self.s0
+        self._build_runtime()
+
+        G = platform.num_gpus
+        self.free_at = [0.0] * G
+        # Under a drift scenario the wall-clock swap schedule is disabled:
+        # *when* to re-solve is exactly what the drift detector decides.
+        self.swap_times = (
+            [] if cfg.drift is not None
+            else sorted(f * self.duration for f in cfg.swap_at)
+        )
+        self.adapter = None
+        if cfg.adapt:
+            self._build_adapter()
+        self.probe_keys = [self.draw(probe_rng) for _ in range(G)]
+
+        self._build_traffic(arrival_rng)
+
+    def _build_runtime(self) -> None:
+        """The serving runtime under test — fault injector, breakers,
+        optional prefetcher — and the policy manager that swaps under it."""
+        cfg, cache, s0 = self.cfg, self.cache, self.s0
+        plan = build_soak_plan(cfg.scenario, self.duration, cfg.seed)
+        injector = FaultInjector(plan, cache=cache) if plan is not None else None
+        serve_cfg = ServeConfig(
+            admission=AdmissionConfig(
+                capacity=cfg.queue_capacity,
+                policy=cfg.queue_policy,
+                slo_seconds=SLO_FACTOR * s0,
+            ),
+            breaker=BreakerConfig(
+                failure_threshold=3,
+                cooldown_seconds=25.0 * s0,
+                half_open_probes=2,
+                success_threshold=2,
+            ),
+            hedge_enabled=True,
+            source_timeout_seconds=TIMEOUT_FACTOR * s0,
+        )
+        self.prefetcher = None
+        if cfg.lookahead > 0:
+            self.prefetcher = OracleCacher(
+                cache,
+                PrefetchConfig(
+                    lookahead=cfg.lookahead,
+                    capacity_entries=cfg.prefetch_capacity,
+                ),
+            )
+        self.runtime = ServingRuntime(
+            FactoredExtractor(cache, injector=injector),
+            config=serve_cfg,
+            injector=injector,
+            prefetcher=self.prefetcher,
+        )
+        self.manager = PolicyManager(
             cache,
-            PrefetchConfig(
-                lookahead=cfg.lookahead,
-                capacity_entries=cfg.prefetch_capacity,
+            refresher=Refresher(cache, RefreshConfig(update_batch_entries=1024)),
+            guardrail=SwapGuardrail(p99_regression=2.0),
+            solver_config=SolverConfig(time_limit=10.0, coarse_block_frac=0.02),
+            fallback=FallbackConfig(
+                deadline_seconds=10.0,
+                retry=RetryPolicy(max_attempts=2, base_delay=0.0, seed=cfg.seed),
             ),
         )
-    runtime = ServingRuntime(
-        extractor, config=serve_cfg, injector=injector, prefetcher=prefetcher
-    )
-    manager = PolicyManager(
-        cache,
-        refresher=Refresher(cache, RefreshConfig(update_batch_entries=1024)),
-        guardrail=SwapGuardrail(p99_regression=2.0),
-        solver_config=SolverConfig(time_limit=10.0, coarse_block_frac=0.02),
-        fallback=FallbackConfig(
-            deadline_seconds=10.0,
-            retry=RetryPolicy(max_attempts=2, base_delay=0.0, seed=cfg.seed),
-        ),
-    )
 
-    G = platform.num_gpus
-    deadline = cfg.deadline_factor * s0
-    free_at = [0.0] * G
-    # Under a drift scenario the wall-clock swap schedule is disabled:
-    # *when* to re-solve is exactly what the drift detector decides.
-    swap_times = (
-        [] if cfg.drift is not None
-        else sorted(f * duration for f in cfg.swap_at)
-    )
-    integrity_failures = 0
+    def _build_traffic(self, arrival_rng) -> None:
+        """A batcher per GPU and the run's arrival events."""
+        cfg, G = self.cfg, self.platform.num_gpus
+        # Plain serving is the one-request, zero-linger case of the
+        # micro-batched drain: a batcher per GPU either way.
+        self.coalescing = cfg.batching is BatchingMode.COALESCE
+        coalesce_cfg = (
+            CoalesceConfig(cfg.batching, cfg.max_batch, cfg.linger_factor * self.s0)
+            if self.coalescing else CoalesceConfig(max_batch=1)
+        )
+        self.batchers = [
+            MicroBatcher(g, self.runtime.admission.queue(g), coalesce_cfg)
+            for g in range(G)
+        ]
+        self.outcomes: list[CoalesceOutcome] = []
 
-    def draw_at(rng, at: float) -> np.ndarray:
-        """One request's keys from the distribution in force at ``at``."""
-        if schedule is None:
-            return draw(rng)
-        pmf_now = schedule.pmf_at(min(at / duration, 1.0))
-        return rng.choice(cfg.num_entries, size=cfg.batch_keys, p=pmf_now)
+        #: the arrival events :func:`drive_arrivals` pops.
+        self.events = (
+            [(0.0, i, i // cfg.clients) for i in range(G * cfg.clients)]
+            if cfg.closed_loop
+            else poisson_schedule(arrival_rng, self.rate, G, cfg.requests_per_gpu)
+        )
+        # With lookahead on, keys are drawn up front in arrival order, so the
+        # trace is byte-identical to the draw-at-arrival path; the whole
+        # future is announced and the window exposes only the next K per GPU.
+        self.event_keys: dict[int, np.ndarray] = {}
+        if self.prefetcher is not None:
+            for _t, s, g in sorted(self.events):
+                self.event_keys[s] = self.draw(self.key_rng)
+                self.prefetcher.announce(g, self.event_keys[s])
 
-    adapter = None
-    if cfg.adapt:
+    def _build_adapter(self) -> None:
         from repro.serve.adaptation import AdaptationConfig, DriftAdapter
 
         # Prime the warm-start seed with a cold solve of the phase-0
@@ -876,276 +974,277 @@ def run_soak(cfg: SoakConfig | None = None) -> SoakReport:
         # realizes the phase-0 greedy placement, keeping the adapt-off
         # baseline comparable); it only gives the first detection an
         # incremental rung to stand on.
-        prime = manager.solve(hotness, capacity)
-        adapter = DriftAdapter(
-            manager,
-            capacity,
-            hotness,
+        prime = self.manager.solve(self.hotness, self.capacity)
+        self.adapter = DriftAdapter(
+            self.manager,
+            self.capacity,
+            self.hotness,
             # the estimator sees per-request batches; one soak iteration
             # is G such batches, so solver-scale hotness is ×G.
-            config=AdaptationConfig(hotness_scale=float(G)),
+            config=AdaptationConfig(
+                hotness_scale=float(self.platform.num_gpus)
+            ),
             warm=prime.solved,
         )
-        runtime.adapter = adapter
-        adapt_probe_rng = make_rng(cfg.seed + 101)
+        self.runtime.adapter = self.adapter
+        self.adapt_probe_rng = make_rng(self.cfg.seed + 101)
 
-        def adapt_probe(at: float) -> float:
-            # Probe with keys from the *currently active* phase: the p99
-            # guardrail must judge the new placement against the traffic
-            # it will serve, not against the pre-drift distribution.
-            return runtime.probe(
-                [draw_at(adapt_probe_rng, at) for _ in range(G)], at
-            )
+    def draw_at(self, rng, at: float) -> np.ndarray:
+        """One request's keys from the distribution in force at ``at``."""
+        if self.schedule is None:
+            return self.draw(rng)
+        pmf_now = self.schedule.pmf_at(min(at / self.duration, 1.0))
+        return rng.choice(
+            self.cfg.num_entries, size=self.cfg.batch_keys, p=pmf_now
+        )
 
-    probe_keys = [draw(probe_rng) for _ in range(G)]
+    def adapt_probe(self, at: float) -> float:
+        # Probe with keys from the *currently active* phase: the p99
+        # guardrail must judge the new placement against the traffic
+        # it will serve, not against the pre-drift distribution.
+        G = self.platform.num_gpus
+        keys = [self.draw_at(self.adapt_probe_rng, at) for _ in range(G)]
+        return self.runtime.probe(keys, at)
 
-    # Plain serving is the one-request, zero-linger case of the
-    # micro-batched drain: a batcher per GPU either way.
-    coalescing = cfg.batching is BatchingMode.COALESCE
-    linger = (
-        cfg.linger_factor * s0 if cfg.linger_ms is None
-        else cfg.linger_ms / 1000.0
-    )
-    coalesce_cfg = (
-        CoalesceConfig(cfg.batching, cfg.max_batch, linger)
-        if coalescing else CoalesceConfig(max_batch=1)
-    )
-    batchers = [
-        MicroBatcher(g, runtime.admission.queue(g), coalesce_cfg)
-        for g in range(G)
-    ]
-    outcomes: list[CoalesceOutcome] = []
-
-    def serve_until(gpu: int, until: float) -> None:
+    def serve_until(self, gpu: int, until: float) -> None:
         """Serve ``gpu``'s queue while a batch can start by ``until``.
         Every service of the run starts here: once the GPU is free and
         the flush policy fires (``flush``), but never before the newest
         request being served has arrived."""
+        batcher, runtime = self.batchers[gpu], self.runtime
         while True:
-            flush = batchers[gpu].flush_at(free_at[gpu])
+            flush = batcher.flush_at(self.free_at[gpu])
             if flush is None or flush > until:
                 return
-            batch = batchers[gpu].take(flush)
+            batch = batcher.take(flush)
             start = max(flush, batch[-1].arrival)
-            if coalescing:
-                outcomes.append(runtime.serve_batch(batch, start))
-                done = outcomes[-1].completed_at
+            if self.coalescing:
+                self.outcomes.append(runtime.serve_batch(batch, start))
+                done = self.outcomes[-1].completed_at
             else:
                 done = runtime.serve_request(batch[0], start).completed_at
-            free_at[gpu] = max(start, done)
+            self.free_at[gpu] = max(start, done)
 
-    def drain_all(at: float) -> None:
-        for g in range(G):
-            serve_until(g, math.inf)
-            free_at[g] = max(free_at[g], at)
+    def drain_all(self, at: float) -> None:
+        for g in range(len(self.free_at)):
+            self.serve_until(g, math.inf)
+            self.free_at[g] = max(self.free_at[g], at)
 
-    def attempt_swap(at: float) -> None:
-        nonlocal integrity_failures
-        drifted = _drifted_hotness(hotness, drift_rng)
-        outcome = manager.solve(drifted, capacity)
-        report = manager.swap(
+    def attempt_swap(self, at: float) -> None:
+        drifted = _drifted_hotness(self.hotness, self.drift_rng)
+        outcome = self.manager.solve(drifted, self.capacity)
+        report = self.manager.swap(
             outcome,
             now=at,
-            drain=lambda: drain_all(at),
-            probe=lambda: runtime.probe(probe_keys, at),
+            drain=lambda: self.drain_all(at),
+            probe=lambda: self.runtime.probe(self.probe_keys, at),
         )
-        integrity_failures += report.integrity_violations
         logger.info(
             "soak swap at t=%.3f: %s (v%d)", at, report.reason, report.version
         )
 
-    # ------------------------------------------------------------------
-    # Traffic: one heap of arrival events through one arrival handler
-    # ------------------------------------------------------------------
-    events = (
-        [(0.0, i, i // cfg.clients) for i in range(G * cfg.clients)]
-        if cfg.closed_loop
-        else poisson_schedule(arrival_rng, rate, G, cfg.requests_per_gpu)
-    )
-    # With lookahead on, keys are drawn up front in arrival order, so the
-    # trace is byte-identical to the draw-at-arrival path; the whole
-    # future is announced and the window exposes only the next K per GPU.
-    event_keys: dict[int, np.ndarray] = {}
-    if prefetcher is not None:
-        for _t, s, g in sorted(events):
-            event_keys[s] = draw(key_rng)
-            prefetcher.announce(g, event_keys[s])
-
-    def arrive(t: float, s: int, g: int) -> float | None:
-        while swap_times and swap_times[0] <= t:
-            attempt_swap(swap_times.pop(0))
-        if adapter is not None:
-            adapter.maybe_adapt(
-                t, drain=lambda: drain_all(t), probe=lambda: adapt_probe(t)
+    def arrive(self, t: float, s: int, g: int) -> float | None:
+        """One arrival: land the swaps and adaptation due by ``t``, serve
+        what can start by ``t``, then submit the new request."""
+        while self.swap_times and self.swap_times[0] <= t:
+            self.attempt_swap(self.swap_times.pop(0))
+        if self.adapter is not None:
+            self.adapter.maybe_adapt(
+                t,
+                drain=lambda: self.drain_all(t),
+                probe=lambda: self.adapt_probe(t),
             )
-        for gpu in range(G):
-            serve_until(gpu, t)
-        if prefetcher is not None:
+        free_at = self.free_at
+        for gpu in range(len(free_at)):
+            self.serve_until(gpu, t)
+        if self.prefetcher is not None:
             idle = max(0.0, t - free_at[g])
-            staged = prefetcher.prefetch(g, now=free_at[g], idle_seconds=idle)
+            staged = self.prefetcher.prefetch(
+                g, now=free_at[g], idle_seconds=idle
+            )
             if staged.critical_seconds > 0.0:
                 free_at[g] = max(free_at[g], t) + staged.critical_seconds
-            keys = event_keys.pop(s)
+            keys = self.event_keys.pop(s)
         else:
-            keys = draw_at(key_rng, t)
-        request = runtime.make_request(g, keys, t, deadline=t + deadline)
-        dropped = runtime.submit(request, t)
-        if not cfg.closed_loop:
+            keys = self.draw_at(self.key_rng, t)
+        request = self.runtime.make_request(
+            g, keys, t, deadline=t + self.deadline
+        )
+        dropped = self.runtime.submit(request, t)
+        if not self.cfg.closed_loop:
             return None
         if dropped is not None:
             # the client backs off one baseline unit and resubmits.
-            return t + s0
+            return t + self.s0
         # A closed-loop client blocks on its own request — the only one
         # queued on its GPU — so it arrives again when that GPU frees.
-        serve_until(g, math.inf)
+        self.serve_until(g, math.inf)
         return free_at[g]
 
-    offered = drive_arrivals(
-        events, arrive, until=duration if cfg.closed_loop else math.inf
-    )
-    for t_swap in swap_times:
-        attempt_swap(t_swap)
-    drain_all(duration)
+    def finish(self, offered: int) -> None:
+        """After the last arrival: land the swaps still due, drain every
+        queue, and check the run's integrity and time physics."""
+        for t_swap in self.swap_times:
+            self.attempt_swap(t_swap)
+        self.drain_all(self.duration)
+        self.violations = self.cache.verify_integrity() + check_time_physics(
+            self.runtime.responses, offered, self.outcomes
+        )
+        for violation in self.violations:
+            logger.error("soak integrity: %s", violation)
 
-    # ------------------------------------------------------------------
-    # Report
-    # ------------------------------------------------------------------
-    reg = get_registry()
-    responses = runtime.responses
-    by_status = {status: 0 for status in RequestStatus}
-    for r in responses:
-        by_status[r.status] += 1
-    served = [r for r in responses if r.status is RequestStatus.OK]
-    latencies = np.array([r.latency for r in served]) if served else np.array([0.0])
-    sim_end = max((r.completed_at for r in responses), default=duration)
-    sim_end = max(sim_end, duration)
-    violations = cache.verify_integrity() + check_time_physics(
-        responses, offered, outcomes
-    )
-    for violation in violations:
-        logger.error("soak integrity: %s", violation)
-    integrity_failures += len(violations)
+    def report(self) -> SoakReport:
+        cfg, runtime, manager = self.cfg, self.runtime, self.manager
+        responses = runtime.responses
+        sim_end = max([self.duration] + [r.completed_at for r in responses])
+        report = build_report(
+            cfg,
+            self.platform,
+            [r.status for r in responses],
+            [r.latency for r in responses if r.ok],
+            runtime.breakers,
+            sim_end,
+            self.rate,
+            self.s0,
+            hedges=sum(1 for r in responses if r.hedged),
+            hedge_wins=sum(1 for r in responses if r.hedge_won),
+            rerouted_keys=sum(r.rerouted_keys for r in responses),
+            max_queue_depth=runtime.admission.max_depth,
+            swaps_attempted=len(manager.swap_log),
+            swaps_landed=sum(1 for s in manager.swap_log if s.swapped),
+            rollbacks=sum(1 for s in manager.swap_log if s.rolled_back),
+            integrity_failures=len(self.violations)
+            + sum(s.integrity_violations for s in manager.swap_log),
+            lookahead=cfg.lookahead,
+            tenants=cfg.tenants,
+            **self._tier_fields(),
+            **self._prefetch_fields(),
+            **self._coalesce_fields(),
+            **self._drift_fields(),
+            **self._adapt_fields(),
+        )
+        reg = get_registry()
+        reg.gauge("soak.goodput_rps").set(report.goodput_rps)
+        reg.gauge("soak.shed_rate").set(report.shed_rate)
+        reg.gauge("soak.max_queue_depth").set(report.max_queue_depth)
+        reg.counter("soak.runs", scenario=cfg.scenario).inc()
+        if report.coalesced_batches:
+            reg.gauge("soak.dedup_ratio").set(report.dedup_ratio)
+        if self.prefetcher is not None:
+            reg.gauge("soak.prefetch_hit_rate").set(report.prefetch_hit_rate)
+        return report
 
-    report = SoakReport(
-        scenario=cfg.scenario,
-        requests=len(responses),
-        served_ok=by_status[RequestStatus.OK],
-        shed=by_status[RequestStatus.SHED],
-        rejected=by_status[RequestStatus.REJECTED],
-        expired=by_status[RequestStatus.EXPIRED],
-        failed=by_status[RequestStatus.FAILED],
-        goodput_rps=by_status[RequestStatus.OK] / sim_end if sim_end > 0 else 0.0,
-        shed_rate=(
-            (by_status[RequestStatus.SHED] + by_status[RequestStatus.REJECTED])
-            / len(responses)
-            if responses
-            else 0.0
-        ),
-        hedges=sum(1 for r in responses if r.hedged),
-        hedge_wins=sum(1 for r in responses if r.hedge_won),
-        rerouted_keys=sum(r.rerouted_keys for r in responses),
-        p50_latency=float(np.percentile(latencies, 50)),
-        p99_latency=float(np.percentile(latencies, 99)),
-        p999_latency=float(np.percentile(latencies, 99.9)),
-        max_queue_depth=runtime.admission.max_depth,
-        queue_capacity=cfg.queue_capacity,
-        breaker_transitions=runtime.breakers.transition_counts(),
-        breaker_transitions_by_source=(
-            runtime.breakers.transition_counts_by_source()
-        ),
-        breaker_time_in_state=runtime.breakers.time_in_state(sim_end),
-        swaps_attempted=len(manager.swap_log),
-        swaps_landed=sum(1 for s in manager.swap_log if s.swapped),
-        rollbacks=sum(1 for s in manager.swap_log if s.rolled_back),
-        integrity_failures=integrity_failures,
-        duration=sim_end,
-        arrival_rate=rate,
-        baseline_service=s0,
-        lookahead=cfg.lookahead,
-        tenants=cfg.tenants,
-    )
-    if platform.num_tiers > 1:
-        report.tiers = _chain_label(platform)
-        chain = cache.tier_chain
-        if chain is not None:
-            shares = chain.shares()
-            report.tier_shares = {
+    def _tier_fields(self) -> dict:
+        platform, chain = self.platform, self.cache.tier_chain
+        if chain is None:  # a single-tier platform
+            return {}
+        shares = chain.shares()
+        return {
+            "tier_shares": {
                 _tier_label(platform, i): float(
                     shares.get(platform.tier_source_id(i), 0.0)
                 )
                 for i in range(platform.num_tiers)
             }
-    if prefetcher is not None:
+        }
+
+    def _prefetch_fields(self) -> dict:
+        prefetcher = self.prefetcher
+        if prefetcher is None:
+            return {}
         prefetcher.finalize()
-        report.prefetch_staged_keys = prefetcher.staged_keys_total
-        report.prefetch_hits = prefetcher.hits_total
-        report.prefetch_hit_rate = prefetcher.hit_rate
-        report.prefetch_wasted_bytes = float(prefetcher.wasted_bytes_total)
-        report.prefetch_overlap_seconds = prefetcher.overlap_seconds_total
-        report.prefetch_critical_seconds = prefetcher.critical_seconds_total
-    served_batches = [o for o in outcomes if o.union_size > 0]
-    if served_batches:
-        total_member_keys = sum(o.total_keys for o in served_batches)
-        total_union_keys = sum(o.union_size for o in served_batches)
-        report.coalesced_batches = len(served_batches)
-        report.mean_batch_size = sum(
-            o.batch_size for o in served_batches
-        ) / len(served_batches)
-        report.dedup_ratio = (
-            total_member_keys / total_union_keys if total_union_keys else 1.0
+        return dict(
+            prefetch_staged_keys=prefetcher.staged_keys_total,
+            prefetch_hits=prefetcher.hits_total,
+            prefetch_hit_rate=prefetcher.hit_rate,
+            prefetch_wasted_bytes=float(prefetcher.wasted_bytes_total),
+            prefetch_overlap_seconds=prefetcher.overlap_seconds_total,
+            prefetch_critical_seconds=prefetcher.critical_seconds_total,
         )
-    if cfg.drift is not None and schedule is not None:
-        report.drift_scenario = cfg.drift
-        report.adapt_enabled = cfg.adapt
-        report.drift_transitions = len(schedule.transitions)
+
+    def _coalesce_fields(self) -> dict:
+        served = [o for o in self.outcomes if o.union_size > 0]
+        if not served:
+            return {}
+        member_keys = sum(o.total_keys for o in served)
+        union_keys = sum(o.union_size for o in served)
+        return dict(
+            coalesced_batches=len(served),
+            mean_batch_size=sum(o.batch_size for o in served) / len(served),
+            dedup_ratio=member_keys / union_keys if union_keys else 1.0,
+        )
+
+    def _drift_fields(self) -> dict:
+        """Goodput inside the post-change-point windows against the rest
+        of the run, bucketed by each response's arrival."""
+        if self.schedule is None:
+            return {}
         windows = [
-            (f * duration, min(f + cfg.drift_window, 1.0) * duration)
-            for f in schedule.transitions
+            (f * self.duration, min(f + DRIFT_WINDOW, 1.0) * self.duration)
+            for f in self.schedule.transitions
         ]
+        inside: list[bool] = []
+        outside: list[bool] = []
+        for r in self.runtime.responses:
+            bucket = inside if in_windows(r.request.arrival, windows) else outside
+            bucket.append(r.ok)
+        return dict(
+            drift_scenario=self.cfg.drift,
+            adapt_enabled=self.cfg.adapt,
+            drift_transitions=len(windows),
+            transition_requests=len(inside),
+            transition_ok_rate=sum(inside) / len(inside) if inside else 1.0,
+            transition_goodput_ratio=window_ok_ratio(inside, outside),
+        )
 
-        def in_window(r) -> bool:
-            return any(lo <= r.request.arrival < hi for lo, hi in windows)
+    def _adapt_fields(self) -> dict:
+        adapter = self.adapter
+        if adapter is None:
+            return {}
+        return dict(
+            drift_detections=adapter.detections,
+            adapt_resolves=adapter.resolves,
+            adapt_incremental_resolves=sum(
+                1 for e in adapter.events
+                if e.kind == "resolve" and e.detail == "incremental"
+            ),
+            adapt_swaps_landed=adapter.swaps_landed,
+            adapt_rollbacks=adapter.rollbacks,
+            drift_tape=[s.to_dict() for s in adapter.detector.tape],
+            adapt_events=[e.to_dict() for e in adapter.events],
+        )
 
-        transition = [r for r in responses if in_window(r)]
-        steady = [r for r in responses if not in_window(r)]
-        report.transition_requests = len(transition)
-        tr_ok = sum(1 for r in transition if r.status is RequestStatus.OK)
-        st_ok = sum(1 for r in steady if r.status is RequestStatus.OK)
-        report.transition_ok_rate = (
-            tr_ok / len(transition) if transition else 1.0
-        )
-        steady_rate = st_ok / len(steady) if steady else 0.0
-        report.transition_goodput_ratio = (
-            report.transition_ok_rate / steady_rate
-            if steady_rate > 0
-            else 1.0
-        )
-    if adapter is not None:
-        report.drift_detections = adapter.detections
-        report.adapt_resolves = adapter.resolves
-        report.adapt_incremental_resolves = sum(
-            1 for e in adapter.events
-            if e.kind == "resolve" and e.detail == "incremental"
-        )
-        report.adapt_swaps_landed = adapter.swaps_landed
-        report.adapt_rollbacks = adapter.rollbacks
-        report.drift_tape = [s.to_dict() for s in adapter.detector.tape]
-        report.adapt_events = [e.to_dict() for e in adapter.events]
-    if reg.enabled:
-        reg.gauge("soak.goodput_rps").set(report.goodput_rps)
-        reg.gauge("soak.shed_rate").set(report.shed_rate)
-        reg.gauge("soak.max_queue_depth").set(report.max_queue_depth)
-        reg.counter("soak.runs", scenario=cfg.scenario).inc()
-        if served_batches:
-            reg.gauge("soak.dedup_ratio").set(report.dedup_ratio)
-        if prefetcher is not None:
-            reg.gauge("soak.prefetch_hit_rate").set(report.prefetch_hit_rate)
+
+def drive(soak) -> SoakReport:
+    """Run one harness (:class:`BoxSoak` or the cluster soak's) through
+    the one traffic loop: a closed loop stops resubmitting at the nominal
+    duration, an open loop plays its whole schedule."""
+    arrived = drive_arrivals(
+        soak.events,
+        soak.arrive,
+        until=soak.duration if soak.cfg.closed_loop else math.inf,
+    )
+    soak.finish(arrived)
+    report = soak.report()
     logger.info(
         "soak %s: %d requests, %.1f ok/s goodput, shed %.1f%%, p99 %.3es",
-        cfg.scenario, report.requests, report.goodput_rps,
+        report.scenario, report.requests, report.goodput_rps,
         100 * report.shed_rate, report.p99_latency,
     )
     return report
+
+
+def run_soak(cfg: SoakConfig | None = None) -> SoakReport:
+    """Run one soak scenario end to end; never raises for serving faults."""
+    cfg = cfg or SoakConfig()
+    if cfg.nodes > 1:
+        # The cluster tier is a separate harness; importing it lazily
+        # keeps repro.serve free of a package cycle (cluster imports the
+        # config/report types from this module).
+        from repro.cluster.soak import ClusterSoak
+
+        return drive(ClusterSoak(cfg))
+    return drive(BoxSoak(cfg))
 
 
 def render_soak_report(report: SoakReport) -> str:

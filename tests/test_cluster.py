@@ -574,6 +574,36 @@ def test_node_kill_soak_keeps_goodput_through_failover():
     assert doc["failover_goodput_ratio"] >= FAILOVER_GOODPUT_FLOOR
 
 
+def test_a_late_response_with_a_wrong_row_fails_the_report(monkeypatch):
+    """Served rows are checked whatever became of the request: a whole
+    but late answer carrying one flipped value is an integrity failure,
+    repair layer or not."""
+    from dataclasses import replace
+
+    honest = ClusterFrontend.serve
+    calls = []
+
+    def late_and_wrong_once(self, keys, now, **kwargs):
+        resp = honest(self, keys, now, **kwargs)
+        calls.append(now)
+        if len(calls) == 3:
+            assert resp.ok
+            values = resp.values.copy()
+            values[0, 0] += 1.0
+            resp = replace(resp, elapsed=1e9 * resp.elapsed, values=values)
+        return resp
+
+    cfg = SoakConfig.quick(
+        scenario="node-kill", nodes=3, replication=2, requests_per_gpu=40
+    )
+    assert run_soak(cfg).ok
+    monkeypatch.setattr(ClusterFrontend, "serve", late_and_wrong_once)
+    report = run_soak(cfg)
+    assert report.expired >= 1
+    assert report.corrupt_values_served == 1
+    assert report.integrity_failures == 1 and not report.ok
+
+
 def test_cluster_soak_config_validation():
     with pytest.raises(ValueError, match="nodes"):
         SoakConfig.quick(scenario="node-kill", nodes=1, replication=1)

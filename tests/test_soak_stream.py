@@ -1,0 +1,233 @@
+"""Both soaks answer from one response stream (ISSUE 23): the one window
+ratio, the gate's own constants, the runtime's one pricing path, the
+shape of the two soak modules and the options that went."""
+
+import ast
+import pathlib
+from dataclasses import fields
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro
+from repro.cli import build_parser
+from repro.core.cache import MultiGpuEmbeddingCache
+from repro.core.extractor import FactoredExtractor
+from repro.core.policy import hot_replicate_warm_partition_policy
+from repro.faults.injector import FaultInjector
+from repro.faults.spec import FaultKind, FaultPlan, FaultSpec
+from repro.hardware.platform import parse_tier_spec, server_a, with_tiers
+from repro.serve.runtime import ServingRuntime
+from repro.serve.soak import (
+    CLUSTER_SCENARIOS,
+    FAILOVER_GOODPUT_FLOOR,
+    RECOVERY_GOODPUT_FLOOR,
+    SOAK_SCENARIOS,
+    SoakConfig,
+    SoakReport,
+    in_windows,
+    window_ok_ratio,
+)
+from repro.utils.rng import make_rng
+from repro.utils.stats import zipf_pmf
+
+pytestmark = pytest.mark.serve
+
+
+class TestWindowOkRatio:
+    def test_no_request_inside_a_window_reads_one(self):
+        assert window_ok_ratio([], [True, False]) == 1.0
+        assert window_ok_ratio([], []) == 1.0
+
+    def test_nothing_ok_outside_reads_zero(self):
+        assert window_ok_ratio([True], [False, False]) == 0.0
+        assert window_ok_ratio([True], []) == 0.0
+
+    def test_is_the_rate_inside_over_the_rate_outside(self):
+        assert window_ok_ratio([True, False], [True, True]) == 0.5
+        assert window_ok_ratio([True], [True, False]) == 2.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tape=st.lists(st.tuples(st.floats(0.0, 1.0), st.booleans()), max_size=40),
+        windows=st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 0.5)).map(
+                lambda w: (w[0], w[0] + w[1])
+            ),
+            max_size=3,
+        ),
+    )
+    def test_equals_the_failover_formula_on_any_tape(self, tape, windows):
+        """The tallies the cluster soak kept by hand before the records."""
+        steady_ok = steady_total = window_ok = window_total = 0
+        for arrival, ok in tape:
+            if any(a <= arrival < b for a, b in windows):
+                window_total += 1
+                window_ok += int(ok)
+            else:
+                steady_total += 1
+                steady_ok += int(ok)
+        steady_rate = steady_ok / steady_total if steady_total else 0.0
+        if window_total == 0:
+            want = 1.0
+        elif steady_rate > 0:
+            want = (window_ok / window_total) / steady_rate
+        else:
+            want = 0.0
+        inside = [ok for t, ok in tape if in_windows(t, windows)]
+        outside = [ok for t, ok in tape if not in_windows(t, windows)]
+        assert window_ok_ratio(inside, outside) == want
+
+
+class TestGateReadsItsConstants:
+    def test_failover_floor(self):
+        def report(ratio):
+            return SoakReport("node-kill", served_ok=1, nodes=3,
+                              failover_goodput_ratio=ratio)
+
+        assert report(FAILOVER_GOODPUT_FLOOR).ok is True
+        assert report(FAILOVER_GOODPUT_FLOOR - 1e-9).ok is False
+
+    def test_recovery_floor(self):
+        def report(ratio):
+            return SoakReport("node-kill", served_ok=1, nodes=3,
+                              repair_enabled=True, recovery_goodput_ratio=ratio)
+
+        assert report(RECOVERY_GOODPUT_FLOOR).ok is True
+        assert report(RECOVERY_GOODPUT_FLOOR - 1e-9).ok is False
+
+    def test_the_cluster_package_exports_the_same_floor(self):
+        from repro.cluster import FAILOVER_GOODPUT_FLOOR as exported
+
+        assert exported is FAILOVER_GOODPUT_FLOOR
+
+
+N, D = 1200, 8
+
+
+def _runtime(tiers=None, plan=None, replicate=0.5):
+    platform = server_a()
+    if tiers is not None:
+        platform = with_tiers(
+            platform, parse_tier_spec(tiers, platform.pcie_bandwidth)
+        )
+    table = make_rng(0).standard_normal((N, D)).astype(np.float32)
+    hotness = zipf_pmf(N, 1.1) * 1000
+    placement = hot_replicate_warm_partition_policy(
+        hotness, N // 8, platform.num_gpus, replicate
+    )
+    cache = MultiGpuEmbeddingCache(
+        platform, table, placement,
+        tier_hotness=hotness if tiers is not None else None,
+    )
+    injector = FaultInjector(plan, cache=cache) if plan is not None else None
+    extractor = FactoredExtractor(cache, injector=injector)
+    return ServingRuntime(extractor, injector=injector), table
+
+
+DEGRADED_LINK = FaultPlan(
+    faults=(
+        FaultSpec(FaultKind.LINK_DEGRADATION, onset=0.0, severity=0.99, link=(0, 1)),
+    )
+)
+
+
+class TestOnePricingPath:
+    """A request with unique keys costs the same alone and as a batch of one."""
+
+    @pytest.mark.parametrize(
+        "stack, deadline, remote_only",
+        [
+            (dict(), 1.0, False),
+            (dict(tiers="dram:16KB,cxl:8KB,ssd:1GB"), 1.0, False),
+            # a deadline already lost: the hedge is issued on both paths,
+            # and priced across the three tiers on both
+            (dict(), 1e-9, False),
+            (dict(tiers="dram:16KB,cxl:8KB,ssd:1GB"), 1e-9, False),
+            # reads over a link at 1% of its bandwidth lose to host DRAM
+            (dict(plan=DEGRADED_LINK, replicate=0.0), 1e-6, True),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_alone_and_as_a_batch_of_one_agree(
+        self, stack, deadline, remote_only, seed
+    ):
+        (alone, table), (batched, _) = _runtime(**stack), _runtime(**stack)
+        if remote_only:
+            cache = alone._cache
+            owned = cache.placement.per_gpu[1]
+            keys = owned[cache.source_map[0][owned] == 1][:192]
+        else:
+            keys = make_rng(seed).permutation(N)[:256]
+        a = alone.serve_request(
+            alone.make_request(0, keys, now=0.0, deadline=deadline), 0.0
+        )
+        (b,) = batched.serve_batch(
+            [batched.make_request(0, keys, now=0.0, deadline=deadline)], 0.0
+        ).responses
+        assert (a.service_time, a.hedged, a.hedge_won, a.status) == (
+            b.service_time, b.hedged, b.hedge_won, b.status
+        )
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.values, table[keys])
+        assert a.hedged == (deadline < 1.0)
+        assert a.hedge_won or not remote_only
+
+
+SRC = pathlib.Path(repro.__file__).parent
+SOAK_MODULES = (SRC / "serve" / "soak.py", SRC / "cluster" / "soak.py")
+#: input validation and the CLI renderer: long by listing, not by nesting.
+LONG_BY_NAME = {"__post_init__", "render_soak_report"}
+
+
+class TestSoakModuleShape:
+    @pytest.mark.parametrize("path", SOAK_MODULES, ids=lambda p: p.parent.name)
+    def test_no_nonlocal_and_no_long_function(self, path):
+        tree = ast.parse(path.read_text())
+        assert not [n for n in ast.walk(tree) if isinstance(n, ast.Nonlocal)]
+        long = {
+            node.name: node.end_lineno - node.lineno + 1
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.end_lineno - node.lineno + 1 > 80
+        }
+        assert set(long) <= LONG_BY_NAME, long
+
+    def test_one_report_site_for_both_soaks(self):
+        text = "".join(p.read_text() for p in SOAK_MODULES)
+        assert text.count("SoakReport(") == 1
+        assert text.count("transition_counts_by_source") == 1
+        assert text.count("np.percentile(") <= 4
+
+    def test_cluster_only_is_read_off_the_table(self):
+        assert CLUSTER_SCENARIOS == {
+            "node-kill", "node-flap", "node-partition", "node-slow",
+            "node-kill-bit-rot",
+        }
+        assert SOAK_SCENARIOS["dgx_a100_partial_failure"][0] == "server-c"
+        for name in CLUSTER_SCENARIOS:
+            with pytest.raises(ValueError, match="nodes"):
+                SoakConfig.quick(scenario=name)
+
+
+class TestOptionsThatWent:
+    def test_soak_config_has_29_fields_and_the_report_78(self):
+        assert len(fields(SoakConfig)) == 29
+        assert len(fields(SoakReport)) == 78
+
+    @pytest.mark.parametrize(
+        "gone", ["slo_factor", "timeout_factor", "drift_window", "linger_ms"]
+    )
+    def test_a_removed_keyword_is_a_type_error(self, gone):
+        with pytest.raises(TypeError):
+            SoakConfig(**{gone: 1.0})
+
+    def test_the_parser_rejects_linger_ms(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["soak", "--quick", "--linger-ms", "2"])
+        assert "--linger-ms" in capsys.readouterr().err
+        soak = build_parser()._subparsers._group_actions[0].choices["soak"]
+        flags = [a for a in soak._actions if a.option_strings and a.dest != "help"]
+        assert len(flags) == 26
