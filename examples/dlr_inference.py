@@ -31,7 +31,7 @@ def main() -> None:
           f"{workload.num_entries:,} entries total")
 
     table = rng.standard_normal((workload.num_entries, DIM)).astype(np.float32)
-    layer = UGacheKerasEmbedding(platform, cache_ratio=0.08, name="dlr_embedding")
+    layer = UGacheKerasEmbedding(platform, cache_ratio=0.08)
     layer.build(table, workload.hotness())
     hits = layer.layer.hit_rates()
     print(f"cache built: local {hits.local:.1%}, remote {hits.remote:.1%}, "

@@ -39,7 +39,7 @@ def describe(platform: Platform) -> None:
         print(f"    G0 <- G{j}: {label}")
 
     print("  Figure-6 curves (plateau GB/s @ saturating SMs):")
-    for curve in tolerance_curves(platform, dst=0):
+    for curve in tolerance_curves(platform):
         print(f"    {curve.source_label:22s} {curve.plateau_bandwidth/1e9:6.1f} GB/s "
               f"@ {curve.saturation_cores:3d}/{platform.gpu.num_cores} SMs")
 

@@ -20,14 +20,13 @@ runtime's.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.evaluate import HitRates, evaluate_placement, hit_rates
 from repro.core.policy import Placement
 from repro.hardware.platform import Platform
-from repro.sim.congestion import CongestionModel
 from repro.sim.engine import BatchReport
 from repro.sim.mechanisms import Mechanism
 
@@ -51,7 +50,6 @@ class SystemContext:
         dense_time: per-iteration dense compute, seconds.
         sampling_time: per-iteration graph sampling, seconds (GNN only).
         graph_bytes: scaled topology volume (GNNLab's capacity bonus).
-        congestion: congestion model for peer-based mechanisms.
     """
 
     platform: Platform
@@ -66,7 +64,6 @@ class SystemContext:
     #: embedding tables per model (DLR): message-based systems pay one
     #: collective round per table.
     num_tables: int = 1
-    congestion: CongestionModel = field(default_factory=CongestionModel)
 
     @property
     def num_entries(self) -> int:
@@ -146,7 +143,6 @@ def evaluate_system(system: EmbCacheSystem, ctx: SystemContext) -> SystemResult:
         ctx.hotness,
         ctx.entry_bytes,
         mechanism=system.mechanism(ctx),
-        congestion=ctx.congestion,
     )
     hits = hit_rates(ctx.platform, placement, ctx.hotness)
     return SystemResult(

@@ -66,7 +66,7 @@ class DlrCell:
 
 
 @lru_cache(maxsize=32)
-def _gnn_hotness(dataset_key: str, mode: str, num_gpus: int, seed: int) -> tuple:
+def _gnn_hotness(dataset_key: str, mode: str, num_gpus: int) -> tuple:
     """Presampled hotness + expected unique keys per batch (memoized)."""
     ds = build_gnn_dataset(dataset_key)
     workload = GnnWorkload(
@@ -76,7 +76,7 @@ def _gnn_hotness(dataset_key: str, mode: str, num_gpus: int, seed: int) -> tuple
         batch_size=GNN_BATCH_SIZE,
         num_gpus=num_gpus,
     )
-    hotness = workload.presampled_hotness(seed=seed, max_iterations=8)
+    hotness = workload.presampled_hotness(seed=3, max_iterations=8)
     return hotness, float(hotness.sum()), workload.iterations_per_epoch()
 
 
@@ -85,7 +85,6 @@ def gnn_cell(
     dataset_key: str,
     mode: str,
     cache_ratio: float | None = None,
-    seed: int = 3,
 ) -> GnnCell:
     """Build the evaluation cell for (platform, GNN dataset, mode).
 
@@ -94,7 +93,7 @@ def gnn_cell(
     """
     spec = GNN_SPECS[dataset_key]
     hotness, keys_per_batch, iterations = _gnn_hotness(
-        dataset_key, mode, platform.num_gpus, seed
+        dataset_key, mode, platform.num_gpus
     )
     if cache_ratio is None:
         capacity = capacity_entries_for(platform, spec)
@@ -129,10 +128,10 @@ def dlr_cell(
     dataset_key: str,
     model_name: str = "dlrm",
     cache_ratio: float | None = None,
-    batch_size: int = DLR_BATCH_SIZE,
 ) -> DlrCell:
     """Build the evaluation cell for (platform, DLR dataset, model)."""
     spec = dlr_spec(dataset_key)
+    batch_size = DLR_BATCH_SIZE
     workload = spec.workload(batch_size=batch_size, num_gpus=platform.num_gpus)
     hotness = workload.hotness()
     if cache_ratio is None:

@@ -36,7 +36,7 @@ from repro.bench.harness import ExperimentResult, speedup_summary
 from repro.core.evaluate import evaluate_placement, hit_rates
 from repro.core.optimal import approximation_gap, solve_optimal
 from repro.core.policy import partition_policy, replication_policy
-from repro.core.refresher import RefreshConfig, simulate_refresh_timeline
+from repro.core.refresher import simulate_refresh_timeline
 from repro.core.solver import SolverConfig, solve_policy
 from repro.datasets.registry import all_dataset_summaries
 from repro.hardware.bandwidth import tolerance_curves
@@ -215,7 +215,7 @@ def fig6_core_tolerance() -> ExperimentResult:
         "fig6", "Per-source bandwidth vs number of cores (Servers A and C)"
     )
     for platform in (server_a(), server_c()):
-        for curve in tolerance_curves(platform, dst=0):
+        for curve in tolerance_curves(platform):
             result.add(
                 platform=platform.name,
                 source=curve.source_label,
@@ -226,7 +226,7 @@ def fig6_core_tolerance() -> ExperimentResult:
         # Right half of Fig. 6(b): collisions on a switch platform.
         if platform.topology.kind.value == "switch":
             for readers in (1, 2, 4, 7):
-                curves = tolerance_curves(platform, dst=0, concurrent_readers=readers)
+                curves = tolerance_curves(platform, concurrent_readers=readers)
                 remote = [c for c in curves if c.source_label.startswith("Remote")][0]
                 result.add(
                     platform=platform.name,
@@ -611,7 +611,6 @@ def fig17_refresh() -> ExperimentResult:
         ).time
         + ctx.dense_time
     )
-    config = RefreshConfig()
     # Entries a refresh moves: roughly one GPU cache's worth across GPUs.
     entries_moved = ctx.capacity_entries * platform.num_gpus // 2
     timeline = simulate_refresh_timeline(
@@ -619,7 +618,6 @@ def fig17_refresh() -> ExperimentResult:
         total_duration=200.0,
         refresh_starts=(40.0, 150.0),
         entries_to_move=entries_moved,
-        config=config,
     )
     result = ExperimentResult(
         "fig17", "Inference latency during cache refresh (DLRM + CR, Server C)"

@@ -85,17 +85,16 @@ def run_with_metrics(
     driver: Callable[..., ExperimentResult],
     *args: Any,
     metrics_out: str | Path | None = None,
-    registry: MetricsRegistry | None = None,
     **kwargs: Any,
 ) -> ExperimentResult:
     """Run one experiment driver with instrumentation captured.
 
-    The driver executes inside ``registry`` (a fresh one by default), so
+    The driver executes inside a fresh registry, so
     only this run's counters/timings are collected.  The snapshot is
     attached to ``result.metrics`` and, when ``metrics_out`` is given,
     also written as a JSON artifact.
     """
-    registry = registry or MetricsRegistry(getattr(driver, "__name__", "run"))
+    registry = MetricsRegistry(getattr(driver, "__name__", "run"))
     with use_registry(registry):
         result = driver(*args, **kwargs)
     result.metrics = registry.snapshot()

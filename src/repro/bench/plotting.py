@@ -22,10 +22,10 @@ _MARKERS = "ox+*#@%&"
 def line_chart(
     x: list[float],
     series: dict[str, list[float]],
+    x_label: str,
+    y_label: str,
     width: int = 64,
     height: int = 12,
-    x_label: str = "",
-    y_label: str = "",
 ) -> str:
     """Plot several y-series over shared x values on a character grid."""
     if not x or not series:
@@ -57,25 +57,23 @@ def line_chart(
             row = int(round((yv - y_lo) / (y_hi - y_lo) * (height - 1)))
             grid[height - 1 - row][col] = marker
 
-    lines = []
-    if y_label:
-        lines.append(f"{y_label} (top={_fmt(y_hi)}, bottom={_fmt(y_lo)})")
+    lines = [f"{y_label} (top={_fmt(y_hi)}, bottom={_fmt(y_lo)})"]
     for row in grid:
         lines.append("|" + "".join(row))
     lines.append("+" + "-" * width)
-    footer = f" {x_label}: {_fmt(x_lo)} .. {_fmt(x_hi)}" if x_label else ""
+    footer = f" {x_label}: {_fmt(x_lo)} .. {_fmt(x_hi)}"
     legend = "  ".join(
         f"{_MARKERS[i % len(_MARKERS)]}={name}"
         for i, name in enumerate(series)
     )
-    lines.append(f"{footer}   {legend}".rstrip())
+    lines.append(f"{footer}   {legend}")
     return "\n".join(lines)
 
 
 def bar_chart(
     values: dict[str, float | None],
+    unit: str,
     width: int = 48,
-    unit: str = "",
 ) -> str:
     """Horizontal bars, one per labelled value (None renders as ✗)."""
     if not values:

@@ -67,10 +67,7 @@ def validate_model_agreement(
     num_entries: int = 3000,
     alphas: tuple[float, ...] = (0.6, 1.0, 1.4),
     ratios: tuple[float, ...] = (0.03, 0.10, 0.30),
-    entry_bytes: int = 512,
-    batch_keys: float = 50_000.0,
     solver: SolverConfig | None = None,
-    seed: int = 0,
 ) -> AgreementReport:
     """Sweep (platform × skew × capacity) and compare estimate vs simulation.
 
@@ -78,7 +75,8 @@ def validate_model_agreement(
     permutation, so placements never accidentally align with entry ids.
     """
     solver = solver or SolverConfig(coarse_block_frac=0.02)
-    rng = make_rng(seed)
+    entry_bytes, batch_keys = 512, 50_000.0
+    rng = make_rng(0)
     samples: list[AgreementSample] = []
     for platform in platforms:
         for alpha in alphas:

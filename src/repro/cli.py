@@ -27,6 +27,29 @@ from repro.bench.report import SPECS, ExperimentSpec
 #: Experiment id → spec, derived from the one list in ``bench/report``.
 EXPERIMENTS: dict[str, ExperimentSpec] = {spec.exp_id: spec for spec in SPECS}
 
+#: ``solve``'s workload beyond its flags: bytes per embedding entry and
+#: expected keys per batch per GPU.
+SOLVE_ENTRY_BYTES = 512
+SOLVE_BATCH_KEYS = 100_000
+
+
+def _bad_workload(args: argparse.Namespace) -> int | None:
+    """Exit code 2, with one line on stderr, when a Zipf workload's flags
+    (``--entries``, ``--alpha``, and ``solve``'s ratios) are out of range."""
+    problems = [
+        ("--entries must be at least 1", args.entries < 1),
+        ("--alpha must be non-negative", args.alpha < 0),
+        ("--cache-ratio must be in [0, 1]",
+         not 0 <= getattr(args, "cache_ratio", 0) <= 1),
+        ("--coarse-frac must be in (0, 1]",
+         not 0 < getattr(args, "coarse_frac", 1) <= 1),
+    ]
+    for message, bad in problems:
+        if bad:
+            print(f"bad {args.command} workload: {message}", file=sys.stderr)
+            return 2
+    return None
+
 
 def _cmd_platforms(args: argparse.Namespace) -> int:
     from repro.hardware import PRESETS, tolerance_curves
@@ -36,7 +59,7 @@ def _cmd_platforms(args: argparse.Namespace) -> int:
         print(f"{name}: {platform.num_gpus}x {platform.gpu.name} "
               f"({platform.topology.kind.value}), "
               f"PCIe {platform.pcie_bandwidth / 1e9:.0f} GB/s")
-        for curve in tolerance_curves(platform, dst=0):
+        for curve in tolerance_curves(platform):
             print(f"  {curve.source_label:22s} "
                   f"{curve.plateau_bandwidth / 1e9:6.1f} GB/s "
                   f"@ {curve.saturation_cores}/{platform.gpu.num_cores} SMs")
@@ -51,22 +74,24 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     from repro.sim.trace import trace_factored
     from repro.utils.stats import zipf_pmf
 
+    if (code := _bad_workload(args)) is not None:
+        return code
     registry = MetricsRegistry("solve")
     with use_registry(registry):
         platform = platform_by_name(args.platform)
-        hotness = zipf_pmf(args.entries, args.alpha) * args.batch_keys
+        hotness = zipf_pmf(args.entries, args.alpha) * SOLVE_BATCH_KEYS
         capacity = int(args.cache_ratio * args.entries)
         solved = solve_policy(
             platform,
             hotness,
             capacity,
-            args.entry_bytes,
+            SOLVE_ENTRY_BYTES,
             SolverConfig(coarse_block_frac=args.coarse_frac),
         )
         placement = solved.realize()
         hits = hit_rates(platform, placement, hotness)
-        report = evaluate_placement(platform, placement, hotness, args.entry_bytes)
-        demand = expected_demands(platform, placement, hotness, args.entry_bytes)[0]
+        report = evaluate_placement(platform, placement, hotness, SOLVE_ENTRY_BYTES)
+        demand = expected_demands(platform, placement, hotness, SOLVE_ENTRY_BYTES)[0]
     print(f"solved in {solved.solve_seconds:.2f}s: "
           f"{solved.blocks.num_blocks} blocks, "
           f"{solved.num_variables} variables")
@@ -115,7 +140,7 @@ def _write_summary(path: str, doc: dict) -> None:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults.chaos import (
-        SCENARIO_DESCRIPTIONS,
+        SCENARIO_TABLE,
         SCENARIOS,
         ChaosConfig,
         render_results,
@@ -127,8 +152,12 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.list_scenarios:
         width = max(len(name) for name in SCENARIOS)
         for name in SCENARIOS:
-            print(f"{name:{width}s}  {SCENARIO_DESCRIPTIONS.get(name, '')}")
+            print(f"{name:{width}s}  {SCENARIO_TABLE[name][0]}")
         return 0
+    if args.recovery_tolerance < 1.0:
+        print("bad chaos configuration: --recovery-tolerance must be >= 1.0",
+              file=sys.stderr)
+        return 2
     scenarios = list(SCENARIOS) if args.scenario == "all" else [args.scenario]
     cfg = (
         ChaosConfig.quick(seed=args.seed)
@@ -183,9 +212,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         adapt=args.adapt,
         seed=args.seed,
     )
-    if args.tenants is not None:
-        overrides["tenants"] = args.tenants
-    elif args.scenario == "hps-multitenant":
+    if args.scenario == "hps-multitenant":
         overrides["tenants"] = 3
     if args.requests is not None:
         overrides["requests_per_gpu"] = args.requests
@@ -286,14 +313,8 @@ def _cmd_tiers(args: argparse.Namespace) -> int:
         overrides = dict(
             scenario="steady", tiers=spec, load=args.load, seed=args.seed
         )
-        if args.tenants is not None:
-            overrides["tenants"] = args.tenants
         if args.entries is not None:
             overrides["num_entries"] = args.entries
-        if args.entry_bytes is not None:
-            overrides["entry_bytes"] = args.entry_bytes
-        if args.requests is not None:
-            overrides["requests_per_gpu"] = args.requests
         try:
             cfg = SoakConfig.quick(**overrides)
         except (TypeError, ValueError) as exc:
@@ -352,6 +373,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"bad cluster shape: {exc}", file=sys.stderr)
         return 2
+    if (code := _bad_workload(args)) is not None:
+        return code
     pmf = zipf_pmf(args.entries, args.alpha)
     hotness = pmf * args.entries  # scale-free: only ratios matter here
     placement = ClusterFrontend.build_placement(cfg, hotness)
@@ -426,9 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Zipf skew of the access distribution")
     p.add_argument("--cache-ratio", type=float, default=0.08,
                    help="per-GPU capacity as a fraction of all entries")
-    p.add_argument("--entry-bytes", type=int, default=512)
-    p.add_argument("--batch-keys", type=float, default=100_000,
-                   help="expected keys per batch per GPU")
     p.add_argument("--coarse-frac", type=float, default=0.01,
                    help="coarse blocking cap (paper: 0.005)")
     p.add_argument("--metrics-out", default=None, metavar="PATH",
@@ -480,9 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="backing-tier chain override, e.g. "
                         "'dram:8GB,ssd:1TB' (kind:capacity[:GB/s[:lat_us]] "
                         "per tier, tier 0 first)")
-    p.add_argument("--tenants", type=int, default=None, metavar="N",
-                   help="models sharing the table, each with its own Zipf "
-                        "head (default: 3 for hps-multitenant, else 1)")
     p.add_argument("--nodes", type=int, default=1,
                    help="cache-server nodes; > 1 soaks the cluster tier")
     p.add_argument("--replication", type=int, default=1,
@@ -564,14 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(defaults sized for the quick soak's 192 KB table)")
     p.add_argument("--entries", type=int, default=None,
                    help="table entries (default: quick soak's 3000)")
-    p.add_argument("--entry-bytes", type=int, default=None,
-                   help="bytes per entry (default: quick soak's 64)")
-    p.add_argument("--requests", type=int, default=None, metavar="N",
-                   help="requests per GPU")
     p.add_argument("--load", type=float, default=0.8,
                    help="offered load per GPU as a fraction of capacity")
-    p.add_argument("--tenants", type=int, default=None, metavar="N",
-                   help="models sharing the table (default 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json-out", default=None, metavar="PATH",
                    help="write every chain's soak report as JSON")

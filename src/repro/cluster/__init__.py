@@ -26,7 +26,7 @@ from repro.cluster.placement import (
     solve_node_placement,
 )
 from repro.cluster.ring import HashRing, hash_keys
-from repro.cluster.rpc import RpcConfig, attempt_profile
+from repro.cluster.rpc import attempt_profile
 from repro.cluster.soak import ClusterSoak
 from repro.serve.soak import FAILOVER_GOODPUT_FLOOR
 
@@ -39,7 +39,6 @@ __all__ = [
     "FAILOVER_GOODPUT_FLOOR",
     "HashRing",
     "NodePlacement",
-    "RpcConfig",
     "analyze_node_loss",
     "attempt_profile",
     "hash_keys",

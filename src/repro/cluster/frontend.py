@@ -31,6 +31,7 @@ corpse; half-open probes re-admit a healed node.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from repro.cluster.placement import (
     solve_node_placement,
 )
 from repro.cluster.ring import HashRing
-from repro.cluster.rpc import RpcConfig, attempt_profile
+from repro.cluster import rpc
 from repro.faults.spec import HEALTHY, HealthView
 from repro.obs import get_registry, stage_timer
 from repro.serve.breaker import BreakerBoard, BreakerConfig
@@ -78,19 +79,25 @@ def _next_owner(chosen, owners, idx, banned) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Shape of the cluster tier."""
+    """Shape of the cluster tier.
+
+    Attributes:
+        nodes: cache-server nodes.
+        replication: replicas per key across nodes.
+        placement: ``"ring"`` (consistent hashing) or ``"solver"``
+            (hotness-balanced node placement above the per-GPU MILP).
+        breaker: per-node circuit-breaker thresholds.
+        seed: seeds the ring's hash and the RPC retry jitter.
+    """
 
     nodes: int = 3
     replication: int = 2
-    #: ``"ring"`` (consistent hashing) or ``"solver"`` (hotness-balanced
-    #: node placement above the per-GPU MILP).
     placement: str = "ring"
-    vnodes_per_node: int = 64
-    #: solver placement only: hottest head replicated on every node.
-    wide_replicate_frac: float = 0.01
-    rpc: RpcConfig = field(default_factory=RpcConfig)
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
     seed: int = 0
+    #: the RPC model (not a field: ``benchmarks/e2e`` reads
+    #: ``config.rpc.healthy_leg`` to scale its deadlines).
+    rpc: ClassVar = rpc
 
     def __post_init__(self) -> None:
         if self.nodes < 1:
@@ -187,18 +194,8 @@ class ClusterFrontend:
         if config.placement == "solver":
             if hotness is None:
                 raise ValueError("solver placement needs the hotness profile")
-            return solve_node_placement(
-                hotness,
-                config.nodes,
-                config.replication,
-                wide_replicate_frac=config.wide_replicate_frac,
-            )
-        return HashRing(
-            config.nodes,
-            config.replication,
-            vnodes_per_node=config.vnodes_per_node,
-            seed=config.seed,
-        )
+            return solve_node_placement(hotness, config.nodes, config.replication)
+        return HashRing(config.nodes, config.replication, seed=config.seed)
 
     # ------------------------------------------------------------------
     # Serving
@@ -211,9 +208,9 @@ class ClusterFrontend:
         node = self.nodes[candidate]
         if candidate not in batches:
             batches[candidate] = node.admit(keys)
-        return attempt_profile(
+        return rpc.attempt_profile(
             candidate, node.service_seconds(batches[candidate]),
-            self.config.rpc.network, health, len(keys) * node.cache.entry_bytes,
+            health, len(keys) * node.cache.entry_bytes,
         )
 
     def _exchange(
@@ -221,15 +218,14 @@ class ClusterFrontend:
         hedge_node: int | None, batches: dict,
     ):
         """Run one node-group's RPC exchange; returns the sim result."""
-        cfg = self.config.rpc
         profile = self._leg(node_id, keys, health, batches)
         # Timeout/hedge scale from this group's fault-free leg, so they
         # stay meaningful whether the wire or the extraction dominates.
-        leg = cfg.healthy_leg(
+        leg = rpc.healthy_leg(
             batches[node_id].seconds,
             len(keys) * self.nodes[node_id].cache.entry_bytes,
         )
-        timeout = cfg.timeout_seconds(leg)
+        timeout = rpc.TIMEOUT_FACTOR * leg
 
         def hedge_time() -> float | None:
             # Asked for only when the hedge would be sent: a leg that lands
@@ -239,11 +235,11 @@ class ClusterFrontend:
 
         hedgeable = hedge_node is not None and health.node_reachable(hedge_node)
         return simulate_rpc_exchange(
-            [profile] * cfg.retry.max_attempts,
+            [profile] * rpc.RETRY.max_attempts,
             timeout=timeout,
-            retry_delays=list(cfg.retry.delays(self._rng)),
+            retry_delays=list(rpc.RETRY.delays(self._rng)),
             hedge_time=hedge_time if hedgeable else None,
-            hedge_issue_at=cfg.hedge_issue_at(leg),
+            hedge_issue_at=rpc.HEDGE_FACTOR * leg,
         )
 
     def _fan_out(self, keys: np.ndarray, now: float, reg) -> tuple[np.ndarray, list]:

@@ -39,6 +39,10 @@ logger = get_logger("cluster.node")
 
 __all__ = ["AdmittedBatch", "CacheNode"]
 
+#: Share of each GPU's capacity the greedy placement spends on replicas of
+#: the shard's hottest entries; the rest partitions the warm band.
+REPLICATE_FRACTION = 0.5
+
 
 @dataclass(eq=False)
 class AdmittedBatch:
@@ -70,7 +74,6 @@ class CacheNode:
         member_mask: np.ndarray,
         capacity_entries: int,
         placement_mode: str = "greedy",
-        replicate_fraction: float = 0.5,
     ) -> None:
         if placement_mode not in ("greedy", "solver"):
             raise ValueError(
@@ -107,7 +110,7 @@ class CacheNode:
         else:
             raw = hot_replicate_warm_partition_policy(
                 shard_hotness, capacity_entries, platform.num_gpus,
-                replicate_fraction,
+                REPLICATE_FRACTION,
             )
             # Capacity beyond the shard's size would otherwise be padded
             # with zero-hotness strangers; keep the caches shard-pure.

@@ -34,6 +34,10 @@ logger = get_logger("cluster.placement")
 
 __all__ = ["NodePlacement", "analyze_node_loss", "solve_node_placement"]
 
+#: Share of the keyspace (the hottest head) the solver placement replicates
+#: on every node.
+WIDE_REPLICATE_FRAC = 0.01
+
 
 @dataclass(frozen=True)
 class NodePlacement:
@@ -142,13 +146,12 @@ def solve_node_placement(
     hotness: np.ndarray,
     num_nodes: int,
     replication: int = 1,
-    wide_replicate_frac: float = 0.0,
 ) -> NodePlacement:
     """Balance expected load (hotness), not key count, across nodes.
 
     Entries are swept hottest-first; each entry's R replicas go to the R
     least-loaded nodes at that moment, so the aggregate hotness per node
-    stays within one entry's weight of even.  ``wide_replicate_frac`` of
+    stays within one entry's weight of even.  :data:`WIDE_REPLICATE_FRAC` of
     the keyspace (the hottest head) is instead replicated on *every*
     node — the cluster twin of the MILP's hot-replicate tier, so the keys
     that dominate traffic never funnel through one node.
@@ -161,13 +164,11 @@ def solve_node_placement(
         raise ValueError(
             f"replication must be in [1, {num_nodes}], got {replication}"
         )
-    if not 0 <= wide_replicate_frac <= 1:
-        raise ValueError("wide_replicate_frac must be in [0, 1]")
 
     owners = np.empty((n, replication), dtype=np.int64)
     wide_mask = np.zeros(n, dtype=bool)
     order = np.argsort(-hotness, kind="stable")
-    wide = int(round(wide_replicate_frac * n))
+    wide = int(round(WIDE_REPLICATE_FRAC * n))
     # (load, node) heap; ties resolve by node id for determinism.
     loads = [(0.0, node) for node in range(num_nodes)]
     heapq.heapify(loads)

@@ -1,7 +1,7 @@
 """Consistent-hash ring: keyspace partitioning with R-way replication.
 
 The ring is the cluster's default placement mode.  Each node projects
-``vnodes_per_node`` virtual nodes onto a 64-bit ring; a key is owned by
+:data:`VNODES_PER_NODE` virtual nodes onto a 64-bit ring; a key is owned by
 the first ``replication`` *distinct* nodes encountered clockwise from its
 hash.  That gives the two properties the cluster tier needs:
 
@@ -25,6 +25,9 @@ from repro.utils.logging import get_logger
 logger = get_logger("cluster.ring")
 
 __all__ = ["HashRing", "hash_keys"]
+
+#: Virtual nodes each node projects onto the ring.
+VNODES_PER_NODE = 64
 
 
 def hash_keys(keys: np.ndarray, seed: int = 0) -> np.ndarray:
@@ -56,9 +59,7 @@ class HashRing:
         self,
         num_nodes: int,
         replication: int = 1,
-        vnodes_per_node: int = 64,
         seed: int = 0,
-        node_ids: list[int] | None = None,
     ) -> None:
         if num_nodes < 1:
             raise ValueError("need at least one node")
@@ -66,25 +67,15 @@ class HashRing:
             raise ValueError(
                 f"replication must be in [1, {num_nodes}], got {replication}"
             )
-        if vnodes_per_node < 1:
-            raise ValueError("need at least one virtual node per node")
         self.num_nodes = num_nodes
         self.replication = replication
-        self.vnodes_per_node = vnodes_per_node
         self.seed = seed
-        self.node_ids = (
-            list(node_ids) if node_ids is not None else list(range(num_nodes))
-        )
-        if len(self.node_ids) != num_nodes:
-            raise ValueError(f"need {num_nodes} node ids, got {len(self.node_ids)}")
-        if len(set(self.node_ids)) != num_nodes:
-            raise ValueError("node ids must be distinct")
 
         # Each node's virtual positions: hash (node_id, replica_index)
         # pairs so adding/removing a node never moves another node's
         # virtual points.
-        owners = np.repeat(np.asarray(self.node_ids, dtype=np.int64), vnodes_per_node)
-        salt = np.tile(np.arange(vnodes_per_node, dtype=np.int64), num_nodes)
+        owners = np.repeat(np.arange(num_nodes, dtype=np.int64), VNODES_PER_NODE)
+        salt = np.tile(np.arange(VNODES_PER_NODE, dtype=np.int64), num_nodes)
         positions = hash_keys(owners * np.int64(1_000_003) + salt, seed=seed)
         order = np.argsort(positions, kind="stable")
         self._positions = positions[order]

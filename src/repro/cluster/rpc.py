@@ -4,9 +4,9 @@ A front-end read of a remote cache node is one *exchange*: a primary
 attempt with a per-call timeout, retried on the
 :class:`~repro.utils.retry.RetryPolicy`'s seeded-jitter schedule, with an
 optional hedged duplicate sent to the next replica once the primary has
-been quiet for ``hedge_factor`` healthy exchange legs.  The wire itself is priced
-as one more topology tier (:class:`~repro.core.pipeline.NetworkTier`
-through :func:`~repro.core.pipeline.price_node_read`), and the timeline is
+been quiet for :data:`HEDGE_FACTOR` healthy exchange legs.  The wire itself
+is priced as one more topology tier
+(:func:`~repro.core.pipeline.network_transfer_seconds`), and the timeline is
 walked by :func:`~repro.sim.event_sim.simulate_rpc_exchange` — the same
 deterministic event-walking style as the hedged-extraction simulator.
 
@@ -24,64 +24,38 @@ How a node's health shapes an attempt:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-from repro.core.pipeline import NetworkTier
+from repro.core import pipeline
 from repro.faults.spec import HealthView
 from repro.utils.retry import RetryPolicy
 
-__all__ = ["RpcConfig", "attempt_profile"]
+__all__ = ["attempt_profile", "healthy_leg"]
+
+#: Per-attempt timeout, and the quiet time after which the primary is hedged
+#: to the next replica, both in units of the healthy *exchange leg* — wire
+#: latency + node extraction + payload transfer — not of the bare service
+#: time.  On CI-sized tables the wire dominates the leg and on paper-sized
+#: ones extraction does; scaling from the whole leg keeps the same factors
+#: meaningful in both regimes (a timeout below one wire round-trip would
+#: declare every healthy call dead).
+TIMEOUT_FACTOR = 8.0
+HEDGE_FACTOR = 3.0
+#: Primary attempts per exchange and the jitter of the delays between them.
+RETRY = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.2)
 
 
-@dataclass(frozen=True)
-class RpcConfig:
-    """The cluster tier's wire and failure-handling knobs.
-
-    Timeout and hedge trigger are expressed as multiples of the healthy
-    *exchange leg* — wire latency + node extraction + payload transfer —
-    not of the bare service time.  On CI-sized tables the wire dominates
-    the leg and on paper-sized ones extraction does; scaling from the
-    whole leg keeps the same config meaningful in both regimes (a timeout
-    below one wire round-trip would declare every healthy call dead).
-    """
-
-    network: NetworkTier = field(default_factory=NetworkTier)
-    #: per-attempt timeout, in units of the healthy exchange leg.
-    timeout_factor: float = 8.0
-    #: hedge to the next replica once the primary has run this many
-    #: healthy legs without answering.
-    hedge_factor: float = 3.0
-    retry: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(
-            max_attempts=2, base_delay=0.0, jitter=0.2
-        )
+def healthy_leg(service_seconds: float, payload_bytes: float) -> float:
+    """One fault-free exchange: request latency + extraction + reply."""
+    return (
+        pipeline.NETWORK_LATENCY_SECONDS
+        + service_seconds
+        + pipeline.network_transfer_seconds(payload_bytes)
     )
-
-    def __post_init__(self) -> None:
-        if self.timeout_factor <= 0:
-            raise ValueError("rpc timeout factor must be positive")
-        if self.hedge_factor <= 0:
-            raise ValueError("hedge factor must be positive")
-
-    def healthy_leg(self, service_seconds: float, payload_bytes: float) -> float:
-        """One fault-free exchange: request latency + extraction + reply."""
-        return (
-            self.network.latency_seconds
-            + service_seconds
-            + self.network.transfer_seconds(payload_bytes)
-        )
-
-    def timeout_seconds(self, leg_seconds: float) -> float:
-        return self.timeout_factor * leg_seconds
-
-    def hedge_issue_at(self, leg_seconds: float) -> float:
-        return self.hedge_factor * leg_seconds
 
 
 def attempt_profile(
     node: int,
     service_seconds: float,
-    network: NetworkTier,
     health: HealthView,
     payload_bytes: float,
 ) -> tuple[float, bool]:
@@ -92,13 +66,8 @@ def attempt_profile(
     (see the module docstring for the four cases).
     """
     if node in health.partitioned_nodes:
-        return network.latency_seconds, False
+        return pipeline.NETWORK_LATENCY_SECONDS, False
     if node in health.down_nodes:
         return math.inf, False
     factor = health.node_service_factor(node)
-    elapsed = (
-        network.latency_seconds
-        + service_seconds / factor
-        + network.transfer_seconds(payload_bytes)
-    )
-    return elapsed, True
+    return healthy_leg(service_seconds / factor, payload_bytes), True

@@ -56,6 +56,7 @@ from repro.cluster.frontend import (
     ClusterResponse,
 )
 from repro.cluster.node import CacheNode
+from repro.cluster.rpc import healthy_leg
 from repro.core.policy import Placement
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import (
@@ -396,7 +397,7 @@ class ClusterSoak:
         # One healthy leg = wire + extraction + payload reply; the request
         # deadline scales from it so the network tier never eats the whole
         # latency budget on CI-sized tables where the wire dominates.
-        leg0 = self.frontend.config.rpc.healthy_leg(
+        leg0 = healthy_leg(
             self.s0, cfg.batch_keys * self.frontend.nodes[0].cache.entry_bytes
         )
         self.deadline = cfg.deadline_factor * leg0

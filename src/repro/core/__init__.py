@@ -54,7 +54,6 @@ from repro.core.location_table import (
 )
 from repro.core.drift_adapt import (
     DriftDetector,
-    DriftDetectorConfig,
     DriftScore,
     StreamingHotnessEstimator,
     hot_set_jaccard,
@@ -142,7 +141,6 @@ __all__ = [
     "placement_diff",
     "HotnessTracker",
     "DriftDetector",
-    "DriftDetectorConfig",
     "DriftScore",
     "StreamingHotnessEstimator",
     "hot_set_jaccard",

@@ -67,11 +67,15 @@ class BlockSet:
         return inverse
 
 
+#: Log-level clamp: entries more than ``2**MAX_LEVELS`` colder than the
+#: hottest share the bottom level.
+MAX_LEVELS = 40
+
+
 def build_blocks(
     hotness: np.ndarray,
     num_gpus: int,
     coarse_frac: float = 0.005,
-    max_levels: int = 40,
 ) -> BlockSet:
     """Group entries into log-scale hotness blocks.
 
@@ -80,8 +84,6 @@ def build_blocks(
         num_gpus: minimum fine-grained blocks per level (the paper's ``N``).
         coarse_frac: coarse cap — no block exceeds this fraction of all
             entries (paper: 0.5%).
-        max_levels: log-level clamp; entries more than ``2**max_levels``
-            colder than the hottest share the bottom level.
 
     Returns:
         A :class:`BlockSet` whose blocks are contiguous runs of the
@@ -104,13 +106,13 @@ def build_blocks(
     # Log-scale levels relative to the hottest entry.  Zero-hotness entries
     # (never accessed during profiling) form their own bottom level.
     hot_max = sorted_hot[0]
-    levels = np.full(n, max_levels, dtype=np.int64)
+    levels = np.full(n, MAX_LEVELS, dtype=np.int64)
     positive = sorted_hot > 0
     if hot_max > 0:
         # log-difference form avoids overflow when hotness spans the full
         # float range (hot_max / tiny would overflow).
         log_gap = np.log2(hot_max) - np.log2(sorted_hot[positive])
-        levels[positive] = np.clip(np.floor(log_gap), 0, max_levels - 1).astype(
+        levels[positive] = np.clip(np.floor(log_gap), 0, MAX_LEVELS - 1).astype(
             np.int64
         )
 

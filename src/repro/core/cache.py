@@ -418,7 +418,7 @@ class MultiGpuEmbeddingCache:
             return self._verify_integrity_locked(verify_resolution, sample, seed)
 
     def _verify_integrity_locked(
-        self, verify_resolution, sample: float | None = None, seed: int = 0
+        self, verify_resolution, sample: float | None, seed: int
     ) -> list[str]:
         problems: list[str] = []
         G = self._platform.num_gpus
@@ -477,10 +477,8 @@ class MultiGpuEmbeddingCache:
             problems.extend(self._chain.verify())
         return problems
 
-    def check_integrity(
-        self, sample: float | None = None, seed: int = 0
-    ) -> None:
+    def check_integrity(self) -> None:
         """Raise :class:`CacheIntegrityError` if any invariant is violated."""
-        problems = self.verify_integrity(sample=sample, seed=seed)
+        problems = self.verify_integrity()
         if problems:
             raise CacheIntegrityError("; ".join(problems))

@@ -37,7 +37,6 @@ logger = get_logger("core.drift_adapt")
 
 __all__ = [
     "DriftDetector",
-    "DriftDetectorConfig",
     "DriftScore",
     "StreamingHotnessEstimator",
     "hot_set_jaccard",
@@ -64,29 +63,15 @@ class StreamingHotnessEstimator(HotnessTracker):
     a single thread — this estimator is recorded from the serving hot
     path, concurrently from every per-GPU worker, while the drift
     detector reads snapshots.  All public state transitions happen under
-    one mutex: no lost updates, no torn hot-set reads.
-
-    Cold start mirrors :class:`~repro.serve.queueing.LatencyEstimator`'s
-    ``estimator_prior``: with ``prior`` set, :meth:`hotness` answers a
-    uniform ``prior`` per entry *before* the first batch instead of
-    raising — callers that poll the estimate on a schedule never trip
-    over an empty window.  ``prior=None`` keeps the base tracker's loud
-    zero-batch :class:`RuntimeError`.
+    one mutex: no lost updates, no torn hot-set reads.  Before the first
+    batch it keeps the base tracker's loud zero-batch :class:`RuntimeError`.
     """
 
-    def __init__(
-        self,
-        num_entries: int,
-        decay: float = 0.95,
-        prior: float | None = None,
-    ) -> None:
+    def __init__(self, num_entries: int, decay: float = 0.95) -> None:
         if not 0.0 < decay <= 1.0:
             raise ValueError("decay must be in (0, 1]")
-        if prior is not None and prior < 0:
-            raise ValueError("cold-start prior must be non-negative")
         super().__init__(num_entries)
         self.decay = float(decay)
-        self.prior = prior
         self._lock = threading.Lock()
 
     def _effective_batches_locked(self) -> float:
@@ -109,14 +94,11 @@ class StreamingHotnessEstimator(HotnessTracker):
     def hotness(self) -> np.ndarray:
         """Expected accesses per entry per batch over the decayed window.
 
-        Before any batch is recorded this is undefined; with a ``prior``
-        the estimator answers a uniform cold-start estimate, otherwise
-        it raises like the base tracker.
+        Before any batch is recorded this is undefined and raises like the
+        base tracker.
         """
         with self._lock:
             if self._batches == 0:
-                if self.prior is not None:
-                    return np.full(self.num_entries, self.prior)
                 raise RuntimeError("no batches recorded yet")
             return self._counts / self._effective_batches_locked()
 
@@ -133,9 +115,7 @@ class StreamingHotnessEstimator(HotnessTracker):
         """
         with self._lock:
             if self._batches == 0:
-                if self.prior is None:
-                    raise RuntimeError("no batches recorded yet")
-                return np.full(self.num_entries, self.prior), 0
+                raise RuntimeError("no batches recorded yet")
             hot = self._counts / self._effective_batches_locked()
             return hot, self._batches
 
@@ -217,44 +197,22 @@ def rank_correlation(
     return float(rho)
 
 
-@dataclass(frozen=True)
-class DriftDetectorConfig:
-    """Knobs of the windowed drift detector.
-
-    Attributes:
-        top_frac: hot-set size (fraction of the table) both scores use.
-        jaccard_floor: hot-set overlap below this breaches.
-        corr_floor: rank correlation below this breaches.
-        hysteresis: consecutive breaching checks required before the
-            detector fires — one noisy window never triggers a re-solve.
-        cooldown_checks: checks after a fire during which the detector
-            scores but cannot fire again (the re-solve + swap it
-            triggered needs time to land and the estimator needs time to
-            converge on the new regime).
-        min_batches: estimator warm-up; checks before this many recorded
-            batches score but never breach (a cold window is noise).
-    """
-
-    top_frac: float = 0.01
-    jaccard_floor: float = 0.5
-    corr_floor: float = 0.2
-    hysteresis: int = 2
-    cooldown_checks: int = 8
-    min_batches: int = 16
-
-    def __post_init__(self) -> None:
-        if not 0 < self.top_frac <= 1:
-            raise ValueError("top_frac must be in (0, 1]")
-        if not 0 <= self.jaccard_floor <= 1:
-            raise ValueError("jaccard floor must be in [0, 1]")
-        if not -1 <= self.corr_floor <= 1:
-            raise ValueError("correlation floor must be in [-1, 1]")
-        if self.hysteresis < 1:
-            raise ValueError("hysteresis must be at least 1 check")
-        if self.cooldown_checks < 0:
-            raise ValueError("cooldown must be non-negative")
-        if self.min_batches < 0:
-            raise ValueError("min_batches must be non-negative")
+# The windowed drift detector's thresholds.
+#: Hot-set size (fraction of the table) both scores use.
+TOP_FRAC = 0.01
+#: Hot-set overlap, and rank correlation, below which a window breaches.
+JACCARD_FLOOR = 0.5
+CORR_FLOOR = 0.2
+#: Consecutive breaching checks required before the detector fires — one
+#: noisy window never triggers a re-solve.
+HYSTERESIS = 2
+#: Checks after a fire during which the detector scores but cannot fire
+#: again (the re-solve + swap it triggered needs time to land and the
+#: estimator needs time to converge on the new regime).
+COOLDOWN_CHECKS = 8
+#: Estimator warm-up; checks before this many recorded batches score but
+#: never breach (a cold window is noise).
+MIN_BATCHES = 16
 
 
 @dataclass(frozen=True)
@@ -283,19 +241,14 @@ class DriftScore:
 class DriftDetector:
     """Compares a live hotness estimate against the solved snapshot.
 
-    Stateful: consecutive breaches accumulate toward ``hysteresis``, a
+    Stateful: consecutive breaches accumulate toward :data:`HYSTERESIS`, a
     fire starts a cooldown, and :meth:`rebase` re-anchors the reference
     snapshot after a policy swap lands (the new placement *is* the new
     normal, so the old divergence must not re-fire).  Every check is
     appended to :attr:`tape` — the golden fixture pins this tape.
     """
 
-    def __init__(
-        self,
-        snapshot: np.ndarray,
-        config: DriftDetectorConfig | None = None,
-    ) -> None:
-        self.config = config or DriftDetectorConfig()
+    def __init__(self, snapshot: np.ndarray) -> None:
         self._snapshot = np.asarray(snapshot, dtype=np.float64).copy()
         if self._snapshot.ndim != 1 or self._snapshot.size == 0:
             raise ValueError("snapshot hotness must be a non-empty 1-D array")
@@ -325,13 +278,12 @@ class DriftDetector:
             live: current streaming hotness estimate.
             at: timestamp stamped on the tape entry (simulated seconds).
             batches: the estimator's recorded-batch count; below
-                ``min_batches`` the window scores but cannot breach.
+                :data:`MIN_BATCHES` the window scores but cannot breach.
         """
-        cfg = self.config
-        jac = hot_set_jaccard(live, self._snapshot, cfg.top_frac)
-        rho = rank_correlation(live, self._snapshot, cfg.top_frac)
-        warm = batches is None or batches >= cfg.min_batches
-        breached = warm and (jac < cfg.jaccard_floor or rho < cfg.corr_floor)
+        jac = hot_set_jaccard(live, self._snapshot, TOP_FRAC)
+        rho = rank_correlation(live, self._snapshot, TOP_FRAC)
+        warm = batches is None or batches >= MIN_BATCHES
+        breached = warm and (jac < JACCARD_FLOOR or rho < CORR_FLOOR)
 
         fired = False
         if self._cooldown > 0:
@@ -339,11 +291,11 @@ class DriftDetector:
             self._streak = 0
         elif breached:
             self._streak += 1
-            if self._streak >= cfg.hysteresis:
+            if self._streak >= HYSTERESIS:
                 fired = True
                 self.detections += 1
                 self._streak = 0
-                self._cooldown = cfg.cooldown_checks
+                self._cooldown = COOLDOWN_CHECKS
         else:
             self._streak = 0
 
@@ -363,6 +315,6 @@ class DriftDetector:
             logger.info(
                 "drift detected at t=%.3f: hot-set jaccard %.3f, "
                 "rank corr %.3f (floors %.2f / %.2f)",
-                at, jac, rho, cfg.jaccard_floor, cfg.corr_floor,
+                at, jac, rho, JACCARD_FLOOR, CORR_FLOOR,
             )
         return score

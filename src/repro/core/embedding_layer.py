@@ -19,7 +19,7 @@ from repro.core.cache import MultiGpuEmbeddingCache
 from repro.core.evaluate import HitRates, evaluate_placement, hit_rates
 from repro.core.extractor import FactoredExtractor
 from repro.core.policy import Placement
-from repro.core.refresher import Refresher, RefreshConfig, RefreshOutcome
+from repro.core.refresher import Refresher, RefreshOutcome
 from repro.core.solver import SolvedPolicy, SolverConfig, solve_policy
 from repro.hardware.platform import Platform
 from repro.sim.engine import BatchReport
@@ -36,13 +36,11 @@ class EmbeddingLayerConfig:
             ``capacity_entries``.
         capacity_entries: explicit per-GPU entry budget.
         solver: solver knobs (§6.3 blocking defaults).
-        refresh: refresher knobs (§7.2 defaults).
     """
 
     cache_ratio: float | None = None
     capacity_entries: int | None = None
     solver: SolverConfig = SolverConfig()
-    refresh: RefreshConfig = RefreshConfig()
 
     def resolve_capacity(self, num_entries: int) -> int:
         if (self.cache_ratio is None) == (self.capacity_entries is None):
@@ -89,7 +87,7 @@ class UGacheEmbeddingLayer:
             platform, table, placement, capacity_entries=capacity
         )
         self._extractor = FactoredExtractor(self._cache)
-        self._refresher = Refresher(self._cache, config.refresh)
+        self._refresher = Refresher(self._cache)
         self._capacity = capacity
         self._entry_bytes = entry_bytes
 

@@ -19,16 +19,19 @@ import numpy as np
 from repro.core.policy import Placement
 from repro.hardware.platform import HOST, SOURCE_DTYPE, Platform
 from repro.obs import get_registry
-from repro.sim.congestion import CongestionModel
 from repro.sim.engine import BatchReport, simulate_batch
 from repro.sim.mechanisms import GpuDemand, Mechanism
+
+
+#: How many of the hottest entries :func:`resolve_sources` re-routes greedily
+#: to their least-loaded equal-cost holder.
+BALANCE_TOP = 128
 
 
 def resolve_sources(
     platform: Platform,
     placement: Placement,
     hotness: np.ndarray | None = None,
-    balance_top: int = 128,
     backing: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-GPU source map: ``out[i, e]`` is where GPU ``i`` reads entry ``e``.
@@ -41,7 +44,7 @@ def resolve_sources(
     single-tier platform, or the per-entry home from ``backing`` (the
     tier chain's home map, length ``num_entries``) on a deeper chain.
 
-    When ``hotness`` is given, the assignment of the ``balance_top``
+    When ``hotness`` is given, the assignment of the :data:`BALANCE_TOP`
     hottest entries is additionally refined greedily: each is re-routed to
     its least-loaded equal-cost holder.  Id-rotation balances the long
     tail statistically, but a handful of ultra-hot replicated entries can
@@ -80,7 +83,7 @@ def resolve_sources(
         out[i] = np.where(np.isfinite(best_score), best, fallback)
         out[i][mat[i]] = i
     if hotness is not None:
-        _balance_hot_assignments(platform, mat, out, np.asarray(hotness), balance_top)
+        _balance_hot_assignments(platform, mat, out, np.asarray(hotness))
     return out
 
 
@@ -89,10 +92,9 @@ def _balance_hot_assignments(
     storage: np.ndarray,
     source_map: np.ndarray,
     hotness: np.ndarray,
-    balance_top: int,
 ) -> None:
     """Greedy least-loaded reassignment of the hottest remote reads."""
-    top = np.argsort(-hotness)[:balance_top]
+    top = np.argsort(-hotness)[:BALANCE_TOP]
     for i in platform.gpu_ids:
         srcs = source_map[i]
         # Current per-source hotness load of this destination.
@@ -145,7 +147,6 @@ def expected_demands(
     placement: Placement,
     hotness: np.ndarray,
     entry_bytes: int,
-    source_map: np.ndarray | None = None,
 ) -> list[GpuDemand]:
     """Expected per-batch extraction volumes for every GPU.
 
@@ -156,8 +157,7 @@ def expected_demands(
     hotness = np.asarray(hotness, dtype=np.float64)
     if hotness.shape != (placement.num_entries,):
         raise ValueError("hotness length must match the entry universe")
-    if source_map is None:
-        source_map = resolve_sources(platform, placement, hotness)
+    source_map = resolve_sources(platform, placement, hotness)
     demands = []
     for i in platform.gpu_ids:
         volumes: dict[int, float] = {}
@@ -194,15 +194,13 @@ def hit_rates(
     platform: Platform,
     placement: Placement,
     hotness: np.ndarray,
-    source_map: np.ndarray | None = None,
 ) -> HitRates:
     """Access-weighted local/remote/host split, averaged over GPUs."""
     hotness = np.asarray(hotness, dtype=np.float64)
     total = hotness.sum()
     if total <= 0:
         return HitRates(0.0, 0.0, 1.0)
-    if source_map is None:
-        source_map = resolve_sources(platform, placement, hotness)
+    source_map = resolve_sources(platform, placement, hotness)
     local = remote = host = 0.0
     for i in platform.gpu_ids:
         srcs = source_map[i]
@@ -231,7 +229,6 @@ def evaluate_placement(
     hotness: np.ndarray,
     entry_bytes: int,
     mechanism: Mechanism = Mechanism.FACTORED,
-    congestion: CongestionModel | None = None,
     local_padding: bool = True,
 ) -> BatchReport:
     """Expected batch extraction report for a placement under a mechanism.
@@ -244,6 +241,5 @@ def evaluate_placement(
         platform,
         demands,
         mechanism=mechanism,
-        congestion=congestion,
         local_padding=local_padding,
     )

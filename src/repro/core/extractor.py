@@ -133,11 +133,10 @@ class FactoredExtractor:
         self,
         keys_per_gpu: list[np.ndarray],
         local_padding: bool = True,
-        health: HealthView | None = None,
         now: float = 0.0,
     ) -> tuple[list[np.ndarray], BatchReport]:
         """Plan, execute and price one data-parallel batch."""
-        health = self._resolve_health(health, now)
+        health = self._resolve_health(None, now)
         plans = [
             self.plan(i, keys, health=health) for i, keys in enumerate(keys_per_gpu)
         ]
@@ -155,20 +154,15 @@ class FactoredExtractor:
         self,
         dst: int,
         keys: np.ndarray,
-        local_padding: bool = True,
         health: HealthView | None = None,
-        now: float = 0.0,
     ):
         """Timing-only path for one GPU (no value gathering).
 
         Prices through the pipeline's shared :func:`price_demand` stage —
         the same call the batch simulator and the serving runtime make.
         """
-        health = self._resolve_health(health, now)
+        health = self._resolve_health(health, 0.0)
         plan = self.plan(dst, keys, health=health)
         return price_demand(
-            self.platform,
-            plan.demand(self._cache.entry_bytes),
-            health=health,
-            local_padding=local_padding,
+            self.platform, plan.demand(self._cache.entry_bytes), health=health
         )

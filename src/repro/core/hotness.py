@@ -93,12 +93,12 @@ class HotnessTracker:
         self._batches = 0
 
 
-def degree_hotness(degrees: np.ndarray, accesses_per_batch: float = 1.0) -> np.ndarray:
+def degree_hotness(degrees: np.ndarray) -> np.ndarray:
     """Degree-proportional hotness for GNN embeddings (§6.1).
 
     High-degree vertices are proportionally more likely to appear in
-    sampled k-hop neighbourhoods; scale so the total expected accesses per
-    batch is ``accesses_per_batch`` × number of entries accessed.
+    sampled k-hop neighbourhoods; scaled to one expected access per batch
+    in total.
     """
     degrees = np.asarray(degrees, dtype=np.float64)
     if (degrees < 0).any():
@@ -106,4 +106,4 @@ def degree_hotness(degrees: np.ndarray, accesses_per_batch: float = 1.0) -> np.n
     total = degrees.sum()
     if total <= 0:
         raise ValueError("graph has no edges; degree hotness undefined")
-    return degrees / total * accesses_per_batch
+    return degrees / total

@@ -36,6 +36,8 @@ _OFFSET_MASK = (np.int64(1) << _OFFSET_BITS) - 1
 #: Fibonacci hashing multiplier (2^64 / φ, as an unsigned 64-bit constant).
 _HASH_MULTIPLIER = np.uint64(11400714819323198485)
 _MAX_SOURCE = 2**15 - 2
+#: Load factor the table grows to stay under.
+MAX_LOAD = 0.7
 
 
 class ProbeLimitError(RuntimeError):
@@ -123,24 +125,21 @@ class LocationTable:
     def __init__(
         self,
         expected_entries: int,
-        max_load: float = 0.7,
         num_sources: int | None = None,
         max_offset: int | None = None,
     ) -> None:
         if expected_entries < 0:
             raise ValueError("expected_entries must be non-negative")
-        if not 0.1 <= max_load < 1.0:
-            raise ValueError("max_load must be in [0.1, 1.0)")
         if num_sources is not None and num_sources <= 0:
             raise ValueError("num_sources must be positive")
         if max_offset is not None and max_offset < 0:
             raise ValueError("max_offset must be non-negative")
         capacity = 8
-        while capacity * max_load < max(expected_entries, 1):
+        while capacity * MAX_LOAD < max(expected_entries, 1):
             capacity *= 2
         self._capacity = capacity
         self._mask = capacity - 1
-        self._max_load = max_load
+        self._max_load = MAX_LOAD
         #: validation bounds for unpacked locations (None = unbounded):
         #: valid sources are HOST plus GPU ids ``0..num_sources-1``, valid
         #: offsets ``0..max_offset``.
@@ -407,21 +406,14 @@ class LocationTable:
                 return None
             return self._checked_location(key, self._values[slots[0]])
 
-    def lookup_batch(
-        self, keys: np.ndarray, on_corrupt: str = "raise"
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def lookup_batch(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized batch lookup: bulk probing rounds, no per-key loop.
 
         Returns ``(sources, offsets)``; absent keys get source
         :data:`HOST` and offset = key (host storage is addressed by key).
-        ``on_corrupt`` picks the degraded behaviour for poisoned slots:
-        ``"raise"`` propagates :class:`CorruptEntryError` for the first
-        poisoned key in batch order, ``"host"`` routes the corrupt keys to
-        host like misses (the fault-tolerant extraction path — host always
-        has the truth).
+        A poisoned slot raises :class:`CorruptEntryError` for the first
+        poisoned key in batch order.
         """
-        if on_corrupt not in ("raise", "host"):
-            raise ValueError("on_corrupt must be 'raise' or 'host'")
         keys = np.asarray(keys, dtype=np.int64)
         sources = np.full(len(keys), HOST, dtype=SOURCE_DTYPE)
         offsets = keys.copy()  # miss ⇒ host storage addressed by key
@@ -437,13 +429,10 @@ class LocationTable:
         off = packed & _OFFSET_MASK
         corrupt = self._corrupt_mask(src, off)
         if corrupt.any():
-            if on_corrupt == "raise":
-                first = int(np.flatnonzero(corrupt)[0])
-                raise CorruptEntryError(
-                    int(keys[hit[first]]), int(src[first]), int(off[first])
-                )
-            # "host": poisoned keys keep the HOST/key miss routing.
-            hit, src, off = hit[~corrupt], src[~corrupt], off[~corrupt]
+            first = int(np.flatnonzero(corrupt)[0])
+            raise CorruptEntryError(
+                int(keys[hit[first]]), int(src[first]), int(off[first])
+            )
         sources[hit] = src.astype(SOURCE_DTYPE)
         offsets[hit] = off
         return sources, offsets
@@ -472,16 +461,14 @@ class LocationTable:
         sources: np.ndarray,
         offsets: np.ndarray,
         num_sources: int | None = None,
-        max_offset: int | None = None,
     ) -> "LocationTable":
         """Build a table from dense source/offset arrays (cache-fill path).
 
         Backing-resident entries (source < 0: host DRAM or any deeper
         tier) are not inserted — absence *means* the backing chain,
         exactly as the runtime treats misses; the cache's home map says
-        which tier.  Pass ``num_sources``/``max_offset`` (e.g. GPU count
-        and slot count) to arm the corruption bounds check on the read
-        path.
+        which tier.  Pass ``num_sources`` (the GPU count) to arm the
+        corruption bounds check on the read path.
         """
         sources = np.asarray(sources)
         offsets = np.asarray(offsets)
@@ -489,7 +476,6 @@ class LocationTable:
         table = LocationTable(
             expected_entries=len(cached),
             num_sources=num_sources,
-            max_offset=max_offset,
         )
         if len(cached):
             table.insert_batch(cached, sources[cached], offsets[cached])

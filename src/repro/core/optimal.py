@@ -27,8 +27,6 @@ def solve_optimal(
     hotness: np.ndarray,
     capacity_entries: int | list[int],
     entry_bytes: int,
-    integral: bool = False,
-    time_limit: float = 300.0,
 ) -> SolvedPolicy:
     """Solve the cache policy at per-entry granularity.
 
@@ -43,9 +41,7 @@ def solve_optimal(
             f"(got {hotness.size}); reduce the dataset as §8.5 does"
         )
     blocks = per_entry_blocks(hotness)
-    config = SolverConfig(
-        integral=integral, time_limit=time_limit, method="highs-ipm"
-    )
+    config = SolverConfig(time_limit=300.0, method="highs-ipm")
     return solve_policy(
         platform,
         hotness,

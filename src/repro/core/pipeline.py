@@ -92,8 +92,8 @@ __all__ = [
     "find_replicas",
     "group_by_source",
     "host_fallback_demand",
-    "NetworkTier",
     "NodeReadPrice",
+    "network_transfer_seconds",
     "plan_extraction",
     "price_demand",
     "price_node_read",
@@ -576,33 +576,21 @@ def price_demand(
         return factored_extraction(platform, demand, local_padding=local_padding)
 
 
-@dataclass(frozen=True)
-class NetworkTier:
-    """The inter-node fabric as one more tier in the topology.
+#: The inter-node fabric as one more tier in the topology.  Below the GPU
+#: tiers (NVLink, PCIe) sits the datacenter network: a front-end reading a
+#: batch from a cache node pays the node's *local* extraction time plus a
+#: fixed per-call latency plus the response payload streamed at fabric
+#: bandwidth — (latency, bandwidth), exactly parallel to how
+#: :class:`Platform` prices its links.  One-way per-call latency in seconds
+#: (connection + serialization), and sustained bandwidth in bytes/second
+#: (≈ 200 Gbit/s).
+NETWORK_LATENCY_SECONDS = 50e-6
+NETWORK_BANDWIDTH_BYTES = 25e9
 
-    Below the GPU tiers (NVLink, PCIe) sits the datacenter network: a
-    front-end reading a batch from a cache node pays the node's *local*
-    extraction time plus a fixed per-call latency plus the response
-    payload streamed at fabric bandwidth.  Modelling it as (latency,
-    bandwidth) keeps it exactly parallel to how :class:`Platform` prices
-    its links, so :func:`price_node_read` composes with
-    :func:`price_demand` instead of inventing a second cost model.
-    """
 
-    #: one-way per-call latency in seconds (connection + serialization).
-    latency_seconds: float = 50e-6
-    #: sustained fabric bandwidth in bytes/second (default ≈ 200 Gbit/s).
-    bandwidth_bytes: float = 25e9
-
-    def __post_init__(self) -> None:
-        if self.latency_seconds < 0:
-            raise ValueError("network latency must be non-negative")
-        if self.bandwidth_bytes <= 0:
-            raise ValueError("network bandwidth must be positive")
-
-    def transfer_seconds(self, payload_bytes: float) -> float:
-        """Wire time for one request/response of ``payload_bytes``."""
-        return self.latency_seconds + max(0.0, payload_bytes) / self.bandwidth_bytes
+def network_transfer_seconds(payload_bytes: float) -> float:
+    """Wire time for one request/response of ``payload_bytes``."""
+    return NETWORK_LATENCY_SECONDS + max(0.0, payload_bytes) / NETWORK_BANDWIDTH_BYTES
 
 
 @dataclass(frozen=True)
@@ -617,29 +605,17 @@ class NodeReadPrice:
         return self.extraction_seconds + self.transfer_seconds
 
 
-def price_node_read(
-    platform: Platform,
-    demand: GpuDemand,
-    network: NetworkTier,
-    health: HealthView | None = None,
-    service_factor: float = 1.0,
-    local_padding: bool = True,
-) -> NodeReadPrice:
+def price_node_read(platform: Platform, demand: GpuDemand) -> NodeReadPrice:
     """Price a front-end read served by a remote cache node.
 
     The node extracts the batch with its own multi-GPU machinery — priced
     through the same :func:`price_demand` every other consumer uses — then
-    streams the gathered values back over the :class:`NetworkTier`.  A
-    slow node (``service_factor`` < 1, from
-    :meth:`~repro.faults.spec.HealthView.node_service_factor`) stretches
-    the extraction, not the wire.
+    streams the gathered values back over the network
+    (:func:`network_transfer_seconds`).
     """
-    if service_factor <= 0:
-        raise ValueError("service factor must be positive (0 = unreachable)")
-    report = price_demand(platform, demand, health, local_padding=local_padding)
     return NodeReadPrice(
-        extraction_seconds=report.time / service_factor,
-        transfer_seconds=network.transfer_seconds(demand.total_bytes),
+        extraction_seconds=price_demand(platform, demand).time,
+        transfer_seconds=network_transfer_seconds(demand.total_bytes),
     )
 
 

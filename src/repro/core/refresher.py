@@ -34,40 +34,37 @@ from repro.utils.logging import get_logger
 logger = get_logger("core.refresher")
 
 
+#: Fractional slowdown imposed on foreground requests while a refresh step
+#: is in flight (§7.2: <10%).
+FOREGROUND_IMPACT = 0.10
+#: Refresh only if the newly solved policy's estimated extraction time beats
+#: the current one by this factor.
+TRIGGER_RATIO = 1.05
+#: Charged for the background policy solve (the paper reports ~10 s; our
+#: HiGHS solves are faster, so this models the full-size problem).
+SOLVE_SECONDS = 10.0
+#: Sustained cache-update throughput, entries/second (bounded by PCIe refill
+#: bandwidth and deliberately throttled).
+ENTRIES_PER_SECOND = 200_000.0
+#: Seconds between samples of :func:`simulate_refresh_timeline`.
+SAMPLE_INTERVAL = 0.5
+
+
 @dataclass(frozen=True)
 class RefreshConfig:
-    """Refresh throttling and triggering knobs.
+    """Refresh throttling.
 
     Attributes:
         update_batch_entries: entries evicted and entries inserted per
             small-batch update step.  A step is one batched copy each way,
             checked as a whole before it writes, and costs O(step).
-        foreground_impact: fractional slowdown imposed on foreground
-            requests while a refresh step is in flight (§7.2: <10%).
-        trigger_ratio: refresh only if the newly solved policy's estimated
-            extraction time beats the current one by this factor.
-        solve_seconds: charged for the background policy solve (the paper
-            reports ~10 s; our HiGHS solves are faster, so this models the
-            full-size problem).
-        entries_per_second: sustained cache-update throughput (bounded by
-            PCIe refill bandwidth and deliberately throttled).
     """
 
     update_batch_entries: int = 4096
-    foreground_impact: float = 0.10
-    trigger_ratio: float = 1.05
-    solve_seconds: float = 10.0
-    entries_per_second: float = 200_000.0
 
     def __post_init__(self) -> None:
         if self.update_batch_entries <= 0:
             raise ValueError("update batch must be positive")
-        if not 0 <= self.foreground_impact < 1:
-            raise ValueError("foreground impact must be in [0, 1)")
-        if self.trigger_ratio < 1:
-            raise ValueError("trigger ratio must be >= 1")
-        if self.entries_per_second <= 0:
-            raise ValueError("update throughput must be positive")
 
 
 @dataclass
@@ -89,9 +86,7 @@ class RefreshInterrupted(RuntimeError):
     (``interrupted=True, rolled_back=True``).
     """
 
-    def __init__(self, message: str, outcome: RefreshOutcome | None = None):
-        super().__init__(message)
-        self.outcome = outcome
+    outcome: RefreshOutcome | None = None
 
 
 class Refresher:
@@ -109,7 +104,7 @@ class Refresher:
         """Trigger when the candidate policy is sufficiently better."""
         if candidate_time <= 0:
             return False
-        return current_time / candidate_time >= self._config.trigger_ratio
+        return current_time / candidate_time >= TRIGGER_RATIO
 
     def refresh(
         self,
@@ -275,7 +270,7 @@ class Refresher:
             self._rollback(undo, snapshot_placement, snapshot_map)
             raise
         self._cache.refresh_source_map()
-        duration = cfg.solve_seconds + total / cfg.entries_per_second
+        duration = SOLVE_SECONDS + total / ENTRIES_PER_SECOND
         if reg.enabled:
             now = _time.perf_counter()
             reg.counter("refresher.refreshes").inc()
@@ -321,24 +316,21 @@ def simulate_refresh_timeline(
     total_duration: float,
     refresh_starts: tuple[float, ...],
     entries_to_move: int,
-    config: RefreshConfig | None = None,
-    sample_interval: float = 0.5,
 ) -> RefreshTimeline:
     """Analytic Figure-17 trace: latency vs time with refreshes triggered.
 
     During a refresh window (solve + throttled updates), foreground
-    iterations slow by ``foreground_impact``; outside, they run at
+    iterations slow by :data:`FOREGROUND_IMPACT`; outside, they run at
     ``baseline_latency``.
     """
-    cfg = config or RefreshConfig()
-    refresh_duration = cfg.solve_seconds + entries_to_move / cfg.entries_per_second
+    refresh_duration = SOLVE_SECONDS + entries_to_move / ENTRIES_PER_SECOND
     windows = tuple(
         (start, min(start + refresh_duration, total_duration))
         for start in refresh_starts
     )
-    times = np.arange(0.0, total_duration, sample_interval)
+    times = np.arange(0.0, total_duration, SAMPLE_INTERVAL)
     latencies = np.full_like(times, baseline_latency)
     for start, stop in windows:
         mask = (times >= start) & (times < stop)
-        latencies[mask] = baseline_latency * (1.0 + cfg.foreground_impact)
+        latencies[mask] = baseline_latency * (1.0 + FOREGROUND_IMPACT)
     return RefreshTimeline(times=times, latencies=latencies, refresh_windows=windows)

@@ -56,16 +56,14 @@ class SolverConfig:
             LP relaxation.  Exponentially slower; for small instances and
             the ablation benchmark only.
         time_limit: HiGHS wall-clock budget in seconds.
-        host_core_fraction_cap: cap on the share of SMs dedicated to host
-            extraction when computing ``R_{i←j}`` (mirrors the Extractor).
+        method: HiGHS algorithm: "highs" (auto), "highs-ds" (dual simplex)
+            or "highs-ipm" (interior point — faster on the large per-entry
+            LPs).
     """
 
     coarse_block_frac: float = 0.005
     integral: bool = False
     time_limit: float = 60.0
-    min_blocks_per_level: int | None = None
-    #: HiGHS algorithm: "highs" (auto), "highs-ds" (dual simplex) or
-    #: "highs-ipm" (interior point — faster on the large per-entry LPs).
     method: str = "highs"
 
 
@@ -243,9 +241,7 @@ def solve_policy(
     build_start = _time.perf_counter()
     if blocks is None:
         blocks = build_blocks(
-            hotness,
-            num_gpus=max(config.min_blocks_per_level or G, 1),
-            coarse_frac=config.coarse_block_frac,
+            hotness, num_gpus=G, coarse_frac=config.coarse_block_frac
         )
     B = blocks.num_blocks
     sizes = blocks.sizes.astype(np.float64)
@@ -448,14 +444,20 @@ def _estimate_times_for_access(
     return t
 
 
+#: A warm start is refused when the hotness profile moved further than this
+#: (total-variation distance; larger tolerates noisier live estimates), or
+#: when the reused fractions' estimate exceeds the warm solve's objective by
+#: this factor.
+WARM_MAX_PROFILE_SHIFT = 0.5
+WARM_GUARD_RATIO = 1.5
+
+
 def warm_start_policy(
     platform: Platform,
     hotness: np.ndarray,
     capacity_entries: int | list[int],
     entry_bytes: int,
     warm: SolvedPolicy,
-    max_profile_shift: float = 0.5,
-    guard_ratio: float = 1.5,
 ) -> SolvedPolicy:
     """Incrementally re-solve from a previous :class:`SolvedPolicy`.
 
@@ -474,12 +476,12 @@ def warm_start_policy(
 
     * **profile shift** — total-variation distance between the old and
       new normalized block-hotness profiles.  Above
-      ``max_profile_shift`` the drift changed the *shape* of the
+      :data:`WARM_MAX_PROFILE_SHIFT` the drift changed the *shape* of the
       distribution (e.g. a flash crowd minting a sharper head), the
       reused fractions may be far from optimal, and a cold solve is
       warranted.
     * **estimate blow-up** — the reused fractions' estimated time at
-      the old scale must stay within ``guard_ratio`` of the warm solve's
+      the old scale must stay within :data:`WARM_GUARD_RATIO` of the warm solve's
       objective.
 
     When a pure rank permutation drifts the hotness (profile shift 0),
@@ -536,10 +538,10 @@ def warm_start_policy(
     profile_old = warm.blocks.hotness_sum / old_total if old_total > 0 else warm.blocks.hotness_sum
     profile_new = hotness_sum / new_total
     profile_shift = 0.5 * float(np.abs(profile_new - profile_old).sum())
-    if profile_shift > max_profile_shift:
+    if profile_shift > WARM_MAX_PROFILE_SHIFT:
         raise PolicySolveError(
             f"warm start refused: hotness profile shifted {profile_shift:.3f} "
-            f"(> {max_profile_shift:.3f}); the distribution changed shape"
+            f"(> {WARM_MAX_PROFILE_SHIFT:.3f}); the distribution changed shape"
         )
 
     t = _estimate_times_for_access(
@@ -559,11 +561,11 @@ def warm_start_policy(
     baseline = float(t_warm.max())
     scale = old_total / new_total if new_total > 0 else 1.0
     est_normalized = float(t.max()) * scale
-    if baseline > 0 and est_normalized > guard_ratio * baseline:
+    if baseline > 0 and est_normalized > WARM_GUARD_RATIO * baseline:
         raise PolicySolveError(
             f"warm start refused: reused fractions estimate "
             f"{est_normalized:.3e}s vs warm {baseline:.3e}s "
-            f"(> {guard_ratio:.2f}x)"
+            f"(> {WARM_GUARD_RATIO:.2f}x)"
         )
 
     reclassed = int((blocks.block_of() != warm.blocks.block_of()).sum())
@@ -669,6 +671,10 @@ def clear_policy_cache() -> None:
     _LAST_KNOWN_GOOD.clear()
 
 
+#: ``replicate_fraction`` candidates searched by the greedy fallback.
+GREEDY_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
 @dataclass(frozen=True)
 class FallbackConfig:
     """Knobs of :func:`solve_policy_with_fallback`.
@@ -680,8 +686,6 @@ class FallbackConfig:
             with no sleep — solver failures are rarely transient, but a
             fresh attempt with a smaller remaining budget can still finish
             on a presolve-friendly path).
-        greedy_fractions: ``replicate_fraction`` candidates searched by the
-            greedy fallback.
         use_cached: consult the last-known-good registry when the MILP
             fails (and prefer it over greedy when its estimate is better).
     """
@@ -690,7 +694,6 @@ class FallbackConfig:
     retry: RetryPolicy = field(
         default_factory=lambda: RetryPolicy(max_attempts=2, base_delay=0.0)
     )
-    greedy_fractions: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
     use_cached: bool = True
 
 
@@ -736,7 +739,6 @@ def solve_policy_with_fallback(
     sleep: Callable[[float], None] = _time.sleep,
     retry_rng: Any | None = None,
     warm: SolvedPolicy | None = None,
-    warm_max_profile_shift: float = 0.5,
 ) -> PolicyOutcome:
     """Solve the cache policy, degrading gracefully instead of raising.
 
@@ -747,14 +749,14 @@ def solve_policy_with_fallback(
        hotness order, re-placing only entries whose hotness class
        changed.  Milliseconds instead of an LP solve; refused (falling
        through to the cold chain) when the hotness *profile* shifted
-       more than ``warm_max_profile_shift`` or the reused fractions'
+       more than :data:`WARM_MAX_PROFILE_SHIFT` or the reused fractions'
        estimate blows up.
     1. **MILP** — :func:`solve_policy` under ``fallback.retry``, with each
        attempt's HiGHS budget clipped to the remaining wall-clock deadline.
        Successful solves are remembered per platform.
     2. **Greedy** — searches
        :func:`~repro.core.policy.hot_replicate_warm_partition_policy` over
-       ``fallback.greedy_fractions``, scored by
+       :data:`GREEDY_FRACTIONS`, scored by
        :func:`~repro.core.evaluate.evaluate_placement`.
     3. **Cached** — the last-known-good :class:`SolvedPolicy` for this
        platform (same entry count and capacities), used when it beats the
@@ -783,14 +785,7 @@ def solve_policy_with_fallback(
 
     if warm is not None:
         try:
-            solved = warm_start_policy(
-                platform,
-                hotness,
-                caps,
-                entry_bytes,
-                warm,
-                max_profile_shift=warm_max_profile_shift,
-            )
+            solved = warm_start_policy(platform, hotness, caps, entry_bytes, warm)
             remember_policy(solved)
             reg.counter("solver.fallback.source", source="incremental").inc()
             return PolicyOutcome(
@@ -850,7 +845,7 @@ def solve_policy_with_fallback(
     greedy_best: tuple[Placement, float] | None = None
     try:
         cap = min(caps)
-        for frac in fb.greedy_fractions:
+        for frac in GREEDY_FRACTIONS:
             placement = hot_replicate_warm_partition_policy(hotness, cap, G, frac)
             report = evaluate_placement(platform, placement, hotness, entry_bytes)
             if greedy_best is None or report.time < greedy_best[1]:

@@ -126,7 +126,7 @@ GNN_SPECS: dict[str, GnnDatasetSpec] = {
 
 
 @lru_cache(maxsize=8)
-def build_gnn_dataset(key: str, seed: int = 0) -> GnnDataset:
+def build_gnn_dataset(key: str) -> GnnDataset:
     """Generate (and memoize) one stand-in dataset."""
     spec = GNN_SPECS.get(key)
     if spec is None:
@@ -135,10 +135,9 @@ def build_gnn_dataset(key: str, seed: int = 0) -> GnnDataset:
         num_nodes=spec.num_nodes,
         num_edges=spec.num_edges,
         degree_alpha=spec.degree_alpha,
-        seed=seed,
-        symmetric=True,
+        seed=0,
     )
-    rng = make_rng(seed + 1)
+    rng = make_rng(1)
     train_count = max(1, int(spec.train_fraction * spec.num_nodes))
     train_ids = rng.choice(spec.num_nodes, size=train_count, replace=False)
     return GnnDataset(spec=spec, graph=graph, train_ids=np.sort(train_ids))

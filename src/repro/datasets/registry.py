@@ -74,10 +74,9 @@ def all_dataset_summaries() -> list[DatasetSummary]:
 def cache_ratio_for(
     platform: Platform,
     spec: GnnDatasetSpec | DlrDatasetSpec,
-    usable_fraction: float = USABLE_GPU_FRACTION,
 ) -> float:
     """Per-GPU cache ratio this platform affords for this dataset."""
-    usable = usable_fraction * platform.gpu.memory_bytes * spec.scale
+    usable = USABLE_GPU_FRACTION * platform.gpu.memory_bytes * spec.scale
     ratio = usable / spec.embedding_bytes
     return float(min(1.0, ratio))
 
@@ -85,13 +84,12 @@ def cache_ratio_for(
 def capacity_entries_for(
     platform: Platform,
     spec: GnnDatasetSpec | DlrDatasetSpec,
-    usable_fraction: float = USABLE_GPU_FRACTION,
 ) -> int:
     """Per-GPU cache capacity in entries under the scaled-memory rule."""
     num_entries = (
         spec.num_nodes if isinstance(spec, GnnDatasetSpec) else spec.num_entries
     )
-    return int(cache_ratio_for(platform, spec, usable_fraction) * num_entries)
+    return int(cache_ratio_for(platform, spec) * num_entries)
 
 
 __all__ = [

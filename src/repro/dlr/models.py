@@ -22,30 +22,30 @@ _GPU_THROUGHPUT = {
 _ITERATION_OVERHEAD = 1.0e-3
 
 
+#: The top MLP both models share: depth and width.
+MLP_LAYERS = 6
+MLP_WIDTH = 512
+
+
 @dataclass(frozen=True)
 class DlrModelSpec:
-    """Compute shape of one DLR model.
-
-    ``mlp_layers``/``mlp_width`` describe the top MLP; ``cross_layers``
-    the DCN cross network (0 for DLRM).
-    """
+    """Compute shape of one DLR model: the shared top MLP plus
+    ``cross_layers`` of DCN cross network (0 for DLRM)."""
 
     name: str
-    mlp_layers: int = 6
-    mlp_width: int = 512
     cross_layers: int = 0
 
     def flops_per_request(self, num_tables: int, dim: int) -> float:
         """Inference FLOPs for one sample."""
         feature_width = num_tables * dim
-        flops = 2.0 * feature_width * self.mlp_width  # input projection
-        flops += 2.0 * self.mlp_width * self.mlp_width * max(self.mlp_layers - 1, 0)
+        flops = 2.0 * feature_width * MLP_WIDTH  # input projection
+        flops += 2.0 * MLP_WIDTH * MLP_WIDTH * max(MLP_LAYERS - 1, 0)
         flops += 4.0 * feature_width * self.cross_layers  # cross layers
         return flops
 
 
-DLRM = DlrModelSpec(name="dlrm", mlp_layers=6, mlp_width=512, cross_layers=0)
-DCN = DlrModelSpec(name="dcn", mlp_layers=6, mlp_width=512, cross_layers=3)
+DLRM = DlrModelSpec(name="dlrm", cross_layers=0)
+DCN = DlrModelSpec(name="dcn", cross_layers=3)
 
 
 def model_by_name(name: str) -> DlrModelSpec:

@@ -39,30 +39,30 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -30, 30)))
 
 
+#: Continuous features per sample (Criteo's 13), and the hidden widths of
+#: DLRM's bottom and top MLPs and of DCN's deep branch; DCN cross layers.
+DENSE_DIM = 13
+BOTTOM_DIMS = (64,)
+TOP_DIMS = (128, 64)
+DEEP_DIMS = (128, 64)
+CROSS_LAYERS = 3
+
+
 class DlrmNet:
     """Reference DLRM: bottom MLP → dot interactions → top MLP → sigmoid."""
 
-    def __init__(
-        self,
-        num_tables: int,
-        embedding_dim: int,
-        dense_dim: int = 13,
-        bottom_dims: tuple[int, ...] = (64,),
-        top_dims: tuple[int, ...] = (128, 64),
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, num_tables: int, embedding_dim: int, seed: int = 0) -> None:
         if num_tables < 1:
             raise ValueError("need at least one embedding table")
         rng = make_rng(seed)
         self.num_tables = num_tables
         self.embedding_dim = embedding_dim
-        self.dense_dim = dense_dim
         self.bottom_w, self.bottom_b = _mlp_params(
-            [dense_dim, *bottom_dims, embedding_dim], rng
+            [DENSE_DIM, *BOTTOM_DIMS, embedding_dim], rng
         )
         num_features = num_tables + 1  # embeddings + projected dense vector
         interaction_dim = num_features * (num_features - 1) // 2 + embedding_dim
-        self.top_w, self.top_b = _mlp_params([interaction_dim, *top_dims, 1], rng)
+        self.top_w, self.top_b = _mlp_params([interaction_dim, *TOP_DIMS, 1], rng)
 
     def forward(self, dense: np.ndarray, embeddings: np.ndarray) -> np.ndarray:
         """Click probabilities.
@@ -95,26 +95,15 @@ class DlrmNet:
 class DcnNet:
     """Deep & Cross Network: explicit cross layers over the flat features."""
 
-    def __init__(
-        self,
-        num_tables: int,
-        embedding_dim: int,
-        dense_dim: int = 13,
-        cross_layers: int = 3,
-        deep_dims: tuple[int, ...] = (128, 64),
-        seed: int = 0,
-    ) -> None:
-        if cross_layers < 1:
-            raise ValueError("DCN needs at least one cross layer")
+    def __init__(self, num_tables: int, embedding_dim: int, seed: int = 0) -> None:
         rng = make_rng(seed)
         self.num_tables = num_tables
         self.embedding_dim = embedding_dim
-        self.dense_dim = dense_dim
-        d = dense_dim + num_tables * embedding_dim
-        self.cross_w = [rng.normal(0.0, 1.0 / np.sqrt(d), d) for _ in range(cross_layers)]
-        self.cross_b = [np.zeros(d) for _ in range(cross_layers)]
-        self.deep_w, self.deep_b = _mlp_params([d, *deep_dims], rng)
-        self.head_w = rng.normal(0.0, 1.0 / np.sqrt(d + deep_dims[-1]), d + deep_dims[-1])
+        d = DENSE_DIM + num_tables * embedding_dim
+        self.cross_w = [rng.normal(0.0, 1.0 / np.sqrt(d), d) for _ in range(CROSS_LAYERS)]
+        self.cross_b = [np.zeros(d) for _ in range(CROSS_LAYERS)]
+        self.deep_w, self.deep_b = _mlp_params([d, *DEEP_DIMS], rng)
+        self.head_w = rng.normal(0.0, 1.0 / np.sqrt(d + DEEP_DIMS[-1]), d + DEEP_DIMS[-1])
 
     def forward(self, dense: np.ndarray, embeddings: np.ndarray) -> np.ndarray:
         """Click probabilities for a batch (same contract as DLRM)."""

@@ -44,7 +44,7 @@ class DlrWorkload:
     #: the seed-derived ones (used by the drift generator, §7.2)
     permutations: tuple[np.ndarray, ...] | None = None
     #: filled in __post_init__: start offset of each table in the global id space
-    table_offsets: tuple[int, ...] = field(default=())
+    table_offsets: tuple[int, ...] = field(default=(), init=False)
 
     def __post_init__(self) -> None:
         sizes = tuple(int(s) for s in self.table_sizes)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import asdict, dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from repro.core.solver import (
     clear_policy_cache,
     solve_policy_with_fallback,
 )
-from repro.faults.spec import FaultKind, FaultPlan, FaultSpec
+from repro.faults.spec import NODE_FAULT_KINDS, FaultKind, FaultPlan, FaultSpec
 from repro.faults.injector import FaultInjector
 from repro.obs import get_registry
 from repro.serve.soak import build_stack
@@ -45,54 +46,126 @@ from repro.utils.logging import get_logger
 
 logger = get_logger("faults.chaos")
 
-#: Every scenario the matrix knows how to run, in display order, with its
-#: one-line description (``chaos --list-scenarios``).
-SCENARIO_DESCRIPTIONS: dict[str, str] = {
-    "gpu-failure": "one GPU dies mid-run; reads reroute around it",
-    "link-degradation": "an interconnect link loses most of its bandwidth",
-    "link-partition": "an interconnect link goes fully dark",
-    "host-stall": "host memory bandwidth collapses (swap/NUMA storm)",
-    "corrupt-slot": "location-table slots corrupted to out-of-range targets",
-    "solver-timeout": "MILP times out; the fallback chain must answer",
-    "refresh-interrupt": "a policy refresh dies mid-flight and rolls back",
-    "node_down": "a whole cache-server node dies and later heals",
-    "node_flap": "a node dies, heals, and dies again inside the window",
-    "node_partition": "a node is reachable but partitioned from traffic",
-    "bit-rot": "cached bytes silently flip in a burst; the scrubber and "
-               "read guard must keep every served value exact",
-    "slow-leak-corruption": "low-rate bit-rot drips over the whole run; "
-                            "anti-entropy scrubbing must converge",
-    "heal-storm": "staggered node deaths with overlapping staged "
-                  "recoveries under the lifecycle watchdog",
+
+def _at(kind: FaultKind, **target):
+    """A table row's faults: one ``kind`` fault over the config's window."""
+    return lambda c: (FaultSpec(kind, c.onset, c.duration, **target),)
+
+
+#: The one scenario table, in display order: name → (one-line description
+#: for ``chaos --list-scenarios``, the faults it injects as a function of
+#: the :class:`ChaosConfig` — its onset, duration, run length and seed).
+#: The two rows without faults drill the fallback chain and the
+#: transactional refresh directly.
+SCENARIO_TABLE: dict[str, tuple] = {
+    "gpu-failure": (
+        "one GPU dies mid-run; reads reroute around it",
+        _at(FaultKind.GPU_FAILURE, gpu=1),
+    ),
+    "link-degradation": (
+        "an interconnect link loses most of its bandwidth",
+        _at(FaultKind.LINK_DEGRADATION, severity=0.75, link=(0, 1)),
+    ),
+    "link-partition": (
+        "an interconnect link goes fully dark",
+        _at(FaultKind.LINK_PARTITION, link=(0, 1)),
+    ),
+    "host-stall": (
+        "host memory bandwidth collapses (swap/NUMA storm)",
+        _at(FaultKind.HOST_STALL, severity=0.9),
+    ),
+    "corrupt-slot": (
+        "location-table slots corrupted to out-of-range targets",
+        _at(FaultKind.CORRUPT_SLOT, severity=0.05, gpu=1),
+    ),
+    "solver-timeout": ("MILP times out; the fallback chain must answer", None),
+    "refresh-interrupt": (
+        "a policy refresh dies mid-flight and rolls back", None
+    ),
+    "node_down": (
+        "a whole cache-server node dies and later heals",
+        _at(FaultKind.NODE_DOWN, node=1),
+    ),
+    "node_flap": (
+        "a node dies, heals, and dies again inside the window",
+        # Down, briefly back, down again — two stints inside the window.
+        lambda c: (
+            FaultSpec(FaultKind.NODE_DOWN, c.onset, 0.4 * c.duration, node=1),
+            FaultSpec(
+                FaultKind.NODE_DOWN, c.onset + 0.5 * c.duration,
+                0.4 * c.duration, node=1,
+            ),
+        ),
+    ),
+    "node_partition": (
+        "a node is reachable but partitioned from traffic",
+        _at(FaultKind.NODE_PARTITION, node=1),
+    ),
+    "bit-rot": (
+        "cached bytes silently flip in a burst; the scrubber and "
+        "read guard must keep every served value exact",
+        # A burst of flips inside the fault window.
+        lambda c: (
+            FaultSpec(FaultKind.BIT_ROT, c.onset, c.duration, rate=6.0, seed=c.seed),
+        ),
+    ),
+    "slow-leak-corruption": (
+        "low-rate bit-rot drips over the whole run; "
+        "anti-entropy scrubbing must converge",
+        # A low drip across the whole run — the shape scrubbing exists
+        # for, since no single read pattern sweeps every rotten slot.
+        lambda c: (
+            FaultSpec(
+                FaultKind.BIT_ROT, 0.0, float(c.num_batches), rate=1.5, seed=c.seed
+            ),
+        ),
+    ),
+    "heal-storm": (
+        "staggered node deaths with overlapping staged "
+        "recoveries under the lifecycle watchdog",
+        # Staggered single-node deaths whose staged recoveries overlap:
+        # node 1 dies twice around node 2's stint.
+        lambda c: tuple(
+            FaultSpec(
+                FaultKind.NODE_DOWN, at * c.num_batches, 0.15 * c.num_batches,
+                node=node,
+            )
+            for at, node in ((0.25, 1), (0.45, 2), (0.65, 1))
+        ),
+    ),
 }
 
-SCENARIOS: tuple[str, ...] = tuple(SCENARIO_DESCRIPTIONS)
-
-#: Node-level scenarios: these run against a 3-node replicated cluster
-#: tier (R=2) through the fan-out front-end instead of a single box.
-NODE_SCENARIOS: frozenset[str] = frozenset(
-    {"node_down", "node_flap", "node_partition"}
-)
+SCENARIOS: tuple[str, ...] = tuple(SCENARIO_TABLE)
 
 #: Default ceiling on post-fault latency relative to baseline; beyond this
 #: a scenario "never recovered" and the chaos CLI exits non-zero.
 DEFAULT_RECOVERY_TOLERANCE: float = 1.25
 
+#: Every drill runs on this platform.
+PLATFORM = "server-a"
+
 
 @dataclass(frozen=True)
 class ChaosConfig:
-    """Workload and timeline knobs shared by every scenario."""
+    """Workload and timeline knobs shared by every scenario.
 
-    platform: str = "server-a"
+    Attributes:
+        num_entries: embedding table rows.
+        batch_keys: keys each GPU extracts per batch.
+        num_batches: run length; batch ``t`` runs at time ``t``.
+        onset: when the fault starts.
+        duration: how long it lasts.
+        seed: seeds the table, the key draws and the fault plan.
+    """
+
     num_entries: int = 20_000
-    alpha: float = 1.1
-    cache_ratio: float = 0.12
-    entry_bytes: int = 32
     batch_keys: int = 2048
     num_batches: int = 12
     onset: float = 4.0
     duration: float = 4.0
     seed: int = 0
+    #: bytes per embedding row (read by :func:`~repro.serve.soak.build_stack`).
+    entry_bytes: ClassVar[int] = 32
 
     @classmethod
     def quick(cls, seed: int = 0) -> "ChaosConfig":
@@ -105,6 +178,15 @@ class ChaosConfig:
             duration=2.0,
             seed=seed,
         )
+
+
+#: Node-level scenarios: these run against a 3-node replicated cluster
+#: tier (R=2) through the fan-out front-end instead of a single box.
+NODE_SCENARIOS: frozenset[str] = frozenset(
+    name
+    for name, (_, faults) in SCENARIO_TABLE.items()
+    if faults and any(f.kind in NODE_FAULT_KINDS for f in faults(ChaosConfig()))
+)
 
 
 @dataclass
@@ -156,66 +238,11 @@ class ScenarioResult:
 
 
 def build_fault_plan(scenario: str, cfg: ChaosConfig) -> FaultPlan:
-    """The fault schedule a batch-loop scenario injects."""
-    onset, duration = cfg.onset, cfg.duration
-    if scenario == "gpu-failure":
-        spec = FaultSpec(FaultKind.GPU_FAILURE, onset, duration, gpu=1)
-    elif scenario == "link-degradation":
-        spec = FaultSpec(
-            FaultKind.LINK_DEGRADATION, onset, duration, severity=0.75, link=(0, 1)
-        )
-    elif scenario == "link-partition":
-        spec = FaultSpec(FaultKind.LINK_PARTITION, onset, duration, link=(0, 1))
-    elif scenario == "host-stall":
-        spec = FaultSpec(FaultKind.HOST_STALL, onset, duration, severity=0.9)
-    elif scenario == "corrupt-slot":
-        spec = FaultSpec(FaultKind.CORRUPT_SLOT, onset, duration, severity=0.05, gpu=1)
-    elif scenario == "bit-rot":
-        # A burst of flips inside the fault window.
-        spec = FaultSpec(
-            FaultKind.BIT_ROT, onset, duration, rate=6.0, seed=cfg.seed
-        )
-    elif scenario == "slow-leak-corruption":
-        # A low drip across the whole run — the shape scrubbing exists
-        # for, since no single read pattern sweeps every rotten slot.
-        spec = FaultSpec(
-            FaultKind.BIT_ROT, 0.0, float(cfg.num_batches),
-            rate=1.5, seed=cfg.seed,
-        )
-    elif scenario == "heal-storm":
-        # Staggered single-node deaths whose staged recoveries overlap:
-        # node 1 dies twice around node 2's stint.
-        T = float(cfg.num_batches)
-        specs = (
-            FaultSpec(FaultKind.NODE_DOWN, 0.25 * T, 0.15 * T, node=1),
-            FaultSpec(FaultKind.NODE_DOWN, 0.45 * T, 0.15 * T, node=2),
-            FaultSpec(FaultKind.NODE_DOWN, 0.65 * T, 0.15 * T, node=1),
-        )
-        return FaultPlan(faults=specs, seed=cfg.seed, name=scenario)
-    else:
-        raise ValueError(f"unknown batch-loop scenario {scenario!r}")
-    return FaultPlan(faults=(spec,), seed=cfg.seed, name=scenario)
-
-
-def build_node_fault_plan(scenario: str, cfg: ChaosConfig) -> FaultPlan:
-    """The node-level fault schedule a cluster scenario injects."""
-    onset, duration = cfg.onset, cfg.duration
-    if scenario == "node_down":
-        specs = (FaultSpec(FaultKind.NODE_DOWN, onset, duration, node=1),)
-    elif scenario == "node_flap":
-        # Down, briefly back, down again — two stints inside the window.
-        stint = 0.4 * duration
-        specs = (
-            FaultSpec(FaultKind.NODE_DOWN, onset, stint, node=1),
-            FaultSpec(
-                FaultKind.NODE_DOWN, onset + 0.5 * duration, stint, node=1
-            ),
-        )
-    elif scenario == "node_partition":
-        specs = (FaultSpec(FaultKind.NODE_PARTITION, onset, duration, node=1),)
-    else:
-        raise ValueError(f"unknown node scenario {scenario!r}")
-    return FaultPlan(faults=specs, seed=cfg.seed, name=scenario)
+    """The fault schedule a scenario of :data:`SCENARIO_TABLE` injects."""
+    faults = SCENARIO_TABLE.get(scenario, (None, None))[1]
+    if faults is None:
+        raise ValueError(f"scenario {scenario!r} injects no fault plan")
+    return FaultPlan(faults=faults(cfg), seed=cfg.seed, name=scenario)
 
 
 def _sum_counter(name: str) -> float:
@@ -253,7 +280,7 @@ def _run_batch_loop(scenario: str, cfg: ChaosConfig) -> ScenarioResult:
     from repro.repair import CacheScrubber
 
     plan = build_fault_plan(scenario, cfg)
-    stack = build_stack(cfg, platform_by_name(cfg.platform))
+    stack = build_stack(cfg, platform_by_name(PLATFORM))
     injector = FaultInjector(plan, cache=stack.cache)
     extractor = FactoredExtractor(stack.cache, injector=injector)
     platform, table, pmf, rng = stack.platform, stack.table, stack.pmf, stack.rng
@@ -338,9 +365,9 @@ def _run_node_loop(scenario: str, cfg: ChaosConfig) -> ScenarioResult:
     from repro.cluster.soak import NodeLifecycle, build_cluster
 
     storm = scenario == "heal-storm"
-    plan = (build_fault_plan if storm else build_node_fault_plan)(scenario, cfg)
+    plan = build_fault_plan(scenario, cfg)
     cluster = build_cluster(
-        cfg, platform_by_name(cfg.platform), nodes=3, replication=2
+        cfg, platform_by_name(PLATFORM), nodes=3, replication=2
     )
     frontend, stack = cluster.frontend, cluster.stack
     table, pmf, rng = stack.table, stack.pmf, stack.rng
@@ -407,7 +434,7 @@ def _run_node_loop(scenario: str, cfg: ChaosConfig) -> ScenarioResult:
 
 def _run_solver_timeout(cfg: ChaosConfig) -> ScenarioResult:
     """MILP times out → the fallback chain must answer within its deadline."""
-    platform = platform_by_name(cfg.platform)
+    platform = platform_by_name(PLATFORM)
     stack = build_stack(cfg, platform, fill=False)
 
     def timed_out(*_args, **_kwargs):
@@ -443,7 +470,7 @@ def _run_solver_timeout(cfg: ChaosConfig) -> ScenarioResult:
 
 def _run_refresh_interrupt(cfg: ChaosConfig) -> ScenarioResult:
     """Interrupt a refresh mid-flight; the cache must roll back bit-identically."""
-    stack = build_stack(cfg, platform_by_name(cfg.platform))
+    stack = build_stack(cfg, platform_by_name(PLATFORM))
     platform, cache, rng = stack.platform, stack.cache, stack.rng
     target = hot_replicate_warm_partition_policy(
         stack.hotness, stack.capacity, platform.num_gpus, 0.0
@@ -490,7 +517,7 @@ def run_scenario(scenario: str, cfg: ChaosConfig | None = None) -> ScenarioResul
         result = _run_solver_timeout(cfg)
     elif scenario == "refresh-interrupt":
         result = _run_refresh_interrupt(cfg)
-    elif scenario in NODE_SCENARIOS or scenario == "heal-storm":
+    elif scenario in NODE_SCENARIOS:
         result = _run_node_loop(scenario, cfg)
     elif scenario in SCENARIOS:
         result = _run_batch_loop(scenario, cfg)

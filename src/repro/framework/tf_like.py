@@ -25,17 +25,10 @@ class UGacheKerasEmbedding:
         dense = layer(keys, device=0)               # call per batch
     """
 
-    def __init__(
-        self,
-        platform: Platform,
-        cache_ratio: float | None = None,
-        capacity_entries: int | None = None,
-        name: str = "ugache_embedding",
-    ) -> None:
+    def __init__(self, platform: Platform, cache_ratio: float) -> None:
         self._platform = platform
         self._cache_ratio = cache_ratio
-        self._capacity = capacity_entries
-        self._name = name
+        self._name = "ugache_embedding"
         self._layer: UGacheEmbeddingLayer | None = None
 
     @property
@@ -54,12 +47,10 @@ class UGacheKerasEmbedding:
             self._platform,
             weight,
             hotness,
-            EmbeddingLayerConfig(
-                cache_ratio=self._cache_ratio, capacity_entries=self._capacity
-            ),
+            EmbeddingLayerConfig(cache_ratio=self._cache_ratio),
         )
 
-    def call(self, keys: np.ndarray, device: int = 0) -> np.ndarray:
+    def call(self, keys: np.ndarray, device: int) -> np.ndarray:
         if not self.built:
             raise RuntimeError(
                 f"layer {self._name!r} must be built before it is called"
@@ -83,5 +74,4 @@ class UGacheKerasEmbedding:
             "name": self._name,
             "platform": self._platform.name,
             "cache_ratio": self._cache_ratio,
-            "capacity_entries": self._capacity,
         }

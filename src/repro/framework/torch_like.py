@@ -42,16 +42,10 @@ class UGacheEmbedding(Module):
         platform: Platform,
         weight: np.ndarray,
         hotness: np.ndarray,
-        cache_ratio: float | None = None,
-        capacity_entries: int | None = None,
+        cache_ratio: float,
     ) -> None:
         self._layer = UGacheEmbeddingLayer(
-            platform,
-            weight,
-            hotness,
-            EmbeddingLayerConfig(
-                cache_ratio=cache_ratio, capacity_entries=capacity_entries
-            ),
+            platform, weight, hotness, EmbeddingLayerConfig(cache_ratio=cache_ratio)
         )
 
     @property

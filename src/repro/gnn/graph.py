@@ -84,15 +84,14 @@ def power_law_graph(
     num_edges: int,
     degree_alpha: float = 0.8,
     seed: int | np.random.Generator = 0,
-    symmetric: bool = True,
 ) -> CSRGraph:
     """Generate a Chung-Lu style power-law graph.
 
     Endpoints are drawn from a rank-Zipf weight distribution with exponent
     ``degree_alpha`` (higher → more skewed degrees → more skewed embedding
-    access, the property PA/MAG exhibit and CF exhibits less).  With
-    ``symmetric=True`` every sampled edge is inserted in both directions,
-    matching the OGB preprocessing into undirected homogeneous graphs.
+    access, the property PA/MAG exhibit and CF exhibits less).  Every
+    sampled edge is inserted in both directions, matching the OGB
+    preprocessing into undirected homogeneous graphs.
 
     Self-loops are removed; parallel edges are kept (they only bias
     sampling slightly, as in real multigraph datasets).
@@ -119,8 +118,7 @@ def power_law_graph(
     dst = np.concatenate([dst, floor_dst])
     keep = src != dst
     src, dst = src[keep], dst[keep]
-    if symmetric:
-        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
     # Shuffle node identities so hotness is not correlated with node id
     # (real datasets' ids carry no hotness order).
     perm = rng.permutation(num_nodes)

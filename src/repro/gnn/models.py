@@ -31,17 +31,20 @@ _GPU_THROUGHPUT = {
 _ITERATION_OVERHEAD = 2.0e-6
 
 
+#: Per-layer width of both models.
+HIDDEN = 256
+
+
 @dataclass(frozen=True)
 class GnnModelSpec:
     """Compute shape of one GNN model.
 
-    ``hidden`` is the per-layer width; ``layers`` the number of
-    message-passing layers (= hops).  The FLOP estimate covers forward and
-    backward over the sampled neighbourhood.
+    ``layers`` is the number of message-passing layers (= hops), each
+    :data:`HIDDEN` wide.  The FLOP estimate covers forward and backward
+    over the sampled neighbourhood.
     """
 
     name: str
-    hidden: int = 256
     layers: int = 2
 
     def flops_per_iteration(self, sampled_vertices: int, input_dim: int) -> float:
@@ -52,14 +55,14 @@ class GnnModelSpec:
         width_in = input_dim
         vertices = float(sampled_vertices)
         for _ in range(self.layers):
-            flops += 2.0 * vertices * width_in * self.hidden
-            width_in = self.hidden
+            flops += 2.0 * vertices * width_in * HIDDEN
+            width_in = HIDDEN
             vertices = max(vertices / 8.0, 1.0)
         return 3.0 * flops  # forward + backward ≈ 3× forward
 
 
-GCN = GnnModelSpec(name="gcn", hidden=256, layers=3)
-GRAPHSAGE = GnnModelSpec(name="graphsage", hidden=256, layers=2)
+GCN = GnnModelSpec(name="gcn", layers=3)
+GRAPHSAGE = GnnModelSpec(name="graphsage", layers=2)
 
 
 def model_for_mode(mode: str) -> GnnModelSpec:

@@ -233,7 +233,7 @@ class GraphSageModel:
             dh = new_dh
         return loss, grads
 
-    def sgd_step(self, grads: SageGradients, lr: float = 0.1) -> None:
+    def sgd_step(self, grads: SageGradients, lr: float) -> None:
         for level in range(self.num_levels):
             self.w_self[level] -= lr * grads.w_self[level]
             self.w_neigh[level] -= lr * grads.w_neigh[level]

@@ -121,14 +121,13 @@ class GnnWorkload:
                 ]
 
     def epoch(
-        self, seed: int | np.random.Generator = 0, dedup: bool = False
+        self, seed: int | np.random.Generator = 0
     ) -> Iterator[list[np.ndarray]]:
         """Yield per-iteration embedding-key batches (one array per GPU).
 
-        By default keys keep duplicates — the paper's ``extract`` reads
-        one entry per key occurrence (§3.2), so hub multiplicity drives
-        both hotness and extraction volume.  ``dedup=True`` gives the
-        deduplicated loader variant for ablations.
+        Keys keep duplicates — the paper's ``extract`` reads one entry per
+        key occurrence (§3.2), so hub multiplicity drives both hotness and
+        extraction volume.
         """
         rng = make_rng(seed)
         for per_gpu_seeds in self._seed_batches(rng):
@@ -136,7 +135,7 @@ class GnnWorkload:
             batches = []
             for seeds, gpu_rng in zip(per_gpu_seeds, gpu_rngs):
                 sampled = khop_sample(self.graph, seeds, self.fanouts, gpu_rng)
-                batches.append(sampled.unique_nodes if dedup else sampled.all_nodes)
+                batches.append(sampled.all_nodes)
             yield batches
 
     # ------------------------------------------------------------------

@@ -70,14 +70,16 @@ class ToleranceCurve:
 
 
 def tolerance_curves(
-    platform: Platform, dst: int = 0, concurrent_readers: int = 1
+    platform: Platform, concurrent_readers: int = 1
 ) -> list[ToleranceCurve]:
-    """Regenerate Figure 6 for a platform: one curve per source class.
+    """Regenerate Figure 6 for a platform: one curve per source class, as
+    GPU 0 sees them.
 
     Returns curves for host (``CPU``), local HBM (``Local``), and one
     representative remote GPU per distinct pair bandwidth (hard-wired
     platforms have several; a switch platform has one).
     """
+    dst = 0
     cores = np.arange(0, platform.gpu.num_cores + 1)
     curves = [
         _sample(platform, dst, HOST, cores, "CPU", 1),

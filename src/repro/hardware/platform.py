@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.hardware.spec import GPUSpec, a100_80gb, v100_16gb, v100_32gb
 from repro.hardware.topology import (
+    NVLINK_LANE_BANDWIDTH,
     Topology,
     TopologyKind,
     dgx1_8gpu,
@@ -474,27 +475,24 @@ def server_c() -> Platform:
     )
 
 
-def single_gpu(gpu: GPUSpec | None = None, pcie_bandwidth: float = gbps(24)) -> Platform:
+def single_gpu() -> Platform:
     """A one-GPU platform (Table 1's testbed) — no interconnect.
 
     The topology is an empty 1×1 lane matrix: the only sources are local
     HBM and host DRAM over PCIe.
     """
-    import numpy as np
-
-    spec = gpu or a100_80gb()
     topo = Topology(
         kind=TopologyKind.HARDWIRED,
         lane_counts=np.zeros((1, 1), dtype=np.int64),
-        lane_bandwidth=spec.nvlink_lane_bandwidth,
+        lane_bandwidth=NVLINK_LANE_BANDWIDTH,
         outbound_lanes=0,
         name="single-gpu",
     )
     return Platform(
         name="single-gpu",
-        gpu=spec,
+        gpu=a100_80gb(),
         topology=topo,
-        pcie_bandwidth=pcie_bandwidth,
+        pcie_bandwidth=gbps(24),
     )
 
 
@@ -517,19 +515,16 @@ def pcie_only(num_gpus: int = 4) -> Platform:
     host DRAM — the degenerate platform where any partition policy
     collapses and UGache must fall back to pure replication.
     """
-    import numpy as np
-
-    spec = v100_16gb()
     topo = Topology(
         kind=TopologyKind.HARDWIRED,
         lane_counts=np.zeros((num_gpus, num_gpus), dtype=np.int64),
-        lane_bandwidth=spec.nvlink_lane_bandwidth,
+        lane_bandwidth=NVLINK_LANE_BANDWIDTH,
         outbound_lanes=0,
         name=f"pcie-only-{num_gpus}gpu",
     )
     return Platform(
         name=f"pcie-only-{num_gpus}gpu",
-        gpu=spec,
+        gpu=v100_16gb(),
         topology=topo,
         pcie_bandwidth=gbps(16),
     )

@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from repro.hardware.topology import NVLINK_LANE_BANDWIDTH
 from repro.utils.units import GIB, gbps
 
 
@@ -45,8 +46,8 @@ class GPUSpec:
         num_cores: number of streaming multiprocessors (SMs).
         local_bandwidth: sustained gather bandwidth from local HBM with all
             SMs active, bytes/second.
-        nvlink_lanes: number of NVLink lanes wired out of the GPU.
-        nvlink_lane_bandwidth: per-lane bandwidth, bytes/second.
+        nvlink_lanes: number of NVLink lanes wired out of the GPU, each
+            :data:`~repro.hardware.topology.NVLINK_LANE_BANDWIDTH` wide.
     """
 
     name: str
@@ -54,7 +55,6 @@ class GPUSpec:
     num_cores: int
     local_bandwidth: float
     nvlink_lanes: int
-    nvlink_lane_bandwidth: float = gbps(25)
 
     def __post_init__(self) -> None:
         if self.memory_bytes <= 0:
@@ -69,7 +69,7 @@ class GPUSpec:
     @property
     def outbound_bandwidth(self) -> float:
         """Aggregate NVLink bandwidth out of this GPU, bytes/second."""
-        return self.nvlink_lanes * self.nvlink_lane_bandwidth
+        return self.nvlink_lanes * NVLINK_LANE_BANDWIDTH
 
     @property
     def per_core_bandwidth(self) -> float:

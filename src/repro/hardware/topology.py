@@ -23,6 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+#: NVLink per-lane bandwidth, bytes/second (25 GB/s, V100 and A100 alike).
+NVLINK_LANE_BANDWIDTH = 25e9
+
 
 class TopologyKind(enum.Enum):
     """How inter-GPU bandwidth is provisioned."""
@@ -123,7 +126,7 @@ class Topology:
 
 
 def hardwired_fully_connected(
-    num_gpus: int, lanes_per_gpu: int = 6, lane_bandwidth: float = 25e9
+    num_gpus: int, lanes_per_gpu: int = 6
 ) -> Topology:
     """Uniform all-to-all hard-wired topology (Figure 3(a)).
 
@@ -143,7 +146,7 @@ def hardwired_fully_connected(
     return Topology(
         kind=TopologyKind.HARDWIRED,
         lane_counts=lanes,
-        lane_bandwidth=lane_bandwidth,
+        lane_bandwidth=NVLINK_LANE_BANDWIDTH,
         outbound_lanes=lanes_per_gpu,
         name=f"hardwired-{num_gpus}gpu",
     )
@@ -174,7 +177,7 @@ _DGX1_EDGES: tuple[tuple[int, int, int], ...] = (
 )
 
 
-def dgx1_8gpu(lane_bandwidth: float = 25e9) -> Topology:
+def dgx1_8gpu() -> Topology:
     """The non-uniform 8×V100 DGX-1 topology (Figure 3(b))."""
     lanes = np.zeros((8, 8), dtype=np.int64)
     for a, b, count in _DGX1_EDGES:
@@ -183,13 +186,13 @@ def dgx1_8gpu(lane_bandwidth: float = 25e9) -> Topology:
     return Topology(
         kind=TopologyKind.HARDWIRED,
         lane_counts=lanes,
-        lane_bandwidth=lane_bandwidth,
+        lane_bandwidth=NVLINK_LANE_BANDWIDTH,
         outbound_lanes=6,
         name="dgx1-8xV100",
     )
 
 
-def nvswitch(num_gpus: int, lanes_per_gpu: int = 12, lane_bandwidth: float = 25e9) -> Topology:
+def nvswitch(num_gpus: int, lanes_per_gpu: int = 12) -> Topology:
     """Switch-based topology (Figure 3(c)), e.g. DGX-A100.
 
     Every pair is reachable; a single flow can use the GPU's entire
@@ -202,7 +205,7 @@ def nvswitch(num_gpus: int, lanes_per_gpu: int = 12, lane_bandwidth: float = 25e
     return Topology(
         kind=TopologyKind.SWITCH,
         lane_counts=lanes,
-        lane_bandwidth=lane_bandwidth,
+        lane_bandwidth=NVLINK_LANE_BANDWIDTH,
         outbound_lanes=lanes_per_gpu,
         name=f"nvswitch-{num_gpus}gpu",
     )

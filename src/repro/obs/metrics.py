@@ -58,7 +58,7 @@ class Counter:
     __slots__ = ("name", "labels", "value", "_lock")
     kind = "counter"
 
-    def __init__(self, name: str, labels: LabelKey = ()) -> None:
+    def __init__(self, name: str, labels: LabelKey) -> None:
         self.name = name
         self.labels = labels
         self.value = 0.0
@@ -92,7 +92,7 @@ class Gauge:
     __slots__ = ("name", "labels", "value", "_lock")
     kind = "gauge"
 
-    def __init__(self, name: str, labels: LabelKey = ()) -> None:
+    def __init__(self, name: str, labels: LabelKey) -> None:
         self.name = name
         self.labels = labels
         self.value = 0.0
@@ -136,7 +136,7 @@ class Histogram:
     )
     kind = "histogram"
 
-    def __init__(self, name: str, labels: LabelKey = ()) -> None:
+    def __init__(self, name: str, labels: LabelKey) -> None:
         self.name = name
         self.labels = labels
         self.count = 0
@@ -319,9 +319,9 @@ class _NoopHistogram(Histogram):
 
 
 #: Shared no-op instruments handed out by disabled registries.
-_NOOP_COUNTER = _NoopCounter("noop")
-_NOOP_GAUGE = _NoopGauge("noop")
-_NOOP_HISTOGRAM = _NoopHistogram("noop")
+_NOOP_COUNTER = _NoopCounter("noop", ())
+_NOOP_GAUGE = _NoopGauge("noop", ())
+_NOOP_HISTOGRAM = _NoopHistogram("noop", ())
 
 _default_registry = MetricsRegistry("global")
 _registry_lock = threading.Lock()

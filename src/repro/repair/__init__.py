@@ -15,13 +15,8 @@ cheap:
 """
 
 from repro.repair.restage import RestageGrant, StagedRecovery
-from repro.repair.scrub import CacheScrubber, ScrubConfig, ScrubTick
-from repro.repair.watchdog import (
-    STATE_CODE,
-    NodeState,
-    NodeWatchdog,
-    WatchdogConfig,
-)
+from repro.repair.scrub import CacheScrubber, ScrubTick
+from repro.repair.watchdog import STATE_CODE, NodeState, NodeWatchdog
 
 __all__ = [
     "CacheScrubber",
@@ -29,8 +24,6 @@ __all__ = [
     "NodeWatchdog",
     "RestageGrant",
     "STATE_CODE",
-    "ScrubConfig",
     "ScrubTick",
     "StagedRecovery",
-    "WatchdogConfig",
 ]

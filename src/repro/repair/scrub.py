@@ -46,32 +46,14 @@ from repro.utils.rng import make_rng
 
 logger = get_logger("repair.scrub")
 
-__all__ = ["CacheScrubber", "ScrubConfig", "ScrubTick"]
+__all__ = ["CacheScrubber", "ScrubTick"]
 
-
-@dataclass(frozen=True)
-class ScrubConfig:
-    """Knobs of the background scrub loop.
-
-    Attributes:
-        scan_bytes_per_tick: byte budget one :meth:`CacheScrubber.tick`
-            may re-checksum (converted to entries; at least one entry is
-            always scanned so tiny budgets still make progress).
-        repair_bytes_per_tick: byte budget one tick may spend copying
-            true bytes back into quarantined slots; 0 defers all repair
-            to :meth:`CacheScrubber.drain`.
-        seed: seeds the sampling rng so scrub coverage is replayable.
-    """
-
-    scan_bytes_per_tick: int = 16 * 1024
-    repair_bytes_per_tick: int = 16 * 1024
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.scan_bytes_per_tick < 1:
-            raise ValueError("scan budget must be at least one byte")
-        if self.repair_bytes_per_tick < 0:
-            raise ValueError("repair budget must be non-negative")
+#: Byte budget one :meth:`CacheScrubber.tick` may re-checksum (converted to
+#: entries; at least one entry is always scanned).
+SCAN_BYTES_PER_TICK = 16 * 1024
+#: Byte budget one tick may spend copying true bytes back into quarantined
+#: slots; what it does not reach waits for :meth:`CacheScrubber.drain`.
+REPAIR_BYTES_PER_TICK = 16 * 1024
 
 
 @dataclass
@@ -93,12 +75,10 @@ class CacheScrubber:
     ``repair.scrub.*`` metrics.
     """
 
-    def __init__(self, cache, config: ScrubConfig | None = None,
-                 node: int | None = None) -> None:
+    def __init__(self, cache, node: int | None = None) -> None:
         self._cache = cache
-        self.config = config or ScrubConfig()
         self._labels = {} if node is None else {"node": str(node)}
-        self._rng = make_rng(self.config.seed + 911)
+        self._rng = make_rng(911)  # scrub coverage is replayable
         self._cursor = 0  # round-robin GPU cursor for tick()
         # (gpu, entry) -> dst GPUs whose route was parked at HOST; the
         # repair restores exactly these (and only where still parked).
@@ -126,7 +106,7 @@ class CacheScrubber:
     def tick(self, now: float = 0.0) -> ScrubTick:
         """One scrub round: sample-scan one GPU store, then spend the
         repair budget on the quarantine queue.  Deterministic given the
-        config seed and call sequence."""
+        call sequence."""
         del now  # time is the caller's clock; the scrubber is stateless in it
         tick = ScrubTick()
         cache = self._cache
@@ -134,7 +114,7 @@ class CacheScrubber:
         gpu = self._cursor % num_gpus
         self._cursor += 1
         entry_bytes = max(1, cache.entry_bytes)
-        scan_budget = max(1, self.config.scan_bytes_per_tick // entry_bytes)
+        scan_budget = max(1, SCAN_BYTES_PER_TICK // entry_bytes)
         with cache.writing():
             store = cache.store(gpu)
             cached = store.cached_entries()
@@ -149,7 +129,7 @@ class CacheScrubber:
                 tick.mismatches = int(len(bad))
                 for entry in bad:
                     self._quarantine_locked(gpu, int(entry))
-            repair_budget = self.config.repair_bytes_per_tick // entry_bytes
+            repair_budget = REPAIR_BYTES_PER_TICK // entry_bytes
             self._repair_some_locked(repair_budget, tick)
         self.scanned_total += tick.scanned
         self.mismatches_total += tick.mismatches

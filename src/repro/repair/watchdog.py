@@ -56,21 +56,10 @@ STATE_CODE = {
 }
 
 
-@dataclass(frozen=True)
-class WatchdogConfig:
-    """Fusion thresholds.
-
-    Attributes:
-        suspect_quarantine_depth: outstanding scrub quarantines at which
-            a reachable node turns SUSPECT (it keeps serving — quarantined
-            routes already point at HOST — but the state is surfaced).
-    """
-
-    suspect_quarantine_depth: int = 1
-
-    def __post_init__(self) -> None:
-        if self.suspect_quarantine_depth < 1:
-            raise ValueError("suspect threshold must be at least 1")
+#: Outstanding scrub quarantines at which a reachable node turns SUSPECT (it
+#: keeps serving — quarantined routes already point at HOST — but the state
+#: is surfaced).
+SUSPECT_QUARANTINE_DEPTH = 1
 
 
 @dataclass
@@ -91,8 +80,7 @@ class NodeWatchdog:
     caches were dropped so the heal passes through RECOVERING.
     """
 
-    def __init__(self, node_ids, config: WatchdogConfig | None = None) -> None:
-        self.config = config or WatchdogConfig()
+    def __init__(self, node_ids) -> None:
         self._states: dict[int, NodeState] = {
             int(n): NodeState.HEALTHY for n in node_ids
         }
@@ -185,6 +173,6 @@ class NodeWatchdog:
             return NodeState.EJECTED
         if breaker is BreakerState.HALF_OPEN:
             return NodeState.SUSPECT
-        if depth >= self.config.suspect_quarantine_depth:
+        if depth >= SUSPECT_QUARANTINE_DEPTH:
             return NodeState.SUSPECT
         return NodeState.HEALTHY

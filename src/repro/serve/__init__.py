@@ -22,7 +22,6 @@ from repro.serve.coalesce import (
     coalesce_keys,
 )
 from repro.serve.adaptation import (
-    AdaptationConfig,
     AdaptationEvent,
     DriftAdapter,
 )
@@ -58,7 +57,6 @@ from repro.serve.soak import (
 
 __all__ = [
     "SOAK_SCENARIOS",
-    "AdaptationConfig",
     "AdaptationEvent",
     "AdmissionConfig",
     "AdmissionController",

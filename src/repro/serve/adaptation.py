@@ -25,11 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.drift_adapt import (
-    DriftDetector,
-    DriftDetectorConfig,
-    StreamingHotnessEstimator,
-)
+from repro.core.drift_adapt import DriftDetector, StreamingHotnessEstimator
 from repro.core.solver import PolicyOutcome, SolvedPolicy
 from repro.obs import get_registry
 from repro.serve.policy_manager import PolicyManager, SwapReport
@@ -37,65 +33,17 @@ from repro.utils.logging import get_logger
 
 logger = get_logger("serve.adaptation")
 
-__all__ = ["AdaptationConfig", "AdaptationEvent", "DriftAdapter"]
+__all__ = ["AdaptationEvent", "DriftAdapter"]
 
-
-@dataclass(frozen=True)
-class AdaptationConfig:
-    """Knobs of the online adaptation loop.
-
-    Attributes:
-        decay: estimator decay per recorded batch (window half-life
-            ``log(0.5)/log(decay)`` batches).
-        sample_every: record every Nth observed request — the bounded
-            per-request overhead knob.  Skipped requests cost one
-            counter increment; 1 records everything.
-        check_every: detector cadence, in *recorded* (post-sampling)
-            requests.  Between checks :meth:`DriftAdapter.maybe_adapt`
-            is a cheap counter read.
-        estimator_prior: cold-start hotness answered before the first
-            recorded batch (see
-            :class:`~repro.core.drift_adapt.StreamingHotnessEstimator`).
-        hotness_scale: multiplier from the estimator's per-batch scale
-            to the solver's per-iteration scale (the soak passes the GPU
-            count: every GPU draws one batch per iteration).
-        warm_max_profile_shift: forwarded to the solver's incremental
-            rung; larger tolerates noisier live estimates.
-        top_frac / jaccard_floor / corr_floor / hysteresis /
-        cooldown_checks / min_batches: detector knobs, see
-            :class:`~repro.core.drift_adapt.DriftDetectorConfig`.
-    """
-
-    decay: float = 0.95
-    sample_every: int = 1
-    check_every: int = 8
-    estimator_prior: float | None = None
-    hotness_scale: float = 1.0
-    warm_max_profile_shift: float = 0.5
-    top_frac: float = 0.01
-    jaccard_floor: float = 0.5
-    corr_floor: float = 0.2
-    hysteresis: int = 2
-    cooldown_checks: int = 8
-    min_batches: int = 16
-
-    def __post_init__(self) -> None:
-        if self.sample_every < 1:
-            raise ValueError("sample_every must be at least 1")
-        if self.check_every < 1:
-            raise ValueError("check_every must be at least 1")
-        if self.hotness_scale <= 0:
-            raise ValueError("hotness scale must be positive")
-
-    def detector_config(self) -> DriftDetectorConfig:
-        return DriftDetectorConfig(
-            top_frac=self.top_frac,
-            jaccard_floor=self.jaccard_floor,
-            corr_floor=self.corr_floor,
-            hysteresis=self.hysteresis,
-            cooldown_checks=self.cooldown_checks,
-            min_batches=self.min_batches,
-        )
+#: Estimator decay per recorded batch (window half-life
+#: ``log(0.5)/log(DECAY)`` batches).
+DECAY = 0.95
+#: Record every Nth observed request — the bounded per-request overhead.
+#: Skipped requests cost one counter increment; 1 records everything.
+SAMPLE_EVERY = 1
+#: Detector cadence, in *recorded* (post-sampling) requests.  Between checks
+#: :meth:`DriftAdapter.maybe_adapt` is a cheap counter read.
+CHECK_EVERY = 8
 
 
 @dataclass(frozen=True)
@@ -138,19 +86,13 @@ class DriftAdapter:
         manager: PolicyManager,
         capacity_entries: int | list[int],
         snapshot_hotness: np.ndarray,
-        config: AdaptationConfig | None = None,
         warm: SolvedPolicy | None = None,
     ) -> None:
-        self.config = config or AdaptationConfig()
         self._manager = manager
         self._capacity = capacity_entries
         snapshot = np.asarray(snapshot_hotness, dtype=np.float64)
-        self.estimator = StreamingHotnessEstimator(
-            len(snapshot),
-            decay=self.config.decay,
-            prior=self.config.estimator_prior,
-        )
-        self.detector = DriftDetector(snapshot, self.config.detector_config())
+        self.estimator = StreamingHotnessEstimator(len(snapshot), decay=DECAY)
+        self.detector = DriftDetector(snapshot)
         #: last successful :class:`SolvedPolicy`, the warm-start seed for
         #: the next incremental re-solve.
         self.warm = warm
@@ -170,7 +112,7 @@ class DriftAdapter:
         """Account one served request's key batch (sampled)."""
         with self._lock:
             self._observed += 1
-            take = self._observed % self.config.sample_every == 0
+            take = self._observed % SAMPLE_EVERY == 0
             if take:
                 self._recorded_since_check += 1
         if take:
@@ -186,7 +128,7 @@ class DriftAdapter:
     # ------------------------------------------------------------------
     def _due(self) -> bool:
         with self._lock:
-            if self._recorded_since_check < self.config.check_every:
+            if self._recorded_since_check < CHECK_EVERY:
                 return False
             self._recorded_since_check = 0
             return True
@@ -203,7 +145,9 @@ class DriftAdapter:
         if not self._due():
             return None
         hot, batches = self.estimator.snapshot()
-        live = hot * self.config.hotness_scale
+        # The estimator sees per-request batches; one iteration is one such
+        # batch per GPU, so solver-scale hotness is ×G.
+        live = hot * self._manager.current.placement.num_gpus
         score = self.detector.check(live, at=now, batches=batches)
         if not score.fired:
             return None
@@ -222,10 +166,7 @@ class DriftAdapter:
         )
 
         outcome: PolicyOutcome = self._manager.solve(
-            live,
-            self._capacity,
-            warm=self.warm,
-            warm_max_profile_shift=self.config.warm_max_profile_shift,
+            live, self._capacity, warm=self.warm
         )
         self.resolves += 1
         if reg.enabled:

@@ -52,7 +52,14 @@ _STATE_CODE = {
 
 @dataclass(frozen=True)
 class BreakerConfig:
-    """Trip/recovery thresholds shared by every source's breaker."""
+    """Trip/recovery thresholds shared by every source's breaker.
+
+    Attributes:
+        failure_threshold: consecutive failures that open a closed breaker.
+        cooldown_seconds: how long an open breaker refuses before half-open.
+        half_open_probes: requests a half-open breaker lets through.
+        success_threshold: probe successes that close it again.
+    """
 
     failure_threshold: int = 3
     cooldown_seconds: float = 2.0

@@ -51,16 +51,15 @@ class CoalesceConfig:
         max_batch: most requests fused into one extraction; reaching it
             flushes immediately (no linger).
         linger_seconds: how long the oldest queued request may wait for
-            company before the batch flushes anyway.
-        slo_early_flush: flush early when the tightest member deadline
-            minus the estimated service time would otherwise pass while
-            lingering — trading dedup for deadline safety.
+            company before the batch flushes anyway — or earlier, when the
+            tightest member deadline minus the estimated service time
+            would otherwise pass while lingering (dedup traded for
+            deadline safety).
     """
 
     mode: BatchingMode = BatchingMode.OFF
     max_batch: int = 8
     linger_seconds: float = 0.0
-    slo_early_flush: bool = True
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -154,11 +153,10 @@ class MicroBatcher:
             # Full, or the head's linger is already over: no deadline can
             # pull the flush below ``free_at``.
             return free_at
-        if self.config.slo_early_flush:
-            tightest = self._queue.tightest_deadline()
-            if math.isfinite(tightest):
-                estimate = self._queue.estimator.estimate()
-                target = min(target, tightest - estimate)
+        tightest = self._queue.tightest_deadline()
+        if math.isfinite(tightest):
+            estimate = self._queue.estimator.estimate()
+            target = min(target, tightest - estimate)
         return max(free_at, target)
 
     def take(self, now: float) -> list[Request]:

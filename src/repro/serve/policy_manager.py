@@ -36,6 +36,7 @@ from repro.core.refresher import Refresher
 from repro.core.solver import (
     FallbackConfig,
     PolicyOutcome,
+    SolvedPolicy,
     SolverConfig,
     solve_policy_with_fallback,
 )
@@ -66,18 +67,22 @@ class SwapGuardrail:
     Attributes:
         p99_regression: maximum tolerated post/pre probe-latency ratio;
             above it the swap is rolled back.
-        min_improvement: required est-time improvement ratio (old/new) for
-            a swap to even be attempted; 1.0 accepts any non-regression.
     """
 
     p99_regression: float = 1.5
-    min_improvement: float = 1.0
 
     def __post_init__(self) -> None:
         if self.p99_regression <= 0:
             raise ValueError("guardrail ratio must be positive")
-        if self.min_improvement < 1.0:
-            raise ValueError("min improvement must be >= 1.0")
+
+
+#: Required est-time improvement ratio (old/new) for a swap to even be
+#: attempted; 1.0 accepts any non-regression.
+MIN_IMPROVEMENT = 1.0
+#: Byte-compare fraction for the swap-time integrity check.  The swap sits
+#: inside the serving drain window, so it uses the sampled mode; rollback
+#: (and every final gate) keeps the full scan.
+VERIFY_SAMPLE = 0.25
 
 
 @dataclass
@@ -101,24 +106,14 @@ class PolicyManager:
     def __init__(
         self,
         cache: MultiGpuEmbeddingCache,
-        entry_bytes: int | None = None,
         refresher: Refresher | None = None,
         guardrail: SwapGuardrail | None = None,
         solver_config: SolverConfig | None = None,
         fallback: FallbackConfig | None = None,
-        verify_sample: float | None = 0.25,
     ) -> None:
-        if verify_sample is not None and not 0 < verify_sample <= 1:
-            raise ValueError("verify sample must be in (0, 1]")
         self._cache = cache
-        self._entry_bytes = entry_bytes or cache.entry_bytes
         self._refresher = refresher or Refresher(cache)
         self.guardrail = guardrail or SwapGuardrail()
-        #: byte-compare fraction for the swap-time integrity check.  The
-        #: swap sits inside the serving drain window, so it uses the
-        #: sampled mode; rollback (and every final gate) keeps the full
-        #: scan — ``None`` makes the swap full-scan too.
-        self.verify_sample = verify_sample
         self._solver_config = solver_config
         self._fallback = fallback
         self._generations: list[PolicyGeneration] = [
@@ -154,17 +149,18 @@ class PolicyManager:
         self,
         hotness: np.ndarray,
         capacity_entries: int | list[int],
-        **kwargs,
+        warm: SolvedPolicy | None = None,
     ) -> PolicyOutcome:
-        """Run the solver fallback chain against the cache's platform."""
+        """Run the solver fallback chain against the cache's platform
+        (``warm``: the previous solve, for the incremental rung)."""
         return solve_policy_with_fallback(
             self._cache.platform,
             hotness,
             capacity_entries,
-            self._entry_bytes,
+            self._cache.entry_bytes,
             config=self._solver_config,
             fallback=self._fallback,
-            **kwargs,
+            warm=warm,
         )
 
     def _rollback(self, placement: Placement, reason: str) -> int:
@@ -201,7 +197,7 @@ class PolicyManager:
                 called before and after the refresh for the p99 guardrail.
             abort: forwarded to :meth:`Refresher.refresh` (fault plans can
                 interrupt the swap; the refresher rolls back on its own).
-            stale_baseline: skip the ``min_improvement`` estimate gate.
+            stale_baseline: skip the :data:`MIN_IMPROVEMENT` estimate gate.
                 Drift adaptation sets this: the serving generation's
                 ``est_time`` was computed under *yesterday's* hotness, so
                 comparing it against an estimate under the drifted
@@ -223,7 +219,7 @@ class PolicyManager:
             not stale_baseline
             and current.est_time > 0
             and outcome.est_time > 0
-            and current.est_time / outcome.est_time < self.guardrail.min_improvement
+            and current.est_time / outcome.est_time < MIN_IMPROVEMENT
         ):
             report.reason = "not-better"
             reg.counter("serve.policy.swaps", result="skipped").inc()
@@ -247,7 +243,7 @@ class PolicyManager:
         # still run in full; only the byte-compare is sampled) — the
         # anti-entropy scrubber covers the slots this pass skips.
         violations = self._cache.verify_integrity(
-            sample=self.verify_sample, seed=self.version
+            sample=VERIFY_SAMPLE, seed=self.version
         )
         if violations:
             report.integrity_violations = len(violations)

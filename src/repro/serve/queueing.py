@@ -57,32 +57,22 @@ class AdmissionConfig:
             shedding (deadline-based shedding still applies).
         shed_on_slo: predictively shed at admission when the estimated
             completion would bust the request's deadline or the SLO.
-        estimator_alpha: EWMA smoothing factor of the latency estimator.
-        estimator_prior: service-time estimate returned *before* the
-            first observation.  The estimator historically answered 0.0
-            cold, which made the micro-batcher's SLO early-flush linger
-            until the raw deadline with zero service-time margin — the
-            first batches of a run could miss SLO by construction.
-            ``None`` keeps the learn-from-zero behaviour (admission
-            still never sheds on a zero estimate).
     """
 
     capacity: int = 64
     policy: QueuePolicy = QueuePolicy.REJECT
     slo_seconds: float = math.inf
     shed_on_slo: bool = True
-    estimator_alpha: float = 0.2
-    estimator_prior: float | None = None
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
             raise ValueError("queue capacity must be at least 1")
         if self.slo_seconds <= 0:
             raise ValueError("SLO must be positive")
-        if not 0 < self.estimator_alpha <= 1:
-            raise ValueError("estimator alpha must be in (0, 1]")
-        if self.estimator_prior is not None and self.estimator_prior <= 0:
-            raise ValueError("estimator prior must be positive")
+
+
+#: EWMA smoothing factor of the latency estimator.
+ESTIMATOR_ALPHA = 0.2
 
 
 class LatencyEstimator:
@@ -93,16 +83,8 @@ class LatencyEstimator:
     local EWMA (the fast estimate admission control reads per request).
     """
 
-    def __init__(
-        self, gpu: int, alpha: float = 0.2, prior: float | None = None
-    ) -> None:
-        if not 0 < alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
-        if prior is not None and prior <= 0:
-            raise ValueError("prior must be positive")
+    def __init__(self, gpu: int) -> None:
         self.gpu = gpu
-        self.alpha = alpha
-        self.prior = prior
         self._ewma: float | None = None
 
     def _histogram(self) -> Histogram:
@@ -115,21 +97,13 @@ class LatencyEstimator:
         if self._ewma is None:
             self._ewma = seconds
         else:
-            self._ewma += self.alpha * (seconds - self._ewma)
+            self._ewma += ESTIMATOR_ALPHA * (seconds - self._ewma)
 
     def estimate(self) -> float:
-        """Expected service time of the next batch.
-
-        Before the first sample, answers the configured ``prior`` (so
-        SLO-margin consumers like the micro-batcher's early flush have a
-        service-time estimate from the very first batch); without a
-        prior it answers 0.0 and the consumers learn from observation.
-        The first real observation seeds the EWMA directly, overriding
-        the prior rather than averaging with it.
-        """
-        if self._ewma is not None:
-            return self._ewma
-        return self.prior if self.prior is not None else 0.0
+        """Expected service time of the next batch: 0.0 before the first
+        sample (consumers learn from observation), which seeds the EWMA
+        directly."""
+        return self._ewma if self._ewma is not None else 0.0
 
 
 @dataclass
@@ -148,19 +122,10 @@ class AdmissionResult:
 class BoundedRequestQueue:
     """One GPU's bounded FIFO with backpressure and SLO shedding."""
 
-    def __init__(
-        self,
-        gpu: int,
-        config: AdmissionConfig | None = None,
-        estimator: LatencyEstimator | None = None,
-    ) -> None:
+    def __init__(self, gpu: int, config: AdmissionConfig | None = None) -> None:
         self.gpu = gpu
         self.config = config or AdmissionConfig()
-        self.estimator = estimator or LatencyEstimator(
-            gpu,
-            alpha=self.config.estimator_alpha,
-            prior=self.config.estimator_prior,
-        )
+        self.estimator = LatencyEstimator(gpu)
         self._queue: deque[Request] = deque()
         #: producer-side buffer used by the ``block`` policy only.
         self._blocked: deque[Request] = deque()

@@ -64,9 +64,9 @@ class ServeConfig:
         source_timeout_seconds: a source group whose simulated extraction
             time exceeds this counts as a breaker failure (degraded-link
             timeout).  ``inf`` disables timeout-based tripping.
-        breaker_protects_host: whether HOST gets a breaker too.  Off by
-            default: host DRAM is the fallback of last resort, and a
-            runtime with nowhere to route is worse than a slow one.
+
+    Only GPU sources get breakers: host DRAM is the fallback of last
+    resort, and a runtime with nowhere to route is worse than a slow one.
     """
 
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
@@ -74,7 +74,6 @@ class ServeConfig:
     hedge_enabled: bool = True
     hedge_headroom: float = 1.25
     source_timeout_seconds: float = math.inf
-    breaker_protects_host: bool = False
 
     def __post_init__(self) -> None:
         if self.hedge_headroom <= 0:
@@ -112,12 +111,7 @@ class ServingRuntime:
         self.admission = AdmissionController(
             platform.num_gpus, self.config.admission
         )
-        sources = list(platform.gpu_ids)
-        if self.config.breaker_protects_host:
-            # One breaker per backing tier: [HOST] on a single-tier
-            # platform, deeper tier ids on a DRAM→CXL→SSD chain.
-            sources.extend(platform.backing_ids)
-        self.breakers = BreakerBoard(sources, self.config.breaker)
+        self.breakers = BreakerBoard(list(platform.gpu_ids), self.config.breaker)
         self.responses: list[Response] = []
         self._next_request_id = 0
         # make_request may be called from several serving threads; the id

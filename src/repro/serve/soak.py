@@ -86,6 +86,14 @@ __all__ = [
 #: timeout.
 SLO_FACTOR = 8.0
 TIMEOUT_FACTOR = 5.0
+#: Fractions of the run at which a hot policy swap is attempted.
+SWAP_AT = (0.6,)
+
+#: The workload every harness (soak, cluster soak, chaos) builds its stack
+#: from: Zipf skew of the access distribution, and per-GPU cache capacity
+#: as a fraction of the table.
+ZIPF_ALPHA = 1.1
+CACHE_RATIO = 0.12
 
 #: Transition-window length after each drift change point, as a fraction
 #: of the run; the soak gate judges goodput *inside* these windows (where
@@ -231,16 +239,12 @@ class SoakConfig:
     #: outstanding clients per GPU in closed-loop mode.
     clients: int = 4
     num_entries: int = 20_000
-    alpha: float = 1.1
-    cache_ratio: float = 0.12
     entry_bytes: int = 128
     batch_keys: int = 1024
     #: request deadline, in units of the healthy baseline service time.
     deadline_factor: float = 10.0
     queue_capacity: int = 32
     queue_policy: QueuePolicy = QueuePolicy.REJECT
-    #: fractions of the run at which a hot policy swap is attempted.
-    swap_at: tuple[float, ...] = (0.6,)
     #: cross-request coalescing: OFF serves each GPU's queue one request
     #: at a time; COALESCE micro-batches it.
     batching: BatchingMode = BatchingMode.OFF
@@ -284,7 +288,7 @@ class SoakConfig:
     tenants: int = 1
     #: hotness-drift scenario (a :data:`repro.dlr.drift.DRIFT_SCENARIOS`
     #: key): the key distribution changes mid-run on a piecewise
-    #: schedule and scheduled ``swap_at`` swaps are disabled (drift
+    #: schedule and scheduled :data:`SWAP_AT` swaps are disabled (drift
     #: timing, not wall-clock schedule, decides re-solves).  None keeps
     #: the stationary trace byte-identical.
     drift: str | None = None
@@ -314,8 +318,6 @@ class SoakConfig:
             raise ValueError("offered load must be positive")
         if self.clients < 1:
             raise ValueError("closed loop needs at least one client")
-        if not all(0 < f < 1 for f in self.swap_at):
-            raise ValueError("swap times are fractions of the run in (0, 1)")
         if self.max_batch < 1:
             raise ValueError("max batch must be at least 1")
         if self.linger_factor < 0:
@@ -613,7 +615,7 @@ def _build_workload(cfg: SoakConfig, pmf: np.ndarray | None = None):
     """
     if cfg.tenants <= 1:
         if pmf is None:
-            pmf = zipf_pmf(cfg.num_entries, cfg.alpha)
+            pmf = zipf_pmf(cfg.num_entries, ZIPF_ALPHA)
 
         def draw(rng) -> np.ndarray:
             return rng.choice(cfg.num_entries, size=cfg.batch_keys, p=pmf)
@@ -623,12 +625,12 @@ def _build_workload(cfg: SoakConfig, pmf: np.ndarray | None = None):
     bounds = np.floor(
         np.linspace(0.0, cfg.num_entries, cfg.tenants + 1)
     ).astype(np.int64)
-    popularity = zipf_pmf(cfg.tenants, cfg.alpha)
+    popularity = zipf_pmf(cfg.tenants, ZIPF_ALPHA)
     segments: list[tuple[int, np.ndarray]] = []
     pmf = np.zeros(cfg.num_entries, dtype=np.float64)
     for t in range(cfg.tenants):
         lo, hi = int(bounds[t]), int(bounds[t + 1])
-        seg_pmf = zipf_pmf(hi - lo, cfg.alpha)
+        seg_pmf = zipf_pmf(hi - lo, ZIPF_ALPHA)
         segments.append((lo, seg_pmf))
         pmf[lo:hi] = popularity[t] * seg_pmf
 
@@ -688,17 +690,17 @@ def build_stack(cfg, platform: Platform, pmf: np.ndarray | None = None,
     → capacity → hot-replicate/warm-partition placement → filled cache.
 
     ``cfg`` is a :class:`SoakConfig` or a chaos ``ChaosConfig`` — only the
-    scalars they share are read (``seed``, ``num_entries``, ``alpha``,
-    ``entry_bytes``, ``batch_keys``, ``cache_ratio``).  ``pmf`` defaults
+    scalars they share are read (``seed``, ``num_entries``,
+    ``entry_bytes``, ``batch_keys``).  ``pmf`` defaults
     to one Zipf table; a multi-tenant or drift soak passes its own.
     """
     rng = make_rng(cfg.seed)
     dim = max(1, cfg.entry_bytes // 4)
     table = rng.standard_normal((cfg.num_entries, dim)).astype(np.float32)
     if pmf is None:
-        pmf = zipf_pmf(cfg.num_entries, cfg.alpha)
+        pmf = zipf_pmf(cfg.num_entries, ZIPF_ALPHA)
     hotness = pmf * cfg.batch_keys * platform.num_gpus
-    capacity = max(1, int(cfg.cache_ratio * cfg.num_entries))
+    capacity = max(1, int(CACHE_RATIO * cfg.num_entries))
     cache = None
     if fill:
         placement = hot_replicate_warm_partition_policy(
@@ -848,7 +850,7 @@ class BoxSoak:
             from repro.dlr.drift import build_drift_schedule
 
             self.schedule = build_drift_schedule(
-                cfg.drift, cfg.num_entries, cfg.alpha, cfg.seed
+                cfg.drift, cfg.num_entries, ZIPF_ALPHA, cfg.seed
             )
         # Under drift the cache starts solved for the schedule's *phase-0*
         # distribution — exactly the policy the change points invalidate.
@@ -879,7 +881,7 @@ class BoxSoak:
         # *when* to re-solve is exactly what the drift detector decides.
         self.swap_times = (
             [] if cfg.drift is not None
-            else sorted(f * self.duration for f in cfg.swap_at)
+            else sorted(f * self.duration for f in SWAP_AT)
         )
         self.adapter = None
         if cfg.adapt:
@@ -967,7 +969,7 @@ class BoxSoak:
                 self.prefetcher.announce(g, self.event_keys[s])
 
     def _build_adapter(self) -> None:
-        from repro.serve.adaptation import AdaptationConfig, DriftAdapter
+        from repro.serve.adaptation import DriftAdapter
 
         # Prime the warm-start seed with a cold solve of the phase-0
         # policy.  It is *not* swapped in (the serving cache already
@@ -976,15 +978,7 @@ class BoxSoak:
         # incremental rung to stand on.
         prime = self.manager.solve(self.hotness, self.capacity)
         self.adapter = DriftAdapter(
-            self.manager,
-            self.capacity,
-            self.hotness,
-            # the estimator sees per-request batches; one soak iteration
-            # is G such batches, so solver-scale hotness is ×G.
-            config=AdaptationConfig(
-                hotness_scale=float(self.platform.num_gpus)
-            ),
-            warm=prime.solved,
+            self.manager, self.capacity, self.hotness, warm=prime.solved
         )
         self.runtime.adapter = self.adapter
         self.adapt_probe_rng = make_rng(self.cfg.seed + 101)

@@ -8,7 +8,6 @@ including the core/link congestion effects of §5.
 
 from repro.sim.congestion import (
     CongestedOutcome,
-    CongestionModel,
     solve_congested_extraction,
 )
 from repro.sim.engine import BatchReport, readers_per_source, simulate_batch
@@ -44,7 +43,6 @@ __all__ = [
     "trace_factored",
     "BatchReport",
     "CongestedOutcome",
-    "CongestionModel",
     "GpuDemand",
     "GpuExtractionReport",
     "LinkUtilization",

@@ -17,11 +17,11 @@ fluid steady state:
   hardware effect behind the paper's 50% figure (oversubscribed
   outstanding-read queues, switch collisions).  We use a calibrated
   hyperbolic penalty ``B_eff = B / (1 + beta * (n/T - 1))`` clamped at
-  ``max_degradation``.
+  ``MAX_DEGRADATION``.
 
 The fixed point of (SM occupancy ↔ per-byte service time) converges in a
 handful of damped iterations and yields the batch extraction time.  With
-``beta = 0`` the model is work-conserving and reduces to the factored
+``BETA = 0`` the model is work-conserving and reduces to the factored
 mechanism's time whenever no path is oversubscribed — which is exactly the
 paper's claim that FEM's benefit *is* congestion avoidance.
 """
@@ -33,46 +33,29 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
-class CongestionModel:
-    """Tunables of the oversubscription penalty.
+#: Strength of bandwidth degradation per unit of relative oversubscription.
+#: Calibrated so heavily congested links lose ~half their bandwidth, matching
+#: §3.2 ("reduces system performance by up to 50%").
+BETA = 1.0
+#: Floor on ``B_eff / B`` (0.5 = at most 50% loss).
+MAX_DEGRADATION = 0.5
+#: Extra penalty applied on switch platforms when several GPUs' unorganized
+#: readers collide on one source's outbound port (right half of Figure 6(b)).
+SWITCH_COLLISION_BETA = 0.06
+#: Fixed-point iteration budget and update damping factor in (0, 1].
+ITERATIONS = 60
+DAMPING = 0.5
 
-    Attributes:
-        beta: strength of bandwidth degradation per unit of relative
-            oversubscription.  Calibrated so heavily congested links lose
-            ~half their bandwidth, matching §3.2 ("reduces system
-            performance by up to 50%").
-        max_degradation: floor on ``B_eff / B`` (0.5 = at most 50% loss).
-        switch_collision_beta: extra penalty applied on switch platforms
-            when several GPUs' unorganized readers collide on one source's
-            outbound port (right half of Figure 6(b)).
-        iterations: fixed-point iteration budget.
-        damping: update damping factor in (0, 1].
-    """
 
-    beta: float = 1.0
-    max_degradation: float = 0.5
-    switch_collision_beta: float = 0.06
-    iterations: int = 60
-    damping: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.beta < 0 or self.switch_collision_beta < 0:
-            raise ValueError("penalty coefficients must be non-negative")
-        if not 0 < self.max_degradation <= 1:
-            raise ValueError("max_degradation must be in (0, 1]")
-        if not 0 < self.damping <= 1:
-            raise ValueError("damping must be in (0, 1]")
-
-    def effective_bandwidth(self, peak: float, cores: float, tolerance: float) -> float:
-        """Delivered bandwidth of a path under ``cores`` concurrent SMs."""
-        if peak <= 0:
-            return 0.0
-        if tolerance <= 0 or cores <= tolerance:
-            return peak
-        oversub = cores / tolerance - 1.0
-        degraded = peak / (1.0 + self.beta * oversub)
-        return max(degraded, peak * self.max_degradation)
+def effective_bandwidth(peak: float, cores: float, tolerance: float) -> float:
+    """Delivered bandwidth of a path under ``cores`` concurrent SMs."""
+    if peak <= 0:
+        return 0.0
+    if tolerance <= 0 or cores <= tolerance:
+        return peak
+    oversub = cores / tolerance - 1.0
+    degraded = peak / (1.0 + BETA * oversub)
+    return max(degraded, peak * MAX_DEGRADATION)
 
 
 @dataclass(frozen=True)
@@ -93,7 +76,6 @@ def solve_congested_extraction(
     peak_bandwidth: dict[int, float],
     per_core_bandwidth: float,
     num_cores: int,
-    model: CongestionModel | None = None,
     collision_pressure: dict[int, float] | None = None,
 ) -> CongestedOutcome:
     """Fixed-point extraction time for unorganized dispatch on one GPU.
@@ -104,15 +86,13 @@ def solve_congested_extraction(
             platforms the caller passes the fair inbound share).
         per_core_bandwidth: bytes/second one SM sustains.
         num_cores: SMs on the destination GPU.
-        model: congestion tunables.
         collision_pressure: optional per-source multiplier ≥ 1 expressing
             how many unorganized reader GPUs collide on the source's
-            outbound port; applied through ``switch_collision_beta``.
+            outbound port; applied through :data:`SWITCH_COLLISION_BETA`.
 
     Returns:
         The converged outcome; ``total_time`` is the batch extraction time.
     """
-    model = model or CongestionModel()
     if per_core_bandwidth <= 0:
         raise ValueError("per-core bandwidth must be positive")
     if num_cores <= 0:
@@ -135,30 +115,30 @@ def solve_congested_extraction(
     tolerance = peaks / per_core_bandwidth
     # Start from the uncongested service time (1 byte takes 1/b seconds).
     service = np.full(len(sources), 1.0 / per_core_bandwidth)
-    for _ in range(model.iterations):
+    for _ in range(ITERATIONS):
         core_seconds = vols * service
         occupancy = num_cores * core_seconds / core_seconds.sum()
         eff = np.array(
             [
-                model.effective_bandwidth(p, n, t)
+                effective_bandwidth(p, n, t)
                 for p, n, t in zip(peaks, occupancy, tolerance)
             ]
         )
         # Unorganized cross-GPU collisions further degrade switch sources.
-        collide = 1.0 + model.switch_collision_beta * (pressure - 1.0)
+        collide = 1.0 + SWITCH_COLLISION_BETA * (pressure - 1.0)
         eff = eff / collide
         new_service = np.maximum(1.0 / per_core_bandwidth, occupancy / eff)
-        service = model.damping * new_service + (1 - model.damping) * service
+        service = DAMPING * new_service + (1 - DAMPING) * service
 
     core_seconds = vols * service
     total_core_seconds = core_seconds.sum()
     occupancy = num_cores * core_seconds / total_core_seconds
     eff = np.array(
         [
-            model.effective_bandwidth(p, n, t)
+            effective_bandwidth(p, n, t)
             for p, n, t in zip(peaks, occupancy, tolerance)
         ]
-    ) / (1.0 + model.switch_collision_beta * (pressure - 1.0))
+    ) / (1.0 + SWITCH_COLLISION_BETA * (pressure - 1.0))
     total_time = total_core_seconds / num_cores
     return CongestedOutcome(
         total_time=float(total_time),

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.faults.spec import FaultPlan, HealthView
+from repro.faults.spec import HealthView
 from repro.hardware.platform import Platform
 from repro.obs import get_registry
-from repro.sim.congestion import CongestionModel
 from repro.sim.mechanisms import (
     GpuDemand,
     GpuExtractionReport,
@@ -101,10 +100,7 @@ def simulate_batch(
     platform: Platform,
     demands: list[GpuDemand],
     mechanism: Mechanism = Mechanism.FACTORED,
-    congestion: CongestionModel | None = None,
     local_padding: bool = True,
-    faults: FaultPlan | None = None,
-    now: float = 0.0,
     health: HealthView | None = None,
 ) -> BatchReport:
     """Simulate one data-parallel batch extraction.
@@ -113,14 +109,11 @@ def simulate_batch(
         platform: hardware model.
         demands: one entry per participating GPU (usually all of them).
         mechanism: extraction mechanism to model.
-        congestion: congestion tunables for the naive peer mechanism.
         local_padding: FEM ablation switch — disable the local-group
             padding of §5.3 to quantify its contribution.
-        faults: optional fault plan; the active faults at ``now`` degrade
-            link bandwidths and reroute volume off dead sources, so
+        health: the faults active now, flattened; degraded links slow
+            their groups and volume on dead sources is rerouted, so
             Figure-17-style timelines can price injected faults.
-        now: simulation time ``faults`` is evaluated at.
-        health: pre-flattened health view (wins over ``faults``).
 
     Returns:
         A :class:`BatchReport`; ``report.time`` is the batch extraction
@@ -128,8 +121,6 @@ def simulate_batch(
     """
     from repro.core.pipeline import apply_health, price_demand
 
-    if health is None and faults is not None:
-        health = faults.health_at(now)
     platform, demands, moved = apply_health(platform, demands, health)
     if moved > 0:
         reg = get_registry()
@@ -147,12 +138,10 @@ def simulate_batch(
                 )
 
     if mechanism is Mechanism.MESSAGE:
-        reports = message_extraction(platform, demands, congestion)
+        reports = message_extraction(platform, demands)
     elif mechanism is Mechanism.PEER_NAIVE:
         readers = readers_per_source(demands)
-        reports = [
-            naive_peer_extraction(platform, d, readers, congestion) for d in demands
-        ]
+        reports = [naive_peer_extraction(platform, d, readers) for d in demands]
     elif mechanism is Mechanism.FACTORED:
         # The pipeline's price stage: the same call the extractor's
         # ``price`` and the serving runtime make.

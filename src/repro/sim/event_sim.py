@@ -11,7 +11,7 @@ noise).
 
 Shared physics, independent dynamics: the per-link delivered-bandwidth law
 (full bandwidth up to tolerance, degraded beyond — §5.1/Figure 6) is the
-same :class:`~repro.sim.congestion.CongestionModel`; everything about
+same :func:`~repro.sim.congestion.effective_bandwidth`; everything about
 *when* which SM reads from where is simulated, not assumed.
 """
 
@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.faults.spec import FaultPlan
 from repro.hardware.platform import Platform
-from repro.sim.congestion import CongestionModel
+from repro.sim.congestion import effective_bandwidth
 from repro.sim.mechanisms import GpuDemand, core_dedication
 from repro.utils.rng import make_rng
 
@@ -56,28 +55,7 @@ class HedgedSimResult:
         return self.winner == "hedge"
 
 
-def _apply_faults(
-    platform: Platform,
-    demand: GpuDemand,
-    faults: FaultPlan | None,
-    now: float,
-) -> tuple[Platform, GpuDemand]:
-    """Degrade the platform and reroute dead-source volume at ``now``.
-
-    Delegates to the pipeline's :func:`~repro.core.pipeline.apply_health`
-    (function-level import: ``repro.core`` imports this package back), so
-    the discrete simulator degrades inputs exactly like the batch engine.
-    """
-    if faults is None:
-        return platform, demand
-    from repro.core.pipeline import apply_health
-
-    platform, demands, _ = apply_health(platform, [demand], faults.health_at(now))
-    return platform, demands[0]
-
-
 def _link_rate(
-    model: CongestionModel,
     peak: float,
     per_core_bw: float,
     active_cores: int,
@@ -86,7 +64,7 @@ def _link_rate(
     if active_cores <= 0:
         return 0.0
     tolerance = peak / per_core_bw
-    delivered = model.effective_bandwidth(peak, active_cores, tolerance)
+    delivered = effective_bandwidth(peak, active_cores, tolerance)
     return min(per_core_bw, delivered / active_cores)
 
 
@@ -94,11 +72,8 @@ def simulate_naive_event_driven(
     platform: Platform,
     demand: GpuDemand,
     chunk_bytes: float = 64 * 1024,
-    model: CongestionModel | None = None,
     readers_per_source: dict[int, int] | None = None,
     seed: int = 0,
-    faults: FaultPlan | None = None,
-    now: float = 0.0,
 ) -> EventSimResult:
     """Discretely simulate unorganized (random-dispatch) extraction.
 
@@ -115,8 +90,6 @@ def simulate_naive_event_driven(
     """
     from repro.hardware.topology import TopologyKind
 
-    platform, demand = _apply_faults(platform, demand, faults, now)
-    model = model or CongestionModel()
     gpu = platform.gpu
     rng = make_rng(seed)
     readers = readers_per_source or {}
@@ -167,7 +140,7 @@ def simulate_naive_event_driven(
         for core in active:
             counts[current[core]] = counts.get(current[core], 0) + 1
         rates = {
-            src: _link_rate(model, peaks[src], gpu.per_core_bandwidth, n)
+            src: _link_rate(peaks[src], gpu.per_core_bandwidth, n)
             for src, n in counts.items()
         }
         # Earliest completion under current rates.
@@ -216,8 +189,6 @@ def simulate_factored_event_driven(
     platform: Platform,
     demand: GpuDemand,
     chunk_bytes: float = 64 * 1024,
-    faults: FaultPlan | None = None,
-    now: float = 0.0,
 ) -> EventSimResult:
     """Discretely simulate the §5.3 factored schedule.
 
@@ -225,10 +196,10 @@ def simulate_factored_event_driven(
     of non-local work switches to the local queue (the low-priority
     padding).  Converges to
     :func:`repro.sim.mechanisms.factored_extraction` as chunks shrink.
-    ``faults``/``now`` price the schedule under a fault plan: degraded
-    links slow their group, dead sources' chunks drain via host.
+    To price the schedule under faults, hand it the platform and demand
+    :func:`repro.core.pipeline.apply_health` returns: degraded links slow
+    their group, dead sources' chunks drain via host.
     """
-    platform, demand = _apply_faults(platform, demand, faults, now)
     gpu = platform.gpu
     dedication = core_dedication(platform, demand.dst, list(demand.volumes))
 
@@ -326,44 +297,28 @@ def simulate_hedged_extraction(
     platform: Platform,
     demand: GpuDemand,
     hedge_issue_at: float = 0.0,
-    chunk_bytes: float = 64 * 1024,
-    faults: FaultPlan | None = None,
-    now: float = 0.0,
-    tier_shares: dict[int, float] | None = None,
 ) -> HedgedSimResult:
     """Price a deadline hedge: primary plan vs a host-DRAM gather, discretely.
 
     The serving runtime's hedged host-fallback issues a host-only gather
     of the whole batch ``hedge_issue_at`` seconds after the primary plan
     launches, and the request takes whichever completes first.  Both arms
-    are priced with the factored event-driven simulator under the same
-    fault plan, so a degraded link that slows the primary is exactly what
-    makes the hedge win.
+    are priced with the factored event-driven simulator on the same
+    (possibly degraded) platform, so a link fault that slows the primary
+    is exactly what makes the hedge win.
 
     The hedge's host gather contends for PCIe like any host group would;
     modelling it as an independent event-driven run (rather than adding
     its volume to the primary's host group) matches the runtime's
     semantics: the hedge is a *separate* racing request whose result is
     taken instead of, not merged with, the primary's.
-
-    ``tier_shares`` prices the hedge honestly on a deep memory hierarchy:
-    the whole-batch gather is split across backing tiers in proportion to
-    where the entries actually live (the cache's ``backing_shares``), so
-    a hedge against a mostly-SSD-resident table pays SSD bandwidth and
-    latency, not DRAM's.  Without shares the hedge reads everything from
-    host DRAM — the single-tier behaviour, unchanged.
     """
     if hedge_issue_at < 0:
         raise ValueError("hedge issue time must be non-negative")
-    primary = simulate_factored_event_driven(
-        platform, demand, chunk_bytes=chunk_bytes, faults=faults, now=now
-    )
-    from repro.core.pipeline import backing_fallback_demand
+    from repro.core.pipeline import host_fallback_demand
 
-    host_demand = backing_fallback_demand(demand, tier_shares)
-    hedge = simulate_factored_event_driven(
-        platform, host_demand, chunk_bytes=chunk_bytes, faults=faults, now=now
-    )
+    primary = simulate_factored_event_driven(platform, demand)
+    hedge = simulate_factored_event_driven(platform, host_fallback_demand(demand))
     hedge_done = hedge_issue_at + hedge.total_time
     if hedge_done < primary.total_time:
         return HedgedSimResult(

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from repro.hardware.platform import Platform, remember
 from repro.hardware.topology import TopologyKind
-from repro.sim.congestion import CongestionModel, solve_congested_extraction
+from repro.sim.congestion import solve_congested_extraction
 
 
 class Mechanism(enum.Enum):
@@ -226,7 +226,6 @@ def naive_peer_extraction(
     platform: Platform,
     demand: GpuDemand,
     readers_per_source: dict[int, int] | None = None,
-    congestion: CongestionModel | None = None,
 ) -> GpuExtractionReport:
     """Batch time under unorganized zero-copy peer extraction.
 
@@ -257,7 +256,6 @@ def naive_peer_extraction(
         peak_bandwidth=peaks,
         per_core_bandwidth=gpu.per_core_bandwidth,
         num_cores=gpu.num_cores,
-        model=congestion,
         collision_pressure=pressure,
     )
     time_by_source = {
@@ -283,7 +281,6 @@ MESSAGE_STAGE_OVERHEAD = 30e-6
 def message_extraction(
     platform: Platform,
     demands: list[GpuDemand],
-    congestion: CongestionModel | None = None,
 ) -> list[GpuExtractionReport]:
     """Batch times under buffered AllToAll message passing.
 

@@ -22,6 +22,9 @@ from dataclasses import dataclass
 from repro.hardware.platform import HOST, Platform
 from repro.sim.mechanisms import GpuDemand, core_dedication
 
+#: Columns of the ASCII Gantt chart's time axis.
+GANTT_WIDTH = 60
+
 
 @dataclass(frozen=True)
 class GroupEvent:
@@ -63,8 +66,9 @@ class ExtractionTrace:
         ends += [s.finish for s in self.local_segments]
         return max(ends, default=0.0)
 
-    def gantt(self, width: int = 60) -> str:
+    def gantt(self) -> str:
         """ASCII Gantt chart: one row per group, time left→right."""
+        width = GANTT_WIDTH
         span = self.makespan
         if span <= 0:
             return "(empty trace)"

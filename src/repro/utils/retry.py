@@ -14,16 +14,21 @@ from typing import Any, Callable, Iterator
 
 from repro.utils.rng import make_rng
 
+#: Backoff growth factor between attempts, and the ceiling on any one sleep
+#: (seconds).
+BACKOFF_MULTIPLIER = 2.0
+MAX_DELAY = 2.0
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Exponential backoff schedule for a bounded number of attempts.
+    """Exponential backoff schedule for a bounded number of attempts: each
+    delay is :data:`BACKOFF_MULTIPLIER` times the last, up to
+    :data:`MAX_DELAY`.
 
     Attributes:
         max_attempts: total tries, including the first one.
         base_delay: seconds slept after the first failure.
-        multiplier: backoff growth factor between attempts.
-        max_delay: ceiling on any single sleep.
         jitter: fractional (seeded) jitter applied to each delay, in
             ``[0, 1]``; ``0.2`` means ±20%.
         seed: RNG seed for the jitter, so schedules are reproducible.
@@ -33,18 +38,14 @@ class RetryPolicy:
 
     max_attempts: int = 3
     base_delay: float = 0.05
-    multiplier: float = 2.0
-    max_delay: float = 2.0
     jitter: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if self.base_delay < 0 or self.max_delay < 0:
+        if self.base_delay < 0:
             raise ValueError("delays must be non-negative")
-        if self.multiplier < 1:
-            raise ValueError("multiplier must be >= 1")
         if not 0 <= self.jitter <= 1:
             raise ValueError("jitter must be in [0, 1]")
 
@@ -61,8 +62,8 @@ class RetryPolicy:
             jittered = delay
             if self.jitter > 0:
                 jittered *= 1.0 + self.jitter * float(rng.uniform(-1.0, 1.0))
-            yield min(max(jittered, 0.0), self.max_delay)
-            delay = min(delay * self.multiplier, self.max_delay)
+            yield min(max(jittered, 0.0), MAX_DELAY)
+            delay = min(delay * BACKOFF_MULTIPLIER, MAX_DELAY)
 
 
 @dataclass
@@ -102,7 +103,6 @@ def retry_call(
     policy: RetryPolicy | None = None,
     retry_on: tuple[type[BaseException], ...] = (Exception,),
     sleep: Callable[[float], None] = _time.sleep,
-    on_retry: Callable[[int, BaseException], None] | None = None,
     deadline: Deadline | None = None,
     rng: Any | None = None,
 ) -> Any:
@@ -114,8 +114,6 @@ def retry_call(
         retry_on: exception types that trigger a retry; anything else
             propagates immediately.
         sleep: sleep function (injectable for tests).
-        on_retry: observer called as ``on_retry(attempt, exc)`` after each
-            failed attempt that will be retried.
         deadline: optional budget; once expired, no further attempts are
             made and the last failure is re-raised.
         rng: explicit jitter rng or seed handed to
@@ -137,8 +135,6 @@ def retry_call(
             return fn()
         except retry_on as exc:
             last = exc
-            if on_retry is not None:
-                on_retry(attempt, exc)
             if attempt == policy.max_attempts:
                 break
             delay = next(delays, 0.0)

@@ -3,18 +3,19 @@
 import numpy as np
 import pytest
 
+from repro.core import drift_adapt
 from repro.core.cache import MultiGpuEmbeddingCache
-from repro.core.drift_adapt import DriftDetector, DriftDetectorConfig
+from repro.core.drift_adapt import DriftDetector
 from repro.core.policy import hot_replicate_warm_partition_policy
 from repro.dlr.drift import DRIFT_SCENARIOS, build_drift_schedule
 from repro.hardware.platform import server_a
 from repro.serve import (
-    AdaptationConfig,
     DriftAdapter,
     PolicyManager,
     SoakConfig,
     run_soak,
 )
+from repro.serve import adaptation
 from repro.utils.rng import make_rng
 from repro.utils.stats import zipf_pmf
 
@@ -23,10 +24,22 @@ pytestmark = pytest.mark.drift
 N = 1200
 
 
-def _make_detector(**over):
-    cfg = DriftDetectorConfig(**{"min_batches": 0, **over})
-    snapshot = zipf_pmf(N, 1.1) * 256
-    return DriftDetector(snapshot, cfg), snapshot
+def _set(monkeypatch, **constants):
+    """Pin the loop's module constants (``min_batches=4`` → ``MIN_BATCHES``),
+    wherever each lives."""
+    for name, value in constants.items():
+        module = adaptation if hasattr(adaptation, name.upper()) else drift_adapt
+        monkeypatch.setattr(module, name.upper(), value)
+
+
+@pytest.fixture
+def make_detector(monkeypatch):
+    def make(**over):
+        _set(monkeypatch, **{"min_batches": 0, **over})
+        snapshot = zipf_pmf(N, 1.1) * 256
+        return DriftDetector(snapshot), snapshot
+
+    return make
 
 
 def _drifted(snapshot):
@@ -34,8 +47,8 @@ def _drifted(snapshot):
 
 
 class TestDriftDetector:
-    def test_hysteresis_requires_consecutive_breaches(self):
-        det, snap = _make_detector(hysteresis=3)
+    def test_hysteresis_requires_consecutive_breaches(self, make_detector):
+        det, snap = make_detector(hysteresis=3)
         bad = _drifted(snap)
         assert not det.check(bad).fired          # streak 1
         assert not det.check(snap).fired         # streak reset
@@ -44,8 +57,8 @@ class TestDriftDetector:
         assert det.check(bad).fired              # streak 3 → fire
         assert det.detections == 1
 
-    def test_cooldown_suppresses_refire(self):
-        det, snap = _make_detector(hysteresis=1, cooldown_checks=3)
+    def test_cooldown_suppresses_refire(self, make_detector):
+        det, snap = make_detector(hysteresis=1, cooldown_checks=3)
         bad = _drifted(snap)
         assert det.check(bad).fired
         for _ in range(3):
@@ -54,8 +67,8 @@ class TestDriftDetector:
         assert det.check(bad).fired
         assert det.detections == 2
 
-    def test_rebase_clears_divergence(self):
-        det, snap = _make_detector(hysteresis=1)
+    def test_rebase_clears_divergence(self, make_detector):
+        det, snap = make_detector(hysteresis=1)
         bad = _drifted(snap)
         assert det.check(bad).fired
         det.rebase(bad)
@@ -64,15 +77,15 @@ class TestDriftDetector:
             assert not s.breached
         assert det.detections == 1
 
-    def test_warmup_scores_but_never_breaches(self):
-        det, snap = _make_detector(hysteresis=1, min_batches=16)
+    def test_warmup_scores_but_never_breaches(self, make_detector):
+        det, snap = make_detector(hysteresis=1, min_batches=16)
         bad = _drifted(snap)
         s = det.check(bad, batches=8)
         assert s.jaccard < 0.5 and not s.breached and not s.fired
         assert det.check(bad, batches=16).fired
 
-    def test_tape_records_every_check(self):
-        det, snap = _make_detector()
+    def test_tape_records_every_check(self, make_detector):
+        det, snap = make_detector()
         for i in range(5):
             det.check(snap, at=float(i))
         assert [s.at for s in det.tape] == [0.0, 1.0, 2.0, 3.0, 4.0]
@@ -80,7 +93,7 @@ class TestDriftDetector:
         assert set(d) == {"at", "jaccard", "rank_corr", "breached", "fired"}
 
 
-def _adapter_rig(config=None):
+def _adapter_rig():
     platform = server_a()
     rng = make_rng(0)
     table = rng.standard_normal((N, 8)).astype(np.float32)
@@ -91,26 +104,24 @@ def _adapter_rig(config=None):
     )
     cache = MultiGpuEmbeddingCache(platform, table, placement)
     manager = PolicyManager(cache)
-    adapter = DriftAdapter(manager, cap, hotness, config=config)
+    adapter = DriftAdapter(manager, cap, hotness)
     return adapter, manager, hotness, cap
 
 
 class TestDriftAdapter:
-    def test_sample_every_bounds_recording(self):
-        adapter, _m, _h, _cap = _adapter_rig(
-            config=AdaptationConfig(sample_every=4)
-        )
+    def test_sample_every_bounds_recording(self, monkeypatch):
+        _set(monkeypatch, sample_every=4)
+        adapter, _m, _h, _cap = _adapter_rig()
         keys = np.arange(32)
         for _ in range(16):
             adapter.observe(0, keys, now=0.0)
         assert adapter.observed == 16
         assert adapter.estimator.batches_recorded == 4
 
-    def test_no_fire_no_resolve(self):
+    def test_no_fire_no_resolve(self, monkeypatch):
         """Stationary traffic: maybe_adapt checks but never re-solves."""
-        adapter, manager, hotness, _cap = _adapter_rig(
-            config=AdaptationConfig(check_every=4, min_batches=4)
-        )
+        _set(monkeypatch, check_every=4, min_batches=4)
+        adapter, manager, hotness, _cap = _adapter_rig()
         rng = np.random.default_rng(0)
         pmf = hotness / hotness.sum()
         for i in range(32):
@@ -120,15 +131,11 @@ class TestDriftAdapter:
         assert manager.version == 0
         assert len(adapter.detector.tape) == 8  # 32 recorded / check_every=4
 
-    def test_detect_resolve_swap_loop(self):
+    def test_detect_resolve_swap_loop(self, monkeypatch):
         """A rotated head fires the detector, re-solves, and lands a swap
         through the manager's guarded path."""
-        adapter, manager, hotness, _cap = _adapter_rig(
-            config=AdaptationConfig(
-                check_every=4, min_batches=4, hysteresis=2, decay=0.8,
-                hotness_scale=1.0,
-            )
-        )
+        _set(monkeypatch, check_every=4, min_batches=4, hysteresis=2, decay=0.8)
+        adapter, manager, hotness, _cap = _adapter_rig()
         rng = np.random.default_rng(1)
         rolled = np.roll(hotness, N // 2)
         pmf = rolled / rolled.sum()
@@ -146,10 +153,9 @@ class TestDriftAdapter:
         # the landed swap rebased the detector and re-seeded the warm start
         assert adapter.warm is not None or adapter.events[-1].kind != "swap"
 
-    def test_events_serialize(self):
-        adapter, _m, hotness, _cap = _adapter_rig(
-            config=AdaptationConfig(check_every=2, min_batches=2, hysteresis=1)
-        )
+    def test_events_serialize(self, monkeypatch):
+        _set(monkeypatch, check_every=2, min_batches=2, hysteresis=1)
+        adapter, _m, hotness, _cap = _adapter_rig()
         rng = np.random.default_rng(2)
         rolled = np.roll(hotness, N // 2)
         pmf = rolled / rolled.sum()

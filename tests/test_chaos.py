@@ -7,7 +7,6 @@ from repro.faults.chaos import (
     SCENARIOS,
     ChaosConfig,
     build_fault_plan,
-    build_node_fault_plan,
     render_results,
     run_matrix,
     run_scenario,
@@ -26,12 +25,7 @@ class TestScenarioMatrix:
         for scenario in SCENARIOS:
             if scenario in ("solver-timeout", "refresh-interrupt"):
                 continue
-            builder = (
-                build_node_fault_plan
-                if scenario in NODE_SCENARIOS
-                else build_fault_plan
-            )
-            plan = builder(scenario, quick_cfg)
+            plan = build_fault_plan(scenario, quick_cfg)
             assert len(plan) >= 1
             assert plan.name == scenario
 
@@ -92,14 +86,14 @@ class TestNodeScenarios:
         assert result.recovered()
 
     def test_node_flap_schedules_two_stints(self, quick_cfg):
-        plan = build_node_fault_plan("node_flap", quick_cfg)
+        plan = build_fault_plan("node_flap", quick_cfg)
         assert len(plan) == 2
         (first, second) = sorted(plan, key=lambda f: f.onset)
         assert first.clears_at < second.onset, "the node must come back between"
 
     def test_node_plans_target_a_node_not_a_gpu(self, quick_cfg):
         for scenario in sorted(NODE_SCENARIOS):
-            for spec in build_node_fault_plan(scenario, quick_cfg):
+            for spec in build_fault_plan(scenario, quick_cfg):
                 assert spec.node is not None
                 assert spec.gpu is None
 

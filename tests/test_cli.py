@@ -68,6 +68,25 @@ class TestCommands:
         assert main(["experiment", "table3"]) == 0
         assert "Criteo-TB" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["chaos", "--scenario", "gpu-failure", "--quick",
+              "--recovery-tolerance", "0.5"], "--recovery-tolerance"),
+            (["cluster", "--entries", "0"], "--entries"),
+            (["solve", "--entries", "0"], "--entries"),
+            (["solve", "--entries", "500", "--cache-ratio", "1.5"], "--cache-ratio"),
+            (["solve", "--entries", "500", "--coarse-frac", "0"], "--coarse-frac"),
+            (["cluster", "--alpha", "-1"], "--alpha"),
+        ],
+    )
+    def test_out_of_range_value_is_one_line_and_exit_2(self, capsys, argv, names):
+        """Rejected before any work: no traceback, nothing on stdout."""
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and names in err
+
 
 class TestMetrics:
     def test_solve_writes_metrics_artifact(self, capsys, tmp_path):

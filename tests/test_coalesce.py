@@ -139,10 +139,9 @@ class TestMicroBatcher:
         if queue.depth >= batcher.config.max_batch:
             return free_at
         target = head.arrival + batcher.config.linger_seconds
-        if batcher.config.slo_early_flush:
-            tightest = min(r.deadline for r in queue._queue)
-            if math.isfinite(tightest):
-                target = min(target, tightest - queue.estimator.estimate())
+        tightest = min(r.deadline for r in queue._queue)
+        if math.isfinite(tightest):
+            target = min(target, tightest - queue.estimator.estimate())
         return max(free_at, target)
 
     @given(
@@ -156,28 +155,21 @@ class TestMicroBatcher:
         free_at=st.floats(0.0, 15.0),
         linger=st.floats(0.0, 5.0),
         max_batch=st.integers(1, 8),
-        slo_early_flush=st.booleans(),
-        prior=st.one_of(st.none(), st.floats(0.05, 3.0)),
         observed=st.lists(st.floats(0.01, 3.0), max_size=3),
     )
     @settings(max_examples=300, deadline=None)
     def test_flush_instants_equal_the_old_formula(
-        self, tape, free_at, linger, max_batch, slo_early_flush, prior, observed
+        self, tape, free_at, linger, max_batch, observed
     ):
         queue = BoundedRequestQueue(
-            0,
-            AdmissionConfig(capacity=16, shed_on_slo=False, estimator_prior=prior),
+            0, AdmissionConfig(capacity=16, shed_on_slo=False)
         )
         for seconds in observed:
             queue.estimator.observe(seconds)
         batcher = MicroBatcher(
             0,
             queue,
-            CoalesceConfig(
-                max_batch=max_batch,
-                linger_seconds=linger,
-                slo_early_flush=slo_early_flush,
-            ),
+            CoalesceConfig(max_batch=max_batch, linger_seconds=linger),
         )
         now = 0.0
         for rid, (gap, budget) in enumerate(tape):

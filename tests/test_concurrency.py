@@ -349,7 +349,8 @@ class TestStreamingEstimatorConcurrency:
         from repro.core.drift_adapt import StreamingHotnessEstimator
 
         batch = 128
-        est = StreamingHotnessEstimator(N, decay=1.0, prior=0.0)
+        est = StreamingHotnessEstimator(N, decay=1.0)
+        est.record(make_rng(99).integers(0, N, size=batch))  # a snapshot exists
         stop = threading.Event()
 
         def writer(seed):

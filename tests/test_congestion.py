@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.sim.congestion import CongestionModel, solve_congested_extraction
+from repro.sim import congestion
+from repro.sim.congestion import effective_bandwidth, solve_congested_extraction
 
 
-def _solve(volumes, peaks, cores=100, per_core=1e9, model=None, pressure=None):
+def _solve(volumes, peaks, cores=100, per_core=1e9, pressure=None):
     return solve_congested_extraction(
         volumes=volumes,
         peak_bandwidth=peaks,
         per_core_bandwidth=per_core,
         num_cores=cores,
-        model=model,
         collision_pressure=pressure,
     )
 
@@ -58,24 +58,23 @@ class TestMixedSources:
 
 
 class TestDegradationModel:
-    def test_beta_zero_is_work_conserving(self):
-        model = CongestionModel(beta=0.0, switch_collision_beta=0.0)
-        out = _solve({9: 1e9}, {9: 10e9}, model=model)
+    def test_beta_zero_is_work_conserving(self, monkeypatch):
+        monkeypatch.setattr(congestion, "BETA", 0.0)
+        monkeypatch.setattr(congestion, "SWITCH_COLLISION_BETA", 0.0)
+        out = _solve({9: 1e9}, {9: 10e9})
         # Without degradation a saturated link still delivers its peak.
         assert out.total_time == pytest.approx(0.1)
 
-    def test_degradation_capped(self):
-        model = CongestionModel(beta=100.0, max_degradation=0.5)
-        out = _solve({9: 1e9}, {9: 10e9}, model=model)
+    def test_degradation_capped(self, monkeypatch):
+        monkeypatch.setattr(congestion, "BETA", 100.0)
+        out = _solve({9: 1e9}, {9: 10e9})
         assert out.total_time <= 1e9 / 5e9 * 1.01
 
     def test_effective_bandwidth_below_tolerance_is_peak(self):
-        model = CongestionModel()
-        assert model.effective_bandwidth(10e9, cores=3, tolerance=10) == 10e9
+        assert effective_bandwidth(10e9, cores=3, tolerance=10) == 10e9
 
     def test_effective_bandwidth_degrades_above_tolerance(self):
-        model = CongestionModel(beta=1.0, max_degradation=0.1)
-        degraded = model.effective_bandwidth(10e9, cores=20, tolerance=10)
+        degraded = effective_bandwidth(10e9, cores=20, tolerance=10)
         assert degraded == pytest.approx(5e9)
 
     def test_collision_pressure_slows_switch_sources(self):
@@ -84,12 +83,10 @@ class TestDegradationModel:
         assert pressured.total_time > base.total_time
 
     def test_invalid_model_params(self):
-        with pytest.raises(ValueError):
-            CongestionModel(beta=-1)
-        with pytest.raises(ValueError):
-            CongestionModel(max_degradation=0)
-        with pytest.raises(ValueError):
-            CongestionModel(damping=0)
+        # the ranges the model is defined on, now that the values are fixed
+        assert congestion.BETA >= 0 and congestion.SWITCH_COLLISION_BETA >= 0
+        assert 0 < congestion.MAX_DEGRADATION <= 1
+        assert 0 < congestion.DAMPING <= 1
 
 
 class TestValidation:
@@ -111,11 +108,11 @@ class TestValidation:
 
 
 class TestConvergence:
-    def test_fixed_point_is_stable(self):
-        short = CongestionModel(iterations=30)
-        long = CongestionModel(iterations=200)
-        a = _solve({0: 1e9, 9: 0.4e9}, {0: 100e9, 9: 5e9}, model=short)
-        b = _solve({0: 1e9, 9: 0.4e9}, {0: 100e9, 9: 5e9}, model=long)
+    def test_fixed_point_is_stable(self, monkeypatch):
+        monkeypatch.setattr(congestion, "ITERATIONS", 30)
+        a = _solve({0: 1e9, 9: 0.4e9}, {0: 100e9, 9: 5e9})
+        monkeypatch.setattr(congestion, "ITERATIONS", 200)
+        b = _solve({0: 1e9, 9: 0.4e9}, {0: 100e9, 9: 5e9})
         assert a.total_time == pytest.approx(b.total_time, rel=1e-3)
 
     def test_scale_invariance(self):

@@ -50,8 +50,8 @@ class TestHitRatesVsVolumes:
         assert split["host"] == pytest.approx(hits.host, abs=1e-9)
 
     def test_demand_volumes_match_source_map_mass(self, any_platform, placement):
-        source_map = resolve_sources(any_platform, placement)
-        demands = expected_demands(any_platform, placement, HOT, EB, source_map)
+        source_map = resolve_sources(any_platform, placement, HOT)
+        demands = expected_demands(any_platform, placement, HOT, EB)
         for dst, demand in enumerate(demands):
             for src, volume in demand.volumes.items():
                 mask = source_map[dst] == src

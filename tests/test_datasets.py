@@ -97,8 +97,11 @@ class TestCapacityRule:
                 platform_a, spec
             )
 
-    def test_ratio_capped_at_one(self, platform_c):
-        assert cache_ratio_for(platform_c, GNN_SPECS["pa"], usable_fraction=5.0) == 1.0
+    def test_ratio_capped_at_one(self, platform_c, monkeypatch):
+        from repro.datasets import registry
+
+        monkeypatch.setattr(registry, "USABLE_GPU_FRACTION", 5.0)
+        assert cache_ratio_for(platform_c, GNN_SPECS["pa"]) == 1.0
 
     def test_capacity_entries(self, platform_c):
         spec = GNN_SPECS["pa"]

@@ -54,8 +54,10 @@ class TestDcn:
         assert ((probs > 0) & (probs < 1)).all()
 
     def test_cross_layers_required(self):
-        with pytest.raises(ValueError):
+        # the cross network's depth is fixed, and there is one
+        with pytest.raises(TypeError):
             DcnNet(5, 8, cross_layers=0)
+        assert len(DcnNet(5, 8).cross_w) >= 1
 
     def test_differs_from_dlrm(self, batch):
         dense, emb = batch

@@ -18,11 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.drift_adapt import (
-    DriftDetector,
-    DriftDetectorConfig,
-    StreamingHotnessEstimator,
-)
+from repro.core import drift_adapt
+from repro.core.drift_adapt import DriftDetector, StreamingHotnessEstimator
 from repro.core.evaluate import evaluate_placement
 from repro.core.solver import solve_policy_with_fallback, warm_start_policy
 from repro.hardware.platform import server_a
@@ -90,14 +87,15 @@ class TestEstimatorConvergence:
 
 class TestDetectorFalsePositives:
     @pytest.mark.parametrize("seed", range(8))
-    def test_never_fires_on_stationary_trace(self, seed):
+    def test_never_fires_on_stationary_trace(self, seed, monkeypatch):
         """Sampling noise alone must not trip the detector: zero fires
         across seeds on a stream drawn from the snapshot itself."""
         n, batch = 500, 256
         pmf = zipf_pmf(n, 1.1)
         snapshot = pmf * batch
         est = StreamingHotnessEstimator(n, decay=0.95)
-        det = DriftDetector(snapshot, DriftDetectorConfig(min_batches=8))
+        monkeypatch.setattr(drift_adapt, "MIN_BATCHES", 8)
+        det = DriftDetector(snapshot)
         rng = np.random.default_rng(seed)
         for i, keys in enumerate(_zipf_draws(rng, pmf, batch, 120)):
             est.record(keys)
@@ -108,14 +106,15 @@ class TestDetectorFalsePositives:
                 assert not score.fired
         assert det.detections == 0
 
-    def test_fires_on_genuine_rotation(self):
+    def test_fires_on_genuine_rotation(self, monkeypatch):
         """Sanity bound on the false-negative side: a full head rotation
         must fire within a few checks."""
         n, batch = 500, 256
         pmf = zipf_pmf(n, 1.1)
         rotated = np.roll(pmf, n // 2)
         est = StreamingHotnessEstimator(n, decay=0.9)
-        det = DriftDetector(pmf * batch, DriftDetectorConfig(min_batches=8))
+        monkeypatch.setattr(drift_adapt, "MIN_BATCHES", 8)
+        det = DriftDetector(pmf * batch)
         rng = np.random.default_rng(0)
         fired = False
         for i, keys in enumerate(_zipf_draws(rng, rotated, batch, 80)):

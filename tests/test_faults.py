@@ -198,19 +198,24 @@ class TestSimulatorsUnderFaults:
         ]
         plan = FaultPlan(faults=(FaultSpec(FaultKind.GPU_FAILURE, gpu=1),))
         healthy = simulate_batch(platform, demands)
-        faulted = simulate_batch(platform, demands, faults=plan, now=0.0)
+        faulted = simulate_batch(platform, demands, health=plan.health_at(0.0))
         assert faulted.time > healthy.time  # host path is slower
-        cleared = simulate_batch(platform, demands, faults=plan, now=plan.last_clear_time())
+        cleared = simulate_batch(
+            platform, demands, health=plan.health_at(plan.last_clear_time())
+        )
         assert cleared.time == pytest.approx(healthy.time)
 
     def test_event_sim_accepts_fault_plan(self):
+        from repro.core.pipeline import apply_health
+
         platform = server_a()
         demand = GpuDemand(dst=0, volumes={0: 2e6, 1: 1e6})
         plan = FaultPlan(
             faults=(FaultSpec(FaultKind.LINK_PARTITION, link=(0, 1)),)
         )
         healthy = simulate_factored_event_driven(platform, demand)
-        faulted = simulate_factored_event_driven(platform, demand, faults=plan)
+        degraded, (rerouted,), _ = apply_health(platform, [demand], plan.health_at(0.0))
+        faulted = simulate_factored_event_driven(degraded, rerouted)
         assert faulted.total_time > healthy.total_time
 
     def test_unconnected_pair_still_rejected_when_healthy(self):

@@ -56,7 +56,7 @@ class TestKerasLike:
     def test_call_before_build_raises(self, platform_a):
         layer = UGacheKerasEmbedding(platform_a, cache_ratio=0.1)
         with pytest.raises(RuntimeError):
-            layer(np.array([1]))
+            layer(np.array([1]), device=0)
 
     def test_double_build_raises(self, platform_a, small_table, skewed_hotness):
         layer = UGacheKerasEmbedding(platform_a, cache_ratio=0.1)
@@ -65,9 +65,9 @@ class TestKerasLike:
             layer.build(small_table, skewed_hotness)
 
     def test_get_config(self, platform_a, small_table, skewed_hotness):
-        layer = UGacheKerasEmbedding(platform_a, cache_ratio=0.1, name="emb0")
+        layer = UGacheKerasEmbedding(platform_a, cache_ratio=0.1)
         config = layer.get_config()
-        assert config["name"] == "emb0"
+        assert config["name"] == "ugache_embedding"
         assert config["platform"] == "server-a"
         assert config["cache_ratio"] == 0.1
 

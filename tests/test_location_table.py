@@ -55,7 +55,7 @@ class TestInsertGet:
             assert table.get(key) == (key % 8, key * 2)
 
     def test_load_factor_bounded(self):
-        table = LocationTable(4, max_load=0.7)
+        table = LocationTable(4)
         for key in range(1000):
             table.insert(key, 0, key)
         assert table.load_factor <= 0.7
@@ -264,16 +264,10 @@ class TestCorruptEntries:
         with pytest.raises(CorruptEntryError):
             table.lookup_batch(np.array([1, 2]))
 
-    def test_lookup_batch_host_mode_reroutes(self):
-        table = self._bounded_table()
-        table.corrupt_slot(1, 9, 50)
-        sources, offsets = table.lookup_batch(np.array([1, 2]), on_corrupt="host")
-        assert sources[0] == HOST and offsets[0] == 1  # host is keyed by id
-        assert sources[1] == 3 and offsets[1] == 99  # untouched entry intact
-
     def test_lookup_batch_rejects_bad_mode(self):
-        with pytest.raises(ValueError):
-            self._bounded_table().lookup_batch(np.array([1]), on_corrupt="ignore")
+        # there is one mode: a poisoned slot raises
+        with pytest.raises(TypeError):
+            self._bounded_table().lookup_batch(np.array([1]), on_corrupt="host")
 
     def test_from_source_map_arms_bounds(self):
         from repro.core.location_table import CorruptEntryError
@@ -281,7 +275,7 @@ class TestCorruptEntries:
         sources = np.array([0, HOST, 1], dtype=np.int16)
         offsets = np.array([10, 0, 20])
         table = LocationTable.from_source_map(
-            sources, offsets, num_sources=2, max_offset=64
+            sources, offsets, num_sources=2
         )
         table.corrupt_slot(0, 7, 10)
         with pytest.raises(CorruptEntryError):

@@ -1,7 +1,9 @@
 """Public API integrity: exports resolve, version present, docs exist."""
 
+import dataclasses
 import importlib
 import inspect
+import re
 
 import pytest
 
@@ -84,3 +86,16 @@ class TestDocstrings:
                 if not inspect.isfunction(member):
                     continue
                 assert (member.__doc__ or "").strip(), f"{cls.__name__}.{name} undocumented"
+
+    def test_config_docstrings_list_exactly_their_fields(self):
+        """An ``Attributes:`` block names every field and nothing else."""
+        from tests.test_reachability import CONFIGS  # module, class, pinned defaults
+
+        for module, name, _defaults in CONFIGS:
+            cls = getattr(importlib.import_module(module), name)
+            doc = cls.__doc__ or ""
+            if name == "SoakConfig":  # documents its 26 fields inline (``#:``)
+                assert "Attributes:" not in doc
+                continue
+            listed = re.findall(r"^ {8}(\w+):", doc.split("Attributes:")[1], re.M)
+            assert listed == [f.name for f in dataclasses.fields(cls)], name

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import refresher as refresher_module
 from repro.core.cache import MultiGpuEmbeddingCache
 from repro.core.policy import partition_policy, replication_policy
 from repro.core.refresher import (
@@ -22,11 +23,11 @@ def cache(platform_a, small_table, skewed_hotness):
 
 class TestRefreshTrigger:
     def test_triggers_on_improvement(self, cache):
-        refresher = Refresher(cache, RefreshConfig(trigger_ratio=1.05))
+        refresher = Refresher(cache)
         assert refresher.should_refresh(current_time=1.0, candidate_time=0.5)
 
     def test_skips_marginal_improvement(self, cache):
-        refresher = Refresher(cache, RefreshConfig(trigger_ratio=1.05))
+        refresher = Refresher(cache)
         assert not refresher.should_refresh(current_time=1.0, candidate_time=0.99)
 
     def test_skips_zero_candidate(self, cache):
@@ -101,9 +102,9 @@ class TestFunctionalRefresh:
             for gpu in range(4):
                 assert cache.store(gpu).arena.used_slots <= 200
 
-    def test_refresh_estimated_duration(self, cache, skewed_hotness):
-        config = RefreshConfig(solve_seconds=10.0, entries_per_second=1000.0)
-        refresher = Refresher(cache, config)
+    def test_refresh_estimated_duration(self, cache, skewed_hotness, monkeypatch):
+        monkeypatch.setattr(refresher_module, "ENTRIES_PER_SECOND", 1000.0)
+        refresher = Refresher(cache)
         outcome = refresher.refresh(partition_policy(skewed_hotness, 200, 4))
         expected = 10.0 + outcome.entries_moved / 1000.0
         assert outcome.estimated_duration == pytest.approx(expected)
@@ -114,17 +115,22 @@ class TestRefreshConfigValidation:
         with pytest.raises(ValueError):
             RefreshConfig(update_batch_entries=0)
 
+    # The model's other numbers are module constants: the config takes
+    # none of them, and each sits in the range its check used to enforce.
     def test_rejects_bad_impact(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             RefreshConfig(foreground_impact=1.0)
+        assert 0 <= refresher_module.FOREGROUND_IMPACT < 1
 
     def test_rejects_bad_trigger(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             RefreshConfig(trigger_ratio=0.9)
+        assert refresher_module.TRIGGER_RATIO >= 1
 
     def test_rejects_bad_throughput(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             RefreshConfig(entries_per_second=0)
+        assert refresher_module.ENTRIES_PER_SECOND > 0
 
 
 class TestTimeline:
@@ -134,7 +140,6 @@ class TestTimeline:
             total_duration=200.0,
             refresh_starts=(40.0, 150.0),
             entries_to_move=1_000_000,
-            config=RefreshConfig(foreground_impact=0.10),
         )
         assert len(timeline.refresh_windows) == 2
         before = timeline.mean_latency(0, 39)
@@ -144,15 +149,15 @@ class TestTimeline:
         assert during == pytest.approx(2.2e-3)
         assert after == pytest.approx(2e-3)
 
-    def test_impact_bounded_at_config(self):
-        timeline = simulate_refresh_timeline(
-            2e-3, 100.0, (10.0,), 500_000, RefreshConfig(foreground_impact=0.08)
-        )
+    def test_impact_bounded_at_config(self, monkeypatch):
+        monkeypatch.setattr(refresher_module, "FOREGROUND_IMPACT", 0.08)
+        timeline = simulate_refresh_timeline(2e-3, 100.0, (10.0,), 500_000)
         assert timeline.latencies.max() <= 2e-3 * 1.08 + 1e-12
 
-    def test_window_duration_scales_with_entries(self):
-        cfg = RefreshConfig(solve_seconds=5.0, entries_per_second=100_000)
-        t = simulate_refresh_timeline(1e-3, 100.0, (0.0,), 1_000_000, cfg)
+    def test_window_duration_scales_with_entries(self, monkeypatch):
+        monkeypatch.setattr(refresher_module, "SOLVE_SECONDS", 5.0)
+        monkeypatch.setattr(refresher_module, "ENTRIES_PER_SECOND", 100_000)
+        t = simulate_refresh_timeline(1e-3, 100.0, (0.0,), 1_000_000)
         start, stop = t.refresh_windows[0]
         assert stop - start == pytest.approx(5.0 + 10.0)
 
@@ -165,12 +170,12 @@ class TestTriggerEdgeCases:
     """Satellite coverage: worse candidates and degenerate hotness."""
 
     def test_worse_solve_does_not_trigger(self, cache):
-        refresher = Refresher(cache, RefreshConfig(trigger_ratio=1.05))
+        refresher = Refresher(cache)
         # The fresh solve came back *worse* than what is deployed.
         assert not refresher.should_refresh(current_time=1.0, candidate_time=1.4)
 
     def test_equal_solve_does_not_trigger(self, cache):
-        refresher = Refresher(cache, RefreshConfig(trigger_ratio=1.05))
+        refresher = Refresher(cache)
         assert not refresher.should_refresh(current_time=1.0, candidate_time=1.0)
 
     def test_all_zero_hotness_refresh_is_safe(self, cache, small_table, rng):

@@ -35,9 +35,7 @@ from repro.repair import (
     CacheScrubber,
     NodeState,
     NodeWatchdog,
-    ScrubConfig,
     StagedRecovery,
-    WatchdogConfig,
 )
 from repro.serve.breaker import BreakerState
 from repro.utils.rng import make_rng
@@ -121,7 +119,7 @@ class TestScrubConvergence:
     def test_ticks_converge_to_zero_corrupt_slots(self, schedule_seed, flips):
         _platform, table, _hotness, cache = _stack()
         _flip_bytes(cache, schedule_seed, flips)
-        scrubber = CacheScrubber(cache, ScrubConfig(seed=schedule_seed))
+        scrubber = CacheScrubber(cache)
         # The default scan budget covers a whole store per tick, so one
         # round-robin lap scans everything; a second lap repairs any
         # rot the first quarantined late.
@@ -160,11 +158,14 @@ class TestQuarantine:
                 return gpu, int(entry), dsts
         pytest.fail("no routed cached slot found")
 
-    def test_quarantined_slot_is_never_served(self):
+    def test_quarantined_slot_is_never_served(self, monkeypatch):
+        from repro.repair import scrub
+
         _platform, table, _hotness, cache = _stack()
         gpu, entry, dsts = self._rotten_routed_slot(cache)
         # Repair budget zero: the slot stays quarantined indefinitely.
-        scrubber = CacheScrubber(cache, ScrubConfig(repair_bytes_per_tick=0))
+        monkeypatch.setattr(scrub, "REPAIR_BYTES_PER_TICK", 0)
+        scrubber = CacheScrubber(cache)
         for _ in range(cache.platform.num_gpus):
             scrubber.tick()
         assert scrubber.quarantine_depth >= 1
@@ -308,8 +309,12 @@ class TestWatchdog:
         assert dog.state(0) is NodeState.HEALTHY
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            WatchdogConfig(suspect_quarantine_depth=0)
+        from repro.repair import watchdog
+
+        # one outstanding quarantine is the least that can mean anything
+        assert watchdog.SUSPECT_QUARANTINE_DEPTH >= 1
+        with pytest.raises(TypeError):
+            NodeWatchdog([0], config=None)
 
 
 class TestNodeLifecycle:
@@ -418,10 +423,13 @@ class TestSampledVerify:
     def test_policy_manager_sample_validation(self):
         from repro.serve.policy_manager import PolicyManager
 
+        from repro.serve import policy_manager
+
+        # the swap-time sample is a constant the cache accepts
         _platform, _table, _hotness, cache = _stack()
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             PolicyManager(cache, verify_sample=2.0)
-        PolicyManager(cache, verify_sample=None)  # full-scan mode is legal
+        assert cache.verify_integrity(sample=policy_manager.VERIFY_SAMPLE) == []
 
 
 class TestSoakConfigRepair:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.obs import MetricsRegistry, use_registry
 from repro.serve import (
+    queueing,
     AdmissionConfig,
     AdmissionController,
     BoundedRequestQueue,
@@ -50,15 +51,14 @@ class TestAdmissionConfig:
             AdmissionConfig(capacity=0)
         with pytest.raises(ValueError):
             AdmissionConfig(slo_seconds=0.0)
-        with pytest.raises(ValueError):
-            AdmissionConfig(estimator_alpha=0.0)
 
 
 class TestLatencyEstimator:
-    def test_ewma_and_histogram_agree(self):
+    def test_ewma_and_histogram_agree(self, monkeypatch):
+        monkeypatch.setattr(queueing, "ESTIMATOR_ALPHA", 0.5)
         registry = MetricsRegistry("t")
         with use_registry(registry):
-            est = LatencyEstimator(gpu=0, alpha=0.5)
+            est = LatencyEstimator(gpu=0)
             assert est.estimate() == 0.0
             est.observe(1.0)
             assert est.estimate() == 1.0
@@ -69,18 +69,21 @@ class TestLatencyEstimator:
             assert hist.count == 2
 
     def test_prior_answers_before_first_sample(self):
-        # Regression: estimate() answered 0.0 cold, so SLO-margin
-        # consumers (the micro-batcher's early flush) had zero
-        # service-time margin for a run's first batches.
-        est = LatencyEstimator(gpu=0, prior=0.25)
-        assert est.estimate() == 0.25
+        # Cold, the estimate is 0.0, which admission reads as "no samples
+        # yet — admit and learn", however tight the SLO.
+        queue = BoundedRequestQueue(0, AdmissionConfig(slo_seconds=1e-9))
+        assert queue.estimator.estimate() == 0.0
+        assert queue.offer(_request(), now=0.0).admitted
+        queue.estimator.observe(1.0)
+        assert not queue.offer(_request(rid=2), now=0.0).admitted
 
-    def test_first_observation_overrides_prior(self):
+    def test_first_observation_overrides_prior(self, monkeypatch):
+        monkeypatch.setattr(queueing, "ESTIMATOR_ALPHA", 0.5)
         registry = MetricsRegistry("t")
         with use_registry(registry):
-            est = LatencyEstimator(gpu=0, alpha=0.5, prior=100.0)
+            est = LatencyEstimator(gpu=0)
             est.observe(1.0)
-            # seeded directly from the sample, not averaged with the prior
+            # seeded directly from the sample, not averaged with the cold 0.0
             assert est.estimate() == 1.0
 
     def test_no_prior_keeps_learn_from_zero(self):
@@ -88,15 +91,16 @@ class TestLatencyEstimator:
         assert est.estimate() == 0.0
 
     def test_rejects_bad_prior(self):
-        with pytest.raises(ValueError):
+        # there is no cold-start prior to get wrong
+        with pytest.raises(TypeError):
             LatencyEstimator(gpu=0, prior=0.0)
-        with pytest.raises(ValueError):
-            AdmissionConfig(estimator_prior=-1.0)
 
     def test_queue_passes_config_prior_to_estimator(self):
-        cfg = AdmissionConfig(estimator_prior=0.5)
-        q = BoundedRequestQueue(0, cfg)
-        assert q.estimator.estimate() == 0.5
+        # ... nor one to pass: the queue builds its GPU's estimator, cold
+        with pytest.raises(TypeError):
+            AdmissionConfig(estimator_prior=0.5)
+        estimator = BoundedRequestQueue(3).estimator
+        assert estimator.gpu == 3 and estimator.estimate() == 0.0
 
 
 class TestBoundedQueue:

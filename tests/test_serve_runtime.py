@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.cache import MultiGpuEmbeddingCache
 from repro.core.extractor import FactoredExtractor
+from repro.core.pipeline import apply_health
 from repro.core.policy import hot_replicate_warm_partition_policy, partition_policy
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import FaultKind, FaultPlan, FaultSpec
@@ -203,13 +204,12 @@ class TestHedging:
         keys = self._remote_keys(cache)
         volume = float(len(keys) * cache.entry_bytes)
         demand = GpuDemand(dst=0, volumes={1: volume})
-        result = simulate_hedged_extraction(platform, demand, faults=plan, now=0.0)
+        platform, _, _ = apply_health(platform, [demand], plan.health_at(0.0))
+        result = simulate_hedged_extraction(platform, demand)
         assert result.hedge_won
         assert result.total_time == result.hedge_time < result.primary_time
         # issuing the hedge later shifts its completion by exactly the delay
-        delayed = simulate_hedged_extraction(
-            platform, demand, hedge_issue_at=1e9, faults=plan, now=0.0
-        )
+        delayed = simulate_hedged_extraction(platform, demand, hedge_issue_at=1e9)
         assert delayed.winner == "primary"
         with pytest.raises(ValueError):
             simulate_hedged_extraction(platform, demand, hedge_issue_at=-1.0)

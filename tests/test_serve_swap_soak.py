@@ -168,8 +168,6 @@ class TestSoak:
             SoakConfig(requests_per_gpu=0)
         with pytest.raises(ValueError):
             SoakConfig(load=0.0)
-        with pytest.raises(ValueError):
-            SoakConfig(swap_at=(1.5,))
 
     def test_dgx_a100_partial_failure_soak(self):
         registry = MetricsRegistry("soak")
@@ -213,18 +211,18 @@ class TestSoak:
                 requests_per_gpu=40,
                 closed_loop=True,
                 clients=3,
-                swap_at=(0.5,),
             )
         )
         assert report.served_ok > 0
         assert report.integrity_failures == 0
         assert report.max_queue_depth <= report.queue_capacity
 
-    def test_overload_sheds_instead_of_queueing_unboundedly(self):
+    def test_overload_sheds_instead_of_queueing_unboundedly(self, monkeypatch):
+        from repro.serve import soak
+
+        monkeypatch.setattr(soak, "SWAP_AT", ())
         report = run_soak(
-            SoakConfig.quick(
-                scenario="steady", requests_per_gpu=60, load=3.0, swap_at=()
-            )
+            SoakConfig.quick(scenario="steady", requests_per_gpu=60, load=3.0)
         )
         assert report.shed + report.rejected > 0
         assert report.max_queue_depth <= report.queue_capacity

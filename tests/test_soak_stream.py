@@ -213,8 +213,8 @@ class TestSoakModuleShape:
 
 
 class TestOptionsThatWent:
-    def test_soak_config_has_29_fields_and_the_report_78(self):
-        assert len(fields(SoakConfig)) == 29
+    def test_soak_config_has_26_fields_and_the_report_78(self):
+        assert len(fields(SoakConfig)) == 26
         assert len(fields(SoakReport)) == 78
 
     @pytest.mark.parametrize(
@@ -230,4 +230,4 @@ class TestOptionsThatWent:
         assert "--linger-ms" in capsys.readouterr().err
         soak = build_parser()._subparsers._group_actions[0].choices["soak"]
         flags = [a for a in soak._actions if a.option_strings and a.dest != "help"]
-        assert len(flags) == 26
+        assert len(flags) == 25

@@ -274,20 +274,22 @@ class TestFallbackChain:
         )
         assert outcome.source == "greedy"
 
-    def test_every_rung_failing_raises(self, platform_a, hot1000):
+    def test_every_rung_failing_raises(self, platform_a, hot1000, monkeypatch):
+        from repro.core import solver
         from repro.core.solver import (
             FallbackConfig,
             PolicySolveError,
             solve_policy_with_fallback,
         )
 
+        monkeypatch.setattr(solver, "GREEDY_FRACTIONS", ())
         with pytest.raises(PolicySolveError, match="every rung"):
             solve_policy_with_fallback(
                 platform_a,
                 hot1000,
                 100,
                 ENTRY_BYTES,
-                fallback=FallbackConfig(greedy_fractions=(), use_cached=False),
+                fallback=FallbackConfig(use_cached=False),
                 solve_fn=self._timed_out,
             )
 
