@@ -200,8 +200,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         queue_policy=QueuePolicy(args.queue_policy),
         batching=BatchingMode(args.batching),
         max_batch=args.max_batch,
-        lookahead=args.lookahead,
-        prefetch_capacity=args.prefetch_capacity,
         nodes=args.nodes,
         replication=args.replication,
         placement=args.placement,
@@ -222,6 +220,23 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             if args.quick
             else SoakConfig(**overrides)
         )
+        # A comparison whose arm cannot run must fail loudly, not print
+        # nothing and exit 0: CI gates on these flags.
+        if args.compare_restage and args.compare_adapt:
+            raise ValueError(
+                "--compare-restage and --compare-adapt each rerun the soak; "
+                "pick one"
+            )
+        if args.compare_restage and not (cfg.repair and cfg.restage == "staged"):
+            raise ValueError(
+                "--compare-restage races staged recovery against the burst "
+                "baseline; it needs --repair with --restage staged"
+            )
+        if args.compare_adapt and not cfg.adapt:
+            raise ValueError(
+                "--compare-adapt reruns with adaptation off; it needs "
+                "--drift and --adapt"
+            )
     except ValueError as exc:
         print(f"bad soak configuration: {exc}", file=sys.stderr)
         return 2
@@ -237,27 +252,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             return run_soak(replace(cfg, **field))
 
     adapt_regressed = False
-    if args.compare_lookahead and cfg.lookahead > 0:
-        # The deltas are the lookahead stage's contribution.
-        baseline = rerun(lookahead=0)
-        delta = report.goodput_rps - baseline.goodput_rps
-        pct = (
-            100.0 * delta / baseline.goodput_rps
-            if baseline.goodput_rps
-            else 0.0
-        )
-        s0 = report.baseline_service or 1.0
-        print(
-            f"  vs lookahead 0: goodput {baseline.goodput_rps:.1f} -> "
-            f"{report.goodput_rps:.1f} req/s ({delta:+.1f}, {pct:+.1f}%), "
-            f"p50 {baseline.p50_latency / s0:.2f}x -> "
-            f"{report.p50_latency / s0:.2f}x, "
-            f"p99 {baseline.p99_latency / s0:.2f}x -> "
-            f"{report.p99_latency / s0:.2f}x, "
-            f"shed {baseline.shed_rate:.1%} -> {report.shed_rate:.1%}, "
-            f"hit rate {report.prefetch_hit_rate:.1%} vs 0.0%"
-        )
-    elif args.compare_restage and cfg.repair and cfg.restage == "staged":
+    if args.compare_restage:
         # Burst refill instead: the recovery-window goodput delta is what
         # the rate-limited staging buys.
         baseline = rerun(restage="burst")
@@ -268,7 +263,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             f"({report.recovery_requests} vs "
             f"{baseline.recovery_requests} requests in window)"
         )
-    elif args.compare_adapt and cfg.drift is not None and cfg.adapt:
+    elif args.compare_adapt:
         # Adaptation off: the transition-window goodput delta is what the
         # detector → incremental-re-solve → guarded-swap loop buys.
         baseline = rerun(adapt=False)
@@ -528,15 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(off reproduces the un-batched path exactly)")
     p.add_argument("--max-batch", type=int, default=8,
                    help="most requests fused into one extraction")
-    p.add_argument("--lookahead", type=int, default=0, metavar="K",
-                   help="batches the oracle cacher peeks ahead in the "
-                        "trace; 0 disables prefetching (open-loop only)")
-    p.add_argument("--prefetch-capacity", type=int, default=4096,
-                   metavar="ENTRIES",
-                   help="per-GPU staging-buffer bound for the prefetcher")
-    p.add_argument("--compare-lookahead", action="store_true",
-                   help="also run the same soak with --lookahead 0 and "
-                        "print goodput, p50, p99 and shed rate old -> new")
     p.add_argument("--repair", action="store_true",
                    help="enable the self-healing layer: anti-entropy "
                         "scrubbing, read guards, staged recovery, and the "

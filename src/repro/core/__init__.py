@@ -27,15 +27,7 @@ from repro.core.pipeline import (
     plan_extraction,
     price_demand,
     renormalize_dedication,
-    shift_staged_demand,
     verify_resolution,
-)
-from repro.core.prefetch import (
-    LookaheadWindow,
-    OracleCacher,
-    PrefetchConfig,
-    PrefetchOutcome,
-    StagingBuffer,
 )
 from repro.core.filler import (
     GpuCacheStore,
@@ -126,13 +118,7 @@ __all__ = [
     "plan_extraction",
     "price_demand",
     "renormalize_dedication",
-    "shift_staged_demand",
     "verify_resolution",
-    "LookaheadWindow",
-    "OracleCacher",
-    "PrefetchConfig",
-    "PrefetchOutcome",
-    "StagingBuffer",
     "GpuCacheStore",
     "PlacementDiff",
     "apply_diff_step",

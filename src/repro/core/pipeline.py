@@ -24,13 +24,6 @@ free function that any layer can call on its own:
 6. **execute** — one row ``take`` from the cache's arena for every GPU
    group at once, one ``backing_gather`` per backing-tier group.
 
-A seventh stage runs *ahead* of the batch rather than inside it:
-**prefetch** (:mod:`repro.core.prefetch`) peeks a lookahead window into
-the upcoming trace, pre-stages would-be host misses into a GPU-resident
-staging buffer during idle link time, and at serve time
-:func:`shift_staged_demand` moves the claimed bytes off the host path
-before stage 5 prices the demand.
-
 Each stage times itself into ``pipeline.<stage>.seconds``
 (:func:`repro.obs.stage_timer`), so a regression in any one stage is
 visible regardless of which consumer triggered it.
@@ -100,7 +93,6 @@ __all__ = [
     "renormalize_dedication",
     "reroute",
     "resolve",
-    "shift_staged_demand",
     "source_class",
     "verify_resolution",
 ]
@@ -617,59 +609,6 @@ def price_node_read(platform: Platform, demand: GpuDemand) -> NodeReadPrice:
         extraction_seconds=price_demand(platform, demand).time,
         transfer_seconds=network_transfer_seconds(demand.total_bytes),
     )
-
-
-def shift_staged_demand(
-    demand: GpuDemand,
-    staged_bytes: float,
-    platform: Platform | None = None,
-) -> GpuDemand:
-    """Move prefetch-staged bytes off the backing chain onto the local tier.
-
-    The lookahead prefetcher (:mod:`repro.core.prefetch`) pre-stages
-    upcoming backing misses into a GPU-resident staging buffer; at
-    extraction time the bytes it claimed are served at local speed, not
-    over PCIe/CXL/NVMe.  This re-prices a demand accordingly: up to
-    ``staged_bytes`` of backing volume moves to the destination's local
-    volume, draining the *most expensive* tier first when ``platform``
-    names a chain (the prefetcher buys the biggest win per staged byte).
-    Without a ``platform`` only the HOST volume shifts, which is the
-    pre-tier behavior.  With ``staged_bytes <= 0`` (or no backing
-    volume) the input demand is returned unchanged, which is what keeps
-    the no-lookahead path byte-identical.
-    """
-    if staged_bytes <= 0:
-        return demand
-    if platform is None:
-        tier_order = [HOST]
-    else:
-        # Most expensive backing tier first: cost descending.
-        tier_order = sorted(
-            (s for s in demand.volumes if platform.is_backing(s)),
-            key=lambda s: platform.tier_of(s).cost_per_byte,
-            reverse=True,
-        )
-    volumes = dict(demand.volumes)
-    budget = float(staged_bytes)
-    moved_total = 0.0
-    for tier in tier_order:
-        if budget <= 0:
-            break
-        vol = float(volumes.get(tier, 0.0))
-        moved = min(vol, budget)
-        if moved <= 0:
-            continue
-        remaining = vol - moved
-        if remaining > 0:
-            volumes[tier] = remaining
-        else:
-            volumes.pop(tier, None)
-        budget -= moved
-        moved_total += moved
-    if moved_total <= 0:
-        return demand
-    volumes[demand.dst] = volumes.get(demand.dst, 0.0) + moved_total
-    return GpuDemand(dst=demand.dst, volumes=volumes)
 
 
 def backing_fallback_demand(

@@ -43,7 +43,12 @@ def _fmt(value: float) -> str:
 
 
 def _stage_breakdown(metrics: list[dict[str, Any]]) -> list[str]:
-    """Extraction-pipeline breakdown: seconds per stage, in stage order."""
+    """Extraction-pipeline breakdown: seconds per stage, in stage order.
+
+    The per-extraction stages share one total, so their percentages sum to
+    100 %; the enclosing ``fanout`` stage already contains the node-side
+    stages, so it prints on its own line, outside those shares.
+    """
     from repro.obs.tracing import PIPELINE_STAGES
 
     totals = {
@@ -54,16 +59,22 @@ def _stage_breakdown(metrics: list[dict[str, Any]]) -> list[str]:
         )
         for stage in PIPELINE_STAGES
     }
-    grand = sum(totals.values())
-    if grand <= 0:
+    *stages, enclosing = PIPELINE_STAGES
+    grand = sum(totals[stage] for stage in stages)
+    if grand <= 0 and totals[enclosing] <= 0:
         return []
     lines = ["pipeline stage breakdown:"]
-    for stage in PIPELINE_STAGES:
+    for stage in stages:
         if totals[stage] > 0:
             lines.append(
                 f"  {stage:10s} {_fmt(totals[stage])}s "
                 f"({100 * totals[stage] / grand:.1f}%)"
             )
+    if totals[enclosing] > 0:
+        lines.append(
+            f"  {enclosing:10s} {_fmt(totals[enclosing])}s "
+            "(encloses the node-side stages; not in the shares)"
+        )
     return lines
 
 

@@ -65,11 +65,11 @@ def timer(name: str, registry: MetricsRegistry | None = None, **labels: Any):
 #: The extraction pipeline's stage names, in execution order.  Each stage
 #: times itself into ``pipeline.<stage>.seconds``; exporters and the
 #: metrics summarizer use this list to render the per-stage breakdown.
-#: ``prefetch`` runs ahead of the batch (the lookahead oracle staging
-#: upcoming host misses); the remaining six serve the batch itself.
+#: ``resolve`` … ``execute`` are the six per-extraction stages and never
+#: nest; the last, ``fanout``, is the cluster front-end's enclosing stage:
+#: it times a whole fanned-out request, node-side stages included.
 PIPELINE_STAGES = (
-    "prefetch", "resolve", "reroute", "group", "dedicate", "price", "execute",
-    "fanout",
+    "resolve", "reroute", "group", "dedicate", "price", "execute", "fanout",
 )
 
 

@@ -10,8 +10,7 @@ exactly when the healed node is trying to absorb traffic again.
 entries that buy back the most goodput return first) and cut into
 fixed-size **blocks**; each call to :meth:`grant` hands the plan an idle
 window and stages as many whole blocks as that window's priced transfer
-budget covers — the same idle-budget idiom as the prefetcher's
-:class:`~repro.core.prefetch.OracleCacher`, priced through the same
+budget covers, each transfer priced through the one
 :func:`~repro.core.pipeline.price_demand` point.
 
 Invariants the property tests pin: every lost pair is staged **exactly
@@ -135,7 +134,7 @@ class StagedRecovery:
     # Staging
     # ------------------------------------------------------------------
     def _per_entry_cost(self, gpu: int) -> float:
-        """Priced backing→GPU seconds per staged entry (OracleCacher idiom).
+        """Priced backing→GPU seconds per staged entry.
 
         On a tiered platform the reference transfer is split across
         backing tiers by residency share, so a mostly-SSD table prices

@@ -103,8 +103,6 @@ class CoalesceOutcome:
     service_time: float = 0.0
     #: when the shared extraction finishes (the GPU is busy until then).
     completed_at: float = 0.0
-    #: host-resolved keys served from the lookahead staging buffer.
-    prefetch_hits: int = 0
 
     @property
     def dedup_ratio(self) -> float:

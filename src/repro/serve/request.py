@@ -86,9 +86,6 @@ class Response:
     #: how many requests shared this request's extraction (1 = served
     #: alone; >1 = coalesced into a micro-batch of that size).
     coalesced: int = 1
-    #: host-resolved keys of this request's plan that were served from
-    #: the lookahead prefetcher's staging buffer (0 without a prefetcher).
-    prefetch_hits: int = 0
     #: gathered values (None for requests dropped before execution).
     values: np.ndarray | None = field(default=None, repr=False)
 

@@ -28,11 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.extractor import FactoredExtractor
-from repro.core.pipeline import (
-    backing_fallback_demand,
-    price_demand,
-    shift_staged_demand,
-)
+from repro.core.pipeline import backing_fallback_demand, price_demand
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import HealthView
 from repro.hardware.platform import HOST
@@ -90,17 +86,11 @@ class ServingRuntime:
         extractor: FactoredExtractor,
         config: ServeConfig | None = None,
         injector: FaultInjector | None = None,
-        prefetcher=None,
     ) -> None:
         self._extractor = extractor
         self._cache = extractor.cache
         self.config = config or ServeConfig()
         self._injector = injector
-        #: optional :class:`~repro.core.prefetch.OracleCacher`; when
-        #: attached, staged host keys are re-priced as local reads.  With
-        #: no prefetcher the serving path is byte-identical to earlier
-        #: revisions.
-        self.prefetcher = prefetcher
         #: optional :class:`~repro.serve.adaptation.DriftAdapter`; when
         #: attached, every *offered* request's key batch (at submit,
         #: before admission control) feeds its streaming hotness
@@ -162,7 +152,6 @@ class ServingRuntime:
         get_registry().cached("counter", "serve.requests", status=status.value).inc()
         response = Response(request=request, status=status, completed_at=now)
         self.responses.append(response)
-        self._retire_prefetch(request.gpu)
         return response
 
     # ------------------------------------------------------------------
@@ -173,53 +162,11 @@ class ServingRuntime:
             return None
         return self._injector.advance(now)
 
-    def _retire_prefetch(self, gpu: int) -> None:
-        """Slide the prefetcher's window past one retired batch.
-
-        A batch is *retired* when its request leaves the system — served,
-        expired at the worker, or dropped at admission (shed, rejected,
-        displaced).  Retiring here rather than at submission keeps staged
-        entries resident across the request's queueing delay, so a hit is
-        recorded when the batch is finally extracted.
-        """
-        if self.prefetcher is not None:
-            self.prefetcher.advance(gpu)
-
-    def _apply_prefetch(self, gpu: int, plan, demand: GpuDemand):
-        """Shift staged host keys off the demand's host path.
-
-        Asks the attached oracle cacher which of the plan's host-resolved
-        keys are already resident in its staging buffer and re-prices
-        those bytes as local reads (the values themselves are unchanged —
-        staging is a timing effect).  A no-op without a prefetcher.
-        """
-        if self.prefetcher is None:
-            return demand, 0
-        platform = self._extractor.platform
-        backing_groups = [
-            g.keys for g in plan.groups if platform.is_backing(g.source)
-        ]
-        host_keys = (
-            np.concatenate(backing_groups)
-            if backing_groups
-            else np.empty(0, dtype=np.int64)
-        )
-        mask = self.prefetcher.stage_hits(gpu, host_keys)
-        hits = int(mask.sum())
-        if hits == 0:
-            return demand, 0
-        return (
-            shift_staged_demand(
-                demand, hits * self._cache.entry_bytes, platform
-            ),
-            hits,
-        )
-
     def _extract(self, gpu: int, keys: np.ndarray, now: float):
         """The one extraction under :meth:`serve_request` and
         :meth:`serve_batch`: health → breaker exclusions → plan + execute
-        → prefetch shift → price → breaker feedback.  Returns ``(plan,
-        values, service_time, prefetch_hits, health)``."""
+        → price → breaker feedback.  Returns ``(plan, values,
+        service_time, health)``."""
         health = self._health(now)
         excluded = self.breakers.excluded_sources(now)
         # Plan and execute under one read lock: the plan's slot offsets
@@ -234,11 +181,10 @@ class ServingRuntime:
                 exclude_sources=excluded,
             )
             values, demand = self._extractor.execute(plan)
-        demand, prefetch_hits = self._apply_prefetch(gpu, plan, demand)
         # The pipeline's shared price stage — same call the simulators make.
         report = price_demand(self._extractor.platform, demand, health=health)
         self._feed_breakers(plan, report.time_by_source, now)
-        return plan, values, report.time, prefetch_hits, health
+        return plan, values, report.time, health
 
     def _finish_served(
         self,
@@ -248,7 +194,6 @@ class ServingRuntime:
         values: np.ndarray,
         health: HealthView | None,
         rerouted_keys: int,
-        prefetch_hits: int = 0,
         coalesced: int = 1,
     ) -> Response:
         """Record the response of a request whose extraction, ``planned``
@@ -296,7 +241,6 @@ class ServingRuntime:
             hedge_won=hedge_won,
             rerouted_keys=rerouted_keys,
             coalesced=coalesced,
-            prefetch_hits=prefetch_hits,
             values=values,
         )
         self.responses.append(response)
@@ -309,12 +253,11 @@ class ServingRuntime:
             # Dead on arrival at the worker: don't waste extraction on it.
             return self._finish_dropped(request, RequestStatus.EXPIRED, now)
 
-        plan, values, planned, prefetch_hits, health = self._extract(
+        plan, values, planned, health = self._extract(
             request.gpu, request.keys, now
         )
         response = self._finish_served(
-            request, now, planned, values, health,
-            plan.rerouted_keys, prefetch_hits,
+            request, now, planned, values, health, plan.rerouted_keys
         )
         estimator = self.admission.queues[request.gpu].estimator
         estimator.observe(response.service_time)
@@ -322,7 +265,6 @@ class ServingRuntime:
         reg.cached("histogram", "serve.latency.seconds").observe(
             response.completed_at - request.arrival
         )
-        self._retire_prefetch(request.gpu)
         return response
 
     def serve_batch(self, requests: list[Request], now: float) -> CoalesceOutcome:
@@ -378,12 +320,7 @@ class ServingRuntime:
         gpu = live[0].gpu
 
         union, total_keys, inverse = coalesce_keys(live)
-        plan, values, shared_time, prefetch_hits, health = self._extract(
-            gpu, union, now
-        )
-        # The fused extraction retires every live member's batch at once.
-        for _ in live:
-            self._retire_prefetch(gpu)
+        plan, values, shared_time, health = self._extract(gpu, union, now)
         completed_at = now + shared_time
 
         self.admission.estimator(gpu).observe(shared_time)
@@ -394,7 +331,6 @@ class ServingRuntime:
             total_keys=total_keys,
             service_time=shared_time,
             completed_at=completed_at,
-            prefetch_hits=prefetch_hits,
         )
         reg.cached("histogram", "serve.coalesce.batch_size").observe(len(live))
         reg.cached("histogram", "serve.coalesce.dedup_ratio").observe(

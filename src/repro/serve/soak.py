@@ -38,7 +38,6 @@ import numpy as np
 from repro.core.cache import MultiGpuEmbeddingCache
 from repro.core.extractor import FactoredExtractor
 from repro.core.policy import hot_replicate_warm_partition_policy
-from repro.core.prefetch import OracleCacher, PrefetchConfig
 from repro.core.refresher import RefreshConfig, Refresher
 from repro.core.solver import FallbackConfig, SolverConfig
 from repro.faults.injector import FaultInjector
@@ -252,13 +251,6 @@ class SoakConfig:
     max_batch: int = 8
     #: micro-batch linger, in units of the baseline service time ``s0``.
     linger_factor: float = 0.5
-    #: lookahead prefetching: batches the oracle cacher may peek ahead in
-    #: the (pre-generated) trace.  0 keeps the runtime byte-identical to
-    #: the no-prefetch path; >0 pre-stages upcoming host misses into the
-    #: GPU tier during idle link time (open loop only).
-    lookahead: int = 0
-    #: per-GPU staging-buffer bound, in entries (lookahead > 0 only).
-    prefetch_capacity: int = 4096
     #: simulated cache-server nodes; 1 keeps the single-box path, > 1
     #: runs the cluster soak.
     nodes: int = 1
@@ -327,15 +319,6 @@ class SoakConfig:
                 "closed-loop clients poll their own responses; coalescing "
                 "only applies to the open-loop queue-draining path"
             )
-        if self.lookahead < 0:
-            raise ValueError("lookahead must be non-negative")
-        if self.prefetch_capacity < 1:
-            raise ValueError("prefetch capacity must be at least one entry")
-        if self.closed_loop and self.lookahead > 0:
-            raise ValueError(
-                "closed-loop arrivals depend on responses, so the future "
-                "is not knowable; lookahead prefetching is open-loop only"
-            )
         if self.nodes < 1:
             raise ValueError("need at least one node")
         if not 1 <= self.replication <= self.nodes:
@@ -394,11 +377,6 @@ class SoakConfig:
                 raise ValueError(
                     "drift schedules are keyed to open-loop arrival times"
                 )
-            if self.lookahead > 0:
-                raise ValueError(
-                    "lookahead pre-draws the whole trace; a drifting "
-                    "distribution must be drawn at arrival time"
-                )
             if self.batching is not BatchingMode.OFF:
                 raise ValueError(
                     "drift soaks use the uncoalesced path; batching "
@@ -433,11 +411,6 @@ class SoakConfig:
                 raise ValueError(
                     "cross-request coalescing applies to the single-box "
                     "queue path, not the cluster fan-out"
-                )
-            if self.lookahead > 0:
-                raise ValueError(
-                    "lookahead prefetching is not wired through the "
-                    "cluster front-end yet"
                 )
 
 
@@ -474,14 +447,6 @@ class SoakReport:
     coalesced_batches: int = 0
     mean_batch_size: float = 0.0
     dedup_ratio: float = 1.0
-    #: lookahead prefetching stats (all zero when lookahead is 0).
-    lookahead: int = 0
-    prefetch_staged_keys: int = 0
-    prefetch_hits: int = 0
-    prefetch_hit_rate: float = 0.0
-    prefetch_wasted_bytes: float = 0.0
-    prefetch_overlap_seconds: float = 0.0
-    prefetch_critical_seconds: float = 0.0
     #: breaker observability (satellite of the cluster PR): transition
     #: counts and accumulated seconds per state, keyed by source/node id.
     breaker_transitions_by_source: dict = field(default_factory=dict)
@@ -891,8 +856,8 @@ class BoxSoak:
         self._build_traffic(arrival_rng)
 
     def _build_runtime(self) -> None:
-        """The serving runtime under test — fault injector, breakers,
-        optional prefetcher — and the policy manager that swaps under it."""
+        """The serving runtime under test — fault injector and breakers —
+        and the policy manager that swaps under it."""
         cfg, cache, s0 = self.cfg, self.cache, self.s0
         plan = build_soak_plan(cfg.scenario, self.duration, cfg.seed)
         injector = FaultInjector(plan, cache=cache) if plan is not None else None
@@ -911,20 +876,10 @@ class BoxSoak:
             hedge_enabled=True,
             source_timeout_seconds=TIMEOUT_FACTOR * s0,
         )
-        self.prefetcher = None
-        if cfg.lookahead > 0:
-            self.prefetcher = OracleCacher(
-                cache,
-                PrefetchConfig(
-                    lookahead=cfg.lookahead,
-                    capacity_entries=cfg.prefetch_capacity,
-                ),
-            )
         self.runtime = ServingRuntime(
             FactoredExtractor(cache, injector=injector),
             config=serve_cfg,
             injector=injector,
-            prefetcher=self.prefetcher,
         )
         self.manager = PolicyManager(
             cache,
@@ -959,14 +914,6 @@ class BoxSoak:
             if cfg.closed_loop
             else poisson_schedule(arrival_rng, self.rate, G, cfg.requests_per_gpu)
         )
-        # With lookahead on, keys are drawn up front in arrival order, so the
-        # trace is byte-identical to the draw-at-arrival path; the whole
-        # future is announced and the window exposes only the next K per GPU.
-        self.event_keys: dict[int, np.ndarray] = {}
-        if self.prefetcher is not None:
-            for _t, s, g in sorted(self.events):
-                self.event_keys[s] = self.draw(self.key_rng)
-                self.prefetcher.announce(g, self.event_keys[s])
 
     def _build_adapter(self) -> None:
         from repro.serve.adaptation import DriftAdapter
@@ -1051,18 +998,8 @@ class BoxSoak:
         free_at = self.free_at
         for gpu in range(len(free_at)):
             self.serve_until(gpu, t)
-        if self.prefetcher is not None:
-            idle = max(0.0, t - free_at[g])
-            staged = self.prefetcher.prefetch(
-                g, now=free_at[g], idle_seconds=idle
-            )
-            if staged.critical_seconds > 0.0:
-                free_at[g] = max(free_at[g], t) + staged.critical_seconds
-            keys = self.event_keys.pop(s)
-        else:
-            keys = self.draw_at(self.key_rng, t)
         request = self.runtime.make_request(
-            g, keys, t, deadline=t + self.deadline
+            g, self.draw_at(self.key_rng, t), t, deadline=t + self.deadline
         )
         dropped = self.runtime.submit(request, t)
         if not self.cfg.closed_loop:
@@ -1109,10 +1046,8 @@ class BoxSoak:
             rollbacks=sum(1 for s in manager.swap_log if s.rolled_back),
             integrity_failures=len(self.violations)
             + sum(s.integrity_violations for s in manager.swap_log),
-            lookahead=cfg.lookahead,
             tenants=cfg.tenants,
             **self._tier_fields(),
-            **self._prefetch_fields(),
             **self._coalesce_fields(),
             **self._drift_fields(),
             **self._adapt_fields(),
@@ -1124,8 +1059,6 @@ class BoxSoak:
         reg.counter("soak.runs", scenario=cfg.scenario).inc()
         if report.coalesced_batches:
             reg.gauge("soak.dedup_ratio").set(report.dedup_ratio)
-        if self.prefetcher is not None:
-            reg.gauge("soak.prefetch_hit_rate").set(report.prefetch_hit_rate)
         return report
 
     def _tier_fields(self) -> dict:
@@ -1141,20 +1074,6 @@ class BoxSoak:
                 for i in range(platform.num_tiers)
             }
         }
-
-    def _prefetch_fields(self) -> dict:
-        prefetcher = self.prefetcher
-        if prefetcher is None:
-            return {}
-        prefetcher.finalize()
-        return dict(
-            prefetch_staged_keys=prefetcher.staged_keys_total,
-            prefetch_hits=prefetcher.hits_total,
-            prefetch_hit_rate=prefetcher.hit_rate,
-            prefetch_wasted_bytes=float(prefetcher.wasted_bytes_total),
-            prefetch_overlap_seconds=prefetcher.overlap_seconds_total,
-            prefetch_critical_seconds=prefetcher.critical_seconds_total,
-        )
 
     def _coalesce_fields(self) -> dict:
         served = [o for o in self.outcomes if o.union_size > 0]
@@ -1284,17 +1203,6 @@ def render_soak_report(report: SoakReport) -> str:
             f"  coalescing    {report.coalesced_batches} batches, "
             f"mean size {report.mean_batch_size:.2f}, "
             f"dedup ratio {report.dedup_ratio:.2f}x",
-        )
-    if report.lookahead:
-        lines.insert(
-            5,
-            f"  prefetch      lookahead {report.lookahead}: "
-            f"hit rate {report.prefetch_hit_rate:.1%} "
-            f"({report.prefetch_hits} hits on "
-            f"{report.prefetch_staged_keys} staged keys), "
-            f"wasted {report.prefetch_wasted_bytes:.0f}B, "
-            f"overlapped {report.prefetch_overlap_seconds:.3e}s, "
-            f"critical {report.prefetch_critical_seconds:.3e}s",
         )
     if report.nodes > 1:
         lines.insert(

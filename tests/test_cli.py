@@ -172,3 +172,34 @@ class TestSoakCommand:
              "--queue-policy", "shed-oldest"]
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["--scenario", "steady", "--compare-adapt"], "--compare-adapt"),
+            (["--scenario", "steady", "--drift", "rotating-head",
+              "--compare-adapt"], "--compare-adapt"),
+            (["--scenario", "node-kill-bit-rot", "--nodes", "3",
+              "--compare-restage"], "--compare-restage"),
+            (["--scenario", "node-kill-bit-rot", "--nodes", "3", "--repair",
+              "--restage", "burst", "--compare-restage"], "--compare-restage"),
+            (["--scenario", "steady", "--drift", "rotating-head", "--adapt",
+              "--compare-adapt", "--compare-restage"], "--compare-adapt"),
+        ],
+    )
+    def test_a_comparison_that_cannot_run_exits_2(
+        self, monkeypatch, capsys, argv, names
+    ):
+        """A ``--compare-*`` flag whose arm cannot run used to print no row
+        and exit 0; now it is one stderr line and exit 2, before any soak."""
+        import repro.serve.soak as soak_module
+
+        def no_soak(cfg):
+            raise AssertionError("a soak ran")
+
+        monkeypatch.setattr(soak_module, "run_soak", no_soak)
+        assert main(["soak", "--quick", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("bad soak configuration: ") and names in err

@@ -277,14 +277,12 @@ class TestServeBatch:
     @pytest.mark.parametrize("stray_expired", [False, True])
     def test_mixed_gpus_rejected_before_any_side_effect(self, stray_expired):
         """The batch is validated whole, first: an expired member ahead of
-        the stray one used to be finished (response, counter, prefetch
-        window) before the raise, and an *expired* stray passed silently."""
+        the stray one used to be finished (response, counter) before the
+        raise, and an *expired* stray passed silently."""
         _platform, _table, _cache, extractor = _stack()
-        retired: list[int] = []
-        prefetcher = SimpleNamespace(advance=retired.append)
         registry = MetricsRegistry("mixed")
         with use_registry(registry):
-            runtime = ServingRuntime(extractor, prefetcher=prefetcher)
+            runtime = ServingRuntime(extractor)
             requests = [
                 runtime.make_request(0, _keys(seed=1), now=0.0, deadline=1.0),
                 runtime.make_request(0, _keys(seed=2), now=0.0),
@@ -296,7 +294,6 @@ class TestServeBatch:
             with pytest.raises(ValueError, match="one GPU"):
                 runtime.serve_batch(requests, now=5.0)
         assert runtime.responses == []
-        assert retired == []
         assert registry.snapshot()["metrics"] == []
 
     def test_all_expired_batch_is_cheap(self):

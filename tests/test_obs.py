@@ -175,6 +175,28 @@ class TestExport:
         assert "solver.solve.seconds" in text
         assert "count=2" in text
 
+    def test_stage_shares_count_no_nested_time_twice(self):
+        """``fanout`` encloses the node-side stages: it prints on its own
+        line, and the per-extraction shares sum to 100 % without it."""
+        def series(stage, seconds):
+            return {"name": f"pipeline.{stage}.seconds", "type": "histogram",
+                    "labels": {}, "count": 1, "sum": seconds}
+
+        doc = {"registry": "nested", "metrics": [
+            series("resolve", 1.0), series("price", 2.0),
+            series("execute", 1.0), series("fanout", 10.0),
+        ]}
+        lines = summarize(doc).splitlines()
+        start = lines.index("pipeline stage breakdown:")
+        rows = {line.split()[0]: line for line in lines[start + 1:start + 5]}
+        assert "(25.0%)" in rows["resolve"] and "(50.0%)" in rows["price"]
+        assert "(25.0%)" in rows["execute"]
+        assert rows["fanout"].split()[1] == "10s" and "%" not in rows["fanout"]
+        assert "encloses" in rows["fanout"]
+
+        only_fanout = {"metrics": [series("fanout", 3.0)]}
+        assert "  fanout     3s (encloses" in summarize(only_fanout)
+
 
 class TestHotPathWiring:
     """The instrumented runtime actually records what the README promises."""
@@ -234,11 +256,11 @@ class TestHotPathWiring:
         first, second = MetricsRegistry("first"), MetricsRegistry("second")
         for reg, keys in ((first, 800), (second, 300), (first, 100)):
             with use_registry(reg):
-                with stage_timer("prefetch"):
+                with stage_timer("fanout"):
                     pass
                 extractor.execute(extractor.plan(0, np.arange(keys)))
         for reg, keys, plans in ((first, 900, 2), (second, 300, 1)):
-            assert reg.histogram("pipeline.prefetch.seconds").count == plans
+            assert reg.histogram("pipeline.fanout.seconds").count == plans
             assert reg.histogram("pipeline.group.seconds").count == plans
             assert sum(
                 reg.value("extractor.plan.keys", source=s) or 0

@@ -272,7 +272,6 @@ CONFIGS = [
      dict(nodes=3, replication=2, placement="ring", seed=0)),  # + breaker
     ("repro.core.embedding_layer", "EmbeddingLayerConfig",
      dict(cache_ratio=None, capacity_entries=None)),  # + solver
-    ("repro.core.prefetch", "PrefetchConfig", dict(lookahead=4, capacity_entries=4096)),
     ("repro.core.refresher", "RefreshConfig", dict(update_batch_entries=4096)),
     ("repro.core.solver", "SolverConfig",
      dict(coarse_block_frac=0.005, integral=False, time_limit=60.0, method="highs")),
@@ -294,9 +293,9 @@ CONFIGS = [
      dict(scenario="steady", requests_per_gpu=300, load=0.8, closed_loop=False,
           clients=4, num_entries=20_000, entry_bytes=128, batch_keys=1024,
           deadline_factor=10.0, queue_capacity=32, max_batch=8, linger_factor=0.5,
-          lookahead=0, prefetch_capacity=4096, nodes=1, replication=1,
-          placement="ring", repair=False, restage="staged", tiers=None, tenants=1,
-          drift=None, adapt=False, seed=0)),
+          nodes=1, replication=1, placement="ring", repair=False,
+          restage="staged", tiers=None, tenants=1, drift=None, adapt=False,
+          seed=0)),
     ("repro.utils.retry", "RetryPolicy",
      dict(max_attempts=3, base_delay=0.05, jitter=0.0, seed=0)),
 ]
@@ -360,8 +359,9 @@ def test_surviving_defaults_and_new_constants_did_not_move():
         total += sum(f.default is not dataclasses.MISSING
                      or f.default_factory is not dataclasses.MISSING
                      for f in dataclasses.fields(cls))
-    # 128 fields on 21 classes before the census
-    assert len(CONFIGS) == 14 and total == 71
+    # 128 fields on 21 classes before the census; PrefetchConfig and two
+    # SoakConfig fields went with the lookahead stage
+    assert len(CONFIGS) == 13 and total == 67
     _found, _callables, _experiments, fields = reachability.options(TOOL.parents[1] / "src")
     in_src = {key.split(":")[1].rsplit(".", 1)[0] for key in fields}
     assert {name for _, name, _ in CONFIGS} == {

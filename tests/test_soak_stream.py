@@ -213,12 +213,16 @@ class TestSoakModuleShape:
 
 
 class TestOptionsThatWent:
-    def test_soak_config_has_26_fields_and_the_report_78(self):
-        assert len(fields(SoakConfig)) == 26
-        assert len(fields(SoakReport)) == 78
+    def test_soak_config_has_24_fields_and_the_report_71(self):
+        assert len(fields(SoakConfig)) == 24
+        assert len(fields(SoakReport)) == 71
 
     @pytest.mark.parametrize(
-        "gone", ["slo_factor", "timeout_factor", "drift_window", "linger_ms"]
+        "gone",
+        [
+            "slo_factor", "timeout_factor", "drift_window", "linger_ms",
+            "lookahead", "prefetch_capacity",
+        ],
     )
     def test_a_removed_keyword_is_a_type_error(self, gone):
         with pytest.raises(TypeError):
@@ -230,4 +234,14 @@ class TestOptionsThatWent:
         assert "--linger-ms" in capsys.readouterr().err
         soak = build_parser()._subparsers._group_actions[0].choices["soak"]
         flags = [a for a in soak._actions if a.option_strings and a.dest != "help"]
-        assert len(flags) == 25
+        assert len(flags) == 22
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--lookahead", "4"], ["--prefetch-capacity", "36"],
+         ["--compare-lookahead"]],
+    )
+    def test_the_parser_rejects_the_lookahead_flags(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["soak", "--quick", *argv])
+        assert argv[0] in capsys.readouterr().err

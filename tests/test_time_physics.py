@@ -193,7 +193,6 @@ def runtimes(monkeypatch):
 #: parent commit in the comments).
 HOLE = {
     "plain": dict(scenario="steady", load=0.8),  # 313/476
-    "lookahead": dict(scenario="steady", load=0.8, lookahead=4),  # 464/480
     "coalesce-2": dict(  # 63/456
         scenario="steady", load=0.8,
         batching=BatchingMode.COALESCE, max_batch=2,
@@ -274,7 +273,6 @@ class TestSoakObeysItsClock:
         batching=st.sampled_from(list(BatchingMode)),
         max_batch=st.sampled_from([1, 2, 3, 8]),
         linger_factor=st.floats(0.0, 2.0),
-        lookahead=st.sampled_from([0, 4]),
         queue_policy=st.sampled_from(list(QueuePolicy)),
         closed_loop=st.booleans(),
         seed=st.integers(0, 3),

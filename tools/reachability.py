@@ -120,7 +120,6 @@ def entry_points(root: Path, out: Path) -> tuple[list, list]:
                  "--json-out", art("chaos.json"), "--metrics-out", art("chaos-m.json")],
         QUICK + ["dgx_a100_partial_failure", "--json-out", art("soak.json"),
                  "--metrics-out", art("soak-m.json")],
-        QUICK + ["steady", "--lookahead", "4", "--compare-lookahead"],
         QUICK + ["steady", "--batching", "coalesce", "--load", "2.0"],
         QUICK + ["steady", "--queue-policy", "block", "--load", "2.0"],
         QUICK + ["corrupt-slot-storm", "--closed-loop", "--queue-policy", "shed-oldest"],
