@@ -9,9 +9,6 @@ from repro.baselines.base import (
     evaluate_system,
 )
 from repro.baselines.systems import (
-    DLR_SYSTEMS,
-    GNN_SYSTEMS,
-    ISOLATION_SYSTEMS,
     GnnLabSystem,
     HpsSystem,
     PartUSystem,
@@ -30,9 +27,6 @@ __all__ = [
     "SystemResult",
     "UnsupportedConfiguration",
     "evaluate_system",
-    "DLR_SYSTEMS",
-    "GNN_SYSTEMS",
-    "ISOLATION_SYSTEMS",
     "GnnLabSystem",
     "HpsSystem",
     "PartUSystem",

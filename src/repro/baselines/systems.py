@@ -238,8 +238,3 @@ class UGacheSystem(EmbCacheSystem):
     def mechanism(self, ctx: SystemContext) -> Mechanism:
         return Mechanism.FACTORED
 
-
-#: Figure 10's system line-up per application.
-GNN_SYSTEMS = (GnnLabSystem(), WholeGraphSystem(), PartUSystem(), UGacheSystem())
-DLR_SYSTEMS = (HpsSystem(), SokSystem(), UGacheSystem())
-ISOLATION_SYSTEMS = (RepUSystem(), PartUSystem(), UGacheSystem())

@@ -15,8 +15,6 @@ import numpy as np
 
 from repro.baselines.base import UnsupportedConfiguration, evaluate_system
 from repro.baselines.systems import (
-    DLR_SYSTEMS,
-    GNN_SYSTEMS,
     GnnLabSystem,
     HpsSystem,
     PartUSystem,
@@ -33,7 +31,7 @@ from repro.bench.contexts import (
     platform_by_name,
 )
 from repro.bench.harness import ExperimentResult, speedup_summary
-from repro.core.evaluate import evaluate_placement, hit_rates
+from repro.core.evaluate import evaluate_placement, expected_demands, hit_rates
 from repro.core.optimal import approximation_gap, solve_optimal
 from repro.core.policy import partition_policy, replication_policy
 from repro.core.refresher import simulate_refresh_timeline
@@ -42,7 +40,7 @@ from repro.datasets.registry import all_dataset_summaries
 from repro.hardware.bandwidth import tolerance_curves
 from repro.hardware.platform import server_a, server_c, single_gpu
 from repro.sim.engine import simulate_batch
-from repro.sim.mechanisms import Mechanism
+from repro.sim.mechanisms import GpuDemand, Mechanism
 from repro.sim.utilization import batch_utilization
 from repro.utils.units import seconds_to_ms
 
@@ -51,6 +49,10 @@ from repro.utils.units import seconds_to_ms
 #: staying within ~2% of the finer solution (bench_misc_solver_scale
 #: quantifies this).
 BENCH_SOLVER = SolverConfig(coarse_block_frac=0.01)
+
+#: The systems the drivers plan through; UGache's solved plans are
+#: memoized per cell across figures.
+REPU, PARTU, UGACHE = RepUSystem(), PartUSystem(), UGacheSystem(BENCH_SOLVER)
 
 
 def _ms(seconds: float | None) -> float | None:
@@ -67,8 +69,7 @@ def table1_breakdown() -> ExperimentResult:
     replication cache; MLP time from the dense cost model.
     """
     platform = single_gpu()
-    cell = gnn_cell(platform, "mag", "sage-unsup")
-    ctx = cell.context
+    ctx = gnn_cell(platform, "mag", "sage-unsup").context
 
     no_cache = replication_policy(ctx.hotness, 0, 1)
     emt_plain = evaluate_placement(
@@ -134,10 +135,8 @@ def fig2_policy_motivation(
         "fig2", "Replication vs partition vs UGache (SAGE sup. + PA, 8×A100)"
     )
     for ratio in ratios:
-        cell = gnn_cell(platform, "pa", "sage-sup", cache_ratio=ratio)
-        ctx = cell.context
-        rep = replication_policy(ctx.hotness, ctx.capacity_entries, 8)
-        part = partition_policy(ctx.hotness, ctx.capacity_entries, 8)
+        ctx = gnn_cell(platform, "pa", "sage-sup", cache_ratio=ratio).context
+        rep, part, ug = REPU.plan(ctx), PARTU.plan(ctx), UGACHE.plan(ctx)
         rep_hits = hit_rates(platform, rep, ctx.hotness)
         part_hits = hit_rates(platform, part, ctx.hotness)
         rep_time = evaluate_placement(
@@ -146,9 +145,6 @@ def fig2_policy_motivation(
         part_time = evaluate_placement(
             platform, part, ctx.hotness, ctx.entry_bytes, Mechanism.PEER_NAIVE
         ).time
-        ug = solve_policy(
-            platform, ctx.hotness, ctx.capacity_entries, ctx.entry_bytes, BENCH_SOLVER
-        ).realize()
         ug_time = evaluate_placement(
             platform, ug, ctx.hotness, ctx.entry_bytes, Mechanism.FACTORED
         ).time
@@ -179,20 +175,14 @@ def fig4_mechanism_motivation() -> ExperimentResult:
     )
     for platform in (server_a(), server_c()):
         for dataset in ("cr", "syn-a"):
-            cell = dlr_cell(platform, dataset, "dlrm")
-            ctx = cell.context
-            part = partition_policy(
-                ctx.hotness, ctx.capacity_entries, platform.num_gpus
-            )
+            ctx = dlr_cell(platform, dataset, "dlrm").context
+            part, ug = PARTU.plan(ctx), UGACHE.plan(ctx)
             message = evaluate_placement(
                 platform, part, ctx.hotness, ctx.entry_bytes, Mechanism.MESSAGE
             ).time
             peer = evaluate_placement(
                 platform, part, ctx.hotness, ctx.entry_bytes, Mechanism.PEER_NAIVE
             ).time
-            ug = solve_policy(
-                platform, ctx.hotness, ctx.capacity_entries, ctx.entry_bytes, BENCH_SOLVER
-            ).realize()
             ugache = evaluate_placement(
                 platform, ug, ctx.hotness, ctx.entry_bytes, Mechanism.FACTORED
             ).time
@@ -241,6 +231,17 @@ def fig6_core_tolerance() -> ExperimentResult:
 # ----------------------------------------------------------------------
 # Figures 10/11 — overall performance
 # ----------------------------------------------------------------------
+def _score_row(row: dict, systems, ctx, score) -> dict:
+    """``row`` with one ``score(result)`` per system (None where the
+    system cannot run the configuration)."""
+    for system in systems:
+        try:
+            row[system.name] = score(evaluate_system(system, ctx))
+        except UnsupportedConfiguration:
+            row[system.name] = None
+    return row
+
+
 def fig10_end_to_end(
     servers: tuple[str, ...] = ("server-a", "server-b", "server-c"),
 ) -> ExperimentResult:
@@ -248,43 +249,27 @@ def fig10_end_to_end(
     result = ExperimentResult(
         "fig10", "End-to-end time: GNN epoch (s) and DLR iteration (ms)"
     )
-    ugache = UGacheSystem(BENCH_SOLVER)
-    gnn_systems = (GnnLabSystem(), WholeGraphSystem(), PartUSystem(), ugache)
-    dlr_systems = (HpsSystem(), SokSystem(), ugache)
+    gnn_systems = (GnnLabSystem(), WholeGraphSystem(), PARTU, UGACHE)
+    dlr_systems = (HpsSystem(), SokSystem(), UGACHE)
     for server in servers:
         platform = platform_by_name(server)
         for mode in GNN_MODES:
             for dataset in ("pa", "cf", "mag"):
                 cell = gnn_cell(platform, dataset, mode)
-                row: dict = {
-                    "server": server,
-                    "app": mode,
-                    "dataset": dataset,
-                    "unit": "s/epoch",
-                }
-                for system in gnn_systems:
-                    try:
-                        res = evaluate_system(system, cell.context)
-                        row[system.name] = res.epoch_time(cell.iterations_per_epoch)
-                    except UnsupportedConfiguration:
-                        row[system.name] = None
-                result.rows.append(row)
+                row = {"server": server, "app": mode, "dataset": dataset,
+                       "unit": "s/epoch"}
+                result.rows.append(_score_row(
+                    row, gnn_systems, cell.context,
+                    lambda res: res.epoch_time(cell.iterations_per_epoch),
+                ))
         for model in DLR_MODELS:
             for dataset in ("cr", "syn-a", "syn-b"):
-                cell = dlr_cell(platform, dataset, model)
-                row = {
-                    "server": server,
-                    "app": model,
-                    "dataset": dataset,
-                    "unit": "ms/iter",
-                }
-                for system in dlr_systems:
-                    try:
-                        res = evaluate_system(system, cell.context)
-                        row[system.name] = _ms(res.iteration_time)
-                    except UnsupportedConfiguration:
-                        row[system.name] = None
-                result.rows.append(row)
+                row = {"server": server, "app": model, "dataset": dataset,
+                       "unit": "ms/iter"}
+                result.rows.append(_score_row(
+                    row, dlr_systems, dlr_cell(platform, dataset, model).context,
+                    lambda res: _ms(res.iteration_time),
+                ))
 
     for base in ("GNNLab", "PartU", "HPS", "SOK"):
         summary = speedup_summary(result.rows, base, "UGache")
@@ -305,32 +290,27 @@ def fig11_extraction_time(
     contribution of UGache's techniques from engineering differences.
     """
     result = ExperimentResult("fig11", "Embedding extraction time (ms/iteration)")
-    ugache = UGacheSystem(BENCH_SOLVER)
-    gnn_systems = (GnnLabSystem(), WholeGraphSystem(), PartUSystem(), ugache)
-    dlr_systems = (HpsSystem(), SokSystem(), RepUSystem(), PartUSystem(), ugache)
+
+    def extraction_ms(res):
+        return _ms(res.extraction_time)
+
+    gnn_systems = (GnnLabSystem(), WholeGraphSystem(), PARTU, UGACHE)
+    dlr_systems = (HpsSystem(), SokSystem(), REPU, PARTU, UGACHE)
     for server in servers:
         platform = platform_by_name(server)
         for mode in GNN_MODES:
             for dataset in ("pa", "cf", "mag"):
-                cell = gnn_cell(platform, dataset, mode)
-                row: dict = {"server": server, "app": mode, "dataset": dataset}
-                for system in gnn_systems:
-                    try:
-                        res = evaluate_system(system, cell.context)
-                        row[system.name] = _ms(res.extraction_time)
-                    except UnsupportedConfiguration:
-                        row[system.name] = None
-                result.rows.append(row)
+                row = {"server": server, "app": mode, "dataset": dataset}
+                result.rows.append(_score_row(
+                    row, gnn_systems, gnn_cell(platform, dataset, mode).context,
+                    extraction_ms,
+                ))
         for dataset in ("cr", "syn-a", "syn-b"):
-            cell = dlr_cell(platform, dataset, "dlrm")
             row = {"server": server, "app": "dlrm", "dataset": dataset}
-            for system in dlr_systems:
-                try:
-                    res = evaluate_system(system, cell.context)
-                    row[system.name] = _ms(res.extraction_time)
-                except UnsupportedConfiguration:
-                    row[system.name] = None
-            result.rows.append(row)
+            result.rows.append(_score_row(
+                row, dlr_systems, dlr_cell(platform, dataset, "dlrm").context,
+                extraction_ms,
+            ))
 
     for base in ("GNNLab", "WholeGraph", "RepU", "PartU"):
         summary = speedup_summary(result.rows, base, "UGache")
@@ -360,13 +340,8 @@ def fig12_incremental(
     )
     for dataset in datasets:
         for ratio in ratios:
-            cell = gnn_cell(platform, dataset, "sage-sup", cache_ratio=ratio)
-            ctx = cell.context
-            rep = replication_policy(ctx.hotness, ctx.capacity_entries, 8)
-            part = partition_policy(ctx.hotness, ctx.capacity_entries, 8)
-            solved = solve_policy(
-                platform, ctx.hotness, ctx.capacity_entries, ctx.entry_bytes, BENCH_SOLVER
-            ).realize()
+            ctx = gnn_cell(platform, dataset, "sage-sup", cache_ratio=ratio).context
+            rep, part, solved = REPU.plan(ctx), PARTU.plan(ctx), UGACHE.plan(ctx)
             rep_t = evaluate_placement(
                 platform, rep, ctx.hotness, ctx.entry_bytes, Mechanism.PEER_NAIVE
             ).time
@@ -401,22 +376,16 @@ def fig13_link_utilization() -> ExperimentResult:
     """
     platform = server_c()
     cells = [
-        ("gcn", "cf", gnn_cell(platform, "cf", "gcn")),
-        ("gcn", "mag", gnn_cell(platform, "mag", "gcn")),
-        ("dlrm", "cr", dlr_cell(platform, "cr", "dlrm")),
-        ("dlrm", "syn-a", dlr_cell(platform, "syn-a", "dlrm")),
+        ("gcn", "cf", gnn_cell(platform, "cf", "gcn").context),
+        ("gcn", "mag", gnn_cell(platform, "mag", "gcn").context),
+        ("dlrm", "cr", dlr_cell(platform, "cr", "dlrm").context),
+        ("dlrm", "syn-a", dlr_cell(platform, "syn-a", "dlrm").context),
     ]
     result = ExperimentResult(
         "fig13", "Link utilization during extraction (Server C)"
     )
-    for app, dataset, cell in cells:
-        ctx = cell.context
-        solved = solve_policy(
-            platform, ctx.hotness, ctx.capacity_entries, ctx.entry_bytes, BENCH_SOLVER
-        ).realize()
-        from repro.core.evaluate import expected_demands
-        from repro.sim.mechanisms import GpuDemand
-
+    for app, dataset, ctx in cells:
+        solved = UGACHE.plan(ctx)
         demands = expected_demands(platform, solved, ctx.hotness, ctx.entry_bytes)
         # Remove locally hit traffic, as the paper does for a fair probe.
         demands = [
@@ -455,21 +424,14 @@ def fig14_access_split(
     )
     for dataset in datasets:
         for ratio in ratios:
-            cell = gnn_cell(platform, dataset, "sage-sup", cache_ratio=ratio)
-            ctx = cell.context
-            policies = {
-                "RepU": replication_policy(ctx.hotness, ctx.capacity_entries, 8),
-                "PartU": partition_policy(ctx.hotness, ctx.capacity_entries, 8),
-                "UGache": solve_policy(
-                    platform, ctx.hotness, ctx.capacity_entries, ctx.entry_bytes, BENCH_SOLVER
-                ).realize(),
-            }
-            for name, placement in policies.items():
+            ctx = gnn_cell(platform, dataset, "sage-sup", cache_ratio=ratio).context
+            for system in (REPU, PARTU, UGACHE):
+                placement = system.plan(ctx)
                 hits = hit_rates(platform, placement, ctx.hotness)
                 result.add(
                     dataset=dataset,
                     cache_ratio_pct=100 * ratio,
-                    policy=name,
+                    policy=system.name,
                     local_pct=100 * hits.local,
                     remote_pct=100 * hits.remote,
                     host_pct=100 * hits.host,
@@ -491,16 +453,9 @@ def fig15_time_split(
     )
     for dataset in datasets:
         for ratio in ratios:
-            cell = gnn_cell(platform, dataset, "sage-sup", cache_ratio=ratio)
-            ctx = cell.context
-            policies = {
-                "RepU": replication_policy(ctx.hotness, ctx.capacity_entries, 8),
-                "PartU": partition_policy(ctx.hotness, ctx.capacity_entries, 8),
-                "UGache": solve_policy(
-                    platform, ctx.hotness, ctx.capacity_entries, ctx.entry_bytes, BENCH_SOLVER
-                ).realize(),
-            }
-            for name, placement in policies.items():
+            ctx = gnn_cell(platform, dataset, "sage-sup", cache_ratio=ratio).context
+            for system in (REPU, PARTU, UGACHE):
+                placement = system.plan(ctx)
                 report = evaluate_placement(
                     platform, placement, ctx.hotness, ctx.entry_bytes, Mechanism.FACTORED
                 )
@@ -508,7 +463,7 @@ def fig15_time_split(
                 result.add(
                     dataset=dataset,
                     cache_ratio_pct=100 * ratio,
-                    policy=name,
+                    policy=system.name,
                     total_ms=_ms(report.time),
                     local_ms=_ms(split["local"]),
                     remote_ms=_ms(split["remote"]),
@@ -538,7 +493,9 @@ def fig16_vs_optimal() -> ExperimentResult:
     # shape and the blocked-vs-optimal gap is measured in the same regime.
     reduced = 600
 
-    def _compare(platform, workload, hotness, capacity, entry_bytes):
+    def _compare(workload, ctx):
+        platform, entry_bytes = ctx.platform, ctx.entry_bytes
+        hotness, capacity = ctx.hotness, ctx.capacity_entries
         if len(hotness) > reduced:
             order = np.argsort(-hotness)
             stride = len(order) // reduced
@@ -561,15 +518,8 @@ def fig16_vs_optimal() -> ExperimentResult:
 
     for platform in (server_a(), server_b()):
         for dataset in ("syn-as", "syn-bs"):
-            cell = dlr_cell(platform, dataset, "dlrm", cache_ratio=0.10)
-            ctx = cell.context
-            _compare(
-                platform,
-                f"dlrm/{dataset}",
-                ctx.hotness,
-                ctx.capacity_entries,
-                ctx.entry_bytes,
-            )
+            ctx = dlr_cell(platform, dataset, "dlrm", cache_ratio=0.10).context
+            _compare(f"dlrm/{dataset}", ctx)
     # GNN on Server C, hotness subsampled to the reduced universe.  The
     # cache ratio is pinned at a regime with meaningful host/remote
     # traffic — at the platform-derived ratios the reduced instances are
@@ -578,15 +528,8 @@ def fig16_vs_optimal() -> ExperimentResult:
     platform = server_c()
     for mode in GNN_MODES:
         for dataset in ("pa", "cf", "mag"):
-            cell = gnn_cell(platform, dataset, mode, cache_ratio=0.08)
-            ctx = cell.context
-            _compare(
-                platform,
-                f"{mode}/{dataset}",
-                ctx.hotness,
-                ctx.capacity_entries,
-                ctx.entry_bytes,
-            )
+            ctx = gnn_cell(platform, dataset, mode, cache_ratio=0.08).context
+            _compare(f"{mode}/{dataset}", ctx)
     gaps = [row["gap_pct"] for row in result.rows]
     result.notes.append(
         f"mean gap {np.mean(gaps):.2f}% (paper: 1.9% average, <2% claimed)"
@@ -600,11 +543,8 @@ def fig16_vs_optimal() -> ExperimentResult:
 def fig17_refresh() -> ExperimentResult:
     """DLRM inference latency while refreshes run (Figure 17)."""
     platform = server_c()
-    cell = dlr_cell(platform, "cr", "dlrm")
-    ctx = cell.context
-    solved = solve_policy(
-        platform, ctx.hotness, ctx.capacity_entries, ctx.entry_bytes, BENCH_SOLVER
-    ).realize()
+    ctx = dlr_cell(platform, "cr", "dlrm").context
+    solved = UGACHE.plan(ctx)
     baseline = (
         evaluate_placement(
             platform, solved, ctx.hotness, ctx.entry_bytes, Mechanism.FACTORED
@@ -724,9 +664,7 @@ def ablation_padding() -> ExperimentResult:
     )
     for dataset, mode in (("pa", "sage-sup"), ("cf", "gcn"), ("mag", "sage-unsup")):
         ctx = gnn_cell(platform, dataset, mode).context
-        solved = solve_policy(
-            platform, ctx.hotness, ctx.capacity_entries, ctx.entry_bytes, BENCH_SOLVER
-        ).realize()
+        solved = UGACHE.plan(ctx)
         padded = evaluate_placement(
             platform, solved, ctx.hotness, ctx.entry_bytes,
             Mechanism.FACTORED, local_padding=True,
@@ -816,10 +754,7 @@ def misc_heuristic_vs_solver() -> ExperimentResult:
                 ).time
                 if t < best_heuristic:
                     best_heuristic, best_frac = t, float(frac)
-            solved = solve_policy(
-                platform, ctx.hotness, ctx.capacity_entries, ctx.entry_bytes,
-                BENCH_SOLVER,
-            ).realize()
+            solved = UGACHE.plan(ctx)
             solver_time = evaluate_placement(
                 platform, solved, ctx.hotness, ctx.entry_bytes, Mechanism.FACTORED
             ).time
@@ -948,11 +883,8 @@ def misc_measured_vs_expected() -> ExperimentResult:
     platform = server_c()
 
     # GNN: supervised SAGE over the PA stand-in.
-    cell = gnn_cell(platform, "pa", "sage-sup", cache_ratio=0.06)
-    ctx = cell.context
-    solved = solve_policy(
-        platform, ctx.hotness, ctx.capacity_entries, ctx.entry_bytes, BENCH_SOLVER
-    ).realize()
+    ctx = gnn_cell(platform, "pa", "sage-sup", cache_ratio=0.06).context
+    solved = UGACHE.plan(ctx)
     expected = evaluate_placement(
         platform, solved, ctx.hotness, ctx.entry_bytes, Mechanism.FACTORED
     ).time
@@ -975,11 +907,8 @@ def misc_measured_vs_expected() -> ExperimentResult:
     )
 
     # DLR: DLRM over SYN-A.
-    dcell = dlr_cell(platform, "syn-a", "dlrm")
-    dctx = dcell.context
-    dsolved = solve_policy(
-        platform, dctx.hotness, dctx.capacity_entries, dctx.entry_bytes, BENCH_SOLVER
-    ).realize()
+    dctx = dlr_cell(platform, "syn-a", "dlrm").context
+    dsolved = UGACHE.plan(dctx)
     dexpected = evaluate_placement(
         platform, dsolved, dctx.hotness, dctx.entry_bytes, Mechanism.FACTORED
     ).time
@@ -1019,11 +948,7 @@ def misc_event_sim_agreement() -> ExperimentResult:
         simulate_factored_event_driven,
         simulate_naive_event_driven,
     )
-    from repro.sim.mechanisms import (
-        GpuDemand,
-        factored_extraction,
-        naive_peer_extraction,
-    )
+    from repro.sim.mechanisms import factored_extraction, naive_peer_extraction
     from repro.hardware.platform import HOST
 
     result = ExperimentResult(

@@ -255,29 +255,28 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     if args.compare_restage:
         # Burst refill instead: the recovery-window goodput delta is what
         # the rate-limited staging buys.
-        baseline = rerun(restage="burst")
+        staged, burst = report.repair, rerun(restage="burst").repair
         print(
             f"  vs burst re-stage: recovery-window goodput "
-            f"{baseline.recovery_goodput_ratio:.1%} -> "
-            f"{report.recovery_goodput_ratio:.1%} of steady "
-            f"({report.recovery_requests} vs "
-            f"{baseline.recovery_requests} requests in window)"
+            f"{burst.recovery_goodput_ratio:.1%} -> "
+            f"{staged.recovery_goodput_ratio:.1%} of steady "
+            f"({staged.recovery_requests} vs "
+            f"{burst.recovery_requests} requests in window)"
         )
     elif args.compare_adapt:
         # Adaptation off: the transition-window goodput delta is what the
         # detector → incremental-re-solve → guarded-swap loop buys.
-        baseline = rerun(adapt=False)
+        on, off = report.drift, rerun(adapt=False).drift
         print(
             f"  vs adapt off: transition-window goodput "
-            f"{baseline.transition_goodput_ratio:.1%} -> "
-            f"{report.transition_goodput_ratio:.1%} of steady "
-            f"(ok rate {baseline.transition_ok_rate:.1%} -> "
-            f"{report.transition_ok_rate:.1%} over "
-            f"{report.transition_requests} requests)"
+            f"{off.transition_goodput_ratio:.1%} -> "
+            f"{on.transition_goodput_ratio:.1%} of steady "
+            f"(ok rate {off.transition_ok_rate:.1%} -> "
+            f"{on.transition_ok_rate:.1%} over "
+            f"{on.transition_requests} requests)"
         )
         adapt_regressed = (
-            report.transition_goodput_ratio
-            < baseline.transition_goodput_ratio
+            on.transition_goodput_ratio < off.transition_goodput_ratio
         )
         if adapt_regressed:
             print(
@@ -330,8 +329,8 @@ def _cmd_tiers(args: argparse.Namespace) -> int:
     )
     for spec, r in rows:
         homed = (
-            ", ".join(f"{n} {s:.0%}" for n, s in r.tier_shares.items())
-            or f"{spec.split(':', 1)[0]} 100%"
+            ", ".join(f"{n} {s:.0%}" for n, s in r.tiers.tier_shares.items())
+            if r.tiers is not None else f"{spec.split(':', 1)[0]} 100%"
         )
         rel = r.p99_latency / base.p99_latency if base.p99_latency else 1.0
         flag = "" if r.ok else "  FAIL"

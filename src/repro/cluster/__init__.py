@@ -27,8 +27,11 @@ from repro.cluster.placement import (
 )
 from repro.cluster.ring import HashRing, hash_keys
 from repro.cluster.rpc import attempt_profile
-from repro.cluster.soak import ClusterSoak
-from repro.serve.soak import FAILOVER_GOODPUT_FLOOR
+from repro.cluster.soak import (
+    FAILOVER_GOODPUT_FLOOR,
+    RECOVERY_GOODPUT_FLOOR,
+    ClusterSoak,
+)
 
 __all__ = [
     "CacheNode",
@@ -39,6 +42,7 @@ __all__ = [
     "FAILOVER_GOODPUT_FLOOR",
     "HashRing",
     "NodePlacement",
+    "RECOVERY_GOODPUT_FLOOR",
     "analyze_node_loss",
     "attempt_profile",
     "hash_keys",

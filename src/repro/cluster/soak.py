@@ -17,9 +17,10 @@ recovery:
   (:attr:`NodeLifecycle.recovery_windows`), else steady time;
 * ``failover_goodput_ratio`` and ``recovery_goodput_ratio`` are those
   buckets' OK-rates over the steady OK-rate
-  (:func:`~repro.serve.soak.window_ok_ratio`), gated by
-  ``SoakReport.ok`` at ``FAILOVER_GOODPUT_FLOOR`` and — with the repair
-  layer on — ``RECOVERY_GOODPUT_FLOOR``;
+  (:func:`~repro.serve.soak.window_ok_ratio`), gated by the report's
+  :class:`ClusterSection` at ``FAILOVER_GOODPUT_FLOOR`` and — with the
+  repair layer on — its :class:`RepairSection` at
+  ``RECOVERY_GOODPUT_FLOOR``;
 * every row served, whatever became of its request, is checked bit-exact
   against the host table, and every node's cache is reconciled
   (``verify_integrity``) after recovery;
@@ -70,9 +71,11 @@ from repro.obs import get_registry
 from repro.repair import CacheScrubber, NodeWatchdog, StagedRecovery
 from repro.serve.request import RequestStatus
 from repro.serve.soak import (
+    Section,
     SoakConfig,
     SoakReport,
     Stack,
+    TierSection,
     _soak_platform,
     build_report,
     build_soak_plan,
@@ -87,10 +90,19 @@ from repro.utils.rng import make_rng, spawn_rngs
 logger = get_logger("cluster.soak")
 
 __all__ = [
+    "FAILOVER_GOODPUT_FLOOR",
+    "RECOVERY_GOODPUT_FLOOR",
     "ClusterSoak",
     "NodeLifecycle",
     "build_cluster",
 ]
+
+#: The floors the cluster and repair sections gate on: the failover window
+#: must keep this fraction of steady-state goodput ...
+FAILOVER_GOODPUT_FLOOR = 0.70
+#: ... and, with the repair layer on, so must the post-heal recovery window
+#: (the burst re-stage baseline dips below it; the staged plan must not).
+RECOVERY_GOODPUT_FLOOR = 0.85
 
 
 @dataclass
@@ -376,6 +388,97 @@ def _node_requests(reg) -> dict[str, int]:
     }
 
 
+@dataclass
+class ClusterSection(Section):
+    """The cluster tier: its shape, the replica-node hedges, failovers,
+    the RPC tier's counts, goodput through the node-fault windows, the
+    re-staged bytes, requests per node and the corrupt rows served."""
+
+    nodes: int
+    replication: int
+    hedges: int
+    hedge_wins: int
+    failovers: int
+    replica_read_fraction: float
+    host_fallback_keys: int
+    partial_responses: int
+    rpc_retries: int
+    rpc_timeouts: int
+    #: OK-rate during node-fault windows over the steady OK-rate; 1.0
+    #: when the run had no node faults.
+    failover_goodput_ratio: float
+    steady_goodput_rps: float
+    rebalance_bytes: int
+    node_requests: dict
+    #: corrupt value rows that reached a caller (0 with the read guard
+    #: on: the zero-corrupt-served guarantee).
+    corrupt_values_served: int
+
+    @property
+    def ok(self) -> bool:
+        return (
+            self.failover_goodput_ratio >= FAILOVER_GOODPUT_FLOOR
+            and self.corrupt_values_served == 0
+        )
+
+    def lines(self) -> list[str]:
+        return [
+            f"  cluster       {self.nodes} nodes, replication "
+            f"{self.replication}: {self.failovers} failovers, "
+            f"replica reads {self.replica_read_fraction:.1%}, "
+            f"failover goodput {self.failover_goodput_ratio:.0%} "
+            f"of steady, {self.rebalance_bytes} B rebalanced",
+            f"  rpc           {self.rpc_retries} retries, "
+            f"{self.rpc_timeouts} timeouts, "
+            f"{self.partial_responses} partial responses, "
+            f"{self.host_fallback_keys} host-fallback keys, "
+            f"{self.corrupt_values_served} corrupt rows served",
+            f"  hedging       {self.hedges} replica hedges issued, "
+            f"{self.hedge_wins} won",
+        ]
+
+
+@dataclass
+class RepairSection(Section):
+    """The self-healing layer (``--repair``): the re-stage, goodput and
+    p99 inside the post-heal recovery windows, the scrubbers' totals and
+    the watchdog's transitions."""
+
+    restage_mode: str
+    restage_bytes: int
+    restage_blocks: int
+    #: OK-rate during post-heal recovery windows over the steady OK-rate;
+    #: 1.0 when nothing recovered.
+    recovery_goodput_ratio: float
+    recovery_requests: int
+    #: p99 of OK latencies inside recovery windows (0.0 when none) — the
+    #: burst baseline spikes here even when its OK-rate survives hedging.
+    recovery_p99_latency: float
+    scrub_scanned_slots: int
+    scrub_mismatches: int
+    scrub_repaired: int
+    scrub_read_repairs: int
+    watchdog_transitions: int
+
+    @property
+    def ok(self) -> bool:
+        return self.recovery_goodput_ratio >= RECOVERY_GOODPUT_FLOOR
+
+    def lines(self) -> list[str]:
+        return [
+            f"  repair        {self.restage_mode} re-stage: "
+            f"{self.restage_blocks} blocks / {self.restage_bytes} B, "
+            f"recovery goodput {self.recovery_goodput_ratio:.0%} of "
+            f"steady over {self.recovery_requests} requests "
+            f"(window p99 {self.recovery_p99_latency:.3e}s)",
+            f"  scrubbing     {self.scrub_scanned_slots} slots scanned, "
+            f"{self.scrub_mismatches} mismatches, "
+            f"{self.scrub_repaired} repaired, "
+            f"{self.scrub_read_repairs} read-guard patches, "
+            f"{self.watchdog_transitions} watchdog transitions",
+        ]
+
+
 class ClusterSoak:
     """One multi-node soak, driven like the single-box
     :class:`~repro.serve.soak.BoxSoak`: :attr:`events` → :meth:`arrive`
@@ -404,7 +507,14 @@ class ClusterSoak:
 
         arrival_rng, self.key_rng = spawn_rngs(cfg.seed + 17, 2)
         total_requests = cfg.requests_per_gpu * cfg.nodes
-        self.duration = total_requests / self.rate
+        # Open loop: the Poisson stream's span at the offered rate.  Closed
+        # loop: the span in which the client population, each waiting one
+        # healthy round trip per request, issues as many — the wire, not
+        # the extraction, sets a cluster client's pace.
+        self.duration = (
+            total_requests * leg0 / (cfg.clients * cfg.nodes)
+            if cfg.closed_loop else total_requests / self.rate
+        )
         self.plan = build_soak_plan(cfg.scenario, self.duration, cfg.seed)
         self.injectors = self._rot_injectors()
         self.lifecycle = (
@@ -493,93 +603,37 @@ class ClusterSoak:
         for v in self.violations:
             logger.error("cluster integrity: %s", v)
 
-    def _window_fields(self) -> dict:
-        """Bucket every record by its arrival — inside a node-fault
-        window, else inside a post-heal recovery window, else steady — and
-        hold the first two buckets' OK-rates against the steady one."""
-        fault_windows = [
-            (f.onset, f.clears_at)
-            for f in self.plan or ()
-            if f.kind in NODE_FAULT_KINDS
-        ]
-        failover: list[bool] = []
-        recovery: list[ClusterRecord] = []
-        steady: list[bool] = []
+    def _buckets(self) -> tuple[list, list, list]:
+        """Every record bucketed by its arrival: inside a node-fault
+        window (failover), else inside a post-heal recovery window, else
+        steady."""
+        faults = [(f.onset, f.clears_at) for f in self.plan or ()
+                  if f.kind in NODE_FAULT_KINDS]
+        failover, recovery, steady = [], [], []
         for r in self.records:
-            if in_windows(r.arrival, fault_windows):
-                failover.append(r.ok)
+            if in_windows(r.arrival, faults):
+                failover.append(r)
             elif in_windows(r.arrival, self.lifecycle.recovery_windows):
                 recovery.append(r)
             else:
-                steady.append(r.ok)
-        recovery_latencies = [r.response.elapsed for r in recovery if r.ok]
-        return dict(
-            failover_goodput_ratio=window_ok_ratio(failover, steady),
-            steady_goodput_rps=(
-                sum(steady) / len(steady) * self.rate if steady else 0.0
-            ),
-            recovery_goodput_ratio=window_ok_ratio(
-                [r.ok for r in recovery], steady
-            ),
-            recovery_requests=len(recovery),
-            recovery_p99_latency=(
-                float(np.percentile(np.array(recovery_latencies), 99))
-                if recovery_latencies else 0.0
-            ),
-        )
+                steady.append(r)
+        return failover, recovery, steady
 
-    def _repair_fields(self) -> dict:
-        lifecycle = self.lifecycle
-        if not self.cfg.repair:
-            return {}
-        scrubbers = lifecycle.scrubbers.values()
-        return dict(
-            repair_enabled=True,
-            restage_mode=self.cfg.restage,
-            restage_bytes=lifecycle.restage_bytes,
-            restage_blocks=lifecycle.restage_blocks,
-            scrub_scanned_slots=sum(s.scanned_total for s in scrubbers),
-            scrub_mismatches=sum(s.mismatches_total for s in scrubbers),
-            scrub_repaired=sum(s.repaired_total for s in scrubbers),
-            scrub_read_repairs=sum(s.read_repairs_total for s in scrubbers),
-            watchdog_transitions=len(lifecycle.watchdog.transitions),
-        )
-
-    def report(self) -> SoakReport:
-        cfg, records, sim_end = self.cfg, self.records, self.sim_end
+    def _cluster_section(self, failover: list, steady: list) -> ClusterSection:
+        cfg, records = self.cfg, self.records
         responses = [r.response for r in records]
         served_keys = sum(r.served for r in responses)
-        # The run's own bookkeeping: every arrival left a record, no
-        # response took negative time, and every requested key was either
-        # served or reported failed.
-        physics_failures = (self.arrived != len(records)) + sum(
-            (r.elapsed < 0)
-            + (r.served + len(r.failed_positions) != cfg.batch_keys)
-            for r in responses
-        )
         node_requests = {
             node: count - self.node_requests_start.get(node, 0)
             for node, count in _node_requests(get_registry()).items()
             if count - self.node_requests_start.get(node, 0) > 0
         }
-        report = build_report(
-            cfg,
-            self.platform,
-            [r.status for r in records],
-            [r.response.elapsed for r in records if r.ok],
-            self.frontend.breakers,
-            sim_end,
-            self.rate,
-            self.s0,
-            hedges=sum(r.hedges for r in responses),
-            hedge_wins=sum(r.hedge_wins for r in responses),
-            integrity_failures=(
-                len(self.violations)
-                + any(r.wrong_rows for r in records)
-                + physics_failures
-            ),
+        steady_ok = [r.ok for r in steady]
+        return ClusterSection(
             nodes=cfg.nodes,
             replication=cfg.replication,
+            hedges=sum(r.hedges for r in responses),
+            hedge_wins=sum(r.hedge_wins for r in responses),
             failovers=sum(r.failovers for r in responses),
             replica_read_fraction=(
                 sum(r.replica_keys for r in responses) / served_keys
@@ -589,25 +643,84 @@ class ClusterSoak:
             partial_responses=sum(r.partial for r in responses),
             rpc_retries=sum(r.rpc_retries for r in responses),
             rpc_timeouts=sum(r.rpc_timeouts for r in responses),
+            failover_goodput_ratio=window_ok_ratio(
+                [r.ok for r in failover], steady_ok
+            ),
+            steady_goodput_rps=(
+                sum(steady_ok) / len(steady_ok) * self.rate if steady_ok else 0.0
+            ),
             rebalance_bytes=self.lifecycle.restage_bytes,
             node_requests=node_requests,
             corrupt_values_served=sum(r.wrong_rows for r in records),
-            **self._window_fields(),
-            **self._repair_fields(),
         )
+
+    def _repair_section(self, recovery: list, steady: list) -> RepairSection | None:
+        if not self.cfg.repair:
+            return None
+        lifecycle = self.lifecycle
+        scrubbers = lifecycle.scrubbers.values()
+        latencies = [r.response.elapsed for r in recovery if r.ok]
+        return RepairSection(
+            restage_mode=self.cfg.restage,
+            restage_bytes=lifecycle.restage_bytes,
+            restage_blocks=lifecycle.restage_blocks,
+            recovery_goodput_ratio=window_ok_ratio(
+                [r.ok for r in recovery], [r.ok for r in steady]
+            ),
+            recovery_requests=len(recovery),
+            recovery_p99_latency=(
+                float(np.percentile(np.array(latencies), 99))
+                if latencies else 0.0
+            ),
+            scrub_scanned_slots=sum(s.scanned_total for s in scrubbers),
+            scrub_mismatches=sum(s.mismatches_total for s in scrubbers),
+            scrub_repaired=sum(s.repaired_total for s in scrubbers),
+            scrub_read_repairs=sum(s.read_repairs_total for s in scrubbers),
+            watchdog_transitions=len(lifecycle.watchdog.transitions),
+        )
+
+    def report(self) -> SoakReport:
+        cfg, records, sim_end = self.cfg, self.records, self.sim_end
+        # The run's own bookkeeping: every arrival left a record, no
+        # response took negative time, and every requested key was either
+        # served or reported failed.
+        physics_failures = (self.arrived != len(records)) + sum(
+            (r.elapsed < 0)
+            + (r.served + len(r.failed_positions) != cfg.batch_keys)
+            for r in (record.response for record in records)
+        )
+        failover, recovery, steady = self._buckets()
+        report = build_report(
+            cfg,
+            [r.status for r in records],
+            [r.response.elapsed for r in records if r.ok],
+            self.frontend.breakers,
+            sim_end,
+            self.rate,
+            self.s0,
+            integrity_failures=(
+                len(self.violations)
+                + any(r.wrong_rows for r in records)
+                + physics_failures
+            ),
+            tiers=TierSection.of(self.platform, None),
+            cluster=self._cluster_section(failover, steady),
+            repair=self._repair_section(recovery, steady),
+        )
+        cluster = report.cluster
         reg = get_registry()
         reg.gauge("cluster.failover_goodput_ratio").set(
-            report.failover_goodput_ratio
+            cluster.failover_goodput_ratio
         )
         reg.gauge("cluster.replica_read_fraction").set(
-            report.replica_read_fraction
+            cluster.replica_read_fraction
         )
-        for node, count in node_requests.items():
+        for node, count in cluster.node_requests.items():
             reg.gauge("cluster.node.qps", node=node).set(
                 count / sim_end if sim_end > 0 else 0.0
             )
-        if cfg.repair:
+        if report.repair is not None:
             reg.gauge("repair.recovery_goodput_ratio").set(
-                report.recovery_goodput_ratio
+                report.repair.recovery_goodput_ratio
             )
         return report

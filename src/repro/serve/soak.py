@@ -13,7 +13,9 @@ beside it — that :func:`drive` feeds through the one traffic loop,
 ``serve_until``, so the start rule is written once.  A finished request
 is a record (``runtime.responses`` here) and every reported number a pass
 over the records: :func:`build_report` and :func:`window_ok_ratio` serve
-both harnesses.  Each run ends with
+both harnesses.  The report is a core both compute plus one
+:class:`Section` per feature the run configured, each defined, filled,
+gated and rendered where it is filled.  Each run ends with
 :func:`~repro.serve.request.check_time_physics` over its responses;
 violations are integrity failures (DESIGN.md §6g).
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -98,13 +100,6 @@ CACHE_RATIO = 0.12
 #: of the run; the soak gate judges goodput *inside* these windows (where
 #: an unadapted policy bleeds).
 DRIFT_WINDOW = 0.25
-
-#: The floors :attr:`SoakReport.ok` gates on.  Cluster runs: the failover
-#: window must keep this fraction of steady-state goodput.
-FAILOVER_GOODPUT_FLOOR = 0.70
-#: Repair-enabled runs: so must the post-heal recovery window (the burst
-#: re-stage baseline dips below it; the staged plan must not).
-RECOVERY_GOODPUT_FLOOR = 0.85
 
 
 class Scenario(NamedTuple):
@@ -414,140 +409,211 @@ class SoakConfig:
                 )
 
 
-@dataclass
-class SoakReport:
-    """Everything a soak run measured, JSON-able for CI gating."""
-
-    scenario: str
-    requests: int = 0
-    served_ok: int = 0
-    shed: int = 0
-    rejected: int = 0
-    expired: int = 0
-    failed: int = 0
-    goodput_rps: float = 0.0
-    shed_rate: float = 0.0
-    hedges: int = 0
-    hedge_wins: int = 0
-    rerouted_keys: int = 0
-    p50_latency: float = 0.0
-    p99_latency: float = 0.0
-    p999_latency: float = 0.0
-    max_queue_depth: int = 0
-    queue_capacity: int = 0
-    breaker_transitions: dict = field(default_factory=dict)
-    swaps_attempted: int = 0
-    swaps_landed: int = 0
-    rollbacks: int = 0
-    integrity_failures: int = 0
-    duration: float = 0.0
-    arrival_rate: float = 0.0
-    baseline_service: float = 0.0
-    #: cross-request coalescing stats (zero / 1.0 when batching is off).
-    coalesced_batches: int = 0
-    mean_batch_size: float = 0.0
-    dedup_ratio: float = 1.0
-    #: breaker observability (satellite of the cluster PR): transition
-    #: counts and accumulated seconds per state, keyed by source/node id.
-    breaker_transitions_by_source: dict = field(default_factory=dict)
-    breaker_time_in_state: dict = field(default_factory=dict)
-    #: cluster tier (all defaults when ``nodes`` is 1 / single-box).
-    nodes: int = 1
-    replication: int = 1
-    failovers: int = 0
-    replica_read_fraction: float = 0.0
-    host_fallback_keys: int = 0
-    partial_responses: int = 0
-    rpc_retries: int = 0
-    rpc_timeouts: int = 0
-    #: OK-rate during node-fault windows over the steady OK-rate; 1.0
-    #: when the run had no node faults.
-    failover_goodput_ratio: float = 1.0
-    steady_goodput_rps: float = 0.0
-    rebalance_bytes: int = 0
-    node_requests: dict = field(default_factory=dict)
-    #: self-healing layer (all defaults when ``repair`` is off).
-    repair_enabled: bool = False
-    restage_mode: str = ""
-    #: OK-rate during post-heal recovery windows over the steady OK-rate;
-    #: 1.0 when nothing recovered.  Repair-enabled runs gate on it.
-    recovery_goodput_ratio: float = 1.0
-    recovery_requests: int = 0
-    #: p99 of OK latencies inside recovery windows (0.0 when none) — the
-    #: burst baseline spikes here even when its OK-rate survives hedging.
-    recovery_p99_latency: float = 0.0
-    restage_bytes: int = 0
-    restage_blocks: int = 0
-    scrub_scanned_slots: int = 0
-    scrub_mismatches: int = 0
-    scrub_repaired: int = 0
-    scrub_read_repairs: int = 0
-    #: corrupt value *rows* that reached a caller (must stay 0 with the
-    #: read guard on — the zero-corrupt-served guarantee).
-    corrupt_values_served: int = 0
-    watchdog_transitions: int = 0
-    #: backing-tier chain (all defaults on a single-tier platform).
-    #: ``tiers`` is the chain as "name:capacity" joined with "+";
-    #: ``tier_shares`` maps tier name → fraction of the table homed
-    #: there.
-    tiers: str = ""
-    tier_shares: dict = field(default_factory=dict)
-    tenants: int = 1
-    #: hotness drift + online adaptation (all defaults on a stationary
-    #: soak).  ``transition_goodput_ratio`` is the OK-rate inside the
-    #: post-change-point windows over the steady OK-rate — the number
-    #: adaptation exists to defend.
-    drift_scenario: str = ""
-    adapt_enabled: bool = False
-    drift_transitions: int = 0
-    drift_detections: int = 0
-    adapt_resolves: int = 0
-    adapt_incremental_resolves: int = 0
-    adapt_swaps_landed: int = 0
-    adapt_rollbacks: int = 0
-    transition_requests: int = 0
-    transition_ok_rate: float = 0.0
-    transition_goodput_ratio: float = 1.0
-    #: detector tape (one dict per check) and adaptation event sequence,
-    #: pinned by the drift golden; empty on stationary soaks.
-    drift_tape: list = field(default_factory=list)
-    adapt_events: list = field(default_factory=list)
+class Section:
+    """One feature's block of a :class:`SoakReport`, present only when the
+    run configured the feature: defined where it is filled, it gates
+    (:attr:`ok`) and renders (``lines()``) its own numbers."""
 
     @property
     def ok(self) -> bool:
-        """The CI gate: progress was made, nothing corrupted, queues
-        bounded — for cluster runs, goodput during the failover window
-        stayed above ``FAILOVER_GOODPUT_FLOOR`` of steady-state — and,
-        with the repair layer on, no corrupt value was ever served and
-        the recovery window kept ``RECOVERY_GOODPUT_FLOOR`` of it.
+        return True
 
-        Tiered runs pass through the same floors, but every ×s0 knob
-        (deadline, SLO, breaker timeout) derives from a baseline priced
-        on the *full* tier chain, so a run whose misses go to SSD is
-        judged against SSD-speed deadlines rather than DRAM ones — a
-        miss to SSD is not scored like a miss to DRAM — and
-        ``integrity_failures`` includes the chain's per-tier residency
-        and checksum verification."""
+
+@dataclass
+class BoxSection(Section):
+    """The single box's bounded queues, deadline hedges (a host gather
+    raced against the plan), rerouted keys, policy swaps and tenants."""
+
+    max_queue_depth: int
+    queue_capacity: int
+    hedges: int
+    hedge_wins: int
+    rerouted_keys: int
+    swaps_attempted: int
+    swaps_landed: int
+    rollbacks: int
+    tenants: int
+
+    @property
+    def ok(self) -> bool:
+        return self.max_queue_depth <= self.queue_capacity
+
+    def lines(self) -> list[str]:
+        tenants = (
+            [f"  tenants       {self.tenants} models share the table"]
+            if self.tenants > 1 else []
+        )
+        return tenants + [
+            f"  queues        max depth {self.max_queue_depth}/"
+            f"{self.queue_capacity}",
+            f"  hedging       {self.hedges} issued, {self.hedge_wins} won",
+            f"  rerouting     {self.rerouted_keys} keys moved off faulty sources",
+            f"  policy swaps  {self.swaps_landed}/{self.swaps_attempted} "
+            f"landed, {self.rollbacks} rolled back",
+        ]
+
+
+@dataclass
+class CoalesceSection(Section):
+    """Cross-request coalescing: batches served, their mean size and the
+    member keys per union key."""
+
+    coalesced_batches: int
+    mean_batch_size: float
+    dedup_ratio: float
+
+    def lines(self) -> list[str]:
+        return [
+            f"  coalescing    {self.coalesced_batches} batches, "
+            f"mean size {self.mean_batch_size:.2f}, "
+            f"dedup ratio {self.dedup_ratio:.2f}x"
+        ]
+
+
+@dataclass
+class TierSection(Section):
+    """The backing chain as "dram:64GB+ssd:1TB", and tier name → fraction
+    of the table homed there (empty on the cluster, whose nodes each rank
+    their own shard)."""
+
+    tiers: str
+    tier_shares: dict
+
+    @classmethod
+    def of(cls, platform: Platform, chain) -> "TierSection | None":
+        """The section of a run on ``platform`` — None on a single tier —
+        with the homes of ``chain`` (a cache's tier chain, or None).  A
+        tier is named by its kind, plus its chain position when two tiers
+        share a kind (e.g. two DRAM levels)."""
+        if platform.num_tiers <= 1:
+            return None
+        label = "+".join(
+            f"{t.name}:{_fmt_capacity(t.capacity_bytes)}" for t in platform.tiers
+        )
+        if chain is None:
+            return cls(label, {})
+        kinds = [t.name for t in platform.tiers]
+        homed = chain.shares()
+        return cls(label, {
+            f"{kind}{i}" if kinds.count(kind) > 1 else kind:
+                float(homed.get(platform.tier_source_id(i), 0.0))
+            for i, kind in enumerate(kinds)
+        })
+
+    def lines(self) -> list[str]:
+        homed = ", ".join(
+            f"{name} {share:.1%}" for name, share in self.tier_shares.items()
+        )
+        return [f"  tiers         {self.tiers}  homed: {homed or 'n/a'}"]
+
+
+@dataclass
+class AdaptSection(Section):
+    """Online drift adaptation: detections, re-solves, the swaps they
+    landed, the detector tape (one dict per check) and the event log."""
+
+    drift_detections: int
+    adapt_resolves: int
+    adapt_incremental_resolves: int
+    adapt_swaps_landed: int
+    adapt_rollbacks: int
+    drift_tape: list
+    adapt_events: list
+
+    def lines(self) -> list[str]:
+        return [
+            f"  adaptation    {self.drift_detections} detection(s) -> "
+            f"{self.adapt_resolves} re-solve(s) "
+            f"({self.adapt_incremental_resolves} incremental), "
+            f"{self.adapt_swaps_landed} swap(s) landed, "
+            f"{self.adapt_rollbacks} rolled back"
+        ]
+
+
+@dataclass
+class DriftSection(Section):
+    """A hotness-drift run: its change points and the OK-rate inside the
+    post-change-point windows over the steady one — the number adaptation
+    exists to defend — with ``adapt`` when ``--adapt`` is on."""
+
+    drift_scenario: str
+    drift_transitions: int
+    transition_requests: int
+    transition_ok_rate: float
+    transition_goodput_ratio: float
+    adapt: AdaptSection | None
+
+    def lines(self) -> list[str]:
+        return [
+            f"  drift         {self.drift_scenario}: "
+            f"{self.drift_transitions} change point(s), transition goodput "
+            f"{self.transition_goodput_ratio:.0%} of steady "
+            f"(ok rate {self.transition_ok_rate:.1%} over "
+            f"{self.transition_requests} requests)",
+            *(self.adapt.lines() if self.adapt is not None else []),
+        ]
+
+
+@dataclass
+class SoakReport:
+    """What a soak run measured, JSON-able for CI gating: the core both
+    harnesses compute through :func:`build_report`, then one section per
+    feature the run configured (None otherwise), in render order.  The
+    cluster and repair sections are defined in :mod:`repro.cluster.soak`."""
+
+    scenario: str
+    requests: int
+    served_ok: int
+    shed: int
+    rejected: int
+    expired: int
+    failed: int
+    goodput_rps: float
+    shed_rate: float
+    p50_latency: float
+    p99_latency: float
+    p999_latency: float
+    #: breaker history: transition counts, and per source/node id the
+    #: counts and accumulated seconds per state.
+    breaker_transitions: dict
+    breaker_transitions_by_source: dict
+    breaker_time_in_state: dict
+    integrity_failures: int
+    duration: float
+    arrival_rate: float
+    baseline_service: float
+    box: BoxSection | None = None
+    coalesce: CoalesceSection | None = None
+    tiers: TierSection | None = None
+    drift: DriftSection | None = None
+    cluster: Section | None = None
+    repair: Section | None = None
+
+    def sections(self) -> list[Section]:
+        """The present sections, in field (render) order."""
+        values = (getattr(self, f.name) for f in fields(self))
+        return [v for v in values if isinstance(v, Section)]
+
+    @property
+    def ok(self) -> bool:
+        """The CI gate: progress was made, nothing corrupted (the caches'
+        and tier chain's checks, the time physics, on the cluster every
+        wrong row served), and every present section passes its own gate.
+        A tiered run's ×s0 knobs derive from a baseline priced on its full
+        chain, so a miss to SSD is judged against SSD-speed deadlines."""
         return (
             self.served_ok > 0
             and self.integrity_failures == 0
-            and self.max_queue_depth <= self.queue_capacity
-            and (
-                self.nodes <= 1
-                or self.failover_goodput_ratio >= FAILOVER_GOODPUT_FLOOR
-            )
-            and (
-                not self.repair_enabled
-                or (
-                    self.corrupt_values_served == 0
-                    and self.recovery_goodput_ratio >= RECOVERY_GOODPUT_FLOOR
-                )
-            )
+            and all(s.ok for s in self.sections())
         )
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["schema"] = "repro.soak/v1"
+        """``repro.soak/v2``: the core fields, ``schema``, ``ok`` and one
+        key per present section."""
+        doc = asdict(self, dict_factory=lambda items: {
+            k: v for k, v in items if v is not None  # absent sections
+        })
+        doc["schema"] = "repro.soak/v2"
         doc["ok"] = self.ok
         return doc
 
@@ -615,22 +681,6 @@ def _fmt_capacity(n: int) -> str:
     return f"{n}B"
 
 
-def _chain_label(platform) -> str:
-    """The backing chain as ``"dram:64GB+ssd:1TB"`` for reports."""
-    return "+".join(
-        f"{t.name}:{_fmt_capacity(t.capacity_bytes)}" for t in platform.tiers
-    )
-
-
-def _tier_label(platform, index: int) -> str:
-    """Report key for tier ``index`` — the name, disambiguated by chain
-    position when two tiers share a kind (e.g. two DRAM levels)."""
-    name = platform.tiers[index].name
-    if sum(t.name == name for t in platform.tiers) > 1:
-        return f"{name}{index}"
-    return name
-
-
 @dataclass
 class Stack:
     """What :func:`build_stack` hands every soak and chaos drill."""
@@ -674,10 +724,13 @@ def build_stack(cfg, platform: Platform, pmf: np.ndarray | None = None,
         # On a tiered platform the backing chain is ranked by the same
         # hotness the GPU policy sees: the hot head that misses the GPU
         # tier lands in DRAM, the cold tail sinks to CXL/SSD.
+        # Arenas sized to the capacity, not to the opening placement: a
+        # later swap may fill a GPU this placement leaves short.
         cache = MultiGpuEmbeddingCache(
             platform,
             table,
             placement,
+            capacity_entries=capacity,
             tier_hotness=hotness if platform.num_tiers > 1 else None,
         )
     return Stack(platform, rng, table, pmf, hotness, capacity, cache)
@@ -757,21 +810,21 @@ def window_ok_ratio(inside: list[bool], outside: list[bool]) -> float:
 
 def build_report(
     cfg: SoakConfig,
-    platform: Platform,
     statuses: list[RequestStatus],
     ok_latencies: list[float],
     breakers,
     sim_end: float,
     rate: float,
     s0: float,
-    **fields,
+    integrity_failures: int,
+    **sections: Section | None,
 ) -> SoakReport:
-    """The block both soaks report the same way, from one status per
+    """The core both soaks report the same way, from one status per
     finished request and the latencies of the OK ones: status counts,
     goodput, shed rate, the latency percentiles, the breaker history of
     ``breakers`` (a :class:`~repro.serve.breaker.BreakerBoard`), duration,
-    offered rate, ``s0`` and the backing chain's label.  ``fields`` are
-    the harness's own."""
+    offered rate and ``s0``.  ``sections`` are the harness's own, by
+    :class:`SoakReport` field name."""
     counts = Counter(statuses)
     dropped = counts[RequestStatus.SHED] + counts[RequestStatus.REJECTED]
     latencies = np.array(ok_latencies) if ok_latencies else np.array([0.0])
@@ -788,15 +841,14 @@ def build_report(
         p50_latency=float(np.percentile(latencies, 50)),
         p99_latency=float(np.percentile(latencies, 99)),
         p999_latency=float(np.percentile(latencies, 99.9)),
-        queue_capacity=cfg.queue_capacity,
         breaker_transitions=breakers.transition_counts(),
         breaker_transitions_by_source=breakers.transition_counts_by_source(),
         breaker_time_in_state=breakers.time_in_state(sim_end),
+        integrity_failures=integrity_failures,
         duration=sim_end,
         arrival_rate=rate,
         baseline_service=s0,
-        tiers=_chain_label(platform) if platform.num_tiers > 1 else "",
-        **fields,
+        **sections,
     )
 
 
@@ -1030,68 +1082,57 @@ class BoxSoak:
         sim_end = max([self.duration] + [r.completed_at for r in responses])
         report = build_report(
             cfg,
-            self.platform,
             [r.status for r in responses],
             [r.latency for r in responses if r.ok],
             runtime.breakers,
             sim_end,
             self.rate,
             self.s0,
-            hedges=sum(1 for r in responses if r.hedged),
-            hedge_wins=sum(1 for r in responses if r.hedge_won),
-            rerouted_keys=sum(r.rerouted_keys for r in responses),
-            max_queue_depth=runtime.admission.max_depth,
-            swaps_attempted=len(manager.swap_log),
-            swaps_landed=sum(1 for s in manager.swap_log if s.swapped),
-            rollbacks=sum(1 for s in manager.swap_log if s.rolled_back),
             integrity_failures=len(self.violations)
             + sum(s.integrity_violations for s in manager.swap_log),
-            tenants=cfg.tenants,
-            **self._tier_fields(),
-            **self._coalesce_fields(),
-            **self._drift_fields(),
-            **self._adapt_fields(),
+            box=BoxSection(
+                max_queue_depth=runtime.admission.max_depth,
+                queue_capacity=cfg.queue_capacity,
+                hedges=sum(1 for r in responses if r.hedged),
+                hedge_wins=sum(1 for r in responses if r.hedge_won),
+                rerouted_keys=sum(r.rerouted_keys for r in responses),
+                swaps_attempted=len(manager.swap_log),
+                swaps_landed=sum(1 for s in manager.swap_log if s.swapped),
+                rollbacks=sum(1 for s in manager.swap_log if s.rolled_back),
+                tenants=cfg.tenants,
+            ),
+            coalesce=self._coalesce_section(),
+            tiers=TierSection.of(self.platform, self.cache.tier_chain),
+            drift=self._drift_section(),
         )
         reg = get_registry()
         reg.gauge("soak.goodput_rps").set(report.goodput_rps)
         reg.gauge("soak.shed_rate").set(report.shed_rate)
-        reg.gauge("soak.max_queue_depth").set(report.max_queue_depth)
+        reg.gauge("soak.max_queue_depth").set(report.box.max_queue_depth)
         reg.counter("soak.runs", scenario=cfg.scenario).inc()
-        if report.coalesced_batches:
-            reg.gauge("soak.dedup_ratio").set(report.dedup_ratio)
+        if report.coalesce is not None and report.coalesce.coalesced_batches:
+            reg.gauge("soak.dedup_ratio").set(report.coalesce.dedup_ratio)
         return report
 
-    def _tier_fields(self) -> dict:
-        platform, chain = self.platform, self.cache.tier_chain
-        if chain is None:  # a single-tier platform
-            return {}
-        shares = chain.shares()
-        return {
-            "tier_shares": {
-                _tier_label(platform, i): float(
-                    shares.get(platform.tier_source_id(i), 0.0)
-                )
-                for i in range(platform.num_tiers)
-            }
-        }
-
-    def _coalesce_fields(self) -> dict:
+    def _coalesce_section(self) -> CoalesceSection | None:
+        if not self.coalescing:
+            return None
         served = [o for o in self.outcomes if o.union_size > 0]
-        if not served:
-            return {}
         member_keys = sum(o.total_keys for o in served)
         union_keys = sum(o.union_size for o in served)
-        return dict(
+        return CoalesceSection(
             coalesced_batches=len(served),
-            mean_batch_size=sum(o.batch_size for o in served) / len(served),
+            mean_batch_size=(
+                sum(o.batch_size for o in served) / len(served) if served else 0.0
+            ),
             dedup_ratio=member_keys / union_keys if union_keys else 1.0,
         )
 
-    def _drift_fields(self) -> dict:
+    def _drift_section(self) -> DriftSection | None:
         """Goodput inside the post-change-point windows against the rest
         of the run, bucketed by each response's arrival."""
         if self.schedule is None:
-            return {}
+            return None
         windows = [
             (f * self.duration, min(f + DRIFT_WINDOW, 1.0) * self.duration)
             for f in self.schedule.transitions
@@ -1101,20 +1142,20 @@ class BoxSoak:
         for r in self.runtime.responses:
             bucket = inside if in_windows(r.request.arrival, windows) else outside
             bucket.append(r.ok)
-        return dict(
+        return DriftSection(
             drift_scenario=self.cfg.drift,
-            adapt_enabled=self.cfg.adapt,
             drift_transitions=len(windows),
             transition_requests=len(inside),
             transition_ok_rate=sum(inside) / len(inside) if inside else 1.0,
             transition_goodput_ratio=window_ok_ratio(inside, outside),
+            adapt=self._adapt_section(),
         )
 
-    def _adapt_fields(self) -> dict:
+    def _adapt_section(self) -> AdaptSection | None:
         adapter = self.adapter
         if adapter is None:
-            return {}
-        return dict(
+            return None
+        return AdaptSection(
             drift_detections=adapter.detections,
             adapt_resolves=adapter.resolves,
             adapt_incremental_resolves=sum(
@@ -1161,7 +1202,8 @@ def run_soak(cfg: SoakConfig | None = None) -> SoakReport:
 
 
 def render_soak_report(report: SoakReport) -> str:
-    """Human-readable soak summary for the CLI."""
+    """Human-readable soak summary for the CLI: the core lines, then each
+    present section's own, in :meth:`SoakReport.sections` order."""
     s0 = report.baseline_service or 1.0
     lines = [
         f"soak scenario: {report.scenario} "
@@ -1176,85 +1218,9 @@ def render_soak_report(report: SoakReport) -> str:
         f"p99 {report.p99_latency / s0:6.2f}x  "
         f"p99.9 {report.p999_latency / s0:6.2f}x  "
         f"(x baseline {s0:.3e}s)",
-        f"  queues        max depth {report.max_queue_depth}/"
-        f"{report.queue_capacity}",
-        f"  hedging       {report.hedges} issued, {report.hedge_wins} won",
-        f"  rerouting     {report.rerouted_keys} keys moved off faulty sources",
         f"  breakers      {report.breaker_transitions or 'no transitions'}",
-        f"  policy swaps  {report.swaps_landed}/{report.swaps_attempted} "
-        f"landed, {report.rollbacks} rolled back",
         f"  integrity     {report.integrity_failures} failure(s)",
     ]
-    if report.tiers:
-        homed = ", ".join(
-            f"{name} {share:.1%}"
-            for name, share in report.tier_shares.items()
-        )
-        lines.insert(
-            1,
-            f"  tiers         {report.tiers}  "
-            f"homed: {homed or 'n/a'}",
-        )
-    if report.tenants > 1:
-        lines.insert(1, f"  tenants       {report.tenants} models share the table")
-    if report.coalesced_batches:
-        lines.insert(
-            5,
-            f"  coalescing    {report.coalesced_batches} batches, "
-            f"mean size {report.mean_batch_size:.2f}, "
-            f"dedup ratio {report.dedup_ratio:.2f}x",
-        )
-    if report.nodes > 1:
-        lines.insert(
-            1,
-            f"  cluster       {report.nodes} nodes, replication "
-            f"{report.replication}: {report.failovers} failovers, "
-            f"replica reads {report.replica_read_fraction:.1%}, "
-            f"failover goodput {report.failover_goodput_ratio:.0%} "
-            f"of steady, {report.rebalance_bytes} B rebalanced",
-        )
-        lines.insert(
-            2,
-            f"  rpc           {report.rpc_retries} retries, "
-            f"{report.rpc_timeouts} timeouts, "
-            f"{report.partial_responses} partial responses, "
-            f"{report.host_fallback_keys} host-fallback keys",
-        )
-    if report.drift_scenario:
-        lines.insert(
-            1,
-            f"  drift         {report.drift_scenario}: "
-            f"{report.drift_transitions} change point(s), "
-            f"transition goodput "
-            f"{report.transition_goodput_ratio:.0%} of steady "
-            f"(ok rate {report.transition_ok_rate:.1%} over "
-            f"{report.transition_requests} requests)",
-        )
-        if report.adapt_enabled:
-            lines.insert(
-                2,
-                f"  adaptation    {report.drift_detections} detection(s) -> "
-                f"{report.adapt_resolves} re-solve(s) "
-                f"({report.adapt_incremental_resolves} incremental), "
-                f"{report.adapt_swaps_landed} swap(s) landed, "
-                f"{report.adapt_rollbacks} rolled back",
-            )
-    if report.repair_enabled:
-        lines.insert(
-            1,
-            f"  repair        {report.restage_mode} re-stage: "
-            f"{report.restage_blocks} blocks / {report.restage_bytes} B, "
-            f"recovery goodput {report.recovery_goodput_ratio:.0%} of "
-            f"steady over {report.recovery_requests} requests "
-            f"(window p99 {report.recovery_p99_latency:.3e}s)",
-        )
-        lines.insert(
-            2,
-            f"  scrubbing     {report.scrub_scanned_slots} slots scanned, "
-            f"{report.scrub_mismatches} mismatches, "
-            f"{report.scrub_repaired} repaired, "
-            f"{report.scrub_read_repairs} read-guard patches, "
-            f"{report.corrupt_values_served} corrupt rows served, "
-            f"{report.watchdog_transitions} watchdog transitions",
-        )
+    for section in report.sections():
+        lines += section.lines()
     return "\n".join(lines)

@@ -206,21 +206,25 @@ class TestDriftSoak:
         off = run_soak(base)
         on = run_soak(SoakConfig.quick(seed=0, drift="rotating-head", adapt=True))
 
-        assert on.adapt_enabled and not off.adapt_enabled
-        assert on.drift_transitions == 2
-        assert on.drift_detections >= 1
-        assert on.adapt_resolves >= 1
-        assert on.adapt_incremental_resolves >= 1
-        assert on.adapt_swaps_landed >= 1
-        assert on.drift_tape and on.adapt_events
-        assert on.transition_goodput_ratio > off.transition_goodput_ratio
+        adapt = on.drift.adapt
+        assert adapt is not None and off.drift.adapt is None
+        assert on.drift.drift_transitions == 2
+        assert adapt.drift_detections >= 1
+        assert adapt.adapt_resolves >= 1
+        assert adapt.adapt_incremental_resolves >= 1
+        assert adapt.adapt_swaps_landed >= 1
+        assert adapt.drift_tape and adapt.adapt_events
+        assert (
+            on.drift.transition_goodput_ratio
+            > off.drift.transition_goodput_ratio
+        )
 
     def test_adapt_off_leaves_loop_untouched(self):
         r = run_soak(SoakConfig.quick(seed=1, drift="table-shift"))
-        assert r.drift_scenario == "table-shift"
-        assert r.drift_detections == 0
-        assert r.adapt_events == [] and r.drift_tape == []
-        assert r.transition_requests > 0
+        assert r.drift.drift_scenario == "table-shift"
+        assert r.drift.adapt is None
+        assert "adapt" not in r.to_dict()["drift"]
+        assert r.drift.transition_requests > 0
 
     def test_adapt_requires_drift(self):
         with pytest.raises(ValueError):

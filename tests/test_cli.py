@@ -203,3 +203,15 @@ class TestSoakCommand:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("bad soak configuration: ") and names in err
+
+
+class TestTiersCommand:
+    @pytest.mark.parametrize("entries", [1, 2, 3])
+    def test_a_swap_may_fill_a_gpu_the_opening_placement_left_short(
+        self, capsys, entries
+    ):
+        """Each GPU's slot arena holds the stack's capacity, not just the
+        entries its opening placement cached: on a tiny table the policy
+        swap fills GPUs that started near empty."""
+        assert main(["tiers", "dram:1MB", "--entries", str(entries)]) == 0
+        assert "dram:1MB" in capsys.readouterr().out

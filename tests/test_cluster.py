@@ -26,6 +26,7 @@ from repro.cluster import (
     CacheNode,
     ClusterConfig,
     ClusterFrontend,
+    ClusterSoak,
     FAILOVER_GOODPUT_FLOOR,
     HashRing,
     analyze_node_loss,
@@ -40,7 +41,7 @@ from repro.faults.spec import HEALTHY, HealthView
 from repro.hardware.platform import HOST, server_a
 from repro.obs import MetricsRegistry, use_registry
 from repro.sim.mechanisms import GpuDemand
-from repro.serve.soak import SoakConfig, run_soak
+from repro.serve.soak import SoakConfig, drive, in_windows, run_soak
 from repro.sim.event_sim import simulate_rpc_exchange
 from repro.utils.rng import make_rng
 from repro.utils.stats import zipf_pmf
@@ -555,18 +556,36 @@ def test_node_kill_soak_keeps_goodput_through_failover():
     cfg = SoakConfig.quick(seed=0, scenario="node-kill", nodes=3, replication=2)
     report = run_soak(cfg)
     assert report.ok
-    assert report.nodes == 3 and report.replication == 2
-    assert report.failover_goodput_ratio >= FAILOVER_GOODPUT_FLOOR
+    cluster = report.cluster
+    assert cluster.nodes == 3 and cluster.replication == 2
+    assert cluster.failover_goodput_ratio >= FAILOVER_GOODPUT_FLOOR
     assert report.integrity_failures == 0
-    assert report.rebalance_bytes > 0, "a healed node must re-stage its shard"
-    assert report.rpc_timeouts > 0, "the kill window must actually bite"
-    assert report.hedges > 0 and report.hedge_wins > 0
-    assert set(report.node_requests) == {"0", "1", "2"}
+    assert cluster.rebalance_bytes > 0, "a healed node must re-stage its shard"
+    assert cluster.rpc_timeouts > 0, "the kill window must actually bite"
+    assert cluster.hedges > 0 and cluster.hedge_wins > 0
+    assert set(cluster.node_requests) == {"0", "1", "2"}
     # The dead node lost traffic to its replicas.
-    assert report.node_requests["1"] < report.node_requests["0"]
+    assert cluster.node_requests["1"] < cluster.node_requests["0"]
     doc = report.to_dict()
-    assert doc["schema"] == "repro.soak/v1"
-    assert doc["failover_goodput_ratio"] >= FAILOVER_GOODPUT_FLOOR
+    assert doc["schema"] == "repro.soak/v2"
+    assert doc["cluster"]["failover_goodput_ratio"] >= FAILOVER_GOODPUT_FLOOR
+    assert "box" not in doc and "repair" not in doc
+
+
+def test_closed_loop_cluster_soak_runs_through_its_fault_window():
+    """Closed-loop clients pace at the healthy round trip, wire included,
+    so the run serves about its nominal request count and some requests
+    arrive while the partition is on."""
+    cfg = SoakConfig.quick(
+        seed=0, scenario="node-partition", nodes=3, replication=2,
+        closed_loop=True,
+    )
+    soak = ClusterSoak(cfg)
+    report = drive(soak)
+    assert report.ok
+    assert report.requests >= cfg.requests_per_gpu * cfg.nodes / 2
+    windows = [(f.onset, f.clears_at) for f in soak.plan.faults]
+    assert any(in_windows(r.arrival, windows) for r in soak.records)
 
 
 def test_a_late_response_with_a_wrong_row_fails_the_report(monkeypatch):
@@ -595,7 +614,7 @@ def test_a_late_response_with_a_wrong_row_fails_the_report(monkeypatch):
     monkeypatch.setattr(ClusterFrontend, "serve", late_and_wrong_once)
     report = run_soak(cfg)
     assert report.expired >= 1
-    assert report.corrupt_values_served == 1
+    assert report.cluster.corrupt_values_served == 1
     assert report.integrity_failures == 1 and not report.ok
 
 

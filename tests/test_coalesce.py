@@ -526,9 +526,9 @@ class TestSoakCoalescing:
             )
         )
         assert report.ok
-        assert report.coalesced_batches > 0
-        assert report.mean_batch_size > 1.0
-        assert report.dedup_ratio > 1.5
+        assert report.coalesce.coalesced_batches > 0
+        assert report.coalesce.mean_batch_size > 1.0
+        assert report.coalesce.dedup_ratio > 1.5
 
     def test_coalesced_goodput_not_worse_than_off(self):
         off = run_soak(SoakConfig.quick(scenario="steady", load=2.0))
@@ -541,8 +541,8 @@ class TestSoakCoalescing:
 
     def test_off_mode_reports_no_coalescing(self):
         report = run_soak(SoakConfig.quick(scenario="steady"))
-        assert report.coalesced_batches == 0
-        assert report.dedup_ratio == 1.0
+        assert report.coalesce is None
+        assert "coalesce" not in report.to_dict()
 
     def test_closed_loop_rejects_coalescing(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ schedule, ``serve_batch``'s per-member scattering, and full soak reports
 in both batching modes.  The ``soak_off`` section is the equivalence
 claim of PR 5: with ``--batching off`` the serving runtime must keep
 producing byte-for-byte the report the pre-coalescing code produced
-(the new report fields are constants in off mode).
+(off mode reports no coalescing section).
 """
 
 from __future__ import annotations
@@ -60,15 +60,13 @@ def test_coalescing_matches_golden(golden, replayed, section):
 def test_off_mode_is_the_pre_coalescing_anchor(golden):
     """Off mode must look exactly like the runtime before this layer."""
     off = golden["soak_off"]
-    assert off["coalesced_batches"] == 0
-    assert off["mean_batch_size"] == 0.0
-    assert off["dedup_ratio"] == 1.0
+    assert "coalesce" not in off
     assert off["ok"]
 
 
 def test_fixture_exercises_the_interesting_paths(golden):
     """The pin covers real coalescing, not degenerate batches."""
-    on = golden["soak_coalesce"]
+    on = golden["soak_coalesce"]["coalesce"]
     assert on["coalesced_batches"] > 0
     assert on["dedup_ratio"] > 1.0
     # serve_batch sections include a genuinely shared extraction...

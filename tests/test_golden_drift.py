@@ -60,24 +60,24 @@ def test_pinned_loop_exercised_every_stage(golden):
     """The fixture itself must witness the full loop — a regeneration
     that quietly stops detecting or swapping is a regression even if
     it is internally consistent."""
-    on = golden["adapt_on"]
-    assert on["drift_detections"] >= 1
-    assert on["adapt_incremental_resolves"] >= 1
-    assert on["adapt_swaps_landed"] >= 1
-    assert on["adapt_rollbacks"] == 0
-    kinds = [e["kind"] for e in on["adapt_events"]]
+    on = golden["adapt_on"]["drift"]
+    adapt = on["adapt"]
+    assert adapt["drift_detections"] >= 1
+    assert adapt["adapt_incremental_resolves"] >= 1
+    assert adapt["adapt_swaps_landed"] >= 1
+    assert adapt["adapt_rollbacks"] == 0
+    kinds = [e["kind"] for e in adapt["adapt_events"]]
     assert kinds[:3] == ["detect", "resolve", "swap"]
-    fires = [s for s in on["drift_tape"] if s["fired"]]
-    assert len(fires) == on["drift_detections"]
+    fires = [s for s in adapt["drift_tape"] if s["fired"]]
+    assert len(fires) == adapt["drift_detections"]
     # adaptation pays: transition-window goodput beats adapt-off.
     assert (
         on["transition_goodput_ratio"]
-        > golden["adapt_off"]["transition_goodput_ratio"]
+        > golden["adapt_off"]["drift"]["transition_goodput_ratio"]
     )
 
 
 def test_adapt_off_records_nothing(golden):
     off = golden["adapt_off"]
-    assert not off["adapt_enabled"]
-    assert off["drift_detections"] == 0
-    assert off["adapt_events"] == [] and off["drift_tape"] == []
+    assert "adapt" not in off["drift"]
+    assert off["drift"]["drift_scenario"] == "rotating-head"

@@ -182,12 +182,12 @@ class TestSoak:
         # at least one successful hot policy swap.
         assert report.ok
         assert report.integrity_failures == 0
-        assert report.max_queue_depth <= report.queue_capacity
+        assert report.box.max_queue_depth <= report.box.queue_capacity
         assert report.breaker_transitions.get("open", 0) >= 1
         assert report.breaker_transitions.get("half-open", 0) >= 1
-        assert report.swaps_landed >= 1
+        assert report.box.swaps_landed >= 1
         assert report.served_ok > 0
-        assert report.rerouted_keys > 0
+        assert report.box.rerouted_keys > 0
         assert report.p99_latency >= report.p50_latency > 0
         # metrics made it into the registry the run was captured under
         assert registry.value("soak.goodput_rps") == pytest.approx(
@@ -196,7 +196,7 @@ class TestSoak:
         text = render_soak_report(report)
         assert "dgx_a100_partial_failure" in text and "PASS" in text
         doc = report.to_dict()
-        assert doc["ok"] is True and doc["swaps_landed"] >= 1
+        assert doc["ok"] is True and doc["box"]["swaps_landed"] >= 1
 
     def test_soak_is_deterministic(self):
         cfg = SoakConfig.quick(scenario="steady", requests_per_gpu=40)
@@ -215,7 +215,7 @@ class TestSoak:
         )
         assert report.served_ok > 0
         assert report.integrity_failures == 0
-        assert report.max_queue_depth <= report.queue_capacity
+        assert report.box.max_queue_depth <= report.box.queue_capacity
 
     def test_overload_sheds_instead_of_queueing_unboundedly(self, monkeypatch):
         from repro.serve import soak
@@ -225,5 +225,5 @@ class TestSoak:
             SoakConfig.quick(scenario="steady", requests_per_gpu=60, load=3.0)
         )
         assert report.shed + report.rejected > 0
-        assert report.max_queue_depth <= report.queue_capacity
+        assert report.box.max_queue_depth <= report.box.queue_capacity
         assert report.served_ok > 0

@@ -1,10 +1,11 @@
-"""Both soaks answer from one response stream (ISSUE 23): the one window
-ratio, the gate's own constants, the runtime's one pricing path, the
-shape of the two soak modules and the options that went."""
+"""Both soaks answer from one response stream: the one window ratio, the
+gates' own constants, the runtime's one pricing path, the shape of the
+two soak modules, the report's sections and the options that went."""
 
 import ast
+import itertools
 import pathlib
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -19,15 +20,26 @@ from repro.core.policy import hot_replicate_warm_partition_policy
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import FaultKind, FaultPlan, FaultSpec
 from repro.hardware.platform import parse_tier_spec, server_a, with_tiers
+from repro.cluster.soak import (
+    FAILOVER_GOODPUT_FLOOR,
+    RECOVERY_GOODPUT_FLOOR,
+    ClusterSection,
+    RepairSection,
+)
 from repro.serve.runtime import ServingRuntime
 from repro.serve.soak import (
     CLUSTER_SCENARIOS,
-    FAILOVER_GOODPUT_FLOOR,
-    RECOVERY_GOODPUT_FLOOR,
     SOAK_SCENARIOS,
+    AdaptSection,
+    BoxSection,
+    CoalesceSection,
+    DriftSection,
     SoakConfig,
     SoakReport,
+    TierSection,
     in_windows,
+    render_soak_report,
+    run_soak,
     window_ok_ratio,
 )
 from repro.utils.rng import make_rng
@@ -81,27 +93,47 @@ class TestWindowOkRatio:
         assert window_ok_ratio(inside, outside) == want
 
 
+EMPTY = {"dict": {}, "list": []}
+
+
+def _zeros(cls, **values):
+    """A report or section whose required fields are zero (empty for a
+    dict or list) but ``values``."""
+    return cls(**{
+        f.name: EMPTY.get(f.type, 0)
+        for f in fields(cls) if f.default is MISSING
+    } | values)
+
+
+def _report(**sections):
+    return _zeros(SoakReport, scenario="node-kill", served_ok=1, **sections)
+
+
 class TestGateReadsItsConstants:
     def test_failover_floor(self):
         def report(ratio):
-            return SoakReport("node-kill", served_ok=1, nodes=3,
-                              failover_goodput_ratio=ratio)
+            return _report(
+                cluster=_zeros(ClusterSection, failover_goodput_ratio=ratio)
+            )
 
         assert report(FAILOVER_GOODPUT_FLOOR).ok is True
         assert report(FAILOVER_GOODPUT_FLOOR - 1e-9).ok is False
 
     def test_recovery_floor(self):
         def report(ratio):
-            return SoakReport("node-kill", served_ok=1, nodes=3,
-                              repair_enabled=True, recovery_goodput_ratio=ratio)
+            return _report(
+                cluster=_zeros(ClusterSection, failover_goodput_ratio=1.0),
+                repair=_zeros(RepairSection, recovery_goodput_ratio=ratio),
+            )
 
         assert report(RECOVERY_GOODPUT_FLOOR).ok is True
         assert report(RECOVERY_GOODPUT_FLOOR - 1e-9).ok is False
 
     def test_the_cluster_package_exports_the_same_floor(self):
-        from repro.cluster import FAILOVER_GOODPUT_FLOOR as exported
+        from repro import cluster
 
-        assert exported is FAILOVER_GOODPUT_FLOOR
+        assert cluster.FAILOVER_GOODPUT_FLOOR is FAILOVER_GOODPUT_FLOOR
+        assert cluster.RECOVERY_GOODPUT_FLOOR is RECOVERY_GOODPUT_FLOOR
 
 
 N, D = 1200, 8
@@ -178,8 +210,8 @@ class TestOnePricingPath:
 
 SRC = pathlib.Path(repro.__file__).parent
 SOAK_MODULES = (SRC / "serve" / "soak.py", SRC / "cluster" / "soak.py")
-#: input validation and the CLI renderer: long by listing, not by nesting.
-LONG_BY_NAME = {"__post_init__", "render_soak_report"}
+#: input validation: long by listing, not by nesting.
+LONG_BY_NAME = {"__post_init__"}
 
 
 class TestSoakModuleShape:
@@ -198,6 +230,7 @@ class TestSoakModuleShape:
     def test_one_report_site_for_both_soaks(self):
         text = "".join(p.read_text() for p in SOAK_MODULES)
         assert text.count("SoakReport(") == 1
+        assert "lines.insert" not in text
         assert text.count("transition_counts_by_source") == 1
         assert text.count("np.percentile(") <= 4
 
@@ -212,10 +245,83 @@ class TestSoakModuleShape:
                 SoakConfig.quick(scenario=name)
 
 
+#: each section's label in the rendered report (its first line's) and a
+#: zero-filled instance, in the one render order.
+SECTIONS = {
+    "box": ("queues", lambda: _zeros(BoxSection)),
+    "coalesce": ("coalescing", lambda: _zeros(CoalesceSection)),
+    "tiers": ("tiers", lambda: _zeros(TierSection)),
+    "drift": ("drift", lambda: _zeros(
+        DriftSection, adapt=_zeros(AdaptSection))),
+    "cluster": ("cluster", lambda: _zeros(ClusterSection)),
+    "repair": ("repair", lambda: _zeros(RepairSection)),
+}
+CORE_LABELS = ["requests", "goodput", "latency", "breakers", "integrity"]
+
+
+class TestReportSections:
+    def test_every_combination_renders_and_serializes_in_one_order(self):
+        names = list(SECTIONS)
+        for r in range(len(names) + 1):
+            for present in itertools.combinations(names, r):
+                report = _report(**{n: SECTIONS[n][1]() for n in present})
+                labels = [
+                    line.split()[0]
+                    for line in render_soak_report(report).splitlines()[1:]
+                ]
+                assert labels[:5] == CORE_LABELS
+                firsts = [SECTIONS[n][0] for n in present]
+                assert [x for x in labels if x in firsts] == firsts
+                absent = {SECTIONS[n][0] for n in names if n not in present}
+                assert not absent & set(labels), (present, labels)
+                doc = report.to_dict()
+                assert [k for k in doc if k in SECTIONS] == list(present)
+                assert doc["schema"] == "repro.soak/v2"
+                assert "repair_enabled" not in doc
+
+    def test_adaptation_nests_under_drift_only_when_on(self):
+        off = _zeros(DriftSection, adapt=None)
+        assert "adapt" not in _report(drift=off).to_dict()["drift"]
+        on = _report(drift=SECTIONS["drift"][1]()).to_dict()["drift"]
+        assert on["adapt"]["drift_tape"] == []
+
+    def test_a_section_gate_fails_the_report(self):
+        assert _report(box=_zeros(BoxSection, max_queue_depth=1)).ok is False
+        assert _report(cluster=_zeros(
+            ClusterSection, failover_goodput_ratio=1.0, corrupt_values_served=1
+        )).ok is False
+
+    def test_a_box_run_reports_no_cluster_and_a_cluster_run_no_box(self):
+        box = run_soak(SoakConfig.quick(scenario="steady", requests_per_gpu=20))
+        cluster = run_soak(SoakConfig.quick(
+            scenario="node-kill", nodes=3, replication=2, requests_per_gpu=20
+        ))
+        box_doc, cluster_doc = box.to_dict(), cluster.to_dict()
+        assert {"box"} == {k for k in box_doc if k in SECTIONS}
+        assert {"cluster"} == {k for k in cluster_doc if k in SECTIONS}
+        box_text, cluster_text = map(render_soak_report, (box, cluster))
+        for label in ("cluster", "rpc", "repair", "scrubbing"):
+            assert f"\n  {label} " not in box_text
+        for label in ("queues", "rerouting", "policy swaps", "tenants"):
+            assert f"\n  {label} " not in cluster_text
+        assert "replica hedges" in cluster_text
+
+
 class TestOptionsThatWent:
-    def test_soak_config_has_24_fields_and_the_report_71(self):
+    def test_soak_config_has_24_fields_and_the_report_a_19_field_core(self):
         assert len(fields(SoakConfig)) == 24
-        assert len(fields(SoakReport)) == 71
+        names = [f.name for f in fields(SoakReport)]
+        assert len(names) == 19 + len(SECTIONS)
+        assert names[19:] == list(SECTIONS)
+        assert {
+            cls.__name__: len(fields(cls))
+            for cls in (BoxSection, CoalesceSection, TierSection, DriftSection,
+                        AdaptSection, ClusterSection, RepairSection)
+        } == {
+            "BoxSection": 9, "CoalesceSection": 3, "TierSection": 2,
+            "DriftSection": 6, "AdaptSection": 7, "ClusterSection": 15,
+            "RepairSection": 11,
+        }
 
     @pytest.mark.parametrize(
         "gone",
