@@ -203,8 +203,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         nodes=args.nodes,
         replication=args.replication,
         placement=args.placement,
-        repair=args.repair,
-        restage=args.restage,
         tiers=args.tiers,
         drift=args.drift,
         adapt=args.adapt,
@@ -221,17 +219,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             else SoakConfig(**overrides)
         )
         # A comparison whose arm cannot run must fail loudly, not print
-        # nothing and exit 0: CI gates on these flags.
-        if args.compare_restage and args.compare_adapt:
-            raise ValueError(
-                "--compare-restage and --compare-adapt each rerun the soak; "
-                "pick one"
-            )
-        if args.compare_restage and not (cfg.repair and cfg.restage == "staged"):
-            raise ValueError(
-                "--compare-restage races staged recovery against the burst "
-                "baseline; it needs --repair with --restage staged"
-            )
+        # nothing and exit 0: CI gates on it.
         if args.compare_adapt and not cfg.adapt:
             raise ValueError(
                 "--compare-adapt reruns with adaptation off; it needs "
@@ -245,28 +233,14 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         report = run_soak(cfg)
     print(render_soak_report(report))
 
-    def rerun(**field) -> "SoakReport":
-        """The same soak with one field replaced — everything else,
-        trace included, held equal — under its own registry."""
-        with use_registry(MetricsRegistry("soak-baseline")):
-            return run_soak(replace(cfg, **field))
-
     adapt_regressed = False
-    if args.compare_restage:
-        # Burst refill instead: the recovery-window goodput delta is what
-        # the rate-limited staging buys.
-        staged, burst = report.repair, rerun(restage="burst").repair
-        print(
-            f"  vs burst re-stage: recovery-window goodput "
-            f"{burst.recovery_goodput_ratio:.1%} -> "
-            f"{staged.recovery_goodput_ratio:.1%} of steady "
-            f"({staged.recovery_requests} vs "
-            f"{burst.recovery_requests} requests in window)"
-        )
-    elif args.compare_adapt:
-        # Adaptation off: the transition-window goodput delta is what the
-        # detector → incremental-re-solve → guarded-swap loop buys.
-        on, off = report.drift, rerun(adapt=False).drift
+    if args.compare_adapt:
+        # Adaptation off, everything else (trace included) held equal,
+        # under its own registry: the transition-window goodput delta is
+        # what the detector → incremental-re-solve → guarded-swap loop buys.
+        with use_registry(MetricsRegistry("soak-baseline")):
+            off = run_soak(replace(cfg, adapt=False)).drift
+        on = report.drift
         print(
             f"  vs adapt off: transition-window goodput "
             f"{off.transition_goodput_ratio:.1%} -> "
@@ -522,18 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(off reproduces the un-batched path exactly)")
     p.add_argument("--max-batch", type=int, default=8,
                    help="most requests fused into one extraction")
-    p.add_argument("--repair", action="store_true",
-                   help="enable the self-healing layer: anti-entropy "
-                        "scrubbing, read guards, staged recovery, and the "
-                        "node-lifecycle watchdog (requires --nodes > 1)")
-    p.add_argument("--restage", default="staged",
-                   choices=["staged", "burst"],
-                   help="how a healed node refills its GPU caches: "
-                        "hotness-ordered blocks under an idle-link budget, "
-                        "or all at once (the baseline)")
-    p.add_argument("--compare-restage", action="store_true",
-                   help="with --repair: also run the burst baseline and "
-                        "print the recovery-window goodput delta")
     p.add_argument("--drift", default=None,
                    choices=["rotating-head", "table-shift", "flash-crowd"],
                    help="hotness-drift scenario: the key distribution "

@@ -161,15 +161,6 @@ class CacheNode:
     # ------------------------------------------------------------------
     # Failover bookkeeping
     # ------------------------------------------------------------------
-    @property
-    def cached_bytes(self) -> int:
-        """Bytes resident in this node's GPU caches — what a recovering
-        node must re-stage from its host table (the rebalance cost)."""
-        return sum(
-            len(self.cache.store(g).cached_entries()) * self.cache.entry_bytes
-            for g in range(self.platform.num_gpus)
-        )
-
     def drop_gpu_caches(self) -> Placement:
         """Model a node death: GPU cache contents are lost.
 
@@ -191,21 +182,6 @@ class CacheNode:
             self.node_id, sum(len(ids) for ids in lost.per_gpu),
         )
         return lost
-
-    def restage_all(self, lost: Placement) -> int:
-        """Burst re-stage: refill the dropped placement in one shot.
-
-        The naive heal the staged recovery replaces — kept as the
-        baseline (and the final-drain fallback).  Returns bytes staged.
-        """
-        bytes_before = self.cached_bytes
-        with self.cache.writing():
-            for gpu, ids in enumerate(lost.per_gpu):
-                store = self.cache.store(gpu)
-                missing = ids[store.offset_of[ids] < 0]
-                store.insert_many(missing, self.cache.host_table[missing])
-        self.cache.refresh_source_map()
-        return self.cached_bytes - bytes_before
 
     def verify_integrity(self) -> list[str]:
         return self.cache.verify_integrity()

@@ -18,26 +18,24 @@ recovery:
 * ``failover_goodput_ratio`` and ``recovery_goodput_ratio`` are those
   buckets' OK-rates over the steady OK-rate
   (:func:`~repro.serve.soak.window_ok_ratio`), gated by the report's
-  :class:`ClusterSection` at ``FAILOVER_GOODPUT_FLOOR`` and — with the
-  repair layer on — its :class:`RepairSection` at
+  :class:`ClusterSection` at ``FAILOVER_GOODPUT_FLOOR`` and
   ``RECOVERY_GOODPUT_FLOOR``;
 * every row served, whatever became of its request, is checked bit-exact
   against the host table, and every node's cache is reconciled
   (``verify_integrity``) after recovery;
-* a healed node re-stages its GPU caches from DRAM — the bytes show up
-  as ``rebalance_bytes`` (and the ``cluster.rebalance.bytes`` counter);
 * the run's own bookkeeping is gated like the single-box soak's time
   physics: every arrival leaves a record, no response takes negative
   time and every requested key is either served or reported failed — a
   breach is an integrity failure.
 
-With ``--repair`` the self-healing layer (:mod:`repro.repair`) rides
-along: node death actually *drops* the dead node's GPU caches, heals
-refill them either all at once (``--restage burst``, the baseline) or in
-hotness-ordered blocks under an idle-link-time budget (``--restage
-staged``); every node runs an anti-entropy scrubber plus a read guard
-(so bit-rot chaos can never serve a corrupt value), and a node-lifecycle
-watchdog steers the front-end's routing while a node is RECOVERING.
+A node fails one way, through :class:`NodeLifecycle` and the
+self-healing layer (:mod:`repro.repair`): a death *drops* the dead
+node's GPU caches, and a heal refills them in hotness-ordered blocks
+that spend only idle link time — the bytes show up as
+``rebalance_bytes`` (and the ``cluster.rebalance.bytes`` counter).
+Every node runs an anti-entropy scrubber plus a read guard (so bit-rot
+chaos can never serve a corrupt value), and a node-lifecycle watchdog
+steers the front-end's routing while a node is RECOVERING.
 
 :func:`build_cluster` is the one place a cluster is assembled and
 :class:`NodeLifecycle` the one place a node's death and heal are acted
@@ -97,11 +95,10 @@ __all__ = [
     "build_cluster",
 ]
 
-#: The floors the cluster and repair sections gate on: the failover window
-#: must keep this fraction of steady-state goodput ...
+#: The floors the cluster section gates on: the failover window must keep
+#: this fraction of steady-state goodput ...
 FAILOVER_GOODPUT_FLOOR = 0.70
-#: ... and, with the repair layer on, so must the post-heal recovery window
-#: (the burst re-stage baseline dips below it; the staged plan must not).
+#: ... and the post-heal recovery window this one.
 RECOVERY_GOODPUT_FLOOR = 0.85
 
 
@@ -183,25 +180,22 @@ def build_cluster(cfg, platform, nodes: int, replication: int,
 
 
 class NodeLifecycle:
-    """The repair layer riding a cluster front-end: what happens to each
-    node's GPU caches as the fault plan kills and heals it.
+    """What happens to each node's GPU caches as the fault plan kills and
+    heals it — the one way a cluster node fails.
 
     Attaches a :class:`NodeWatchdog` to the front-end and a
     :class:`CacheScrubber` (read guard included) to every node.  A death
-    *drops* the node's GPU caches; a heal refills them — all at once
-    (``restage="burst"``: the node serves nothing until the refill lands)
-    or as a :class:`StagedRecovery` of hotness-ordered blocks that spends
-    only idle link time; a death mid-refill folds the refill's remainder
-    into the next one.  :meth:`step` once per request, :meth:`finish` once
-    after the last.
+    *drops* the node's GPU caches; a heal refills them as a
+    :class:`StagedRecovery` of hotness-ordered blocks that spends only
+    idle link time; a death mid-refill folds the refill's remainder into
+    the next one.  A partitioned node keeps its caches.  :meth:`step`
+    once per request, :meth:`finish` once after the last.
     """
 
     def __init__(self, frontend: ClusterFrontend, hotness: np.ndarray,
-                 restage: str = "staged", chunk_entries: int = 256,
-                 credit_cap: float = math.inf) -> None:
+                 chunk_entries: int = 256, credit_cap: float = math.inf) -> None:
         self.frontend = frontend
         self.hotness = hotness
-        self.restage = restage
         self.chunk_entries = chunk_entries
         #: most idle link time a refill may bank between steps.
         self.credit_cap = credit_cap
@@ -218,7 +212,6 @@ class NodeLifecycle:
         self._prev_down: frozenset[int] = frozenset()
         self._lost: dict[int, Placement] = {}
         self._refills: dict[int, _Refill] = {}
-        self._busy_until: dict[int, float] = {}
 
     @property
     def recovering(self) -> bool:
@@ -235,12 +228,10 @@ class NodeLifecycle:
             {n: s.quarantine_depth for n, s in self.scrubbers.items()},
         )
 
-    def step(self, t: float, health: HealthView,
-             idle_seconds: float) -> HealthView:
+    def step(self, t: float, health: HealthView, idle_seconds: float) -> None:
         """Apply the deaths and heals ``health`` shows at ``t``, spend
         ``idle_seconds`` more link time on every refill in flight, tick
-        the scrubbers and the watchdog.  Returns the health view to serve
-        under (a burst-refilling node counts as down)."""
+        the scrubbers and the watchdog."""
         for node_id in sorted(health.down_nodes - self._prev_down):
             dropped = self.frontend.nodes[node_id].drop_gpu_caches()
             if node_id in self._refills:
@@ -263,24 +254,13 @@ class NodeLifecycle:
                 self.frontend.nodes[node_id], self._lost.pop(node_id),
                 self.hotness, chunk_entries=self.chunk_entries,
             )
-            if self.restage == "burst":
-                grant = rec.finish()
-                self._account(grant)
-                self._busy_until[node_id] = t + grant.cost_seconds
-                self.recovery_windows.append((t, t + grant.cost_seconds))
-                logger.info(
-                    "node %d healed at t=%.3g: burst re-staged %d bytes, "
-                    "slow until t=%.3g",
-                    node_id, t, grant.bytes, self._busy_until[node_id],
-                )
-            else:
-                self._refills[node_id] = _Refill(rec, start=t)
-                self.watchdog.attach_recovery(node_id, rec)
-                logger.info(
-                    "node %d healed at t=%.3g: staged refill of %d entries "
-                    "in %d blocks begins",
-                    node_id, t, rec.remaining_entries, rec.blocks_total,
-                )
+            self._refills[node_id] = _Refill(rec, start=t)
+            self.watchdog.attach_recovery(node_id, rec)
+            logger.info(
+                "node %d healed at t=%.3g: staged refill of %d entries "
+                "in %d blocks begins",
+                node_id, t, rec.remaining_entries, rec.blocks_total,
+            )
         self._prev_down = health.down_nodes
         # Staged refills spend only idle link time; the credit accrues
         # between steps and whole blocks stage when it covers their
@@ -297,17 +277,6 @@ class NodeLifecycle:
         for scrubber in self.scrubbers.values():
             scrubber.tick(t)
         self._observe(t, health)
-        for node_id in [n for n, u in self._busy_until.items() if t >= u]:
-            del self._busy_until[node_id]
-        if self._busy_until:
-            # A burst-re-staging node is bulk-loading its stores and
-            # serves nothing until the refill lands: requests to it time
-            # out and fail over, exactly as if it were down.
-            return replace(
-                health,
-                down_nodes=health.down_nodes | frozenset(self._busy_until),
-            )
-        return health
 
     def finish(self, end: float) -> None:
         """Any node still down heals during the drain: its dropped caches
@@ -326,37 +295,6 @@ class NodeLifecycle:
         for scrubber in self.scrubbers.values():
             scrubber.scrub_all()
         self._observe(end, HEALTHY)
-
-
-class UnrepairedHeals:
-    """Stands where :class:`NodeLifecycle` does when ``--repair`` is off:
-    nothing is dropped at a death, so there is nothing to scrub, watch or
-    refill in stages — a healed node's whole ``cached_bytes`` count as
-    re-staged from DRAM the moment it comes back."""
-
-    #: no refill is ever in flight, so no request is in a recovery window.
-    recovery_windows: tuple = ()
-
-    def __init__(self, frontend: ClusterFrontend) -> None:
-        self.frontend = frontend
-        self.restage_bytes = 0
-        self._prev_down: frozenset[int] = frozenset()
-
-    def step(self, t: float, health: HealthView,
-             idle_seconds: float = 0.0) -> HealthView:
-        for node_id in self._prev_down - health.down_nodes:
-            staged = self.frontend.nodes[node_id].cached_bytes
-            self.restage_bytes += staged
-            logger.info(
-                "node %d healed at t=%.3f: re-staged %d bytes",
-                node_id, t, staged,
-            )
-        self._prev_down = health.down_nodes
-        return health
-
-    def finish(self, end: float) -> None:
-        """Any node still down when arrivals stop heals during the drain."""
-        self.step(end, HEALTHY)
 
 
 @dataclass
@@ -391,8 +329,9 @@ def _node_requests(reg) -> dict[str, int]:
 @dataclass
 class ClusterSection(Section):
     """The cluster tier: its shape, the replica-node hedges, failovers,
-    the RPC tier's counts, goodput through the node-fault windows, the
-    re-staged bytes, requests per node and the corrupt rows served."""
+    the RPC tier's counts, goodput through the node-fault and post-heal
+    recovery windows, the re-staged bytes, requests per node, the corrupt
+    rows served, the scrubbers' totals and the watchdog's transitions."""
 
     nodes: int
     replication: int
@@ -407,53 +346,20 @@ class ClusterSection(Section):
     #: OK-rate during node-fault windows over the steady OK-rate; 1.0
     #: when the run had no node faults.
     failover_goodput_ratio: float
-    steady_goodput_rps: float
-    rebalance_bytes: int
-    node_requests: dict
-    #: corrupt value rows that reached a caller (0 with the read guard
-    #: on: the zero-corrupt-served guarantee).
-    corrupt_values_served: int
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.failover_goodput_ratio >= FAILOVER_GOODPUT_FLOOR
-            and self.corrupt_values_served == 0
-        )
-
-    def lines(self) -> list[str]:
-        return [
-            f"  cluster       {self.nodes} nodes, replication "
-            f"{self.replication}: {self.failovers} failovers, "
-            f"replica reads {self.replica_read_fraction:.1%}, "
-            f"failover goodput {self.failover_goodput_ratio:.0%} "
-            f"of steady, {self.rebalance_bytes} B rebalanced",
-            f"  rpc           {self.rpc_retries} retries, "
-            f"{self.rpc_timeouts} timeouts, "
-            f"{self.partial_responses} partial responses, "
-            f"{self.host_fallback_keys} host-fallback keys, "
-            f"{self.corrupt_values_served} corrupt rows served",
-            f"  hedging       {self.hedges} replica hedges issued, "
-            f"{self.hedge_wins} won",
-        ]
-
-
-@dataclass
-class RepairSection(Section):
-    """The self-healing layer (``--repair``): the re-stage, goodput and
-    p99 inside the post-heal recovery windows, the scrubbers' totals and
-    the watchdog's transitions."""
-
-    restage_mode: str
-    restage_bytes: int
-    restage_blocks: int
     #: OK-rate during post-heal recovery windows over the steady OK-rate;
     #: 1.0 when nothing recovered.
     recovery_goodput_ratio: float
     recovery_requests: int
-    #: p99 of OK latencies inside recovery windows (0.0 when none) — the
-    #: burst baseline spikes here even when its OK-rate survives hedging.
+    #: p99 of OK latencies inside recovery windows (0.0 when none).
     recovery_p99_latency: float
+    steady_goodput_rps: float
+    #: bytes the healed nodes' refills staged back onto their GPUs.
+    rebalance_bytes: int
+    restage_blocks: int
+    node_requests: dict
+    #: corrupt value rows that reached a caller (0 with the read guard
+    #: on: the zero-corrupt-served guarantee).
+    corrupt_values_served: int
     scrub_scanned_slots: int
     scrub_mismatches: int
     scrub_repaired: int
@@ -462,15 +368,30 @@ class RepairSection(Section):
 
     @property
     def ok(self) -> bool:
-        return self.recovery_goodput_ratio >= RECOVERY_GOODPUT_FLOOR
+        return (
+            self.failover_goodput_ratio >= FAILOVER_GOODPUT_FLOOR
+            and self.recovery_goodput_ratio >= RECOVERY_GOODPUT_FLOOR
+            and self.corrupt_values_served == 0
+        )
 
     def lines(self) -> list[str]:
         return [
-            f"  repair        {self.restage_mode} re-stage: "
-            f"{self.restage_blocks} blocks / {self.restage_bytes} B, "
+            f"  cluster       {self.nodes} nodes, replication "
+            f"{self.replication}: {self.failovers} failovers, "
+            f"replica reads {self.replica_read_fraction:.1%}, "
+            f"failover goodput {self.failover_goodput_ratio:.0%} of steady",
+            f"  recovery      {self.restage_blocks} blocks / "
+            f"{self.rebalance_bytes} B re-staged, "
             f"recovery goodput {self.recovery_goodput_ratio:.0%} of "
             f"steady over {self.recovery_requests} requests "
             f"(window p99 {self.recovery_p99_latency:.3e}s)",
+            f"  rpc           {self.rpc_retries} retries, "
+            f"{self.rpc_timeouts} timeouts, "
+            f"{self.partial_responses} partial responses, "
+            f"{self.host_fallback_keys} host-fallback keys, "
+            f"{self.corrupt_values_served} corrupt rows served",
+            f"  hedging       {self.hedges} replica hedges issued, "
+            f"{self.hedge_wins} won",
             f"  scrubbing     {self.scrub_scanned_slots} slots scanned, "
             f"{self.scrub_mismatches} mismatches, "
             f"{self.scrub_repaired} repaired, "
@@ -517,12 +438,7 @@ class ClusterSoak:
         )
         self.plan = build_soak_plan(cfg.scenario, self.duration, cfg.seed)
         self.injectors = self._rot_injectors()
-        self.lifecycle = (
-            NodeLifecycle(
-                self.frontend, cluster.stack.hotness, restage=cfg.restage
-            )
-            if cfg.repair else UnrepairedHeals(self.frontend)
-        )
+        self.lifecycle = NodeLifecycle(self.frontend, cluster.stack.hotness)
         self.node_requests_start = _node_requests(get_registry())
         self.records: list[ClusterRecord] = []
         # Closed loop: a fixed client population per node, each
@@ -535,9 +451,7 @@ class ClusterSoak:
         )
 
     def _rot_injectors(self) -> list[FaultInjector]:
-        """One injector per node the plan's bit-rot reaches.  They follow
-        the *scenario*, not --repair, so an unguarded bit-rot run visibly
-        serves corruption."""
+        """One injector per node the plan's bit-rot reaches."""
         injectors = []
         for node in self.frontend.nodes.values():
             rot = tuple(
@@ -567,13 +481,11 @@ class ClusterSoak:
         for injector in self.injectors:
             injector.advance(t)
         # Staged refills spend only the idle share of link time.
-        serve_health = self.lifecycle.step(
-            t, health, idle_seconds=dt * max(0.0, 1.0 - cfg.load)
-        )
+        self.lifecycle.step(t, health, idle_seconds=dt * max(0.0, 1.0 - cfg.load))
         keys = self.key_rng.choice(
             cfg.num_entries, size=cfg.batch_keys, p=self.pmf
         )
-        resp = self.frontend.serve(keys, t, health=serve_health, execute=True)
+        resp = self.frontend.serve(keys, t, health=health, execute=True)
         # Every served row is checked against the host table, whatever
         # becomes of the request.
         wrong_rows = resp.wrong_rows(keys, self.table)
@@ -619,8 +531,8 @@ class ClusterSoak:
                 steady.append(r)
         return failover, recovery, steady
 
-    def _cluster_section(self, failover: list, steady: list) -> ClusterSection:
-        cfg, records = self.cfg, self.records
+    def _cluster_section(self) -> ClusterSection:
+        cfg, records, lifecycle = self.cfg, self.records, self.lifecycle
         responses = [r.response for r in records]
         served_keys = sum(r.served for r in responses)
         node_requests = {
@@ -628,7 +540,10 @@ class ClusterSoak:
             for node, count in _node_requests(get_registry()).items()
             if count - self.node_requests_start.get(node, 0) > 0
         }
+        failover, recovery, steady = self._buckets()
         steady_ok = [r.ok for r in steady]
+        latencies = [r.response.elapsed for r in recovery if r.ok]
+        scrubbers = lifecycle.scrubbers.values()
         return ClusterSection(
             nodes=cfg.nodes,
             replication=cfg.replication,
@@ -646,32 +561,21 @@ class ClusterSoak:
             failover_goodput_ratio=window_ok_ratio(
                 [r.ok for r in failover], steady_ok
             ),
-            steady_goodput_rps=(
-                sum(steady_ok) / len(steady_ok) * self.rate if steady_ok else 0.0
-            ),
-            rebalance_bytes=self.lifecycle.restage_bytes,
-            node_requests=node_requests,
-            corrupt_values_served=sum(r.wrong_rows for r in records),
-        )
-
-    def _repair_section(self, recovery: list, steady: list) -> RepairSection | None:
-        if not self.cfg.repair:
-            return None
-        lifecycle = self.lifecycle
-        scrubbers = lifecycle.scrubbers.values()
-        latencies = [r.response.elapsed for r in recovery if r.ok]
-        return RepairSection(
-            restage_mode=self.cfg.restage,
-            restage_bytes=lifecycle.restage_bytes,
-            restage_blocks=lifecycle.restage_blocks,
             recovery_goodput_ratio=window_ok_ratio(
-                [r.ok for r in recovery], [r.ok for r in steady]
+                [r.ok for r in recovery], steady_ok
             ),
             recovery_requests=len(recovery),
             recovery_p99_latency=(
                 float(np.percentile(np.array(latencies), 99))
                 if latencies else 0.0
             ),
+            steady_goodput_rps=(
+                sum(steady_ok) / len(steady_ok) * self.rate if steady_ok else 0.0
+            ),
+            rebalance_bytes=lifecycle.restage_bytes,
+            restage_blocks=lifecycle.restage_blocks,
+            node_requests=node_requests,
+            corrupt_values_served=sum(r.wrong_rows for r in records),
             scrub_scanned_slots=sum(s.scanned_total for s in scrubbers),
             scrub_mismatches=sum(s.mismatches_total for s in scrubbers),
             scrub_repaired=sum(s.repaired_total for s in scrubbers),
@@ -689,7 +593,6 @@ class ClusterSoak:
             + (r.served + len(r.failed_positions) != cfg.batch_keys)
             for r in (record.response for record in records)
         )
-        failover, recovery, steady = self._buckets()
         report = build_report(
             cfg,
             [r.status for r in records],
@@ -704,8 +607,7 @@ class ClusterSoak:
                 + physics_failures
             ),
             tiers=TierSection.of(self.platform, None),
-            cluster=self._cluster_section(failover, steady),
-            repair=self._repair_section(recovery, steady),
+            cluster=self._cluster_section(),
         )
         cluster = report.cluster
         reg = get_registry()
@@ -719,8 +621,7 @@ class ClusterSoak:
             reg.gauge("cluster.node.qps", node=node).set(
                 count / sim_end if sim_end > 0 else 0.0
             )
-        if report.repair is not None:
-            reg.gauge("repair.recovery_goodput_ratio").set(
-                report.repair.recovery_goodput_ratio
-            )
+        reg.gauge("repair.recovery_goodput_ratio").set(
+            cluster.recovery_goodput_ratio
+        )
         return report

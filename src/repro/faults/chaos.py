@@ -87,13 +87,14 @@ SCENARIO_TABLE: dict[str, tuple] = {
         _at(FaultKind.NODE_DOWN, node=1),
     ),
     "node_flap": (
-        "a node dies, heals, and dies again inside the window",
-        # Down, briefly back, down again — two stints inside the window.
+        "a node dies, heals, and dies again",
+        # Down for half the window, back for one batch (batch t runs at
+        # time t), down for the other half.
         lambda c: (
-            FaultSpec(FaultKind.NODE_DOWN, c.onset, 0.4 * c.duration, node=1),
+            FaultSpec(FaultKind.NODE_DOWN, c.onset, 0.5 * c.duration, node=1),
             FaultSpec(
-                FaultKind.NODE_DOWN, c.onset + 0.5 * c.duration,
-                0.4 * c.duration, node=1,
+                FaultKind.NODE_DOWN, c.onset + 0.5 * c.duration + 1.0,
+                0.5 * c.duration, node=1,
             ),
         ),
     ),
@@ -353,18 +354,17 @@ def _run_node_loop(scenario: str, cfg: ChaosConfig) -> ScenarioResult:
     away.  "Rerouted keys" here are keys served off their primary owner
     (replica reads + host fallback).
 
-    ``heal-storm`` is this drill with the repair layer riding along and
-    staggered deaths whose staged recoveries overlap: node 1 dies, heals
-    and begins a rate-limited refill; node 2 dies *during* that refill;
-    node 1 dies a second time before the dust settles.  The watchdog must
-    track every node through healthy → ejected → recovering → healthy,
-    the front-end must keep answering bit-exactly throughout, and when
-    the storm passes every cache must hold its full placement again
-    (integrity-verified).
+    Every drill runs under the one :class:`NodeLifecycle`: a death drops
+    the node's GPU caches, a heal starts a rate-limited staged refill,
+    and the watchdog must see every death and every return.
+    ``heal-storm`` staggers the deaths so the refills overlap: node 1
+    dies, heals and begins its refill; node 2 dies *during* that refill;
+    node 1 dies a second time before the dust settles.  Throughout, the
+    front-end must keep answering bit-exactly, and once the drill is over
+    every cache must hold its full placement again (integrity-verified).
     """
     from repro.cluster.soak import NodeLifecycle, build_cluster
 
-    storm = scenario == "heal-storm"
     plan = build_fault_plan(scenario, cfg)
     cluster = build_cluster(
         cfg, platform_by_name(PLATFORM), nodes=3, replication=2
@@ -374,9 +374,8 @@ def _run_node_loop(scenario: str, cfg: ChaosConfig) -> ScenarioResult:
     # Each batch's idle link time funds a slice of every refill — small
     # enough (and never banked) that recoveries span batches and overlap.
     budget = 0.5 * cluster.s0
-    lifecycle = (
-        NodeLifecycle(frontend, stack.hotness, chunk_entries=64, credit_cap=budget)
-        if storm else None
+    lifecycle = NodeLifecycle(
+        frontend, stack.hotness, chunk_entries=64, credit_cap=budget
     )
 
     times: list[float] = []
@@ -387,8 +386,7 @@ def _run_node_loop(scenario: str, cfg: ChaosConfig) -> ScenarioResult:
     for t in range(cfg.num_batches):
         now = float(t)
         health = plan.health_at(now)
-        if lifecycle is not None:
-            lifecycle.step(now, health, idle_seconds=budget)
+        lifecycle.step(now, health, idle_seconds=budget)
         keys = rng.choice(cfg.num_entries, size=cfg.batch_keys, p=pmf)
         resp = frontend.serve(keys, now, health=health, execute=True)
         if resp.partial:
@@ -399,35 +397,33 @@ def _run_node_loop(scenario: str, cfg: ChaosConfig) -> ScenarioResult:
         times.append(resp.elapsed)
         completed += 1
 
-    ok = values_exact and all_served and completed == cfg.num_batches
-    notes = [f"{completed}/{cfg.num_batches} batches"]
-    extra = {}
-    if lifecycle is not None:
-        # Storm over: finish every refill, scrub everything, final verify.
-        lifecycle.finish(float(cfg.num_batches))
-        transitions = len(lifecycle.watchdog.transitions)
-        ok = ok and transitions >= 6  # 3 deaths + 3 returns, at minimum
-        notes += [
-            f"{transitions} watchdog transition(s)",
-            f"{lifecycle.restage_blocks} block(s) re-staged",
-        ]
-        extra = {
-            "watchdog_transitions": transitions,
-            "restage_blocks": lifecycle.restage_blocks,
-        }
+    # Drill over: finish every refill, scrub everything, final verify.
+    lifecycle.finish(float(cfg.num_batches))
+    transitions = len(lifecycle.watchdog.transitions)
+    deaths = sum(f.kind is FaultKind.NODE_DOWN for f in plan)
     violations = frontend.verify_integrity()
-    notes += [
-        f"{rerouted} keys served off-primary",
-        f"{len(violations)} integrity violation(s)",
-    ]
+    ok = (
+        values_exact and all_served and completed == cfg.num_batches
+        and transitions >= 2 * deaths  # each death and each return
+        and not violations
+    )
     return ScenarioResult(
         scenario=scenario,
-        ok=ok and not violations,
+        ok=ok,
         completed_batches=completed,
         values_exact=values_exact,
         rerouted_keys=rerouted,
-        notes=", ".join(notes),
-        extra=extra,
+        notes=(
+            f"{completed}/{cfg.num_batches} batches, "
+            f"{transitions} watchdog transition(s), "
+            f"{lifecycle.restage_blocks} block(s) re-staged, "
+            f"{rerouted} keys served off-primary, "
+            f"{len(violations)} integrity violation(s)"
+        ),
+        extra={
+            "watchdog_transitions": transitions,
+            "restage_blocks": lifecycle.restage_blocks,
+        },
         **_phase_means(times, plan.faults[0].onset, plan.last_clear_time()),
     )
 

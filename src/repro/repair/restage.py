@@ -199,7 +199,7 @@ class StagedRecovery:
         return grant
 
     def finish(self) -> RestageGrant:
-        """Stage every remaining block (drain / burst-equivalent path)."""
+        """Stage every remaining block (the end-of-run drain)."""
         return self.grant(float("inf"))
 
     def _stage_block(self, block, grant: RestageGrant, cost: float) -> None:

@@ -254,15 +254,6 @@ class SoakConfig:
     #: node-level placement mode: ``"ring"`` (consistent hashing) or
     #: ``"solver"`` (hotness-balanced stage above the per-GPU MILP).
     placement: str = "ring"
-    #: self-healing layer (cluster soak only): anti-entropy scrubbers +
-    #: read guards on every node, the node-lifecycle watchdog, and cache
-    #: drop/re-stage on node death.  False keeps the soak byte-identical
-    #: to the pre-repair harness.
-    repair: bool = False
-    #: how a healed node's caches refill when ``repair`` is on:
-    #: ``"staged"`` (hotness-ordered blocks under an idle-time budget) or
-    #: ``"burst"`` (all at once — the baseline the staged plan beats).
-    restage: str = "staged"
     #: backing-tier chain override, e.g. ``"dram:8GB,ssd:1TB"`` — replaces
     #: the scenario platform's chain via :func:`parse_tier_spec`.  None
     #: keeps the platform as modelled (single-tier for the classic
@@ -329,16 +320,6 @@ class SoakConfig:
             raise ValueError(
                 f"scenario {self.scenario!r} kills whole nodes; it needs "
                 "--nodes > 1"
-            )
-        if self.restage not in ("staged", "burst"):
-            raise ValueError(
-                f"restage mode must be 'staged' or 'burst', "
-                f"got {self.restage!r}"
-            )
-        if self.repair and self.nodes == 1:
-            raise ValueError(
-                "the repair layer (scrubbing + staged recovery) rides the "
-                "cluster soak; use --nodes > 1"
             )
         if self.tiers is not None:
             from repro.hardware.platform import parse_tier_spec
@@ -559,7 +540,7 @@ class SoakReport:
     """What a soak run measured, JSON-able for CI gating: the core both
     harnesses compute through :func:`build_report`, then one section per
     feature the run configured (None otherwise), in render order.  The
-    cluster and repair sections are defined in :mod:`repro.cluster.soak`."""
+    cluster section is defined in :mod:`repro.cluster.soak`."""
 
     scenario: str
     requests: int
@@ -587,7 +568,6 @@ class SoakReport:
     tiers: TierSection | None = None
     drift: DriftSection | None = None
     cluster: Section | None = None
-    repair: Section | None = None
 
     def sections(self) -> list[Section]:
         """The present sections, in field (render) order."""

@@ -1,11 +1,11 @@
-"""Regenerate ``soak_cluster.json``: the PR-7 cluster soak anchor.
+"""Regenerate ``soak_cluster.json``: the cluster soak anchor.
 
-The self-healing layer (scrubbing + staged recovery + watchdog) must
-leave the repair-disabled cluster path untouched: a soak with
-``--nodes 3 --replication 2`` and every repair knob at its default (off)
-has to keep producing byte-for-byte the report the pre-repair code
-produced.  This script pins two CI-sized runs — the fault-free
-``steady`` scenario and the ``node-kill`` chaos scenario — at seed 0.
+A soak with ``--nodes 3 --replication 2`` runs every node under the one
+node lifecycle: a death drops the node's GPU caches, a heal refills them
+in stages on idle link time, and scrubbers and read guards are always
+on.  This script pins two CI-sized runs — the fault-free ``steady``
+scenario and the ``node-kill`` chaos scenario — at seed 0, and the soak
+has to keep producing them byte for byte.
 
 Run from the repo root::
 

@@ -1,5 +1,7 @@
 """Chaos scenario matrix and its CLI front end (``python -m repro chaos``)."""
 
+import itertools
+
 import pytest
 
 from repro.faults.chaos import (
@@ -90,6 +92,29 @@ class TestNodeScenarios:
         assert len(plan) == 2
         (first, second) = sorted(plan, key=lambda f: f.onset)
         assert first.clears_at < second.onset, "the node must come back between"
+
+    @pytest.mark.parametrize(
+        "cfg", [ChaosConfig(), ChaosConfig.quick()], ids=["full", "quick"]
+    )
+    def test_node_flap_brings_the_node_back_for_a_batch(self, cfg):
+        """Batch ``t`` runs at time ``t``: unless some batch sees node 1 up
+        between the stints, the flap is one unbroken outage."""
+        plan = build_fault_plan("node_flap", cfg)
+        up = [
+            plan.health_at(float(t)).node_reachable(1)
+            for t in range(cfg.num_batches)
+        ]
+        runs = [state for state, _ in itertools.groupby(up)]
+        assert runs == [True, False, True, False, True]
+
+    def test_a_death_restages_and_a_partition_does_not(self, quick_cfg):
+        """Every node drill runs under the node lifecycle: a dead node
+        loses its GPU caches and refills them, a partitioned one keeps
+        them."""
+        down = run_scenario("node_down", quick_cfg)
+        partition = run_scenario("node_partition", quick_cfg)
+        assert down.extra["restage_blocks"] > 0
+        assert partition.extra["restage_blocks"] == 0
 
     def test_node_plans_target_a_node_not_a_gpu(self, quick_cfg):
         for scenario in sorted(NODE_SCENARIOS):

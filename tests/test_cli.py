@@ -179,12 +179,6 @@ class TestSoakCommand:
             (["--scenario", "steady", "--compare-adapt"], "--compare-adapt"),
             (["--scenario", "steady", "--drift", "rotating-head",
               "--compare-adapt"], "--compare-adapt"),
-            (["--scenario", "node-kill-bit-rot", "--nodes", "3",
-              "--compare-restage"], "--compare-restage"),
-            (["--scenario", "node-kill-bit-rot", "--nodes", "3", "--repair",
-              "--restage", "burst", "--compare-restage"], "--compare-restage"),
-            (["--scenario", "steady", "--drift", "rotating-head", "--adapt",
-              "--compare-adapt", "--compare-restage"], "--compare-adapt"),
         ],
     )
     def test_a_comparison_that_cannot_run_exits_2(
@@ -203,6 +197,21 @@ class TestSoakCommand:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("bad soak configuration: ") and names in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--repair"], ["--restage", "burst"], ["--compare-restage"]],
+    )
+    def test_the_parser_rejects_the_repair_flags(self, argv, capsys):
+        """A dead node always loses its caches and refills them in stages:
+        there is no repair switch, burst refill or comparison left."""
+        with pytest.raises(SystemExit) as exit_:
+            build_parser().parse_args(
+                ["soak", "--quick", "--scenario", "node-kill", "--nodes", "3",
+                 *argv]
+            )
+        assert exit_.value.code == 2
+        assert argv[0] in capsys.readouterr().err
 
 
 class TestTiersCommand:

@@ -572,6 +572,60 @@ def test_node_kill_soak_keeps_goodput_through_failover():
     assert "box" not in doc and "repair" not in doc
 
 
+def _watch_node_1(scenario: str, monkeypatch):
+    """A quick R=2 soak of ``scenario`` with eyes on node 1: the report,
+    ``(inside a node-1 fault window, node 1's GPU-cached bytes)`` after
+    each arrival, and the bytes every refill grant staged."""
+    from repro.repair import restage
+
+    granted = []
+    grant = restage.StagedRecovery.grant
+
+    def counted(self, idle_seconds):
+        staged = grant(self, idle_seconds)
+        granted.append(staged.bytes)
+        return staged
+
+    monkeypatch.setattr(restage.StagedRecovery, "grant", counted)
+    soak = ClusterSoak(SoakConfig.quick(
+        seed=0, scenario=scenario, nodes=3, replication=2
+    ))
+    node = soak.frontend.nodes[1]
+    windows = [(f.onset, f.clears_at) for f in soak.plan.faults if f.node == 1]
+    seen = []
+    arrive = soak.arrive
+
+    def watched(t, seq, client):
+        again = arrive(t, seq, client)
+        cached = sum(
+            len(node.cache.store(g).cached_entries())
+            for g in range(node.platform.num_gpus)
+        )
+        seen.append((in_windows(t, windows), cached * node.cache.entry_bytes))
+        return again
+
+    soak.arrive = watched
+    return drive(soak), seen, sum(granted)
+
+
+def test_a_dead_node_loses_its_caches_and_refills_them(monkeypatch):
+    """Bytes obey the node's death: nothing stays cached while it is
+    down, and what the report calls rebalanced is what the refill staged."""
+    report, seen, granted = _watch_node_1("node-kill", monkeypatch)
+    down = [cached for inside, cached in seen if inside]
+    assert down and set(down) == {0}
+    assert seen[0][1] > 0 and seen[-1][1] > 0
+    assert report.cluster.rebalance_bytes == granted > 0
+    assert report.cluster.restage_blocks > 0
+
+
+def test_a_partitioned_node_keeps_its_caches(monkeypatch):
+    report, seen, granted = _watch_node_1("node-partition", monkeypatch)
+    assert any(inside for inside, _ in seen)
+    assert len({cached for _, cached in seen}) == 1 and seen[0][1] > 0
+    assert report.cluster.rebalance_bytes == granted == 0
+
+
 def test_closed_loop_cluster_soak_runs_through_its_fault_window():
     """Closed-loop clients pace at the healthy round trip, wire included,
     so the run serves about its nominal request count and some requests

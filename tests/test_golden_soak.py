@@ -6,14 +6,15 @@ cluster tier existed.  A ``--nodes 1 --replication 1`` soak — the
 defaults — must keep producing byte-for-byte the same report.
 
 ``tests/golden/soak_cluster.json`` pins two CI-sized 3-node cluster soaks
-(``steady`` and ``node-kill``) generated *before* the repair layer
-existed.  A repair-off cluster soak must keep reproducing them exactly.
+(``steady`` and ``node-kill``), each under the one node lifecycle: a
+dead node loses its GPU caches and refills them in stages once healed.
+A cluster soak must keep reproducing them exactly.
 
 In both fixtures only the keys present in the pin are compared, so later
 layers may add report fields but never change a pinned one.  A report
 carries a section only for a feature its run configured, so the
-single-box pin has no cluster or repair section and the repair-off
-cluster pin no repair or box section.
+single-box pin has no cluster section and the cluster pin no box
+section.
 """
 
 from __future__ import annotations
@@ -69,11 +70,11 @@ def test_report_schema_is_versioned(replayed):
         assert doc["schema"] == "repro.soak/v2"
 
 
-SECTIONS = {"box", "coalesce", "tiers", "drift", "cluster", "repair"}
+SECTIONS = {"box", "coalesce", "tiers", "drift", "cluster"}
 
 
 def test_single_box_report_has_only_the_box_section(replayed, golden):
-    """No cluster, repair, tier, drift or coalescing numbers on a plain
+    """No cluster, tier, drift or coalescing numbers on a plain
     single-tier box run: the sections it did not configure are absent."""
     for scenario, doc in replayed["scenarios"].items():
         assert set(doc) == set(golden["scenarios"][scenario])
@@ -93,10 +94,10 @@ def cluster_replayed() -> dict:
 
 
 @pytest.mark.parametrize("scenario", ["steady", "node-kill"])
-def test_repair_off_cluster_soak_is_byte_identical(
+def test_cluster_soak_is_byte_identical(
     cluster_golden, cluster_replayed, scenario
 ):
-    """The repair layer, switched off, reproduces the PR-7 cluster pin."""
+    """The cluster soak reproduces its pin."""
     pinned = cluster_golden["scenarios"][scenario]
     got = cluster_replayed["scenarios"][scenario]
     diverged = {
@@ -105,17 +106,16 @@ def test_repair_off_cluster_soak_is_byte_identical(
         if got.get(key, "<missing>") != pinned[key]
     }
     assert not diverged, (
-        f"repair-off cluster {scenario} soak diverged from the pre-repair "
-        f"pin: {diverged}"
+        f"cluster {scenario} soak diverged from the pin: {diverged}"
     )
 
 
 @pytest.mark.repair
-def test_repair_off_cluster_report_has_only_the_cluster_section(
+def test_cluster_report_has_only_the_cluster_section(
     cluster_replayed, cluster_golden
 ):
-    """Repair off: no repair section, and the cluster's box-less report
-    still counts the corrupt rows it served (none)."""
+    """The cluster's box-less report has one section, and it counts the
+    corrupt rows served (none: every node's read guard is on)."""
     for scenario, doc in cluster_replayed["scenarios"].items():
         assert set(doc) == set(cluster_golden["scenarios"][scenario])
         assert SECTIONS & set(doc) == {"cluster"}

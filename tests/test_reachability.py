@@ -293,9 +293,8 @@ CONFIGS = [
      dict(scenario="steady", requests_per_gpu=300, load=0.8, closed_loop=False,
           clients=4, num_entries=20_000, entry_bytes=128, batch_keys=1024,
           deadline_factor=10.0, queue_capacity=32, max_batch=8, linger_factor=0.5,
-          nodes=1, replication=1, placement="ring", repair=False,
-          restage="staged", tiers=None, tenants=1, drift=None, adapt=False,
-          seed=0)),
+          nodes=1, replication=1, placement="ring", tiers=None, tenants=1,
+          drift=None, adapt=False, seed=0)),
     ("repro.utils.retry", "RetryPolicy",
      dict(max_attempts=3, base_delay=0.05, jitter=0.0, seed=0)),
 ]
@@ -360,8 +359,9 @@ def test_surviving_defaults_and_new_constants_did_not_move():
                      or f.default_factory is not dataclasses.MISSING
                      for f in dataclasses.fields(cls))
     # 128 fields on 21 classes before the census; PrefetchConfig and two
-    # SoakConfig fields went with the lookahead stage
-    assert len(CONFIGS) == 13 and total == 67
+    # SoakConfig fields went with the lookahead stage, two more with the
+    # repair switch
+    assert len(CONFIGS) == 13 and total == 65
     _found, _callables, _experiments, fields = reachability.options(TOOL.parents[1] / "src")
     in_src = {key.split(":")[1].rsplit(".", 1)[0] for key in fields}
     assert {name for _, name, _ in CONFIGS} == {

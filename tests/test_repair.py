@@ -433,15 +433,6 @@ class TestSampledVerify:
 
 
 class TestSoakConfigRepair:
-    def test_repair_needs_cluster(self):
-        from repro.serve.soak import SoakConfig
-
-        with pytest.raises(ValueError):
-            SoakConfig.quick(repair=True)  # nodes=1
-        with pytest.raises(ValueError):
-            SoakConfig.quick(nodes=3, replication=2, repair=True,
-                             restage="bogus")
-
     def test_closed_loop_cluster_is_legal_now(self):
         from repro.serve.soak import SoakConfig
 

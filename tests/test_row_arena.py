@@ -334,13 +334,16 @@ class TestAliasingInvariant:
             _assert_one_arena(cache)
 
     def test_node_death_and_burst_restage(self, platform_a, small_table):
+        """A death empties the stores in place; the drain's one-shot
+        ``finish()`` refills them in place."""
+        hotness = _hot(3, 2000)
         node = CacheNode(
-            node_id=0, platform=platform_a, table=small_table, hotness=_hot(3, 2000),
+            node_id=0, platform=platform_a, table=small_table, hotness=hotness,
             member_mask=np.ones(2000, dtype=bool), capacity_entries=250,
         )
         lost = node.drop_gpu_caches()
         _assert_one_arena(node.cache)
-        assert node.restage_all(lost) > 0
+        assert StagedRecovery(node, lost, hotness).finish().bytes > 0
         _assert_one_arena(node.cache)
 
     def test_staged_recovery(self, cache):

@@ -24,7 +24,6 @@ from repro.cluster.soak import (
     FAILOVER_GOODPUT_FLOOR,
     RECOVERY_GOODPUT_FLOOR,
     ClusterSection,
-    RepairSection,
 )
 from repro.serve.runtime import ServingRuntime
 from repro.serve.soak import (
@@ -112,19 +111,20 @@ def _report(**sections):
 class TestGateReadsItsConstants:
     def test_failover_floor(self):
         def report(ratio):
-            return _report(
-                cluster=_zeros(ClusterSection, failover_goodput_ratio=ratio)
-            )
+            return _report(cluster=_zeros(
+                ClusterSection, failover_goodput_ratio=ratio,
+                recovery_goodput_ratio=1.0,
+            ))
 
         assert report(FAILOVER_GOODPUT_FLOOR).ok is True
         assert report(FAILOVER_GOODPUT_FLOOR - 1e-9).ok is False
 
     def test_recovery_floor(self):
         def report(ratio):
-            return _report(
-                cluster=_zeros(ClusterSection, failover_goodput_ratio=1.0),
-                repair=_zeros(RepairSection, recovery_goodput_ratio=ratio),
-            )
+            return _report(cluster=_zeros(
+                ClusterSection, failover_goodput_ratio=1.0,
+                recovery_goodput_ratio=ratio,
+            ))
 
         assert report(RECOVERY_GOODPUT_FLOOR).ok is True
         assert report(RECOVERY_GOODPUT_FLOOR - 1e-9).ok is False
@@ -254,7 +254,6 @@ SECTIONS = {
     "drift": ("drift", lambda: _zeros(
         DriftSection, adapt=_zeros(AdaptSection))),
     "cluster": ("cluster", lambda: _zeros(ClusterSection)),
-    "repair": ("repair", lambda: _zeros(RepairSection)),
 }
 CORE_LABELS = ["requests", "goodput", "latency", "breakers", "integrity"]
 
@@ -288,7 +287,8 @@ class TestReportSections:
     def test_a_section_gate_fails_the_report(self):
         assert _report(box=_zeros(BoxSection, max_queue_depth=1)).ok is False
         assert _report(cluster=_zeros(
-            ClusterSection, failover_goodput_ratio=1.0, corrupt_values_served=1
+            ClusterSection, failover_goodput_ratio=1.0,
+            recovery_goodput_ratio=1.0, corrupt_values_served=1,
         )).ok is False
 
     def test_a_box_run_reports_no_cluster_and_a_cluster_run_no_box(self):
@@ -300,7 +300,7 @@ class TestReportSections:
         assert {"box"} == {k for k in box_doc if k in SECTIONS}
         assert {"cluster"} == {k for k in cluster_doc if k in SECTIONS}
         box_text, cluster_text = map(render_soak_report, (box, cluster))
-        for label in ("cluster", "rpc", "repair", "scrubbing"):
+        for label in ("cluster", "recovery", "rpc", "scrubbing"):
             assert f"\n  {label} " not in box_text
         for label in ("queues", "rerouting", "policy swaps", "tenants"):
             assert f"\n  {label} " not in cluster_text
@@ -308,26 +308,25 @@ class TestReportSections:
 
 
 class TestOptionsThatWent:
-    def test_soak_config_has_24_fields_and_the_report_a_19_field_core(self):
-        assert len(fields(SoakConfig)) == 24
+    def test_soak_config_has_22_fields_and_the_report_a_19_field_core(self):
+        assert len(fields(SoakConfig)) == 22
         names = [f.name for f in fields(SoakReport)]
         assert len(names) == 19 + len(SECTIONS)
         assert names[19:] == list(SECTIONS)
         assert {
             cls.__name__: len(fields(cls))
             for cls in (BoxSection, CoalesceSection, TierSection, DriftSection,
-                        AdaptSection, ClusterSection, RepairSection)
+                        AdaptSection, ClusterSection)
         } == {
             "BoxSection": 9, "CoalesceSection": 3, "TierSection": 2,
-            "DriftSection": 6, "AdaptSection": 7, "ClusterSection": 15,
-            "RepairSection": 11,
+            "DriftSection": 6, "AdaptSection": 7, "ClusterSection": 24,
         }
 
     @pytest.mark.parametrize(
         "gone",
         [
             "slo_factor", "timeout_factor", "drift_window", "linger_ms",
-            "lookahead", "prefetch_capacity",
+            "lookahead", "prefetch_capacity", "repair", "restage",
         ],
     )
     def test_a_removed_keyword_is_a_type_error(self, gone):
@@ -340,7 +339,7 @@ class TestOptionsThatWent:
         assert "--linger-ms" in capsys.readouterr().err
         soak = build_parser()._subparsers._group_actions[0].choices["soak"]
         flags = [a for a in soak._actions if a.option_strings and a.dest != "help"]
-        assert len(flags) == 22
+        assert len(flags) == 19
 
     @pytest.mark.parametrize(
         "argv",

@@ -62,7 +62,6 @@ KEEP: dict[str, tuple[str, str]] = {
     "repro.hardware.platform:Platform.cache_capacity_entries": (
         "paper", "§8.1 cache-ratio rule"),
     "repro.hardware.platform:Platform.max_cache_ratio": ("paper", "§8.1, its bound"),
-    "repro.cluster.node:CacheNode.restage_all": ("fault", "burst refill after a death"),
     "repro.serve.policy_manager:PolicyManager._rollback": ("fault", "swap rollback"),
     "repro.repair.scrub:CacheScrubber.drain": ("fault", "repair every quarantine"),
     "repro.core.solver:_cached_compatible": ("fault", "fallback chain's last-good check"),
@@ -128,8 +127,7 @@ def entry_points(root: Path, out: Path) -> tuple[list, list]:
         QUICK + ["node-flap", *CLUSTER, "--placement", "solver"],
         QUICK + ["node-partition", *CLUSTER, "--closed-loop"],
         QUICK + ["node-slow", *CLUSTER],
-        QUICK + ["node-kill-bit-rot", *CLUSTER, "--repair", "--compare-restage"],
-        QUICK + ["node-kill-bit-rot", *CLUSTER, "--repair", "--restage", "burst"],
+        QUICK + ["node-kill-bit-rot", *CLUSTER],
         QUICK + ["hps-multitenant", "--tiers", "dram:100KB,ssd:1GB"],
         QUICK + [*DRIFT, "rotating-head", "--compare-adapt"],
         QUICK + [*DRIFT, "table-shift"],
