@@ -22,10 +22,14 @@ reading its rows the replaced way, a gather and a row scatter per group —
 keys/sec on an 8 x 1024-key batch (about 20 M here; 6 M for the per-member
 ``searchsorted`` scatter it replaced, re-measured beside it).  The
 ``write_path`` section records the refresh side — ``apply_diff_step``
-entries/sec, ``remove_batch`` keys/sec and the §6.2 LP's assembly time —
-and gates one number: a 4096 + 4096-entry step (``RefreshConfig``'s
-default) must move at least 1.5 M entries/sec (3.0-5.0 M here; 0.07 M for
-the per-entry loop, whose double-free scan made a step quadratic).  The
+entries/sec, ``remove_batch`` keys/sec and the §6.2 LP's assembly time
+beside its HiGHS time — and gates two numbers: a 4096 + 4096-entry step
+(``RefreshConfig``'s default) must move at least 1.5 M entries/sec
+(3.0-5.0 M here; 0.07 M for the per-entry loop, whose double-free scan
+made a step quadratic), and ``extract_batch``'s server-c LP must have at
+most 1,000 variables (about 620 per GPU orbit; 12,409 per GPU pair, which
+a platform that stops qualifying for the orbit quotient would return to).
+A variable count is deterministic, unlike a time floor.  The
 ``perf-smoke`` CI job runs exactly this file
 (``pytest benchmarks/bench_micro_hotpath.py -m perf``).  Every row of the
 artifact comes from one run, whose commit is written beside them
@@ -69,6 +73,7 @@ MIN_COALESCE_MEMBER_KEYS_PER_SEC_AT_8X1024 = 10e6
 MAX_TIER_REGRESSION = 0.10
 REFRESH_STEPS = (512, 4096)  # entries evicted and entries inserted per step
 MIN_REFRESH_ENTRIES_PER_SEC_AT_4096 = 1.5e6
+MAX_SERVER_C_LP_VARIABLES = 1_000
 #: (platform, entries, Zipf alpha, keys per batch, cache ratio): the LPs the
 #: end-to-end benchmark's refresh_mixed and extract_batch workloads solve.
 LP_SHAPES = (
@@ -313,7 +318,8 @@ def _bench_write_path(rng) -> dict:
     (timed there and back, so every repeat starts from the same store);
     ``remove_batch`` deletes 4096 of 20 k keys from a fresh table each
     repeat; LP assembly is ``solve_policy`` with ``linprog`` answering from
-    its first (real) solve, i.e. everything but the solve.
+    its first (real) solve, i.e. everything but the solve, and ``highs_s``
+    is that first solve.
     """
     import scipy.optimize
 
@@ -354,11 +360,13 @@ def _bench_write_path(rng) -> dict:
         platform = make_platform()
         hotness = zipf_pmf(entries, alpha)[rng.permutation(entries)] * batch_keys
         args = (platform, hotness, int(ratio * entries), 128, config)
-        answer = []
+        answer, highs = [], []
 
         def solve_once(*a, **kw):  # same LP every call, so same answer
             if not answer:
+                start = time.perf_counter()
                 answer.append(real_linprog(*a, **kw))
+                highs.append(time.perf_counter() - start)
             return answer[0]
 
         scipy.optimize.linprog = solve_once
@@ -374,6 +382,7 @@ def _bench_write_path(rng) -> dict:
                 "variables": policy.num_variables,
                 "constraints": policy.num_constraints,
                 "lp_assembly_ms": assembly * 1e3,
+                "highs_s": highs[0],
             }
         )
     return {"apply_diff_step": steps, "remove_batch": remove, "lp_assembly": lps}
@@ -398,6 +407,7 @@ def bench_micro_hotpath():
             MIN_COALESCE_MEMBER_KEYS_PER_SEC_AT_8X1024
         ),
         "min_refresh_entries_per_sec_at_4096": MIN_REFRESH_ENTRIES_PER_SEC_AT_4096,
+        "max_server_c_lp_variables": MAX_SERVER_C_LP_VARIABLES,
         "location_table": location_rows,
         "pipeline": pipeline_rows,
         "tier_pricing": tier_rows,
@@ -490,5 +500,11 @@ def bench_micro_hotpath():
     for row in write_path["lp_assembly"]:
         print(
             f"LP assembly {row['platform']} ({row['blocks']} blocks, "
-            f"{row['variables']} variables): {row['lp_assembly_ms']:.1f} ms"
+            f"{row['variables']} variables): {row['lp_assembly_ms']:.1f} ms, "
+            f"HiGHS {row['highs_s'] * 1e3:.1f} ms"
         )
+        if row["platform"] == "server-c":
+            assert row["variables"] <= MAX_SERVER_C_LP_VARIABLES, (
+                f"server-c policy LP has {row['variables']} variables: the "
+                "orbit quotient no longer applies"
+            )

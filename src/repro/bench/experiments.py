@@ -45,9 +45,9 @@ from repro.sim.utilization import batch_utilization
 from repro.utils.units import seconds_to_ms
 
 #: Solver knobs used across benchmark sweeps: slightly coarser blocking
-#: than the paper's 0.5% keeps each LP solve ~1 s at our scales while
-#: staying within ~2% of the finer solution (bench_misc_solver_scale
-#: quantifies this).
+#: than the paper's 0.5% keeps each LP solve in the tens of ms per GPU
+#: orbit (about 0.5 s on server-b's full LP) while staying within ~2% of
+#: the finer solution (bench_misc_solver_scale quantifies this).
 BENCH_SOLVER = SolverConfig(coarse_block_frac=0.01)
 
 #: The systems the drivers plan through; UGache's solved plans are
@@ -487,7 +487,8 @@ def fig16_vs_optimal() -> ExperimentResult:
     )
     #: Reduced universe for per-entry tractability (the paper shrinks the
     #: dataset to SYN-As/Bs for the same reason; §8.5).  600 entries keeps
-    #: every per-entry HiGHS solve under ~15 s on one core.
+    #: every per-entry HiGHS solve under ~30 s on one core: server-b's full
+    #: LP takes ~25 s on SYN-As, the symmetric servers' per-orbit LPs < 0.1 s.
     # The reduction is *stratified*: every k-th entry of the hotness-
     # descending order, so the reduced instance keeps the distribution's
     # shape and the blocked-vs-optimal gap is measured in the same regime.
@@ -646,9 +647,9 @@ def misc_solver_scale() -> ExperimentResult:
     result.add(
         dataset="zipf-400 (LP vs binary MILP)",
         entries=400,
-        blocks=relaxed.blocks.num_blocks,
-        variables=relaxed.num_variables,
-        constraints=relaxed.num_constraints,
+        blocks=integral.blocks.num_blocks,
+        variables=integral.num_variables,
+        constraints=integral.num_constraints,
         solve_s=integral.solve_seconds,
         est_ms=_ms(integral.est_time),
     )

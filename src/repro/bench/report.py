@@ -105,7 +105,8 @@ def _sum_fig12(r: ExperimentResult) -> str:
 
 def _sum_fig13(r: ExperimentResult) -> str:
     pcie = np.mean([row["pcie_w_fem_pct"] / max(row["pcie_wo_fem_pct"], 1e-9) for row in r.rows])
-    nv = np.mean([row["nvlink_w_fem_pct"] / max(row["nvlink_wo_fem_pct"], 1e-9) for row in r.rows])
+    nv = np.mean([row["nvlink_w_fem_pct"] / row["nvlink_wo_fem_pct"] for row in r.rows
+                  if row["nvlink_wo_fem_pct"] > 0])  # cells that read a peer
     return f"FEM improves PCIe utilization {pcie:.2f}x and NVLink {nv:.2f}x on average"
 
 
@@ -162,7 +163,7 @@ def _sum_solver_scale(r: ExperimentResult) -> str:
     return (
         f"blocking keeps {max(row['entries'] for row in big):,}-entry tables at "
         f"≤{max(row['blocks'] for row in big)} blocks, solved in "
-        f"≤{max(row['solve_s'] for row in big):.1f} s"
+        f"≤{max(row['solve_s'] for row in big):.2f} s"
     )
 
 

@@ -41,7 +41,7 @@ def solve_optimal(
             f"(got {hotness.size}); reduce the dataset as §8.5 does"
         )
     blocks = per_entry_blocks(hotness)
-    config = SolverConfig(time_limit=300.0, method="highs-ipm")
+    config = SolverConfig(time_limit=300.0)
     return solve_policy(
         platform,
         hotness,

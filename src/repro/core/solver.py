@@ -24,6 +24,10 @@ Blocks are divisible groups of same-hotness entries, so the default solve
 uses the continuous relaxation (fractional block storage is realized
 exactly by splitting the block's entries); ``integral=True`` solves the
 true binary program for small instances.
+Where every GPU permutation maps the LP onto itself (:func:`gpu_symmetric`)
+the relaxation is solved once per GPU orbit and expanded back to every GPU
+(DESIGN.md §4, "The orbit quotient"); :meth:`SolvedPolicy.realize` breaks
+the symmetry.
 """
 
 from __future__ import annotations
@@ -56,15 +60,11 @@ class SolverConfig:
             LP relaxation.  Exponentially slower; for small instances and
             the ablation benchmark only.
         time_limit: HiGHS wall-clock budget in seconds.
-        method: HiGHS algorithm: "highs" (auto), "highs-ds" (dual simplex)
-            or "highs-ipm" (interior point — faster on the large per-entry
-            LPs).
     """
 
     coarse_block_frac: float = 0.005
     integral: bool = False
     time_limit: float = 60.0
-    method: str = "highs"
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,10 @@ class SolvedPolicy:
     capacities: tuple[int, ...]
     num_variables: int = 0
     num_constraints: int = 0
+    #: Set only when the LP was solved per orbit of the full symmetric GPU
+    #: group (a warm start carries it over): seconds one GPU spends on one
+    #: read of one entry from its cheapest non-local source.
+    symmetric_read_cost: float | None = None
 
     def realize(self) -> Placement:
         """Turn fractional block storage into a concrete per-GPU placement.
@@ -102,8 +106,31 @@ class SolvedPolicy:
         entries, which tiles partition-like solutions exactly
         (``Σ_j s = 1``), replicates replication-like ones (``s = 1``
         everywhere), and spreads partial replicas evenly in between.
+        A symmetric solve is dealt by :meth:`_deal_copies` instead.
         Capacity is enforced afterwards by trimming coldest-first.
         """
+        symmetric = self.symmetric_read_cost is not None
+        per_gpu = self._deal_copies() if symmetric else self._slice_quotas()
+        final: list[np.ndarray] = []
+        rank: np.ndarray | None = None
+        for j in range(len(per_gpu)):
+            ids = (
+                np.concatenate(per_gpu[j]) if per_gpu[j] else np.empty(0, dtype=np.int64)
+            )
+            ids = np.unique(ids)
+            cap = self.capacities[j]
+            if len(ids) > cap:
+                # Trim coldest first: blocks are hotness-ordered, so order
+                # entries by their position in the global hot order.
+                if rank is None:
+                    rank = np.empty(self.blocks.num_entries, dtype=np.int64)
+                    rank[self.blocks.order] = np.arange(self.blocks.num_entries)
+                ids = ids[np.argsort(rank[ids])][:cap]
+            final.append(ids)
+        return Placement(num_entries=self.blocks.num_entries, per_gpu=tuple(final))
+
+    def _slice_quotas(self) -> list[list[np.ndarray]]:
+        """Largest-remainder quotas, each taken from a shared pointer."""
         num_gpus = self.storage.shape[1]
         per_gpu: list[list[np.ndarray]] = [[] for _ in range(num_gpus)]
         for b in range(self.blocks.num_blocks):
@@ -139,24 +166,37 @@ class SolvedPolicy:
                 take = (pointer + np.arange(c)) % m
                 per_gpu[j].append(entries[take])
                 pointer = (pointer + c) % m
+        return per_gpu
 
-        final: list[np.ndarray] = []
-        rank: np.ndarray | None = None
-        for j in range(num_gpus):
-            ids = (
-                np.concatenate(per_gpu[j]) if per_gpu[j] else np.empty(0, dtype=np.int64)
-            )
-            ids = np.unique(ids)
-            cap = self.capacities[j]
-            if len(ids) > cap:
-                # Trim coldest first: blocks are hotness-ordered, so order
-                # entries by their position in the global hot order.
-                if rank is None:
-                    rank = np.empty(self.blocks.num_entries, dtype=np.int64)
-                    rank[self.blocks.order] = np.arange(self.blocks.num_entries)
-                ids = ids[np.argsort(rank[ids])][:cap]
-            final.append(ids)
-        return Placement(num_entries=self.blocks.num_entries, per_gpu=tuple(final))
+    def _deal_copies(self) -> list[list[np.ndarray]]:
+        """Deal a symmetric solve: a block's ``Σ_j s[b,j]·size`` copies
+        (rounded; up when size < G), hottest entry first, go round the GPUs
+        in order of hotness held; a tiny block whose one non-local read
+        alone exceeds ``z`` goes to every GPU (DESIGN.md §4)."""
+        num_gpus = self.storage.shape[1]
+        load = np.zeros(num_gpus)
+        holders, dealt = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+        for b in range(self.blocks.num_blocks):
+            entries = self.blocks.entries(b)
+            m = len(entries)
+            heat = self.blocks.hotness_sum[b] / m
+            mass = float(np.clip(self.storage[b], 0.0, 1.0).sum()) * m
+            if m >= num_gpus:
+                copies = int(round(mass))
+            elif heat * self.symmetric_read_cost > self.est_time:
+                copies = num_gpus * m
+            else:
+                copies = int(np.ceil(mass - 1e-6))
+            copies = min(copies, num_gpus * m)
+            if copies <= 0:
+                continue
+            share, extra = divmod(copies, m)
+            dealt.append(np.repeat(entries, share + (np.arange(m) < extra)))
+            holder = np.argsort(load, kind="stable")[np.arange(copies) % num_gpus]
+            load += np.bincount(holder, minlength=num_gpus) * heat
+            holders.append(holder)
+        holder, entry = np.concatenate(holders), np.concatenate(dealt)
+        return [[entry[holder == j]] for j in range(num_gpus)]
 
     def access_volume_fractions(self, dst: int) -> dict[int, float]:
         """Expected fraction of GPU ``dst``'s accesses served per source."""
@@ -249,35 +289,53 @@ def solve_policy(
 
     # Enumerate (dst, src) pairs; unconnected GPU pairs are dropped (§6.2).
     pairs = [(i, j) for i in range(G) for j in platform.sources_for(i)]
-    P = len(pairs)
     pair_dst, pair_src = np.array(pairs).T
-    backed = platform.backing_mask(pair_src)
-
-    # Variable layout: a (B*P) | s (B*G) | t (G) | z.
-    num_a = B * P
-    num_s = B * G
-    t0 = num_a + num_s
-    z0 = t0 + G
-    num_vars = z0 + 1
-    a_ids = np.arange(num_a).reshape(B, P)
-    s_ids = num_a + np.arange(num_s).reshape(B, G)
-    t_ids = t0 + np.arange(G)
-
-    # Pair cost coefficients w[b, p] = T_{i←j} * H_b * entry_bytes.
+    # T_{i←j}·entry_bytes and the work-conservation core ratio R_{i←j}.
     pair_cost = np.array(
         [platform.cost_per_byte(i, j) * entry_bytes for (i, j) in pairs]
     )
-    w = weights_h[:, None] * pair_cost[None, :]  # (B, P)
-    # Core ratio R_{i←j} per pair, for the work-conservation bound.
     ratios = [dedication_ratios(platform, i) for i in range(G)]
-    r = np.array([ratios[i][j] for (i, j) in pairs])
+    pair_r = np.array([ratios[i][j] for (i, j) in pairs])
 
-    # Σ_j a[b,i,j] = 1 for every (b, i): row b·G + i.
-    num_eq = B * G
+    # Index the LP by orbit of the GPU group.  Under the full symmetric
+    # group GPU 0 stands for every GPU and GPU 1 for every peer; under the
+    # trivial group every GPU and every pair is its own orbit.
+    symmetric = gpu_symmetric(platform, pairs, pair_cost, pair_r, caps, config.integral)
+    orbit = np.zeros(G, dtype=np.int64) if symmetric else np.arange(G)
+    rep_gpus = np.flatnonzero(orbit == np.arange(G))
+    backed = platform.backing_mask(pair_src)
+    canon = np.array(pairs)
+    if symmetric:
+        canon[:, 0] = 0
+        canon[~backed, 1] = np.where(pair_src == pair_dst, 0, 1)[~backed]
+    rep = np.flatnonzero((canon == np.array(pairs)).all(axis=1))
+    column = {pair: k for k, pair in enumerate(map(tuple, canon[rep].tolist()))}
+    col_of = np.array([column[pair] for pair in map(tuple, canon.tolist())])
+    # How many of its orbit GPU's pairs a column stands for (G - 1 peers).
+    mult = np.bincount(col_of[np.isin(pair_dst, rep_gpus)]).astype(np.float64)
+    col_dst, col_src, backed = orbit[pair_dst[rep]], pair_src[rep], backed[rep]
+    P, Gq = len(rep), len(rep_gpus)
+
+    # Variable layout: a (B*P) | s (B*Gq) | t (Gq) | z.
+    num_a = B * P
+    num_s = B * Gq
+    t0 = num_a + num_s
+    z0 = t0 + Gq
+    num_vars = z0 + 1
+    a_ids = np.arange(num_a).reshape(B, P)
+    s_ids = num_a + np.arange(num_s).reshape(B, Gq)
+    t_ids = t0 + np.arange(Gq)
+
+    # Column cost coefficients w[b, p] = T_{i←j} * H_b * entry_bytes.
+    w = weights_h[:, None] * pair_cost[rep][None, :]  # (B, P)
+    r = pair_r[rep] * mult  # R_{i←j}, once per pair the column stands for
+
+    # Σ_j a[b,i,j] = 1 for every (b, i): row b·Gq + i.
+    num_eq = B * Gq
     A_eq = sparse.coo_matrix(
         (
-            np.ones(num_a),
-            ((np.arange(B)[:, None] * G + pair_dst).ravel(), a_ids.ravel()),
+            np.tile(mult, B),
+            ((np.arange(B)[:, None] * Gq + col_dst).ravel(), a_ids.ravel()),
         ),
         shape=(num_eq, num_vars),
     ).tocsc()
@@ -290,39 +348,39 @@ def solve_policy(
     num_couple = B * len(gpu_pairs)
     couple_rows = np.arange(num_couple)
     cap0 = num_couple
-    ragged0 = cap0 + G
+    ragged0 = cap0 + Gq
     conserve0 = ragged0 + P
-    order0 = conserve0 + G
-    num_ub = order0 + G
+    order0 = conserve0 + Gq
+    num_ub = order0 + Gq
     per_pair_cols = a_ids.T.ravel()  # every a[·,p], pair-major
     families = [
         # a[b,i,j] - s[b,j] ≤ 0 for GPU sources (including j == i).
         (couple_rows, a_ids[:, gpu_pairs].ravel(), np.ones(num_couple)),
-        (couple_rows, s_ids[:, pair_src[gpu_pairs]].ravel(), -np.ones(num_couple)),
+        (couple_rows, s_ids[:, orbit[col_src[gpu_pairs]]].ravel(), -np.ones(num_couple)),
         # Σ_b size_b·s[b,j] ≤ Cap_j.
-        (cap0 + np.repeat(np.arange(G), B), s_ids.T.ravel(), np.tile(sizes, G)),
+        (cap0 + np.repeat(np.arange(Gq), B), s_ids.T.ravel(), np.tile(sizes, Gq)),
         # Ragged-group bound: Σ_b w[b,p]·a[b,p] - t_i ≤ 0 per pair.
         (ragged0 + np.repeat(np.arange(P), B), per_pair_cols, w.T.ravel()),
-        (ragged0 + np.arange(P), t_ids[pair_dst], -np.ones(P)),
+        (ragged0 + np.arange(P), t_ids[col_dst], -np.ones(P)),
         # Work-conservation bound: Σ_p R[p]·(Σ_b w·a) - t_i ≤ 0 per GPU.
-        (conserve0 + np.repeat(pair_dst, B), per_pair_cols, (r * w).T.ravel()),
-        (conserve0 + np.arange(G), t_ids, -np.ones(G)),
+        (conserve0 + np.repeat(col_dst, B), per_pair_cols, (r * w).T.ravel()),
+        (conserve0 + np.arange(Gq), t_ids, -np.ones(Gq)),
         # t_i - z ≤ 0.
-        (order0 + np.arange(G), t_ids, np.ones(G)),
-        (order0 + np.arange(G), np.full(G, z0), -np.ones(G)),
+        (order0 + np.arange(Gq), t_ids, np.ones(Gq)),
+        (order0 + np.arange(Gq), np.full(Gq, z0), -np.ones(Gq)),
     ]
     ub_rows, ub_cols, ub_vals = (np.concatenate(part) for part in zip(*families))
     A_ub = sparse.coo_matrix(
         (ub_vals, (ub_rows, ub_cols)), shape=(num_ub, num_vars)
     ).tocsc()
     b_ub = np.zeros(num_ub)
-    b_ub[cap0:ragged0] = caps
+    b_ub[cap0:ragged0] = [caps[g] for g in rep_gpus]
 
     c = np.zeros(num_vars)
     c[z0] = 1.0
     lower = np.zeros(num_vars)
     upper = np.concatenate(
-        [np.ones(num_a + num_s), np.full(G + 1, np.inf)]
+        [np.ones(num_a + num_s), np.full(Gq + 1, np.inf)]
     )
     # Multi-tier backing: each entry has exactly one backing home, chosen
     # by the hotness waterfall (optimal for backing-only reads: hottest to
@@ -340,7 +398,7 @@ def solve_policy(
         homed = home[blocks.order][:, None] == np.array(platform.backing_ids)
         counts = np.add.reduceat(homed, blocks.offsets[:-1], dtype=np.int64)
         backing_frac = counts / sizes[:, None]
-        tier = platform.tier_index(pair_src[backed])
+        tier = platform.tier_index(col_src[backed])
         upper[a_ids[:, backed]] = backing_frac[:, tier]
 
     start = _time.perf_counter()
@@ -370,7 +428,6 @@ def solve_policy(
             A_eq=A_eq,
             b_eq=b_eq,
             bounds=np.column_stack([lower, upper]),
-            method=config.method,
             options={"time_limit": config.time_limit},
         )
     elapsed = _time.perf_counter() - start
@@ -390,10 +447,11 @@ def solve_policy(
         platform.name, B, num_vars, num_ub + num_eq, elapsed, float(res.x[z0]),
     )
 
+    # Expand to every GPU and pair: each takes its orbit's value.
     x = np.asarray(res.x)
-    access = x[:num_a].reshape(B, P)
-    storage = x[num_a : num_a + num_s].reshape(B, G)
-    t = x[t0 : t0 + G]
+    access = x[:num_a].reshape(B, P)[:, col_of]
+    storage = x[num_a : num_a + num_s].reshape(B, Gq)[:, orbit]
+    t = x[t0 : t0 + Gq][orbit]
     return SolvedPolicy(
         platform_name=platform.name,
         blocks=blocks,
@@ -406,7 +464,23 @@ def solve_policy(
         capacities=tuple(caps),
         num_variables=num_vars,
         num_constraints=num_ub + num_eq,
+        symmetric_read_cost=float(pair_cost[(pair_dst == 0) & (pair_src != 0)].min())
+        if symmetric else None,
     )
+
+
+def gpu_symmetric(platform, pairs, cost, ratio, caps, integral) -> bool:
+    """Whether every GPU permutation maps the LP (per-pair ``cost`` and
+    core ``ratio``) onto itself: each GPU reads every other GPU (or none)
+    at one peer cost and ratio, local and each tier alike on all GPUs, and
+    capacities are equal.  Never for an ``integral`` solve: averaging
+    integer optima is unsound."""
+    G = platform.num_gpus
+    if integral or G == 1 or len(set(caps)) > 1:
+        return False
+    kinds = ["local" if i == j else "peer" if platform.is_gpu(j) else j for i, j in pairs]
+    return kinds.count("peer") in (0, G * (G - 1)) and len(
+        set(zip(kinds, cost.tolist(), ratio.tolist()))) == len(set(kinds))
 
 
 def _estimate_times_for_access(
@@ -594,6 +668,7 @@ def warm_start_policy(
         capacities=warm.capacities,
         num_variables=0,
         num_constraints=0,
+        symmetric_read_cost=warm.symmetric_read_cost,
     )
 
 

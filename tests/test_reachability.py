@@ -274,7 +274,7 @@ CONFIGS = [
      dict(cache_ratio=None, capacity_entries=None)),  # + solver
     ("repro.core.refresher", "RefreshConfig", dict(update_batch_entries=4096)),
     ("repro.core.solver", "SolverConfig",
-     dict(coarse_block_frac=0.005, integral=False, time_limit=60.0, method="highs")),
+     dict(coarse_block_frac=0.005, integral=False, time_limit=60.0)),
     ("repro.core.solver", "FallbackConfig",
      dict(deadline_seconds=30.0, use_cached=True)),  # + retry
     ("repro.faults.chaos", "ChaosConfig",
@@ -360,8 +360,8 @@ def test_surviving_defaults_and_new_constants_did_not_move():
                      for f in dataclasses.fields(cls))
     # 128 fields on 21 classes before the census; PrefetchConfig and two
     # SoakConfig fields went with the lookahead stage, two more with the
-    # repair switch
-    assert len(CONFIGS) == 13 and total == 65
+    # repair switch, and SolverConfig.method with the orbit quotient
+    assert len(CONFIGS) == 13 and total == 64
     _found, _callables, _experiments, fields = reachability.options(TOOL.parents[1] / "src")
     in_src = {key.split(":")[1].rsplit(".", 1)[0] for key in fields}
     assert {name for _, name, _ in CONFIGS} == {

@@ -1,17 +1,36 @@
 """The MILP/LP cache-policy solver (§6.2-6.3)."""
 
+import logging
+
 import numpy as np
 import pytest
 
+from repro.core import solver as solver_module
 from repro.core.evaluate import evaluate_placement, hit_rates
 from repro.core.policy import partition_policy, replication_policy
 from repro.core.solver import (
     PolicySolveError,
     SolverConfig,
     dedication_ratios,
+    gpu_symmetric,
     solve_policy,
+    warm_start_policy,
 )
-from repro.hardware.platform import HOST
+from repro.faults.degrade import degraded_platform
+from repro.faults.spec import HealthView
+from repro.hardware.platform import (
+    HOST,
+    cxl_tier,
+    dgx2,
+    dram_tier,
+    pcie_only,
+    server_a,
+    server_b,
+    server_c,
+    ssd_tier,
+    with_tiers,
+)
+from repro.obs import MetricsRegistry, use_registry
 from repro.sim.mechanisms import Mechanism
 from repro.utils.stats import zipf_pmf
 
@@ -186,6 +205,117 @@ class TestSolvedPolicyAccessors:
         solved = solve_policy(platform_a, hot1000, 100, ENTRY_BYTES)
         assert solved.num_variables > 0
         assert solved.num_constraints > 0
+
+
+def three_tier_a():
+    n, eb = 1500, 128
+    return with_tiers(server_a(), (
+        dram_tier(n // 6 * eb), cxl_tier(n // 3 * eb), ssd_tier(n * eb)))
+
+
+def trivial_group(monkeypatch):
+    """Make every solve build the full LP, one orbit per GPU and pair."""
+    monkeypatch.setattr(solver_module, "gpu_symmetric", lambda *args: False)
+
+
+#: HOT from test_consistency_matrix and the parent's realized/estimate
+#: ratios at 1 / 5 / 20 % cache ratio (before the orbit quotient).
+MATRIX_HOT = zipf_pmf(1500, 1.15) * 20_000
+PARENT_RATIOS = {"server-a": (1.00, 1.17, 1.00), "server-c": (1.02, 1.30, 1.00)}
+
+
+class TestOrbitQuotient:
+    @pytest.mark.parametrize("make, n, cap", [
+        (server_a, 1500, 30), (server_a, 1500, 150), (server_c, 1500, 30),
+        (server_c, 1500, 150), (dgx2, 32, 4), (pcie_only, 1500, 150),
+        (three_tier_a, 1500, 30),
+    ])
+    def test_objective_matches_full_lp(self, make, n, cap, monkeypatch):
+        platform = make()
+        hot = (zipf_pmf(n, 1.1) * 4096)[np.random.default_rng(3).permutation(n)]
+        config = SolverConfig(coarse_block_frac=0.05)
+        quotient = solve_policy(platform, hot, cap, 128, config)
+        trivial_group(monkeypatch)
+        full = solve_policy(platform, hot, cap, 128, config)
+        assert quotient.symmetric_read_cost is not None
+        assert full.symmetric_read_cost is None
+        assert quotient.num_variables < full.num_variables
+        assert quotient.est_time == pytest.approx(full.est_time, rel=1e-7)
+        # Expanded back to every GPU, one value per orbit.
+        assert quotient.storage.shape == full.storage.shape
+        assert quotient.access.shape == full.access.shape
+        assert (quotient.storage == quotient.storage[:, :1]).all()
+
+    @pytest.mark.parametrize("platform, symmetric", [
+        (server_a(), True), (server_c(), True), (dgx2(), True),
+        (pcie_only(), True), (three_tier_a(), True), (server_b(), False),
+        (degraded_platform(server_c(), HealthView(down_gpus=frozenset({2}))), False),
+        (degraded_platform(server_c(), HealthView(link_factors=(((0, 2), 0.5),))), False),
+    ])
+    def test_group_finder(self, platform, symmetric):
+        G = platform.num_gpus
+        pairs = [(i, j) for i in range(G) for j in platform.sources_for(i)]
+        cost = np.array([platform.cost_per_byte(i, j) for i, j in pairs])
+        ratio = np.array([dedication_ratios(platform, i)[j] for i, j in pairs])
+        assert gpu_symmetric(platform, pairs, cost, ratio, [10] * G, False) is symmetric
+        assert not gpu_symmetric(platform, pairs, cost, ratio, [10] * G, True)
+        assert not gpu_symmetric(platform, pairs, cost, ratio, [10] * (G - 1) + [9], False)
+
+    @pytest.mark.parametrize("case", [
+        "server_b", "slow_link", "unequal_capacities", "integral"])
+    def test_trivial_group_solves_the_full_lp(self, case, monkeypatch):
+        platform, cap, config = server_a(), 150, SolverConfig(coarse_block_frac=0.05)
+        if case == "server_b":
+            platform = server_b()
+        elif case == "slow_link":
+            platform = degraded_platform(
+                server_a(), HealthView(link_factors=(((0, 2), 0.5),)))
+        elif case == "unequal_capacities":
+            cap = [60, 120, 180, 240]
+        else:
+            config = SolverConfig(coarse_block_frac=0.2, integral=True)
+        hot = (zipf_pmf(600, 1.1) * 4096)[np.random.default_rng(3).permutation(600)]
+        natural = solve_policy(platform, hot, cap, 128, config)
+        trivial_group(monkeypatch)
+        full = solve_policy(platform, hot, cap, 128, config)
+        assert natural.symmetric_read_cost is None
+        assert natural.num_variables == full.num_variables
+        assert natural.storage.tobytes() == full.storage.tobytes()
+        assert natural.access.tobytes() == full.access.tobytes()
+        for got, want in zip(natural.realize().per_gpu, full.realize().per_gpu):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("make", [server_a, server_c])
+    def test_realization_matrix(self, make):
+        platform = make()
+        for ratio, parent in zip((0.01, 0.05, 0.2), PARENT_RATIOS[platform.name]):
+            cap = int(ratio * len(MATRIX_HOT))
+            solved = solve_policy(
+                platform, MATRIX_HOT, cap, 256, SolverConfig(coarse_block_frac=0.005))
+            realized = evaluate_placement(
+                platform, solved.realize(), MATRIX_HOT, 256, Mechanism.FACTORED).time
+            assert realized / solved.est_time <= max(parent, 1.10), ratio
+
+    def test_warm_start_realizes_like_a_cold_solve(self, platform_c):
+        hot = zipf_pmf(1500, 1.15) * 20_000
+        drifted = hot[np.random.default_rng(7).permutation(hot.size)]
+        cold_a = solve_policy(platform_c, hot, 75, 256)
+        warm = warm_start_policy(platform_c, drifted, 75, 256, cold_a)
+        cold = solve_policy(platform_c, drifted, 75, 256)
+        assert warm.symmetric_read_cost == cold.symmetric_read_cost is not None
+        for got, want in zip(warm.realize().per_gpu, cold.realize().per_gpu):
+            assert np.array_equal(got, want)
+
+    def test_metrics_and_log_fire_on_the_quotient(self, platform_c, caplog):
+        reg = MetricsRegistry("t")
+        with use_registry(reg), caplog.at_level(logging.DEBUG, "repro.core.solver"):
+            solved = solve_policy(platform_c, zipf_pmf(1000, 1.2) * 5000, 100, 512)
+        assert solved.symmetric_read_cost is not None
+        assert reg.histogram("solver.build.seconds").count == 1
+        assert reg.value("solver.num_blocks") == solved.blocks.num_blocks
+        assert reg.value("solver.num_variables") == solved.num_variables
+        assert reg.value("solver.num_constraints") == solved.num_constraints
+        assert f"{solved.num_variables} vars" in caplog.text
 
 
 class TestFallbackChain:

@@ -23,6 +23,7 @@ from repro.core.filler import apply_diff_step, fill_gpu, placement_diff
 from repro.core.location_table import LocationTable
 from repro.core.policy import Placement
 from repro.core.refresher import RefreshConfig, Refresher
+from repro.core import solver as solver_module
 from repro.core.solver import SolverConfig, dedication_ratios, solve_policy
 from repro.core.tiers import assign_backing_tiers
 from repro.hardware.memory import OutOfDeviceMemory, SlotArena
@@ -466,6 +467,8 @@ class TestLpAssemblyAgainstLoop:
 
         monkeypatch.setattr(scipy.optimize, "linprog", linprog)
         monkeypatch.setattr(scipy.optimize, "milp", milp)
+        # The loop assembles the full LP: pin the trivial-group assembly.
+        monkeypatch.setattr(solver_module, "gpu_symmetric", lambda *args: False)
         solved = solve_policy(platform, hotness, capacity, entry_bytes, config)
         monkeypatch.undo()
 
@@ -498,7 +501,7 @@ class TestLpAssemblyAgainstLoop:
                 want["c"], A_ub=want["A_ub"], b_ub=want["b_ub"], A_eq=want["A_eq"],
                 b_eq=want["b_eq"],
                 bounds=np.column_stack([want["lower"], want["upper"]]),
-                method=config.method, options={"time_limit": config.time_limit},
+                options={"time_limit": config.time_limit},
             )
         x = np.asarray(res.x)
         access = np.clip(x[: B * P].reshape(B, P), 0.0, 1.0)
