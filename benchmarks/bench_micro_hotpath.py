@@ -22,14 +22,19 @@ reading its rows the replaced way, a gather and a row scatter per group —
 keys/sec on an 8 x 1024-key batch (about 20 M here; 6 M for the per-member
 ``searchsorted`` scatter it replaced, re-measured beside it).  The
 ``write_path`` section records the refresh side — ``apply_diff_step``
-entries/sec, ``remove_batch`` keys/sec and the §6.2 LP's assembly time
-beside its HiGHS time — and gates two numbers: a 4096 + 4096-entry step
-(``RefreshConfig``'s default) must move at least 1.5 M entries/sec
-(3.0-5.0 M here; 0.07 M for the per-entry loop, whose double-free scan
-made a step quadratic), and ``extract_batch``'s server-c LP must have at
-most 1,000 variables (about 620 per GPU orbit; 12,409 per GPU pair, which
-a platform that stops qualifying for the orbit quotient would return to).
-A variable count is deterministic, unlike a time floor.  The
+entries/sec, ``remove_batch`` keys/sec, the §6.2 LP's assembly time
+beside its HiGHS time and the location-table rebuild (``resolve_sources``
+over the realized placement) beside the float argmin it replaced — and
+gates three numbers: a 4096 + 4096-entry step (``RefreshConfig``'s
+default) must move at least 1.5 M entries/sec (3.0-5.0 M here; 0.07 M for
+the per-entry loop, whose double-free scan made a step quadratic),
+``extract_batch``'s server-c LP must have at most 1,000 variables (about
+620 per GPU orbit; 12,409 per GPU pair, which a platform that stops
+qualifying for the orbit quotient would return to), and the server-c
+100 k rebuild must be at least 3x the float argmin (about 6x here, by
+rank per residue class).  A variable count is deterministic, unlike a
+time floor; a speed-up over an oracle timed in the same process is
+steadier than a rate.  The
 ``perf-smoke`` CI job runs exactly this file
 (``pytest benchmarks/bench_micro_hotpath.py -m perf``).  Every row of the
 artifact comes from one run, whose commit is written beside them
@@ -50,6 +55,7 @@ import numpy as np
 import pytest
 
 from repro.core.cache import MultiGpuEmbeddingCache
+from repro.core.evaluate import resolve_sources
 from repro.core.extractor import FactoredExtractor
 from repro.core.filler import apply_diff_step, fill_gpu
 from repro.core.location_table import LocationTable
@@ -74,6 +80,7 @@ MAX_TIER_REGRESSION = 0.10
 REFRESH_STEPS = (512, 4096)  # entries evicted and entries inserted per step
 MIN_REFRESH_ENTRIES_PER_SEC_AT_4096 = 1.5e6
 MAX_SERVER_C_LP_VARIABLES = 1_000
+MIN_SERVER_C_REBUILD_SPEEDUP = 3.0
 #: (platform, entries, Zipf alpha, keys per batch, cache ratio): the LPs the
 #: end-to-end benchmark's refresh_mixed and extract_batch workloads solve.
 LP_SHAPES = (
@@ -312,16 +319,21 @@ def _bench_tier_pricing(rng) -> list[dict]:
 
 
 def _bench_write_path(rng) -> dict:
-    """The refresh side: one store step, one hashtable delete, one LP build.
+    """The refresh side: one store step, one hashtable delete, one LP build,
+    one location-table rebuild.
 
     A step evicts and inserts ``step`` entries each on a 100 k x 32 store
     (timed there and back, so every repeat starts from the same store);
     ``remove_batch`` deletes 4096 of 20 k keys from a fresh table each
     repeat; LP assembly is ``solve_policy`` with ``linprog`` answering from
     its first (real) solve, i.e. everything but the solve, and ``highs_s``
-    is that first solve.
+    is that first solve.  The rebuild is ``resolve_sources`` over that LP's
+    realized placement, timed beside the float-argmin resolve it replaced
+    (``tests/test_evaluate.py``'s oracle), whose output it must equal.
     """
     import scipy.optimize
+
+    from tests.test_evaluate import _argmin_resolve_sources  # repo root on sys.path
 
     table = rng.standard_normal((TABLE_ENTRIES, 32)).astype(np.float32)
     ids = rng.permutation(TABLE_ENTRIES)
@@ -354,7 +366,7 @@ def _bench_write_path(rng) -> dict:
     remove = {"batch_size": 4096, "remove_batch_keys_per_sec": 4096 / min(timings)}
 
     config = SolverConfig(time_limit=10.0, coarse_block_frac=0.02)
-    lps = []
+    lps, rebuilds = [], []
     real_linprog = scipy.optimize.linprog
     for make_platform, entries, alpha, batch_keys, ratio in LP_SHAPES:
         platform = make_platform()
@@ -385,7 +397,28 @@ def _bench_write_path(rng) -> dict:
                 "highs_s": highs[0],
             }
         )
-    return {"apply_diff_step": steps, "remove_batch": remove, "lp_assembly": lps}
+        placement = policy.realize()
+        assert (
+            resolve_sources(platform, placement).tobytes()
+            == _argmin_resolve_sources(platform, placement).tobytes()
+        )
+        rebuild = _best_of(lambda: resolve_sources(platform, placement))
+        oracle = _best_of(lambda: _argmin_resolve_sources(platform, placement))
+        rebuilds.append(
+            {
+                "platform": platform.name,
+                "entries": entries,
+                "rebuild_ms": rebuild * 1e3,
+                "oracle_rebuild_ms": oracle * 1e3,
+                "rebuild_speedup": oracle / rebuild,
+            }
+        )
+    return {
+        "apply_diff_step": steps,
+        "remove_batch": remove,
+        "lp_assembly": lps,
+        "location_table_rebuild": rebuilds,
+    }
 
 
 @pytest.mark.perf
@@ -408,6 +441,7 @@ def bench_micro_hotpath():
         ),
         "min_refresh_entries_per_sec_at_4096": MIN_REFRESH_ENTRIES_PER_SEC_AT_4096,
         "max_server_c_lp_variables": MAX_SERVER_C_LP_VARIABLES,
+        "min_server_c_rebuild_speedup": MIN_SERVER_C_REBUILD_SPEEDUP,
         "location_table": location_rows,
         "pipeline": pipeline_rows,
         "tier_pricing": tier_rows,
@@ -507,4 +541,15 @@ def bench_micro_hotpath():
             assert row["variables"] <= MAX_SERVER_C_LP_VARIABLES, (
                 f"server-c policy LP has {row['variables']} variables: the "
                 "orbit quotient no longer applies"
+            )
+    for row in write_path["location_table_rebuild"]:
+        print(
+            f"location table rebuild {row['platform']} {row['entries']}: "
+            f"{row['rebuild_ms']:.1f} ms, float argmin "
+            f"{row['oracle_rebuild_ms']:.1f} ms ({row['rebuild_speedup']:.1f}x)"
+        )
+        if row["platform"] == "server-c":
+            assert row["rebuild_speedup"] >= MIN_SERVER_C_REBUILD_SPEEDUP, (
+                f"resolve_sources only {row['rebuild_speedup']:.1f}x the float "
+                "argmin on server-c"
             )

@@ -82,6 +82,7 @@ from repro.serve.soak import (
     poisson_schedule,
     window_ok_ratio,
 )
+from repro.utils.arrays import sorted_unique
 from repro.utils.logging import get_logger
 from repro.utils.rng import make_rng, spawn_rngs
 
@@ -243,7 +244,7 @@ class NodeLifecycle:
                 dropped = Placement(
                     num_entries=dropped.num_entries,
                     per_gpu=tuple(
-                        np.union1d(a, b)
+                        sorted_unique(np.concatenate([a, b]))
                         for a, b in zip(dropped.per_gpu, rem.per_gpu)
                     ),
                 )

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.utils.arrays import sorted_unique
+
 
 @dataclass(frozen=True)
 class BlockSet:
@@ -128,7 +130,7 @@ def build_blocks(
         pieces = max(num_gpus, -(-size // coarse_cap))
         pieces = min(pieces, size)
         bounds = np.linspace(start, stop, pieces + 1).round().astype(np.int64)
-        bounds = np.unique(bounds)
+        bounds = sorted_unique(bounds)
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             offsets.append(int(hi))
             # numpy's pairwise sum, per block: H_b feeds the LP, and
@@ -155,7 +157,7 @@ def build_uniform_blocks(hotness: np.ndarray, num_blocks: int) -> BlockSet:
         raise ValueError(f"num_blocks must be in [1, {n}]")
     order = np.argsort(-hotness, kind="stable")
     bounds = np.linspace(0, n, num_blocks + 1).round().astype(np.int64)
-    bounds = np.unique(bounds)
+    bounds = sorted_unique(bounds)
     sums = np.add.reduceat(hotness[order], bounds[:-1])
     return BlockSet(
         order=order,

@@ -34,6 +34,7 @@ from repro.core.tiers import TierChain
 from repro.hardware.platform import HOST, SOURCE_DTYPE, Platform
 from repro.obs import get_registry
 from repro.sim.mechanisms import GpuDemand
+from repro.utils.arrays import sorted_unique
 from repro.utils.concurrency import ReadWriteLock
 
 
@@ -68,10 +69,10 @@ class LookupResult:
 class MultiGpuEmbeddingCache:
     """Read-only embedding cache unified across the platform's GPUs.
 
-    **Thread-safety contract.**  The serving layer runs one worker thread
-    per GPU against this object while the background
-    :class:`~repro.core.refresher.Refresher` mutates it, so the cache owns
-    a writer-preferring :class:`~repro.utils.concurrency.ReadWriteLock`:
+    **Thread-safety contract.**  Nothing in the package starts a thread
+    (serving is one simulated-clock loop), but callers may share the cache
+    across threads, so it owns a writer-preferring ``ReadWriteLock``
+    (stress-tested by ``pytest -m concurrency``):
 
     * *readers* — :meth:`lookup`, :meth:`host_gather`, extraction planning
       and execution (via :meth:`reading`), :meth:`verify_integrity`,
@@ -101,7 +102,6 @@ class MultiGpuEmbeddingCache:
             raise ValueError("placement does not cover the table")
         self._platform = platform
         self._table = table
-        self._placement = placement
         self._capacity = capacity_entries
         self._adopt(fill_all(table, placement, capacity_entries))
         # On a single-tier platform the backing chain degenerates to the
@@ -111,11 +111,7 @@ class MultiGpuEmbeddingCache:
         self._chain: TierChain | None = None
         if platform.num_tiers > 1:
             self._chain = TierChain(platform.tiers, table, tier_hotness)
-        self._source_map = resolve_sources(
-            platform,
-            placement,
-            backing=None if self._chain is None else self._chain.home,
-        )
+        self._route(placement)
         self._rwlock = ReadWriteLock()
         # Host-table checksums are the scrubber's ground truth; the table
         # is immutable for the cache's lifetime, so compute them lazily
@@ -337,25 +333,19 @@ class MultiGpuEmbeddingCache:
             raise ValueError("new placement does not cover the table")
         with self._rwlock.write_locked():
             self._adopt(fill_all(self._table, placement, self._capacity))
-            self._placement = placement
-            self._source_map = resolve_sources(
-                self._platform,
-                placement,
-                backing=None if self._chain is None else self._chain.home,
-            )
+            self._route(placement)
 
     def refresh_source_map(self) -> None:
         """Rebuild the location table from the stores' current contents."""
         with self._rwlock.write_locked():
             per_gpu = tuple(store.cached_entries() for store in self._stores)
-            self._placement = Placement(
-                num_entries=self.num_entries, per_gpu=per_gpu
-            )
-            self._source_map = resolve_sources(
-                self._platform,
-                self._placement,
-                backing=None if self._chain is None else self._chain.home,
-            )
+            self._route(Placement(num_entries=self.num_entries, per_gpu=per_gpu))
+
+    def _route(self, placement: Placement) -> None:
+        """Adopt ``placement`` and rebuild the location table over it."""
+        self._placement = placement
+        backing = None if self._chain is None else self._chain.home
+        self._source_map = resolve_sources(self._platform, placement, backing=backing)
 
     def snapshot_location_state(self) -> tuple[Placement, np.ndarray]:
         """Copy of the current routing state: ``(placement, source_map)``.
@@ -429,7 +419,7 @@ class MultiGpuEmbeddingCache:
                 problems.append(f"GPU {gpu}: store data is not its row arena slice")
             cached = store.cached_entries()
             offsets = store.offset_of[cached]
-            if len(np.unique(offsets)) != len(offsets):
+            if len(sorted_unique(offsets)) != len(offsets):
                 problems.append(f"GPU {gpu}: duplicate slot assignments")
             if store.arena.used_slots != len(cached):
                 problems.append(

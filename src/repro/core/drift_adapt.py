@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.core.hotness import HotnessTracker
 from repro.obs import get_registry
+from repro.utils.arrays import sorted_unique
 from repro.utils.logging import get_logger
 
 logger = get_logger("core.drift_adapt")
@@ -139,6 +140,22 @@ class StreamingHotnessEstimator(HotnessTracker):
 # ---------------------------------------------------------------------------
 
 
+def _hot_heads(
+    live: np.ndarray, snapshot: np.ndarray, top_frac: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both estimates as float64, then each one's hottest ``top_frac``
+    entries (at least one), concatenated."""
+    if not 0 < top_frac <= 1:
+        raise ValueError("top_frac must be in (0, 1]")
+    live = np.asarray(live, dtype=np.float64)
+    snapshot = np.asarray(snapshot, dtype=np.float64)
+    if live.shape != snapshot.shape:
+        raise ValueError("live and snapshot hotness must align")
+    k = max(1, int(top_frac * len(live)))
+    heads = [np.argsort(-v, kind="stable")[:k] for v in (live, snapshot)]
+    return live, snapshot, np.concatenate(heads)
+
+
 def hot_set_jaccard(
     live: np.ndarray, snapshot: np.ndarray, top_frac: float = 0.01
 ) -> float:
@@ -149,19 +166,10 @@ def hot_set_jaccard(
     the live head is exactly the solved policy's head, 0.0 means the
     cache is hot for yesterday's traffic.
     """
-    if not 0 < top_frac <= 1:
-        raise ValueError("top_frac must be in (0, 1]")
-    live = np.asarray(live, dtype=np.float64)
-    snapshot = np.asarray(snapshot, dtype=np.float64)
-    if live.shape != snapshot.shape:
-        raise ValueError("live and snapshot hotness must align")
-    k = max(1, int(top_frac * len(live)))
-    top_live = set(np.argsort(-live, kind="stable")[:k].tolist())
-    top_snap = set(np.argsort(-snapshot, kind="stable")[:k].tolist())
-    union = top_live | top_snap
-    if not union:
-        return 1.0
-    return len(top_live & top_snap) / len(union)
+    heads = _hot_heads(live, snapshot, top_frac)[2]
+    union = len(sorted_unique(heads))
+    # Each head holds distinct ids, so |A ∩ B| = |A| + |B| - |A ∪ B|.
+    return (len(heads) - union) / union if union else 1.0
 
 
 def rank_correlation(
@@ -173,16 +181,8 @@ def rank_correlation(
     the full table the huge all-but-unobserved cold tail dominates and
     drowns any head rotation in tied near-zero ranks.
     """
-    if not 0 < top_frac <= 1:
-        raise ValueError("top_frac must be in (0, 1]")
-    live = np.asarray(live, dtype=np.float64)
-    snapshot = np.asarray(snapshot, dtype=np.float64)
-    if live.shape != snapshot.shape:
-        raise ValueError("live and snapshot hotness must align")
-    k = max(1, int(top_frac * len(live)))
-    top_live = np.argsort(-live, kind="stable")[:k]
-    top_snap = np.argsort(-snapshot, kind="stable")[:k]
-    union = np.union1d(top_live, top_snap)
+    live, snapshot, heads = _hot_heads(live, snapshot, top_frac)
+    union = sorted_unique(heads)
     if len(union) < 3:
         return 1.0
     a, b = live[union], snapshot[union]

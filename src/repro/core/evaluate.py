@@ -57,30 +57,28 @@ def resolve_sources(
         )
     n = placement.num_entries
     mat = placement.storage_matrix()
-    ids = np.arange(n)
     if backing is None:
         fallback = np.full(n, HOST, dtype=SOURCE_DTYPE)
     else:
-        backing = np.ascontiguousarray(backing, dtype=SOURCE_DTYPE)
-        if backing.shape != (n,):
+        fallback = np.ascontiguousarray(backing, dtype=SOURCE_DTYPE)
+        if fallback.shape != (n,):
             raise ValueError("backing home map must cover the entry universe")
-        fallback = backing
-    out = np.tile(fallback, (platform.num_gpus, 1))
+    G = platform.num_gpus
+    out = np.tile(fallback, (G, 1))
     for i in platform.gpu_ids:
-        # Score matrix: per candidate source j, the per-byte cost with a
-        # tiny per-entry rotation for tie-breaking; inf when unusable.
-        scores = np.full((platform.num_gpus, n), np.inf)
-        for j in platform.gpu_ids:
-            if j == i:
-                continue
-            cost = platform.cost_per_byte(i, j)
-            if not np.isfinite(cost):
-                continue
-            tie_break = 1.0 + 1e-9 * ((ids + i + j) % platform.num_gpus)
-            scores[j] = np.where(mat[j], cost * tie_break, np.inf)
-        best = np.argmin(scores, axis=0)
-        best_score = scores[best, ids]
-        out[i] = np.where(np.isfinite(best_score), best, fallback)
+        # Holder j of entry e scores cost(i, j)·(1 + 1e-9·((e+i+j) % G)), a
+        # function of c = (e + i) % G: rank holders once per residue c
+        # (DESIGN.md §4, "Location table (host side)").
+        costs = [(j, platform.cost_per_byte(i, j)) for j in platform.gpu_ids if j != i]
+        finite = [(j, cost) for j, cost in costs if np.isfinite(cost)]
+        for c in range(G):
+            start = (c - i) % G
+            # Worst first, so the best holder (ties: the lower j) writes last.
+            for _, j in sorted(
+                ((cost * (1.0 + 1e-9 * ((c + j) % G)), j) for j, cost in finite),
+                reverse=True,
+            ):
+                np.copyto(out[i, start::G], j, where=mat[j, start::G])
         out[i][mat[i]] = i
     if hotness is not None:
         _balance_hot_assignments(platform, mat, out, np.asarray(hotness))

@@ -29,6 +29,7 @@ import threading
 import numpy as np
 
 from repro.hardware.platform import HOST, SOURCE_DTYPE
+from repro.utils.arrays import sorted_unique
 
 _EMPTY_KEY = np.int64(-1)
 _OFFSET_BITS = 48
@@ -307,7 +308,7 @@ class LocationTable:
             return 0
         with self._lock:
             found, slots = self._probe_batch(keys, "remove")
-            holes = np.unique(slots[found])
+            holes = sorted_unique(slots[found])
             self._keys[holes] = _EMPTY_KEY
             self._size -= len(holes)
             # Walk on from every hole, one slot per round, until each

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.hardware.platform import Platform
+from repro.utils.arrays import sorted_unique
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,7 @@ class Placement:
             if arr.size:
                 if arr.min() < 0 or arr.max() >= self.num_entries:
                     raise ValueError(f"GPU {i}: entry id out of range")
-                if len(np.unique(arr)) != len(arr):
+                if len(sorted_unique(arr)) != len(arr):
                     raise ValueError(f"GPU {i}: duplicate cached entries")
             arr = arr.copy()
             arr.setflags(write=False)
@@ -71,7 +72,7 @@ class Placement:
         """Number of distinct entries cached anywhere (global coverage)."""
         if not self.per_gpu:
             return 0
-        return int(len(np.unique(np.concatenate(self.per_gpu))))
+        return int(len(sorted_unique(np.concatenate(self.per_gpu))))
 
     def replication_factor(self) -> float:
         """Average copies per cached entry (1 = pure partition)."""

@@ -44,6 +44,7 @@ from repro.core.tiers import assign_backing_tiers
 from repro.hardware.platform import Platform
 from repro.obs import get_registry
 from repro.sim.mechanisms import core_dedication
+from repro.utils.arrays import sorted_unique
 from repro.utils.logging import get_logger
 from repro.utils.retry import Deadline, RetriesExhausted, RetryPolicy, retry_call
 
@@ -114,10 +115,7 @@ class SolvedPolicy:
         final: list[np.ndarray] = []
         rank: np.ndarray | None = None
         for j in range(len(per_gpu)):
-            ids = (
-                np.concatenate(per_gpu[j]) if per_gpu[j] else np.empty(0, dtype=np.int64)
-            )
-            ids = np.unique(ids)
+            ids = sorted_unique(np.concatenate([np.empty(0, np.int64), *per_gpu[j]]))
             cap = self.capacities[j]
             if len(ids) > cap:
                 # Trim coldest first: blocks are hotness-ordered, so order

@@ -18,6 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.utils.arrays import sorted_unique
 from repro.utils.rng import make_rng, spawn_rngs
 from repro.utils.stats import zipf_pmf
 
@@ -62,7 +63,7 @@ class DlrWorkload:
             if len(perms) != len(sizes):
                 raise ValueError("need one permutation per table")
             for perm, size in zip(perms, sizes):
-                if perm.shape != (size,) or len(np.unique(perm)) != size:
+                if perm.shape != (size,) or len(sorted_unique(perm)) != size:
                     raise ValueError("each permutation must cover its table")
             object.__setattr__(self, "permutations", perms)
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.gnn.graph import CSRGraph
+from repro.utils.arrays import sorted_unique
 from repro.utils.rng import make_rng
 
 
@@ -89,7 +90,7 @@ def khop_sample(
             break
     all_nodes = np.concatenate(collected)
     return SampledBatch(
-        seeds=seeds, all_nodes=all_nodes, unique_nodes=np.unique(all_nodes)
+        seeds=seeds, all_nodes=all_nodes, unique_nodes=sorted_unique(all_nodes)
     )
 
 

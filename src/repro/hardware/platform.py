@@ -353,10 +353,12 @@ class Platform:
         """
         found = self.memo.get(("bandwidth", dst, src))
         if found is None:
-            found = self.memo["bandwidth", dst, src] = self._path_bandwidth(dst, src)
+            found = self.memo["bandwidth", dst, src] = self._path_bandwidth(
+                dst, src, shared=True
+            )
         return found
 
-    def _path_bandwidth(self, dst: int, src: int) -> float:
+    def _path_bandwidth(self, dst: int, src: int, shared: bool) -> float:
         self._check_gpu(dst)
         if src == dst:
             return self.gpu.local_bandwidth
@@ -365,7 +367,7 @@ class Platform:
         self._check_gpu(src)
         if not self.topology.connected(dst, src):
             return 0.0
-        if self.topology.kind is TopologyKind.SWITCH:
+        if shared and self.topology.kind is TopologyKind.SWITCH:
             return self.topology.outbound_bandwidth(src) / (self.num_gpus - 1)
         return self.topology.pair_bandwidth(dst, src)
 
@@ -375,15 +377,7 @@ class Platform:
         Unlike :meth:`bandwidth`, on a switch platform a *lone* reader can
         pull the source's full outbound bandwidth.
         """
-        self._check_gpu(dst)
-        if src == dst:
-            return self.gpu.local_bandwidth
-        if self.is_backing(src):
-            return self.tiers[self.tier_index(src)].bandwidth
-        self._check_gpu(src)
-        if not self.topology.connected(dst, src):
-            return 0.0
-        return self.topology.pair_bandwidth(dst, src)
+        return self._path_bandwidth(dst, src, shared=False)
 
     def tolerance(self, dst: int, src: int) -> int:
         """Number of SMs of ``dst`` that saturate the path to ``src``.

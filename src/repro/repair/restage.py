@@ -26,6 +26,7 @@ from repro.core.pipeline import price_demand
 from repro.core.policy import Placement
 from repro.obs import get_registry
 from repro.sim.mechanisms import GpuDemand
+from repro.utils.arrays import sorted_unique
 from repro.utils.logging import get_logger
 
 logger = get_logger("repair.restage")
@@ -206,7 +207,7 @@ class StagedRecovery:
         gpus, entries = block
         cache = self._cache
         with cache.writing():
-            for gpu in np.unique(gpus):
+            for gpu in sorted_unique(gpus):
                 store = cache.store(int(gpu))
                 mine = entries[gpus == gpu]  # block order kept per GPU
                 missing = mine[store.offset_of[mine] < 0]

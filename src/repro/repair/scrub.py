@@ -116,35 +116,14 @@ class CacheScrubber:
         entry_bytes = max(1, cache.entry_bytes)
         scan_budget = max(1, SCAN_BYTES_PER_TICK // entry_bytes)
         with cache.writing():
-            store = cache.store(gpu)
-            cached = store.cached_entries()
+            cached = cache.store(gpu).cached_entries()
             if len(cached):
                 k = min(scan_budget, len(cached))
                 picks = self._rng.choice(len(cached), size=k, replace=False)
-                entries = cached[np.sort(picks)]
-                slots = store.offset_of[entries]
-                sums = row_checksums(store.data[slots])
-                bad = entries[sums != cache.host_checksums[entries]]
-                tick.scanned = int(k)
-                tick.mismatches = int(len(bad))
-                for entry in bad:
-                    self._quarantine_locked(gpu, int(entry))
+                self._scan_locked(gpu, cached[np.sort(picks)], tick)
             repair_budget = REPAIR_BYTES_PER_TICK // entry_bytes
             self._repair_some_locked(repair_budget, tick)
-        self.scanned_total += tick.scanned
-        self.mismatches_total += tick.mismatches
-        reg = get_registry()
-        if reg.enabled:
-            reg.counter("repair.scrub.scanned_slots", **self._labels).inc(
-                tick.scanned
-            )
-            if tick.mismatches:
-                reg.counter("repair.scrub.mismatches", **self._labels).inc(
-                    tick.mismatches
-                )
-            reg.gauge("repair.scrub.quarantine_depth", **self._labels).set(
-                self.quarantine_depth
-            )
+        self._account(tick)
         if tick.mismatches:
             logger.warning(
                 "scrub: %d rotten slot(s) on GPU %d quarantined "
@@ -159,18 +138,25 @@ class CacheScrubber:
         cache = self._cache
         with cache.writing():
             for gpu in range(cache.platform.num_gpus):
-                store = cache.store(gpu)
-                entries = store.cached_entries()
-                if len(entries) == 0:
-                    continue
-                slots = store.offset_of[entries]
-                sums = row_checksums(store.data[slots])
-                bad = entries[sums != cache.host_checksums[entries]]
-                tick.scanned += int(len(entries))
-                tick.mismatches += int(len(bad))
-                for entry in bad:
-                    self._quarantine_locked(gpu, int(entry))
+                entries = cache.store(gpu).cached_entries()
+                if len(entries):
+                    self._scan_locked(gpu, entries, tick)
             self._repair_some_locked(None, tick)
+        self._account(tick)
+        return tick
+
+    def _scan_locked(self, gpu: int, entries: np.ndarray, tick: ScrubTick) -> None:
+        """Checksum ``entries``' slots on ``gpu``; quarantine the rotten."""
+        store = self._cache.store(gpu)
+        sums = row_checksums(store.data[store.offset_of[entries]])
+        bad = entries[sums != self._cache.host_checksums[entries]]
+        tick.scanned += int(len(entries))
+        tick.mismatches += int(len(bad))
+        for entry in bad:
+            self._quarantine_locked(gpu, int(entry))
+
+    def _account(self, tick: ScrubTick) -> None:
+        """Add ``tick`` to the running totals and the scrub metrics."""
         self.scanned_total += tick.scanned
         self.mismatches_total += tick.mismatches
         reg = get_registry()
@@ -185,7 +171,6 @@ class CacheScrubber:
             reg.gauge("repair.scrub.quarantine_depth", **self._labels).set(
                 self.quarantine_depth
             )
-        return tick
 
     def drain(self) -> int:
         """Repair every quarantined slot, budget-free; returns repairs."""

@@ -1,9 +1,19 @@
-"""Placement evaluation: source resolution, hit rates, demands."""
+"""Placement evaluation: source resolution, hit rates, demands.
+
+:func:`resolve_sources` rebuilds the location table by rank order per
+residue class; the per-destination float score matrix and argmin it
+replaced is kept here verbatim (:func:`_argmin_resolve_sources`) as the
+oracle it must match byte for byte.  The micro benchmark times it beside
+the rebuild.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.evaluate import (
+    _balance_hot_assignments,
     demand_from_keys,
     evaluate_placement,
     expected_demands,
@@ -16,12 +26,98 @@ from repro.core.policy import (
     partition_policy,
     replication_policy,
 )
-from repro.hardware.platform import HOST
+from repro.faults.degrade import DegradedPlatform
+from repro.faults.spec import HealthView
+from repro.hardware.platform import (
+    HOST,
+    SOURCE_DTYPE,
+    dgx2,
+    pcie_only,
+    server_a,
+    server_a_tiered,
+    server_b,
+    server_c,
+    single_gpu,
+)
 from repro.sim.mechanisms import Mechanism
 from repro.utils.stats import zipf_pmf
 
 HOT = zipf_pmf(500, 1.2) * 2000
 ENTRY_BYTES = 64
+
+
+# ----------------------------------------------------------------------
+# The float-argmin resolve, kept as the oracle
+# ----------------------------------------------------------------------
+def _argmin_resolve_sources(platform, placement, hotness=None, backing=None):
+    """``resolve_sources`` as it was: per destination a ``(G, N)`` float
+    score matrix of every holder's rotated cost, and its argmin."""
+    if placement.num_gpus != platform.num_gpus:
+        raise ValueError(
+            f"placement has {placement.num_gpus} GPUs, platform {platform.num_gpus}"
+        )
+    n = placement.num_entries
+    mat = placement.storage_matrix()
+    ids = np.arange(n)
+    if backing is None:
+        fallback = np.full(n, HOST, dtype=SOURCE_DTYPE)
+    else:
+        backing = np.ascontiguousarray(backing, dtype=SOURCE_DTYPE)
+        if backing.shape != (n,):
+            raise ValueError("backing home map must cover the entry universe")
+        fallback = backing
+    out = np.tile(fallback, (platform.num_gpus, 1))
+    for i in platform.gpu_ids:
+        # Score matrix: per candidate source j, the per-byte cost with a
+        # tiny per-entry rotation for tie-breaking; inf when unusable.
+        scores = np.full((platform.num_gpus, n), np.inf)
+        for j in platform.gpu_ids:
+            if j == i:
+                continue
+            cost = platform.cost_per_byte(i, j)
+            if not np.isfinite(cost):
+                continue
+            tie_break = 1.0 + 1e-9 * ((ids + i + j) % platform.num_gpus)
+            scores[j] = np.where(mat[j], cost * tie_break, np.inf)
+        best = np.argmin(scores, axis=0)
+        best_score = scores[best, ids]
+        out[i] = np.where(np.isfinite(best_score), best, fallback)
+        out[i][mat[i]] = i
+    if hotness is not None:
+        _balance_hot_assignments(platform, mat, out, np.asarray(hotness))
+    return out
+
+
+def _slowed(base, links):
+    """``base`` with each ``(dst, src)`` link's bandwidth cut by ``rel``."""
+    factors = tuple(((dst, src), 1.0 - rel) for dst, src, rel in links)
+    return DegradedPlatform(base, HealthView(link_factors=factors))
+
+
+#: Every platform shape the rebuild must reproduce: the paper's three, the
+#: extension boxes, a downed GPU (inf cost to it) and links slowed by a few
+#: 1e-9 relative, so that two cost classes differ by less than the rotation
+#: (up to (G-1)·1e-9) and rotation ties interleave the classes.
+ORACLE_PLATFORMS = {
+    "server-a": server_a,
+    "server-b": server_b,
+    "server-c": server_c,
+    "dgx2": dgx2,
+    **{f"pcie-only-{g}": (lambda g=g: pcie_only(g)) for g in range(2, 9)},
+    "single-gpu": single_gpu,
+    "server-a-tiered": server_a_tiered,
+    "server-a-down": lambda: DegradedPlatform(
+        server_a(), HealthView(down_gpus=frozenset({2}))
+    ),
+    "server-c-down": lambda: DegradedPlatform(
+        server_c(), HealthView(down_gpus=frozenset({0, 5}))
+    ),
+    "server-a-slowed": lambda: _slowed(server_a(), [(0, 1, 2e-9), (3, 2, 5e-9)]),
+    "server-c-slowed": lambda: _slowed(
+        server_c(), [(1, 0, 3e-9), (1, 4, 6.5e-9), (6, 7, 1e-9)]
+    ),
+    "dgx2-slowed": lambda: _slowed(dgx2(), [(0, 9, 4e-9), (9, 0, 1.2e-8)]),
+}
 
 
 class TestResolveSources:
@@ -73,6 +169,49 @@ class TestResolveSources:
         placement = replication_policy(HOT, 10, 8)
         with pytest.raises(ValueError):
             resolve_sources(platform_a, placement)
+
+
+class TestResolveSourcesOracle:
+    """The rank-order rebuild equals the float argmin in dtype and bytes."""
+
+    @given(
+        name=st.sampled_from(sorted(ORACLE_PLATFORMS)),
+        num_entries=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        balance=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_argmin(self, name, num_entries, seed, balance):
+        platform = ORACLE_PLATFORMS[name]()
+        rng = np.random.default_rng(seed)
+        per_gpu = tuple(
+            np.flatnonzero(rng.random(num_entries) < rng.uniform(0.0, 1.0))
+            for _ in platform.gpu_ids
+        )
+        placement = Placement(num_entries=num_entries, per_gpu=per_gpu)
+        backing = None
+        if platform.num_tiers > 1:
+            # Random homes over the whole backing chain: -1, -2, ...
+            backing = -1 - rng.integers(0, platform.num_tiers, num_entries)
+        hotness = rng.zipf(1.5, num_entries).astype(np.float64) if balance else None
+        want = _argmin_resolve_sources(platform, placement, hotness, backing)
+        got = resolve_sources(platform, placement, hotness, backing)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["server-a-slowed", "server-c-slowed", "dgx2-slowed"])
+    def test_slowed_classes_within_the_rotation(self, name):
+        # The fixture's point: a slowed link's cost sits above the healthy
+        # peers' by less than 1e-8 relative, so it is not simply last.
+        platform = ORACLE_PLATFORMS[name]()
+        costs = {
+            platform.cost_per_byte(i, j)
+            for i in platform.gpu_ids
+            for j in platform.gpu_ids
+            if i != j and np.isfinite(platform.cost_per_byte(i, j))
+        }
+        cheapest, runner_up = sorted(costs)[:2]
+        assert 0 < runner_up / cheapest - 1 < 1e-8
 
 
 class TestHitRates:
