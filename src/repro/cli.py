@@ -439,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", default="all",
                    choices=["all", *_CHAOS_SCENARIOS],
                    help="one scenario, or 'all' for the full matrix "
-                        "(node_* scenarios drill the 3-node cluster tier)")
+                        "(node faults are `soak --nodes N` scenarios)")
     p.add_argument("--list-scenarios", action="store_true",
                    help="print every scenario with a one-line description "
                         "and exit")

@@ -23,6 +23,9 @@ recovery:
 * every row served, whatever became of its request, is checked bit-exact
   against the host table, and every node's cache is reconciled
   (``verify_integrity``) after recovery;
+* no partial response, the watchdog sees every death and return, and
+  mean OK latency after the last node fault clears is back within
+  ``DEFAULT_RECOVERY_TOLERANCE`` × the mean before the first onset;
 * the run's own bookkeeping is gated like the single-box soak's time
   physics: every arrival leaves a record, no response takes negative
   time and every requested key is either served or reported failed — a
@@ -36,10 +39,8 @@ that spend only idle link time — the bytes show up as
 Every node runs an anti-entropy scrubber plus a read guard (so bit-rot
 chaos can never serve a corrupt value), and a node-lifecycle watchdog
 steers the front-end's routing while a node is RECOVERING.
-
-:func:`build_cluster` is the one place a cluster is assembled and
-:class:`NodeLifecycle` the one place a node's death and heal are acted
-on; the chaos ``node_*`` and ``heal-storm`` drills use both.
+:class:`NodeLifecycle` is the one place a node's death and heal are
+acted on.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ from repro.obs import get_registry
 from repro.repair import CacheScrubber, NodeWatchdog, StagedRecovery
 from repro.serve.request import RequestStatus
 from repro.serve.soak import (
+    DEFAULT_RECOVERY_TOLERANCE,
     Section,
     SoakConfig,
     SoakReport,
@@ -79,12 +81,14 @@ from repro.serve.soak import (
     build_soak_plan,
     build_stack,
     in_windows,
+    phase_means,
     poisson_schedule,
     window_ok_ratio,
 )
 from repro.utils.arrays import sorted_unique
 from repro.utils.logging import get_logger
 from repro.utils.rng import make_rng, spawn_rngs
+from repro.utils.stats import choice_cdf, sample_cdf
 
 logger = get_logger("cluster.soak")
 
@@ -93,7 +97,6 @@ __all__ = [
     "RECOVERY_GOODPUT_FLOOR",
     "ClusterSoak",
     "NodeLifecycle",
-    "build_cluster",
 ]
 
 #: The floors the cluster section gates on: the failover window must keep
@@ -104,16 +107,6 @@ RECOVERY_GOODPUT_FLOOR = 0.85
 
 
 @dataclass
-class Cluster:
-    """What :func:`build_cluster` hands the cluster soak and chaos drills."""
-
-    stack: Stack
-    frontend: ClusterFrontend
-    #: healthy extraction time of one probe batch on node 0: the time unit.
-    s0: float
-
-
-@dataclass
 class _Refill:
     """One staged refill in flight: its plan, when it began, and the idle
     link time banked towards its next block."""
@@ -121,63 +114,6 @@ class _Refill:
     plan: StagedRecovery
     start: float
     credit: float = 0.0
-
-
-def build_cluster(cfg, platform, nodes: int, replication: int,
-                  placement: str = "ring", load: float | None = None) -> Cluster:
-    """Stack prelude → owner table → one :class:`CacheNode` per shard →
-    ``s0`` probe → front-end.
-
-    ``cfg`` as for :func:`~repro.serve.soak.build_stack`.  With ``load``
-    (offered load as a fraction of the cluster's capacity) the node
-    breakers' cooldown moves onto the *simulated* clock: the default
-    wall-clock seconds would outlast a whole soak, so an ejected node
-    could never re-admit probes; ~50 mean inter-arrival times keeps a few
-    probe rounds inside even a quick soak's fault window.
-    """
-    stack = build_stack(cfg, platform, fill=False)
-    config = ClusterConfig(
-        nodes=nodes, replication=replication, placement=placement, seed=cfg.seed
-    )
-    # The owner table comes first so each node knows its shard; the
-    # front-end then adopts the very same table.
-    owner_table = ClusterFrontend.build_placement(config, stack.hotness)
-    owners = owner_table.owners_for(np.arange(cfg.num_entries, dtype=np.int64))
-    cache_nodes = [
-        CacheNode(
-            node_id=node_id,
-            platform=platform,
-            table=stack.table,
-            hotness=stack.hotness,
-            # Solver placements may wide-replicate a hot head beyond the
-            # owner columns; membership comes from the placement when it
-            # can say, from the owner table otherwise (the ring).
-            member_mask=(
-                owner_table.member_mask(node_id)
-                if hasattr(owner_table, "member_mask")
-                else (owners == node_id).any(axis=1)
-            ),
-            capacity_entries=stack.capacity,
-            placement_mode="solver" if placement == "solver" else "greedy",
-        )
-        for node_id in range(nodes)
-    ]
-    # Priced on GPU 0, where node 0's ingress round-robin starts, without
-    # admitting the probe: the pointer never moves.
-    probe = make_rng(cfg.seed + 3).choice(
-        cfg.num_entries, size=cfg.batch_keys, p=stack.pmf
-    )
-    s0 = cache_nodes[0].extractor.price(0, probe).time
-    if load is not None:
-        rate = load * nodes / s0
-        config = replace(
-            config, breaker=replace(config.breaker, cooldown_seconds=50.0 / rate)
-        )
-    frontend = ClusterFrontend(
-        cache_nodes, config, baseline_service=s0,
-        hotness=stack.hotness, placement=owner_table,
-    )
-    return Cluster(stack, frontend, s0)
 
 
 class NodeLifecycle:
@@ -193,13 +129,9 @@ class NodeLifecycle:
     once per request, :meth:`finish` once after the last.
     """
 
-    def __init__(self, frontend: ClusterFrontend, hotness: np.ndarray,
-                 chunk_entries: int = 256, credit_cap: float = math.inf) -> None:
+    def __init__(self, frontend: ClusterFrontend, hotness: np.ndarray) -> None:
         self.frontend = frontend
         self.hotness = hotness
-        self.chunk_entries = chunk_entries
-        #: most idle link time a refill may bank between steps.
-        self.credit_cap = credit_cap
         self.watchdog = NodeWatchdog(sorted(frontend.nodes))
         frontend.watchdog = self.watchdog
         self.scrubbers: dict[int, CacheScrubber] = {}
@@ -253,7 +185,7 @@ class NodeLifecycle:
         for node_id in sorted(self._prev_down - health.down_nodes):
             rec = StagedRecovery(
                 self.frontend.nodes[node_id], self._lost.pop(node_id),
-                self.hotness, chunk_entries=self.chunk_entries,
+                self.hotness,
             )
             self._refills[node_id] = _Refill(rec, start=t)
             self.watchdog.attach_recovery(node_id, rec)
@@ -267,7 +199,7 @@ class NodeLifecycle:
         # between steps and whole blocks stage when it covers their
         # priced transfer.
         for node_id, refill in list(self._refills.items()):
-            refill.credit = min(refill.credit + idle_seconds, self.credit_cap)
+            refill.credit += idle_seconds
             grant = refill.plan.grant(refill.credit)
             if grant.blocks:
                 refill.credit -= grant.cost_seconds
@@ -332,7 +264,9 @@ class ClusterSection(Section):
     """The cluster tier: its shape, the replica-node hedges, failovers,
     the RPC tier's counts, goodput through the node-fault and post-heal
     recovery windows, the re-staged bytes, requests per node, the corrupt
-    rows served, the scrubbers' totals and the watchdog's transitions."""
+    rows served, the scrubbers' totals, the watchdog's transitions against
+    the plan's node deaths, and OK latency during and after the node
+    faults."""
 
     nodes: int
     replication: int
@@ -366,6 +300,12 @@ class ClusterSection(Section):
     scrub_repaired: int
     scrub_read_repairs: int
     watchdog_transitions: int
+    node_deaths: int
+    #: mean OK latency of the arrivals from the first node-fault onset to
+    #: the last clear, then of those after it, over the mean of those
+    #: before the onset; 1.0 for a phase with no OK arrival.
+    fault_latency_ratio: float
+    cleared_latency_ratio: float
 
     @property
     def ok(self) -> bool:
@@ -373,6 +313,9 @@ class ClusterSection(Section):
             self.failover_goodput_ratio >= FAILOVER_GOODPUT_FLOOR
             and self.recovery_goodput_ratio >= RECOVERY_GOODPUT_FLOOR
             and self.corrupt_values_served == 0
+            and self.partial_responses == 0
+            and self.watchdog_transitions >= 2 * self.node_deaths
+            and self.cleared_latency_ratio <= DEFAULT_RECOVERY_TOLERANCE
         )
 
     def lines(self) -> list[str]:
@@ -385,7 +328,9 @@ class ClusterSection(Section):
             f"{self.rebalance_bytes} B re-staged, "
             f"recovery goodput {self.recovery_goodput_ratio:.0%} of "
             f"steady over {self.recovery_requests} requests "
-            f"(window p99 {self.recovery_p99_latency:.3e}s)",
+            f"(window p99 {self.recovery_p99_latency:.3e}s); latency "
+            f"{self.fault_latency_ratio:.2f}x pre-onset during node faults, "
+            f"{self.cleared_latency_ratio:.2f}x after the last clear",
             f"  rpc           {self.rpc_retries} retries, "
             f"{self.rpc_timeouts} timeouts, "
             f"{self.partial_responses} partial responses, "
@@ -397,7 +342,8 @@ class ClusterSection(Section):
             f"{self.scrub_mismatches} mismatches, "
             f"{self.scrub_repaired} repaired, "
             f"{self.scrub_read_repairs} read-guard patches, "
-            f"{self.watchdog_transitions} watchdog transitions",
+            f"{self.watchdog_transitions} watchdog transitions for "
+            f"{self.node_deaths} node deaths",
         ]
 
 
@@ -412,13 +358,9 @@ class ClusterSoak:
         # Honours --tiers: every node then holds its shard across the same
         # backing chain (CacheNode ranks the chain by its shard's hotness).
         self.platform = _soak_platform(cfg)
-        cluster = build_cluster(
-            cfg, self.platform, cfg.nodes, cfg.replication, cfg.placement,
-            load=cfg.load,
-        )
-        self.frontend, self.s0 = cluster.frontend, cluster.s0
-        self.table, self.pmf = cluster.stack.table, cluster.stack.pmf
-        self.rate = cfg.load * cfg.nodes / self.s0
+        stack = build_stack(cfg, self.platform, fill=False)
+        self.table, self.cdf = stack.table, choice_cdf(stack.pmf)
+        self._build_frontend(stack)
         # One healthy leg = wire + extraction + payload reply; the request
         # deadline scales from it so the network tier never eats the whole
         # latency budget on CI-sized tables where the wire dominates.
@@ -439,7 +381,7 @@ class ClusterSoak:
         )
         self.plan = build_soak_plan(cfg.scenario, self.duration, cfg.seed)
         self.injectors = self._rot_injectors()
-        self.lifecycle = NodeLifecycle(self.frontend, cluster.stack.hotness)
+        self.lifecycle = NodeLifecycle(self.frontend, stack.hotness)
         self.node_requests_start = _node_requests(get_registry())
         self.records: list[ClusterRecord] = []
         # Closed loop: a fixed client population per node, each
@@ -449,6 +391,52 @@ class ClusterSoak:
             [(0.0, i, 0) for i in range(cfg.clients * cfg.nodes)]
             if cfg.closed_loop
             else poisson_schedule(arrival_rng, self.rate, 1, total_requests)
+        )
+
+    def _build_frontend(self, stack: Stack) -> None:
+        """Owner table → one :class:`CacheNode` per shard → ``s0`` probe →
+        front-end, whose node breakers cool down on the simulated clock:
+        ~50 mean inter-arrival times keeps a few probe rounds inside even
+        a quick soak's fault window."""
+        cfg = self.cfg
+        config = ClusterConfig(
+            nodes=cfg.nodes, replication=cfg.replication,
+            placement=cfg.placement, seed=cfg.seed,
+        )
+        # The owner table comes first so each node knows its shard; the
+        # front-end then adopts the very same table.
+        owner_table = ClusterFrontend.build_placement(config, stack.hotness)
+        owners = owner_table.owners_for(np.arange(cfg.num_entries, dtype=np.int64))
+        cache_nodes = [
+            CacheNode(
+                node_id=node_id,
+                platform=self.platform,
+                table=stack.table,
+                hotness=stack.hotness,
+                # Solver placements may wide-replicate a hot head beyond
+                # the owner columns: membership comes from the placement
+                # when it can say, from the owner table otherwise.
+                member_mask=(
+                    owner_table.member_mask(node_id)
+                    if hasattr(owner_table, "member_mask")
+                    else (owners == node_id).any(axis=1)
+                ),
+                capacity_entries=stack.capacity,
+                placement_mode="solver" if cfg.placement == "solver" else "greedy",
+            )
+            for node_id in range(cfg.nodes)
+        ]
+        # Priced on GPU 0, where node 0's ingress round-robin starts,
+        # without admitting the probe: the pointer never moves.
+        probe = sample_cdf(self.cdf, make_rng(cfg.seed + 3), cfg.batch_keys)
+        self.s0 = cache_nodes[0].extractor.price(0, probe).time
+        self.rate = cfg.load * cfg.nodes / self.s0
+        config = replace(
+            config, breaker=replace(config.breaker, cooldown_seconds=50.0 / self.rate)
+        )
+        self.frontend = ClusterFrontend(
+            cache_nodes, config, baseline_service=self.s0,
+            hotness=stack.hotness, placement=owner_table,
         )
 
     def _rot_injectors(self) -> list[FaultInjector]:
@@ -483,9 +471,7 @@ class ClusterSoak:
             injector.advance(t)
         # Staged refills spend only the idle share of link time.
         self.lifecycle.step(t, health, idle_seconds=dt * max(0.0, 1.0 - cfg.load))
-        keys = self.key_rng.choice(
-            cfg.num_entries, size=cfg.batch_keys, p=self.pmf
-        )
+        keys = sample_cdf(self.cdf, self.key_rng, cfg.batch_keys)
         resp = self.frontend.serve(keys, t, health=health, execute=True)
         # Every served row is checked against the host table, whatever
         # becomes of the request.
@@ -516,12 +502,14 @@ class ClusterSoak:
         for v in self.violations:
             logger.error("cluster integrity: %s", v)
 
+    def _node_faults(self) -> list:
+        return [f for f in self.plan or () if f.kind in NODE_FAULT_KINDS]
+
     def _buckets(self) -> tuple[list, list, list]:
         """Every record bucketed by its arrival: inside a node-fault
         window (failover), else inside a post-heal recovery window, else
         steady."""
-        faults = [(f.onset, f.clears_at) for f in self.plan or ()
-                  if f.kind in NODE_FAULT_KINDS]
+        faults = [(f.onset, f.clears_at) for f in self._node_faults()]
         failover, recovery, steady = [], [], []
         for r in self.records:
             if in_windows(r.arrival, faults):
@@ -531,6 +519,19 @@ class ClusterSoak:
             else:
                 steady.append(r)
         return failover, recovery, steady
+
+    def _latency_ratios(self) -> tuple[float, float]:
+        """Mean OK latency from the first node-fault onset to the last
+        clear, then after it, each over the mean before the onset."""
+        faults, ok = self._node_faults(), [r for r in self.records if r.ok]
+        before, during, after = phase_means(
+            [r.arrival for r in ok],
+            [r.response.elapsed for r in ok],
+            min((f.onset for f in faults), default=math.inf),
+            max((f.clears_at for f in faults), default=math.inf),
+        )
+        return tuple(x / before if x > 0 and before > 0 else 1.0
+                     for x in (during, after))
 
     def _cluster_section(self) -> ClusterSection:
         cfg, records, lifecycle = self.cfg, self.records, self.lifecycle
@@ -545,6 +546,7 @@ class ClusterSoak:
         steady_ok = [r.ok for r in steady]
         latencies = [r.response.elapsed for r in recovery if r.ok]
         scrubbers = lifecycle.scrubbers.values()
+        fault_latency, cleared_latency = self._latency_ratios()
         return ClusterSection(
             nodes=cfg.nodes,
             replication=cfg.replication,
@@ -582,6 +584,9 @@ class ClusterSoak:
             scrub_repaired=sum(s.repaired_total for s in scrubbers),
             scrub_read_repairs=sum(s.read_repairs_total for s in scrubbers),
             watchdog_transitions=len(lifecycle.watchdog.transitions),
+            node_deaths=sum(f.kind is FaultKind.NODE_DOWN for f in self.plan or ()),
+            fault_latency_ratio=fault_latency,
+            cleared_latency_ratio=cleared_latency,
         )
 
     def report(self) -> SoakReport:

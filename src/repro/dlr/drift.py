@@ -83,10 +83,6 @@ class DriftSchedule:
                 idx = k
         return idx
 
-    def pmf_at(self, frac: float) -> np.ndarray:
-        """The access distribution active at run-fraction ``frac``."""
-        return self.phases[self.phase_at(frac)].pmf
-
 
 def _rank_pmf(ranks: np.ndarray, alpha: float) -> np.ndarray:
     """Zipf mass assigned by rank: ``ranks[k]`` holds rank-``k``'s entry."""

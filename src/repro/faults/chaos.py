@@ -12,12 +12,9 @@ across the fault's onset, active window, and recovery, asserting that
 
 The ``solver-timeout`` and ``refresh-interrupt`` scenarios exercise the
 fallback chain and the transactional refresh directly instead of a batch
-loop.  The ``node_*`` scenarios lift the drill one tier up: a 3-node
-replicated cluster served through the fan-out front-end loses a whole
-node (cleanly, flapping, or by partition) and must keep answering
-bit-exactly via hedges, replica failover, and host fallback, then return
-to baseline latency once the node heals.  ``python -m repro chaos`` is
-the CLI front end.
+loop.  Node faults are not drilled here: they are cluster soaks
+(``python -m repro soak --nodes N``), gated by the soak's cluster
+section.  ``python -m repro chaos`` is the CLI front end.
 """
 
 from __future__ import annotations
@@ -38,11 +35,12 @@ from repro.core.solver import (
     clear_policy_cache,
     solve_policy_with_fallback,
 )
-from repro.faults.spec import NODE_FAULT_KINDS, FaultKind, FaultPlan, FaultSpec
+from repro.faults.spec import FaultKind, FaultPlan, FaultSpec
 from repro.faults.injector import FaultInjector
 from repro.obs import get_registry
-from repro.serve.soak import build_stack
+from repro.serve.soak import DEFAULT_RECOVERY_TOLERANCE, build_stack, phase_means
 from repro.utils.logging import get_logger
+from repro.utils.stats import choice_cdf, sample_cdf
 
 logger = get_logger("faults.chaos")
 
@@ -82,26 +80,6 @@ SCENARIO_TABLE: dict[str, tuple] = {
     "refresh-interrupt": (
         "a policy refresh dies mid-flight and rolls back", None
     ),
-    "node_down": (
-        "a whole cache-server node dies and later heals",
-        _at(FaultKind.NODE_DOWN, node=1),
-    ),
-    "node_flap": (
-        "a node dies, heals, and dies again",
-        # Down for half the window, back for one batch (batch t runs at
-        # time t), down for the other half.
-        lambda c: (
-            FaultSpec(FaultKind.NODE_DOWN, c.onset, 0.5 * c.duration, node=1),
-            FaultSpec(
-                FaultKind.NODE_DOWN, c.onset + 0.5 * c.duration + 1.0,
-                0.5 * c.duration, node=1,
-            ),
-        ),
-    ),
-    "node_partition": (
-        "a node is reachable but partitioned from traffic",
-        _at(FaultKind.NODE_PARTITION, node=1),
-    ),
     "bit-rot": (
         "cached bytes silently flip in a burst; the scrubber and "
         "read guard must keep every served value exact",
@@ -121,26 +99,9 @@ SCENARIO_TABLE: dict[str, tuple] = {
             ),
         ),
     ),
-    "heal-storm": (
-        "staggered node deaths with overlapping staged "
-        "recoveries under the lifecycle watchdog",
-        # Staggered single-node deaths whose staged recoveries overlap:
-        # node 1 dies twice around node 2's stint.
-        lambda c: tuple(
-            FaultSpec(
-                FaultKind.NODE_DOWN, at * c.num_batches, 0.15 * c.num_batches,
-                node=node,
-            )
-            for at, node in ((0.25, 1), (0.45, 2), (0.65, 1))
-        ),
-    ),
 }
 
 SCENARIOS: tuple[str, ...] = tuple(SCENARIO_TABLE)
-
-#: Default ceiling on post-fault latency relative to baseline; beyond this
-#: a scenario "never recovered" and the chaos CLI exits non-zero.
-DEFAULT_RECOVERY_TOLERANCE: float = 1.25
 
 #: Every drill runs on this platform.
 PLATFORM = "server-a"
@@ -179,15 +140,6 @@ class ChaosConfig:
             duration=2.0,
             seed=seed,
         )
-
-
-#: Node-level scenarios: these run against a 3-node replicated cluster
-#: tier (R=2) through the fan-out front-end instead of a single box.
-NODE_SCENARIOS: frozenset[str] = frozenset(
-    name
-    for name, (_, faults) in SCENARIO_TABLE.items()
-    if faults and any(f.kind in NODE_FAULT_KINDS for f in faults(ChaosConfig()))
-)
 
 
 @dataclass
@@ -251,20 +203,6 @@ def _sum_counter(name: str) -> float:
     return float(sum(get_registry().counter_values(name).values()))
 
 
-def _phase_means(times: list[float], onset: float, clear: float) -> dict:
-    """Mean batch time before the fault, inside ``[onset, clear)`` and
-    after it, as :class:`ScenarioResult` fields (batch ``t`` runs at
-    time ``t``)."""
-    phases = {
-        "baseline_time": [x for t, x in enumerate(times) if t < onset],
-        "degraded_time": [x for t, x in enumerate(times) if onset <= t < clear],
-        "recovered_time": [x for t, x in enumerate(times) if t >= clear],
-    }
-    return {
-        name: float(np.mean(xs)) if xs else 0.0 for name, xs in phases.items()
-    }
-
-
 def _run_batch_loop(scenario: str, cfg: ChaosConfig) -> ScenarioResult:
     """Drive the extractor through onset → fault → recovery.
 
@@ -284,7 +222,8 @@ def _run_batch_loop(scenario: str, cfg: ChaosConfig) -> ScenarioResult:
     stack = build_stack(cfg, platform_by_name(PLATFORM))
     injector = FaultInjector(plan, cache=stack.cache)
     extractor = FactoredExtractor(stack.cache, injector=injector)
-    platform, table, pmf, rng = stack.platform, stack.table, stack.pmf, stack.rng
+    platform, table, rng = stack.platform, stack.table, stack.rng
+    cdf = choice_cdf(stack.pmf)
     rot = plan.faults[0].kind is FaultKind.BIT_ROT
     scrubber = CacheScrubber(stack.cache) if rot else None
     rerouted_before = _sum_counter("faults.rerouted_keys")
@@ -296,8 +235,7 @@ def _run_batch_loop(scenario: str, cfg: ChaosConfig) -> ScenarioResult:
         now = float(t)
         injector.advance(now)
         keys = [
-            rng.choice(cfg.num_entries, size=cfg.batch_keys, p=pmf)
-            for _ in range(platform.num_gpus)
+            sample_cdf(cdf, rng, cfg.batch_keys) for _ in range(platform.num_gpus)
         ]
         values, report = extractor.extract(keys, now=now)
         for gpu, (got, want) in enumerate(zip(values, keys)):
@@ -342,89 +280,13 @@ def _run_batch_loop(scenario: str, cfg: ChaosConfig) -> ScenarioResult:
         rerouted_keys=rerouted,
         notes=f"{completed}/{cfg.num_batches} batches, {notes}",
         extra=extra,
-        **_phase_means(times, plan.faults[0].onset, plan.last_clear_time()),
-    )
-
-
-def _run_node_loop(scenario: str, cfg: ChaosConfig) -> ScenarioResult:
-    """Drive the cluster front-end through onset → node fault → recovery.
-
-    Same shape as :func:`_run_batch_loop`, one tier up: the stack is a
-    3-node replicated cluster (R=2) and the fault takes a whole node
-    away.  "Rerouted keys" here are keys served off their primary owner
-    (replica reads + host fallback).
-
-    Every drill runs under the one :class:`NodeLifecycle`: a death drops
-    the node's GPU caches, a heal starts a rate-limited staged refill,
-    and the watchdog must see every death and every return.
-    ``heal-storm`` staggers the deaths so the refills overlap: node 1
-    dies, heals and begins its refill; node 2 dies *during* that refill;
-    node 1 dies a second time before the dust settles.  Throughout, the
-    front-end must keep answering bit-exactly, and once the drill is over
-    every cache must hold its full placement again (integrity-verified).
-    """
-    from repro.cluster.soak import NodeLifecycle, build_cluster
-
-    plan = build_fault_plan(scenario, cfg)
-    cluster = build_cluster(
-        cfg, platform_by_name(PLATFORM), nodes=3, replication=2
-    )
-    frontend, stack = cluster.frontend, cluster.stack
-    table, pmf, rng = stack.table, stack.pmf, stack.rng
-    # Each batch's idle link time funds a slice of every refill — small
-    # enough (and never banked) that recoveries span batches and overlap.
-    budget = 0.5 * cluster.s0
-    lifecycle = NodeLifecycle(
-        frontend, stack.hotness, chunk_entries=64, credit_cap=budget
-    )
-
-    times: list[float] = []
-    values_exact = True
-    all_served = True
-    completed = 0
-    rerouted = 0
-    for t in range(cfg.num_batches):
-        now = float(t)
-        health = plan.health_at(now)
-        lifecycle.step(now, health, idle_seconds=budget)
-        keys = rng.choice(cfg.num_entries, size=cfg.batch_keys, p=pmf)
-        resp = frontend.serve(keys, now, health=health, execute=True)
-        if resp.partial:
-            all_served = False
-        if resp.wrong_rows(keys, table):
-            values_exact = False
-        rerouted += resp.replica_keys + resp.host_fallback_keys
-        times.append(resp.elapsed)
-        completed += 1
-
-    # Drill over: finish every refill, scrub everything, final verify.
-    lifecycle.finish(float(cfg.num_batches))
-    transitions = len(lifecycle.watchdog.transitions)
-    deaths = sum(f.kind is FaultKind.NODE_DOWN for f in plan)
-    violations = frontend.verify_integrity()
-    ok = (
-        values_exact and all_served and completed == cfg.num_batches
-        and transitions >= 2 * deaths  # each death and each return
-        and not violations
-    )
-    return ScenarioResult(
-        scenario=scenario,
-        ok=ok,
-        completed_batches=completed,
-        values_exact=values_exact,
-        rerouted_keys=rerouted,
-        notes=(
-            f"{completed}/{cfg.num_batches} batches, "
-            f"{transitions} watchdog transition(s), "
-            f"{lifecycle.restage_blocks} block(s) re-staged, "
-            f"{rerouted} keys served off-primary, "
-            f"{len(violations)} integrity violation(s)"
-        ),
-        extra={
-            "watchdog_transitions": transitions,
-            "restage_blocks": lifecycle.restage_blocks,
-        },
-        **_phase_means(times, plan.faults[0].onset, plan.last_clear_time()),
+        # Mean batch time before the fault, inside it and after it (batch
+        # ``t`` runs at time ``t``).
+        **dict(zip(
+            ("baseline_time", "degraded_time", "recovered_time"),
+            phase_means(range(len(times)), times, plan.faults[0].onset,
+                        plan.last_clear_time()),
+        )),
     )
 
 
@@ -513,8 +375,6 @@ def run_scenario(scenario: str, cfg: ChaosConfig | None = None) -> ScenarioResul
         result = _run_solver_timeout(cfg)
     elif scenario == "refresh-interrupt":
         result = _run_refresh_interrupt(cfg)
-    elif scenario in NODE_SCENARIOS:
-        result = _run_node_loop(scenario, cfg)
     elif scenario in SCENARIOS:
         result = _run_batch_loop(scenario, cfg)
     else:

@@ -33,6 +33,9 @@ logger = get_logger("repair.restage")
 
 __all__ = ["RestageGrant", "StagedRecovery"]
 
+#: (gpu, entry) pairs per staged block.
+CHUNK_ENTRIES = 256
+
 
 class RestageGrant:
     """What one :meth:`StagedRecovery.grant` staged."""
@@ -52,10 +55,7 @@ class StagedRecovery:
     solved against (higher = stage sooner).
     """
 
-    def __init__(self, node, lost, hotness: np.ndarray,
-                 chunk_entries: int = 256) -> None:
-        if chunk_entries < 1:
-            raise ValueError("restage chunks must hold at least one entry")
+    def __init__(self, node, lost, hotness: np.ndarray) -> None:
         self._node = node
         self._cache = node.cache
         self._entry_cost: dict[int, float] = {}
@@ -75,8 +75,8 @@ class StagedRecovery:
         order = np.lexsort((entries, gpus, -hotness[entries]))
         gpus, entries = gpus[order], entries[order]
         self._blocks: list[tuple[np.ndarray, np.ndarray]] = [
-            (gpus[i:i + chunk_entries], entries[i:i + chunk_entries])
-            for i in range(0, len(entries), chunk_entries)
+            (gpus[i:i + CHUNK_ENTRIES], entries[i:i + CHUNK_ENTRIES])
+            for i in range(0, len(entries), CHUNK_ENTRIES)
         ]
         self._next_block = 0
         # Shard keys not yet back on a GPU: the frontend keeps routing

@@ -65,7 +65,7 @@ from repro.serve.runtime import ServeConfig, ServingRuntime
 from repro.utils.logging import get_logger
 from repro.utils.retry import RetryPolicy
 from repro.utils.rng import make_rng, spawn_rngs
-from repro.utils.stats import zipf_pmf
+from repro.utils.stats import choice_cdf, sample_cdf, zipf_pmf
 
 logger = get_logger("serve.soak")
 
@@ -100,6 +100,10 @@ CACHE_RATIO = 0.12
 #: of the run; the soak gate judges goodput *inside* these windows (where
 #: an unadapted policy bleeds).
 DRIFT_WINDOW = 0.25
+
+#: Ceiling on mean latency after the last fault clears, relative to the
+#: mean before the first onset; beyond it a run "never recovered".
+DEFAULT_RECOVERY_TOLERANCE: float = 1.25
 
 
 class Scenario(NamedTuple):
@@ -175,6 +179,15 @@ SOAK_SCENARIOS: dict[str, Scenario] = {
             # of the run (~54 byte flips at this rate) — the scrubber and
             # read guard, not the health view, have to catch it.
             FaultSpec(FaultKind.BIT_ROT, 0.05, 0.90, rate=60.0),
+        ),
+    ),
+    "heal-storm": Scenario(
+        "server-a",
+        "staggered node deaths whose staged refills overlap: node 1 "
+        "dies twice around node 2's stint",
+        tuple(
+            FaultSpec(FaultKind.NODE_DOWN, at, 0.15, node=node)
+            for at, node in ((0.25, 1), (0.45, 2), (0.65, 1))
         ),
     ),
     # hps-multitenant's stress is the tier chain itself, not chaos: every
@@ -627,9 +640,10 @@ def _build_workload(cfg: SoakConfig, pmf: np.ndarray | None = None):
     if cfg.tenants <= 1:
         if pmf is None:
             pmf = zipf_pmf(cfg.num_entries, ZIPF_ALPHA)
+        cdf = choice_cdf(pmf)
 
         def draw(rng) -> np.ndarray:
-            return rng.choice(cfg.num_entries, size=cfg.batch_keys, p=pmf)
+            return sample_cdf(cdf, rng, cfg.batch_keys)
 
         return pmf, draw
 
@@ -642,13 +656,13 @@ def _build_workload(cfg: SoakConfig, pmf: np.ndarray | None = None):
     for t in range(cfg.tenants):
         lo, hi = int(bounds[t]), int(bounds[t + 1])
         seg_pmf = zipf_pmf(hi - lo, ZIPF_ALPHA)
-        segments.append((lo, seg_pmf))
+        segments.append((lo, choice_cdf(seg_pmf)))
         pmf[lo:hi] = popularity[t] * seg_pmf
+    tenant_cdf = choice_cdf(popularity)
 
     def draw(rng) -> np.ndarray:
-        t = int(rng.choice(cfg.tenants, p=popularity))
-        lo, seg_pmf = segments[t]
-        return lo + rng.choice(len(seg_pmf), size=cfg.batch_keys, p=seg_pmf)
+        lo, seg_cdf = segments[int(sample_cdf(tenant_cdf, rng))]
+        return lo + sample_cdf(seg_cdf, rng, cfg.batch_keys)
 
     return pmf, draw
 
@@ -788,6 +802,17 @@ def window_ok_ratio(inside: list[bool], outside: list[bool]) -> float:
     return (sum(inside) / len(inside)) / (sum(outside) / len(outside))
 
 
+def phase_means(arrivals, values, onset: float, clear: float):
+    """The mean of ``values`` over the arrivals before ``onset``, inside
+    ``[onset, clear)`` and from ``clear`` on (0.0 for an empty phase):
+    the one phase pass behind the chaos drills' and the cluster soak's
+    recovery gates."""
+    phases: tuple[list, list, list] = ([], [], [])
+    for at, value in zip(arrivals, values):
+        phases[(at >= onset) + (at >= clear)].append(value)
+    return tuple(float(np.mean(xs)) if xs else 0.0 for xs in phases)
+
+
 def build_report(
     cfg: SoakConfig,
     statuses: list[RequestStatus],
@@ -849,6 +874,7 @@ class BoxSoak:
             self.schedule = build_drift_schedule(
                 cfg.drift, cfg.num_entries, ZIPF_ALPHA, cfg.seed
             )
+            self.phase_cdfs = [choice_cdf(p.pmf) for p in self.schedule.phases]
         # Under drift the cache starts solved for the schedule's *phase-0*
         # distribution — exactly the policy the change points invalidate.
         pmf, self.draw = _build_workload(
@@ -856,7 +882,7 @@ class BoxSoak:
         )
         stack = build_stack(cfg, platform, pmf)
         self.hotness, self.capacity = stack.hotness, stack.capacity
-        self.cache = stack.cache
+        self.cache, self.table = stack.cache, stack.table
         arrival_rng, self.key_rng, probe_rng, self.drift_rng = spawn_rngs(
             cfg.seed + 17, 4
         )
@@ -966,10 +992,8 @@ class BoxSoak:
         """One request's keys from the distribution in force at ``at``."""
         if self.schedule is None:
             return self.draw(rng)
-        pmf_now = self.schedule.pmf_at(min(at / self.duration, 1.0))
-        return rng.choice(
-            self.cfg.num_entries, size=self.cfg.batch_keys, p=pmf_now
-        )
+        phase = self.schedule.phase_at(min(at / self.duration, 1.0))
+        return sample_cdf(self.phase_cdfs[phase], rng, self.cfg.batch_keys)
 
     def adapt_probe(self, at: float) -> float:
         # Probe with keys from the *currently active* phase: the p99
@@ -1046,13 +1070,21 @@ class BoxSoak:
 
     def finish(self, offered: int) -> None:
         """After the last arrival: land the swaps still due, drain every
-        queue, and check the run's integrity and time physics."""
+        queue, and check the run's integrity, time physics and every row
+        it served against the host table."""
         for t_swap in self.swap_times:
             self.attempt_swap(t_swap)
         self.drain_all(self.duration)
+        responses = self.runtime.responses
         self.violations = self.cache.verify_integrity() + check_time_physics(
-            self.runtime.responses, offered, self.outcomes
-        )
+            responses, offered, self.outcomes
+        ) + [
+            f"request {r.request.request_id} (gpu {r.request.gpu}) served "
+            "a row that differs from the host table"
+            for r in responses
+            if r.values is not None
+            and not np.array_equal(r.values, self.table[r.request.keys])
+        ]
         for violation in self.violations:
             logger.error("soak integrity: %s", violation)
 

@@ -21,6 +21,28 @@ def zipf_pmf(n: int, alpha: float) -> np.ndarray:
     return weights / weights.sum()
 
 
+def choice_cdf(p) -> np.ndarray:
+    """The CDF ``Generator.choice(len(p), p=p)`` rebuilds on every call,
+    built once for :func:`sample_cdf`.  ``p`` gets the checks ``choice``
+    makes — finite, non-negative, summing to 1 within ``sqrt(eps)`` — so
+    checking it only here loses none."""
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 1 or not np.isfinite(p).all() or (p < 0).any():
+        raise ValueError("probabilities must be finite and non-negative")
+    if abs(p.sum() - 1.0) > np.sqrt(np.finfo(np.float64).eps):
+        raise ValueError("probabilities do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def sample_cdf(cdf: np.ndarray, rng: np.random.Generator, size=None):
+    """``rng.choice(len(cdf), size, p=p)`` for the ``p`` behind ``cdf``
+    (numpy's own method): the same indices, and ``rng`` left at the same
+    stream position."""
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
 def geometric_mean(values) -> float:
     """Geometric mean, the paper's aggregation for 'average speedup' claims."""
     arr = np.asarray(list(values), dtype=np.float64)

@@ -180,8 +180,8 @@ class TestDriftSchedules:
             assert phase.pmf.sum() == pytest.approx(1.0)
         # the pmf actually changes across each transition
         for frac in sched.transitions:
-            before = sched.pmf_at(frac - 1e-6)
-            after = sched.pmf_at(frac)
+            before = sched.phases[sched.phase_at(frac - 1e-6)].pmf
+            after = sched.phases[sched.phase_at(frac)].pmf
             assert np.abs(before - after).sum() > 0.1
 
     def test_phase_at_boundaries(self):

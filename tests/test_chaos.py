@@ -1,11 +1,10 @@
-"""Chaos scenario matrix and its CLI front end (``python -m repro chaos``)."""
+"""Chaos scenario matrix and its CLI front end (``python -m repro chaos``).
 
-import itertools
+Node faults are cluster soaks; their drills live in ``tests/test_cluster.py``."""
 
 import pytest
 
 from repro.faults.chaos import (
-    NODE_SCENARIOS,
     SCENARIOS,
     ChaosConfig,
     build_fault_plan,
@@ -65,62 +64,35 @@ class TestScenarioMatrix:
         for scenario in SCENARIOS:
             assert scenario in rendered
 
+    def test_the_matrix_drills_one_box(self, quick_cfg):
+        """Node faults run as cluster soaks, not here: no row targets a
+        node and the module imports nothing from the cluster tier."""
+        import ast
+        import pathlib
+
+        from repro.faults import chaos
+
+        assert len(SCENARIOS) == 9
+        for scenario in SCENARIOS:
+            if scenario not in ("solver-timeout", "refresh-interrupt"):
+                plan = build_fault_plan(scenario, quick_cfg)
+                assert all(spec.node is None for spec in plan)
+        tree = ast.parse(pathlib.Path(chaos.__file__).read_text())
+        imported = [
+            node.module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+        ] + [
+            alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.Import) for alias in node.names
+        ]
+        assert not [m for m in imported if m.startswith("repro.cluster")]
+
     def test_deterministic_across_runs(self, quick_cfg):
         a = run_scenario("link-partition", quick_cfg)
         b = run_scenario("link-partition", quick_cfg)
         assert a.rerouted_keys == b.rerouted_keys
         assert a.baseline_time == pytest.approx(b.baseline_time)
         assert a.degraded_time == pytest.approx(b.degraded_time)
-
-
-class TestNodeScenarios:
-    """The ``node_*`` drills: the 3-node cluster tier loses a whole node."""
-
-    @pytest.mark.parametrize("scenario", sorted(NODE_SCENARIOS))
-    def test_node_scenario_passes_and_recovers(self, quick_cfg, scenario):
-        result = run_scenario(scenario, quick_cfg)
-        assert result.ok
-        assert result.values_exact
-        assert result.completed_batches == quick_cfg.num_batches
-        assert result.rerouted_keys > 0, "the fault must push keys off-primary"
-        assert result.degradation > 1.0  # hedged reads are slower
-        assert result.recovery == pytest.approx(1.0, rel=0.1)
-        assert result.recovered()
-
-    def test_node_flap_schedules_two_stints(self, quick_cfg):
-        plan = build_fault_plan("node_flap", quick_cfg)
-        assert len(plan) == 2
-        (first, second) = sorted(plan, key=lambda f: f.onset)
-        assert first.clears_at < second.onset, "the node must come back between"
-
-    @pytest.mark.parametrize(
-        "cfg", [ChaosConfig(), ChaosConfig.quick()], ids=["full", "quick"]
-    )
-    def test_node_flap_brings_the_node_back_for_a_batch(self, cfg):
-        """Batch ``t`` runs at time ``t``: unless some batch sees node 1 up
-        between the stints, the flap is one unbroken outage."""
-        plan = build_fault_plan("node_flap", cfg)
-        up = [
-            plan.health_at(float(t)).node_reachable(1)
-            for t in range(cfg.num_batches)
-        ]
-        runs = [state for state, _ in itertools.groupby(up)]
-        assert runs == [True, False, True, False, True]
-
-    def test_a_death_restages_and_a_partition_does_not(self, quick_cfg):
-        """Every node drill runs under the node lifecycle: a dead node
-        loses its GPU caches and refills them, a partitioned one keeps
-        them."""
-        down = run_scenario("node_down", quick_cfg)
-        partition = run_scenario("node_partition", quick_cfg)
-        assert down.extra["restage_blocks"] > 0
-        assert partition.extra["restage_blocks"] == 0
-
-    def test_node_plans_target_a_node_not_a_gpu(self, quick_cfg):
-        for scenario in sorted(NODE_SCENARIOS):
-            for spec in build_fault_plan(scenario, quick_cfg):
-                assert spec.node is not None
-                assert spec.gpu is None
 
 
 class TestChaosCli:

@@ -11,6 +11,7 @@ goodput through the failover window with a bit-exact table.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import json
 import math
@@ -37,11 +38,19 @@ from repro.cluster import (
 from repro.cluster import rpc
 from repro.core import pipeline
 from repro.core.pipeline import network_transfer_seconds, price_node_read
-from repro.faults.spec import HEALTHY, HealthView
+from repro.faults.spec import HEALTHY, FaultKind, HealthView
 from repro.hardware.platform import HOST, server_a
 from repro.obs import MetricsRegistry, use_registry
 from repro.sim.mechanisms import GpuDemand
-from repro.serve.soak import SoakConfig, drive, in_windows, run_soak
+from repro.serve.soak import (
+    CLUSTER_SCENARIOS,
+    DEFAULT_RECOVERY_TOLERANCE,
+    SoakConfig,
+    build_soak_plan,
+    drive,
+    in_windows,
+    run_soak,
+)
 from repro.sim.event_sim import simulate_rpc_exchange
 from repro.utils.rng import make_rng
 from repro.utils.stats import zipf_pmf
@@ -624,6 +633,122 @@ def test_a_partitioned_node_keeps_its_caches(monkeypatch):
     assert any(inside for inside, _ in seen)
     assert len({cached for _, cached in seen}) == 1 and seen[0][1] > 0
     assert report.cluster.rebalance_bytes == granted == 0
+
+
+# ----------------------------------------------------------------------
+# Node faults: the chaos drills, run as cluster soaks
+# ----------------------------------------------------------------------
+NODE_ROWS = ("node-kill", "node-flap", "node-partition", "heal-storm")
+LOOPS = {"open": False, "closed": True}
+
+
+@functools.lru_cache(maxsize=None)
+def _node_soak(scenario: str, loop: str) -> tuple[ClusterSoak, object, int]:
+    """A quick R=2 soak of ``scenario`` at seed 0: the harness, its
+    report, and the most staged refills that were ever in flight at once."""
+    soak = ClusterSoak(SoakConfig.quick(
+        seed=0, scenario=scenario, nodes=3, replication=2,
+        closed_loop=LOOPS[loop],
+    ))
+    lifecycle, peak = soak.lifecycle, [0]
+    step = lifecycle.step
+
+    def counted(*args, **kwargs):
+        step(*args, **kwargs)
+        peak[0] = max(peak[0], len(lifecycle._refills))
+
+    lifecycle.step = counted
+    return soak, drive(soak), peak[0]
+
+
+@pytest.mark.faults
+class TestNodeFaultSoaks:
+    """The node-fault drills: a 3-node R=2 cluster loses a whole node
+    (cleanly, flapping, by partition, or in a staggered storm) and keeps
+    answering bit-exactly, then returns to pre-onset latency."""
+
+    @pytest.mark.parametrize("loop", LOOPS)
+    @pytest.mark.parametrize(
+        "scenario", [*NODE_ROWS, "node-slow", "node-kill-bit-rot"]
+    )
+    def test_every_node_row_passes_the_drills_gates(self, scenario, loop):
+        soak, report, _ = _node_soak(scenario, loop)
+        cluster = report.cluster
+        assert report.ok
+        assert report.requests == soak.arrived == len(soak.records)
+        assert cluster.partial_responses == 0
+        assert cluster.node_deaths == sum(
+            f.kind is FaultKind.NODE_DOWN for f in soak.plan.faults
+        )
+        assert cluster.watchdog_transitions >= 2 * cluster.node_deaths
+        assert cluster.cleared_latency_ratio <= DEFAULT_RECOVERY_TOLERANCE
+
+    @pytest.mark.parametrize("loop", LOOPS)
+    @pytest.mark.parametrize("scenario", NODE_ROWS)
+    def test_soak_passes_and_recovers(self, scenario, loop):
+        _, report, _ = _node_soak(scenario, loop)
+        cluster = report.cluster
+        assert report.ok
+        assert cluster.corrupt_values_served == 0
+        assert report.integrity_failures == 0
+        assert cluster.replica_read_fraction > 0 or cluster.host_fallback_keys > 0, (
+            "the fault must push keys off-primary"
+        )
+        assert cluster.fault_latency_ratio > 1.0  # hedged reads are slower
+        assert cluster.cleared_latency_ratio == pytest.approx(1.0, rel=0.1)
+        assert cluster.cleared_latency_ratio <= DEFAULT_RECOVERY_TOLERANCE
+
+    def test_node_flap_schedules_two_stints(self):
+        plan = build_soak_plan("node-flap", 1.0)
+        assert len(plan) == 2
+        (first, second) = sorted(plan, key=lambda f: f.onset)
+        assert first.clears_at < second.onset, "the node must come back between"
+
+    @pytest.mark.parametrize("loop", LOOPS)
+    def test_node_flap_brings_the_node_back_between_stints(self, loop):
+        """Unless node 1 answers some request between its stints, the
+        flap is one unbroken outage."""
+        soak = ClusterSoak(SoakConfig.quick(
+            seed=0, scenario="node-flap", nodes=3, replication=2,
+            closed_loop=LOOPS[loop],
+        ))
+        first, second = sorted(soak.plan.faults, key=lambda f: f.onset)
+        node, now, answered = soak.frontend.nodes[1], [0.0], []
+        serve, arrive = node.serve, soak.arrive
+
+        def watched_serve(batch):
+            answered.append(now[0])
+            return serve(batch)
+
+        def watched_arrive(t, seq, client):
+            now[0] = t
+            return arrive(t, seq, client)
+
+        node.serve, soak.arrive = watched_serve, watched_arrive
+        assert drive(soak).ok
+        assert any(first.clears_at <= t < second.onset for t in answered)
+        assert not any(
+            f.onset <= t < f.clears_at for f in (first, second) for t in answered
+        )
+
+    def test_a_death_restages_and_a_partition_does_not(self):
+        """Every node row runs under the node lifecycle: a dead node
+        loses its GPU caches and refills them, a partitioned one keeps
+        them."""
+        assert _node_soak("node-kill", "open")[1].cluster.restage_blocks > 0
+        assert _node_soak("node-partition", "open")[1].cluster.restage_blocks == 0
+
+    def test_node_plans_target_a_node_not_a_gpu(self):
+        for scenario in CLUSTER_SCENARIOS:
+            for spec in build_soak_plan(scenario, 1.0):
+                if spec.kind is not FaultKind.BIT_ROT:
+                    assert spec.node is not None
+                assert spec.gpu is None
+
+    def test_heal_storm_overlaps_two_refills(self):
+        """Node 2 dies while node 1's refill is still staging, so two
+        refills are in flight at once."""
+        assert _node_soak("heal-storm", "open")[2] >= 2
 
 
 def test_closed_loop_cluster_soak_runs_through_its_fault_window():

@@ -37,6 +37,7 @@ from repro.repair import (
     NodeWatchdog,
     StagedRecovery,
 )
+from repro.repair import restage
 from repro.serve.breaker import BreakerState
 from repro.utils.rng import make_rng
 from repro.utils.stats import zipf_pmf
@@ -214,7 +215,9 @@ class TestStagedRecovery:
         _platform, _table, hotness, cache = _stack(seed=seed)
         lost = _drop_all(cache)
         node = SimpleNamespace(cache=cache, node_id=0)
-        rec = StagedRecovery(node, lost, hotness, chunk_entries=chunk)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(restage, "CHUNK_ENTRIES", chunk)
+            rec = StagedRecovery(node, lost, hotness)
         while not rec.done:
             assert rec.grant(float("inf")).blocks > 0
         # Exactly once: the staged multiset equals the lost multiset.
@@ -245,12 +248,12 @@ class TestStagedRecovery:
         assert rec.finish().entries == sum(len(i) for i in lost.per_gpu)
         assert rec.done
 
-    def test_remaining_placement_is_the_unstaged_tail(self):
+    def test_remaining_placement_is_the_unstaged_tail(self, monkeypatch):
         _platform, _table, hotness, cache = _stack()
         lost = _drop_all(cache)
+        monkeypatch.setattr(restage, "CHUNK_ENTRIES", 64)
         rec = StagedRecovery(
-            SimpleNamespace(cache=cache, node_id=0), lost, hotness,
-            chunk_entries=64,
+            SimpleNamespace(cache=cache, node_id=0), lost, hotness
         )
         # Stage exactly one block, then ask for the remainder.
         first_cost = rec._block_cost(rec._blocks[0])
@@ -318,38 +321,38 @@ class TestWatchdog:
 
 
 class TestNodeLifecycle:
-    def test_heal_storm_transitions_as_recorded(self, monkeypatch):
-        """The one lifecycle object the cluster soak and the heal-storm
-        drill share walks the storm exactly as the drill's own loop did
-        before the merge (values recorded at that commit, quick, seed 0)."""
-        from repro.cluster import soak as cluster_soak
-        from repro.faults.chaos import ChaosConfig, run_scenario
+    def test_heal_storm_transitions_as_recorded(self):
+        """The one lifecycle object walks the heal-storm soak's staggered
+        deaths as recorded (quick, 3 nodes, R=2, seed 0, open loop; times
+        as fractions of the run, the last two at the end of the drain)."""
+        from repro.cluster.soak import ClusterSoak
+        from repro.serve.soak import SoakConfig, drive
 
-        built = []
-
-        class Recording(cluster_soak.NodeLifecycle):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                built.append(self)
-
-        monkeypatch.setattr(cluster_soak, "NodeLifecycle", Recording)
-        result = run_scenario("heal-storm", ChaosConfig.quick(seed=0))
-        (lifecycle,) = built
-        assert result.ok
+        soak = ClusterSoak(SoakConfig.quick(
+            seed=0, scenario="heal-storm", nodes=3, replication=2
+        ))
+        report = drive(soak)
+        lifecycle = soak.lifecycle
+        assert report.ok
+        assert [
+            (round(t.at / soak.duration, 3), t.node, t.old.value, t.new.value)
+            for t in lifecycle.watchdog.transitions[:6]
+        ] == [
+            (0.253, 1, "healthy", "ejected"),
+            (0.402, 1, "ejected", "recovering"),
+            (0.454, 2, "healthy", "ejected"),
+            (0.600, 2, "ejected", "recovering"),
+            (0.651, 1, "recovering", "ejected"),
+            (0.806, 1, "ejected", "recovering"),
+        ]
         assert [
             (t.at, t.node, t.old.value, t.new.value)
-            for t in lifecycle.watchdog.transitions
+            for t in lifecycle.watchdog.transitions[6:]
         ] == [
-            (2.0, 1, "healthy", "ejected"),
-            (4.0, 1, "ejected", "recovering"),
-            (4.0, 2, "healthy", "ejected"),
-            (5.0, 2, "ejected", "recovering"),
-            (6.0, 1, "recovering", "ejected"),
-            (7.0, 1, "ejected", "recovering"),
-            (8.0, 1, "recovering", "healthy"),
-            (8.0, 2, "recovering", "healthy"),
+            (soak.sim_end, 1, "recovering", "healthy"),
+            (soak.sim_end, 2, "recovering", "healthy"),
         ]
-        assert lifecycle.restage_blocks == result.extra["restage_blocks"] == 46
+        assert lifecycle.restage_blocks == report.cluster.restage_blocks == 13
         # node 1's first refill (cut short by its second death) and the two
         # refills the drain finished
         assert len(lifecycle.recovery_windows) == 3

@@ -346,14 +346,17 @@ class TestAliasingInvariant:
         assert StagedRecovery(node, lost, hotness).finish().bytes > 0
         _assert_one_arena(node.cache)
 
-    def test_staged_recovery(self, cache):
+    def test_staged_recovery(self, cache, monkeypatch):
+        from repro.repair import restage
+
+        monkeypatch.setattr(restage, "CHUNK_ENTRIES", 64)
         node = SimpleNamespace(cache=cache, node_id=0)
         lost = cache.placement
         with cache.writing():
             for g in cache.platform.gpu_ids:
                 cache.store(g).evict_many(cache.store(g).cached_entries())
         cache.refresh_source_map()
-        recovery = StagedRecovery(node, lost, _hot(0, 2000), chunk_entries=64)
+        recovery = StagedRecovery(node, lost, _hot(0, 2000))
         recovery.grant(recovery._block_cost(recovery._blocks[0]) * 3)
         _assert_one_arena(cache)  # part-way
         recovery.finish()

@@ -128,6 +128,7 @@ def entry_points(root: Path, out: Path) -> tuple[list, list]:
         QUICK + ["node-partition", *CLUSTER, "--closed-loop"],
         QUICK + ["node-slow", *CLUSTER],
         QUICK + ["node-kill-bit-rot", *CLUSTER],
+        QUICK + ["heal-storm", *CLUSTER],
         QUICK + ["hps-multitenant", "--tiers", "dram:100KB,ssd:1GB"],
         QUICK + [*DRIFT, "rotating-head", "--compare-adapt"],
         QUICK + [*DRIFT, "table-shift"],
