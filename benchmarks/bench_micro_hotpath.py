@@ -32,10 +32,13 @@ the per-entry loop, whose double-free scan made a step quadratic),
 620 per GPU orbit; 12,409 per GPU pair, which a platform that stops
 qualifying for the orbit quotient would return to), and the server-c
 100 k rebuild must be at least 3x the float argmin (about 6x here, by
-rank per residue class).  A variable count is deterministic, unlike a
-time floor; a speed-up over an oracle timed in the same process is
-steadier than a rate.  The
-``perf-smoke`` CI job runs exactly this file
+rank per residue class).  Plan + execute of an 8,192-key Zipf batch on
+server-c must be at least 1.09x the sorting planner and segment-scatter
+gather it replaced (``tests/test_properties.py``'s oracle, timed beside
+it): 0.8x the slowest of seven recorded ratios, 1.36-1.91x.  A variable
+count is deterministic, unlike a time floor; a speed-up over an oracle
+timed in the same process is steadier than a rate.  The ``perf-smoke``
+CI job runs exactly this file
 (``pytest benchmarks/bench_micro_hotpath.py -m perf``).  Every row of the
 artifact comes from one run, whose commit is written beside them
 (``recorded_at``); ``tests/test_route_memo.py::TestRequestCallBudget`` is the
@@ -81,6 +84,8 @@ REFRESH_STEPS = (512, 4096)  # entries evicted and entries inserted per step
 MIN_REFRESH_ENTRIES_PER_SEC_AT_4096 = 1.5e6
 MAX_SERVER_C_LP_VARIABLES = 1_000
 MIN_SERVER_C_REBUILD_SPEEDUP = 3.0
+SORT_FREE_BATCH = 8192
+MIN_SORT_FREE_SPEEDUP = 1.09
 #: (platform, entries, Zipf alpha, keys per batch, cache ratio): the LPs the
 #: end-to-end benchmark's refresh_mixed and extract_batch workloads solve.
 LP_SHAPES = (
@@ -193,6 +198,44 @@ def _bench_pipeline(rng) -> list[dict]:
             }
         )
     return rows
+
+
+def _bench_sort_free_plan(rng) -> dict:
+    """Plan + execute of one 8,192-key Zipf batch on server-c, beside the
+    sorting planner and segment-scatter gather it replaced
+    (``tests/test_properties.py``'s oracle), whose rows and demand it must
+    equal."""
+    from repro.core.pipeline import execute_plan, plan_extraction
+    from tests.test_properties import _sorting_execute, _sorting_plan  # repo root on sys.path
+
+    platform = server_c()
+    table = rng.standard_normal((TABLE_ENTRIES, 32)).astype(np.float32)
+    pmf = zipf_pmf(TABLE_ENTRIES, 1.2)
+    cache = MultiGpuEmbeddingCache(
+        platform, table, partition_policy(pmf * 1000.0, TABLE_ENTRIES // 12, 8)
+    )
+    keys = rng.choice(TABLE_ENTRIES, SORT_FREE_BATCH, p=pmf)
+
+    def sort_free():
+        plan = plan_extraction(cache, 0, keys)
+        return execute_plan(cache, plan)
+
+    def oracle():
+        groups, _, _ = _sorting_plan(cache, 0, keys, None, frozenset())
+        return _sorting_execute(cache, 0, len(keys), groups)
+
+    with use_registry(MetricsRegistry("sort-free")):
+        (values, demand), (want_values, want_demand) = sort_free(), oracle()
+        assert np.array_equal(values, want_values) and np.array_equal(values, table[keys])
+        assert list(demand.volumes.items()) == list(want_demand.volumes.items())
+        t_new, t_oracle = _best_of(sort_free, 20), _best_of(oracle, 20)
+    return {
+        "platform": platform.name,
+        "batch_size": SORT_FREE_BATCH,
+        "plan_execute_keys_per_sec": SORT_FREE_BATCH / t_new,
+        "oracle_plan_execute_keys_per_sec": SORT_FREE_BATCH / t_oracle,
+        "speedup": t_oracle / t_new,
+    }
 
 
 def _bench_coalesce(rng) -> list[dict]:
@@ -429,6 +472,7 @@ def bench_micro_hotpath():
     tier_rows = _bench_tier_pricing(rng)
     coalesce_rows = _bench_coalesce(rng)
     write_path = _bench_write_path(rng)
+    sort_free = _bench_sort_free_plan(rng)
     doc = {
         "recorded_at": _recorded_at(),
         "table_entries": TABLE_ENTRIES,
@@ -442,11 +486,13 @@ def bench_micro_hotpath():
         "min_refresh_entries_per_sec_at_4096": MIN_REFRESH_ENTRIES_PER_SEC_AT_4096,
         "max_server_c_lp_variables": MAX_SERVER_C_LP_VARIABLES,
         "min_server_c_rebuild_speedup": MIN_SERVER_C_REBUILD_SPEEDUP,
+        "min_sort_free_speedup": MIN_SORT_FREE_SPEEDUP,
         "location_table": location_rows,
         "pipeline": pipeline_rows,
         "tier_pricing": tier_rows,
         "coalesce": coalesce_rows,
         "write_path": write_path,
+        "sort_free_plan": sort_free,
     }
     ARTIFACT.write_text(json.dumps(doc, indent=1) + "\n")
     for row in location_rows:
@@ -553,3 +599,13 @@ def bench_micro_hotpath():
                 f"resolve_sources only {row['rebuild_speedup']:.1f}x the float "
                 "argmin on server-c"
             )
+    print(
+        f"plan + execute {sort_free['batch_size']} on {sort_free['platform']}: "
+        f"{sort_free['plan_execute_keys_per_sec'] / 1e6:.1f} M keys/s, sorting "
+        f"planner {sort_free['oracle_plan_execute_keys_per_sec'] / 1e6:.1f} M "
+        f"({sort_free['speedup']:.2f}x)"
+    )
+    assert sort_free["speedup"] >= MIN_SORT_FREE_SPEEDUP, (
+        f"sort-free plan + execute only {sort_free['speedup']:.2f}x the sorting "
+        "planner on server-c"
+    )

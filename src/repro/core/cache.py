@@ -4,9 +4,10 @@
 wraps.  It owns:
 
 * the host-resident embedding table (the fallback location);
-* one :class:`~repro.core.filler.GpuCacheStore` per GPU, each a view of
-  one row arena, so ``<GPU_i, Offset>`` is the address ``slot_base[i] +
-  offset`` and :meth:`MultiGpuEmbeddingCache.gather` is one ``take``;
+* one :class:`~repro.core.filler.GpuCacheStore` per GPU, its rows a view
+  of one row arena and its ``offset_of`` a row of one ``(G, N)`` slot table,
+  so ``<GPU_i, Offset>`` is the address ``slot_base[i] + offset`` and
+  :meth:`MultiGpuEmbeddingCache.gather` is one ``take``;
 * the per-GPU *location table* — the paper's hashtable mapping each entry
   to ``<GPU_i, Offset>`` — derived by
   :func:`~repro.core.evaluate.resolve_sources`.
@@ -167,37 +168,36 @@ class MultiGpuEmbeddingCache:
         return self._stores[gpu]
 
     def _adopt(self, stores: list[GpuCacheStore]) -> None:
-        """Take :func:`fill_all`'s stores, their one row arena and each
-        GPU's first row in it (plus the total, as one more item)."""
+        """Take :func:`fill_all`'s stores, their row arena, slot table and
+        each GPU's first arena row (plus the total, as one more item)."""
         self._stores = stores
         #: every GPU's slots as one ``(total slots, dim)`` array: GPU ``g``'s
         #: ``data`` is the view ``row_arena[slot_base[g]:slot_base[g + 1]]``.
         self.row_arena: np.ndarray = stores[0].data.base
         self.slot_base = np.cumsum([0, *(len(s.data) for s in stores)]).tolist()
+        #: ``slot_cells[g * N + e]`` is entry ``e``'s slot on GPU ``g`` (−1:
+        #: not held), GPU ``g``'s ``offset_of`` row ``g`` of ``slot_table``;
+        #: ``address_base[src + T]`` is source ``src``'s first arena row.
+        self.slot_cells: np.ndarray = stores[0].offset_of.base
+        self.slot_table = self.slot_cells[:-1].reshape(len(stores), -1)
+        self.address_base = np.array(
+            [0] * self._platform.num_tiers + self.slot_base[:-1], dtype=np.int64
+        )
 
-    def gather(self, num_rows: int, segments) -> np.ndarray:
-        """Rows of one batch, in batch order, from its per-source ``(source,
-        positions, keys, offsets, ...)`` segments (a plan's groups are such).
-
-        The one place a ``(source, offset)`` becomes a row.  GPU segments
-        scatter 8-byte arena addresses and one ``take`` reads each row from
-        the replica its segment names; backing tiers stay outside the arena
-        (it would have to copy the host table) and are written over their
-        positions.  Callers hold :meth:`reading` (see the class contract).
-        """
-        slots = np.zeros(num_rows, dtype=np.int64)
-        cached = [segment for segment in segments if segment[0] >= 0]
-        for src, positions, _, offsets, *_ in cached:
-            slots[positions] = offsets + self.slot_base[src]
-        # Positions no GPU segment claims read slot 0 (there is one whenever
-        # anything is cached); an empty arena is never indexed.
-        if cached:
-            values = self.row_arena.take(slots, axis=0)
+    def gather(self, keys, sources, addresses, present) -> np.ndarray:
+        """Rows of one batch in batch order: one ``take`` of every key's
+        arena address, then each backing tier ``present`` written over its
+        keys' positions (a backing key's address is a placeholder; the arena
+        is indexed only when a GPU source is present).  Callers hold
+        :meth:`reading` (see the class contract)."""
+        if max(present, default=-1) >= 0:
+            values = self.row_arena.take(addresses, axis=0)
         else:
-            values = np.empty((num_rows, self.dim), dtype=self.row_arena.dtype)
-        for src, positions, keys, *_ in segments:
+            values = np.empty((len(keys), self.dim), dtype=self.row_arena.dtype)
+        for src in present:
             if src < 0:
-                values[positions] = self.backing_gather(src, keys)
+                positions = (sources == src).nonzero()[0]
+                values[positions] = self.backing_gather(src, keys.take(positions))
         return values
 
     @property
@@ -290,19 +290,19 @@ class MultiGpuEmbeddingCache:
         slot, or the host table), so tests can verify byte-exactness
         against ``table[keys]``.
         """
-        from repro.core.pipeline import _segment, resolve
+        from repro.core.pipeline import locate, resolve
 
-        keys = np.ascontiguousarray(keys, dtype=np.int64)
-        if keys.size and (keys.min() < 0 or keys.max() >= self.num_entries):
-            raise KeyError("lookup key out of range")
         with self._rwlock.read_locked():
             keys, sources = resolve(self, dst, keys)
-            _, segments = _segment(self, keys, sources)
-            for gpu, _, wanted, offsets in segments:
-                if gpu >= 0 and (offsets < 0).any():
-                    missing = wanted[offsets < 0][:5]
-                    raise KeyError(f"entries not cached on GPU {gpu}: {missing}...")
-            values = self.gather(len(keys), segments)
+            slots, addresses, present, sizes = locate(self, keys, sources)
+            if sum(sizes) != len(keys):
+                raise CacheIntegrityError(f"GPU {dst}: a key routes to no source")
+            stale = slots < 0
+            if stale.any():
+                gpu = int(sources[stale].min())
+                missing = keys[stale & (sources == gpu)][:5]
+                raise KeyError(f"entries not cached on GPU {gpu}: {missing}...")
+            values = self.gather(keys, sources, addresses, present)
             demand = demand_from_keys(
                 self._platform, self._source_map, dst, keys, self.entry_bytes
             )
@@ -383,8 +383,9 @@ class MultiGpuEmbeddingCache:
     ) -> list[str]:
         """Cross-structure invariant check; returns violations (empty = ok).
 
-        Checks, per GPU store: ``data`` is still its row arena slice (a
-        rebound array is written, never read), slot assignments are unique,
+        Checks, per GPU store: ``data`` is still its row arena slice and
+        ``offset_of`` its slot table row (a rebound array is written, never
+        read), slot assignments are unique,
         arena occupancy matches the entry count, and cached values are
         bit-identical to the host table.  Across the location table:
         every source id is a real GPU (or HOST), and every routed read
@@ -417,6 +418,9 @@ class MultiGpuEmbeddingCache:
             view = self.row_arena[self.slot_base[gpu] : self.slot_base[gpu + 1]]
             if store.data.__array_interface__ != view.__array_interface__:
                 problems.append(f"GPU {gpu}: store data is not its row arena slice")
+            row = self.slot_table[gpu].__array_interface__
+            if store.offset_of.__array_interface__ != row:
+                problems.append(f"GPU {gpu}: store offset_of is not its slot table row")
             cached = store.cached_entries()
             offsets = store.offset_of[cached]
             if len(sorted_unique(offsets)) != len(offsets):

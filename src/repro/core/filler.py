@@ -145,10 +145,11 @@ def fill_all(
 ) -> list[GpuCacheStore]:
     """Fill every GPU's cache according to ``placement``.
 
-    One allocation, §4's single address space: each store's ``data`` is its
-    GPU's slice, in GPU order, of one ``(total slots, dim)`` row arena (its
-    ``.base``), so a write through any store lands where
-    :meth:`~repro.core.cache.MultiGpuEmbeddingCache.gather` reads.
+    Two allocations, §4's single address space: each store's ``data`` is its
+    GPU's slice, in GPU order, of one ``(total slots, dim)`` row arena, and
+    its ``offset_of`` its GPU's row of one ``(G, N)`` slot table (whose flat
+    buffer, ``.base``, ends in a sentinel cell, 0, that no entry owns), so a
+    write through any store lands where the planner and the gather read.
     """
     if placement.num_entries != table.shape[0]:
         raise ValueError("placement and table disagree on the entry universe")
@@ -157,10 +158,15 @@ def fill_all(
         for ids in placement.per_gpu
     ]
     arena = np.zeros((sum(capacities), table.shape[1]), dtype=table.dtype)
+    cells = np.zeros(len(capacities) * table.shape[0] + 1, dtype=np.int64)
+    slot_table = cells[:-1].reshape(len(capacities), table.shape[0])
     stores, start = [], 0
     for gpu, (ids, capacity) in enumerate(zip(placement.per_gpu, capacities)):
         data = arena[start : start + capacity]
-        stores.append(fill_gpu(gpu, table, ids, capacity_entries, data))
+        store = fill_gpu(gpu, table, ids, capacity_entries, data)
+        slot_table[gpu] = store.offset_of
+        store.offset_of = slot_table[gpu]
+        stores.append(store)
         start += capacity
     return stores
 

@@ -7,13 +7,16 @@ free function that any layer can call on its own:
 
 1. **resolve** — bulk location lookup: keys → source per key (the §4
    hashtable semantics, served from the cache's dense ``source_map``);
-2. **reroute** — fault/exclusion handling: sort the batch by source once
-   (one stable ``argsort`` → per present source its positions and keys,
-   as views), check each present source, and replace unusable ones (down
-   GPUs, partitioned links, stale/corrupt slots, breaker-opened sources)
-   with the cheapest surviving replica, host last;
-3. **group** — per-source batching: wrap each segment and the slot
-   offsets reroute gathered as a :class:`SourceGroup` (Figure 8's layout);
+2. **reroute** — fault/exclusion handling, without a sort: :func:`locate`
+   reads every key's slot with one ``take`` from the cache's ``(G, N)``
+   slot table (its arena address is that slot plus its source's first
+   row) and counts the sources present with one ``bincount``; keys on
+   unusable sources (down GPUs, partitioned links, stale/corrupt slots,
+   breaker-opened sources) are patched in place with the cheapest
+   surviving replica, host last, and located again;
+3. **group** — per-source batching: ``(source, keys, cores)`` per present
+   source in launch order (Figure 8's layout; the plan's
+   :class:`SourceGroup` segments are built only when asked for);
 4. **dedicate** — the §5.3 core split over the sources actually present,
    re-normalized when the topology model and the location table disagree;
 5. **price** — the factored timing model under the current health view —
@@ -21,8 +24,8 @@ free function that any layer can call on its own:
    simulators, the serving runtime and the cluster's cache nodes all price
    a demand through :func:`price_demand`, so a plan costs the same no
    matter who asks;
-6. **execute** — one row ``take`` from the cache's arena for every GPU
-   group at once, one ``backing_gather`` per backing-tier group.
+6. **execute** — one row ``take`` of the plan's addresses from the cache's
+   arena, one ``backing_gather`` per backing tier present.
 
 Each stage times itself into ``pipeline.<stage>.seconds``
 (:func:`repro.obs.stage_timer`), so a regression in any one stage is
@@ -35,9 +38,10 @@ request: reroute's verdict on every source id under ``("verdicts", dst,
 exclude)``; the re-normalized core split and its ``missing`` list under
 ``("dedication", dst, present, dedication_fn)``; metric labels under
 ``("source_class", dst, sources)``; the FEM's per-source ``(rate, latency,
-cores, busy)`` under ``("factored", dst, sources)``.  Every key is a value
-and nothing derived from cache *contents* is kept — ``source_map`` and
-``offset_of`` are read per request — so a fault, a breaker flip or another
+cores, busy)`` under ``("factored", dst, sources)``; the sources ``dst`` can
+read under ``("readable", dst)``.  Every key is a value and nothing derived
+from cache *contents* is kept — ``source_map`` and the slot table are read
+per request — so a fault, a breaker flip or another
 split policy is simply a different key, and refresh, hot swap, repair,
 restage and tier rebalance need no invalidation; :func:`remember` caps each
 memo, oldest first.
@@ -52,7 +56,7 @@ and hedge-demand helpers so their inputs match the analytic path exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import lt
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
@@ -68,6 +72,7 @@ from repro.sim.mechanisms import (
     core_dedication,
     factored_extraction,
 )
+from repro.utils.arrays import sorted_unique
 from repro.utils.logging import get_logger
 
 if TYPE_CHECKING:  # cache imports this module; type-only the other way
@@ -85,6 +90,7 @@ __all__ = [
     "find_replicas",
     "group_by_source",
     "host_fallback_demand",
+    "locate",
     "NodeReadPrice",
     "network_transfer_seconds",
     "plan_extraction",
@@ -131,20 +137,47 @@ class SourceGroup(NamedTuple):
     dedicated_cores: int
 
 
-class ExtractionPlan(NamedTuple):
-    """A factored plan for one GPU's batch (Figure 8's grouped layout)."""
+@dataclass(eq=False)
+class ExtractionPlan:
+    """A factored plan for one GPU's batch (Figure 8's grouped layout): per
+    key its source, slot on that source and arena address, and per present
+    source ``(source, keys, dedicated cores)`` in launch order (non-local
+    first, the low-priority local group last)."""
 
     dst: int
-    batch_size: int
-    #: non-local groups first (launch order), local group last (low priority)
-    groups: tuple[SourceGroup, ...]
+    keys: np.ndarray
+    sources: np.ndarray
+    slots: np.ndarray
+    addresses: np.ndarray
+    per_source: tuple[tuple[int, int, int], ...]
     #: keys this plan rerouted away from their mapped source (faults)
-    rerouted_keys: int = 0
+    rerouted_keys: int
     #: sources whose mapped keys had to be rerouted because the source
     #: itself failed (down GPU, partitioned link, stale/corrupt slots) —
     #: the serving layer's circuit breakers consume this.  Sources the
     #: caller *asked* to exclude are not failures and do not appear.
-    failed_sources: tuple[int, ...] = ()
+    failed_sources: tuple[int, ...]
+
+    @property
+    def batch_size(self) -> int:
+        return len(self.keys)
+
+    @cached_property
+    def groups(self) -> tuple[SourceGroup, ...]:
+        """One :class:`SourceGroup` per ``per_source`` entry, its positions
+        ascending, by one stable sort of the batch (the hot path never asks)."""
+        order = self.sources.argsort(kind="stable")
+        by_keys, by_slots = self.keys.take(order), self.slots.take(order)
+        spans, start = {}, 0
+        for src, count, _ in sorted(self.per_source):
+            spans[src] = slice(start, start := start + count)
+        return tuple(
+            SourceGroup(
+                src, order[spans[src]], by_keys[spans[src]],
+                by_slots[spans[src]] if src >= 0 else _NO_OFFSETS, cores,
+            )
+            for src, _, cores in self.per_source
+        )
 
     @property
     def local_group(self) -> SourceGroup | None:
@@ -160,9 +193,7 @@ class ExtractionPlan(NamedTuple):
     def demand(self, entry_bytes: int) -> GpuDemand:
         return GpuDemand(
             dst=self.dst,
-            volumes={
-                g.source: float(len(g.keys) * entry_bytes) for g in self.groups
-            },
+            volumes={s: float(count * entry_bytes) for s, count, _ in self.per_source},
         )
 
 
@@ -176,10 +207,15 @@ def resolve(
 
     Returns the keys normalized to a contiguous int64 array and the
     per-key source (GPU id or :data:`HOST`) from ``dst``'s location map,
-    as a :data:`~repro.hardware.platform.SOURCE_DTYPE` array.
+    as a :data:`~repro.hardware.platform.SOURCE_DTYPE` array.  A key outside
+    ``[0, N)`` raises ``KeyError``, as :meth:`~repro.core.cache.
+    MultiGpuEmbeddingCache.host_gather` does (seen unsigned, a negative key
+    is the largest).
     """
     with stage_timer("resolve"):
         keys = np.ascontiguousarray(keys, dtype=np.int64)
+        if len(keys) and _max(keys.view(np.uint64)) >= cache.num_entries:
+            raise KeyError("key out of range")
         return keys, cache.source_map[dst][keys]
 
 
@@ -225,44 +261,42 @@ def find_replicas(
 
 _NO_OFFSETS = np.empty(0, dtype=np.int64)
 _min = np.minimum.reduce  # ``ndarray.min`` minus its Python wrapper
+_max = np.maximum.reduce
+#: :data:`SOURCE_DTYPE` read unsigned: a tier's (negative) id exceeds every GPU's.
+_USOURCE = np.dtype(f"u{np.dtype(SOURCE_DTYPE).itemsize}")
 
 
-def _segment(
+def locate(
     cache: "MultiGpuEmbeddingCache", keys: np.ndarray, sources: np.ndarray
-) -> tuple[tuple[int, ...], list[tuple]]:
-    """Sort a batch by source once: ``(present, segments)`` — the sources
-    present (ascending) and per present source ``(source, positions, keys,
-    offsets)``, positions ascending, the arrays views of one sorted copy;
-    ``offsets`` are the keys' slots on a GPU source (negative: not held)."""
-    if not len(sources):
-        return (), []
-    # A stable integer argsort is a radix sort, one pass per key byte, so
-    # sort one byte wide first.  Run-start ids strictly ascending means the
-    # result *is* the wide stable sort; an id that does not fit a byte (a
-    # corrupt one) aliases, so its runs interleave with another's (44 and
-    # 300) or land out of place (200, -200), and the wide sort runs.
-    for sort_key in (sources.astype(np.int8), sources):
-        order = sort_key.argsort(kind="stable")
-        by_source = sources.take(order)
-        cuts = ((by_source[1:] != by_source[:-1]).nonzero()[0] + 1).tolist()
-        starts = [0, *cuts]
-        ids = by_source[starts].tolist()
-        if all(map(lt, ids, ids[1:])):
-            break
-    by_keys, num_gpus = keys.take(order), cache.platform.num_gpus
-    return tuple(ids), [
-        (src, order[a:b], segment_keys := by_keys[a:b],
-         cache.store(src).offset_of.take(segment_keys) if 0 <= src < num_gpus
-         else _NO_OFFSETS)
-        for src, a, b in zip(ids, starts, [*cuts, len(order)])
-    ]
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...], list[int]]:
+    """Where a batch's keys are, without a sort: ``(slots, addresses,
+    present, counts)``.
+
+    Per key its slot on its source GPU (negative: not held), one ``take``
+    from the flat slot table, and its arena row, that slot plus the
+    source's first row; read unsigned, a backing or negative corrupt id
+    indexes past the table and clips onto its sentinel cell, slot 0.  Then
+    the sources present, ascending, and their key counts from one
+    ``bincount``, which skips corrupt ids: ``sum(counts) < len(keys)``."""
+    span = (tiers := cache.platform.num_tiers) + cache.platform.num_gpus
+    shifted = sources + tiers
+    flat = np.multiply(sources.view(_USOURCE), cache.num_entries, dtype=np.int64)
+    flat += keys
+    slots = cache.slot_cells.take(flat, mode="clip")
+    addresses = slots + cache.address_base.take(shifted, mode="clip")
+    unsigned = shifted.view(_USOURCE)
+    if len(keys) and _max(unsigned) >= span:
+        shifted = shifted[unsigned < span]
+    counts = np.bincount(shifted, minlength=span)
+    nonzero = counts.nonzero()[0]
+    return slots, addresses, tuple((nonzero - tiers).tolist()), counts[nonzero].tolist()
 
 
 #: What :func:`reroute` does with a present source.  Only ``_HELD`` looks
 #: at the batch (are the slots still there?); the rest is decided by the
 #: route alone and remembered with it.  GPU ids and *every* backing-tier id
 #: get a verdict; an id with none is corrupt.
-_BACKING, _HELD, _EXCLUDED, _UNLINKED, _UNUSABLE, _CORRUPT = range(6)
+_BACKING, _HELD, _EXCLUDED, _UNLINKED, _UNUSABLE = range(5)
 
 
 def _verdict(
@@ -291,22 +325,23 @@ def reroute(
     exclude: frozenset[int] = frozenset(),
     log=logger,
 ) -> tuple[tuple, int, tuple[int, ...]]:
-    """Segment the batch by source and replace unusable sources.
+    """Locate the batch and replace unusable sources.
 
     A source is unusable when its id is corrupt (outside the GPU
     range), the health view marks it down or unreachable, its store
     does not actually hold the key (a stale location), or the caller
-    excluded it (an open circuit breaker); a patched batch is segmented
-    once more.  Returns ``(batch, rerouted, failed_sources)`` — the
-    final :func:`_segment` result, and the sources that *failed* (exclusions
-    are deliberate, not failures).  Corrupt slots are blamed on whichever
-    GPU stores actually hold the affected entries — the replicas whose
-    location records went bad.
+    excluded it (an open circuit breaker); the keys that read one are
+    patched in place and located again.  Returns ``(batch, rerouted,
+    failed_sources)`` — the final :func:`locate` result behind the final
+    sources, and the sources that *failed* (exclusions are deliberate, not
+    failures).  Corrupt slots are blamed on whichever GPU stores actually
+    hold the affected entries — the replicas whose location records went
+    bad.
     """
     reg = get_registry()
     with stage_timer("reroute", reg):
         platform = cache.platform
-        batch = _, segments = _segment(cache, keys, sources)
+        slots, addresses, present, counts = located = locate(cache, keys, sources)
         view = platform if health is None else degraded_platform(platform, health)
         verdicts = view.memo.get(("verdicts", dst, exclude))
         if verdicts is None:
@@ -314,36 +349,36 @@ def reroute(
                 src: _verdict(platform, dst, src, health, exclude)
                 for src in (*platform.backing_ids, *platform.gpu_ids)
             })
-        bad: list[np.ndarray] = []
-        n_corrupt = n_stale = 0
+        corrupt = sum(counts) < len(keys)
+        usable = max(map(verdicts.__getitem__, present), default=_HELD) <= _HELD
+        if usable and not corrupt and (not len(keys) or _min(slots) >= 0):
+            return (sources, *located), 0, ()
         failed: set[int] = set()
-        for src, positions, _, offsets in segments:
-            verdict = verdicts.get(src, _CORRUPT)
-            if verdict == _HELD:
-                if _min(offsets) < 0:
-                    stale = offsets < 0
-                    bad.append(positions[stale])
-                    n_stale += int(stale.sum())
-                    failed.add(src)
-            elif verdict != _BACKING:
-                bad.append(positions)
-                if verdict in (_UNLINKED, _CORRUPT):
-                    n_corrupt += len(positions)
-                if verdict in (_UNLINKED, _UNUSABLE):
-                    failed.add(src)
-        if not bad:
-            return batch, 0, ()
-        corrupt = [segment[2] for segment in segments if segment[0] not in verdicts]
+        bad = ~platform.valid_source_mask(sources)
+        n_corrupt = int(np.count_nonzero(bad))
         if corrupt:
-            corrupt_keys = np.concatenate(corrupt)
+            corrupt_keys = keys[bad]
             for g in platform.gpu_ids:
                 if (cache.store(g).offset_of[corrupt_keys] >= 0).any():
                     failed.add(g)
-        bad_idx = np.concatenate(bad)
+        for src, count in zip(present, counts):
+            verdict = verdicts[src]
+            if verdict > _HELD:
+                bad |= sources == src
+                if verdict == _UNLINKED:
+                    n_corrupt += count
+                if verdict in (_UNLINKED, _UNUSABLE):
+                    failed.add(src)
+        stale = (slots < 0) & ~bad  # backing and corrupt ids read slot 0
+        n_stale = int(np.count_nonzero(stale))
+        if n_stale:
+            failed.update(sorted_unique(sources[stale]).tolist())
+            bad |= stale
+        bad_idx = bad.nonzero()[0]
         replacements = find_replicas(cache, dst, keys[bad_idx], health, exclude)
         sources = sources.copy()
         sources[bad_idx] = replacements
-        batch = _segment(cache, keys, sources)
+        located = locate(cache, keys, sources)
         n = len(bad_idx)
     to_backing = int(platform.backing_mask(replacements).sum())
     reg.counter("faults.rerouted_keys", dst=dst).inc(n)
@@ -361,7 +396,7 @@ def reroute(
         "GPU %d: rerouted %d/%d keys (%d corrupt, %d stale) around faults",
         dst, n, len(keys), n_corrupt, n_stale,
     )
-    return batch, n, tuple(sorted(failed))
+    return (sources, *located), n, tuple(sorted(failed))
 
 
 # ----------------------------------------------------------------------
@@ -485,13 +520,13 @@ def group_by_source(
     cache: "MultiGpuEmbeddingCache",
     dst: int,
     present: tuple[int, ...],
-    segments: list[tuple],
+    counts: list[int],
     dedication: dict[int, int],
-) -> tuple[SourceGroup, ...]:
-    """Per-source batching: one :class:`SourceGroup` per segment of
-    :func:`reroute`'s batch.
+) -> tuple[tuple[int, int, int], ...]:
+    """Per-source batching: ``(source, keys, dedicated cores)`` per source
+    :func:`reroute` found present.
 
-    Non-local groups come first (launch order); the local group is
+    Non-local sources come first (launch order); the local one is
     appended last, scheduled at low priority to pad the ragged non-local
     finishing times (§5.3).
     """
@@ -500,19 +535,16 @@ def group_by_source(
         platform = cache.platform
         num_cores = platform.gpu.num_cores
         instruments = _source_instruments(reg, platform, dst, present)
-        groups: list[SourceGroup] = []
-        for segment, (planned_keys, cores, _) in zip(segments, instruments):
-            src = segment[0]
-            group = SourceGroup(
-                *segment, num_cores if src == dst else dedication.get(src, 1)
-            )
-            planned_keys.inc(len(group.keys))
-            cores.observe(group.dedicated_cores)
-            groups.append(group)
+        per_source: list[tuple[int, int, int]] = []
+        for src, count, (planned_keys, cores, _) in zip(present, counts, instruments):
+            group = (src, count, num_cores if src == dst else dedication.get(src, 1))
+            planned_keys.inc(count)
+            cores.observe(group[2])
+            per_source.append(group)
         if dst in present:
             # Local extraction is launched last, on a low-priority stream.
-            groups.append(groups.pop(present.index(dst)))
-    return tuple(groups)
+            per_source.append(per_source.pop(present.index(dst)))
+    return tuple(per_source)
 
 
 # ----------------------------------------------------------------------
@@ -529,20 +561,16 @@ def plan_extraction(
 ) -> ExtractionPlan:
     """Run resolve → reroute → dedicate → group for one GPU's batch."""
     keys, sources = resolve(cache, dst, keys)
-    (present, segments), rerouted, failed_sources = reroute(
+    (sources, slots, addresses, present, counts), rerouted, failed_sources = reroute(
         cache, dst, keys, sources, health, exclude, log=log
     )
     platform = cache.platform
     if health is not None:
         platform = degraded_platform(platform, health)
     dedication = dedicate(platform, dst, present, dedication_fn, log=log)
-    groups = group_by_source(cache, dst, present, segments, dedication)
+    per_source = group_by_source(cache, dst, present, counts, dedication)
     return ExtractionPlan(
-        dst=dst,
-        batch_size=len(keys),
-        groups=groups,
-        rerouted_keys=rerouted,
-        failed_sources=failed_sources,
+        dst, keys, sources, slots, addresses, per_source, rerouted, failed_sources
     )
 
 
@@ -680,14 +708,12 @@ def execute_plan(
     reg = get_registry()
     entry_bytes = cache.entry_bytes
     with stage_timer("execute", reg):
-        values = cache.gather(plan.batch_size, plan.groups)
+        present = tuple([src for src, _, _ in plan.per_source])
+        values = cache.gather(plan.keys, plan.sources, plan.addresses, present)
         volumes: dict[int, float] = {}
-        instruments = _source_instruments(
-            reg, cache.platform, plan.dst, tuple([g.source for g in plan.groups])
-        )
-        for group, (_, _, sent) in zip(plan.groups, instruments):
-            count = len(group.keys)
-            volumes[group.source] = float(count * entry_bytes)
+        instruments = _source_instruments(reg, cache.platform, plan.dst, present)
+        for (src, count, _), (_, _, sent) in zip(plan.per_source, instruments):
+            volumes[src] = float(count * entry_bytes)
             sent.inc(count * entry_bytes)
     return values, GpuDemand(dst=plan.dst, volumes=volumes)
 

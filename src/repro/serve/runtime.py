@@ -375,8 +375,7 @@ class ServingRuntime:
                 ).inc()
         for src in failed:
             self.breakers.record(src, ok=False, now=now)
-        for group in plan.groups:
-            src = group.source
+        for src, _, _ in plan.per_source:
             if src == plan.dst or src in failed:
                 continue
             self.breakers.record(src, ok=True, now=now)

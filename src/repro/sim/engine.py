@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.faults.spec import HealthView
-from repro.hardware.platform import Platform
+from repro.hardware.platform import Platform, remember
 from repro.obs import get_registry
 from repro.sim.mechanisms import (
     GpuDemand,
@@ -127,12 +127,15 @@ def simulate_batch(
         if reg.enabled:
             reg.counter("faults.sim.rerouted_bytes").inc(moved)
     for demand in demands:
+        # The sources ``dst`` can read, remembered in the (degraded) view.
+        readable = platform.memo.get(("readable", demand.dst))
+        if readable is None:
+            readable = remember(platform.memo, ("readable", demand.dst), frozenset(
+                s for s in (*platform.backing_ids, *platform.gpu_ids)
+                if platform.is_connected(demand.dst, s)
+            ))
         for src, vol in demand.volumes.items():
-            if (
-                vol > 0
-                and not platform.is_backing(src)
-                and not platform.is_connected(demand.dst, src)
-            ):
+            if vol > 0 and src not in readable:
                 raise ValueError(
                     f"GPU {demand.dst} cannot extract from unconnected GPU {src}"
                 )
@@ -154,10 +157,10 @@ def simulate_batch(
     report = BatchReport(mechanism=mechanism, per_gpu=reports)
     reg = get_registry()
     if reg.enabled:
-        reg.counter("extract.batches", mechanism=mechanism.value).inc()
+        reg.cached("counter", "extract.batches", mechanism=mechanism.value).inc()
         for r in reports:
-            reg.histogram("extract.gpu_seconds", gpu=r.dst).observe(r.time)
-        reg.histogram("extract.batch_seconds").observe(report.time)
+            reg.cached("histogram", "extract.gpu_seconds", gpu=r.dst).observe(r.time)
+        reg.cached("histogram", "extract.batch_seconds").observe(report.time)
         for cls, vol in report.volume_split().items():
-            reg.counter("extract.volume_bytes", source=cls).inc(vol)
+            reg.cached("counter", "extract.volume_bytes", source=cls).inc(vol)
     return report

@@ -224,6 +224,19 @@ class TestSimulatorsUnderFaults:
         with pytest.raises(ValueError):
             simulate_batch(platform, [bad])
 
+    def test_unconnected_read_is_rejected_from_a_warm_memo(self):
+        """The readable sources per destination are remembered; the error,
+        and what passes, stay as they were."""
+        platform = server_b()
+        fine = GpuDemand(dst=0, volumes={0: 1e6, 1: 1e6, HOST: 1e6, 5: 0.0})
+        for _ in range(2):  # cold memo, then warm
+            simulate_batch(platform, [fine])
+            with pytest.raises(
+                ValueError, match="^GPU 0 cannot extract from unconnected GPU 5$"
+            ):
+                simulate_batch(platform, [GpuDemand(dst=0, volumes={5: 1e6})])
+        assert ("readable", 0) in platform.memo
+
 
 @pytest.mark.faults
 class TestDegradedExtractionAcceptance:

@@ -294,7 +294,7 @@ class TestCoalesceProperties:
 # ----------------------------------------------------------------------
 from repro.core import pipeline
 from repro.core.cache import MultiGpuEmbeddingCache
-from repro.core.policy import hot_replicate_warm_partition_policy
+from repro.core.policy import Placement, hot_replicate_warm_partition_policy
 from repro.faults.degrade import degraded_platform
 from repro.faults.spec import HealthView
 from repro.hardware.platform import MemoryTier, gbps, server_b, with_tiers
@@ -304,7 +304,7 @@ PLAN_N = 240
 PLAN_DIM = 4
 
 
-def _plan_cache(kind: str, seed: int) -> MultiGpuEmbeddingCache:
+def _plan_cache(kind: str, seed: int, empty: bool = False) -> MultiGpuEmbeddingCache:
     rng = np.random.default_rng(seed)
     table = rng.standard_normal((PLAN_N, PLAN_DIM)).astype(np.float32)
     hot = rng.permutation(zipf_pmf(PLAN_N, 1.1)) * 1000.0
@@ -322,6 +322,10 @@ def _plan_cache(kind: str, seed: int) -> MultiGpuEmbeddingCache:
     placement = hot_replicate_warm_partition_policy(
         hot, PLAN_N // 10, platform.num_gpus, 0.5
     )
+    if empty:
+        placement = Placement(num_entries=PLAN_N, per_gpu=tuple(
+            np.empty(0, dtype=np.int64) for _ in platform.gpu_ids
+        ))
     return MultiGpuEmbeddingCache(
         platform, table, placement,
         tier_hotness=hot if platform.num_tiers > 1 else None,
@@ -395,19 +399,21 @@ def _oracle_plan(cache, dst, keys, health, exclude):
     return groups, rerouted, tuple(sorted(failed))
 
 
-def _plan_counters(reg: MetricsRegistry) -> dict:
+def _plan_counters(reg: MetricsRegistry, *also: str) -> dict:
     return {
         (s.name, s.labels): s.value if s.kind == "counter" else (s.count, s.sum)
         for s in reg.series()
-        if s.name.startswith(("faults.", "extractor.plan."))
+        if s.name.startswith(("faults.", "extractor.plan.", *also))
     }
 
 
 @st.composite
-def plan_scenarios(draw):
-    """A cache (possibly with a damaged map), a batch and a health view."""
+def plan_scenarios(draw, empty_arena=st.just(False)):
+    """A cache (possibly with a damaged map, or with no slots at all), a
+    batch and a health view."""
     cache = _plan_cache(
-        draw(st.sampled_from(["a", "b", "c", "tiered"])), draw(st.integers(0, 50))
+        draw(st.sampled_from(["a", "b", "c", "tiered"])), draw(st.integers(0, 50)),
+        empty=draw(empty_arena),
     )
     platform = cache.platform
     G = platform.num_gpus
@@ -476,6 +482,179 @@ class TestSegmentedPlanProperties:
         # ...and the plan still gathers the right rows.
         values, _ = pipeline.execute_plan(cache, plan)
         assert np.array_equal(values, cache.host_table[keys])
+
+
+# ----------------------------------------------------------------------
+# The sort-free plan against the sorting planner it replaced
+# ----------------------------------------------------------------------
+def _segment(cache, keys, sources):
+    """Sort a batch by source once: ``(present, segments)`` — the sources
+    present (ascending) and per present source ``(source, positions, keys,
+    offsets)``, positions ascending, the arrays views of one sorted copy;
+    ``offsets`` are the keys' slots on a GPU source (negative: not held)."""
+    if not len(sources):
+        return (), []
+    # A stable integer argsort is a radix sort, one pass per key byte, so
+    # sort one byte wide first.  Run-start ids strictly ascending means the
+    # result *is* the wide stable sort; an id that does not fit a byte (a
+    # corrupt one) aliases, so its runs interleave with another's (44 and
+    # 300) or land out of place (200, -200), and the wide sort runs.
+    for sort_key in (sources.astype(np.int8), sources):
+        order = sort_key.argsort(kind="stable")
+        by_source = sources.take(order)
+        cuts = ((by_source[1:] != by_source[:-1]).nonzero()[0] + 1).tolist()
+        starts = [0, *cuts]
+        ids = by_source[starts].tolist()
+        if all(a < b for a, b in zip(ids, ids[1:])):
+            break
+    by_keys, num_gpus = keys.take(order), cache.platform.num_gpus
+    return tuple(ids), [
+        (src, order[a:b], segment_keys := by_keys[a:b],
+         cache.store(src).offset_of.take(segment_keys) if 0 <= src < num_gpus
+         else np.empty(0, dtype=np.int64))
+        for src, a, b in zip(ids, starts, [*cuts, len(order)])
+    ]
+
+
+def _sorting_plan(cache, dst, keys, health, exclude):
+    """``plan_extraction`` as it was before the slot table: ``_segment``'s
+    sort, a verdict and a stale check per segment, a second sort after a
+    reroute, one ``SourceGroup`` per segment.  Returns ``(groups, rerouted,
+    failed)`` and counts into the active registry as the planner does."""
+    reg, platform = get_registry(), cache.platform
+    keys = np.ascontiguousarray(keys, dtype=np.int64)
+    sources = cache.source_map[dst][keys]
+    present, segments = _segment(cache, keys, sources)
+    verdicts = {
+        src: pipeline._verdict(platform, dst, src, health, exclude)
+        for src in (*platform.backing_ids, *platform.gpu_ids)
+    }
+    bad, failed, n_corrupt, n_stale = [], set(), 0, 0
+    for src, positions, _, offsets in segments:
+        verdict = verdicts.get(src, "corrupt")
+        if verdict == pipeline._HELD:
+            if len(offsets) and offsets.min() < 0:
+                stale = offsets < 0
+                bad.append(positions[stale])
+                n_stale += int(stale.sum())
+                failed.add(src)
+        elif verdict != pipeline._BACKING:
+            bad.append(positions)
+            if verdict in (pipeline._UNLINKED, "corrupt"):
+                n_corrupt += len(positions)
+            if verdict in (pipeline._UNLINKED, pipeline._UNUSABLE):
+                failed.add(src)
+    rerouted = 0
+    if bad:
+        corrupt = [seg[2] for seg in segments if seg[0] not in verdicts]
+        if corrupt:
+            corrupt_keys = np.concatenate(corrupt)
+            for g in platform.gpu_ids:
+                if (cache.store(g).offset_of[corrupt_keys] >= 0).any():
+                    failed.add(g)
+        bad_idx = np.concatenate(bad)
+        replacements = pipeline.find_replicas(cache, dst, keys[bad_idx], health, exclude)
+        sources = sources.copy()
+        sources[bad_idx] = replacements
+        present, segments = _segment(cache, keys, sources)
+        rerouted = len(bad_idx)
+        to_backing = int(platform.backing_mask(replacements).sum())
+        reg.counter("faults.rerouted_keys", dst=dst).inc(rerouted)
+        reg.counter("faults.rerouted_keys_to", target="host").inc(to_backing)
+        reg.counter("faults.rerouted_keys_to", target="replica").inc(rerouted - to_backing)
+        if n_corrupt:
+            reg.counter("faults.corrupt_reads").inc(n_corrupt)
+        if n_stale:
+            reg.counter("faults.stale_reads").inc(n_stale)
+    priced = platform if health is None else degraded_platform(platform, health)
+    dedication = pipeline.dedicate(priced, dst, present)
+    groups = []
+    for segment in segments:
+        src = segment[0]
+        cores = platform.gpu.num_cores if src == dst else dedication.get(src, 1)
+        label = pipeline.source_class(src, dst, platform)
+        reg.counter("extractor.plan.keys", source=label).inc(len(segment[2]))
+        reg.histogram("extractor.plan.dedicated_cores", source=label).observe(cores)
+        groups.append(pipeline.SourceGroup(*segment, cores))
+    if dst in present:
+        groups.append(groups.pop(present.index(dst)))
+    return tuple(groups), rerouted, tuple(sorted(failed))
+
+
+def _sorting_execute(cache, dst, num_rows, groups):
+    """``execute_plan`` as it was: every GPU group's offsets scattered into
+    one address per batch position, one ``take``, then each backing group's
+    rows written over its positions."""
+    reg = get_registry()
+    slots = np.zeros(num_rows, dtype=np.int64)
+    cached = [g for g in groups if g.source >= 0]
+    for g in cached:
+        slots[g.batch_positions] = g.offsets + cache.slot_base[g.source]
+    if cached:
+        values = cache.row_arena.take(slots, axis=0)
+    else:
+        values = np.empty((num_rows, cache.dim), dtype=cache.row_arena.dtype)
+    volumes = {}
+    for g in groups:
+        if g.source < 0:
+            values[g.batch_positions] = cache.backing_gather(g.source, g.keys)
+        sent = len(g.keys) * cache.entry_bytes
+        volumes[g.source] = float(sent)
+        label = pipeline.source_class(g.source, dst, cache.platform)
+        reg.counter("extractor.execute.bytes", source=label).inc(sent)
+    return values, GpuDemand(dst=dst, volumes=volumes)
+
+
+def _assert_equals_the_sorting_planner(cache, dst, keys, health, exclude):
+    want_reg, got_reg = MetricsRegistry("sorting"), MetricsRegistry("sort-free")
+    with use_registry(want_reg):
+        groups, rerouted, failed = _sorting_plan(cache, dst, keys, health, exclude)
+        want_values, want_demand = _sorting_execute(cache, dst, len(keys), groups)
+    with use_registry(got_reg):
+        plan = pipeline.plan_extraction(cache, dst, keys, health, exclude)
+        values, demand = pipeline.execute_plan(cache, plan)
+    assert values.dtype == want_values.dtype
+    assert values.tobytes() == want_values.tobytes()
+    for got in (demand, plan.demand(cache.entry_bytes)):
+        assert got.dst == want_demand.dst
+        _same_floats(got.volumes, want_demand.volumes)
+    assert (plan.rerouted_keys, plan.failed_sources) == (rerouted, failed)
+    assert _plan_counters(got_reg, "extractor.execute.") == _plan_counters(
+        want_reg, "extractor.execute."
+    )
+    assert len(plan.groups) == len(groups)
+    for got_group, want_group in zip(plan.groups, groups):
+        for have, want in zip(got_group, want_group):
+            assert type(have) is type(want)
+            if isinstance(want, np.ndarray):
+                assert have.dtype == want.dtype and np.array_equal(have, want)
+            else:
+                assert have == want
+
+
+class TestSortFreePlanAgainstTheSortingPlan:
+    @given(scenario=plan_scenarios(empty_arena=st.booleans()))
+    @settings(max_examples=150, deadline=None)
+    def test_plan_and_execute_equal_the_sorting_planner(self, scenario):
+        _assert_equals_the_sorting_planner(*scenario)
+
+    @pytest.mark.parametrize("dst", [0, 5])
+    def test_every_fault_in_one_batch(self, dst):
+        """DGX-1: a route over a missing link, corrupt ids both ways, a
+        stale slot, a down GPU and an excluded one, all in one batch."""
+        cache = _plan_cache("b", 3)
+        row = cache.source_map[dst]
+        unlinked = next(g for g in range(8) if not cache.platform.is_connected(dst, g))
+        row[:6], row[6:9], row[9:12] = unlinked, 0x4000 + dst, -40
+        stale = next(g for g in range(8) if g != dst and len(cache.store(g).cached_entries()))
+        entry = int(cache.store(stale).cached_entries()[0])
+        row[entry] = stale
+        with cache.writing():
+            cache.store(stale).evict(entry)
+        keys = np.concatenate([np.arange(PLAN_N), [entry] * 3])
+        health = HealthView(down_gpus=frozenset({(dst + 1) % 8}))
+        for exclude in (frozenset(), frozenset({(dst + 2) % 8})):
+            _assert_equals_the_sorting_planner(cache, dst, keys, health, exclude)
 
 
 # ----------------------------------------------------------------------
@@ -614,7 +793,11 @@ def _whole_plan(cache, dst, keys, health, exclude, dedication_fn):
 def _assert_same_plan(got, want) -> None:
     (plan, values, demand, report, counters) = got
     (want_plan, want_values, want_demand, want_report, want_counters) = want
-    assert plan._replace(groups=()) == want_plan._replace(groups=())
+    for name in ("dst", "rerouted_keys", "failed_sources", "per_source"):
+        assert getattr(plan, name) == getattr(want_plan, name)
+    for name in ("keys", "sources", "slots", "addresses"):
+        have, expected = getattr(plan, name), getattr(want_plan, name)
+        assert have.dtype == expected.dtype and np.array_equal(have, expected)
     assert len(plan.groups) == len(want_plan.groups)
     for group, want_group in zip(plan.groups, want_plan.groups):
         for have, expected in zip(group, want_group):

@@ -293,6 +293,9 @@ def _assert_one_arena(cache) -> None:
         if len(data):
             assert np.shares_memory(data, arena)
             assert data.base is arena
+        assert cache.store(g).offset_of.base is cache.slot_cells
+    assert cache.slot_table.shape == (cache.platform.num_gpus, cache.num_entries)
+    assert cache.slot_cells[-1] == 0  # the sentinel backing keys read
     assert cache.verify_integrity() == []
     rng = np.random.default_rng(7)
     for dst in cache.platform.gpu_ids:
@@ -381,6 +384,13 @@ class TestAliasingInvariant:
             "GPU 1: store data is not its row arena slice"
         ]
 
+    def test_a_rebound_slot_map_is_reported(self, cache):
+        store = cache.store(2)
+        store.offset_of = store.offset_of.copy()
+        assert cache.verify_integrity(sample=0.1) == [
+            "GPU 2: store offset_of is not its slot table row"
+        ]
+
     def test_a_stale_slot_raises_the_stores_key_error(self, cache):
         store = cache.store(0)
         entry = int(np.flatnonzero(cache.source_map[0] == 0)[0])
@@ -392,6 +402,48 @@ class TestAliasingInvariant:
         with pytest.raises(KeyError) as from_lookup:
             cache.lookup(0, keys)
         assert from_lookup.value.args == from_store.value.args
+
+
+# ----------------------------------------------------------------------
+# Keys outside the table
+# ----------------------------------------------------------------------
+class TestKeysOutOfRange:
+    """Key −1 once wrapped to entry N − 1 and was served as that entry's row;
+    every entry point now raises the ``KeyError`` ``host_gather`` does."""
+
+    BAD = ([-1, 5], [5, 2000], [-(2**62)])
+
+    @pytest.mark.parametrize("keys", BAD)
+    def test_the_extractor(self, cache, keys):
+        extractor = FactoredExtractor(cache)
+        with pytest.raises(KeyError):
+            extractor.plan(0, np.array(keys))
+        with pytest.raises(KeyError):
+            cache.lookup(0, np.array(keys))
+        with pytest.raises(KeyError):
+            cache.host_gather(np.array(keys))
+
+    @pytest.mark.parametrize("keys", BAD)
+    def test_the_serving_runtime(self, cache, keys):
+        from repro.serve import ServingRuntime
+
+        runtime = ServingRuntime(FactoredExtractor(cache))
+        with pytest.raises(KeyError):
+            runtime.serve_request(runtime.make_request(0, np.array(keys), now=0.0), 0.0)
+
+    @pytest.mark.parametrize("keys", BAD)
+    def test_a_cache_node(self, platform_a, small_table, keys):
+        node = CacheNode(
+            node_id=0, platform=platform_a, table=small_table, hotness=_hot(3, 2000),
+            member_mask=np.ones(2000, dtype=bool), capacity_entries=250,
+        )
+        with pytest.raises(KeyError):
+            node.serve(np.array(keys))
+
+    def test_the_edges_of_the_range_are_served(self, cache):
+        keys = np.array([0, cache.num_entries - 1])
+        values, _ = FactoredExtractor(cache).extract([keys, keys[:0], keys[:0], keys[:0]])
+        assert _same_bits(values[0], cache.host_table[keys])
 
 
 # ----------------------------------------------------------------------
@@ -412,5 +464,6 @@ class TestExecuteCallBudget:
             pipeline.execute_plan(cache, plan)  # warm: instruments, labels
             counts[size] = count_calls(lambda: pipeline.execute_plan(cache, plan))
         assert counts[1024] == counts[8192]
-        # 89 with a take, a scatter and a store lookup per group.
-        assert counts[1024] <= 75
+        # 89 with a take, a scatter and a store lookup per group; 74 with an
+        # address scatter per group; 66 with the plan's addresses.
+        assert counts[1024] <= 66
