@@ -1,10 +1,11 @@
 """The cluster front-end: fan-out, gather, failover, graceful degradation.
 
 :class:`ClusterFrontend` is the request router above the node tier.  One
-request's keys are resolved to their owner nodes (consistent-hash ring or
-solver-driven :class:`~repro.cluster.placement.NodePlacement` — both
-expose the same ``owners_for`` surface), fanned out as one RPC exchange
-per node, and gathered; the request's latency is the slowest leg, exactly
+request's keys are routed by one ``take`` from a dense ``(N, R)`` owner
+table, built once from the consistent-hash ring or the solver-driven
+:class:`~repro.cluster.placement.NodePlacement` (both expose the same
+``owners_for`` surface), fanned out as one RPC exchange per node, and
+gathered; the request's latency is the slowest leg, exactly
 like a source group inside a single box.
 
 Degradation ladder, per node-group — the group is admitted (ingress GPU
@@ -31,6 +32,7 @@ corpse; half-open probes re-admit a healed node.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import ClassVar
 
 import numpy as np
@@ -44,7 +46,7 @@ from repro.cluster.placement import (
 from repro.cluster.ring import HashRing
 from repro.cluster import rpc
 from repro.faults.spec import HEALTHY, HealthView
-from repro.obs import get_registry, stage_timer
+from repro.obs import get_registry
 from repro.serve.breaker import BreakerBoard, BreakerConfig
 from repro.sim.event_sim import simulate_rpc_exchange
 from repro.utils.logging import get_logger
@@ -176,6 +178,14 @@ class ClusterFrontend:
             if placement is not None
             else self.build_placement(config, hotness)
         )
+        entries = {n.cache.num_entries for n in nodes}
+        if len(entries) != 1:
+            raise ValueError(f"nodes disagree on the keyspace: {sorted(entries)}")
+        # Every key's owners, primary first: one byte per owner when the
+        # ids fit, so the routing sort below is a one-pass radix sort.
+        owners = self.placement.owners_for(np.arange(entries.pop(), dtype=np.int64))
+        narrow = owners.astype(np.int8)
+        self._owners = narrow if (narrow == owners).all() else owners
         self.breakers = BreakerBoard(
             sources=sorted(self.nodes), config=config.breaker
         )
@@ -250,7 +260,11 @@ class ClusterFrontend:
         hedge_node)`` over that order — nodes and positions ascending, the
         arrays slices of one sorted copy.
         """
-        owners = self.placement.owners_for(keys)  # (n, R)
+        # Seen unsigned a negative key is the largest: it raises here, before
+        # any node is admitted, instead of wrapping onto entry N - 1.
+        if len(keys) and keys.view(np.uint64).max() >= len(self._owners):
+            raise KeyError("key out of range")
+        owners = self._owners.take(keys, axis=0)  # (n, R)
         excluded = self.breakers.excluded_sources(now)
         # Route each key at its first non-ejected owner (primary bias).
         chosen = owners[:, 0].copy()
@@ -273,10 +287,9 @@ class ClusterFrontend:
                     reg.counter("repair.watchdog.rerouted_keys").inc(
                         len(pending) - len(stuck)
                     )
-        # One stable sort of the routing decision, one byte wide when the
-        # ids fit (a one-pass radix sort); each run of equal ids is a group.
-        narrow = chosen.astype(np.int8)
-        order = (narrow if (narrow == chosen).all() else chosen).argsort(kind="stable")
+        # One stable sort of the routing decision; each run of equal ids
+        # is a group.
+        order = chosen.argsort(kind="stable")
         by_node, by_keys = chosen.take(order), keys.take(order)
         by_owners = owners.take(order, axis=0)
         cuts = (np.flatnonzero(by_node[1:] != by_node[:-1]) + 1).tolist()
@@ -301,7 +314,9 @@ class ClusterFrontend:
         reg = get_registry()
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         resp = ClusterResponse(requested=len(keys))
-        with stage_timer("fanout", reg):
+        seconds = reg.cached("histogram", "pipeline.fanout.seconds")
+        start = perf_counter()
+        try:
             order, groups = self._fan_out(keys, now, reg)
             if execute:
                 cache = next(iter(self.nodes.values())).cache
@@ -369,6 +384,8 @@ class ClusterFrontend:
                 # Rows were written in sorted order; un-permute once.
                 resp.values = np.empty_like(by_values)
                 resp.values[order] = by_values
+        finally:
+            seconds.observe(perf_counter() - start)
         totals = {
             "requests": 1, "failovers": resp.failovers,
             "replica_read_keys": resp.replica_keys,

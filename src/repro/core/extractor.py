@@ -24,6 +24,8 @@ batch always completes; only its price changes.
 
 from __future__ import annotations
 
+from time import perf_counter
+
 import numpy as np
 
 from repro.core.cache import MultiGpuEmbeddingCache
@@ -38,7 +40,7 @@ from repro.core.pipeline import (
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import HealthView
 from repro.hardware.platform import Platform
-from repro.obs import get_registry, timer
+from repro.obs import get_registry
 from repro.sim.engine import BatchReport, simulate_batch
 from repro.sim.mechanisms import GpuDemand, Mechanism, core_dedication
 from repro.utils.logging import get_logger
@@ -106,7 +108,9 @@ class FactoredExtractor:
         reg = get_registry()
         health = self._resolve_health(health, now)
         exclude = frozenset(exclude_sources or ())  # a frozenset passes through as is
-        with timer("extractor.plan.seconds", reg):
+        seconds = reg.cached("histogram", "extractor.plan.seconds")
+        start = perf_counter()
+        try:
             # ``core_dedication`` is resolved from this module's globals at
             # call time so tests (and operators) can swap the split policy.
             plan = plan_extraction(
@@ -118,14 +122,20 @@ class FactoredExtractor:
                 dedication_fn=core_dedication,
                 log=logger,
             )
+        finally:
+            seconds.observe(perf_counter() - start)
         reg.cached("counter", "extractor.plan.calls").inc()
         return plan
 
     def execute(self, plan: ExtractionPlan) -> tuple[np.ndarray, GpuDemand]:
         """Gather values per the plan; returns (values, priced demand)."""
         reg = get_registry()
-        with timer("extractor.execute.seconds", reg):
+        seconds = reg.cached("histogram", "extractor.execute.seconds")
+        start = perf_counter()
+        try:
             out = execute_plan(self._cache, plan)
+        finally:
+            seconds.observe(perf_counter() - start)
         reg.cached("counter", "extractor.execute.calls").inc()
         return out
 

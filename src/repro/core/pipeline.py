@@ -27,9 +27,10 @@ free function that any layer can call on its own:
 6. **execute** — one row ``take`` of the plan's addresses from the cache's
    arena, one ``backing_gather`` per backing tier present.
 
-Each stage times itself into ``pipeline.<stage>.seconds``
-(:func:`repro.obs.stage_timer`), so a regression in any one stage is
-visible regardless of which consumer triggered it.
+Each stage times itself into ``pipeline.<stage>.seconds`` (one clock read
+at entry, one ``observe`` in a ``finally``; :mod:`repro.obs.tracing`), so a
+regression in any one stage is visible regardless of which consumer
+triggered it.
 
 **What is remembered.**  What a plan or a price needs that the keys do not
 decide is recorded once in ``Platform.memo`` — a degraded view's own memo
@@ -57,6 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from time import perf_counter
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
@@ -65,7 +67,7 @@ from repro.core.location_table import LocationTable
 from repro.faults.degrade import degraded_platform, reroute_demand
 from repro.faults.spec import HealthView
 from repro.hardware.platform import HOST, SOURCE_DTYPE, Platform, remember
-from repro.obs import get_registry, stage_timer
+from repro.obs import get_registry
 from repro.sim.mechanisms import (
     GpuDemand,
     GpuExtractionReport,
@@ -212,11 +214,15 @@ def resolve(
     MultiGpuEmbeddingCache.host_gather` does (seen unsigned, a negative key
     is the largest).
     """
-    with stage_timer("resolve"):
+    seconds = get_registry().cached("histogram", "pipeline.resolve.seconds")
+    start = perf_counter()
+    try:
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         if len(keys) and _max(keys.view(np.uint64)) >= cache.num_entries:
             raise KeyError("key out of range")
         return keys, cache.source_map[dst][keys]
+    finally:
+        seconds.observe(perf_counter() - start)
 
 
 # ----------------------------------------------------------------------
@@ -339,7 +345,9 @@ def reroute(
     bad.
     """
     reg = get_registry()
-    with stage_timer("reroute", reg):
+    seconds = reg.cached("histogram", "pipeline.reroute.seconds")
+    start = perf_counter()
+    try:
         platform = cache.platform
         slots, addresses, present, counts = located = locate(cache, keys, sources)
         view = platform if health is None else degraded_platform(platform, health)
@@ -380,6 +388,8 @@ def reroute(
         sources[bad_idx] = replacements
         located = locate(cache, keys, sources)
         n = len(bad_idx)
+    finally:
+        seconds.observe(perf_counter() - start)
     to_backing = int(platform.backing_mask(replacements).sum())
     reg.counter("faults.rerouted_keys", dst=dst).inc(n)
     reg.counter(
@@ -465,7 +475,9 @@ def dedicate(
     not write it); the warning and its counters fire for every plan.
     """
     reg = get_registry()
-    with stage_timer("dedicate", reg):
+    seconds = reg.cached("histogram", "pipeline.dedicate.seconds")
+    start = perf_counter()
+    try:
         fn = dedication_fn or core_dedication
         key = ("dedication", dst, tuple(present), fn)
         found = platform.memo.get(key)
@@ -475,6 +487,8 @@ def dedicate(
                 platform, dst, sources, fn(platform, dst, sources)
             ))
         dedication, missing = found
+    finally:
+        seconds.observe(perf_counter() - start)
     if missing:
         reg.counter("extractor.plan.dedication_missing").inc(len(missing))
         reg.counter("extractor.plan.dedication_renormalized").inc()
@@ -531,7 +545,9 @@ def group_by_source(
     finishing times (§5.3).
     """
     reg = get_registry()
-    with stage_timer("group", reg):
+    seconds = reg.cached("histogram", "pipeline.group.seconds")
+    start = perf_counter()
+    try:
         platform = cache.platform
         num_cores = platform.gpu.num_cores
         instruments = _source_instruments(reg, platform, dst, present)
@@ -544,6 +560,8 @@ def group_by_source(
         if dst in present:
             # Local extraction is launched last, on a low-priority stream.
             per_source.append(per_source.pop(present.index(dst)))
+    finally:
+        seconds.observe(perf_counter() - start)
     return tuple(per_source)
 
 
@@ -590,10 +608,14 @@ def price_demand(
     ``price``, the batch engine, the serving runtime's request pricing and
     hedge race — calls this function, so one demand has one price.
     """
-    with stage_timer("price"):
+    seconds = get_registry().cached("histogram", "pipeline.price.seconds")
+    start = perf_counter()
+    try:
         if health is not None:
             platform = degraded_platform(platform, health)
         return factored_extraction(platform, demand, local_padding=local_padding)
+    finally:
+        seconds.observe(perf_counter() - start)
 
 
 #: The inter-node fabric as one more tier in the topology.  Below the GPU
@@ -707,7 +729,9 @@ def execute_plan(
     """Gather values per the plan; returns (values, priced demand)."""
     reg = get_registry()
     entry_bytes = cache.entry_bytes
-    with stage_timer("execute", reg):
+    seconds = reg.cached("histogram", "pipeline.execute.seconds")
+    start = perf_counter()
+    try:
         present = tuple([src for src, _, _ in plan.per_source])
         values = cache.gather(plan.keys, plan.sources, plan.addresses, present)
         volumes: dict[int, float] = {}
@@ -715,6 +739,8 @@ def execute_plan(
         for (src, count, _), (_, _, sent) in zip(plan.per_source, instruments):
             volumes[src] = float(count * entry_bytes)
             sent.inc(count * entry_bytes)
+    finally:
+        seconds.observe(perf_counter() - start)
     return values, GpuDemand(dst=plan.dst, volumes=volumes)
 
 

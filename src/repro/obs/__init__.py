@@ -1,4 +1,4 @@
-"""Observability: metrics registry, timers, and exporters.
+"""Observability: metrics registry, stage names, and exporters.
 
 The instrumentation spine of the runtime (the accounting UGache's own
 evaluation is built on — per-source hit splits, per-GPU extraction
@@ -8,12 +8,11 @@ hot paths use it and how to capture an artifact with ``--metrics-out``.
 
 Quick use::
 
-    from repro.obs import get_registry, timer
+    from repro.obs import get_registry
 
     reg = get_registry()
     reg.counter("cache.lookup.keys", source="local").inc(128)
-    with timer("solver.solve.seconds"):
-        ...
+    reg.histogram("solver.solve.seconds").observe(0.25)
     reg.snapshot()  # JSON-able document
 """
 
@@ -28,7 +27,7 @@ from repro.obs.metrics import (
     set_registry,
     use_registry,
 )
-from repro.obs.tracing import PIPELINE_STAGES, stage_timer, timer
+from repro.obs.tracing import PIPELINE_STAGES
 
 __all__ = [
     "BUCKET_BOUNDS",
@@ -40,9 +39,7 @@ __all__ = [
     "get_registry",
     "load_metrics",
     "set_registry",
-    "stage_timer",
     "summarize",
-    "timer",
     "use_registry",
     "write_json",
 ]

@@ -198,13 +198,17 @@ def test_network_tier_prices_the_wire(round_network):
 # ----------------------------------------------------------------------
 # Front-end degradation ladder
 # ----------------------------------------------------------------------
-def _mini_cluster(replication: int = 2, nodes: int = 3, seed: int = 0):
+def _mini_cluster(
+    replication: int = 2, nodes: int = 3, seed: int = 0, placement: str = "ring"
+):
     platform = server_a()
     rng = make_rng(seed)
     table = rng.standard_normal((N_ENTRIES, 8)).astype(np.float32)
     pmf = zipf_pmf(N_ENTRIES, 1.1)
     hotness = pmf * BATCH * platform.num_gpus
-    cfg = ClusterConfig(nodes=nodes, replication=replication, seed=seed)
+    cfg = ClusterConfig(
+        nodes=nodes, replication=replication, seed=seed, placement=placement
+    )
     placement = ClusterFrontend.build_placement(cfg, hotness)
     owners = placement.owners_for(np.arange(N_ENTRIES, dtype=np.int64))
     cache_nodes = [
@@ -226,6 +230,16 @@ def _mini_cluster(replication: int = 2, nodes: int = 3, seed: int = 0):
     )
     keys = make_rng(seed + 1).choice(N_ENTRIES, size=BATCH, p=pmf)
     return frontend, table, keys.astype(np.int64)
+
+
+@pytest.mark.parametrize("placement", ["ring", "solver"])
+def test_the_owner_table_is_the_placements_owners(placement):
+    """Routing reads one table built at construction: every entry's owners,
+    one byte each when the node ids fit."""
+    frontend, _, _ = _mini_cluster(placement=placement)
+    want = frontend.placement.owners_for(np.arange(N_ENTRIES, dtype=np.int64))
+    assert frontend._owners.dtype == np.int8
+    assert np.array_equal(frontend._owners, want)
 
 
 def test_frontend_steady_serves_everything_from_primaries():
@@ -509,8 +523,13 @@ def test_one_sort_fan_out_matches_the_unique_flatnonzero_oracle(
         (int(node), rng.random(len(table)) < 0.5)
         for node in rng.choice(ids, size=rng.integers(0, 3), replace=False)[:n_nodes]
     ] if n_nodes >= 2 else []
+    # Stub nodes state the keyspace; the front-end builds its owner table
+    # from the stub placement's ``owners_for`` over all of it.
     frontend = ClusterFrontend(
-        [SimpleNamespace(node_id=int(i)) for i in ids],
+        [
+            SimpleNamespace(node_id=int(i), cache=SimpleNamespace(num_entries=len(table)))
+            for i in ids
+        ],
         ClusterConfig(nodes=n_nodes, replication=replication),
         baseline_service=1.0,
         placement=SimpleNamespace(owners_for=lambda k: table[k]),
@@ -806,3 +825,24 @@ def test_cluster_soak_config_validation():
         SoakConfig.quick(
             scenario="dgx_a100_partial_failure", nodes=3, replication=2
         )
+
+
+class TestServeCallBudget:
+    """Python-level calls of one warm, healthy cluster request: routing is a
+    range check and one ``take``, the stages time without a context object
+    and instruments record with an append."""
+
+    def test_one_warm_request(self, count_calls):
+        frontend, table, keys = _mini_cluster()
+        serve = lambda: frontend.serve(keys, now=0.0, execute=True)  # noqa: E731
+        with use_registry(MetricsRegistry("budget")):
+            for _ in range(server_a().num_gpus):
+                serve()  # warm: every ingress GPU's memo, the instruments
+            calls = count_calls(serve)
+            resp = serve()
+        assert resp.ok and len(frontend._fan_out(keys, 0.0, None)[1]) == 3  # three groups
+        assert np.array_equal(resp.values, table[keys])
+        # 1047 with owners_for per request, timer contexts and locked
+        # instruments; 874 with the owner table, context-free stage timing
+        # and append-instruments.
+        assert calls <= 874, calls

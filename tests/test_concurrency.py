@@ -8,6 +8,7 @@ its *assertions* (exact values, exact counts) even though the thread
 interleavings are not.
 """
 
+import sys
 import threading
 import time
 
@@ -225,6 +226,41 @@ class TestMetricsConcurrency:
         assert hist.count == THREADS * per_thread
         assert sum(hist.bucket_counts) == hist.count
         assert hist.min <= hist.mean <= hist.max
+
+    def test_a_reader_folding_beside_the_writers_loses_nothing(self):
+        """Reads fold the pending logs while writers append to them: every
+        update lands in exactly one fold, and each fold is self-consistent."""
+        registry = MetricsRegistry("conc")
+        counter, hist = registry.counter("hits"), registry.histogram("lat")
+        writers, per_thread = THREADS - 1, 20_000
+        values = (0.25, 0.5, 1.0, 2.0)  # dyadic: any summation order is exact
+        finished, folds = [], []
+
+        def writer():
+            for i in range(per_thread):
+                counter.inc()
+                hist.observe(values[i % 4])
+            finished.append(True)
+
+        def reader():
+            while len(finished) < writers or len(folds) < 2:
+                snap = hist.snapshot()
+                assert sum(n for _, n in snap["buckets"]) == snap["count"]
+                buckets, count = hist.bucket_counts, hist.count
+                assert sum(buckets) <= count
+                folds.append(counter.value)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave appends and folds finely
+        try:
+            _run_threads([writer] * writers + [reader])
+        finally:
+            sys.setswitchinterval(interval)
+        total = writers * per_thread
+        assert len(folds) > 1 and folds == sorted(folds)
+        assert counter.value == total
+        assert hist.count == sum(hist.bucket_counts) == total
+        assert hist.sum == total * sum(values) / 4
 
     def test_gauge_inc_is_exact(self):
         registry = MetricsRegistry("conc")

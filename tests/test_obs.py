@@ -1,9 +1,14 @@
 """Observability: registry semantics, exporters, and hot-path wiring."""
 
 import json
+import threading
+from unittest import mock
+from bisect import bisect_left
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.bench.harness import run_with_metrics
 from repro.obs import (
@@ -13,10 +18,10 @@ from repro.obs import (
     load_metrics,
     set_registry,
     summarize,
-    timer,
     use_registry,
     write_json,
 )
+from repro.obs import metrics
 
 
 class TestCounter:
@@ -42,6 +47,146 @@ class TestCounter:
         reg = MetricsRegistry()
         assert reg.counter("x", a=1) is reg.counter("x", a=1)
         assert reg.counter("x", a=1) is not reg.counter("x", a=2)
+
+
+class LockedCounter:
+    """The counter as it was before append-and-fold: every ``inc`` a locked
+    ``+=``.  The reference the fold-on-read counter must match bit for bit."""
+
+    kind = "counter"
+
+    def __init__(self, name, labels):
+        self.name, self.labels = name, labels
+        self.value = 0.0
+        self._lock = threading.Lock()
+
+    def inc(self, amount=1.0):
+        if amount < 0:
+            raise ValueError("counters only go up")
+        with self._lock:
+            self.value += amount
+
+    def snapshot(self):
+        return {
+            "name": self.name,
+            "type": self.kind,
+            "labels": dict(self.labels),
+            "value": self.value,
+        }
+
+
+class LockedHistogram:
+    """The histogram as it was: every ``observe`` five locked updates."""
+
+    kind = "histogram"
+
+    def __init__(self, name, labels):
+        self.name, self.labels = name, labels
+        self.count, self.sum = 0, 0.0
+        self.min, self.max = float("inf"), float("-inf")
+        self.bucket_counts = [0] * (len(BUCKET_BOUNDS) + 1)
+        self._lock = threading.Lock()
+
+    def observe(self, value):
+        value = float(value)
+        with self._lock:
+            self.count += 1
+            self.sum += value
+            if value < self.min:
+                self.min = value
+            if value > self.max:
+                self.max = value
+            self.bucket_counts[bisect_left(BUCKET_BOUNDS, value)] += 1
+
+    @property
+    def mean(self):
+        return self.sum / self.count if self.count else 0.0
+
+    def snapshot(self):
+        buckets = [
+            [BUCKET_BOUNDS[i] if i < len(BUCKET_BOUNDS) else None, n]
+            for i, n in enumerate(self.bucket_counts)
+            if n
+        ]
+        return {
+            "name": self.name,
+            "type": self.kind,
+            "labels": dict(self.labels),
+            "count": self.count,
+            "sum": self.sum,
+            "min": self.min if self.count else None,
+            "max": self.max if self.count else None,
+            "buckets": buckets,
+        }
+
+
+_amounts = st.one_of(
+    st.floats(),  # NaN, ±inf, ±0.0, subnormals and negatives included
+    st.integers(-(2**1000), 2**1000),
+    st.sampled_from([0, 0.0, -0.0, 5e-324, 1e-300, 1e300, 1.7976931348623157e308]),
+)
+
+
+class TestFoldOnRead:
+    """Append-and-fold instruments read exactly what locked ``+=`` did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ops=st.lists(st.tuples(st.sampled_from(["inc", "observe", "read"]), _amounts)),
+        fold_length=st.sampled_from([1, 2, 3, metrics.FOLD_LENGTH]),  # inline folds too
+    )
+    # Order matters: (1e16 + 1) + 1 rounds to 1e16, 1e16 + (1 + 1) does not.
+    @example(
+        ops=[("inc", 1e16), ("observe", 1e16), ("read", 0)]
+        + [("inc", 1.0), ("observe", 1.0)] * 2,
+        fold_length=metrics.FOLD_LENGTH,
+    )
+    def test_matches_the_locked_instruments(self, ops, fold_length):
+        with mock.patch.object(metrics, "FOLD_LENGTH", fold_length):
+            self._compare(ops)
+
+    def _compare(self, ops):
+        counter, histogram = metrics.Counter("c", ()), metrics.Histogram("h", ())
+        old_counter, old_histogram = LockedCounter("c", ()), LockedHistogram("h", ())
+        for op, amount in ops:
+            if op == "inc":
+                if amount < 0:
+                    for c in (counter, old_counter):
+                        with pytest.raises(ValueError):
+                            c.inc(amount)
+                else:
+                    counter.inc(amount)
+                    old_counter.inc(amount)
+            elif op == "observe":
+                histogram.observe(amount)
+                old_histogram.observe(amount)
+            else:
+                assert repr(counter.value) == repr(old_counter.value)
+                for field in ("count", "sum", "min", "max", "bucket_counts", "mean"):
+                    got, want = getattr(histogram, field), getattr(old_histogram, field)
+                    assert repr(got) == repr(want), field
+        assert repr(counter.snapshot()) == repr(old_counter.snapshot())
+        assert repr(histogram.snapshot()) == repr(old_histogram.snapshot())
+
+    def test_a_long_run_never_holds_more_than_the_fold_length(self):
+        """10⁶ updates, half to each instrument, and no read among them."""
+        counter, histogram = metrics.Counter("c", ()), metrics.Histogram("h", ())
+        pending = 0
+        for i in range(500_000):
+            counter.inc(i)
+            histogram.observe(i)
+            pending = max(pending, len(counter._log), len(histogram._log))
+        assert pending <= metrics.FOLD_LENGTH
+        assert counter.value == sum(range(500_000)) and histogram.count == 500_000
+
+    def test_a_bad_amount_raises_at_the_update(self):
+        counter = metrics.Counter("c", ())
+        with pytest.raises(OverflowError):
+            counter.inc(10**400)
+        with pytest.raises(TypeError):
+            counter.inc(None)
+        counter.inc(2)
+        assert counter.value == 2.0
 
 
 class TestGauge:
@@ -137,13 +282,24 @@ class TestRegistry:
 
 
 class TestTracing:
-    def test_timer_observes_histogram(self):
+    def test_timer_observes_histogram(self, platform_a, small_table, skewed_hotness):
+        """A stage observes its duration in a ``finally``: one that raises
+        is timed too, and a disabled registry records nothing."""
+        from repro.core.pipeline import resolve
+
+        cache = TestHotPathWiring._cache(None, platform_a, small_table, skewed_hotness)
         reg = MetricsRegistry()
-        with timer("t.seconds", reg):
-            pass
-        h = reg.histogram("t.seconds")
-        assert h.count == 1
+        with use_registry(reg):
+            resolve(cache, 0, np.arange(10))
+            with pytest.raises(KeyError):
+                resolve(cache, 0, np.array([-1]))
+        h = reg.histogram("pipeline.resolve.seconds")
+        assert h.count == 2
         assert h.min >= 0
+        off = MetricsRegistry(enabled=False)
+        with use_registry(off):
+            resolve(cache, 0, np.arange(10))
+        assert off.snapshot()["metrics"] == []
 
 
 class TestExport:
@@ -248,7 +404,6 @@ class TestHotPathWiring:
         registry that is active when the stage runs, and a reset registry
         does not keep counting into dropped series."""
         from repro.core.extractor import FactoredExtractor
-        from repro.obs import stage_timer
 
         extractor = FactoredExtractor(
             self._cache(platform_a, small_table, skewed_hotness)
@@ -256,11 +411,9 @@ class TestHotPathWiring:
         first, second = MetricsRegistry("first"), MetricsRegistry("second")
         for reg, keys in ((first, 800), (second, 300), (first, 100)):
             with use_registry(reg):
-                with stage_timer("fanout"):
-                    pass
                 extractor.execute(extractor.plan(0, np.arange(keys)))
         for reg, keys, plans in ((first, 900, 2), (second, 300, 1)):
-            assert reg.histogram("pipeline.fanout.seconds").count == plans
+            assert reg.histogram("pipeline.resolve.seconds").count == plans
             assert reg.histogram("pipeline.group.seconds").count == plans
             assert sum(
                 reg.value("extractor.plan.keys", source=s) or 0
