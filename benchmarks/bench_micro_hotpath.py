@@ -14,10 +14,11 @@ keys/sec at batch 4096 (8.4 M before the one-sort segment index; 21-36 M
 over three readings before per-route facts were remembered, 34-51 M over
 ten since, on a box whose speed wanders by 1.7x: the floor is 0.6 x the
 slowest of those ten), ``execute_plan`` must gather at least 33 M keys/sec
-at batch 4096 (56-61 M over five readings with every GPU's rows in one
-arena and one ``take`` per plan; 0.6 x the slowest) and beat the same stage
+at batch 4096 (92-158 M over seven readings since the backing rows joined the
+arena, 38-64 M beside them before; the floor stays far below the low
+quartile) and beat the same stage
 reading its rows the replaced way, a gather and a row scatter per group —
-``tests/test_row_arena.py``'s oracle, re-measured beside it (35-39 M) — and
+``tests/test_row_arena.py``'s oracle, re-measured beside it (20-39 M) — and
 ``coalesce_keys`` + the one-take scatter must move at least 10 M member
 keys/sec on an 8 x 1024-key batch (about 20 M here; 6 M for the per-member
 ``searchsorted`` scatter it replaced, re-measured beside it).  The
@@ -52,6 +53,7 @@ import json
 import pathlib
 import subprocess
 import time
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -176,7 +178,8 @@ def _bench_pipeline(rng) -> list[dict]:
             assert np.array_equal(_parent_rows(cache, plan), table[keys])
             t_execute = _best_of(lambda: execute_plan(cache, plan), 20)
             # The same stage with only its rows read the replaced way.
-            with mock.patch.object(cache, "gather", lambda *_: _parent_rows(cache, plan)):
+            replaced = SimpleNamespace(take=lambda *_, **__: _parent_rows(cache, plan))
+            with mock.patch.object(cache, "row_arena", replaced):
                 t_oracle = _best_of(lambda: execute_plan(cache, plan), 20)
         metrics = registry.snapshot()["metrics"]
         stage_seconds = {

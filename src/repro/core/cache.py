@@ -4,10 +4,13 @@
 wraps.  It owns:
 
 * the host-resident embedding table (the fallback location);
-* one :class:`~repro.core.filler.GpuCacheStore` per GPU, its rows a view
-  of one row arena and its ``offset_of`` a row of one ``(G, N)`` slot table,
-  so ``<GPU_i, Offset>`` is the address ``slot_base[i] + offset`` and
-  :meth:`MultiGpuEmbeddingCache.gather` is one ``take``;
+* one row arena and one ``(T + G, N)`` slot table (:func:`~repro.core.
+  filler.fill_all`): the backing tiers' blocks lead (on one tier, a copy of
+  the host table with the identity slot row), then one
+  :class:`~repro.core.filler.GpuCacheStore` per GPU, its rows a view of its
+  block and its ``offset_of`` its row, so every ``<source, Offset>`` is the
+  address ``address_base[source + T] + offset`` and a batch's rows are one
+  ``take``;
 * the per-GPU *location table* — the paper's hashtable mapping each entry
   to ``<GPU_i, Offset>`` — derived by
   :func:`~repro.core.evaluate.resolve_sources`.
@@ -31,7 +34,7 @@ import numpy as np
 from repro.core.evaluate import demand_from_keys, resolve_sources
 from repro.core.filler import GpuCacheStore, fill_all
 from repro.core.policy import Placement
-from repro.core.tiers import TierChain
+from repro.core.tiers import TierChain, not_resident
 from repro.hardware.platform import HOST, SOURCE_DTYPE, Platform
 from repro.obs import get_registry
 from repro.sim.mechanisms import GpuDemand
@@ -76,7 +79,9 @@ class MultiGpuEmbeddingCache:
     (stress-tested by ``pytest -m concurrency``):
 
     * *readers* — :meth:`lookup`, :meth:`host_gather`, extraction planning
-      and execution (via :meth:`reading`), :meth:`verify_integrity`,
+      and execution (via :meth:`reading`, which
+      :meth:`~repro.core.extractor.FactoredExtractor.extract` holds across
+      its plans and gathers), :meth:`verify_integrity`,
       :meth:`snapshot_location_state` — share the routing structures;
     * *writers* — :meth:`replace_placement`, :meth:`refresh_source_map`,
       :meth:`restore_location_state`, and every Refresher diff step (the
@@ -104,14 +109,14 @@ class MultiGpuEmbeddingCache:
         self._platform = platform
         self._table = table
         self._capacity = capacity_entries
-        self._adopt(fill_all(table, placement, capacity_entries))
         # On a single-tier platform the backing chain degenerates to the
-        # host table itself — no chain object, zero overhead, and the
-        # resolve fallback stays the literal HOST constant (byte-identical
-        # routing to the pre-tier cache).
+        # host table itself — no chain object, and the resolve fallback
+        # stays the literal HOST constant (byte-identical routing to the
+        # pre-tier cache).
         self._chain: TierChain | None = None
         if platform.num_tiers > 1:
             self._chain = TierChain(platform.tiers, table, tier_hotness)
+        self._fill(placement)
         self._route(placement)
         self._rwlock = ReadWriteLock()
         # Host-table checksums are the scrubber's ground truth; the table
@@ -167,38 +172,30 @@ class MultiGpuEmbeddingCache:
         """One GPU's cache store (slot arena + entry→slot map)."""
         return self._stores[gpu]
 
-    def _adopt(self, stores: list[GpuCacheStore]) -> None:
-        """Take :func:`fill_all`'s stores, their row arena, slot table and
-        each GPU's first arena row (plus the total, as one more item)."""
-        self._stores = stores
-        #: every GPU's slots as one ``(total slots, dim)`` array: GPU ``g``'s
-        #: ``data`` is the view ``row_arena[slot_base[g]:slot_base[g + 1]]``.
-        self.row_arena: np.ndarray = stores[0].data.base
-        self.slot_base = np.cumsum([0, *(len(s.data) for s in stores)]).tolist()
-        #: ``slot_cells[g * N + e]`` is entry ``e``'s slot on GPU ``g`` (−1:
-        #: not held), GPU ``g``'s ``offset_of`` row ``g`` of ``slot_table``;
-        #: ``address_base[src + T]`` is source ``src``'s first arena row.
-        self.slot_cells: np.ndarray = stores[0].offset_of.base
-        self.slot_table = self.slot_cells[:-1].reshape(len(stores), -1)
-        self.address_base = np.array(
-            [0] * self._platform.num_tiers + self.slot_base[:-1], dtype=np.int64
+    def _fill(self, placement: Placement) -> None:
+        """Refill the row arena and slot table with the backing tiers and
+        ``placement``'s GPU stores (:func:`fill_all`), and index them."""
+        G, T = placement.num_gpus, self._platform.num_tiers
+        chain = self._chain
+        stores = fill_all(
+            self._table, placement, self._capacity, chain and chain.stores
         )
-
-    def gather(self, keys, sources, addresses, present) -> np.ndarray:
-        """Rows of one batch in batch order: one ``take`` of every key's
-        arena address, then each backing tier ``present`` written over its
-        keys' positions (a backing key's address is a placeholder; the arena
-        is indexed only when a GPU source is present).  Callers hold
-        :meth:`reading` (see the class contract)."""
-        if max(present, default=-1) >= 0:
-            values = self.row_arena.take(addresses, axis=0)
-        else:
-            values = np.empty((len(keys), self.dim), dtype=self.row_arena.dtype)
-        for src in present:
-            if src < 0:
-                positions = (sources == src).nonzero()[0]
-                values[positions] = self.backing_gather(src, keys.take(positions))
-        return values
+        if chain is not None:
+            chain.stores = stores[G:]
+        self._stores = stores[:G]
+        #: every source's rows as one ``(total rows, dim)`` array: the
+        #: backing blocks, then GPU ``g``'s ``data``, the view
+        #: ``row_arena[slot_base[g]:slot_base[g + 1]]``.
+        self.row_arena: np.ndarray = stores[0].data.base
+        #: ``slot_cells[(s + T) * N + e]`` is entry ``e``'s slot on source
+        #: ``s`` (−1: not held), source ``s``'s slot map row ``s + T`` of
+        #: ``slot_table``; ``address_base[s + T]`` is its first arena row.
+        self.slot_cells: np.ndarray = stores[0].offset_of.base
+        self.slot_table = self.slot_cells[:-1].reshape(T + G, self.num_entries)
+        lead = [len(s.data) for s in reversed(stores[G:])] or [self.num_entries]
+        bases = np.cumsum([0, *lead, *(len(s.data) for s in stores[:G])])
+        self.address_base = bases[:-1]
+        self.slot_base = bases[T:].tolist()
 
     @property
     def host_table(self) -> np.ndarray:
@@ -251,28 +248,6 @@ class MultiGpuEmbeddingCache:
                 return np.full(len(keys), HOST, dtype=SOURCE_DTYPE)
             return self._chain.home[keys]
 
-    def backing_gather(self, src: int, keys: np.ndarray) -> np.ndarray:
-        """Gather rows from one backing tier (the generalized miss path).
-
-        On a single-tier platform only ``src == HOST`` is legal and the
-        read comes straight from the host table; with a chain the rows
-        come out of that tier's store (bit-identical to the table by the
-        chain's integrity invariant).
-        """
-        keys = np.ascontiguousarray(keys, dtype=np.int64)
-        if keys.size and (
-            np.minimum.reduce(keys) < 0 or np.maximum.reduce(keys) >= len(self._table)
-        ):
-            raise KeyError("backing gather key out of range")
-        with self._rwlock.read_locked():
-            if self._chain is None:
-                if src != HOST:
-                    raise ValueError(
-                        f"source {src} is not a backing tier of this platform"
-                    )
-                return self._table.take(keys, axis=0)
-            return self._chain.gather(src, keys)
-
     def backing_shares(self) -> dict[int, float]:
         """Fraction of the entry universe homed per backing tier."""
         with self._rwlock.read_locked():
@@ -286,23 +261,26 @@ class MultiGpuEmbeddingCache:
     def lookup(self, dst: int, keys: np.ndarray) -> LookupResult:
         """Gather embedding values for one GPU's key batch.
 
-        Values come from the actual cache stores (local slot, remote GPU's
-        slot, or the host table), so tests can verify byte-exactness
+        Values come from the row arena (local slot, remote GPU's slot, or
+        the backing tier's block), so tests can verify byte-exactness
         against ``table[keys]``.
         """
         from repro.core.pipeline import locate, resolve
 
         with self._rwlock.read_locked():
             keys, sources = resolve(self, dst, keys)
-            slots, addresses, present, sizes = locate(self, keys, sources)
+            slots, addresses, _, sizes = locate(self, keys, sources)
             if sum(sizes) != len(keys):
                 raise CacheIntegrityError(f"GPU {dst}: a key routes to no source")
             stale = slots < 0
             if stale.any():
+                unheld = stale & (sources < 0)
+                if unheld.any():
+                    raise not_resident(self._platform, keys, sources, unheld)
                 gpu = int(sources[stale].min())
                 missing = keys[stale & (sources == gpu)][:5]
                 raise KeyError(f"entries not cached on GPU {gpu}: {missing}...")
-            values = self.gather(keys, sources, addresses, present)
+            values = self.row_arena.take(addresses, axis=0)
             demand = demand_from_keys(
                 self._platform, self._source_map, dst, keys, self.entry_bytes
             )
@@ -332,7 +310,7 @@ class MultiGpuEmbeddingCache:
         if placement.num_entries != self.num_entries:
             raise ValueError("new placement does not cover the table")
         with self._rwlock.write_locked():
-            self._adopt(fill_all(self._table, placement, self._capacity))
+            self._fill(placement)
             self._route(placement)
 
     def refresh_source_map(self) -> None:
@@ -383,11 +361,12 @@ class MultiGpuEmbeddingCache:
     ) -> list[str]:
         """Cross-structure invariant check; returns violations (empty = ok).
 
-        Checks, per GPU store: ``data`` is still its row arena slice and
-        ``offset_of`` its slot table row (a rebound array is written, never
-        read), slot assignments are unique,
-        arena occupancy matches the entry count, and cached values are
-        bit-identical to the host table.  Across the location table:
+        Checks, per GPU and tier store: ``data`` is still its row arena
+        block and ``offset_of`` its slot table row (a rebound array is
+        written, never read), slot assignments are unique, arena occupancy
+        matches the entry count, and cached values are bit-identical to the
+        host table; on one tier, the host block equals the table and its
+        slot row is the identity.  Across the location table:
         every source id is a real GPU (or HOST), and every routed read
         points at a GPU that actually holds the entry.  Finally the dense
         routing arrays are reconciled against the §4 hashtable form via
@@ -412,32 +391,46 @@ class MultiGpuEmbeddingCache:
         self, verify_resolution, sample: float | None, seed: int
     ) -> list[str]:
         problems: list[str] = []
-        G = self._platform.num_gpus
+        platform = self._platform
+        G, T = platform.num_gpus, platform.num_tiers
         sample_rng = None if sample is None else np.random.default_rng(seed)
-        for gpu, store in enumerate(self._stores):
-            view = self.row_arena[self.slot_base[gpu] : self.slot_base[gpu + 1]]
+
+        def picked(n: int):  # the positions, of n, that get the byte-compare
+            if sample_rng is None or not n:
+                return slice(None)
+            return sample_rng.choice(n, size=max(1, int(np.ceil(sample * n))), replace=False)
+
+        for store in (*self._stores, *(self._chain.stores if self._chain else ())):
+            src = store.gpu  # a tier store's is its backing source id
+            name = f"GPU {src}" if src >= 0 else f"tier {platform.tier_of(src).name}"
+            start = self.address_base[src + T]
+            view = self.row_arena[start : start + len(store.data)]
             if store.data.__array_interface__ != view.__array_interface__:
-                problems.append(f"GPU {gpu}: store data is not its row arena slice")
-            row = self.slot_table[gpu].__array_interface__
+                problems.append(f"{name}: store data is not its row arena slice")
+            row = self.slot_table[src + T].__array_interface__
             if store.offset_of.__array_interface__ != row:
-                problems.append(f"GPU {gpu}: store offset_of is not its slot table row")
+                problems.append(f"{name}: store offset_of is not its slot table row")
             cached = store.cached_entries()
             offsets = store.offset_of[cached]
             if len(sorted_unique(offsets)) != len(offsets):
-                problems.append(f"GPU {gpu}: duplicate slot assignments")
+                problems.append(f"{name}: duplicate slot assignments")
             if store.arena.used_slots != len(cached):
                 problems.append(
-                    f"GPU {gpu}: arena holds {store.arena.used_slots} slots "
+                    f"{name}: arena holds {store.arena.used_slots} slots "
                     f"but {len(cached)} entries are mapped"
                 )
-            if sample_rng is not None and len(cached):
-                k = max(1, int(np.ceil(sample * len(cached))))
-                picks = sample_rng.choice(len(cached), size=k, replace=False)
-                cached, offsets = cached[picks], offsets[picks]
-            if len(cached) and not np.array_equal(
-                store.data[offsets], self._table[cached]
-            ):
-                problems.append(f"GPU {gpu}: cached values diverge from host table")
+            picks = picked(len(cached))
+            cached, offsets = cached[picks], offsets[picks]
+            if not np.array_equal(store.data[offsets], self._table[cached]):
+                problems.append(f"{name}: cached values diverge from host table")
+        if self._chain is None:
+            # The host block: the whole table in key order, the identity row.
+            name = f"tier {platform.tiers[0].name}"
+            entries = np.arange(self.num_entries)[picked(self.num_entries)]
+            if not np.array_equal(self.slot_table[0][entries], entries):
+                problems.append(f"{name}: slot table row is not the identity")
+            if not np.array_equal(self.row_arena[entries], self._table[entries]):
+                problems.append(f"{name}: backing block diverges from host table")
         for dst in range(G):
             srcs = self._source_map[dst]
             bad = ~self._platform.valid_source_mask(srcs)

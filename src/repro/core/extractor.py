@@ -145,12 +145,17 @@ class FactoredExtractor:
         local_padding: bool = True,
         now: float = 0.0,
     ) -> tuple[list[np.ndarray], BatchReport]:
-        """Plan, execute and price one data-parallel batch."""
+        """Plan, execute and price one data-parallel batch.
+
+        Holds the cache's :meth:`~repro.core.cache.MultiGpuEmbeddingCache.
+        reading` from the first plan to the last gather, so a refresh step
+        cannot recycle a planned slot before it is read."""
         health = self._resolve_health(None, now)
-        plans = [
-            self.plan(i, keys, health=health) for i, keys in enumerate(keys_per_gpu)
-        ]
-        outputs = [self.execute(p) for p in plans]
+        with self._cache.reading():
+            plans = [
+                self.plan(i, keys, health=health) for i, keys in enumerate(keys_per_gpu)
+            ]
+            outputs = [self.execute(p) for p in plans]
         report = simulate_batch(
             self.platform,
             [demand for _, demand in outputs],

@@ -142,32 +142,48 @@ def fill_all(
     table: np.ndarray,
     placement: Placement,
     capacity_entries: int | None = None,
+    backing: list[GpuCacheStore] | None = None,
 ) -> list[GpuCacheStore]:
-    """Fill every GPU's cache according to ``placement``.
+    """Fill every GPU's cache according to ``placement``, behind the backing
+    tiers: §4's single address space, in two allocations.
 
-    Two allocations, §4's single address space: each store's ``data`` is its
-    GPU's slice, in GPU order, of one ``(total slots, dim)`` row arena, and
-    its ``offset_of`` its GPU's row of one ``(G, N)`` slot table (whose flat
-    buffer, ``.base``, ends in a sentinel cell, 0, that no entry owns), so a
-    write through any store lands where the planner and the gather read.
+    One row arena and one ``(T + G, N)`` slot table (whose flat buffer,
+    ``.base``, ends in a sentinel cell, 0, that no entry owns), in source
+    order ``-T … -1, 0 … G-1``: source ``s``'s rows are one arena block and
+    its slot map row ``s + T``.  ``backing`` is a tier chain's stores, in
+    tier order: each block is refilled from ``table`` at the same slots,
+    slot arena and checksums carried over.  Without it the one tier is the
+    host: a copy of ``table`` in key order behind the identity row.  Returns
+    the GPU stores, then the tier stores, each a view of its block and row.
     """
     if placement.num_entries != table.shape[0]:
         raise ValueError("placement and table disagree on the entry universe")
+    n, dim = table.shape
     capacities = [
         len(ids) if capacity_entries is None else capacity_entries
         for ids in placement.per_gpu
     ]
-    arena = np.zeros((sum(capacities), table.shape[1]), dtype=table.dtype)
-    cells = np.zeros(len(capacities) * table.shape[0] + 1, dtype=np.int64)
-    slot_table = cells[:-1].reshape(len(capacities), table.shape[0])
-    stores, start = [], 0
-    for gpu, (ids, capacity) in enumerate(zip(placement.per_gpu, capacities)):
-        data = arena[start : start + capacity]
-        store = fill_gpu(gpu, table, ids, capacity_entries, data)
-        slot_table[gpu] = store.offset_of
-        store.offset_of = slot_table[gpu]
-        stores.append(store)
-        start += capacity
+    lead = [n] if backing is None else [len(s.data) for s in reversed(backing)]
+    starts = np.cumsum([0, *lead, *capacities]).tolist()
+    arena = np.zeros((starts[-1], dim), dtype=table.dtype)
+    cells = np.zeros((len(starts) - 1) * n + 1, dtype=np.int64)
+    slot_table = cells[:-1].reshape(len(starts) - 1, n)
+    blocks = [arena[a:b] for a, b in zip(starts, starts[1:])]
+    T = len(lead)
+    if backing is None:
+        blocks[0][:] = table
+        slot_table[0] = np.arange(n)
+    stores = [
+        fill_gpu(gpu, table, ids, capacity_entries, blocks[T + gpu])
+        for gpu, ids in enumerate(placement.per_gpu)
+    ]
+    for old in backing or ():
+        block, cached = blocks[old.gpu + T], old.cached_entries()
+        block[old.offset_of[cached]] = table[cached]
+        stores.append(GpuCacheStore(old.gpu, old.arena, block, old.offset_of, old.checksums))
+    for store in stores:
+        slot_table[store.gpu + T] = store.offset_of
+        store.offset_of = slot_table[store.gpu + T]
     return stores
 
 

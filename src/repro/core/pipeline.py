@@ -8,12 +8,12 @@ free function that any layer can call on its own:
 1. **resolve** — bulk location lookup: keys → source per key (the §4
    hashtable semantics, served from the cache's dense ``source_map``);
 2. **reroute** — fault/exclusion handling, without a sort: :func:`locate`
-   reads every key's slot with one ``take`` from the cache's ``(G, N)``
-   slot table (its arena address is that slot plus its source's first
-   row) and counts the sources present with one ``bincount``; keys on
-   unusable sources (down GPUs, partitioned links, stale/corrupt slots,
-   breaker-opened sources) are patched in place with the cheapest
-   surviving replica, host last, and located again;
+   reads every key's slot with one ``take`` from the cache's ``(T + G, N)``
+   slot table, backing tiers included (its arena address is that slot plus
+   its source's first row) and counts the sources present with one
+   ``bincount``; keys on unusable sources (down GPUs, partitioned links,
+   stale/corrupt slots, breaker-opened sources) are patched in place with
+   the cheapest surviving replica, host last, and located again;
 3. **group** — per-source batching: ``(source, keys, cores)`` per present
    source in launch order (Figure 8's layout; the plan's
    :class:`SourceGroup` segments are built only when asked for);
@@ -25,7 +25,7 @@ free function that any layer can call on its own:
    a demand through :func:`price_demand`, so a plan costs the same no
    matter who asks;
 6. **execute** — one row ``take`` of the plan's addresses from the cache's
-   arena, one ``backing_gather`` per backing tier present.
+   arena, whichever sources they name.
 
 Each stage times itself into ``pipeline.<stage>.seconds`` (one clock read
 at entry, one ``observe`` in a ``finally``; :mod:`repro.obs.tracing`), so a
@@ -64,6 +64,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 import numpy as np
 
 from repro.core.location_table import LocationTable
+from repro.core.tiers import not_resident
 from repro.faults.degrade import degraded_platform, reroute_demand
 from repro.faults.spec import HealthView
 from repro.hardware.platform import HOST, SOURCE_DTYPE, Platform, remember
@@ -133,8 +134,8 @@ class SourceGroup(NamedTuple):
     batch_positions: np.ndarray
     #: the entry ids to read
     keys: np.ndarray
-    #: slot offsets on the source GPU (empty for backing-tier sources,
-    #: where keys address the tier's resident rows directly)
+    #: slot offsets on the source GPU (empty for backing-tier sources; the
+    #: plan's ``slots`` hold theirs)
     offsets: np.ndarray
     dedicated_cores: int
 
@@ -278,15 +279,15 @@ def locate(
     """Where a batch's keys are, without a sort: ``(slots, addresses,
     present, counts)``.
 
-    Per key its slot on its source GPU (negative: not held), one ``take``
-    from the flat slot table, and its arena row, that slot plus the
-    source's first row; read unsigned, a backing or negative corrupt id
-    indexes past the table and clips onto its sentinel cell, slot 0.  Then
-    the sources present, ascending, and their key counts from one
-    ``bincount``, which skips corrupt ids: ``sum(counts) < len(keys)``."""
+    Per key its slot on its source, GPU or backing tier (negative: not
+    held), one ``take`` from the flat slot table at row ``source + T``, and
+    its arena row, that slot plus the source's first row; read unsigned, a
+    corrupt id's row lies past the table and clips onto its sentinel cell,
+    slot 0.  Then the sources present, ascending, and their key counts from
+    one ``bincount``, which skips corrupt ids: ``sum(counts) < len(keys)``."""
     span = (tiers := cache.platform.num_tiers) + cache.platform.num_gpus
     shifted = sources + tiers
-    flat = np.multiply(sources.view(_USOURCE), cache.num_entries, dtype=np.int64)
+    flat = np.multiply(shifted.view(_USOURCE), cache.num_entries, dtype=np.int64)
     flat += keys
     slots = cache.slot_cells.take(flat, mode="clip")
     addresses = slots + cache.address_base.take(shifted, mode="clip")
@@ -342,7 +343,8 @@ def reroute(
     sources, and the sources that *failed* (exclusions are deliberate, not
     failures).  Corrupt slots are blamed on whichever GPU stores actually
     hold the affected entries — the replicas whose location records went
-    bad.
+    bad.  A backing key its tier does not hold has no replica to fall back
+    to: it raises :class:`~repro.core.tiers.TierIntegrityError`.
     """
     reg = get_registry()
     seconds = reg.cached("histogram", "pipeline.reroute.seconds")
@@ -377,7 +379,7 @@ def reroute(
                     n_corrupt += count
                 if verdict in (_UNLINKED, _UNUSABLE):
                     failed.add(src)
-        stale = (slots < 0) & ~bad  # backing and corrupt ids read slot 0
+        stale = (slots < 0) & ~bad & (sources >= 0)  # corrupt ids read slot 0
         n_stale = int(np.count_nonzero(stale))
         if n_stale:
             failed.update(sorted_unique(sources[stale]).tolist())
@@ -387,6 +389,8 @@ def reroute(
         sources = sources.copy()
         sources[bad_idx] = replacements
         located = locate(cache, keys, sources)
+        if _min(located[0]) < 0:
+            raise not_resident(platform, keys, sources, located[0] < 0)
         n = len(bad_idx)
     finally:
         seconds.observe(perf_counter() - start)
@@ -733,7 +737,7 @@ def execute_plan(
     start = perf_counter()
     try:
         present = tuple([src for src, _, _ in plan.per_source])
-        values = cache.gather(plan.keys, plan.sources, plan.addresses, present)
+        values = cache.row_arena.take(plan.addresses, axis=0)
         volumes: dict[int, float] = {}
         instruments = _source_instruments(reg, cache.platform, plan.dst, present)
         for (src, count, _), (_, _, sent) in zip(plan.per_source, instruments):

@@ -40,6 +40,7 @@ __all__ = [
     "TierIntegrityError",
     "TierChain",
     "assign_backing_tiers",
+    "not_resident",
     "tier_capacity_entries",
 ]
 
@@ -49,7 +50,15 @@ class TierCapacityError(ValueError):
 
 
 class TierIntegrityError(RuntimeError):
-    """A tier move or verify found corrupted or lost bytes."""
+    """A backing key routed to a tier that does not hold it, or a verify
+    that found corrupted or lost bytes."""
+
+
+def not_resident(platform, keys, sources, unheld) -> TierIntegrityError:
+    """The error for backing keys at ``unheld``: their tier's slot is −1."""
+    src = int(sources[unheld].min())
+    name, missing = platform.tier_of(src).name, keys[unheld & (sources == src)][:5]
+    return TierIntegrityError(f"tier {name}: entries {missing} routed here but not resident")
 
 
 def tier_capacity_entries(
@@ -104,7 +113,10 @@ class TierChain:
     """Per-tier backing stores + the entry → home-tier map.
 
     The home map is fixed at construction (a new hotness profile means a
-    new cache); the chain has no lock of its own.
+    new cache); the chain has no lock of its own.  A cache rebuilds
+    ``stores`` (tier order) as blocks of its row arena and rows of its slot
+    table (``fill_all``'s ``backing``), so a backing row is read by the same
+    ``take`` as a GPU's.
     """
 
     def __init__(
@@ -125,37 +137,17 @@ class TierChain:
             tier_capacity_entries(t, entry_bytes, n) for t in tiers
         ]
         self._home = assign_backing_tiers(self._tiers, n, entry_bytes, hotness)
-        self._stores: list[GpuCacheStore] = []
-        for k in range(len(tiers)):
-            src = -(k + 1)
-            assigned = np.flatnonzero(self._home == src)
-            self._stores.append(
-                fill_gpu(
-                    src,
-                    table,
-                    assigned,
-                    capacity_entries=max(self._capacities[k], 1),
-                )
-            )
+        self.stores: list[GpuCacheStore] = [
+            fill_gpu(src, table, np.flatnonzero(self._home == src), max(cap, 1))
+            for src, cap in zip(self.backing_ids, self._capacities)
+        ]
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def tiers(self) -> tuple[MemoryTier, ...]:
-        return self._tiers
-
-    @property
-    def num_tiers(self) -> int:
-        return len(self._tiers)
-
-    @property
     def num_entries(self) -> int:
         return self._table.shape[0]
-
-    @property
-    def entry_bytes(self) -> int:
-        return self._table.shape[1] * self._table.itemsize
 
     @property
     def home(self) -> np.ndarray:
@@ -168,13 +160,6 @@ class TierChain:
 
     def capacity_entries(self, src: int) -> int:
         return self._capacities[-src - 1]
-
-    def store(self, src: int) -> GpuCacheStore:
-        """The store behind backing source ``src``."""
-        k = -src - 1
-        if not 0 <= k < len(self._stores):
-            raise ValueError(f"source {src} is not a tier of this chain")
-        return self._stores[k]
 
     def resident_count(self, src: int) -> int:
         return int((self._home == src).sum())
@@ -189,33 +174,13 @@ class TierChain:
         }
 
     # ------------------------------------------------------------------
-    # Read path
-    # ------------------------------------------------------------------
-    def gather(self, src: int, keys: np.ndarray) -> np.ndarray:
-        """Rows of ``keys`` from tier ``src``; every key must be homed there.
-
-        Raises :class:`TierIntegrityError` on a stale route — the
-        caller's home map said ``src`` but the tier store disagrees.
-        """
-        keys = np.ascontiguousarray(keys, dtype=np.int64)
-        store = self.store(src)
-        slots = store.offset_of[keys]
-        if (slots < 0).any():
-            missing = keys[slots < 0][:5]
-            raise TierIntegrityError(
-                f"tier {self._tiers[-src - 1].name}: entries {missing} routed "
-                "here but not resident"
-            )
-        return store.data[slots]
-
-    # ------------------------------------------------------------------
     # Invariants
     # ------------------------------------------------------------------
     def verify(self) -> list[str]:
         """Check partition / capacity / integrity; returns violations."""
         problems: list[str] = []
         resident = np.zeros(self.num_entries, dtype=np.int64)
-        for k, store in enumerate(self._stores):
+        for k, store in enumerate(self.stores):
             src = -(k + 1)
             name = self._tiers[k].name
             cached = store.cached_entries()

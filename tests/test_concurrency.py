@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.cache import MultiGpuEmbeddingCache
+from repro.core.extractor import FactoredExtractor
 from repro.core.location_table import LocationTable
 from repro.core.policy import hot_replicate_warm_partition_policy
 from repro.core.refresher import RefreshConfig, Refresher
@@ -195,6 +196,54 @@ class TestCacheRefreshConcurrency:
         _run_threads(
             [refresh] + [lambda s=i: reader(s) for i in range(THREADS - 1)]
         )
+        assert cache.verify_integrity() == []
+
+    def test_extract_exact_during_refresh(self):
+        """``extract`` plans every GPU, then gathers: a refresh step landing
+        in between recycles planned slots unless ``extract`` holds the read
+        side across both.  Small steps and a tiny switch interval put steps
+        between plan and gather often."""
+        platform = server_a()
+        n = 4000
+        table = make_rng(1).standard_normal((n, D)).astype(np.float32)
+        hotness = zipf_pmf(n, 1.2) * 1000.0
+        a, b = (
+            hot_replicate_warm_partition_policy(h, n // 8, platform.num_gpus, 0.5)
+            for h in (hotness, hotness[::-1].copy())
+        )
+        cache = MultiGpuEmbeddingCache(platform, table, a)
+        refresher = Refresher(cache, RefreshConfig(update_batch_entries=16))
+        extractor = FactoredExtractor(cache)
+        done = threading.Event()
+        wrong: list[int] = []
+
+        def refresh():
+            try:
+                for target in (b, a) * 3:
+                    refresher.refresh(target)
+            finally:
+                done.set()
+
+        def extract():
+            rng = make_rng(2)
+            calls = 0
+            while calls < 20 or not done.is_set():
+                batches = [rng.integers(0, n, size=256) for _ in platform.gpu_ids]
+                values, _ = extractor.extract(batches)
+                if any(
+                    got.tobytes() != table[keys].tobytes()
+                    for got, keys in zip(values, batches)
+                ):
+                    wrong.append(calls)
+                calls += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _run_threads([refresh, extract])
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == [], f"wrong rows in extract calls {wrong}"
         assert cache.verify_integrity() == []
 
 

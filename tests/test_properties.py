@@ -584,7 +584,8 @@ def _sorting_plan(cache, dst, keys, health, exclude):
 def _sorting_execute(cache, dst, num_rows, groups):
     """``execute_plan`` as it was: every GPU group's offsets scattered into
     one address per batch position, one ``take``, then each backing group's
-    rows written over its positions."""
+    rows, read from the host table (the ground truth), written over its
+    positions."""
     reg = get_registry()
     slots = np.zeros(num_rows, dtype=np.int64)
     cached = [g for g in groups if g.source >= 0]
@@ -597,7 +598,7 @@ def _sorting_execute(cache, dst, num_rows, groups):
     volumes = {}
     for g in groups:
         if g.source < 0:
-            values[g.batch_positions] = cache.backing_gather(g.source, g.keys)
+            values[g.batch_positions] = cache.host_table[g.keys]
         sent = len(g.keys) * cache.entry_bytes
         volumes[g.source] = float(sent)
         label = pipeline.source_class(g.source, dst, cache.platform)
@@ -657,6 +658,24 @@ class TestSortFreePlanAgainstTheSortingPlan:
             _assert_equals_the_sorting_planner(cache, dst, keys, health, exclude)
 
 
+class TestOneAddressSpace:
+    @given(scenario=plan_scenarios(empty_arena=st.booleans()))
+    @settings(max_examples=120, deadline=None)
+    def test_every_gathered_address_is_its_sources_row(self, scenario):
+        """Down GPUs, corrupt ids, misroutes and stale GPU slots: every
+        address the plan gathers lies in its source's block of the row
+        arena, and the rows are the table's."""
+        cache, dst, keys, health, exclude = scenario
+        plan = pipeline.plan_extraction(cache, dst, keys, health, exclude)
+        shifted = plan.sources.astype(np.int64) + cache.platform.num_tiers
+        ends = np.append(cache.address_base[1:], len(cache.row_arena))
+        assert (plan.addresses >= cache.address_base[shifted]).all()
+        assert (plan.addresses < ends[shifted]).all()
+        values, _ = pipeline.execute_plan(cache, plan)
+        want = cache.host_table[keys]
+        assert values.dtype == want.dtype and values.tobytes() == want.tobytes()
+
+
 # ----------------------------------------------------------------------
 # What the pipeline remembers per route, against the parent's per-request
 # algorithms and against itself with nothing remembered
@@ -671,7 +690,7 @@ def _oracle_execute(cache, plan):
     values = np.empty((plan.batch_size, cache.dim), dtype=cache.store(0).data.dtype)
     for group in plan.groups:
         if cache.platform.is_backing(group.source):
-            rows = cache.backing_gather(group.source, group.keys)
+            rows = cache.host_table[group.keys]
         else:
             rows = cache.store(group.source).data.take(group.offsets, axis=0)
         values[group.batch_positions] = rows

@@ -1,11 +1,13 @@
-"""One address space for the GPU cache: every store a view of one row arena.
+"""One address space for the cache: every source's rows, backing tiers
+included, a block of one row arena.
 
-``fill_all`` allocates every GPU's slots as one array and
-:meth:`MultiGpuEmbeddingCache.gather` turns a batch's ``(source, offset)``
-pairs into rows with one ``take``.  What it replaced is kept here as the
-reference — ``execute_plan``'s gather and row scatter per group over
-separately read ``store.data`` (:func:`_parent_rows`) and ``lookup``'s
-mask pass per source (:func:`_parent_lookup`) — and must agree bit for bit
+``fill_all`` allocates every source's rows as one array and ``execute_plan``
+and ``lookup`` turn a batch's ``(source, offset)`` pairs into rows with one
+``take``.  What they replaced is kept here as the reference —
+``execute_plan``'s gather and row scatter per group over separately read
+``store.data`` (:func:`_parent_rows`) and ``lookup``'s mask pass per source
+(:func:`_parent_lookup`), each backing group read from the host table, the
+ground truth — and must agree bit for bit
 on rows, demand and counters, on caches that are mid-refresh, unequally
 sized, partly excluded and carrying a rotten slot.  The aliasing the fast
 path rests on (``store.data`` *is* the arena slice) is checked after every
@@ -61,7 +63,7 @@ def _parent_rows(cache, plan):
     values = np.empty((plan.batch_size, cache.dim), dtype=cache.host_table.dtype)
     for group in plan.groups:
         if group.source < 0:
-            rows = cache.backing_gather(group.source, group.keys)
+            rows = cache.host_table.take(group.keys, axis=0)
         else:
             rows = cache.store(group.source).data.take(group.offsets, axis=0)
         values[group.batch_positions] = rows
@@ -90,7 +92,7 @@ def _parent_lookup(cache, dst, keys):
     for src in cache.platform.backing_ids:
         mask = sources == src
         if mask.any():
-            values[mask] = cache.backing_gather(src, keys[mask])
+            values[mask] = cache.host_table[keys[mask]]
     for gpu in cache.platform.gpu_ids:
         mask = sources == gpu
         if mask.any():
@@ -249,7 +251,11 @@ class TestEdges:
             platform, table, empty, capacity_entries=capacity,
             tier_hotness=zipf_pmf(N, 1.1) if platform.num_tiers > 1 else None,
         )
-        assert cache.row_arena.shape == (0, DIM)
+        # No GPU rows: the arena is the backing blocks alone.
+        tiers = [] if cache.tier_chain is None else cache.tier_chain.stores
+        backing = sum(len(s.data) for s in tiers) if tiers else N
+        assert cache.row_arena.shape == (backing, DIM)
+        assert cache.slot_base == [backing] * (platform.num_gpus + 1)
         for keys in (rng.integers(0, N, size=50), np.empty(0, dtype=np.int64)):
             for values in _rows_three_ways(cache, 1, keys):
                 assert values.dtype == dtype
@@ -285,17 +291,32 @@ class TestEdges:
 # The aliasing invariant, after every writer
 # ----------------------------------------------------------------------
 def _assert_one_arena(cache) -> None:
-    arena, base = cache.row_arena, cache.slot_base
+    """Backing blocks first, then the GPUs' (``address_base`` in source
+    order), every store a view of its block and its slot table row, and a
+    single tier's block a copy of the table behind the identity row."""
+    arena, base, T = cache.row_arena, cache.slot_base, cache.platform.num_tiers
     assert base[-1] == len(arena)
-    for g in cache.platform.gpu_ids:
-        data = cache.store(g).data
-        assert len(data) == base[g + 1] - base[g]
+    assert cache.address_base[T:].tolist() == base[:-1]
+    assert cache.slot_table.shape == (T + cache.platform.num_gpus, cache.num_entries)
+    tiers = [] if cache.tier_chain is None else cache.tier_chain.stores
+    starts = cache.address_base.tolist()
+    ends = [*starts[1:], len(arena)]
+    for store in (*(cache.store(g) for g in cache.platform.gpu_ids), *tiers):
+        row = store.gpu + T
+        data = store.data
+        assert len(data) == ends[row] - starts[row]
         if len(data):
-            assert np.shares_memory(data, arena)
             assert data.base is arena
-        assert cache.store(g).offset_of.base is cache.slot_cells
-    assert cache.slot_table.shape == (cache.platform.num_gpus, cache.num_entries)
-    assert cache.slot_cells[-1] == 0  # the sentinel backing keys read
+            assert np.shares_memory(data, arena[starts[row] : ends[row]])
+        assert store.offset_of.base is cache.slot_cells
+        assert np.shares_memory(store.offset_of, cache.slot_table[row])
+    if not tiers:
+        n = cache.num_entries
+        assert cache.address_base[0] == 0 and base[0] == n
+        assert np.array_equal(cache.slot_table[0], np.arange(n))
+        assert _same_bits(arena[:n], cache.host_table)
+        assert not np.shares_memory(arena, cache.host_table)
+    assert cache.slot_cells[-1] == 0  # the sentinel corrupt ids read
     assert cache.verify_integrity() == []
     rng = np.random.default_rng(7)
     for dst in cache.platform.gpu_ids:
@@ -389,6 +410,49 @@ class TestAliasingInvariant:
         store.offset_of = store.offset_of.copy()
         assert cache.verify_integrity(sample=0.1) == [
             "GPU 2: store offset_of is not its slot table row"
+        ]
+
+    def test_a_rebound_tier_store_is_reported(self, rng):
+        platform = PLATFORMS["tiered"]()
+        table = rng.standard_normal((N, DIM)).astype(np.float32)
+        cache = MultiGpuEmbeddingCache(
+            platform, table, _random_placement(rng, [30] * 4),
+            tier_hotness=zipf_pmf(N, 1.1),
+        )
+        _assert_one_arena(cache)
+        dram, cxl = cache.tier_chain.stores[:2]
+        dram.data = dram.data.copy()
+        cxl.offset_of = cxl.offset_of.copy()
+        assert cache.verify_integrity(sample=0.1) == [
+            "tier dram: store data is not its row arena slice",
+            "tier cxl: store offset_of is not its slot table row",
+        ]
+
+    @pytest.mark.parametrize("kind", ["a", "tiered"])
+    def test_a_rotten_backing_row_is_reported(self, kind, rng):
+        platform = PLATFORMS[kind]()
+        table = rng.standard_normal((N, DIM)).astype(np.float32)
+        cache = MultiGpuEmbeddingCache(
+            platform, table, _random_placement(rng, [30] * platform.num_gpus),
+            tier_hotness=zipf_pmf(N, 1.1) if platform.num_tiers > 1 else None,
+        )
+        entry = int(np.flatnonzero(cache.source_map[0] < 0)[0])
+        src = int(cache.source_map[0, entry])
+        address = cache.address_base[src + platform.num_tiers] + cache.slot_table[
+            src + platform.num_tiers, entry
+        ]
+        cache.row_arena[address].view(np.uint8)[1] ^= 0x08
+        name = platform.tier_of(src).name
+        problems = cache.verify_integrity()
+        assert any(p.startswith(f"tier {name}: ") and "diverge" in p for p in problems)
+        assert not _same_bits(cache.lookup(0, np.array([entry])).values, table[[entry]])
+
+    def test_a_single_tier_row_that_is_not_the_identity_is_reported(self, cache):
+        row = cache.slot_table[0]
+        row[[3, 4]] = row[[4, 3]]
+        name = cache.platform.tiers[0].name
+        assert cache.verify_integrity(sample=1.0) == [
+            f"tier {name}: slot table row is not the identity"
         ]
 
     def test_a_stale_slot_raises_the_stores_key_error(self, cache):

@@ -61,8 +61,8 @@ class TestChainInvariants:
         table, hotness, tiers = setup
         chain = TierChain(tiers, table, hotness)
         resident = np.zeros(len(table), dtype=int)
-        for src in chain.backing_ids:
-            resident[chain.store(src).cached_entries()] += 1
+        for store in chain.stores:
+            resident[store.cached_entries()] += 1
         assert (resident == 1).all()
         assert chain.verify() == []
 

@@ -186,14 +186,7 @@ def test_chain_builds_verified_partition(chain):
     assert sum(c.shares().values()) == pytest.approx(1.0)
     for src in c.backing_ids:
         keys = np.flatnonzero(c.home == src)[:4]
-        np.testing.assert_array_equal(c.gather(src, keys), table[keys])
-
-
-def test_chain_gather_stale_route_raises(chain):
-    c, _, _ = chain
-    ssd_resident = np.flatnonzero(c.home == -2)[:1]
-    with pytest.raises(TierIntegrityError):
-        c.gather(-1, ssd_resident)
+        np.testing.assert_array_equal(c.stores[-src - 1].read(keys), table[keys])
 
 
 # ----------------------------------------------------------------------
@@ -245,8 +238,34 @@ def test_tiered_cache_backing_surface():
         mine = keys[homes == src]
         if len(mine):
             np.testing.assert_array_equal(
-                cache.backing_gather(src, mine), table[mine]
+                cache.tier_chain.stores[-src - 1].read(mine), table[mine]
             )
+
+
+def test_a_stale_backing_route_raises_in_execute_and_lookup():
+    """A backing key routed to a tier that does not hold it reads slot −1 of
+    that tier's row: planning raises before any gather, and so does
+    ``lookup``; no rows come back."""
+    from repro.core import pipeline
+    from repro.core.extractor import FactoredExtractor
+
+    platform, _, _, cache = _tiered_stack()
+    ssd_resident = int(np.flatnonzero(cache.tier_chain.home == -2)[0])
+    dst = next(g for g in platform.gpu_ids if cache.source_map[g, ssd_resident] == -2)
+    cache.source_map[dst, ssd_resident] = -1  # DRAM does not hold it
+    keys = np.array([0, ssd_resident, 1])
+    assert cache.slot_table[platform.num_tiers - 1, ssd_resident] == -1
+    got = []
+    with pytest.raises(TierIntegrityError, match="dram"):
+        got.append(pipeline.execute_plan(cache, pipeline.plan_extraction(cache, dst, keys)))
+    with pytest.raises(TierIntegrityError, match="dram"):
+        got.append(FactoredExtractor(cache).extract(
+            [keys if g == dst else keys[:0] for g in platform.gpu_ids]
+        ))
+    with pytest.raises(TierIntegrityError, match="dram"):
+        got.append(cache.lookup(dst, keys))
+    assert got == []
+    assert any("not the entry's home" in p for p in cache.verify_integrity())
 
 
 def test_single_tier_platform_has_no_chain_and_same_sources():
