@@ -27,7 +27,6 @@ from repro.core.pipeline import (
     plan_extraction,
     price_demand,
     renormalize_dedication,
-    verify_resolution,
 )
 from repro.core.filler import (
     GpuCacheStore,
@@ -118,7 +117,6 @@ __all__ = [
     "plan_extraction",
     "price_demand",
     "renormalize_dedication",
-    "verify_resolution",
     "GpuCacheStore",
     "PlacementDiff",
     "apply_diff_step",

@@ -20,9 +20,8 @@ never recomputed), and every lookup also yields the byte volumes the
 simulator needs to price the extraction.  The location lookup itself is
 the extraction pipeline's *resolve* stage
 (:func:`repro.core.pipeline.resolve`), shared with the Extractor's
-planner, and the integrity check reconciles the dense routing arrays
-against the §4 hashtable via
-:func:`~repro.core.pipeline.verify_resolution`.
+planner, and the integrity check routes every entry through the same
+:func:`~repro.core.pipeline.locate` the plans read.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from repro.core.tiers import TierChain, not_resident
 from repro.hardware.platform import HOST, SOURCE_DTYPE, Platform
 from repro.obs import get_registry
 from repro.sim.mechanisms import GpuDemand
-from repro.utils.arrays import sorted_unique
 from repro.utils.concurrency import ReadWriteLock
 
 
@@ -356,112 +354,82 @@ class MultiGpuEmbeddingCache:
     # ------------------------------------------------------------------
     # Invariant checking
     # ------------------------------------------------------------------
-    def verify_integrity(
-        self, sample: float | None = None, seed: int = 0
-    ) -> list[str]:
+    def verify_integrity(self) -> list[str]:
         """Cross-structure invariant check; returns violations (empty = ok).
 
         Checks, per GPU and tier store: ``data`` is still its row arena
         block and ``offset_of`` its slot table row (a rebound array is
         written, never read), slot assignments are unique, arena occupancy
-        matches the entry count, and cached values are bit-identical to the
-        host table; on one tier, the host block equals the table and its
-        slot row is the identity.  Across the location table:
-        every source id is a real GPU (or HOST), and every routed read
-        points at a GPU that actually holds the entry.  Finally the dense
-        routing arrays are reconciled against the §4 hashtable form via
-        the pipeline's :func:`~repro.core.pipeline.verify_resolution`.
-
-        ``sample`` enables the cheap mode for hot paths (policy-swap
-        drains): a seeded fraction in ``(0, 1]`` of each store's entries
-        gets the byte-compare, and the expensive hashtable
-        reconciliation is skipped; the structural checks (slot
-        uniqueness, arena occupancy, routing ranges/holdings) always run
-        in full.  Final gates (soak exit, rollback) must keep
-        ``sample=None``.
+        matches the entry count, and cached rows and stored checksums match
+        the host table and :attr:`host_checksums`; on one tier, the host
+        block equals the table and its slot row is the identity.  Then the
+        routes: per destination, one :func:`~repro.core.pipeline.locate` of
+        every entry at its ``source_map`` source — an id that names no GPU
+        or tier is corrupt, and a negative slot is a read from a GPU that
+        does not hold the entry or a tier that is not its home.  Last, the
+        tier chain's partition, home map and capacity
+        (:meth:`~repro.core.tiers.TierChain.verify`).
         """
-        from repro.core.pipeline import verify_resolution
+        from repro.core.pipeline import locate
 
-        if sample is not None and not 0 < sample <= 1:
-            raise ValueError("integrity sample must be in (0, 1]")
-        with self._rwlock.read_locked():
-            return self._verify_integrity_locked(verify_resolution, sample, seed)
-
-    def _verify_integrity_locked(
-        self, verify_resolution, sample: float | None, seed: int
-    ) -> list[str]:
         problems: list[str] = []
         platform = self._platform
-        G, T = platform.num_gpus, platform.num_tiers
-        sample_rng = None if sample is None else np.random.default_rng(seed)
-
-        def picked(n: int):  # the positions, of n, that get the byte-compare
-            if sample_rng is None or not n:
-                return slice(None)
-            return sample_rng.choice(n, size=max(1, int(np.ceil(sample * n))), replace=False)
-
-        for store in (*self._stores, *(self._chain.stores if self._chain else ())):
-            src = store.gpu  # a tier store's is its backing source id
-            name = f"GPU {src}" if src >= 0 else f"tier {platform.tier_of(src).name}"
-            start = self.address_base[src + T]
-            view = self.row_arena[start : start + len(store.data)]
-            if store.data.__array_interface__ != view.__array_interface__:
-                problems.append(f"{name}: store data is not its row arena slice")
-            row = self.slot_table[src + T].__array_interface__
-            if store.offset_of.__array_interface__ != row:
-                problems.append(f"{name}: store offset_of is not its slot table row")
-            cached = store.cached_entries()
-            offsets = store.offset_of[cached]
-            if len(sorted_unique(offsets)) != len(offsets):
-                problems.append(f"{name}: duplicate slot assignments")
-            if store.arena.used_slots != len(cached):
-                problems.append(
-                    f"{name}: arena holds {store.arena.used_slots} slots "
-                    f"but {len(cached)} entries are mapped"
-                )
-            picks = picked(len(cached))
-            cached, offsets = cached[picks], offsets[picks]
-            if not np.array_equal(store.data[offsets], self._table[cached]):
-                problems.append(f"{name}: cached values diverge from host table")
-        if self._chain is None:
-            # The host block: the whole table in key order, the identity row.
-            name = f"tier {platform.tiers[0].name}"
-            entries = np.arange(self.num_entries)[picked(self.num_entries)]
-            if not np.array_equal(self.slot_table[0][entries], entries):
-                problems.append(f"{name}: slot table row is not the identity")
-            if not np.array_equal(self.row_arena[entries], self._table[entries]):
-                problems.append(f"{name}: backing block diverges from host table")
-        for dst in range(G):
-            srcs = self._source_map[dst]
-            bad = ~self._platform.valid_source_mask(srcs)
-            if bad.any():
-                problems.append(
-                    f"GPU {dst}: {int(bad.sum())} out-of-range source ids"
-                )
-            if self._chain is not None:
-                # Every backing route must agree with the chain's home map
-                # (a disagreement means a corrupted or stale hashtable cell).
-                backing = srcs < 0
-                stale = backing & (srcs != self._chain.home)
-                if stale.any():
+        T, N = platform.num_tiers, self.num_entries
+        entries = np.arange(N)
+        with self._rwlock.read_locked():
+            truth = self.host_checksums
+            for store in (*self._stores, *(self._chain.stores if self._chain else ())):
+                src = store.gpu  # a tier store's is its backing source id
+                name = f"GPU {src}" if src >= 0 else f"tier {platform.tier_of(src).name}"
+                start = self.address_base[src + T]
+                view = self.row_arena[start : start + len(store.data)]
+                if store.data.__array_interface__ != view.__array_interface__:
+                    problems.append(f"{name}: store data is not its row arena slice")
+                row = self.slot_table[src + T].__array_interface__
+                if store.offset_of.__array_interface__ != row:
+                    problems.append(f"{name}: store offset_of is not its slot table row")
+                cached = store.cached_entries()
+                offsets = store.offset_of[cached]
+                if len(offsets) and np.bincount(offsets).max() > 1:
+                    problems.append(f"{name}: duplicate slot assignments")
+                if store.arena.used_slots != len(cached):
                     problems.append(
-                        f"GPU {dst}: {int(stale.sum())} backing routes point "
+                        f"{name}: arena holds {store.arena.used_slots} slots "
+                        f"but {len(cached)} entries are mapped"
+                    )
+                if not np.array_equal(store.data[offsets], self._table[cached]):
+                    problems.append(f"{name}: cached values diverge from host table")
+                if not np.array_equal(store.checksums[offsets], truth[cached]):
+                    problems.append(f"{name}: stored checksums diverge from the table")
+            if self._chain is None:
+                # The host block: the whole table in key order, the identity row.
+                name = f"tier {platform.tiers[0].name}"
+                if not np.array_equal(self.slot_table[0], entries):
+                    problems.append(f"{name}: slot table row is not the identity")
+                if not np.array_equal(self.row_arena[:N], self._table):
+                    problems.append(f"{name}: backing block diverges from host table")
+            for dst, srcs in enumerate(self._source_map):
+                slots, _, _, counts = locate(self, entries, srcs)
+                unheld = srcs[slots < 0]  # a corrupt id's slot is the sentinel, 0
+                corrupt = N - sum(counts)
+                if corrupt:
+                    problems.append(f"GPU {dst}: {corrupt} out-of-range source ids")
+                stale = int((unheld < 0).sum())
+                if corrupt and self._chain is not None:
+                    stale += int((srcs < -T).sum())  # a corrupt negative id too
+                if stale:
+                    problems.append(
+                        f"GPU {dst}: {stale} backing routes point "
                         "at a tier that is not the entry's home"
                     )
-            for g in range(G):
-                pointed = np.flatnonzero(srcs == g)
-                if len(pointed) == 0:
-                    continue
-                missing = pointed[self._stores[g].offset_of[pointed] < 0]
-                if len(missing):
+                missing = np.bincount(unheld[unheld >= 0], minlength=platform.num_gpus)
+                for g in np.flatnonzero(missing).tolist():
                     problems.append(
-                        f"GPU {dst}: {len(missing)} entries routed to GPU {g} "
+                        f"GPU {dst}: {missing[g]} entries routed to GPU {g} "
                         "which does not hold them"
                     )
-            if sample is None:
-                problems.extend(verify_resolution(self, dst))
-        if self._chain is not None and sample is None:
-            problems.extend(self._chain.verify())
+            if self._chain is not None:
+                problems.extend(self._chain.verify())
         return problems
 
     def check_integrity(self) -> None:

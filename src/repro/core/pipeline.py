@@ -63,7 +63,6 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from repro.core.location_table import LocationTable
 from repro.core.tiers import not_resident
 from repro.faults.degrade import degraded_platform, reroute_demand
 from repro.faults.spec import HealthView
@@ -103,7 +102,6 @@ __all__ = [
     "reroute",
     "resolve",
     "source_class",
-    "verify_resolution",
 ]
 
 
@@ -746,51 +744,3 @@ def execute_plan(
     finally:
         seconds.observe(perf_counter() - start)
     return values, GpuDemand(dst=plan.dst, volumes=volumes)
-
-
-# ----------------------------------------------------------------------
-# Reconciliation: the hashtable vs the dense arrays
-# ----------------------------------------------------------------------
-def verify_resolution(cache: "MultiGpuEmbeddingCache", dst: int) -> list[str]:
-    """Reconcile ``dst``'s dense routing arrays with the §4 hashtable.
-
-    Builds the faithful :class:`~repro.core.location_table.LocationTable`
-    form of ``dst``'s routing (source per entry from ``source_map``, slot
-    offset from the holding store's ``offset_of``) and bulk-resolves every
-    entry through it, asserting the hashtable answers match the dense
-    arrays the hot path serves from.  This is the one reconciliation
-    point between the two representations; the cache's integrity check
-    runs it per GPU.  Entries whose dense route is already broken (a
-    source that does not hold them) are skipped here — the integrity
-    check reports those separately.
-    """
-    platform = cache.platform
-    G = platform.num_gpus
-    srcs = np.asarray(cache.source_map[dst])
-    n = len(srcs)
-    entries = np.arange(n, dtype=np.int64)
-    offsets = entries.copy()  # backing convention: addressed by key
-    backing = platform.backing_mask(srcs)
-    consistent = backing.copy()
-    for g in range(G):
-        routed = np.flatnonzero(srcs == g)
-        if len(routed) == 0:
-            continue
-        off = cache.store(g).offset_of[routed]
-        held = off >= 0
-        offsets[routed[held]] = off[held]
-        consistent[routed[held]] = True
-    # The §4 hashtable stores GPU-cached entries only — absence *means*
-    # the backing chain, whichever tier an entry is homed on — so the
-    # comparison runs in that normalized space.
-    norm_srcs = np.where(backing, HOST, srcs).astype(srcs.dtype)
-    dense_srcs = np.where(consistent, norm_srcs, HOST).astype(srcs.dtype)
-    table = LocationTable.from_source_map(dense_srcs, offsets, num_sources=G)
-    got_srcs, got_offsets = table.lookup_batch(entries)
-    mismatched = (got_srcs != dense_srcs) | (got_offsets != offsets)
-    if mismatched.any():
-        return [
-            f"GPU {dst}: hashtable resolution diverges from the dense "
-            f"source map for {int(mismatched.sum())} entries"
-        ]
-    return []

@@ -15,10 +15,10 @@ tier invariant suite):
 * **partition** — every entry is resident in *exactly one* tier, and the
   home map agrees with store residency;
 * **capacity** — no tier holds more entries than its byte capacity
-  allows;
-* **integrity** — each store's rows and checksums
-  (:mod:`repro.core.checksum`) stay bit-identical to the ground-truth
-  table.
+  allows.
+
+Each store's rows and checksums are checked against the ground-truth
+table by the cache's integrity check, beside the GPU stores'.
 
 Placement is a hotness-ranked waterfall (:func:`assign_backing_tiers`):
 the hottest entries land on the fastest tier until it fills, the next
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.checksum import row_checksums
 from repro.core.filler import GpuCacheStore, fill_gpu
 from repro.hardware.platform import SOURCE_DTYPE, MemoryTier
 
@@ -130,7 +129,6 @@ class TierChain:
         if not tiers:
             raise ValueError("a tier chain needs at least one tier")
         self._tiers = tuple(tiers)
-        self._table = table
         n, _ = table.shape
         entry_bytes = table.shape[1] * table.itemsize
         self._capacities = [
@@ -147,7 +145,7 @@ class TierChain:
     # ------------------------------------------------------------------
     @property
     def num_entries(self) -> int:
-        return self._table.shape[0]
+        return len(self._home)
 
     @property
     def home(self) -> np.ndarray:
@@ -177,7 +175,8 @@ class TierChain:
     # Invariants
     # ------------------------------------------------------------------
     def verify(self) -> list[str]:
-        """Check partition / capacity / integrity; returns violations."""
+        """Check partition / home map / capacity; returns violations.  (A
+        store's rows and checksums are the cache's integrity check.)"""
         problems: list[str] = []
         resident = np.zeros(self.num_entries, dtype=np.int64)
         for k, store in enumerate(self.stores):
@@ -195,19 +194,6 @@ class TierChain:
                 problems.append(
                     f"tier {name}: home map and store residency disagree"
                 )
-            if len(cached):
-                rows = store.data[store.offset_of[cached]]
-                if not np.array_equal(rows, self._table[cached]):
-                    problems.append(
-                        f"tier {name}: resident rows diverge from the table"
-                    )
-                want = row_checksums(self._table[cached])
-                if not np.array_equal(
-                    store.checksums[store.offset_of[cached]], want
-                ):
-                    problems.append(
-                        f"tier {name}: stored checksums diverge from the table"
-                    )
         if (resident != 1).any():
             off = int((resident != 1).sum())
             problems.append(

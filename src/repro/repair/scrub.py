@@ -17,8 +17,8 @@ with the host's.  The scrubber finds rot two ways:
 A detected slot is **quarantined** first: every destination GPU whose
 location-table route points at the rotten holder is rerouted to
 :data:`~repro.hardware.platform.HOST`, so no reader can gather the bad
-bytes while repair is pending (extra holdings with a HOST route are
-legal per :func:`~repro.core.pipeline.verify_resolution`).  Repair then
+bytes while repair is pending (a holder nobody routes to is legal: the
+integrity check follows the routes).  Repair then
 copies the true bytes back — from the cheapest intact replica if another
 GPU holds the entry (priced with :func:`~repro.core.pipeline.price_demand`,
 the same one-pricing-point the whole stack uses), else from the host —

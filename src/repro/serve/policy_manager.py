@@ -14,8 +14,9 @@ makes the rollover safe:
 3. **refresh** — apply the placement diff through
    :meth:`~repro.core.refresher.Refresher.refresh`, which is transactional:
    an abort or mid-step failure rolls the cache back bit-identically;
-4. **verify** — :meth:`~repro.core.cache.MultiGpuEmbeddingCache.verify_integrity`
-   must come back clean, else the swap is rolled back;
+4. **verify** — the full
+   :meth:`~repro.core.cache.MultiGpuEmbeddingCache.verify_integrity` must
+   come back clean, else the swap is rolled back;
 5. **probe (after) + guardrail** — if post-swap latency regresses past
    ``guardrail.p99_regression`` × pre-swap, the previous generation is
    restored (again through a transactional refresh).
@@ -79,10 +80,6 @@ class SwapGuardrail:
 #: Required est-time improvement ratio (old/new) for a swap to even be
 #: attempted; 1.0 accepts any non-regression.
 MIN_IMPROVEMENT = 1.0
-#: Byte-compare fraction for the swap-time integrity check.  The swap sits
-#: inside the serving drain window, so it uses the sampled mode; rollback
-#: (and every final gate) keeps the full scan.
-VERIFY_SAMPLE = 0.25
 
 
 @dataclass
@@ -239,12 +236,7 @@ class PolicyManager:
             return report
         report.entries_moved = refresh.entries_moved
 
-        # Sampled check inside the drain window (structural invariants
-        # still run in full; only the byte-compare is sampled) — the
-        # anti-entropy scrubber covers the slots this pass skips.
-        violations = self._cache.verify_integrity(
-            sample=VERIFY_SAMPLE, seed=self.version
-        )
+        violations = self._cache.verify_integrity()
         if violations:
             report.integrity_violations = len(violations)
             report.rolled_back = True

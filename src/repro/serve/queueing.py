@@ -56,7 +56,8 @@ class AdmissionConfig:
         slo_seconds: target end-to-end latency; ``inf`` disables SLO
             shedding (deadline-based shedding still applies).
         shed_on_slo: predictively shed at admission when the estimated
-            completion would bust the request's deadline or the SLO.
+            completion would bust the request's deadline or, behind a
+            non-empty queue, the SLO.
     """
 
     capacity: int = 64
@@ -171,7 +172,10 @@ class BoundedRequestQueue:
             return False  # no samples yet — admit and learn
         if predicted > request.remaining(now):
             return True
-        return predicted > self.config.slo_seconds
+        # An empty queue sheds on the deadline alone: the estimate moves
+        # only on served requests, so an SLO test there would shed for good
+        # once a fault lifted the estimate past the SLO.
+        return self.depth > 0 and predicted > self.config.slo_seconds
 
     def offer(self, request: Request, now: float) -> AdmissionResult:
         """Admit, shed, reject, or block ``request`` at time ``now``."""

@@ -677,6 +677,124 @@ class TestOneAddressSpace:
 
 
 # ----------------------------------------------------------------------
+# The integrity check's one locate per destination against the scans it
+# replaced
+# ----------------------------------------------------------------------
+def _oracle_route_scan(cache):
+    """The route half of ``verify_integrity`` as it was: a valid-id mask, a
+    compare with the backing home, and one holder scan per (destination,
+    GPU)."""
+    problems = []
+    G = cache.platform.num_gpus
+    chain = cache.tier_chain
+    for dst in range(G):
+        srcs = cache.source_map[dst]
+        bad = ~cache.platform.valid_source_mask(srcs)
+        if bad.any():
+            problems.append(f"GPU {dst}: {int(bad.sum())} out-of-range source ids")
+        if chain is not None:
+            stale = (srcs < 0) & (srcs != chain.home)
+            if stale.any():
+                problems.append(
+                    f"GPU {dst}: {int(stale.sum())} backing routes point "
+                    "at a tier that is not the entry's home"
+                )
+        for g in range(G):
+            pointed = np.flatnonzero(srcs == g)
+            missing = pointed[cache.store(g).offset_of[pointed] < 0]
+            if len(missing):
+                problems.append(
+                    f"GPU {dst}: {len(missing)} entries routed to GPU {g} "
+                    "which does not hold them"
+                )
+    return problems
+
+
+def _unheld(cache, gpu, count):
+    return np.flatnonzero(cache.store(gpu).offset_of < 0)[:count]
+
+
+def _off_home(cache, count):
+    """``count`` entries and, for each, a tier that is not its home."""
+    home = cache.tier_chain.home
+    entries = np.flatnonzero(home == -1)[:count]
+    return entries, np.full(count, -2, dtype=home.dtype)
+
+
+class TestRouteCheck:
+    @given(scenario=plan_scenarios(empty_arena=st.booleans()))
+    @settings(max_examples=150, deadline=None)
+    def test_route_check_equals_the_scans_it_replaced(self, scenario):
+        """Corrupt ids both ways, misroutes, stale GPU slots, empty arenas
+        on servers a/b/c and the 3-tier chain: the same violations, in the
+        same order, with the same counts."""
+        cache = scenario[0]
+        assert cache.verify_integrity() == _oracle_route_scan(cache)
+
+    def test_corrupt_ids_are_counted(self):
+        cache = _plan_cache("a", 2)
+        cache.source_map[3][[5, 6, 7]] = 999
+        assert cache.verify_integrity() == ["GPU 3: 3 out-of-range source ids"]
+
+    def test_a_route_to_a_gpu_that_does_not_hold_the_entry(self):
+        cache = _plan_cache("c", 2)
+        cache.source_map[1][_unheld(cache, 6, 4)] = 6
+        assert cache.verify_integrity() == [
+            "GPU 1: 4 entries routed to GPU 6 which does not hold them"
+        ]
+
+    def test_a_backing_route_off_the_home_tier(self):
+        cache = _plan_cache("tiered", 2)
+        entries, wrong = _off_home(cache, 5)
+        cache.source_map[2][entries] = wrong
+        assert cache.verify_integrity() == [
+            "GPU 2: 5 backing routes point at a tier that is not the entry's home"
+        ]
+
+    def test_all_three_route_faults_in_one_destination(self):
+        cache = _plan_cache("tiered", 3)
+        row = cache.source_map[0]
+        entries, wrong = _off_home(cache, 3)
+        row[entries] = wrong
+        misrouted = np.setdiff1d(_unheld(cache, 2, 40), entries)[:4]
+        row[misrouted] = 2
+        corrupt = np.setdiff1d(np.arange(PLAN_N), np.r_[entries, misrouted])[:2]
+        row[corrupt] = 0x4000
+        assert cache.verify_integrity() == [
+            "GPU 0: 2 out-of-range source ids",
+            "GPU 0: 3 backing routes point at a tier that is not the entry's home",
+            "GPU 0: 4 entries routed to GPU 2 which does not hold them",
+        ]
+
+    def test_two_entries_on_one_slot(self):
+        cache = _plan_cache("a", 4)
+        store = cache.store(2)
+        first, second = store.cached_entries()[:2]
+        store.offset_of[second] = store.offset_of[first]
+        assert cache.verify_integrity() == [
+            "GPU 2: duplicate slot assignments",
+            "GPU 2: cached values diverge from host table",
+            "GPU 2: stored checksums diverge from the table",
+        ]
+
+    def test_a_stored_checksum_that_left_the_table_on_a_gpu(self):
+        cache = _plan_cache("a", 4)
+        store = cache.store(1)
+        store.checksums[store.offset_of[store.cached_entries()[3]]] ^= 1
+        assert cache.verify_integrity() == [
+            "GPU 1: stored checksums diverge from the table"
+        ]
+
+    def test_a_stored_checksum_that_left_the_table_on_a_tier(self):
+        cache = _plan_cache("tiered", 4)
+        store = cache.tier_chain.stores[1]
+        store.checksums[store.offset_of[store.cached_entries()[0]]] ^= 1
+        assert cache.verify_integrity() == [
+            "tier cxl: stored checksums diverge from the table"
+        ]
+
+
+# ----------------------------------------------------------------------
 # What the pipeline remembers per route, against the parent's per-request
 # algorithms and against itself with nothing remembered
 # ----------------------------------------------------------------------

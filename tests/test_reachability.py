@@ -322,7 +322,7 @@ CONSTANTS = {
         TOP_FRAC=0.01, JACCARD_FLOOR=0.5, CORR_FLOOR=0.2, HYSTERESIS=2,
         COOLDOWN_CHECKS=8, MIN_BATCHES=16),
     "repro.serve.adaptation": dict(DECAY=0.95, SAMPLE_EVERY=1, CHECK_EVERY=8),
-    "repro.serve.policy_manager": dict(MIN_IMPROVEMENT=1.0, VERIFY_SAMPLE=0.25),
+    "repro.serve.policy_manager": dict(MIN_IMPROVEMENT=1.0),
     "repro.serve.queueing": dict(ESTIMATOR_ALPHA=0.2),
     "repro.serve.soak": dict(SWAP_AT=(0.6,), ZIPF_ALPHA=1.1, CACHE_RATIO=0.12),
     "repro.cluster.rpc": dict(TIMEOUT_FACTOR=8.0, HEDGE_FACTOR=3.0),

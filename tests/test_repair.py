@@ -412,27 +412,9 @@ class TestBitRotFault:
 class TestSampledVerify:
     def test_sample_one_catches_corruption(self):
         _platform, _table, _hotness, cache = _stack()
+        assert cache.verify_integrity() == []
         assert _flip_bytes(cache, 11, 5) > 0
-        assert cache.verify_integrity(sample=1.0)
-
-    def test_sample_validation(self):
-        _platform, _table, _hotness, cache = _stack()
-        with pytest.raises(ValueError):
-            cache.verify_integrity(sample=0.0)
-        with pytest.raises(ValueError):
-            cache.verify_integrity(sample=1.5)
-        assert cache.verify_integrity(sample=0.05) == []
-
-    def test_policy_manager_sample_validation(self):
-        from repro.serve.policy_manager import PolicyManager
-
-        from repro.serve import policy_manager
-
-        # the swap-time sample is a constant the cache accepts
-        _platform, _table, _hotness, cache = _stack()
-        with pytest.raises(TypeError):
-            PolicyManager(cache, verify_sample=2.0)
-        assert cache.verify_integrity(sample=policy_manager.VERIFY_SAMPLE) == []
+        assert cache.verify_integrity()
 
 
 class TestSoakConfigRepair:

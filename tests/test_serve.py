@@ -167,6 +167,16 @@ class TestBoundedQueue:
             is RequestStatus.SHED
         )
 
+    def test_empty_queue_sheds_on_the_deadline_alone(self):
+        q = BoundedRequestQueue(0, AdmissionConfig(capacity=8, slo_seconds=1.0))
+        q.estimator.observe(2.0)  # a fault lifted the estimate past the SLO
+        # depth 0: 2 s busts the SLO but not a 3 s deadline → admitted
+        assert q.offer(_request(rid=1, deadline=3.0), now=0.0).admitted
+        q.pop(now=0.0)
+        # depth 0 again: 2 s busts a 1.5 s deadline → shed
+        result = q.offer(_request(rid=2, deadline=1.5), now=0.0)
+        assert result.status is RequestStatus.SHED
+
     def test_max_depth_tracks_high_water(self):
         q = BoundedRequestQueue(0, AdmissionConfig(capacity=4))
         for i in range(3):
