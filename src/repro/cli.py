@@ -138,52 +138,6 @@ def _write_summary(path: str, doc: dict) -> None:
     print(f"summary written to {path}")
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.faults.chaos import (
-        SCENARIO_TABLE,
-        SCENARIOS,
-        ChaosConfig,
-        render_results,
-        run_matrix,
-        summarize_results,
-    )
-    from repro.obs import MetricsRegistry, use_registry, write_json
-
-    if args.list_scenarios:
-        width = max(len(name) for name in SCENARIOS)
-        for name in SCENARIOS:
-            print(f"{name:{width}s}  {SCENARIO_TABLE[name][0]}")
-        return 0
-    if args.recovery_tolerance < 1.0:
-        print("bad chaos configuration: --recovery-tolerance must be >= 1.0",
-              file=sys.stderr)
-        return 2
-    scenarios = list(SCENARIOS) if args.scenario == "all" else [args.scenario]
-    cfg = (
-        ChaosConfig.quick(seed=args.seed)
-        if args.quick
-        else ChaosConfig(seed=args.seed)
-    )
-    registry = MetricsRegistry("chaos")
-    with use_registry(registry):
-        results = run_matrix(scenarios, cfg)
-    print(render_results(results, tolerance=args.recovery_tolerance))
-    summary = summarize_results(results, tolerance=args.recovery_tolerance)
-    if summary["unrecovered"]:
-        print(
-            "scenarios that never recovered (post-fault latency > "
-            f"{args.recovery_tolerance:.2f}x baseline): "
-            + ", ".join(summary["unrecovered"]),
-            file=sys.stderr,
-        )
-    if args.json_out:
-        _write_summary(args.json_out, summary)
-    if args.metrics_out:
-        path = write_json(registry, args.metrics_out)
-        print(f"metrics written to {path}")
-    return 0 if summary["ok"] else 1
-
-
 def _cmd_soak(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
@@ -432,32 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("list-experiments", help="list experiment ids")
     p.set_defaults(func=_cmd_list)
 
-    from repro.faults.chaos import SCENARIOS as _CHAOS_SCENARIOS
     from repro.serve.soak import SOAK_SCENARIOS as _SOAK_SCENARIOS
 
-    p = sub.add_parser("chaos", help="run the fault-injection scenario matrix")
-    p.add_argument("--scenario", default="all",
-                   choices=["all", *_CHAOS_SCENARIOS],
-                   help="one scenario, or 'all' for the full matrix "
-                        "(node faults are `soak --nodes N` scenarios)")
-    p.add_argument("--list-scenarios", action="store_true",
-                   help="print every scenario with a one-line description "
-                        "and exit")
-    p.add_argument("--quick", action="store_true",
-                   help="CI-sized workload (seconds, not minutes)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for the workload and the fault plan")
-    p.add_argument("--metrics-out", default=None, metavar="PATH",
-                   help="write the run's metrics as a JSON artifact")
-    p.add_argument("--json-out", default=None, metavar="PATH",
-                   help="write a machine-readable matrix summary")
-    p.add_argument("--recovery-tolerance", type=float, default=1.25,
-                   help="fail scenarios whose post-fault latency stays "
-                        "above this multiple of baseline")
-    p.set_defaults(func=_cmd_chaos)
-
     p = sub.add_parser(
-        "soak", help="sustained serving-load soak with chaos and policy swaps"
+        "soak", help="sustained serving-load soak with faults and policy swaps"
     )
     p.add_argument("--scenario", default="dgx_a100_partial_failure",
                    choices=list(_SOAK_SCENARIOS),

@@ -1,18 +1,16 @@
 """Fault model, injection, and graceful degradation (the robustness layer).
 
 A :class:`FaultSpec` describes one failure (GPU drop-out, link
-degradation/partition, host-gather stall, solver timeout, refresher
-interruption, corrupted location slot) with onset, duration, and severity;
-a :class:`FaultPlan` schedules many deterministically.  The runtime never
-reads specs directly: :class:`FaultInjector` realizes one-shot state
-corruption and flattens standing faults into :class:`HealthView` snapshots
-that the extractor, solver fallback chain, refresher, and simulators
-consume.  ``python -m repro chaos`` (see :mod:`repro.faults.chaos`) runs
-the scenario matrix end to end.
+degradation/partition, host-gather stall, corrupted location slot, bit-rot,
+node faults) with onset, duration, and severity; a :class:`FaultPlan`
+schedules many deterministically.  The runtime never reads specs directly:
+:class:`FaultInjector` realizes one-shot and recurring state corruption
+and flattens standing faults into :class:`HealthView` snapshots that the
+extractor and simulators consume.  Every drill is a soak scenario
+(:data:`repro.serve.soak.SOAK_SCENARIOS`, ``python -m repro soak``).
 
-Note: :mod:`repro.faults.chaos` is intentionally not imported here — it
-pulls in the whole core/sim stack, while this package must stay importable
-from inside :mod:`repro.sim.engine`.
+This package must stay importable from inside :mod:`repro.sim.engine`,
+so it imports nothing from the core/sim stack.
 """
 
 from repro.faults.degrade import DegradedPlatform, degraded_platform, reroute_demand

@@ -2,11 +2,10 @@
 and the derived :class:`HealthView` the runtime consults.
 
 A fault plan is pure data — which fault, where, when, how bad — so the
-same plan can drive the functional runtime (extractor rerouting, refresher
-interruption), the analytic simulators (degraded bandwidths), and the
-``chaos`` CLI's scenario matrix.  Plans are deterministic by construction:
-anything random (which slot to corrupt, jittered backoff) derives from the
-plan's seed, never from global state.
+same plan can drive the functional runtime (extractor rerouting), the
+analytic simulators (degraded bandwidths), and the soak scenarios.  Plans
+are deterministic by construction: anything random (which slot to corrupt,
+jittered backoff) derives from the plan's seed, never from global state.
 """
 
 from __future__ import annotations
@@ -30,10 +29,6 @@ class FaultKind(str, Enum):
     LINK_PARTITION = "link-partition"
     #: host-gather stall: PCIe loses ``severity`` of its bandwidth.
     HOST_STALL = "host-stall"
-    #: the background policy solve exceeds its wall-clock budget.
-    SOLVER_TIMEOUT = "solver-timeout"
-    #: the in-flight refresh is interrupted mid-application.
-    REFRESH_INTERRUPT = "refresh-interrupt"
     #: location-table slots are corrupted to out-of-range ``<gpu, offset>``.
     CORRUPT_SLOT = "corrupt-slot"
     #: silent data corruption: cached value bytes flip at ``rate``
@@ -132,8 +127,8 @@ class FaultSpec:
 class HealthView:
     """Snapshot of platform health at one instant, derived from a plan.
 
-    The runtime never reads :class:`FaultSpec` directly: the extractor,
-    simulators, solver, and refresher all consume this flattened view, so
+    The runtime never reads :class:`FaultSpec` directly: the extractor
+    and the simulators consume this flattened view, so
     real deployments can plug an actual health monitor into the same
     interface.
     """
@@ -144,8 +139,6 @@ class HealthView:
     link_factors: tuple[tuple[tuple[int, int], float], ...] = ()
     #: multiplicative factor on host (PCIe) bandwidth.
     host_factor: float = 1.0
-    solver_timed_out: bool = False
-    refresh_interrupted: bool = False
     #: cluster tier: nodes that are dead (RPCs time out, caches lost).
     down_nodes: frozenset[int] = frozenset()
     #: multiplicative service-speed factor per slow node; absent nodes
@@ -169,8 +162,6 @@ class HealthView:
             not self.down_gpus
             and all(f >= 1.0 for _, f in self.link_factors)
             and self.host_factor >= 1.0
-            and not self.solver_timed_out
-            and not self.refresh_interrupted
             and not self.down_nodes
             and all(f >= 1.0 for _, f in self.node_factors)
             and not self.partitioned_nodes
@@ -264,8 +255,6 @@ class FaultPlan:
         down: set[int] = set()
         links: dict[tuple[int, int], float] = {}
         host_factor = 1.0
-        solver_timed_out = False
-        refresh_interrupted = False
         down_nodes: set[int] = set()
         node_factors: dict[int, float] = {}
         partitioned_nodes: set[int] = set()
@@ -286,10 +275,6 @@ class FaultPlan:
                 degrade((b, a), 0.0)
             elif f.kind is FaultKind.HOST_STALL:
                 host_factor = min(host_factor, 1.0 - f.severity)
-            elif f.kind is FaultKind.SOLVER_TIMEOUT:
-                solver_timed_out = True
-            elif f.kind is FaultKind.REFRESH_INTERRUPT:
-                refresh_interrupted = True
             elif f.kind is FaultKind.NODE_DOWN:
                 down_nodes.add(int(f.node))  # type: ignore[arg-type]
             elif f.kind is FaultKind.NODE_SLOW:
@@ -311,8 +296,6 @@ class FaultPlan:
             down_gpus=frozenset(down),
             link_factors=tuple(sorted(links.items())),
             host_factor=host_factor,
-            solver_timed_out=solver_timed_out,
-            refresh_interrupted=refresh_interrupted,
             down_nodes=frozenset(down_nodes),
             node_factors=tuple(sorted(node_factors.items())),
             partitioned_nodes=frozenset(partitioned_nodes),

@@ -3,7 +3,7 @@
 Admission control with bounded per-GPU queues and configurable
 backpressure, SLO-aware load shedding, per-source circuit breakers wired
 into the extractor's degraded-mode routing, deadline hedging to host
-DRAM, hot policy swap with guardrail-driven rollback, and a chaos soak
+DRAM, hot policy swap with guardrail-driven rollback, and a fault soak
 harness — everything runs on a simulated clock so sustained-load runs
 are deterministic and CI-sized.
 """

@@ -97,6 +97,10 @@ class ServingRuntime:
         #: estimator.  With no adapter the serving path is byte-identical
         #: to earlier revisions.
         self.adapter = None
+        #: optional :class:`~repro.repair.scrub.CacheScrubber`: when set,
+        #: every extraction's rows pass its read guard, as a cluster
+        #: node's do, so a rotten slot never reaches a caller.
+        self.read_guard = None
         platform = extractor.platform
         self.admission = AdmissionController(
             platform.num_gpus, self.config.admission
@@ -181,6 +185,8 @@ class ServingRuntime:
                 exclude_sources=excluded,
             )
             values, demand = self._extractor.execute(plan)
+        if self.read_guard is not None:
+            values, _ = self.read_guard.guard_read(gpu, keys, values)
         # The pipeline's shared price stage — same call the simulators make.
         report = price_demand(self._extractor.platform, demand, health=health)
         self._feed_breakers(plan, report.time_by_source, now)

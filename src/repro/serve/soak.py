@@ -1,10 +1,13 @@
-"""Soak harness: sustained traffic + chaos through the serving runtime.
+"""Soak harness: sustained traffic + faults through the serving runtime.
 
 ``python -m repro soak`` drives open-loop Poisson (or closed-loop) traffic
 through :class:`~repro.serve.runtime.ServingRuntime` on a simulated clock,
-optionally under a chaos :class:`~repro.faults.spec.FaultPlan`, with hot
-policy swaps landed mid-run.  It reports goodput, shed rate, breaker
-state transitions, and p50/p99/p999 latency.
+optionally under a :class:`~repro.faults.spec.FaultPlan`, with hot policy
+swaps landed mid-run.  It reports goodput, shed rate, breaker state
+transitions, and p50/p99/p999 latency.  Every fault drill is a soak row:
+a box run with a fault plan reports a :class:`FaultSection`, whose gate
+is the probe latency after the final drain against the one before the
+first arrival, and on a bit-rot plan that the scrubber saw rot at all.
 
 A soak is a harness object — :class:`BoxSoak` here, the cluster soak's
 beside it — that :func:`drive` feeds through the one traffic loop,
@@ -51,6 +54,7 @@ from repro.faults.spec import (
 )
 from repro.hardware.platform import Platform
 from repro.obs import get_registry
+from repro.repair import CacheScrubber
 from repro.serve.breaker import BreakerConfig
 from repro.serve.coalesce import (
     BatchingMode,
@@ -90,7 +94,7 @@ TIMEOUT_FACTOR = 5.0
 #: Fractions of the run at which a hot policy swap is attempted.
 SWAP_AT = (0.6,)
 
-#: The workload every harness (soak, cluster soak, chaos) builds its stack
+#: The workload both harnesses (soak, cluster soak) build their stack
 #: from: Zipf skew of the access distribution, and per-GPU cache capacity
 #: as a fraction of the table.
 ZIPF_ALPHA = 1.1
@@ -101,8 +105,9 @@ CACHE_RATIO = 0.12
 #: an unadapted policy bleeds).
 DRIFT_WINDOW = 0.25
 
-#: Ceiling on mean latency after the last fault clears, relative to the
-#: mean before the first onset; beyond it a run "never recovered".
+#: Ceiling on serving latency once the faults have cleared, relative to
+#: the latency before the first onset (the cluster's mean OK latency, the
+#: box's probe); beyond it a run "never recovered".
 DEFAULT_RECOVERY_TOLERANCE: float = 1.25
 
 
@@ -146,6 +151,35 @@ SOAK_SCENARIOS: dict[str, Scenario] = {
         "server-a",
         "PCIe loses 90% of its bandwidth mid-run",
         (FaultSpec(FaultKind.HOST_STALL, 0.35, 0.3, severity=0.9),),
+    ),
+    "gpu-failure": Scenario(
+        "server-a",
+        "GPU 1 dies mid-run; reads of its entries reroute",
+        (FaultSpec(FaultKind.GPU_FAILURE, 0.35, 0.25, gpu=1),),
+    ),
+    "link-degradation": Scenario(
+        "server-a",
+        "the link between GPUs 0 and 1 loses 75% of its bandwidth",
+        (FaultSpec(
+            FaultKind.LINK_DEGRADATION, 0.35, 0.25, severity=0.75, link=(0, 1)
+        ),),
+    ),
+    "link-partition": Scenario(
+        "server-a",
+        "the link between GPUs 0 and 1 goes dark; reads across it reroute",
+        (FaultSpec(FaultKind.LINK_PARTITION, 0.35, 0.25, link=(0, 1)),),
+    ),
+    # The rot rows flip cached bytes silently (~7-17 flips in a quick
+    # run): the scrubber and read guard, not the health view, catch them.
+    "bit-rot": Scenario(
+        "server-a",
+        "a burst of silent byte flips in the GPU caches",
+        (FaultSpec(FaultKind.BIT_ROT, 0.35, 0.25, rate=48.0),),
+    ),
+    "slow-leak-corruption": Scenario(
+        "server-a",
+        "bit-rot drips over the whole run; scrubbing must converge",
+        (FaultSpec(FaultKind.BIT_ROT, 0.0, 1.0, rate=12.0),),
     ),
     "node-kill": Scenario(
         "server-a",
@@ -448,6 +482,41 @@ class BoxSection(Section):
 
 
 @dataclass
+class FaultSection(Section):
+    """A box run under a fault plan: whether it recovered, and on a
+    bit-rot plan the rot its scrubber and read guard caught."""
+
+    #: the probe keys' serving latency after the final drain over the one
+    #: before the first arrival; None on a drift run, whose placement
+    #: moves on purpose (absent from the JSON).
+    probe_ratio: float | None
+    bit_rot: bool
+    #: rotten slots the scrub found plus rotten rows the read guard patched.
+    rot_detected: int
+    rot_repaired: int
+
+    @property
+    def ok(self) -> bool:
+        return (
+            self.probe_ratio is None
+            or self.probe_ratio <= DEFAULT_RECOVERY_TOLERANCE
+        ) and (not self.bit_rot or self.rot_detected > 0)
+
+    def lines(self) -> list[str]:
+        recovered = (
+            "unjudged (a drift run moves its placement)"
+            if self.probe_ratio is None
+            else f"{self.probe_ratio:.2f}x pre-fault after the drain "
+            f"(gate {DEFAULT_RECOVERY_TOLERANCE:.2f}x)"
+        )
+        rot = (
+            f"; rot {self.rot_detected} detected, {self.rot_repaired} repaired"
+            if self.bit_rot else ""
+        )
+        return [f"  faults        probe latency {recovered}{rot}"]
+
+
+@dataclass
 class CoalesceSection(Section):
     """Cross-request coalescing: batches served, their mean size and the
     member keys per union key."""
@@ -577,6 +646,7 @@ class SoakReport:
     arrival_rate: float
     baseline_service: float
     box: BoxSection | None = None
+    faults: FaultSection | None = None
     coalesce: CoalesceSection | None = None
     tiers: TierSection | None = None
     drift: DriftSection | None = None
@@ -677,11 +747,9 @@ def _fmt_capacity(n: int) -> str:
 
 @dataclass
 class Stack:
-    """What :func:`build_stack` hands every soak and chaos drill."""
+    """What :func:`build_stack` hands both soaks."""
 
     platform: Platform
-    #: the seed's generator, past the table draw (chaos draws keys from it).
-    rng: np.random.Generator
     table: np.ndarray
     pmf: np.ndarray
     #: expected accesses per entry per iteration (all GPUs' batches).
@@ -693,19 +761,17 @@ class Stack:
     cache: MultiGpuEmbeddingCache | None
 
 
-def build_stack(cfg, platform: Platform, pmf: np.ndarray | None = None,
-                fill: bool = True) -> Stack:
-    """The prelude of every harness: seeded table → access pmf → hotness
+def build_stack(cfg: SoakConfig, platform: Platform,
+                pmf: np.ndarray | None = None, fill: bool = True) -> Stack:
+    """The prelude of both harnesses: seeded table → access pmf → hotness
     → capacity → hot-replicate/warm-partition placement → filled cache.
-
-    ``cfg`` is a :class:`SoakConfig` or a chaos ``ChaosConfig`` — only the
-    scalars they share are read (``seed``, ``num_entries``,
-    ``entry_bytes``, ``batch_keys``).  ``pmf`` defaults
-    to one Zipf table; a multi-tenant or drift soak passes its own.
+    ``pmf`` defaults to one Zipf table; a multi-tenant or drift soak
+    passes its own.
     """
-    rng = make_rng(cfg.seed)
     dim = max(1, cfg.entry_bytes // 4)
-    table = rng.standard_normal((cfg.num_entries, dim)).astype(np.float32)
+    table = make_rng(cfg.seed).standard_normal(
+        (cfg.num_entries, dim)
+    ).astype(np.float32)
     if pmf is None:
         pmf = zipf_pmf(cfg.num_entries, ZIPF_ALPHA)
     hotness = pmf * cfg.batch_keys * platform.num_gpus
@@ -727,7 +793,7 @@ def build_stack(cfg, platform: Platform, pmf: np.ndarray | None = None,
             capacity_entries=capacity,
             tier_hotness=hotness if platform.num_tiers > 1 else None,
         )
-    return Stack(platform, rng, table, pmf, hotness, capacity, cache)
+    return Stack(platform, table, pmf, hotness, capacity, cache)
 
 
 def _drifted_hotness(hotness: np.ndarray, rng) -> np.ndarray:
@@ -805,8 +871,7 @@ def window_ok_ratio(inside: list[bool], outside: list[bool]) -> float:
 def phase_means(arrivals, values, onset: float, clear: float):
     """The mean of ``values`` over the arrivals before ``onset``, inside
     ``[onset, clear)`` and from ``clear`` on (0.0 for an empty phase):
-    the one phase pass behind the chaos drills' and the cluster soak's
-    recovery gates."""
+    the phase pass behind the cluster soak's recovery gate."""
     phases: tuple[list, list, list] = ([], [], [])
     for at, value in zip(arrivals, values):
         phases[(at >= onset) + (at >= clear)].append(value)
@@ -910,15 +975,28 @@ class BoxSoak:
         if cfg.adapt:
             self._build_adapter()
         self.probe_keys = [self.draw(probe_rng) for _ in range(G)]
+        # The recovery gate's baseline, before the first arrival; a drift
+        # run moves its placement on purpose, so it is not judged.
+        self.probe_before = (
+            self.runtime.probe(self.probe_keys, 0.0)
+            if self.plan is not None and self.schedule is None else None
+        )
 
         self._build_traffic(arrival_rng)
 
     def _build_runtime(self) -> None:
-        """The serving runtime under test — fault injector and breakers —
-        and the policy manager that swaps under it."""
+        """The serving runtime under test — fault injector, breakers and,
+        on a bit-rot plan, a scrubber as its read guard — and the policy
+        manager that swaps under it."""
         cfg, cache, s0 = self.cfg, self.cache, self.s0
-        plan = build_soak_plan(cfg.scenario, self.duration, cfg.seed)
+        self.plan = plan = build_soak_plan(cfg.scenario, self.duration, cfg.seed)
         injector = FaultInjector(plan, cache=cache) if plan is not None else None
+        # Only bit-rot rots bytes, and a scrubber costs the run its wall
+        # time twice over: it rides along on rot plans alone.
+        self.scrubber = (
+            CacheScrubber(cache)
+            if any(f.kind is FaultKind.BIT_ROT for f in plan or ()) else None
+        )
         serve_cfg = ServeConfig(
             admission=AdmissionConfig(
                 capacity=cfg.queue_capacity,
@@ -939,6 +1017,7 @@ class BoxSoak:
             config=serve_cfg,
             injector=injector,
         )
+        self.runtime.read_guard = self.scrubber
         self.manager = PolicyManager(
             cache,
             refresher=Refresher(cache, RefreshConfig(update_batch_entries=1024)),
@@ -1027,13 +1106,23 @@ class BoxSoak:
             self.serve_until(g, math.inf)
             self.free_at[g] = max(self.free_at[g], at)
 
+    def scrub_all(self) -> None:
+        """On a bit-rot plan, find and repair every rotten slot: before a
+        swap verifies the cache and before the run's final check."""
+        if self.scrubber is not None:
+            self.scrubber.scrub_all()
+
+    def drain_for_swap(self, at: float) -> None:
+        self.drain_all(at)
+        self.scrub_all()
+
     def attempt_swap(self, at: float) -> None:
         drifted = _drifted_hotness(self.hotness, self.drift_rng)
         outcome = self.manager.solve(drifted, self.capacity)
         report = self.manager.swap(
             outcome,
             now=at,
-            drain=lambda: self.drain_all(at),
+            drain=lambda: self.drain_for_swap(at),
             probe=lambda: self.runtime.probe(self.probe_keys, at),
         )
         logger.info(
@@ -1048,9 +1137,11 @@ class BoxSoak:
         if self.adapter is not None:
             self.adapter.maybe_adapt(
                 t,
-                drain=lambda: self.drain_all(t),
+                drain=lambda: self.drain_for_swap(t),
                 probe=lambda: self.adapt_probe(t),
             )
+        if self.scrubber is not None:
+            self.scrubber.tick(t)
         free_at = self.free_at
         for gpu in range(len(free_at)):
             self.serve_until(gpu, t)
@@ -1070,11 +1161,17 @@ class BoxSoak:
 
     def finish(self, offered: int) -> None:
         """After the last arrival: land the swaps still due, drain every
-        queue, and check the run's integrity, time physics and every row
-        it served against the host table."""
+        queue, probe for the recovery gate, scrub, and check the run's
+        integrity, time physics and every row it served against the host
+        table."""
         for t_swap in self.swap_times:
             self.attempt_swap(t_swap)
         self.drain_all(self.duration)
+        if self.probe_before is not None:
+            self.probe_after = self.runtime.probe(
+                self.probe_keys, max(self.free_at)
+            )
+        self.scrub_all()
         responses = self.runtime.responses
         self.violations = self.cache.verify_integrity() + check_time_physics(
             responses, offered, self.outcomes
@@ -1113,6 +1210,7 @@ class BoxSoak:
                 rollbacks=sum(1 for s in manager.swap_log if s.rolled_back),
                 tenants=cfg.tenants,
             ),
+            faults=self._fault_section(),
             coalesce=self._coalesce_section(),
             tiers=TierSection.of(self.platform, self.cache.tier_chain),
             drift=self._drift_section(),
@@ -1125,6 +1223,23 @@ class BoxSoak:
         if report.coalesce is not None and report.coalesce.coalesced_batches:
             reg.gauge("soak.dedup_ratio").set(report.coalesce.dedup_ratio)
         return report
+
+    def _fault_section(self) -> FaultSection | None:
+        if self.plan is None:
+            return None
+        scrubber = self.scrubber
+        return FaultSection(
+            probe_ratio=(
+                None if self.probe_before is None
+                else self.probe_after / self.probe_before
+            ),
+            bit_rot=scrubber is not None,
+            rot_detected=(
+                scrubber.mismatches_total + scrubber.read_repairs_total
+                if scrubber is not None else 0
+            ),
+            rot_repaired=scrubber.repaired_total if scrubber is not None else 0,
+        )
 
     def _coalesce_section(self) -> CoalesceSection | None:
         if not self.coalescing:

@@ -2,8 +2,8 @@
 
 Everything here is deterministic and clock-injectable: delays come from a
 seeded RNG and ``retry_call``/:class:`Deadline` take their clock and sleep
-functions as arguments, so tests (and the chaos runner) can drive retries
-without wall-clock time passing.
+functions as arguments, so tests can drive retries without wall-clock time
+passing.
 """
 
 from __future__ import annotations

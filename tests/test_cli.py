@@ -71,8 +71,7 @@ class TestCommands:
     @pytest.mark.parametrize(
         "argv, names",
         [
-            (["chaos", "--scenario", "gpu-failure", "--quick",
-              "--recovery-tolerance", "0.5"], "--recovery-tolerance"),
+            (["solve", "--entries", "500", "--alpha", "-1"], "--alpha"),
             (["cluster", "--entries", "0"], "--entries"),
             (["solve", "--entries", "0"], "--entries"),
             (["solve", "--entries", "500", "--cache-ratio", "1.5"], "--cache-ratio"),

@@ -277,9 +277,6 @@ CONFIGS = [
      dict(coarse_block_frac=0.005, integral=False, time_limit=60.0)),
     ("repro.core.solver", "FallbackConfig",
      dict(deadline_seconds=30.0, use_cached=True)),  # + retry
-    ("repro.faults.chaos", "ChaosConfig",
-     dict(num_entries=20_000, batch_keys=2048, num_batches=12, onset=4.0,
-          duration=4.0, seed=0)),
     ("repro.serve.breaker", "BreakerConfig",
      dict(failure_threshold=3, cooldown_seconds=2.0, half_open_probes=2,
           success_threshold=2)),
@@ -333,7 +330,6 @@ CONSTANTS = {
         SCAN_BYTES_PER_TICK=16 * 1024, REPAIR_BYTES_PER_TICK=16 * 1024),
     "repro.repair.watchdog": dict(SUSPECT_QUARANTINE_DEPTH=1),
     "repro.repair.restage": dict(CHUNK_ENTRIES=256),
-    "repro.faults.chaos": dict(PLATFORM="server-a"),
     "repro.dlr.models": dict(MLP_LAYERS=6, MLP_WIDTH=512),
     "repro.dlr.nn": dict(
         DENSE_DIM=13, BOTTOM_DIMS=(64,), TOP_DIMS=(128, 64), DEEP_DIMS=(128, 64),
@@ -361,8 +357,9 @@ def test_surviving_defaults_and_new_constants_did_not_move():
                      for f in dataclasses.fields(cls))
     # 128 fields on 21 classes before the census; PrefetchConfig and two
     # SoakConfig fields went with the lookahead stage, two more with the
-    # repair switch, and SolverConfig.method with the orbit quotient
-    assert len(CONFIGS) == 13 and total == 64
+    # repair switch, SolverConfig.method with the orbit quotient, and
+    # ChaosConfig's six with the chaos batch loop
+    assert len(CONFIGS) == 12 and total == 58
     _found, _callables, _experiments, fields = reachability.options(TOOL.parents[1] / "src")
     in_src = {key.split(":")[1].rsplit(".", 1)[0] for key in fields}
     assert {name for _, name, _ in CONFIGS} == {
@@ -376,9 +373,7 @@ def test_surviving_defaults_and_new_constants_did_not_move():
     from repro.cluster import rpc
     from repro.cluster.frontend import ClusterConfig
     from repro.core.solver import FallbackConfig
-    from repro.faults.chaos import ChaosConfig
 
     assert rpc.RETRY == RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.2)
     assert FallbackConfig().retry == RetryPolicy(max_attempts=2, base_delay=0.0)
     assert ClusterConfig().breaker == BreakerConfig()
-    assert ChaosConfig.entry_bytes == 32

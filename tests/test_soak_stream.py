@@ -35,6 +35,7 @@ from repro.serve.soak import (
     BoxSoak,
     CoalesceSection,
     DriftSection,
+    FaultSection,
     SoakConfig,
     SoakReport,
     TierSection,
@@ -320,6 +321,7 @@ class TestSoakModuleShape:
 #: zero-filled instance, in the one render order.
 SECTIONS = {
     "box": ("queues", lambda: _zeros(BoxSection)),
+    "faults": ("faults", lambda: _zeros(FaultSection)),
     "coalesce": ("coalescing", lambda: _zeros(CoalesceSection)),
     "tiers": ("tiers", lambda: _zeros(TierSection)),
     "drift": ("drift", lambda: _zeros(
@@ -357,6 +359,7 @@ class TestReportSections:
 
     def test_a_section_gate_fails_the_report(self):
         assert _report(box=_zeros(BoxSection, max_queue_depth=1)).ok is False
+        assert _report(faults=_zeros(FaultSection, probe_ratio=2.0)).ok is False
         assert _report(cluster=_zeros(
             ClusterSection, failover_goodput_ratio=1.0,
             recovery_goodput_ratio=1.0, corrupt_values_served=1,
@@ -386,10 +389,11 @@ class TestOptionsThatWent:
         assert names[19:] == list(SECTIONS)
         assert {
             cls.__name__: len(fields(cls))
-            for cls in (BoxSection, CoalesceSection, TierSection, DriftSection,
-                        AdaptSection, ClusterSection)
+            for cls in (BoxSection, FaultSection, CoalesceSection, TierSection,
+                        DriftSection, AdaptSection, ClusterSection)
         } == {
-            "BoxSection": 9, "CoalesceSection": 3, "TierSection": 2,
+            "BoxSection": 9, "FaultSection": 4, "CoalesceSection": 3,
+            "TierSection": 2,
             "DriftSection": 6, "AdaptSection": 7, "ClusterSection": 27,
         }
 

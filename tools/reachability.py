@@ -63,6 +63,12 @@ KEEP: dict[str, tuple[str, str]] = {
         "paper", "§8.1 cache-ratio rule"),
     "repro.hardware.platform:Platform.max_cache_ratio": ("paper", "§8.1, its bound"),
     "repro.serve.policy_manager:PolicyManager._rollback": ("fault", "swap rollback"),
+    "repro.core.refresher:Refresher._rollback": (
+        "fault", "an interrupted or failed refresh replays its undo log"),
+    "repro.core.cache:MultiGpuEmbeddingCache.restore_location_state": (
+        "fault", "and restores the snapshotted routes"),
+    "repro.faults.degrade:reroute_demand": (
+        "fault", "a batch simulator's demand under an unhealthy view"),
     "repro.repair.scrub:CacheScrubber.drain": ("fault", "repair every quarantine"),
     "repro.core.solver:_cached_compatible": ("fault", "fallback chain's last-good check"),
     "repro.serve.queueing:BoundedRequestQueue._pump_blocked": (
@@ -114,9 +120,11 @@ def entry_points(root: Path, out: Path) -> tuple[list, list]:
         REPRO + ["metrics", art("solve.json")],
         REPRO + ["list-experiments"],
         REPRO + ["experiment", "table3", "--metrics-out", art("table3.json")],
-        REPRO + ["chaos", "--list-scenarios"],
-        REPRO + ["chaos", "--scenario", "all", "--quick", "--seed", "0",
-                 "--json-out", art("chaos.json"), "--metrics-out", art("chaos-m.json")],
+        QUICK + ["gpu-failure", "--json-out", art("gpu-failure.json")],
+        QUICK + ["link-degradation"],
+        QUICK + ["link-partition"],
+        QUICK + ["bit-rot", "--metrics-out", art("bit-rot-m.json")],
+        QUICK + ["slow-leak-corruption"],
         QUICK + ["dgx_a100_partial_failure", "--json-out", art("soak.json"),
                  "--metrics-out", art("soak-m.json")],
         QUICK + ["steady", "--batching", "coalesce", "--load", "2.0"],
@@ -289,6 +297,10 @@ OPTION_KEEP: dict[str, tuple[str, str]] = {
         "paper", "fig4 compares message / naive peer / factored (§5); a replay "
         "prices the same three"),
     # Fakes, pinned time and randomness, and test-sized problems.
+    "repro.core.extractor:FactoredExtractor.extract.now": (
+        "seam", "steps an injector's fault plan through a batch loop"),
+    "repro.core.solver:solve_policy_with_fallback.solve_fn": (
+        "seam", "fake MILP that times out or fails"),
     "repro.core.solver:solve_policy_with_fallback.clock": ("seam", "fake monotonic clock"),
     "repro.core.solver:solve_policy_with_fallback.sleep": ("seam", "fake sleep"),
     "repro.core.solver:solve_policy_with_fallback.retry_rng": (
