@@ -190,11 +190,11 @@ class ClusterFrontend:
             sources=sorted(self.nodes), config=config.breaker
         )
         self._rng = make_rng(config.seed + 101)
-        #: optional :class:`~repro.repair.watchdog.NodeWatchdog`: when
-        #: set, RECOVERING nodes take reads only for keys their staged
-        #: recovery has already re-staged; the rest keep going to
-        #: replica owners until the refill catches up.
-        self.watchdog = None
+        #: node id → its :class:`~repro.repair.restage.StagedRecovery` in
+        #: flight: such a node takes reads only for keys its refill has
+        #: already re-staged; the rest keep going to replica owners until
+        #: the refill catches up.
+        self.refilling: dict = {}
 
     @staticmethod
     def build_placement(
@@ -273,18 +273,18 @@ class ClusterFrontend:
             # breaker board's half-open metering decides admission.
             ejected = np.flatnonzero(np.isin(chosen, list(excluded)))
             _next_owner(chosen, owners, ejected, excluded)
-        if self.watchdog is not None:
-            # A recovering node takes reads only for shards its staged
+        if self.refilling:
+            # A refilling node takes reads only for shards its staged
             # refill has already re-staged; un-restaged keys keep flowing
             # to replica owners.
-            for recovering, rec in self.watchdog.active_recoveries():
-                routed = np.flatnonzero(chosen == recovering)
+            for refilling, rec in sorted(self.refilling.items()):
+                routed = np.flatnonzero(chosen == refilling)
                 pending = routed[~rec.restaged_keys(keys[routed])]
-                # Keys with no other owner stay put: the recovering node
+                # Keys with no other owner stay put: the refilling node
                 # serves them from its host table — slower, still bit-exact.
-                stuck = _next_owner(chosen, owners, pending, excluded | {recovering})
+                stuck = _next_owner(chosen, owners, pending, excluded | {refilling})
                 if len(pending) > len(stuck):
-                    reg.counter("repair.watchdog.rerouted_keys").inc(
+                    reg.counter("repair.restage.rerouted_keys").inc(
                         len(pending) - len(stuck)
                     )
         # One stable sort of the routing decision; each run of equal ids

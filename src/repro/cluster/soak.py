@@ -23,9 +23,9 @@ recovery:
 * every row served, whatever became of its request, is checked bit-exact
   against the host table, and every node's cache is reconciled
   (``verify_integrity``) after recovery;
-* no partial response, the watchdog sees every death and return, and
-  mean OK latency after the last node fault clears is back within
-  ``DEFAULT_RECOVERY_TOLERANCE`` × the mean before the first onset;
+* no partial response, and mean OK latency after the last node fault
+  clears is back within ``DEFAULT_RECOVERY_TOLERANCE`` × the mean
+  before the first onset;
 * the run's own bookkeeping is gated like the single-box soak's time
   physics: every arrival leaves a record, no response takes negative
   time and every requested key is either served or reported failed — a
@@ -37,8 +37,8 @@ node's GPU caches, and a heal refills them in hotness-ordered blocks
 that spend only idle link time — the bytes show up as
 ``rebalance_bytes`` (and the ``cluster.rebalance.bytes`` counter).
 Every node runs an anti-entropy scrubber plus a read guard (so bit-rot
-chaos can never serve a corrupt value), and a node-lifecycle watchdog
-steers the front-end's routing while a node is RECOVERING.
+chaos can never serve a corrupt value), and while a reachable node's
+refill is in flight the front-end sends it only keys already re-staged.
 :class:`NodeLifecycle` is the one place a node's death and heal are
 acted on.
 """
@@ -67,7 +67,7 @@ from repro.faults.spec import (
     HealthView,
 )
 from repro.obs import get_registry
-from repro.repair import CacheScrubber, NodeWatchdog, StagedRecovery
+from repro.repair import CacheScrubber, StagedRecovery
 from repro.serve.request import RequestStatus
 from repro.serve.soak import (
     DEFAULT_RECOVERY_TOLERANCE,
@@ -120,20 +120,19 @@ class NodeLifecycle:
     """What happens to each node's GPU caches as the fault plan kills and
     heals it — the one way a cluster node fails.
 
-    Attaches a :class:`NodeWatchdog` to the front-end and a
-    :class:`CacheScrubber` (read guard included) to every node.  A death
-    *drops* the node's GPU caches; a heal refills them as a
-    :class:`StagedRecovery` of hotness-ordered blocks that spends only
+    Attaches a :class:`CacheScrubber` (read guard included) to every
+    node.  A death *drops* the node's GPU caches; a heal refills them as
+    a :class:`StagedRecovery` of hotness-ordered blocks that spends only
     idle link time; a death mid-refill folds the refill's remainder into
-    the next one.  A partitioned node keeps its caches.  :meth:`step`
-    once per request, :meth:`finish` once after the last.
+    the next one.  A partitioned node keeps its caches.  The front-end's
+    :attr:`~repro.cluster.frontend.ClusterFrontend.refilling` holds the
+    refills in flight on reachable nodes, which route by them.
+    :meth:`step` once per request, :meth:`finish` once after the last.
     """
 
     def __init__(self, frontend: ClusterFrontend, hotness: np.ndarray) -> None:
         self.frontend = frontend
         self.hotness = hotness
-        self.watchdog = NodeWatchdog(sorted(frontend.nodes))
-        frontend.watchdog = self.watchdog
         self.scrubbers: dict[int, CacheScrubber] = {}
         for node_id, node in frontend.nodes.items():
             self.scrubbers[node_id] = CacheScrubber(node.cache, node=node_id)
@@ -146,25 +145,15 @@ class NodeLifecycle:
         self._lost: dict[int, Placement] = {}
         self._refills: dict[int, _Refill] = {}
 
-    @property
-    def recovering(self) -> bool:
-        """Whether a staged refill is in flight."""
-        return bool(self._refills)
-
     def _account(self, grant) -> None:
         self.restage_bytes += grant.bytes
         self.restage_blocks += grant.blocks
 
-    def _observe(self, t: float, health: HealthView) -> None:
-        self.watchdog.observe(
-            t, health, self.frontend.breakers.states(),
-            {n: s.quarantine_depth for n, s in self.scrubbers.items()},
-        )
-
     def step(self, t: float, health: HealthView, idle_seconds: float) -> None:
         """Apply the deaths and heals ``health`` shows at ``t``, spend
         ``idle_seconds`` more link time on every refill in flight, tick
-        the scrubbers and the watchdog."""
+        the scrubbers, and hand the front-end the refills of the nodes it
+        can reach."""
         for node_id in sorted(health.down_nodes - self._prev_down):
             dropped = self.frontend.nodes[node_id].drop_gpu_caches()
             if node_id in self._refills:
@@ -188,7 +177,6 @@ class NodeLifecycle:
                 self.hotness,
             )
             self._refills[node_id] = _Refill(rec, start=t)
-            self.watchdog.attach_recovery(node_id, rec)
             logger.info(
                 "node %d healed at t=%.3g: staged refill of %d entries "
                 "in %d blocks begins",
@@ -209,7 +197,11 @@ class NodeLifecycle:
                 del self._refills[node_id]
         for scrubber in self.scrubbers.values():
             scrubber.tick(t)
-        self._observe(t, health)
+        # A partitioned node mid-refill is left out: nothing routes to it.
+        self.frontend.refilling = {
+            node_id: refill.plan for node_id, refill in self._refills.items()
+            if health.node_reachable(node_id)
+        }
 
     def finish(self, end: float) -> None:
         """Any node still down heals during the drain: its dropped caches
@@ -227,7 +219,7 @@ class NodeLifecycle:
         self._refills.clear()
         for scrubber in self.scrubbers.values():
             scrubber.scrub_all()
-        self._observe(end, HEALTHY)
+        self.frontend.refilling = {}
 
 
 @dataclass
@@ -264,9 +256,8 @@ class ClusterSection(Section):
     """The cluster tier: its shape, the replica-node hedges, failovers,
     the RPC tier's counts, goodput through the node-fault and post-heal
     recovery windows, the re-staged bytes, requests per node, the corrupt
-    rows served, the scrubbers' totals, the watchdog's transitions against
-    the plan's node deaths, and OK latency during and after the node
-    faults."""
+    rows served, the scrubbers' totals, and OK latency during and after
+    the node faults."""
 
     nodes: int
     replication: int
@@ -299,8 +290,6 @@ class ClusterSection(Section):
     scrub_mismatches: int
     scrub_repaired: int
     scrub_read_repairs: int
-    watchdog_transitions: int
-    node_deaths: int
     #: mean OK latency of the arrivals from the first node-fault onset to
     #: the last clear, then of those after it, over the mean of those
     #: before the onset; 1.0 for a phase with no OK arrival.
@@ -314,7 +303,6 @@ class ClusterSection(Section):
             and self.recovery_goodput_ratio >= RECOVERY_GOODPUT_FLOOR
             and self.corrupt_values_served == 0
             and self.partial_responses == 0
-            and self.watchdog_transitions >= 2 * self.node_deaths
             and self.cleared_latency_ratio <= DEFAULT_RECOVERY_TOLERANCE
         )
 
@@ -341,9 +329,7 @@ class ClusterSection(Section):
             f"  scrubbing     {self.scrub_scanned_slots} slots scanned, "
             f"{self.scrub_mismatches} mismatches, "
             f"{self.scrub_repaired} repaired, "
-            f"{self.scrub_read_repairs} read-guard patches, "
-            f"{self.watchdog_transitions} watchdog transitions for "
-            f"{self.node_deaths} node deaths",
+            f"{self.scrub_read_repairs} read-guard patches",
         ]
 
 
@@ -583,8 +569,6 @@ class ClusterSoak:
             scrub_mismatches=sum(s.mismatches_total for s in scrubbers),
             scrub_repaired=sum(s.repaired_total for s in scrubbers),
             scrub_read_repairs=sum(s.read_repairs_total for s in scrubbers),
-            watchdog_transitions=len(lifecycle.watchdog.transitions),
-            node_deaths=sum(f.kind is FaultKind.NODE_DOWN for f in self.plan or ()),
             fault_latency_ratio=fault_latency,
             cleared_latency_ratio=cleared_latency,
         )

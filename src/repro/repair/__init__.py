@@ -1,7 +1,6 @@
-"""Self-healing subsystem: anti-entropy scrubbing, staged recovery, and
-the node-lifecycle watchdog.
+"""Self-healing subsystem: anti-entropy scrubbing and staged recovery.
 
-Three cooperating parts keep the cluster's caches true and its heals
+Two cooperating parts keep the cluster's caches true and its heals
 cheap:
 
 * :mod:`repro.repair.scrub` — find silent corruption (checksum
@@ -9,21 +8,16 @@ cheap:
   from the cheapest intact replica;
 * :mod:`repro.repair.restage` — refill a healed node's caches in
   hotness order under an idle-link-time budget instead of one burst;
-* :mod:`repro.repair.watchdog` — fuse breakers, scrub findings, and the
-  health view into one healthy → suspect → ejected → recovering →
-  healthy lifecycle the frontend routes by.
+  while a refill is in flight the frontend routes the node's
+  un-restaged keys to replica owners.
 """
 
 from repro.repair.restage import RestageGrant, StagedRecovery
 from repro.repair.scrub import CacheScrubber, ScrubTick
-from repro.repair.watchdog import STATE_CODE, NodeState, NodeWatchdog
 
 __all__ = [
     "CacheScrubber",
-    "NodeState",
-    "NodeWatchdog",
     "RestageGrant",
-    "STATE_CODE",
     "ScrubTick",
     "StagedRecovery",
 ]

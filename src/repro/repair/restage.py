@@ -80,7 +80,7 @@ class StagedRecovery:
         ]
         self._next_block = 0
         # Shard keys not yet back on a GPU: the frontend keeps routing
-        # them to replica owners while the watchdog says RECOVERING.
+        # them to replica owners while the refill is in flight.
         self._pending = np.zeros(self._cache.num_entries, dtype=bool)
         self._pending[entries] = True
         #: staged block entry-arrays in stage order (the test log).

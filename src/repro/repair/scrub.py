@@ -97,7 +97,7 @@ class CacheScrubber:
     # ------------------------------------------------------------------
     @property
     def quarantine_depth(self) -> int:
-        """Slots detected rotten and not yet repaired (watchdog signal)."""
+        """Slots detected rotten and not yet repaired."""
         return len(self._quarantined)
 
     # ------------------------------------------------------------------
@@ -171,13 +171,6 @@ class CacheScrubber:
             reg.gauge("repair.scrub.quarantine_depth", **self._labels).set(
                 self.quarantine_depth
             )
-
-    def drain(self) -> int:
-        """Repair every quarantined slot, budget-free; returns repairs."""
-        tick = ScrubTick()
-        with self._cache.writing():
-            self._repair_some_locked(None, tick)
-        return tick.repaired
 
     # ------------------------------------------------------------------
     # Read-path guard

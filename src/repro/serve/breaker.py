@@ -270,6 +270,3 @@ class BreakerBoard:
             for s, b in self._breakers.items()
             if b.transitions
         }
-
-    def states(self) -> dict[int, BreakerState]:
-        return {s: b.state for s, b in self._breakers.items()}

@@ -6,8 +6,9 @@ optionally under a :class:`~repro.faults.spec.FaultPlan`, with hot policy
 swaps landed mid-run.  It reports goodput, shed rate, breaker state
 transitions, and p50/p99/p999 latency.  Every fault drill is a soak row:
 a box run with a fault plan reports a :class:`FaultSection`, whose gate
-is the probe latency after the final drain against the one before the
-first arrival, and on a bit-rot plan that the scrubber saw rot at all.
+is the probe latency after the final drain against a freshly filled,
+never-faulted cache holding the run's final placement, and on a bit-rot
+plan that the scrubber saw rot at all.
 
 A soak is a harness object — :class:`BoxSoak` here, the cluster soak's
 beside it — that :func:`drive` feeds through the one traffic loop,
@@ -53,7 +54,7 @@ from repro.faults.spec import (
     FaultSpec,
 )
 from repro.hardware.platform import Platform
-from repro.obs import get_registry
+from repro.obs import MetricsRegistry, get_registry, use_registry
 from repro.repair import CacheScrubber
 from repro.serve.breaker import BreakerConfig
 from repro.serve.coalesce import (
@@ -487,8 +488,9 @@ class FaultSection(Section):
     bit-rot plan the rot its scrubber and read guard caught."""
 
     #: the probe keys' serving latency after the final drain over the one
-    #: before the first arrival; None on a drift run, whose placement
-    #: moves on purpose (absent from the JSON).
+    #: of a freshly filled, never-faulted cache holding the final
+    #: placement (:meth:`BoxSoak.healthy_probe`); None on a drift run,
+    #: whose placement moves on purpose (absent from the JSON).
     probe_ratio: float | None
     bit_rot: bool
     #: rotten slots the scrub found plus rotten rows the read guard patched.
@@ -506,7 +508,7 @@ class FaultSection(Section):
         recovered = (
             "unjudged (a drift run moves its placement)"
             if self.probe_ratio is None
-            else f"{self.probe_ratio:.2f}x pre-fault after the drain "
+            else f"{self.probe_ratio:.2f}x healthy after the drain "
             f"(gate {DEFAULT_RECOVERY_TOLERANCE:.2f}x)"
         )
         rot = (
@@ -781,19 +783,25 @@ def build_stack(cfg: SoakConfig, platform: Platform,
         placement = hot_replicate_warm_partition_policy(
             hotness, capacity, platform.num_gpus, 0.5
         )
-        # On a tiered platform the backing chain is ranked by the same
-        # hotness the GPU policy sees: the hot head that misses the GPU
-        # tier lands in DRAM, the cold tail sinks to CXL/SSD.
-        # Arenas sized to the capacity, not to the opening placement: a
-        # later swap may fill a GPU this placement leaves short.
-        cache = MultiGpuEmbeddingCache(
-            platform,
-            table,
-            placement,
-            capacity_entries=capacity,
-            tier_hotness=hotness if platform.num_tiers > 1 else None,
-        )
+        cache = fill_cache(platform, table, placement, capacity, hotness)
     return Stack(platform, table, pmf, hotness, capacity, cache)
+
+
+def fill_cache(platform: Platform, table: np.ndarray, placement,
+               capacity: int, hotness: np.ndarray) -> MultiGpuEmbeddingCache:
+    """A freshly filled cache holding ``placement``."""
+    # On a tiered platform the backing chain is ranked by the same
+    # hotness the GPU policy sees: the hot head that misses the GPU
+    # tier lands in DRAM, the cold tail sinks to CXL/SSD.
+    # Arenas sized to the capacity, not to the opening placement: a
+    # later swap may fill a GPU this placement leaves short.
+    return MultiGpuEmbeddingCache(
+        platform,
+        table,
+        placement,
+        capacity_entries=capacity,
+        tier_hotness=hotness if platform.num_tiers > 1 else None,
+    )
 
 
 def _drifted_hotness(hotness: np.ndarray, rng) -> np.ndarray:
@@ -975,12 +983,6 @@ class BoxSoak:
         if cfg.adapt:
             self._build_adapter()
         self.probe_keys = [self.draw(probe_rng) for _ in range(G)]
-        # The recovery gate's baseline, before the first arrival; a drift
-        # run moves its placement on purpose, so it is not judged.
-        self.probe_before = (
-            self.runtime.probe(self.probe_keys, 0.0)
-            if self.plan is not None and self.schedule is None else None
-        )
 
         self._build_traffic(arrival_rng)
 
@@ -1159,6 +1161,18 @@ class BoxSoak:
         self.serve_until(g, math.inf)
         return free_at[g]
 
+    def healthy_probe(self) -> float:
+        """The probe keys' latency on a freshly filled, never-faulted cache
+        holding the run's *final* placement: what a recovered run comes
+        back to, landed swaps included.  Priced off the run's books."""
+        fresh = FactoredExtractor(fill_cache(
+            self.platform, self.table, self.cache.placement, self.capacity,
+            self.hotness,
+        ))
+        with use_registry(MetricsRegistry("healthy-probe", enabled=False)):
+            return max(fresh.price(g, keys).time
+                       for g, keys in enumerate(self.probe_keys))
+
     def finish(self, offered: int) -> None:
         """After the last arrival: land the swaps still due, drain every
         queue, probe for the recovery gate, scrub, and check the run's
@@ -1167,10 +1181,13 @@ class BoxSoak:
         for t_swap in self.swap_times:
             self.attempt_swap(t_swap)
         self.drain_all(self.duration)
-        if self.probe_before is not None:
-            self.probe_after = self.runtime.probe(
-                self.probe_keys, max(self.free_at)
-            )
+        # The recovery gate; a drift run moves its placement on purpose,
+        # so it is not judged.
+        self.probe_ratio = (
+            self.runtime.probe(self.probe_keys, max(self.free_at))
+            / self.healthy_probe()
+            if self.plan is not None and self.schedule is None else None
+        )
         self.scrub_all()
         responses = self.runtime.responses
         self.violations = self.cache.verify_integrity() + check_time_physics(
@@ -1229,10 +1246,7 @@ class BoxSoak:
             return None
         scrubber = self.scrubber
         return FaultSection(
-            probe_ratio=(
-                None if self.probe_before is None
-                else self.probe_after / self.probe_before
-            ),
+            probe_ratio=self.probe_ratio,
             bit_rot=scrubber is not None,
             rot_detected=(
                 scrubber.mismatches_total + scrubber.read_repairs_total

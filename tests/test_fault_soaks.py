@@ -1,7 +1,8 @@
 """Every single-box fault drill is a soak row: the GPU, link and bit-rot
 rows run through :class:`BoxSoak` and ``drive``, and the report's
 ``faults`` section gates recovery by the probe latency after the final
-drain against the one before the first arrival.
+drain against a freshly filled, never-faulted cache holding the run's
+final placement.
 
 Node faults are cluster soaks (``tests/test_cluster.py``).  The solver
 timeout and the interrupted refresh are drilled where they live:
@@ -145,6 +146,14 @@ class TestRecoveryGate:
         assert section(probe_ratio=None).ok
         assert "unjudged" in section(probe_ratio=None).lines()[0]
 
+    @pytest.mark.parametrize("row", ["dgx_a100_partial_failure", *ROWS])
+    def test_a_recovered_row_reads_one_after_its_swap_landed(self, driven, row):
+        """The baseline holds the placement the swap landed, so the swap's
+        own latency change is not charged to the fault."""
+        _, report = driven[row] if row in driven else _drive(scenario=row)
+        assert report.box.swaps_landed >= 1
+        assert report.faults.probe_ratio == 1.0
+
     def test_a_gpu_failure_that_never_clears_fails_it(self, stuck_gpu):
         _, report = _drive(scenario="gpu-failure")
         assert report.integrity_failures == 0
@@ -180,6 +189,12 @@ class TestSoakCli:
         assert main(["soak", "--quick", "--scenario", "gpu-failure"]) == 0
         out = capsys.readouterr().out
         assert "gpu-failure (PASS)" in out and "\n  faults " in out
+
+    def test_the_default_soak_passes(self, capsys):
+        """``python -m repro soak``: the default-size, eight-GPU
+        partial-failure row, whose swap lands mid-run."""
+        assert main(["soak", "--seed", "0"]) == 0
+        assert "dgx_a100_partial_failure (PASS)" in capsys.readouterr().out
 
     def test_json_out_on_passing_run(self, tmp_path, capsys):
         path = tmp_path / "soak.json"

@@ -328,7 +328,6 @@ CONSTANTS = {
     "repro.cluster.node": dict(REPLICATE_FRACTION=0.5),
     "repro.repair.scrub": dict(
         SCAN_BYTES_PER_TICK=16 * 1024, REPAIR_BYTES_PER_TICK=16 * 1024),
-    "repro.repair.watchdog": dict(SUSPECT_QUARANTINE_DEPTH=1),
     "repro.repair.restage": dict(CHUNK_ENTRIES=256),
     "repro.dlr.models": dict(MLP_LAYERS=6, MLP_WIDTH=512),
     "repro.dlr.nn": dict(

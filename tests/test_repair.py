@@ -1,4 +1,4 @@
-"""Self-healing layer: anti-entropy scrubbing, staged recovery, watchdog.
+"""Self-healing layer: anti-entropy scrubbing and staged recovery.
 
 The invariants pinned here are the repair subsystem's contract:
 
@@ -9,8 +9,8 @@ The invariants pinned here are the repair subsystem's contract:
   repair lands);
 * staged recovery re-stages every lost ``(gpu, entry)`` pair exactly
   once, in non-increasing hotness block order;
-* the node-lifecycle watchdog walks healthy → suspect → ejected →
-  recovering → healthy off its three fused signals.
+* the front-end routes by the refills in flight on the nodes it can
+  reach, and by nothing once they finish.
 """
 
 from __future__ import annotations
@@ -31,14 +31,8 @@ from repro.core.policy import hot_replicate_warm_partition_policy
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import HEALTHY, FaultKind, FaultPlan, FaultSpec
 from repro.hardware.platform import HOST, server_a
-from repro.repair import (
-    CacheScrubber,
-    NodeState,
-    NodeWatchdog,
-    StagedRecovery,
-)
+from repro.repair import CacheScrubber, StagedRecovery
 from repro.repair import restage
-from repro.serve.breaker import BreakerState
 from repro.utils.rng import make_rng
 from repro.utils.stats import zipf_pmf
 
@@ -269,62 +263,48 @@ class TestStagedRecovery:
         assert sum(len(i) for i in rem.per_gpu) == rec.remaining_entries
 
 
-class TestWatchdog:
-    def _observe(self, dog, now, health, breaker=None, depth=None):
-        return dog.observe(
-            now, health, breaker_states=breaker, quarantine_depth=depth
-        )
-
-    def test_full_lifecycle(self):
-        dog = NodeWatchdog([0, 1])
-        self._observe(dog, 0.0, HEALTHY)
-        assert dog.states() == {0: NodeState.HEALTHY, 1: NodeState.HEALTHY}
-
-        down = replace(HEALTHY, down_nodes=frozenset({1}))
-        self._observe(dog, 1.0, down)
-        assert dog.state(1) is NodeState.EJECTED
-
-        rec = SimpleNamespace(done=False, restaged_keys=lambda k: k)
-        dog.attach_recovery(1, rec)
-        self._observe(dog, 2.0, HEALTHY)
-        assert dog.state(1) is NodeState.RECOVERING
-        assert dog.active_recoveries() == [(1, rec)]
-
-        rec.done = True
-        self._observe(dog, 3.0, HEALTHY)
-        assert dog.state(1) is NodeState.HEALTHY
-        kinds = [(tr.node, tr.old, tr.new) for tr in dog.transitions]
-        assert (1, NodeState.HEALTHY, NodeState.EJECTED) in kinds
-        assert (1, NodeState.EJECTED, NodeState.RECOVERING) in kinds
-        assert (1, NodeState.RECOVERING, NodeState.HEALTHY) in kinds
-
-    def test_breaker_and_quarantine_signals(self):
-        dog = NodeWatchdog([0])
-        self._observe(dog, 0.0, HEALTHY, breaker={0: BreakerState.OPEN})
-        assert dog.state(0) is NodeState.EJECTED
-        self._observe(dog, 1.0, HEALTHY, breaker={0: BreakerState.HALF_OPEN})
-        assert dog.state(0) is NodeState.SUSPECT
-        self._observe(dog, 2.0, HEALTHY, breaker={0: BreakerState.CLOSED})
-        assert dog.state(0) is NodeState.HEALTHY
-        self._observe(dog, 3.0, HEALTHY, depth={0: 3})
-        assert dog.state(0) is NodeState.SUSPECT
-        self._observe(dog, 4.0, HEALTHY, depth={0: 0})
-        assert dog.state(0) is NodeState.HEALTHY
-
-    def test_config_validation(self):
-        from repro.repair import watchdog
-
-        # one outstanding quarantine is the least that can mean anything
-        assert watchdog.SUSPECT_QUARANTINE_DEPTH >= 1
-        with pytest.raises(TypeError):
-            NodeWatchdog([0], config=None)
-
-
 class TestNodeLifecycle:
+    def test_the_refill_map_follows_heal_partition_and_finish(self):
+        """A healed node's plan is in ``frontend.refilling`` while it is
+        reachable and refilling: absent while partitioned mid-refill, gone
+        once the refill is done, and the map is empty after ``finish``."""
+        from repro.cluster.soak import ClusterSoak
+        from repro.serve.soak import SoakConfig
+
+        soak = ClusterSoak(SoakConfig.quick(
+            seed=0, scenario="steady", nodes=3, replication=2
+        ))
+        lifecycle, frontend = soak.lifecycle, soak.frontend
+        down = lambda *n: replace(HEALTHY, down_nodes=frozenset(n))  # noqa: E731
+        cut = replace(HEALTHY, partitioned_nodes=frozenset({1}))
+
+        lifecycle.step(0.0, HEALTHY, idle_seconds=0.0)
+        assert frontend.refilling == {}
+        lifecycle.step(1.0, down(1), idle_seconds=0.0)
+        assert frontend.refilling == {}
+        lifecycle.step(2.0, HEALTHY, idle_seconds=0.0)
+        (plan,) = frontend.refilling.values()
+        assert list(frontend.refilling) == [1] and not plan.done
+        lifecycle.step(3.0, cut, idle_seconds=0.0)
+        assert frontend.refilling == {}
+        lifecycle.step(4.0, HEALTHY, idle_seconds=0.0)
+        assert frontend.refilling == {1: plan}
+        lifecycle.step(5.0, HEALTHY, idle_seconds=1e9)
+        assert plan.done and frontend.refilling == {}
+
+        lifecycle.step(6.0, down(2), idle_seconds=0.0)
+        lifecycle.step(7.0, HEALTHY, idle_seconds=0.0)
+        assert list(frontend.refilling) == [2]
+        lifecycle.finish(8.0)
+        assert frontend.refilling == {}
+        assert lifecycle.recovery_windows == [(2.0, 5.0), (7.0, 8.0)]
+
     def test_heal_storm_transitions_as_recorded(self):
         """The one lifecycle object walks the heal-storm soak's staggered
         deaths as recorded (quick, 3 nodes, R=2, seed 0, open loop; times
-        as fractions of the run, the last two at the end of the drain)."""
+        as fractions of the run): node 1 refills from its first heal until
+        it dies again, node 2 and node 1's second refill until the end of
+        the drain."""
         from repro.cluster.soak import ClusterSoak
         from repro.serve.soak import SoakConfig, drive
 
@@ -334,29 +314,16 @@ class TestNodeLifecycle:
         report = drive(soak)
         lifecycle = soak.lifecycle
         assert report.ok
-        assert [
-            (round(t.at / soak.duration, 3), t.node, t.old.value, t.new.value)
-            for t in lifecycle.watchdog.transitions[:6]
-        ] == [
-            (0.253, 1, "healthy", "ejected"),
-            (0.402, 1, "ejected", "recovering"),
-            (0.454, 2, "healthy", "ejected"),
-            (0.600, 2, "ejected", "recovering"),
-            (0.651, 1, "recovering", "ejected"),
-            (0.806, 1, "ejected", "recovering"),
+        windows = lifecycle.recovery_windows
+        # node 1's first refill (cut short by its second death), then the
+        # two refills the drain finished: node 2's and node 1's second
+        assert [round(a / soak.duration, 3) for a, _ in windows] == [
+            0.402, 0.600, 0.806,
         ]
-        assert [
-            (t.at, t.node, t.old.value, t.new.value)
-            for t in lifecycle.watchdog.transitions[6:]
-        ] == [
-            (soak.sim_end, 1, "recovering", "healthy"),
-            (soak.sim_end, 2, "recovering", "healthy"),
-        ]
+        assert round(windows[0][1] / soak.duration, 3) == 0.651
+        assert [b for _, b in windows[1:]] == [soak.sim_end] * 2
         assert lifecycle.restage_blocks == report.cluster.restage_blocks == 13
-        # node 1's first refill (cut short by its second death) and the two
-        # refills the drain finished
-        assert len(lifecycle.recovery_windows) == 3
-        assert not lifecycle.recovering
+        assert soak.frontend.refilling == {}
 
 
 class TestBitRotFault:

@@ -253,8 +253,8 @@ class TestBreakerIntegration:
             runtime = ServingRuntime(extractor)
             request = runtime.make_request(0, _keys(), now=0.0)
             runtime.serve_request(request, now=0.0)
-            states = runtime.breakers.states()
-        assert all(s.value == "closed" for s in states.values())
+            states = [b.state for b in runtime.breakers]
+        assert all(s.value == "closed" for s in states)
         assert registry.value("serve.requests", status="ok") == 1.0
 
     def test_source_timeout_counts_as_failure(self):

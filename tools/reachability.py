@@ -69,7 +69,6 @@ KEEP: dict[str, tuple[str, str]] = {
         "fault", "and restores the snapshotted routes"),
     "repro.faults.degrade:reroute_demand": (
         "fault", "a batch simulator's demand under an unhealthy view"),
-    "repro.repair.scrub:CacheScrubber.drain": ("fault", "repair every quarantine"),
     "repro.core.solver:_cached_compatible": ("fault", "fallback chain's last-good check"),
     "repro.serve.queueing:BoundedRequestQueue._pump_blocked": (
         "fault", "backpressure: producers parked behind a full queue (no CLI flag fills it)"),
