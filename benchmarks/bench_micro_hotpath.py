@@ -371,7 +371,7 @@ def _bench_write_path(rng) -> dict:
     A step evicts and inserts ``step`` entries each on a 100 k x 32 store
     (timed there and back, so every repeat starts from the same store);
     ``remove_batch`` deletes 4096 of 20 k keys from a fresh table each
-    repeat; LP assembly is ``solve_policy`` with ``linprog`` answering from
+    repeat; LP assembly is ``solve_policy`` with ``milp`` answering from
     its first (real) solve, i.e. everything but the solve, and ``highs_s``
     is that first solve.  The rebuild is ``resolve_sources`` over that LP's
     realized placement, timed beside the float-argmin resolve it replaced
@@ -413,7 +413,7 @@ def _bench_write_path(rng) -> dict:
 
     config = SolverConfig(time_limit=10.0, coarse_block_frac=0.02)
     lps, rebuilds = [], []
-    real_linprog = scipy.optimize.linprog
+    real_milp = scipy.optimize.milp
     for make_platform, entries, alpha, batch_keys, ratio in LP_SHAPES:
         platform = make_platform()
         hotness = zipf_pmf(entries, alpha)[rng.permutation(entries)] * batch_keys
@@ -423,16 +423,16 @@ def _bench_write_path(rng) -> dict:
         def solve_once(*a, **kw):  # same LP every call, so same answer
             if not answer:
                 start = time.perf_counter()
-                answer.append(real_linprog(*a, **kw))
+                answer.append(real_milp(*a, **kw))
                 highs.append(time.perf_counter() - start)
             return answer[0]
 
-        scipy.optimize.linprog = solve_once
+        scipy.optimize.milp = solve_once
         try:
             policy = solve_policy(*args)
             assembly = _best_of(lambda: solve_policy(*args), repeats=3)
         finally:
-            scipy.optimize.linprog = real_linprog
+            scipy.optimize.milp = real_milp
         lps.append(
             {
                 "platform": platform.name,

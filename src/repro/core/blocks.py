@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.arrays import sorted_unique
+from repro.utils.arrays import runs, sorted_unique
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,8 @@ def build_blocks(
     hotness = np.asarray(hotness, dtype=np.float64)
     if hotness.ndim != 1 or hotness.size == 0:
         raise ValueError("hotness must be a non-empty 1-D array")
+    if not np.isfinite(hotness).all():
+        raise ValueError("hotness must be finite")
     if (hotness < 0).any():
         raise ValueError("hotness must be non-negative")
     if num_gpus <= 0:
@@ -102,8 +104,13 @@ def build_blocks(
         raise ValueError("coarse_frac must be in (0, 1]")
 
     n = hotness.size
-    order = np.argsort(-hotness, kind="stable")
+    # Without an exact tie the order is unique, so numpy's default (SIMD)
+    # argsort gives the stable order bit for bit, at a fraction of its cost.
+    order = np.argsort(-hotness)
     sorted_hot = hotness[order]
+    if (sorted_hot[1:] == sorted_hot[:-1]).any():
+        order = np.argsort(-hotness, kind="stable")
+        sorted_hot = hotness[order]
 
     # Log-scale levels relative to the hottest entry.  Zero-hotness entries
     # (never accessed during profiling) form their own bottom level.
@@ -119,27 +126,24 @@ def build_blocks(
         )
 
     coarse_cap = max(1, int(np.ceil(coarse_frac * n)))
-    offsets = [0]
-    hotness_sums = []
     # A level is a run of equal values along the sorted order.
-    cuts = (np.flatnonzero(levels[1:] != levels[:-1]) + 1).tolist()
-    for start, stop in zip([0] + cuts, cuts + [n]):
-        size = stop - start
-        # Fine split: at least num_gpus blocks per level, and respect the
-        # coarse cap.  ceil division keeps pieces near-equal.
-        pieces = max(num_gpus, -(-size // coarse_cap))
-        pieces = min(pieces, size)
-        bounds = np.linspace(start, stop, pieces + 1).round().astype(np.int64)
-        bounds = sorted_unique(bounds)
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            offsets.append(int(hi))
-            # numpy's pairwise sum, per block: H_b feeds the LP, and
-            # reduceat rounds differently.
-            hotness_sums.append(sorted_hot[lo:hi].sum())
+    start = np.flatnonzero(np.diff(levels, prepend=-1))
+    size = np.diff(start, append=n)
+    # Fine split: at least num_gpus blocks per level, and respect the
+    # coarse cap.  ceil division keeps pieces near-equal.
+    pieces = np.minimum(np.maximum(num_gpus, -(-size // coarse_cap)), size)
+    # Every level's ``np.linspace(start, stop, pieces + 1)`` at once, term
+    # for term ``k·step + start`` (its last term rounds to ``stop``).
+    level, k = runs(pieces + 1)
+    bounds = k * (size / pieces)[level] + start[level]
+    offsets = sorted_unique(bounds.round().astype(np.int64))
+    # numpy's pairwise sum, per block: H_b feeds the LP, and reduceat
+    # rounds differently.
+    hotness_sums = [sorted_hot[lo:hi].sum() for lo, hi in zip(offsets[:-1], offsets[1:])]
 
     return BlockSet(
         order=order,
-        offsets=np.asarray(offsets, dtype=np.int64),
+        offsets=offsets,
         hotness_sum=np.asarray(hotness_sums, dtype=np.float64),
         num_entries=n,
     )

@@ -44,7 +44,7 @@ from repro.core.tiers import assign_backing_tiers
 from repro.hardware.platform import Platform
 from repro.obs import get_registry
 from repro.sim.mechanisms import core_dedication
-from repro.utils.arrays import sorted_unique
+from repro.utils.arrays import runs, sorted_unique
 from repro.utils.logging import get_logger
 from repro.utils.retry import Deadline, RetriesExhausted, RetryPolicy, retry_call
 
@@ -172,28 +172,34 @@ class SolvedPolicy:
         in order of hotness held; a tiny block whose one non-local read
         alone exceeds ``z`` goes to every GPU (DESIGN.md §4)."""
         num_gpus = self.storage.shape[1]
-        load = np.zeros(num_gpus)
-        holders, dealt = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-        for b in range(self.blocks.num_blocks):
-            entries = self.blocks.entries(b)
-            m = len(entries)
-            heat = self.blocks.hotness_sum[b] / m
-            mass = float(np.clip(self.storage[b], 0.0, 1.0).sum()) * m
-            if m >= num_gpus:
-                copies = int(round(mass))
-            elif heat * self.symmetric_read_cost > self.est_time:
-                copies = num_gpus * m
-            else:
-                copies = int(np.ceil(mass - 1e-6))
-            copies = min(copies, num_gpus * m)
-            if copies <= 0:
-                continue
-            share, extra = divmod(copies, m)
-            dealt.append(np.repeat(entries, share + (np.arange(m) < extra)))
-            holder = np.argsort(load, kind="stable")[np.arange(copies) % num_gpus]
-            load += np.bincount(holder, minlength=num_gpus) * heat
-            holders.append(holder)
-        holder, entry = np.concatenate(holders), np.concatenate(dealt)
+        sizes = self.blocks.sizes
+        heat = self.blocks.hotness_sum / sizes
+        mass = np.clip(self.storage, 0.0, 1.0).sum(axis=1) * sizes
+        tiny = np.where(heat * self.symmetric_read_cost > self.est_time,
+                        num_gpus * sizes, np.ceil(mass - 1e-6))
+        copies = np.minimum(np.where(sizes >= num_gpus, np.round(mass), tiny),
+                            num_gpus * sizes).astype(np.int64)
+        live = np.flatnonzero(copies > 0)
+        sizes, copies = sizes[live], copies[live]
+        # The greedy part: copy k of a block goes to its rank[k % G], the
+        # GPUs ranked by hotness held so far (ties by id: ``sorted`` is
+        # stable).
+        load, ranks = [0.0] * num_gpus, []
+        for c, h in zip(copies.tolist(), heat[live].tolist()):
+            rank = sorted(range(num_gpus), key=load.__getitem__)
+            share, extra = divmod(c, num_gpus)
+            for position, gpu in enumerate(rank):
+                load[gpu] += (share + (position < extra)) * h
+            ranks.append(rank)
+        # The block's entries are dealt hottest first, ``copies // size``
+        # copies each plus one for the first ``copies % size``.
+        block, copy = runs(copies)
+        holder = np.array(ranks, dtype=np.int64).ravel()[
+            block * num_gpus + copy % num_gpus]
+        share, extra = np.divmod(copies, sizes)
+        block, position = runs(sizes)
+        entries = self.blocks.order[self.blocks.offsets[live][block] + position]
+        entry = np.repeat(entries, share[block] + (position < extra[block]))
         return [[entry[holder == j]] for j in range(num_gpus)]
 
     def access_volume_fractions(self, dst: int) -> dict[int, float]:
@@ -260,7 +266,7 @@ def solve_policy(
     """
     # Here, not at module level: importers that never solve skip HiGHS.
     from scipy import sparse
-    from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+    from scipy.optimize import Bounds, LinearConstraint, milp
 
     config = config or SolverConfig()
     hotness = np.asarray(hotness, dtype=np.float64)
@@ -328,20 +334,10 @@ def solve_policy(
     w = weights_h[:, None] * pair_cost[rep][None, :]  # (B, P)
     r = pair_r[rep] * mult  # R_{i←j}, once per pair the column stands for
 
-    # Σ_j a[b,i,j] = 1 for every (b, i): row b·Gq + i.
-    num_eq = B * Gq
-    A_eq = sparse.coo_matrix(
-        (
-            np.tile(mult, B),
-            ((np.arange(B)[:, None] * Gq + col_dst).ravel(), a_ids.ravel()),
-        ),
-        shape=(num_eq, num_vars),
-    ).tocsc()
-    b_eq = np.ones(num_eq)
-
-    # The inequality families, each one (rows, cols, vals) triple of
-    # arrays stacked in this order; ``.tocsc()`` canonicalises the COO, so
-    # the emission order within a family is free.
+    # One (rows, cols, vals) triple per constraint family, the ≤ rows first
+    # and the = rows after them: HiGHS's vertex depends on the row order,
+    # and every recorded policy was solved in this one.  ``.tocsc()``
+    # canonicalises the COO, so the emission order within a family is free.
     gpu_pairs = np.flatnonzero(~backed)
     num_couple = B * len(gpu_pairs)
     couple_rows = np.arange(num_couple)
@@ -350,6 +346,7 @@ def solve_policy(
     conserve0 = ragged0 + P
     order0 = conserve0 + Gq
     num_ub = order0 + Gq
+    num_rows = num_ub + B * Gq
     per_pair_cols = a_ids.T.ravel()  # every a[·,p], pair-major
     families = [
         # a[b,i,j] - s[b,j] ≤ 0 for GPU sources (including j == i).
@@ -366,13 +363,16 @@ def solve_policy(
         # t_i - z ≤ 0.
         (order0 + np.arange(Gq), t_ids, np.ones(Gq)),
         (order0 + np.arange(Gq), np.full(Gq, z0), -np.ones(Gq)),
+        # Σ_j a[b,i,j] = 1 for every (b, i): row num_ub + b·Gq + i.
+        (num_ub + (np.arange(B)[:, None] * Gq + col_dst).ravel(), a_ids.ravel(),
+         np.tile(mult, B)),
     ]
-    ub_rows, ub_cols, ub_vals = (np.concatenate(part) for part in zip(*families))
-    A_ub = sparse.coo_matrix(
-        (ub_vals, (ub_rows, ub_cols)), shape=(num_ub, num_vars)
-    ).tocsc()
-    b_ub = np.zeros(num_ub)
-    b_ub[cap0:ragged0] = [caps[g] for g in rep_gpus]
+    rows, cols, vals = (np.concatenate(part) for part in zip(*families))
+    A = sparse.coo_matrix((vals, (rows, cols)), shape=(num_rows, num_vars)).tocsc()
+    row_lower = np.full(num_rows, -np.inf)
+    row_upper = np.zeros(num_rows)
+    row_upper[cap0:ragged0] = [caps[g] for g in rep_gpus]
+    row_lower[num_ub:] = row_upper[num_ub:] = 1.0
 
     c = np.zeros(num_vars)
     c[z0] = 1.0
@@ -404,30 +404,18 @@ def solve_policy(
         reg.histogram("solver.build.seconds").observe(start - build_start)
         reg.gauge("solver.num_blocks").set(B)
         reg.gauge("solver.num_variables").set(num_vars)
-        reg.gauge("solver.num_constraints").set(num_ub + num_eq)
+        reg.gauge("solver.num_constraints").set(num_rows)
+    integrality = None
     if config.integral:
         integrality = np.zeros(num_vars)
         integrality[: num_a + num_s] = 1
-        res = milp(
-            c=c,
-            constraints=[
-                LinearConstraint(A_ub, -np.inf, b_ub),
-                LinearConstraint(A_eq, b_eq, b_eq),
-            ],
-            bounds=Bounds(lower, upper),
-            integrality=integrality,
-            options={"time_limit": config.time_limit},
-        )
-    else:
-        res = linprog(
-            c,
-            A_ub=A_ub,
-            b_ub=b_ub,
-            A_eq=A_eq,
-            b_eq=b_eq,
-            bounds=np.column_stack([lower, upper]),
-            options={"time_limit": config.time_limit},
-        )
+    res = milp(
+        c=c,
+        constraints=LinearConstraint(A, row_lower, row_upper),
+        bounds=Bounds(lower, upper),
+        integrality=integrality,
+        options={"time_limit": config.time_limit},
+    )
     elapsed = _time.perf_counter() - start
     reg.histogram("solver.solve.seconds").observe(elapsed)
     if res.status != 0 or res.x is None:
@@ -436,13 +424,13 @@ def solve_policy(
         if res.status == 1:  # HiGHS iteration/time-limit status
             reg.counter("solver.timeouts").inc()
             raise PolicySolveTimeout(
-                f"policy solve hit its {config.time_limit:.1f}s budget: {res.message}"
+                f"policy solve hit its {config.time_limit:g}s budget: {res.message}"
             )
         raise PolicySolveError(f"policy solve failed: {res.message}")
     reg.counter("solver.solves").inc()
     logger.debug(
         "solved %s: %d blocks, %d vars, %d constraints in %.2fs (z=%.3e s)",
-        platform.name, B, num_vars, num_ub + num_eq, elapsed, float(res.x[z0]),
+        platform.name, B, num_vars, num_rows, elapsed, float(res.x[z0]),
     )
 
     # Expand to every GPU and pair: each takes its orbit's value.
@@ -461,7 +449,7 @@ def solve_policy(
         solve_seconds=elapsed,
         capacities=tuple(caps),
         num_variables=num_vars,
-        num_constraints=num_ub + num_eq,
+        num_constraints=num_rows,
         symmetric_read_cost=float(pair_cost[(pair_dst == 0) & (pair_src != 0)].min())
         if symmetric else None,
     )

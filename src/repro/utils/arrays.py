@@ -13,3 +13,10 @@ def sorted_unique(ids) -> np.ndarray:
     keep[:1] = True
     np.not_equal(ids[1:], ids[:-1], out=keep[1:])
     return ids[keep]
+
+
+def runs(counts) -> tuple[np.ndarray, np.ndarray]:
+    """Items laid out as runs of ``counts[r]`` each, end to end: every
+    item's run and its index within that run."""
+    run = np.repeat(np.arange(len(counts)), counts)
+    return run, np.arange(len(run)) - (np.cumsum(counts) - counts)[run]

@@ -77,6 +77,14 @@ class TestBuildBlocks:
         with pytest.raises(ValueError):
             build_blocks(np.ones(10), 4, coarse_frac=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_hotness(self, bad):
+        # Refused up front, not by HiGHS's input check on the block sums.
+        hot = zipf_pmf(100, 1.0)
+        hot[37] = bad
+        with pytest.raises(ValueError, match="hotness must be finite"):
+            build_blocks(hot, 4)
+
 
 class TestUniformBlocks:
     def test_equal_sizes(self):

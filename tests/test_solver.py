@@ -10,6 +10,7 @@ from repro.core.evaluate import evaluate_placement, hit_rates
 from repro.core.policy import partition_policy, replication_policy
 from repro.core.solver import (
     PolicySolveError,
+    PolicySolveTimeout,
     SolverConfig,
     dedication_ratios,
     gpu_symmetric,
@@ -195,6 +196,16 @@ class TestIntegralMode:
         assert integral.est_time >= relaxed.est_time - 1e-12
 
 
+class TestTimeLimit:
+    @pytest.mark.parametrize("integral", [False, True])
+    def test_a_real_highs_time_limit_raises_timeout(self, integral):
+        # No injected fake: HiGHS itself stops at the budget.
+        hot = zipf_pmf(1000, 1.1) * 1000
+        config = SolverConfig(time_limit=1e-6, integral=integral, coarse_block_frac=0.05)
+        with pytest.raises(PolicySolveTimeout, match="its 1e-06s budget"):
+            solve_policy(server_b(), hot, 100, ENTRY_BYTES, config=config)
+
+
 class TestSolvedPolicyAccessors:
     def test_access_volume_fractions_sum_to_one(self, platform_a, hot1000):
         solved = solve_policy(platform_a, hot1000, 100, ENTRY_BYTES)
@@ -331,8 +342,6 @@ class TestFallbackChain:
 
     @staticmethod
     def _timed_out(*_args, **_kwargs):
-        from repro.core.solver import PolicySolveTimeout
-
         raise PolicySolveTimeout("injected timeout")
 
     def test_milp_success_is_remembered(self, platform_a, hot1000):

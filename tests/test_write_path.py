@@ -1,10 +1,12 @@
 """The write path's batch forms against the per-entry loops they replaced.
 
-Every loop ISSUE 18 took out of ``src/`` lives on here as an oracle: the
+Every loop taken out of ``src/`` lives on here as an oracle: the
 per-entry store/arena (``LoopStore``), the nested-loop LP assembly
-(``loop_assemble``), the run-scanning ``build_blocks``, the ``setdiff1d``
-placement diff, and a dict model of the hashtable.  The batch forms must
-match them bit for bit, and refuse an invalid batch before writing.
+(``loop_assemble``), the run-scanning, stably sorted ``build_blocks``, the
+``setdiff1d`` placement diff, a dict model of the hashtable, and the
+per-block dealing of a symmetric solve (``loop_deal_copies``).  The batch
+forms must match them bit for bit, and refuse an invalid batch before
+writing.
 """
 
 import copy
@@ -29,7 +31,9 @@ from repro.core.tiers import assign_backing_tiers
 from repro.hardware.memory import OutOfDeviceMemory, SlotArena
 from repro.hardware.platform import (
     cxl_tier,
+    dgx2,
     dram_tier,
+    pcie_only,
     server_a,
     server_b,
     server_c,
@@ -448,24 +452,21 @@ class TestLpAssemblyAgainstLoop:
 
         real_linprog, real_milp = scipy.optimize.linprog, scipy.optimize.milp
 
-        def linprog(c, **kw):
-            seen.update(
-                c=c, A_ub=kw["A_ub"], b_ub=kw["b_ub"], A_eq=kw["A_eq"],
-                b_eq=kw["b_eq"], lower=kw["bounds"][:, 0], upper=kw["bounds"][:, 1],
-            )
-            return real_linprog(c, **kw)
-
         def milp(c, constraints, bounds, integrality, options):
-            ub, eq = constraints
+            # One stacked constraint: the ≤ rows (lower bound -inf), then
+            # the = rows (lower bound equal to upper bound).
+            A, lo, hi = constraints.A, constraints.lb, constraints.ub
+            num_ub = int(np.isneginf(lo).sum())
+            assert np.isneginf(lo[:num_ub]).all()
+            assert np.array_equal(lo[num_ub:], hi[num_ub:])
             seen.update(
-                c=c, A_ub=ub.A, b_ub=ub.ub, A_eq=eq.A, b_eq=eq.ub,
-                lower=bounds.lb, upper=bounds.ub, integrality=integrality,
+                c=c, A_ub=A[:num_ub], b_ub=hi[:num_ub], A_eq=A[num_ub:],
+                b_eq=hi[num_ub:], lower=bounds.lb, upper=bounds.ub,
+                integrality=integrality,
             )
-            assert (ub.lb == -np.inf).all() and np.array_equal(eq.lb, eq.ub)
             return real_milp(c=c, constraints=constraints, bounds=bounds,
                              integrality=integrality, options=options)
 
-        monkeypatch.setattr(scipy.optimize, "linprog", linprog)
         monkeypatch.setattr(scipy.optimize, "milp", milp)
         # The loop assembles the full LP: pin the trivial-group assembly.
         monkeypatch.setattr(solver_module, "gpu_symmetric", lambda *args: False)
@@ -497,6 +498,7 @@ class TestLpAssemblyAgainstLoop:
                 options={"time_limit": config.time_limit},
             )
         else:
+            assert seen["integrality"] is None
             res = real_linprog(
                 want["c"], A_ub=want["A_ub"], b_ub=want["b_ub"], A_eq=want["A_eq"],
                 b_eq=want["b_eq"],
@@ -560,6 +562,16 @@ BLOCK_CASES = {
     "fewer_entries_than_gpus": (np.array([5.0, 1.0, 0.0]), 8, 0.005),
     "shuffled": (
         np.random.default_rng(5).permutation(zipf_pmf(2500, 0.9) * 777), 8, 0.005),
+    # An exact tie (here, in "ties", "one_level" and the zero cases) sends
+    # ``build_blocks`` to its stable sort; the rest take the default one.
+    "all_equal": (np.full(1000, 0.75), 8, 0.005),
+    "integer_counts": (
+        np.floor(np.random.default_rng(6).permutation(zipf_pmf(3000, 1.1)) * 1e4),
+        4, 0.005),
+    "shuffled_zero_tail": (
+        np.random.default_rng(8).permutation(
+            np.concatenate([zipf_pmf(300, 1.2) * 50, np.zeros(900)])), 4, 0.01),
+    "single_entry": (np.array([2.5]), 4, 0.005),
 }
 
 
@@ -704,3 +716,69 @@ class TestPlacementDiffAgainstSetdiff:
             assert diff.evictions[g].dtype == evict.dtype
             assert np.array_equal(diff.evictions[g], evict)
             assert np.array_equal(diff.insertions[g], insert)
+
+
+# ----------------------------------------------------------------------
+# (f) dealing a symmetric solve
+# ----------------------------------------------------------------------
+def loop_deal_copies(self):
+    """``SolvedPolicy._deal_copies`` as it was, one block at a time."""
+    num_gpus = self.storage.shape[1]
+    load = np.zeros(num_gpus)
+    holders, dealt = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for b in range(self.blocks.num_blocks):
+        entries = self.blocks.entries(b)
+        m = len(entries)
+        heat = self.blocks.hotness_sum[b] / m
+        mass = float(np.clip(self.storage[b], 0.0, 1.0).sum()) * m
+        if m >= num_gpus:
+            copies = int(round(mass))
+        elif heat * self.symmetric_read_cost > self.est_time:
+            copies = num_gpus * m
+        else:
+            copies = int(np.ceil(mass - 1e-6))
+        copies = min(copies, num_gpus * m)
+        if copies <= 0:
+            continue
+        share, extra = divmod(copies, m)
+        dealt.append(np.repeat(entries, share + (np.arange(m) < extra)))
+        holder = np.argsort(load, kind="stable")[np.arange(copies) % num_gpus]
+        load += np.bincount(holder, minlength=num_gpus) * heat
+        holders.append(holder)
+    holder, entry = np.concatenate(holders), np.concatenate(dealt)
+    return [[entry[holder == j]] for j in range(num_gpus)]
+
+
+SYMMETRIC_PLATFORMS = {
+    "server_a": server_a,
+    "server_c": server_c,
+    "dgx2": dgx2,
+    "pcie_only": pcie_only,
+    "three_tiers": lambda: three_tier(server_a(), 3000, 128),
+}
+DEAL_HOTNESS = {
+    # A steep head: its blocks hold fewer entries than GPUs.
+    "tiny_blocks": zipf_pmf(3000, 1.6)[np.random.default_rng(1).permutation(3000)] * 8192,
+    "ties": np.floor(zipf_pmf(3000, 1.1)[np.random.default_rng(2).permutation(3000)] * 2e4),
+    "zero_tail": np.concatenate([zipf_pmf(1200, 1.1) * 4096, np.zeros(1800)]),
+}
+
+
+class TestDealAgainstLoop:
+    @pytest.mark.parametrize("platform", SYMMETRIC_PLATFORMS)
+    @pytest.mark.parametrize("hotness", DEAL_HOTNESS)
+    def test_realized_ids_equal_the_loop(self, platform, hotness, monkeypatch):
+        platform, hot = SYMMETRIC_PLATFORMS[platform](), DEAL_HOTNESS[hotness]
+        for frac in (0.02, 0.005):
+            for ratio in (0.03, 0.12, 0.3):
+                solved = solve_policy(platform, hot, int(ratio * len(hot)), 128,
+                                      SolverConfig(coarse_block_frac=frac))
+                assert solved.symmetric_read_cost is not None
+                got = solved.realize()
+                with monkeypatch.context() as patch:
+                    patch.setattr(solver_module.SolvedPolicy, "_deal_copies",
+                                  loop_deal_copies)
+                    want = solved.realize()
+                for mine, theirs in zip(got.per_gpu, want.per_gpu, strict=True):
+                    assert mine.dtype == theirs.dtype
+                    assert mine.tobytes() == theirs.tobytes(), (frac, ratio)
