@@ -31,7 +31,7 @@ from repro.core.cache import MultiGpuEmbeddingCache
 from repro.core.extractor import FactoredExtractor
 from repro.core.pipeline import ExtractionPlan, price_demand
 from repro.core.policy import Placement, hot_replicate_warm_partition_policy
-from repro.core.solver import FallbackConfig, SolverConfig, solve_sharded_policy
+from repro.core.solver import SolverConfig, solve_sharded_policy
 from repro.hardware.platform import Platform
 from repro.utils.logging import get_logger
 
@@ -89,10 +89,8 @@ class CacheNode:
         shard_hotness = np.where(self.member_mask, hotness, 0.0)
 
         if placement_mode == "solver":
-            # The node-level stage above the per-GPU MILP: mask, solve,
-            # intersect.  The last-known-good cache is disabled — nodes
-            # share a platform name and must not serve each other's
-            # shard policies.
+            # The node-level stage above the per-GPU LP: mask, solve,
+            # intersect.
             outcome = solve_sharded_policy(
                 platform,
                 hotness,
@@ -100,7 +98,6 @@ class CacheNode:
                 capacity_entries,
                 entry_bytes=table.shape[1] * table.dtype.itemsize,
                 config=SolverConfig(time_limit=10.0, coarse_block_frac=0.02),
-                fallback=FallbackConfig(deadline_seconds=10.0, use_cached=False),
             )
             placement = outcome.placement
             logger.debug(

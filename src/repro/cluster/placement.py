@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.utils.arrays import hot_order
 from repro.utils.logging import get_logger
 
 logger = get_logger("cluster.placement")
@@ -167,7 +168,7 @@ def solve_node_placement(
 
     owners = np.empty((n, replication), dtype=np.int64)
     wide_mask = np.zeros(n, dtype=bool)
-    order = np.argsort(-hotness, kind="stable")
+    order = hot_order(hotness)
     wide = int(round(WIDE_REPLICATE_FRAC * n))
     # (load, node) heap; ties resolve by node id for determinism.
     loads = [(0.0, node) for node in range(num_nodes)]

@@ -72,16 +72,12 @@ from repro.core.refresher import (
     simulate_refresh_timeline,
 )
 from repro.core.solver import (
-    FallbackConfig,
     PolicyOutcome,
     PolicySolveError,
     PolicySolveTimeout,
     SolvedPolicy,
     SolverConfig,
-    clear_policy_cache,
     dedication_ratios,
-    last_known_good,
-    remember_policy,
     solve_policy,
     solve_policy_with_fallback,
     warm_start_policy,
@@ -145,16 +141,12 @@ __all__ = [
     "Refresher",
     "RefreshTimeline",
     "simulate_refresh_timeline",
-    "FallbackConfig",
     "PolicyOutcome",
     "PolicySolveError",
     "PolicySolveTimeout",
     "SolvedPolicy",
     "SolverConfig",
-    "clear_policy_cache",
     "dedication_ratios",
-    "last_known_good",
-    "remember_policy",
     "solve_policy",
     "solve_policy_with_fallback",
     "warm_start_policy",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.arrays import runs, sorted_unique
+from repro.utils.arrays import hot_order, runs, sorted_unique
 
 
 @dataclass(frozen=True)
@@ -104,13 +104,8 @@ def build_blocks(
         raise ValueError("coarse_frac must be in (0, 1]")
 
     n = hotness.size
-    # Without an exact tie the order is unique, so numpy's default (SIMD)
-    # argsort gives the stable order bit for bit, at a fraction of its cost.
-    order = np.argsort(-hotness)
+    order = hot_order(hotness)
     sorted_hot = hotness[order]
-    if (sorted_hot[1:] == sorted_hot[:-1]).any():
-        order = np.argsort(-hotness, kind="stable")
-        sorted_hot = hotness[order]
 
     # Log-scale levels relative to the hottest entry.  Zero-hotness entries
     # (never accessed during profiling) form their own bottom level.
@@ -159,7 +154,7 @@ def build_uniform_blocks(hotness: np.ndarray, num_blocks: int) -> BlockSet:
     n = hotness.size
     if not 1 <= num_blocks <= n:
         raise ValueError(f"num_blocks must be in [1, {n}]")
-    order = np.argsort(-hotness, kind="stable")
+    order = hot_order(hotness)
     bounds = np.linspace(0, n, num_blocks + 1).round().astype(np.int64)
     bounds = sorted_unique(bounds)
     sums = np.add.reduceat(hotness[order], bounds[:-1])
@@ -179,7 +174,7 @@ def per_entry_blocks(hotness: np.ndarray) -> BlockSet:
     """
     hotness = np.asarray(hotness, dtype=np.float64)
     n = hotness.size
-    order = np.argsort(-hotness, kind="stable")
+    order = hot_order(hotness)
     return BlockSet(
         order=order,
         offsets=np.arange(n + 1, dtype=np.int64),

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core.hotness import HotnessTracker
 from repro.obs import get_registry
-from repro.utils.arrays import sorted_unique
+from repro.utils.arrays import hot_order, sorted_unique
 from repro.utils.logging import get_logger
 
 logger = get_logger("core.drift_adapt")
@@ -152,7 +152,7 @@ def _hot_heads(
     if live.shape != snapshot.shape:
         raise ValueError("live and snapshot hotness must align")
     k = max(1, int(top_frac * len(live)))
-    heads = [np.argsort(-v, kind="stable")[:k] for v in (live, snapshot)]
+    heads = [hot_order(v)[:k] for v in (live, snapshot)]
     return live, snapshot, np.concatenate(heads)
 
 

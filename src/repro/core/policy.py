@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.hardware.platform import Platform
-from repro.utils.arrays import sorted_unique
+from repro.utils.arrays import hot_order, sorted_unique
 
 
 @dataclass(frozen=True)
@@ -90,17 +90,13 @@ class Placement:
                 )
 
 
-def _hot_order(hotness: np.ndarray) -> np.ndarray:
-    return np.argsort(-np.asarray(hotness, dtype=np.float64), kind="stable")
-
-
 def replication_policy(
     hotness: np.ndarray, capacity_entries: int, num_gpus: int
 ) -> Placement:
     """Every GPU caches the globally hottest ``capacity_entries`` entries."""
     if capacity_entries < 0:
         raise ValueError("capacity must be non-negative")
-    top = _hot_order(hotness)[:capacity_entries]
+    top = hot_order(hotness)[:capacity_entries]
     return Placement(
         num_entries=len(hotness), per_gpu=tuple(top for _ in range(num_gpus))
     )
@@ -117,7 +113,7 @@ def partition_policy(
     if capacity_entries < 0:
         raise ValueError("capacity must be non-negative")
     n = len(hotness)
-    top = _hot_order(hotness)[: min(capacity_entries * num_gpus, n)]
+    top = hot_order(hotness)[: min(capacity_entries * num_gpus, n)]
     shards = tuple(top[i::num_gpus] for i in range(num_gpus))
     return Placement(num_entries=n, per_gpu=shards)
 
@@ -134,7 +130,7 @@ def clique_partition_policy(
     ``capacity × clique_size`` entries.
     """
     n = len(hotness)
-    order = _hot_order(hotness)
+    order = hot_order(hotness)
     per_gpu: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * platform.num_gpus
     for clique in platform.topology.cliques():
         top = order[: min(capacity_entries * len(clique), n)]
@@ -159,7 +155,7 @@ def hot_replicate_warm_partition_policy(
     if not 0 <= replicate_fraction <= 1:
         raise ValueError("replicate_fraction must be in [0, 1]")
     n = len(hotness)
-    order = _hot_order(hotness)
+    order = hot_order(hotness)
     rep_count = int(round(replicate_fraction * capacity_entries))
     part_per_gpu = capacity_entries - rep_count
     rep = order[: min(rep_count, n)]

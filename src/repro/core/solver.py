@@ -33,20 +33,19 @@ the symmetry.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable
+from dataclasses import dataclass, replace
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from repro.core.blocks import BlockSet, build_blocks
-from repro.core.policy import Placement, hot_replicate_warm_partition_policy
+from repro.core.policy import Placement
 from repro.core.tiers import assign_backing_tiers
 from repro.hardware.platform import Platform
 from repro.obs import get_registry
 from repro.sim.mechanisms import core_dedication
-from repro.utils.arrays import runs, sorted_unique
+from repro.utils.arrays import hot_order, runs, sorted_unique
 from repro.utils.logging import get_logger
-from repro.utils.retry import Deadline, RetriesExhausted, RetryPolicy, retry_call
 
 logger = get_logger("core.solver")
 
@@ -240,87 +239,86 @@ def dedication_ratios(platform: Platform, dst: int) -> dict[int, float]:
     return ratios
 
 
-def solve_policy(
-    platform: Platform,
-    hotness: np.ndarray,
-    capacity_entries: int | list[int],
-    entry_bytes: int,
-    config: SolverConfig | None = None,
-    blocks: BlockSet | None = None,
-) -> SolvedPolicy:
-    """Solve the UGache cache policy for one platform and workload.
+def _capacities(capacity_entries: int | list[int], num_gpus: int) -> list[int]:
+    """Per-GPU entry budgets from a scalar or a per-GPU list."""
+    if np.isscalar(capacity_entries):
+        return [int(capacity_entries)] * num_gpus
+    return [int(c) for c in capacity_entries]
 
-    Args:
-        platform: hardware model (defines ``T_{i←j}`` and connectivity).
-        hotness: per-entry expected accesses per batch per GPU.
-        capacity_entries: per-GPU entry budget (scalar or per-GPU list).
-        entry_bytes: bytes per embedding entry (dim × dtype size).
-        config: solver knobs.
-        blocks: pre-built block set (otherwise §6.3 blocking is applied).
 
-    Returns:
-        The solved (near-optimal) policy.
-
-    Raises:
-        PolicySolveError: if the LP/MILP is infeasible or the solver fails.
-    """
-    # Here, not at module level: importers that never solve skip HiGHS.
-    from scipy import sparse
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
-    config = config or SolverConfig()
-    hotness = np.asarray(hotness, dtype=np.float64)
+def _pair_terms(
+    platform: Platform, entry_bytes: int
+) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
+    """Every ``(dst, src)`` read pair of ``platform`` (unconnected GPU
+    pairs dropped, §6.2) with its ``T_{i←j}·entry_bytes`` and its
+    work-conservation core ratio ``R_{i←j}``."""
     G = platform.num_gpus
-    caps = (
-        [int(capacity_entries)] * G
-        if np.isscalar(capacity_entries)
-        else [int(c) for c in capacity_entries]
-    )
-    if len(caps) != G:
-        raise ValueError(f"need {G} capacities, got {len(caps)}")
-    if entry_bytes <= 0:
-        raise ValueError("entry_bytes must be positive")
-
-    reg = get_registry()
-    build_start = _time.perf_counter()
-    if blocks is None:
-        blocks = build_blocks(
-            hotness, num_gpus=G, coarse_frac=config.coarse_block_frac
-        )
-    B = blocks.num_blocks
-    sizes = blocks.sizes.astype(np.float64)
-    weights_h = blocks.hotness_sum  # H_b
-
-    # Enumerate (dst, src) pairs; unconnected GPU pairs are dropped (§6.2).
     pairs = [(i, j) for i in range(G) for j in platform.sources_for(i)]
-    pair_dst, pair_src = np.array(pairs).T
-    # T_{i←j}·entry_bytes and the work-conservation core ratio R_{i←j}.
-    pair_cost = np.array(
-        [platform.cost_per_byte(i, j) * entry_bytes for (i, j) in pairs]
-    )
+    cost = np.array([platform.cost_per_byte(i, j) * entry_bytes for (i, j) in pairs])
     ratios = [dedication_ratios(platform, i) for i in range(G)]
-    pair_r = np.array([ratios[i][j] for (i, j) in pairs])
+    return pairs, cost, np.array([ratios[i][j] for (i, j) in pairs])
 
-    # Index the LP by orbit of the GPU group.  Under the full symmetric
-    # group GPU 0 stands for every GPU and GPU 1 for every peer; under the
-    # trivial group every GPU and every pair is its own orbit.
-    symmetric = gpu_symmetric(platform, pairs, pair_cost, pair_r, caps, config.integral)
+
+class _Orbits(NamedTuple):
+    """The LP's index by orbit of the GPU group.  Under the full symmetric
+    group GPU 0 stands for every GPU and GPU 1 for every peer; under the
+    trivial group every GPU and every pair is its own orbit."""
+
+    symmetric: bool
+    #: ``(G,)`` orbit representative of every GPU.
+    orbit: np.ndarray
+    #: the GPUs that represent their orbit.
+    rep_gpus: np.ndarray
+    #: the pairs that stand for their orbit: the LP's ``a`` columns.
+    rep: np.ndarray
+    #: ``(P_all,)`` column of every pair.
+    col_of: np.ndarray
+    #: how many of its orbit GPU's pairs a column stands for (G - 1 peers).
+    mult: np.ndarray
+
+
+def _orbit_index(platform, pairs, cost, ratio, caps, integral) -> _Orbits:
+    G = platform.num_gpus
+    symmetric = gpu_symmetric(platform, pairs, cost, ratio, caps, integral)
     orbit = np.zeros(G, dtype=np.int64) if symmetric else np.arange(G)
     rep_gpus = np.flatnonzero(orbit == np.arange(G))
-    backed = platform.backing_mask(pair_src)
+    pair_dst, pair_src = np.array(pairs).T
     canon = np.array(pairs)
     if symmetric:
+        backed = platform.backing_mask(pair_src)
         canon[:, 0] = 0
         canon[~backed, 1] = np.where(pair_src == pair_dst, 0, 1)[~backed]
     rep = np.flatnonzero((canon == np.array(pairs)).all(axis=1))
     column = {pair: k for k, pair in enumerate(map(tuple, canon[rep].tolist()))}
     col_of = np.array([column[pair] for pair in map(tuple, canon.tolist())])
-    # How many of its orbit GPU's pairs a column stands for (G - 1 peers).
     mult = np.bincount(col_of[np.isin(pair_dst, rep_gpus)]).astype(np.float64)
-    col_dst, col_src, backed = orbit[pair_dst[rep]], pair_src[rep], backed[rep]
-    P, Gq = len(rep), len(rep_gpus)
+    return _Orbits(symmetric, orbit, rep_gpus, rep, col_of, mult)
 
-    # Variable layout: a (B*P) | s (B*Gq) | t (Gq) | z.
+
+class _LP(NamedTuple):
+    """The §6.2 LP in ``milp``'s form; variables are laid out
+    ``a (B·P) | s (B·Gq) | t (Gq) | z``."""
+
+    A: Any
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    upper: np.ndarray
+    #: ``B·P + B·Gq``: the ``a`` and ``s`` variables, binary when integral.
+    num_binary: int
+
+
+def _build_lp(platform, hotness, caps, entry_bytes, blocks, terms, orbits) -> _LP:
+    """The constraint rows and variable bounds over ``blocks``."""
+    from scipy import sparse
+
+    pairs, pair_cost, pair_r = terms
+    orbit, rep = orbits.orbit, orbits.rep
+    B, P, Gq = blocks.num_blocks, len(rep), len(orbits.rep_gpus)
+    sizes = blocks.sizes.astype(np.float64)
+    pair_dst, pair_src = np.array(pairs).T
+    col_dst, col_src = orbit[pair_dst[rep]], pair_src[rep]
+    backed = platform.backing_mask(pair_src)[rep]
+
     num_a = B * P
     num_s = B * Gq
     t0 = num_a + num_s
@@ -331,8 +329,8 @@ def solve_policy(
     t_ids = t0 + np.arange(Gq)
 
     # Column cost coefficients w[b, p] = T_{i←j} * H_b * entry_bytes.
-    w = weights_h[:, None] * pair_cost[rep][None, :]  # (B, P)
-    r = pair_r[rep] * mult  # R_{i←j}, once per pair the column stands for
+    w = blocks.hotness_sum[:, None] * pair_cost[rep][None, :]  # (B, P)
+    r = pair_r[rep] * orbits.mult  # R_{i←j}, once per pair the column stands for
 
     # One (rows, cols, vals) triple per constraint family, the ≤ rows first
     # and the = rows after them: HiGHS's vertex depends on the row order,
@@ -365,21 +363,16 @@ def solve_policy(
         (order0 + np.arange(Gq), np.full(Gq, z0), -np.ones(Gq)),
         # Σ_j a[b,i,j] = 1 for every (b, i): row num_ub + b·Gq + i.
         (num_ub + (np.arange(B)[:, None] * Gq + col_dst).ravel(), a_ids.ravel(),
-         np.tile(mult, B)),
+         np.tile(orbits.mult, B)),
     ]
     rows, cols, vals = (np.concatenate(part) for part in zip(*families))
     A = sparse.coo_matrix((vals, (rows, cols)), shape=(num_rows, num_vars)).tocsc()
     row_lower = np.full(num_rows, -np.inf)
     row_upper = np.zeros(num_rows)
-    row_upper[cap0:ragged0] = [caps[g] for g in rep_gpus]
+    row_upper[cap0:ragged0] = [caps[g] for g in orbits.rep_gpus]
     row_lower[num_ub:] = row_upper[num_ub:] = 1.0
 
-    c = np.zeros(num_vars)
-    c[z0] = 1.0
-    lower = np.zeros(num_vars)
-    upper = np.concatenate(
-        [np.ones(num_a + num_s), np.full(Gq + 1, np.inf)]
-    )
+    upper = np.concatenate([np.ones(num_a + num_s), np.full(Gq + 1, np.inf)])
     # Multi-tier backing: each entry has exactly one backing home, chosen
     # by the hotness waterfall (optimal for backing-only reads: hottest to
     # fastest).  A destination can read at most the homed fraction of a
@@ -398,21 +391,32 @@ def solve_policy(
         backing_frac = counts / sizes[:, None]
         tier = platform.tier_index(col_src[backed])
         upper[a_ids[:, backed]] = backing_frac[:, tier]
+    return _LP(A, row_lower, row_upper, upper, num_a + num_s)
 
-    start = _time.perf_counter()
-    if reg.enabled:
-        reg.histogram("solver.build.seconds").observe(start - build_start)
-        reg.gauge("solver.num_blocks").set(B)
-        reg.gauge("solver.num_variables").set(num_vars)
-        reg.gauge("solver.num_constraints").set(num_rows)
+
+def _solve_lp(lp: _LP, config: SolverConfig) -> tuple[np.ndarray, float]:
+    """The one ``milp`` call: the solution vector and the seconds it took.
+
+    Raises:
+        PolicySolveTimeout: HiGHS hit ``config.time_limit``.
+        PolicySolveError: any other failure.
+    """
+    # Here, not at module level: importers that never solve skip HiGHS.
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    reg = get_registry()
+    num_vars = lp.A.shape[1]
+    c = np.zeros(num_vars)
+    c[-1] = 1.0  # minimize z
     integrality = None
     if config.integral:
         integrality = np.zeros(num_vars)
-        integrality[: num_a + num_s] = 1
+        integrality[: lp.num_binary] = 1
+    start = _time.perf_counter()
     res = milp(
         c=c,
-        constraints=LinearConstraint(A, row_lower, row_upper),
-        bounds=Bounds(lower, upper),
+        constraints=LinearConstraint(lp.A, lp.row_lower, lp.row_upper),
+        bounds=Bounds(np.zeros(num_vars), lp.upper),
         integrality=integrality,
         options={"time_limit": config.time_limit},
     )
@@ -428,30 +432,90 @@ def solve_policy(
             )
         raise PolicySolveError(f"policy solve failed: {res.message}")
     reg.counter("solver.solves").inc()
+    return np.asarray(res.x), elapsed
+
+
+def solve_policy(
+    platform: Platform,
+    hotness: np.ndarray,
+    capacity_entries: int | list[int],
+    entry_bytes: int,
+    config: SolverConfig | None = None,
+    blocks: BlockSet | None = None,
+) -> SolvedPolicy:
+    """Solve the UGache cache policy for one platform and workload:
+    build the LP, solve it, expand the orbit solution to every GPU.
+
+    Args:
+        platform: hardware model (defines ``T_{i←j}`` and connectivity).
+        hotness: per-entry expected accesses per batch per GPU.
+        capacity_entries: per-GPU entry budget (scalar or per-GPU list).
+        entry_bytes: bytes per embedding entry (dim × dtype size).
+        config: solver knobs.
+        blocks: pre-built block set (otherwise §6.3 blocking is applied).
+
+    Returns:
+        The solved (near-optimal) policy.
+
+    Raises:
+        PolicySolveError: if the LP/MILP is infeasible or the solver fails.
+    """
+    config = config or SolverConfig()
+    hotness = np.asarray(hotness, dtype=np.float64)
+    G = platform.num_gpus
+    caps = _capacities(capacity_entries, G)
+    if len(caps) != G:
+        raise ValueError(f"need {G} capacities, got {len(caps)}")
+    if entry_bytes <= 0:
+        raise ValueError("entry_bytes must be positive")
+
+    reg = get_registry()
+    build_start = _time.perf_counter()
+    if blocks is None:
+        blocks = build_blocks(
+            hotness, num_gpus=G, coarse_frac=config.coarse_block_frac
+        )
+    terms = _pair_terms(platform, entry_bytes)
+    orbits = _orbit_index(platform, *terms, caps, config.integral)
+    lp = _build_lp(platform, hotness, caps, entry_bytes, blocks, terms, orbits)
+    num_vars, num_rows = lp.A.shape[1], lp.A.shape[0]
+    if reg.enabled:
+        reg.histogram("solver.build.seconds").observe(_time.perf_counter() - build_start)
+        reg.gauge("solver.num_blocks").set(blocks.num_blocks)
+        reg.gauge("solver.num_variables").set(num_vars)
+        reg.gauge("solver.num_constraints").set(num_rows)
+    x, elapsed = _solve_lp(lp, config)
     logger.debug(
         "solved %s: %d blocks, %d vars, %d constraints in %.2fs (z=%.3e s)",
-        platform.name, B, num_vars, num_rows, elapsed, float(res.x[z0]),
+        platform.name, blocks.num_blocks, num_vars, num_rows, elapsed, float(x[-1]),
     )
+    return _expand(platform.name, blocks, terms, orbits, caps, lp, x, elapsed)
 
-    # Expand to every GPU and pair: each takes its orbit's value.
-    x = np.asarray(res.x)
-    access = x[:num_a].reshape(B, P)[:, col_of]
-    storage = x[num_a : num_a + num_s].reshape(B, Gq)[:, orbit]
-    t = x[t0 : t0 + Gq][orbit]
+
+def _expand(platform_name, blocks, terms, orbits, caps, lp, x, elapsed) -> SolvedPolicy:
+    """The orbit solution ``x`` expanded to every GPU and pair: each takes
+    its orbit's value."""
+    pairs, pair_cost, _ = terms
+    B, P, Gq = blocks.num_blocks, len(orbits.rep), len(orbits.rep_gpus)
+    num_a = B * P
+    access = x[:num_a].reshape(B, P)[:, orbits.col_of]
+    storage = x[num_a : lp.num_binary].reshape(B, Gq)[:, orbits.orbit]
+    t = x[lp.num_binary : lp.num_binary + Gq][orbits.orbit]
+    pair_dst, pair_src = np.array(pairs).T
     return SolvedPolicy(
-        platform_name=platform.name,
+        platform_name=platform_name,
         blocks=blocks,
         storage=np.clip(storage, 0.0, 1.0),
         pairs=tuple(pairs),
         access=np.clip(access, 0.0, 1.0),
-        est_time_per_gpu=t.copy(),
-        est_time=float(x[z0]),
+        est_time_per_gpu=t,
+        est_time=float(x[-1]),
         solve_seconds=elapsed,
         capacities=tuple(caps),
-        num_variables=num_vars,
-        num_constraints=num_rows,
+        num_variables=lp.A.shape[1],
+        num_constraints=lp.A.shape[0],
         symmetric_read_cost=float(pair_cost[(pair_dst == 0) & (pair_src != 0)].min())
-        if symmetric else None,
+        if orbits.symmetric else None,
     )
 
 
@@ -470,38 +534,28 @@ def gpu_symmetric(platform, pairs, cost, ratio, caps, integral) -> bool:
 
 
 def _estimate_times_for_access(
-    platform: Platform,
+    terms: tuple[list[tuple[int, int]], np.ndarray, np.ndarray],
     hotness_sum: np.ndarray,
-    pairs: tuple[tuple[int, int], ...],
     access: np.ndarray,
-    entry_bytes: int,
 ) -> np.ndarray:
     """Per-GPU extraction-time estimate for fixed access fractions.
 
     Evaluates exactly the LP's two lower bounds — the ragged-group bound
     (slowest single source group) and the work-conservation bound
     (core-dedication-weighted sum over sources) — at the given ``access``
-    point, so a :class:`SolvedPolicy` whose fractions are *reused* under
-    new block hotness gets an estimate consistent with a fresh solve.
+    point (aligned with ``terms``' pairs, see :func:`_pair_terms`), so a
+    :class:`SolvedPolicy` whose fractions are *reused* under new block
+    hotness gets an estimate consistent with a fresh solve.
     """
-    G = platform.num_gpus
-    pair_cost = np.array(
-        [platform.cost_per_byte(i, j) * entry_bytes for (i, j) in pairs]
-    )
+    pairs, pair_cost, pair_r = terms
+    dst = np.array([i for i, _ in pairs])
+    G = int(dst.max()) + 1  # every GPU reads itself
     # per-pair load at the access point: Σ_b H_b · T_{i←j} · a[b,p].
     load = (hotness_sum[:, None] * pair_cost[None, :] * access).sum(axis=0)
-    ratios = [dedication_ratios(platform, i) for i in range(G)]
     t = np.zeros(G)
-    for p, (i, j) in enumerate(pairs):
-        t[i] = max(t[i], load[p])  # ragged-group bound
-    for i in range(G):
-        conserved = sum(
-            ratios[i][j] * load[p]
-            for p, (pi, j) in enumerate(pairs)
-            if pi == i
-        )
-        t[i] = max(t[i], conserved)  # work-conservation bound
-    return t
+    np.maximum.at(t, dst, load)  # ragged-group bound
+    # work-conservation bound, summed in pair order
+    return np.maximum(t, np.bincount(dst, weights=pair_r * load, minlength=G))
 
 
 #: A warm start is refused when the hotness profile moved further than this
@@ -510,6 +564,45 @@ def _estimate_times_for_access(
 #: this factor.
 WARM_MAX_PROFILE_SHIFT = 0.5
 WARM_GUARD_RATIO = 1.5
+
+
+def _warm_guards(terms, warm: SolvedPolicy, hotness_sum: np.ndarray):
+    """:func:`warm_start_policy`'s two guards on reusing ``warm``'s
+    fractions under the new block hotness ``hotness_sum``: the profile
+    shift, and the estimated times ``t`` at the reused fractions beside
+    the warm policy's own estimate (``baseline``).  Raises
+    :class:`PolicySolveError` when either refuses."""
+    old_total = float(warm.blocks.hotness_sum.sum())
+    new_total = float(hotness_sum.sum())
+    profile_old = warm.blocks.hotness_sum / old_total if old_total > 0 else warm.blocks.hotness_sum
+    profile_new = hotness_sum / new_total
+    profile_shift = 0.5 * float(np.abs(profile_new - profile_old).sum())
+    if profile_shift > WARM_MAX_PROFILE_SHIFT:
+        raise PolicySolveError(
+            f"warm start refused: hotness profile shifted {profile_shift:.3f} "
+            f"(> {WARM_MAX_PROFILE_SHIFT:.3f}); the distribution changed shape"
+        )
+
+    t = _estimate_times_for_access(terms, hotness_sum, warm.access)
+    # Guard against the warm policy *re-evaluated with the same bound
+    # evaluator* at the old block hotness — never against the LP's
+    # reported objective.  The LP objective lives at whatever absolute
+    # scale the hotness came in at, and for small scales sits inside the
+    # solver's feasibility tolerance (i.e. it can be optimistic), so
+    # comparing it to an exact bound evaluation would fake a blow-up.
+    # One yardstick on both sides makes a pure rank permutation score a
+    # ratio of exactly 1.0 (identical hotness profile → identical t).
+    t_warm = _estimate_times_for_access(terms, warm.blocks.hotness_sum, warm.access)
+    baseline = float(t_warm.max())
+    scale = old_total / new_total if new_total > 0 else 1.0
+    est_normalized = float(t.max()) * scale
+    if baseline > 0 and est_normalized > WARM_GUARD_RATIO * baseline:
+        raise PolicySolveError(
+            f"warm start refused: reused fractions estimate "
+            f"{est_normalized:.3e}s vs warm {baseline:.3e}s "
+            f"(> {WARM_GUARD_RATIO:.2f}x)"
+        )
+    return profile_shift, t, baseline
 
 
 def warm_start_policy(
@@ -540,42 +633,29 @@ def warm_start_policy(
       distribution (e.g. a flash crowd minting a sharper head), the
       reused fractions may be far from optimal, and a cold solve is
       warranted.
-    * **estimate blow-up** — the reused fractions' estimated time at
-      the old scale must stay within :data:`WARM_GUARD_RATIO` of the warm solve's
-      objective.
+    * **estimate blow-up** — the reused fractions' estimated time at the
+      old scale must stay within :data:`WARM_GUARD_RATIO` of the warm
+      solve's.
 
-    When a pure rank permutation drifts the hotness (profile shift 0),
-    the reused fractions remain an *optimal* LP point — the incremental
-    policy is identical in cost to a cold solve on the same snapshot.
+    A pure rank permutation (profile shift 0) keeps the reused fractions
+    an *optimal* LP point: as good as a cold solve on the same snapshot.
 
     Raises:
         PolicySolveError: when the warm policy is structurally
             incompatible with the request or a guard refuses the reuse;
-            callers fall through to the cold chain.
+            :func:`solve_policy_with_fallback` then solves cold.
     """
     start = _time.perf_counter()
     hotness = np.asarray(hotness, dtype=np.float64)
-    G = platform.num_gpus
-    caps = (
-        [int(capacity_entries)] * G
-        if np.isscalar(capacity_entries)
-        else [int(c) for c in capacity_entries]
-    )
-    if len(hotness) != warm.blocks.num_entries:
-        raise PolicySolveError(
-            f"warm start refused: entry universe changed "
-            f"({warm.blocks.num_entries} -> {len(hotness)})"
-        )
-    if caps != list(warm.capacities):
-        raise PolicySolveError(
-            f"warm start refused: capacities changed "
-            f"({list(warm.capacities)} -> {caps})"
-        )
-    if platform.name != warm.platform_name:
-        raise PolicySolveError(
-            f"warm start refused: platform changed "
-            f"({warm.platform_name!r} -> {platform.name!r})"
-        )
+    terms = _pair_terms(platform, entry_bytes)
+    for what, old, new in (
+        ("entry universe", warm.blocks.num_entries, len(hotness)),
+        ("capacities", list(warm.capacities), _capacities(capacity_entries, platform.num_gpus)),
+        ("platform", warm.platform_name, platform.name),
+        ("read pairs", warm.pairs, tuple(terms[0])),
+    ):
+        if old != new:
+            raise PolicySolveError(f"warm start refused: {what} changed ({old!r} -> {new!r})")
     if (hotness < 0).any() or hotness.sum() <= 0:
         raise PolicySolveError(
             "warm start refused: new hotness is empty or negative"
@@ -583,7 +663,7 @@ def warm_start_policy(
 
     # Same rank slices, new order: sizes are identical by construction,
     # so every capacity and coupling constraint transfers unchanged.
-    order = np.argsort(-hotness, kind="stable")
+    order = hot_order(hotness)
     offsets = warm.blocks.offsets
     hotness_sum = np.add.reduceat(hotness[order], offsets[:-1])
     blocks = BlockSet(
@@ -593,41 +673,7 @@ def warm_start_policy(
         num_entries=len(hotness),
     )
 
-    old_total = float(warm.blocks.hotness_sum.sum())
-    new_total = float(hotness_sum.sum())
-    profile_old = warm.blocks.hotness_sum / old_total if old_total > 0 else warm.blocks.hotness_sum
-    profile_new = hotness_sum / new_total
-    profile_shift = 0.5 * float(np.abs(profile_new - profile_old).sum())
-    if profile_shift > WARM_MAX_PROFILE_SHIFT:
-        raise PolicySolveError(
-            f"warm start refused: hotness profile shifted {profile_shift:.3f} "
-            f"(> {WARM_MAX_PROFILE_SHIFT:.3f}); the distribution changed shape"
-        )
-
-    t = _estimate_times_for_access(
-        platform, hotness_sum, warm.pairs, warm.access, entry_bytes
-    )
-    # Guard against the warm policy *re-evaluated with the same bound
-    # evaluator* at the old block hotness — never against the LP's
-    # reported objective.  The LP objective lives at whatever absolute
-    # scale the hotness came in at, and for small scales sits inside the
-    # solver's feasibility tolerance (i.e. it can be optimistic), so
-    # comparing it to an exact bound evaluation would fake a blow-up.
-    # One yardstick on both sides makes a pure rank permutation score a
-    # ratio of exactly 1.0 (identical hotness profile → identical t).
-    t_warm = _estimate_times_for_access(
-        platform, warm.blocks.hotness_sum, warm.pairs, warm.access, entry_bytes
-    )
-    baseline = float(t_warm.max())
-    scale = old_total / new_total if new_total > 0 else 1.0
-    est_normalized = float(t.max()) * scale
-    if baseline > 0 and est_normalized > WARM_GUARD_RATIO * baseline:
-        raise PolicySolveError(
-            f"warm start refused: reused fractions estimate "
-            f"{est_normalized:.3e}s vs warm {baseline:.3e}s "
-            f"(> {WARM_GUARD_RATIO:.2f}x)"
-        )
-
+    profile_shift, t, baseline = _warm_guards(terms, warm, hotness_sum)
     reclassed = int((blocks.block_of() != warm.blocks.block_of()).sum())
     elapsed = _time.perf_counter() - start
     reg = get_registry()
@@ -665,18 +711,17 @@ def solve_sharded_policy(
     capacity_entries: int | list[int],
     entry_bytes: int,
     config: SolverConfig | None = None,
-    fallback: "FallbackConfig | None" = None,
 ) -> "PolicyOutcome":
     """The per-GPU stage under a node-level placement (cluster tier).
 
     A cluster node owns only the shard ``member_mask`` selects; its GPUs
     should spend their capacity exclusively on that shard, but the §6
     machinery should otherwise be untouched.  So: zero the hotness of
-    every non-member entry (the MILP then has no incentive to store it),
-    run the ordinary :func:`solve_policy_with_fallback` chain, and
-    intersect the realized placement with the shard — the intersection
-    guards the capacity-surplus case where a fallback rung pads caches
-    with entries the node will never be asked for.
+    every non-member entry (the LP then gains nothing by storing it),
+    run the ordinary :func:`solve_policy_with_fallback`, and intersect the
+    realized placement with the shard — with surplus capacity the LP may
+    still store zero-hotness entries, which the node will never be asked
+    for.
     """
     hotness = np.asarray(hotness, dtype=np.float64)
     member_mask = np.asarray(member_mask, dtype=bool)
@@ -686,12 +731,7 @@ def solve_sharded_policy(
         raise ValueError("a node's shard cannot be empty")
     shard_hotness = np.where(member_mask, hotness, 0.0)
     outcome = solve_policy_with_fallback(
-        platform,
-        shard_hotness,
-        capacity_entries,
-        entry_bytes,
-        config=config,
-        fallback=fallback,
+        platform, shard_hotness, capacity_entries, entry_bytes, config=config
     )
     per_gpu = tuple(
         ids[member_mask[ids]] for ids in outcome.placement.per_gpu
@@ -699,93 +739,22 @@ def solve_sharded_policy(
     placement = Placement(
         num_entries=outcome.placement.num_entries, per_gpu=per_gpu
     )
-    return PolicyOutcome(
-        placement=placement,
-        source=outcome.source,
-        est_time=outcome.est_time,
-        elapsed=outcome.elapsed,
-        attempts=outcome.attempts,
-        solved=outcome.solved,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Fallback chain: MILP → greedy heuristic → last-known-good cached policy.
-# ---------------------------------------------------------------------------
-
-#: Last successful MILP solve per platform name — the chain's final rung.
-_LAST_KNOWN_GOOD: dict[str, SolvedPolicy] = {}
-
-
-def remember_policy(solved: SolvedPolicy) -> None:
-    """Record ``solved`` as the last-known-good policy for its platform."""
-    _LAST_KNOWN_GOOD[solved.platform_name] = solved
-
-
-def last_known_good(platform_name: str) -> SolvedPolicy | None:
-    """The most recent successful solve for ``platform_name``, if any."""
-    return _LAST_KNOWN_GOOD.get(platform_name)
-
-
-def clear_policy_cache() -> None:
-    """Forget all cached policies (test isolation)."""
-    _LAST_KNOWN_GOOD.clear()
-
-
-#: ``replicate_fraction`` candidates searched by the greedy fallback.
-GREEDY_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
-
-
-@dataclass(frozen=True)
-class FallbackConfig:
-    """Knobs of :func:`solve_policy_with_fallback`.
-
-    Attributes:
-        deadline_seconds: total wall-clock budget across all MILP attempts;
-            each attempt's HiGHS ``time_limit`` is clipped to what remains.
-        retry: backoff schedule for MILP attempts (defaults to two tries
-            with no sleep — solver failures are rarely transient, but a
-            fresh attempt with a smaller remaining budget can still finish
-            on a presolve-friendly path).
-        use_cached: consult the last-known-good registry when the MILP
-            fails (and prefer it over greedy when its estimate is better).
-    """
-
-    deadline_seconds: float = 30.0
-    retry: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(max_attempts=2, base_delay=0.0)
-    )
-    use_cached: bool = True
+    return replace(outcome, placement=placement)
 
 
 @dataclass(frozen=True)
 class PolicyOutcome:
-    """What :func:`solve_policy_with_fallback` actually delivered.
+    """What :func:`solve_policy_with_fallback` delivered.
 
-    ``source`` records which rung of the chain produced the placement:
-    ``"incremental"`` (a warm start reusing the previous solve's
-    fractions, see :func:`warm_start_policy`), ``"milp"`` (the real
-    solve), ``"greedy"``
-    (:func:`~repro.core.policy.hot_replicate_warm_partition_policy`
-    searched over replicate fractions), or ``"cached"`` (last-known-good
-    from a previous successful solve).
+    ``source`` says how: ``"incremental"`` (a warm start reusing the
+    previous solve's fractions, see :func:`warm_start_policy`) or
+    ``"milp"`` (a cold solve of the LP).
     """
 
     placement: Placement
     source: str
     est_time: float
-    elapsed: float
-    attempts: int
     solved: SolvedPolicy | None = None
-
-
-def _cached_compatible(
-    cached: SolvedPolicy, num_entries: int, caps: list[int]
-) -> bool:
-    return (
-        cached.blocks.num_entries == num_entries
-        and list(cached.capacities) == caps
-    )
 
 
 def solve_policy_with_fallback(
@@ -794,156 +763,30 @@ def solve_policy_with_fallback(
     capacity_entries: int | list[int],
     entry_bytes: int,
     config: SolverConfig | None = None,
-    fallback: FallbackConfig | None = None,
-    solve_fn: Callable[..., SolvedPolicy] = solve_policy,
-    clock: Callable[[], float] = _time.monotonic,
-    sleep: Callable[[float], None] = _time.sleep,
-    retry_rng: Any | None = None,
     warm: SolvedPolicy | None = None,
 ) -> PolicyOutcome:
-    """Solve the cache policy, degrading gracefully instead of raising.
+    """Solve the cache policy, incrementally where the drift allows.
 
-    The chain (§6 solve hardened for production):
-
-    0. **Incremental** (only with ``warm``) — :func:`warm_start_policy`
-       reuses the previous solve's storage/access fractions over the new
-       hotness order, re-placing only entries whose hotness class
-       changed.  Milliseconds instead of an LP solve; refused (falling
-       through to the cold chain) when the hotness *profile* shifted
-       more than :data:`WARM_MAX_PROFILE_SHIFT` or the reused fractions'
-       estimate blows up.
-    1. **MILP** — :func:`solve_policy` under ``fallback.retry``, with each
-       attempt's HiGHS budget clipped to the remaining wall-clock deadline.
-       Successful solves are remembered per platform.
-    2. **Greedy** — searches
-       :func:`~repro.core.policy.hot_replicate_warm_partition_policy` over
-       :data:`GREEDY_FRACTIONS`, scored by
-       :func:`~repro.core.evaluate.evaluate_placement`.
-    3. **Cached** — the last-known-good :class:`SolvedPolicy` for this
-       platform (same entry count and capacities), used when it beats the
-       greedy estimate or when greedy itself fails.
-
-    ``solve_fn``, ``clock`` and ``sleep`` are injectable so tests can force
-    timeouts deterministically, and ``retry_rng`` (a seed or numpy
-    ``Generator``) pins the retry jitter schedule for bit-reproducible
-    runs.  Raises :class:`PolicySolveError` only when every rung fails.
+    With ``warm`` (the previous solve), :func:`warm_start_policy` first
+    reuses its storage/access fractions over the new hotness order,
+    re-placing only entries whose hotness class changed: milliseconds
+    instead of an LP solve.  When it refuses (the hotness *profile*
+    shifted more than :data:`WARM_MAX_PROFILE_SHIFT`, or the reused
+    fractions' estimate blows up), or without ``warm``, the LP is solved
+    cold by :func:`solve_policy`, whose ``config.time_limit`` is the only
+    budget.  HiGHS is deterministic, so a failed solve is not retried:
+    its :class:`PolicySolveError` propagates.
     """
-    from repro.core.evaluate import evaluate_placement
-
-    config = config or SolverConfig()
-    fb = fallback or FallbackConfig()
     reg = get_registry()
-    start = clock()
-    deadline = Deadline.after(fb.deadline_seconds, clock=clock)
-    G = platform.num_gpus
-    caps = (
-        [int(capacity_entries)] * G
-        if np.isscalar(capacity_entries)
-        else [int(c) for c in capacity_entries]
-    )
-    hotness = np.asarray(hotness, dtype=np.float64)
-    attempts = 0
-
+    solved, source = None, "milp"
     if warm is not None:
         try:
-            solved = warm_start_policy(platform, hotness, caps, entry_bytes, warm)
-            remember_policy(solved)
-            reg.counter("solver.fallback.source", source="incremental").inc()
-            return PolicyOutcome(
-                placement=solved.realize(),
-                source="incremental",
-                est_time=solved.est_time,
-                elapsed=clock() - start,
-                attempts=attempts,
-                solved=solved,
-            )
+            solved = warm_start_policy(platform, hotness, capacity_entries, entry_bytes, warm)
+            source = "incremental"
         except PolicySolveError as exc:
             reg.counter("solver.warm_start.refused").inc()
-            logger.info("%s; falling through to the cold chain", exc)
-
-    def attempt() -> SolvedPolicy:
-        nonlocal attempts
-        attempts += 1
-        budget = deadline.remaining()
-        if budget <= 0:
-            raise PolicySolveTimeout("wall-clock deadline exhausted before solve")
-        cfg = replace(config, time_limit=min(config.time_limit, budget))
-        return solve_fn(platform, hotness, caps, entry_bytes, cfg)
-
-    try:
-        solved = retry_call(
-            attempt,
-            policy=fb.retry,
-            retry_on=(PolicySolveError,),
-            sleep=sleep,
-            deadline=deadline,
-            rng=retry_rng,
-        )
-        remember_policy(solved)
-        reg.counter("solver.fallback.source", source="milp").inc()
-        return PolicyOutcome(
-            placement=solved.realize(),
-            source="milp",
-            est_time=solved.est_time,
-            elapsed=clock() - start,
-            attempts=attempts,
-            solved=solved,
-        )
-    except (RetriesExhausted, PolicySolveError) as exc:
-        reg.counter("solver.fallback.engaged").inc()
-        logger.warning(
-            "MILP solve failed after %d attempt(s) (%s); "
-            "falling back to greedy policy",
-            attempts,
-            exc,
-        )
-        milp_failure = exc
-
-    cached = last_known_good(platform.name) if fb.use_cached else None
-    if cached is not None and not _cached_compatible(cached, len(hotness), caps):
-        cached = None
-
-    greedy_best: tuple[Placement, float] | None = None
-    try:
-        cap = min(caps)
-        for frac in GREEDY_FRACTIONS:
-            placement = hot_replicate_warm_partition_policy(hotness, cap, G, frac)
-            report = evaluate_placement(platform, placement, hotness, entry_bytes)
-            if greedy_best is None or report.time < greedy_best[1]:
-                greedy_best = (placement, report.time)
-    except Exception:
-        logger.exception("greedy fallback policy failed")
-        greedy_best = None
-
-    if greedy_best is not None and (
-        cached is None or greedy_best[1] <= cached.est_time
-    ):
-        reg.counter("solver.fallback.source", source="greedy").inc()
-        logger.info(
-            "serving greedy fallback policy (est %.3es)", greedy_best[1]
-        )
-        return PolicyOutcome(
-            placement=greedy_best[0],
-            source="greedy",
-            est_time=greedy_best[1],
-            elapsed=clock() - start,
-            attempts=attempts,
-        )
-    if cached is not None:
-        reg.counter("solver.fallback.source", source="cached").inc()
-        logger.info(
-            "serving last-known-good cached policy for %s (est %.3es)",
-            platform.name,
-            cached.est_time,
-        )
-        return PolicyOutcome(
-            placement=cached.realize(),
-            source="cached",
-            est_time=cached.est_time,
-            elapsed=clock() - start,
-            attempts=attempts,
-            solved=cached,
-        )
-    raise PolicySolveError(
-        "every rung of the fallback chain failed (milp, greedy, cached)"
-    ) from milp_failure
+            logger.info("%s; solving cold", exc)
+    if solved is None:
+        solved = solve_policy(platform, hotness, capacity_entries, entry_bytes, config)
+    reg.counter("solver.fallback.source", source=source).inc()
+    return PolicyOutcome(solved.realize(), source, solved.est_time, solved)

@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.core.filler import GpuCacheStore, fill_gpu
 from repro.hardware.platform import SOURCE_DTYPE, MemoryTier
+from repro.utils.arrays import hot_order
 
 __all__ = [
     "TierCapacityError",
@@ -95,8 +96,8 @@ def assign_backing_tiers(
         hotness = np.asarray(hotness, dtype=np.float64)
         if hotness.shape != (num_entries,):
             raise ValueError("hotness length must match the entry universe")
-        # Stable sort so equal-hotness entries keep id order (determinism).
-        order = np.argsort(-hotness, kind="stable")
+        # Equal-hotness entries keep id order (determinism).
+        order = hot_order(hotness)
     home = np.empty(num_entries, dtype=SOURCE_DTYPE)
     start = 0
     for k, cap in enumerate(caps):

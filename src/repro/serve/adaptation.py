@@ -11,7 +11,7 @@ warm-starting :func:`~repro.core.solver.solve_policy_with_fallback` from
 the last :class:`~repro.core.solver.SolvedPolicy` so only entries whose
 hotness class changed move — and lands the result through the existing
 :class:`~repro.serve.policy_manager.PolicyManager`
-drain → verify → p99-guardrail path.
+drain → verify → p99-guardrail path (a failed re-solve is a skip).
 
 Everything the adapter did is kept on :attr:`DriftAdapter.events` (and
 the detector's tape), which the soak report surfaces and the drift
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.drift_adapt import DriftDetector, StreamingHotnessEstimator
-from repro.core.solver import PolicyOutcome, SolvedPolicy
+from repro.core.solver import SolvedPolicy
 from repro.obs import get_registry
 from repro.serve.policy_manager import PolicyManager, SwapReport
 from repro.utils.logging import get_logger
@@ -153,6 +153,7 @@ class DriftAdapter:
             return None
 
         reg = get_registry()
+        version = self._manager.version
         self.detections += 1
         self.events.append(
             AdaptationEvent(
@@ -161,32 +162,25 @@ class DriftAdapter:
                 detail=(
                     f"jaccard={score.jaccard:.3f} corr={score.rank_corr:.3f}"
                 ),
-                version=self._manager.version,
+                version=version,
             )
         )
 
-        outcome: PolicyOutcome = self._manager.solve(
-            live, self._capacity, warm=self.warm
+        outcome, report = self._manager.resolve(
+            live, self._capacity, warm=self.warm,
+            now=now, drain=drain, probe=probe, stale_baseline=True,
         )
-        self.resolves += 1
-        if reg.enabled:
-            reg.counter("adapt.resolves", source=outcome.source).inc()
-        self.events.append(
-            AdaptationEvent(
-                at=now,
-                kind="resolve",
-                detail=outcome.source,
-                version=self._manager.version,
+        source = "failed" if outcome is None else outcome.source
+        if outcome is not None:
+            self.resolves += 1
+            if reg.enabled:
+                reg.counter("adapt.resolves", source=source).inc()
+            self.events.append(
+                AdaptationEvent(at=now, kind="resolve", detail=source, version=version)
             )
-        )
-
-        report = self._manager.swap(
-            outcome, now=now, drain=drain, probe=probe, stale_baseline=True
-        )
         if report.swapped:
             self.swaps_landed += 1
-            if outcome.solved is not None:
-                self.warm = outcome.solved
+            self.warm = outcome.solved
             # The swapped placement serves the live estimate — it is the
             # new normal the detector must measure divergence from.
             self.detector.rebase(live)
@@ -205,6 +199,6 @@ class DriftAdapter:
         )
         logger.info(
             "drift adaptation at t=%.3f: %s (%s re-solve, v%d)",
-            now, kind, outcome.source, report.version,
+            now, kind, source, report.version,
         )
         return report

@@ -1,13 +1,15 @@
 """Hot policy swap: versioned cache-policy generations with guarded rollover.
 
 The background solver periodically re-solves the cache policy under fresh
-hotness (PR 2's :func:`~repro.core.solver.solve_policy_with_fallback`).
+hotness (:func:`~repro.core.solver.solve_policy_with_fallback`).
 Landing that new placement on a *serving* cache is the dangerous part: the
 swap must not corrupt routing mid-flight, and a policy that looked better
 to the solver can still regress tail latency in practice (the estimate is
 a model; production traffic is the judge).  The :class:`PolicyManager`
 makes the rollover safe:
 
+0. **re-solve** — a re-solve that fails (a HiGHS time limit included)
+   refuses the swap: the serving generation stays, as after a rollback;
 1. **drain** — the runtime finishes in-flight batches against the old
    generation (the caller-supplied ``drain`` hook);
 2. **probe (before)** — measure serving latency under the old generation;
@@ -35,8 +37,8 @@ from repro.core.cache import MultiGpuEmbeddingCache
 from repro.core.policy import Placement
 from repro.core.refresher import Refresher
 from repro.core.solver import (
-    FallbackConfig,
     PolicyOutcome,
+    PolicySolveError,
     SolvedPolicy,
     SolverConfig,
     solve_policy_with_fallback,
@@ -55,7 +57,7 @@ class PolicyGeneration:
 
     version: int
     placement: Placement
-    #: which rung produced it: "seed", "milp", "greedy", or "cached".
+    #: what produced it: "seed", "milp", or "incremental".
     source: str
     est_time: float
     activated_at: float
@@ -106,13 +108,11 @@ class PolicyManager:
         refresher: Refresher | None = None,
         guardrail: SwapGuardrail | None = None,
         solver_config: SolverConfig | None = None,
-        fallback: FallbackConfig | None = None,
     ) -> None:
         self._cache = cache
         self._refresher = refresher or Refresher(cache)
         self.guardrail = guardrail or SwapGuardrail()
         self._solver_config = solver_config
-        self._fallback = fallback
         self._generations: list[PolicyGeneration] = [
             PolicyGeneration(
                 version=0,
@@ -148,17 +148,38 @@ class PolicyManager:
         capacity_entries: int | list[int],
         warm: SolvedPolicy | None = None,
     ) -> PolicyOutcome:
-        """Run the solver fallback chain against the cache's platform
-        (``warm``: the previous solve, for the incremental rung)."""
+        """Solve the policy for the cache's platform (``warm``: the
+        previous solve, for an incremental re-solve).  Raises
+        :class:`~repro.core.solver.PolicySolveError` when the solve fails."""
         return solve_policy_with_fallback(
             self._cache.platform,
             hotness,
             capacity_entries,
             self._cache.entry_bytes,
             config=self._solver_config,
-            fallback=self._fallback,
             warm=warm,
         )
+
+    def resolve(
+        self,
+        hotness: np.ndarray,
+        capacity_entries: int | list[int],
+        warm: SolvedPolicy | None = None,
+        **swap_args,
+    ) -> tuple[PolicyOutcome | None, SwapReport]:
+        """Re-solve under ``hotness`` and :meth:`swap` the result in
+        (``swap_args`` go to :meth:`swap`).  A failed re-solve refuses the
+        swap: the serving generation stays and the swap log records
+        ``"solve-failed"``; the outcome is then ``None``."""
+        try:
+            outcome = self.solve(hotness, capacity_entries, warm=warm)
+        except PolicySolveError as exc:
+            report = SwapReport(attempted=True, reason="solve-failed", version=self.version)
+            self.swap_log.append(report)
+            get_registry().counter("serve.policy.swaps", result="solve-failed").inc()
+            logger.warning("policy re-solve failed, v%d stays: %s", self.version, exc)
+            return None, report
+        return outcome, self.swap(outcome, **swap_args)
 
     def _rollback(self, placement: Placement, reason: str) -> int:
         """Refresh back to ``placement``; returns integrity violations."""

@@ -45,7 +45,7 @@ from repro.core.cache import MultiGpuEmbeddingCache
 from repro.core.extractor import FactoredExtractor
 from repro.core.policy import hot_replicate_warm_partition_policy
 from repro.core.refresher import RefreshConfig, Refresher
-from repro.core.solver import FallbackConfig, SolverConfig
+from repro.core.solver import SolverConfig
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import (
     NODE_FAULT_KINDS,
@@ -68,7 +68,6 @@ from repro.serve.queueing import AdmissionConfig, QueuePolicy
 from repro.serve.request import RequestStatus, check_time_physics
 from repro.serve.runtime import ServeConfig, ServingRuntime
 from repro.utils.logging import get_logger
-from repro.utils.retry import RetryPolicy
 from repro.utils.rng import make_rng, spawn_rngs
 from repro.utils.stats import choice_cdf, sample_cdf, zipf_pmf
 
@@ -1025,10 +1024,6 @@ class BoxSoak:
             refresher=Refresher(cache, RefreshConfig(update_batch_entries=1024)),
             guardrail=SwapGuardrail(p99_regression=2.0),
             solver_config=SolverConfig(time_limit=10.0, coarse_block_frac=0.02),
-            fallback=FallbackConfig(
-                deadline_seconds=10.0,
-                retry=RetryPolicy(max_attempts=2, base_delay=0.0, seed=cfg.seed),
-            ),
         )
 
     def _build_traffic(self, arrival_rng) -> None:
@@ -1120,9 +1115,9 @@ class BoxSoak:
 
     def attempt_swap(self, at: float) -> None:
         drifted = _drifted_hotness(self.hotness, self.drift_rng)
-        outcome = self.manager.solve(drifted, self.capacity)
-        report = self.manager.swap(
-            outcome,
+        _outcome, report = self.manager.resolve(
+            drifted,
+            self.capacity,
             now=at,
             drain=lambda: self.drain_for_swap(at),
             probe=lambda: self.runtime.probe(self.probe_keys, at),

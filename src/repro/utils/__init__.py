@@ -11,12 +11,7 @@ from repro.utils.units import (
 )
 from repro.utils.concurrency import ReadWriteLock
 from repro.utils.logging import get_logger
-from repro.utils.retry import (
-    Deadline,
-    RetriesExhausted,
-    RetryPolicy,
-    retry_call,
-)
+from repro.utils.retry import RetryPolicy
 from repro.utils.rng import make_rng, spawn_rngs
 from repro.utils.stats import (
     geometric_mean,
@@ -33,10 +28,7 @@ __all__ = [
     "gbps",
     "seconds_to_ms",
     "get_logger",
-    "Deadline",
-    "RetriesExhausted",
     "RetryPolicy",
-    "retry_call",
     "make_rng",
     "spawn_rngs",
     "geometric_mean",

@@ -1,16 +1,13 @@
-"""Retry, backoff, and deadline helpers for the solver fallback chain.
+"""The backoff schedule of the cluster's RPC retries (``cluster/rpc.py``).
 
-Everything here is deterministic and clock-injectable: delays come from a
-seeded RNG and ``retry_call``/:class:`Deadline` take their clock and sleep
-functions as arguments, so tests can drive retries without wall-clock time
-passing.
+Deterministic: delays come from a seeded RNG, so a schedule replays
+exactly for a given seed or generator.
 """
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from repro.utils.rng import make_rng
 
@@ -64,84 +61,3 @@ class RetryPolicy:
                 jittered *= 1.0 + self.jitter * float(rng.uniform(-1.0, 1.0))
             yield min(max(jittered, 0.0), MAX_DELAY)
             delay = min(delay * BACKOFF_MULTIPLIER, MAX_DELAY)
-
-
-@dataclass
-class Deadline:
-    """A wall-clock budget with an injectable clock.
-
-    ``Deadline.after(5.0)`` expires five seconds from now;
-    :meth:`remaining` never goes negative, so it can be handed directly to
-    solver time limits.
-    """
-
-    expires_at: float
-    clock: Callable[[], float] = _time.monotonic
-
-    @classmethod
-    def after(
-        cls, seconds: float, clock: Callable[[], float] = _time.monotonic
-    ) -> "Deadline":
-        if seconds < 0:
-            raise ValueError("deadline must be non-negative")
-        return cls(expires_at=clock() + seconds, clock=clock)
-
-    def remaining(self) -> float:
-        return max(0.0, self.expires_at - self.clock())
-
-    @property
-    def expired(self) -> bool:
-        return self.clock() >= self.expires_at
-
-
-class RetriesExhausted(RuntimeError):
-    """All attempts of :func:`retry_call` failed; ``__cause__`` is the last."""
-
-
-def retry_call(
-    fn: Callable[[], Any],
-    policy: RetryPolicy | None = None,
-    retry_on: tuple[type[BaseException], ...] = (Exception,),
-    sleep: Callable[[float], None] = _time.sleep,
-    deadline: Deadline | None = None,
-    rng: Any | None = None,
-) -> Any:
-    """Call ``fn`` until it succeeds, backing off between failures.
-
-    Args:
-        fn: zero-argument callable to retry.
-        policy: attempt count and backoff schedule.
-        retry_on: exception types that trigger a retry; anything else
-            propagates immediately.
-        sleep: sleep function (injectable for tests).
-        deadline: optional budget; once expired, no further attempts are
-            made and the last failure is re-raised.
-        rng: explicit jitter rng or seed handed to
-            :meth:`RetryPolicy.delays` (default: the policy's own seed).
-
-    Raises:
-        RetriesExhausted: when every attempt failed (chained to the last
-            failure), or the deadline expired between attempts.
-    """
-    policy = policy or RetryPolicy()
-    delays = policy.delays(rng)
-    last: BaseException | None = None
-    for attempt in range(1, policy.max_attempts + 1):
-        if deadline is not None and deadline.expired and last is not None:
-            raise RetriesExhausted(
-                f"deadline expired after {attempt - 1} attempt(s)"
-            ) from last
-        try:
-            return fn()
-        except retry_on as exc:
-            last = exc
-            if attempt == policy.max_attempts:
-                break
-            delay = next(delays, 0.0)
-            if deadline is not None:
-                delay = min(delay, deadline.remaining())
-            if delay > 0:
-                sleep(delay)
-    raise RetriesExhausted(
-        f"all {policy.max_attempts} attempt(s) failed"
-    ) from last

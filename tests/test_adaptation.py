@@ -8,7 +8,8 @@ from repro.core.cache import MultiGpuEmbeddingCache
 from repro.core.drift_adapt import DriftDetector
 from repro.core.policy import hot_replicate_warm_partition_policy
 from repro.dlr.drift import DRIFT_SCENARIOS, build_drift_schedule
-from repro.hardware.platform import server_a
+from repro.core.solver import SolverConfig
+from repro.hardware.platform import server_a, server_b
 from repro.serve import (
     DriftAdapter,
     PolicyManager,
@@ -93,8 +94,8 @@ class TestDriftDetector:
         assert set(d) == {"at", "jaccard", "rank_corr", "breached", "fired"}
 
 
-def _adapter_rig():
-    platform = server_a()
+def _adapter_rig(platform=None, solver_config=None):
+    platform = platform or server_a()
     rng = make_rng(0)
     table = rng.standard_normal((N, 8)).astype(np.float32)
     hotness = zipf_pmf(N, 1.1) * 1024
@@ -103,7 +104,7 @@ def _adapter_rig():
         hotness, cap, platform.num_gpus, 0.5
     )
     cache = MultiGpuEmbeddingCache(platform, table, placement)
-    manager = PolicyManager(cache)
+    manager = PolicyManager(cache, solver_config=solver_config)
     adapter = DriftAdapter(manager, cap, hotness)
     return adapter, manager, hotness, cap
 
@@ -152,6 +153,28 @@ class TestDriftAdapter:
         assert kinds[:3] == ["detect", "resolve", "swap"]
         # the landed swap rebased the detector and re-seeded the warm start
         assert adapter.warm is not None or adapter.events[-1].kind != "swap"
+
+    def test_a_failed_resolve_is_a_skip(self, monkeypatch):
+        """A re-solve HiGHS cannot finish (a real 1 us time limit on
+        server-b) refuses the swap: the adapter records a skip and the
+        serving generation stays."""
+        _set(monkeypatch, check_every=4, min_batches=4, hysteresis=2, decay=0.8)
+        adapter, manager, hotness, _cap = _adapter_rig(
+            server_b(), SolverConfig(time_limit=1e-6)
+        )
+        rng = np.random.default_rng(1)
+        rolled = np.roll(hotness, N // 2)
+        pmf = rolled / rolled.sum()
+        for i in range(64):
+            adapter.observe(0, rng.choice(N, size=256, p=pmf), now=float(i))
+            if adapter.maybe_adapt(float(i)) is not None:
+                break
+        assert adapter.detections == 1 and adapter.resolves == 0
+        assert [(e.kind, e.detail) for e in adapter.events[1:]] == [
+            ("skip", "solve-failed")
+        ]
+        assert manager.version == 0 and adapter.warm is None
+        assert [r.reason for r in manager.swap_log] == ["solve-failed"]
 
     def test_events_serialize(self, monkeypatch):
         _set(monkeypatch, check_every=2, min_batches=2, hysteresis=1)

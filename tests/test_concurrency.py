@@ -499,8 +499,7 @@ class TestStreamingEstimatorConcurrency:
                     platform.num_gpus, 0.5,
                 )
                 outcome = PolicyOutcome(
-                    placement=target, source="greedy", est_time=1.0,
-                    elapsed=0.0, attempts=1,
+                    placement=target, source="milp", est_time=1.0
                 )
                 report = manager.swap(outcome, now=float(k))
                 assert report.swapped

@@ -275,8 +275,6 @@ CONFIGS = [
     ("repro.core.refresher", "RefreshConfig", dict(update_batch_entries=4096)),
     ("repro.core.solver", "SolverConfig",
      dict(coarse_block_frac=0.005, integral=False, time_limit=60.0)),
-    ("repro.core.solver", "FallbackConfig",
-     dict(deadline_seconds=30.0, use_cached=True)),  # + retry
     ("repro.serve.breaker", "BreakerConfig",
      dict(failure_threshold=3, cooldown_seconds=2.0, half_open_probes=2,
           success_threshold=2)),
@@ -312,9 +310,7 @@ CONSTANTS = {
     "repro.core.refresher": dict(
         FOREGROUND_IMPACT=0.10, TRIGGER_RATIO=1.05, SOLVE_SECONDS=10.0,
         ENTRIES_PER_SECOND=200_000.0, SAMPLE_INTERVAL=0.5),
-    "repro.core.solver": dict(
-        WARM_MAX_PROFILE_SHIFT=0.5, WARM_GUARD_RATIO=1.5,
-        GREEDY_FRACTIONS=(0.0, 0.25, 0.5, 0.75, 1.0)),
+    "repro.core.solver": dict(WARM_MAX_PROFILE_SHIFT=0.5, WARM_GUARD_RATIO=1.5),
     "repro.core.drift_adapt": dict(
         TOP_FRAC=0.01, JACCARD_FLOOR=0.5, CORR_FLOOR=0.2, HYSTERESIS=2,
         COOLDOWN_CHECKS=8, MIN_BATCHES=16),
@@ -356,9 +352,10 @@ def test_surviving_defaults_and_new_constants_did_not_move():
                      for f in dataclasses.fields(cls))
     # 128 fields on 21 classes before the census; PrefetchConfig and two
     # SoakConfig fields went with the lookahead stage, two more with the
-    # repair switch, SolverConfig.method with the orbit quotient, and
-    # ChaosConfig's six with the chaos batch loop
-    assert len(CONFIGS) == 12 and total == 58
+    # repair switch, SolverConfig.method with the orbit quotient,
+    # ChaosConfig's six with the chaos batch loop, and FallbackConfig's
+    # three with the solver's retry, greedy and last-known-good rungs
+    assert len(CONFIGS) == 11 and total == 55
     _found, _callables, _experiments, fields = reachability.options(TOOL.parents[1] / "src")
     in_src = {key.split(":")[1].rsplit(".", 1)[0] for key in fields}
     assert {name for _, name, _ in CONFIGS} == {
@@ -371,8 +368,6 @@ def test_surviving_defaults_and_new_constants_did_not_move():
             assert getattr(importlib.import_module(module), constant) == value, constant
     from repro.cluster import rpc
     from repro.cluster.frontend import ClusterConfig
-    from repro.core.solver import FallbackConfig
 
     assert rpc.RETRY == RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.2)
-    assert FallbackConfig().retry == RetryPolicy(max_attempts=2, base_delay=0.0)
     assert ClusterConfig().breaker == BreakerConfig()

@@ -6,8 +6,8 @@ import pytest
 from repro.core.cache import MultiGpuEmbeddingCache
 from repro.core.policy import hot_replicate_warm_partition_policy
 from repro.core.refresher import RefreshConfig, Refresher
-from repro.core.solver import FallbackConfig, PolicyOutcome, PolicySolveTimeout
-from repro.hardware.platform import server_a
+from repro.core.solver import PolicyOutcome, SolverConfig
+from repro.hardware.platform import server_a, server_b
 from repro.obs import MetricsRegistry, use_registry
 from repro.serve import (
     SOAK_SCENARIOS,
@@ -26,8 +26,8 @@ pytestmark = pytest.mark.serve
 N = 1200
 
 
-def _manager(guardrail=None):
-    platform = server_a()
+def _manager(guardrail=None, platform=None, solver_config=None):
+    platform = platform or server_a()
     rng = make_rng(0)
     table = rng.standard_normal((N, 8)).astype(np.float32)
     hotness = zipf_pmf(N, 1.1) * 1000
@@ -40,13 +40,12 @@ def _manager(guardrail=None):
         cache,
         refresher=Refresher(cache, RefreshConfig(update_batch_entries=64)),
         guardrail=guardrail,
+        solver_config=solver_config,
     )
     target = hot_replicate_warm_partition_policy(
         hotness, cap, platform.num_gpus, 0.0
     )
-    outcome = PolicyOutcome(
-        placement=target, source="greedy", est_time=1.0, elapsed=0.0, attempts=1
-    )
+    outcome = PolicyOutcome(placement=target, source="milp", est_time=1.0)
     return cache, manager, hotness, cap, outcome
 
 
@@ -91,8 +90,7 @@ class TestPolicySwap:
         _cache, manager, _h, _cap, outcome = _manager()
         manager.swap(outcome, probe=lambda: 1.0)  # lands v1 (est 1.0)
         worse = PolicyOutcome(
-            placement=outcome.placement, source="greedy",
-            est_time=2.0, elapsed=0.0, attempts=1,
+            placement=outcome.placement, source="milp", est_time=2.0
         )
         report = manager.swap(worse)
         assert not report.swapped and report.reason == "not-better"
@@ -109,7 +107,7 @@ class TestPolicySwap:
     def test_solve_feeds_swap_end_to_end(self):
         cache, manager, hotness, cap, _outcome = _manager()
         outcome = manager.solve(hotness, cap)
-        assert outcome.source in ("milp", "greedy", "cached")
+        assert outcome.source == "milp"
         report = manager.swap(outcome, probe=lambda: 1.0)
         # the solver may or may not beat the current layout by enough to
         # move entries; either way the swap path must stay consistent.
@@ -125,32 +123,26 @@ class TestPolicySwap:
         assert registry.value("serve.policy.version") == 1.0
 
 
-class TestSolverFallbackRng:
-    def test_retry_rng_pins_jitter_schedule(self):
-        from repro.core.solver import solve_policy_with_fallback
-        from repro.utils.retry import RetryPolicy
-
-        platform = server_a()
-        hotness = zipf_pmf(400, 1.1) * 100
-        sleeps: list[float] = []
-
-        def failing(*_a, **_k):
-            raise PolicySolveTimeout("injected")
-
-        fb = FallbackConfig(
-            deadline_seconds=30.0,
-            retry=RetryPolicy(max_attempts=3, base_delay=0.1, jitter=0.5),
+class TestRefusedSwap:
+    def test_a_timed_out_resolve_keeps_the_serving_generation(self):
+        # A real HiGHS time limit on server-b, no injected fake: the
+        # re-solve fails, so the swap is refused and nothing moves.
+        cache, manager, hotness, cap, _outcome = _manager(
+            platform=server_b(), solver_config=SolverConfig(time_limit=1e-6)
         )
-        for _ in range(2):
-            batch: list[float] = []
-            solve_policy_with_fallback(
-                platform, hotness, 40, 32,
-                fallback=fb, solve_fn=failing,
-                sleep=batch.append, retry_rng=1234,
+        before_map = cache.source_map.copy()
+        registry = MetricsRegistry("t")
+        with use_registry(registry):
+            outcome, report = manager.resolve(
+                hotness, cap, probe=lambda: pytest.fail("a refused swap probes")
             )
-            sleeps.append(tuple(batch))
-        assert sleeps[0] == sleeps[1]  # same rng seed, same schedule
-        assert any(s != 0.1 for s in sleeps[0])  # jitter actually applied
+        assert outcome is None
+        assert report.reason == "solve-failed"
+        assert not report.swapped and not report.rolled_back
+        assert manager.swap_log == [report]
+        assert manager.version == 0
+        assert np.array_equal(cache.source_map, before_map)
+        assert registry.value("serve.policy.swaps", result="solve-failed") == 1
 
 
 class TestSoak:

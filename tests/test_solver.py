@@ -329,140 +329,40 @@ class TestOrbitQuotient:
         assert f"{solved.num_variables} vars" in caplog.text
 
 
-class TestFallbackChain:
-    """MILP → greedy → last-known-good, with deterministic injected clocks."""
+class TestSolveChain:
+    """Warm start, else a cold solve: the chain's only two rungs."""
 
-    @pytest.fixture(autouse=True)
-    def _fresh_registry(self):
-        from repro.core.solver import clear_policy_cache
-
-        clear_policy_cache()
-        yield
-        clear_policy_cache()
-
-    @staticmethod
-    def _timed_out(*_args, **_kwargs):
-        raise PolicySolveTimeout("injected timeout")
-
-    def test_milp_success_is_remembered(self, platform_a, hot1000):
-        from repro.core.solver import last_known_good, solve_policy_with_fallback
+    def test_cold_solve_reports_milp(self, platform_a, hot1000):
+        from repro.core.solver import solve_policy_with_fallback
 
         outcome = solve_policy_with_fallback(
             platform_a, hot1000, 100, ENTRY_BYTES
         )
         assert outcome.source == "milp"
         assert outcome.solved is not None
-        assert outcome.attempts == 1
-        assert last_known_good(platform_a.name) is not None
 
-    def test_timeout_falls_back_to_greedy_within_deadline(
-        self, platform_a, hot1000
-    ):
-        from repro.core.solver import FallbackConfig, solve_policy_with_fallback
-        from repro.utils.retry import RetryPolicy
-
-        clock = {"now": 0.0}
-
-        def fake_clock():
-            clock["now"] += 0.01  # each inspection costs 10ms of fake time
-            return clock["now"]
-
-        outcome = solve_policy_with_fallback(
-            platform_a,
-            hot1000,
-            100,
-            ENTRY_BYTES,
-            fallback=FallbackConfig(
-                deadline_seconds=30.0, retry=RetryPolicy(max_attempts=3, base_delay=0.0)
-            ),
-            solve_fn=self._timed_out,
-            clock=fake_clock,
-            sleep=lambda s: None,
-        )
-        assert outcome.source == "greedy"
-        assert outcome.attempts == 3
-        assert outcome.elapsed < 30.0
-        # The greedy placement is feasible and scored.
-        assert outcome.placement.num_entries == len(hot1000)
-        for ids in outcome.placement.per_gpu:
-            assert len(ids) <= 100
-        assert outcome.est_time > 0
-
-    def test_cached_policy_wins_when_better_than_greedy(
-        self, platform_a, hot1000
-    ):
+    def test_a_failed_cold_solve_raises(self):
+        # A real HiGHS time limit, no injected fake: nothing stands in.
         from repro.core.solver import solve_policy_with_fallback
 
-        # Seed the last-known-good registry with a real solve…
-        good = solve_policy_with_fallback(platform_a, hot1000, 100, ENTRY_BYTES)
-        assert good.source == "milp"
-        # …then break the MILP: the cached optimum beats the greedy search.
-        outcome = solve_policy_with_fallback(
-            platform_a, hot1000, 100, ENTRY_BYTES, solve_fn=self._timed_out
-        )
-        assert outcome.source == "cached"
-        assert outcome.est_time == pytest.approx(good.est_time)
-
-    def test_incompatible_cache_is_ignored(self, platform_a, hot1000):
-        from repro.core.solver import solve_policy_with_fallback
-
-        solve_policy_with_fallback(platform_a, hot1000, 100, ENTRY_BYTES)
-        # Different capacity ⇒ the remembered policy no longer applies.
-        outcome = solve_policy_with_fallback(
-            platform_a, hot1000, 120, ENTRY_BYTES, solve_fn=self._timed_out
-        )
-        assert outcome.source == "greedy"
-
-    def test_every_rung_failing_raises(self, platform_a, hot1000, monkeypatch):
-        from repro.core import solver
-        from repro.core.solver import (
-            FallbackConfig,
-            PolicySolveError,
-            solve_policy_with_fallback,
-        )
-
-        monkeypatch.setattr(solver, "GREEDY_FRACTIONS", ())
-        with pytest.raises(PolicySolveError, match="every rung"):
+        config = SolverConfig(time_limit=1e-6, coarse_block_frac=0.05)
+        with pytest.raises(PolicySolveTimeout):
             solve_policy_with_fallback(
-                platform_a,
-                hot1000,
-                100,
-                ENTRY_BYTES,
-                fallback=FallbackConfig(use_cached=False),
-                solve_fn=self._timed_out,
+                server_b(), zipf_pmf(1000, 1.1) * 1000, 100, ENTRY_BYTES, config=config
             )
 
-    def test_expired_deadline_skips_milp(self, platform_a, hot1000):
-        from repro.core.solver import FallbackConfig, solve_policy_with_fallback
-
-        clock = {"now": 0.0}
-
-        def fake_clock():
-            return clock["now"]
-
-        outcome = solve_policy_with_fallback(
-            platform_a,
-            hot1000,
-            100,
-            ENTRY_BYTES,
-            fallback=FallbackConfig(deadline_seconds=0.0),
-            solve_fn=lambda *a, **k: pytest.fail("must not solve past deadline"),
-            clock=fake_clock,
-            sleep=lambda s: None,
-        )
-        assert outcome.source == "greedy"
-
-    def test_fallback_metrics_emitted(self, platform_a, hot1000):
+    def test_source_metrics_emitted(self, platform_a, hot1000):
         from repro.core.solver import solve_policy_with_fallback
-        from repro.obs import MetricsRegistry, use_registry
 
         reg = MetricsRegistry("t")
         with use_registry(reg):
-            solve_policy_with_fallback(
-                platform_a, hot1000, 100, ENTRY_BYTES, solve_fn=self._timed_out
+            cold = solve_policy_with_fallback(platform_a, hot1000, 100, ENTRY_BYTES)
+            warm = solve_policy_with_fallback(
+                platform_a, hot1000[::-1].copy(), 100, ENTRY_BYTES, warm=cold.solved
             )
-        assert reg.value("solver.fallback.engaged") == 1
-        assert reg.value("solver.fallback.source", source="greedy") == 1
+        assert warm.source == "incremental"
+        assert reg.value("solver.fallback.source", source="milp") == 1
+        assert reg.value("solver.fallback.source", source="incremental") == 1
 
 
 class TestLazySolverImport:

@@ -3,10 +3,11 @@
 Every loop taken out of ``src/`` lives on here as an oracle: the
 per-entry store/arena (``LoopStore``), the nested-loop LP assembly
 (``loop_assemble``), the run-scanning, stably sorted ``build_blocks``, the
-``setdiff1d`` placement diff, a dict model of the hashtable, and the
-per-block dealing of a symmetric solve (``loop_deal_copies``).  The batch
-forms must match them bit for bit, and refuse an invalid batch before
-writing.
+``setdiff1d`` placement diff, a dict model of the hashtable, the
+per-block dealing of a symmetric solve (``loop_deal_copies``), the stable
+sort every hot order took, and the per-pair loop of the warm start's time
+estimate (``loop_estimate_times``).  The batch forms must match them bit
+for bit, and refuse an invalid batch before writing.
 """
 
 import copy
@@ -18,6 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from repro.cluster import placement as node_placement
+from repro.core import blocks as blocks_module
+from repro.core import drift_adapt, policy, tiers
 from repro.core.blocks import BlockSet, build_blocks
 from repro.core.cache import MultiGpuEmbeddingCache
 from repro.core.checksum import row_checksums
@@ -26,7 +30,12 @@ from repro.core.location_table import LocationTable
 from repro.core.policy import Placement
 from repro.core.refresher import RefreshConfig, Refresher
 from repro.core import solver as solver_module
-from repro.core.solver import SolverConfig, dedication_ratios, solve_policy
+from repro.core.solver import (
+    SolverConfig,
+    dedication_ratios,
+    solve_policy,
+    warm_start_policy,
+)
 from repro.core.tiers import assign_backing_tiers
 from repro.hardware.memory import OutOfDeviceMemory, SlotArena
 from repro.hardware.platform import (
@@ -40,6 +49,7 @@ from repro.hardware.platform import (
     ssd_tier,
     with_tiers,
 )
+from repro.utils.arrays import hot_order
 from repro.utils.stats import zipf_pmf
 
 N, D, CAPACITY = 60, 4, 24
@@ -782,3 +792,124 @@ class TestDealAgainstLoop:
                 for mine, theirs in zip(got.per_gpu, want.per_gpu, strict=True):
                     assert mine.dtype == theirs.dtype
                     assert mine.tobytes() == theirs.tobytes(), (frac, ratio)
+
+
+# ----------------------------------------------------------------------
+# (g) hot orders
+# ----------------------------------------------------------------------
+def stable_order(hotness):
+    return np.argsort(-np.asarray(hotness, dtype=np.float64), kind="stable")
+
+
+def bits(x):
+    """Every array in ``x`` (a dataclass, tuple or array) as raw bytes."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, (tuple, list)):
+        return tuple(bits(v) for v in x)
+    if hasattr(x, "__dataclass_fields__"):
+        return tuple(bits(getattr(x, name)) for name in x.__dataclass_fields__)
+    return x
+
+
+HOT_ORDER_CASES = {
+    **{case: hotness for case, (hotness, _g, _c) in BLOCK_CASES.items()},
+    "integer_dtype": np.random.default_rng(9).poisson(
+        zipf_pmf(2000, 1.1) * 3000).astype(np.int64),
+}
+
+
+def hot_order_sites(hotness):
+    """Each site that orders entries hottest first, as a zero-argument
+    call returning what the order decides."""
+    n, platform = len(hotness), server_a()
+    cap = max(1, n // 8)
+    store_tiers = (dram_tier(max(1, n // 3) * 128), ssd_tier(n * 128))
+    yield blocks_module, lambda: build_blocks(hotness, 4, coarse_frac=0.01)
+    yield blocks_module, lambda: blocks_module.build_uniform_blocks(hotness, min(n, 7))
+    yield blocks_module, lambda: blocks_module.per_entry_blocks(hotness)
+    yield policy, lambda: (
+        policy.replication_policy(hotness, cap, 4),
+        policy.partition_policy(hotness, cap, 4),
+        policy.clique_partition_policy(hotness, cap, platform),
+        policy.hot_replicate_warm_partition_policy(hotness, cap, 4, 0.5),
+    )
+    yield tiers, lambda: tiers.assign_backing_tiers(store_tiers, n, 128, hotness)
+    yield node_placement, lambda: node_placement.solve_node_placement(hotness, 3, 2)
+    yield drift_adapt, lambda: drift_adapt._hot_heads(hotness, hotness[::-1], 0.1)
+    if n >= 8 and np.sum(hotness) > 0:
+        warm = solve_policy(platform, hotness, cap, 128, SolverConfig(coarse_block_frac=0.05))
+        yield solver_module, lambda: warm_start_policy(
+            platform, hotness[::-1], cap, 128, warm).blocks
+
+
+class TestHotOrderAtEverySite:
+    """Every hot order is ``argsort(-h, kind="stable")`` bit for bit, also
+    where the default sort stands in for it (no exact tie)."""
+
+    @pytest.mark.parametrize("case", HOT_ORDER_CASES)
+    def test_every_site_orders_as_the_stable_sort(self, case, monkeypatch):
+        hotness = HOT_ORDER_CASES[case]
+        assert hot_order(hotness).tobytes() == stable_order(hotness).tobytes()
+        for module, site in hot_order_sites(hotness):
+            got, calls = bits(site()), []
+            with monkeypatch.context() as patch:
+                patch.setattr(module, "hot_order",
+                              lambda h: calls.append(1) or stable_order(h))
+                assert bits(site()) == got, module.__name__
+            assert calls, f"{module.__name__} orders without hot_order"
+
+
+# ----------------------------------------------------------------------
+# (h) the warm start's time estimate
+# ----------------------------------------------------------------------
+def loop_estimate_times(platform, hotness_sum, pairs, access, entry_bytes):
+    """``_estimate_times_for_access`` with one Python pass per pair."""
+    G = platform.num_gpus
+    pair_cost = np.array(
+        [platform.cost_per_byte(i, j) * entry_bytes for (i, j) in pairs]
+    )
+    # per-pair load at the access point: Σ_b H_b · T_{i←j} · a[b,p].
+    load = (hotness_sum[:, None] * pair_cost[None, :] * access).sum(axis=0)
+    ratios = [dedication_ratios(platform, i) for i in range(G)]
+    t = np.zeros(G)
+    for p, (i, j) in enumerate(pairs):
+        t[i] = max(t[i], load[p])  # ragged-group bound
+    for i in range(G):
+        conserved = sum(
+            ratios[i][j] * load[p]
+            for p, (pi, j) in enumerate(pairs)
+            if pi == i
+        )
+        t[i] = max(t[i], conserved)  # work-conservation bound
+    return t
+
+
+ESTIMATE_PLATFORMS = {
+    "server_a": server_a,
+    "server_b": server_b,
+    "server_c": server_c,
+    "dgx2": dgx2,
+    "pcie_only": pcie_only,
+    "three_tiers": lambda: three_tier(server_a(), 1500, 128),
+}
+
+
+class TestEstimateAgainstLoop:
+    @pytest.mark.parametrize("platform", ESTIMATE_PLATFORMS)
+    def test_vectorised_estimate_is_the_loop(self, platform):
+        platform = ESTIMATE_PLATFORMS[platform]()
+        hotness = zipf_pmf(1500, 1.1)[np.random.default_rng(4).permutation(1500)] * 4096
+        solved = solve_policy(platform, hotness, 150, 128,
+                              SolverConfig(coarse_block_frac=0.05))
+        terms = solver_module._pair_terms(platform, 128)
+        assert tuple(terms[0]) == solved.pairs
+        rng = np.random.default_rng(5)
+        for hotness_sum, access in (
+            (solved.blocks.hotness_sum, solved.access),
+            (rng.permutation(solved.blocks.hotness_sum), rng.random(solved.access.shape)),
+            (solved.blocks.hotness_sum, np.zeros_like(solved.access)),
+        ):
+            got = solver_module._estimate_times_for_access(terms, hotness_sum, access)
+            want = loop_estimate_times(platform, hotness_sum, solved.pairs, access, 128)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

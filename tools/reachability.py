@@ -69,7 +69,6 @@ KEEP: dict[str, tuple[str, str]] = {
         "fault", "and restores the snapshotted routes"),
     "repro.faults.degrade:reroute_demand": (
         "fault", "a batch simulator's demand under an unhealthy view"),
-    "repro.core.solver:_cached_compatible": ("fault", "fallback chain's last-good check"),
     "repro.serve.queueing:BoundedRequestQueue._pump_blocked": (
         "fault", "backpressure: producers parked behind a full queue (no CLI flag fills it)"),
     "repro.faults.degrade:DegradedPlatform.sources_for": ("fault", "degraded-mode view"),
@@ -298,12 +297,6 @@ OPTION_KEEP: dict[str, tuple[str, str]] = {
     # Fakes, pinned time and randomness, and test-sized problems.
     "repro.core.extractor:FactoredExtractor.extract.now": (
         "seam", "steps an injector's fault plan through a batch loop"),
-    "repro.core.solver:solve_policy_with_fallback.solve_fn": (
-        "seam", "fake MILP that times out or fails"),
-    "repro.core.solver:solve_policy_with_fallback.clock": ("seam", "fake monotonic clock"),
-    "repro.core.solver:solve_policy_with_fallback.sleep": ("seam", "fake sleep"),
-    "repro.core.solver:solve_policy_with_fallback.retry_rng": (
-        "seam", "pins the retry jitter schedule"),
     "repro.serve.policy_manager:PolicyManager.swap.abort": (
         "seam", "fake abort hook that interrupts the swap's refresh"),
     "repro.cli:main.argv": ("seam", "how tests drive the CLI in-process"),
@@ -330,6 +323,12 @@ OPTION_KEEP: dict[str, tuple[str, str]] = {
         "seam", "tests coarsen the LP (coarse_block_frac=0.05) to toy-table size"),
     "repro.core.location_table:LocationTable.__init__.max_offset": (
         "seam", "fault tests arm the corrupt-offset bound through it"),
+    "repro.utils.retry:RetryPolicy.max_attempts": (
+        "seam", "tests/test_retry.py draws other schedules than the RPC's"),
+    "repro.utils.retry:RetryPolicy.base_delay": (
+        "seam", "tests/test_retry.py draws other schedules than the RPC's"),
+    "repro.utils.retry:RetryPolicy.jitter": (
+        "seam", "tests/test_retry.py draws other schedules than the RPC's"),
     # ... through files this round may not edit: the golden generators and
     # tests/test_time_physics.py pass these, so the keyword has to exist.
     "repro.core.extractor:FactoredExtractor.price.health": (
