@@ -143,7 +143,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
 
     from repro.obs import MetricsRegistry, use_registry, write_json
     from repro.serve.coalesce import BatchingMode
-    from repro.serve.queueing import QueuePolicy
     from repro.serve.soak import SoakConfig, render_soak_report, run_soak
 
     overrides = dict(
@@ -151,7 +150,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         load=args.load,
         closed_loop=args.closed_loop,
         clients=args.clients,
-        queue_policy=QueuePolicy(args.queue_policy),
         batching=BatchingMode(args.batching),
         max_batch=args.max_batch,
         nodes=args.nodes,
@@ -419,9 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="closed-loop clients instead of open-loop Poisson")
     p.add_argument("--clients", type=int, default=4,
                    help="outstanding clients per GPU (closed loop)")
-    p.add_argument("--queue-policy", default="reject",
-                   choices=["block", "reject", "shed-oldest"],
-                   help="backpressure when a GPU queue fills")
     p.add_argument("--batching", default="off",
                    choices=["off", "coalesce"],
                    help="cross-request coalescing of each GPU's queue "

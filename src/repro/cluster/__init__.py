@@ -11,7 +11,7 @@ shape of HugeCTR's inference parameter server):
 * :mod:`repro.cluster.node` — one cache server: a full single-box UGache
   stack whose GPUs cache only its shard;
 * :mod:`repro.cluster.rpc` — the inter-node tier: latency/bandwidth
-  pricing, per-call timeout, seeded-jitter retry, replica hedging;
+  pricing, per-call timeout, retry, replica hedging;
 * :mod:`repro.cluster.frontend` — fan-out/gather with per-node circuit
   breakers, replica failover, host fallback, partial responses;
 * :mod:`repro.cluster.soak` — node-kill chaos with goodput gated *during*

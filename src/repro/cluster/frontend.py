@@ -12,7 +12,7 @@ Degradation ladder, per node-group — the group is admitted (ingress GPU
 picked, keys planned: :meth:`CacheNode.admit`) at most once per node it
 visits, every leg is priced off that batch and the gather executes it:
 
-1. **primary exchange** — timeout + seeded-jitter retries + a hedged
+1. **primary exchange** — timeout + a retry + a hedged
    duplicate to the next replica, priced only if the primary is still
    unresolved when the hedge would be sent
    (:func:`~repro.sim.event_sim.simulate_rpc_exchange`);
@@ -40,7 +40,6 @@ import numpy as np
 from repro.cluster.node import CacheNode
 from repro.cluster.placement import (
     NodePlacement,
-    analyze_node_loss,
     solve_node_placement,
 )
 from repro.cluster.ring import HashRing
@@ -50,7 +49,6 @@ from repro.obs import get_registry
 from repro.serve.breaker import BreakerBoard, BreakerConfig
 from repro.sim.event_sim import simulate_rpc_exchange
 from repro.utils.logging import get_logger
-from repro.utils.rng import make_rng
 
 logger = get_logger("cluster.frontend")
 
@@ -89,7 +87,7 @@ class ClusterConfig:
         placement: ``"ring"`` (consistent hashing) or ``"solver"``
             (hotness-balanced node placement above the per-GPU MILP).
         breaker: per-node circuit-breaker thresholds.
-        seed: seeds the ring's hash and the RPC retry jitter.
+        seed: seeds the ring's hash.
     """
 
     nodes: int = 3
@@ -189,7 +187,6 @@ class ClusterFrontend:
         self.breakers = BreakerBoard(
             sources=sorted(self.nodes), config=config.breaker
         )
-        self._rng = make_rng(config.seed + 101)
         #: node id → its :class:`~repro.repair.restage.StagedRecovery` in
         #: flight: such a node takes reads only for keys its refill has
         #: already re-staged; the rest keep going to replica owners until
@@ -245,9 +242,8 @@ class ClusterFrontend:
 
         hedgeable = hedge_node is not None and health.node_reachable(hedge_node)
         return simulate_rpc_exchange(
-            [profile] * rpc.RETRY.max_attempts,
+            [profile] * rpc.RETRY,
             timeout=timeout,
-            retry_delays=list(rpc.RETRY.delays(self._rng)),
             hedge_time=hedge_time if hedgeable else None,
             hedge_issue_at=rpc.HEDGE_FACTOR * leg,
         )
@@ -397,13 +393,6 @@ class ClusterFrontend:
         if resp.partial:
             reg.counter("cluster.partial_responses").inc()
         return resp
-
-    # ------------------------------------------------------------------
-    # What-if analysis
-    # ------------------------------------------------------------------
-    def what_if_node_loss(self, num_entries: int) -> list[dict]:
-        """Per-node loss impact: moved primaries, replica cover, new shares."""
-        return analyze_node_loss(self.placement, sorted(self.nodes), num_entries)
 
     def verify_integrity(self) -> list[str]:
         """Every node's cache reconciliation, concatenated."""

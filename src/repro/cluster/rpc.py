@@ -1,11 +1,10 @@
-"""Inter-node RPC model: timeout, seeded-jitter retry, replica hedging.
+"""Inter-node RPC model: timeout, retry, replica hedging.
 
 A front-end read of a remote cache node is one *exchange*: a primary
-attempt with a per-call timeout, retried on the
-:class:`~repro.utils.retry.RetryPolicy`'s seeded-jitter schedule, with an
-optional hedged duplicate sent to the next replica once the primary has
-been quiet for :data:`HEDGE_FACTOR` healthy exchange legs.  The wire itself
-is priced as one more topology tier
+attempt with a per-call timeout, retried at once up to :data:`RETRY`
+attempts in all, with an optional hedged duplicate sent to the next
+replica once the primary has been quiet for :data:`HEDGE_FACTOR` healthy
+exchange legs.  The wire itself is priced as one more topology tier
 (:func:`~repro.core.pipeline.network_transfer_seconds`), and the timeline is
 walked by :func:`~repro.sim.event_sim.simulate_rpc_exchange` — the same
 deterministic event-walking style as the hedged-extraction simulator.
@@ -27,7 +26,6 @@ import math
 
 from repro.core import pipeline
 from repro.faults.spec import HealthView
-from repro.utils.retry import RetryPolicy
 
 __all__ = ["attempt_profile", "healthy_leg"]
 
@@ -40,8 +38,8 @@ __all__ = ["attempt_profile", "healthy_leg"]
 #: declare every healthy call dead).
 TIMEOUT_FACTOR = 8.0
 HEDGE_FACTOR = 3.0
-#: Primary attempts per exchange and the jitter of the delays between them.
-RETRY = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.2)
+#: Primary attempts per exchange, the first included.
+RETRY = 2
 
 
 def healthy_leg(service_seconds: float, payload_bytes: float) -> float:

@@ -70,6 +70,7 @@ from repro.obs import get_registry
 from repro.repair import CacheScrubber, StagedRecovery
 from repro.serve.request import RequestStatus
 from repro.serve.soak import (
+    DEADLINE_FACTOR,
     DEFAULT_RECOVERY_TOLERANCE,
     Section,
     SoakConfig,
@@ -353,7 +354,7 @@ class ClusterSoak:
         leg0 = healthy_leg(
             self.s0, cfg.batch_keys * self.frontend.nodes[0].cache.entry_bytes
         )
-        self.deadline = cfg.deadline_factor * leg0
+        self.deadline = DEADLINE_FACTOR * leg0
 
         arrival_rng, self.key_rng = spawn_rngs(cfg.seed + 17, 2)
         total_requests = cfg.requests_per_gpu * cfg.nodes

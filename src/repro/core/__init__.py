@@ -65,7 +65,6 @@ from repro.core.policy import (
 )
 from repro.core.refresher import (
     RefreshConfig,
-    RefreshInterrupted,
     RefreshOutcome,
     Refresher,
     RefreshTimeline,
@@ -136,7 +135,6 @@ __all__ = [
     "partition_policy",
     "replication_policy",
     "RefreshConfig",
-    "RefreshInterrupted",
     "RefreshOutcome",
     "Refresher",
     "RefreshTimeline",

@@ -79,8 +79,8 @@ class MultiGpuEmbeddingCache:
     * *readers* — :meth:`lookup`, :meth:`host_gather`, extraction planning
       and execution (via :meth:`reading`, which
       :meth:`~repro.core.extractor.FactoredExtractor.extract` holds across
-      its plans and gathers), :meth:`verify_integrity`,
-      :meth:`snapshot_location_state` — share the routing structures;
+      its plans and gathers), :meth:`verify_integrity` — share the routing
+      structures;
     * *writers* — :meth:`replace_placement`, :meth:`refresh_source_map`,
       :meth:`restore_location_state`, and every Refresher diff step (the
       refresher wraps them in :meth:`writing`) — get exclusive access.
@@ -323,24 +323,13 @@ class MultiGpuEmbeddingCache:
         backing = None if self._chain is None else self._chain.home
         self._source_map = resolve_sources(self._platform, placement, backing=backing)
 
-    def snapshot_location_state(self) -> tuple[Placement, np.ndarray]:
-        """Copy of the current routing state: ``(placement, source_map)``.
-
-        The counterpart of :meth:`restore_location_state`; the serving
-        layer's :class:`~repro.serve.policy_manager.PolicyManager` takes
-        one before a hot policy swap so a guardrail-triggered rollback
-        has an exact pre-swap target.
-        """
-        with self._rwlock.read_locked():
-            return self._placement, self._source_map.copy()
-
     def restore_location_state(
         self, placement: Placement, source_map: np.ndarray
     ) -> None:
         """Rollback hook: restore a snapshotted placement + location table.
 
         Used by the Refresher's transactional refresh to return the cache
-        to its exact pre-refresh routing after an interrupted update (the
+        to its exact pre-refresh routing after a failed update (the
         stores must already hold ``placement``'s entries).
         """
         if placement.num_entries != self.num_entries:

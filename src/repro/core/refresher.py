@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -75,18 +74,6 @@ class RefreshOutcome:
     entries_moved: int = 0
     steps: int = 0
     estimated_duration: float = 0.0
-    interrupted: bool = False
-    rolled_back: bool = False
-
-
-class RefreshInterrupted(RuntimeError):
-    """A refresh was aborted mid-flight and rolled back.
-
-    ``outcome`` carries the rollback's :class:`RefreshOutcome`
-    (``interrupted=True, rolled_back=True``).
-    """
-
-    outcome: RefreshOutcome | None = None
 
 
 class Refresher:
@@ -106,25 +93,15 @@ class Refresher:
             return False
         return current_time / candidate_time >= TRIGGER_RATIO
 
-    def refresh(
-        self,
-        new_placement: Placement,
-        abort: Callable[[], bool] | None = None,
-    ) -> RefreshOutcome:
+    def refresh(self, new_placement: Placement) -> RefreshOutcome:
         """Incrementally move the cache to ``new_placement``.
 
         Drains :meth:`refresh_steps`; see there for the consistency and
-        rollback arguments.  When ``abort`` fires mid-refresh, the cache
-        is rolled back to its pre-refresh state and the returned outcome
-        has ``interrupted=True, rolled_back=True`` (no exception escapes).
+        rollback arguments.
         """
         outcome = RefreshOutcome(triggered=False)
-        try:
-            for outcome in self.refresh_steps(new_placement, abort=abort):
-                pass
-        except RefreshInterrupted as exc:
-            assert exc.outcome is not None
-            return exc.outcome
+        for outcome in self.refresh_steps(new_placement):
+            pass
         return outcome
 
     def _rollback(
@@ -167,11 +144,7 @@ class Refresher:
             reg.histogram("refresher.rollback.steps").observe(len(undo))
         logger.warning("refresh rolled back: %d step(s) undone", len(undo))
 
-    def refresh_steps(
-        self,
-        new_placement: Placement,
-        abort: Callable[[], bool] | None = None,
-    ):
+    def refresh_steps(self, new_placement: Placement):
         """Generator form of :meth:`refresh`: yields after every small-batch
         update step so a caller (or test) can interleave foreground lookups.
 
@@ -183,13 +156,11 @@ class Refresher:
 
         The refresh is transactional: the placement and location table are
         snapshotted up front and every applied step is recorded in an undo
-        log.  If ``abort()`` returns True between steps (refresher
-        interruption under a fault plan), or any step raises, the log is
-        replayed in reverse and the snapshot restored, leaving the cache
-        bit-identical to its pre-refresh state — verified by
-        :meth:`~repro.core.cache.MultiGpuEmbeddingCache.check_integrity`.
-        Interruption then raises :class:`RefreshInterrupted`; other
-        exceptions propagate unchanged after the rollback.
+        log.  If any step raises, the log is replayed in reverse and the
+        snapshot restored, leaving the cache bit-identical to its
+        pre-refresh state — verified by
+        :meth:`~repro.core.cache.MultiGpuEmbeddingCache.check_integrity` —
+        and the exception propagates unchanged.
         """
         cfg = self._config
         reg = get_registry()
@@ -229,10 +200,6 @@ class Refresher:
                 insert = diff.insertions[gpu]
                 cursor_e = cursor_i = 0
                 while cursor_e < len(evict) or cursor_i < len(insert):
-                    if abort is not None and abort():
-                        raise RefreshInterrupted(
-                            f"refresh aborted after {steps} step(s)"
-                        )
                     batch_e = evict[cursor_e : cursor_e + cfg.update_batch_entries]
                     batch_i = insert[cursor_i : cursor_i + cfg.update_batch_entries]
                     # Keep occupancy within capacity: evict before insert.
@@ -254,18 +221,6 @@ class Refresher:
                         steps=steps,
                         estimated_duration=0.0,
                     )
-        except RefreshInterrupted as exc:
-            self._rollback(undo, snapshot_placement, snapshot_map)
-            if reg.enabled:
-                reg.counter("refresher.interrupted").inc()
-            exc.outcome = RefreshOutcome(
-                triggered=True,
-                entries_moved=0,
-                steps=steps,
-                interrupted=True,
-                rolled_back=True,
-            )
-            raise
         except Exception:
             self._rollback(undo, snapshot_placement, snapshot_map)
             raise

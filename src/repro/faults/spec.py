@@ -4,8 +4,8 @@ and the derived :class:`HealthView` the runtime consults.
 A fault plan is pure data — which fault, where, when, how bad — so the
 same plan can drive the functional runtime (extractor rerouting), the
 analytic simulators (degraded bandwidths), and the soak scenarios.  Plans
-are deterministic by construction: anything random (which slot to corrupt,
-jittered backoff) derives from the plan's seed, never from global state.
+are deterministic by construction: anything random (which slot to corrupt)
+derives from the plan's seed, never from global state.
 """
 
 from __future__ import annotations

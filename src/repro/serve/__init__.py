@@ -28,7 +28,6 @@ from repro.serve.adaptation import (
 from repro.serve.policy_manager import (
     PolicyGeneration,
     PolicyManager,
-    SwapGuardrail,
     SwapReport,
 )
 from repro.serve.queueing import (
@@ -82,7 +81,6 @@ __all__ = [
     "ServingRuntime",
     "SoakConfig",
     "SoakReport",
-    "SwapGuardrail",
     "SwapReport",
     "build_soak_plan",
     "check_time_physics",

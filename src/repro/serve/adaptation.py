@@ -168,7 +168,7 @@ class DriftAdapter:
 
         outcome, report = self._manager.resolve(
             live, self._capacity, warm=self.warm,
-            now=now, drain=drain, probe=probe, stale_baseline=True,
+            now=now, drain=drain, probe=probe,
         )
         source = "failed" if outcome is None else outcome.source
         if outcome is not None:

@@ -15,12 +15,12 @@ makes the rollover safe:
 2. **probe (before)** — measure serving latency under the old generation;
 3. **refresh** — apply the placement diff through
    :meth:`~repro.core.refresher.Refresher.refresh`, which is transactional:
-   an abort or mid-step failure rolls the cache back bit-identically;
+   a mid-step failure rolls the cache back bit-identically and propagates;
 4. **verify** — the full
    :meth:`~repro.core.cache.MultiGpuEmbeddingCache.verify_integrity` must
    come back clean, else the swap is rolled back;
 5. **probe (after) + guardrail** — if post-swap latency regresses past
-   ``guardrail.p99_regression`` × pre-swap, the previous generation is
+   :data:`P99_REGRESSION` × pre-swap, the previous generation is
    restored (again through a transactional refresh).
 
 Every accepted generation is versioned and kept in history, so operators
@@ -29,7 +29,7 @@ can answer "which policy was serving at 14:03" from the swap log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from repro.utils.logging import get_logger
 
 logger = get_logger("serve.policy_manager")
 
-__all__ = ["PolicyGeneration", "PolicyManager", "SwapGuardrail", "SwapReport"]
+__all__ = ["PolicyGeneration", "PolicyManager", "SwapReport"]
 
 
 @dataclass(frozen=True)
@@ -63,25 +63,9 @@ class PolicyGeneration:
     activated_at: float
 
 
-@dataclass(frozen=True)
-class SwapGuardrail:
-    """Post-swap acceptance gates.
-
-    Attributes:
-        p99_regression: maximum tolerated post/pre probe-latency ratio;
-            above it the swap is rolled back.
-    """
-
-    p99_regression: float = 1.5
-
-    def __post_init__(self) -> None:
-        if self.p99_regression <= 0:
-            raise ValueError("guardrail ratio must be positive")
-
-
-#: Required est-time improvement ratio (old/new) for a swap to even be
-#: attempted; 1.0 accepts any non-regression.
-MIN_IMPROVEMENT = 1.0
+#: Post-swap acceptance gate: the most a swap may raise the probe latency
+#: (post/pre ratio) before it is rolled back.
+P99_REGRESSION = 2.0
 
 
 @dataclass
@@ -106,12 +90,10 @@ class PolicyManager:
         self,
         cache: MultiGpuEmbeddingCache,
         refresher: Refresher | None = None,
-        guardrail: SwapGuardrail | None = None,
         solver_config: SolverConfig | None = None,
     ) -> None:
         self._cache = cache
         self._refresher = refresher or Refresher(cache)
-        self.guardrail = guardrail or SwapGuardrail()
         self._solver_config = solver_config
         self._generations: list[PolicyGeneration] = [
             PolicyGeneration(
@@ -200,8 +182,6 @@ class PolicyManager:
         now: float = 0.0,
         drain=None,
         probe=None,
-        abort=None,
-        stale_baseline: bool = False,
     ) -> SwapReport:
         """Atomically land ``outcome``'s placement on the serving cache.
 
@@ -213,48 +193,29 @@ class PolicyManager:
                 can finish in-flight batches against the old generation.
             probe: zero-arg hook returning a latency measurement (seconds);
                 called before and after the refresh for the p99 guardrail.
-            abort: forwarded to :meth:`Refresher.refresh` (fault plans can
-                interrupt the swap; the refresher rolls back on its own).
-            stale_baseline: skip the :data:`MIN_IMPROVEMENT` estimate gate.
-                Drift adaptation sets this: the serving generation's
-                ``est_time`` was computed under *yesterday's* hotness, so
-                comparing it against an estimate under the drifted
-                hotness compares incommensurable numbers — the probe-based
-                p99 guardrail (which measures real traffic both sides of
-                the refresh) is the only meaningful judge.
+
+        The solver's estimate does not gate the swap: the serving
+        generation's ``est_time`` was computed under older hotness, so the
+        probe-based guardrail, which measures real traffic on both sides of
+        the refresh, is the judge.
 
         Returns:
             A :class:`SwapReport`; ``swapped`` and ``rolled_back`` tell the
             caller what actually happened.  Never raises for guardrail or
-            integrity failures — rollback is the error handling.
+            integrity failures — rollback is the error handling.  A refresh
+            step that raises propagates once the refresher has rolled the
+            cache back; the serving generation stays.
         """
         reg = get_registry()
         report = SwapReport(attempted=True, version=self.version)
         self.swap_log.append(report)
 
-        current = self.current
-        if (
-            not stale_baseline
-            and current.est_time > 0
-            and outcome.est_time > 0
-            and current.est_time / outcome.est_time < MIN_IMPROVEMENT
-        ):
-            report.reason = "not-better"
-            reg.counter("serve.policy.swaps", result="skipped").inc()
-            return report
-
         if drain is not None:
             drain()
-        pre_placement, _pre_map = self._cache.snapshot_location_state()
+        pre_placement = self._cache.placement
         report.pre_probe = float(probe()) if probe is not None else 0.0
 
-        refresh = self._refresher.refresh(outcome.placement, abort=abort)
-        if refresh.interrupted:
-            # the refresher already rolled the cache back bit-identically.
-            report.rolled_back = True
-            report.reason = "refresh-interrupted"
-            reg.counter("serve.policy.swaps", result="interrupted").inc()
-            return report
+        refresh = self._refresher.refresh(outcome.placement)
         report.entries_moved = refresh.entries_moved
 
         violations = self._cache.verify_integrity()
@@ -270,8 +231,7 @@ class PolicyManager:
         if (
             probe is not None
             and report.pre_probe > 0
-            and report.post_probe
-            > self.guardrail.p99_regression * report.pre_probe
+            and report.post_probe > P99_REGRESSION * report.pre_probe
         ):
             report.rolled_back = True
             report.reason = "p99-guardrail"

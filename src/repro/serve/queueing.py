@@ -2,27 +2,23 @@
 
 Production embedding servers bound their queues — an unbounded queue under
 sustained overload converts a throughput problem into an unbounded-latency
-problem.  Three backpressure policies are supported when a queue is full:
+problem.  A full queue refuses a newcomer at once with
+:attr:`~repro.serve.request.RequestStatus.REJECTED`: that bound is the
+memory bound, and the SLO shedder below keeps queues far short of it.
 
-* ``block`` — the producer stalls: the request parks in an upstream
-  buffer and is admitted when space frees (closed-loop semantics);
-* ``reject`` — fail fast with :attr:`~repro.serve.request.RequestStatus.REJECTED`;
-* ``shed-oldest`` — drop the head of the queue (it has waited longest and
-  is most likely to miss its deadline anyway) to admit the newcomer.
-
-Independent of the full-queue policy, SLO-aware load shedding drops a
-request *at admission* when the latency estimator predicts it cannot meet
-its deadline or the configured SLO — shedding early is strictly cheaper
-than doing the work and missing anyway.  The estimator is fed from (and
-feeds) the ``serve.batch.seconds`` histograms in :mod:`repro.obs`, so its
-view and the exported metrics can never disagree.
+SLO-aware load shedding drops a request *at admission* when the latency
+estimator predicts it cannot meet its deadline or the configured SLO —
+shedding early is strictly cheaper than doing the work and missing
+anyway.  The estimator is fed from (and feeds) the ``serve.batch.seconds``
+histograms in :mod:`repro.obs`, so its view and the exported metrics can
+never disagree.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from repro.obs import Counter, Histogram, get_registry
@@ -39,11 +35,10 @@ __all__ = [
 
 
 class QueuePolicy(str, Enum):
-    """What happens to a new request when its GPU's queue is full."""
+    """What happens to a new request when its GPU's queue is full: it is
+    rejected."""
 
-    BLOCK = "block"
     REJECT = "reject"
-    SHED_OLDEST = "shed-oldest"
 
 
 @dataclass(frozen=True)
@@ -52,7 +47,7 @@ class AdmissionConfig:
 
     Attributes:
         capacity: maximum queued requests per GPU.
-        policy: full-queue backpressure policy.
+        policy: what a full queue does to a newcomer (it rejects).
         slo_seconds: target end-to-end latency; ``inf`` disables SLO
             shedding (deadline-based shedding still applies).
         shed_on_slo: predictively shed at admission when the estimated
@@ -114,22 +109,16 @@ class AdmissionResult:
     admitted: bool
     #: set iff the request was dropped at admission (shed / rejected).
     status: RequestStatus | None = None
-    #: requests evicted to make room (shed-oldest policy).
-    displaced: list[Request] = field(default_factory=list)
-    #: request parked upstream, to be admitted when space frees (block).
-    blocked: bool = False
 
 
 class BoundedRequestQueue:
-    """One GPU's bounded FIFO with backpressure and SLO shedding."""
+    """One GPU's bounded FIFO with a full-queue reject and SLO shedding."""
 
     def __init__(self, gpu: int, config: AdmissionConfig | None = None) -> None:
         self.gpu = gpu
         self.config = config or AdmissionConfig()
         self.estimator = LatencyEstimator(gpu)
         self._queue: deque[Request] = deque()
-        #: producer-side buffer used by the ``block`` policy only.
-        self._blocked: deque[Request] = deque()
         self.max_depth = 0
 
     # ------------------------------------------------------------------
@@ -139,10 +128,6 @@ class BoundedRequestQueue:
     def depth(self) -> int:
         return len(self._queue)
 
-    @property
-    def blocked_depth(self) -> int:
-        return len(self._blocked)
-
     def __len__(self) -> int:
         return len(self._queue)
 
@@ -151,9 +136,8 @@ class BoundedRequestQueue:
         return self._queue[0] if self._queue else None
 
     def tightest_deadline(self) -> float:
-        """Earliest deadline among the queued requests (excludes blocked
-        producers; the queue must not be empty); the micro-batcher reads
-        it to decide when to flush."""
+        """Earliest deadline among the queued requests (the queue must not
+        be empty); the micro-batcher reads it to decide when to flush."""
         return min(r.deadline for r in self._queue)
 
     # ------------------------------------------------------------------
@@ -178,30 +162,13 @@ class BoundedRequestQueue:
         return self.depth > 0 and predicted > self.config.slo_seconds
 
     def offer(self, request: Request, now: float) -> AdmissionResult:
-        """Admit, shed, reject, or block ``request`` at time ``now``."""
+        """Admit, shed, or reject ``request`` at time ``now``."""
         if request.expired(now) or self._should_shed(request, now):
             self._admission("shed").inc()
             return AdmissionResult(admitted=False, status=RequestStatus.SHED)
         if self.depth >= self.config.capacity:
-            policy = self.config.policy
-            if policy is QueuePolicy.REJECT:
-                self._admission("rejected").inc()
-                return AdmissionResult(
-                    admitted=False, status=RequestStatus.REJECTED
-                )
-            if policy is QueuePolicy.BLOCK:
-                self._blocked.append(request)
-                self._admission("blocked").inc()
-                return AdmissionResult(admitted=False, blocked=True)
-            # shed-oldest: the head has waited longest; drop it for the
-            # newcomer (whose deadline budget is freshest).
-            displaced = [self._queue.popleft()]
-            self._queue.append(request)
-            self._admission("shed_oldest").inc()
-            self._note_depth()
-            return AdmissionResult(
-                admitted=True, displaced=displaced
-            )
+            self._admission("rejected").inc()
+            return AdmissionResult(admitted=False, status=RequestStatus.REJECTED)
         self._queue.append(request)
         self._admission("admitted").inc()
         self._note_depth()
@@ -218,22 +185,9 @@ class BoundedRequestQueue:
             self.max_depth = depth
         get_registry().cached("gauge", "serve.queue.depth", gpu=self.gpu).set(depth)
 
-    def _pump_blocked(self, now: float) -> None:
-        """Admit parked (blocked) producers into freed queue space."""
-        while self._blocked and self.depth < self.config.capacity:
-            request = self._blocked.popleft()
-            if request.expired(now):
-                # Too late to serve, but still owed an answer: it keeps its
-                # turn, and the worker that pops it responds EXPIRED.
-                self._admission("expired_blocked").inc()
-            self._queue.append(request)
-            self._note_depth()
-
     def pop(self, now: float) -> Request | None:
-        """Dequeue the next request (unblocking parked producers)."""
+        """Dequeue the next request."""
         request = self._queue.popleft() if self._queue else None
-        if self._blocked:
-            self._pump_blocked(now)
         get_registry().cached("gauge", "serve.queue.depth", gpu=self.gpu).set(
             self.depth
         )

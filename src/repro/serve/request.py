@@ -32,9 +32,9 @@ class RequestStatus(str, Enum):
 
     #: served within its deadline — the only state that counts as goodput.
     OK = "ok"
-    #: dropped at admission by SLO-aware load shedding or shed-oldest.
+    #: dropped at admission by SLO-aware load shedding.
     SHED = "shed"
-    #: refused at admission because the queue was full (reject policy).
+    #: refused at admission because the queue was full.
     REJECTED = "rejected"
     #: served (or dropped) after its deadline had already passed.
     EXPIRED = "expired"

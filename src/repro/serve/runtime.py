@@ -50,7 +50,7 @@ class ServeConfig:
     """Runtime knobs beyond admission and breaker thresholds.
 
     Attributes:
-        admission: queue capacity / backpressure / SLO policy.
+        admission: queue capacity and SLO shedding.
         breaker: circuit-breaker thresholds.
         hedge_enabled: issue a parallel host-DRAM gather when a request's
             remaining deadline budget is under ``hedge_headroom`` × the
@@ -132,8 +132,8 @@ class ServingRuntime:
     def submit(self, request: Request, now: float) -> Response | None:
         """Admit one request; returns a Response iff it was dropped.
 
-        A ``None`` return means the request is queued (or parked by the
-        block policy) and will produce its Response from :meth:`poll`.
+        A ``None`` return means the request is queued and will produce its
+        Response from :meth:`poll`.
         """
         if self.adapter is not None:
             # Hotness estimation sees *offered* traffic, before admission
@@ -142,9 +142,7 @@ class ServingRuntime:
             # the detector needs fresh evidence most.
             self.adapter.observe(request.gpu, request.keys, now)
         result = self.admission.submit(request, now)
-        if result.admitted or result.blocked:
-            for victim in result.displaced:
-                self._finish_dropped(victim, RequestStatus.SHED, now)
+        if result.admitted:
             return None
         assert result.status is not None
         return self._finish_dropped(request, result.status, now)

@@ -63,8 +63,8 @@ from repro.serve.coalesce import (
     CoalesceOutcome,
     MicroBatcher,
 )
-from repro.serve.policy_manager import PolicyManager, SwapGuardrail
-from repro.serve.queueing import AdmissionConfig, QueuePolicy
+from repro.serve.policy_manager import PolicyManager
+from repro.serve.queueing import AdmissionConfig
 from repro.serve.request import RequestStatus, check_time_physics
 from repro.serve.runtime import ServeConfig, ServingRuntime
 from repro.utils.logging import get_logger
@@ -91,6 +91,10 @@ __all__ = [
 #: timeout.
 SLO_FACTOR = 8.0
 TIMEOUT_FACTOR = 5.0
+#: Request deadline, in units of ``s0`` (the cluster soak: of one healthy
+#: RPC leg), and the bound of each GPU's admission queue.
+DEADLINE_FACTOR = 10.0
+QUEUE_CAPACITY = 32
 #: Fractions of the run at which a hot policy swap is attempted.
 SWAP_AT = (0.6,)
 
@@ -282,10 +286,6 @@ class SoakConfig:
     num_entries: int = 20_000
     entry_bytes: int = 128
     batch_keys: int = 1024
-    #: request deadline, in units of the healthy baseline service time.
-    deadline_factor: float = 10.0
-    queue_capacity: int = 32
-    queue_policy: QueuePolicy = QueuePolicy.REJECT
     #: cross-request coalescing: OFF serves each GPU's queue one request
     #: at a time; COALESCE micro-batches it.
     batching: BatchingMode = BatchingMode.OFF
@@ -967,7 +967,7 @@ class BoxSoak:
         ).time
         self.rate = cfg.load / self.s0
         self.duration = cfg.requests_per_gpu / self.rate
-        self.deadline = cfg.deadline_factor * self.s0
+        self.deadline = DEADLINE_FACTOR * self.s0
         self._build_runtime()
 
         G = platform.num_gpus
@@ -1000,8 +1000,7 @@ class BoxSoak:
         )
         serve_cfg = ServeConfig(
             admission=AdmissionConfig(
-                capacity=cfg.queue_capacity,
-                policy=cfg.queue_policy,
+                capacity=QUEUE_CAPACITY,
                 slo_seconds=SLO_FACTOR * s0,
             ),
             breaker=BreakerConfig(
@@ -1022,7 +1021,6 @@ class BoxSoak:
         self.manager = PolicyManager(
             cache,
             refresher=Refresher(cache, RefreshConfig(update_batch_entries=1024)),
-            guardrail=SwapGuardrail(p99_regression=2.0),
             solver_config=SolverConfig(time_limit=10.0, coarse_block_frac=0.02),
         )
 
@@ -1213,7 +1211,7 @@ class BoxSoak:
             + sum(s.integrity_violations for s in manager.swap_log),
             box=BoxSection(
                 max_queue_depth=runtime.admission.max_depth,
-                queue_capacity=cfg.queue_capacity,
+                queue_capacity=QUEUE_CAPACITY,
                 hedges=sum(1 for r in responses if r.hedged),
                 hedge_wins=sum(1 for r in responses if r.hedge_won),
                 rerouted_keys=sum(r.rerouted_keys for r in responses),

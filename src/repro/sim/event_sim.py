@@ -359,7 +359,6 @@ class RpcSimResult:
 def simulate_rpc_exchange(
     attempt_times: list[tuple[float, bool]],
     timeout: float,
-    retry_delays: list[float] | tuple[float, ...] = (),
     hedge_time: float | None | Callable[[], float | None] = None,
     hedge_issue_at: float = 0.0,
 ) -> RpcSimResult:
@@ -370,9 +369,8 @@ def simulate_rpc_exchange(
     attempt whose elapsed time reaches ``timeout`` is cut off there and
     counted as a timeout regardless of its ``ok`` flag (a dead node's
     attempt is ``(inf, False)``; a partitioned node fails fast with a
-    small elapsed and ``ok=False``).  Failed attempts are retried after
-    ``retry_delays`` (the seeded-jitter schedule from
-    :meth:`~repro.utils.retry.RetryPolicy.delays`) until attempts run out.
+    small elapsed and ``ok=False``).  A failed attempt is retried at once
+    until attempts run out.
 
     A hedge — the same read duplicated to the next replica — may be
     issued at ``hedge_issue_at``; it completes after ``hedge_time`` and
@@ -389,7 +387,7 @@ def simulate_rpc_exchange(
     attempts = 0
     timeouts = 0
     primary_done = np.inf
-    for i, (elapsed, ok) in enumerate(attempt_times):
+    for elapsed, ok in attempt_times:
         attempts += 1
         if elapsed >= timeout:
             timeouts += 1
@@ -399,8 +397,6 @@ def simulate_rpc_exchange(
             break
         else:
             t += elapsed
-        if i < len(retry_delays):
-            t += retry_delays[i]
     if callable(hedge_time):
         hedge_time = hedge_time() if primary_done > hedge_issue_at else None
     hedge_done = (

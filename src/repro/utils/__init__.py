@@ -11,7 +11,6 @@ from repro.utils.units import (
 )
 from repro.utils.concurrency import ReadWriteLock
 from repro.utils.logging import get_logger
-from repro.utils.retry import RetryPolicy
 from repro.utils.rng import make_rng, spawn_rngs
 from repro.utils.stats import (
     geometric_mean,
@@ -28,7 +27,6 @@ __all__ = [
     "gbps",
     "seconds_to_ms",
     "get_logger",
-    "RetryPolicy",
     "make_rng",
     "spawn_rngs",
     "geometric_mean",

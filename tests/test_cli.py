@@ -165,13 +165,6 @@ class TestSoakCommand:
         assert "serve.latency.seconds" in names
         assert "soak.goodput_rps" in names
 
-    def test_queue_policy_flag_round_trips(self, capsys):
-        code = main(
-            ["soak", "--quick", "--requests", "40", "--scenario", "steady",
-             "--queue-policy", "shed-oldest"]
-        )
-        assert code == 0
-
     @pytest.mark.parametrize(
         "argv, names",
         [

@@ -279,7 +279,6 @@ CONFIGS = [
      dict(failure_threshold=3, cooldown_seconds=2.0, half_open_probes=2,
           success_threshold=2)),
     ("repro.serve.coalesce", "CoalesceConfig", dict(max_batch=8, linger_seconds=0.0)),
-    ("repro.serve.policy_manager", "SwapGuardrail", dict(p99_regression=1.5)),
     ("repro.serve.queueing", "AdmissionConfig",
      dict(capacity=64, slo_seconds=INF, shed_on_slo=True)),  # + policy
     ("repro.serve.runtime", "ServeConfig",
@@ -287,16 +286,13 @@ CONFIGS = [
     ("repro.serve.soak", "SoakConfig",
      dict(scenario="steady", requests_per_gpu=300, load=0.8, closed_loop=False,
           clients=4, num_entries=20_000, entry_bytes=128, batch_keys=1024,
-          deadline_factor=10.0, queue_capacity=32, max_batch=8, linger_factor=0.5,
+          max_batch=8, linger_factor=0.5,
           nodes=1, replication=1, placement="ring", tiers=None, tenants=1,
           drift=None, adapt=False, seed=0)),
-    ("repro.utils.retry", "RetryPolicy",
-     dict(max_attempts=3, base_delay=0.05, jitter=0.0, seed=0)),
 ]
 
 #: module → the constants that replaced its deleted fields and parameters.
 CONSTANTS = {
-    "repro.utils.retry": dict(BACKOFF_MULTIPLIER=2.0, MAX_DELAY=2.0),
     "repro.hardware.topology": dict(NVLINK_LANE_BANDWIDTH=25e9),
     "repro.sim.congestion": dict(
         BETA=1.0, MAX_DEGRADATION=0.5, SWITCH_COLLISION_BETA=0.06, ITERATIONS=60,
@@ -315,10 +311,12 @@ CONSTANTS = {
         TOP_FRAC=0.01, JACCARD_FLOOR=0.5, CORR_FLOOR=0.2, HYSTERESIS=2,
         COOLDOWN_CHECKS=8, MIN_BATCHES=16),
     "repro.serve.adaptation": dict(DECAY=0.95, SAMPLE_EVERY=1, CHECK_EVERY=8),
-    "repro.serve.policy_manager": dict(MIN_IMPROVEMENT=1.0),
+    "repro.serve.policy_manager": dict(P99_REGRESSION=2.0),
     "repro.serve.queueing": dict(ESTIMATOR_ALPHA=0.2),
-    "repro.serve.soak": dict(SWAP_AT=(0.6,), ZIPF_ALPHA=1.1, CACHE_RATIO=0.12),
-    "repro.cluster.rpc": dict(TIMEOUT_FACTOR=8.0, HEDGE_FACTOR=3.0),
+    "repro.serve.soak": dict(
+        SWAP_AT=(0.6,), ZIPF_ALPHA=1.1, CACHE_RATIO=0.12, DEADLINE_FACTOR=10.0,
+        QUEUE_CAPACITY=32),
+    "repro.cluster.rpc": dict(TIMEOUT_FACTOR=8.0, HEDGE_FACTOR=3.0, RETRY=2),
     "repro.cluster.ring": dict(VNODES_PER_NODE=64),
     "repro.cluster.placement": dict(WIDE_REPLICATE_FRAC=0.01),
     "repro.cluster.node": dict(REPLICATE_FRACTION=0.5),
@@ -339,7 +337,6 @@ def test_surviving_defaults_and_new_constants_did_not_move():
     import importlib
 
     from repro.serve.breaker import BreakerConfig
-    from repro.utils.retry import RetryPolicy
 
     total = 0
     for module, name, pinned in CONFIGS:
@@ -353,21 +350,22 @@ def test_surviving_defaults_and_new_constants_did_not_move():
     # 128 fields on 21 classes before the census; PrefetchConfig and two
     # SoakConfig fields went with the lookahead stage, two more with the
     # repair switch, SolverConfig.method with the orbit quotient,
-    # ChaosConfig's six with the chaos batch loop, and FallbackConfig's
-    # three with the solver's retry, greedy and last-known-good rungs
-    assert len(CONFIGS) == 11 and total == 55
+    # ChaosConfig's six with the chaos batch loop, FallbackConfig's three
+    # with the solver's retry, greedy and last-known-good rungs, and
+    # RetryPolicy's four, SwapGuardrail's one and three SoakConfig fields
+    # (queue policy, deadline factor, queue capacity) as settings no run
+    # tells apart
+    assert len(CONFIGS) == 9 and total == 47
     _found, _callables, _experiments, fields = reachability.options(TOOL.parents[1] / "src")
     in_src = {key.split(":")[1].rsplit(".", 1)[0] for key in fields}
     assert {name for _, name, _ in CONFIGS} == {
         name for name in in_src
         if name.endswith("Config")
-        or name in ("NetworkTier", "SwapGuardrail", "RetryPolicy", "CongestionModel")
+        or name in ("NetworkTier", "CongestionModel")
     }
     for module, pinned in CONSTANTS.items():
         for constant, value in pinned.items():
             assert getattr(importlib.import_module(module), constant) == value, constant
-    from repro.cluster import rpc
     from repro.cluster.frontend import ClusterConfig
 
-    assert rpc.RETRY == RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.2)
     assert ClusterConfig().breaker == BreakerConfig()

@@ -193,8 +193,23 @@ class TestTriggerEdgeCases:
         cache.check_integrity()
 
 
+def _fail_step(monkeypatch, at):
+    """Make the ``at``-th ``apply_diff_step`` call raise, after ``at - 1``
+    refresh steps have landed."""
+    real_apply = refresher_module.apply_diff_step
+    calls = {"n": 0}
+
+    def apply(store, table, evict, insert):
+        calls["n"] += 1
+        if calls["n"] == at:
+            raise RuntimeError(f"refresh step {at} failed")
+        real_apply(store, table, evict, insert)
+
+    monkeypatch.setattr(refresher_module, "apply_diff_step", apply)
+
+
 class TestTransactionalRollback:
-    """ISSUE acceptance: an interrupted refresh leaves the cache bit-identical."""
+    """A refresh step that raises leaves the cache bit-identical."""
 
     def _snapshot(self, cache, rng):
         probe = rng.integers(0, N, size=300)
@@ -205,75 +220,34 @@ class TestTransactionalRollback:
         )
 
     def test_interrupt_rolls_back_bit_identical(
-        self, cache, skewed_hotness, rng
+        self, cache, skewed_hotness, rng, monkeypatch
     ):
-        from repro.core.refresher import RefreshInterrupted
         from repro.obs import MetricsRegistry, use_registry
 
         pre_map, probe, pre_values = self._snapshot(cache, rng)
-        new_placement = partition_policy(skewed_hotness, 200, 4)
         refresher = Refresher(cache, RefreshConfig(update_batch_entries=32))
-        calls = {"n": 0}
-
-        def abort():
-            calls["n"] += 1
-            return calls["n"] > 4
+        _fail_step(monkeypatch, at=5)  # four steps land first
 
         reg = MetricsRegistry("t")
         with use_registry(reg):
-            with pytest.raises(RefreshInterrupted) as info:
-                for _ in refresher.refresh_steps(new_placement, abort=abort):
+            with pytest.raises(RuntimeError, match="step 5 failed"):
+                for _ in refresher.refresh_steps(partition_policy(skewed_hotness, 200, 4)):
                     pass
-        assert info.value.outcome.interrupted
-        assert info.value.outcome.rolled_back
+        monkeypatch.undo()
         # The observable cache state is exactly the pre-refresh state.
         assert np.array_equal(cache.source_map, pre_map)
         for gpu in range(4):
             assert np.array_equal(cache.lookup(gpu, probe).values, pre_values[gpu])
         cache.check_integrity()
-        assert reg.value("refresher.interrupted") == 1
         assert reg.value("refresher.rollbacks") == 1
-
-    def test_refresh_wrapper_returns_outcome_instead_of_raising(
-        self, cache, skewed_hotness, rng
-    ):
-        pre_map, probe, pre_values = self._snapshot(cache, rng)
-        refresher = Refresher(cache, RefreshConfig(update_batch_entries=32))
-        outcome = refresher.refresh(
-            partition_policy(skewed_hotness, 200, 4), abort=lambda: True
-        )
-        assert outcome.interrupted and outcome.rolled_back
-        assert outcome.entries_moved == 0
-        assert np.array_equal(cache.source_map, pre_map)
-        for gpu in range(4):
-            assert np.array_equal(cache.lookup(gpu, probe).values, pre_values[gpu])
-
-    def test_abort_that_never_fires_completes_normally(self, cache, skewed_hotness):
-        refresher = Refresher(cache, RefreshConfig(update_batch_entries=64))
-        outcome = refresher.refresh(
-            partition_policy(skewed_hotness, 200, 4), abort=lambda: False
-        )
-        assert outcome.triggered and not outcome.interrupted
-        assert outcome.entries_moved > 0
 
     def test_midstep_exception_rolls_back_and_propagates(
         self, cache, skewed_hotness, rng, monkeypatch
     ):
-        import repro.core.refresher as refresher_module
-
         pre_map, probe, pre_values = self._snapshot(cache, rng)
-        real_apply = refresher_module.apply_diff_step
-        calls = {"n": 0}
-
-        def flaky_apply(store, table, evict, insert):
-            calls["n"] += 1
-            if calls["n"] == 3:
-                raise RuntimeError("simulated mid-step crash")
-            real_apply(store, table, evict, insert)
-
-        monkeypatch.setattr(refresher_module, "apply_diff_step", flaky_apply)
+        _fail_step(monkeypatch, at=3)
         refresher = Refresher(cache, RefreshConfig(update_batch_entries=32))
-        with pytest.raises(RuntimeError, match="simulated mid-step crash"):
+        with pytest.raises(RuntimeError, match="step 3 failed"):
             refresher.refresh(partition_policy(skewed_hotness, 200, 4))
         monkeypatch.undo()
         assert np.array_equal(cache.source_map, pre_map)
@@ -281,13 +255,17 @@ class TestTransactionalRollback:
             assert np.array_equal(cache.lookup(gpu, probe).values, pre_values[gpu])
         cache.check_integrity()
 
-    def test_interrupted_refresh_can_be_retried(self, cache, skewed_hotness, rng):
+    def test_interrupted_refresh_can_be_retried(
+        self, cache, skewed_hotness, monkeypatch
+    ):
         refresher = Refresher(cache, RefreshConfig(update_batch_entries=32))
         target = partition_policy(skewed_hotness, 200, 4)
-        first = refresher.refresh(target, abort=lambda: True)
-        assert first.rolled_back
+        _fail_step(monkeypatch, at=3)
+        with pytest.raises(RuntimeError):
+            refresher.refresh(target)
+        monkeypatch.undo()
         second = refresher.refresh(target)
-        assert second.triggered and not second.interrupted
+        assert second.triggered and second.entries_moved > 0
         assert cache.placement.replication_factor() == pytest.approx(1.0)
 
 
@@ -300,57 +278,11 @@ class TestDoubleFaultRollback:
     location state is restored and integrity verified either way.
     """
 
-    def test_abort_then_rollback_crash_still_restores(
-        self, cache, skewed_hotness, rng, monkeypatch
-    ):
-        import repro.core.refresher as refresher_module
-        from repro.obs import MetricsRegistry, use_registry
-
-        pre_map = cache.source_map.copy()
-        probe = rng.integers(0, N, size=300)
-        pre_values = [cache.lookup(g, probe).values.copy() for g in range(4)]
-
-        real_apply = refresher_module.apply_diff_step
-        state = {"rolling_back": False}
-
-        def abort():
-            # fires after a few forward steps; every apply_diff_step call
-            # from here on is the rollback replaying its undo log.
-            fire = state.get("steps", 0) >= 3
-            state["steps"] = state.get("steps", 0) + 1
-            if fire:
-                state["rolling_back"] = True
-            return fire
-
-        def crashing_apply(store, table, evict, insert):
-            if state["rolling_back"]:
-                raise RuntimeError("simulated crash during rollback replay")
-            real_apply(store, table, evict, insert)
-
-        monkeypatch.setattr(refresher_module, "apply_diff_step", crashing_apply)
-        refresher = Refresher(cache, RefreshConfig(update_batch_entries=32))
-        reg = MetricsRegistry("t")
-        with use_registry(reg):
-            outcome = refresher.refresh(
-                partition_policy(skewed_hotness, 200, 4), abort=abort
-            )
-        monkeypatch.undo()
-
-        assert outcome.interrupted and outcome.rolled_back
-        # despite the rollback replay dying, location state is restored...
-        assert np.array_equal(cache.source_map, pre_map)
-        # ...every lookup is bit-identical to the pre-refresh state...
-        for gpu in range(4):
-            assert np.array_equal(cache.lookup(gpu, probe).values, pre_values[gpu])
-        # ...and integrity verification passes.
-        assert cache.verify_integrity() == []
-        assert reg.value("refresher.rollback.double_faults") == 1
-
     def test_midstep_crash_with_poisoned_rollback(
         self, cache, skewed_hotness, rng, monkeypatch
     ):
-        """Same double fault, reached through the mid-step exception path."""
-        import repro.core.refresher as refresher_module
+        """A step raises, and so does every replay of the undo log."""
+        from repro.obs import MetricsRegistry, use_registry
 
         pre_map = cache.source_map.copy()
         probe = rng.integers(0, N, size=300)
@@ -367,11 +299,16 @@ class TestDoubleFaultRollback:
 
         monkeypatch.setattr(refresher_module, "apply_diff_step", dying_apply)
         refresher = Refresher(cache, RefreshConfig(update_batch_entries=32))
-        with pytest.raises(RuntimeError, match="cascading"):
+        reg = MetricsRegistry("t")
+        with use_registry(reg), pytest.raises(RuntimeError, match="cascading"):
             refresher.refresh(partition_policy(skewed_hotness, 200, 4))
         monkeypatch.undo()
 
+        # despite the rollback replay dying, location state is restored...
         assert np.array_equal(cache.source_map, pre_map)
+        # ...every lookup is bit-identical to the pre-refresh state...
         for gpu in range(4):
             assert np.array_equal(cache.lookup(gpu, probe).values, pre_values[gpu])
+        # ...and integrity verification passes.
         assert cache.verify_integrity() == []
+        assert reg.value("refresher.rollback.double_faults") == 1

@@ -118,33 +118,6 @@ class TestBoundedQueue:
         assert result.status is RequestStatus.REJECTED
         assert q.depth == 2
 
-    def test_shed_oldest_displaces_head(self):
-        q = self._full_queue(QueuePolicy.SHED_OLDEST)
-        result = q.offer(_request(rid=9), now=0.0)
-        assert result.admitted
-        assert [r.request_id for r in result.displaced] == [0]
-        assert [r.request_id for r in q._queue] == [1, 9]
-
-    def test_block_parks_and_pumps(self):
-        q = self._full_queue(QueuePolicy.BLOCK)
-        result = q.offer(_request(rid=9), now=0.0)
-        assert not result.admitted and result.blocked
-        assert q.blocked_depth == 1
-        # freeing a slot admits the parked request
-        popped = q.pop(now=0.0)
-        assert popped.request_id == 0
-        assert q.blocked_depth == 0
-        assert [r.request_id for r in q._queue] == [1, 9]
-
-    def test_blocked_request_expires_while_parked(self):
-        q = self._full_queue(QueuePolicy.BLOCK)
-        q.offer(_request(rid=9, deadline=1.0), now=0.0)
-        q.pop(now=5.0)  # far past the parked request's deadline
-        # rid 9 is not dropped: it keeps its turn, so that the worker that
-        # pops it can give it the EXPIRED response it is owed
-        assert [r.request_id for r in q._queue] == [1, 9]
-        assert q.blocked_depth == 0
-
     def test_expired_on_offer_is_shed(self):
         q = BoundedRequestQueue(0, AdmissionConfig())
         result = q.offer(_request(deadline=1.0), now=2.0)

@@ -91,48 +91,6 @@ class TestServeRequest:
         assert rejected is not None
         assert rejected.status is RequestStatus.REJECTED
 
-    @pytest.mark.parametrize("coalesced", [False, True])
-    def test_block_policy_answers_requests_that_expire_while_parked(self, coalesced):
-        from repro.serve import MicroBatcher, check_time_physics
-
-        _platform, _table, _cache, extractor, _inj = _stack()
-        runtime = ServingRuntime(
-            extractor,
-            config=ServeConfig(
-                admission=AdmissionConfig(capacity=1, policy=QueuePolicy.BLOCK)
-            ),
-        )
-        # one admitted, three parked upstream; two of those on short deadlines
-        for deadline in (np.inf, 1.0, np.inf, 2.0):
-            request = runtime.make_request(0, _keys(), 0.0, deadline=deadline)
-            assert runtime.submit(request, 0.0) is None
-        if coalesced:
-            batcher = MicroBatcher(0, runtime.admission.queue(0))
-            while batch := batcher.take(5.0):
-                runtime.serve_batch(batch, 5.0)
-        else:
-            while runtime.poll(0, now=5.0) is not None:
-                pass
-        assert [r.status for r in runtime.responses].count(RequestStatus.EXPIRED) == 2
-        assert sorted(r.request.request_id for r in runtime.responses) == [1, 2, 3, 4]
-        assert check_time_physics(runtime.responses, offered=4) == []
-
-    def test_shed_oldest_records_victim_response(self):
-        _platform, _table, _cache, extractor, _inj = _stack()
-        runtime = ServingRuntime(
-            extractor,
-            config=ServeConfig(
-                admission=AdmissionConfig(
-                    capacity=1, policy=QueuePolicy.SHED_OLDEST
-                )
-            ),
-        )
-        first = runtime.make_request(0, _keys(), 0.0)
-        runtime.submit(first, 0.0)
-        assert runtime.submit(runtime.make_request(0, _keys(), 0.0), 0.0) is None
-        shed = [r for r in runtime.responses if r.status is RequestStatus.SHED]
-        assert [r.request.request_id for r in shed] == [first.request_id]
-
 
 class TestHedging:
     def _degraded_link_stack(self):

@@ -19,7 +19,6 @@ from repro.obs import MetricsRegistry, use_registry
 from repro.serve import (
     BatchingMode,
     CoalesceOutcome,
-    QueuePolicy,
     Request,
     RequestStatus,
     Response,
@@ -219,23 +218,6 @@ class TestSoakObeysItsClock:
         assert report.integrity_failures == 0 and report.ok
         assert report.p50_latency > 0
 
-    def test_block_policy_loses_no_request_parked_past_its_deadline(self, runtimes):
-        cfg = SoakConfig.quick(
-            scenario="steady", load=1.5, requests_per_gpu=60, deadline_factor=3.0,
-            queue_policy=QueuePolicy.BLOCK, queue_capacity=1,
-        )
-        registry = MetricsRegistry("block")
-        with use_registry(registry):
-            report = run_soak(cfg)
-        runtime = runtimes[-1]
-        offered = 60 * len(runtime.admission.queues)
-        assert sum(  # the case occurred: requests did expire while parked
-            s.value for s in registry.series()
-            if s.name == "serve.admission" and ("result", "expired_blocked") in s.labels
-        ) > 0
-        assert check_time_physics(runtime.responses, offered=offered) == []
-        assert report.requests == offered and report.ok
-
     def test_latency_histogram_takes_no_negative_sample(self):
         registry = MetricsRegistry("physics")
         with use_registry(registry):
@@ -273,7 +255,6 @@ class TestSoakObeysItsClock:
         batching=st.sampled_from(list(BatchingMode)),
         max_batch=st.sampled_from([1, 2, 3, 8]),
         linger_factor=st.floats(0.0, 2.0),
-        queue_policy=st.sampled_from(list(QueuePolicy)),
         closed_loop=st.booleans(),
         seed=st.integers(0, 3),
     )

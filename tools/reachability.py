@@ -64,13 +64,11 @@ KEEP: dict[str, tuple[str, str]] = {
     "repro.hardware.platform:Platform.max_cache_ratio": ("paper", "§8.1, its bound"),
     "repro.serve.policy_manager:PolicyManager._rollback": ("fault", "swap rollback"),
     "repro.core.refresher:Refresher._rollback": (
-        "fault", "an interrupted or failed refresh replays its undo log"),
+        "fault", "a failed refresh replays its undo log"),
     "repro.core.cache:MultiGpuEmbeddingCache.restore_location_state": (
         "fault", "and restores the snapshotted routes"),
     "repro.faults.degrade:reroute_demand": (
         "fault", "a batch simulator's demand under an unhealthy view"),
-    "repro.serve.queueing:BoundedRequestQueue._pump_blocked": (
-        "fault", "backpressure: producers parked behind a full queue (no CLI flag fills it)"),
     "repro.faults.degrade:DegradedPlatform.sources_for": ("fault", "degraded-mode view"),
     "repro.core.location_table:CorruptEntryError": ("fault", "corrupt-slot error"),
     "repro.core.location_table:LocationTable._checked_location": (
@@ -126,8 +124,8 @@ def entry_points(root: Path, out: Path) -> tuple[list, list]:
         QUICK + ["dgx_a100_partial_failure", "--json-out", art("soak.json"),
                  "--metrics-out", art("soak-m.json")],
         QUICK + ["steady", "--batching", "coalesce", "--load", "2.0"],
-        QUICK + ["steady", "--queue-policy", "block", "--load", "2.0"],
-        QUICK + ["corrupt-slot-storm", "--closed-loop", "--queue-policy", "shed-oldest"],
+        QUICK + ["steady", "--load", "2.0"],
+        QUICK + ["corrupt-slot-storm", "--closed-loop"],
         QUICK + ["host-stall"],
         QUICK + ["node-kill", *CLUSTER],
         QUICK + ["node-flap", *CLUSTER, "--placement", "solver"],
@@ -297,8 +295,6 @@ OPTION_KEEP: dict[str, tuple[str, str]] = {
     # Fakes, pinned time and randomness, and test-sized problems.
     "repro.core.extractor:FactoredExtractor.extract.now": (
         "seam", "steps an injector's fault plan through a batch loop"),
-    "repro.serve.policy_manager:PolicyManager.swap.abort": (
-        "seam", "fake abort hook that interrupts the swap's refresh"),
     "repro.cli:main.argv": ("seam", "how tests drive the CLI in-process"),
     "repro.cli:--requests": ("seam", "tests/test_cli.py sizes its soaks through it"),
     "repro.sim.event_sim:simulate_naive_event_driven.seed": ("seam", "dispatch shuffle"),
@@ -323,12 +319,6 @@ OPTION_KEEP: dict[str, tuple[str, str]] = {
         "seam", "tests coarsen the LP (coarse_block_frac=0.05) to toy-table size"),
     "repro.core.location_table:LocationTable.__init__.max_offset": (
         "seam", "fault tests arm the corrupt-offset bound through it"),
-    "repro.utils.retry:RetryPolicy.max_attempts": (
-        "seam", "tests/test_retry.py draws other schedules than the RPC's"),
-    "repro.utils.retry:RetryPolicy.base_delay": (
-        "seam", "tests/test_retry.py draws other schedules than the RPC's"),
-    "repro.utils.retry:RetryPolicy.jitter": (
-        "seam", "tests/test_retry.py draws other schedules than the RPC's"),
     # ... through files this round may not edit: the golden generators and
     # tests/test_time_physics.py pass these, so the keyword has to exist.
     "repro.core.extractor:FactoredExtractor.price.health": (
@@ -338,10 +328,6 @@ OPTION_KEEP: dict[str, tuple[str, str]] = {
         "shedding off to pin the batcher's own policy"),
     "repro.serve.runtime:ServeConfig.hedge_headroom": (
         "seam", "tests/golden/generate_golden.py pins it at 1e6"),
-    "repro.serve.soak:SoakConfig.deadline_factor": (
-        "seam", "tests/test_time_physics.py shortens deadlines (3 x s0)"),
-    "repro.serve.soak:SoakConfig.queue_capacity": (
-        "seam", "tests/test_time_physics.py shrinks the queue to 1"),
     "repro.serve.soak:SoakConfig.linger_factor": (
         "seam", "tests/test_time_physics.py draws it (hypothesis)"),
     # What benchmarks/e2e/drivers.py constructs, with the defaults' values.
@@ -349,6 +335,7 @@ OPTION_KEEP: dict[str, tuple[str, str]] = {
     "repro.serve.breaker:BreakerConfig.half_open_probes": ("benchmark", "serve drivers"),
     "repro.serve.breaker:BreakerConfig.success_threshold": ("benchmark", "serve drivers"),
     "repro.serve.runtime:ServeConfig.hedge_enabled": ("benchmark", "serve drivers"),
+    "repro.serve.queueing:AdmissionConfig.policy": ("benchmark", "serve drivers"),
 }
 
 #: Where an option's traffic is looked for: everything except ``tests/``.
@@ -361,7 +348,7 @@ FIGURE_DRIVERS = ("repro.bench.experiments", "repro.bench.report")
 
 def _literal(node) -> bool:
     """A value readable off the page: a constant, ``-1``, a tuple of them, or
-    a dotted name such as ``QueuePolicy.BLOCK`` / ``math.inf``."""
+    a dotted name such as ``QueuePolicy.REJECT`` / ``math.inf``."""
     if isinstance(node, ast.UnaryOp):
         return _literal(node.operand)
     if isinstance(node, (ast.Tuple, ast.List)):
