@@ -20,8 +20,10 @@ quartile) and beat the same stage
 reading its rows the replaced way, a gather and a row scatter per group —
 ``tests/test_row_arena.py``'s oracle, re-measured beside it (20-39 M) — and
 ``coalesce_keys`` + the one-take scatter must move at least 10 M member
-keys/sec on an 8 x 1024-key batch (about 20 M here; 6 M for the per-member
-``searchsorted`` scatter it replaced, re-measured beside it).  The
+keys/sec on an 8 x 1024-key batch (about 47 M here; 20 M over the sorting
+``np.unique`` index the keyspace marker replaced, and 5 M for the
+per-member ``searchsorted`` scatter before that, both re-measured beside
+it).  The
 ``write_path`` section records the refresh side — ``apply_diff_step``
 entries/sec, ``remove_batch`` keys/sec, the §6.2 LP's assembly time
 beside its HiGHS time and the location-table rebuild (``resolve_sources``
@@ -247,9 +249,11 @@ def _bench_coalesce(rng) -> list[dict]:
     Members draw Zipf keys from the table, so they overlap the way queued
     requests do.  The timed region is what ``serve_batch`` does around
     the shared extraction: ``coalesce_keys`` and handing every member its
-    rows.  ``parent_*`` is the path this replaced — ``np.unique`` without
-    the inverse, then a ``searchsorted`` and a fancy gather per member —
-    timed in the same process on the same batch.
+    rows.  ``oracle_*`` is the same scatter over the sorting index the
+    keyspace marker replaced, ``np.unique(concat, return_inverse=True)``;
+    ``parent_*`` is the path before the shared index — ``np.unique``
+    without the inverse, then a ``searchsorted`` and a fancy gather per
+    member.  Both are timed in the same process on the same batch.
     """
     from types import SimpleNamespace
 
@@ -264,24 +268,33 @@ def _bench_coalesce(rng) -> list[dict]:
             SimpleNamespace(keys=hot[rng.choice(TABLE_ENTRIES, size, p=pmf)])
             for _ in range(members)
         ]
-        union = coalesce_keys(requests)[0]
+        union = coalesce_keys(requests, TABLE_ENTRIES)[0]
         values = table[union]  # the shared extraction's result
 
-        def scatter():
-            _, _, inverse = coalesce_keys(requests)
+        def slices(inverse):
             buffer, stop, out = values.take(inverse, axis=0), 0, []
             for r in requests:
                 start, stop = stop, stop + len(r.keys)
                 out.append(buffer[start:stop])
             return out
 
+        def scatter():
+            return slices(coalesce_keys(requests, TABLE_ENTRIES)[2])
+
+        def oracle_scatter():
+            concat = np.concatenate([r.keys for r in requests])
+            return slices(np.unique(concat, return_inverse=True)[1])
+
         def parent_scatter():
             parts = [np.ascontiguousarray(r.keys, dtype=np.int64) for r in requests]
             sorted_union = np.unique(np.concatenate(parts))
             return [values[np.searchsorted(sorted_union, p)] for p in parts]
 
-        for new, old, r in zip(scatter(), parent_scatter(), requests):
-            assert np.array_equal(new, old) and np.array_equal(new, table[r.keys])
+        for new, oracle, old, r in zip(
+            scatter(), oracle_scatter(), parent_scatter(), requests
+        ):
+            assert np.array_equal(new, oracle) and np.array_equal(new, old)
+            assert np.array_equal(new, table[r.keys])
         total = members * size
         rows.append(
             {
@@ -289,6 +302,8 @@ def _bench_coalesce(rng) -> list[dict]:
                 "keys_per_member": size,
                 "dedup_ratio": total / len(union),
                 "coalesce_member_keys_per_sec": total / _best_of(scatter, 20),
+                "oracle_coalesce_member_keys_per_sec": total
+                / _best_of(oracle_scatter, 20),
                 "parent_coalesce_member_keys_per_sec": total
                 / _best_of(parent_scatter, 20),
             }
@@ -559,6 +574,8 @@ def bench_micro_hotpath():
         print(
             f"coalesce {shape[0]} x {shape[1]:>4} (dedup "
             f"{row['dedup_ratio']:.2f}): {rate / 1e6:.1f} M member keys/s, "
+            f"np.unique oracle "
+            f"{row['oracle_coalesce_member_keys_per_sec'] / 1e6:.1f} M, "
             f"parent {row['parent_coalesce_member_keys_per_sec'] / 1e6:.1f} M"
         )
         if shape == (8, 1024):

@@ -68,7 +68,9 @@ class CoalesceConfig:
             raise ValueError("linger must be non-negative")
 
 
-def coalesce_keys(requests: list[Request]) -> tuple[np.ndarray, int, np.ndarray]:
+def coalesce_keys(
+    requests: list[Request], num_entries: int
+) -> tuple[np.ndarray, int, np.ndarray]:
     """Union + dedup of the member key sets: the batch's one dedup index.
 
     Returns ``(union, total, inverse)``.  ``union`` is the sorted unique
@@ -78,12 +80,23 @@ def coalesce_keys(requests: list[Request]) -> tuple[np.ndarray, int, np.ndarray]
     order, so ``union[inverse]`` is the concatenated member keys and
     ``values.take(inverse, axis=0)`` scatters the union's rows back to
     every member in one gather.
+
+    Keys are dense ids in ``[0, num_entries)``, so nothing is sorted: a
+    per-call keyspace marker gives the union in key order and a position
+    array the inverse, O(keys + N).  A key off the range raises
+    ``KeyError``, read unsigned as :func:`~repro.core.pipeline.resolve` does.
     """
     if not requests:
         return np.empty(0, dtype=np.int64), 0, np.empty(0, dtype=np.intp)
     concat = np.concatenate([np.asarray(r.keys, dtype=np.int64) for r in requests])
-    union, inverse = np.unique(concat, return_inverse=True)
-    return union, len(concat), inverse
+    if len(concat) and concat.view(np.uint64).max() >= num_entries:
+        raise KeyError("key out of range")
+    mark = np.zeros(num_entries, dtype=bool)
+    mark[concat] = True
+    union = np.flatnonzero(mark)
+    position = np.empty(num_entries, dtype=np.intp)
+    position[union] = np.arange(len(union))
+    return union, len(concat), position.take(concat)
 
 
 @dataclass
@@ -130,10 +143,6 @@ class MicroBatcher:
         self.config = config or CoalesceConfig(mode=BatchingMode.COALESCE)
         self._queue = queue
 
-    @property
-    def pending(self) -> int:
-        return self._queue.depth
-
     def flush_at(self, free_at: float) -> float | None:
         """When the next batch should be served, or None if nothing queued.
 
@@ -158,11 +167,9 @@ class MicroBatcher:
         return max(free_at, target)
 
     def take(self, now: float) -> list[Request]:
-        """Pop up to ``max_batch`` requests to fuse at time ``now``."""
-        batch: list[Request] = []
-        while len(batch) < self.config.max_batch:
-            request = self._queue.pop(now)
-            if request is None:
-                break
-            batch.append(request)
-        return batch
+        """Pop up to ``max_batch`` requests to fuse.
+
+        ``now`` is unread; it stays for ``benchmarks/e2e``'s ``take(flush)``.
+        """
+        count = min(self.config.max_batch, self._queue.depth)
+        return [self._queue.pop() for _ in range(count)]

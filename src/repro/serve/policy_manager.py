@@ -204,7 +204,7 @@ class PolicyManager:
             caller what actually happened.  Never raises for guardrail or
             integrity failures — rollback is the error handling.  A refresh
             step that raises propagates once the refresher has rolled the
-            cache back; the serving generation stays.
+            cache back, logged as ``"refresh-failed"``; the generation stays.
         """
         reg = get_registry()
         report = SwapReport(attempted=True, version=self.version)
@@ -215,7 +215,13 @@ class PolicyManager:
         pre_placement = self._cache.placement
         report.pre_probe = float(probe()) if probe is not None else 0.0
 
-        refresh = self._refresher.refresh(outcome.placement)
+        try:
+            refresh = self._refresher.refresh(outcome.placement)
+        except Exception:
+            report.rolled_back = True
+            report.reason = "refresh-failed"
+            reg.counter("serve.policy.swaps", result="refresh-failed").inc()
+            raise
         report.entries_moved = refresh.entries_moved
 
         violations = self._cache.verify_integrity()

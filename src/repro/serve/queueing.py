@@ -185,7 +185,7 @@ class BoundedRequestQueue:
             self.max_depth = depth
         get_registry().cached("gauge", "serve.queue.depth", gpu=self.gpu).set(depth)
 
-    def pop(self, now: float) -> Request | None:
+    def pop(self) -> Request | None:
         """Dequeue the next request."""
         request = self._queue.popleft() if self._queue else None
         get_registry().cached("gauge", "serve.queue.depth", gpu=self.gpu).set(
@@ -215,10 +215,6 @@ class AdmissionController:
         if not 0 <= request.gpu < len(self.queues):
             raise ValueError(f"request targets unknown GPU {request.gpu}")
         return self.queues[request.gpu].offer(request, now)
-
-    @property
-    def total_depth(self) -> int:
-        return sum(q.depth for q in self.queues)
 
     @property
     def max_depth(self) -> int:

@@ -323,7 +323,7 @@ class ServingRuntime:
             )
         gpu = live[0].gpu
 
-        union, total_keys, inverse = coalesce_keys(live)
+        union, total_keys, inverse = coalesce_keys(live, self._cache.num_entries)
         plan, values, shared_time, health = self._extract(gpu, union, now)
         completed_at = now + shared_time
 
@@ -389,7 +389,7 @@ class ServingRuntime:
     # ------------------------------------------------------------------
     def poll(self, gpu: int, now: float) -> Response | None:
         """Serve the next queued request on ``gpu``, if any."""
-        request = self.admission.queues[gpu].pop(now)
+        request = self.admission.queues[gpu].pop()
         if request is None:
             return None
         return self.serve_request(request, now)

@@ -71,14 +71,14 @@ class TestCoalesceKeys:
         requests = [
             runtime.make_request(0, _keys(seed=s), now=0.0) for s in range(4)
         ]
-        union, total, _ = coalesce_keys(requests)
+        union, total, _ = coalesce_keys(requests, N)
         assert total == sum(len(r.keys) for r in requests)
         assert len(np.unique(union)) == len(union)
         for r in requests:
             assert np.isin(r.keys, union).all()
 
     def test_empty_batch(self):
-        union, total, inverse = coalesce_keys([])
+        union, total, inverse = coalesce_keys([], N)
         assert len(union) == 0 and total == 0 and len(inverse) == 0
 
 
@@ -361,20 +361,50 @@ member_keys = st.lists(
 class TestCoalesceIndex:
     """One dedup index per batch: ``union[inverse]`` is every member's keys."""
 
-    @given(members=member_keys, as_list=st.integers(0, 5))
+    @given(members=member_keys, as_list=st.integers(0, 5), empty=st.booleans())
     @settings(max_examples=100, deadline=None)
     def test_union_sorted_unique_and_inverse_rebuilds_members(
-        self, members, as_list
+        self, members, as_list, empty
     ):
+        """The sort-free index equals ``np.unique(concat, return_inverse=True)``
+        in values and dtypes, keyless and list members included."""
+        if empty:
+            members = [np.empty(0, dtype=np.int64), *members]
         requests = [SimpleNamespace(keys=m) for m in members]
         if as_list < len(members):  # a member that never was an ndarray
             requests[as_list] = SimpleNamespace(keys=members[as_list].tolist())
-        union, total, inverse = coalesce_keys(requests)
+        union, total, inverse = coalesce_keys(requests, N)
         concat = np.concatenate(members)
-        assert union.dtype == np.int64
-        assert np.array_equal(union, np.unique(concat))  # sorted, unique
-        assert total == len(concat) == len(inverse)
+        want_union, want_inverse = np.unique(concat, return_inverse=True)
+        assert union.dtype == want_union.dtype == np.int64
+        assert inverse.dtype == want_inverse.dtype == np.intp
+        assert np.array_equal(union, want_union)  # sorted, unique
+        assert np.array_equal(inverse, want_inverse)
+        assert total == len(concat)
         assert np.array_equal(union[inverse], concat)
+
+    @pytest.mark.parametrize("bad", [N, -1])
+    def test_a_key_off_the_table_raises(self, bad):
+        requests = [
+            SimpleNamespace(keys=np.array([0, 5])), SimpleNamespace(keys=[3, bad])
+        ]
+        with pytest.raises(KeyError, match="key out of range"):
+            coalesce_keys(requests, N)
+
+    def test_serve_batch_refuses_a_bad_key_before_planning(self):
+        _platform, _table, _cache, extractor = _shared_stack()
+        registry = MetricsRegistry("bad-key")
+        with use_registry(registry):
+            runtime = ServingRuntime(extractor)
+            requests = [
+                runtime.make_request(0, _keys(seed=1), now=0.0),
+                runtime.make_request(0, np.array([2, N]), now=0.0),
+            ]
+            with pytest.raises(KeyError, match="key out of range"):
+                runtime.serve_batch(requests, now=0.0)
+        assert not [
+            s.name for s in registry.series() if s.name.startswith("extractor.plan")
+        ]
 
     @given(
         members=member_keys,

@@ -446,7 +446,7 @@ class TestHotPathWiring:
                 assert runtime.submit(request, now=0.0) is None
             queue = runtime.admission.queue(1)
             runtime.serve_batch(
-                [queue.pop(0.0) for _ in range(members)], now=0.0
+                [queue.pop() for _ in range(members)], now=0.0
             )
 
         first, second = MetricsRegistry("first"), MetricsRegistry("second")

@@ -221,7 +221,7 @@ class TestCoalesceProperties:
     @settings(max_examples=40, deadline=None)
     def test_dedup_never_drops_a_key(self, members):
         requests = [SimpleNamespace(keys=m) for m in members]
-        union, total, _ = coalesce_keys(requests)
+        union, total, _ = coalesce_keys(requests, CACHE_N)
         assert total == sum(len(m) for m in members)
         assert len(np.unique(union)) == len(union)
         for m in members:
@@ -234,7 +234,8 @@ class TestCoalesceProperties:
     def test_coalesced_pricing_conserves_demand(self, members):
         """Every unique key is priced exactly once, on exactly one source."""
         cache = _coalesce_stack()
-        union, _, _ = coalesce_keys([SimpleNamespace(keys=m) for m in members])
+        requests = [SimpleNamespace(keys=m) for m in members]
+        union, _, _ = coalesce_keys(requests, CACHE_N)
         plan = plan_extraction(cache, 0, union)
         group_keys = np.concatenate([g.keys for g in plan.groups])
         # The groups partition the union: same multiset, no duplicates.
@@ -257,7 +258,8 @@ class TestCoalesceProperties:
         member's own un-coalesced extraction time.
         """
         cache = _coalesce_stack()
-        union, _, _ = coalesce_keys([SimpleNamespace(keys=m) for m in members])
+        requests = [SimpleNamespace(keys=m) for m in members]
+        union, _, _ = coalesce_keys(requests, CACHE_N)
         union_plan = plan_extraction(cache, 0, union)
         union_demand = union_plan.demand(ENTRY_BYTES)
         shared = price_demand(PLATFORM_A, union_demand).time

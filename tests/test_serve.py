@@ -145,7 +145,7 @@ class TestBoundedQueue:
         q.estimator.observe(2.0)  # a fault lifted the estimate past the SLO
         # depth 0: 2 s busts the SLO but not a 3 s deadline → admitted
         assert q.offer(_request(rid=1, deadline=3.0), now=0.0).admitted
-        q.pop(now=0.0)
+        q.pop()
         # depth 0 again: 2 s busts a 1.5 s deadline → shed
         result = q.offer(_request(rid=2, deadline=1.5), now=0.0)
         assert result.status is RequestStatus.SHED
@@ -154,7 +154,7 @@ class TestBoundedQueue:
         q = BoundedRequestQueue(0, AdmissionConfig(capacity=4))
         for i in range(3):
             q.offer(_request(rid=i), now=0.0)
-        q.pop(now=0.0)
+        q.pop()
         assert q.max_depth == 3
         assert q.depth == 2
 
@@ -164,7 +164,7 @@ class TestAdmissionController:
         ctl = AdmissionController(2, AdmissionConfig(capacity=1))
         assert ctl.submit(_request(rid=1, gpu=0), 0.0).admitted
         assert ctl.submit(_request(rid=2, gpu=1), 0.0).admitted
-        assert ctl.total_depth == 2
+        assert sum(q.depth for q in ctl.queues) == 2
         assert ctl.max_depth == 1
         with pytest.raises(ValueError):
             ctl.submit(_request(gpu=7), 0.0)

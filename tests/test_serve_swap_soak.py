@@ -100,11 +100,18 @@ class TestPolicySwap:
             real_apply(store, table, evict, insert)
 
         monkeypatch.setattr(refresher_module, "apply_diff_step", flaky_apply)
-        with pytest.raises(RuntimeError, match="refresh step failed"):
+        registry = MetricsRegistry("refresh-failed")
+        with use_registry(registry), pytest.raises(
+            RuntimeError, match="refresh step failed"
+        ):
             manager.swap(outcome, probe=lambda: 1.0)
         monkeypatch.undo()
         assert calls["n"] > 3  # steps landed, then the rollback undid them
         assert manager.version == 0
+        (report,) = manager.swap_log
+        assert report.rolled_back and not report.swapped
+        assert report.reason == "refresh-failed"
+        assert registry.value("serve.policy.swaps", result="refresh-failed") == 1.0
         assert np.array_equal(cache.source_map, before_map)
         for gpu in range(4):
             assert np.array_equal(cache.lookup(gpu, probe).values, before[gpu])
