@@ -1,6 +1,6 @@
-"""Shared helpers for the per-figure benchmark scripts.
+"""Shared helpers for the figure benches (``bench_figures.py``).
 
-Every benchmark runs one experiment driver exactly once under
+Every figure bench runs one experiment driver exactly once under
 pytest-benchmark (the drivers are deterministic, minutes-scale sweeps — not
 microbenchmarks) and prints the reproduced table/figure rows uncaptured so
 they land in ``bench_output.txt``.
@@ -65,12 +65,10 @@ def _bench_metrics(request):
 def run_experiment(benchmark, capsys, _bench_metrics, _bench_results):
     """Run an experiment driver once, print its table, return its result."""
 
-    def runner(driver, *args, **kwargs) -> ExperimentResult:
+    def runner(driver) -> ExperimentResult:
         start = time.perf_counter()
         with use_registry(_bench_metrics):
-            result = benchmark.pedantic(
-                driver, args=args, kwargs=kwargs, rounds=1, iterations=1
-            )
+            result = benchmark.pedantic(driver, rounds=1, iterations=1)
         _bench_results[result.experiment] = {
             "rows": result.rows, "notes": result.notes,
             "seconds": time.perf_counter() - start,

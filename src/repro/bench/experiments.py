@@ -1,9 +1,9 @@
 """Per-figure/table experiment drivers (the paper's §2-§8 evaluation).
 
-Each ``<exp>_experiment`` function regenerates one table or figure of the
-paper and returns an :class:`~repro.bench.harness.ExperimentResult` whose
-rows are the figure's series.  The ``benchmarks/`` scripts call these and
-render them; ``EXPERIMENTS.md`` records paper-vs-measured per experiment.
+Each driver regenerates one table or figure of the paper and returns an
+:class:`~repro.bench.harness.ExperimentResult` whose rows are the figure's
+series.  ``bench/report.SPECS`` names each driver once, beside the
+paper's claim, the headline numbers and the predicates its rows must meet.
 
 Times reported here are *simulated* seconds on the modelled hardware, not
 wall-clock on this machine (see DESIGN.md's substitution table).
@@ -30,7 +30,7 @@ from repro.bench.contexts import (
     gnn_cell,
     platform_by_name,
 )
-from repro.bench.harness import ExperimentResult, speedup_summary
+from repro.bench.harness import ExperimentResult
 from repro.core.evaluate import evaluate_placement, expected_demands, hit_rates
 from repro.core.optimal import approximation_gap, solve_optimal
 from repro.core.policy import partition_policy, replication_policy
@@ -47,7 +47,7 @@ from repro.utils.units import seconds_to_ms
 #: Solver knobs used across benchmark sweeps: slightly coarser blocking
 #: than the paper's 0.5% keeps each LP solve in the tens of ms per GPU
 #: orbit (about 0.5 s on server-b's full LP) while staying within ~2% of
-#: the finer solution (bench_misc_solver_scale quantifies this).
+#: the finer solution (the solver-scale experiment quantifies this).
 BENCH_SOLVER = SolverConfig(coarse_block_frac=0.01)
 
 #: The systems the drivers plan through; UGache's solved plans are
@@ -84,7 +84,7 @@ def table1_breakdown() -> ExperimentResult:
     batch_bytes = ctx.batch_keys * ctx.entry_bytes
 
     result = ExperimentResult(
-        "table1", "Single-GPU breakdown: unsup. GraphSAGE + MAG stand-in, 1×A100"
+        "Single-GPU breakdown: unsup. GraphSAGE + MAG stand-in, 1×A100"
     )
     result.add(
         component="MLP (dense+sample)",
@@ -132,7 +132,7 @@ def fig2_policy_motivation(
     """
     platform = server_c()
     result = ExperimentResult(
-        "fig2", "Replication vs partition vs UGache (SAGE sup. + PA, 8×A100)"
+        "Replication vs partition vs UGache (SAGE sup. + PA, 8×A100)"
     )
     for ratio in ratios:
         ctx = gnn_cell(platform, "pa", "sage-sup", cache_ratio=ratio).context
@@ -170,9 +170,7 @@ def fig4_mechanism_motivation() -> ExperimentResult:
     4×V100 and 8×A100.  Message/peer run the partition policy the source
     systems use; UGache runs its solved policy with FEM.
     """
-    result = ExperimentResult(
-        "fig4", "Extraction mechanism comparison (DLR inference)"
-    )
+    result = ExperimentResult("Extraction mechanism comparison (DLR inference)")
     for platform in (server_a(), server_c()):
         for dataset in ("cr", "syn-a"):
             ctx = dlr_cell(platform, dataset, "dlrm").context
@@ -202,7 +200,7 @@ def fig4_mechanism_motivation() -> ExperimentResult:
 def fig6_core_tolerance() -> ExperimentResult:
     """Bandwidth vs participating SMs per source (Figure 6)."""
     result = ExperimentResult(
-        "fig6", "Per-source bandwidth vs number of cores (Servers A and C)"
+        "Per-source bandwidth vs number of cores (Servers A and C)"
     )
     for platform in (server_a(), server_c()):
         for curve in tolerance_curves(platform):
@@ -246,9 +244,7 @@ def fig10_end_to_end(
     servers: tuple[str, ...] = ("server-a", "server-b", "server-c"),
 ) -> ExperimentResult:
     """End-to-end epoch (GNN) / iteration (DLR) time, all systems (Fig. 10)."""
-    result = ExperimentResult(
-        "fig10", "End-to-end time: GNN epoch (s) and DLR iteration (ms)"
-    )
+    result = ExperimentResult("End-to-end time: GNN epoch (s) and DLR iteration (ms)")
     gnn_systems = (GnnLabSystem(), WholeGraphSystem(), PARTU, UGACHE)
     dlr_systems = (HpsSystem(), SokSystem(), UGACHE)
     for server in servers:
@@ -270,14 +266,6 @@ def fig10_end_to_end(
                     row, dlr_systems, dlr_cell(platform, dataset, model).context,
                     lambda res: _ms(res.iteration_time),
                 ))
-
-    for base in ("GNNLab", "PartU", "HPS", "SOK"):
-        summary = speedup_summary(result.rows, base, "UGache")
-        if summary["count"]:
-            result.notes.append(
-                f"UGache vs {base}: geomean {summary['geomean']:.2f}x, "
-                f"max {summary['max']:.2f}x over {summary['count']} configs"
-            )
     return result
 
 
@@ -289,7 +277,7 @@ def fig11_extraction_time(
     Adds RepU/PartU to the DLR side, as the paper does to isolate the
     contribution of UGache's techniques from engineering differences.
     """
-    result = ExperimentResult("fig11", "Embedding extraction time (ms/iteration)")
+    result = ExperimentResult("Embedding extraction time (ms/iteration)")
 
     def extraction_ms(res):
         return _ms(res.extraction_time)
@@ -311,14 +299,6 @@ def fig11_extraction_time(
                 row, dlr_systems, dlr_cell(platform, dataset, "dlrm").context,
                 extraction_ms,
             ))
-
-    for base in ("GNNLab", "WholeGraph", "RepU", "PartU"):
-        summary = speedup_summary(result.rows, base, "UGache")
-        if summary["count"]:
-            result.notes.append(
-                f"UGache vs {base} (extraction): geomean {summary['geomean']:.2f}x, "
-                f"max {summary['max']:.2f}x over {summary['count']} configs"
-            )
     return result
 
 
@@ -336,7 +316,7 @@ def fig12_incremental(
     """
     platform = server_c()
     result = ExperimentResult(
-        "fig12", "Incremental techniques: extraction time (SAGE sup., Server C)"
+        "Incremental techniques: extraction time (SAGE sup., Server C)"
     )
     for dataset in datasets:
         for ratio in ratios:
@@ -381,9 +361,7 @@ def fig13_link_utilization() -> ExperimentResult:
         ("dlrm", "cr", dlr_cell(platform, "cr", "dlrm").context),
         ("dlrm", "syn-a", dlr_cell(platform, "syn-a", "dlrm").context),
     ]
-    result = ExperimentResult(
-        "fig13", "Link utilization during extraction (Server C)"
-    )
+    result = ExperimentResult("Link utilization during extraction (Server C)")
     for app, dataset, ctx in cells:
         solved = UGACHE.plan(ctx)
         demands = expected_demands(platform, solved, ctx.hotness, ctx.entry_bytes)
@@ -419,9 +397,7 @@ def fig14_access_split(
 ) -> ExperimentResult:
     """Local/remote/host access split per policy vs cache ratio (Fig. 14)."""
     platform = server_c()
-    result = ExperimentResult(
-        "fig14", "Access split by source (SAGE sup., Server C)"
-    )
+    result = ExperimentResult("Access split by source (SAGE sup., Server C)")
     for dataset in datasets:
         for ratio in ratios:
             ctx = gnn_cell(platform, dataset, "sage-sup", cache_ratio=ratio).context
@@ -448,9 +424,7 @@ def fig15_time_split(
     All policies use UGache's factored extraction, as in the paper.
     """
     platform = server_c()
-    result = ExperimentResult(
-        "fig15", "Extraction time split by source (SAGE sup., Server C)"
-    )
+    result = ExperimentResult("Extraction time split by source (SAGE sup., Server C)")
     for dataset in datasets:
         for ratio in ratios:
             ctx = gnn_cell(platform, dataset, "sage-sup", cache_ratio=ratio).context
@@ -482,9 +456,7 @@ def fig16_vs_optimal() -> ExperimentResult:
     in the paper (SYN-As/Bs); GNN hotness is subsampled to a reduced
     universe for the same reason (documented in EXPERIMENTS.md).
     """
-    result = ExperimentResult(
-        "fig16", "UGache vs theoretically optimal cache policy"
-    )
+    result = ExperimentResult("UGache vs theoretically optimal cache policy")
     #: Reduced universe for per-entry tractability (the paper shrinks the
     #: dataset to SYN-As/Bs for the same reason; §8.5).  600 entries keeps
     #: every per-entry HiGHS solve under ~30 s on one core: server-b's full
@@ -531,10 +503,6 @@ def fig16_vs_optimal() -> ExperimentResult:
         for dataset in ("pa", "cf", "mag"):
             ctx = gnn_cell(platform, dataset, mode, cache_ratio=0.08).context
             _compare(f"{mode}/{dataset}", ctx)
-    gaps = [row["gap_pct"] for row in result.rows]
-    result.notes.append(
-        f"mean gap {np.mean(gaps):.2f}% (paper: 1.9% average, <2% claimed)"
-    )
     return result
 
 
@@ -561,7 +529,7 @@ def fig17_refresh() -> ExperimentResult:
         entries_to_move=entries_moved,
     )
     result = ExperimentResult(
-        "fig17", "Inference latency during cache refresh (DLRM + CR, Server C)"
+        "Inference latency during cache refresh (DLRM + CR, Server C)"
     )
     for start, stop in timeline.refresh_windows:
         inside = timeline.mean_latency(start, stop)
@@ -585,7 +553,7 @@ def fig17_refresh() -> ExperimentResult:
 # ----------------------------------------------------------------------
 def table3_datasets() -> ExperimentResult:
     """The dataset inventory with stand-in scales (Table 3)."""
-    result = ExperimentResult("table3", "Dataset stand-ins (scaled)")
+    result = ExperimentResult("Dataset stand-ins (scaled)")
     for summary in all_dataset_summaries():
         result.add(
             dataset=summary.key,
@@ -605,9 +573,7 @@ def table3_datasets() -> ExperimentResult:
 def misc_solver_scale() -> ExperimentResult:
     """§6.3's scale claims: block counts, problem size, solve time, and the
     LP-relaxation vs binary-MILP gap on a small instance."""
-    result = ExperimentResult(
-        "solver-scale", "Blocking keeps the MILP small (§6.3)"
-    )
+    result = ExperimentResult("Blocking keeps the MILP small (§6.3)")
     platform = server_c()
     for dataset, kind in (("pa", "gnn"), ("cf", "gnn"), ("syn-a", "dlr")):
         if kind == "gnn":
@@ -660,9 +626,7 @@ def misc_solver_scale() -> ExperimentResult:
 def ablation_padding() -> ExperimentResult:
     """FEM's local-extraction padding (§5.3) switched off."""
     platform = server_c()
-    result = ExperimentResult(
-        "ablation-padding", "FEM with vs without local-extraction padding"
-    )
+    result = ExperimentResult("FEM with vs without local-extraction padding")
     for dataset, mode in (("pa", "sage-sup"), ("cf", "gcn"), ("mag", "sage-unsup")):
         ctx = gnn_cell(platform, dataset, mode).context
         solved = UGACHE.plan(ctx)
@@ -689,9 +653,7 @@ def ablation_blocking() -> ExperimentResult:
 
     platform = server_c()
     ctx = gnn_cell(platform, "pa", "sage-sup", cache_ratio=0.04).context
-    result = ExperimentResult(
-        "ablation-blocking", "Blocking strategy vs solution quality (PA, 4% ratio)"
-    )
+    result = ExperimentResult("Blocking strategy vs solution quality (PA, 4% ratio)")
     strategies = {
         "log-scale coarse/fine (paper)": build_blocks(
             ctx.hotness, num_gpus=8, coarse_frac=0.005
@@ -737,7 +699,6 @@ def misc_heuristic_vs_solver() -> ExperimentResult:
     from repro.hardware.platform import server_b
 
     result = ExperimentResult(
-        "heuristic-vs-solver",
         "Hot-replicate/warm-partition heuristic [39] vs UGache's MILP",
     )
     for platform in (server_a(), server_b()):
@@ -787,9 +748,7 @@ def misc_generalization() -> ExperimentResult:
     from repro.hardware.platform import dgx2, pcie_only
     from repro.utils.stats import zipf_pmf
 
-    result = ExperimentResult(
-        "generalization", "Solved policies on out-of-paper platforms"
-    )
+    result = ExperimentResult("Solved policies on out-of-paper platforms")
     entries = 40_000
     hotness = zipf_pmf(entries, 1.2) * 200_000
     entry_bytes = 512
@@ -846,9 +805,7 @@ def misc_model_agreement() -> ExperimentResult:
         num_entries=2000,
         solver=SolverConfig(coarse_block_frac=0.02),
     )
-    result = ExperimentResult(
-        "model-agreement", "Solver time estimate vs simulated extraction time"
-    )
+    result = ExperimentResult("Solver time estimate vs simulated extraction time")
     for s in report.samples:
         result.add(
             platform=s.platform,
@@ -878,7 +835,6 @@ def misc_measured_vs_expected() -> ExperimentResult:
     from repro.gnn.workload import GnnWorkload
 
     result = ExperimentResult(
-        "measured-vs-expected",
         "Replayed batch timings vs expected-value pricing (Server C)",
     )
     platform = server_c()
@@ -952,9 +908,7 @@ def misc_event_sim_agreement() -> ExperimentResult:
     from repro.sim.mechanisms import factored_extraction, naive_peer_extraction
     from repro.hardware.platform import HOST
 
-    result = ExperimentResult(
-        "event-sim", "Analytic extraction models vs discrete event simulation"
-    )
+    result = ExperimentResult("Analytic extraction models vs discrete event simulation")
     cases = {
         "balanced": {0: 40e6, 1: 20e6, 2: 10e6, HOST: 5e6},
         "host-heavy": {0: 10e6, HOST: 30e6},

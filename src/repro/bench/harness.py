@@ -26,12 +26,13 @@ from repro.utils.stats import geometric_mean
 class ExperimentResult:
     """A reproduced table/figure: title + uniform rows (+ free-form notes)."""
 
-    experiment: str
     title: str
     rows: list[dict[str, Any]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     #: registry snapshot attached by :func:`run_with_metrics` (else None)
     metrics: dict[str, Any] | None = None
+    #: the experiment id: only its ``bench/report.SPECS`` entry sets it
+    experiment: str = field(default="", init=False)
 
     def add(self, **row: Any) -> None:
         self.rows.append(row)

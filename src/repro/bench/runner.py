@@ -6,7 +6,7 @@ way — replaying actual sampled batches against the placement and timing
 each with the simulator — yielding per-iteration distributions
 (mean/p50/p99) and a direct check that the expected-value shortcut is
 unbiased
-(``bench_misc_measured_vs_expected``).
+(the ``measured-vs-expected`` experiment).
 """
 
 from __future__ import annotations

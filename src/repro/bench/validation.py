@@ -5,7 +5,7 @@ prices the realized placement independently.  If the two drift apart, the
 solver optimizes the wrong objective — the classic failure mode of
 model-based placement.  This harness quantifies the agreement across
 randomized workloads and platforms, and is run both as a test invariant
-and as a benchmark (`bench_misc_model_agreement`).
+and as an experiment (`model-agreement`).
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ import sys
 from repro.bench.harness import render_table, run_with_metrics
 from repro.bench.report import SPECS, ExperimentSpec
 
-#: Experiment id → spec, derived from the one list in ``bench/report``.
+#: Experiment id → spec, derived from the one table in ``bench/report``.
 EXPERIMENTS: dict[str, ExperimentSpec] = {spec.exp_id: spec for spec in SPECS}
 
 #: ``solve``'s workload beyond its flags: bytes per embedding entry and
@@ -114,9 +114,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         print(f"unknown experiment {args.id!r}; "
               f"try: {', '.join(sorted(EXPERIMENTS))}", file=sys.stderr)
         return 2
-    result = run_with_metrics(spec.driver, metrics_out=args.metrics_out)
+    result = run_with_metrics(spec.run, metrics_out=args.metrics_out)
     print(render_table(result))
-    print(f"measured: {spec.summarize(result)}")
+    print(f"measured: {spec.summary(result.rows)}")
     if args.metrics_out:
         print(f"metrics written to {args.metrics_out}")
     return 0

@@ -128,9 +128,6 @@ class BoundedRequestQueue:
     def depth(self) -> int:
         return len(self._queue)
 
-    def __len__(self) -> int:
-        return len(self._queue)
-
     def peek(self) -> Request | None:
         """The request :meth:`pop` would return next, without removing it."""
         return self._queue[0] if self._queue else None

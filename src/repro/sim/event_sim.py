@@ -5,7 +5,7 @@ approximations: the factored model assumes perfect local padding, and the
 naive-peer model solves a steady-state occupancy fixed point.  This module
 simulates the same physics *discretely* — individual SMs pulling
 fixed-size chunks, link rates recomputed at every completion event — and
-is used by tests and the `bench_misc_event_sim` benchmark to check that
+is used by tests and the `event-sim` experiment to check that
 the fluid models converge to the discrete behaviour (within chunking
 noise).
 

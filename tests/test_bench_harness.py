@@ -7,13 +7,13 @@ from repro.bench.harness import ExperimentResult, render_table, speedup_summary
 
 class TestExperimentResult:
     def test_add_and_columns(self):
-        r = ExperimentResult("figX", "test")
+        r = ExperimentResult("test")
         r.add(a=1, b=2.0)
         r.add(a=3, c="x")
         assert r.columns() == ["a", "b", "c"]
 
     def test_series(self):
-        r = ExperimentResult("figX", "test")
+        r = ExperimentResult("test")
         r.add(a=1)
         r.add(a=2)
         assert r.series("a") == [1, 2]
@@ -22,27 +22,28 @@ class TestExperimentResult:
 
 class TestRenderTable:
     def test_contains_title_and_values(self):
-        r = ExperimentResult("fig2", "Policies")
+        r = ExperimentResult("Policies")
+        r.experiment = "fig2"
         r.add(system="rep", time_ms=1.234)
         text = render_table(r)
         assert "fig2" in text and "Policies" in text
         assert "rep" in text and "1.234" in text
 
     def test_none_renders_as_cross(self):
-        r = ExperimentResult("fig10", "e2e")
+        r = ExperimentResult("e2e")
         r.add(system="WholeGraph", time_ms=None)
         assert "✗" in render_table(r)
 
     def test_notes_rendered(self):
-        r = ExperimentResult("fig10", "e2e", notes=["geomean 2x"])
+        r = ExperimentResult("e2e", notes=["geomean 2x"])
         assert "note: geomean 2x" in render_table(r)
 
     def test_empty_result(self):
-        text = render_table(ExperimentResult("t", "empty"))
+        text = render_table(ExperimentResult("empty"))
         assert "empty" in text
 
     def test_small_floats_not_zeroed(self):
-        r = ExperimentResult("t", "fmt")
+        r = ExperimentResult("fmt")
         r.add(v=0.00042)
         assert "0.00042" in render_table(r)
 

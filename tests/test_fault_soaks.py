@@ -217,7 +217,8 @@ class TestSoakCli:
 @pytest.mark.xfail(
     strict=True,
     reason="the box repairs CORRUPT_SLOT-poisoned routes only through the "
-    "scheduled swap (ROADMAP item 6)",
+    "scheduled swap (ROADMAP, 'The box repairs poisoned routes only by "
+    "swapping')",
 )
 @pytest.mark.parametrize("row", ("corrupt-slot-storm", "dgx_a100_partial_failure"))
 def test_poisoned_routes_are_repaired_without_a_swap(monkeypatch, row):

@@ -533,7 +533,7 @@ class TestRunWithMetrics:
             placement = solved.realize()
             hit_rates(platform, placement, hotness)
             evaluate_placement(platform, placement, hotness, 64)
-            return ExperimentResult(experiment="tiny", title="tiny")
+            return ExperimentResult(title="tiny")
 
         out = tmp_path / "metrics.json"
         result = run_with_metrics(tiny_driver, metrics_out=out)
@@ -552,7 +552,7 @@ class TestRunWithMetrics:
 
         def driver():
             get_registry().counter(marker).inc()
-            return ExperimentResult(experiment="e", title="t")
+            return ExperimentResult(title="t")
 
         result = run_with_metrics(driver)
         assert get_registry().value(marker) is None

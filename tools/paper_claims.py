@@ -1,20 +1,18 @@
 """The paper's headline claims as a trajectory, gated against BENCH_paper.json.
 
-    python -m pytest benchmarks/bench_fig04_mechanism_motivation.py \\
-        benchmarks/bench_fig10_end_to_end.py benchmarks/bench_fig11_extraction_time.py \\
-        benchmarks/bench_fig12_breakdown.py benchmarks/bench_fig13_link_utilization.py \\
-        benchmarks/bench_fig16_vs_optimal.py --results-out results.json
+    python -m pytest benchmarks/bench_figures.py --results-out results.json
     python tools/paper_claims.py results.json                  # gate
     python tools/paper_claims.py results.json --record NAME    # store as NAME
 
-The benches assert the claims themselves (UGache beats every baseline,
-fig-16's mean gap < 5 %, ...).  This tool summarizes their rows into the
-numbers a solver or pricing change could bend — fig-16's per-row gaps to
-the per-entry optimum, the fig-10/11 geomean speed-ups, the fig-12
-``UGache_ms`` cells and the fig-13 utilisation ratios — adds the policy
-LP's size and HiGHS time per platform, and fails when a number is worse
-than the ``parent`` block of ``BENCH_paper.json`` by more than BOUNDS.
-Solve and figure seconds are wall clock and only recorded.
+The benches assert every claim of the figure table
+(``repro.bench.report.SPECS``).  This tool keeps the headline numbers a
+solver or pricing change could bend — fig-16's per-row gaps to the
+per-entry optimum, the fig-10/11 geomean speed-ups, the fig-12
+``UGache_ms`` cells and the fig-13 utilisation ratios, each the entry's
+own ``headline`` — adds the policy LP's size and HiGHS time per platform,
+and fails when a number is worse than the ``parent`` block of
+``BENCH_paper.json`` by more than BOUNDS.  Solve and figure seconds are
+wall clock and only recorded.
 """
 
 from __future__ import annotations
@@ -23,8 +21,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 LEDGER = Path(__file__).resolve().parent.parent / "BENCH_paper.json"
 
@@ -55,36 +51,19 @@ def solver_probe() -> dict:
     return out
 
 
-def geomean(rows: list[dict], base: str) -> float:
-    ratios = [r[base] / r["UGache"] for r in rows
-              if r.get(base) is not None and r.get("UGache")]
-    return float(np.exp(np.mean(np.log(ratios))))
+#: The experiments whose headline numbers are gated.
+GATED = ("fig10", "fig11", "fig12", "fig13", "fig16")
 
 
 def summarize(results: dict) -> dict:
-    fig16 = {f"{r['platform']} {r['workload']}": r["gap_pct"]
-             for r in results["fig16"]["rows"]}
-    fig13 = results["fig13"]["rows"]
-    return {
-        "fig16": {"mean_gap_pct": float(np.mean(list(fig16.values()))),
-                  "gap_pct": fig16},
-        "fig10": {b: geomean(results["fig10"]["rows"], b)
-                  for b in ("GNNLab", "PartU", "HPS", "SOK")},
-        "fig11": {b: geomean(results["fig11"]["rows"], b)
-                  for b in ("GNNLab", "WholeGraph", "RepU", "PartU")},
-        "fig12": {f"{r['dataset']} {r['cache_ratio_pct']:g}%": r["UGache_ms"]
-                  for r in results["fig12"]["rows"]},
-        # Mean FEM / naive utilisation over the cells whose link carries
-        # traffic (a placement that reads no peer has no NVLink ratio).
-        "fig13": {
-            link: float(np.mean([r[f"{link}_w_fem_pct"] / r[f"{link}_wo_fem_pct"]
-                                 for r in fig13 if r[f"{link}_wo_fem_pct"] > 0]))
-            for link in ("pcie", "nvlink")
-        },
-        "figure_s": {k: round(v["seconds"], 1) for k, v in results.items()
-                     if "seconds" in v},
-        "solver": solver_probe(),
-    }
+    from repro.bench.report import SPECS
+
+    out = {spec.exp_id: spec.headline(results[spec.exp_id]["rows"])
+           for spec in SPECS if spec.exp_id in GATED}
+    out["figure_s"] = {k: round(v["seconds"], 1) for k, v in results.items()
+                       if "seconds" in v}
+    out["solver"] = solver_probe()
+    return out
 
 
 def check(now: dict, parent: dict) -> list[str]:

@@ -312,9 +312,6 @@ OPTION_KEEP: dict[str, tuple[str, str]] = {
         "seam", "test-sized sweep"),
     "repro.bench.validation:validate_model_agreement.alphas": ("seam", "test-sized sweep"),
     "repro.bench.validation:validate_model_agreement.ratios": ("seam", "test-sized sweep"),
-    "repro.bench.plotting:line_chart.width": ("seam", "test-sized canvas"),
-    "repro.bench.plotting:line_chart.height": ("seam", "test-sized canvas"),
-    "repro.bench.plotting:bar_chart.width": ("seam", "test-sized canvas"),
     "repro.core.embedding_layer:EmbeddingLayerConfig.solver": (
         "seam", "tests coarsen the LP (coarse_block_frac=0.05) to toy-table size"),
     "repro.core.location_table:LocationTable.__init__.max_offset": (
