@@ -323,7 +323,8 @@ def _bench_tier_pricing(rng) -> list[dict]:
     """
     from repro.core.pipeline import plan_extraction, price_demand
     from repro.hardware.platform import (
-        cxl_tier,
+        TIER_KINDS,
+        MemoryTier,
         dram_tier,
         ssd_tier,
         with_tiers,
@@ -344,7 +345,7 @@ def _bench_tier_pricing(rng) -> list[dict]:
             "dram+cxl+ssd",
             (
                 dram_tier(total // 4, base.pcie_bandwidth),
-                cxl_tier(total // 2),
+                MemoryTier("cxl", total // 2, *TIER_KINDS["cxl"]),
                 ssd_tier(total),
             ),
         ),

@@ -1,7 +1,8 @@
 """Fully end-to-end GNN training: cache-extracted features → real model.
 
 Everything in one loop, nothing mocked: a power-law graph, a UGache
-embedding layer across the modelled 8×A100 server, fanout-tree sampling,
+embedding (the ``nn.Embedding`` look-alike of §7.1) across the modelled
+8×A100 server, fanout-tree sampling,
 and an actual numpy GraphSAGE (exact forward/backward) learning a
 feature-derived node-classification task.  Training loss falls while every
 feature vector is served by the multi-GPU cache — and the simulated
@@ -12,7 +13,9 @@ Run:  python examples/end_to_end_training.py
 
 import numpy as np
 
-from repro import EmbeddingLayerConfig, UGacheEmbeddingLayer, server_c
+from repro import server_c
+from repro.core.hotness import degree_hotness
+from repro.framework import UGacheEmbedding
 from repro.gnn import GraphSageModel, power_law_graph, sample_tree
 
 NUM_NODES, NUM_EDGES = 20_000, 300_000
@@ -32,15 +35,13 @@ def main() -> None:
     labels = (table @ true_w).argmax(axis=1)  # ground truth from features
 
     # Hotness from degree (PaGraph-style §6.1) — no profiling epoch needed.
-    degrees = graph.degrees().astype(np.float64)
-    hotness = degrees / degrees.sum() * (BATCH * 31)
+    hotness = degree_hotness(graph.degrees()) * (BATCH * 31)
 
-    layer = UGacheEmbeddingLayer(
-        platform, table, hotness, EmbeddingLayerConfig(cache_ratio=0.10)
-    )
+    emb = UGacheEmbedding(platform, table, hotness, cache_ratio=0.10)
+    layer = emb.layer
     hits = layer.hit_rates()
-    print(f"cache ready: local {hits.local:.1%} / remote {hits.remote:.1%} / "
-          f"host {hits.host:.1%}")
+    print(f"cache ready for a {emb.num_embeddings} x {emb.embedding_dim} table: "
+          f"local {hits.local:.1%} / remote {hits.remote:.1%} / host {hits.host:.1%}")
 
     model = GraphSageModel(DIM, HIDDEN, num_levels=len(FANOUTS),
                            num_classes=CLASSES, seed=1)
@@ -53,12 +54,10 @@ def main() -> None:
         # Extract every tree position's embedding through the cache —
         # duplicates included, as the paper's extract() does.
         keys = tree.all_keys()
-        unique, inverse = np.unique(keys, return_inverse=True)
-        result = layer.cache.lookup(0, unique)
-        features = tree.features_by_depth(unique, result.values.astype(np.float64))
-        report = layer.extract(
-            [keys if g == 0 else keys for g in platform.gpu_ids]
-        )[1]
+        unique = np.unique(keys)
+        values = emb(unique, device=0).astype(np.float64)
+        features = tree.features_by_depth(unique, values)
+        report = layer.extract([keys for _ in platform.gpu_ids])[1]
         extraction_total += report.time
 
         loss, grads = model.loss_and_grads(tree, features, labels[seeds])

@@ -1,6 +1,5 @@
 """Baseline systems of §8.1, plus UGache behind the same interface."""
 
-from repro.baselines.lru import LruCache, LruStats, steady_state_overlap
 from repro.baselines.base import (
     EmbCacheSystem,
     SystemContext,
@@ -19,9 +18,6 @@ from repro.baselines.systems import (
 )
 
 __all__ = [
-    "LruCache",
-    "LruStats",
-    "steady_state_overlap",
     "EmbCacheSystem",
     "SystemContext",
     "SystemResult",

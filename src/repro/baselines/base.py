@@ -122,10 +122,6 @@ class EmbCacheSystem(abc.ABC):
         """System-specific per-iteration cost outside raw extraction."""
         return 0.0
 
-    def capacity(self, ctx: SystemContext) -> int:
-        """Per-GPU entry budget (systems may gain/lose capacity)."""
-        return ctx.capacity_entries
-
     def check_supported(self, ctx: SystemContext) -> None:
         if ctx.kind not in self.supports:
             raise UnsupportedConfiguration(

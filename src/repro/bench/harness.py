@@ -45,9 +45,6 @@ class ExperimentResult:
                     cols.append(key)
         return cols
 
-    def series(self, key: str) -> list[Any]:
-        return [row.get(key) for row in self.rows]
-
 
 def _format_cell(value: Any) -> str:
     if value is None:

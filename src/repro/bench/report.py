@@ -239,7 +239,10 @@ SPECS: tuple[ExperimentSpec, ...] = (
                               if r["server"] in ("server-a", "server-b")
                               and r["unit"] == "s/epoch"))),
         "speedup magnitudes shift with the scaled dense/extraction balance "
-        "but every ordering and every launch failure reproduces.",
+        "but every ordering and every launch failure reproduces.  HPS is "
+        "modelled, not run: its cache is the replicated frequency top-K (an "
+        "LRU's steady state under a static skewed distribution) plus a fixed "
+        "per-key LRU maintenance cost, so no online LRU evicts anything.",
     ),
     ExperimentSpec(
         "fig11", E.fig11_extraction_time,

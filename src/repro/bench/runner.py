@@ -38,16 +38,8 @@ class ReplayStats:
         return float(self.times.mean()) if self.iterations else 0.0
 
     @property
-    def p50_time(self) -> float:
-        return float(np.percentile(self.times, 50)) if self.iterations else 0.0
-
-    @property
     def p99_time(self) -> float:
         return float(np.percentile(self.times, 99)) if self.iterations else 0.0
-
-    @property
-    def stdev_time(self) -> float:
-        return float(self.times.std()) if self.iterations else 0.0
 
 
 def replay_workload(

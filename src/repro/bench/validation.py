@@ -58,9 +58,6 @@ class AgreementReport:
             return 0.0
         return float(max(abs(s.relative_error) for s in self.samples))
 
-    def within(self, tolerance: float) -> bool:
-        return self.worst_abs_error <= tolerance
-
 
 def validate_model_agreement(
     platforms: list[Platform],

@@ -65,16 +65,9 @@ class NodePlacement:
     def num_entries(self) -> int:
         return int(self.owners.shape[0])
 
-    @property
-    def replication(self) -> int:
-        return int(self.owners.shape[1])
-
     def owners_for(self, keys: np.ndarray) -> np.ndarray:
         """``(len(keys), replication)`` owner nodes, primary first."""
         return self.owners[np.ascontiguousarray(keys, dtype=np.int64)]
-
-    def primary_for(self, keys: np.ndarray) -> np.ndarray:
-        return self.owners_for(keys)[:, 0]
 
     def member_mask(self, node: int) -> np.ndarray:
         """Boolean mask over the keyspace: which entries ``node`` holds."""

@@ -110,6 +110,3 @@ class HashRing:
     def owners_for(self, keys: np.ndarray) -> np.ndarray:
         """``(len(keys), replication)`` owner nodes, primary first."""
         return self._successors[self.slot_of(keys)]
-
-    def primary_for(self, keys: np.ndarray) -> np.ndarray:
-        return self.owners_for(keys)[:, 0]

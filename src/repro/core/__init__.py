@@ -58,7 +58,6 @@ from repro.core.optimal import MAX_OPTIMAL_ENTRIES, approximation_gap, solve_opt
 from repro.core.policy import (
     Placement,
     clique_partition_policy,
-    empty_placement,
     hot_replicate_warm_partition_policy,
     partition_policy,
     replication_policy,
@@ -130,7 +129,6 @@ __all__ = [
     "solve_optimal",
     "Placement",
     "clique_partition_policy",
-    "empty_placement",
     "hot_replicate_warm_partition_policy",
     "partition_policy",
     "replication_policy",

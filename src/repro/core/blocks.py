@@ -59,9 +59,6 @@ class BlockSet:
         """Entry ids of one block (hotness-descending order)."""
         return self.order[self.offsets[block] : self.offsets[block + 1]]
 
-    def mean_hotness(self) -> np.ndarray:
-        return self.hotness_sum / self.sizes
-
     def block_of(self) -> np.ndarray:
         """Inverse map: entry id → block index."""
         inverse = np.empty(self.num_entries, dtype=np.int64)

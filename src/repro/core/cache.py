@@ -55,12 +55,6 @@ class LookupResult:
     sources: np.ndarray
 
     @property
-    def local_fraction(self) -> float:
-        if self.sources.size == 0:
-            return 0.0
-        return float((self.sources == self.demand.dst).mean())
-
-    @property
     def host_fraction(self) -> float:
         """Fraction resolved to the backing chain (any tier id < 0)."""
         if self.sources.size == 0:

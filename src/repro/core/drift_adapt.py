@@ -60,12 +60,11 @@ class StreamingHotnessEstimator(HotnessTracker):
     ``decay=1.0`` degrades to the base tracker's plain counting (every
     batch weighted equally, forever).
 
-    Unlike the base tracker — which the foreground Refresher feeds from
-    a single thread — this estimator is recorded from the serving hot
+    Unlike the base tracker — which a profiling epoch feeds from a
+    single thread — this estimator is recorded from the serving hot
     path, concurrently from every per-GPU worker, while the drift
-    detector reads snapshots.  All public state transitions happen under
-    one mutex: no lost updates, no torn hot-set reads.  Before the first
-    batch it keeps the base tracker's loud zero-batch :class:`RuntimeError`.
+    detector reads snapshots.  Every record and snapshot happens under
+    one mutex: no lost updates, no torn hot-set reads.
     """
 
     def __init__(self, num_entries: int, decay: float = 0.95) -> None:
@@ -92,47 +91,21 @@ class StreamingHotnessEstimator(HotnessTracker):
             self._counts += counts
             self._batches += 1
 
-    def hotness(self) -> np.ndarray:
-        """Expected accesses per entry per batch over the decayed window.
-
-        Before any batch is recorded this is undefined and raises like the
-        base tracker.
-        """
-        with self._lock:
-            if self._batches == 0:
-                raise RuntimeError("no batches recorded yet")
-            return self._counts / self._effective_batches_locked()
-
-    def counts(self) -> np.ndarray:
-        with self._lock:
-            return self._counts.copy()
-
     def snapshot(self) -> tuple[np.ndarray, int]:
-        """Atomic ``(hotness, batches_recorded)`` pair for the detector.
+        """Atomic ``(hotness, batches_recorded)`` pair for the detector:
+        expected accesses per entry per batch over the decayed window.
 
         Reading the two separately could pair a post-batch estimate with
         a pre-batch count (a torn read); the detector's ``min_batches``
-        warm-up gate needs them consistent.
+        warm-up gate needs them consistent.  Before the first batch the
+        window is undefined and this raises :class:`RuntimeError`: silent
+        zeros would tell the solver nothing is ever accessed.
         """
         with self._lock:
             if self._batches == 0:
                 raise RuntimeError("no batches recorded yet")
             hot = self._counts / self._effective_batches_locked()
             return hot, self._batches
-
-    def merge(self, other: HotnessTracker) -> None:
-        if other.num_entries != self.num_entries:
-            raise ValueError("trackers cover different entry universes")
-        counts = other.counts()
-        batches = other.batches_recorded
-        with self._lock:
-            self._counts += counts
-            self._batches += batches
-
-    def reset(self) -> None:
-        with self._lock:
-            self._counts[:] = 0.0
-            self._batches = 0
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +229,6 @@ class DriftDetector:
         self._cooldown = 0
         self.tape: list[DriftScore] = []
         self.detections = 0
-
-    @property
-    def snapshot(self) -> np.ndarray:
-        return self._snapshot.copy()
 
     def rebase(self, snapshot: np.ndarray) -> None:
         """Re-anchor on a freshly solved snapshot (after a swap lands)."""

@@ -123,10 +123,6 @@ class UGacheEmbeddingLayer:
     def placement(self) -> Placement:
         return self._cache.placement
 
-    @property
-    def capacity_entries(self) -> int:
-        return self._capacity
-
     def hit_rates(self) -> HitRates:
         """Expected local/remote/host access split under current hotness."""
         return hit_rates(self._platform, self._cache.placement, self._hotness)

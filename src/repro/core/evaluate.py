@@ -132,13 +132,6 @@ class HitRates:
         """Fraction of accesses served by *any* GPU cache (Fig. 2's global)."""
         return self.local + self.remote
 
-    def as_percent(self) -> dict[str, float]:
-        return {
-            "local": 100.0 * self.local,
-            "remote": 100.0 * self.remote,
-            "host": 100.0 * self.host,
-        }
-
 
 def expected_demands(
     platform: Platform,

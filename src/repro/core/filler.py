@@ -87,14 +87,6 @@ class GpuCacheStore:
         self.checksums[slots] = 0
         self.offset_of[entries] = -1
 
-    def insert(self, entry: int, values: np.ndarray) -> int:
-        """Cache one entry; returns its slot offset."""
-        return int(self.insert_many([entry], np.asarray(values)[None, :])[0])
-
-    def evict(self, entry: int) -> None:
-        """Drop one entry, freeing its slot."""
-        self.evict_many([entry])
-
     def read(self, entries: np.ndarray) -> np.ndarray:
         """Gather cached values for ``entries`` (all must be cached)."""
         slots = self.offset_of[entries]

@@ -7,17 +7,15 @@ ranking.
 
 Two estimators mirror the paper's options:
 
-* :class:`HotnessTracker` — online counting of sampled requests (what the
-  foreground Refresher feeds on, §7.2, and what
+* :class:`HotnessTracker` — counting of sampled requests (what
   :meth:`~repro.gnn.workload.GnnWorkload.presampled_hotness` profiles the
-  first epoch with — GNNLab's pre-sampling);
+  first epoch with — GNNLab's pre-sampling — and what
+  :class:`~repro.core.drift_adapt.StreamingHotnessEstimator` decays online);
 * :func:`degree_hotness` — approximate GNN access frequency by vertex
   degree (PaGraph's estimator for graph workloads).
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 import numpy as np
 
@@ -26,8 +24,8 @@ class HotnessTracker:
     """Streaming access counter over a fixed entry universe.
 
     ``record`` accepts raw key batches (duplicates count, as in the
-    paper's extraction cost model); ``hotness()`` normalizes to expected
-    accesses per recorded batch.
+    paper's extraction cost model); ``counts()`` and ``batches_recorded``
+    are what a caller normalizes to expected accesses per batch.
     """
 
     def __init__(self, num_entries: int) -> None:
@@ -52,45 +50,9 @@ class HotnessTracker:
         self._counts += np.bincount(keys, minlength=self.num_entries)
         self._batches += 1
 
-    def record_many(self, batches: Iterable[np.ndarray]) -> None:
-        for keys in batches:
-            self.record(keys)
-
     def counts(self) -> np.ndarray:
         """Raw access counts (copy)."""
         return self._counts.copy()
-
-    def hotness(self) -> np.ndarray:
-        """Expected accesses per entry per batch.
-
-        Normalizes the raw counts by ``batches_recorded``.  The
-        zero-batch edge is deliberately *loud*: before any batch is
-        recorded there is no window to normalize by, and silently
-        answering zeros (or ``0/0`` NaNs) would feed the solver a
-        hotness vector claiming nothing is ever accessed.  Callers that
-        poll on a schedule and may race the first batch should use
-        :class:`~repro.core.drift_adapt.StreamingHotnessEstimator` with
-        an explicit cold-start ``prior`` (mirroring
-        :class:`~repro.serve.queueing.LatencyEstimator`'s
-        ``estimator_prior``) instead of catching this.
-
-        Raises:
-            RuntimeError: when no batch has been recorded yet.
-        """
-        if self._batches == 0:
-            raise RuntimeError("no batches recorded yet")
-        return self._counts / self._batches
-
-    def merge(self, other: "HotnessTracker") -> None:
-        """Fold another tracker's counts in (e.g. per-GPU samplers)."""
-        if other.num_entries != self.num_entries:
-            raise ValueError("trackers cover different entry universes")
-        self._counts += other._counts
-        self._batches += other._batches
-
-    def reset(self) -> None:
-        self._counts[:] = 0.0
-        self._batches = 0
 
 
 def degree_hotness(degrees: np.ndarray) -> np.ndarray:

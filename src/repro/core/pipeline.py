@@ -180,17 +180,6 @@ class ExtractionPlan:
             for src, _, cores in self.per_source
         )
 
-    @property
-    def local_group(self) -> SourceGroup | None:
-        for g in self.groups:
-            if g.source == self.dst:
-                return g
-        return None
-
-    @property
-    def nonlocal_groups(self) -> tuple[SourceGroup, ...]:
-        return tuple(g for g in self.groups if g.source != self.dst)
-
     def demand(self, entry_bytes: int) -> GpuDemand:
         return GpuDemand(
             dst=self.dst,
@@ -643,10 +632,6 @@ class NodeReadPrice:
 
     extraction_seconds: float
     transfer_seconds: float
-
-    @property
-    def total_seconds(self) -> float:
-        return self.extraction_seconds + self.transfer_seconds
 
 
 def price_node_read(platform: Platform, demand: GpuDemand) -> NodeReadPrice:

@@ -166,9 +166,3 @@ def hot_replicate_warm_partition_policy(
     return Placement(num_entries=n, per_gpu=per_gpu)
 
 
-def empty_placement(num_entries: int, num_gpus: int) -> Placement:
-    """No GPU caches anything; all extraction goes to host (the no-cache case)."""
-    return Placement(
-        num_entries=num_entries,
-        per_gpu=tuple(np.empty(0, dtype=np.int64) for _ in range(num_gpus)),
-    )

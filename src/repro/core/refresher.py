@@ -3,7 +3,8 @@
 Embedding hotness drifts slowly (days), so UGache refreshes its static
 cache in the background instead of paying per-access eviction bookkeeping:
 
-1. the foreground samples requests into a :class:`HotnessTracker`;
+1. a new hotness estimate arrives (a re-profiled workload, or the serving
+   tier's :class:`~repro.core.drift_adapt.StreamingHotnessEstimator`);
 2. periodically the Solver re-estimates extraction time under the new
    hotness; if it improved enough, a refresh is triggered;
 3. the Refresher computes the placement diff and applies it in small

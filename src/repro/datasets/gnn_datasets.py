@@ -75,10 +75,6 @@ class GnnDataset:
     graph: CSRGraph
     train_ids: np.ndarray
 
-    def hotness_degree(self) -> np.ndarray:
-        degs = self.graph.degrees().astype(np.float64)
-        return degs / max(degs.sum(), 1.0)
-
 
 #: The three GNN datasets of Table 3, scaled.  ``num_edges`` is the count
 #: of sampled undirected edges; CSR holds 2× that.

@@ -71,10 +71,6 @@ class DriftSchedule:
         if tuple(p.start for p in self.phases[1:]) != self.transitions:
             raise ValueError("transitions must mirror later phase starts")
 
-    @property
-    def num_entries(self) -> int:
-        return len(self.phases[0].pmf)
-
     def phase_at(self, frac: float) -> int:
         """Index of the phase active at run-fraction ``frac``."""
         idx = 0

@@ -75,11 +75,6 @@ class DlrWorkload:
     def num_entries(self) -> int:
         return int(sum(self.table_sizes))
 
-    @property
-    def keys_per_request(self) -> int:
-        """Embedding keys one inference sample touches (one per table)."""
-        return self.num_tables
-
     def _table_permutations(self) -> list[np.ndarray]:
         if self.permutations is not None:
             return [p.copy() for p in self.permutations]

@@ -35,14 +35,6 @@ class DegradedPlatform:
         self._health = health
         self.memo: dict = {}
 
-    @property
-    def base(self) -> Platform:
-        return self._base
-
-    @property
-    def health(self) -> HealthView:
-        return self._health
-
     def __getattr__(self, name: str) -> Any:
         # num_gpus, gpu, gpu_ids, topology, name, … delegate unchanged.
         return getattr(self._base, name)
@@ -81,7 +73,7 @@ def degraded_platform(platform: Platform, health: HealthView) -> Platform:
     view per health value, remembered — warm memo included — by the base."""
     if health.healthy:
         return platform
-    base = platform.base if isinstance(platform, DegradedPlatform) else platform
+    base = platform._base if isinstance(platform, DegradedPlatform) else platform
     view = base.memo.get(("degraded", health))
     if view is None:
         view = remember(base.memo, ("degraded", health), DegradedPlatform(base, health))

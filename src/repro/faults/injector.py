@@ -52,18 +52,6 @@ class FaultInjector:
         # so realize faults under a lock.
         self._lock = threading.Lock()
 
-    @property
-    def plan(self) -> FaultPlan:
-        return self._plan
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    def attach(self, cache) -> None:
-        """Point the injector at the cache whose state one-shots mutate."""
-        self._cache = cache
-
     def health(self, now: float | None = None) -> HealthView:
         """The health view at ``now`` (defaults to the last advanced time)."""
         return self._plan.health_at(self._now if now is None else now)

@@ -243,10 +243,6 @@ class FaultPlan:
     def active_at(self, now: float) -> tuple[FaultSpec, ...]:
         return tuple(f for f in self.faults if f.active_at(now))
 
-    def last_clear_time(self) -> float:
-        """When the final fault clears (0 for an empty plan)."""
-        return max((f.clears_at for f in self.faults), default=0.0)
-
     def health_at(self, now: float) -> HealthView:
         """Flatten every active fault into one :class:`HealthView`."""
         active = self.active_at(now)

@@ -1,10 +1,9 @@
 """TensorFlow/Keras-style integration (§7.1): UGache as an embedding layer.
 
 Mirrors the ``tf.keras.layers.Layer`` lifecycle — construct with config,
-``build`` on first call, ``call`` for lookups, ``get_config`` for
-serialization — over numpy arrays, since TensorFlow is unavailable
-offline.  This is the surface the paper's DLR inference integration (HPS /
-SOK plugin replacement) exposes.
+``build`` on first call, ``call`` for lookups — over numpy arrays, since
+TensorFlow is unavailable offline.  This is the surface the paper's DLR
+inference integration (HPS / SOK plugin replacement) exposes.
 """
 
 from __future__ import annotations
@@ -35,10 +34,6 @@ class UGacheKerasEmbedding:
     def built(self) -> bool:
         return self._layer is not None
 
-    @property
-    def name(self) -> str:
-        return self._name
-
     def build(self, weight: np.ndarray, hotness: np.ndarray) -> None:
         """Materialize the cache (Keras calls this before first use)."""
         if self.built:
@@ -67,11 +62,3 @@ class UGacheKerasEmbedding:
         if not self.built:
             raise RuntimeError("layer not built yet")
         return self._layer
-
-    def get_config(self) -> dict:
-        """Keras-style config dict (for logging/serialization parity)."""
-        return {
-            "name": self._name,
-            "platform": self._platform.name,
-            "cache_ratio": self._cache_ratio,
-        }

@@ -16,13 +16,11 @@ from repro.hardware.platform import Platform
 
 
 class Module:
-    """Minimal ``nn.Module`` look-alike: ``__call__`` dispatches to ``forward``."""
+    """Minimal ``nn.Module`` look-alike: ``__call__`` dispatches to the
+    subclass's ``forward``."""
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
-
-    def forward(self, *args, **kwargs):  # pragma: no cover - abstract
-        raise NotImplementedError
 
 
 class UGacheEmbedding(Module):

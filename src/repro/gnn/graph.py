@@ -56,10 +56,6 @@ class CSRGraph:
     def neighbors(self, node: int) -> np.ndarray:
         return self.indices[self.indptr[node] : self.indptr[node + 1]]
 
-    def topology_bytes(self) -> int:
-        """Bytes the topology occupies (Table 3's Volume_G column)."""
-        return self.indptr.nbytes + self.indices.nbytes
-
     @staticmethod
     def from_edges(num_nodes: int, src: np.ndarray, dst: np.ndarray) -> "CSRGraph":
         """Build a CSR graph from parallel edge-endpoint arrays."""

@@ -48,10 +48,6 @@ class FanoutTree:
     def depth(self) -> int:
         return len(self.fanouts)
 
-    @property
-    def seeds(self) -> np.ndarray:
-        return self.nodes[0]
-
     def all_keys(self) -> np.ndarray:
         """Every vertex occurrence — the embedding keys to extract."""
         return np.concatenate(self.nodes)

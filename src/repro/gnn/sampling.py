@@ -32,14 +32,6 @@ class SampledBatch:
     #: deduplicated view (what a dedup-optimized loader would fetch)
     unique_nodes: np.ndarray
 
-    @property
-    def num_keys(self) -> int:
-        return len(self.all_nodes)
-
-    @property
-    def total_sampled(self) -> int:
-        return len(self.all_nodes)
-
 
 def sample_neighbors(
     graph: CSRGraph,

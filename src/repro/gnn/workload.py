@@ -155,14 +155,3 @@ class GnnWorkload:
         # Normalize to expected accesses per batch *per GPU*.
         batches_seen = tracker.batches_recorded / self.num_gpus
         return counts / self.num_gpus / max(batches_seen, 1)
-
-    def degree_hotness(self) -> np.ndarray:
-        """PaGraph-style degree proxy, scaled to per-batch access counts."""
-        degs = self.graph.degrees().astype(np.float64)
-        total = degs.sum()
-        if total <= 0:
-            raise ValueError("graph has no edges")
-        # Upper bound on sampled vertices per seed: 1 + f1 + f1·f2 + ...
-        per_seed = 1 + int(np.sum(np.cumprod(self.fanouts)))
-        expected_keys = self.batch_size * per_seed
-        return degs / total * min(expected_keys, self.num_entries)

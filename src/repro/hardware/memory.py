@@ -41,25 +41,12 @@ class SlotArena:
         self._is_free = np.zeros(self._num_slots, dtype=bool)
 
     @property
-    def num_slots(self) -> int:
-        """Total slots the arena can ever hold."""
-        return self._num_slots
-
-    @property
-    def slot_bytes(self) -> int:
-        return self._slot_bytes
-
-    @property
     def used_slots(self) -> int:
         return self._next_fresh - self._num_free
 
     @property
     def free_slots(self) -> int:
         return self._num_slots - self.used_slots
-
-    @property
-    def used_bytes(self) -> int:
-        return self.used_slots * self._slot_bytes
 
     def allocate(self) -> int:
         """Claim one slot; returns its offset."""
@@ -104,9 +91,3 @@ class SlotArena:
         self._free[self._num_free : self._num_free + len(offsets)] = offsets
         self._num_free += len(offsets)
         self._is_free[offsets] = True
-
-    def reset(self) -> None:
-        """Release every slot (used by full cache refills)."""
-        self._next_fresh = 0
-        self._num_free = 0
-        self._is_free[:] = False

@@ -92,11 +92,6 @@ class MemoryTier:
         if self.latency_s < 0:
             raise ValueError(f"tier {self.name!r}: latency must be non-negative")
 
-    @property
-    def cost_per_byte(self) -> float:
-        """Seconds per byte extracted from this tier (the solver coefficient)."""
-        return 1.0 / self.bandwidth
-
 
 #: Reference (bandwidth, latency) per well-known tier kind.  DRAM's
 #: bandwidth is ``None`` — it is bounded by the platform's PCIe pipe, so
@@ -407,27 +402,6 @@ class Platform:
     # ------------------------------------------------------------------
     # Capacity helpers
     # ------------------------------------------------------------------
-    def cache_capacity_entries(
-        self, entry_bytes: int, cache_ratio: float, total_entries: int
-    ) -> int:
-        """Entries one GPU may cache at ``cache_ratio`` of the table.
-
-        The paper sweeps "cache ratio per GPU" = fraction of all entries
-        each GPU can hold; this converts it to a per-GPU entry budget.
-        """
-        if entry_bytes <= 0:
-            raise ValueError("entry size must be positive")
-        if not 0 <= cache_ratio <= 1:
-            raise ValueError(f"cache ratio must be in [0, 1], got {cache_ratio}")
-        return int(cache_ratio * total_entries)
-
-    def max_cache_ratio(self, entry_bytes: int, total_entries: int, reserved_bytes: int = 0) -> float:
-        """Largest per-GPU cache ratio that fits in GPU memory."""
-        usable = self.gpu.memory_bytes - reserved_bytes
-        if usable <= 0:
-            return 0.0
-        return min(1.0, usable / (entry_bytes * total_entries))
-
     def _check_gpu(self, i: int) -> None:
         if not 0 <= i < self.num_gpus:
             raise ValueError(f"GPU id {i} out of range for {self.num_gpus}-GPU platform")
@@ -530,12 +504,6 @@ def pcie_only(num_gpus: int = 4) -> Platform:
 def dram_tier(capacity_bytes: int, bandwidth: float = gbps(16)) -> MemoryTier:
     """Host DRAM reached over PCIe — tier 0 of every chain."""
     return MemoryTier(name="dram", capacity_bytes=capacity_bytes, bandwidth=bandwidth)
-
-
-def cxl_tier(capacity_bytes: int) -> MemoryTier:
-    """CXL-attached expansion memory: near-PCIe bandwidth, µs latency."""
-    bw, lat = TIER_KINDS["cxl"]
-    return MemoryTier(name="cxl", capacity_bytes=capacity_bytes, bandwidth=bw, latency_s=lat)
 
 
 def ssd_tier(capacity_bytes: int) -> MemoryTier:

@@ -128,11 +128,6 @@ class Gauge:
         with self._lock:
             self.value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        """Adjust the gauge by ``amount`` (may be negative)."""
-        with self._lock:
-            self.value += amount
-
     def snapshot(self) -> dict[str, Any]:
         """JSON-able state of this series."""
         return {
@@ -200,12 +195,6 @@ class Histogram:
     min = property(lambda self: self._folded()[2])
     max = property(lambda self: self._folded()[3])
     bucket_counts = property(lambda self: self._folded()[4])
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean of all observations (0 when empty)."""
-        count, total = self._folded()[:2]
-        return total / count if count else 0.0
 
     def snapshot(self) -> dict[str, Any]:
         """JSON-able state of this series (sparse non-empty buckets)."""
@@ -348,9 +337,6 @@ class _NoopGauge(Gauge):
     __slots__ = ()
 
     def set(self, value: float) -> None:
-        return None
-
-    def inc(self, amount: float = 1.0) -> None:
         return None
 
 

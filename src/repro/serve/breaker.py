@@ -206,9 +206,6 @@ class BreakerBoard:
             int(s): CircuitBreaker(int(s), self.config) for s in sources
         }
 
-    def breaker(self, source: int) -> CircuitBreaker:
-        return self._breakers[int(source)]
-
     def __iter__(self):
         return iter(self._breakers.values())
 

@@ -117,10 +117,6 @@ class PolicyManager:
     def version(self) -> int:
         return self.current.version
 
-    @property
-    def generations(self) -> tuple[PolicyGeneration, ...]:
-        return tuple(self._generations)
-
     # ------------------------------------------------------------------
     # Solve + swap
     # ------------------------------------------------------------------

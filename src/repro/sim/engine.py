@@ -42,12 +42,6 @@ class BatchReport:
         """Batch extraction time (data-parallel barrier = max over GPUs)."""
         return max((r.time for r in self.per_gpu), default=0.0)
 
-    @property
-    def mean_gpu_time(self) -> float:
-        if not self.per_gpu:
-            return 0.0
-        return sum(r.time for r in self.per_gpu) / len(self.per_gpu)
-
     def total_volume(self) -> float:
         return sum(sum(r.volumes.values()) for r in self.per_gpu)
 

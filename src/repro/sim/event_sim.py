@@ -50,10 +50,6 @@ class HedgedSimResult:
     #: ``"primary"`` or ``"hedge"`` — whichever finished first.
     winner: str
 
-    @property
-    def hedge_won(self) -> bool:
-        return self.winner == "hedge"
-
 
 def _link_rate(
     peak: float,

@@ -53,10 +53,6 @@ class GpuDemand:
     def volume(self, src: int) -> float:
         return float(self.volumes.get(src, 0.0))
 
-    @property
-    def nonlocal_sources(self) -> list[int]:
-        return [s for s, v in self.volumes.items() if s != self.dst and v > 0]
-
 
 @dataclass(frozen=True)
 class GpuExtractionReport:

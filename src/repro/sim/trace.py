@@ -36,10 +36,6 @@ class GroupEvent:
     finish: float
     volume: float
 
-    @property
-    def duration(self) -> float:
-        return self.finish - self.start
-
 
 @dataclass(frozen=True)
 class LocalSegment:

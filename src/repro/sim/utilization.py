@@ -22,9 +22,6 @@ class LinkUtilization:
     pcie: float
     nvlink: float
 
-    def as_percent(self) -> dict[str, float]:
-        return {"pcie": 100.0 * self.pcie, "nvlink": 100.0 * self.nvlink}
-
 
 def batch_utilization(platform: Platform, report: BatchReport) -> LinkUtilization:
     """Average PCIe and NVLink utilization over one batch.

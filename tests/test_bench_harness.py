@@ -12,13 +12,6 @@ class TestExperimentResult:
         r.add(a=3, c="x")
         assert r.columns() == ["a", "b", "c"]
 
-    def test_series(self):
-        r = ExperimentResult("test")
-        r.add(a=1)
-        r.add(a=2)
-        assert r.series("a") == [1, 2]
-        assert r.series("missing") == [None, None]
-
 
 class TestRenderTable:
     def test_contains_title_and_values(self):

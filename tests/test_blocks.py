@@ -29,7 +29,7 @@ class TestBuildBlocks:
 
     def test_blocks_are_hotness_sorted(self, zipf_hotness):
         blocks = build_blocks(zipf_hotness, num_gpus=4)
-        means = blocks.mean_hotness()
+        means = blocks.hotness_sum / blocks.sizes
         assert (np.diff(means) <= 1e-12).all()
 
     def test_coarse_cap_respected(self, zipf_hotness):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.cache import MultiGpuEmbeddingCache
 from repro.core.policy import (
-    empty_placement,
+    Placement,
     partition_policy,
     replication_policy,
 )
@@ -45,7 +45,7 @@ class TestLookupCorrectness:
 
     def test_empty_cache_serves_from_host(self, platform_a, small_table, rng):
         cache = MultiGpuEmbeddingCache(
-            platform_a, small_table, empty_placement(N, 4)
+            platform_a, small_table, Placement(N, ((),) * 4)
         )
         keys = rng.integers(0, N, size=100)
         result = cache.lookup(0, keys)
@@ -78,7 +78,7 @@ class TestLookupProvenance:
         placement = replication_policy(skewed_hotness, N, 4)  # everything local
         cache = MultiGpuEmbeddingCache(platform_a, small_table, placement)
         result = cache.lookup(0, np.arange(100))
-        assert result.local_fraction == 1.0
+        assert (result.sources == 0).all()
         assert result.host_fraction == 0.0
 
 
@@ -94,16 +94,16 @@ class TestReplacePlacement:
 
     def test_mismatched_placement_rejected(self, cache_partition, skewed_hotness):
         with pytest.raises(ValueError):
-            cache_partition.replace_placement(empty_placement(N + 1, 4))
+            cache_partition.replace_placement(Placement(N + 1, ((),) * 4))
 
 
 class TestValidation:
     def test_table_must_be_2d(self, platform_a, skewed_hotness):
         with pytest.raises(ValueError):
             MultiGpuEmbeddingCache(
-                platform_a, np.zeros(10), empty_placement(10, 4)
+                platform_a, np.zeros(10), Placement(10, ((),) * 4)
             )
 
     def test_placement_table_mismatch(self, platform_a, small_table):
         with pytest.raises(ValueError):
-            MultiGpuEmbeddingCache(platform_a, small_table, empty_placement(5, 4))
+            MultiGpuEmbeddingCache(platform_a, small_table, Placement(5, ((),) * 4))

@@ -274,7 +274,7 @@ class TestMetricsConcurrency:
         hist = registry.histogram("lat")
         assert hist.count == THREADS * per_thread
         assert sum(hist.bucket_counts) == hist.count
-        assert hist.min <= hist.mean <= hist.max
+        assert hist.min <= hist.sum / hist.count <= hist.max
 
     def test_a_reader_folding_beside_the_writers_loses_nothing(self):
         """Reads fold the pending logs while writers append to them: every
@@ -310,18 +310,6 @@ class TestMetricsConcurrency:
         assert counter.value == total
         assert hist.count == sum(hist.bucket_counts) == total
         assert hist.sum == total * sum(values) / 4
-
-    def test_gauge_inc_is_exact(self):
-        registry = MetricsRegistry("conc")
-
-        def worker():
-            gauge = registry.gauge("depth")
-            for _ in range(10_000):
-                gauge.inc(1)
-                gauge.inc(-1)
-
-        _run_threads([worker] * THREADS)
-        assert registry.gauge("depth").value == 0.0
 
     def test_series_creation_race_yields_one_instrument(self):
         registry = MetricsRegistry("conc")
@@ -423,7 +411,7 @@ class TestStreamingEstimatorConcurrency:
         _run_threads([lambda g=g: feed(g) for g in range(4)])
         assert est.batches_recorded == 4 * per_gpu
         assert est.counts().sum() == 4 * per_gpu * batch
-        assert est.hotness().sum() == pytest.approx(batch)
+        assert est.snapshot()[0].sum() == pytest.approx(batch)
 
     def test_snapshot_never_tears(self):
         """Each recorded batch holds exactly ``batch`` accesses, so on a

@@ -71,7 +71,7 @@ class TestTraceVsUtilization:
             # group.cores is the tolerance-clamped busy count; the rate is
             # set by the (possibly larger) dedicated count, so allow the
             # rounding gap between the two.
-            assert group.duration == pytest.approx(group.volume / bw, rel=0.05)
+            assert group.finish - group.start == pytest.approx(group.volume / bw, rel=0.05)
 
     def test_every_source_in_demand_appears_in_trace(self, platform_a):
         placement = partition_policy(HOT, 150, 4)

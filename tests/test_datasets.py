@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.hotness import degree_hotness
 from repro.datasets import (
     DLR_SPECS,
     GNN_SPECS,
@@ -60,7 +61,7 @@ class TestBuildGnnDataset:
 
     def test_degree_hotness_normalized(self):
         ds = build_gnn_dataset("pa")
-        assert ds.hotness_degree().sum() == pytest.approx(1.0)
+        assert degree_hotness(ds.graph.degrees()).sum() == pytest.approx(1.0)
 
 
 class TestDlrSpecs:

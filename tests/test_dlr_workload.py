@@ -19,9 +19,6 @@ class TestConstruction:
         assert workload.num_entries == 350
         assert workload.num_tables == 3
 
-    def test_keys_per_request(self, workload):
-        assert workload.keys_per_request == 3
-
     def test_rejects_empty_tables(self):
         with pytest.raises(ValueError):
             DlrWorkload(table_sizes=(), alpha=1.0)

@@ -51,7 +51,7 @@ class TestEstimatorConvergence:
         est = StreamingHotnessEstimator(n, decay=decay)
         for keys in _zipf_draws(rng, pmf, batch, 80):
             est.record(keys)
-        hot = est.hotness()
+        hot, _ = est.snapshot()
         # mass: expected accesses per batch sum to the batch size.
         assert hot.sum() == pytest.approx(batch, rel=0.05)
         # ranking: the true top decile out-scores the true bottom half.
@@ -79,8 +79,8 @@ class TestEstimatorConvergence:
             slow.record(keys)
         new_head = np.argsort(-pmf_b)[: n // 20]
         expected = pmf_b[new_head].sum() * batch
-        fast_mass = fast.hotness()[new_head].sum()
-        slow_mass = slow.hotness()[new_head].sum()
+        fast_mass = fast.snapshot()[0][new_head].sum()
+        slow_mass = slow.snapshot()[0][new_head].sum()
         # the decayed estimator is closer to the new regime's truth.
         assert abs(fast_mass - expected) < abs(slow_mass - expected)
 
@@ -100,9 +100,8 @@ class TestDetectorFalsePositives:
         for i, keys in enumerate(_zipf_draws(rng, pmf, batch, 120)):
             est.record(keys)
             if i % 8 == 7:
-                score = det.check(
-                    est.hotness(), at=float(i), batches=est.batches_recorded
-                )
+                hot, batches = est.snapshot()
+                score = det.check(hot, at=float(i), batches=batches)
                 assert not score.fired
         assert det.detections == 0
 
@@ -120,9 +119,8 @@ class TestDetectorFalsePositives:
         for i, keys in enumerate(_zipf_draws(rng, rotated, batch, 80)):
             est.record(keys)
             if i % 8 == 7:
-                s = det.check(
-                    est.hotness(), at=float(i), batches=est.batches_recorded
-                )
+                hot, batches = est.snapshot()
+                s = det.check(hot, at=float(i), batches=batches)
                 fired = fired or s.fired
         assert fired
 

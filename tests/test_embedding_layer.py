@@ -59,7 +59,7 @@ class TestLookup:
         assert report.time > 0
 
     def test_capacity_respected(self, layer):
-        layer.placement.validate_capacity(layer.capacity_entries)
+        layer.placement.validate_capacity(int(0.08 * N))
 
     def test_hit_rates_sum(self, layer):
         hits = layer.hit_rates()

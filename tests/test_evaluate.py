@@ -22,7 +22,6 @@ from repro.core.evaluate import (
 )
 from repro.core.policy import (
     Placement,
-    empty_placement,
     partition_policy,
     replication_policy,
 )
@@ -225,17 +224,12 @@ class TestHitRates:
         assert hits.local == pytest.approx(hits.global_hit / 8, rel=0.15)
 
     def test_empty_cache_all_host(self, platform_a):
-        hits = hit_rates(platform_a, empty_placement(500, 4), HOT)
+        hits = hit_rates(platform_a, Placement(500, ((),) * 4), HOT)
         assert hits.host == pytest.approx(1.0)
 
     def test_splits_sum_to_one(self, platform_b):
         hits = hit_rates(platform_b, partition_policy(HOT, 30, 8), HOT)
         assert hits.local + hits.remote + hits.host == pytest.approx(1.0)
-
-    def test_as_percent(self, platform_a):
-        hits = hit_rates(platform_a, replication_policy(HOT, 100, 4), HOT)
-        pct = hits.as_percent()
-        assert pct["local"] == pytest.approx(100 * hits.local)
 
 
 class TestExpectedDemands:

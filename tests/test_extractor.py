@@ -37,14 +37,12 @@ class TestPlan:
         # Key 0..799 are partitioned over GPUs; include locals and remotes.
         keys = np.arange(800)
         plan = extractor.plan(2, keys)
-        local = plan.local_group
-        assert local is not None
         assert plan.groups[-1].source == 2
 
     def test_nonlocal_offsets_resolve_storage(self, extractor, small_table):
         keys = np.arange(800)
         plan = extractor.plan(0, keys)
-        for group in plan.nonlocal_groups:
+        for group in plan.groups:
             if group.source == HOST:
                 continue
             store = extractor._cache.store(group.source)
@@ -57,7 +55,8 @@ class TestPlan:
 
     def test_local_gets_all_cores(self, extractor, platform_a):
         plan = extractor.plan(0, np.arange(1000))
-        assert plan.local_group.dedicated_cores == platform_a.gpu.num_cores
+        local = next(g for g in plan.groups if g.source == 0)
+        assert local.dedicated_cores == platform_a.gpu.num_cores
 
     def test_demand_volumes(self, extractor):
         keys = np.arange(100)
@@ -153,7 +152,7 @@ class TestDedicationMismatch:
         # old one-core floor: server-a's equal links split the SM budget
         # evenly, and the total never exceeds it.
         remote = [
-            g for g in plan.nonlocal_groups if g.source != HOST
+            g for g in plan.groups if g.source not in (0, HOST)
         ]
         cores = [g.dedicated_cores for g in remote]
         budget = extractor.platform.gpu.num_cores
@@ -173,8 +172,8 @@ class TestDedicationMismatch:
             lambda platform, dst, present: {s: 3 for s in present},
         )
         plan = extractor.plan(0, keys)
-        assert all(g.dedicated_cores == 3 for g in plan.nonlocal_groups)
-        assert any(g.dedicated_cores != 3 for g in warm.nonlocal_groups)
+        assert all(g.dedicated_cores == 3 for g in plan.groups if g.source != 0)
+        assert any(g.dedicated_cores != 3 for g in warm.groups if g.source != 0)
 
     def test_covered_sources_do_not_warn(self, extractor, caplog):
         import logging

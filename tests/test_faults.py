@@ -93,7 +93,7 @@ class TestFaultPlanHealth:
                 FaultSpec(FaultKind.GPU_FAILURE, onset=2.0, duration=5.0, gpu=0),
             )
         )
-        assert plan.last_clear_time() == 7.0
+        assert max(f.clears_at for f in plan.faults) == 7.0
 
 
 class TestDegradedPlatform:
@@ -128,7 +128,7 @@ class TestDegradedPlatform:
         platform = server_a()
         once = degraded_platform(platform, HealthView(down_gpus=frozenset({1})))
         twice = degraded_platform(once, HealthView(down_gpus=frozenset({2})))
-        assert twice.base is platform
+        assert twice is degraded_platform(platform, HealthView(down_gpus=frozenset({2})))
         assert 1 in twice.sources_for(0)  # only the new view applies
 
 
@@ -200,9 +200,8 @@ class TestSimulatorsUnderFaults:
         healthy = simulate_batch(platform, demands)
         faulted = simulate_batch(platform, demands, health=plan.health_at(0.0))
         assert faulted.time > healthy.time  # host path is slower
-        cleared = simulate_batch(
-            platform, demands, health=plan.health_at(plan.last_clear_time())
-        )
+        cleared_at = max(f.clears_at for f in plan.faults)
+        cleared = simulate_batch(platform, demands, health=plan.health_at(cleared_at))
         assert cleared.time == pytest.approx(healthy.time)
 
     def test_event_sim_accepts_fault_plan(self):
@@ -333,8 +332,7 @@ class TestDegradedPlatformPassthrough:
     def test_wrapper_extras_do_not_shadow(self):
         base = server_a()
         degraded = DegradedPlatform(base, HealthView(host_factor=0.5))
-        assert degraded.base is base
-        assert degraded.health.host_factor == 0.5
+        assert degraded.memo == {} and degraded.memo is not base.memo
         # a delegated method is actually usable, not just resolvable
         assert degraded.sources_for(0)
         assert degraded.gpu_ids == base.gpu_ids

@@ -55,29 +55,29 @@ class TestFillGpu:
 class TestInsertEvict:
     def test_insert_then_read(self, table):
         store = fill_gpu(0, table, np.array([1]), capacity_entries=2)
-        store.insert(50, table[50])
+        store.insert_many([50], table[[50]])
         assert np.array_equal(store.read(np.array([50]))[0], table[50])
 
     def test_double_insert_rejected(self, table):
         store = fill_gpu(0, table, np.array([1]), capacity_entries=2)
         with pytest.raises(ValueError):
-            store.insert(1, table[1])
+            store.insert_many([1], table[[1]])
 
     def test_evict_frees_slot(self, table):
         store = fill_gpu(0, table, np.array([1, 2]), capacity_entries=2)
-        store.evict(1)
-        store.insert(3, table[3])  # recycled slot
+        store.evict_many([1])
+        store.insert_many([3], table[[3]])  # recycled slot
         assert np.array_equal(store.read(np.array([3]))[0], table[3])
 
     def test_evict_uncached_rejected(self, table):
         store = fill_gpu(0, table, np.array([1]), capacity_entries=2)
         with pytest.raises(ValueError):
-            store.evict(2)
+            store.evict_many([2])
 
     def test_insert_beyond_capacity(self, table):
         store = fill_gpu(0, table, np.array([1, 2]), capacity_entries=2)
         with pytest.raises(OutOfDeviceMemory):
-            store.insert(3, table[3])
+            store.insert_many([3], table[[3]])
 
 
 class TestFillAll:

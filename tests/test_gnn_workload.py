@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.hotness import degree_hotness
 from repro.gnn.graph import power_law_graph
 from repro.gnn.workload import DEFAULT_FANOUTS, GnnWorkload
 
@@ -104,15 +105,14 @@ class TestHotness:
         # Expected accesses per batch per GPU = batch × (1 + fanout).
         assert hot.sum() == pytest.approx(32 * 3, rel=0.05)
 
-    def test_degree_hotness_ranks_hubs_first(self, graph, train_ids):
-        wl = _workload(graph, train_ids)
-        hot = wl.degree_hotness()
+    def test_degree_hotness_ranks_hubs_first(self, graph):
+        hot = degree_hotness(graph.degrees())
         degs = graph.degrees()
         assert hot[np.argmax(degs)] == hot.max()
 
     def test_degree_and_presample_correlate(self, graph, train_ids):
         wl = _workload(graph, train_ids)
         pre = wl.presampled_hotness(0)
-        deg = wl.degree_hotness()
+        deg = degree_hotness(graph.degrees())
         corr = np.corrcoef(pre, deg)[0, 1]
         assert corr > 0.8

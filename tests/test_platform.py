@@ -96,20 +96,3 @@ class TestCostPerByte:
             assert any_platform.cost_per_byte(0, HOST) >= any_platform.cost_per_byte(
                 0, src
             ) or src == HOST
-
-
-class TestCapacity:
-    def test_cache_capacity_entries(self, platform_c):
-        assert platform_c.cache_capacity_entries(512, 0.1, 1000) == 100
-
-    def test_rejects_bad_ratio(self, platform_c):
-        with pytest.raises(ValueError):
-            platform_c.cache_capacity_entries(512, 1.5, 1000)
-
-    def test_max_cache_ratio_caps_at_one(self, platform_c):
-        assert platform_c.max_cache_ratio(4, 10) == 1.0
-
-    def test_max_cache_ratio_with_reservation(self, platform_a):
-        full = platform_a.max_cache_ratio(512, 10**9)
-        reserved = platform_a.max_cache_ratio(512, 10**9, reserved_bytes=8 * 2**30)
-        assert reserved < full

@@ -27,10 +27,6 @@ class TestModelAgreement:
         assert report.mean_abs_error < 0.15
         assert report.worst_abs_error < 0.45
 
-    def test_within_helper(self, report):
-        assert report.within(1.0)
-        assert not report.within(0.0) or report.worst_abs_error == 0.0
-
     def test_sample_fields(self, report):
         s = report.samples[0]
         assert s.platform in ("server-a", "server-c")

@@ -6,7 +6,6 @@ import pytest
 from repro.core.policy import (
     Placement,
     clique_partition_policy,
-    empty_placement,
     hot_replicate_warm_partition_policy,
     partition_policy,
     replication_policy,
@@ -48,7 +47,7 @@ class TestPlacement:
             p.per_gpu[0][0] = 3
 
     def test_empty_placement(self):
-        p = empty_placement(10, 4)
+        p = Placement(10, ((),) * 4)
         assert p.distinct_cached() == 0
         assert p.replication_factor() == 0.0
 

@@ -58,6 +58,9 @@ def short_and_unreached():
     return 0
 
 
+def one_line(): return 0  # noqa: E704
+
+
 class Box:
     def get(self):
         x = 1
@@ -105,35 +108,57 @@ def test_each_kind_of_call_is_attributed(toy):
     # decorated (keyed by its first decorator line), nested, run only in a
     # child process, run only on a worker thread
     assert {"decorated", "outer.<locals>.nested", "in_child", "on_thread"} <= names
-    assert not {"never_called", "short_and_unreached", "Box.get"} & names
+    assert not {"never_called", "short_and_unreached", "one_line", "Box.get"} & names
 
 
 def test_unreached_function_off_the_keep_list_fails(toy, capsys):
     keep = {"toy.mod:Box": ("protocol", "kept by its class")}
     assert reachability.run(toy, keep, {}, COMMANDS) == 1
-    out = capsys.readouterr().out
-    assert "not on the keep-list: toy.mod:never_called" in out
-    assert "toy.mod:Box.get" not in out.split("FAIL", 1)[1]
-    # under GATE_LINES: printed, not gated
-    assert "toy.mod:short_and_unreached" in out
+    failures = capsys.readouterr().out.split("FAIL", 1)[1]
+    assert "not on the keep-list: toy.mod:never_called" in failures
+    assert "toy.mod:Box.get" not in failures
+    # no size threshold: a two-line and a one-line function fail as well
+    assert "2 lines, not on the keep-list: toy.mod:short_and_unreached" in failures
+    assert "1 lines, not on the keep-list: toy.mod:one_line" in failures
+
+
+TOY_KEEP = {
+    "toy.mod:Box": ("protocol", "kept by its class"),
+    "toy.mod:never_called": ("fault", "a rollback path"),
+    "toy.mod:short_and_unreached": ("reference", "a scalar form"),
+    "toy.mod:one_line": ("reference", "as short_and_unreached"),
+}
 
 
 def test_keep_list_passes_and_stale_entries_fail(toy, capsys):
-    keep = {
-        "toy.mod:Box": ("protocol", "kept by its class"),
-        "toy.mod:never_called": ("fault", "a rollback path"),
-    }
+    keep = dict(TOY_KEEP)
     assert reachability.run(toy, keep, {}, COMMANDS) == 0
-    keep["toy.mod:deleted_last_year"] = ("paper", "gone")
+    keep["toy.mod:deleted_last_year"] = ("fault", "gone")
     assert reachability.run(toy, keep, {}, COMMANDS) == 1
     assert "'toy.mod:deleted_last_year' names nothing" in capsys.readouterr().out
     del keep["toy.mod:deleted_last_year"]
-    keep["toy.mod:never_called"] = ("because", "not one of the five reasons")
+    keep["toy.mod:never_called"] = ("because", "not one of the four reasons")
     assert reachability.run(toy, keep, {}, COMMANDS) == 1
 
 
+def test_a_keep_entry_that_excuses_nothing_fails(toy, capsys):
+    # ``decorated`` exists but an entry point reaches it: the entry is stale
+    keep = {**TOY_KEEP, "toy.mod:decorated": ("fault", "once unreached")}
+    assert reachability.run(toy, keep, {}, COMMANDS) == 1
+    failures = capsys.readouterr().out.split("FAIL", 1)[1]
+    assert "'toy.mod:decorated' excuses no unreached line" in failures
+    assert failures.count("FAIL") == 0  # the only failure
+
+
+def test_the_paper_reason_is_gone(toy, capsys):
+    keep = {**TOY_KEEP, "toy.mod:never_called": ("paper", "a surface §2 names")}
+    assert reachability.run(toy, keep, {}, COMMANDS) == 1
+    assert "'toy.mod:never_called': unknown reason 'paper'" in capsys.readouterr().out
+    assert "paper" not in reachability.REASONS
+
+
 def test_a_failing_entry_point_fails_the_run(toy, capsys):
-    keep = {"toy.mod:Box": ("protocol", ""), "toy.mod:never_called": ("fault", "")}
+    keep = dict(TOY_KEEP)
     commands = COMMANDS + [[sys.executable, "-c", "raise SystemExit(3)"]]
     assert reachability.run(toy, keep, {}, commands) == 1
     assert "entry point failed" in capsys.readouterr().out

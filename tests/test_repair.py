@@ -85,7 +85,7 @@ def _drop_all(cache):
         for g in range(cache.platform.num_gpus):
             store = cache.store(g)
             for entry in store.cached_entries():
-                store.evict(int(entry))
+                store.evict_many([int(entry)])
     cache.refresh_source_map()
     return lost
 

@@ -84,13 +84,18 @@ def test_results_out_is_keyed_by_table_ids(tmp_path):
     assert set(json.loads(out.read_text())) == {"table3", "fig6", "fig17"}
 
 
-def test_paper_claims_summary_has_the_ledger_keys(monkeypatch):
-    """Stub rows that reproduce the parent's numbers summarize to exactly
-    the parent block's figures, and pass its gate."""
+def _paper_claims():
     spec = importlib.util.spec_from_file_location(
         "paper_claims", ROOT / "tools" / "paper_claims.py")
     claims = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(claims)
+    return claims
+
+
+def test_paper_claims_summary_has_the_ledger_keys(monkeypatch):
+    """Stub rows that reproduce the parent's numbers summarize to exactly
+    the parent block's figures, and pass its gate."""
+    claims = _paper_claims()
     parent = json.loads((ROOT / "BENCH_paper.json").read_text())["parent"]
     monkeypatch.setattr(claims, "solver_probe", lambda: parent["solver"])
 
@@ -114,6 +119,25 @@ def test_paper_claims_summary_has_the_ledger_keys(monkeypatch):
     for fig in claims.GATED:
         assert set(parent[fig]) <= set(now[fig]), fig
     assert claims.check(now, parent) == []
+
+
+def test_fig12_gains_are_gated_higher_is_better():
+    """A parent recorded with fig-12's whole headline: a time cell may not
+    rise, a gain ratio may not fall, and a rising gain is no regression."""
+    claims = _paper_claims()
+    others = {"fig16": {"gap_pct": {}}, "fig10": {}, "fig11": {}, "fig13": {},
+              "solver": {}}
+    fig12 = {"pa 2%": 0.04, "pa 25%": 0.02, "low_pct": 2.0, "high_pct": 25.0,
+             "mechanism_low": 1.5, "policy_low": 1.2, "policy_high": 1.1}
+    parent = {**others, "fig12": fig12}
+
+    def worse(**moved):
+        return claims.check({**others, "fig12": {**fig12, **moved}}, parent)
+
+    assert worse(mechanism_low=3.0, policy_low=2.4, policy_high=2.2) == []
+    assert worse(**{"pa 2%": 0.03}) == []
+    assert [line.split(":")[0] for line in worse(policy_low=1.0)] == ["fig12 policy_low"]
+    assert [line.split(":")[0] for line in worse(**{"pa 25%": 0.03})] == ["fig12 pa 25%"]
 
 
 class TestMarkdownSkeleton:

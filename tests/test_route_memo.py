@@ -165,7 +165,7 @@ class TestWhatIsRemembered:
         assert warm.rerouted_keys == 0
         peer = next(g for g in warm.groups if g.source not in (0, HOST))
         with cache.writing():  # evicted behind the location map's back
-            cache.store(peer.source).evict(int(peer.keys[0]))
+            cache.store(peer.source).evict_many([int(peer.keys[0])])
         plan = pipeline.plan_extraction(cache, 0, keys)
         assert plan.rerouted_keys == int((peer.keys == peer.keys[0]).sum())
         assert plan.failed_sources == (peer.source,)

@@ -459,7 +459,7 @@ class TestAliasingInvariant:
         store = cache.store(0)
         entry = int(np.flatnonzero(cache.source_map[0] == 0)[0])
         with cache.writing():
-            store.evict(entry)
+            store.evict_many([entry])
         keys = np.array([entry, entry + 1])
         with pytest.raises(KeyError) as from_store:
             store.read(keys[:1])

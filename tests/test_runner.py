@@ -45,7 +45,7 @@ class TestReplayWorkload:
         stats = replay_workload(
             platform_a, placement, _batches(rng, probs), 32, max_iterations=10
         )
-        assert stats.p50_time <= stats.p99_time
+        assert np.percentile(stats.times, 50) <= stats.p99_time
         assert stats.times.min() <= stats.mean_time <= stats.times.max()
 
     def test_mechanism_affects_replay(self, platform_a, placement, probs, rng):
@@ -77,5 +77,4 @@ class TestReplayStats:
             remote_fraction=0, host_fraction=0,
         )
         assert stats.mean_time == 0.0
-        assert stats.p50_time == 0.0
-        assert stats.stdev_time == 0.0
+        assert stats.p99_time == 0.0

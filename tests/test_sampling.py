@@ -54,20 +54,19 @@ class TestKhopSample:
         seeds = np.array([0] * 10)
         batch = khop_sample(graph, seeds, (5,), seed=1)
         # 10 seeds + 10×5 neighbour samples.
-        assert batch.total_sampled == 60
-        assert batch.num_keys == 60
+        assert len(batch.all_nodes) == 60
 
     def test_unique_nodes_deduplicated(self, graph):
         seeds = np.array([0] * 10)
         batch = khop_sample(graph, seeds, (5,), seed=1)
-        assert len(batch.unique_nodes) < batch.total_sampled
+        assert len(batch.unique_nodes) < len(batch.all_nodes)
         assert len(np.unique(batch.unique_nodes)) == len(batch.unique_nodes)
 
     def test_deeper_fanouts_sample_more(self, graph):
         seeds = np.arange(20)
         one = khop_sample(graph, seeds, (5,), seed=2)
         two = khop_sample(graph, seeds, (5, 5), seed=2)
-        assert two.total_sampled > one.total_sampled
+        assert len(two.all_nodes) > len(one.all_nodes)
 
     def test_deterministic(self, graph):
         seeds = np.arange(10)
@@ -77,7 +76,7 @@ class TestKhopSample:
 
     def test_empty_seeds(self, graph):
         batch = khop_sample(graph, np.empty(0, dtype=np.int64), (4,), seed=0)
-        assert batch.total_sampled == 0
+        assert len(batch.all_nodes) == 0
 
 
 class TestNegativeSample:

@@ -235,7 +235,7 @@ class TestBreakerBoard:
         board.record(1, ok=False, now=0.0)
         assert board.excluded_sources(1.0) == frozenset({1})
         board.record(0, ok=True, now=1.0)
-        assert board.breaker(0).state is BreakerState.CLOSED
+        assert next(b for b in board if b.source == 0).state is BreakerState.CLOSED
         assert board.transition_counts() == {"open": 1}
         # unknown sources are ignored (host without a host breaker)
         board.record(99, ok=False, now=1.0)

@@ -164,7 +164,7 @@ class TestHedging:
         demand = GpuDemand(dst=0, volumes={1: volume})
         platform, _, _ = apply_health(platform, [demand], plan.health_at(0.0))
         result = simulate_hedged_extraction(platform, demand)
-        assert result.hedge_won
+        assert result.winner == "hedge"
         assert result.total_time == result.hedge_time < result.primary_time
         # issuing the hedge later shifts its completion by exactly the delay
         delayed = simulate_hedged_extraction(platform, demand, hedge_issue_at=1e9)

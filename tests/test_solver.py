@@ -21,7 +21,8 @@ from repro.faults.degrade import degraded_platform
 from repro.faults.spec import HealthView
 from repro.hardware.platform import (
     HOST,
-    cxl_tier,
+    TIER_KINDS,
+    MemoryTier,
     dgx2,
     dram_tier,
     pcie_only,
@@ -221,7 +222,8 @@ class TestSolvedPolicyAccessors:
 def three_tier_a():
     n, eb = 1500, 128
     return with_tiers(server_a(), (
-        dram_tier(n // 6 * eb), cxl_tier(n // 3 * eb), ssd_tier(n * eb)))
+        dram_tier(n // 6 * eb), MemoryTier("cxl", n // 3 * eb, *TIER_KINDS["cxl"]),
+        ssd_tier(n * eb)))
 
 
 def trivial_group(monkeypatch):

@@ -19,8 +19,8 @@ from repro.hardware.platform import (
     GIB,
     HOST,
     PRESETS,
+    TIER_KINDS,
     MemoryTier,
-    cxl_tier,
     dram_tier,
     gbps,
     parse_capacity,
@@ -90,7 +90,7 @@ def test_tiered_presets_shape():
         base,
         (
             dram_tier(128 * GIB, bandwidth=base.pcie_bandwidth),
-            cxl_tier(512 * GIB),
+            MemoryTier("cxl", 512 * GIB, *TIER_KINDS["cxl"]),
             ssd_tier(2_000 * GB),
         ),
     )

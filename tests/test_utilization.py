@@ -1,7 +1,5 @@
 """Link-utilization accounting (Figure 13's probe)."""
 
-import pytest
-
 from repro.hardware.platform import HOST
 from repro.sim.engine import simulate_batch
 from repro.sim.mechanisms import GpuDemand, Mechanism
@@ -48,12 +46,3 @@ def test_host_only_traffic_pcie_only(platform_a):
     util = batch_utilization(platform_a, report)
     assert util.pcie > 0.5
     assert util.nvlink == 0.0
-
-
-def test_as_percent(platform_a):
-    demands = _demands(platform_a)
-    report = simulate_batch(platform_a, demands, Mechanism.FACTORED)
-    util = batch_utilization(platform_a, report)
-    pct = util.as_percent()
-    assert pct["pcie"] == pytest.approx(100 * util.pcie)
-    assert pct["nvlink"] == pytest.approx(100 * util.nvlink)

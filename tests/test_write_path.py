@@ -39,7 +39,8 @@ from repro.core.solver import (
 from repro.core.tiers import assign_backing_tiers
 from repro.hardware.memory import OutOfDeviceMemory, SlotArena
 from repro.hardware.platform import (
-    cxl_tier,
+    TIER_KINDS,
+    MemoryTier,
     dgx2,
     dram_tier,
     pcie_only,
@@ -435,7 +436,8 @@ def assert_same_matrix(got, want):
 
 def three_tier(platform, n, entry_bytes):
     return with_tiers(platform, (
-        dram_tier(n // 6 * entry_bytes), cxl_tier(n // 3 * entry_bytes),
+        dram_tier(n // 6 * entry_bytes),
+        MemoryTier("cxl", n // 3 * entry_bytes, *TIER_KINDS["cxl"]),
         ssd_tier(n * entry_bytes),
     ))
 

@@ -8,8 +8,8 @@ The benches assert every claim of the figure table
 (``repro.bench.report.SPECS``).  This tool keeps the headline numbers a
 solver or pricing change could bend — fig-16's per-row gaps to the
 per-entry optimum, the fig-10/11 geomean speed-ups, the fig-12
-``UGache_ms`` cells and the fig-13 utilisation ratios, each the entry's
-own ``headline`` — adds the policy LP's size and HiGHS time per platform,
+``UGache_ms`` cells and gain ratios and the fig-13 utilisation ratios, each
+the entry's own ``headline`` — adds the policy LP's size and HiGHS time per platform,
 and fails when a number is worse than the ``parent`` block of
 ``BENCH_paper.json`` by more than BOUNDS.  Solve and figure seconds are
 wall clock and only recorded.
@@ -28,6 +28,11 @@ LEDGER = Path(__file__).resolve().parent.parent / "BENCH_paper.json"
 #: percentage points, the rest relative.
 BOUNDS = {"fig16_gap_pt": 0.5, "geomean_rel": 0.01, "fig12_rel": 0.02,
           "fig13_rel": 0.01}
+
+#: fig-12's gain ratios, higher is better.  Its other keys are the
+#: ``"<dataset> <ratio>%"`` time cells, lower is better, and the two ratios
+#: the gains are taken at (``low_pct`` / ``high_pct``), which are labels.
+FIG12_GAINS = ("mechanism_low", "policy_low", "policy_high")
 
 #: The instance whose LP size is recorded per platform: the fig-10 GNN cell
 #: (PA, supervised SAGE) under the figures' solver knobs.
@@ -77,9 +82,12 @@ def check(now: dict, parent: dict) -> list[str]:
         for base, value in parent[fig].items():
             if now[fig][base] < value * (1 - BOUNDS["geomean_rel"]):
                 bad.append(f"{fig} vs {base}: {now[fig][base]:.4f}x vs {value:.4f}x")
-    for cell, ms in parent["fig12"].items():
-        if now["fig12"][cell] > ms * (1 + BOUNDS["fig12_rel"]):
-            bad.append(f"fig12 {cell}: {now['fig12'][cell]:.5f} vs {ms:.5f} ms")
+    for key, value in parent["fig12"].items():
+        got = now["fig12"][key]
+        if key.endswith("%") and got > value * (1 + BOUNDS["fig12_rel"]):
+            bad.append(f"fig12 {key}: {got:.5f} vs {value:.5f} ms")
+        elif key in FIG12_GAINS and got < value * (1 - BOUNDS["fig12_rel"]):
+            bad.append(f"fig12 {key}: {got:.4f}x vs {value:.4f}x")
     for link, ratio in parent["fig13"].items():
         if now["fig13"][link] < ratio * (1 - BOUNDS["fig13_rel"]):
             bad.append(f"fig13 {link}: {now['fig13'][link]:.3f}x vs {ratio:.3f}x")

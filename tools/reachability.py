@@ -7,12 +7,13 @@ Runs the entry-point set below from ROOT (default: this checkout) under a
 traced too.  Functions are keyed by ``(file, co_firstlineno)``: the first
 decorator line of a decorated function.  Prints, per module, ``lines /
 lines in functions no entry point reached / of those on the keep-list``,
-and exits non-zero when an unreached function of at least GATE_LINES
-source lines is not on KEEP, when a KEEP or ledger entry names nothing, or
-when an entry point fails (DESIGN.md, "What ``src/`` is allowed to
-contain").  The full mode also drives every paper-figure driver (~40 min)
-and rewrites ``tools/reachability.ledger``; ``--skip-figures`` (~3 min)
-takes the functions only those drivers reach from that checked-in ledger.
+and exits non-zero when an unreached function is not on KEEP, when a KEEP
+entry names nothing or excuses no unreached line, when a ledger entry
+names nothing, or when an entry point fails (DESIGN.md, "What ``src/`` is
+allowed to contain").  The full mode also drives every paper-figure
+driver (~40 min) and rewrites ``tools/reachability.ledger``;
+``--skip-figures`` (~3 min) takes the functions only those drivers reach
+from that checked-in ledger.
 
 The same run asks the same question of options ("What may be an option",
 same section): for every defaulted dataclass field, defaulted parameter and
@@ -33,13 +34,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-#: Shorter unreached functions (properties, dunders, one-line accessors) are
-#: printed, not gated.
-GATE_LINES = 6
-
 #: The only reasons an unreached function may stay in ``src/``.
 REASONS = {
-    "paper": "paper surface per DESIGN.md §2",
     "fault": "error / rollback / fault path",
     "reference": "reference a test compares production code against",
     "tracing": "a name benchmarks/e2e/tracing.py wraps",
@@ -48,43 +44,54 @@ REASONS = {
 
 #: ``"module:qualname"`` or ``"module:Class"`` → (reason, what it is).
 KEEP: dict[str, tuple[str, str]] = {
-    "repro.baselines.lru:LruCache": ("paper", "HPS's online LRU (§8.1 baseline)"),
-    "repro.baselines.lru:steady_state_overlap": ("paper", "LRU vs static top-K, §3"),
-    "repro.framework.torch_like:UGacheEmbedding": ("paper", "§7.1 PyTorch layer"),
-    "repro.framework.tf_like:UGacheKerasEmbedding.get_config": (
-        "paper", "§7.1 Keras layer surface"),
-    "repro.core.hotness:HotnessTracker": ("paper", "§6.1 hotness metric"),
-    "repro.core.hotness:degree_hotness": ("paper", "§6.1 degree estimator"),
-    "repro.gnn.workload:GnnWorkload.degree_hotness": ("paper", "§6.1, per workload"),
-    "repro.core.policy:empty_placement": ("paper", "Table 1's no-cache case"),
-    "repro.core.pipeline:ExtractionPlan.local_group": ("paper", "§5.3 local group"),
-    "repro.core.evaluate:HitRates.as_percent": ("paper", "Fig. 14's percent split"),
-    "repro.hardware.platform:Platform.cache_capacity_entries": (
-        "paper", "§8.1 cache-ratio rule"),
-    "repro.hardware.platform:Platform.max_cache_ratio": ("paper", "§8.1, its bound"),
     "repro.serve.policy_manager:PolicyManager._rollback": ("fault", "swap rollback"),
     "repro.core.refresher:Refresher._rollback": (
         "fault", "a failed refresh replays its undo log"),
     "repro.core.cache:MultiGpuEmbeddingCache.restore_location_state": (
         "fault", "and restores the snapshotted routes"),
+    "repro.core.cache:MultiGpuEmbeddingCache.check_integrity": (
+        "fault", "then checks the restored cache"),
+    "repro.core.tiers:not_resident": ("fault", "a key routed to a tier that lacks it"),
     "repro.faults.degrade:reroute_demand": (
         "fault", "a batch simulator's demand under an unhealthy view"),
     "repro.faults.degrade:DegradedPlatform.sources_for": ("fault", "degraded-mode view"),
+    "repro.faults.degrade:DegradedPlatform.peak_pair_bandwidth": (
+        "fault", "of Platform's questions"),
+    "repro.faults.degrade:DegradedPlatform.is_connected": ("fault", "as sources_for"),
+    "repro.faults.injector:FaultInjector.health": (
+        "fault", "the view an extractor built on an injector prices under"),
     "repro.core.location_table:CorruptEntryError": ("fault", "corrupt-slot error"),
     "repro.core.location_table:LocationTable._checked_location": (
         "fault", "raises it on a scalar read"),
+    "repro.core.location_table:unpack_location": ("fault", "which decodes with it"),
     "repro.core.location_table:LocationTable.corrupt_slot": ("fault", "injection hook"),
+    "repro.core.location_table:LocationTable._slot": ("fault", "its scalar probe"),
     "repro.core.location_table:LocationTable._rebuild": (
         "fault", "growth when a table was sized too small"),
+    "repro.serve.request:check_time_physics.<locals>.flag": (
+        "fault", "words one physics violation"),
     "repro.core.location_table:LocationTable.get": (
         "reference", "scalar probe the batch forms are tested against"),
     "repro.core.location_table:LocationTable.insert": ("reference", "as get"),
+    "repro.core.location_table:LocationTable.remove": ("reference", "as get"),
+    "repro.core.location_table:LocationTable.capacity": (
+        "reference", "what the load-limit tests read"),
+    "repro.core.location_table:LocationTable.load_factor": ("reference", "as capacity"),
     "repro.core.location_table:pack_location": ("reference", "scalar slot packing"),
     "repro.core.filler:GpuCacheStore.read": ("reference", "scalar row read, as get"),
+    "repro.hardware.memory:SlotArena.allocate": (
+        "reference", "one slot, which the write-path oracle allocates per entry"),
+    "repro.hardware.memory:SlotArena.free": ("reference", "as allocate"),
     "repro.core.policy:Placement.validate_capacity": (
         "reference", "capacity invariant tests hold every policy to"),
     "repro.core.solver:SolvedPolicy.access_volume_fractions": (
         "reference", "the LP's split, compared with the realized placement"),
+    "repro.core.tiers:TierChain.capacity_entries": (
+        "reference", "the budget tier-residency tests hold a chain to"),
+    "repro.gnn.graph:CSRGraph.neighbors": (
+        "reference", "adjacency the sampler and graph tests check draws against"),
+    "repro.serve.adaptation:DriftAdapter.observed": (
+        "reference", "how concurrency tests count recorded batches"),
     "repro.obs.metrics:MetricsRegistry.value": (
         "reference", "how tests read production counters"),
     "repro.obs.metrics:MetricsRegistry.reset": ("reference", "and isolate them"),
@@ -92,8 +99,13 @@ KEEP: dict[str, tuple[str, str]] = {
     "repro.core.pipeline:host_fallback_demand": ("tracing", "wrapped, pinned UNREACHED"),
     "repro.sim.event_sim:simulate_hedged_extraction": (
         "tracing", "wrapped, pinned UNREACHED"),
-    "repro.core.drift_adapt:StreamingHotnessEstimator": (
-        "protocol", "locked overrides of the HotnessTracker interface"),
+    "repro.baselines.base:EmbCacheSystem.plan": (
+        "protocol", "abstract: every system overrides it"),
+    "repro.baselines.base:EmbCacheSystem.mechanism": ("protocol", "as plan"),
+    "repro.core.location_table:LocationTable.__len__": ("protocol", "dunder"),
+    "repro.serve.breaker:BreakerBoard.__iter__": ("protocol", "dunder"),
+    "repro.obs.metrics:_NoopGauge.set": (
+        "protocol", "Gauge's interface on a disabled registry"),
 }
 
 PY = sys.executable
@@ -245,29 +257,30 @@ def _keep_errors(keep: dict, names, reasons: dict) -> list[str]:
 def audit(parsed, reached: set, keep: dict) -> tuple[list[str], list[str]]:
     """The ledger's lines and the gate's failures (``parsed``: :func:`functions`)."""
     defs, classes, sizes = parsed
-    errors = _keep_errors(keep, classes | {f"{m}:{q}" for m, q, *_ in defs}, REASONS)
+    names = classes | {f"{m}:{q}" for m, q, *_ in defs}
+    errors = _keep_errors(keep, names, REASONS)
     unreached = {(f, first) for _, _, f, first, _, _ in defs} - reached
     rows = {module: [lines, 0, 0] for module, lines in sizes.items()}
-    short = []
+    used = set()
     for module, qual, path, first, lines, outer in defs:
         if (path, first) not in unreached or outer in unreached:
             continue  # reached, or already counted inside an unreached def
         full = f"{module}:{qual}"
         rows[module][1] += lines
-        if any(full == k or full.startswith(k + ".") for k in keep):
+        excused = {k for k in keep if full == k or full.startswith(k + ".")}
+        if excused:
             rows[module][2] += lines
-        elif lines >= GATE_LINES:
-            errors.append(f"unreached, {lines} lines, not on the keep-list: {full}")
+            used |= excused
         else:
-            short.append(full)
+            errors.append(f"unreached, {lines} lines, not on the keep-list: {full}")
+    errors += [f"keep-list entry {name!r} excuses no unreached line"
+               for name in keep if name in names and name not in used]
     out = [f"{'module':40s} {'lines':>7s} {'unreached':>9s} {'kept':>6s}"]
     out += [f"{module:40s} {lines:7d} {dead:9d} {on_list:6d}"
             for module, (lines, dead, on_list) in rows.items() if dead]
     total = [sum(r[i] for r in rows.values()) for i in range(3)]
-    out += [f"{'TOTAL (' + str(len(rows)) + ' modules)':40s} "
-            f"{total[0]:7d} {total[1]:9d} {total[2]:6d}", "",
-            f"{len(short)} unreached functions under {GATE_LINES} lines "
-            "(printed, not gated):", *(f"  {name}" for name in short)]
+    out.append(f"{'TOTAL (' + str(len(rows)) + ' modules)':40s} "
+               f"{total[0]:7d} {total[1]:9d} {total[2]:6d}")
     return out, errors
 
 
