@@ -38,7 +38,11 @@ qualifying for the orbit quotient would return to), and the server-c
 rank per residue class).  Plan + execute of an 8,192-key Zipf batch on
 server-c must be at least 1.09x the sorting planner and segment-scatter
 gather it replaced (``tests/test_properties.py``'s oracle, timed beside
-it): 0.8x the slowest of seven recorded ratios, 1.36-1.91x.  A variable
+it): 0.8x the slowest of seven recorded ratios, 1.36-1.91x.  A warm
+512-key ``ClusterFrontend.serve(execute=True)`` on the cluster tests' mini
+cluster must answer at least 1,000 requests/s, healthy and with one node
+breaker-ejected (1,900-3,300 and 2,400-4,400 over six readings here:
+about half the slowest, as the box's speed wanders).  A variable
 count is deterministic, unlike a time floor; a speed-up over an oracle
 timed in the same process is steadier than a rate.  The ``perf-smoke``
 CI job runs exactly this file
@@ -90,6 +94,9 @@ MAX_SERVER_C_LP_VARIABLES = 1_000
 MIN_SERVER_C_REBUILD_SPEEDUP = 3.0
 SORT_FREE_BATCH = 8192
 MIN_SORT_FREE_SPEEDUP = 1.09
+CLUSTER_KEYS = 512
+CLUSTER_REQUESTS = 50  # per timed repeat
+MIN_CLUSTER_SERVE_REQUESTS_PER_SEC = 1_000
 #: (platform, entries, Zipf alpha, keys per batch, cache ratio): the LPs the
 #: end-to-end benchmark's refresh_mixed and extract_batch workloads solve.
 LP_SHAPES = (
@@ -241,6 +248,42 @@ def _bench_sort_free_plan(rng) -> dict:
         "oracle_plan_execute_keys_per_sec": SORT_FREE_BATCH / t_oracle,
         "speedup": t_oracle / t_new,
     }
+
+
+def _bench_cluster_serve(rng) -> list[dict]:
+    """Warm 512-key ``ClusterFrontend.serve(execute=True)`` requests per
+    second on the cluster tests' 3-node mini cluster (replication 2),
+    healthy and with node 1 ejected by its breaker, so that its keys are
+    routed to their replica owners."""
+    from tests.test_cluster import N_ENTRIES, _mini_cluster  # repo root on sys.path
+
+    keys = rng.choice(N_ENTRIES, CLUSTER_KEYS, p=zipf_pmf(N_ENTRIES, 1.1))
+    rows = []
+    for ejected in ((), (1,)):
+        frontend, table, _ = _mini_cluster()
+        for node in ejected:
+            for _ in range(frontend.config.breaker.failure_threshold):
+                frontend.breakers.record(node, False, 0.0)
+        assert frontend.breakers.excluded_sources(0.0) == set(ejected)
+
+        def requests():
+            for _ in range(CLUSTER_REQUESTS):
+                resp = frontend.serve(keys, now=0.0, execute=True)
+            return resp
+
+        with use_registry(MetricsRegistry("cluster-serve")):
+            resp = requests()  # warm: every ingress GPU's memo, the instruments
+            assert resp.ok and np.array_equal(resp.values, table[keys])
+            assert (resp.replica_keys > 0) == bool(ejected)
+            seconds = _best_of(requests)
+        rows.append(
+            {
+                "ejected_nodes": list(ejected),
+                "keys": CLUSTER_KEYS,
+                "requests_per_sec": CLUSTER_REQUESTS / seconds,
+            }
+        )
+    return rows
 
 
 def _bench_coalesce(rng) -> list[dict]:
@@ -492,6 +535,7 @@ def bench_micro_hotpath():
     coalesce_rows = _bench_coalesce(rng)
     write_path = _bench_write_path(rng)
     sort_free = _bench_sort_free_plan(rng)
+    cluster_rows = _bench_cluster_serve(rng)
     doc = {
         "recorded_at": _recorded_at(),
         "table_entries": TABLE_ENTRIES,
@@ -506,12 +550,14 @@ def bench_micro_hotpath():
         "max_server_c_lp_variables": MAX_SERVER_C_LP_VARIABLES,
         "min_server_c_rebuild_speedup": MIN_SERVER_C_REBUILD_SPEEDUP,
         "min_sort_free_speedup": MIN_SORT_FREE_SPEEDUP,
+        "min_cluster_serve_requests_per_sec": MIN_CLUSTER_SERVE_REQUESTS_PER_SEC,
         "location_table": location_rows,
         "pipeline": pipeline_rows,
         "tier_pricing": tier_rows,
         "coalesce": coalesce_rows,
         "write_path": write_path,
         "sort_free_plan": sort_free,
+        "cluster_serve": cluster_rows,
     }
     ARTIFACT.write_text(json.dumps(doc, indent=1) + "\n")
     for row in location_rows:
@@ -630,3 +676,13 @@ def bench_micro_hotpath():
         f"sort-free plan + execute only {sort_free['speedup']:.2f}x the sorting "
         "planner on server-c"
     )
+    for row in cluster_rows:
+        rate = row["requests_per_sec"]
+        print(
+            f"cluster serve {row['keys']} keys, ejected {row['ejected_nodes']}: "
+            f"{rate:.0f} requests/s"
+        )
+        assert rate >= MIN_CLUSTER_SERVE_REQUESTS_PER_SEC, (
+            f"ClusterFrontend.serve only {rate:.0f} requests/s with nodes "
+            f"{row['ejected_nodes']} ejected"
+        )

@@ -4,9 +4,10 @@
 request's keys are routed by one ``take`` from a dense ``(N, R)`` owner
 table, built once from the consistent-hash ring or the solver-driven
 :class:`~repro.cluster.placement.NodePlacement` (both expose the same
-``owners_for`` surface), fanned out as one RPC exchange per node, and
-gathered; the request's latency is the slowest leg, exactly
-like a source group inside a single box.
+``owners_for`` surface), and fanned out as one RPC exchange per node.
+Bans and hedge targets are set once over the request's keys, and each
+group's rows gather straight into their request positions; the request's
+latency is the slowest leg, exactly like a source group inside a single box.
 
 Degradation ladder, per node-group — the group is admitted (ingress GPU
 picked, keys planned: :meth:`CacheNode.admit`) at most once per node it
@@ -64,14 +65,13 @@ def _counters(reg, key, names, **labels) -> tuple:
 
 
 def _next_owner(chosen, owners, idx, banned) -> np.ndarray:
-    """Move keys ``idx`` of ``chosen`` to their first replica owner outside
-    ``banned`` (in place); returns the ones with no such owner, unmoved."""
-    banned = list(banned)
+    """Move keys ``idx`` of ``chosen`` to their first replica owner not
+    ``banned`` (a flag per node id), in place; returns the rest, unmoved."""
     for r in range(1, owners.shape[1]):
         if not idx.size:
             break
         candidate = owners[idx, r]
-        usable = ~np.isin(candidate, banned)
+        usable = ~banned[candidate]
         chosen[idx[usable]] = candidate[usable]
         idx = idx[~usable]
     return idx
@@ -184,6 +184,8 @@ class ClusterFrontend:
         owners = self.placement.owners_for(np.arange(entries.pop(), dtype=np.int64))
         narrow = owners.astype(np.int8)
         self._owners = narrow if (narrow == owners).all() else owners
+        # Ban flags and hedge tallies index by node id (ids need not be dense).
+        self._ids = max(int(owners.max(initial=0)), *self.nodes) + 1
         self.breakers = BreakerBoard(
             sources=sorted(self.nodes), config=config.breaker
         )
@@ -262,13 +264,14 @@ class ClusterFrontend:
             raise KeyError("key out of range")
         owners = self._owners.take(keys, axis=0)  # (n, R)
         excluded = self.breakers.excluded_sources(now)
+        banned = np.zeros(self._ids, dtype=bool)
+        banned[list(excluded)] = True
         # Route each key at its first non-ejected owner (primary bias).
         chosen = owners[:, 0].copy()
         if excluded:
             # every owner ejected: probe the primary anyway — the
             # breaker board's half-open metering decides admission.
-            ejected = np.flatnonzero(np.isin(chosen, list(excluded)))
-            _next_owner(chosen, owners, ejected, excluded)
+            _next_owner(chosen, owners, np.flatnonzero(banned[chosen]), banned)
         if self.refilling:
             # A refilling node takes reads only for shards its staged
             # refill has already re-staged; un-restaged keys keep flowing
@@ -278,7 +281,9 @@ class ClusterFrontend:
                 pending = routed[~rec.restaged_keys(keys[routed])]
                 # Keys with no other owner stay put: the refilling node
                 # serves them from its host table — slower, still bit-exact.
-                stuck = _next_owner(chosen, owners, pending, excluded | {refilling})
+                ban = banned.copy()
+                ban[refilling] = True
+                stuck = _next_owner(chosen, owners, pending, ban)
                 if len(pending) > len(stuck):
                     reg.counter("repair.restage.rerouted_keys").inc(
                         len(pending) - len(stuck)
@@ -290,14 +295,17 @@ class ClusterFrontend:
         by_owners = owners.take(order, axis=0)
         cuts = (np.flatnonzero(by_node[1:] != by_node[:-1]) + 1).tolist()
         starts = [0, *cuts] if len(order) else []
-        groups = []
-        for node_id, a, b in zip(by_node[starts].tolist(), starts, [*cuts, len(order)]):
-            # Hedge target: the modal next replica across the group.
-            others = by_owners[a:b, 1:]
-            others = others[others != node_id]
-            hedge_node = int(np.bincount(others).argmax()) if others.size else None
-            groups.append((node_id, a, b, by_keys[a:b], by_owners[a:b], hedge_node))
-        return order, groups
+        # Hedge target: each serving node's modal other owner, from one
+        # (serving node, owner) tally; argmax breaks ties to the lowest id.
+        n = self._ids
+        pairs = chosen.astype(np.intp)[:, None] * n + owners[:, 1:]
+        tally = np.bincount(pairs.ravel(), minlength=n * n).reshape(n, n)
+        tally.flat[:: n + 1] = 0  # a node never hedges to itself
+        hedge = [h if tally[i, h] else None for i, h in enumerate(tally.argmax(1).tolist())]
+        return order, [
+            (node_id, a, b, by_keys[a:b], by_owners[a:b], hedge[node_id])
+            for node_id, a, b in zip(by_node[starts].tolist(), starts, [*cuts, len(order)])
+        ]
 
     def serve(
         self,
@@ -316,7 +324,7 @@ class ClusterFrontend:
             order, groups = self._fan_out(keys, now, reg)
             if execute:
                 cache = next(iter(self.nodes.values())).cache
-                by_values = np.zeros((len(keys), cache.dim), cache.host_table.dtype)
+                resp.values = np.zeros((len(keys), cache.dim), cache.host_table.dtype)
             failed: list[np.ndarray] = []
             for node_id, a, b, gkeys, rows, hedge_node in groups:
                 batches: dict = {}  # node id → the group's one admitted batch there
@@ -356,18 +364,22 @@ class ClusterFrontend:
                     failed.append(order[a:b])
                     continue
                 # Positional accounting: a key read from a non-primary
-                # owner is a replica read (breaker reroute, hedge win, or
-                # failover alike); one read from a non-owner came off a
-                # host table.
-                owner_hit = (rows == served_by).any(axis=1)
-                resp.replica_keys += int(
-                    (owner_hit & (rows[:, 0] != served_by)).sum()
-                )
-                resp.host_fallback_keys += int((~owner_hit).sum())
+                # owner is a replica read (reroute, hedge win or failover);
+                # one read from a non-owner came off a host table, which the
+                # node a group was routed to never is (routing picks owners).
+                if served_by == node_id:
+                    resp.replica_keys += int(np.count_nonzero(rows[:, 0] != node_id))
+                else:
+                    owner_hit = (rows == served_by).any(axis=1)
+                    resp.replica_keys += int(
+                        (owner_hit & (rows[:, 0] != served_by)).sum()
+                    )
+                    resp.host_fallback_keys += int((~owner_hit).sum())
                 resp.served += len(gkeys)
                 if execute:
                     # Gathers exactly the plan the exchange priced.
-                    by_values[a:b] = self.nodes[served_by].serve(batches[served_by])[0]
+                    got = self.nodes[served_by].serve(batches[served_by])[0]
+                    resp.values[order[a:b]] = got
                 node_requests, node_keys = _counters(
                     reg, ("node", served_by), ("node.requests", "node.keys"),
                     node=served_by,
@@ -376,10 +388,6 @@ class ClusterFrontend:
                 node_keys.inc(len(gkeys))
             if failed:
                 resp.failed_positions = np.concatenate(failed)
-            if execute:
-                # Rows were written in sorted order; un-permute once.
-                resp.values = np.empty_like(by_values)
-                resp.values[order] = by_values
         finally:
             seconds.observe(perf_counter() - start)
         totals = {

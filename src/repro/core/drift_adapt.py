@@ -81,10 +81,7 @@ class StreamingHotnessEstimator(HotnessTracker):
 
     def record(self, keys: np.ndarray) -> None:
         """Account one batch: decay the window, then add the accesses."""
-        keys = np.asarray(keys)
-        if keys.size and (keys.min() < 0 or keys.max() >= self.num_entries):
-            raise ValueError("keys out of range for this tracker")
-        counts = np.bincount(keys, minlength=self.num_entries)
+        counts = self._batch_counts(keys)
         with self._lock:
             if self.decay < 1.0:
                 self._counts *= self.decay

@@ -44,11 +44,15 @@ class HotnessTracker:
 
     def record(self, keys: np.ndarray) -> None:
         """Account one batch of accesses (a 1-D integer key array)."""
+        self._counts += self._batch_counts(keys)
+        self._batches += 1
+
+    def _batch_counts(self, keys: np.ndarray) -> np.ndarray:
+        """One batch's access count per entry; raises on a key out of range."""
         keys = np.asarray(keys)
         if keys.size and (keys.min() < 0 or keys.max() >= self.num_entries):
             raise ValueError("keys out of range for this tracker")
-        self._counts += np.bincount(keys, minlength=self.num_entries)
-        self._batches += 1
+        return np.bincount(keys, minlength=self.num_entries)
 
     def counts(self) -> np.ndarray:
         """Raw access counts (copy)."""

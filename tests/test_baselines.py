@@ -1,6 +1,5 @@
 """Baseline systems of §8.1: policies, mechanisms, failure modes."""
 
-import numpy as np
 import pytest
 
 from repro.baselines import (

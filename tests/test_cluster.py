@@ -544,6 +544,48 @@ def test_one_sort_fan_out_matches_the_unique_flatnonzero_oracle(
         assert np.array_equal(rows, w_rows)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    replication=st.integers(1, 2),
+    n_keys=st.integers(0, 300),
+    fault=st.sampled_from(["down_nodes", "partitioned_nodes"]),
+    faulted=st.frozensets(st.integers(0, 2), max_size=2),
+    ejected=st.frozensets(st.integers(0, 2), max_size=3),
+)
+def test_one_pass_accounting_and_gather_match_the_per_group_owner_test(
+    seed, replication, n_keys, fault, faulted, ejected
+):
+    """A served group's replica and host-table reads are what the owner
+    test ``(rows == served_by).any(1)`` over its keys says, and every
+    served row lands at its own request position."""
+    frontend, table, _ = _mini_cluster(replication=replication)
+    frontend.breakers.excluded_sources = lambda now: ejected
+    owners = frontend.placement.owners_for(np.arange(N_ENTRIES, dtype=np.int64))
+    served = []  # (serving node, keys) of every gathered group
+    for node_id, node in frontend.nodes.items():
+        def serve(batch, node_id=node_id, inner=node.serve):
+            served.append((node_id, batch.keys))
+            return inner(batch)
+        node.serve = serve
+    keys = np.random.default_rng(seed).integers(0, N_ENTRIES, n_keys)
+    health = HealthView(**{fault: faulted})
+    resp = frontend.serve(keys, now=0.0, health=health, execute=True)
+    replica = host = 0
+    for served_by, gkeys in served:
+        rows = owners[gkeys]
+        owner_hit = (rows == served_by).any(axis=1)
+        replica += int((owner_hit & (rows[:, 0] != served_by)).sum())
+        host += int((~owner_hit).sum())
+    assert (resp.replica_keys, resp.host_fallback_keys) == (replica, host)
+    assert resp.served == sum(len(g) for _, g in served) == n_keys - len(
+        resp.failed_positions
+    )
+    want = table[keys]
+    want[resp.failed_positions] = 0
+    assert np.array_equal(resp.values, want)
+
+
 def test_frontend_reproduces_the_recorded_node_kill_trace():
     golden_dir = pathlib.Path(__file__).parent / "golden"
     spec = importlib.util.spec_from_file_location(
@@ -828,5 +870,6 @@ class TestServeCallBudget:
         assert np.array_equal(resp.values, table[keys])
         # 1047 with owners_for per request, timer contexts and locked
         # instruments; 874 with the owner table, context-free stage timing
-        # and append-instruments.
-        assert calls <= 874, calls
+        # and append-instruments; 774 with the hedge targets, ban flags,
+        # owner accounting and gather done once per request.
+        assert calls <= 774, calls

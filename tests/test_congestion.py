@@ -1,6 +1,5 @@
 """Congestion fixed point for unorganized extraction (§5.1-5.2)."""
 
-import numpy as np
 import pytest
 
 from repro.sim import congestion

@@ -6,7 +6,6 @@ and asserts agreement.  These invariants are what keep the figure drivers
 trustworthy: every figure mixes at least two of these components.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.evaluate import (

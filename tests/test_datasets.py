@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.hotness import degree_hotness
 from repro.datasets import (
-    DLR_SPECS,
     GNN_SPECS,
     all_dataset_summaries,
     build_gnn_dataset,

@@ -1,6 +1,5 @@
 """Out-of-paper platforms: DGX-2 and PCIe-only boxes."""
 
-import numpy as np
 import pytest
 
 from repro.core.evaluate import evaluate_placement, hit_rates

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gnn.graph import power_law_graph
-from repro.gnn.nn import FanoutTree, GraphSageModel, sample_tree
+from repro.gnn.nn import GraphSageModel, sample_tree
 
 
 @pytest.fixture

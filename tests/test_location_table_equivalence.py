@@ -20,7 +20,6 @@ import pytest
 from repro.core.location_table import (
     CorruptEntryError,
     LocationTable,
-    pack_location,
 )
 from repro.hardware.platform import HOST
 

@@ -3,7 +3,6 @@
 import logging
 
 import numpy as np
-import pytest
 
 from repro.core.embedding_layer import EmbeddingLayerConfig, UGacheEmbeddingLayer
 from repro.core.solver import SolverConfig

@@ -1,6 +1,5 @@
 """Observability: registry semantics, exporters, and hot-path wiring."""
 
-import json
 import threading
 from unittest import mock
 from bisect import bisect_left

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hardware.platform import HOST, server_a, server_b, server_c, single_gpu
+from repro.hardware.platform import HOST
 
 
 class TestPresets:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bench.runner import ReplayStats, replay_workload
-from repro.core.policy import partition_policy, replication_policy
+from repro.core.policy import partition_policy
 from repro.sim.mechanisms import Mechanism
 from repro.utils.stats import zipf_pmf
 

@@ -6,7 +6,7 @@ import pytest
 from repro.core.cache import MultiGpuEmbeddingCache
 from repro.core.extractor import FactoredExtractor
 from repro.core.pipeline import apply_health
-from repro.core.policy import hot_replicate_warm_partition_policy, partition_policy
+from repro.core.policy import hot_replicate_warm_partition_policy
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import FaultKind, FaultPlan, FaultSpec
 from repro.hardware.platform import server_a

@@ -9,7 +9,6 @@ from repro.core import solver as solver_module
 from repro.core.evaluate import evaluate_placement, hit_rates
 from repro.core.policy import partition_policy, replication_policy
 from repro.core.solver import (
-    PolicySolveError,
     PolicySolveTimeout,
     SolverConfig,
     dedication_ratios,
