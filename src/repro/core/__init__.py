@@ -26,7 +26,6 @@ from repro.core.pipeline import (
     host_fallback_demand,
     plan_extraction,
     price_demand,
-    renormalize_dedication,
 )
 from repro.core.filler import (
     GpuCacheStore,
@@ -110,7 +109,6 @@ __all__ = [
     "host_fallback_demand",
     "plan_extraction",
     "price_demand",
-    "renormalize_dedication",
     "GpuCacheStore",
     "PlacementDiff",
     "apply_diff_step",

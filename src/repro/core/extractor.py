@@ -6,8 +6,7 @@ grouped by source location, cores dedicated per non-local group within link
 tolerance, and the local group scheduled last at low priority to pad ragged
 finishing times.  Every step is a stage of :mod:`repro.core.pipeline`
 (resolve → reroute → group → dedicate → price → execute); this class adds
-health resolution from an optional :class:`~repro.faults.injector.FaultInjector`
-and the legacy ``extractor.*`` metrics, nothing else.  Because the batch
+the legacy ``extractor.*`` metrics, nothing else.  Because the batch
 simulator, the event simulators and the serving runtime price through the
 same :func:`~repro.core.pipeline.price_demand` stage, functional
 correctness and simulated performance come from one shared pipeline — not
@@ -17,8 +16,8 @@ Fault tolerance: when a :class:`~repro.faults.spec.HealthView` marks a
 source GPU down or a link partitioned — or the location table hands back a
 corrupt/stale ``<GPU, Offset>`` — the pipeline's reroute stage moves exactly
 those keys to the cheapest surviving replica (host as the last resort),
-re-normalizes the core-dedication map over the sources that remain, and
-emits ``faults.rerouted_keys`` so degradation is visible, never silent.  A
+splits the cores over the sources the plan then reads, and emits
+``faults.rerouted_keys`` so degradation is visible, never silent.  A
 batch always completes; only its price changes.
 """
 
@@ -35,41 +34,29 @@ from repro.core.pipeline import (
     execute_plan,
     plan_extraction,
     price_demand,
-    renormalize_dedication,
 )
-from repro.faults.injector import FaultInjector
 from repro.faults.spec import HealthView
 from repro.hardware.platform import Platform
 from repro.obs import get_registry
 from repro.sim.engine import BatchReport, simulate_batch
-from repro.sim.mechanisms import GpuDemand, Mechanism, core_dedication
-from repro.utils.logging import get_logger
+from repro.sim.mechanisms import GpuDemand, Mechanism
 
 __all__ = [
     "ExtractionPlan",
     "FactoredExtractor",
     "SourceGroup",
-    "renormalize_dedication",
 ]
-
-logger = get_logger("core.extractor")
 
 
 class FactoredExtractor:
     """Plans and executes factored extraction over a multi-GPU cache.
 
-    ``injector`` (optional) supplies per-call health views from its fault
-    plan; callers can also pass an explicit ``health`` to any planning
-    entry point, which wins over the injector.
+    Every entry point takes the health view to plan and price under
+    (``None``: healthy); the caller that advances a fault plan passes it.
     """
 
-    def __init__(
-        self,
-        cache: MultiGpuEmbeddingCache,
-        injector: FaultInjector | None = None,
-    ) -> None:
+    def __init__(self, cache: MultiGpuEmbeddingCache) -> None:
         self._cache = cache
-        self._injector = injector
 
     @property
     def platform(self) -> Platform:
@@ -79,21 +66,11 @@ class FactoredExtractor:
     def cache(self) -> MultiGpuEmbeddingCache:
         return self._cache
 
-    def _resolve_health(
-        self, health: HealthView | None, now: float
-    ) -> HealthView | None:
-        if health is not None:
-            return health
-        if self._injector is not None:
-            return self._injector.health(now)
-        return None
-
     def plan(
         self,
         dst: int,
         keys: np.ndarray,
         health: HealthView | None = None,
-        now: float = 0.0,
         exclude_sources: frozenset[int] | set[int] | None = None,
     ) -> ExtractionPlan:
         """Group a batch by source location and dedicate cores (§5.3).
@@ -106,21 +83,12 @@ class FactoredExtractor:
         never excluded, since the local store needs no link.
         """
         reg = get_registry()
-        health = self._resolve_health(health, now)
         exclude = frozenset(exclude_sources or ())  # a frozenset passes through as is
         seconds = reg.cached("histogram", "extractor.plan.seconds")
         start = perf_counter()
         try:
-            # ``core_dedication`` is resolved from this module's globals at
-            # call time so tests (and operators) can swap the split policy.
             plan = plan_extraction(
-                self._cache,
-                dst,
-                keys,
-                health=health,
-                exclude=exclude,
-                dedication_fn=core_dedication,
-                log=logger,
+                self._cache, dst, keys, health=health, exclude=exclude
             )
         finally:
             seconds.observe(perf_counter() - start)
@@ -143,14 +111,13 @@ class FactoredExtractor:
         self,
         keys_per_gpu: list[np.ndarray],
         local_padding: bool = True,
-        now: float = 0.0,
+        health: HealthView | None = None,
     ) -> tuple[list[np.ndarray], BatchReport]:
         """Plan, execute and price one data-parallel batch.
 
         Holds the cache's :meth:`~repro.core.cache.MultiGpuEmbeddingCache.
         reading` from the first plan to the last gather, so a refresh step
         cannot recycle a planned slot before it is read."""
-        health = self._resolve_health(None, now)
         with self._cache.reading():
             plans = [
                 self.plan(i, keys, health=health) for i, keys in enumerate(keys_per_gpu)
@@ -176,7 +143,6 @@ class FactoredExtractor:
         Prices through the pipeline's shared :func:`price_demand` stage —
         the same call the batch simulator and the serving runtime make.
         """
-        health = self._resolve_health(health, 0.0)
         plan = self.plan(dst, keys, health=health)
         return price_demand(
             self.platform, plan.demand(self._cache.entry_bytes), health=health

@@ -17,8 +17,7 @@ free function that any layer can call on its own:
 3. **group** — per-source batching: ``(source, keys, cores)`` per present
    source in launch order (Figure 8's layout; the plan's
    :class:`SourceGroup` segments are built only when asked for);
-4. **dedicate** — the §5.3 core split over the sources actually present,
-   re-normalized when the topology model and the location table disagree;
+4. **dedicate** — the §5.3 core split over the sources actually present;
 5. **price** — the factored timing model under the current health view —
    the *only* pricing point: the extractor, the batch engine, the event
    simulators, the serving runtime and the cluster's cache nodes all price
@@ -36,16 +35,15 @@ triggered it.
 decide is recorded once in ``Platform.memo`` — a degraded view's own memo
 under a health view, one view per health *value* — and only looked up per
 request: reroute's verdict on every source id under ``("verdicts", dst,
-exclude)``; the re-normalized core split and its ``missing`` list under
-``("dedication", dst, present, dedication_fn)``; metric labels under
-``("source_class", dst, sources)``; the FEM's per-source ``(rate, latency,
-cores, busy)`` under ``("factored", dst, sources)``; the sources ``dst`` can
+exclude)``; the core split under ``("dedication", dst, present)``; metric
+labels under ``("source_class", dst, sources)``; the FEM's per-source
+``(rate, latency, cores, busy)`` under ``("factored", dst, sources)``
+(:func:`~repro.sim.mechanisms.factored_terms`); the sources ``dst`` can
 read under ``("readable", dst)``.  Every key is a value and nothing derived
 from cache *contents* is kept — ``source_map`` and the slot table are read
-per request — so a fault, a breaker flip or another
-split policy is simply a different key, and refresh, hot swap, repair,
-restage and tier rebalance need no invalidation; :func:`remember` caps each
-memo, oldest first.
+per request — so a fault or a breaker flip is simply a different key, and
+refresh, hot swap, repair, restage and tier rebalance need no
+invalidation; :func:`remember` caps each memo, oldest first.
 
 :class:`~repro.core.extractor.FactoredExtractor` is the conventional
 facade over stages 1–4 + 6; :func:`repro.sim.engine.simulate_batch`
@@ -59,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -98,7 +96,6 @@ __all__ = [
     "plan_extraction",
     "price_demand",
     "price_node_read",
-    "renormalize_dedication",
     "reroute",
     "resolve",
     "source_class",
@@ -317,7 +314,6 @@ def reroute(
     sources: np.ndarray,
     health: HealthView | None = None,
     exclude: frozenset[int] = frozenset(),
-    log=logger,
 ) -> tuple[tuple, int, tuple[int, ...]]:
     """Locate the batch and replace unusable sources.
 
@@ -393,7 +389,7 @@ def reroute(
         reg.counter("faults.corrupt_reads").inc(n_corrupt)
     if n_stale:
         reg.counter("faults.stale_reads").inc(n_stale)
-    log.debug(
+    logger.debug(
         "GPU %d: rerouted %d/%d keys (%d corrupt, %d stale) around faults",
         dst, n, len(keys), n_corrupt, n_stale,
     )
@@ -403,97 +399,25 @@ def reroute(
 # ----------------------------------------------------------------------
 # Stage 4: dedicate (declared before group, which consumes its output)
 # ----------------------------------------------------------------------
-def renormalize_dedication(
-    platform: Platform,
-    dst: int,
-    present: list[int],
-    dedication: dict[int, int],
-) -> tuple[dict[int, int], list[int]]:
-    """Re-normalize core shares when the map misses a present source.
-
-    The topology model and the location table can disagree (a stale map
-    after a fault, a route the solver never priced): instead of the old
-    one-core floor, recompute the non-host split over *every* present
-    remote source, weighting by link bandwidth (unreachable sources drain
-    through the host path, so they weigh in at PCIe speed), and shrink
-    proportionally so the total never exceeds the SM budget.
-
-    Returns ``(dedication, missing)``; when nothing was missing the input
-    map is returned unchanged.
-    """
-    backing = [s for s in present if platform.is_backing(s)]
-    remotes = [s for s in present if s != dst and not platform.is_backing(s)]
-    missing = [s for s in remotes if s not in dedication]
-    if not missing:
-        return dedication, []
-    total = platform.gpu.num_cores
-    backing_cores = sum(dedication.get(s, 0) for s in backing)
-    budget = max(total - backing_cores, len(remotes))
-    weights: dict[int, float] = {}
-    for s in remotes:
-        bw = platform.bandwidth(dst, s)
-        weights[s] = bw if bw > 0 else platform.pcie_bandwidth
-    wsum = sum(weights.values())
-    out: dict[int, int] = {
-        s: dedication[s] for s in backing if s in dedication
-    }
-    for s in remotes:
-        out[s] = max(1, int(budget * weights[s] / wsum))
-    while sum(v for k, v in out.items() if not platform.is_backing(k)) > budget:
-        biggest = max(
-            (k for k in out if not platform.is_backing(k)), key=lambda k: out[k]
-        )
-        if out[biggest] <= 1:
-            break
-        out[biggest] -= 1
-    return out, missing
-
-
 def dedicate(
-    platform: Platform,
-    dst: int,
-    present: tuple[int, ...] | list[int],
-    dedication_fn: Callable[..., dict[int, int]] | None = None,
-    log=logger,
+    platform: Platform, dst: int, present: tuple[int, ...]
 ) -> dict[int, int]:
-    """The §5.3 core split over the sources actually present.
-
-    ``dedication_fn`` defaults to
-    :func:`repro.sim.mechanisms.core_dedication`; the result is
-    re-normalized (loudly) when it misses a present source, so the
-    topology model and the location table disagreeing is survivable but
-    never silent.  The returned map is the remembered one (read it, do
-    not write it); the warning and its counters fire for every plan.
-    """
-    reg = get_registry()
-    seconds = reg.cached("histogram", "pipeline.dedicate.seconds")
+    """The §5.3 core split over the sources actually present:
+    :func:`~repro.sim.mechanisms.core_dedication`, which gives every
+    present non-local source its own entry, remembered per route.  The
+    returned map is the remembered one (read it, do not write it)."""
+    seconds = get_registry().cached("histogram", "pipeline.dedicate.seconds")
     start = perf_counter()
     try:
-        fn = dedication_fn or core_dedication
-        key = ("dedication", dst, tuple(present), fn)
-        found = platform.memo.get(key)
-        if found is None:
-            sources = list(present)
-            found = remember(platform.memo, key, renormalize_dedication(
-                platform, dst, sources, fn(platform, dst, sources)
-            ))
-        dedication, missing = found
+        key = ("dedication", dst, present)
+        dedication = platform.memo.get(key)
+        if dedication is None:
+            dedication = remember(
+                platform.memo, key, core_dedication(platform, dst, list(present))
+            )
+        return dedication
     finally:
         seconds.observe(perf_counter() - start)
-    if missing:
-        reg.counter("extractor.plan.dedication_missing").inc(len(missing))
-        reg.counter("extractor.plan.dedication_renormalized").inc()
-        log.warning(
-            "GPU %d batch reads from source(s) %s absent from the "
-            "core-dedication map; re-normalized shares across %d "
-            "remote source(s)",
-            dst,
-            missing,
-            len([
-                s for s in present if s != dst and not platform.is_backing(s)
-            ]),
-        )
-    return dedication
 
 
 # ----------------------------------------------------------------------
@@ -565,18 +489,16 @@ def plan_extraction(
     keys: np.ndarray,
     health: HealthView | None = None,
     exclude: frozenset[int] = frozenset(),
-    dedication_fn: Callable[..., dict[int, int]] | None = None,
-    log=logger,
 ) -> ExtractionPlan:
     """Run resolve → reroute → dedicate → group for one GPU's batch."""
     keys, sources = resolve(cache, dst, keys)
     (sources, slots, addresses, present, counts), rerouted, failed_sources = reroute(
-        cache, dst, keys, sources, health, exclude, log=log
+        cache, dst, keys, sources, health, exclude
     )
     platform = cache.platform
     if health is not None:
         platform = degraded_platform(platform, health)
-    dedication = dedicate(platform, dst, present, dedication_fn, log=log)
+    dedication = dedicate(platform, dst, present)
     per_source = group_by_source(cache, dst, present, counts, dedication)
     return ExtractionPlan(
         dst, keys, sources, slots, addresses, per_source, rerouted, failed_sources

@@ -41,20 +41,15 @@ class FaultInjector:
         self._plan = plan
         self._cache = cache
         self._applied: set[int] = set()
-        self._now = 0.0
         # Recurring bit-rot faults keep per-fault event state: the seeded
         # rng and the next event time.  Events are consumed in
         # chronological order, so the realized schedule is independent of
         # how often advance() is called.
         self._rot_state: dict[int, list] = {}
-        # advance() mutates _now/_applied and (for one-shots) the cache's
+        # advance() mutates _applied and (for one-shots) the cache's
         # source map; per-GPU serving workers may all drive time forward,
         # so realize faults under a lock.
         self._lock = threading.Lock()
-
-    def health(self, now: float | None = None) -> HealthView:
-        """The health view at ``now`` (defaults to the last advanced time)."""
-        return self._plan.health_at(self._now if now is None else now)
 
     def advance(self, now: float) -> HealthView:
         """Move time forward, realizing any one-shot faults that fired.
@@ -64,7 +59,6 @@ class FaultInjector:
         """
         reg = get_registry()
         with self._lock:
-            self._now = max(self._now, now)
             for idx, fault in enumerate(self._plan.faults):
                 if fault.kind is FaultKind.BIT_ROT:
                     if now < fault.onset:

@@ -3,7 +3,7 @@
 :class:`DriftAdapter` closes the loop the paper leaves open (§2 assumes
 daily hot sets are "highly alike"): a
 :class:`~repro.core.drift_adapt.StreamingHotnessEstimator` is fed from
-the serving hot path (with bounded per-request sampling overhead), a
+the serving hot path (one counter and one decayed ``bincount`` a request), a
 :class:`~repro.core.drift_adapt.DriftDetector` periodically compares the
 live estimate against the solved policy's snapshot, and when drift
 crosses threshold the adapter triggers an *incremental* re-solve —
@@ -38,10 +38,7 @@ __all__ = ["AdaptationEvent", "DriftAdapter"]
 #: Estimator decay per recorded batch (window half-life
 #: ``log(0.5)/log(DECAY)`` batches).
 DECAY = 0.95
-#: Record every Nth observed request — the bounded per-request overhead.
-#: Skipped requests cost one counter increment; 1 records everything.
-SAMPLE_EVERY = 1
-#: Detector cadence, in *recorded* (post-sampling) requests.  Between checks
+#: Detector cadence, in recorded requests.  Between checks
 #: :meth:`DriftAdapter.maybe_adapt` is a cheap counter read.
 CHECK_EVERY = 8
 
@@ -74,8 +71,7 @@ class DriftAdapter:
     drifted policy shedding most traffic cannot starve the estimator of
     the very evidence that would fix it; the soak loop calls
     :meth:`maybe_adapt` at event boundaries.  ``observe`` is hot-path
-    safe (a lock-guarded counter
-    plus, on sampled requests, one decayed ``bincount``) and is called
+    safe (a lock-guarded counter plus one decayed ``bincount``) and is called
     concurrently from per-GPU workers; ``maybe_adapt`` must be called
     from the single control thread that owns policy swaps (the same
     thread that calls :meth:`PolicyManager.swap` today).
@@ -109,14 +105,11 @@ class DriftAdapter:
     # Hot path
     # ------------------------------------------------------------------
     def observe(self, gpu: int, keys: np.ndarray, now: float) -> None:
-        """Account one served request's key batch (sampled)."""
+        """Account one served request's key batch."""
         with self._lock:
             self._observed += 1
-            take = self._observed % SAMPLE_EVERY == 0
-            if take:
-                self._recorded_since_check += 1
-        if take:
-            self.estimator.record(keys)
+            self._recorded_since_check += 1
+        self.estimator.record(keys)
 
     @property
     def observed(self) -> int:

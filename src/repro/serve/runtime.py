@@ -179,7 +179,6 @@ class ServingRuntime:
                 gpu,
                 keys,
                 health=health,
-                now=now,
                 exclude_sources=excluded,
             )
             values, demand = self._extractor.execute(plan)
@@ -401,7 +400,7 @@ class ServingRuntime:
         platform = self._extractor.platform
         worst = 0.0
         for gpu, keys in enumerate(keys_per_gpu):
-            plan = self._extractor.plan(gpu, keys, health=health, now=now)
+            plan = self._extractor.plan(gpu, keys, health=health)
             demand = plan.demand(self._cache.entry_bytes)
             worst = max(worst, price_demand(platform, demand, health=health).time)
         return worst

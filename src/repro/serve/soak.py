@@ -1013,7 +1013,7 @@ class BoxSoak:
             source_timeout_seconds=TIMEOUT_FACTOR * s0,
         )
         self.runtime = ServingRuntime(
-            FactoredExtractor(cache, injector=injector),
+            FactoredExtractor(cache),
             config=serve_cfg,
             injector=injector,
         )

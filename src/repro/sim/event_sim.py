@@ -3,11 +3,12 @@
 The analytic models in :mod:`repro.sim.mechanisms` are fluid
 approximations: the factored model assumes perfect local padding, and the
 naive-peer model solves a steady-state occupancy fixed point.  This module
-simulates the same physics *discretely* — individual SMs pulling
-fixed-size chunks, link rates recomputed at every completion event — and
-is used by tests and the `event-sim` experiment to check that
-the fluid models converge to the discrete behaviour (within chunking
-noise).
+simulates the same physics *discretely*, individual SMs pulling fixed-size
+chunks: the naive loop recomputes every link's rate at each completion
+event, while the factored loop fixes a chunk's rate when the chunk starts,
+from the SMs then reading its source.  Tests and the `event-sim`
+experiment use it to check that the fluid models converge to the discrete
+behaviour (within chunking noise).
 
 Shared physics, independent dynamics: the per-link delivered-bandwidth law
 (full bandwidth up to tolerance, degraded beyond — §5.1/Figure 6) is the
@@ -24,7 +25,7 @@ import numpy as np
 
 from repro.hardware.platform import Platform
 from repro.sim.congestion import effective_bandwidth
-from repro.sim.mechanisms import GpuDemand, core_dedication
+from repro.sim.mechanisms import GpuDemand, factored_terms
 from repro.utils.rng import make_rng
 
 
@@ -197,7 +198,6 @@ def simulate_factored_event_driven(
     their group, dead sources' chunks drain via host.
     """
     gpu = platform.gpu
-    dedication = core_dedication(platform, demand.dst, list(demand.volumes))
 
     # Build per-source chunk counts.
     group_chunks: dict[int, int] = {}
@@ -211,14 +211,14 @@ def simulate_factored_event_driven(
     local_src = demand.dst
     local_remaining = group_chunks.pop(local_src, 0)
 
-    # Assign cores: dedicated per non-local group, remainder to local.
+    # Assign cores: each non-local group's busy cores (never beyond the
+    # link's tolerance, as the analytic model counts them), the remainder
+    # to local.
+    *_, terms = factored_terms(platform, demand.dst, tuple(demand.volumes))
     assignments: list[int] = []  # core -> source
-    for src, count in group_chunks.items():
-        cores = dedication.get(src, 1)
-        # Never beyond the link's tolerance (matches the analytic model's
-        # busy-core accounting).
-        busy = min(cores, platform.tolerance(demand.dst, src))
-        assignments.extend([src] * busy)
+    for src, _, _, _, busy in terms:
+        if src in group_chunks:
+            assignments.extend([src] * busy)
     num_cores = gpu.num_cores
     free_cores = num_cores - len(assignments)
 

@@ -121,7 +121,7 @@ def core_dedication(
             if total_weight <= 0:
                 # Every remote link is dead or unknown (a degraded
                 # platform, a corrupt route): split evenly rather than
-                # divide by zero — the extractor re-normalizes anyway.
+                # divide by zero.
                 for src in remotes:
                     dedication[src] = max(1, remaining // len(remotes))
             else:
@@ -135,6 +135,37 @@ def core_dedication(
 # ----------------------------------------------------------------------
 # Factored extraction (§5.3)
 # ----------------------------------------------------------------------
+def factored_terms(platform: Platform, dst: int, sources: tuple[int, ...]):
+    """The §5.3 terms of GPU ``dst`` reading ``sources``:
+    ``(per_core_bandwidth, num_cores, local_bandwidth, groups)``, with
+    ``groups`` one ``(source, rate, latency, cores, busy)`` per non-local
+    source in ``sources`` order, remembered per (platform or degraded
+    view, ``dst``, ``sources``).
+
+    A group runs on its dedicated ``cores`` at ``rate`` and pays its
+    tier's fixed access ``latency`` once (0 for DRAM); ``busy`` is the
+    cores it holds, never beyond the link's tolerance.  The price, the
+    Gantt trace and the event simulator all read these.
+    """
+    key = ("factored", dst, sources)
+    found = platform.memo.get(key)
+    if found is None:
+        gpu = platform.gpu
+        dedication = core_dedication(platform, dst, list(sources))
+        groups = []
+        for src in sources:
+            if src == dst:
+                continue
+            cores = dedication.get(src, 1)
+            rate = min(cores * gpu.per_core_bandwidth, platform.bandwidth(dst, src))
+            busy = min(cores, platform.tolerance(dst, src))
+            groups.append((src, rate, platform.tier_latency(src), cores, busy))
+        found = remember(platform.memo, key, (
+            gpu.per_core_bandwidth, gpu.num_cores, gpu.local_bandwidth, tuple(groups)
+        ))
+    return found
+
+
 def factored_extraction(
     platform: Platform,
     demand: GpuDemand,
@@ -150,32 +181,12 @@ def factored_extraction(
     estimate the solver optimizes (§6.2).  Without padding (ablation),
     local extraction waits for all non-local groups to finish.
 
-    Everything but the volumes is fixed per (platform or degraded view,
-    destination, source tuple) and remembered there.
+    The terms are :func:`factored_terms`.
     """
     dst, volumes = demand.dst, demand.volumes
-    key = ("factored", dst, tuple(volumes))
-    found = platform.memo.get(key)
-    if found is None:
-        gpu = platform.gpu
-        dedication = core_dedication(platform, dst, list(volumes))
-        terms = []
-        for src in volumes:
-            if src == dst:
-                continue
-            cores = dedication.get(src, 1)
-            rate = min(cores * gpu.per_core_bandwidth, platform.bandwidth(dst, src))
-            # Backing tiers pay their fixed access latency once per batched
-            # group (0 for DRAM, so single-tier pricing is unchanged).
-            latency = platform.tier_latency(src)
-            # Cores beyond the link's tolerance would stall; UGache never
-            # dedicates them, but guard the accounting anyway.
-            busy = min(cores, platform.tolerance(dst, src))
-            terms.append((src, rate, latency, cores, busy))
-        found = remember(platform.memo, key, (
-            gpu.per_core_bandwidth, gpu.num_cores, gpu.local_bandwidth, terms
-        ))
-    per_core_bandwidth, num_cores, local_bandwidth, terms = found
+    per_core_bandwidth, num_cores, local_bandwidth, terms = factored_terms(
+        platform, dst, tuple(volumes)
+    )
     time_by_source: dict[int, float] = {}
     cores_by_source: dict[int, float] = {}
     busy_core_seconds = 0.0

@@ -5,7 +5,7 @@ this module reconstructs *when* each source group runs and which SMs it
 occupies, by replaying the §5.3 schedule:
 
 * every non-local group starts at t=0 on its dedicated cores and runs for
-  ``volume / rate``;
+  ``volume / rate`` plus its tier's access latency;
 * the local group runs at low priority on whatever cores are idle —
   initially the un-dedicated remainder, growing as non-local groups drain
   (the *padding*).
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.hardware.platform import HOST, Platform
-from repro.sim.mechanisms import GpuDemand, core_dedication
+from repro.sim.mechanisms import GpuDemand, factored_terms
 
 #: Columns of the ASCII Gantt chart's time axis.
 GANTT_WIDTH = 60
@@ -97,36 +97,33 @@ def trace_factored(
     stepping up each time a non-local group drains; without it, local
     waits for every non-local group (the ablation).
     """
-    gpu = platform.gpu
-    dedication = core_dedication(platform, demand.dst, list(demand.volumes))
-    groups: list[GroupEvent] = []
-    for src, vol in demand.volumes.items():
-        if src == demand.dst or vol <= 0:
-            continue
-        cores = dedication.get(src, 1)
-        rate = min(cores * gpu.per_core_bandwidth, platform.bandwidth(demand.dst, src))
-        busy = min(cores, platform.tolerance(demand.dst, src))
-        groups.append(
-            GroupEvent(
-                source=src, cores=busy, start=0.0, finish=vol / rate, volume=vol
-            )
+    per_core_bandwidth, num_cores, local_bandwidth, terms = factored_terms(
+        platform, demand.dst, tuple(demand.volumes)
+    )
+    groups = [
+        GroupEvent(
+            source=src, cores=busy, start=0.0, finish=vol / rate + latency,
+            volume=vol,
         )
+        for src, rate, latency, _, busy in terms
+        if (vol := demand.volumes[src]) > 0
+    ]
 
     local_volume = demand.volume(demand.dst)
     segments: list[LocalSegment] = []
     if local_volume > 0:
-        work = local_volume / gpu.per_core_bandwidth  # SM-seconds needed
+        work = local_volume / per_core_bandwidth  # SM-seconds needed
         if local_padding:
-            segments = _fill_idle_capacity(work, groups, gpu.num_cores)
+            segments = _fill_idle_capacity(work, groups, num_cores)
         else:
             start = max((g.finish for g in groups), default=0.0)
-            duration = local_volume / gpu.local_bandwidth
+            duration = local_volume / local_bandwidth
             segments = [
-                LocalSegment(start=start, finish=start + duration, cores=gpu.num_cores)
+                LocalSegment(start=start, finish=start + duration, cores=num_cores)
             ]
     return ExtractionTrace(
         dst=demand.dst,
-        total_cores=gpu.num_cores,
+        total_cores=num_cores,
         groups=tuple(groups),
         local_segments=tuple(segments),
         local_volume=local_volume,

@@ -110,14 +110,13 @@ def _adapter_rig(platform=None, solver_config=None):
 
 
 class TestDriftAdapter:
-    def test_sample_every_bounds_recording(self, monkeypatch):
-        _set(monkeypatch, sample_every=4)
+    def test_every_observed_request_is_recorded(self):
         adapter, _m, _h, _cap = _adapter_rig()
         keys = np.arange(32)
         for _ in range(16):
             adapter.observe(0, keys, now=0.0)
         assert adapter.observed == 16
-        assert adapter.estimator.batches_recorded == 4
+        assert adapter.estimator.batches_recorded == 16
 
     def test_no_fire_no_resolve(self, monkeypatch):
         """Stationary traffic: maybe_adapt checks but never re-solves."""

@@ -128,67 +128,6 @@ class TestHostGatherApi:
             extractor._cache.host_gather(np.array([-1]))
 
 
-class TestDedicationMismatch:
-    """A present source missing from core_dedication is loud, not silent."""
-
-    def test_missing_source_warns_and_counts(self, extractor, monkeypatch, caplog):
-        import logging
-
-        from repro.core import extractor as extractor_module
-        from repro.obs import MetricsRegistry, use_registry
-
-        monkeypatch.setattr(
-            extractor_module, "core_dedication", lambda *a, **k: {}
-        )
-        reg = MetricsRegistry("t")
-        with use_registry(reg), caplog.at_level(
-            logging.WARNING, logger="repro.core.extractor"
-        ):
-            plan = extractor.plan(0, np.arange(800))
-        assert reg.value("extractor.plan.dedication_missing") >= 1
-        assert reg.value("extractor.plan.dedication_renormalized") >= 1
-        assert any("core-dedication" in r.message for r in caplog.records)
-        # The shares are re-normalized over the present sources, not the
-        # old one-core floor: server-a's equal links split the SM budget
-        # evenly, and the total never exceeds it.
-        remote = [
-            g for g in plan.groups if g.source not in (0, HOST)
-        ]
-        cores = [g.dedicated_cores for g in remote]
-        budget = extractor.platform.gpu.num_cores
-        assert all(c >= 1 for c in cores)
-        assert sum(cores) <= budget
-        assert max(cores) > 1  # actually re-balanced, not floored
-        assert max(cores) - min(cores) <= 1  # equal links → equal shares
-
-    def test_swapped_split_policy_beats_a_warm_memo(self, extractor, monkeypatch):
-        from repro.core import extractor as extractor_module
-
-        keys = np.arange(800)
-        warm = extractor.plan(0, keys)  # fills the platform's split memo
-        monkeypatch.setattr(
-            extractor_module,
-            "core_dedication",
-            lambda platform, dst, present: {s: 3 for s in present},
-        )
-        plan = extractor.plan(0, keys)
-        assert all(g.dedicated_cores == 3 for g in plan.groups if g.source != 0)
-        assert any(g.dedicated_cores != 3 for g in warm.groups if g.source != 0)
-
-    def test_covered_sources_do_not_warn(self, extractor, caplog):
-        import logging
-
-        from repro.obs import MetricsRegistry, use_registry
-
-        reg = MetricsRegistry("t")
-        with use_registry(reg), caplog.at_level(
-            logging.WARNING, logger="repro.core.extractor"
-        ):
-            extractor.plan(0, np.arange(800))
-        assert reg.value("extractor.plan.dedication_missing") is None
-        assert not caplog.records
-
-
 class TestPlanCallBudget:
     """The plan's Python-level work is per present source, not per key."""
 

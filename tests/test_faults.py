@@ -251,16 +251,16 @@ class TestDegradedExtractionAcceptance:
             faults=(FaultSpec(FaultKind.GPU_FAILURE, onset=3.0, duration=4.0, gpu=1),)
         )
         injector = FaultInjector(plan, cache=cache)
-        extractor = FactoredExtractor(cache, injector=injector)
+        extractor = FactoredExtractor(cache)
 
         reg = MetricsRegistry("t")
         times = []
         with use_registry(reg):
             for t in range(10):
-                injector.advance(float(t))
+                health = injector.advance(float(t))
                 keys = [rng.integers(0, N, size=256) for _ in range(4)]
                 # No exception escapes the extractor during the outage.
-                values, report = extractor.extract(keys, now=float(t))
+                values, report = extractor.extract(keys, health=health)
                 for got, want in zip(values, keys):
                     assert np.array_equal(got, table[want])
                 times.append(report.time)
@@ -288,12 +288,12 @@ class TestDegradedExtractionAcceptance:
             faults=(FaultSpec(FaultKind.CORRUPT_SLOT, severity=0.2, gpu=2),)
         )
         injector = FaultInjector(plan, cache=cache)
-        extractor = FactoredExtractor(cache, injector=injector)
+        extractor = FactoredExtractor(cache)
         reg = MetricsRegistry("t")
         with use_registry(reg):
-            injector.advance(0.0)
+            health = injector.advance(0.0)
             keys = [np.arange(N // 2) for _ in range(4)]
-            values, _ = extractor.extract(keys, now=0.0)
+            values, _ = extractor.extract(keys, health=health)
             for got, want in zip(values, keys):
                 assert np.array_equal(got, table[want])
             assert reg.value("faults.corrupt_reads") > 0

@@ -294,16 +294,29 @@ class TestCoalesceProperties:
 # ----------------------------------------------------------------------
 # The segmented plan against a brute-force oracle
 # ----------------------------------------------------------------------
+from dataclasses import replace
+
 from repro.core import pipeline
 from repro.core.cache import MultiGpuEmbeddingCache
 from repro.core.policy import Placement, hot_replicate_warm_partition_policy
 from repro.faults.degrade import degraded_platform
 from repro.faults.spec import HealthView
-from repro.hardware.platform import MemoryTier, gbps, server_b, with_tiers
+from repro.hardware.platform import (
+    MemoryTier, gbps, server_a_tiered, server_b, with_tiers,
+)
 from repro.obs import MetricsRegistry, get_registry, use_registry
 
 PLAN_N = 240
 PLAN_DIM = 4
+
+
+def _server_a_tiered_half_dram():
+    """``server_a_tiered()`` with its DRAM tier cut to half the plan table,
+    so a batch reads both of its tiers."""
+    platform = server_a_tiered()
+    dram, ssd = platform.tiers
+    half = replace(dram, capacity_bytes=PLAN_N // 2 * PLAN_DIM * 4)
+    return with_tiers(platform, (half, ssd))
 
 
 def _plan_cache(kind: str, seed: int, empty: bool = False) -> MultiGpuEmbeddingCache:
@@ -320,6 +333,7 @@ def _plan_cache(kind: str, seed: int, empty: bool = False) -> MultiGpuEmbeddingC
             MemoryTier("cxl", 60 * row, gbps(12), 1e-6),
             MemoryTier("ssd", PLAN_N * row, gbps(6), 100e-6),
         )),
+        "a-tiered": _server_a_tiered_half_dram,
     }[kind]()
     placement = hot_replicate_warm_partition_policy(
         hot, PLAN_N // 10, platform.num_gpus, 0.5
@@ -382,7 +396,7 @@ def _oracle_plan(cache, dst, keys, health, exclude):
             reg.counter("faults.corrupt_reads").inc(n_corrupt)
         if n_stale:
             reg.counter("faults.stale_reads").inc(n_stale)
-    present = [int(s) for s in np.unique(sources)]
+    present = tuple(int(s) for s in np.unique(sources))
     priced = platform if health is None else degraded_platform(platform, health)
     dedication = pipeline.dedicate(priced, dst, present)
     groups = []
@@ -912,19 +926,11 @@ def priced_demands(draw):
     return platform, demand, draw(st.booleans())
 
 
-def _no_dedication(platform, dst, present):
-    return {}  # every remote is missing: the renormalized split, loudly
-
-
-def _three_cores_each(platform, dst, present):
-    return {s: 3 for s in present}
-
-
-def _whole_plan(cache, dst, keys, health, exclude, dedication_fn):
+def _whole_plan(cache, dst, keys, health, exclude):
     """Everything a request gets from the pipeline, and what it counted."""
     reg = MetricsRegistry("route")
     with use_registry(reg):
-        plan = pipeline.plan_extraction(cache, dst, keys, health, exclude, dedication_fn)
+        plan = pipeline.plan_extraction(cache, dst, keys, health, exclude)
         values, demand = pipeline.execute_plan(cache, plan)
         report = pipeline.price_demand(cache.platform, demand, health)
     return plan, values, demand, report, _plan_counters(reg)
@@ -994,9 +1000,9 @@ class TestRouteMemoProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_a_warm_memo_is_never_stale(self, kind, seed, steps, data):
-        """Whatever happens between two batches — faults, breakers, another
-        split policy, a new placement, a refresh step, a rotten
-        slot — a warm memo answers exactly as an empty one does."""
+        """Whatever happens between two batches — faults, breakers, a new
+        placement, a refresh step, a rotten slot — a warm memo answers
+        exactly as an empty one does."""
         cache = _plan_cache(kind, seed)
         platform = cache.platform
         G = platform.num_gpus
@@ -1039,10 +1045,7 @@ class TestRouteMemoProperties:
             keys = rng.integers(0, PLAN_N, size=data.draw(st.sampled_from([300, 40, 3, 0])))
             health = data.draw(st.none() | health_views(G, dst))
             exclude = data.draw(st.frozensets(gpus, max_size=2))
-            dedication_fn = data.draw(st.sampled_from(
-                [None, None, _no_dedication, _three_cores_each]
-            ))
-            args = (cache, dst, keys, health, exclude, dedication_fn)
+            args = (cache, dst, keys, health, exclude)
             warm = _whole_plan(*args)
             remembered = dict(platform.memo)
             platform.memo.clear()
@@ -1053,3 +1056,36 @@ class TestRouteMemoProperties:
                 platform.memo.update(remembered)
             _assert_same_plan(warm, cold)
             assert np.array_equal(warm[1], cache.host_table[keys])
+
+
+# ----------------------------------------------------------------------
+# A plan and its price split the cores one way
+# ----------------------------------------------------------------------
+class TestPlanAndPriceShareOneSplit:
+    @given(
+        kind=st.sampled_from(["a", "c", "a-tiered"]),
+        seed=st.integers(0, 50),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_plan_cores_equal_the_price_cores(self, kind, seed, data):
+        """Each group of a plan runs on the cores its price bills: the
+        dedicated cores per non-local source, every core for the local
+        group — with or without faults and open breakers."""
+        cache = _plan_cache(kind, seed)
+        platform = cache.platform
+        G = platform.num_gpus
+        gpus = st.integers(0, G - 1)
+        for _ in range(data.draw(st.integers(1, 3))):
+            dst = data.draw(gpus)
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+            keys = rng.integers(0, PLAN_N, size=data.draw(st.sampled_from([300, 40, 3])))
+            health = data.draw(st.none() | health_views(G, dst))
+            exclude = data.draw(st.frozensets(gpus, max_size=2))
+            plan = pipeline.plan_extraction(cache, dst, keys, health, exclude)
+            report = pipeline.price_demand(
+                platform, plan.demand(cache.entry_bytes), health
+            )
+            split = [(src, cores) for src, _, cores in plan.per_source]
+            assert split == list(report.cores_by_source.items())
+            assert all(c == platform.gpu.num_cores for s, c in split if s == dst)

@@ -335,7 +335,7 @@ CONSTANTS = {
     "repro.core.drift_adapt": dict(
         TOP_FRAC=0.01, JACCARD_FLOOR=0.5, CORR_FLOOR=0.2, HYSTERESIS=2,
         COOLDOWN_CHECKS=8, MIN_BATCHES=16),
-    "repro.serve.adaptation": dict(DECAY=0.95, SAMPLE_EVERY=1, CHECK_EVERY=8),
+    "repro.serve.adaptation": dict(DECAY=0.95, CHECK_EVERY=8),
     "repro.serve.policy_manager": dict(P99_REGRESSION=2.0),
     "repro.serve.queueing": dict(ESTIMATOR_ALPHA=0.2),
     "repro.serve.soak": dict(

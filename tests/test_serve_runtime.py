@@ -39,7 +39,7 @@ def _stack(plan=None, replicate=0.5):
     )
     cache = MultiGpuEmbeddingCache(platform, table, placement)
     injector = FaultInjector(plan, cache=cache) if plan is not None else None
-    extractor = FactoredExtractor(cache, injector=injector)
+    extractor = FactoredExtractor(cache)
     return platform, table, cache, extractor, injector
 
 

@@ -225,8 +225,7 @@ def _runtime(tiers=None, plan=None, replicate=0.5):
         tier_hotness=hotness if tiers is not None else None,
     )
     injector = FaultInjector(plan, cache=cache) if plan is not None else None
-    extractor = FactoredExtractor(cache, injector=injector)
-    return ServingRuntime(extractor, injector=injector), table
+    return ServingRuntime(FactoredExtractor(cache), injector=injector), table
 
 
 DEGRADED_LINK = FaultPlan(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.hardware.platform import HOST
+from repro.hardware.platform import HOST, server_a_tiered
 from repro.sim.mechanisms import GpuDemand, factored_extraction
 from repro.sim.trace import trace_factored
 
@@ -74,6 +74,17 @@ class TestConsistencyWithAnalyticModel:
         )
         trace = trace_factored(platform_c, demand)
         report = factored_extraction(platform_c, demand)
+        assert trace.makespan == pytest.approx(report.time, rel=1e-6)
+
+    @pytest.mark.parametrize("local", [0.0, 40e6, 400e6])
+    @pytest.mark.parametrize("local_padding", [True, False])
+    def test_makespan_matches_with_tier_latency(self, local, local_padding):
+        """Each backing group finishes after its volume at its rate plus
+        its tier's access latency (100 µs on the SSD), as it is billed."""
+        platform = server_a_tiered()
+        demand = GpuDemand(dst=0, volumes={0: local, 1: 20e6, -1: 5e6, -2: 5e6})
+        trace = trace_factored(platform, demand, local_padding)
+        report = factored_extraction(platform, demand, local_padding)
         assert trace.makespan == pytest.approx(report.time, rel=1e-6)
 
     def test_no_padding_matches_ablation(self, platform_a):

@@ -58,8 +58,6 @@ KEEP: dict[str, tuple[str, str]] = {
     "repro.faults.degrade:DegradedPlatform.peak_pair_bandwidth": (
         "fault", "of Platform's questions"),
     "repro.faults.degrade:DegradedPlatform.is_connected": ("fault", "as sources_for"),
-    "repro.faults.injector:FaultInjector.health": (
-        "fault", "the view an extractor built on an injector prices under"),
     "repro.core.location_table:CorruptEntryError": ("fault", "corrupt-slot error"),
     "repro.core.location_table:LocationTable._checked_location": (
         "fault", "raises it on a scalar read"),
@@ -306,7 +304,7 @@ OPTION_KEEP: dict[str, tuple[str, str]] = {
         "paper", "fig4 compares message / naive peer / factored (§5); a replay "
         "prices the same three"),
     # Fakes, pinned time and randomness, and test-sized problems.
-    "repro.core.extractor:FactoredExtractor.extract.now": (
+    "repro.core.extractor:FactoredExtractor.extract.health": (
         "seam", "steps an injector's fault plan through a batch loop"),
     "repro.cli:main.argv": ("seam", "how tests drive the CLI in-process"),
     "repro.cli:--requests": ("seam", "tests/test_cli.py sizes its soaks through it"),
