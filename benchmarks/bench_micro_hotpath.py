@@ -38,7 +38,10 @@ qualifying for the orbit quotient would return to), and the server-c
 rank per residue class).  Plan + execute of an 8,192-key Zipf batch on
 server-c must be at least 1.09x the sorting planner and segment-scatter
 gather it replaced (``tests/test_properties.py``'s oracle, timed beside
-it): 0.8x the slowest of seven recorded ratios, 1.36-1.91x.  A warm
+it): 0.8x the slowest of seven recorded ratios, 1.36-1.91x.  Locating a
+healthy 8,192-key server-c batch through the cache's route map
+(``reroute``) must be at least 1.1x the slot-table ``locate`` it replaced
+on that path (1.45-1.49x over three readings: 0.75x the slowest).  A warm
 512-key ``ClusterFrontend.serve(execute=True)`` on the cluster tests' mini
 cluster must answer at least 1,000 requests/s, healthy and with one node
 breaker-ejected (1,900-3,300 and 2,400-4,400 over six readings here:
@@ -94,6 +97,8 @@ MAX_SERVER_C_LP_VARIABLES = 1_000
 MIN_SERVER_C_REBUILD_SPEEDUP = 3.0
 SORT_FREE_BATCH = 8192
 MIN_SORT_FREE_SPEEDUP = 1.09
+ROUTE_MAP_BATCH = 8192
+MIN_ROUTE_MAP_SPEEDUP = 1.1
 CLUSTER_KEYS = 512
 CLUSTER_REQUESTS = 50  # per timed repeat
 MIN_CLUSTER_SERVE_REQUESTS_PER_SEC = 1_000
@@ -247,6 +252,38 @@ def _bench_sort_free_plan(rng) -> dict:
         "plan_execute_keys_per_sec": SORT_FREE_BATCH / t_new,
         "oracle_plan_execute_keys_per_sec": SORT_FREE_BATCH / t_oracle,
         "speedup": t_oracle / t_new,
+    }
+
+
+def _bench_route_map(rng) -> dict:
+    """A healthy 8,192-key Zipf batch on server-c located by the cache's route
+    map (``reroute``: one ``take`` and one ``bincount``) beside the slot-table
+    ``locate`` every healthy plan took before it (two gathers and their
+    index arithmetic), and the whole plan."""
+    from repro.core.pipeline import locate, plan_extraction, reroute, resolve
+
+    platform = server_c()
+    pmf = zipf_pmf(TABLE_ENTRIES, 1.2)
+    cache = MultiGpuEmbeddingCache(
+        platform, rng.standard_normal((TABLE_ENTRIES, 32)).astype(np.float32),
+        partition_policy(pmf * 1000.0, TABLE_ENTRIES // 12, 8),
+    )
+    keys, sources = resolve(cache, 0, rng.choice(TABLE_ENTRIES, ROUTE_MAP_BATCH, p=pmf))
+    with use_registry(MetricsRegistry("route-map")):
+        (_, addresses, present, counts), rerouted, _ = reroute(cache, 0, keys, sources)
+        _, want, want_present, want_counts = locate(cache, keys, sources)
+        assert rerouted == 0 and np.array_equal(addresses, want)
+        assert (present, counts) == (want_present, want_counts)
+        t_routed = _best_of(lambda: reroute(cache, 0, keys, sources), 50)
+        t_located = _best_of(lambda: locate(cache, keys, sources), 50)
+        t_plan = _best_of(lambda: plan_extraction(cache, 0, keys), 50)
+    return {
+        "platform": platform.name,
+        "batch_size": ROUTE_MAP_BATCH,
+        "reroute_keys_per_sec": ROUTE_MAP_BATCH / t_routed,
+        "locate_keys_per_sec": ROUTE_MAP_BATCH / t_located,
+        "plan_keys_per_sec": ROUTE_MAP_BATCH / t_plan,
+        "speedup": t_located / t_routed,
     }
 
 
@@ -535,6 +572,7 @@ def bench_micro_hotpath():
     coalesce_rows = _bench_coalesce(rng)
     write_path = _bench_write_path(rng)
     sort_free = _bench_sort_free_plan(rng)
+    route_map = _bench_route_map(rng)
     cluster_rows = _bench_cluster_serve(rng)
     doc = {
         "recorded_at": _recorded_at(),
@@ -550,6 +588,7 @@ def bench_micro_hotpath():
         "max_server_c_lp_variables": MAX_SERVER_C_LP_VARIABLES,
         "min_server_c_rebuild_speedup": MIN_SERVER_C_REBUILD_SPEEDUP,
         "min_sort_free_speedup": MIN_SORT_FREE_SPEEDUP,
+        "min_route_map_speedup": MIN_ROUTE_MAP_SPEEDUP,
         "min_cluster_serve_requests_per_sec": MIN_CLUSTER_SERVE_REQUESTS_PER_SEC,
         "location_table": location_rows,
         "pipeline": pipeline_rows,
@@ -557,6 +596,7 @@ def bench_micro_hotpath():
         "coalesce": coalesce_rows,
         "write_path": write_path,
         "sort_free_plan": sort_free,
+        "route_map": route_map,
         "cluster_serve": cluster_rows,
     }
     ARTIFACT.write_text(json.dumps(doc, indent=1) + "\n")
@@ -675,6 +715,16 @@ def bench_micro_hotpath():
     assert sort_free["speedup"] >= MIN_SORT_FREE_SPEEDUP, (
         f"sort-free plan + execute only {sort_free['speedup']:.2f}x the sorting "
         "planner on server-c"
+    )
+    print(
+        f"route map {route_map['batch_size']} on {route_map['platform']}: reroute "
+        f"{route_map['reroute_keys_per_sec'] / 1e6:.1f} M keys/s, slot-table locate "
+        f"{route_map['locate_keys_per_sec'] / 1e6:.1f} M ({route_map['speedup']:.2f}x), "
+        f"plan {route_map['plan_keys_per_sec'] / 1e6:.1f} M"
+    )
+    assert route_map["speedup"] >= MIN_ROUTE_MAP_SPEEDUP, (
+        f"route-map reroute only {route_map['speedup']:.2f}x the slot-table "
+        "locate on server-c"
     )
     for row in cluster_rows:
         rate = row["requests_per_sec"]

@@ -223,12 +223,11 @@ class CacheScrubber:
         if (gpu, entry) in self._quarantined:
             return
         cache = self._cache
-        source_map = cache.source_map
-        dsts = np.flatnonzero(source_map[:, entry] == gpu)
+        dsts = np.flatnonzero(cache.source_map[:, entry] == gpu)
         # Park routes at the entry's backing home: HOST on a single-tier
         # platform, the owning tier of a deeper chain (so the parked route
         # stays a *valid* backing route, not a stale one).
-        source_map[dsts, entry] = self._backing_home(entry)
+        cache.set_sources(dsts, entry, self._backing_home(entry))
         self._quarantined[(gpu, entry)] = dsts
         self._repair_queue.append((gpu, entry))
         reg = get_registry()
@@ -279,18 +278,13 @@ class CacheScrubber:
         # may have rebuilt the map while the slot sat in quarantine (and a
         # tier move re-points parked routes to the new home, so comparing
         # against the current home is exact).
-        if len(dsts):
-            col = cache.source_map[dsts, entry]
-            back = dsts[col == self._backing_home(entry)]
-            cache.source_map[back, entry] = gpu
+        back = dsts[cache.source_map[dsts, entry] == self._backing_home(entry)]
+        cache.set_sources(back, entry, gpu)
         return seconds
 
     def _backing_home(self, entry: int) -> int:
         """The entry's backing source: HOST or its tier-chain home."""
-        chain = getattr(self._cache, "tier_chain", None)
-        if chain is None:
-            return HOST
-        return int(chain.home[entry])
+        return int(self._cache.backing_home([entry])[0])
 
     def _cheapest_intact_source(
         self, dst: int, entry: int
@@ -302,8 +296,8 @@ class CacheScrubber:
         best_cost = price_demand(
             cache.platform, GpuDemand(dst=dst, volumes={best_src: entry_bytes})
         ).time
-        for g in range(cache.platform.num_gpus):
-            if g == dst or (g, entry) in self._quarantined:
+        for g in cache.platform.topology.peers(dst):  # no copy over a missing link
+            if (g, entry) in self._quarantined:
                 continue
             peer = cache.store(g)
             slot = int(peer.offset_of[entry])

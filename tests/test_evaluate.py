@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.cache import MultiGpuEmbeddingCache
 from repro.core.evaluate import (
     _balance_hot_assignments,
     demand_from_keys,
@@ -197,6 +198,33 @@ class TestResolveSourcesOracle:
         got = resolve_sources(platform, placement, hotness, backing)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+    @given(
+        name=st.sampled_from(sorted(ORACLE_PLATFORMS)),
+        num_entries=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_cache_routes_the_oracle_map(self, name, num_entries, seed):
+        """A cache over the placement routes every (GPU, entry) to the arena
+        row of the argmin oracle's source, homes from its own tier chain."""
+        platform = ORACLE_PLATFORMS[name]()
+        rng = np.random.default_rng(seed)
+        per_gpu = tuple(
+            np.flatnonzero(rng.random(num_entries) < rng.uniform(0.0, 1.0))
+            for _ in platform.gpu_ids
+        )
+        placement = Placement(num_entries=num_entries, per_gpu=per_gpu)
+        cache = MultiGpuEmbeddingCache(
+            platform, rng.standard_normal((num_entries, 2)).astype(np.float32),
+            placement, tier_hotness=rng.random(num_entries) if platform.num_tiers > 1 else None,
+        )
+        backing = None if cache.tier_chain is None else cache.tier_chain.home
+        want = _argmin_resolve_sources(platform, placement, None, backing)
+        shifted = want.astype(np.int64) + platform.num_tiers
+        rows = cache.address_base[shifted] + cache.slot_table[shifted, np.arange(num_entries)]
+        assert cache.source_map.tobytes() == want.tobytes()
+        assert np.array_equal(cache.routes, rows) and (rows >= 0).all()
 
     @pytest.mark.parametrize("name", ["server-a-slowed", "server-c-slowed", "dgx2-slowed"])
     def test_slowed_classes_within_the_rotation(self, name):

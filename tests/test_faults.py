@@ -1,5 +1,7 @@
 """Fault model, degraded platform, injector, and degraded-mode extraction."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,35 @@ class TestInjector:
             injector.advance(1.5)  # one-shot: advancing again changes nothing
             assert np.array_equal(cache.source_map, poisoned)
         assert reg.value("faults.corrupted_slots") == corrupted
+
+    def test_corruption_is_written_under_the_write_lock(
+        self, platform_a, small_table, skewed_hotness, monkeypatch
+    ):
+        """Every poisoned id lands inside one of the cache's writer sections,
+        as bit-rot's flips do, and its route reads −1."""
+        cache = MultiGpuEmbeddingCache(
+            platform_a, small_table, partition_policy(skewed_hotness, 200, 4)
+        )
+        lock, start = cache._rwlock, cache.source_map.copy()
+        inside = np.zeros(start.shape, dtype=bool)
+        write_locked = lock.write_locked
+
+        @contextlib.contextmanager
+        def recorded():
+            with write_locked():
+                before = cache.source_map.copy()
+                yield
+                inside[...] |= before != cache.source_map
+
+        monkeypatch.setattr(lock, "write_locked", recorded)
+        plan = FaultPlan(
+            faults=(FaultSpec(FaultKind.CORRUPT_SLOT, severity=0.1, gpu=1),), seed=3
+        )
+        FaultInjector(plan, cache=cache).advance(0.0)
+        changed = cache.source_map != start
+        assert changed.any() and not (changed & ~inside).any()
+        assert (cache.routes[changed] == -1).all()
+        assert not [p for p in cache.verify_integrity() if "route map" in p]
 
     def test_corruption_is_deterministic(self, platform_a, small_table, skewed_hotness):
         placement = partition_policy(skewed_hotness, 200, 4)

@@ -27,10 +27,10 @@ from hypothesis import strategies as st
 
 from repro.core.cache import MultiGpuEmbeddingCache
 from repro.core.checksum import row_checksums
-from repro.core.policy import hot_replicate_warm_partition_policy
+from repro.core.policy import Placement, hot_replicate_warm_partition_policy
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import HEALTHY, FaultKind, FaultPlan, FaultSpec
-from repro.hardware.platform import HOST, server_a
+from repro.hardware.platform import HOST, server_a, server_b
 from repro.repair import CacheScrubber, StagedRecovery
 from repro.repair import restage
 from repro.utils.rng import make_rng
@@ -181,6 +181,22 @@ class TestQuarantine:
         slot = int(store.offset_of[entry])
         assert np.array_equal(store.data[slot], table[entry])
         assert (cache.source_map[dsts, entry] == gpu).all()
+        assert cache.verify_integrity() == []
+
+    def test_a_repair_never_copies_over_a_missing_link(self):
+        """DGX-1: GPU 5 and GPU 0 share no link, so a rotten replica on 5
+        is repaired from a linked peer or the host table, never from 0."""
+        platform = server_b()
+        table = make_rng(1).standard_normal((N, D)).astype(np.float32)
+        per_gpu = tuple(np.arange(64) for _ in platform.gpu_ids)  # all replicated
+        cache = MultiGpuEmbeddingCache(platform, table, Placement(N, per_gpu))
+        assert not platform.is_connected(5, 0)
+        store = cache.store(5)
+        with cache.writing():
+            store.data[store.offset_of[7]].view(np.uint8)[0] ^= 0x10
+        tick = CacheScrubber(cache).scrub_all()
+        assert (tick.mismatches, tick.repaired) == (1, 1)
+        assert np.array_equal(store.data[store.offset_of[7]], table[7])
         assert cache.verify_integrity() == []
 
     def test_read_guard_patches_in_flight(self):

@@ -221,6 +221,23 @@ class TestArenaAgainstTheParent:
         _same_demand(got.demand, want.demand)
         assert _counters(got_reg, "cache.lookup.") == _counters(want_reg, "cache.lookup.")
 
+    @pytest.mark.parametrize("kind", ["a", "tiered"])
+    def test_lookup_demand_is_the_key_pass_demand(self, kind, rng):
+        """Counted once from the routed sources, the demand equals
+        ``demand_from_keys`` in its dict order too: GPUs ascending, then the
+        backing chain."""
+        platform = PLATFORMS[kind]()
+        cache = MultiGpuEmbeddingCache(
+            platform, rng.standard_normal((N, DIM)).astype(np.float32),
+            _random_placement(rng, [30] * platform.num_gpus),
+            tier_hotness=zipf_pmf(N, 1.1) if platform.num_tiers > 1 else None,
+        )
+        for dst in platform.gpu_ids:
+            for keys in (rng.integers(0, N, size=400), np.arange(0)):
+                want = demand_from_keys(platform, cache.source_map, dst, keys, cache.entry_bytes)
+                _same_demand(cache.lookup(dst, keys).demand, want)
+                assert len(want.volumes) > platform.num_tiers or not len(keys)
+
 
 # ----------------------------------------------------------------------
 # Edges: nothing cached, nothing asked
@@ -450,6 +467,9 @@ class TestAliasingInvariant:
     def test_a_single_tier_row_that_is_not_the_identity_is_reported(self, cache):
         row = cache.slot_table[0]
         row[[3, 4]] = row[[4, 3]]
+        # the host readers' routes follow the row, so only the row is wrong
+        dsts, at = (cache.source_map[:, [3, 4]] == -1).nonzero()
+        cache.set_sources(dsts, np.array([3, 4])[at], -1)
         name = cache.platform.tiers[0].name
         assert cache.verify_integrity() == [
             f"tier {name}: slot table row is not the identity"

@@ -252,7 +252,7 @@ def test_a_stale_backing_route_raises_in_execute_and_lookup():
     platform, _, _, cache = _tiered_stack()
     ssd_resident = int(np.flatnonzero(cache.tier_chain.home == -2)[0])
     dst = next(g for g in platform.gpu_ids if cache.source_map[g, ssd_resident] == -2)
-    cache.source_map[dst, ssd_resident] = -1  # DRAM does not hold it
+    cache.set_sources(dst, ssd_resident, -1)  # DRAM does not hold it
     keys = np.array([0, ssd_resident, 1])
     assert cache.slot_table[platform.num_tiers - 1, ssd_resident] == -1
     got = []
