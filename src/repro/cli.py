@@ -34,11 +34,14 @@ SOLVE_BATCH_KEYS = 100_000
 
 
 def _bad_workload(args: argparse.Namespace) -> int | None:
-    """Exit code 2, with one line on stderr, when a Zipf workload's flags
-    (``--entries``, ``--alpha``, and ``solve``'s ratios) are out of range."""
+    """Exit code 2, with one line on stderr, when a workload's flags
+    (``--entries``, ``--alpha``, ``tiers``' ``--load`` and ``solve``'s
+    ratios) are out of range."""
     problems = [
-        ("--entries must be at least 1", args.entries < 1),
-        ("--alpha must be non-negative", args.alpha < 0),
+        ("--entries must be at least 1",
+         args.entries is not None and args.entries < 1),
+        ("--alpha must be non-negative", getattr(args, "alpha", 0) < 0),
+        ("--load must be positive", getattr(args, "load", 1) <= 0),
         ("--cache-ratio must be in [0, 1]",
          not 0 <= getattr(args, "cache_ratio", 0) <= 1),
         ("--coarse-frac must be in (0, 1]",
@@ -139,44 +142,17 @@ def _write_summary(path: str, doc: dict) -> None:
 
 
 def _cmd_soak(args: argparse.Namespace) -> int:
-    from dataclasses import replace
+    from dataclasses import fields
 
     from repro.obs import MetricsRegistry, use_registry, write_json
-    from repro.serve.coalesce import BatchingMode
     from repro.serve.soak import SoakConfig, render_soak_report, run_soak
 
-    overrides = dict(
-        scenario=args.scenario,
-        load=args.load,
-        closed_loop=args.closed_loop,
-        clients=args.clients,
-        batching=BatchingMode(args.batching),
-        max_batch=args.max_batch,
-        nodes=args.nodes,
-        replication=args.replication,
-        placement=args.placement,
-        tiers=args.tiers,
-        drift=args.drift,
-        adapt=args.adapt,
-        seed=args.seed,
-    )
-    if args.scenario == "hps-multitenant":
-        overrides["tenants"] = 3
-    if args.requests is not None:
-        overrides["requests_per_gpu"] = args.requests
+    # The fields spelled on the command line; the rest keep the config's
+    # (or ``quick``'s) defaults.
+    given = {f.name: getattr(args, f.name) for f in fields(SoakConfig)
+             if hasattr(args, f.name)}
     try:
-        cfg = (
-            SoakConfig.quick(**overrides)
-            if args.quick
-            else SoakConfig(**overrides)
-        )
-        # A comparison whose arm cannot run must fail loudly, not print
-        # nothing and exit 0: CI gates on it.
-        if args.compare_adapt and not cfg.adapt:
-            raise ValueError(
-                "--compare-adapt reruns with adaptation off; it needs "
-                "--drift and --adapt"
-            )
+        cfg = SoakConfig.quick(**given) if args.quick else SoakConfig(**given)
     except ValueError as exc:
         print(f"bad soak configuration: {exc}", file=sys.stderr)
         return 2
@@ -184,38 +160,36 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     with use_registry(registry):
         report = run_soak(cfg)
     print(render_soak_report(report))
-
-    adapt_regressed = False
-    if args.compare_adapt:
-        # Adaptation off, everything else (trace included) held equal,
-        # under its own registry: the transition-window goodput delta is
-        # what the detector → incremental-re-solve → guarded-swap loop buys.
-        with use_registry(MetricsRegistry("soak-baseline")):
-            off = run_soak(replace(cfg, adapt=False)).drift
-        on = report.drift
-        print(
-            f"  vs adapt off: transition-window goodput "
-            f"{off.transition_goodput_ratio:.1%} -> "
-            f"{on.transition_goodput_ratio:.1%} of steady "
-            f"(ok rate {off.transition_ok_rate:.1%} -> "
-            f"{on.transition_ok_rate:.1%} over "
-            f"{on.transition_requests} requests)"
-        )
-        adapt_regressed = (
-            on.transition_goodput_ratio < off.transition_goodput_ratio
-        )
-        if adapt_regressed:
-            print(
-                "  FAIL: adaptation did not beat the unadapted baseline "
-                "inside the transition windows",
-                file=sys.stderr,
-            )
+    regressed = cfg.adapt and _adapt_regressed(cfg, report.drift)
     if args.json_out:
         _write_summary(args.json_out, report.to_dict())
     if args.metrics_out:
         path = write_json(registry, args.metrics_out)
         print(f"metrics written to {path}")
-    return 0 if report.ok and not adapt_regressed else 1
+    return 0 if report.ok and not regressed else 1
+
+
+def _adapt_regressed(cfg, on) -> bool:
+    """Rerun an adapting soak with adaptation off, everything else (trace
+    included) held equal, under its own registry: print the
+    transition-window goodput delta the detector → incremental re-solve →
+    guarded swap loop buys, and whether adaptation lost it."""
+    from dataclasses import replace
+
+    from repro.obs import MetricsRegistry, use_registry
+    from repro.serve.soak import ADAPT_ARM, run_soak
+
+    with use_registry(MetricsRegistry("soak-baseline")):
+        off = run_soak(replace(cfg, drift=cfg.drift.removesuffix(ADAPT_ARM))).drift
+    print(f"  vs adapt off: transition-window goodput {off.transition_goodput_ratio:.1%}"
+          f" -> {on.transition_goodput_ratio:.1%} of steady (ok rate "
+          f"{off.transition_ok_rate:.1%} -> {on.transition_ok_rate:.1%} over "
+          f"{on.transition_requests} requests)")
+    regressed = on.transition_goodput_ratio < off.transition_goodput_ratio
+    if regressed:
+        print("  FAIL: adaptation did not beat the unadapted baseline inside the "
+              "transition windows", file=sys.stderr)
+    return regressed
 
 
 def _cmd_tiers(args: argparse.Namespace) -> int:
@@ -228,6 +202,8 @@ def _cmd_tiers(args: argparse.Namespace) -> int:
     from repro.obs import MetricsRegistry, use_registry
     from repro.serve.soak import SoakConfig, run_soak
 
+    if (code := _bad_workload(args)) is not None:
+        return code
     rows = []
     for spec in args.specs:
         overrides = dict(
@@ -351,17 +327,50 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one stderr line and exit code 2 (``-h`` prints the
+    usage)."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _add_field_flags(parser: argparse.ArgumentParser, config) -> None:
+    """One flag per field of the dataclass ``config`` that declares its
+    ``help`` (``repro.serve.soak._flag``): the field's type, help, choices
+    and metavar.  A flag left out keeps the config's own default."""
+    from dataclasses import fields
+
+    for f in fields(config):
+        if "help" not in f.metadata:
+            continue
+        kwargs = dict(f.metadata)
+        flag = kwargs.pop("flag", None) or "--" + f.name.replace("_", "-")
+        if "choices" in kwargs:
+            kwargs["choices"] = list(kwargs["choices"]())
+        if isinstance(f.default, bool):
+            kwargs["action"] = "store_true"
+        else:
+            kwargs["type"] = str if f.default is None else type(f.default)
+        parser.add_argument(flag, dest=f.name, default=argparse.SUPPRESS, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="UGache (SOSP 2023) reproduction toolkit",
-    )
+    from repro.serve.soak import SoakConfig
+
+    parser = _Parser(prog="repro", description="UGache (SOSP 2023) reproduction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    metrics_out, json_out = _Parser(add_help=False), _Parser(add_help=False)
+    metrics_out.add_argument("--metrics-out", default=None, metavar="PATH",
+                             help="write the run's metrics as a JSON artifact")
+    json_out.add_argument("--json-out", default=None, metavar="PATH",
+                          help="write the command's report as JSON")
 
     p = sub.add_parser("platforms", help="describe the modelled testbeds")
     p.set_defaults(func=_cmd_platforms)
 
-    p = sub.add_parser("solve", help="solve a cache policy for a Zipf workload")
+    p = sub.add_parser("solve", parents=[metrics_out],
+                       help="solve a cache policy for a Zipf workload")
     p.add_argument("--platform", default="server-c",
                    choices=["server-a", "server-b", "server-c"])
     p.add_argument("--entries", type=int, default=50_000)
@@ -371,86 +380,27 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-GPU capacity as a fraction of all entries")
     p.add_argument("--coarse-frac", type=float, default=0.01,
                    help="coarse blocking cap (paper: 0.005)")
-    p.add_argument("--metrics-out", default=None, metavar="PATH",
-                   help="write the run's metrics as a JSON artifact")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("experiment", help="run one paper table/figure driver")
+    p = sub.add_parser("experiment", parents=[metrics_out],
+                       help="run one paper table/figure driver")
     p.add_argument("id", help="experiment id, e.g. fig2, fig10, table1")
-    p.add_argument("--metrics-out", default=None, metavar="PATH",
-                   help="write the run's metrics as a JSON artifact")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("list-experiments", help="list experiment ids")
     p.set_defaults(func=_cmd_list)
 
-    from repro.serve.soak import SOAK_SCENARIOS as _SOAK_SCENARIOS
-
-    p = sub.add_parser(
-        "soak", help="sustained serving-load soak with faults and policy swaps"
-    )
-    p.add_argument("--scenario", default="dgx_a100_partial_failure",
-                   choices=list(_SOAK_SCENARIOS),
-                   help="node-* scenarios require --nodes > 1; "
-                        "hps-multitenant runs the parameter-server shape "
-                        "(tiered backing, multi-model trace)")
-    p.add_argument("--tiers", default=None, metavar="SPEC",
-                   help="backing-tier chain override, e.g. "
-                        "'dram:8GB,ssd:1TB' (kind:capacity[:GB/s[:lat_us]] "
-                        "per tier, tier 0 first)")
-    p.add_argument("--nodes", type=int, default=1,
-                   help="cache-server nodes; > 1 soaks the cluster tier")
-    p.add_argument("--replication", type=int, default=1,
-                   help="replicas per key across nodes (<= --nodes)")
-    p.add_argument("--placement", default="ring",
-                   choices=["ring", "solver"],
-                   help="keyspace partitioning: consistent-hash ring or "
-                        "solver-driven node placement")
+    p = sub.add_parser("soak", parents=[json_out, metrics_out],
+                       help="sustained serving-load soak with faults and policy swaps")
     p.add_argument("--quick", action="store_true",
                    help="CI-sized soak (seconds of wall time)")
-    p.add_argument("--requests", type=int, default=None, metavar="N",
-                   help="requests per GPU (sets the run length)")
-    p.add_argument("--load", type=float, default=0.8,
-                   help="offered load per GPU as a fraction of capacity; "
-                        ">1 is sustained overload")
-    p.add_argument("--closed-loop", action="store_true",
-                   help="closed-loop clients instead of open-loop Poisson")
-    p.add_argument("--clients", type=int, default=4,
-                   help="outstanding clients per GPU (closed loop)")
-    p.add_argument("--batching", default="off",
-                   choices=["off", "coalesce"],
-                   help="cross-request coalescing of each GPU's queue "
-                        "(off reproduces the un-batched path exactly)")
-    p.add_argument("--max-batch", type=int, default=8,
-                   help="most requests fused into one extraction")
-    p.add_argument("--drift", default=None,
-                   choices=["rotating-head", "table-shift", "flash-crowd"],
-                   help="hotness-drift scenario: the key distribution "
-                        "changes mid-run on a piecewise schedule")
-    p.add_argument("--adapt", action="store_true",
-                   help="with --drift: online adaptation (streaming "
-                        "hotness estimator, drift detector, incremental "
-                        "warm-started re-solves through the guarded swap "
-                        "path)")
-    p.add_argument("--compare-adapt", action="store_true",
-                   help="with --drift --adapt: also run the same drifting "
-                        "trace with adaptation off and gate on the "
-                        "transition-window goodput delta")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json-out", default=None, metavar="PATH",
-                   help="write the soak report as JSON")
-    p.add_argument("--metrics-out", default=None, metavar="PATH",
-                   help="write the run's metrics as a JSON artifact")
-    p.set_defaults(func=_cmd_soak)
+    _add_field_flags(p, SoakConfig)
+    p.set_defaults(func=_cmd_soak, scenario="dgx_a100_partial_failure")  # the paper's box
 
-    p = sub.add_parser(
-        "tiers",
-        help="what-if: placement, goodput, and p99 across backing-tier "
-             "budgets",
-    )
+    p = sub.add_parser("tiers", parents=[json_out], help="what-if: placement, "
+                       "goodput, and p99 across backing-tier budgets")
     p.add_argument("specs", nargs="*",
-                   default=["dram:1MB", "dram:96KB,ssd:1GB",
-                            "dram:32KB,ssd:1GB"],
+                   default=["dram:1MB", "dram:96KB,ssd:1GB", "dram:32KB,ssd:1GB"],
                    help="tier chains to compare, e.g. 'dram:8GB,ssd:1TB' "
                         "(defaults sized for the quick soak's 192 KB table)")
     p.add_argument("--entries", type=int, default=None,
@@ -458,24 +408,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--load", type=float, default=0.8,
                    help="offered load per GPU as a fraction of capacity")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json-out", default=None, metavar="PATH",
-                   help="write every chain's soak report as JSON")
     p.set_defaults(func=_cmd_tiers)
 
-    p = sub.add_parser(
-        "cluster",
-        help="analyze a cluster placement: shares and node-loss what-ifs",
-    )
+    p = sub.add_parser("cluster", parents=[json_out], help="analyze a cluster "
+                       "placement: shares and node-loss what-ifs")
     p.add_argument("--nodes", type=int, default=3)
     p.add_argument("--replication", type=int, default=2)
-    p.add_argument("--placement", default="ring",
-                   choices=["ring", "solver"])
+    p.add_argument("--placement", default="ring", choices=["ring", "solver"])
     p.add_argument("--entries", type=int, default=20_000)
     p.add_argument("--alpha", type=float, default=1.1,
                    help="Zipf skew of the hotness profile")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json-out", default=None, metavar="PATH",
-                   help="write the analysis as JSON")
     p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("metrics", help="summarize a metrics artifact")

@@ -36,7 +36,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -53,7 +53,7 @@ from repro.faults.spec import (
     FaultPlan,
     FaultSpec,
 )
-from repro.hardware.platform import Platform
+from repro.hardware.platform import Platform, parse_tier_spec
 from repro.obs import MetricsRegistry, get_registry, use_registry
 from repro.repair import CacheScrubber
 from repro.serve.breaker import BreakerConfig
@@ -116,16 +116,21 @@ DEFAULT_RECOVERY_TOLERANCE: float = 1.25
 
 
 class Scenario(NamedTuple):
-    """One row of :data:`SOAK_SCENARIOS`."""
+    """One row of :data:`SOAK_SCENARIOS`: what a deployment decides."""
 
     platform: str
     description: str
     #: the faults of a run of length 1 and seed 0, which
     #: :func:`build_soak_plan` scales to the run at hand.
     faults: tuple[FaultSpec, ...] = ()
+    #: models sharing the embedding table: it splits into this many
+    #: contiguous per-model segments, each with its own Zipf head, and
+    #: every request is drawn from exactly one model.
+    tenants: int = 1
 
 
-#: The one scenario table: name → platform, description and faults.
+#: The one scenario table: name → platform, description, faults and
+#: tenant models.
 SOAK_SCENARIOS: dict[str, Scenario] = {
     "steady": Scenario(
         "server-a", "no faults; pure overload/backpressure behaviour"
@@ -234,6 +239,7 @@ SOAK_SCENARIOS: dict[str, Scenario] = {
         "server-a-tiered",
         "parameter-server shape: several models' tables share a "
         "DRAM-to-SSD backing chain larger than DRAM",
+        tenants=3,
     ),
 }
 
@@ -244,6 +250,15 @@ CLUSTER_SCENARIOS: frozenset[str] = frozenset(
     for name, row in SOAK_SCENARIOS.items()
     if any(f.kind in NODE_FAULT_KINDS for f in row.faults)
 )
+#: Scenarios the cluster soak runs: the node rows and the fault-free
+#: one-model ones (it injects node faults and bit-rot only, and draws
+#: every request from one table).
+CLUSTER_RUNNABLE: frozenset[str] = CLUSTER_SCENARIOS | {
+    name for name, row in SOAK_SCENARIOS.items()
+    if not row.faults and row.tenants == 1
+}
+#: The drift value's suffix that turns online adaptation on.
+ADAPT_ARM = "+adapt"
 
 
 def build_soak_plan(
@@ -270,58 +285,80 @@ def build_soak_plan(
     return FaultPlan(faults=faults, seed=seed, name=scenario)
 
 
+def _drift_choices() -> tuple[str, ...]:
+    """Every :data:`repro.dlr.drift.DRIFT_SCENARIOS` schedule, bare and with
+    :data:`ADAPT_ARM` (imported on first use: a soak that does not drift
+    never imports ``repro.dlr``)."""
+    from repro.dlr.drift import DRIFT_SCENARIOS
+
+    return tuple(name + arm for name in DRIFT_SCENARIOS for arm in ("", ADAPT_ARM))
+
+
+def _flag(default, help: str, **argparse_kwargs):
+    """A :class:`SoakConfig` field that is a ``repro soak`` flag as well,
+    declared once: its default, its help (the field's doc and the flag's),
+    and argparse's ``flag`` (default ``--`` and the dashed name),
+    ``metavar`` and ``choices`` — a function returning the values the
+    config accepts, so that a table is imported on first use."""
+    return field(default=default, metadata=dict(help=help, **argparse_kwargs))
+
+
 @dataclass(frozen=True)
 class SoakConfig:
-    """Workload shape and derived-knob factors (everything × ``s0``)."""
+    """Workload shape and derived-knob factors (everything × ``s0``); the
+    scenario row decides the platform, the faults and the tenant models."""
 
-    scenario: str = "steady"
-    #: requests per GPU over the whole run (sets the run's length).
-    requests_per_gpu: int = 300
-    #: offered load per GPU as a fraction of its service capacity;
-    #: > 1.0 is sustained overload.
-    load: float = 0.8
-    closed_loop: bool = False
-    #: outstanding clients per GPU in closed-loop mode.
-    clients: int = 4
+    scenario: str = _flag(
+        "steady", "the scenario row: platform, faults and tenant models "
+        "(the node-* rows need --nodes > 1)", choices=SOAK_SCENARIOS.keys,
+    )
+    requests_per_gpu: int = _flag(
+        300, "requests per GPU over the whole run (sets its length)",
+        flag="--requests", metavar="N",
+    )
+    load: float = _flag(
+        0.8, "offered load per GPU as a fraction of its service capacity; "
+        "> 1 is sustained overload",
+    )
+    closed_loop: bool = _flag(
+        False, "closed-loop clients instead of open-loop Poisson"
+    )
+    clients: int = _flag(4, "outstanding clients per GPU (closed loop)")
     num_entries: int = 20_000
     entry_bytes: int = 128
     batch_keys: int = 1024
-    #: cross-request coalescing: OFF serves each GPU's queue one request
-    #: at a time; COALESCE micro-batches it.
-    batching: BatchingMode = BatchingMode.OFF
-    #: most requests fused into one extraction (coalesce mode).
-    max_batch: int = 8
+    batching: BatchingMode = _flag(
+        BatchingMode.OFF, "cross-request coalescing: off serves each GPU's "
+        "queue one request at a time, coalesce micro-batches it",
+        choices=lambda: [mode.value for mode in BatchingMode],
+    )
+    max_batch: int = _flag(
+        8, "most requests fused into one extraction (coalesce)"
+    )
     #: micro-batch linger, in units of the baseline service time ``s0``.
     linger_factor: float = 0.5
-    #: simulated cache-server nodes; 1 keeps the single-box path, > 1
-    #: runs the cluster soak.
-    nodes: int = 1
-    #: replicas per key across nodes (cluster soak only).
-    replication: int = 1
-    #: node-level placement mode: ``"ring"`` (consistent hashing) or
-    #: ``"solver"`` (hotness-balanced stage above the per-GPU MILP).
-    placement: str = "ring"
-    #: backing-tier chain override, e.g. ``"dram:8GB,ssd:1TB"`` — replaces
-    #: the scenario platform's chain via :func:`parse_tier_spec`.  None
-    #: keeps the platform as modelled (single-tier for the classic
-    #: scenarios, DRAM→SSD for ``hps-multitenant``).
-    tiers: str | None = None
-    #: models sharing the embedding table (hps-multitenant trace): the
-    #: table splits into ``tenants`` contiguous per-model segments, each
-    #: with its own Zipf head, and every request is drawn from exactly
-    #: one model — 1 keeps the classic single-table trace byte-identical.
-    tenants: int = 1
-    #: hotness-drift scenario (a :data:`repro.dlr.drift.DRIFT_SCENARIOS`
-    #: key): the key distribution changes mid-run on a piecewise
-    #: schedule and scheduled :data:`SWAP_AT` swaps are disabled (drift
-    #: timing, not wall-clock schedule, decides re-solves).  None keeps
-    #: the stationary trace byte-identical.
-    drift: str | None = None
-    #: online drift adaptation: a streaming hotness estimator on the
-    #: serving hot path, a drift detector, and incremental warm-started
-    #: re-solves swapped through the policy manager.  Requires ``drift``.
-    adapt: bool = False
-    seed: int = 0
+    nodes: int = _flag(
+        1, "cache-server nodes; > 1 runs the cluster soak"
+    )
+    replication: int = _flag(1, "replicas per key across nodes (<= --nodes)")
+    placement: str = _flag(
+        "ring", "node placement: consistent-hash ring, or the solver's "
+        "hotness-balanced stage above the per-GPU MILP",
+        choices=lambda: ("ring", "solver"),
+    )
+    tiers: str | None = _flag(
+        None, "backing-tier chain replacing the platform's, e.g. "
+        "'dram:8GB,ssd:1TB' (kind:capacity[:GB/s[:lat_us]] per tier, tier "
+        "0 first)", metavar="SPEC",
+    )
+    drift: str | None = _flag(
+        None, "hotness drift: the key distribution changes mid-run on a "
+        "piecewise schedule and drift, not the clock, decides re-solves; "
+        f"{ADAPT_ARM} adapts online (estimator, detector, warm re-solves) "
+        "and the command gates it on a rerun without",
+        choices=_drift_choices,
+    )
+    seed: int = _flag(0, "seed of the table, the trace and the faults")
 
     @classmethod
     def quick(cls, seed: int = 0, **overrides) -> "SoakConfig":
@@ -336,105 +373,41 @@ class SoakConfig:
         defaults.update(overrides)
         return cls(**defaults)
 
+    @property
+    def adapt(self) -> bool:
+        """Whether the drift value carries the :data:`ADAPT_ARM`."""
+        return self.drift is not None and self.drift.endswith(ADAPT_ARM)
+
     def __post_init__(self) -> None:
-        if self.requests_per_gpu < 1:
-            raise ValueError("need at least one request per GPU")
-        if self.load <= 0:
-            raise ValueError("offered load must be positive")
-        if self.clients < 1:
-            raise ValueError("closed loop needs at least one client")
-        if self.max_batch < 1:
-            raise ValueError("max batch must be at least 1")
-        if self.linger_factor < 0:
-            raise ValueError("linger factor must be non-negative")
-        if self.closed_loop and self.batching is not BatchingMode.OFF:
-            raise ValueError(
-                "closed-loop clients poll their own responses; coalescing "
-                "only applies to the open-loop queue-draining path"
-            )
-        if self.nodes < 1:
-            raise ValueError("need at least one node")
-        if not 1 <= self.replication <= self.nodes:
-            raise ValueError(
-                f"replication must be in [1, {self.nodes}], "
-                f"got {self.replication}"
-            )
-        if self.placement not in ("ring", "solver"):
-            raise ValueError(
-                f"placement must be 'ring' or 'solver', got {self.placement!r}"
-            )
-        if self.nodes == 1 and self.scenario in CLUSTER_SCENARIOS:
-            raise ValueError(
-                f"scenario {self.scenario!r} kills whole nodes; it needs "
-                "--nodes > 1"
-            )
+        for f in fields(self):
+            value, allowed = getattr(self, f.name), f.metadata.get("choices")
+            if value is not None and allowed and value not in allowed():
+                raise ValueError(f"unknown {f.name} {value!r}")
+        row, coalesce = SOAK_SCENARIOS[self.scenario], self.batching == BatchingMode.COALESCE
+        runnable = CLUSTER_RUNNABLE if self.nodes > 1 else SOAK_SCENARIOS.keys() - CLUSTER_SCENARIOS
+        # Value ranges, then the pairs no harness runs (no row spells them).
+        for reason, refused in {
+            "need at least one request per GPU": self.requests_per_gpu < 1,
+            "offered load must be positive": self.load <= 0,
+            "closed loop needs at least one client": self.clients < 1,
+            "a request needs at least one key": self.batch_keys < 1,
+            f"need an entry per model table ({row.tenants})": self.num_entries < row.tenants,
+            "max batch must be at least 1": self.max_batch < 1,
+            "linger factor must be non-negative": self.linger_factor < 0,
+            f"need 1 <= replication <= nodes, got {self.replication} and {self.nodes}":
+                not 1 <= self.replication <= self.nodes,
+            f"the {'cluster' if self.nodes > 1 else 'single-box'} soak supports scenarios "
+            f"{sorted(runnable)}; the node rows need --nodes > 1": self.scenario not in runnable,
+            "coalescing drains the single box's open-loop queues only":
+                coalesce and (self.closed_loop or self.nodes > 1),
+            "a drift schedule drives the single box's open-loop, uncoalesced, one-model "
+            "trace only": self.drift is not None and (
+                self.nodes > 1 or self.closed_loop or coalesce or row.tenants > 1),
+        }.items():
+            if refused:
+                raise ValueError(reason)
         if self.tiers is not None:
-            from repro.hardware.platform import parse_tier_spec
-
             parse_tier_spec(self.tiers)  # raise early on a bad spec
-        if self.tenants < 1:
-            raise ValueError("need at least one tenant model")
-        if self.tenants > self.num_entries:
-            raise ValueError(
-                f"{self.tenants} tenants cannot split {self.num_entries} "
-                "entries into non-empty model tables"
-            )
-        if self.scenario == "hps-multitenant" and self.tenants < 2:
-            raise ValueError(
-                "hps-multitenant is the multi-model trace; use --tenants >= 2"
-            )
-        if self.drift is not None:
-            from repro.dlr.drift import DRIFT_SCENARIOS
-
-            if self.drift not in DRIFT_SCENARIOS:
-                raise ValueError(
-                    f"unknown drift scenario {self.drift!r}; choose from "
-                    f"{sorted(DRIFT_SCENARIOS)}"
-                )
-            if self.nodes > 1:
-                raise ValueError(
-                    "drift scenarios ride the single-box event loop "
-                    "(time-ordered draws)"
-                )
-            if self.closed_loop:
-                raise ValueError(
-                    "drift schedules are keyed to open-loop arrival times"
-                )
-            if self.batching is not BatchingMode.OFF:
-                raise ValueError(
-                    "drift soaks use the uncoalesced path; batching "
-                    "changes which requests feed the estimator"
-                )
-            if self.tenants > 1:
-                raise ValueError(
-                    "drift schedules replace the workload pmf; the "
-                    "multi-tenant trace is not drift-scheduled yet"
-                )
-        if self.adapt and self.drift is None:
-            raise ValueError(
-                "--adapt reacts to drift; pick a --drift scenario"
-            )
-        if self.tenants > 1 and self.nodes > 1:
-            raise ValueError(
-                "the multi-tenant trace is not wired through the cluster "
-                "front-end yet; use --nodes 1"
-            )
-        if self.nodes > 1:
-            # The cluster harness injects node-scoped faults and bit-rot,
-            # not GPU, link or host ones.
-            runnable = CLUSTER_SCENARIOS | {
-                name for name, row in SOAK_SCENARIOS.items() if not row.faults
-            }
-            if self.scenario not in runnable:
-                raise ValueError(
-                    f"cluster soak supports scenarios {sorted(runnable)}, "
-                    f"got {self.scenario!r}"
-                )
-            if self.batching is not BatchingMode.OFF:
-                raise ValueError(
-                    "cross-request coalescing applies to the single-box "
-                    "queue path, not the cluster fan-out"
-                )
 
 
 class Section:
@@ -598,7 +571,7 @@ class AdaptSection(Section):
 class DriftSection(Section):
     """A hotness-drift run: its change points and the OK-rate inside the
     post-change-point windows over the steady one — the number adaptation
-    exists to defend — with ``adapt`` when ``--adapt`` is on."""
+    exists to defend — with ``adapt`` on the drift value's adapt arm."""
 
     drift_scenario: str
     drift_transitions: int
@@ -697,18 +670,19 @@ def _soak_platform(cfg: SoakConfig):
 
 def _build_workload(cfg: SoakConfig, pmf: np.ndarray | None = None):
     """The request-key distribution: one table (Zipf unless ``pmf`` says
-    otherwise — a drift schedule's opening phase), or ``cfg.tenants``
-    models' tables laid side by side, each with its own Zipf head.
+    otherwise — a drift schedule's opening phase), or the scenario row's
+    tenant models' tables laid side by side, each with its own Zipf head.
 
     Returns ``(pmf, draw)``: the stationary mixture pmf (what the cache
     policy, probes, and baseline pricing see) and ``draw(rng)`` sampling
     one request's keys.  A multi-tenant request is drawn from exactly one
     model's segment — an inference request only ever touches its own
     model's embeddings — with the model picked from a Zipf popularity
-    over tenants.  ``tenants == 1`` reproduces the classic single-table
-    draws byte-for-byte.
+    over tenants.  One tenant reproduces the classic single-table draws
+    byte-for-byte.
     """
-    if cfg.tenants <= 1:
+    tenants = SOAK_SCENARIOS[cfg.scenario].tenants
+    if tenants <= 1:
         if pmf is None:
             pmf = zipf_pmf(cfg.num_entries, ZIPF_ALPHA)
         cdf = choice_cdf(pmf)
@@ -719,12 +693,12 @@ def _build_workload(cfg: SoakConfig, pmf: np.ndarray | None = None):
         return pmf, draw
 
     bounds = np.floor(
-        np.linspace(0.0, cfg.num_entries, cfg.tenants + 1)
+        np.linspace(0.0, cfg.num_entries, tenants + 1)
     ).astype(np.int64)
-    popularity = zipf_pmf(cfg.tenants, ZIPF_ALPHA)
+    popularity = zipf_pmf(tenants, ZIPF_ALPHA)
     segments: list[tuple[int, np.ndarray]] = []
     pmf = np.zeros(cfg.num_entries, dtype=np.float64)
-    for t in range(cfg.tenants):
+    for t in range(tenants):
         lo, hi = int(bounds[t]), int(bounds[t + 1])
         seg_pmf = zipf_pmf(hi - lo, ZIPF_ALPHA)
         segments.append((lo, choice_cdf(seg_pmf)))
@@ -944,7 +918,8 @@ class BoxSoak:
             from repro.dlr.drift import build_drift_schedule
 
             self.schedule = build_drift_schedule(
-                cfg.drift, cfg.num_entries, ZIPF_ALPHA, cfg.seed
+                cfg.drift.removesuffix(ADAPT_ARM), cfg.num_entries,
+                ZIPF_ALPHA, cfg.seed,
             )
             self.phase_cdfs = [choice_cdf(p.pmf) for p in self.schedule.phases]
         # Under drift the cache starts solved for the schedule's *phase-0*
@@ -1218,7 +1193,7 @@ class BoxSoak:
                 swaps_attempted=len(manager.swap_log),
                 swaps_landed=sum(1 for s in manager.swap_log if s.swapped),
                 rollbacks=sum(1 for s in manager.swap_log if s.rolled_back),
-                tenants=cfg.tenants,
+                tenants=SOAK_SCENARIOS[cfg.scenario].tenants,
             ),
             faults=self._fault_section(),
             coalesce=self._coalesce_section(),
@@ -1277,7 +1252,7 @@ class BoxSoak:
             bucket = inside if in_windows(r.request.arrival, windows) else outside
             bucket.append(r.ok)
         return DriftSection(
-            drift_scenario=self.cfg.drift,
+            drift_scenario=self.schedule.name,
             drift_transitions=len(windows),
             transition_requests=len(inside),
             transition_ok_rate=sum(inside) / len(inside) if inside else 1.0,

@@ -24,10 +24,8 @@ from repro.serve import SoakConfig, run_soak
 GOLDEN_PATH = pathlib.Path(__file__).parent / "drift_golden.json"
 
 
-def _soak_record(**overrides) -> dict:
-    cfg = SoakConfig.quick(
-        scenario="steady", drift="rotating-head", seed=0, **overrides
-    )
+def _soak_record(drift: str) -> dict:
+    cfg = SoakConfig.quick(scenario="steady", drift=drift, seed=0)
     return run_soak(cfg).to_dict()
 
 
@@ -49,8 +47,8 @@ def _schedule_record() -> dict:
 
 
 def build() -> dict:
-    adapt_on = _soak_record(adapt=True)
-    adapt_off = _soak_record()
+    adapt_on = _soak_record("rotating-head+adapt")
+    adapt_off = _soak_record("rotating-head")
     return {
         "version": 1,
         "schedules": _schedule_record(),

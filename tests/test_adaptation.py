@@ -226,7 +226,7 @@ class TestDriftSoak:
         on the same seed."""
         base = SoakConfig.quick(seed=0, drift="rotating-head")
         off = run_soak(base)
-        on = run_soak(SoakConfig.quick(seed=0, drift="rotating-head", adapt=True))
+        on = run_soak(SoakConfig.quick(seed=0, drift="rotating-head+adapt"))
 
         adapt = on.drift.adapt
         assert adapt is not None and off.drift.adapt is None
@@ -247,11 +247,3 @@ class TestDriftSoak:
         assert r.drift.adapt is None
         assert "adapt" not in r.to_dict()["drift"]
         assert r.drift.transition_requests > 0
-
-    def test_adapt_requires_drift(self):
-        with pytest.raises(ValueError):
-            SoakConfig.quick(adapt=True)
-
-    def test_drift_rejects_cluster_mode(self):
-        with pytest.raises(ValueError):
-            SoakConfig.quick(drift="rotating-head", nodes=2)

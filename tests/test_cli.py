@@ -134,10 +134,15 @@ class TestMetrics:
 @pytest.mark.serve
 class TestSoakCommand:
     def test_parser_defaults(self):
+        """A flag left out keeps the config's default; the command's own
+        default is the paper's partial-failure box."""
+        from repro.serve.soak import SoakConfig
+
         args = build_parser().parse_args(["soak"])
         assert args.scenario == "dgx_a100_partial_failure"
-        assert args.load == 0.8
-        assert not args.closed_loop
+        assert not hasattr(args, "load") and not hasattr(args, "closed_loop")
+        cfg = SoakConfig(scenario=args.scenario)
+        assert cfg.load == 0.8 and not cfg.closed_loop
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(SystemExit):
@@ -171,24 +176,63 @@ class TestSoakCommand:
             (["--scenario", "steady", "--compare-adapt"], "--compare-adapt"),
             (["--scenario", "steady", "--drift", "rotating-head",
               "--compare-adapt"], "--compare-adapt"),
+            # adaptation without a drift schedule
+            (["--scenario", "steady", "--adapt"], "--adapt"),
+            # the multi-model trace with one model
+            (["--scenario", "hps-multitenant", "--tenants", "1"], "--tenants"),
+            # drift on the cluster, closed-loop, coalesced or multi-model
+            (["--scenario", "steady", "--drift", "rotating-head", "--nodes",
+              "2"], "drift schedule"),
+            (["--scenario", "steady", "--drift", "rotating-head+adapt",
+              "--closed-loop"], "drift schedule"),
+            (["--scenario", "steady", "--drift", "flash-crowd", "--batching",
+              "coalesce"], "drift schedule"),
+            (["--scenario", "hps-multitenant", "--drift", "table-shift"],
+             "drift schedule"),
+            # coalescing closed-loop clients or the cluster fan-out
+            (["--scenario", "steady", "--closed-loop", "--batching",
+              "coalesce"], "coalescing"),
+            (["--scenario", "steady", "--nodes", "3", "--replication", "2",
+              "--batching", "coalesce"], "coalescing"),
+            # a node row on one box; a box fault row or the multi-model
+            # trace on the cluster
+            (["--scenario", "node-kill"], "--nodes > 1"),
+            (["--scenario", "gpu-failure", "--nodes", "3", "--replication",
+              "2"], "cluster soak supports"),
+            (["--scenario", "hps-multitenant", "--nodes", "3",
+              "--replication", "2"], "cluster soak supports"),
+            (["--scenario", "steady", "--nodes", "2", "--replication", "3"],
+             "replication"),
+            # refused once, runs now: closed-loop clients on the cluster
+            (["--scenario", "steady", "--nodes", "3", "--replication", "2",
+              "--closed-loop"], None),
         ],
     )
     def test_a_comparison_that_cannot_run_exits_2(
         self, monkeypatch, capsys, argv, names
     ):
-        """A ``--compare-*`` flag whose arm cannot run used to print no row
-        and exit 0; now it is one stderr line and exit 2, before any soak."""
+        """Every combination the soak has refused: now unspellable (a usage
+        error naming the flag that went) or still refused with its reason,
+        either way one stderr line and exit 2, before any soak.  ``names``
+        None marks one that runs now."""
         import repro.serve.soak as soak_module
 
         def no_soak(cfg):
             raise AssertionError("a soak ran")
 
         monkeypatch.setattr(soak_module, "run_soak", no_soak)
-        assert main(["soak", "--quick", *argv]) == 2
+        if names is None:
+            with pytest.raises(AssertionError, match="a soak ran"):
+                main(["soak", "--quick", *argv])
+            return
+        try:
+            code = main(["soak", "--quick", *argv])
+        except SystemExit as exit_:
+            code = exit_.code
         out, err = capsys.readouterr()
-        assert out == ""
-        assert err.count("\n") == 1
-        assert err.startswith("bad soak configuration: ") and names in err
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert err.startswith(("bad soak configuration: ", "repro: error: "))
+        assert names in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -216,3 +260,15 @@ class TestTiersCommand:
         swap fills GPUs that started near empty."""
         assert main(["tiers", "dram:1MB", "--entries", str(entries)]) == 0
         assert "dram:1MB" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--entries", "0"], "--entries must be at least 1"),
+         (["--load", "-1"], "--load must be positive")],
+    )
+    def test_a_bad_workload_is_not_blamed_on_a_tier_spec(
+        self, capsys, argv, message
+    ):
+        assert main(["tiers", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"bad tiers workload: {message}\n")

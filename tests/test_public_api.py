@@ -94,7 +94,7 @@ class TestDocstrings:
         for module, name, _defaults in CONFIGS:
             cls = getattr(importlib.import_module(module), name)
             doc = cls.__doc__ or ""
-            if name == "SoakConfig":  # documents its 26 fields inline (``#:``)
+            if name == "SoakConfig":  # each field's declaration documents it
                 assert "Attributes:" not in doc
                 continue
             listed = re.findall(r"^ {8}(\w+):", doc.split("Attributes:")[1], re.M)

@@ -312,8 +312,8 @@ CONFIGS = [
      dict(scenario="steady", requests_per_gpu=300, load=0.8, closed_loop=False,
           clients=4, num_entries=20_000, entry_bytes=128, batch_keys=1024,
           max_batch=8, linger_factor=0.5,
-          nodes=1, replication=1, placement="ring", tiers=None, tenants=1,
-          drift=None, adapt=False, seed=0)),
+          nodes=1, replication=1, placement="ring", tiers=None, drift=None,
+          seed=0)),
 ]
 
 #: module → the constants that replaced its deleted fields and parameters.
@@ -379,8 +379,9 @@ def test_surviving_defaults_and_new_constants_did_not_move():
     # with the solver's retry, greedy and last-known-good rungs, and
     # RetryPolicy's four, SwapGuardrail's one and three SoakConfig fields
     # (queue policy, deadline factor, queue capacity) as settings no run
-    # tells apart
-    assert len(CONFIGS) == 9 and total == 47
+    # tells apart; SoakConfig's tenants went to the scenario row and adapt
+    # into the drift value
+    assert len(CONFIGS) == 9 and total == 45
     _found, _callables, _experiments, fields = reachability.options(TOOL.parents[1] / "src")
     in_src = {key.split(":")[1].rsplit(".", 1)[0] for key in fields}
     assert {name for _, name, _ in CONFIGS} == {

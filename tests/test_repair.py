@@ -400,14 +400,6 @@ class TestSampledVerify:
         assert cache.verify_integrity()
 
 
-class TestSoakConfigRepair:
-    def test_closed_loop_cluster_is_legal_now(self):
-        from repro.serve.soak import SoakConfig
-
-        cfg = SoakConfig.quick(nodes=3, replication=2, closed_loop=True)
-        assert cfg.closed_loop and cfg.nodes == 3
-
-
 @pytest.mark.concurrency
 class TestScrubberConcurrency:
     def test_scrubber_vs_corruptor_vs_readers(self):

@@ -171,6 +171,10 @@ class TestSoak:
             SoakConfig(requests_per_gpu=0)
         with pytest.raises(ValueError):
             SoakConfig(load=0.0)
+        with pytest.raises(ValueError, match="at least one key"):
+            SoakConfig.quick(batch_keys=0)  # once a ZeroDivisionError in the run
+        with pytest.raises(ValueError, match="model table"):
+            SoakConfig.quick(scenario="hps-multitenant", num_entries=2)
 
     def test_dgx_a100_partial_failure_soak(self):
         registry = MetricsRegistry("soak")
@@ -229,10 +233,7 @@ class TestSoak:
         # capacity, so the full-queue reject never fires and a full queue
         # needs no other policy.  A change that makes the bound reachable
         # has to revisit that.
-        tenants = 3 if scenario == "hps-multitenant" else 1
-        report = run_soak(
-            SoakConfig.quick(scenario=scenario, load=2.0, tenants=tenants)
-        )
+        report = run_soak(SoakConfig.quick(scenario=scenario, load=2.0))
         assert report.box.max_queue_depth < report.box.queue_capacity
         assert report.rejected == 0
 

@@ -379,8 +379,8 @@ class TestReportSections:
 
 
 class TestOptionsThatWent:
-    def test_soak_config_has_19_fields_and_the_report_a_19_field_core(self):
-        assert len(fields(SoakConfig)) == 19
+    def test_soak_config_has_17_fields_and_the_report_a_19_field_core(self):
+        assert len(fields(SoakConfig)) == 17
         names = [f.name for f in fields(SoakReport)]
         assert len(names) == 19 + len(SECTIONS)
         assert names[19:] == list(SECTIONS)
@@ -400,6 +400,7 @@ class TestOptionsThatWent:
             "slo_factor", "timeout_factor", "drift_window", "linger_ms",
             "lookahead", "prefetch_capacity", "repair", "restage",
             "queue_policy", "deadline_factor", "queue_capacity",
+            "tenants", "adapt",
         ],
     )
     def test_a_removed_keyword_is_a_type_error(self, gone):
@@ -412,7 +413,7 @@ class TestOptionsThatWent:
         assert "--linger-ms" in capsys.readouterr().err
         soak = build_parser()._subparsers._group_actions[0].choices["soak"]
         flags = [a for a in soak._actions if a.option_strings and a.dest != "help"]
-        assert len(flags) == 18
+        assert len(flags) == 16
 
     @pytest.mark.parametrize(
         "argv",

@@ -201,7 +201,7 @@ HOLE = {
         batching=BatchingMode.COALESCE, max_batch=1,
     ),
     "dgx": dict(scenario="dgx_a100_partial_failure"),  # 219/534
-    "hps": dict(scenario="hps-multitenant", tenants=4),  # 128/414
+    "hps": dict(scenario="hps-multitenant"),  # 157/427 (its row's 3 tenants)
     "drift": dict(scenario="steady", drift="rotating-head"),  # 90/146
 }
 

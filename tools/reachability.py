@@ -52,6 +52,7 @@ KEEP: dict[str, tuple[str, str]] = {
     "repro.core.cache:MultiGpuEmbeddingCache.check_integrity": (
         "fault", "then checks the restored cache"),
     "repro.core.tiers:not_resident": ("fault", "a key routed to a tier that lacks it"),
+    "repro.cli:_Parser.error": ("fault", "a usage error: no entry point misspells a flag"),
     "repro.faults.degrade:reroute_demand": (
         "fault", "a batch simulator's demand under an unhealthy view"),
     "repro.faults.degrade:DegradedPlatform.sources_for": ("fault", "degraded-mode view"),
@@ -110,7 +111,7 @@ PY = sys.executable
 REPRO = [PY, "-m", "repro"]
 QUICK = REPRO + ["soak", "--quick", "--seed", "0", "--scenario"]
 CLUSTER = ["--nodes", "3", "--replication", "2"]
-DRIFT = ["steady", "--adapt", "--drift"]
+DRIFT = ["steady", "--drift"]
 
 
 def entry_points(root: Path, out: Path) -> tuple[list, list]:
@@ -144,9 +145,9 @@ def entry_points(root: Path, out: Path) -> tuple[list, list]:
         QUICK + ["node-kill-bit-rot", *CLUSTER],
         QUICK + ["heal-storm", *CLUSTER],
         QUICK + ["hps-multitenant", "--tiers", "dram:100KB,ssd:1GB"],
-        QUICK + [*DRIFT, "rotating-head", "--compare-adapt"],
-        QUICK + [*DRIFT, "table-shift"],
-        QUICK + [*DRIFT, "flash-crowd"],
+        QUICK + [*DRIFT, "rotating-head+adapt"],
+        QUICK + [*DRIFT, "table-shift+adapt"],
+        QUICK + [*DRIFT, "flash-crowd+adapt"],
         REPRO + ["tiers", "--json-out", art("tiers.json")],
         REPRO + ["cluster", *CLUSTER, "--placement", "solver"],
         [PY, "benchmarks/e2e/run.py", "--smoke", "--trace"],
@@ -307,7 +308,6 @@ OPTION_KEEP: dict[str, tuple[str, str]] = {
     "repro.core.extractor:FactoredExtractor.extract.health": (
         "seam", "steps an injector's fault plan through a batch loop"),
     "repro.cli:main.argv": ("seam", "how tests drive the CLI in-process"),
-    "repro.cli:--requests": ("seam", "tests/test_cli.py sizes its soaks through it"),
     "repro.sim.event_sim:simulate_naive_event_driven.seed": ("seam", "dispatch shuffle"),
     "repro.dlr.nn:DlrmNet.__init__.seed": ("seam", "weight init"),
     "repro.dlr.nn:DcnNet.__init__.seed": ("seam", "weight init"),
