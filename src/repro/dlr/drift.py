@@ -176,6 +176,10 @@ DRIFT_SCENARIOS = {
 }
 
 
+#: Fewest entries a drift scenario's shifted segments can be cut from.
+MIN_DRIFT_ENTRIES = 4
+
+
 def build_drift_schedule(
     scenario: str, num_entries: int, alpha: float = 1.05, seed: int = 0
 ) -> DriftSchedule:
@@ -185,6 +189,6 @@ def build_drift_schedule(
             f"unknown drift scenario {scenario!r}; "
             f"choose from {sorted(DRIFT_SCENARIOS)}"
         )
-    if num_entries < 4:
-        raise ValueError("drift scenarios need at least 4 entries")
+    if num_entries < MIN_DRIFT_ENTRIES:
+        raise ValueError(f"drift scenarios need at least {MIN_DRIFT_ENTRIES} entries")
     return DRIFT_SCENARIOS[scenario](num_entries, alpha, seed)

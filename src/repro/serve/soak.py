@@ -383,7 +383,12 @@ class SoakConfig:
             value, allowed = getattr(self, f.name), f.metadata.get("choices")
             if value is not None and allowed and value not in allowed():
                 raise ValueError(f"unknown {f.name} {value!r}")
-        row, coalesce = SOAK_SCENARIOS[self.scenario], self.batching == BatchingMode.COALESCE
+        # Every reader tests the enum by identity; a plain string is converted once.
+        object.__setattr__(self, "batching", BatchingMode(self.batching))
+        row, coalesce = SOAK_SCENARIOS[self.scenario], self.batching is BatchingMode.COALESCE
+        drift_entries = 0
+        if self.drift is not None:  # its choices imported the drift table already
+            from repro.dlr.drift import MIN_DRIFT_ENTRIES as drift_entries
         runnable = CLUSTER_RUNNABLE if self.nodes > 1 else SOAK_SCENARIOS.keys() - CLUSTER_SCENARIOS
         # Value ranges, then the pairs no harness runs (no row spells them).
         for reason, refused in {
@@ -392,6 +397,8 @@ class SoakConfig:
             "closed loop needs at least one client": self.clients < 1,
             "a request needs at least one key": self.batch_keys < 1,
             f"need an entry per model table ({row.tenants})": self.num_entries < row.tenants,
+            f"a drift schedule needs at least {drift_entries} entries":
+                self.num_entries < drift_entries,
             "max batch must be at least 1": self.max_batch < 1,
             "linger factor must be non-negative": self.linger_factor < 0,
             f"need 1 <= replication <= nodes, got {self.replication} and {self.nodes}":

@@ -4,20 +4,28 @@ The analytic models in :mod:`repro.sim.mechanisms` are fluid
 approximations: the factored model assumes perfect local padding, and the
 naive-peer model solves a steady-state occupancy fixed point.  This module
 simulates the same physics *discretely*, individual SMs pulling fixed-size
-chunks: the naive loop recomputes every link's rate at each completion
-event, while the factored loop fixes a chunk's rate when the chunk starts,
-from the SMs then reading its source.  Tests and the `event-sim`
-experiment use it to check that the fluid models converge to the discrete
-behaviour (within chunking noise).
+chunks through one drain kernel (:func:`_drain`).  The two simulators
+differ only in how a core takes its next chunk and in the rate rule: the
+naive rule recomputes every link's rate at each completion event, the
+factored rule fixes a chunk's rate when the chunk starts, from the SMs
+then reading its source.  Tests and the `event-sim` experiment use it to
+check that the fluid models converge to the discrete behaviour (within
+chunking noise).
 
 Shared physics, independent dynamics: the per-link delivered-bandwidth law
 (full bandwidth up to tolerance, degraded beyond — §5.1/Figure 6) is the
-same :func:`~repro.sim.congestion.effective_bandwidth`; everything about
-*when* which SM reads from where is simulated, not assumed.
+same :func:`~repro.sim.congestion.effective_bandwidth`, and tier latency
+follows its analytic twin: a factored group's cores sit out the group's
+``latency`` from :func:`~repro.sim.mechanisms.factored_terms` before
+their first chunk, as the price charges it, while naive extraction
+charges none, as :func:`~repro.sim.mechanisms.naive_peer_extraction`
+does.  Everything about *when* which SM reads from where is simulated,
+not assumed.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -25,7 +33,7 @@ import numpy as np
 
 from repro.hardware.platform import Platform
 from repro.sim.congestion import effective_bandwidth
-from repro.sim.mechanisms import GpuDemand, factored_terms
+from repro.sim.mechanisms import GpuDemand, factored_terms, peer_peaks
 from repro.utils.rng import make_rng
 
 
@@ -65,6 +73,51 @@ def _link_rate(
     return min(per_core_bw, delivered / active_cores)
 
 
+def _drain(current, take, rate_rule, chunk_bytes, hold) -> EventSimResult:
+    """Cores drain fixed-size chunks until none can take another.
+
+    ``current[c]`` is the source of core ``c``'s chunk (None: idle) and
+    ``take(c)`` the source of its next one (None: done).  ``rate_rule(
+    current, rate, core)`` writes per-core byte rates into ``rate``; it is
+    called with ``core=None`` before each event and with the core each
+    time one starts a chunk.  Core ``c`` sits out ``hold[c]`` seconds of
+    access latency before its first chunk.
+    """
+    n = len(current)
+    remaining = [chunk_bytes] * n
+    rate = [0.0] * n
+    hold = list(hold)
+    for core in range(n):
+        if current[core] is not None:
+            rate_rule(current, rate, core)
+    clock = 0.0
+    events = 0
+    processed = 0
+    while True:
+        active = [c for c in range(n) if current[c] is not None]
+        if not active:
+            break
+        rate_rule(current, rate, None)
+        # Earliest completion under current rates.
+        dt = min(hold[c] + remaining[c] / rate[c] for c in active if rate[c] > 0)
+        clock += dt
+        events += 1
+        for core in active:
+            drained = dt - hold[core]
+            if drained < 0:
+                hold[core] = -drained
+                continue
+            hold[core] = 0.0
+            remaining[core] -= drained * rate[core]
+            if remaining[core] <= 1e-9:
+                processed += 1
+                current[core] = take(core)
+                if current[core] is not None:
+                    remaining[core] = chunk_bytes
+                    rate_rule(current, rate, core)
+    return EventSimResult(total_time=clock, chunks_processed=processed, events=events)
+
+
 def simulate_naive_event_driven(
     platform: Platform,
     demand: GpuDemand,
@@ -78,108 +131,39 @@ def simulate_naive_event_driven(
     SMs round-robin.  Each SM serially processes its queue; link rates are
     recomputed whenever any SM finishes a chunk.  As ``chunk_bytes → 0``
     this approaches the fluid fixed point of
-    :func:`repro.sim.congestion.solve_congested_extraction`.
-
-    ``readers_per_source`` uses the same semantics as
-    :func:`repro.sim.mechanisms.naive_peer_extraction`: on a switch
-    platform, ``k`` concurrent reader GPUs shrink a source's usable
-    outbound share to ``outbound / k``.
+    :func:`repro.sim.congestion.solve_congested_extraction`.  The link
+    peaks, ``readers_per_source`` included, are
+    :func:`repro.sim.mechanisms.peer_peaks`, as the analytic model reads
+    them.
     """
-    from repro.hardware.topology import TopologyKind
-
-    gpu = platform.gpu
-    rng = make_rng(seed)
-    readers = readers_per_source or {}
-
+    per_core = platform.gpu.per_core_bandwidth
+    num_cores = platform.gpu.num_cores
+    peaks: dict[int, float] = {}
     chunks: list[int] = []  # source per chunk
-    peaks = {}
-    for src, vol in demand.volumes.items():
-        if vol <= 0:
-            continue
-        if src == demand.dst or platform.is_backing(src):
-            peak = platform.bandwidth(demand.dst, src)
-        elif platform.topology.kind is TopologyKind.SWITCH:
-            n_readers = max(1, readers.get(src, 1))
-            peak = platform.topology.outbound_bandwidth(src) / n_readers
-        else:
-            peak = platform.bandwidth(demand.dst, src)
+    for src, (peak, _) in peer_peaks(platform, demand, readers_per_source).items():
         if peak <= 0:
             raise ValueError(f"source {src} unreachable from GPU {demand.dst}")
         peaks[src] = peak
-        chunks.extend([src] * max(1, int(round(vol / chunk_bytes))))
+        chunks.extend([src] * max(1, int(round(demand.volumes[src] / chunk_bytes))))
     if not chunks:
         return EventSimResult(0.0, 0, 0)
-    order = rng.permutation(len(chunks))
+    order = make_rng(seed).permutation(len(chunks))
+    queues = [iter([chunks[i] for i in order[c::num_cores]]) for c in range(num_cores)]
 
-    num_cores = gpu.num_cores
-    queues: list[list[int]] = [[] for _ in range(num_cores)]
-    for i, chunk_idx in enumerate(order):
-        queues[i % num_cores].append(chunks[chunk_idx])
+    def recompute_every_event(current, rate, core):
+        if core is not None:
+            return
+        counts = Counter(src for src in current if src is not None)
+        rates = {src: _link_rate(peaks[src], per_core, k) for src, k in counts.items()}
+        for c, src in enumerate(current):
+            if src is not None:
+                rate[c] = rates[src]
 
-    # Per-core state: current source (or None) and remaining bytes.
-    current: list[int | None] = [None] * num_cores
-    remaining = np.zeros(num_cores)
-    positions = [0] * num_cores
-    for core in range(num_cores):
-        if queues[core]:
-            current[core] = queues[core][0]
-            positions[core] = 1
-            remaining[core] = chunk_bytes
+    def take(core):
+        return next(queues[core], None)
 
-    clock = 0.0
-    events = 0
-    processed = 0
-    while True:
-        active = [c for c in range(num_cores) if current[c] is not None]
-        if not active:
-            break
-        counts: dict[int, int] = {}
-        for core in active:
-            counts[current[core]] = counts.get(current[core], 0) + 1
-        rates = {
-            src: _link_rate(peaks[src], gpu.per_core_bandwidth, n)
-            for src, n in counts.items()
-        }
-        # Earliest completion under current rates.
-        dt = min(
-            remaining[core] / rates[current[core]]
-            for core in active
-            if rates[current[core]] > 0
-        )
-        clock += dt
-        events += 1
-        for core in active:
-            remaining[core] -= dt * rates[current[core]]
-            if remaining[core] <= 1e-9:
-                processed += 1
-                if positions[core] < len(queues[core]):
-                    current[core] = queues[core][positions[core]]
-                    positions[core] += 1
-                    remaining[core] = chunk_bytes
-                else:
-                    current[core] = None
-                    remaining[core] = 0.0
-    clock += _access_latency(platform, demand)
-    return EventSimResult(total_time=clock, chunks_processed=processed, events=events)
-
-
-def _access_latency(platform: Platform, demand: GpuDemand) -> float:
-    """Worst per-source access latency of the demand's tiers.
-
-    Deep backing tiers (SSD, CXL) charge a fixed access latency on top of
-    their bandwidth; the discrete simulators pay the slowest source's
-    latency once per batch, mirroring the analytic factored model's
-    per-group ``tier_latency`` term.  Zero on single-tier platforms (DRAM
-    tier latency is 0), so existing cross-validation stays exact.
-    """
-    return max(
-        (
-            platform.tier_latency(src)
-            for src, vol in demand.volumes.items()
-            if vol > 0
-        ),
-        default=0.0,
-    )
+    current = [take(core) for core in range(num_cores)]
+    return _drain(current, take, recompute_every_event, chunk_bytes, [0.0] * num_cores)
 
 
 def simulate_factored_event_driven(
@@ -189,104 +173,52 @@ def simulate_factored_event_driven(
 ) -> EventSimResult:
     """Discretely simulate the §5.3 factored schedule.
 
-    Dedicated SMs drain their group's chunk queue; each SM that runs out
-    of non-local work switches to the local queue (the low-priority
-    padding).  Converges to
+    Each non-local group's ``busy`` cores from
+    :func:`repro.sim.mechanisms.factored_terms` sit out the group's access
+    ``latency`` once, then drain its chunk queue; a core that runs out of
+    its group's work switches to the local queue (the low-priority
+    padding), which the remaining cores drain from t=0.  Converges to
     :func:`repro.sim.mechanisms.factored_extraction` as chunks shrink.
     To price the schedule under faults, hand it the platform and demand
     :func:`repro.core.pipeline.apply_health` returns: degraded links slow
     their group, dead sources' chunks drain via host.
     """
-    gpu = platform.gpu
-
-    # Build per-source chunk counts.
-    group_chunks: dict[int, int] = {}
-    peaks: dict[int, float] = {}
+    local = demand.dst
+    per_core, num_cores, _, terms = factored_terms(platform, local, tuple(demand.volumes))
+    left = {local: 0}  # chunks not yet taken, per source
     for src, vol in demand.volumes.items():
-        if vol <= 0:
-            continue
-        peaks[src] = platform.bandwidth(demand.dst, src)
-        group_chunks[src] = max(1, int(round(vol / chunk_bytes)))
+        if vol > 0:
+            left[src] = max(1, int(round(vol / chunk_bytes)))
+    lane: list[int] = []  # the queue each core drains
+    hold: list[float] = []
+    for src, _, latency, _, busy in terms:
+        if src in left:
+            lane += [src] * busy
+            hold += [latency] * busy
+    free = max(num_cores - len(lane), 0)
+    lane += [local] * free
+    hold += [0.0] * free
 
-    local_src = demand.dst
-    local_remaining = group_chunks.pop(local_src, 0)
-
-    # Assign cores: each non-local group's busy cores (never beyond the
-    # link's tolerance, as the analytic model counts them), the remainder
-    # to local.
-    *_, terms = factored_terms(platform, demand.dst, tuple(demand.volumes))
-    assignments: list[int] = []  # core -> source
-    for src, _, _, _, busy in terms:
-        if src in group_chunks:
-            assignments.extend([src] * busy)
-    num_cores = gpu.num_cores
-    free_cores = num_cores - len(assignments)
-
-    remaining = dict(group_chunks)
-    clock = 0.0
-    events = 0
-    processed = 0
-    # Core states: (source or local) and time when it finishes its chunk.
-    cores: list[list] = []
-    for src in assignments:
-        cores.append([src, None])
-    for _ in range(max(free_cores, 0)):
-        cores.append(["local", None])
-
-    def chunk_time(src) -> float:
-        if src == "local":
-            return chunk_bytes / gpu.per_core_bandwidth
-        n = sum(1 for c in cores if c[0] == src and c[1] is not None)
-        rate = min(gpu.per_core_bandwidth, peaks[src] / max(n, 1))
-        return chunk_bytes / rate
-
-    # Seed initial chunks.
-    for core in cores:
-        src = core[0]
-        if src == "local":
-            if local_remaining > 0:
-                local_remaining -= 1
-                core[1] = 0.0  # placeholder; set below
-            else:
-                core[1] = None
+    def fix_at_start(current, rate, core):
+        if core is None:
+            return
+        src = current[core]
+        if src == local:
+            rate[core] = per_core
         else:
-            if remaining.get(src, 0) > 0:
-                remaining[src] -= 1
-                core[1] = 0.0
-            else:
-                core[0] = "local"
-                if local_remaining > 0:
-                    local_remaining -= 1
-                    core[1] = 0.0
-                else:
-                    core[1] = None
-    for core in cores:
-        if core[1] is not None:
-            core[1] = chunk_time(core[0])
+            readers = current.count(src)
+            rate[core] = min(per_core, platform.bandwidth(local, src) / readers)
 
-    while True:
-        active = [c for c in cores if c[1] is not None]
-        if not active:
-            break
-        t = min(c[1] for c in active)
-        clock = t
-        events += 1
-        for core in cores:
-            if core[1] is None or core[1] > t + 1e-15:
-                continue
-            processed += 1
-            src = core[0]
-            if src != "local" and remaining.get(src, 0) > 0:
-                remaining[src] -= 1
-                core[1] = t + chunk_time(src)
-            elif local_remaining > 0:
-                core[0] = "local"
-                local_remaining -= 1
-                core[1] = t + chunk_time("local")
-            else:
-                core[1] = None
-    clock += _access_latency(platform, demand)
-    return EventSimResult(total_time=clock, chunks_processed=processed, events=events)
+    def take(core):
+        if left[lane[core]] == 0:
+            lane[core] = local
+        if left[lane[core]] == 0:
+            return None
+        left[lane[core]] -= 1
+        return lane[core]
+
+    current = [take(core) for core in range(len(lane))]
+    return _drain(current, take, fix_at_start, chunk_bytes, hold)
 
 
 def simulate_hedged_extraction(

@@ -142,10 +142,13 @@ def factored_terms(platform: Platform, dst: int, sources: tuple[int, ...]):
     source in ``sources`` order, remembered per (platform or degraded
     view, ``dst``, ``sources``).
 
-    A group runs on its dedicated ``cores`` at ``rate`` and pays its
-    tier's fixed access ``latency`` once (0 for DRAM); ``busy`` is the
-    cores it holds, never beyond the link's tolerance.  The price, the
-    Gantt trace and the event simulator all read these.
+    A group runs on its dedicated ``cores`` at ``rate``; ``busy`` is the
+    cores it holds, never beyond the link's tolerance.  The one latency
+    rule: a group pays its tier's fixed access ``latency`` (0 for DRAM)
+    once, inside the group, so its ``busy`` cores are held for
+    ``volume / rate + latency``.  The price, the Gantt trace and the event
+    simulator (whose group cores sit the latency out before their first
+    chunk) all read these.
     """
     key = ("factored", dst, sources)
     found = platform.memo.get(key)
@@ -229,6 +232,29 @@ def factored_extraction(
 # ----------------------------------------------------------------------
 # Naive peer extraction (WholeGraph-style, §5.2)
 # ----------------------------------------------------------------------
+def peer_peaks(
+    platform: Platform, demand: GpuDemand, readers_per_source: dict[int, int] | None
+) -> dict[int, tuple[float, int]]:
+    """``(peak, readers)`` per source GPU ``demand.dst`` reads unorganized.
+
+    On a switch platform, ``k`` concurrent reader GPUs of a peer shrink its
+    usable outbound share to ``outbound / k``; own memory, backing tiers
+    and hard-wired links give their link bandwidth to one reader.
+    """
+    readers = readers_per_source or {}
+    switch = platform.topology.kind is TopologyKind.SWITCH
+    peaks: dict[int, tuple[float, int]] = {}
+    for src, vol in demand.volumes.items():
+        if vol <= 0:
+            continue
+        if switch and src != demand.dst and not platform.is_backing(src):
+            k = max(1, readers.get(src, 1))
+            peaks[src] = (platform.topology.outbound_bandwidth(src) / k, k)
+        else:
+            peaks[src] = (platform.bandwidth(demand.dst, src), 1)
+    return peaks
+
+
 def naive_peer_extraction(
     platform: Platform,
     demand: GpuDemand,
@@ -241,29 +267,13 @@ def naive_peer_extraction(
     makes this ``G - 1`` for every GPU source under a partition policy).
     """
     gpu = platform.gpu
-    readers = readers_per_source or {}
-    peaks: dict[int, float] = {}
-    pressure: dict[int, float] = {}
-    for src, vol in demand.volumes.items():
-        if vol <= 0:
-            continue
-        if src == demand.dst or platform.is_backing(src):
-            peaks[src] = platform.bandwidth(demand.dst, src)
-            pressure[src] = 1.0
-        elif platform.topology.kind is TopologyKind.SWITCH:
-            n_readers = max(1, readers.get(src, 1))
-            peaks[src] = platform.topology.outbound_bandwidth(src) / n_readers
-            pressure[src] = float(n_readers)
-        else:
-            peaks[src] = platform.bandwidth(demand.dst, src)
-            pressure[src] = 1.0
-
+    peaks = peer_peaks(platform, demand, readers_per_source)
     outcome = solve_congested_extraction(
-        volumes={s: v for s, v in demand.volumes.items() if v > 0},
-        peak_bandwidth=peaks,
+        volumes={s: demand.volumes[s] for s in peaks},
+        peak_bandwidth={s: peak for s, (peak, _) in peaks.items()},
         per_core_bandwidth=gpu.per_core_bandwidth,
         num_cores=gpu.num_cores,
-        collision_pressure=pressure,
+        collision_pressure={s: float(k) for s, (_, k) in peaks.items()},
     )
     time_by_source = {
         s: cs / gpu.num_cores for s, cs in outcome.core_seconds.items()

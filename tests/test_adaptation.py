@@ -7,7 +7,7 @@ from repro.core import drift_adapt
 from repro.core.cache import MultiGpuEmbeddingCache
 from repro.core.drift_adapt import DriftDetector
 from repro.core.policy import hot_replicate_warm_partition_policy
-from repro.dlr.drift import DRIFT_SCENARIOS, build_drift_schedule
+from repro.dlr.drift import DRIFT_SCENARIOS, MIN_DRIFT_ENTRIES, build_drift_schedule
 from repro.core.solver import SolverConfig
 from repro.hardware.platform import server_a, server_b
 from repro.serve import (
@@ -220,6 +220,13 @@ class TestDriftSchedules:
 
 
 class TestDriftSoak:
+    def test_too_few_entries_refused_by_the_config(self):
+        """The config refuses what the schedule cannot be cut from, so no
+        run starts; one entry more builds."""
+        with pytest.raises(ValueError, match="drift"):
+            SoakConfig.quick(drift="rotating-head", num_entries=MIN_DRIFT_ENTRIES - 1)
+        SoakConfig.quick(drift="rotating-head", num_entries=MIN_DRIFT_ENTRIES)
+
     def test_adapt_soak_detects_and_swaps(self):
         """End-to-end: rotating-head drift is detected, incrementally
         re-solved, and swapped — and transition goodput beats adapt-off

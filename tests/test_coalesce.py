@@ -578,6 +578,13 @@ class TestSoakCoalescing:
         assert report.coalesce is None
         assert "coalesce" not in report.to_dict()
 
+    def test_a_plain_string_mode_coalesces(self):
+        cfg = SoakConfig.quick(scenario="steady", load=2.0, batching="coalesce")
+        assert cfg.batching is BatchingMode.COALESCE
+        report = run_soak(cfg)
+        assert report.coalesce is not None
+        assert "coalesce" in report.to_dict()
+
     def test_closed_loop_rejects_coalescing(self):
         with pytest.raises(ValueError):
             SoakConfig.quick(closed_loop=True, batching=BatchingMode.COALESCE)

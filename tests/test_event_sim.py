@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hardware.platform import HOST
+from repro.hardware.platform import HOST, server_a_tiered
 from repro.sim.event_sim import (
     simulate_factored_event_driven,
     simulate_naive_event_driven,
@@ -16,7 +16,7 @@ from repro.sim.mechanisms import (
 CHUNK = 16 * 1024
 
 
-def _demand(local=40e6, g1=20e6, g2=10e6, host=5e6):
+def _demand(local=40e6, g1=20e6, g2=10e6, host=5e6, ssd=0.0):
     vols = {}
     if local:
         vols[0] = local
@@ -26,6 +26,8 @@ def _demand(local=40e6, g1=20e6, g2=10e6, host=5e6):
         vols[2] = g2
     if host:
         vols[HOST] = host
+    if ssd:
+        vols[-2] = ssd  # server_a_tiered's second tier
     return GpuDemand(dst=0, volumes=vols)
 
 
@@ -37,12 +39,15 @@ class TestFactoredConvergence:
             dict(local=200e6, g1=5e6, g2=0.0, host=1e6),
             dict(local=0.0, g1=30e6, g2=30e6, host=0.0),
             dict(local=10e6, g1=0.0, g2=0.0, host=20e6),
+            # each group pays its tier latency on its own cores, as priced
+            pytest.param(dict(g2=0.0, ssd=0.5e6), id="server-a-tiered"),
         ],
     )
     def test_matches_analytic_on_hardwired(self, platform_a, volumes):
+        platform = server_a_tiered() if "ssd" in volumes else platform_a
         demand = _demand(**volumes)
-        event = simulate_factored_event_driven(platform_a, demand, CHUNK)
-        analytic = factored_extraction(platform_a, demand)
+        event = simulate_factored_event_driven(platform, demand, CHUNK)
+        analytic = factored_extraction(platform, demand)
         assert event.total_time == pytest.approx(analytic.time, rel=0.10)
 
     def test_matches_analytic_on_switch(self, platform_c):

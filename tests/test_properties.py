@@ -4,17 +4,29 @@ import contextlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.blocks import build_blocks
 from repro.core.evaluate import hit_rates, resolve_sources
 from repro.core.policy import partition_policy, replication_policy
+from repro.core.pipeline import apply_health
+from repro.faults.spec import HealthView
 from repro.hardware.memory import SlotArena
-from repro.hardware.platform import HOST, server_a, server_c
+from repro.hardware.platform import (
+    HOST,
+    dgx2,
+    pcie_only,
+    server_a,
+    server_a_tiered,
+    server_b,
+    server_c,
+)
 from repro.sim.congestion import solve_congested_extraction
-from repro.sim.mechanisms import GpuDemand, factored_extraction
+from repro.sim.event_sim import simulate_factored_event_driven
+from repro.sim.mechanisms import GpuDemand, factored_extraction, factored_terms
+from repro.sim.trace import trace_factored
 from repro.utils.stats import zipf_pmf
 
 PLATFORM_A = server_a()
@@ -148,6 +160,86 @@ class TestSimulationProperties:
         )
         ideal = sum(vols) / (80 * 1e9)  # all cores at full per-core rate
         assert out.total_time >= ideal * 0.999
+
+
+#: Every modelled platform, each with the health it is priced under: one
+#: entry is server A seen through a degraded view (a dead peer, a halved
+#: link, half the PCIe bandwidth).
+MODELLED_PLATFORMS = [
+    (platform, None)
+    for platform in (
+        server_a(), server_b(), server_c(), dgx2(), pcie_only(), server_a_tiered()
+    )
+] + [(
+    PLATFORM_A,
+    HealthView(
+        down_gpus=frozenset({2}), link_factors=(((0, 1), 0.5),), host_factor=0.5
+    ),
+)]
+EVENT_CHUNK = 64 * 1024
+
+
+@st.composite
+def gpu0_demands(draw):
+    """GPU 0's demand on a drawn platform, degraded by its health view."""
+    base, health = draw(st.sampled_from(MODELLED_PLATFORMS))
+    sources = [0] + [
+        src
+        for src in (*range(1, base.num_gpus), *base.backing_ids)
+        if base.bandwidth(0, src) > 0
+    ]
+    local = st.one_of(st.just(0.0), st.floats(1.0, 200e6))
+    remote = st.one_of(st.just(0.0), st.floats(1.0, 20e6))
+    volumes = {src: draw(local if src == 0 else remote) for src in sources}
+    platform, (demand,), _ = apply_health(
+        base, [GpuDemand(dst=0, volumes=volumes)], health
+    )
+    return platform, demand
+
+
+class TestOneTimeModel:
+    """The Gantt trace, the price and the event simulator tell one time.
+
+    The event-driven bounds are derived, not tuned.  A group's chunks run
+    at ``r = min(per_core, bandwidth / busy)`` per core, so its chunk time
+    is ``tau = chunk / r``: its last round ends up to one chunk from the
+    fluid finish, and the padding's last chunk adds up to one more to the
+    batch.  The price credits a group ``rate`` on ``busy`` cores, which
+    exceeds ``busy * r`` by the fraction of a core the link's tolerance
+    rounds away; that ``volume / (busy * r) - volume / rate`` is added.
+    """
+
+    @given(case=gpu0_demands())
+    @example(case=(server_a_tiered(), GpuDemand(
+        dst=0, volumes={0: 400e6, 1: 20e6, HOST: 5e6, -2: 5e6}
+    )))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_trace_price_and_event_simulation_agree(self, case):
+        platform, demand = case
+        price = factored_extraction(platform, demand)
+        makespan = trace_factored(platform, demand).makespan
+        assert makespan == pytest.approx(price.time, rel=1e-12, abs=0.0)
+
+        per_core, _, _, terms = factored_terms(platform, 0, tuple(demand.volumes))
+        tau = {0: EVENT_CHUNK / per_core} if demand.volume(0) > 0 else {}
+        credit = {}
+        for src, rate, _, _, busy in terms:
+            volume = demand.volume(src)
+            if volume <= 0:
+                continue
+            r = min(per_core, platform.bandwidth(0, src) / busy)
+            tau[src] = EVENT_CHUNK / r
+            credit[src] = volume / (busy * r) - volume / rate
+            # The group alone: zeroing the other volumes keeps its terms.
+            alone = {s: volume if s == src else 0.0 for s in demand.volumes}
+            group = simulate_factored_event_driven(
+                platform, GpuDemand(0, alone), EVENT_CHUNK
+            ).total_time
+            assert abs(group - price.time_by_source[src]) <= tau[src] + credit[src]
+
+        event = simulate_factored_event_driven(platform, demand, EVENT_CHUNK)
+        bound = 2 * max(tau.values(), default=0.0) + max(credit.values(), default=0.0)
+        assert abs(event.total_time - price.time) <= bound
 
 
 class TestArenaProperties:

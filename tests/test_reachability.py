@@ -279,6 +279,29 @@ def test_a_flag_needs_an_entry_point_or_a_doc(options_toy):
     assert "--unused" not in "\n".join(failures)
 
 
+def test_a_splat_of_parsed_flags_sets_only_the_flag_fields(options_toy):
+    (options_toy / "src" / "toy" / "flagged.py").write_text(textwrap.dedent('''
+        from dataclasses import dataclass, field
+
+
+        def _flag(default, help):
+            return field(default=default, metadata=dict(help=help))
+
+
+        @dataclass(frozen=True)
+        class Run:
+            speed: int = _flag(1, "how fast")
+            tuning: float = 0.5
+    '''))
+    (options_toy / "examples" / "cli.py").write_text(
+        "from toy.flagged import Run\n"
+        "given = {name: value for name, value in vars(args).items()}\n"
+        "Run(**given)\n")
+    failures = "\n".join(_option_failures(options_toy, {}))
+    assert "no non-test code sets: toy.flagged:Run.tuning" in failures
+    assert "Run.speed" not in failures
+
+
 def test_repo_option_keep_list_is_well_formed():
     for key, (reason, what) in reachability.OPTION_KEEP.items():
         assert reason in reachability.OPTION_REASONS, key

@@ -352,6 +352,9 @@ TRAFFIC = ("src", "benchmarks", "examples", "tools")
 FLAG_TRAFFIC = (".github/workflows/ci.yml", "README.md", "EXPERIMENTS.md")
 #: Their parameters are the figure's axes, not options.
 FIGURE_DRIVERS = ("repro.bench.experiments", "repro.bench.report")
+#: A dataclass field declared through this helper is a CLI flag as well, so
+#: a ``**dict`` of parsed arguments can set it and nothing else of its class.
+FLAG_FIELD = "_flag"
 
 
 def _literal(node) -> bool:
@@ -463,7 +466,8 @@ def setters(root: Path, found: dict, callables: dict, fields: dict,
     """The traffic: ``sets[option] = [(site, value text or None)]`` — None for
     a value that is computed rather than written out — over every call (bound
     by simple name, to every owner of that name), ``replace(...)`` keyword,
-    ``**dict`` and, on an unfrozen dataclass, attribute store in the non-test
+    ``**dict`` (into a class with :data:`FLAG_FIELD` fields, only those) and,
+    on an unfrozen dataclass, attribute store in the non-test
     code under ``root``; and ``calls[owner]``, the number of sites calling
     it.  A flag's sites are the ``commands`` and FLAG_TRAFFIC files that
     spell it."""
@@ -487,9 +491,11 @@ def setters(root: Path, found: dict, callables: dict, fields: dict,
             calls[owner] = calls.get(owner, 0) + 1
             for name, node in [*zip(ordered, args), *keywords]:
                 record(f"{owner}.{name}", site, node)
-            for key in sets if splat else ():  # f(**computed) may set anything
-                if key.startswith(owner + "."):
-                    sets[key].append((site, None))
+            # f(**computed) may set any field; into a class of flag fields, its flags
+            owned = [key for key in sets if splat and key.startswith(owner + ".")]
+            flags = [key for key in owned if found[key].startswith(FLAG_FIELD + "(")]
+            for key in flags or owned:
+                sets[key].append((site, None))
 
     def scan(scope, cls, forwards, site_of):
         dicts: dict[str, list] = {}  # name -> [(key, value)] of a dict built here
